@@ -590,6 +590,21 @@ func (e *Engine) LogBytes(name string) (int64, error) {
 	return total, nil
 }
 
+// ColumnCacheStats sums the column-cache counters of the table's
+// fragments: whole-fragment builds, catch-ups after writes, log entries
+// folded, resident bytes.
+func (e *Engine) ColumnCacheStats(name string) (ofm.CacheStats, error) {
+	t, err := e.lookupTable(name)
+	if err != nil {
+		return ofm.CacheStats{}, err
+	}
+	var total ofm.CacheStats
+	for _, f := range t.frags {
+		total.Add(f.ofm.CacheStats())
+	}
+	return total, nil
+}
+
 // fragLogs tracks logs per fragment for LogBytes; set up at create time.
 type fragLogs struct {
 	logs []*wal.Log

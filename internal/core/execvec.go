@@ -192,8 +192,10 @@ func (e *Engine) execVecPart(ctx *execCtx, n plan.Node) (*vecParts, error) {
 // execVecScan scans a table's fragments into per-fragment batches over
 // the column caches: each fragment filters with its compiled vector
 // kernels where it lives, and only a selection vector (not tuples) is
-// produced. Cache rebuild bytes are charged to the statement's tenant
-// budget — the build is this statement's materialization.
+// produced. The bytes a scan writes into a cache — the whole image on
+// the first scan, the changed rows after a committed write — are charged
+// to the statement's tenant budget: they are this statement's
+// materialization.
 func (e *Engine) execVecScan(ctx *execCtx, sc *plan.Scan) (*vecParts, error) {
 	t, err := e.lookupTable(sc.Table)
 	if err != nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/value"
@@ -159,7 +161,9 @@ func TestExplainShowsVectorized(t *testing.T) {
 // materialization and must charge the tenant budget — even when the
 // query's own result is tiny. The row engine under the same budget
 // answers fine, so a pass here proves the build (not the result) was
-// charged.
+// charged. After a committed write the scan is charged what it folds
+// into the cache: next to nothing for one row, over budget for a rewrite
+// of the table — never the whole image again.
 func TestVectorizedMemBudget(t *testing.T) {
 	eVec := newEngine(t)
 	sVec := setupEmp(t, eVec)
@@ -186,6 +190,37 @@ func TestVectorizedMemBudget(t *testing.T) {
 	sVec.SetMemBudget(512)
 	if _, err := sVec.Query(q); err != nil {
 		t.Fatalf("warm-cache scan re-charged the build: %v", err)
+	}
+
+	// One updated row: the scan that absorbs it stays inside the budget a
+	// rebuild of any fragment would break.
+	for _, s := range []*Session{sVec, sRow} {
+		s.SetMemBudget(0)
+		mustExec(t, s, `UPDATE emp SET dept = 'moved' WHERE id = 3`)
+		s.SetMemBudget(512)
+	}
+	if _, err := sVec.Query(q); err != nil {
+		t.Fatalf("scan after a one-row write charged more than the row: %v", err)
+	}
+	st, err := eVec.ColumnCacheStats("emp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.FullBuilds != 4 || st.CatchUps != 1 || st.RowsFolded != 2 {
+		t.Errorf("cache counters after one absorbed update = %+v; want 4 builds (one per fragment), 1 catch-up of 2 entries", st)
+	}
+	// Every row updated: folding 60 new versions is this statement's
+	// materialization too, and no longer fits.
+	for _, s := range []*Session{sVec, sRow} {
+		s.SetMemBudget(0)
+		mustExec(t, s, `UPDATE emp SET dept = 'moved'`)
+		s.SetMemBudget(512)
+	}
+	if _, err := sVec.Query(q); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("scan folding a whole-table rewrite err = %v, want ErrMemBudget", err)
+	}
+	if _, err := sRow.Query(q); err != nil {
+		t.Fatalf("row scan under the same budget: %v", err)
 	}
 }
 
@@ -275,5 +310,86 @@ func TestVectorizedConcurrentReadWrite(t *testing.T) {
 		if err != nil {
 			t.Errorf("worker %d: %v", w, err)
 		}
+	}
+}
+
+// TestVectorizedSnapshotsSurviveSlotReuse is the engine-level check of the
+// column cache's in-place patching: a writer rewrites enough rows that
+// every fragment vacuums and refills slots many times over, while readers
+// run vectorized scans whose batches live until their statement has
+// materialized. A statement's snapshot pin must outlive its batches, so
+// every read sees one committed state: all 4400 rows, and an amt total
+// that is the initial one plus a whole number of 800-row increments. A
+// value patched into a row some reader still selected would break the
+// total (and trip the race detector, under which CI runs this).
+func TestVectorizedSnapshotsSurviveSlotReuse(t *testing.T) {
+	e := newEngine(t)
+	setupStar(t, e)
+	const rows, touched = 4400, 800
+	base := int64(0)
+	for i := 0; i < rows; i++ {
+		base += int64(i % 97)
+	}
+	check := func(n, sum int64) error {
+		if n != rows || sum < base || (sum-base)%touched != 0 {
+			return fmt.Errorf("read saw %d rows, amt total %d (initial %d): not a committed state", n, sum, base)
+		}
+		return nil
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make([]error, 3)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := e.NewSession()
+			defer s.Close()
+			for i := 0; !stop.Load() && errs[w] == nil; i++ {
+				if (w+i)%2 == 0 { // aggregate over unfiltered batches
+					rel, err := s.Query(`SELECT COUNT(*) AS n, SUM(amt) AS s FROM fact`)
+					if err == nil {
+						err = check(rel.Tuples[0][0].Int(), rel.Tuples[0][1].Int())
+					}
+					errs[w] = err
+					continue
+				}
+				// dense comparison filter, visibility applied to survivors
+				rel, err := s.Query(`SELECT id, amt FROM fact WHERE amt >= 0`)
+				if err == nil {
+					var sum int64
+					for _, tup := range rel.Tuples {
+						sum += tup[1].Int()
+					}
+					err = check(int64(rel.Len()), sum)
+				}
+				errs[w] = err
+			}
+		}(w)
+	}
+	s := e.NewSession()
+	defer s.Close()
+	for i := 0; i < 30 && errs[2] == nil; i++ {
+		_, errs[2] = s.Exec(`UPDATE fact SET amt = amt + 1 WHERE id < 800`)
+	}
+	stop.Store(true)
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			t.Errorf("worker %d: %v", w, err)
+		}
+	}
+	st, err := e.ColumnCacheStats("fact")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CatchUps == 0 {
+		t.Errorf("column caches never caught up with the writer: %+v", st)
+	}
+	// 30 updates of 800 rows append 24 000 versions unless vacuumed slots
+	// are refilled in place; a cache that stayed under three times the
+	// loaded image (48 bytes a row) proves the reuse path ran.
+	if st.ResidentBytes > 3*rows*48 {
+		t.Errorf("column caches grew to %d bytes: vacuumed slots were not reused", st.ResidentBytes)
 	}
 }

@@ -25,6 +25,17 @@ import (
 // gap on projecting shapes is real modeled savings — a columnar
 // projection is a pointer remap at the data, so narrower batches cross
 // the simulated network — while the wall speedup is host work avoided.
+//
+// The last four rows are the write-interleaved cell: one point UPDATE per
+// four filter scans, at two fragment sizes a factor of ten apart. The
+// scan that follows a write ("write-scan") has to bring one fragment's
+// column cache level with the store; "hit-scan" is the same statement on
+// level caches (behind a point UPDATE of a side table, so that both are
+// timed from the same host state). Their difference is what a committed
+// write costs the next reader, and it must not depend on the fragment
+// size: the cache catches up from the store's dirty-slot log instead of
+// transposing the fragment again. The cell fails if any fragment was
+// transposed after warm-up.
 func E20Vectorized(quick bool) (*Table, error) {
 	factRows, dimRows := 60000, 2200
 	runs := 9
@@ -54,11 +65,7 @@ func E20Vectorized(quick bool) (*Table, error) {
 		{"vec", core.Config{NumPEs: 16, Vectorized: &vecOn}, "execution: vectorized (columnar batches)"},
 		{"row", core.Config{NumPEs: 16, Vectorized: &vecOff}, "execution: row-at-a-time"},
 	}
-	type engState struct {
-		eng *core.Engine
-		s   *core.Session
-	}
-	states := make([]engState, len(engines))
+	states := make([]e20Engine, len(engines))
 	for i, ec := range engines {
 		eng, err := core.New(ec.cfg)
 		if err != nil {
@@ -78,7 +85,7 @@ func E20Vectorized(quick bool) (*Table, error) {
 		if err := load("dim1", dimSchema, dim); err != nil {
 			return nil, err
 		}
-		states[i] = engState{eng: eng, s: eng.NewSession()}
+		states[i] = e20Engine{eng: eng, s: eng.NewSession()}
 	}
 
 	// amt is uniform over [0, 97); a threshold of sel*97 keeps ~sel of
@@ -110,6 +117,7 @@ func E20Vectorized(quick bool) (*Table, error) {
 			"EXPLAIN gates every timed plan: the vec engine must report 'execution: vectorized (columnar batches)'",
 			"sim uses identical per-operator cost formulas; the vec sim advantage on projecting shapes is narrower batches crossing the simulated network (columnar projection happens at the data), wall speedup is host work avoided",
 			"vec rows/sec = fact rows scanned / median vec wall",
+			"write-scan / hit-scan: 1 point UPDATE per 4 filter scans (selectivity 0.01) at two fragment sizes 10x apart; hit-scan is the median of the scans that follow no write to the table (each behind a point UPDATE of a side table, so both kinds meet the same host state), write-scan is hit-scan plus the median over cycles of what the scan right after the write took beyond its own cycle's other three; write-scan minus hit-scan is the cost a committed write leaves to the next reader — the vec engine folds the changed rows into the column cache (zero fragment transpositions after warm-up, or the cell fails), so it does not grow with the fragment",
 		},
 	}
 
@@ -170,7 +178,167 @@ func E20Vectorized(quick bool) (*Table, error) {
 			sims[0].Round(time.Microsecond).String(),
 			sims[1].Round(time.Microsecond).String())
 	}
+
+	perFrag, cycles := []int{5000, 50000}, 40
+	if quick {
+		perFrag, cycles = []int{2500, 25000}, 15
+	}
+	for _, n := range perFrag {
+		if err := e20WriteInterleaved(t, states, n, cycles); err != nil {
+			return nil, err
+		}
+	}
 	return t, nil
+}
+
+// e20Engine is one of E20's two engines with its session.
+type e20Engine struct {
+	eng *core.Engine
+	s   *core.Session
+}
+
+// e20WriteInterleaved runs the write-interleaved cell at one fragment size
+// on both engines and appends its write-scan and hit-scan rows.
+func e20WriteInterleaved(t *Table, states []e20Engine, perFrag, cycles int) error {
+	const frags, scansPerWrite, amtMod = 8, 4, 97
+	rows := perFrag * frags
+	table := fmt.Sprintf("wfact%d", perFrag)
+	schema := value.MustSchema("id", "INT", "a", "INT", "b", "INT", "amt", "INT")
+	data := make([]value.Tuple, rows)
+	for i := range data {
+		data[i] = value.NewTuple(value.NewInt(int64(i)), value.NewInt(int64(i%1000)),
+			value.NewInt(int64(i%13)), value.NewInt(int64(i%amtMod)))
+	}
+	query := fmt.Sprintf("SELECT id, amt FROM %s WHERE amt < 1", table)
+	want := (rows + amtMod - 1) / amtMod
+	// The c-th write moves a row whose amt is not 0 to another non-zero
+	// amt, so the scan's answer never changes.
+	write := func(c int) string {
+		return fmt.Sprintf("UPDATE %s SET amt = %d WHERE id = %d", table, 1+c%(amtMod-1), 1+(c*7919)%(rows-1)/amtMod*amtMod)
+	}
+	// Every timed scan follows a point UPDATE, so both kinds meet the same
+	// host state (the parallel scan's workers parked behind a serial
+	// statement); a hit-scan's UPDATE goes to a side table and leaves the
+	// fact caches level.
+	side := table + "_side"
+	sideWrite := func(c int) string {
+		return fmt.Sprintf("UPDATE %s SET amt = %d WHERE id = %d", side, c, c%frags)
+	}
+	scan := func(st e20Engine) (time.Duration, error) {
+		start := time.Now()
+		res, err := st.s.Exec(query)
+		wall := time.Since(start)
+		if err == nil && res.Rel.Len() != want {
+			err = fmt.Errorf("E20: %q returned %d rows, want %d", query, res.Rel.Len(), want)
+		}
+		return wall, err
+	}
+
+	var afterWrite, hit, simWrite, simHit [2]time.Duration
+	for i, st := range states {
+		if err := st.eng.CreateTable(table, schema,
+			&fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: frags}, []int{0}); err != nil {
+			return err
+		}
+		if err := st.eng.LoadTable(table, data); err != nil {
+			return err
+		}
+		if err := st.eng.CreateTable(side, schema,
+			&fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: frags}, []int{0}); err != nil {
+			return err
+		}
+		if err := st.eng.LoadTable(side, data[:frags]); err != nil {
+			return err
+		}
+		// Warm-up: plans compiled, column caches built, and one absorbed
+		// write so the caches have grown past their exact-fit allocation.
+		for _, stmt := range []string{query, write(0), query, query} {
+			if _, err := st.s.Exec(stmt); err != nil {
+				return err
+			}
+		}
+		warm, err := st.eng.ColumnCacheStats(table)
+		if err != nil {
+			return err
+		}
+		// The quantity of interest is a difference of a few microseconds
+		// between scans of hundreds, on hosts that stall for milliseconds:
+		// it is estimated within each cycle (the scan after the write
+		// against the cycle's own other scans, a few milliseconds apart)
+		// and the median over cycles is taken of that, not of the walls.
+		var excess, hits []time.Duration
+		for c := 1; c <= cycles; c++ {
+			var after time.Duration
+			var own []time.Duration
+			for k := 0; k < scansPerWrite; k++ {
+				stmt := sideWrite(c*scansPerWrite + k)
+				if k == 0 {
+					stmt = write(c)
+				}
+				if _, err := st.s.Exec(stmt); err != nil {
+					return err
+				}
+				wall, err := scan(st)
+				if err != nil {
+					return err
+				}
+				if k == 0 {
+					after = wall
+				} else {
+					own = append(own, wall)
+				}
+			}
+			excess = append(excess, after-median(own))
+			hits = append(hits, own...)
+		}
+		hit[i] = median(hits)
+		afterWrite[i] = hit[i] + median(excess)
+		// Simulated cost of the two scans: deterministic, one measurement.
+		if _, err := st.s.Exec(write(cycles + 1)); err != nil {
+			return err
+		}
+		for _, sim := range []*time.Duration{&simWrite[i], &simHit[i]} {
+			st.eng.Machine().ResetClocks()
+			if _, err := scan(st); err != nil {
+				return err
+			}
+			*sim = st.eng.Machine().MaxClock()
+		}
+		done, err := st.eng.ColumnCacheStats(table)
+		if err != nil {
+			return err
+		}
+		if i == 0 { // the vec engine; the row engine never builds a cache
+			if done.FullBuilds != warm.FullBuilds {
+				return fmt.Errorf("E20: %s transposed %d fragments after warm-up; writes must be absorbed by catch-up",
+					table, done.FullBuilds-warm.FullBuilds)
+			}
+			if got := done.CatchUps - warm.CatchUps; got != uint64(cycles+1) {
+				return fmt.Errorf("E20: %s ran %d catch-ups for %d writes", table, got, cycles+1)
+			}
+		}
+	}
+	for _, r := range []struct {
+		shape     string
+		wall, sim [2]time.Duration
+	}{
+		{"write-scan", afterWrite, simWrite},
+		{"hit-scan", hit, simHit},
+	} {
+		speedup, rowsPerSec := 0.0, 0.0
+		if r.wall[0] > 0 {
+			speedup = float64(r.wall[1]) / float64(r.wall[0])
+			rowsPerSec = float64(rows) / r.wall[0].Seconds()
+		}
+		t.AddRow(fmt.Sprintf("%s %gk/frag", r.shape, float64(perFrag)/1000), "0.01", rows,
+			r.wall[0].Round(time.Microsecond).String(),
+			r.wall[1].Round(time.Microsecond).String(),
+			fmt.Sprintf("%.2f", speedup),
+			fmt.Sprintf("%.0f", rowsPerSec),
+			r.sim[0].Round(time.Microsecond).String(),
+			r.sim[1].Round(time.Microsecond).String())
+	}
+	return nil
 }
 
 // median returns the middle value of the (unsorted) durations.

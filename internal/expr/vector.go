@@ -25,6 +25,7 @@ type vecKernel func(b *value.Batch, sel []int32, dst []int32) []int32
 // safe for concurrent use (the OFM caches one per predicate per fragment).
 type VecFilter struct {
 	kernel vecKernel
+	total  bool
 	src    string
 }
 
@@ -38,15 +39,25 @@ func CompileVecFilter(e Expr, s *value.Schema) (*VecFilter, error) {
 	if k != value.KindBool && k != value.KindNull {
 		return nil, fmt.Errorf("expr: predicate has kind %s, want BOOLEAN", k)
 	}
-	kern, err := compileVecTri(e)
+	kern, total, err := compileVecTri(e)
 	if err != nil {
 		return nil, err
 	}
-	return &VecFilter{kernel: kern, src: e.String()}, nil
+	return &VecFilter{kernel: kern, total: total, src: e.String()}, nil
 }
 
 // String returns the source form of the filter.
 func (f *VecFilter) String() string { return f.src }
+
+// Total reports whether the filter is built only from the typed
+// comparison kernels (joined by AND/OR): over a batch whose vectors hold
+// the kinds the schema declares it reads column words and cannot raise,
+// whatever they contain. Such a filter may run over rows the caller will
+// discard afterwards — the OFM filters densely and applies MVCC
+// visibility to the survivors. Every other filter evaluates row
+// expressions (arithmetic, LIKE, IN, mismatched kinds) and must only see
+// rows that are really there.
+func (f *VecFilter) Total() bool { return f.total }
 
 // Filter appends the physical row indices of b satisfying the predicate
 // to dst, considering only rows in sel (nil = all rows). One recover
@@ -56,19 +67,21 @@ func (f *VecFilter) Filter(b *value.Batch, sel, dst []int32) (out []int32, err e
 	return f.kernel(b, sel, dst), nil
 }
 
-func compileVecTri(e Expr) (vecKernel, error) {
+// compileVecTri compiles e to a kernel and reports whether the kernel is
+// total (see VecFilter.Total): no node of e took the row fallback.
+func compileVecTri(e Expr) (vecKernel, bool, error) {
 	switch n := e.(type) {
 	case *Cmp:
 		return compileVecCmp(n)
 
 	case *And:
-		l, err := compileVecTri(n.L)
+		l, lt, err := compileVecTri(n.L)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		r, err := compileVecTri(n.R)
+		r, rt, err := compileVecTri(n.R)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		// Sequential filtering: the right kernel only sees rows the left
 		// kept. Rows where the left is NULL are dropped before the right
@@ -80,16 +93,16 @@ func compileVecTri(e Expr) (vecKernel, error) {
 			dst = r(b, tmp, dst)
 			value.PutSel(tmp)
 			return dst
-		}, nil
+		}, lt && rt, nil
 
 	case *Or:
-		l, err := compileVecTri(n.L)
+		l, lt, err := compileVecTri(n.L)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		r, err := compileVecTri(n.R)
+		r, rt, err := compileVecTri(n.R)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		// Left keeps first; the right kernel runs only over the left's
 		// rejects; the two kept sets merge back into ascending order.
@@ -122,16 +135,16 @@ func compileVecTri(e Expr) (vecKernel, error) {
 			value.PutSel(rest)
 			value.PutSel(rkeep)
 			return dst
-		}, nil
+		}, lt && rt, nil
 	}
 
 	// Everything else — NOT, IS NULL, IN, LIKE, boolean columns, generic
 	// comparisons — reuses the row compiler over a per-call scratch tuple.
 	tf, err := compileTri(e)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return rowFallbackKernel(tf), nil
+	return rowFallbackKernel(tf), false, nil
 }
 
 // rowFallbackKernel adapts a row predicate to the kernel contract. The
@@ -186,13 +199,13 @@ func mergeSel(dst, a, b []int32) []int32 {
 // row compiler: typed column vs constant and int column vs int column run
 // tight loops over the column slices; anything else (and any batch whose
 // vector kind disagrees with the binder's static kind) falls back to the
-// row comparison.
-func compileVecCmp(n *Cmp) (vecKernel, error) {
+// row comparison. The second result is true for the specialized shapes.
+func compileVecCmp(n *Cmp) (vecKernel, bool, error) {
 	// The row fallback doubles as the safety net inside specialized
 	// kernels when the vector kind is unexpected.
 	tf, err := compileCmp(n)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	fallback := rowFallbackKernel(tf)
 
@@ -204,7 +217,7 @@ func compileVecCmp(n *Cmp) (vecKernel, error) {
 	}
 	lcol, ok := l.(*Col)
 	if !ok || lcol.Index < 0 {
-		return fallback, nil
+		return fallback, false, nil
 	}
 	ix := lcol.Index
 
@@ -218,7 +231,7 @@ func compileVecCmp(n *Cmp) (vecKernel, error) {
 					return fallback(b, sel, dst)
 				}
 				return cmpConstLoop(vec.I, vec.Null, c, op, b.Rows, sel, dst)
-			}, nil
+			}, true, nil
 		case lcol.kind == value.KindFloat && (rconst.V.Kind() == value.KindFloat || rconst.V.Kind() == value.KindInt):
 			c := rconst.V.Float()
 			return func(b *value.Batch, sel, dst []int32) []int32 {
@@ -227,7 +240,7 @@ func compileVecCmp(n *Cmp) (vecKernel, error) {
 					return fallback(b, sel, dst)
 				}
 				return cmpConstLoop(vec.F, vec.Null, c, op, b.Rows, sel, dst)
-			}, nil
+			}, true, nil
 		case lcol.kind == value.KindString && rconst.V.Kind() == value.KindString:
 			c := rconst.V.Str()
 			return func(b *value.Batch, sel, dst []int32) []int32 {
@@ -236,9 +249,9 @@ func compileVecCmp(n *Cmp) (vecKernel, error) {
 					return fallback(b, sel, dst)
 				}
 				return cmpConstLoop(vec.S, vec.Null, c, op, b.Rows, sel, dst)
-			}, nil
+			}, true, nil
 		}
-		return fallback, nil
+		return fallback, false, nil
 	}
 
 	if rcol, ok := r.(*Col); ok && rcol.Index >= 0 &&
@@ -250,9 +263,9 @@ func compileVecCmp(n *Cmp) (vecKernel, error) {
 				return fallback(b, sel, dst)
 			}
 			return cmpColLoop(lv.I, lv.Null, rv.I, rv.Null, op, b.Rows, sel, dst)
-		}, nil
+		}, true, nil
 	}
-	return fallback, nil
+	return fallback, false, nil
 }
 
 // cmpConstLoop is the column-vs-constant comparison kernel, shared by the

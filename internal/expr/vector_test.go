@@ -127,3 +127,37 @@ func TestColumnIndices(t *testing.T) {
 		t.Error("unknown column treated as a column remap")
 	}
 }
+
+// TestVecFilterTotal: a filter is total exactly when every node compiled
+// to a typed comparison kernel — the shapes the OFM may run over rows it
+// will discard afterwards. Anything that evaluates a row expression, or
+// compares across kinds the kernels do not specialize, is not.
+func TestVecFilterTotal(t *testing.T) {
+	id, name, score := NewCol("id"), NewCol("name"), NewCol("score")
+	num := func(n int64) Expr { return NewConst(value.NewInt(n)) }
+	cases := []struct {
+		e    Expr
+		want bool
+	}{
+		{NewCmp(LT, id, num(5)), true},
+		{NewCmp(GT, num(5), id), true}, // constant on the left
+		{NewCmp(GE, score, num(2)), true},
+		{NewCmp(EQ, name, NewConst(value.NewString("a"))), true},
+		{NewCmp(NE, id, NewCol("id")), true},
+		{NewAnd(NewCmp(LT, id, num(5)), NewOr(NewCmp(GT, score, num(1)), NewCmp(EQ, id, num(3)))), true},
+		{NewCmp(LT, id, NewConst(value.NewFloat(2.5))), false}, // generic comparison
+		{NewCmp(GT, NewArith(Div, num(10), id), num(1)), false},
+		{NewLike(name, "a%", false), false},
+		{NewAnd(NewCmp(LT, id, num(5)), NewLike(name, "a%", false)), false},
+		{NewOr(NewCmp(GT, NewArith(Add, id, num(1)), num(1)), NewCmp(LT, id, num(5))), false},
+	}
+	for _, c := range cases {
+		vf, err := CompileVecFilter(Clone(c.e), testSchema)
+		if err != nil {
+			t.Fatalf("compile %s: %v", c.e, err)
+		}
+		if vf.Total() != c.want {
+			t.Errorf("%s: Total() = %v, want %v", c.e, vf.Total(), c.want)
+		}
+	}
+}

@@ -58,65 +58,87 @@ func scanBatchLen(t *testing.T, o *OFM, view View) int {
 	return b.Len()
 }
 
-// TestColumnCacheRebuildOnWrite pins the invalidation contract: the
-// first batch scan builds the cache (reporting its bytes), repeated
-// scans hit the same generation for free, and any committed write bumps
-// the store version so the next batch scan rebuilds.
-func TestColumnCacheRebuildOnWrite(t *testing.T) {
+// TestColumnCacheAbsorbsWrite pins the catch-up contract: the first batch
+// scan builds the cache (reporting its bytes), repeated scans hit it for
+// free, and a committed write is folded into the same cache by the next
+// batch scan — reporting the few bytes it wrote, not the fragment's —
+// with no second transposition.
+func TestColumnCacheAbsorbsWrite(t *testing.T) {
 	var horizon atomic.Uint64
 	o, mgr := newMVCCOFM(t, &horizon)
-	load(t, o, 20)
+	load(t, o, 200)
 
+	b, full, err := o.ScanBatch(Latest, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b == nil || b.Len() != 200 {
+		t.Fatalf("first batch scan = %v", b)
+	}
+	if full <= 0 {
+		t.Error("first batch scan must report the cache build bytes")
+	}
+	if st := o.CacheStats(); st.FullBuilds != 1 || st.CatchUps != 0 || st.ResidentBytes != full {
+		t.Fatalf("after the first scan: %+v, built %d", st, full)
+	}
+	usedBefore := o.PE().MemUsed()
+
+	// A second scan is a hit: nothing written.
+	if _, built, err := o.ScanBatch(Latest, nil, nil); err != nil || built != 0 {
+		t.Fatalf("cache hit built %d bytes, err %v", built, err)
+	}
+
+	// A committed insert is absorbed: the next scan sees it, reports a
+	// row's worth of bytes, and the cache was not rebuilt.
+	tx := mgr.Begin()
+	if err := o.InsertTx(tx.ID(), emp(1000, "new", 999)); err != nil {
+		t.Fatal(err)
+	}
+	commitAt(t, o, tx, 5)
 	b, built, err := o.ScanBatch(Latest, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b == nil || b.Len() != 20 {
-		t.Fatalf("first batch scan = %v", b)
+	if b.Len() != 201 {
+		t.Errorf("post-write batch scan = %d rows, want 201", b.Len())
 	}
-	if built <= 0 {
-		t.Error("first batch scan must report the cache build bytes")
+	if built <= 0 || built > full/20 {
+		t.Errorf("post-write scan wrote %d bytes; want > 0 and far below the %d of a build", built, full)
 	}
-	gen1 := o.cc
-	if gen1 == nil {
-		t.Fatal("no cache generation installed")
+	st := o.CacheStats()
+	if st.FullBuilds != 1 || st.CatchUps != 1 || st.RowsFolded != 1 {
+		t.Errorf("after one absorbed write: %+v", st)
 	}
-
-	// A second scan is a hit: no bytes built, same generation.
-	if _, built, err = o.ScanBatch(Latest, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if built != 0 {
-		t.Errorf("cache hit built %d bytes", built)
-	}
-	if o.cc != gen1 {
-		t.Error("cache rebuilt without a write")
+	// The PE is charged for the row the cache grew by (plus the store's
+	// own copy of the tuple), not for a second image.
+	if grew := o.PE().MemUsed() - usedBefore; grew <= 0 || grew > full/20 {
+		t.Errorf("PE memory grew by %d across one inserted row (build was %d)", grew, full)
 	}
 
-	// A committed insert invalidates: next scan rebuilds and sees it.
-	tx := mgr.Begin()
-	if err := o.InsertTx(tx.ID(), emp(100, "new", 999)); err != nil {
-		t.Fatal(err)
+	// An update is a stamp change on the old version plus a new version.
+	tx = mgr.Begin()
+	pred := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(7)))
+	set := map[int]expr.Expr{2: expr.NewConst(value.NewInt(-1))}
+	if n, err := o.UpdateTx(tx.ID(), pred, set, Latest); err != nil || n != 1 {
+		t.Fatalf("update = %d, %v", n, err)
 	}
-	commitAt(t, o, tx, 5)
-	b, built, err = o.ScanBatch(Latest, nil, nil)
+	commitAt(t, o, tx, 6)
+	neg := expr.NewCmp(expr.LT, expr.NewCol("salary"), expr.NewConst(value.NewInt(0)))
+	b, built, err = o.ScanBatch(Latest, neg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if built <= 0 {
-		t.Error("post-write scan must rebuild the cache")
+	if b.Len() != 1 || built <= 0 {
+		t.Errorf("scan after update: %d rows, built %d", b.Len(), built)
 	}
-	if o.cc == gen1 {
-		t.Error("stale cache generation survived a committed write")
-	}
-	if b.Len() != 21 {
-		t.Errorf("post-write batch scan = %d rows, want 21", b.Len())
+	if st := o.CacheStats(); st.FullBuilds != 1 || st.CatchUps != 2 || st.RowsFolded != 3 {
+		t.Errorf("after the update: %+v", st)
 	}
 }
 
 // TestColumnCacheServesOldSnapshots proves one cache generation answers
 // any snapshot: after a delete and an insert commit at ts=10, a scan at
-// an older watermark still sees the pre-commit image — with no rebuild
+// an older watermark still sees the pre-commit image — with no cache work
 // between the two reads.
 func TestColumnCacheServesOldSnapshots(t *testing.T) {
 	var horizon atomic.Uint64
@@ -138,13 +160,13 @@ func TestColumnCacheServesOldSnapshots(t *testing.T) {
 	if n := scanBatchLen(t, o, View{TS: 15}); n != 8 {
 		t.Errorf("scan at ts=15 = %d rows, want 8", n)
 	}
-	gen := o.cc
-	// Old snapshot, same cache generation: the 10 original rows.
+	before := o.CacheStats()
+	// Old snapshot, same cache: the 10 original rows.
 	if n := scanBatchLen(t, o, View{TS: 5}); n != 10 {
 		t.Errorf("scan at ts=5 = %d rows, want 10", n)
 	}
-	if o.cc != gen {
-		t.Error("old-snapshot scan rebuilt the cache")
+	if o.CacheStats() != before {
+		t.Error("old-snapshot scan touched the cache")
 	}
 	// Latest sees the post-commit image.
 	if n := scanBatchLen(t, o, Latest); n != 8 {
@@ -152,14 +174,17 @@ func TestColumnCacheServesOldSnapshots(t *testing.T) {
 	}
 }
 
-// TestColumnCacheVacuumDropsDeadVersions: vacuuming reclaims dead
-// versions from the store, which bumps the version counter so the next
-// rebuild carries only the surviving rows.
-func TestColumnCacheVacuumDropsDeadVersions(t *testing.T) {
+// TestColumnCacheVacuumLeavesReusableHoles: the cache keeps dead versions
+// for the snapshots that can still see them; once the horizon passes and
+// Vacuum frees their slots, the cached rows become holes no snapshot
+// selects, and the next insert fills a hole in place instead of growing
+// the cache — all without a rebuild.
+func TestColumnCacheVacuumLeavesReusableHoles(t *testing.T) {
 	var horizon atomic.Uint64
 	horizon.Store(1)
 	o, mgr := newMVCCOFM(t, &horizon)
 	load(t, o, 10)
+	scanBatchLen(t, o, Latest) // build
 
 	tx := mgr.Begin()
 	pred := expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(4)))
@@ -168,28 +193,60 @@ func TestColumnCacheVacuumDropsDeadVersions(t *testing.T) {
 	}
 	commitAt(t, o, tx, 10)
 
-	// The cache carries every version, dead ones included.
+	// The cache carries every version, dead ones included, and still
+	// serves the snapshot that sees them.
 	if n := scanBatchLen(t, o, Latest); n != 6 {
 		t.Fatalf("visible rows = %d, want 6", n)
 	}
-	if o.cc.rows != 10 {
-		t.Fatalf("cached versions = %d, want 10 (dead versions cached)", o.cc.rows)
+	if n := scanBatchLen(t, o, View{TS: 5}); n != 10 {
+		t.Fatalf("rows at ts=5 = %d, want 10 (dead versions cached)", n)
+	}
+	if o.cc.rows != 10 || o.cc.current != 6 {
+		t.Fatalf("cache rows/current = %d/%d, want 10/6", o.cc.rows, o.cc.current)
 	}
 
-	// Advance the horizon past the delete and vacuum: the next rebuild
-	// drops the reclaimed versions from the cache.
+	// Advance the horizon past the delete and vacuum: the slots become
+	// holes, invisible at every timestamp.
 	horizon.Store(20)
 	if freed := o.Vacuum(); freed != 4 {
 		t.Fatalf("vacuum freed %d, want 4", freed)
 	}
-	if n := scanBatchLen(t, o, Latest); n != 6 {
-		t.Errorf("post-vacuum visible rows = %d, want 6", n)
+	for _, v := range []View{Latest, {TS: 5}, {TS: 0}} {
+		if n := scanBatchLen(t, o, v); n != 6 {
+			t.Errorf("post-vacuum rows at ts=%d = %d, want 6", v.TS, n)
+		}
 	}
-	if o.cc.rows != 6 {
-		t.Errorf("post-vacuum cached versions = %d, want 6", o.cc.rows)
+	if o.cc.rows != 10 {
+		t.Errorf("post-vacuum cache rows = %d, want 10 (holes stay addressed)", o.cc.rows)
 	}
-	if !o.cc.allCurrent {
-		t.Error("a fully vacuumed unversioned fragment should scan dense")
+
+	// Two inserts land in two of the holes.
+	tx = mgr.Begin()
+	if err := o.InsertTx(tx.ID(), emp(100, "new", 1), emp(101, "new", 2)); err != nil {
+		t.Fatal(err)
+	}
+	commitAt(t, o, tx, 25)
+	if n := scanBatchLen(t, o, Latest); n != 8 {
+		t.Errorf("rows after refilling holes = %d, want 8", n)
+	}
+	if o.cc.rows != 10 || o.cc.current != 8 {
+		t.Errorf("cache rows/current = %d/%d, want 10/8 (holes reused in place)", o.cc.rows, o.cc.current)
+	}
+	if st := o.CacheStats(); st.FullBuilds != 1 {
+		t.Errorf("vacuum and reuse cost %d full builds, want the first one only", st.FullBuilds)
+	}
+	// Filling the remaining holes brings the dense path back.
+	tx = mgr.Begin()
+	if err := o.InsertTx(tx.ID(), emp(102, "new", 3), emp(103, "new", 4)); err != nil {
+		t.Fatal(err)
+	}
+	commitAt(t, o, tx, 26)
+	b, _, err := o.ScanBatch(Latest, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() != 10 || b.Sel != nil {
+		t.Errorf("full fragment scan = %d rows, sel %v; want 10 rows dense", b.Len(), b.Sel)
 	}
 }
 

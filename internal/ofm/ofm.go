@@ -119,9 +119,12 @@ type OFM struct {
 	vecMu    sync.Mutex
 	vecCache map[string]*expr.VecFilter
 
-	// ccMu guards the fragment column cache (colcache.go).
-	ccMu sync.Mutex
-	cc   *colCache
+	// ccMu guards the fragment column cache (colcache.go): scans read it
+	// shared, the catch-up after a write patches it exclusively.
+	ccMu    sync.RWMutex
+	cc      *colCache
+	ccDirty []storage.DirtySlot // reused drain buffer
+	ccStats CacheStats
 }
 
 // New builds an OFM; Persistent OFMs must have a log.

@@ -1,0 +1,111 @@
+package storage
+
+import "repro/internal/value"
+
+// The dirty-slot log lets a structure derived from the store — the OFM's
+// slot-addressed column cache — follow it in O(slots changed) instead of
+// re-reading every slot after a write. SnapshotSlots hands the consumer
+// the store slot by slot and arms the log; from then on InsertVersion,
+// DeleteVersion and Vacuum record the slot they touch, and DrainDirty
+// returns the current state of exactly those slots. The log is bounded:
+// when it overflows, or when a mutation happens that a patch cannot
+// express (Clear, the physical Delete and the in-place Update, which
+// change a row some reader may still be looking at), it is marked lost
+// and the consumer must take a fresh SnapshotSlots.
+//
+// A log entry is a slot index when the slot's tuple changed (a version
+// inserted into it, or the slot freed) and the index's complement when
+// only its stamps did (DeleteVersion). The difference matters to a
+// consumer whose readers hold no lock: a dead version stays visible to
+// older snapshots, so its values must not be rewritten, whereas a slot is
+// freed — and later refilled — only once no pinned snapshot can see it.
+
+// dirtyLogCap bounds the log. One Vacuum pass logs every slot it frees
+// (the OFM starts one at 256 dead versions), so the cap leaves room for a
+// pass plus the writes around it; a longer backlog costs one rebuild.
+const dirtyLogCap = 1024
+
+// DirtyLogBytes is the log's footprint while armed, for the consumer to
+// account against its processing element.
+const DirtyLogBytes = dirtyLogCap * 4
+
+// DirtySlot is the current state of one slot named by the log.
+type DirtySlot struct {
+	Slot       int
+	Tuple      value.Tuple // nil = the slot is free
+	Begin, End uint64
+	// StampsOnly: the tuple is the one the consumer already has; only
+	// Begin/End moved.
+	StampsOnly bool
+}
+
+// noteDirty records a log entry. Caller holds s.mu.
+func (s *Store) noteDirty(entry int32) {
+	if !s.tracking || s.dirtyLost {
+		return
+	}
+	if len(s.dirty) == dirtyLogCap {
+		s.dirtyLost = true
+		return
+	}
+	s.dirty = append(s.dirty, entry)
+}
+
+// SnapshotSlots returns the store slot by slot — tuples[i], begin[i] and
+// end[i] describe slot i, and a nil tuple marks a free slot — plus the
+// mutation counter, all under one lock acquisition. With track set the
+// same acquisition arms the dirty-slot log, empty, so a later DrainDirty
+// reports exactly the slots mutated after this snapshot. Tuples are
+// shared — treat as immutable.
+func (s *Store) SnapshotSlots(track bool) (tuples []value.Tuple, begin, end []uint64, version uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.rows)
+	tuples = make([]value.Tuple, n)
+	begin = make([]uint64, n)
+	end = make([]uint64, n)
+	for i := range s.rows {
+		sl := &s.rows[i]
+		tuples[i], begin[i], end[i] = sl.tuple, sl.begin, sl.end
+	}
+	if track {
+		s.tracking, s.dirtyLost = true, false
+		if s.dirty == nil {
+			s.dirty = make([]int32, 0, dirtyLogCap)
+		}
+		s.dirty = s.dirty[:0]
+	}
+	return tuples, begin, end, s.version
+}
+
+// Untrack releases the dirty-slot log: the consumer gave its cache up.
+func (s *Store) Untrack() {
+	s.mu.Lock()
+	s.tracking, s.dirty = false, nil
+	s.mu.Unlock()
+}
+
+// DrainDirty appends to buf the current state of every slot logged since
+// the log was armed or last drained, in log order (a slot mutated twice
+// appears twice, both times in its current state), empties the log, and
+// returns the slot count and mutation counter the entries are current
+// at. ok is false when the log is not armed or was lost: nothing is
+// drained and the caller must resynchronise through SnapshotSlots.
+func (s *Store) DrainDirty(buf []DirtySlot) (out []DirtySlot, slots int, version uint64, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.tracking || s.dirtyLost {
+		return buf, 0, 0, false
+	}
+	for _, e := range s.dirty {
+		d := DirtySlot{Slot: int(e)}
+		if e < 0 {
+			d.Slot, d.StampsOnly = int(^e), true
+		}
+		sl := &s.rows[d.Slot]
+		d.Tuple, d.Begin, d.End = sl.tuple, sl.begin, sl.end
+		buf = append(buf, d)
+	}
+	s.dirty = s.dirty[:0]
+	return buf, len(s.rows), s.version, true
+}

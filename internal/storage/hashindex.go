@@ -1,27 +1,36 @@
 package storage
 
-import "repro/internal/value"
+import (
+	"sync"
+
+	"repro/internal/value"
+)
 
 // HashIndex maps a key (one or more columns) to the row ids holding it.
-// It is maintained by the owning Store under the store's lock; the
-// exported lookup methods take the store lock via the Store facade, so
-// direct use is read-only and safe only alongside external
-// synchronization (the OFM serializes writes through its transaction
-// layer).
+// It is maintained by the owning Store under the store's write lock; the
+// exported read methods take the store's read lock, so they are safe
+// against concurrent committers (an OFM probes the index from lock-free
+// snapshot reads while commits insert into it). The store itself only
+// ever writes the index (add, remove, clear), inside its write lock.
 type HashIndex struct {
+	mu      *sync.RWMutex // the owning store's lock
 	cols    []int
 	buckets map[string][]RowID
 }
 
-func newHashIndex(cols []int) *HashIndex {
-	return &HashIndex{cols: append([]int(nil), cols...), buckets: map[string][]RowID{}}
+func newHashIndex(mu *sync.RWMutex, cols []int) *HashIndex {
+	return &HashIndex{mu: mu, cols: append([]int(nil), cols...), buckets: map[string][]RowID{}}
 }
 
 // Cols returns the indexed column positions.
 func (ix *HashIndex) Cols() []int { return append([]int(nil), ix.cols...) }
 
 // Len returns the number of distinct keys.
-func (ix *HashIndex) Len() int { return len(ix.buckets) }
+func (ix *HashIndex) Len() int {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	return len(ix.buckets)
+}
 
 func (ix *HashIndex) add(id RowID, t value.Tuple) {
 	k := t.KeyOn(ix.cols)
@@ -57,13 +66,18 @@ func (ix *HashIndex) Lookup(key []value.Value) []RowID {
 	for _, v := range key {
 		buf = value.AppendValue(buf, v)
 	}
-	ids := ix.buckets[string(buf)]
-	return append([]RowID(nil), ids...)
+	ix.mu.RLock()
+	ids := append([]RowID(nil), ix.buckets[string(buf)]...)
+	ix.mu.RUnlock()
+	return ids
 }
 
 // LookupTuple returns the row ids matching the indexed columns of t
 // (a probe tuple laid out like the stored schema).
 func (ix *HashIndex) LookupTuple(t value.Tuple) []RowID {
-	ids := ix.buckets[t.KeyOn(ix.cols)]
-	return append([]RowID(nil), ids...)
+	k := t.KeyOn(ix.cols)
+	ix.mu.RLock()
+	ids := append([]RowID(nil), ix.buckets[k]...)
+	ix.mu.RUnlock()
+	return ids
 }

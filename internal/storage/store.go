@@ -8,6 +8,7 @@ package storage
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/value"
@@ -57,12 +58,19 @@ type Store struct {
 
 	mu      sync.RWMutex
 	rows    []slot
-	free    []int  // reusable free slot indexes
-	count   int    // current versions (end == 0)
-	dead    int    // dead versions awaiting Vacuum
-	version uint64 // bumped by every mutation; column caches key on it
+	free    []int   // reusable free slot indexes
+	count   int     // current versions (end == 0)
+	dead    []int32 // slots of dead versions awaiting Vacuum, in deletion order
+	version uint64  // bumped by every mutation; column caches key on it
 	memSize int64
 	onMem   MemChangeFunc
+
+	// The dirty-slot log (see dirty.go): while a column cache tracks the
+	// store, every mutator records the slot it touched so the cache can
+	// catch up in O(slots changed).
+	tracking  bool
+	dirtyLost bool
+	dirty     []int32
 
 	hashIdx    map[string]*HashIndex
 	orderedIdx map[string]*OrderedIndex
@@ -150,6 +158,7 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 		id = makeRowID(len(s.rows), 0)
 		s.rows = append(s.rows, slot{tuple: t, begin: ts})
 	}
+	s.noteDirty(int32(id.slot()))
 	s.count++
 	s.version++
 	delta := int64(t.Size())
@@ -248,6 +257,9 @@ func (s *Store) Delete(id RowID) bool {
 	s.count--
 	s.version++
 	delta := s.freeSlot(si, id)
+	// The slot was visible until now and may be reused at once: a tracking
+	// cache cannot patch around that (see dirty.go).
+	s.dirtyLost = true
 	onMem := s.onMem
 	s.mu.Unlock()
 	if onMem != nil {
@@ -293,8 +305,9 @@ func (s *Store) DeleteVersion(id RowID, ts uint64) bool {
 		return false
 	}
 	s.rows[si].end = ts
+	s.noteDirty(^int32(si)) // stamps only: the tuple is untouched
 	s.count--
-	s.dead++
+	s.dead = append(s.dead, int32(si))
 	s.version++
 	for _, m := range s.markings {
 		delete(m, id)
@@ -303,20 +316,32 @@ func (s *Store) DeleteVersion(id RowID, ts uint64) bool {
 }
 
 // Vacuum physically reclaims dead versions no snapshot can see: those
-// with end != 0 and end <= horizon. Returns the number reclaimed.
+// with end != 0 and end <= horizon. Returns the number reclaimed. A pass
+// walks the dead-version list, not the store: its cost follows the number
+// of dead versions, however large the fragment.
 func (s *Store) Vacuum(horizon uint64) int {
 	s.mu.Lock()
-	reclaimed := 0
-	var delta int64
-	for si := range s.rows {
-		sl := &s.rows[si]
-		if sl.tuple == nil || sl.end == 0 || sl.end > horizon {
-			continue
+	// Partition the list in place: survivors keep their order at the front,
+	// the reclaimable slots collect behind them.
+	kept := 0
+	for i, si := range s.dead {
+		if s.rows[si].end > horizon {
+			s.dead[i], s.dead[kept] = s.dead[kept], si
+			kept++
 		}
-		delta += s.freeSlot(si, makeRowID(si, sl.gen))
-		s.dead--
-		reclaimed++
 	}
+	reclaim := s.dead[kept:]
+	// Free in ascending slot order, as a walk over the store would, so the
+	// free list — and with it the slot every later insert lands in — does
+	// not depend on the order the versions died in.
+	slices.Sort(reclaim)
+	var delta int64
+	for _, si := range reclaim {
+		delta += s.freeSlot(int(si), makeRowID(int(si), s.rows[si].gen))
+		s.noteDirty(si)
+	}
+	reclaimed := len(reclaim)
+	s.dead = s.dead[:kept]
 	if reclaimed > 0 {
 		s.version++
 	}
@@ -332,7 +357,7 @@ func (s *Store) Vacuum(horizon uint64) int {
 func (s *Store) DeadVersions() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.dead
+	return len(s.dead)
 }
 
 // Update replaces the tuple at id.
@@ -348,6 +373,7 @@ func (s *Store) Update(id RowID, t value.Tuple) error {
 	}
 	old := s.rows[si].tuple
 	s.rows[si].tuple = t
+	s.dirtyLost = true // a visible row rewritten in place: no catch-up
 	s.version++
 	delta := int64(t.Size()) - int64(old.Size())
 	s.memSize += delta
@@ -432,7 +458,7 @@ func (s *Store) Version() uint64 {
 func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, version uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.count + s.dead
+	n := s.count + len(s.dead)
 	tuples = make([]value.Tuple, 0, n)
 	begin = make([]uint64, 0, n)
 	end = make([]uint64, 0, n)
@@ -468,7 +494,8 @@ func (s *Store) Clear() {
 	s.rows = nil
 	s.free = nil
 	s.count = 0
-	s.dead = 0
+	s.dead = nil
+	s.dirtyLost = true
 	s.version++
 	s.memSize = 0
 	for _, idx := range s.hashIdx {
@@ -501,7 +528,7 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 	if _, dup := s.orderedIdx[name]; dup {
 		return nil, fmt.Errorf("storage: index %q exists", name)
 	}
-	idx := newHashIndex(cols)
+	idx := newHashIndex(&s.mu, cols)
 	for i := range s.rows {
 		if t := s.rows[i].tuple; t != nil {
 			idx.add(makeRowID(i, s.rows[i].gen), t)

@@ -271,11 +271,60 @@ func (b *Batch) Size() int {
 	return total
 }
 
+// Set stores x at physical row i, in place, widening an int into a float
+// column. It reports false, leaving the row as it was, when x does not
+// fit the vector: a kind the column does not hold, or a NULL when the
+// vector carries no null bitmap.
+func (v *Vec) Set(i int, x Value) bool {
+	if x.IsNull() {
+		if v.Null == nil {
+			return false
+		}
+		v.Null[i] = true
+		return true
+	}
+	switch v.Kind {
+	case KindBool:
+		if x.Kind() != KindBool {
+			return false
+		}
+		v.I[i] = 0
+		if x.Bool() {
+			v.I[i] = 1
+		}
+	case KindInt:
+		if x.Kind() != KindInt {
+			return false
+		}
+		v.I[i] = x.Int()
+	case KindFloat:
+		if k := x.Kind(); k != KindFloat && k != KindInt {
+			return false
+		}
+		v.F[i] = x.Float()
+	case KindString:
+		if x.Kind() != KindString {
+			return false
+		}
+		v.S[i] = x.Str()
+	default:
+		// All-NULL column with no declared kind: a non-NULL value
+		// contradicts the inference.
+		return false
+	}
+	if v.Null != nil {
+		v.Null[i] = false
+	}
+	return true
+}
+
 // NewBatchFrom builds a columnar batch from row-oriented tuples. Every
 // column must be uniform: each value NULL or of one consistent kind
 // (the storage layer's Conform guarantees this for stored relations).
-// Returns nil when a column is heterogeneous or a tuple is short — the
-// caller falls back to the row path.
+// A nil tuple is a hole: its row keeps zero payloads, and the caller
+// must keep it out of every selection (the OFM column cache maps free
+// store slots this way). Returns nil when a column is heterogeneous or
+// a tuple is short — the caller falls back to the row path.
 func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 	w := schema.Len()
 	n := len(tuples)
@@ -301,6 +350,9 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 			vec.I = make([]int64, n)
 		}
 		for i, t := range tuples {
+			if t == nil {
+				continue
+			}
 			if c >= len(t) {
 				return nil
 			}
@@ -312,6 +364,8 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				vec.Null[i] = true
 				continue
 			}
+			// Vec.Set's kind switch, spelled out: a call per value costs
+			// the transposition a third of its throughput.
 			switch kind {
 			case KindBool:
 				if v.Kind() != KindBool {

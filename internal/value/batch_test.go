@@ -166,3 +166,44 @@ func TestSelPool(t *testing.T) {
 	PutSel(make([]int32, 0, maxPooledSel+1)) // must not panic; silently dropped
 	PutSel(nil)                              // zero-cap: dropped
 }
+
+// TestNewBatchFromHolesAndSet: a nil tuple is a hole (zero payloads, the
+// caller's business to keep unselected), and Vec.Set patches one row in
+// place with the same kind rules the bulk transposition applies.
+func TestNewBatchFromHolesAndSet(t *testing.T) {
+	schema := MustSchema("id", "INT", "name", "VARCHAR", "score", "FLOAT")
+	b := NewBatchFrom(schema, []Tuple{
+		NewTuple(NewInt(1), NewString("a"), NewFloat(1.5)),
+		nil,
+		NewTuple(NewInt(3), Null, NewInt(4)), // int widens into the float column
+	})
+	if b == nil || b.Rows != 3 {
+		t.Fatalf("batch = %+v", b)
+	}
+	if b.Cols[0].I[1] != 0 || b.Cols[1].S[1] != "" || b.Cols[1].Null[1] {
+		t.Errorf("hole row not zero: %v %q", b.Cols[0].I[1], b.Cols[1].S[1])
+	}
+	if got := b.Cols[2].Value(2); got.Float() != 4 {
+		t.Errorf("widened float = %v", got)
+	}
+
+	id, name := b.Cols[0], b.Cols[1]
+	if !id.Set(1, NewInt(2)) || id.I[1] != 2 {
+		t.Errorf("Set int: %v", id.I)
+	}
+	if id.Set(1, NewString("x")) || id.I[1] != 2 {
+		t.Error("Set accepted a string into an int vector")
+	}
+	if id.Set(1, Null) {
+		t.Error("Set accepted a NULL into a vector with no null bitmap")
+	}
+	if !name.Set(2, NewString("c")) || name.IsNull(2) || name.S[2] != "c" {
+		t.Errorf("Set over a NULL: null=%v s=%q", name.IsNull(2), name.S[2])
+	}
+	if !name.Set(0, Null) || !name.IsNull(0) {
+		t.Error("Set NULL into a vector with a bitmap")
+	}
+	if !b.Cols[2].Set(1, NewInt(7)) || b.Cols[2].F[1] != 7 {
+		t.Error("Set int into a float vector must widen")
+	}
+}
