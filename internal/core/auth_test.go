@@ -180,9 +180,35 @@ func TestMemBudgetAbortsBigStatements(t *testing.T) {
 	if _, err := s.Query(`SELECT id FROM emp WHERE id = 3`); err != nil {
 		t.Fatalf("point query under budget: %v", err)
 	}
+	// The budget binds every entry point, not just Query: the same
+	// statements streamed (the path every ExecStream frame takes) and a
+	// PRISMAlog query reading the same table abort too.
+	for _, q := range []string{
+		`SELECT id, dept, salary FROM emp ORDER BY salary`, // materializing root
+		`SELECT id, dept, salary FROM emp`,                 // fragment-at-a-time pipeline
+	} {
+		cur, _, err := s.Stream(q)
+		for err == nil {
+			var batch *value.Relation
+			if batch, err = cur.Next(); batch == nil {
+				break
+			}
+		}
+		if !errors.Is(err, ErrMemBudget) {
+			t.Fatalf("streamed %q err = %v, want ErrMemBudget", q, err)
+		}
+	}
+	if _, err := e.DatalogQuery(s, `emp(I, D, S)`); !errors.Is(err, ErrMemBudget) {
+		t.Fatalf("PRISMAlog scan err = %v, want ErrMemBudget", err)
+	}
 	// Raising the budget clears the constraint.
 	s.SetMemBudget(1 << 20)
 	if _, err := s.Query(`SELECT id, dept, salary FROM emp ORDER BY salary`); err != nil {
 		t.Fatalf("sort under a sane budget: %v", err)
+	}
+	if cur, _, err := s.Stream(`SELECT id, dept, salary FROM emp`); err != nil {
+		t.Fatal(err)
+	} else if got := collect(t, cur); got.Len() != 60 {
+		t.Fatalf("stream under a sane budget delivered %d rows", got.Len())
 	}
 }

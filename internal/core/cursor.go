@@ -5,20 +5,19 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/algebra"
-	"repro/internal/expr"
 	"repro/internal/plan"
-	"repro/internal/pool"
 	"repro/internal/sqlparse"
 	"repro/internal/value"
 )
 
 // Cursor drains one SELECT's result incrementally, a batch of tuples at
 // a time, instead of materializing the whole relation at the
-// coordinator. Batches arrive fragment-at-a-time for plans whose root
-// pipeline reaches a Scan or IndexProbe (with coordinator-side Select /
-// Project / Limit applied per batch); other roots (joins, aggregates,
-// sorts) materialize once and stream as a single batch.
+// coordinator. It is the executor's own plan, taken one output slot at a
+// time: a pipeline of Select / Project / Limit over a Scan reads one
+// fragment per batch (the kernels run where the fragment lives), so the
+// first fragment's tuples reach the consumer before the later fragments
+// are read; other roots (joins, aggregates, sorts) have done their work
+// by the time the cursor opens and stream one batch per output slot.
 //
 // Under MVCC the cursor reads a snapshot pinned when it opened: the
 // stream observes one consistent version of the database for its whole
@@ -34,16 +33,19 @@ import (
 // closed: Next returning (nil, nil) commits it, Close before exhaustion
 // aborts it. Inside an explicit transaction the cursor leaves the
 // transaction untouched and locks live until COMMIT/ROLLBACK, exactly
-// as for a materialized statement.
+// as for a materialized statement; COMMIT/ROLLBACK close the cursor, for
+// its snapshot (or its locks) end with the transaction.
 //
 // A Cursor is not safe for concurrent use, mirroring the Session that
 // produced it.
 type Cursor struct {
 	s         *Session
+	ctx       *execCtx
 	settle    func(error) error // from readView: settles txn / releases pin
 	schema    *value.Schema
 	planStr   string
-	iter      *relIter
+	parts     *parts // the plan's output; slot `taken` is the next to deliver
+	taken     int
 	done      bool
 	err       error
 	rows      int64
@@ -81,7 +83,7 @@ func (c *Cursor) Next() (*value.Relation, error) {
 	if c.done {
 		return nil, nil
 	}
-	rel, err := c.iter.next()
+	rel, err := c.pull()
 	if err != nil {
 		c.err = err
 		c.finish(false)
@@ -98,6 +100,33 @@ func (c *Cursor) Next() (*value.Relation, error) {
 	return rel, nil
 }
 
+// pull delivers the next non-empty slot, or nil at the end of the
+// stream. Delivery is the gather, one slot at a time: the slot is taken,
+// crosses the network to the coordinator and becomes tuples, charged to
+// the tenant's budget like any other materialization — a breach ends the
+// stream with the batch that caused it.
+func (c *Cursor) pull() (*value.Relation, error) {
+	for c.taken < len(c.parts.pes) {
+		i := c.taken
+		c.taken++
+		s, err := c.parts.take(i)
+		if err != nil {
+			return nil, err
+		}
+		if s.len() == 0 {
+			s.free()
+			continue
+		}
+		c.ctx.ship(c.parts.pes[i], c.s.pe, s.size())
+		rel := s.rows(c.schema)
+		if err := c.ctx.chargeRel(rel); err != nil {
+			return nil, err
+		}
+		return rel, nil
+	}
+	return nil, c.ctx.mem.breach()
+}
+
 // Close releases the cursor. Closing before exhaustion aborts an
 // autocommit transaction (releasing its locks); closing after Next
 // returned (nil, nil) is a no-op. Close is idempotent.
@@ -112,16 +141,15 @@ func (c *Cursor) Close() error {
 // settle down its abort/release path.
 var errCursorClosed = errors.New("core: cursor closed before exhaustion")
 
-// finish ends the stream exactly once: waits out any in-flight fragment
-// calls, settles the read (autocommit commit/abort under 2PL, snapshot
-// pin release under MVCC), and stamps the timings.
+// finish ends the stream exactly once: settles the read (autocommit
+// commit/abort under 2PL, snapshot pin release under MVCC) and stamps the
+// timings.
 func (c *Cursor) finish(commit bool) error {
 	if c.done {
 		return nil
 	}
 	c.done = true
 	c.s.unregisterCursor(c)
-	c.iter.wait()
 	var err error
 	if commit {
 		err = c.settle(nil)
@@ -272,325 +300,21 @@ func (s *Session) streamPlanStr(root plan.Node, planStr string) (*Cursor, error)
 	if err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{s: s, tx: tx, view: view, shared: map[string]*value.Relation{}}
-	iter, err := s.e.execStream(ctx, root)
+	ctx := s.newExecCtx(tx, view)
+	p, err := s.e.exec(ctx, root)
 	if err != nil {
 		return nil, settle(err)
 	}
 	cur := &Cursor{
 		s:         s,
+		ctx:       ctx,
 		settle:    settle,
 		schema:    root.Schema(),
 		planStr:   planStr,
-		iter:      iter,
+		parts:     p,
 		simStart:  simStart,
 		wallStart: wallStart,
 	}
 	s.registerCursor(cur)
 	return cur, nil
-}
-
-// relIter yields a result as a sequence of non-empty per-fragment (or
-// materialized) relations; next returns (nil, nil) when exhausted. wait
-// blocks until any in-flight fragment calls have drained, so an
-// abandoned iterator never leaks work past cursor close.
-type relIter struct {
-	next func() (*value.Relation, error)
-	wait func()
-}
-
-func noWait() {}
-
-// singleBatchIter streams an already-materialized relation as one batch.
-func singleBatchIter(rel *value.Relation) *relIter {
-	done := false
-	return &relIter{
-		next: func() (*value.Relation, error) {
-			if done || rel == nil || len(rel.Tuples) == 0 {
-				return nil, nil
-			}
-			done = true
-			return rel, nil
-		},
-		wait: noWait,
-	}
-}
-
-// execStream builds a streaming iterator for a plan. Roots the pipeline
-// understands (Scan, IndexProbe, and Select/Project/Limit above them)
-// deliver results fragment-at-a-time; every other shape falls back to
-// the materializing executor and streams as a single batch.
-func (e *Engine) execStream(ctx *execCtx, n plan.Node) (*relIter, error) {
-	switch t := n.(type) {
-	case *plan.Scan:
-		if t.Shared {
-			break // CSE-shared scans keep their materialized cache semantics
-		}
-		return e.streamScan(ctx, t)
-	case *plan.IndexProbe:
-		return e.streamIndexProbe(ctx, t)
-	case *plan.Select:
-		child, err := e.execStream(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return e.streamSelect(ctx, t, child)
-	case *plan.Project:
-		child, err := e.execStream(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return e.streamProject(ctx, t, child)
-	case *plan.Limit:
-		child, err := e.execStream(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		return streamLimit(t.N, child), nil
-	}
-	rel, err := e.exec(ctx, n)
-	if err != nil {
-		return nil, err
-	}
-	return singleBatchIter(rel), nil
-}
-
-// streamScan locks the (pruned) fragments up front, then fans the scan
-// calls out to every fragment process at once (departures stamped
-// deterministically, as in the materialized parallelScan); batches are
-// delivered in fragment order as each reply lands, so the first
-// fragment's tuples reach the consumer while later fragments are still
-// scanning.
-func (e *Engine) streamScan(ctx *execCtx, sc *plan.Scan) (*relIter, error) {
-	t, err := e.lookupTable(sc.Table)
-	if err != nil {
-		return nil, err
-	}
-	frags := e.pruneFragments(t, sc.Pred)
-	if err := e.lockFragments(ctx, t, frags); err != nil {
-		return nil, err
-	}
-	if e.vecEligible(ctx) {
-		return e.streamScanVec(ctx, t, frags, sc), nil
-	}
-	specs := make([]pool.CallSpec, len(frags))
-	for i, fi := range frags {
-		specs[i] = pool.CallSpec{To: t.frags[fi].proc, Kind: "scan", Body: scanReq{view: ctx.view, pred: sc.Pred}, Bytes: 128}
-	}
-	waits := e.rt.CallEach(ctx.s.pe, specs)
-	i := 0
-	next := func() (*value.Relation, error) {
-		for i < len(waits) {
-			res, err := waits[i]()
-			i++
-			if err != nil {
-				return nil, err
-			}
-			rel := res.(*value.Relation)
-			if len(rel.Tuples) == 0 {
-				continue
-			}
-			out := value.NewRelation(sc.Out)
-			out.Tuples = rel.Tuples
-			return out, nil
-		}
-		return nil, nil
-	}
-	wait := func() {
-		for ; i < len(waits); i++ {
-			waits[i]()
-		}
-	}
-	return &relIter{next: next, wait: wait}, nil
-}
-
-// streamScanVec delivers a leaf scan fragment-at-a-time over the column
-// caches: each fragment filters columnar where it lives and only the
-// qualifying rows materialize into the delivered batch, lazily as the
-// consumer asks. A fragment whose cache declines (pending overlay
-// writes, uncacheable kinds) falls back to a row scan for that fragment
-// only — the stream keeps going either way.
-func (e *Engine) streamScanVec(ctx *execCtx, t *table, frags []int, sc *plan.Scan) *relIter {
-	i := 0
-	next := func() (*value.Relation, error) {
-		for i < len(frags) {
-			f := t.frags[frags[i]]
-			i++
-			b, built, err := f.ofm.ScanBatch(ctx.view, sc.Pred, nil)
-			if ctx.mem != nil && built > 0 {
-				_ = ctx.mem.charge(built)
-			}
-			if err != nil {
-				return nil, err
-			}
-			out := value.NewRelation(sc.Out)
-			if b != nil {
-				if b.Len() == 0 {
-					vecFreeBatch(b)
-					continue
-				}
-				if f.pe != ctx.s.pe {
-					e.m.Send(f.pe, ctx.s.pe, b.Size())
-				}
-				out.Tuples = b.Materialize().Tuples
-				vecFreeBatch(b)
-			} else {
-				rel, err := f.ofm.Scan(ctx.view, sc.Pred, nil)
-				if err != nil {
-					return nil, err
-				}
-				if len(rel.Tuples) == 0 {
-					continue
-				}
-				if f.pe != ctx.s.pe {
-					e.m.Send(f.pe, ctx.s.pe, rel.Size())
-				}
-				out.Tuples = rel.Tuples
-			}
-			_ = ctx.chargeRel(out)
-			return out, nil
-		}
-		return nil, nil
-	}
-	return &relIter{next: next, wait: noWait}
-}
-
-// streamIndexProbe yields the point-query fast path fragment-at-a-time:
-// probes are cheap and (for a fragmentation-key equality) pinned to a
-// single fragment, so each one runs lazily when the consumer asks. The
-// routing, locking and probe logic is exactly execIndexProbe's, via
-// the shared probeTargets/probeFragment helpers.
-func (e *Engine) streamIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*relIter, error) {
-	t, key, frags, err := e.probeTargets(ctx, pr)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	next := func() (*value.Relation, error) {
-		for i < len(frags) {
-			f := t.frags[frags[i]]
-			i++
-			rel, err := e.probeFragment(ctx, f, pr, key)
-			if err != nil {
-				return nil, err
-			}
-			if len(rel.Tuples) == 0 {
-				continue
-			}
-			out := value.NewRelation(pr.Out)
-			out.Tuples = rel.Tuples
-			return out, nil
-		}
-		return nil, nil
-	}
-	return &relIter{next: next, wait: noWait}, nil
-}
-
-// streamSelect applies a coordinator-side residual filter to each batch,
-// compiling (or binding) the predicate once for the whole stream.
-func (e *Engine) streamSelect(ctx *execCtx, sl *plan.Select, child *relIter) (*relIter, error) {
-	schema := sl.Child.Schema()
-	var filter func(*value.Relation) (*value.Relation, error)
-	if e.compiled {
-		pred, err := expr.CompilePredicate(expr.Clone(sl.Pred), schema)
-		if err != nil {
-			child.wait()
-			return nil, err
-		}
-		filter = func(rel *value.Relation) (*value.Relation, error) {
-			out, st, err := algebra.Select(rel, pred)
-			if err != nil {
-				return nil, err
-			}
-			e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-			return out, nil
-		}
-	} else {
-		bound := expr.Clone(sl.Pred)
-		if _, err := expr.Bind(bound, schema); err != nil {
-			child.wait()
-			return nil, err
-		}
-		filter = func(rel *value.Relation) (*value.Relation, error) {
-			out, st, err := algebra.SelectInterpreted(rel, bound)
-			if err != nil {
-				return nil, err
-			}
-			e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, false))
-			return out, nil
-		}
-	}
-	next := func() (*value.Relation, error) {
-		for {
-			rel, err := child.next()
-			if err != nil || rel == nil {
-				return nil, err
-			}
-			out, err := filter(rel)
-			if err != nil {
-				return nil, err
-			}
-			if len(out.Tuples) == 0 {
-				continue
-			}
-			return out, nil
-		}
-	}
-	return &relIter{next: next, wait: child.wait}, nil
-}
-
-// streamProject computes output expressions per batch, compiling the
-// projector once for the whole stream.
-func (e *Engine) streamProject(ctx *execCtx, p *plan.Project, child *relIter) (*relIter, error) {
-	exprs := make([]expr.Expr, len(p.Exprs))
-	for i, ex := range p.Exprs {
-		exprs[i] = expr.Clone(ex)
-	}
-	proj, err := expr.CompileProjector(exprs, p.Names, p.Child.Schema())
-	if err != nil {
-		child.wait()
-		return nil, err
-	}
-	next := func() (*value.Relation, error) {
-		for {
-			rel, err := child.next()
-			if err != nil || rel == nil {
-				return nil, err
-			}
-			out, st, err := algebra.ProjectExprs(rel, proj)
-			if err != nil {
-				return nil, err
-			}
-			out.Schema = p.Out
-			e.m.PE(ctx.s.pe).Advance(e.m.Cost().BuildCost(st.TuplesEmitted))
-			if len(out.Tuples) == 0 {
-				continue
-			}
-			return out, nil
-		}
-	}
-	return &relIter{next: next, wait: child.wait}, nil
-}
-
-// streamLimit truncates the stream after n tuples, without draining the
-// remainder of the child.
-func streamLimit(n int, child *relIter) *relIter {
-	remaining := n
-	next := func() (*value.Relation, error) {
-		if remaining <= 0 {
-			return nil, nil
-		}
-		rel, err := child.next()
-		if err != nil || rel == nil {
-			return nil, err
-		}
-		if len(rel.Tuples) > remaining {
-			out := value.NewRelation(rel.Schema)
-			out.Tuples = rel.Tuples[:remaining]
-			rel = out
-		}
-		remaining -= len(rel.Tuples)
-		return rel, nil
-	}
-	return &relIter{next: next, wait: child.wait}
 }

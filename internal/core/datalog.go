@@ -5,9 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/catalog"
-	"repro/internal/ofm"
 	"repro/internal/prismalog"
-	"repro/internal/txn"
 	"repro/internal/value"
 )
 
@@ -44,10 +42,8 @@ func (e *Engine) ClearRules() {
 // shared-lock isolation through the query's transaction. Scanned tables
 // are cached for the duration of one evaluation.
 type engineEDB struct {
-	e    *Engine
-	s    *Session
-	tx   *txn.Txn
-	view ofm.View
+	e   *Engine
+	ctx *execCtx
 
 	mu    sync.Mutex
 	cache map[string]*value.Relation
@@ -69,7 +65,7 @@ func (edb *engineEDB) Relation(pred string) (*value.Relation, bool) {
 	}
 	// Grants bite exactly where base tables resolve: a PRISMAlog rule
 	// body reading an unauthorized table fails the whole evaluation.
-	if err := edb.s.checkAccess([]tableAccess{{pred, catalog.PrivSelect}}); err != nil {
+	if err := edb.ctx.s.checkAccess([]tableAccess{{pred, catalog.PrivSelect}}); err != nil {
 		edb.recordErr(err)
 		return nil, false
 	}
@@ -77,19 +73,20 @@ func (edb *engineEDB) Relation(pred string) (*value.Relation, bool) {
 	for i := range all {
 		all[i] = i
 	}
-	ctx := &execCtx{s: edb.s, tx: edb.tx, view: edb.view, shared: map[string]*value.Relation{}}
-	if err := edb.e.lockFragments(ctx, t, all); err != nil {
-		edb.recordErr(err)
-		return nil, false
-	}
-	parts, err := edb.e.parallelScan(ctx, t, all, nil)
+	p, err := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema)
 	if err != nil {
 		edb.recordErr(err)
 		return nil, false
 	}
-	rel := value.NewRelation(t.def.Schema)
-	for _, p := range parts {
-		rel.Tuples = append(rel.Tuples, p.Tuples...)
+	rel, err := edb.e.gatherRows(edb.ctx, p, t.def.Schema)
+	if err == nil {
+		// A table gathered for the evaluation is the statement's
+		// materialization like any other.
+		err = edb.ctx.mem.breach()
+	}
+	if err != nil {
+		edb.recordErr(err)
+		return nil, false
 	}
 	edb.mu.Lock()
 	edb.cache[pred] = rel
@@ -122,7 +119,7 @@ func (e *Engine) DatalogQuery(s *Session, query string) (*value.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	edb := &engineEDB{e: e, s: s, tx: tx, view: view, cache: map[string]*value.Relation{}}
+	edb := &engineEDB{e: e, ctx: s.newExecCtx(tx, view), cache: map[string]*value.Relation{}}
 	rel, _, evalErr := prismalog.EvalQuery(prog, q, edb, prismalog.Options{SemiNaive: e.semiNaive})
 	if edb.err != nil {
 		evalErr = edb.err
@@ -150,7 +147,7 @@ func (e *Engine) DatalogProgram(s *Session, src string) ([]*value.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	edb := &engineEDB{e: e, s: s, tx: tx, view: view, cache: map[string]*value.Relation{}}
+	edb := &engineEDB{e: e, ctx: s.newExecCtx(tx, view), cache: map[string]*value.Relation{}}
 	var answers []*value.Relation
 	for i := range prog.Queries {
 		rel, _, evalErr := prismalog.EvalQuery(combined, &prog.Queries[i], edb, prismalog.Options{SemiNaive: e.semiNaive})

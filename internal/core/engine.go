@@ -60,12 +60,14 @@ type Config struct {
 	// the all-2PL baseline (S-locks on reads) — experiment E16 measures
 	// the difference.
 	MVCC *bool
-	// Vectorized toggles columnar batch execution (default true): eligible
-	// read plans run over the OFM fragment column caches with selection
-	// vectors, materializing tuples only at the plan root. False forces
-	// tuple-at-a-time execution everywhere — the E20 baseline. Vectorized
-	// scans require compiled expressions and MVCC snapshot reads; when
-	// either is off the engine falls back to the row path regardless.
+	// Vectorized lets fragment scans answer with columnar batches over the
+	// OFM column caches (default true), so the executor's operators run
+	// their batch kernels and tuples materialize only at the plan root.
+	// False makes every scan answer with rows, which puts every slot of
+	// the one executor on its row kernels — the reference configuration
+	// TestVectorizedMatchesRow and E20 compare against. Batches also need
+	// compiled expressions and MVCC snapshot reads; with either off, scans
+	// answer with rows regardless.
 	Vectorized *bool
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
@@ -283,20 +285,10 @@ func (e *Engine) coordinatorPE() int {
 
 // ---------- OFM process plumbing ----------
 
-// Request kinds served by an OFM process.
-type scanReq struct {
-	view ofm.View
-	pred expr.Expr
-	cols []int
-}
-
-type aggReq struct {
-	view    ofm.View
-	pred    expr.Expr
-	groupBy []int
-	specs   []algebra.AggSpec
-}
-
+// Request kinds served by an OFM process: writes, the commit protocol,
+// replication and the closure operator. Plan leaves do not come through
+// here — the executor reads a fragment by calling its OFM directly
+// (scanSlot, probeFragment), charging the simulated machine itself.
 type closureReq struct {
 	view           ofm.View
 	fromCol, toCol int
@@ -368,18 +360,6 @@ func (e *Engine) spawnOFMProcess(o *ofm.OFM, pe int) (*pool.Process, error) {
 			var bytes int
 			var err error
 			switch req := msg.Body.(type) {
-			case scanReq:
-				var rel *value.Relation
-				rel, err = o.Scan(req.view, req.pred, req.cols)
-				if rel != nil {
-					body, bytes = rel, rel.Size()
-				}
-			case aggReq:
-				var rel *value.Relation
-				rel, err = o.Aggregate(req.view, req.pred, req.groupBy, req.specs)
-				if rel != nil {
-					body, bytes = rel, rel.Size()
-				}
 			case closureReq:
 				var rel *value.Relation
 				rel, err = o.Closure(req.view, req.fromCol, req.toCol, req.algo)

@@ -1,33 +1,440 @@
 package core
 
+// The executor: one partitioned operator pipeline. A plan subtree
+// evaluates to parts — slot i lives on PE pes[i] and stays there until a
+// plan.Exchange moves it or the consumer gathers it at the coordinator.
+// A slot holds a value.Batch over the fragment column caches (typed
+// vectors plus a selection vector), or rows where no column image exists;
+// every operator (execops.go) picks the batch or the row kernel per slot
+// from what the slot holds and charges the simulated machine at one site.
+// Central execution is the one-slot-at-the-coordinator case of the same
+// operators. Slots are made on demand: a scan and the per-slot kernels
+// stacked on it run when the consumer takes the slot, so an operator takes
+// all of them at once, one goroutine each, while the streaming cursor
+// (cursor.go) takes the same plan's slots one at a time.
+
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
 
-	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/fragment"
 	"repro/internal/ofm"
 	"repro/internal/plan"
-	"repro/internal/pool"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
 
-// execCtx carries per-query state: the session (locks, coordinator PE),
-// the read view, and the common-subexpression cache the optimizer's CSE
-// rule feeds. Under MVCC tx is nil for reads — the view alone selects
-// the visible versions and no locks are taken.
+// execCtx carries per-statement state: the session (locks, coordinator
+// PE), the read view, the tenant's working-memory account and the
+// common-subexpression cache the optimizer's CSE rule feeds. Under MVCC
+// tx is nil for reads — the view alone selects the visible versions and
+// no locks are taken.
 type execCtx struct {
-	s      *Session
-	tx     *txn.Txn
-	view   ofm.View
-	shared map[string]*value.Relation
-	mu     sync.Mutex
-	// mem charges materialized intermediates (scans, join outputs,
-	// aggregates, sorts) against the tenant's working-memory budget;
-	// nil when the session has no budget.
+	s    *Session
+	tx   *txn.Txn
+	view ofm.View
+	// mem charges what the statement materializes (column-cache builds,
+	// everything gathered at the coordinator) against the tenant's budget;
+	// nil when the session has none.
 	mem *memAcct
+	// explain, when set, makes this EXPLAIN's dry run: leaves produce
+	// empty slots in the form a real scan would, nothing is locked or
+	// charged, and every operator records what its slots held.
+	explain *explainTrace
+
+	mu     sync.Mutex
+	shared map[string]*value.Relation
+}
+
+// newExecCtx is the one place a statement's execution context is built —
+// materialized statements, cursors, PRISMAlog evaluations and EXPLAIN all
+// start here, so none can run outside the tenant's memory budget.
+func (s *Session) newExecCtx(tx *txn.Txn, view ofm.View) *execCtx {
+	ctx := &execCtx{s: s, tx: tx, view: view}
+	if s.memBudget > 0 {
+		ctx.mem = &memAcct{limit: s.memBudget}
+	}
+	return ctx
+}
+
+// work charges d of CPU to PE pe and ship a message between two PEs —
+// the operators' doors to the simulated machine's clocks (the hash
+// exchange stamps its own departures and arrivals). EXPLAIN's dry run
+// charges nothing.
+func (ctx *execCtx) work(pe int, d time.Duration) {
+	if ctx.explain == nil {
+		ctx.s.e.m.PE(pe).Advance(d)
+	}
+}
+
+func (ctx *execCtx) ship(src, dst, bytes int) {
+	if ctx.explain == nil && src != dst {
+		ctx.s.e.m.Send(src, dst, bytes)
+	}
+}
+
+// slot is one partition of an intermediate result: a columnar batch, or
+// rows. why says what put a slot in row form when a batch would have
+// been possible (a leaf that declined, a computed projection, …); rows
+// that are rows by nature — an aggregate's or a sort's output — carry no
+// reason.
+type slot struct {
+	b   *value.Batch
+	rel *value.Relation
+	why string
+}
+
+func (s slot) len() int {
+	switch {
+	case s.b != nil:
+		return s.b.Len()
+	case s.rel != nil:
+		return s.rel.Len()
+	}
+	return 0
+}
+
+// size is the slot's footprint on the simulated network, the same for
+// both forms.
+func (s slot) size() int {
+	switch {
+	case s.b != nil:
+		return s.b.Size()
+	case s.rel != nil:
+		return s.rel.Size()
+	}
+	return 0
+}
+
+// free returns a dropped batch's selection vector to the pool.
+func (s slot) free() {
+	if s.b != nil && s.b.Sel != nil {
+		value.PutSel(s.b.Sel)
+		s.b.Sel = nil
+	}
+}
+
+// rows returns the slot in row form, consuming a batch.
+func (s slot) rows(schema *value.Schema) *value.Relation {
+	switch {
+	case s.b != nil:
+		rel := s.b.Materialize()
+		s.free()
+		return rel
+	case s.rel != nil:
+		return s.rel
+	}
+	return value.NewRelation(schema)
+}
+
+// asRows converts a batch slot to rows for a kernel that has no columnar
+// form, recording why; a row slot keeps its own reason.
+func (s slot) asRows(schema *value.Schema, why string) slot {
+	if s.b == nil && s.rel != nil {
+		return s
+	}
+	return slot{rel: s.rows(schema), why: why}
+}
+
+// parts is a partitioned intermediate: slot i lives on PE pes[i]. Slots
+// align positionally between siblings: exchanges with equal fan-out
+// target the same PE list, and natively co-fragmented scans pair fragment
+// by fragment. A slot either exists (slots) or is made when taken (src):
+// a fragment scan plus the per-slot kernels stacked on it by then. Each
+// slot is taken at most once — batch kernels consume their input.
+type parts struct {
+	pes   []int
+	slots []slot
+	src   func(i int) (slot, error)
+	// ordered parts (a LIMIT) must be taken one at a time, in slot order.
+	ordered bool
+	// Backing store of a singleton, so the point-query path allocates the
+	// struct and nothing else.
+	slot1 [1]slot
+	pe1   [1]int
+}
+
+// singleton is one slot at the session's coordinator PE.
+func (ctx *execCtx) singleton(s slot) *parts {
+	p := &parts{slot1: [1]slot{s}, pe1: [1]int{ctx.s.pe}}
+	p.slots, p.pes = p.slot1[:], p.pe1[:]
+	return p
+}
+
+// take makes slot i.
+func (p *parts) take(i int) (slot, error) {
+	if p.src == nil {
+		return p.slots[i], nil
+	}
+	return p.src(i)
+}
+
+// then stacks a per-slot kernel on p: it runs where the slot lives, when
+// the slot is taken.
+func (p *parts) then(op func(s slot, pe int) (slot, error)) *parts {
+	return &parts{pes: p.pes, ordered: p.ordered, src: func(i int) (slot, error) {
+		s, err := p.take(i)
+		if err != nil {
+			return slot{}, err
+		}
+		return op(s, p.pes[i])
+	}}
+}
+
+// each takes every slot and hands it to fn — concurrently, unless the
+// parts are ordered — and returns the first error. Per-slot work charges
+// only that slot's PE, so virtual cost accounting is independent of host
+// scheduling.
+func (p *parts) each(fn func(i int, s slot) error) error {
+	one := func(i int) error {
+		s, err := p.take(i)
+		if err != nil {
+			return err
+		}
+		return fn(i, s)
+	}
+	if p.ordered {
+		for i := range p.pes {
+			if err := one(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return eachPart(len(p.pes), one)
+}
+
+// forced takes every slot and returns the result as existing slots.
+func (p *parts) forced() (*parts, error) {
+	if p.src == nil {
+		return p, nil
+	}
+	out := &parts{pes: p.pes, slots: make([]slot, len(p.pes))}
+	err := p.each(func(i int, s slot) error {
+		out.slots[i] = s
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// rowWhy reports whether any slot holds rows, and the first one's reason.
+// Operators that must give all their output one form (exchange, gather)
+// stay columnar only when every input slot is.
+func rowWhy(slots []slot) (why string, rows bool) {
+	for _, s := range slots {
+		if s.b == nil {
+			return s.why, true
+		}
+	}
+	return "", false
+}
+
+// eachPart runs fn once per slot and returns the first error (in slot
+// order). The slots are shared out among at most GOMAXPROCS goroutines,
+// the caller's included: more would only queue on the host's CPUs, and a
+// fresh goroutine pays for growing its stack down the kernels before it
+// does any work.
+func eachPart(n int, fn func(i int) error) error {
+	if n == 1 {
+		return fn(0)
+	}
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			errs[i] = fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(n, runtime.GOMAXPROCS(0)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// execPlan runs an optimized plan and materializes its result at the
+// coordinator.
+func (e *Engine) execPlan(ctx *execCtx, root plan.Node) (*value.Relation, error) {
+	p, err := e.exec(ctx, root)
+	if err != nil {
+		return nil, err
+	}
+	rel, err := e.gatherRows(ctx, p, root.Schema())
+	if err != nil {
+		return nil, err
+	}
+	// Charges cannot fail a slot mid-flight; a breach anywhere sticks in
+	// the account and aborts the statement here.
+	if err := ctx.mem.breach(); err != nil {
+		return nil, err
+	}
+	return rel, nil
+}
+
+// exec evaluates a plan subtree into a partitioned intermediate.
+func (e *Engine) exec(ctx *execCtx, n plan.Node) (*parts, error) {
+	switch t := n.(type) {
+	case *plan.Scan:
+		return e.execScan(ctx, t)
+	case *plan.IndexProbe:
+		return e.execIndexProbe(ctx, t)
+	case *plan.Select:
+		return e.execSelect(ctx, t)
+	case *plan.Project:
+		return e.execProject(ctx, t)
+	case *plan.Exchange:
+		return e.execExchange(ctx, t)
+	case *plan.Join:
+		return e.execJoin(ctx, t)
+	case *plan.Aggregate:
+		return e.execAggregate(ctx, t)
+	case *plan.Sort:
+		return e.execSort(ctx, t)
+	case *plan.Distinct:
+		return e.execDistinct(ctx, t)
+	case *plan.Limit:
+		return e.execLimit(ctx, t)
+	}
+	return nil, fmt.Errorf("core: unknown plan node %T", n)
+}
+
+// lockFragments S-locks the listed fragments of a table for the query.
+// Under MVCC it is a no-op: snapshot reads are resolved purely by the
+// view's timestamp, so readers never touch the lock manager and never
+// block (or are blocked by) writers. EXPLAIN's dry run locks nothing.
+func (e *Engine) lockFragments(ctx *execCtx, t *table, frags []int) error {
+	if e.mvcc || ctx.explain != nil {
+		return nil
+	}
+	for _, fi := range frags {
+		if err := ctx.tx.Lock(t.frags[fi].ofm.Name(), txn.Shared); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanSlot is the leaf every reader of a table fragment goes through —
+// materialized scans, pushdown aggregates, cursors and the PRISMAlog EDB.
+// The fragment's OFM filters where it lives, charging its own PE, and
+// answers with a batch over its column cache; it declines (see
+// ofm.BatchDecline) when the view's transaction has pending writes
+// there, when an equality is better served by its hash index, when it
+// runs interpreted, or when the fragment holds mixed kinds, and the
+// engine never asks when columnar execution is configured off — the slot
+// then holds rows. The bytes a scan writes into a cache (the whole image
+// on the first scan, the changed rows after a committed write) are this
+// statement's materialization and are charged to its tenant budget.
+func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema) (slot, error) {
+	why := ""
+	switch {
+	case !e.vectorized:
+		why = "config Vectorized=false"
+	case !e.mvcc:
+		why = "config MVCC=false"
+	case ctx.explain != nil:
+		why = f.ofm.BatchDecline(ctx.view, pred)
+	}
+	if ctx.explain != nil {
+		if why == "" {
+			return slot{b: value.NewBatchFrom(schema, nil)}, nil
+		}
+		return slot{rel: value.NewRelation(schema), why: why}, nil
+	}
+	if why == "" {
+		b, built, err := f.ofm.ScanBatch(ctx.view, pred, nil)
+		_ = ctx.mem.charge(built)
+		if err != nil {
+			return slot{}, err
+		}
+		if b != nil {
+			b.Schema = schema
+			return slot{b: b}, nil
+		}
+		why = "mixed-kind fragment" // or a BatchDecline reason; only EXPLAIN asks which
+	}
+	rel, err := f.ofm.Scan(ctx.view, pred, nil)
+	if err != nil {
+		return slot{}, err
+	}
+	rel.Schema = schema
+	return slot{rel: rel, why: why}, nil
+}
+
+// scanFragments locks the listed fragments now and scans each where it
+// lives when its slot is taken; the slots stay on the fragment PEs.
+func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Expr, schema *value.Schema) (*parts, error) {
+	if err := e.lockFragments(ctx, t, frags); err != nil {
+		return nil, err
+	}
+	p := &parts{pes: make([]int, len(frags))}
+	for i, fi := range frags {
+		p.pes[i] = t.frags[fi].pe
+	}
+	p.src = func(i int) (slot, error) { return e.scanSlot(ctx, t.frags[frags[i]], pred, schema) }
+	return p, nil
+}
+
+// execScan scans a table's fragments in place, pruning fragments by the
+// predicate where the fragmentation scheme allows. A CSE-shared scan is
+// read once per statement, gathered as rows at the coordinator and handed
+// to each of its plan parents as a coordinator singleton aliasing the
+// same tuples — downstream splitters redistribute them by reference
+// without mutating them.
+func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan) (*parts, error) {
+	key := ""
+	if sc.Shared {
+		key = sc.Table + "|"
+		if sc.Pred != nil {
+			key += sc.Pred.String()
+		}
+		if rel, ok := ctx.cacheGet(key); ok {
+			return ctx.sharedScan(sc, rel), nil
+		}
+	}
+	t, err := e.lookupTable(sc.Table)
+	if err != nil {
+		return nil, err
+	}
+	p, err := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out)
+	if err != nil {
+		return nil, err
+	}
+	p = ctx.noted("Scan "+sc.Table, p)
+	if !sc.Shared {
+		return p, nil
+	}
+	rel, err := e.gatherRows(ctx, p, sc.Out)
+	if err != nil {
+		return nil, err
+	}
+	ctx.cachePut(key, rel)
+	return ctx.sharedScan(sc, rel), nil
+}
+
+func (ctx *execCtx) sharedScan(sc *plan.Scan, rel *value.Relation) *parts {
+	out := value.NewRelation(sc.Out)
+	out.Tuples = rel.Tuples
+	return ctx.singleton(slot{rel: out, why: "shared scan"})
 }
 
 func (ctx *execCtx) cacheGet(key string) (*value.Relation, bool) {
@@ -39,162 +446,20 @@ func (ctx *execCtx) cacheGet(key string) (*value.Relation, bool) {
 
 func (ctx *execCtx) cachePut(key string, r *value.Relation) {
 	ctx.mu.Lock()
+	if ctx.shared == nil {
+		ctx.shared = map[string]*value.Relation{}
+	}
 	ctx.shared[key] = r
 	ctx.mu.Unlock()
-}
-
-// execPlan runs an optimized plan under the given transaction and view.
-func (e *Engine) execPlan(s *Session, tx *txn.Txn, view ofm.View, root plan.Node) (*value.Relation, error) {
-	ctx := &execCtx{s: s, tx: tx, view: view, shared: map[string]*value.Relation{}}
-	if s.memBudget > 0 {
-		ctx.mem = &memAcct{limit: s.memBudget}
-	}
-	rel, err := e.exec(ctx, root)
-	if err != nil {
-		return nil, err
-	}
-	// Partitioned paths charge mid-gather but cannot error there; a
-	// breach anywhere aborts the statement here at the latest.
-	if err := ctx.mem.breach(); err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-func (e *Engine) exec(ctx *execCtx, n plan.Node) (*value.Relation, error) {
-	// Columnar batch execution intercepts eligible subtrees (see
-	// execvec.go); everything it declines runs tuple-at-a-time below.
-	if rel, handled, err := e.execVec(ctx, n); handled {
-		return rel, err
-	}
-	switch t := n.(type) {
-	case *plan.Scan:
-		return e.execScan(ctx, t)
-	case *plan.IndexProbe:
-		return e.execIndexProbe(ctx, t)
-	case *plan.Select:
-		return e.execSelect(ctx, t)
-	case *plan.Project:
-		return e.execProject(ctx, t)
-	case *plan.Join:
-		return e.execJoin(ctx, t)
-	case *plan.Exchange:
-		// An exchange at the materialization root: run the partitioned
-		// pipeline below it and gather at the coordinator.
-		pr, err := e.execPart(ctx, t)
-		if err != nil {
-			return nil, err
-		}
-		return e.gatherPart(ctx, pr, t.Schema()), nil
-	case *plan.Aggregate:
-		return e.execAggregate(ctx, t)
-	case *plan.Sort:
-		if t.Parallel {
-			return e.execPartSort(ctx, t)
-		}
-		rel, err := e.exec(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		out, st, err := algebra.Sort(rel, t.Cols, t.Desc)
-		if err != nil {
-			return nil, err
-		}
-		if err := ctx.chargeRel(out); err != nil {
-			return nil, err
-		}
-		e.m.PE(ctx.s.pe).Advance(e.m.Cost().CompareCost(st.Compares))
-		return out, nil
-	case *plan.Distinct:
-		if t.Parallel {
-			return e.execPartDistinct(ctx, t)
-		}
-		rel, err := e.exec(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		out, st := algebra.Distinct(rel)
-		if err := ctx.chargeRel(out); err != nil {
-			return nil, err
-		}
-		e.m.PE(ctx.s.pe).Advance(e.m.Cost().HashCost(st.Hashes))
-		return out, nil
-	case *plan.Limit:
-		rel, err := e.exec(ctx, t.Child)
-		if err != nil {
-			return nil, err
-		}
-		out, _ := algebra.Limit(rel, t.N)
-		return out, nil
-	}
-	return nil, fmt.Errorf("core: unknown plan node %T", n)
-}
-
-// lockFragments S-locks the listed fragments of a table for the query.
-// Under MVCC it is a no-op: snapshot reads are resolved purely by the
-// view's timestamp, so readers never touch the lock manager and never
-// block (or are blocked by) writers.
-func (e *Engine) lockFragments(ctx *execCtx, t *table, frags []int) error {
-	if e.mvcc {
-		return nil
-	}
-	for _, fi := range frags {
-		if err := ctx.tx.Lock(t.frags[fi].ofm.Name(), txn.Shared); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execScan runs a (possibly filtered) parallel scan over a table's
-// fragments, pruning fragments by the predicate where the fragmentation
-// scheme allows. Shared scans hit the CSE cache.
-func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan) (*value.Relation, error) {
-	key := ""
-	if sc.Shared {
-		key = sc.Table + "|"
-		if sc.Pred != nil {
-			key += sc.Pred.String()
-		}
-		if rel, ok := ctx.cacheGet(key); ok {
-			out := value.NewRelation(sc.Out)
-			out.Tuples = rel.Tuples
-			return out, nil
-		}
-	}
-	t, err := e.lookupTable(sc.Table)
-	if err != nil {
-		return nil, err
-	}
-	frags := e.pruneFragments(t, sc.Pred)
-	if err := e.lockFragments(ctx, t, frags); err != nil {
-		return nil, err
-	}
-	parts, err := e.parallelScan(ctx, t, frags, sc.Pred)
-	if err != nil {
-		return nil, err
-	}
-	out := value.NewRelation(sc.Out)
-	for _, p := range parts {
-		out.Tuples = append(out.Tuples, p.Tuples...)
-	}
-	if err := ctx.chargeRel(out); err != nil {
-		return nil, err
-	}
-	if sc.Shared {
-		ctx.cachePut(key, out)
-	}
-	return out, nil
 }
 
 // execIndexProbe runs the point-query fast path: resolve the key, route
 // straight to the fragment(s) the fragmentation scheme allows, and let
 // each OFM answer with a direct hash-index lookup — no scan, no
-// predicate compilation, no full-relation materialization. Like the
-// colocated join, the probe calls the OFM directly under the fragment's
-// shared lock and charges the simulated network for the request and
-// reply, skipping the process-message round trip.
-func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*value.Relation, error) {
+// predicate compilation. Like the colocated join, the probe calls the
+// OFM directly and charges the simulated network for the request and the
+// reply; the answers land at the coordinator as one row slot.
+func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*parts, error) {
 	t, key, frags, err := e.probeTargets(ctx, pr)
 	if err != nil {
 		return nil, err
@@ -211,13 +476,12 @@ func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*value.Relat
 			out.Tuples = append(out.Tuples, rel.Tuples...)
 		}
 	}
-	return out, nil
+	return ctx.noted("IndexProbe "+pr.Table, ctx.singleton(slot{rel: out, why: "index probe"})), nil
 }
 
 // probeTargets resolves an IndexProbe's key value and target fragment
 // set (an equality on the fragmentation key pins a single fragment)
-// and S-locks the fragments. Shared by the materialized and streaming
-// executors so routing and locking can never skew between them.
+// and S-locks the fragments.
 func (e *Engine) probeTargets(ctx *execCtx, pr *plan.IndexProbe) (*table, value.Value, []int, error) {
 	kc, ok := pr.Key.(*expr.Const)
 	if !ok {
@@ -245,241 +509,152 @@ func (e *Engine) probeTargets(ctx *execCtx, pr *plan.IndexProbe) (*table, value.
 }
 
 // probeFragment probes one fragment's hash index, charging the
-// simulated network for the request and the reply.
+// simulated network for the request and the reply. EXPLAIN's dry run
+// probes nothing.
 func (e *Engine) probeFragment(ctx *execCtx, f *fragRef, pr *plan.IndexProbe, key value.Value) (*value.Relation, error) {
-	if f.pe != ctx.s.pe {
-		e.m.Send(ctx.s.pe, f.pe, 64) // the probe request
+	if ctx.explain != nil {
+		return value.NewRelation(pr.Out), nil
 	}
+	ctx.ship(ctx.s.pe, f.pe, 64) // the probe request
 	rel, err := f.ofm.ProbeEq(ctx.view, pr.Col, key, pr.Rest)
 	if err != nil {
 		return nil, err
 	}
-	if f.pe != ctx.s.pe {
-		e.m.Send(f.pe, ctx.s.pe, rel.Size()) // only the result travels
-	}
+	ctx.ship(f.pe, ctx.s.pe, rel.Size()) // only the result travels
 	return rel, nil
 }
 
-// parallelScan issues scan calls to fragment processes as one batched
-// fan-out (deterministic virtual timing) and returns the per-fragment
-// results in fragment order.
-func (e *Engine) parallelScan(ctx *execCtx, t *table, frags []int, pred expr.Expr) ([]*value.Relation, error) {
-	specs := make([]pool.CallSpec, len(frags))
-	for i, fi := range frags {
-		specs[i] = pool.CallSpec{To: t.frags[fi].proc, Kind: "scan", Body: scanReq{view: ctx.view, pred: pred}, Bytes: 128}
+// gather collects a partitioned intermediate at the coordinator as one
+// slot, charging the network for every remote slot and the tenant budget
+// for what arrives: a batch when every slot is one, rows otherwise.
+func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (slot, error) {
+	p, err := p.forced()
+	if err != nil {
+		return slot{}, err
 	}
-	results, errs := e.rt.CallAll(ctx.s.pe, specs)
-	out := make([]*value.Relation, len(frags))
-	for i := range frags {
-		if errs[i] != nil {
-			return nil, errs[i]
+	slots := p.slots
+	why, rows := rowWhy(slots)
+	if rows {
+		return slot{rel: e.gatherSlots(ctx, p, schema), why: why}, nil
+	}
+	e.shipToCoordinator(ctx, p)
+	out := slots[0].b
+	if len(slots) > 1 {
+		batches := make([]*value.Batch, len(slots))
+		for i, s := range slots {
+			batches[i] = s.b
 		}
-		out[i] = results[i].(*value.Relation)
+		out = value.ConcatBatches(schema, batches)
 	}
-	return out, nil
+	if ctx.mem != nil {
+		_ = ctx.mem.charge(int64(out.Size()))
+	}
+	return slot{b: out}, nil
 }
 
-// execSelect filters at the coordinator (predicates that survived
-// pushdown: cross-table conditions, HAVING).
-func (e *Engine) execSelect(ctx *execCtx, s *plan.Select) (*value.Relation, error) {
-	rel, err := e.exec(ctx, s.Child)
+// gatherRows is gather for a consumer that needs tuples — the plan root
+// and the operators that are row materialization points by nature (sort,
+// distinct): each slot materializes straight into the result.
+func (e *Engine) gatherRows(ctx *execCtx, p *parts, schema *value.Schema) (*value.Relation, error) {
+	p, err := p.forced()
 	if err != nil {
 		return nil, err
 	}
-	if e.compiled {
-		pred, err := expr.CompilePredicate(expr.Clone(s.Pred), rel.Schema)
-		if err != nil {
-			return nil, err
+	return e.gatherSlots(ctx, p, schema), nil
+}
+
+func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *value.Relation {
+	e.shipToCoordinator(ctx, p)
+	slots := p.slots
+	var out *value.Relation
+	if len(slots) == 1 {
+		out = slots[0].rows(schema)
+	} else {
+		out = value.NewRelation(schema)
+		total := 0
+		for _, s := range slots {
+			total += s.len()
 		}
-		out, st, err := algebra.Select(rel, pred)
-		if err != nil {
-			return nil, err
+		out.Tuples = make([]value.Tuple, 0, total)
+		for _, s := range slots {
+			if s.len() == 0 {
+				s.free()
+				continue
+			}
+			out.Tuples = append(out.Tuples, s.rows(schema).Tuples...)
 		}
-		e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-		return out, nil
 	}
-	bound := expr.Clone(s.Pred)
-	if _, err := expr.Bind(bound, rel.Schema); err != nil {
-		return nil, err
-	}
-	out, st, err := algebra.SelectInterpreted(rel, bound)
-	if err != nil {
-		return nil, err
-	}
-	e.m.PE(ctx.s.pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, false))
-	return out, nil
+	_ = ctx.chargeRel(out)
+	return out
 }
 
-func (e *Engine) execProject(ctx *execCtx, p *plan.Project) (*value.Relation, error) {
-	rel, err := e.exec(ctx, p.Child)
-	if err != nil {
-		return nil, err
-	}
-	exprs := make([]expr.Expr, len(p.Exprs))
-	for i, ex := range p.Exprs {
-		exprs[i] = expr.Clone(ex)
-	}
-	proj, err := expr.CompileProjector(exprs, p.Names, rel.Schema)
-	if err != nil {
-		return nil, err
-	}
-	out, st, err := algebra.ProjectExprs(rel, proj)
-	if err != nil {
-		return nil, err
-	}
-	out.Schema = p.Out
-	e.m.PE(ctx.s.pe).Advance(e.m.Cost().BuildCost(st.TuplesEmitted))
-	return out, nil
-}
-
-// execJoin dispatches on the optimizer's chosen method. Distributed
-// methods run on the partitioned dataflow path — over base-table scans
-// and over arbitrary intermediates alike — and gather only the finished
-// join output at the coordinator.
-func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*value.Relation, error) {
-	switch j.Method {
-	case plan.JoinColocated, plan.JoinRepartition, plan.JoinBroadcast:
-		pr, err := e.execPartJoin(ctx, j)
-		if err != nil {
-			return nil, err
+func (e *Engine) shipToCoordinator(ctx *execCtx, p *parts) {
+	for i, s := range p.slots {
+		if s.len() > 0 {
+			ctx.ship(p.pes[i], ctx.s.pe, s.size())
 		}
-		return e.gatherPart(ctx, pr, j.Out), nil
 	}
-	return e.execCentralJoin(ctx, j)
 }
 
-// execCentralJoin collects both inputs at the coordinator and hash-joins
-// there — the no-parallelism baseline.
-func (e *Engine) execCentralJoin(ctx *execCtx, j *plan.Join) (*value.Relation, error) {
-	l, err := e.exec(ctx, j.Left)
-	if err != nil {
-		return nil, err
-	}
-	r, err := e.exec(ctx, j.Right)
-	if err != nil {
-		return nil, err
-	}
-	return e.joinRelsCentral(ctx, j, l, r)
+// explainTrace is what EXPLAIN's dry run collects: for every operator
+// that can run columnar, how many of its slots were batches and how many
+// were rows a batch could have been, with the first such slot's reason.
+type explainTrace struct {
+	mu  sync.Mutex
+	ops []*opTrace
 }
 
-// joinRelsCentral hash-joins two materialized inputs at the
-// coordinator and finishes the output (swap restore, residual).
-func (e *Engine) joinRelsCentral(ctx *execCtx, j *plan.Join, l, r *value.Relation) (*value.Relation, error) {
-	out, st, err := algebra.HashJoin(l, r, j.LeftKeys, j.RightKeys)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.chargeRel(out); err != nil {
-		return nil, err
-	}
-	cost := e.m.Cost()
-	e.m.PE(ctx.s.pe).Advance(cost.HashCost(st.Hashes) + cost.BuildCost(st.TuplesEmitted))
-	return e.finishJoinPart(j, out, ctx.s.pe)
+type opTrace struct {
+	op                   string
+	slots, batches, rows int
+	why                  string
 }
 
-// finishJoinPart finishes one join output (a partition or the whole
-// central result) on PE pe: restores the pre-swap column order, stamps
-// the output schema, and applies the residual predicate.
-func (e *Engine) finishJoinPart(j *plan.Join, out *value.Relation, pe int) (*value.Relation, error) {
-	if j.Swapped {
-		restoreSwapped(out.Tuples, j.Left.Schema().Len())
+// noted makes EXPLAIN's dry run record what the slots of p hold as they
+// are taken: for most operators the slots their kernels produced, for an
+// aggregate the ones it consumed.
+func (ctx *execCtx) noted(op string, p *parts) *parts {
+	if ctx.explain == nil {
+		return p
 	}
-	out.Schema = j.Out
-	if j.Residual != nil {
-		pred, err := expr.CompilePredicate(expr.Clone(j.Residual), j.Out)
-		if err != nil {
-			return nil, err
+	t := ctx.explain
+	ot := &opTrace{op: op, slots: len(p.pes)}
+	t.ops = append(t.ops, ot)
+	return p.then(func(s slot, _ int) (slot, error) {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		switch {
+		case s.b != nil:
+			ot.batches++
+		case s.why != "":
+			if ot.rows == 0 {
+				ot.why = s.why
+			}
+			ot.rows++
 		}
-		filtered, st, err := algebra.Select(out, pred)
-		if err != nil {
-			return nil, err
-		}
-		e.m.PE(pe).Advance(e.m.Cost().ScanCost(st.TuplesRead, true))
-		filtered.Schema = j.Out
-		out = filtered
-	}
-	return out, nil
+		return s, nil
+	})
 }
 
-// restoreSwapped rotates each tuple left by lw in place, undoing the
-// optimizer's build-side swap: tuple t[:lw] ++ t[lw:] becomes
-// t[lw:] ++ t[:lw]. One scratch buffer is reused across the whole
-// relation instead of allocating a fresh tuple per row. Safe only
-// because join outputs are always freshly concatenated tuples — never
-// aliases of fragment storage or the CSE scan cache.
-func restoreSwapped(tuples []value.Tuple, lw int) {
-	if lw == 0 || len(tuples) == 0 || lw >= len(tuples[0]) {
-		return
-	}
-	scratch := make(value.Tuple, lw)
-	for _, t := range tuples {
-		copy(scratch, t[:lw])
-		copy(t, t[lw:])
-		copy(t[len(t)-lw:], scratch)
-	}
-}
-
-// execAggregate runs two-phase distributed aggregation when the
-// optimizer marked pushdown: per-fragment partials inside the OFMs for
-// bare table scans, partial-per-partition on the dataflow path for any
-// other partitioned child (joins of joins included), with a coordinator
-// merge either way. Unmarked aggregates run at the coordinator.
-func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*value.Relation, error) {
-	if a.Pushdown {
-		if sc, ok := a.Child.(*plan.Scan); ok {
-			return e.execPushdownAggregate(ctx, a, sc)
+// line renders EXPLAIN's execution line.
+func (t *explainTrace) line() string {
+	var rowOps []string
+	batches := 0
+	for _, ot := range t.ops {
+		batches += ot.batches
+		switch {
+		case ot.rows == 0:
+		case ot.rows == ot.slots:
+			rowOps = append(rowOps, fmt.Sprintf("%s: %s", ot.op, ot.why))
+		default:
+			rowOps = append(rowOps, fmt.Sprintf("%s: %s on %d/%d slots", ot.op, ot.why, ot.rows, ot.slots))
 		}
-		return e.execPartAggregate(ctx, a)
 	}
-	rel, err := e.exec(ctx, a.Child)
-	if err != nil {
-		return nil, err
+	switch {
+	case len(rowOps) == 0:
+		return "execution: vectorized (columnar batches)\n"
+	case batches == 0:
+		return "execution: row-at-a-time (" + strings.Join(rowOps, "; ") + ")\n"
 	}
-	out, st, err := algebra.Aggregate(rel, a.GroupBy, a.Specs)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.chargeRel(out); err != nil {
-		return nil, err
-	}
-	cost := e.m.Cost()
-	e.m.PE(ctx.s.pe).Advance(cost.HashCost(st.Hashes) + cost.BuildCost(st.TuplesEmitted))
-	out.Schema = a.Out
-	return out, nil
-}
-
-func (e *Engine) execPushdownAggregate(ctx *execCtx, a *plan.Aggregate, sc *plan.Scan) (*value.Relation, error) {
-	t, err := e.lookupTable(sc.Table)
-	if err != nil {
-		return nil, err
-	}
-	frags := e.pruneFragments(t, sc.Pred)
-	if err := e.lockFragments(ctx, t, frags); err != nil {
-		return nil, err
-	}
-	partialSpecs := algebra.PartialSpecs(a.Specs)
-	specs := make([]pool.CallSpec, len(frags))
-	for i, fi := range frags {
-		specs[i] = pool.CallSpec{To: t.frags[fi].proc, Kind: "aggregate",
-			Body: aggReq{view: ctx.view, pred: sc.Pred, groupBy: a.GroupBy, specs: partialSpecs}, Bytes: 192}
-	}
-	results, errs := e.rt.CallAll(ctx.s.pe, specs)
-	partials := make([]*value.Relation, len(frags))
-	for i := range frags {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		partials[i] = results[i].(*value.Relation)
-	}
-	out, st, err := algebra.MergeAggregates(partials, len(a.GroupBy), a.Specs)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.chargeRel(out); err != nil {
-		return nil, err
-	}
-	cost := e.m.Cost()
-	e.m.PE(ctx.s.pe).Advance(cost.HashCost(st.TuplesRead) + cost.BuildCost(st.TuplesEmitted))
-	out.Schema = a.Out
-	return out, nil
+	return "execution: mixed, columnar except " + strings.Join(rowOps, "; ") + "\n"
 }

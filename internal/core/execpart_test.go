@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/optimizer"
 	"repro/internal/value"
@@ -22,14 +23,20 @@ func setupStar(t *testing.T, engines ...*Engine) {
 			FRAGMENT BY HASH(id) INTO 4 FRAGMENTS`,
 		`CREATE TABLE dim2 (id INT, cat VARCHAR, PRIMARY KEY (id))
 			FRAGMENT BY HASH(id) INTO 4 FRAGMENTS`,
+		// One fragment, under the optimizer's 512-row broadcast threshold.
+		`CREATE TABLE small (id INT, v INT, PRIMARY KEY (id))`,
 	}
 	const dimRows = 2200
 	const factRows = 4400
+	const smallRows = 300
 	cats := []string{"red", "green", "blue", "gray"}
-	var d1, d2, f []string
+	var d1, d2, f, sm []string
 	for i := 0; i < dimRows; i++ {
 		d1 = append(d1, fmt.Sprintf("(%d, %d)", i, i%7))
 		d2 = append(d2, fmt.Sprintf("(%d, '%s')", i, cats[i%len(cats)]))
+	}
+	for i := 0; i < smallRows; i++ {
+		sm = append(sm, fmt.Sprintf("(%d, %d)", i, i%5))
 	}
 	for i := 0; i < factRows; i++ {
 		f = append(f, fmt.Sprintf("(%d, %d, %d, %d)", i, i%dimRows, (i*13)%dimRows, i%97))
@@ -42,6 +49,7 @@ func setupStar(t *testing.T, engines ...*Engine) {
 		mustExec(t, s, "INSERT INTO dim1 VALUES "+strings.Join(d1, ", "))
 		mustExec(t, s, "INSERT INTO dim2 VALUES "+strings.Join(d2, ", "))
 		mustExec(t, s, "INSERT INTO fact VALUES "+strings.Join(f, ", "))
+		mustExec(t, s, "INSERT INTO small VALUES "+strings.Join(sm, ", "))
 	}
 }
 
@@ -97,42 +105,113 @@ var partitionedPlanQueries = []string{
 		GROUP BY d2.cat ORDER BY total DESC LIMIT 2`,
 	// 11: self-join over CSE-shared scans.
 	`SELECT COUNT(*) AS n FROM fact x JOIN fact y ON x.id = y.id`,
+	// 12: broadcast join — the small side's row hash table meets the big
+	// side's columnar slots.
+	`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id WHERE f.amt > 30`,
+	// 13: computed projection between a repartitioned join and a parallel
+	// sort (this SQL has no derived tables, so a Project never sits below a
+	// join; this is the nearest shape: rows appear mid-pipeline).
+	`SELECT f.id, f.amt + d1.w AS score FROM fact f JOIN dim1 d1 ON f.a = d1.id
+		WHERE f.amt > 60 ORDER BY f.id`,
+	// 14: CSE-shared self-join feeding hash exchanges.
+	`SELECT x.id, y.id FROM fact x JOIN fact y ON x.a = y.b`,
+	// 15: colocated join with one side answered by the pk hash index (a
+	// row slot) and pruned to one fragment (misaligned with the other side).
+	`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`,
+}
+
+// sameResults runs every query on both sessions and requires identical
+// result sets (order-sensitive where the query orders).
+func sameResults(t *testing.T, queries []string, aName string, a *Session, bName string, b *Session) {
+	t.Helper()
+	for i, q := range queries {
+		ra, err := a.Query(q)
+		if err != nil {
+			t.Fatalf("query %d %s: %v", i+1, aName, err)
+		}
+		rb, err := b.Query(q)
+		if err != nil {
+			t.Fatalf("query %d %s: %v", i+1, bName, err)
+		}
+		if !strings.Contains(strings.ToUpper(q), "ORDER BY") {
+			if !ra.SameBag(rb) {
+				t.Errorf("query %d: %s result differs from %s (%d vs %d rows)", i+1, aName, bName, ra.Len(), rb.Len())
+			}
+			continue
+		}
+		if ra.Len() != rb.Len() {
+			t.Errorf("query %d: %d rows %s vs %d %s", i+1, ra.Len(), aName, rb.Len(), bName)
+			continue
+		}
+		for r := range ra.Tuples {
+			if !value.EqualTuples(ra.Tuples[r], rb.Tuples[r]) {
+				t.Errorf("query %d row %d: %v != %v", i+1, r, ra.Tuples[r], rb.Tuples[r])
+				break
+			}
+		}
+	}
 }
 
 // TestPartitionedMatchesCentral runs the differential suite on the
-// exchange-based executor and on a central-only engine over identical
-// data and requires identical result sets (order-sensitive where the
-// query orders).
+// exchange-based plans and on a central-only engine over identical data
+// and requires identical result sets — then again on an engine running
+// interpreted expressions (Compiled=false: every slot holds rows), and
+// again inside a transaction that has updated one row, where the one
+// fragment holding the pending write answers with rows and every query
+// must see it.
 func TestPartitionedMatchesCentral(t *testing.T) {
 	ePar := newEngine(t)
 	eCen := centralEngine(t)
-	setupStar(t, ePar, eCen)
-	sPar, sCen := ePar.NewSession(), eCen.NewSession()
-	for i, q := range partitionedPlanQueries {
-		a, err := sPar.Query(q)
-		if err != nil {
-			t.Fatalf("query %d partitioned: %v", i+1, err)
+	interpreted := false
+	eInt, err := New(Config{NumPEs: 16, Compiled: &interpreted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eInt.Close)
+	setupStar(t, ePar, eCen, eInt)
+	sPar, sCen, sInt := ePar.NewSession(), eCen.NewSession(), eInt.NewSession()
+	sameResults(t, partitionedPlanQueries, "partitioned", sPar, "central", sCen)
+	sameResults(t, partitionedPlanQueries, "interpreted", sInt, "central", sCen)
+
+	for _, s := range []*Session{sPar, sCen} {
+		mustExec(t, s, `BEGIN`)
+		mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
+	}
+	sameResults(t, partitionedPlanQueries, "partitioned in txn", sPar, "central in txn", sCen)
+	own, err := sPar.Query(`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 900`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.Len() != 1 || own.Tuples[0][0].Int() != 5 {
+		t.Errorf("join inside the transaction does not see its own pending write: %v", own.Tuples)
+	}
+	for _, s := range []*Session{sPar, sCen} {
+		mustExec(t, s, `ROLLBACK`)
+	}
+}
+
+// TestCentralJoinChargesAlikeColumnarAndRow: there is one leaf and one
+// charging site per operator, so a central join over two filtered scans
+// costs the simulated machine the same total PE work whether its slots
+// hold batches or rows.
+func TestCentralJoinChargesAlikeColumnarAndRow(t *testing.T) {
+	eVec, eRow := newEngine(t), rowEngine(t)
+	setupStar(t, eVec, eRow)
+	const q = `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`
+	var work [2]time.Duration
+	for i, e := range []*Engine{eVec, eRow} {
+		s := e.NewSession()
+		res := mustExec(t, s, "EXPLAIN "+q)
+		if !strings.Contains(res.Plan, "method=central") {
+			t.Fatalf("not a central join:\n%s", res.Plan)
 		}
-		b, err := sCen.Query(q)
-		if err != nil {
-			t.Fatalf("query %d central: %v", i+1, err)
-		}
-		ordered := strings.Contains(strings.ToUpper(q), "ORDER BY")
-		if ordered {
-			if a.Len() != b.Len() {
-				t.Errorf("query %d: %d rows partitioned vs %d central", i+1, a.Len(), b.Len())
-				continue
-			}
-			for r := range a.Tuples {
-				if !value.EqualTuples(a.Tuples[r], b.Tuples[r]) {
-					t.Errorf("query %d row %d: %v != %v", i+1, r, a.Tuples[r], b.Tuples[r])
-					break
-				}
-			}
-		} else if !a.SameBag(b) {
-			t.Errorf("query %d: partitioned result differs from central\npartitioned: %d rows\ncentral: %d rows",
-				i+1, a.Len(), b.Len())
-		}
+		mustExec(t, s, q) // builds column caches, compiles predicates
+		before := e.Machine().TotalClock()
+		mustExec(t, s, q)
+		work[i] = e.Machine().TotalClock() - before
+	}
+	if work[0] != work[1] || work[0] == 0 {
+		t.Errorf("total PE work: %v columnar, %v row", work[0], work[1])
 	}
 }
 

@@ -270,7 +270,7 @@ func (s *Session) runSelectPlanStr(root plan.Node, planStr string) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	rel, execErr := s.e.execPlan(s, tx, view, root)
+	rel, execErr := s.e.execPlan(s.newExecCtx(tx, view), root)
 	if err := finish(execErr); err != nil {
 		return nil, err
 	}

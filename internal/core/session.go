@@ -318,6 +318,7 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 		if s.tx == nil {
 			return nil, fmt.Errorf("core: no open transaction")
 		}
+		s.closeCursors()
 		err := s.tx.Commit()
 		s.tx = nil
 		if err != nil {
@@ -329,6 +330,7 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 		if s.tx == nil {
 			return nil, fmt.Errorf("core: no open transaction")
 		}
+		s.closeCursors()
 		s.tx.Abort()
 		s.tx = nil
 		return &Result{Msg: "rolled back"}, nil
@@ -341,9 +343,11 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 // rendering as a one-column relation instead of running it — no
 // fragments are scanned and no locks are taken, so EXPLAIN is safe
 // against any workload. The chosen join methods and Exchange
-// partitioning annotations are exactly what execution will do, and a
+// partitioning annotations are exactly what execution will do, a
 // trailing access line states the concurrency-control discipline the
-// statement runs under (snapshot read vs locked read vs locked write).
+// statement runs under (snapshot read vs locked read vs locked write),
+// and an execution line says where the operators would run on batches
+// and where on rows.
 func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 	var planStr string
 	switch t := ex.Stmt.(type) {
@@ -359,14 +363,22 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 		} else {
 			planStr += "access: locked read (2PL shared)\n"
 		}
-		// The execution line states which executor the data-heavy part of
-		// the plan runs on. Vectorized plans fall back to row-at-a-time
-		// inside explicit transactions (the write overlay is row oriented).
-		if s.e.planVectorized(root) {
-			planStr += "execution: vectorized (columnar batches)\n"
-		} else {
-			planStr += "execution: row-at-a-time\n"
+		// The execution line is the executor's own account: the plan runs
+		// dry — the real operators over empty slots, each leaf in the form
+		// the scan would answer with right now (inside a transaction, with
+		// its pending writes) — and reports which operators met row slots
+		// where a batch was possible, and why.
+		tx, view, finish, err := s.readView()
+		if err != nil {
+			return nil, err
 		}
+		ctx := s.newExecCtx(tx, view)
+		ctx.explain = &explainTrace{}
+		_, execErr := s.e.execPlan(ctx, root)
+		if err := finish(execErr); err != nil {
+			return nil, err
+		}
+		planStr += ctx.explain.line()
 	case *sqlparse.Insert:
 		planStr = fmt.Sprintf("Insert %s\n%s", t.Table, s.writeAccessLine())
 	case *sqlparse.Update:
@@ -417,6 +429,18 @@ func (s *Session) Query(sql string) (*value.Relation, error) {
 // open, releasing their snapshot pins (or autocommit locks) so an
 // abandoned stream cannot hold back version garbage collection.
 func (s *Session) Close() {
+	s.closeCursors()
+	if s.tx != nil {
+		s.tx.Abort()
+		s.tx = nil
+	}
+}
+
+// closeCursors settles every cursor still open. The end of an explicit
+// transaction does it too: the transaction's snapshot pin is what keeps
+// the column-cache rows a cursor's batches select from being reused, so
+// no cursor may read past it.
+func (s *Session) closeCursors() {
 	s.curMu.Lock()
 	open := make([]*Cursor, 0, len(s.cursors))
 	for c := range s.cursors {
@@ -425,10 +449,6 @@ func (s *Session) Close() {
 	s.curMu.Unlock()
 	for _, c := range open {
 		c.Close()
-	}
-	if s.tx != nil {
-		s.tx.Abort()
-		s.tx = nil
 	}
 }
 

@@ -52,32 +52,7 @@ func TestVectorizedMatchesRow(t *testing.T) {
 	setupStar(t, eVec, eRow)
 	sVec, sRow := eVec.NewSession(), eRow.NewSession()
 	queries := append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...)
-	for i, q := range queries {
-		a, err := sVec.Query(q)
-		if err != nil {
-			t.Fatalf("query %d vectorized: %v", i+1, err)
-		}
-		b, err := sRow.Query(q)
-		if err != nil {
-			t.Fatalf("query %d row: %v", i+1, err)
-		}
-		ordered := strings.Contains(strings.ToUpper(q), "ORDER BY")
-		if ordered {
-			if a.Len() != b.Len() {
-				t.Errorf("query %d: %d rows vectorized vs %d row", i+1, a.Len(), b.Len())
-				continue
-			}
-			for r := range a.Tuples {
-				if !value.EqualTuples(a.Tuples[r], b.Tuples[r]) {
-					t.Errorf("query %d row %d: %v != %v", i+1, r, a.Tuples[r], b.Tuples[r])
-					break
-				}
-			}
-		} else if !a.SameBag(b) {
-			t.Errorf("query %d: vectorized result differs from row\nvectorized: %d rows\nrow: %d rows",
-				i+1, a.Len(), b.Len())
-		}
-	}
+	sameResults(t, queries, "vectorized", sVec, "row", sRow)
 }
 
 // TestVectorizedMatchesRowAfterWrites drives the column-cache
@@ -132,28 +107,64 @@ func TestVectorizedMatchesRowAfterWrites(t *testing.T) {
 	check("after rollback")
 }
 
-// TestExplainShowsVectorized pins the EXPLAIN contract: eligible scans
-// annotate as vectorized, a Vectorized=false engine reports
-// row-at-a-time, and the point-probe fast path (which the batch
-// executor deliberately leaves alone) stays row.
+// TestExplainShowsVectorized pins the EXPLAIN contract: the execution
+// line is the executor's own account of a dry run — fully columnar plans
+// say so, a plan that meets row slots names the operators and what put
+// the rows there, and explaining scans nothing and charges nothing.
 func TestExplainShowsVectorized(t *testing.T) {
 	eVec := newEngine(t)
 	sVec := setupEmp(t, eVec)
-	res := mustExec(t, sVec, `EXPLAIN SELECT dept, COUNT(*) AS n FROM emp WHERE salary > 100 GROUP BY dept`)
-	if !strings.Contains(res.Plan, "execution: vectorized (columnar batches)") {
-		t.Errorf("eligible plan not annotated vectorized:\n%s", res.Plan)
+	explain := func(s *Session, q string, want ...string) {
+		t.Helper()
+		clocks := s.e.m.TotalClock()
+		plan := mustExec(t, s, "EXPLAIN "+q).Plan
+		if after := s.e.m.TotalClock(); after != clocks {
+			t.Errorf("EXPLAIN %s moved the simulated clocks by %v", q, after-clocks)
+		}
+		for _, w := range want {
+			if !strings.Contains(plan, w) {
+				t.Errorf("EXPLAIN %s lacks %q:\n%s", q, w, plan)
+			}
+		}
 	}
+	const grouped = `SELECT dept, COUNT(*) AS n FROM emp WHERE salary > 100 GROUP BY dept`
+	explain(sVec, grouped, "execution: vectorized (columnar batches)")
 	// The pk point probe is not a batch shape.
-	res = mustExec(t, sVec, `EXPLAIN SELECT * FROM emp WHERE id = 3`)
-	if !strings.Contains(res.Plan, "execution: row-at-a-time") {
-		t.Errorf("point probe annotated vectorized:\n%s", res.Plan)
-	}
+	explain(sVec, `SELECT * FROM emp WHERE id = 3`, "execution: row-at-a-time", "IndexProbe emp: index probe")
 
 	eRow := rowEngine(t)
-	sRow := setupEmp(t, eRow)
-	res = mustExec(t, sRow, `EXPLAIN SELECT dept, COUNT(*) AS n FROM emp WHERE salary > 100 GROUP BY dept`)
-	if !strings.Contains(res.Plan, "execution: row-at-a-time") {
-		t.Errorf("Vectorized=false plan not annotated row-at-a-time:\n%s", res.Plan)
+	explain(setupEmp(t, eRow), grouped, "execution: row-at-a-time", "Scan emp: config Vectorized=false")
+	interpreted := false
+	eInt, err := New(Config{NumPEs: 16, Compiled: &interpreted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eInt.Close)
+	explain(setupEmp(t, eInt), grouped, "execution: row-at-a-time", "Scan emp: interpreted")
+
+	// The two statements a static walk over the plan got wrong, in both
+	// directions. A central join gathers batches and joins them columnar
+	// at the coordinator; a colocated join whose one side is answered by
+	// the pk hash index runs its kernels on rows.
+	eStar := newEngine(t)
+	setupStar(t, eStar)
+	s := eStar.NewSession()
+	explain(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`,
+		"method=central", "execution: vectorized (columnar batches)")
+	explain(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`,
+		"method=colocated", "execution: mixed", "Scan dim1: index probe", "Join: index probe")
+	explain(s, `SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id`, "execution: mixed", "Join: broadcast join")
+	explain(s, `SELECT id, amt * 2 AS twice FROM fact`, "execution: mixed", "Project: computed projection")
+	// Inside a transaction the fragment holding a pending write answers
+	// with rows; the others stay columnar.
+	mustExec(t, s, `BEGIN`)
+	mustExec(t, s, `UPDATE fact SET amt = 0 WHERE id = 5`)
+	explain(s, `SELECT id, amt FROM fact WHERE amt < 3`, "execution: mixed", "Scan fact: transaction overlay on 1/4 slots")
+	mustExec(t, s, `ROLLBACK`)
+	for _, table := range []string{"fact", "dim1", "small"} {
+		if st, err := eStar.ColumnCacheStats(table); err != nil || st.FullBuilds != 0 {
+			t.Errorf("EXPLAIN scanned %s: %+v, %v", table, st, err)
+		}
 	}
 }
 

@@ -11,20 +11,21 @@ import (
 	"repro/internal/value"
 )
 
-// E20Vectorized measures the columnar batch executor against the
-// tuple-at-a-time baseline on the shapes the vectorization tentpole
+// E20Vectorized measures the executor's columnar kernels against its
+// tuple-at-a-time kernels on the shapes the vectorization tentpole
 // targets: filter-heavy scans across a selectivity sweep, an equi-join,
 // and grouped aggregation. Two engines over identical data differ only
-// in Config.Vectorized; EXPLAIN must prove the vectorized engine's
-// plans actually run columnar (and the baseline's row-at-a-time) before
-// anything is timed. Runs interleave vec/row and report medians, so
-// scheduler noise hits both sides alike. Reported per shape and
-// selectivity: median wall per executor, wall speedup, vectorized scan
-// throughput, and the simulated response times. The cost model charges
-// both executors with the same per-operator formulas; the residual sim
-// gap on projecting shapes is real modeled savings — a columnar
-// projection is a pointer remap at the data, so narrower batches cross
-// the simulated network — while the wall speedup is host work avoided.
+// in Config.Vectorized — whether fragment scans answer with batches or
+// with rows; EXPLAIN must prove the vectorized engine's plans actually
+// run columnar (and the baseline's row-at-a-time) before anything is
+// timed. Runs interleave vec/row and report medians, so scheduler noise
+// hits both sides alike. Reported per shape and selectivity: median wall
+// per configuration, wall speedup, vectorized scan throughput, and the
+// simulated response times. Both kernels of an operator report the same
+// work to one charging site and both configurations run the same
+// pipeline (projection happens at the data either way), so on level
+// column caches the two simulated columns are equal; the wall speedup is
+// host work avoided.
 //
 // The last four rows are the write-interleaved cell: one point UPDATE per
 // four filter scans, at two fragment sizes a factor of ten apart. The
@@ -113,9 +114,9 @@ func E20Vectorized(quick bool) (*Table, error) {
 		Header: []string{"shape", "selectivity", "rows", "vec wall", "row wall", "wall speedup", "vec rows/sec", "vec sim", "row sim"},
 		Notes: []string{
 			"vec: Config.Vectorized=true — scans filter over OFM column caches with selection vectors, operators stay columnar to the root",
-			"row: Config.Vectorized=false — the tuple-at-a-time executor (the pre-E20 engine)",
+			"row: Config.Vectorized=false — scans answer with rows, so the same operators run their tuple-at-a-time kernels",
 			"EXPLAIN gates every timed plan: the vec engine must report 'execution: vectorized (columnar batches)'",
-			"sim uses identical per-operator cost formulas; the vec sim advantage on projecting shapes is narrower batches crossing the simulated network (columnar projection happens at the data), wall speedup is host work avoided",
+			"one pipeline, one charging site per operator: the simulated columns are equal on level column caches (the row configuration keeps none, so only vec sim shows a catch-up); wall speedup is host work avoided",
 			"vec rows/sec = fact rows scanned / median vec wall",
 			"write-scan / hit-scan: 1 point UPDATE per 4 filter scans (selectivity 0.01) at two fragment sizes 10x apart; hit-scan is the median of the scans that follow no write to the table (each behind a point UPDATE of a side table, so both kinds meet the same host state), write-scan is hit-scan plus the median over cycles of what the scan right after the write took beyond its own cycle's other three; write-scan minus hit-scan is the cost a committed write leaves to the next reader — the vec engine folds the changed rows into the column cache (zero fragment transpositions after warm-up, or the cell fails), so it does not grow with the fragment",
 		},

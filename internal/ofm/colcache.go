@@ -367,6 +367,28 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 	return f, nil
 }
 
+// BatchDecline says why ScanBatch would decline this scan without looking
+// at the data, or "" when it would not: the OFM runs interpreted
+// (Compiled=false — the E4 baseline, and the kernels are compiled forms),
+// the view's transaction has pending writes here (the overlay is row
+// oriented), or an equality predicate is answered faster by the
+// hash-index probe path than by any scan, vectorized or not. EXPLAIN
+// reports the reason.
+func (o *OFM) BatchDecline(view View, pred expr.Expr) string {
+	if !o.cfg.Compiled {
+		return "interpreted (Compiled=false)"
+	}
+	if del, ins := o.overlay(view); len(del) > 0 || len(ins) > 0 {
+		return "transaction overlay"
+	}
+	if pred != nil {
+		if hash, _, _ := o.eqIndexProbe(pred); hash != nil {
+			return "index probe"
+		}
+	}
+	return ""
+}
+
 // ScanBatch is the columnar counterpart of Scan: it evaluates an
 // optional predicate over the view and returns the matching rows as a
 // batch over the fragment column cache, with visibility expressed as a
@@ -377,23 +399,11 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 // pinned until it has finished with the batch (see the file comment).
 //
 // A nil batch (with nil error) means the batch path declined and the
-// caller must fall back to the row Scan: the fragment is uncacheable,
-// the view's transaction has pending writes here (the overlay is row
-// oriented), the OFM runs interpreted (Compiled=false — the E4
-// baseline), or an equality predicate would be answered faster by the
-// hash-index probe path.
+// caller must use the row Scan: for one of BatchDecline's reasons, or
+// because the fragment is uncacheable (a column holds mixed kinds).
 func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
-	if !o.cfg.Compiled {
+	if o.BatchDecline(view, pred) != "" {
 		return nil, 0, nil
-	}
-	del, ins := o.overlay(view)
-	if len(del) > 0 || len(ins) > 0 {
-		return nil, 0, nil
-	}
-	if pred != nil {
-		if hash, _, _ := o.eqIndexProbe(pred); hash != nil {
-			return nil, 0, nil // point probe beats any scan, vectorized or not
-		}
 	}
 	var f *expr.VecFilter
 	if pred != nil {

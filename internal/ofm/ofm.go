@@ -379,21 +379,6 @@ func (o *OFM) project(rel *value.Relation, cols []int) (*value.Relation, error) 
 	return out, nil
 }
 
-// Aggregate runs a local (per-fragment) aggregation, optionally filtered
-// first — the pushdown step of distributed aggregation.
-func (o *OFM) Aggregate(view View, pred expr.Expr, groupBy []int, specs []algebra.AggSpec) (*value.Relation, error) {
-	in, err := o.Scan(view, pred, nil)
-	if err != nil {
-		return nil, err
-	}
-	out, st, err := algebra.Aggregate(in, groupBy, specs)
-	if err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	o.cfg.PE.Advance(o.costs().HashCost(st.Hashes) + o.costs().BuildCost(st.TuplesEmitted))
-	return out, nil
-}
-
 // Closure runs the transitive closure operator locally (paper §2.5).
 func (o *OFM) Closure(view View, fromCol, toCol int, algo algebra.TCAlgorithm) (*value.Relation, error) {
 	in := value.NewRelation(o.cfg.Schema)

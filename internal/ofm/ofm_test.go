@@ -203,27 +203,6 @@ func TestIndexProbe(t *testing.T) {
 	}
 }
 
-func TestAggregatePushdown(t *testing.T) {
-	o, _, _ := newOFM(t, true)
-	load(t, o, 30)
-	out, err := o.Aggregate(Latest, nil, []int{1}, []algebra.AggSpec{
-		{Func: algebra.Count, Col: -1, As: "n"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 3 {
-		t.Errorf("groups = %d", out.Len())
-	}
-	total := int64(0)
-	for _, row := range out.Tuples {
-		total += row[1].Int()
-	}
-	if total != 30 {
-		t.Errorf("counts sum to %d", total)
-	}
-}
-
 func TestClosureOperator(t *testing.T) {
 	m, err := machine.New(machine.Config{NumPEs: 4})
 	if err != nil {

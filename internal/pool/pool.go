@@ -304,57 +304,6 @@ func (rt *Runtime) CallAll(srcPE int, specs []CallSpec) ([]any, []error) {
 	return results, errs
 }
 
-// CallEach is CallAll for pipelined consumption: every departure is
-// stamped on the sender's clock up front (the same determinism
-// guarantee — no request's start depends on another's reply) and every
-// request is delivered immediately, but replies are collected by the
-// returned wait functions, one per spec, so the caller can consume
-// early results while later requests are still being served. Each wait
-// function advances the caller's clock to its own reply's arrival;
-// call each exactly once.
-func (rt *Runtime) CallEach(srcPE int, specs []CallSpec) []func() (any, error) {
-	// Phase 1: charge sender CPU sequentially and stamp arrivals.
-	msgs := make([]Message, len(specs))
-	for i, sp := range specs {
-		msg := Message{Kind: sp.Kind, Body: sp.Body, Bytes: sp.Bytes, reply: make(chan reply, 1)}
-		msg.ArriveAt = rt.m.Send(srcPE, sp.To.pe.ID(), sp.Bytes)
-		msgs[i] = msg
-	}
-	// Phase 2: deliver now; reply collection is deferred to the waits.
-	waits := make([]func() (any, error), len(specs))
-	for i, sp := range specs {
-		p, msg := sp.To, msgs[i]
-		sent := make(chan error, 1)
-		go func() {
-			select {
-			case p.mailbox <- msg:
-				sent <- nil
-			case <-p.quit:
-				sent <- fmt.Errorf("pool: process %q is stopping", p.name)
-			}
-		}()
-		waits[i] = func() (any, error) {
-			if err := <-sent; err != nil {
-				return nil, err
-			}
-			select {
-			case r := <-msg.reply:
-				if r.err != nil {
-					return nil, r.err
-				}
-				rt.m.Arrive(r.srcPE, srcPE, r.bytes, r.sent)
-				return r.body, nil
-			case <-p.done:
-				if err := p.Err(); err != nil {
-					return nil, fmt.Errorf("pool: callee %q died: %w", p.name, err)
-				}
-				return nil, fmt.Errorf("pool: callee %q exited without reply", p.name)
-			}
-		}
-	}
-	return waits
-}
-
 // Context is a process's handle on itself and the runtime.
 type Context struct {
 	p *Process

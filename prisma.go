@@ -108,9 +108,11 @@ type Config struct {
 	// plus first-committer-wins; false = the all-2PL baseline where
 	// reads take shared locks — experiment E16's comparison mode).
 	MVCC *bool
-	// Vectorized controls columnar batch execution (nil/true = eligible
-	// read plans run over fragment column caches with selection vectors;
-	// false forces tuple-at-a-time execution — experiment E20's baseline).
+	// Vectorized controls whether fragment scans answer with columnar
+	// batches over the fragment column caches (nil/true), which the
+	// executor's operators then process with their batch kernels; false
+	// makes every scan answer with rows, so the same operators run their
+	// row kernels — the reference configuration of experiment E20.
 	Vectorized *bool
 }
 
