@@ -146,45 +146,77 @@ func resultKind(f AggFunc, k value.Kind) value.Kind {
 	}
 }
 
+// aggSchema validates an aggregation against its input schema and derives
+// the output schema: the group-by columns followed by one column per spec.
+func aggSchema(in *value.Schema, groupBy []int, specs []AggSpec) (*value.Schema, error) {
+	cols := make([]value.Column, 0, len(groupBy)+len(specs))
+	for _, c := range groupBy {
+		if c < 0 || c >= in.Len() {
+			return nil, fmt.Errorf("algebra: group-by column %d out of range for %s", c, in)
+		}
+		cols = append(cols, in.Column(c))
+	}
+	for _, sp := range specs {
+		if sp.Col >= in.Len() {
+			return nil, fmt.Errorf("algebra: aggregate column %d out of range for %s", sp.Col, in)
+		}
+		if sp.Col < 0 && sp.Func != Count {
+			return nil, fmt.Errorf("algebra: %s(*) is not defined", sp.Func)
+		}
+		name, k := sp.As, value.KindInt
+		if sp.Col >= 0 {
+			k = resultKind(sp.Func, in.Column(sp.Col).Kind)
+		}
+		switch {
+		case name != "":
+		case sp.Col < 0:
+			name = "COUNT(*)"
+		default:
+			name = fmt.Sprintf("%s(%s)", sp.Func, in.Column(sp.Col).Name)
+		}
+		cols = append(cols, value.Column{Name: name, Kind: k})
+	}
+	return value.NewSchema(cols...), nil
+}
+
+// mergeSchema derives a merge's output schema from a partial's, whose
+// layout PartialSpecs fixes: the group-by columns, then per spec one
+// column — (count) for COUNT, (sum) for SUM, (min)/(max) — or two,
+// (sum, count), for AVG. A merged COUNT, SUM, MIN or MAX keeps its
+// partial column's kind; AVG is a float.
+func mergeSchema(partial *value.Schema, groupByLen int, specs []AggSpec) (*value.Schema, error) {
+	if want := groupByLen + len(PartialSpecs(specs)); partial.Len() != want {
+		return nil, fmt.Errorf("algebra: partial aggregate %s has %d columns, want %d", partial, partial.Len(), want)
+	}
+	cols := make([]value.Column, 0, groupByLen+len(specs))
+	for i := 0; i < groupByLen; i++ {
+		cols = append(cols, partial.Column(i))
+	}
+	col := groupByLen
+	for _, sp := range specs {
+		name, k := sp.As, partial.Column(col).Kind
+		if name == "" {
+			name = sp.Func.String()
+		}
+		col++
+		if sp.Func == Avg {
+			k = value.KindFloat
+			col++
+		}
+		cols = append(cols, value.Column{Name: name, Kind: k})
+	}
+	return value.NewSchema(cols...), nil
+}
+
 // Aggregate groups r by the groupBy columns (empty = one global group)
 // and computes the aggregate specs. Output columns are the group-by
 // columns followed by one column per spec.
 func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relation, Stats, error) {
-	for _, c := range groupBy {
-		if c < 0 || c >= r.Schema.Len() {
-			return nil, Stats{}, fmt.Errorf("algebra: group-by column %d out of range for %s", c, r.Schema)
-		}
+	schema, err := aggSchema(r.Schema, groupBy, specs)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	for _, sp := range specs {
-		if sp.Col >= r.Schema.Len() {
-			return nil, Stats{}, fmt.Errorf("algebra: aggregate column %d out of range for %s", sp.Col, r.Schema)
-		}
-		if sp.Col < 0 && sp.Func != Count {
-			return nil, Stats{}, fmt.Errorf("algebra: %s(*) is not defined", sp.Func)
-		}
-	}
-
-	// Output schema.
-	cols := make([]value.Column, 0, len(groupBy)+len(specs))
-	for _, c := range groupBy {
-		cols = append(cols, r.Schema.Column(c))
-	}
-	for _, sp := range specs {
-		name := sp.As
-		if name == "" {
-			if sp.Col < 0 {
-				name = "COUNT(*)"
-			} else {
-				name = fmt.Sprintf("%s(%s)", sp.Func, r.Schema.Column(sp.Col).Name)
-			}
-		}
-		k := value.KindInt
-		if sp.Col >= 0 {
-			k = resultKind(sp.Func, r.Schema.Column(sp.Col).Kind)
-		}
-		cols = append(cols, value.Column{Name: name, Kind: k})
-	}
-	out := value.NewRelation(value.NewSchema(cols...))
+	out := value.NewRelation(schema)
 
 	type group struct {
 		key    value.Tuple
@@ -235,6 +267,10 @@ func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relati
 func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec) (*value.Relation, Stats, error) {
 	if len(partials) == 0 {
 		return nil, Stats{}, fmt.Errorf("algebra: no partial aggregates to merge")
+	}
+	schema, err := mergeSchema(partials[0].Schema, groupByLen, specs)
+	if err != nil {
+		return nil, Stats{}, err
 	}
 	stats := Stats{}
 	// Partial layout: groupBy..., then per spec either (count) for COUNT,
@@ -317,29 +353,7 @@ func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec
 		order = append(order, "")
 	}
 
-	// Final schema mirrors Aggregate's: derive from the first partial's
-	// group-by columns plus the spec names.
-	first := partials[0]
-	cols := make([]value.Column, 0, groupByLen+len(specs))
-	for i := 0; i < groupByLen; i++ {
-		cols = append(cols, first.Schema.Column(i))
-	}
-	for _, sp := range specs {
-		name := sp.As
-		if name == "" {
-			name = sp.Func.String()
-		}
-		k := value.KindFloat
-		switch sp.Func {
-		case Count:
-			k = value.KindInt
-		case Sum, Min, Max:
-			// Take the partial's column kind.
-			k = value.KindFloat
-		}
-		cols = append(cols, value.Column{Name: name, Kind: k})
-	}
-	out := value.NewRelation(value.NewSchema(cols...))
+	out := value.NewRelation(schema)
 	for _, k := range order {
 		g := groups[k]
 		row := make(value.Tuple, 0, groupByLen+len(specs))

@@ -2,18 +2,28 @@ package algebra
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/value"
 )
 
-// This file holds the columnar counterparts of the row operators: Select
-// narrows a selection vector without touching tuples, Project remaps
-// column pointers, the hash join builds and probes over column slices and
-// gathers its output column-wise, and Aggregate folds column values into
-// the same group states the row operator uses. Each operator CONSUMES its
-// input batches: selection vectors of consumed inputs go back to the
-// sync.Pool, so a caller must not touch a batch after passing it in.
+// This file holds the columnar counterparts of the row operators. Select
+// narrows a selection vector and Project remaps column pointers. The hash
+// join, the grouped aggregate and the merge of partial aggregates share one
+// typed hash-table design: the key columns are hashed a vector at a time
+// (value.Batch.HashCols), one open-addressing table of row ids is probed
+// with those hashes, and key equality is decided column-wise on the typed
+// vectors — same kind and same bits, what the row operators' byte keys
+// decide — so int, float, string, bool, composite and NULL keys take one
+// path and no cell is boxed. The join copies its matches column-wise;
+// aggregation assigns first-seen group ids and folds each spec into a typed
+// accumulator column in one loop, so it is batch in, batch out. The row
+// operators are the differential oracle for all of it, order included.
+// Every operator CONSUMES its input batches: their selection vectors go
+// back to the pool, like the kernels' scratch, so a batch passed in may be
+// passed again only if it was dense.
 
 // SelectBatch filters b with a vectorized predicate, producing a batch
 // that shares b's column vectors under a narrowed selection vector — no
@@ -46,212 +56,435 @@ func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batc
 	return b.Project(cols, schema), Stats{TuplesRead: n, TuplesEmitted: n}, nil
 }
 
-// HashJoinBatch equi-joins two batches on the given key columns, building
-// a hash table of physical row indices on the smaller input and gathering
-// the matches column-wise into a dense output batch. Output column order
-// is l ++ r and match order follows the row HashJoin exactly (probe
-// order, build-insertion order within a key). Both inputs are consumed.
-func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, error) {
-	if len(lcols) == 0 || len(lcols) != len(rcols) {
-		return nil, Stats{}, fmt.Errorf("algebra: join needs matching non-empty key lists, got %v and %v", lcols, rcols)
-	}
-	for _, c := range lcols {
-		if c < 0 || c >= len(l.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: left join key %d out of range for %s", c, l.Schema)
-		}
-	}
-	for _, c := range rcols {
-		if c < 0 || c >= len(r.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: right join key %d out of range for %s", c, r.Schema)
-		}
-	}
-	stats := Stats{TuplesRead: l.Len() + r.Len()}
-
-	buildLeft := l.Len() <= r.Len()
-	build, probe := l, r
-	bcols, pcols := lcols, rcols
-	if !buildLeft {
-		build, probe = r, l
-		bcols, pcols = rcols, lcols
-	}
-
-	// Hash table of physical row indices: one chain per distinct key,
-	// linked through `next` so appending a row never re-allocates the
-	// map key string.
-	type chain struct{ head, tail int32 }
-	table := make(map[string]*chain, build.Len())
-	next := make([]int32, build.Rows)
-	var keyBuf []byte
-	bn := build.Len()
-	for i := 0; i < bn; i++ {
-		row := int32(build.Row(i))
-		if batchNullOn(build, row, bcols) {
-			continue // NULL keys never join
-		}
-		keyBuf = build.AppendKey(keyBuf[:0], int(row), bcols)
-		next[row] = -1
-		if c, ok := table[string(keyBuf)]; ok {
-			next[c.tail] = row
-			c.tail = row
-		} else {
-			table[string(keyBuf)] = &chain{head: row, tail: row}
-		}
-	}
-	stats.Hashes += bn
-
-	// Probe in input order, collecting matched (left, right) physical
-	// row pairs in output order.
-	lIdx := value.GetSel()
-	rIdx := value.GetSel()
-	pn := probe.Len()
-	for i := 0; i < pn; i++ {
-		row := int32(probe.Row(i))
-		if batchNullOn(probe, row, pcols) {
-			continue
-		}
-		stats.Hashes++
-		keyBuf = probe.AppendKey(keyBuf[:0], int(row), pcols)
-		c, ok := table[string(keyBuf)]
-		if !ok {
-			continue
-		}
-		for m := c.head; ; m = next[m] {
-			if buildLeft {
-				lIdx = append(lIdx, m)
-				rIdx = append(rIdx, row)
-			} else {
-				lIdx = append(lIdx, row)
-				rIdx = append(rIdx, m)
-			}
-			if m == c.tail {
-				break
-			}
-		}
-	}
-
-	out := &value.Batch{
-		Schema: l.Schema.Concat(r.Schema),
-		Cols:   make([]*value.Vec, 0, len(l.Cols)+len(r.Cols)),
-		Rows:   len(lIdx),
-	}
-	for _, vec := range l.Cols {
-		out.Cols = append(out.Cols, vec.Gather(lIdx))
-	}
-	for _, vec := range r.Cols {
-		out.Cols = append(out.Cols, vec.Gather(rIdx))
-	}
-	stats.TuplesEmitted = len(lIdx)
-	value.PutSel(lIdx)
-	value.PutSel(rIdx)
-	if l.Sel != nil {
-		value.PutSel(l.Sel)
-		l.Sel = nil
-	}
-	if r.Sel != nil {
-		value.PutSel(r.Sel)
-		r.Sel = nil
-	}
-	return out, stats, nil
+// rowTable is the hash table of the join and grouping kernels: open
+// addressing with linear probing. A slot packs the high half of its key's
+// hash over a 32-bit id plus one (a build row for the join, a group for
+// the aggregate); zero is empty. One load so finds a candidate and rules
+// out nearly every other key before any column is compared. It holds at
+// most half as many keys as slots and is pooled.
+type rowTable struct {
+	slots []uint64
+	shift uint
 }
 
-func batchNullOn(b *value.Batch, row int32, cols []int) bool {
-	for _, c := range cols {
-		if b.Cols[c].IsNull(int(row)) {
+func newRowTable(keys int) rowTable {
+	size := 1 << bits.Len(uint(2*keys+15))
+	t := rowTable{slots: value.GetHashes(size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	clear(t.slots)
+	return t
+}
+
+// home is the slot a hash starts probing at. FNV-1a mixes upward only, so
+// the table takes its index from the high bits of a Fibonacci multiply.
+func (t rowTable) home(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> t.shift) }
+
+// step is the slot probed after p.
+func (t rowTable) step(p int) int { return (p + 1) & (len(t.slots) - 1) }
+
+// slotFor is the slot content for id under hash h.
+func slotFor(h uint64, id int32) uint64 { return h&^math.MaxUint32 | uint64(id+1) }
+
+// slotID is the id in the occupied slot s if its key can hash to h, else -1.
+func slotID(s, h uint64) int32 {
+	if (s^h)>>32 != 0 {
+		return -1
+	}
+	return int32(uint32(s)) - 1
+}
+
+// keyVecs are the key columns of a batch, and whether any holds a NULL.
+func keyVecs(b *value.Batch, cols []int) (vecs []*value.Vec, nullable bool) {
+	vecs = make([]*value.Vec, len(cols))
+	for i, c := range cols {
+		vecs[i] = b.Cols[c]
+		nullable = nullable || vecs[i].Null != nil
+	}
+	return vecs, nullable
+}
+
+// sameKey reports whether physical row i of a and row j of b hold the same
+// key: column by column the same kind and the same bits, NULL equal to
+// NULL — what the row operators' byte keys decide.
+func sameKey(a []*value.Vec, i int32, b []*value.Vec, j int32) bool {
+	for k, av := range a {
+		bv := b[k]
+		an, bn := av.IsNull(int(i)), bv.IsNull(int(j))
+		switch {
+		case an || bn:
+			if an != bn {
+				return false
+			}
+		case av.Kind != bv.Kind:
+			return false
+		case av.Kind == value.KindFloat:
+			if math.Float64bits(av.F[i]) != math.Float64bits(bv.F[j]) {
+				return false
+			}
+		case av.Kind == value.KindString:
+			if av.S[i] != bv.S[j] {
+				return false
+			}
+		default:
+			if av.I[i] != bv.I[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func nullKey(vecs []*value.Vec, row int32) bool {
+	for _, v := range vecs {
+		if v.IsNull(int(row)) {
 			return true
 		}
 	}
 	return false
 }
 
+// HashJoinBatch equi-joins two batches on the given key columns. The
+// smaller input's keys go into a rowTable, the rows of one key chained in
+// insertion order and appended at the tail (a heavy-hitter key costs no
+// chain walk); the larger input probes it. Output column order is l ++ r
+// and match order follows the row HashJoin exactly (probe order,
+// build-insertion order within a key). Both inputs are consumed.
+func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, error) {
+	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
+		return nil, Stats{}, err
+	}
+	build, probe, bcols, pcols := l, r, lcols, rcols
+	if l.Len() > r.Len() {
+		build, probe, bcols, pcols = r, l, rcols, lcols
+	}
+	bsel, psel := build.TakeSel(), probe.TakeSel()
+	bkeys, bnull := keyVecs(build, bcols)
+	pkeys, pnull := keyVecs(probe, pcols)
+	bh := build.HashCols(bsel, bcols)
+	ph := probe.HashCols(psel, pcols)
+	stats := Stats{TuplesRead: len(bsel) + len(psel), Hashes: len(bsel)}
+
+	// next and tail, indexed by physical build row, chain the rows of one
+	// key from the row in the table's slot; tail is kept at that row only.
+	table := newRowTable(len(bsel))
+	next, tail := value.GetSelLen(build.Rows), value.GetSelLen(build.Rows)
+	for i, h := range bh {
+		row := bsel[i]
+		if bnull && nullKey(bkeys, row) {
+			continue // NULL keys never join
+		}
+		next[row] = -1
+		for p := table.home(h); ; p = table.step(p) {
+			s := table.slots[p]
+			if s == 0 {
+				table.slots[p], tail[row] = slotFor(h, row), row
+				break
+			}
+			if e := slotID(s, h); e >= 0 && sameKey(bkeys, e, bkeys, row) {
+				next[tail[e]], tail[e] = row, row
+				break
+			}
+		}
+	}
+
+	// Probe in input order, collecting the matched physical row pairs in
+	// output order. once stays true while no probe row has met a key that
+	// several build rows hold.
+	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
+	for j, h := range ph {
+		row := psel[j]
+		if pnull && nullKey(pkeys, row) {
+			continue
+		}
+		stats.Hashes++
+		for p := table.home(h); ; p = table.step(p) {
+			s := table.slots[p]
+			if s == 0 {
+				break
+			}
+			if e := slotID(s, h); e >= 0 && sameKey(bkeys, e, pkeys, row) {
+				once = once && next[e] < 0
+				for m := e; m >= 0; m = next[m] {
+					bIdx, pIdx = append(bIdx, m), append(pIdx, row)
+				}
+				break
+			}
+		}
+	}
+	stats.TuplesEmitted = len(pIdx)
+
+	// The usual join — a foreign key into a primary key — matches every
+	// probe row at most once: its output is the probe side's own columns
+	// under the selection of the matched rows, with the build side's laid
+	// out along them, and only those are copied. Otherwise both sides are
+	// gathered into a dense batch.
+	out := &value.Batch{Schema: l.Schema.Concat(r.Schema), Rows: len(pIdx), Cols: make([]*value.Vec, 0, len(l.Cols)+len(r.Cols))}
+	if once {
+		out.Rows, out.Sel = probe.Rows, pIdx
+	}
+	for _, side := range []*value.Batch{l, r} {
+		for _, vec := range side.Cols {
+			switch {
+			case side == build && once:
+				vec = vec.Scatter(bIdx, pIdx, probe.Rows)
+			case side == build:
+				vec = vec.Gather(bIdx)
+			case !once:
+				vec = vec.Gather(pIdx)
+			}
+			out.Cols = append(out.Cols, vec)
+		}
+	}
+	if !once {
+		value.PutSel(pIdx)
+	}
+	for _, s := range [][]int32{bsel, psel, next, tail, bIdx} {
+		value.PutSel(s)
+	}
+	for _, s := range [][]uint64{bh, ph, table.slots} {
+		value.PutHashes(s)
+	}
+	return out, stats, nil
+}
+
+// groups is a batch's selected rows resolved to group ids on some key
+// columns, assigned in first-seen order.
+type groups struct {
+	b     *value.Batch
+	keys  []int
+	sel   []int32 // the selected physical rows
+	ids   []int32 // ids[i] is the group of row sel[i]
+	first []int32 // first[g] is the physical row that opened group g
+	n     int     // number of groups
+}
+
+// groupRows resolves the selected rows of b to groups. No key columns is
+// the one global group, which exists even over no rows and needs no table.
+func groupRows(b *value.Batch, keys []int) *groups {
+	g := &groups{b: b, keys: keys, sel: b.TakeSel(), first: value.GetSel(), n: 1}
+	g.ids = value.GetSelLen(len(g.sel))
+	if len(keys) == 0 {
+		clear(g.ids)
+		return g
+	}
+	vecs, _ := keyVecs(b, keys)
+	hs := b.HashCols(g.sel, keys)
+	// The table starts small and doubles as groups appear, refilled from
+	// their hashes: it stays in cache when rows are many and groups few.
+	table, ghs := newRowTable(min(len(g.sel), 512)), value.GetHashes(0)
+	for i, h := range hs {
+		row := g.sel[i]
+		for p := table.home(h); ; p = table.step(p) {
+			if s := table.slots[p]; s != 0 {
+				if id := slotID(s, h); id >= 0 && sameKey(vecs, g.first[id], vecs, row) {
+					g.ids[i] = id
+					break
+				}
+				continue
+			}
+			table.slots[p], g.ids[i] = slotFor(h, int32(len(ghs))), int32(len(ghs))
+			g.first, ghs = append(g.first, row), append(ghs, h)
+			if 2*len(ghs) > len(table.slots) {
+				value.PutHashes(table.slots)
+				table = newRowTable(2 * len(ghs))
+				for id, gh := range ghs {
+					p := table.home(gh)
+					for table.slots[p] != 0 {
+						p = table.step(p)
+					}
+					table.slots[p] = slotFor(gh, int32(id))
+				}
+			}
+			break
+		}
+	}
+	g.n = len(ghs)
+	for _, s := range [][]uint64{hs, ghs, table.slots} {
+		value.PutHashes(s)
+	}
+	return g
+}
+
+// result assembles the output batch — the group keys (each group's first
+// row), then the given aggregate columns — and releases the scratch.
+func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, Stats) {
+	out := &value.Batch{Schema: schema, Rows: g.n, Cols: make([]*value.Vec, 0, len(g.keys)+len(aggs))}
+	for _, c := range g.keys {
+		out.Cols = append(out.Cols, g.b.Cols[c].Gather(g.first))
+	}
+	out.Cols = append(out.Cols, aggs...)
+	st := Stats{TuplesRead: len(g.sel), TuplesEmitted: g.n}
+	for _, s := range [][]int32{g.sel, g.ids, g.first} {
+		value.PutSel(s)
+	}
+	return out, st
+}
+
+// tally counts each group's rows that are not NULL under null (nil: all).
+func (g *groups) tally(null []bool) []int64 {
+	cnt := make([]int64, g.n)
+	for i, r := range g.sel {
+		if null == nil || !null[r] {
+			cnt[g.ids[i]]++
+		}
+	}
+	return cnt
+}
+
+// sums adds up each group's non-NULL values of a numeric column, as A and
+// in row order (the order the row operator adds in, which a float sum
+// shows); a column of another kind adds up to zeros.
+func sums[A int64 | float64](g *groups, v *value.Vec) []A {
+	switch v.Kind {
+	case value.KindFloat:
+		return sumsOf[A](g, v.F, v.Null)
+	case value.KindInt:
+		return sumsOf[A](g, v.I, v.Null)
+	}
+	return make([]A, g.n)
+}
+
+func sumsOf[A, T int64 | float64](g *groups, col []T, null []bool) []A {
+	acc := make([]A, g.n)
+	for i, r := range g.sel {
+		if null == nil || !null[r] {
+			acc[g.ids[i]] += A(col[r])
+		}
+	}
+	return acc
+}
+
+// extremes keeps each group's least (or, with max set, greatest) non-NULL
+// value of col under value.Compare's order — NaN before every number, and
+// of values that compare equal the first seen — and counts the non-NULL
+// rows.
+func extremes[T int64 | float64 | string](g *groups, col []T, null []bool, max bool) ([]T, []int64) {
+	acc, cnt := make([]T, g.n), make([]int64, g.n)
+	for i, r := range g.sel {
+		if null != nil && null[r] {
+			continue
+		}
+		id, x := g.ids[i], col[r]
+		a := acc[id]
+		// x != x holds only for a float NaN.
+		if cnt[id] == 0 || (!max && (x < a || (x != x && a == a))) || (max && (x > a || (a != a && x == x))) {
+			acc[id] = x
+		}
+		cnt[id]++
+	}
+	return acc, cnt
+}
+
+// nullWhereZero is the null bitmap of an aggregate column: NULL where the
+// group had no non-NULL input, nil when no group is.
+func nullWhereZero(cnt []int64) []bool {
+	var null []bool
+	for i, c := range cnt {
+		if c == 0 {
+			if null == nil {
+				null = make([]bool, len(cnt))
+			}
+			null[i] = true
+		}
+	}
+	return null
+}
+
+// average turns per-group sums into averages over the given counts, NULL
+// where the count is zero.
+func average(sum []float64, cnt []int64) *value.Vec {
+	for i, c := range cnt {
+		sum[i] /= float64(c)
+	}
+	return &value.Vec{Kind: value.KindFloat, F: sum, Null: nullWhereZero(cnt)}
+}
+
+// fold computes one aggregate over column v per group as a typed output
+// column; a nil v is COUNT(*). NULL handling and result kinds are the row
+// aggState's.
+func (g *groups) fold(fn AggFunc, v *value.Vec) *value.Vec {
+	if v == nil {
+		return &value.Vec{Kind: value.KindInt, I: g.tally(nil)} // COUNT(*) counts rows, NULLs included
+	}
+	out := &value.Vec{Kind: resultKind(fn, v.Kind)}
+	var cnt []int64
+	switch extreme := fn == Min || fn == Max; {
+	case extreme && v.Kind == value.KindFloat:
+		out.F, cnt = extremes(g, v.F, v.Null, fn == Max)
+	case extreme && v.Kind == value.KindString:
+		out.S, cnt = extremes(g, v.S, v.Null, fn == Max)
+	case extreme:
+		out.I, cnt = extremes(g, v.I, v.Null, fn == Max)
+	case fn == Count:
+		out.I = g.tally(v.Null)
+		return out
+	case fn == Avg:
+		return average(sums[float64](g, v), g.tally(v.Null))
+	case out.Kind == value.KindFloat:
+		out.F, cnt = sums[float64](g, v), g.tally(v.Null)
+	default:
+		out.I, cnt = sums[int64](g, v), g.tally(v.Null)
+	}
+	out.Null = nullWhereZero(cnt)
+	return out
+}
+
 // AggregateBatch groups b by the groupBy columns (empty = one global
-// group) and computes the aggregate specs, reading input values straight
-// from the column vectors. Output schema, group order (first-seen) and
-// NULL handling match the row Aggregate exactly; the result is a
-// row-oriented Relation (aggregation is a materialization point). b is
-// consumed.
-func AggregateBatch(b *value.Batch, groupBy []int, specs []AggSpec) (*value.Relation, Stats, error) {
-	for _, c := range groupBy {
-		if c < 0 || c >= len(b.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: group-by column %d out of range for %s", c, b.Schema)
-		}
+// group) and computes the aggregate specs over the column vectors. Output
+// schema, group order (first-seen) and NULL handling match the row
+// Aggregate exactly; the result is a dense batch. b is consumed.
+func AggregateBatch(b *value.Batch, groupBy []int, specs []AggSpec) (*value.Batch, Stats, error) {
+	schema, err := aggSchema(b.Schema, groupBy, specs)
+	if err != nil {
+		return nil, Stats{}, err
 	}
-	for _, sp := range specs {
-		if sp.Col >= len(b.Cols) {
-			return nil, Stats{}, fmt.Errorf("algebra: aggregate column %d out of range for %s", sp.Col, b.Schema)
-		}
-		if sp.Col < 0 && sp.Func != Count {
-			return nil, Stats{}, fmt.Errorf("algebra: %s(*) is not defined", sp.Func)
-		}
-	}
-
-	// Output schema, mirroring the row Aggregate's naming.
-	cols := make([]value.Column, 0, len(groupBy)+len(specs))
-	for _, c := range groupBy {
-		cols = append(cols, b.Schema.Column(c))
-	}
-	for _, sp := range specs {
-		name := sp.As
-		if name == "" {
-			if sp.Col < 0 {
-				name = "COUNT(*)"
-			} else {
-				name = fmt.Sprintf("%s(%s)", sp.Func, b.Schema.Column(sp.Col).Name)
-			}
-		}
-		k := value.KindInt
+	g := groupRows(b, groupBy)
+	aggs := make([]*value.Vec, len(specs))
+	for i, sp := range specs {
+		var v *value.Vec
 		if sp.Col >= 0 {
-			k = resultKind(sp.Func, b.Schema.Column(sp.Col).Kind)
+			v = b.Cols[sp.Col]
 		}
-		cols = append(cols, value.Column{Name: name, Kind: k})
+		aggs[i] = g.fold(sp.Func, v)
 	}
-	out := value.NewRelation(value.NewSchema(cols...))
+	out, st := g.result(schema, aggs)
+	st.Hashes = st.TuplesRead
+	return out, st, nil
+}
 
-	type group struct {
-		key    value.Tuple
-		states []aggState
+// MergeAggregateBatches is MergeAggregates over columnar partials: they
+// are concatenated and regrouped on their leading groupByLen columns, and
+// every partial column folds into its final one — counts and sums add up,
+// minima and maxima fold again, an average is its summed sums over its
+// summed counts. Group order (first-seen across the partials, in order),
+// NULL handling and Stats match the row merge. The partials are consumed.
+func MergeAggregateBatches(partials []*value.Batch, groupByLen int, specs []AggSpec) (*value.Batch, Stats, error) {
+	if len(partials) == 0 {
+		return nil, Stats{}, fmt.Errorf("algebra: no partial aggregates to merge")
 	}
-	groups := map[string]*group{}
-	var order []string
-	var keyBuf []byte
-	n := b.Len()
-	for i := 0; i < n; i++ {
-		row := b.Row(i)
-		keyBuf = b.AppendKey(keyBuf[:0], row, groupBy)
-		g := groups[string(keyBuf)]
-		if g == nil {
-			k := string(keyBuf)
-			key := make(value.Tuple, len(groupBy))
-			for gi, c := range groupBy {
-				key[gi] = b.Cols[c].Value(row)
-			}
-			g = &group{key: key, states: make([]aggState, len(specs))}
-			groups[k] = g
-			order = append(order, k)
+	schema, err := mergeSchema(partials[0].Schema, groupByLen, specs)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	b := value.ConcatBatches(partials[0].Schema, partials)
+	keys := make([]int, groupByLen)
+	for i := range keys {
+		keys[i] = i
+	}
+	g := groupRows(b, keys)
+	aggs := make([]*value.Vec, len(specs))
+	col := groupByLen
+	for i, sp := range specs {
+		switch sp.Func {
+		case Count: // never NULL: over no partial rows it is 0
+			aggs[i] = &value.Vec{Kind: value.KindInt, I: sums[int64](g, b.Cols[col])}
+		case Avg:
+			aggs[i] = average(sums[float64](g, b.Cols[col]), sums[int64](g, b.Cols[col+1]))
+			col++
+		default:
+			aggs[i] = g.fold(sp.Func, b.Cols[col])
 		}
-		for si, sp := range specs {
-			if sp.Col < 0 {
-				g.states[si].count++ // COUNT(*) counts rows, NULLs included
-			} else {
-				g.states[si].observe(b.Cols[sp.Col].Value(row))
-			}
-		}
+		col++
 	}
-	if len(groupBy) == 0 && len(order) == 0 {
-		groups[""] = &group{key: value.Tuple{}, states: make([]aggState, len(specs))}
-		order = append(order, "")
-	}
-	for _, k := range order {
-		g := groups[k]
-		row := make(value.Tuple, 0, len(groupBy)+len(specs))
-		row = append(row, g.key...)
-		for si, sp := range specs {
-			row = append(row, g.states[si].result(sp.Func))
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	if b.Sel != nil {
-		value.PutSel(b.Sel)
-		b.Sel = nil
-	}
-	return out, Stats{TuplesRead: n, TuplesEmitted: out.Len(), Hashes: n}, nil
+	out, st := g.result(schema, aggs)
+	return out, st, nil
 }

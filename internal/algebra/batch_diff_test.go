@@ -1,0 +1,446 @@
+package algebra
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+	"time"
+
+	"repro/internal/value"
+)
+
+// The differential net of the columnar hash kernels: a seeded generator
+// builds relations the row operators and the batch operators both read,
+// and every result must agree cell for cell — same kind, same bits, same
+// order — along with the Stats the simulated machine is charged from.
+
+var diffKinds = []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindBool}
+
+// diffFloats holds the floats whose hashing and ordering have special
+// cases: both zeros (one hash, two keys), NaN (sorts first), 2^63 (the
+// edge of the integral-float canonicalization), integral and fractional
+// values.
+var diffFloats = []float64{0, math.Copysign(0, -1), math.NaN(), 1 << 63, -(1 << 63), math.Inf(1), 1, 2, 1.5, -2.25, 3}
+
+// diffValue draws a value of kind k from a domain of about `domain` values.
+func diffValue(r *rand.Rand, k value.Kind, domain int, nulls bool) value.Value {
+	if nulls && r.Intn(8) == 0 {
+		return value.Null
+	}
+	switch k {
+	case value.KindInt:
+		if r.Intn(16) == 0 {
+			return value.NewInt([]int64{math.MinInt64, math.MaxInt64, -1, 1 << 40}[r.Intn(4)])
+		}
+		return value.NewInt(int64(r.Intn(domain)))
+	case value.KindFloat:
+		return value.NewFloat(diffFloats[r.Intn(min(domain, len(diffFloats)))])
+	case value.KindString:
+		return value.NewString([]string{"", "a", "b", "ab", "ba", "prisma", "β"}[r.Intn(min(domain, 7))])
+	default:
+		return value.NewBool(r.Intn(2) == 0)
+	}
+}
+
+// diffRel builds a relation of the given column kinds, with heavy set
+// giving one key (the first row's values) to about half the rows.
+func diffRel(r *rand.Rand, kinds []value.Kind, rows, domain int, nulls, heavy bool) *value.Relation {
+	cols := make([]value.Column, len(kinds))
+	for i, k := range kinds {
+		cols[i] = value.Column{Name: fmt.Sprintf("c%d", i), Kind: k}
+	}
+	rel := value.NewRelation(value.NewSchema(cols...))
+	for i := 0; i < rows; i++ {
+		if heavy && i > 0 && r.Intn(2) == 0 {
+			rel.Append(rel.Tuples[0].Clone())
+			continue
+		}
+		t := make(value.Tuple, len(kinds))
+		for c, k := range kinds {
+			t[c] = diffValue(r, k, domain, nulls && !(heavy && i == 0))
+		}
+		rel.Append(t)
+	}
+	return rel
+}
+
+// diffBatch returns rel as a batch and as the relation the row operators
+// read: with sel set, a batch under a random selection vector and the rows
+// it selects.
+func diffBatch(t *testing.T, r *rand.Rand, rel *value.Relation, sel bool) (*value.Batch, *value.Relation) {
+	t.Helper()
+	b := value.NewBatchFrom(rel.Schema, rel.Tuples)
+	if b == nil {
+		t.Fatal("NewBatchFrom declined")
+	}
+	if !sel {
+		return b, rel
+	}
+	b.Sel = value.GetSel()
+	rows := value.NewRelation(rel.Schema)
+	for i, tup := range rel.Tuples {
+		if r.Intn(3) > 0 {
+			b.Sel = append(b.Sel, int32(i))
+			rows.Append(tup)
+		}
+	}
+	return b, rows
+}
+
+// requireSameBits asserts two relations agree on schema and, tuple for
+// tuple in order, on the encoded bytes of every value — kind and bits, so
+// -0.0 is not 0.0 and an int is not the float it equals.
+func requireSameBits(t *testing.T, name string, got, want *value.Relation) {
+	t.Helper()
+	if got.Schema.String() != want.Schema.String() {
+		t.Fatalf("%s: schema %s, want %s", name, got.Schema, want.Schema)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows, want %d", name, got.Len(), want.Len())
+	}
+	for i := range want.Tuples {
+		if g, w := value.AppendTuple(nil, got.Tuples[i]), value.AppendTuple(nil, want.Tuples[i]); string(g) != string(w) {
+			t.Fatalf("%s row %d: %v, want %v", name, i, got.Tuples[i], want.Tuples[i])
+		}
+	}
+}
+
+// checkHashes pins vector hash == Batch.HashRow == value.HashTuple on every
+// selected row.
+func checkHashes(t *testing.T, b *value.Batch, keys []int) {
+	t.Helper()
+	sel := append([]int32(nil), b.Sel...)
+	if b.Sel == nil {
+		for i := 0; i < b.Rows; i++ {
+			sel = append(sel, int32(i))
+		}
+	}
+	rows := (&value.Batch{Schema: b.Schema, Cols: b.Cols, Rows: b.Rows}).Materialize()
+	hs := b.HashCols(sel, keys)
+	for i, r := range sel {
+		want := value.HashTuple(rows.Tuples[r], keys)
+		if hs[i] != want || b.HashRow(int(r), keys) != want {
+			t.Fatalf("row %d keys %v: HashCols %x, HashRow %x, HashTuple %x", r, keys, hs[i], b.HashRow(int(r), keys), want)
+		}
+	}
+}
+
+func diffSpecs(r *rand.Rand, width int) []AggSpec {
+	specs := []AggSpec{{Func: Count, Col: -1, As: "n"}}
+	for i, n := 0, 1+r.Intn(4); i < n; i++ {
+		sp := AggSpec{Func: AggFunc(r.Intn(5)), Col: r.Intn(width)}
+		if r.Intn(2) == 0 {
+			sp.As = fmt.Sprintf("x%d", i)
+		}
+		specs = append(specs, sp)
+	}
+	return specs
+}
+
+func diffCols(r *rand.Rand, width, n int) []int {
+	cols := make([]int, n)
+	for i := range cols {
+		cols[i] = r.Intn(width)
+	}
+	return cols
+}
+
+// checkAggregate compares AggregateBatch with Aggregate, and the batch
+// merge of partials with MergeAggregates, on one generated relation.
+func checkAggregate(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	kinds := make([]value.Kind, 2+r.Intn(3))
+	for i := range kinds {
+		kinds[i] = diffKinds[r.Intn(len(diffKinds))]
+	}
+	rows, domain := r.Intn(200), 1+r.Intn(12)
+	if r.Intn(10) == 0 { // many rows in many groups: the grouping table grows
+		rows, domain = 600+r.Intn(3000), 1+r.Intn(2000)
+	}
+	rel := diffRel(r, kinds, rows, domain, r.Intn(2) == 0, r.Intn(3) == 0)
+	groupBy := diffCols(r, len(kinds), r.Intn(3)) // none: the global aggregate, over an empty input too
+	specs := diffSpecs(r, len(kinds))
+	name := fmt.Sprintf("seed %d group %v specs %v", seed, groupBy, specs)
+
+	b, in := diffBatch(t, r, rel, r.Intn(2) == 0)
+	checkHashes(t, b, groupBy)
+	want, wst, err := Aggregate(in, groupBy, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gst, err := AggregateBatch(b, groupBy, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name, got.Materialize(), want)
+	if gst != wst {
+		t.Fatalf("%s: stats %+v, want %+v", name, gst, wst)
+	}
+
+	// Partials of the rows cut into pieces (some empty), merged both ways.
+	partial := PartialSpecs(specs)
+	var relParts []*value.Relation
+	var batchParts []*value.Batch
+	for lo, pieces := 0, 1+r.Intn(4); pieces > 0; pieces-- {
+		hi := len(in.Tuples)
+		if pieces > 1 {
+			hi = lo + r.Intn(hi-lo+1)
+		}
+		piece := &value.Relation{Schema: in.Schema, Tuples: in.Tuples[lo:hi]}
+		lo = hi
+		rp, _, err := Aggregate(piece, groupBy, partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp, _, err := AggregateBatch(value.NewBatchFrom(piece.Schema, piece.Tuples), groupBy, partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relParts, batchParts = append(relParts, rp), append(batchParts, bp)
+	}
+	wantM, wst, err := MergeAggregates(relParts, len(groupBy), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Materialized batch partials through the row merge: the executor's
+	// path when one sibling slot holds rows.
+	mixed := make([]*value.Relation, len(batchParts))
+	for i, bp := range batchParts {
+		mixed[i] = bp.Materialize()
+	}
+	gotX, _, err := MergeAggregates(mixed, len(groupBy), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name+" row merge of batch partials", gotX, wantM)
+	gotM, gst, err := MergeAggregateBatches(batchParts, len(groupBy), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name+" merge", gotM.Materialize(), wantM)
+	if gst != wst {
+		t.Fatalf("%s merge: stats %+v, want %+v", name, gst, wst)
+	}
+}
+
+// checkJoin compares HashJoinBatch with HashJoin on two generated
+// relations whose key columns pair up kind by kind — except, sometimes, an
+// int column against a float one, which no row joins on.
+func checkJoin(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	nkeys := 1 + r.Intn(2)
+	lkinds, rkinds := make([]value.Kind, nkeys+1), make([]value.Kind, nkeys+1)
+	for i := range lkinds {
+		lkinds[i] = diffKinds[r.Intn(len(diffKinds))]
+		rkinds[i] = lkinds[i]
+	}
+	if r.Intn(6) == 0 {
+		lkinds[0], rkinds[0] = value.KindInt, value.KindFloat
+	}
+	domain, nulls, heavy := 1+r.Intn(12), r.Intn(2) == 0, r.Intn(3) == 0
+	lrel := diffRel(r, lkinds, r.Intn(120), domain, nulls, heavy) // an empty side now and then
+	rrel := diffRel(r, rkinds, r.Intn(120), domain, nulls, heavy)
+	if heavy && lrel.Len() > 0 && rrel.Len() > 0 && lkinds[0] == rkinds[0] {
+		copy(rrel.Tuples[0], lrel.Tuples[0]) // both sides share the heavy key
+	}
+	lcols, rcols := make([]int, nkeys), make([]int, nkeys)
+	for i := range lcols {
+		lcols[i], rcols[i] = i, i
+	}
+	name := fmt.Sprintf("seed %d join %v x %v", seed, lkinds, rkinds)
+
+	lb, lrows := diffBatch(t, r, lrel, r.Intn(2) == 0)
+	rb, rrows := diffBatch(t, r, rrel, r.Intn(2) == 0)
+	checkHashes(t, lb, lcols)
+	want, wst, err := HashJoin(lrows, rrows, lcols, rcols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gst, err := HashJoinBatch(lb, rb, lcols, rcols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name, got.Materialize(), want)
+	if gst != wst {
+		t.Fatalf("%s: stats %+v, want %+v", name, gst, wst)
+	}
+}
+
+func TestBatchKernelsMatchRow(t *testing.T) {
+	for seed := int64(0); seed < 400; seed++ {
+		checkAggregate(t, seed)
+		checkJoin(t, seed)
+	}
+}
+
+func FuzzBatchKernelsMatchRow(f *testing.F) {
+	for seed := int64(0); seed < 8; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkAggregate(t, seed)
+		checkJoin(t, seed)
+	})
+}
+
+// TestMergeAggregatesKeepsPartialKinds: a merged SUM, MIN or MAX has the
+// kind of its partial column — int partials do not become float columns —
+// in the row merge and in the batch merge.
+func TestMergeAggregatesKeepsPartialKinds(t *testing.T) {
+	rel := value.NewRelation(value.MustSchema("k", "INT", "v", "INT", "f", "FLOAT"))
+	for i := 0; i < 10; i++ {
+		rel.Append(value.NewTuple(value.NewInt(int64(i%3)), value.NewInt(int64(i)), value.NewFloat(float64(i)/2)))
+	}
+	specs := []AggSpec{
+		{Func: Sum, Col: 1, As: "s"}, {Func: Min, Col: 1, As: "lo"}, {Func: Max, Col: 1, As: "hi"},
+		{Func: Count, Col: 1, As: "n"}, {Func: Avg, Col: 1, As: "m"}, {Func: Sum, Col: 2, As: "fs"},
+	}
+	wantKinds := []value.Kind{value.KindInt, value.KindInt, value.KindInt, value.KindInt, value.KindInt, value.KindFloat, value.KindFloat}
+	rp, _, err := Aggregate(rel, []int{0}, PartialSpecs(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := MergeAggregates([]*value.Relation{rp}, 1, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp, _, err := AggregateBatch(toBatch(t, rel), []int{0}, PartialSpecs(specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mergedB, _, err := MergeAggregateBatches([]*value.Batch{bp}, 1, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, want := range wantKinds {
+		if got := merged.Schema.Column(c).Kind; got != want {
+			t.Errorf("row merge column %s: kind %s, want %s", merged.Schema.Column(c).Name, got, want)
+		}
+		if got := mergedB.Schema.Column(c).Kind; got != want || mergedB.Cols[c].Kind != want {
+			t.Errorf("batch merge column %s: schema kind %s, vector kind %s, want %s", mergedB.Schema.Column(c).Name, got, mergedB.Cols[c].Kind, want)
+		}
+	}
+	requireSameBits(t, "merge", mergedB.Materialize(), merged)
+}
+
+// TestHashJoinBatchHeavyHitterLinear: a build side where one key holds
+// every row appends each row at its chain's tail; a build that walked the
+// chain would take quadratic time, which quadrupling the input exposes.
+func TestHashJoinBatchHeavyHitterLinear(t *testing.T) {
+	schema := value.MustSchema("k", "INT")
+	run := func(n int) time.Duration {
+		build := make([]value.Tuple, n)
+		for i := range build {
+			build[i] = value.Ints(7)
+		}
+		probe := make([]value.Tuple, n+1)
+		for i := range probe {
+			probe[i] = value.Ints(int64(100 + i))
+		}
+		probe[n] = value.Ints(7)
+		l, r := value.NewBatchFrom(schema, build), value.NewBatchFrom(schema, probe)
+		best := time.Duration(math.MaxInt64)
+		for try := 0; try < 3; try++ {
+			start := time.Now()
+			out, _, err := HashJoinBatch(l, r, []int{0}, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			best = min(best, time.Since(start))
+			if out.Len() != n {
+				t.Fatalf("%d matches, want %d", out.Len(), n)
+			}
+		}
+		return best
+	}
+	small, large := run(1<<14), run(1<<16)
+	if large > 12*small {
+		t.Errorf("heavy-hitter build: %v for 4x the rows of %v — not linear", large, small)
+	}
+}
+
+// TestAggregateBatchAllocs and TestHashJoinBatchAllocs pin the kernels'
+// steady-state allocations: with the scratch pools warm they allocate for
+// their output columns plus a constant, whatever the input row count.
+func TestAggregateBatchAllocs(t *testing.T) {
+	specs := []AggSpec{{Func: Count, Col: -1, As: "n"}, {Func: Sum, Col: 2, As: "s"}, {Func: Min, Col: 2, As: "lo"}}
+	var allocs [2]float64
+	for i, rows := range []int{4096, 32768} {
+		b := toBatch(t, batchRel(rows, 8))
+		run := func() {
+			if _, _, err := AggregateBatch(b, []int{1}, specs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pools
+		allocs[i] = testing.AllocsPerRun(50, run)
+	}
+	// Per output column a vector header, its payload and at most a null
+	// bitmap and a count column; schema, batch header and pool puts on top
+	// (27 in all; the race detector makes sync.Pool drop a quarter of the
+	// puts, which costs a few more).
+	if limit := float64(4*4 + 24); allocs[1] > limit || allocs[1] > allocs[0]+3 {
+		t.Errorf("AggregateBatch allocates %.0f times over 4096 rows, %.0f over 32768; want <= %.0f and no growth with rows", allocs[0], allocs[1], limit)
+	}
+}
+
+func TestHashJoinBatchAllocs(t *testing.T) {
+	var allocs [2]float64
+	for i, rows := range []int{4096, 32768} {
+		l, r := toBatch(t, batchRel(rows, 9)), toBatch(t, batchRel(512, 10))
+		run := func() {
+			out, _, err := HashJoinBatch(l, r, []int{0}, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Sel != nil {
+				value.PutSel(out.Sel)
+			}
+		}
+		run()
+		allocs[i] = testing.AllocsPerRun(50, run)
+	}
+	// Six output columns of up to three allocations each, plus schema,
+	// batch header, key-column lists and pool puts (36 in all, a few more
+	// under the race detector's lossy sync.Pool).
+	if limit := float64(6*3 + 32); allocs[1] > limit || allocs[1] > allocs[0]+3 {
+		t.Errorf("HashJoinBatch allocates %.0f times over 4096 rows, %.0f over 32768; want <= %.0f and no growth with rows", allocs[0], allocs[1], limit)
+	}
+}
+
+// TestSameKey: the key equality the hash tables fall back on when two
+// keys share a hash tag — too rare for the generator to reach on ints and
+// strings.
+func TestSameKey(t *testing.T) {
+	rel := value.NewRelation(value.MustSchema("i", "INT", "s", "VARCHAR", "f", "FLOAT"))
+	rel.Append(
+		value.NewTuple(value.NewInt(1), value.NewString("a"), value.NewFloat(0)),
+		value.NewTuple(value.NewInt(1), value.NewString("b"), value.NewFloat(math.Copysign(0, -1))),
+		value.NewTuple(value.NewInt(2), value.NewString("a"), value.NewFloat(0)),
+		value.NewTuple(value.Null, value.Null, value.Null),
+		value.NewTuple(value.Null, value.NewString("a"), value.NewFloat(0)),
+	)
+	b := toBatch(t, rel)
+	for _, c := range []struct {
+		cols []int
+		i, j int32
+		want bool
+	}{
+		{[]int{0}, 0, 1, true}, {[]int{0}, 0, 2, false}, {[]int{0}, 0, 3, false}, {[]int{0}, 3, 4, true},
+		{[]int{1}, 0, 2, true}, {[]int{1}, 0, 1, false}, {[]int{1}, 3, 4, false},
+		{[]int{2}, 0, 2, true}, {[]int{2}, 0, 1, false},
+		{[]int{0, 1}, 0, 1, false}, {[]int{1, 2}, 0, 2, true}, {[]int{0, 2}, 3, 4, false},
+	} {
+		vecs, _ := keyVecs(b, c.cols)
+		if got := sameKey(vecs, c.i, vecs, c.j); got != c.want {
+			t.Errorf("sameKey(cols %v, rows %d and %d) = %v", c.cols, c.i, c.j, got)
+		}
+	}
+	// An int column never equals a float one, whatever the values.
+	ints, _ := keyVecs(b, []int{0})
+	floats, _ := keyVecs(b, []int{2})
+	if sameKey(ints, 0, floats, 0) {
+		t.Error("int 1 equals float 0")
+	}
+}

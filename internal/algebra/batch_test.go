@@ -165,7 +165,7 @@ func TestAggregateBatchMatchesAggregate(t *testing.T) {
 		if got.Schema.String() != want.Schema.String() {
 			t.Errorf("case %d: schema %s != %s", ci, got.Schema, want.Schema)
 		}
-		requireSameOrder(t, fmt.Sprintf("aggregate case %d", ci), got, want)
+		requireSameOrder(t, fmt.Sprintf("aggregate case %d", ci), got.Materialize(), want)
 	}
 	// Empty input, global aggregate: exactly one row, like the row path.
 	empty := value.NewRelation(rel.Schema)
@@ -177,7 +177,7 @@ func TestAggregateBatchMatchesAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameOrder(t, "empty global aggregate", got, want)
+	requireSameOrder(t, "empty global aggregate", got.Materialize(), want)
 	if _, _, err := AggregateBatch(toBatch(t, rel), []int{7}, nil); err == nil {
 		t.Error("out-of-range group column accepted")
 	}
@@ -230,4 +230,46 @@ func TestProjectBatchAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("ProjectBatch allocates %.0f times; want <= 2 (header + column slice)", allocs)
 	}
+}
+
+// factFragment is the repository benchmark's fragment shape: 25k fact rows
+// (id, a = id mod 2200, b, amt = id mod 97) against a 2200-row dimension.
+func factFragment() (fact, dim *value.Batch) {
+	const rows, dimRows = 25000, 2200
+	ft := make([]value.Tuple, rows)
+	for i := range ft {
+		ft[i] = value.Ints(int64(i), int64(i%dimRows), int64(i*13%dimRows), int64(i%97))
+	}
+	dt := make([]value.Tuple, dimRows)
+	for i := range dt {
+		dt[i] = value.Ints(int64(i), int64(i%7))
+	}
+	return value.NewBatchFrom(value.MustSchema("id", "INT", "a", "INT", "b", "INT", "amt", "INT"), ft),
+		value.NewBatchFrom(value.MustSchema("id", "INT", "w", "INT"), dt)
+}
+
+var factSpecs = []AggSpec{{Func: Count, Col: -1, As: "n"}, {Func: Sum, Col: 3, As: "s"}}
+
+func BenchmarkAggregateBatch(b *testing.B) {
+	fact, _ := factFragment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := AggregateBatch(fact, []int{1}, factSpecs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fact.Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}
+
+func BenchmarkHashJoinBatch(b *testing.B) {
+	fact, dim := factFragment()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := HashJoinBatch(fact, dim, []int{1}, []int{0}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(fact.Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 }

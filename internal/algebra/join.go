@@ -7,18 +7,18 @@ import (
 	"repro/internal/value"
 )
 
-func checkJoinKeys(l, r *value.Relation, lcols, rcols []int) error {
+func checkJoinKeys(l, r *value.Schema, lcols, rcols []int) error {
 	if len(lcols) == 0 || len(lcols) != len(rcols) {
 		return fmt.Errorf("algebra: join needs matching non-empty key lists, got %v and %v", lcols, rcols)
 	}
 	for _, c := range lcols {
-		if c < 0 || c >= l.Schema.Len() {
-			return fmt.Errorf("algebra: left join key %d out of range for %s", c, l.Schema)
+		if c < 0 || c >= l.Len() {
+			return fmt.Errorf("algebra: left join key %d out of range for %s", c, l)
 		}
 	}
 	for _, c := range rcols {
-		if c < 0 || c >= r.Schema.Len() {
-			return fmt.Errorf("algebra: right join key %d out of range for %s", c, r.Schema)
+		if c < 0 || c >= r.Len() {
+			return fmt.Errorf("algebra: right join key %d out of range for %s", c, r)
 		}
 	}
 	return nil
@@ -29,7 +29,7 @@ func checkJoinKeys(l, r *value.Relation, lcols, rcols []int) error {
 // OFM's default join method: with both operands in main memory, the hash
 // table never spills.
 func HashJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l, r, lcols, rcols); err != nil {
+	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
 	out := value.NewRelation(l.Schema.Concat(r.Schema))
@@ -183,7 +183,7 @@ func NestedLoopJoin(l, r *value.Relation, pred *expr.Predicate) (*value.Relation
 // MergeJoin equi-joins two inputs by sorting both on their keys and
 // merging. Equal-key groups produce their cross product.
 func MergeJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l, r, lcols, rcols); err != nil {
+	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
 	ls, lstats, err := Sort(l, lcols, nil)
@@ -251,7 +251,7 @@ func compareKeys(lt, rt value.Tuple, lcols, rcols []int) int {
 // key columns — the distributed join reducer PRISMA-style optimizers use
 // to cut communication volume.
 func SemiJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l, r, lcols, rcols); err != nil {
+	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
 	keys := make(map[string]struct{}, r.Len())
@@ -277,7 +277,7 @@ func SemiJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats,
 // AntiJoin returns the l tuples with no match in r (used for NOT EXISTS
 // and set difference on keys).
 func AntiJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l, r, lcols, rcols); err != nil {
+	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
 	keys := make(map[string]struct{}, r.Len())

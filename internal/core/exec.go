@@ -80,9 +80,9 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 
 // slot is one partition of an intermediate result: a columnar batch, or
 // rows. why says what put a slot in row form when a batch would have
-// been possible (a leaf that declined, a computed projection, …); rows
-// that are rows by nature — an aggregate's or a sort's output — carry no
-// reason.
+// been possible (a leaf that declined, a computed projection, …) and
+// stays with the rows through the operators above; rows that are rows by
+// nature — a sort's or a distinct's output — carry no reason.
 type slot struct {
 	b   *value.Batch
 	rel *value.Relation

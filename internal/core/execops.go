@@ -162,21 +162,14 @@ func splitSlot(s slot, schema *value.Schema, keys []int, n int) (buckets []slot,
 		}
 		return buckets, st.Hashes
 	}
-	b := s.b
-	sels := make([][]int32, n)
-	bn := b.Len()
-	for li := 0; li < bn; li++ {
-		row := b.Row(li)
-		bkt := int(b.HashRow(row, keys) % uint64(n))
-		sels[bkt] = append(sels[bkt], int32(row))
-	}
-	for bkt, sel := range sels {
-		if len(sel) > 0 {
-			buckets[bkt] = slot{b: &value.Batch{Schema: schema, Cols: b.Cols, Sel: sel, Rows: b.Rows}}
+	hashes = s.b.Len()
+	for bkt, piece := range s.b.SplitByHash(keys, n) {
+		if piece != nil {
+			piece.Schema = schema
+			buckets[bkt] = slot{b: piece}
 		}
 	}
-	s.free()
-	return buckets, bn
+	return buckets, hashes
 }
 
 // execExchange moves a partitioned intermediate: a hash exchange splits
@@ -275,7 +268,7 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 	why, rows := rowWhy(srcs)
 	out := &parts{slots: make([]slot, n), pes: targets}
 	for b := 0; b < n; b++ {
-		var pieces []slot
+		rel := value.NewRelation(schema)
 		for i := range perSrc {
 			if perSrc[i] == nil || perSrc[i][b].len() == 0 {
 				continue
@@ -284,23 +277,32 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 			if departs[i][b] > 0 {
 				e.m.Arrive(child.pes[i], targets[b], piece.size(), time.Duration(departs[i][b]))
 			}
-			pieces = append(pieces, piece)
-		}
-		if rows {
-			rel := value.NewRelation(schema)
-			for _, piece := range pieces {
+			if rows {
 				rel.Tuples = append(rel.Tuples, piece.rows(schema).Tuples...)
 			}
+		}
+		if rows {
 			out.slots[b] = slot{rel: rel, why: why}
-			continue
 		}
-		batches := make([]*value.Batch, len(pieces))
-		for i, piece := range pieces {
-			batches[i] = piece.b
-		}
-		out.slots[b] = slot{b: value.ConcatBatches(schema, batches)}
 	}
-	return out, nil
+	if rows {
+		return out, nil
+	}
+	// All columnar: the copy runs a source at a time, spread like the split.
+	splits := make([][]*value.Batch, len(srcs))
+	for i, buckets := range perSrc {
+		if buckets != nil {
+			splits[i] = make([]*value.Batch, n)
+			for b, piece := range buckets {
+				splits[i][b] = piece.b
+			}
+		}
+	}
+	batches, err := value.ConcatSplits(schema, splits, n, eachPart)
+	for b, batch := range batches {
+		out.slots[b] = slot{b: batch}
+	}
+	return out, err
 }
 
 // execJoin joins aligned slots in parallel on the left slot's PE. The
@@ -489,19 +491,18 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNod
 	return ctx.noted("Join", out), nil
 }
 
-// aggregateSlot aggregates one slot on PE pe. The output is rows:
-// aggregation is a materialization point.
-func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (*value.Relation, error) {
-	var out *value.Relation
+// aggregateSlot aggregates one slot on PE pe; a batch in, a batch out.
+func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (slot, error) {
+	out := slot{why: s.why}
 	var st algebra.Stats
 	var err error
 	if s.b != nil {
-		out, st, err = algebra.AggregateBatch(s.b, a.GroupBy, specs)
+		out.b, st, err = algebra.AggregateBatch(s.b, a.GroupBy, specs)
 	} else {
-		out, st, err = algebra.Aggregate(s.rows(a.Child.Schema()), a.GroupBy, specs)
+		out.rel, st, err = algebra.Aggregate(s.rows(a.Child.Schema()), a.GroupBy, specs)
 	}
 	if err != nil {
-		return nil, err
+		return slot{}, err
 	}
 	cost := e.m.Cost()
 	ctx.work(pe, cost.HashCost(st.Hashes)+cost.BuildCost(st.TuplesEmitted))
@@ -511,14 +512,15 @@ func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.
 // execAggregate runs two-phase distributed aggregation when the
 // optimizer marked pushdown: every slot of the child — a fragment scan, a
 // join partition — pre-aggregates where it lives, only the (much smaller)
-// partials travel, and the coordinator merges. An unmarked aggregate
+// partials travel, and the coordinator merges — columnar when every
+// partial is a batch, by the row merge otherwise. An unmarked aggregate
 // gathers its input and runs at the coordinator in one phase.
 func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) {
 	child, err := e.exec(ctx, a.Child)
 	if err != nil {
 		return nil, err
 	}
-	var out *value.Relation
+	var out slot
 	if !a.Pushdown {
 		if child, err = e.collect(ctx, child, a.Child.Schema()); err != nil {
 			return nil, err
@@ -533,7 +535,7 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 	} else {
 		child = ctx.noted("Aggregate", child)
 		partialSpecs := algebra.PartialSpecs(a.Specs)
-		partials := make([]*value.Relation, len(child.pes))
+		partials := make([]slot, len(child.pes))
 		err = child.each(func(i int, s slot) (err error) {
 			partials[i], err = e.aggregateSlot(ctx, a, partialSpecs, s, child.pes[i])
 			return err
@@ -542,19 +544,37 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 			return nil, err
 		}
 		for i, p := range partials {
-			if p.Len() > 0 {
-				ctx.ship(child.pes[i], ctx.s.pe, p.Size())
+			if p.len() > 0 {
+				ctx.ship(child.pes[i], ctx.s.pe, p.size())
 			}
 		}
 		var st algebra.Stats
-		if out, st, err = algebra.MergeAggregates(partials, len(a.GroupBy), a.Specs); err != nil {
+		if why, rows := rowWhy(partials); rows {
+			rels := make([]*value.Relation, len(partials))
+			for i, p := range partials {
+				rels[i] = p.rows(nil) // a partial is never empty-handed: it carries its own schema
+			}
+			out.why = why
+			out.rel, st, err = algebra.MergeAggregates(rels, len(a.GroupBy), a.Specs)
+		} else {
+			batches := make([]*value.Batch, len(partials))
+			for i, p := range partials {
+				batches[i] = p.b
+			}
+			out.b, st, err = algebra.MergeAggregateBatches(batches, len(a.GroupBy), a.Specs)
+		}
+		if err != nil {
 			return nil, err
 		}
 		cost := e.m.Cost()
 		ctx.work(ctx.s.pe, cost.HashCost(st.TuplesRead)+cost.BuildCost(st.TuplesEmitted))
 	}
-	out.Schema = a.Out
-	return ctx.singleton(slot{rel: out}), nil
+	if out.b != nil {
+		out.b.Schema = a.Out
+	} else {
+		out.rel.Schema = a.Out
+	}
+	return ctx.singleton(out), nil
 }
 
 // sortSlot sorts one slot's rows on PE pe.

@@ -118,6 +118,13 @@ var partitionedPlanQueries = []string{
 	// 15: colocated join with one side answered by the pk hash index (a
 	// row slot) and pruned to one fragment (misaligned with the other side).
 	`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`,
+	// 16: grouped aggregate pushed down onto the fragments, every function.
+	// Inside a transaction with a pending write the partials are mixed —
+	// that fragment's is rows, its siblings' are batches — and merge as rows.
+	`SELECT a, COUNT(*) AS n, SUM(amt) AS s, MIN(amt) AS lo, MAX(b) AS hi, AVG(amt) AS m
+		FROM fact WHERE amt < 80 GROUP BY a`,
+	// 17: ORDER BY over a partitioned aggregate (its batch output sorted as rows).
+	`SELECT a, COUNT(*) AS n, SUM(amt) AS s FROM fact GROUP BY a ORDER BY s DESC, a LIMIT 50`,
 }
 
 // sameResults runs every query on both sessions and requires identical

@@ -53,6 +53,18 @@ func TestVectorizedMatchesRow(t *testing.T) {
 	sVec, sRow := eVec.NewSession(), eRow.NewSession()
 	queries := append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...)
 	sameResults(t, queries, "vectorized", sVec, "row", sRow)
+
+	// Again inside a transaction with a pending write: the fragment holding
+	// it answers with rows while its siblings stay columnar, so pushed-down
+	// aggregates merge mixed partials and exchanges meet both forms.
+	for _, s := range []*Session{sVec, sRow} {
+		mustExec(t, s, `BEGIN`)
+		mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
+	}
+	sameResults(t, queries, "vectorized in txn", sVec, "row in txn", sRow)
+	for _, s := range []*Session{sVec, sRow} {
+		mustExec(t, s, `ROLLBACK`)
+	}
 }
 
 // TestVectorizedMatchesRowAfterWrites drives the column-cache
@@ -160,6 +172,7 @@ func TestExplainShowsVectorized(t *testing.T) {
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 0 WHERE id = 5`)
 	explain(s, `SELECT id, amt FROM fact WHERE amt < 3`, "execution: mixed", "Scan fact: transaction overlay on 1/4 slots")
+	explain(s, `SELECT a, COUNT(*) AS n FROM fact GROUP BY a`, "execution: mixed", "Aggregate: transaction overlay on 1/4 slots")
 	mustExec(t, s, `ROLLBACK`)
 	for _, table := range []string{"fact", "dim1", "small"} {
 		if st, err := eStar.ColumnCacheStats(table); err != nil || st.FullBuilds != 0 {

@@ -53,31 +53,41 @@ func (v *Vec) IsNull(i int) bool { return v.Null != nil && v.Null[i] }
 // Gather builds a dense vector holding the given physical rows of v, in
 // order — the column-wise copy a batch join uses to assemble its output.
 func (v *Vec) Gather(idxs []int32) *Vec {
+	return v.Scatter(idxs, nil, len(idxs))
+}
+
+// Scatter builds a vector of n rows holding row idxs[k] of v at row at[k]
+// (at row k when at is nil) — a join's build side laid out along the rows
+// of its probe side. Rows it does not list hold zeros and must stay out of
+// every selection.
+func (v *Vec) Scatter(idxs, at []int32, n int) *Vec {
 	out := &Vec{Kind: v.Kind}
 	if v.Null != nil {
-		out.Null = make([]bool, len(idxs))
-		for i, r := range idxs {
-			out.Null[i] = v.Null[r]
-		}
+		out.Null = make([]bool, n)
+		scatterInto(out.Null, v.Null, idxs, at)
 	}
 	switch v.Kind {
 	case KindFloat:
-		out.F = make([]float64, len(idxs))
-		for i, r := range idxs {
-			out.F[i] = v.F[r]
-		}
+		out.F = make([]float64, n)
+		scatterInto(out.F, v.F, idxs, at)
 	case KindString:
-		out.S = make([]string, len(idxs))
-		for i, r := range idxs {
-			out.S[i] = v.S[r]
-		}
+		out.S = make([]string, n)
+		scatterInto(out.S, v.S, idxs, at)
 	default:
-		out.I = make([]int64, len(idxs))
-		for i, r := range idxs {
-			out.I[i] = v.I[r]
-		}
+		out.I = make([]int64, n)
+		scatterInto(out.I, v.I, idxs, at)
 	}
 	return out
+}
+
+func scatterInto[T any](dst, src []T, idxs, at []int32) {
+	if at == nil {
+		gatherInto(dst, src, idxs)
+		return
+	}
+	for k, r := range idxs {
+		dst[at[k]] = src[r]
+	}
 }
 
 // Batch is a columnar slice of a relation: per-column vectors plus a
@@ -146,102 +156,248 @@ func (b *Batch) Materialize() *Relation {
 	return out
 }
 
-// AppendKey appends the canonical comparison key of the given columns of
-// physical row `row` to buf, byte-compatible with Tuple.AppendKeyOn.
-func (b *Batch) AppendKey(buf []byte, row int, idxs []int) []byte {
-	for _, ix := range idxs {
-		buf = AppendValue(buf, b.Cols[ix].Value(row))
-	}
-	return buf
-}
-
 // HashRow hashes the given columns of physical row `row`, producing the
-// same value as HashTuple over the materialized tuple — the invariant
-// that keeps a columnar hash exchange bucket-aligned with the row one.
+// same value as HashTuple over the materialized tuple.
 func (b *Batch) HashRow(row int, idxs []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, ix := range idxs {
-		h = (h ^ Hash64(b.Cols[ix].Value(row))) * prime64
+		h = (h ^ Hash64(b.Cols[ix].Value(row))) * fnvPrime
 	}
 	return h
+}
+
+// HashCols hashes the given columns of the rows sel lists, a column at a
+// time over the typed vectors: dst[i] is what HashTuple gives for the
+// materialized row sel[i] — the invariant that keeps a columnar hash
+// exchange bucket-aligned with the row one, and the hash the join and
+// grouping kernels probe their tables with. The vector comes from the
+// pool; the caller hands it back with PutHashes.
+func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
+	dst := GetHashes(len(sel))
+	for i := range dst {
+		dst[i] = fnvOffset
+	}
+	for _, ix := range idxs {
+		v := b.Cols[ix]
+		null := v.Null
+		switch v.Kind {
+		case KindNull:
+			for i := range dst {
+				dst[i] = (dst[i] ^ hashNull) * fnvPrime
+			}
+		case KindFloat:
+			for i, r := range sel {
+				h := hashNull
+				if null == nil || !null[r] {
+					h = hashFloat(v.F[r])
+				}
+				dst[i] = (dst[i] ^ h) * fnvPrime
+			}
+		case KindString:
+			for i, r := range sel {
+				h := hashNull
+				if null == nil || !null[r] {
+					h = hashString(v.S[r])
+				}
+				dst[i] = (dst[i] ^ h) * fnvPrime
+			}
+		default:
+			seed := hashKind(v.Kind)
+			for i, r := range sel {
+				h := hashNull
+				if null == nil || !null[r] {
+					h = hashBytes(seed, uint64(v.I[r]))
+				}
+				dst[i] = (dst[i] ^ h) * fnvPrime
+			}
+		}
+	}
+	return dst
+}
+
+// TakeSel detaches and returns the batch's selection vector — for a dense
+// batch the identity selection, from the pool — so a kernel has one loop
+// shape for both. The caller owns it and hands it back with PutSel; the
+// batch is left dense.
+func (b *Batch) TakeSel() []int32 {
+	sel := b.Sel
+	b.Sel = nil
+	if sel == nil {
+		sel = GetSelLen(b.Rows)
+		for i := range sel {
+			sel[i] = int32(i)
+		}
+	}
+	return sel
 }
 
 // ConcatBatches concatenates the selected rows of the given batches (in
 // order) into one dense batch. Inputs are consumed: their selection
 // vectors return to the pool.
 func ConcatBatches(schema *Schema, batches []*Batch) *Batch {
-	w := schema.Len()
-	n := 0
+	out := NewConcat(schema, batches)
+	at := 0
 	for _, b := range batches {
-		n += b.Len()
-	}
-	out := &Batch{Schema: schema, Cols: make([]*Vec, w), Rows: n}
-	for c := 0; c < w; c++ {
-		// The column kind comes from the first batch contributing rows;
-		// sibling batches of one schema always agree (same cache layout).
-		kind := schema.Column(c).Kind
-		for _, b := range batches {
-			if b.Len() > 0 {
-				kind = b.Cols[c].Kind
-				break
-			}
-		}
-		vec := &Vec{Kind: kind}
-		switch kind {
-		case KindFloat:
-			vec.F = make([]float64, 0, n)
-		case KindString:
-			vec.S = make([]string, 0, n)
-		default:
-			vec.I = make([]int64, 0, n)
-		}
-		for _, b := range batches {
-			bn := b.Len()
-			for i := 0; i < bn; i++ {
-				row := b.Row(i)
-				src := b.Cols[c]
-				if src.IsNull(row) {
-					if vec.Null == nil {
-						vec.Null = make([]bool, n)
-					}
-					vec.Null[vec.appendZero()] = true
-					continue
-				}
-				switch kind {
-				case KindFloat:
-					vec.F = append(vec.F, src.F[row])
-				case KindString:
-					vec.S = append(vec.S, src.S[row])
-				default:
-					vec.I = append(vec.I, src.I[row])
-				}
-			}
-		}
-		out.Cols[c] = vec
-	}
-	for _, b := range batches {
-		if b.Sel != nil {
-			PutSel(b.Sel)
-			b.Sel = nil
-		}
+		n := b.Len()
+		CopyRows([]*Batch{out}, []int{at}, []*Batch{b})
+		at += n
 	}
 	return out
 }
 
-// appendZero appends a zero payload slot to the vector and returns its
-// index — the NULL case of a concat append.
-func (v *Vec) appendZero() int {
-	switch v.Kind {
-	case KindFloat:
-		v.F = append(v.F, 0)
-		return len(v.F) - 1
-	case KindString:
-		v.S = append(v.S, "")
-		return len(v.S) - 1
-	default:
-		v.I = append(v.I, 0)
-		return len(v.I) - 1
+// NewConcat allocates the dense batch a concatenation of the given batches
+// fills, copying nothing yet: a column has a null bitmap only if a source's
+// has one.
+func NewConcat(schema *Schema, batches []*Batch) *Batch {
+	n := 0
+	for _, b := range batches {
+		n += b.Len()
+	}
+	out := &Batch{Schema: schema, Cols: make([]*Vec, schema.Len()), Rows: n}
+	for c := range out.Cols {
+		// The column kind comes from the first batch contributing rows;
+		// sibling batches of one schema always agree (same cache layout).
+		vec := &Vec{Kind: schema.Column(c).Kind}
+		for _, b := range batches {
+			if b.Len() > 0 {
+				vec.Kind = b.Cols[c].Kind
+				break
+			}
+		}
+		for _, b := range batches {
+			if b.Cols[c].Null != nil && vec.Null == nil {
+				vec.Null = make([]bool, n)
+			}
+		}
+		switch vec.Kind {
+		case KindFloat:
+			vec.F = make([]float64, n)
+		case KindString:
+			vec.S = make([]string, n)
+		default:
+			vec.I = make([]int64, n)
+		}
+		out.Cols[c] = vec
+	}
+	return out
+}
+
+// CopyRows copies the selected rows of each piece into dsts[k] from row
+// ats[k] on, a source block at a time: a dense piece is copied, a selected
+// one gathered. It goes column by column across the pieces — the pieces of
+// one hash split share their columns, which so stay in cache for all of
+// them. A nil piece is skipped; the pieces are consumed.
+func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
+	for c := range dsts[0].Cols {
+		for k, b := range pieces {
+			if b == nil {
+				continue
+			}
+			src, vec := b.Cols[c], dsts[k].Cols[c]
+			lo, hi := ats[k], ats[k]+b.Len()
+			if src.Null != nil {
+				gatherInto(vec.Null[lo:hi], src.Null, b.Sel)
+			}
+			switch {
+			case src.Kind != vec.Kind: // an all-NULL source of undeclared kind: no payload
+			case vec.Kind == KindFloat:
+				gatherInto(vec.F[lo:hi], src.F, b.Sel)
+			case vec.Kind == KindString:
+				gatherInto(vec.S[lo:hi], src.S, b.Sel)
+			default:
+				gatherInto(vec.I[lo:hi], src.I, b.Sel)
+			}
+		}
+	}
+	for _, b := range pieces {
+		if b != nil && b.Sel != nil {
+			PutSel(b.Sel)
+			b.Sel = nil
+		}
+	}
+}
+
+// SplitByHash hash-partitions the selected rows of b into n batches over
+// its columns: out[k] selects the rows whose key hash is k modulo n (nil
+// when there are none). The hash is HashTuple's, taken a column at a time,
+// so a row lands in the bucket fragment.PartitionByHash gives its tuple;
+// the selections are sized from the bucket counts. b is consumed.
+func (b *Batch) SplitByHash(keys []int, n int) []*Batch {
+	sel := b.TakeSel()
+	bkts := b.HashCols(sel, keys)
+	counts := make([]int, n)
+	pow2 := n&(n-1) == 0 // h % n without the division
+	for i, h := range bkts {
+		if pow2 {
+			bkts[i] = h & uint64(n-1)
+		} else {
+			bkts[i] = h % uint64(n)
+		}
+		counts[bkts[i]]++
+	}
+	sels := make([][]int32, n)
+	for k, c := range counts {
+		if c > 0 {
+			sels[k] = GetSelLen(c)[:0]
+		}
+	}
+	for i, k := range bkts {
+		sels[k] = append(sels[k], sel[i])
+	}
+	out := make([]*Batch, n)
+	for k, ksel := range sels {
+		if ksel != nil {
+			out[k] = &Batch{Schema: b.Schema, Cols: b.Cols, Sel: ksel, Rows: b.Rows}
+		}
+	}
+	PutHashes(bkts)
+	PutSel(sel)
+	return out
+}
+
+// ConcatSplits is the receiving side of a hash exchange: out[k] is the
+// concatenation of splits[i][k] over the sources i, in order. The copy
+// runs a source at a time (through each, which may run sources in
+// parallel — they fill disjoint rows): the buckets of one split are
+// selections over the same columns, read while those are in cache. A nil
+// split or piece contributes nothing; the splits are consumed.
+func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn func(i int) error) error) ([]*Batch, error) {
+	out := make([]*Batch, n)
+	ats := make([][]int, len(splits)) // ats[i][k]: where source i's rows start in out[k]
+	for k := range out {
+		var pieces []*Batch
+		at := 0
+		for i, split := range splits {
+			if split == nil || split[k] == nil {
+				continue
+			}
+			if ats[i] == nil {
+				ats[i] = make([]int, n)
+			}
+			ats[i][k] = at
+			at += split[k].Len()
+			pieces = append(pieces, split[k])
+		}
+		out[k] = NewConcat(schema, pieces)
+	}
+	err := each(len(splits), func(i int) error {
+		if ats[i] != nil {
+			CopyRows(out, ats[i], splits[i])
+		}
+		return nil
+	})
+	return out, err
+}
+
+// gatherInto fills dst with the rows of src that sel lists; nil selects
+// the first len(dst) rows.
+func gatherInto[T any](dst, src []T, sel []int32) {
+	if sel == nil {
+		copy(dst, src)
+		return
+	}
+	for i, r := range sel {
+		dst[i] = src[r]
 	}
 }
 
@@ -258,11 +414,22 @@ func (b *Batch) Size() int {
 		if vec.Kind != KindString {
 			continue
 		}
-		if b.Sel != nil {
+		// A NULL may sit over a stale payload (a cache row patched to NULL,
+		// a gathered copy): it ships as a bare NULL, like the row form.
+		switch {
+		case b.Sel != nil:
 			for _, r := range b.Sel {
-				total += len(vec.S[r])
+				if !vec.IsNull(int(r)) {
+					total += len(vec.S[r])
+				}
 			}
-		} else {
+		case vec.Null != nil:
+			for r, s := range vec.S {
+				if !vec.Null[r] {
+					total += len(s)
+				}
+			}
+		default:
 			for _, s := range vec.S {
 				total += len(s)
 			}
@@ -414,6 +581,18 @@ var selPool = sync.Pool{
 // GetSel returns an empty selection-vector buffer from the pool.
 func GetSel() []int32 { return (*selPool.Get().(*[]int32))[:0] }
 
+// GetSelLen returns a pooled buffer of length n with arbitrary contents —
+// the kernels' int32 scratch (hash-table slots, group ids, chain links).
+func GetSelLen(n int) []int32 {
+	s := GetSel()
+	if cap(s) < n {
+		// The short buffer is dropped, not put back: the pool then settles
+		// on buffers of the sizes its callers ask for.
+		s = make([]int32, n)
+	}
+	return s[:n]
+}
+
 // PutSel returns a selection-vector buffer to the pool. Oversized
 // buffers are dropped to bound pooled memory.
 func PutSel(s []int32) {
@@ -421,4 +600,29 @@ func PutSel(s []int32) {
 		return
 	}
 	selPool.Put(&s)
+}
+
+var hashPool = sync.Pool{
+	New: func() any {
+		s := make([]uint64, 0, 1024)
+		return &s
+	},
+}
+
+// GetHashes returns a pooled hash vector of length n, under the same cap
+// discipline as the selection vectors.
+func GetHashes(n int) []uint64 {
+	s := *hashPool.Get().(*[]uint64)
+	if cap(s) < n {
+		s = make([]uint64, n)
+	}
+	return s[:n]
+}
+
+// PutHashes returns a hash vector to the pool.
+func PutHashes(s []uint64) {
+	if cap(s) == 0 || cap(s) > maxPooledSel {
+		return
+	}
+	hashPool.Put(&s)
 }

@@ -207,3 +207,127 @@ func TestNewBatchFromHolesAndSet(t *testing.T) {
 		t.Error("Set int into a float vector must widen")
 	}
 }
+
+// TestHashColsMatchesHashTuple: the column-at-a-time hash of any key
+// subset, dense or under a selection, equals the row tuple hash and
+// HashRow on every row — one bucket assignment for all three forms.
+func TestHashColsMatchesHashTuple(t *testing.T) {
+	tuples := batchTuples()
+	b := NewBatchFrom(batchSchema(), tuples)
+	for _, sel := range [][]int32{{0, 1, 2, 3, 4}, {1, 3}, {}} {
+		for _, idxs := range [][]int{{0}, {1}, {2}, {3}, {0, 2}, {3, 1, 0}} {
+			hs := b.HashCols(sel, idxs)
+			for i, r := range sel {
+				if want := HashTuple(tuples[r], idxs); hs[i] != want || b.HashRow(int(r), idxs) != want {
+					t.Errorf("row %d cols %v: HashCols %x, HashRow %x, HashTuple %x", r, idxs, hs[i], b.HashRow(int(r), idxs), want)
+				}
+			}
+			PutHashes(hs)
+		}
+	}
+	// An all-NULL column of undeclared kind hashes as NULLs.
+	n := NewBatchFrom(NewSchema(Column{Name: "n", Kind: KindNull}), []Tuple{{Null}, {Null}})
+	if hs := n.HashCols([]int32{0, 1}, []int{0}); hs[0] != HashTuple(Tuple{Null}, []int{0}) || hs[1] != hs[0] {
+		t.Errorf("all-NULL column hashes %x", hs)
+	}
+}
+
+// TestTakeSel: a dense batch yields the identity selection, a selected one
+// its own vector, and either way the batch is left dense.
+func TestTakeSel(t *testing.T) {
+	b := NewBatchFrom(batchSchema(), batchTuples())
+	sel := b.TakeSel()
+	if len(sel) != 5 || sel[0] != 0 || sel[4] != 4 || b.Sel != nil {
+		t.Errorf("dense TakeSel = %v (batch sel %v)", sel, b.Sel)
+	}
+	PutSel(sel)
+	b.Sel = append(GetSel(), 1, 3)
+	if sel = b.TakeSel(); len(sel) != 2 || sel[1] != 3 || b.Sel != nil {
+		t.Errorf("selected TakeSel = %v (batch sel %v)", sel, b.Sel)
+	}
+}
+
+// TestScatter: a build side laid out along probe rows keeps values and
+// NULLs at the rows named, zeros elsewhere.
+func TestScatter(t *testing.T) {
+	b := NewBatchFrom(batchSchema(), batchTuples())
+	s := b.Cols[1].Scatter([]int32{3, 0}, []int32{5, 2}, 7)
+	if s.Len() != 7 || !s.IsNull(5) || s.S[2] != "ann" || s.IsNull(2) || s.S[0] != "" {
+		t.Errorf("scattered strings = %+v", s)
+	}
+	f := b.Cols[2].Scatter([]int32{4, 3}, []int32{0, 1}, 2)
+	if f.F[0] != 0 || f.F[1] != 4.25 || f.IsNull(1) {
+		t.Errorf("scattered floats = %+v", f)
+	}
+}
+
+// TestConcatBatchesBlocks: dense sources are copied and selected ones
+// gathered, the null bitmap appears only when a source has one, and an
+// all-NULL source of undeclared kind contributes NULLs with no payload.
+func TestConcatBatchesBlocks(t *testing.T) {
+	schema := MustSchema("id", "INT", "name", "VARCHAR")
+	dense := NewBatchFrom(schema, []Tuple{NewTuple(NewInt(1), NewString("a")), NewTuple(NewInt(2), NewString("b"))})
+	picked := NewBatchFrom(schema, []Tuple{NewTuple(NewInt(3), NewString("c")), NewTuple(NewInt(4), NewString("d")), NewTuple(NewInt(5), NewString("e"))})
+	picked.Sel = append(GetSel(), 0, 2)
+	out := ConcatBatches(schema, []*Batch{dense, picked})
+	if out.Cols[0].Null != nil || out.Cols[1].Null != nil {
+		t.Error("null bitmap allocated for NULL-free sources")
+	}
+	if got := out.Cols[0].I; len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 3 || got[3] != 5 {
+		t.Errorf("ids = %v", got)
+	}
+	if out.Cols[1].S[3] != "e" || picked.Sel != nil {
+		t.Errorf("names = %v, consumed sel = %v", out.Cols[1].S, picked.Sel)
+	}
+
+	withNull := NewBatchFrom(schema, []Tuple{NewTuple(Null, NewString("x")), NewTuple(NewInt(7), Null)})
+	untyped := NewBatchFrom(NewSchema(Column{Name: "id", Kind: KindNull}, Column{Name: "name", Kind: KindString}),
+		[]Tuple{NewTuple(Null, NewString("y"))})
+	untyped.Sel = append(GetSel(), 0)
+	dense = NewBatchFrom(schema, []Tuple{NewTuple(NewInt(1), NewString("a"))})
+	out = ConcatBatches(schema, []*Batch{dense, withNull, untyped})
+	want := []Tuple{
+		NewTuple(NewInt(1), NewString("a")), NewTuple(Null, NewString("x")),
+		NewTuple(NewInt(7), Null), NewTuple(Null, NewString("y")),
+	}
+	got := out.Materialize()
+	for i := range want {
+		if !EqualTuples(got.Tuples[i], want[i]) {
+			t.Errorf("row %d: %v != %v", i, got.Tuples[i], want[i])
+		}
+	}
+	if got, want := out.Size(), got.Size(); got != want {
+		t.Errorf("Size = %d, materialized = %d", got, want)
+	}
+}
+
+// TestBatchSizeSkipsNullPayloads: a NULL over a stale string payload (a
+// cache row patched to NULL) ships as a bare NULL, like its row form.
+func TestBatchSizeSkipsNullPayloads(t *testing.T) {
+	b := NewBatchFrom(batchSchema(), batchTuples())
+	if !b.Cols[1].Set(0, Null) || b.Cols[1].S[0] != "ann" {
+		t.Fatalf("Set NULL: %+v", b.Cols[1])
+	}
+	if got, want := b.Size(), b.Materialize().Size(); got != want {
+		t.Errorf("dense Size = %d, materialized = %d", got, want)
+	}
+	b.Sel = []int32{0, 3}
+	if got, want := b.Size(), b.Materialize().Size(); got != want {
+		t.Errorf("selected Size = %d, materialized = %d", got, want)
+	}
+}
+
+// TestScratchPools: sized buffers come back at the length asked, and the
+// hash pool drops oversized vectors like the selection pool does.
+func TestScratchPools(t *testing.T) {
+	if s := GetSelLen(5000); len(s) != 5000 {
+		t.Errorf("GetSelLen = %d", len(s))
+	}
+	h := GetHashes(3000)
+	if len(h) != 3000 {
+		t.Errorf("GetHashes = %d", len(h))
+	}
+	PutHashes(h)
+	PutHashes(make([]uint64, 0, maxPooledSel+1))
+	PutHashes(nil)
+}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Binary encoding of values and tuples. The format is used (a) to ship
@@ -133,46 +134,84 @@ func DecodeTuples(buf []byte) ([]Tuple, error) {
 	return ts, nil
 }
 
-// Hash64 returns a 64-bit FNV-1a hash of v's canonical encoding. Numeric
-// cross-kind equality is respected: an int and a float that compare equal
-// hash identically.
-func Hash64(v Value) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(b byte) { h = (h ^ uint64(b)) * prime64 }
-	k := v.kind
-	num := v.num
-	// Canonicalize: a float with integral value hashes as the int.
-	if k == KindFloat {
-		f := math.Float64frombits(num)
-		if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
-			k = KindInt
-			num = uint64(int64(f))
-		}
+// FNV-1a, the one hash behind fragmentation, exchanges, joins and
+// grouping. The pieces below are shared by the boxed entry points (Hash64,
+// HashTuple) and the columnar one (Batch.HashCols), which is what keeps a
+// batch slot and a row slot of one exchange agreeing on every bucket.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// hashKind starts a value's hash with its kind tag.
+func hashKind(k Kind) uint64 { return (uint64(fnvOffset) ^ uint64(k)) * fnvPrime }
+
+// hashNull is the hash of NULL: its kind tag and no payload.
+var hashNull = hashKind(KindNull)
+
+// primePow[k] is fnvPrime to the k-th power.
+var primePow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	mix(byte(k))
-	switch k {
-	case KindBool, KindInt, KindFloat:
-		for i := 0; i < 8; i++ {
-			mix(byte(num >> (8 * i)))
-		}
-	case KindString:
-		for i := 0; i < len(v.str); i++ {
-			mix(v.str[i])
-		}
+	return p
+}()
+
+// hashWord hashes a kind tag followed by the eight payload bytes of a
+// bool or number, low byte first.
+func hashWord(k Kind, num uint64) uint64 { return hashBytes(hashKind(k), num) }
+
+// hashBytes continues hash h over the eight bytes of num, low byte first.
+// A zero byte's step is a bare multiply by the prime, so the zero high
+// bytes of a small magnitude — the usual key — fold into one multiply by a
+// power of it.
+func hashBytes(h, num uint64) uint64 {
+	n := (bits.Len64(num) + 7) >> 3
+	for i := 0; i < n; i++ {
+		h = (h ^ (num & 0xff)) * fnvPrime
+		num >>= 8
+	}
+	return h * primePow[8-n]
+}
+
+// hashFloat respects numeric cross-kind equality: a float with an
+// integral value hashes as that int.
+func hashFloat(f float64) uint64 {
+	if f == math.Trunc(f) && f >= math.MinInt64 && f <= math.MaxInt64 {
+		return hashWord(KindInt, uint64(int64(f)))
+	}
+	return hashWord(KindFloat, math.Float64bits(f))
+}
+
+func hashString(s string) uint64 {
+	h := hashKind(KindString)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
 
+// Hash64 returns a 64-bit FNV-1a hash of v's canonical encoding. Numeric
+// cross-kind equality is respected: an int and a float that compare equal
+// hash identically.
+func Hash64(v Value) uint64 {
+	switch v.kind {
+	case KindBool, KindInt:
+		return hashWord(v.kind, v.num)
+	case KindFloat:
+		return hashFloat(math.Float64frombits(v.num))
+	case KindString:
+		return hashString(v.str)
+	}
+	return hashNull
+}
+
 // HashTuple hashes the given columns of t, for partitioning and hash joins.
 func HashTuple(t Tuple, idxs []int) uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset)
 	for _, ix := range idxs {
-		h = (h ^ Hash64(t[ix])) * prime64
+		h = (h ^ Hash64(t[ix])) * fnvPrime
 	}
 	return h
 }

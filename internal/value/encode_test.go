@@ -1,6 +1,9 @@
 package value
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -136,5 +139,55 @@ func TestHashTupleConsistency(t *testing.T) {
 	d := NewTuple(NewInt(7))
 	if HashTuple(c, []int{0}) != HashTuple(d, []int{0}) {
 		t.Error("int 7 and float 7.0 must hash-partition identically")
+	}
+}
+
+// TestHash64IsFNV1a pins Hash64 to FNV-1a of the value's kind tag and
+// payload bytes (low byte first; an integral float as its int) against the
+// standard library: fragment placement and exchange buckets are functions
+// of it, so a faster implementation must not move a single value.
+func TestHash64IsFNV1a(t *testing.T) {
+	ref := func(kind Kind, payload []byte) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte{byte(kind)})
+		h.Write(payload)
+		return h.Sum64()
+	}
+	word := func(n uint64) []byte { return binary.LittleEndian.AppendUint64(nil, n) }
+	ints := []int64{0, 1, 7, 255, 256, 65535, 65536, 1 << 24, 1<<32 - 1, 1 << 32, 1 << 56, math.MaxInt64, -1, -256, math.MinInt64, 123456789}
+	for _, n := range ints {
+		if got, want := Hash64(NewInt(n)), ref(KindInt, word(uint64(n))); got != want {
+			t.Errorf("Hash64(%d) = %x, want %x", n, got, want)
+		}
+		if f := float64(n); f >= math.MinInt64 && f < 1<<63 {
+			if got, want := Hash64(NewFloat(f)), ref(KindInt, word(uint64(int64(f)))); got != want {
+				t.Errorf("Hash64(%g) = %x, want %x", f, got, want)
+			}
+		}
+	}
+	for _, f := range []float64{1.5, -0.25, math.Inf(1), math.Inf(-1), math.NaN(), 1e300} {
+		if got, want := Hash64(NewFloat(f)), ref(KindFloat, word(math.Float64bits(f))); got != want {
+			t.Errorf("Hash64(%g) = %x, want %x", f, got, want)
+		}
+	}
+	if got, want := Hash64(NewFloat(math.Copysign(0, -1))), ref(KindInt, word(0)); got != want {
+		t.Errorf("Hash64(-0.0) = %x, want %x", got, want)
+	}
+	for _, b := range []bool{false, true} {
+		n := uint64(0)
+		if b {
+			n = 1
+		}
+		if got, want := Hash64(NewBool(b)), ref(KindBool, word(n)); got != want {
+			t.Errorf("Hash64(%v) = %x, want %x", b, got, want)
+		}
+	}
+	for _, s := range []string{"", "a", "prisma", "β"} {
+		if got, want := Hash64(NewString(s)), ref(KindString, []byte(s)); got != want {
+			t.Errorf("Hash64(%q) = %x, want %x", s, got, want)
+		}
+	}
+	if got, want := Hash64(Null), ref(KindNull, nil); got != want {
+		t.Errorf("Hash64(NULL) = %x, want %x", got, want)
 	}
 }
