@@ -9,11 +9,14 @@ package prisma
 
 import (
 	"fmt"
+	"net"
 	"strconv"
 	"sync"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/experiments"
+	"repro/internal/server"
 )
 
 // runExperiment executes fn once per benchmark run and logs the table.
@@ -192,6 +195,49 @@ func BenchmarkPreparedPointQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.QueryPrepared(ps, NewInt(int64(i%10000))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRetriedPointRoundTrip measures the call shape the repository
+// benchmark drives and E12/E14 do not: a prepared point SELECT over
+// loopback TCP, each execution wrapped in client.Retry — so a cost in
+// the retry wrapper (it once seeded a PRNG per call, more CPU than the
+// round trip itself) shows here and not only in benchmark/.
+func BenchmarkRetriedPointRoundTrip(b *testing.B) {
+	db, _ := benchDB(b, 16)
+	srv, err := server.New(server.Config{Engine: db.Engine()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { srv.Serve(l); close(done) }()
+	b.Cleanup(func() { srv.Close(); <-done })
+	c, err := client.Dial(l.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { c.Close() })
+	st, err := c.Prepare(`SELECT * FROM emp WHERE id = ?`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		err := client.Retry(func() error {
+			res, err := st.Exec(i % 10000)
+			if err == nil && res.Rel.Len() != 1 {
+				err = fmt.Errorf("rows = %d", res.Rel.Len())
+			}
+			return err
+		})
+		if err != nil {
 			b.Fatal(err)
 		}
 	}

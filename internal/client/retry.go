@@ -24,9 +24,9 @@ type RetryPolicy struct {
 	// in lockstep. Negative disables jitter.
 	Jitter float64
 	// Seed makes the jitter sequence deterministic for tests; 0 (the
-	// default) derives a distinct seed per Do call, so concurrent
-	// zero-value clients spread out instead of replaying the identical
-	// schedule and re-colliding in lockstep.
+	// default) derives a distinct seed per Do call that backs off, so
+	// concurrent zero-value clients spread out instead of replaying the
+	// identical schedule and re-colliding in lockstep.
 	Seed int64
 	// Classify decides whether an error is worth another attempt
 	// (default IsRetryable). Transport errors must stay non-retryable
@@ -39,12 +39,25 @@ type RetryPolicy struct {
 }
 
 // retrySeq decorrelates default jitter seeds: each Do call under
-// Seed==0 draws a fresh sequence number, mixed with the process start
-// time so two processes started back to back differ too.
+// Seed==0 that reaches a jittered backoff draws a fresh sequence number,
+// mixed with the process start time so two processes started back to
+// back differ too.
 var (
 	retrySeq  atomic.Int64
 	retryBoot = time.Now().UnixNano()
 )
+
+// jitterSource builds the policy's jitter source. Seeding math/rand
+// fills a 607-word table (4.9 KB), which costs more than the round trip
+// Do usually wraps — so Do calls this on the first backoff that draws,
+// never on the path of a call that succeeds.
+func (p RetryPolicy) jitterSource() *rand.Rand {
+	seed := p.Seed
+	if seed == 0 {
+		seed = retryBoot ^ (retrySeq.Add(1) * 0x9e3779b97f4a7c)
+	}
+	return rand.New(rand.NewSource(seed))
+}
 
 // Retry runs fn under the zero-value RetryPolicy.
 func Retry(fn func() error) error {
@@ -87,11 +100,7 @@ func (p RetryPolicy) DoContext(ctx context.Context, fn func() error) error {
 	if classify == nil {
 		classify = IsRetryable
 	}
-	seed := p.Seed
-	if seed == 0 {
-		seed = retryBoot ^ (retrySeq.Add(1) * 0x9e3779b97f4a7c)
-	}
-	rng := rand.New(rand.NewSource(seed))
+	var rng *rand.Rand // built by the first backoff that draws from it
 	backoff := base
 	var err error
 	for attempt := 1; ; attempt++ {
@@ -109,6 +118,9 @@ func (p RetryPolicy) DoContext(ctx context.Context, fn func() error) error {
 		}
 		sleep := backoff
 		if jitter > 0 {
+			if rng == nil {
+				rng = p.jitterSource()
+			}
 			sleep = time.Duration(float64(backoff) * (1 + jitter*(2*rng.Float64()-1)))
 		}
 		if p.sleep != nil {

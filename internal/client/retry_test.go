@@ -143,6 +143,40 @@ func TestRetryExplicitSeedDeterministic(t *testing.T) {
 	}
 }
 
+// TestRetrySeed42Schedule pins the jitter schedule of an explicit seed
+// to the values the eager source (built at the top of every Do, before
+// PR 18) produced: building it on the first draw must not shift a draw.
+// E17 passes Seed for reproducibility.
+func TestRetrySeed42Schedule(t *testing.T) {
+	golden := []time.Duration{873028, 1132000, 4416375, 5670549, 8701095, 28262185, 84024136}
+	var sleeps []time.Duration
+	p := RetryPolicy{MaxAttempts: 8, BaseBackoff: time.Millisecond, Seed: 42, sleep: sleepRecorder(&sleeps)}
+	p.Do(func() error { return retryableErr() })
+	if len(sleeps) != len(golden) {
+		t.Fatalf("got %d sleeps, want %d: %v", len(sleeps), len(golden), sleeps)
+	}
+	for i := range golden {
+		if sleeps[i] != golden[i] {
+			t.Errorf("sleep %d = %d ns, want %d ns", i, sleeps[i], golden[i])
+		}
+	}
+}
+
+// TestRetrySuccessAllocatesNothing: Retry wraps every operation of a
+// well-behaved client and backs off in perhaps one of ten thousand, so
+// the call that succeeds must not pay for the jitter source.
+func TestRetrySuccessAllocatesNothing(t *testing.T) {
+	for name, p := range map[string]RetryPolicy{"zero": {}, "seeded": {Seed: 42}} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := p.Do(func() error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s policy: a succeeding Do allocates %v times, want 0", name, n)
+		}
+	}
+}
+
 func TestDoContextStopsAtDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()

@@ -306,6 +306,10 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 		if err != nil {
 			fail("writer: %v", err)
 		}
+		// A one-participant commit runs on this goroutine start to end:
+		// on a busy host the whole storm would fit in one time slice and
+		// no scanner would ever catch up with it.
+		runtime.Gosched()
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -76,6 +76,44 @@ func TestPreparedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRetriedPointRoundTripAllocs bars the allocations of the whole
+// short-statement path — client.Retry around Stmt.Exec of a prepared
+// point SELECT, client and server both in this process — so a per-call
+// cost in any layer of it (the retry wrapper's PRNG, a frame header that
+// escapes, a probe key grown twice) is seen by `go test`. 33 today, 41
+// before PR 18; allocation counts differ under -race, which skips it.
+func TestRetriedPointRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	addr := startServer(t, Config{})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	prepSchema(t, c)
+	stmt, err := c.Prepare(`SELECT * FROM acct WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bar = 36
+	if n := testing.AllocsPerRun(500, func() {
+		err := client.Retry(func() error {
+			res, err := stmt.Exec(2)
+			if err == nil && res.Rel.Len() != 1 {
+				t.Errorf("rows = %d", res.Rel.Len())
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n > bar {
+		t.Errorf("a retried prepared point round trip allocates %v times, want <= %d", n, bar)
+	}
+}
+
 func TestBindExecUnknownID(t *testing.T) {
 	addr := startServer(t, Config{})
 	conn, err := net.Dial("tcp", addr)

@@ -62,7 +62,11 @@ func (ix *HashIndex) Lookup(key []value.Value) []RowID {
 	if len(key) != len(ix.cols) {
 		return nil
 	}
-	var buf []byte
+	// The probe key is built on the stack (a numeric column is 9 bytes;
+	// a longer key spills to the heap) and never copied: a map lookup
+	// by string(buf) does not allocate.
+	var stack [64]byte
+	buf := stack[:0]
 	for _, v := range key {
 		buf = value.AppendValue(buf, v)
 	}

@@ -54,6 +54,43 @@ func TestHashIndexBasics(t *testing.T) {
 	}
 }
 
+// TestHashIndexLookupAllocs: a point probe builds its key on the stack,
+// so a hit allocates only the ids it returns and a miss nothing — also
+// for a key longer than the stack buffer, which costs one spill.
+func TestHashIndexLookupAllocs(t *testing.T) {
+	s := NewStore(empSchema())
+	byID, err := s.CreateHashIndex("by_id", []int{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName, err := s.CreateHashIndex("by_name", []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := string(make([]byte, 200))
+	s.Insert(emp(1, "ann", 10))
+	s.Insert(emp(2, long, 20))
+	for _, tc := range []struct {
+		name string
+		ix   *HashIndex
+		key  value.Value
+		hits int
+		want float64
+	}{
+		{"int hit", byID, value.NewInt(1), 1, 1},
+		{"int miss", byID, value.NewInt(9), 0, 0},
+		{"long string hit", byName, value.NewString(long), 1, 2},
+	} {
+		key := []value.Value{tc.key}
+		if got := len(tc.ix.Lookup(key)); got != tc.hits {
+			t.Fatalf("%s: %d ids, want %d", tc.name, got, tc.hits)
+		}
+		if n := testing.AllocsPerRun(100, func() { tc.ix.Lookup(key) }); n != tc.want {
+			t.Errorf("%s: Lookup allocates %v times, want %v", tc.name, n, tc.want)
+		}
+	}
+}
+
 func TestHashIndexBuiltOverExistingRows(t *testing.T) {
 	s := NewStore(empSchema())
 	if _, err := s.Insert(emp(1, "ann", 10)); err != nil {

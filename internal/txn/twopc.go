@@ -62,33 +62,54 @@ const (
 	commitRetryBase = 100 * time.Microsecond
 )
 
-// runTwoPhaseCommit drives the protocol: parallel prepare collecting
-// every veto, a durable commit decision, then parallel commit with
+// onEach runs fn on every participant and returns the failures in
+// participant order. Two or more participants run concurrently — the
+// paper's coarse-grain parallelism applies to the commit protocol as
+// well: each flushes its own log. A lone participant (every autocommit
+// point write, and a transfer inside one fragment) has nothing to
+// overlap with, so it runs on the caller instead of on a fresh goroutine
+// whose stack is grown and copied in every phase.
+func onEach(parts []Participant, fn func(Participant) error) []error {
+	if len(parts) == 1 {
+		if err := fn(parts[0]); err != nil {
+			return []error{err}
+		}
+		return nil
+	}
+	errs := make([]error, len(parts))
+	var wg sync.WaitGroup
+	for i, p := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fn(p)
+		}()
+	}
+	wg.Wait()
+	failed := errs[:0]
+	for _, err := range errs {
+		if err != nil {
+			failed = append(failed, err)
+		}
+	}
+	return failed
+}
+
+// runTwoPhaseCommit drives the protocol: prepare everywhere collecting
+// every veto, a durable commit decision, then commit everywhere with
 // per-participant retry. Abort and commit errors are awaited and
 // surfaced, never dropped in goroutines.
 func (m *Manager) runTwoPhaseCommit(tx ID, ts uint64, parts []Participant) error {
 	if len(parts) == 0 {
 		return nil
 	}
-	// Phase 1: prepare in parallel (the paper's coarse-grain parallelism
-	// applies to the commit protocol as well — each participant flushes
-	// its own log).
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p Participant) {
-			defer wg.Done()
-			errs[i] = p.Prepare(tx)
-		}(i, p)
-	}
-	wg.Wait()
-	var vetoes []error
-	for i, err := range errs {
-		if err != nil {
-			vetoes = append(vetoes, fmt.Errorf("participant %s voted no: %w", parts[i].Name(), err))
+	// Phase 1: prepare.
+	vetoes := onEach(parts, func(p Participant) error {
+		if err := p.Prepare(tx); err != nil {
+			return fmt.Errorf("participant %s voted no: %w", p.Name(), err)
 		}
-	}
+		return nil
+	})
 	if out := fpAfterPrepare.Eval(); out != nil {
 		// The coordinator dies between collecting votes and logging the
 		// decision: no decision exists, so this is an abort.
@@ -109,8 +130,14 @@ func (m *Manager) runTwoPhaseCommit(tx ID, ts uint64, parts []Participant) error
 		// (e.g. its disk died) stays prepared and is presumed aborted at
 		// recovery, which reaches the same outcome.
 		err := fmt.Errorf("2pc: %w: %w", ErrAborted, errors.Join(vetoes...))
-		if abortErr := abortAll(tx, parts); abortErr != nil {
-			err = fmt.Errorf("%w (abort phase: %v)", err, abortErr)
+		abortErrs := onEach(parts, func(p Participant) error {
+			if err := p.Abort(tx); err != nil {
+				return fmt.Errorf("participant %s abort: %w", p.Name(), err)
+			}
+			return nil
+		})
+		if len(abortErrs) > 0 {
+			err = fmt.Errorf("%w (abort phase: %v)", err, errors.Join(abortErrs...))
 		}
 		return err
 	}
@@ -121,22 +148,14 @@ func (m *Manager) runTwoPhaseCommit(tx ID, ts uint64, parts []Participant) error
 		// participants from the decision log.
 		return fmt.Errorf("2pc: %w: %v", ErrIndeterminate, out.Err)
 	}
-	// Phase 2: commit in parallel, retrying each participant through
-	// transient failures.
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p Participant) {
-			defer wg.Done()
-			errs[i] = commitWithRetry(tx, ts, p)
-		}(i, p)
-	}
-	wg.Wait()
-	var failed []error
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, fmt.Errorf("participant %s: %w", parts[i].Name(), err))
+	// Phase 2: commit, retrying each participant through transient
+	// failures.
+	failed := onEach(parts, func(p Participant) error {
+		if err := commitWithRetry(tx, ts, p); err != nil {
+			return fmt.Errorf("participant %s: %w", p.Name(), err)
 		}
-	}
+		return nil
+	})
 	if len(failed) > 0 {
 		return fmt.Errorf("2pc: %w: %v", ErrIndeterminate, errors.Join(failed...))
 	}
@@ -156,22 +175,4 @@ func commitWithRetry(tx ID, ts uint64, p Participant) error {
 		}
 	}
 	return fmt.Errorf("commit failed after %d retries: %w", commitRetries, err)
-}
-
-// abortAll aborts every participant in parallel, awaiting and joining
-// their errors.
-func abortAll(tx ID, parts []Participant) error {
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p Participant) {
-			defer wg.Done()
-			if err := p.Abort(tx); err != nil {
-				errs[i] = fmt.Errorf("participant %s abort: %w", p.Name(), err)
-			}
-		}(i, p)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }

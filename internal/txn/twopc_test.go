@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -172,6 +173,161 @@ func TestTwoPCDecisionLogFailureAborts(t *testing.T) {
 	}
 	if a.commits != 0 || a.aborts != 1 {
 		t.Errorf("participant saw commits=%d aborts=%d, want 0/1", a.commits, a.aborts)
+	}
+}
+
+// stackPart records, per protocol call, whether the calling test's frame
+// is on the stack — true only when the call runs on the goroutine that
+// called runTwoPhaseCommit.
+type stackPart struct {
+	fakePart
+	onCaller map[string]bool
+}
+
+func (p *stackPart) note(call string) {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".TestTwoPCLoneParticipantRunsOnCaller") {
+			p.onCaller[call] = true
+			return
+		}
+		if !more {
+			p.onCaller[call] = false
+			return
+		}
+	}
+}
+
+func (p *stackPart) Prepare(tx ID) error { p.note("prepare"); return p.fakePart.Prepare(tx) }
+func (p *stackPart) Commit(tx ID, ts uint64) error {
+	p.note("commit")
+	return p.fakePart.Commit(tx, ts)
+}
+func (p *stackPart) Abort(tx ID) error { p.note("abort"); return p.fakePart.Abort(tx) }
+
+// TestTwoPCLoneParticipantRunsOnCaller pins the autocommit point write's
+// commit path: one participant has nothing to run in parallel with, so
+// prepare, commit and abort happen on the committing goroutine, not on a
+// goroutine pair spawned (and its stacks grown) per commit.
+func TestTwoPCLoneParticipantRunsOnCaller(t *testing.T) {
+	m := NewManager()
+	m.SetDecisionLog(newFakeDecisions())
+	ok := &stackPart{fakePart: fakePart{name: "a"}, onCaller: map[string]bool{}}
+	if err := m.runTwoPhaseCommit(1, 10, []Participant{ok}); err != nil {
+		t.Fatal(err)
+	}
+	veto := &stackPart{fakePart: fakePart{name: "b", prepareErr: errors.New("full")}, onCaller: map[string]bool{}}
+	if err := m.runTwoPhaseCommit(2, 20, []Participant{veto}); !IsRetryable(err) {
+		t.Fatalf("vetoed lone participant = %v, want a retryable abort", err)
+	}
+	for call, p := range map[string]*stackPart{"prepare": ok, "commit": ok, "abort": veto} {
+		on, called := p.onCaller[call]
+		if !called || !on {
+			t.Errorf("%s of a lone participant: called=%v on the committing goroutine=%v, want both", call, called, on)
+		}
+	}
+
+	// The cost that goes with the goroutines: the lone commit allocates
+	// its two phase closures and nothing per goroutine.
+	plain := []Participant{&fakePart{name: "c"}}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := (*Manager)(nil).runTwoPhaseCommit(3, 30, plain); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("lone-participant 2PC allocates %v times, want <= 2", n)
+	}
+}
+
+// barrier releases its waiters once n of them have arrived, then resets
+// for the next phase.
+type barrier struct {
+	mu      sync.Mutex
+	n, here int
+	release chan struct{}
+}
+
+func (b *barrier) wait() error {
+	b.mu.Lock()
+	b.here++
+	release := b.release
+	if b.here == b.n {
+		b.here, b.release = 0, make(chan struct{})
+		close(release)
+	}
+	b.mu.Unlock()
+	select {
+	case <-release:
+		return nil
+	case <-time.After(10 * time.Second):
+		return errors.New("participants never met: the phase ran them one after another")
+	}
+}
+
+// barrierPart's calls return only once every participant of the phase
+// is inside the same call.
+type barrierPart struct {
+	fakePart
+	b *barrier
+}
+
+func (p *barrierPart) Prepare(tx ID) error {
+	if err := p.b.wait(); err != nil {
+		return err
+	}
+	return p.fakePart.Prepare(tx)
+}
+
+func (p *barrierPart) Commit(tx ID, ts uint64) error {
+	if err := p.b.wait(); err != nil {
+		return err
+	}
+	return p.fakePart.Commit(tx, ts)
+}
+
+func (p *barrierPart) Abort(tx ID) error {
+	if err := p.b.wait(); err != nil {
+		return err
+	}
+	return p.fakePart.Abort(tx)
+}
+
+// TestTwoPCSeveralParticipantsRunConcurrently: with two or more
+// participants every phase still fans out — each One-Fragment Manager
+// flushes its own log while the others flush theirs. Participants that
+// rendezvous inside each call would time out if run in turn.
+func TestTwoPCSeveralParticipantsRunConcurrently(t *testing.T) {
+	for _, n := range []int{2, 5} {
+		for _, veto := range []bool{false, true} {
+			b := &barrier{n: n, release: make(chan struct{})}
+			parts := make([]Participant, n)
+			fakes := make([]*barrierPart, n)
+			for i := range parts {
+				fakes[i] = &barrierPart{fakePart: fakePart{name: fmt.Sprint("p", i)}, b: b}
+				parts[i] = fakes[i]
+			}
+			if veto {
+				fakes[n-1].prepareErr = errors.New("full")
+			}
+			err := NewManager().runTwoPhaseCommit(ID(n), 10, parts)
+			if veto && (!IsRetryable(err) || strings.Contains(err.Error(), "never met")) {
+				t.Errorf("%d participants, one veto: %v, want a clean retryable abort", n, err)
+			}
+			if !veto && err != nil {
+				t.Errorf("%d participants: %v", n, err)
+			}
+			wantCommits, wantAborts := 1, 0
+			if veto {
+				wantCommits, wantAborts = 0, 1
+			}
+			for _, p := range fakes {
+				if p.commits != wantCommits || p.aborts != wantAborts {
+					t.Errorf("%d participants, veto=%v: %s saw commits=%d aborts=%d", n, veto, p.name, p.commits, p.aborts)
+				}
+			}
+		}
 	}
 }
 

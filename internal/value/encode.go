@@ -84,24 +84,70 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 // DecodeTuple decodes one tuple from buf, returning it and the number of
 // bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
+	t, off, err := appendDecodedTuple(nil, buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return t, off, nil
+}
+
+// appendDecodedTuple decodes the tuple at the head of buf onto dst (nil
+// allocates one of the tuple's own size), returning the extended slice
+// and the number of bytes consumed.
+func appendDecodedTuple(dst []Value, buf []byte) ([]Value, int, error) {
 	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("value: truncated tuple header")
+		return dst, 0, fmt.Errorf("value: truncated tuple header")
 	}
 	arity := int(binary.BigEndian.Uint16(buf))
 	off := 2
-	// Every encoded value is at least 1 byte; cap the preallocation by
-	// what the buffer could possibly hold so a hostile arity in a short
-	// input cannot force a large allocation before the decode fails.
-	t := make(Tuple, 0, min(arity, len(buf)-off))
+	if dst == nil {
+		// Every encoded value is at least 1 byte; cap the preallocation by
+		// what the buffer could possibly hold so a hostile arity in a short
+		// input cannot force a large allocation before the decode fails.
+		dst = make([]Value, 0, min(arity, len(buf)-off))
+	}
 	for i := 0; i < arity; i++ {
 		v, n, err := DecodeValue(buf[off:])
 		if err != nil {
-			return nil, 0, fmt.Errorf("value: tuple field %d: %w", i, err)
+			return dst, 0, fmt.Errorf("value: tuple field %d: %w", i, err)
 		}
-		t = append(t, v)
+		dst = append(dst, v)
 		off += n
 	}
-	return t, off, nil
+	return dst, off, nil
+}
+
+// DecodeFlatTuples decodes count tuples from buf into one flat []Value
+// backing array, returning them and the number of bytes consumed. Tuple
+// i is a 3-index slice of the array, so appending to it reallocates that
+// tuple instead of overwriting tuple i+1 (the discipline
+// Batch.Materialize follows). It is the decode for a reply, whose
+// tuples live and die together: one allocation per reply, not one per
+// row. arity is the width every tuple must have, or negative to accept
+// any (the array then grows as tuples arrive); what names the tuples in
+// errors ("value: relation tuple").
+func DecodeFlatTuples(buf []byte, count, arity int, what string) ([]Tuple, int, error) {
+	// An encoded tuple is at least 2 bytes and an encoded value at least
+	// 1: reserve no more than the buffer could hold, so a hostile count
+	// cannot allocate gigabytes before the decode fails. Under that cap
+	// the reservation is exact and the appends below never reallocate.
+	tuples := make([]Tuple, 0, min(count, len(buf)/2+1))
+	flat := make([]Value, 0, min(count*max(arity, 0), len(buf)))
+	off := 0
+	for i := 0; i < count; i++ {
+		start := len(flat)
+		var used int
+		var err error
+		if flat, used, err = appendDecodedTuple(flat, buf[off:]); err != nil {
+			return nil, 0, fmt.Errorf("%s %d: %w", what, i, err)
+		}
+		if got := len(flat) - start; arity >= 0 && got != arity {
+			return nil, 0, fmt.Errorf("%s %d has arity %d, schema has %d", what, i, got, arity)
+		}
+		tuples = append(tuples, flat[start:len(flat):len(flat)])
+		off += used
+	}
+	return tuples, off, nil
 }
 
 // EncodeTuples encodes a batch of tuples: a uint32 count then each tuple.
@@ -286,18 +332,9 @@ func DecodeRelation(buf []byte) (*Relation, int, error) {
 	}
 	n := int(binary.BigEndian.Uint32(buf[off:]))
 	off += 4
-	rel := NewRelation(s)
-	rel.Tuples = make([]Tuple, 0, min(n, (len(buf)-off)/2+1))
-	for i := 0; i < n; i++ {
-		t, used, err := DecodeTuple(buf[off:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("value: relation tuple %d: %w", i, err)
-		}
-		if len(t) != s.Len() {
-			return nil, 0, fmt.Errorf("value: relation tuple %d has arity %d, schema has %d", i, len(t), s.Len())
-		}
-		rel.Tuples = append(rel.Tuples, t)
-		off += used
+	tuples, used, err := DecodeFlatTuples(buf[off:], n, s.Len(), "value: relation tuple")
+	if err != nil {
+		return nil, 0, err
 	}
-	return rel, off, nil
+	return &Relation{Schema: s, Tuples: tuples}, off + used, nil
 }

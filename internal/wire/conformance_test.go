@@ -2,6 +2,7 @@ package wire
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -80,6 +81,10 @@ func TestBindExecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The payload is reserved once, at the size the arguments need.
+			if n := testing.AllocsPerRun(10, func() { EncodeBindExec(tc.id, tc.args) }); n != 1 {
+				t.Errorf("EncodeBindExec allocates %v times, want 1", n)
+			}
 			if id != tc.id {
 				t.Fatalf("id = %d, want %d", id, tc.id)
 			}
@@ -119,6 +124,30 @@ func sameRelation(t *testing.T, got, want *value.Relation) {
 	}
 }
 
+// sameTuplesInOrder holds a decoded reply to the tuples that were
+// encoded, position by position and kind by kind — after appending to
+// every decoded tuple: they share one backing array, so an append that
+// did not reallocate would have overwritten the next tuple's first cell.
+func sameTuplesInOrder(t *testing.T, got, want []value.Tuple) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("decoded %d tuples, want %d", len(got), len(want))
+	}
+	for i := range got {
+		_ = append(got[i], value.NewString("overwritten"))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			t.Fatalf("tuple %d has arity %d, want %d", i, len(got[i]), len(want[i]))
+		}
+		for c := range want[i] {
+			if got[i][c].Kind() != want[i][c].Kind() || value.Compare(got[i][c], want[i][c]) != 0 {
+				t.Fatalf("tuple %d column %d = %v, want %v", i, c, got[i][c], want[i][c])
+			}
+		}
+	}
+}
+
 func TestResultConformance(t *testing.T) {
 	schema := value.MustSchema("id", "INT", "name", "VARCHAR", "score", "FLOAT", "ok", "BOOL")
 	full := value.NewRelation(schema)
@@ -136,6 +165,7 @@ func TestResultConformance(t *testing.T) {
 		{"negative affected", &Result{Affected: -1}},
 		{"empty relation", &Result{Rel: value.NewRelation(schema)}},
 		{"relation with NULLs", &Result{Rel: full, Plan: "Scan(t) est=3", SimTime: 5 * time.Second, WallTime: 3 * time.Minute}},
+		{"zero-column relation", &Result{Rel: &value.Relation{Schema: value.NewSchema(), Tuples: []value.Tuple{{}, {}, {}}}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +178,9 @@ func TestResultConformance(t *testing.T) {
 				t.Fatalf("scalar fields differ: got %+v, want %+v", got, tc.res)
 			}
 			sameRelation(t, got.Rel, tc.res.Rel)
+			if tc.res.Rel != nil {
+				sameTuplesInOrder(t, got.Rel.Tuples, tc.res.Rel.Tuples)
+			}
 		})
 	}
 }
@@ -222,21 +255,85 @@ func TestRowChunkRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got) != len(tc.tuples) {
-				t.Fatalf("len = %d, want %d", len(got), len(tc.tuples))
+			sameTuplesInOrder(t, got, tc.tuples)
+			// No schema, no arity check — and the same tuples.
+			if got, err = DecodeRowChunk(EncodeRowChunk(tc.tuples), nil); err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if !value.EqualTuples(got[i], tc.tuples[i]) {
-					t.Fatalf("tuple %d = %v, want %v", i, got[i], tc.tuples[i])
-				}
-			}
+			sameTuplesInOrder(t, got, tc.tuples)
 		})
 	}
 	// Arity enforcement: a tuple not matching the stream schema is a
-	// protocol error, not silently accepted.
-	bad := EncodeRowChunk([]value.Tuple{value.NewTuple(value.NewInt(1))})
-	if _, err := DecodeRowChunk(bad, schema); err == nil {
-		t.Fatal("arity-mismatched chunk decoded without error")
+	// protocol error, not silently accepted. The messages are the
+	// tuple-at-a-time decoder's.
+	good := EncodeRowChunk([]value.Tuple{
+		value.NewTuple(value.NewInt(1), value.NewString("a")),
+		value.NewTuple(value.NewInt(1), value.NewString("abc")),
+	})
+	for _, tc := range []struct {
+		name string
+		buf  []byte
+		want string
+	}{
+		{"arity", EncodeRowChunk([]value.Tuple{value.NewTuple(value.NewInt(1))}), "wire: chunk tuple 0 has arity 1, schema has 2"},
+		{"string body", good[:len(good)-1], "wire: chunk tuple 1: value: tuple field 1: value: truncated string body (want 3 bytes)"},
+		{"int", good[:len(good)-9], "wire: chunk tuple 1: value: tuple field 0: value: truncated int"},
+		{"trailing", append(good[:len(good):len(good)], 0), "wire: 1 trailing bytes after row chunk"},
+	} {
+		if _, err := DecodeRowChunk(tc.buf, schema); err == nil || err.Error() != tc.want {
+			t.Errorf("%s: error %q, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestRowChunkHostileCount: a count the payload could not hold fails
+// without being believed — nothing near count × arity values is
+// reserved.
+func TestRowChunkHostileCount(t *testing.T) {
+	wide := make([]string, 0, 2000)
+	for i := 0; i < 1000; i++ {
+		wide = append(wide, "c", "INT")
+	}
+	buf := append(binaryU32(1<<32-1), value.AppendTuple(nil, value.NewTuple(value.NewInt(1)))...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeRowChunk(buf, value.MustSchema(wide...))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("hostile tuple count accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("decoding a %d-byte chunk allocated %d bytes", len(buf), got)
+	}
+}
+
+// TestReplyDecodeAllocsIndependentOfRows: a reply's tuples decode into
+// one backing array, so an all-numeric reply costs the same number of
+// allocations at 16 rows as at 4096 — as a Result and as a RowChunk.
+func TestReplyDecodeAllocsIndependentOfRows(t *testing.T) {
+	schema := value.MustSchema("id", "INT", "score", "FLOAT")
+	allocs := func(rows int) (result, chunk float64) {
+		rel := value.NewRelation(schema)
+		for i := 0; i < rows; i++ {
+			rel.Append(value.NewTuple(value.NewInt(int64(i)), value.NewFloat(float64(i)/4)))
+		}
+		res, rowChunk := EncodeResult(&Result{Rel: rel}), EncodeRowChunk(rel.Tuples)
+		result = testing.AllocsPerRun(20, func() {
+			if _, err := DecodeResult(res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		chunk = testing.AllocsPerRun(20, func() {
+			if _, err := DecodeRowChunk(rowChunk, schema); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return result, chunk
+	}
+	smallRes, smallChunk := allocs(16)
+	largeRes, largeChunk := allocs(4096)
+	if smallRes != largeRes || smallChunk != largeChunk {
+		t.Fatalf("allocations grow with rows: Result %v -> %v, RowChunk %v -> %v", smallRes, largeRes, smallChunk, largeChunk)
 	}
 }
 

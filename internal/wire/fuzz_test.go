@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"testing"
 	"time"
@@ -45,6 +46,11 @@ func FuzzReadFrame(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const limit = 1 << 16
 		typ, payload, err := ReadFrame(bytes.NewReader(data), limit)
+		// The *bufio.Reader path (header peeked in place) sees the same frame.
+		typB, payloadB, errB := ReadFrame(bufio.NewReader(bytes.NewReader(data)), limit)
+		if typB != typ || !bytes.Equal(payloadB, payload) || (errB == nil) != (err == nil) {
+			t.Fatalf("plain reader: (%#x, %d bytes, %v); bufio reader: (%#x, %d bytes, %v)", typ, len(payload), err, typB, len(payloadB), errB)
+		}
 		if err != nil {
 			return
 		}

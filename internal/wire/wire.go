@@ -17,6 +17,7 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -217,12 +218,20 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
-// WriteFrame writes one frame to w.
+// WriteFrame writes one frame to w. A local header array would escape
+// through the io.Writer call — a heap allocation per frame — so on the
+// *bufio.Writer every connection writes through, the header is built in
+// the writer's own spare buffer.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)+1))
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= 5 {
+		hdr = bw.AvailableBuffer()[:5]
+	} else {
+		hdr = make([]byte, 5)
+	}
+	binary.BigEndian.PutUint32(hdr, uint32(len(payload)+1))
 	hdr[4] = typ
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	if len(payload) > 0 {
@@ -248,11 +257,27 @@ func ReadFrameBuf(r io.Reader, max int, buf []byte) (byte, []byte, error) {
 	if max <= 0 {
 		max = DefaultMaxFrame
 	}
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
+	// As in WriteFrame, the header never leaves a *bufio.Reader's own
+	// buffer; any other reader pays one allocation for it.
+	var n int
+	var typ byte
+	if br, ok := r.(*bufio.Reader); ok {
+		hdr, err := br.Peek(5)
+		if err != nil {
+			if err == io.EOF && len(hdr) > 0 {
+				err = io.ErrUnexpectedEOF // what io.ReadFull calls a torn header
+			}
+			return 0, nil, err
+		}
+		n, typ = int(binary.BigEndian.Uint32(hdr)), hdr[4]
+		br.Discard(5) // cannot fail: Peek just buffered them
+	} else {
+		hdr := make([]byte, 5)
+		if _, err := io.ReadFull(r, hdr); err != nil {
+			return 0, nil, err
+		}
+		n, typ = int(binary.BigEndian.Uint32(hdr)), hdr[4]
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:4]))
 	if n < 1 {
 		return 0, nil, fmt.Errorf("wire: frame with zero-length payload")
 	}
@@ -268,7 +293,7 @@ func ReadFrameBuf(r io.Reader, max int, buf []byte) (byte, []byte, error) {
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return 0, nil, fmt.Errorf("wire: truncated frame body: %w", err)
 	}
-	return hdr[4], payload, nil
+	return typ, payload, nil
 }
 
 // EncodeHello builds the Hello payload.
@@ -368,7 +393,13 @@ const MaxBindArgs = 1<<16 - 1
 // each bound value in the relation encoding. The caller must keep
 // len(args) within MaxBindArgs.
 func EncodeBindExec(id uint32, args []value.Value) []byte {
-	buf := make([]byte, 6, 6+len(args)*8)
+	// A tag plus an 8-byte word covers every fixed-width value and a
+	// string's 4-byte length; the string bytes come on top.
+	size := 6 + 9*len(args)
+	for _, v := range args {
+		size += len(v.Str())
+	}
+	buf := make([]byte, 6, size)
 	binary.BigEndian.PutUint32(buf[:4], id)
 	binary.BigEndian.PutUint16(buf[4:6], uint16(len(args)))
 	for _, v := range args {
@@ -622,24 +653,16 @@ func DecodeRowChunk(buf []byte, schema *value.Schema) ([]value.Tuple, error) {
 	if len(buf) < 4 {
 		return nil, fmt.Errorf("wire: truncated row chunk header")
 	}
-	n := int(binary.BigEndian.Uint32(buf))
-	off := 4
-	// Every encoded tuple is at least 2 bytes; never trust the count
-	// beyond what the payload could possibly hold.
-	tuples := make([]value.Tuple, 0, min(n, (len(buf)-off)/2+1))
-	for i := 0; i < n; i++ {
-		t, used, err := value.DecodeTuple(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: chunk tuple %d: %w", i, err)
-		}
-		if schema != nil && len(t) != schema.Len() {
-			return nil, fmt.Errorf("wire: chunk tuple %d has arity %d, schema has %d", i, len(t), schema.Len())
-		}
-		tuples = append(tuples, t)
-		off += used
+	arity := -1
+	if schema != nil {
+		arity = schema.Len()
 	}
-	if off != len(buf) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after row chunk", len(buf)-off)
+	tuples, used, err := value.DecodeFlatTuples(buf[4:], int(binary.BigEndian.Uint32(buf)), arity, "wire: chunk tuple")
+	if err != nil {
+		return nil, err
+	}
+	if trailing := len(buf) - 4 - used; trailing != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes after row chunk", trailing)
 	}
 	return tuples, nil
 }

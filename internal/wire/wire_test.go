@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -79,6 +80,70 @@ func TestReadFrameTruncated(t *testing.T) {
 		if cut > 5 && !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d bytes: err = %v, want ErrUnexpectedEOF", cut, err)
 		}
+	}
+}
+
+// TestFrameBufioMatchesPlain: the *bufio paths of WriteFrame and
+// ReadFrameBuf (header built in, and peeked from, the stream's own
+// buffer) write the same bytes and report the same frames and the same
+// errors as the plain io paths, at every truncation — and allocate
+// nothing per frame.
+func TestFrameBufioMatchesPlain(t *testing.T) {
+	payloads := [][]byte{nil, []byte("SELECT 1"), bytes.Repeat([]byte{0xab}, 300)}
+	var plain, buffered bytes.Buffer
+	bw := bufio.NewWriterSize(&buffered, 16) // small: the header often straddles a flush
+	for i, p := range payloads {
+		if err := WriteFrame(&plain, byte(i+1), p); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(bw, byte(i+1), p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), buffered.Bytes()) {
+		t.Fatalf("bufio.Writer path wrote %x, plain path %x", buffered.Bytes(), plain.Bytes())
+	}
+
+	streams := [][]byte{{0, 0, 0, 0, 0}, {0xff, 0xff, 0xff, 0xff, TypeExec}}
+	for cut := 0; cut <= plain.Len(); cut++ {
+		streams = append(streams, plain.Bytes()[:cut])
+	}
+	for _, stream := range streams {
+		pr, br := bytes.NewReader(stream), bufio.NewReaderSize(bytes.NewReader(stream), 16)
+		for frame := 0; ; frame++ {
+			typP, gotP, errP := ReadFrame(pr, 1<<16)
+			typB, gotB, errB := ReadFrame(br, 1<<16)
+			if typP != typB || !bytes.Equal(gotP, gotB) || (errP == nil) != (errB == nil) ||
+				(errP != nil && errP.Error() != errB.Error()) {
+				t.Fatalf("%d-byte stream, frame %d: plain (%#x, %d bytes, %v) vs bufio (%#x, %d bytes, %v)",
+					len(stream), frame, typP, len(gotP), errP, typB, len(gotB), errB)
+			}
+			if errP != nil {
+				if errors.Is(errP, io.EOF) != errors.Is(errB, io.EOF) || errors.Is(errP, io.ErrUnexpectedEOF) != errors.Is(errB, io.ErrUnexpectedEOF) {
+					t.Fatalf("%d-byte stream: error identity differs: %v vs %v", len(stream), errP, errB)
+				}
+				break
+			}
+		}
+	}
+
+	var loop bytes.Buffer
+	br := bufio.NewReader(&loop)
+	bw = bufio.NewWriter(&loop)
+	payload, into := []byte("SELECT 1"), make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() {
+		if err := WriteFrame(bw, TypeExec, payload); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		if _, _, err := ReadFrameBuf(br, 0, into); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a frame written and read through bufio allocates %v times, want 0", n)
 	}
 }
 
