@@ -67,11 +67,6 @@ func (ps *pairSet) add(a, b value.Value) bool {
 	return true
 }
 
-func (ps *pairSet) has(a, b value.Value) bool {
-	_, ok := ps.seen[pairKey(a, b)]
-	return ok
-}
-
 func (ps *pairSet) len() int { return len(ps.pairs) }
 
 // edgeIndex maps a node (encoded) to its successors.

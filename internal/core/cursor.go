@@ -2,11 +2,9 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"repro/internal/plan"
-	"repro/internal/sqlparse"
 	"repro/internal/value"
 )
 
@@ -39,20 +37,19 @@ import (
 // A Cursor is not safe for concurrent use, mirroring the Session that
 // produced it.
 type Cursor struct {
-	s         *Session
-	ctx       *execCtx
-	settle    func(error) error // from readView: settles txn / releases pin
-	schema    *value.Schema
-	planStr   string
-	parts     *parts // the plan's output; slot `taken` is the next to deliver
-	taken     int
-	done      bool
-	err       error
-	rows      int64
-	simStart  time.Duration
-	wallStart time.Time
-	simTime   time.Duration
-	wallTime  time.Duration
+	s        *Session
+	ctx      *execCtx
+	settle   func(error) error // from readView: settles txn / releases pin
+	schema   *value.Schema
+	planStr  string
+	parts    *parts // the plan's output; slot `taken` is the next to deliver
+	taken    int
+	done     bool
+	err      error
+	rows     int64
+	start    stmtClock
+	simTime  time.Duration
+	wallTime time.Duration
 }
 
 // Schema returns the result schema (known before the first tuple).
@@ -156,146 +153,33 @@ func (c *Cursor) finish(commit bool) error {
 	} else {
 		c.settle(errCursorClosed) // abort path; the sentinel is discarded
 	}
-	c.simTime = c.s.e.m.MaxClock() - c.simStart
-	c.wallTime = time.Since(c.wallStart)
+	c.simTime = c.s.e.m.MaxClock() - c.start.sim
+	c.wallTime = time.Since(c.start.wall)
 	return err
 }
 
 // Stream executes one SQL statement, returning a Cursor when the
-// statement produces a relation and a materialized Result otherwise
-// (DDL, DML and transaction control behave exactly as Exec). Exactly
-// one of the two returns is non-nil on success.
-//
-// Like Exec, Stream goes through the engine's plan cache: a hot
-// statement shape skips parsing and optimization and streams its cached
-// plan with the literals bound, so streaming costs no per-statement
-// compilation over the materialized path.
+// statement produces a relation from a SELECT plan and a materialized
+// Result otherwise: everything but the way a SELECT plan runs is Exec's
+// own routing (session variables, administration statements, the plan
+// cache, the grant check), so a statement means the same through either.
+// Exactly one of the two returns is non-nil on success.
 func (s *Session) Stream(sql string) (*Cursor, *Result, error) {
-	pc := s.e.plans
-	if pc == nil {
-		return s.parseStream(sql)
+	start := s.startClock()
+	r, err := s.routeText(sql)
+	if err == nil && r.sel != nil {
+		cur, err := s.streamPlanStr(start, r.sel, r.planStr)
+		return cur, nil, err
 	}
-	key, lits, ok := sqlparse.Normalize(sql)
-	if !ok {
-		return s.parseStream(sql)
-	}
-	if ps, hit := pc.get(key); hit {
-		if ps == nil {
-			// Statement shape known non-cacheable.
-			return s.parseStream(sql)
-		}
-		return s.streamAuto(ps, lits, sql)
-	}
-	cs, vals, err := s.e.compileAutoFrom(sql, lits)
-	if err == errNotCacheable {
-		pc.put(key, nil)
-		return s.parseStream(sql)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	ps := newPreparedStmt(s.e, sql, true, cs)
-	pc.put(key, ps)
-	return s.streamAuto(ps, vals, sql)
-}
-
-// streamAuto streams a plan-cached statement with its lifted literals,
-// falling back to the uncached path on a parameter-kind mismatch (the
-// same discipline as execAuto: caching must never change an outcome).
-func (s *Session) streamAuto(ps *PreparedStmt, lits []value.Value, sql string) (*Cursor, *Result, error) {
-	cur, res, err := s.streamPrepared(ps, lits)
-	if err != nil && errors.Is(err, errBindKind) {
-		return s.parseStream(sql)
-	}
-	return cur, res, err
-}
-
-// streamPrepared opens a cursor over one compiled statement execution.
-func (s *Session) streamPrepared(ps *PreparedStmt, args []value.Value) (*Cursor, *Result, error) {
-	cs, err := ps.current()
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(args) != cs.nParams {
-		return nil, nil, fmt.Errorf("core: statement wants %d parameters, got %d", cs.nParams, len(args))
-	}
-	bound, err := coerceArgs(args, cs.kinds, ps.auto)
-	if err != nil {
-		return nil, nil, err
-	}
-	if cs.sel != nil {
-		if err := s.checkAccess(cs.access); err != nil {
-			return nil, nil, err
-		}
-		root := cs.sel
-		if cs.nParams > 0 {
-			if root, err = bindPlan(root, bound); err != nil {
-				return nil, nil, err
-			}
-		}
-		cur, err := s.streamPlanStr(root, cs.planStr)
-		if err != nil {
-			return nil, nil, err
-		}
-		return cur, nil, nil
-	}
-	st := cs.ast
-	if cs.nParams > 0 {
-		if st, err = substStmt(st, bound); err != nil {
-			return nil, nil, err
-		}
-	}
-	res, err := s.execStmtTimed(st)
+	res, err := s.execRouted(start, r, err)
 	return nil, res, err
-}
-
-// parseStream is the uncached streaming path: parse, and either open a
-// cursor (SELECT) or execute materialized (everything else).
-func (s *Session) parseStream(sql string) (*Cursor, *Result, error) {
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok {
-		res, err := s.execStmtTimed(st)
-		return nil, res, err
-	}
-	if err := s.checkStmt(sel); err != nil {
-		return nil, nil, err
-	}
-	root, err := s.e.translateSelect(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	root = s.e.opt.Optimize(root)
-	cur, err := s.streamPlanStr(root, plan.Format(root))
-	if err != nil {
-		return nil, nil, err
-	}
-	return cur, nil, nil
-}
-
-// execStmtTimed runs one parsed statement with Exec's timing envelope.
-func (s *Session) execStmtTimed(st sqlparse.Stmt) (*Result, error) {
-	wallStart := time.Now()
-	simStart := s.e.m.MaxClock()
-	res, err := s.execStmt(st)
-	if err != nil {
-		return nil, err
-	}
-	res.WallTime = time.Since(wallStart)
-	res.SimTime = s.e.m.MaxClock() - simStart
-	return res, nil
 }
 
 // streamPlanStr opens a cursor over an optimized plan (with its
 // pre-rendered format string) under the session's transaction
 // discipline. All locks are acquired here, before the cursor is handed
 // back.
-func (s *Session) streamPlanStr(root plan.Node, planStr string) (*Cursor, error) {
-	wallStart := time.Now()
-	simStart := s.e.m.MaxClock()
+func (s *Session) streamPlanStr(start stmtClock, root plan.Node, planStr string) (*Cursor, error) {
 	tx, view, settle, err := s.readView()
 	if err != nil {
 		return nil, err
@@ -306,14 +190,13 @@ func (s *Session) streamPlanStr(root plan.Node, planStr string) (*Cursor, error)
 		return nil, settle(err)
 	}
 	cur := &Cursor{
-		s:         s,
-		ctx:       ctx,
-		settle:    settle,
-		schema:    root.Schema(),
-		planStr:   planStr,
-		parts:     p,
-		simStart:  simStart,
-		wallStart: wallStart,
+		s:       s,
+		ctx:     ctx,
+		settle:  settle,
+		schema:  root.Schema(),
+		planStr: planStr,
+		parts:   p,
+		start:   start,
 	}
 	s.registerCursor(cur)
 	return cur, nil

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"sync"
+	"time"
 
 	"repro/internal/fragment"
 	"repro/internal/ofm"
-	"repro/internal/pool"
 	"repro/internal/sqlparse"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -13,8 +15,8 @@ import (
 
 // CreateTable registers a fragmented table: the data allocation manager
 // places its fragments onto PEs, one Persistent OFM per fragment is
-// spawned as a process, and each OFM's redo log lands on the stable
-// store of the nearest disk PE.
+// built there, and each OFM's redo log lands on the stable store of the
+// nearest disk PE.
 func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment.Scheme, primaryKey []int) error {
 	if scheme == nil {
 		scheme = &fragment.Scheme{Strategy: fragment.Single, N: 1}
@@ -72,12 +74,7 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 				return err
 			}
 		}
-		proc, err := e.spawnOFMProcess(o, pe)
-		if err != nil {
-			e.cat.Drop(def.Name)
-			return err
-		}
-		t.frags = append(t.frags, &fragRef{ofm: o, proc: proc, pe: pe})
+		t.frags = append(t.frags, &fragRef{ofm: o, pe: pe})
 		t.logsRef.logs = append(t.logsRef.logs, log)
 	}
 	e.mu.Lock()
@@ -103,7 +100,10 @@ func (e *Engine) logFor(pe int, fragName string) (*wal.Log, error) {
 	return wal.Open(store, "wal-"+fragName)
 }
 
-// DropTable removes a table: processes stop, the catalog entry goes.
+// DropTable removes a table: its fragments are detached — a transaction
+// that still holds writes on them fails its COMMIT instead of appending
+// to a log whose name a re-created table would reuse — and the catalog
+// entry goes.
 func (e *Engine) DropTable(name string) error {
 	key := canonical(name)
 	e.mu.Lock()
@@ -116,8 +116,7 @@ func (e *Engine) DropTable(name string) error {
 		return fmt.Errorf("core: table %q does not exist", name)
 	}
 	for _, f := range t.frags {
-		f.proc.Stop()
-		f.proc.Join()
+		f.drop()
 	}
 	return e.cat.Drop(name)
 }
@@ -159,22 +158,37 @@ func (e *Engine) LoadTable(name string, tuples []value.Tuple) error {
 		i := t.def.Scheme.FragmentOf(tp)
 		parts[i] = append(parts[i], tp)
 	}
+	var loading []int
+	for i := range t.frags {
+		if len(parts[i]) > 0 {
+			loading = append(loading, i)
+		}
+	}
+	// Every request is stamped on the coordinator's clock before any
+	// fragment starts, and the replies are taken once all have finished:
+	// no load's start depends on another's reply, so the simulated times
+	// do not depend on how the host schedules the goroutines.
 	coord := e.coordinatorPE()
-	var specs []pool.CallSpec
-	for i, f := range t.frags {
-		if len(parts[i]) == 0 {
-			continue
-		}
-		specs = append(specs, pool.CallSpec{To: f.proc, Kind: "load",
-			Body: loadReq{tuples: parts[i]}, Bytes: relBytes(parts[i])})
+	for _, i := range loading {
+		e.m.Send(coord, t.frags[i].pe, relBytes(parts[i]))
 	}
-	_, errs := e.rt.CallAll(coord, specs)
-	for _, err := range errs {
-		if err != nil {
-			return err
+	sent := make([]time.Duration, len(t.frags))
+	errs := make([]error, len(t.frags))
+	var wg sync.WaitGroup
+	for _, i := range loading {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sent[i], _, errs[i] = e.serve(t.frags[i], func(o *ofm.OFM) (int, error) { return 16, o.Load(parts[i]) })
+		}()
+	}
+	wg.Wait()
+	for _, i := range loading {
+		if errs[i] == nil {
+			e.m.Arrive(t.frags[i].pe, coord, 16, sent[i])
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
 
 func relBytes(tuples []value.Tuple) int {

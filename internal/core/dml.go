@@ -98,8 +98,10 @@ func (e *Engine) execInsert(s *Session, ins *sqlparse.Insert) (int, error) {
 			return 0, err
 		}
 		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
-		if _, err := e.rt.Call(s.pe, f.proc, "insert",
-			insertReq{tx: tx.ID(), tuples: parts[i]}, relBytes(parts[i])); err != nil {
+		err := e.call(s.pe, f, relBytes(parts[i]), func(o *ofm.OFM) (int, error) {
+			return 16, o.InsertTx(tx.ID(), parts[i]...)
+		})
+		if err != nil {
 			tx.Abort()
 			return 0, err
 		}
@@ -144,12 +146,16 @@ func (e *Engine) execDelete(s *Session, del *sqlparse.Delete) (int, error) {
 			return 0, err
 		}
 		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
-		res, err := e.rt.Call(s.pe, f.proc, "delete", deleteReq{tx: tx.ID(), pred: pred, view: view}, 128)
+		var n int
+		err := e.call(s.pe, f, 128, func(o *ofm.OFM) (_ int, err error) {
+			n, err = o.DeleteTx(tx.ID(), pred, view)
+			return 16, err
+		})
 		if err != nil {
 			tx.Abort()
 			return 0, err
 		}
-		total += res.(int)
+		total += n
 	}
 	if autocommit {
 		if err := tx.Commit(); err != nil {
@@ -208,12 +214,16 @@ func (e *Engine) execUpdate(s *Session, up *sqlparse.Update) (int, error) {
 			return 0, err
 		}
 		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
-		res, err := e.rt.Call(s.pe, f.proc, "update", updateReq{tx: tx.ID(), pred: pred, set: set, view: view}, 192)
+		var n int
+		err := e.call(s.pe, f, 192, func(o *ofm.OFM) (_ int, err error) {
+			n, err = o.UpdateTx(tx.ID(), pred, set, view)
+			return 16, err
+		})
 		if err != nil {
 			tx.Abort()
 			return 0, err
 		}
-		total += res.(int)
+		total += n
 	}
 	if autocommit {
 		if err := tx.Commit(); err != nil {

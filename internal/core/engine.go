@@ -3,8 +3,9 @@
 // optimizer, the transaction manager, the concurrency control unit, and
 // the parsers for SQL and PRISMAlog", plus "a recovery component and a
 // data allocation manager". It supervises the One-Fragment Managers,
-// each running as a POOL-X-style process pinned to a processing element
-// of the simulated multi-computer.
+// each an object pinned to a processing element of the simulated
+// multi-computer; every call that reaches one is charged to that machine
+// as a POOL-X request and its reply (see Engine.call).
 package core
 
 import (
@@ -16,16 +17,13 @@ import (
 	"repro/internal/admission"
 	"repro/internal/algebra"
 	"repro/internal/catalog"
-	"repro/internal/expr"
 	"repro/internal/fault"
 	"repro/internal/fragment"
 	"repro/internal/machine"
 	"repro/internal/ofm"
 	"repro/internal/optimizer"
-	"repro/internal/pool"
 	"repro/internal/prismalog"
 	"repro/internal/txn"
-	"repro/internal/value"
 	"repro/internal/wal"
 )
 
@@ -85,17 +83,29 @@ type table struct {
 	logsRef *fragLogs
 }
 
-// fragRef is one fragment's OFM plus its serving process.
+// fragRef is one fragment's OFM and the PE it lives on.
 type fragRef struct {
-	ofm  *ofm.OFM
-	proc *pool.Process
-	pe   int
+	ofm *ofm.OFM
+	pe  int
+
+	// mu is held shared by every call into the fragment (serve) and
+	// exclusively by drop, so DROP TABLE returns only once no call is
+	// inside the fragment and none can enter it afterwards.
+	mu      sync.RWMutex
+	dropped bool
+}
+
+// drop detaches the fragment: it waits out the calls inside it and makes
+// serve refuse the rest.
+func (f *fragRef) drop() {
+	f.mu.Lock()
+	f.dropped = true
+	f.mu.Unlock()
 }
 
 // Engine is the PRISMA database engine.
 type Engine struct {
 	m     *machine.Machine
-	rt    *pool.Runtime
 	cat   *catalog.Catalog
 	txns  *txn.Manager
 	opt   *optimizer.Optimizer
@@ -192,7 +202,6 @@ func New(cfg Config) (*Engine, error) {
 	cat := catalog.New()
 	e := &Engine{
 		m:          m,
-		rt:         pool.NewRuntime(m),
 		cat:        cat,
 		txns:       txn.NewManager(),
 		opt:        optimizer.New(cat, optOpts),
@@ -249,8 +258,16 @@ func (e *Engine) Txns() *txn.Manager { return e.txns }
 // stable-storage faults.
 func (e *Engine) FaultDomain() *fault.Domain { return e.faultDom }
 
-// Close stops every OFM process.
-func (e *Engine) Close() { e.rt.StopAll() }
+// Close detaches every fragment, as DROP TABLE does: once it returns no
+// write, commit or replication apply is inside a fragment, and a
+// statement still running fails at its next one.
+func (e *Engine) Close() {
+	for _, t := range e.liveTables() {
+		for _, f := range t.frags {
+			f.drop()
+		}
+	}
+}
 
 // lookupTable finds a live table.
 func (e *Engine) lookupTable(name string) (*table, error) {
@@ -261,6 +278,18 @@ func (e *Engine) lookupTable(name string) (*table, error) {
 		return nil, fmt.Errorf("core: table %q does not exist", name)
 	}
 	return t, nil
+}
+
+// liveTables snapshots the set of live tables, so a walk over every
+// fragment does not hold the engine lock across fragment calls.
+func (e *Engine) liveTables() []*table {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	tables := make([]*table, 0, len(e.tables))
+	for _, t := range e.tables {
+		tables = append(tables, t)
+	}
+	return tables
 }
 
 func canonical(name string) string {
@@ -283,153 +312,53 @@ func (e *Engine) coordinatorPE() int {
 	return int((e.nextPE.Add(1) - 1) % int64(e.m.NumPEs()))
 }
 
-// ---------- OFM process plumbing ----------
+// ---------- reaching a fragment ----------
 
-// Request kinds served by an OFM process: writes, the commit protocol,
-// replication and the closure operator. Plan leaves do not come through
-// here — the executor reads a fragment by calling its OFM directly
-// (scanSlot, probeFragment), charging the simulated machine itself.
-type closureReq struct {
-	view           ofm.View
-	fromCol, toCol int
-	algo           algebra.TCAlgorithm
+// call sends one request from PE src to fragment f and brings back the
+// reply. No process serves the fragment: method runs on the caller's
+// goroutine, and what PRISMA pays for — the two messages between
+// processing elements — is charged to the simulated machine exactly as a
+// POOL-X rendezvous would be: src marshals and ships reqBytes, the
+// fragment's PE marshals the reply, and a successful reply travels back.
+// method returns the reply's size with its error.
+//
+// Writes, the commit protocol, replication apply and bulk load come
+// through here. Plan leaves do not: the executor reads a fragment by
+// calling its OFM directly (scanSlot, probeFragment) and charges the
+// machine itself, as do crash, recovery and checkpoint.
+//
+// Nothing here serializes the callers, and nothing needs to. One
+// fragment's writers and their prepare/commit/abort are ordered by its
+// exclusive lock, held from the first write to the end of commit, over
+// the OFM's own mutex and checkpoint latch; the replica-side requests by
+// the replication stream's mutex (repl.Replica.streamMu).
+func (e *Engine) call(src int, f *fragRef, reqBytes int, method func(*ofm.OFM) (replyBytes int, err error)) error {
+	e.m.Send(src, f.pe, reqBytes)
+	sent, replyBytes, err := e.serve(f, method)
+	if err != nil {
+		return err
+	}
+	e.m.Arrive(f.pe, src, replyBytes, sent)
+	return nil
 }
 
-type insertReq struct {
-	tx     txn.ID
-	tuples []value.Tuple
+// serve is the fragment's half of call: it runs method unless the
+// fragment was dropped, charges the reply's marshalling to the
+// fragment's PE — also for a failed method: an error is a reply too —
+// and returns when the reply left. LoadTable uses it apart from call, to
+// stamp every request before any fragment starts.
+func (e *Engine) serve(f *fragRef, method func(*ofm.OFM) (int, error)) (sent time.Duration, replyBytes int, err error) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	if f.dropped {
+		return 0, 0, fmt.Errorf("core: fragment %s was dropped", f.ofm.Name())
+	}
+	replyBytes, err = method(f.ofm)
+	return e.m.Depart(f.pe, replyBytes), replyBytes, err
 }
 
-type deleteReq struct {
-	tx   txn.ID
-	pred expr.Expr
-	view ofm.View
-}
-
-type updateReq struct {
-	tx   txn.ID
-	pred expr.Expr
-	set  map[int]expr.Expr
-	view ofm.View
-}
-
-// commitReq carries the commit timestamp versions are stamped with.
-type commitReq struct {
-	tx txn.ID
-	ts uint64
-}
-
-type loadReq struct{ tuples []value.Tuple }
-
-// Replication apply requests (replica role, see replica.go). They run
-// in the fragment's serving process so stream application serializes
-// with snapshot scans exactly like local commits do.
-type applyReq struct {
-	recs  []wal.Record
-	limit uint64
-}
-
-type advanceReq struct{ limit uint64 }
-
-type syncReq struct {
-	ckpt, logBytes []byte
-	gen            uint64
-	limit          uint64
-}
-
-type replayReq struct{ limit uint64 }
-
-type pendingReq struct{}
-
-type resolveReq struct {
-	tx txn.ID
-	ts uint64
-}
-
-type abortApplyReq struct{ tx txn.ID }
-
-// spawnOFMProcess runs an OFM as a message-serving POOL-X process.
-func (e *Engine) spawnOFMProcess(o *ofm.OFM, pe int) (*pool.Process, error) {
-	return e.rt.Spawn("ofm-"+o.Name(), pe, func(ctx *pool.Context) error {
-		for {
-			msg, ok := ctx.Receive()
-			if !ok {
-				return nil
-			}
-			var body any
-			var bytes int
-			var err error
-			switch req := msg.Body.(type) {
-			case closureReq:
-				var rel *value.Relation
-				rel, err = o.Closure(req.view, req.fromCol, req.toCol, req.algo)
-				if rel != nil {
-					body, bytes = rel, rel.Size()
-				}
-			case insertReq:
-				err = o.InsertTx(req.tx, req.tuples...)
-				body, bytes = len(req.tuples), 16
-			case deleteReq:
-				var n int
-				n, err = o.DeleteTx(req.tx, req.pred, req.view)
-				body, bytes = n, 16
-			case updateReq:
-				var n int
-				n, err = o.UpdateTx(req.tx, req.pred, req.set, req.view)
-				body, bytes = n, 16
-			case loadReq:
-				err = o.Load(req.tuples)
-				body, bytes = len(req.tuples), 16
-			case commitReq:
-				err = o.Commit(req.tx, req.ts)
-				bytes = 16
-			case applyReq:
-				var ts uint64
-				ts, err = o.ApplyRecords(req.recs, req.limit)
-				body, bytes = ts, 16
-			case advanceReq:
-				var ts uint64
-				ts, err = o.AdvanceApplied(req.limit)
-				body, bytes = ts, 16
-			case syncReq:
-				var off int64
-				off, _, err = o.InstallSync(req.ckpt, req.logBytes, req.gen, req.limit)
-				body, bytes = off, 16
-			case replayReq:
-				var off int64
-				off, _, err = o.ReplayLocal(req.limit)
-				body, bytes = off, 16
-			case pendingReq:
-				pend := o.PendingApplied()
-				body, bytes = pend, 16*len(pend)+16
-			case resolveReq:
-				err = o.ResolveApplied(req.tx, req.ts)
-				bytes = 16
-			case abortApplyReq:
-				err = o.AbortApplied(req.tx)
-				bytes = 16
-			case txn.ID:
-				switch msg.Kind {
-				case "prepare":
-					err = o.Prepare(req)
-				case "abort":
-					err = o.Abort(req)
-				default:
-					err = fmt.Errorf("core: unknown txn request %q", msg.Kind)
-				}
-				bytes = 8
-			default:
-				err = fmt.Errorf("core: unknown request %T", msg.Body)
-			}
-			if rerr := ctx.Reply(msg, body, bytes, err); rerr != nil {
-				return rerr
-			}
-		}
-	})
-}
-
-// ofmParticipant adapts a fragment process to txn.Participant, shipping
-// 2PC messages over the simulated network from the coordinator's PE.
+// ofmParticipant adapts a fragment to txn.Participant, shipping 2PC
+// messages over the simulated network from the coordinator's PE.
 type ofmParticipant struct {
 	eng     *Engine
 	frag    *fragRef
@@ -441,21 +370,18 @@ func (p *ofmParticipant) Name() string { return p.frag.ofm.Name() }
 
 // Prepare implements txn.Participant.
 func (p *ofmParticipant) Prepare(tx txn.ID) error {
-	_, err := p.eng.rt.Call(p.coordPE, p.frag.proc, "prepare", tx, 64)
-	return err
+	return p.eng.call(p.coordPE, p.frag, 64, func(o *ofm.OFM) (int, error) { return 8, o.Prepare(tx) })
 }
 
 // Commit implements txn.Participant. The commit timestamp rides along so
 // the OFM stamps every applied version with it.
 func (p *ofmParticipant) Commit(tx txn.ID, ts uint64) error {
-	_, err := p.eng.rt.Call(p.coordPE, p.frag.proc, "commit", commitReq{tx: tx, ts: ts}, 64)
-	return err
+	return p.eng.call(p.coordPE, p.frag, 64, func(o *ofm.OFM) (int, error) { return 16, o.Commit(tx, ts) })
 }
 
 // Abort implements txn.Participant.
 func (p *ofmParticipant) Abort(tx txn.ID) error {
-	_, err := p.eng.rt.Call(p.coordPE, p.frag.proc, "abort", tx, 64)
-	return err
+	return p.eng.call(p.coordPE, p.frag, 64, func(o *ofm.OFM) (int, error) { return 8, o.Abort(tx) })
 }
 
 // ---------- crash / recovery (experiment E8) ----------

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/value"
+)
+
+// chargeStep is what one step of the script below charged the simulated
+// machine: every PE's clock (zeroed before the step) and the bytes that
+// crossed between PEs.
+type chargeStep struct {
+	step   string
+	clocks []int64 // ns per PE; nil where the host's schedule decides them
+	net    int64
+}
+
+// fragmentCallGolden was recorded at the last commit that served every
+// fragment from a goroutine with a mailbox. PE 0 is the disk PE, the
+// fragments live on PEs 1-4, the session coordinates from PE 5 and
+// LoadTable from PE 6. The load's numbers are those of stamping every
+// request before any fragment starts (a request/reply loop would put the
+// later fragments further along); the rejected update pays for its
+// request and for marshalling the error reply, but no reply travels back
+// (264 = 192 + the abort's 64 + 8). A commit over several participants
+// runs them concurrently, each sending from the coordinator's clock as
+// it finds it, so only its traffic is exact.
+var fragmentCallGolden = []chargeStep{
+	{"load", []int64{48778196, 2272400, 3332400, 4392400, 5421800, 0, 5452400, 0}, 2304},
+	{"insert over 4 fragments", []int64{0, 1306000, 2673200, 4009800, 5315800, 5346400, 0, 0}, 512},
+	{"commit of 4 participants", nil, 1376},
+	{"autocommit point update", []int64{21079123, 0, 0, 4481700, 0, 4512300, 0, 0}, 552},
+	{"unkeyed delete", []int64{0, 26372000, 52805200, 79207800, 105579800, 105610400, 0, 0}, 576},
+	{"commit of 4 participants", nil, 1888},
+	{"update in a transaction", []int64{0, 0, 0, 1424100, 0, 1454700, 0, 0}, 208},
+	{"commit of 1 participant", []int64{19624423, 0, 0, 3027000, 0, 3057600, 0, 0}, 344},
+	{"update in a transaction", []int64{0, 0, 1454700, 0, 0, 1515900, 0, 0}, 208},
+	{"rollback of 1 participant", []int64{0, 0, 1158800, 0, 0, 1220000, 0, 0}, 72},
+	{"update the OFM rejects", []int64{0, 1942700, 0, 0, 0, 2003900, 0, 0}, 264},
+}
+
+// TestFragmentCallCharges holds Engine.call and LoadTable to the
+// simulated messages the serving processes exchanged.
+func TestFragmentCallCharges(t *testing.T) {
+	e, err := New(Config{NumPEs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	m := e.Machine()
+	for e.coordinatorPE() != 4 { // the next coordinators are PEs 5 and 6
+	}
+	s := e.NewSession()
+	defer s.Close()
+	mustExec(t, s, `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 4 FRAGMENTS`)
+
+	var got []chargeStep
+	step := func(name string, fn func()) {
+		m.ResetClocks()
+		net0 := m.NetBytes()
+		fn()
+		st := chargeStep{step: name, net: m.NetBytes() - net0}
+		for _, pe := range m.PEs() {
+			st.clocks = append(st.clocks, int64(pe.Clock()))
+		}
+		got = append(got, st)
+	}
+	exec := func(sql string) func() { return func() { mustExec(t, s, sql) } }
+
+	step("load", func() {
+		var rows []value.Tuple
+		for i := int64(0); i < 40; i++ {
+			rows = append(rows, value.NewTuple(value.NewInt(i), value.NewInt(i%5)))
+		}
+		if err := e.LoadTable("t", rows); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mustExec(t, s, `BEGIN`)
+	step("insert over 4 fragments", exec(`INSERT INTO t VALUES (100,1),(101,1),(102,1),(103,1),(104,1),(105,1),(106,1),(107,1)`))
+	step("commit of 4 participants", exec(`COMMIT`))
+	step("autocommit point update", exec(`UPDATE t SET v = v + 10 WHERE id = 7`))
+	mustExec(t, s, `BEGIN`)
+	step("unkeyed delete", exec(`DELETE FROM t WHERE v = 1`))
+	step("commit of 4 participants", exec(`COMMIT`))
+	mustExec(t, s, `BEGIN`)
+	step("update in a transaction", exec(`UPDATE t SET v = 0 WHERE id = 3`))
+	step("commit of 1 participant", exec(`COMMIT`))
+	mustExec(t, s, `BEGIN`)
+	step("update in a transaction", exec(`UPDATE t SET v = 0 WHERE id = 4`))
+	step("rollback of 1 participant", exec(`ROLLBACK`))
+	step("update the OFM rejects", func() {
+		if _, err := s.Exec(`UPDATE t SET v = v / 0 WHERE id = 5`); err == nil || !strings.Contains(err.Error(), "division by zero") {
+			t.Fatalf("UPDATE dividing by zero: %v", err)
+		}
+	})
+
+	if len(got) != len(fragmentCallGolden) {
+		t.Fatalf("script ran %d steps, golden has %d", len(got), len(fragmentCallGolden))
+	}
+	for i, want := range fragmentCallGolden {
+		if got[i].net != want.net {
+			t.Errorf("%s: %d bytes between PEs, want %d", want.step, got[i].net, want.net)
+		}
+		if want.clocks != nil && !reflect.DeepEqual(got[i].clocks, want.clocks) {
+			t.Errorf("%s: PE clocks\n got %v\nwant %v", want.step, got[i].clocks, want.clocks)
+		}
+	}
+}
+
+// TestNoGoroutinePerFragment: a table is data, not processes.
+func TestNoGoroutinePerFragment(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	before := runtime.NumGoroutine()
+	mustExec(t, s, `CREATE TABLE g (id INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 8 FRAGMENTS`)
+	mustExec(t, s, `INSERT INTO g VALUES (1)`) // one participant: commits on this goroutine
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines with an 8-fragment table, %d before it", n, before)
+	}
+	mustExec(t, s, `DROP TABLE g`)
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after DROP TABLE, %d before CREATE", n, before)
+	}
+}
+
+// TestCommitAfterDropTableRefused: a transaction whose writes sit on a
+// table another session drops must fail its COMMIT — committing into the
+// detached fragments would append to log segments whose names the
+// re-created table reuses.
+func TestCommitAfterDropTableRefused(t *testing.T) {
+	e := newEngine(t)
+	writer, dropper := e.NewSession(), e.NewSession()
+	const create = `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))`
+	mustExec(t, writer, create)
+	mustExec(t, writer, `INSERT INTO t VALUES (1, 10)`)
+	mustExec(t, writer, `BEGIN`)
+	mustExec(t, writer, `UPDATE t SET v = 11 WHERE id = 1`)
+	tx := writer.tx.ID()
+	mustExec(t, dropper, `DROP TABLE t`)
+	if _, err := writer.Exec(`COMMIT`); err == nil {
+		t.Fatal("COMMIT succeeded on a table dropped under the transaction")
+	}
+	mustExec(t, dropper, create)
+	rel, err := dropper.Query(`SELECT * FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != 0 {
+		t.Errorf("re-created table holds %d rows", rel.Len())
+	}
+	tab, err := e.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := e.fragLog(tab, 0).Scan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if r.Txn == tx {
+			t.Errorf("re-created table's log holds %s of the refused transaction %d", r.Type, tx)
+		}
+	}
+}
+
+// TestDropTableUnderWriters drops a table while sessions write to it:
+// every writer ends on a plain "no such table" or "fragment dropped"
+// error, whichever side of the drop its statement reached first.
+func TestDropTableUnderWriters(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	mustExec(t, s, `INSERT INTO t VALUES (0, 0), (1, 0), (2, 0), (3, 0)`)
+	const writers = 4
+	var started, done sync.WaitGroup
+	errs := make([]error, writers)
+	for w := 0; w < writers; w++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ws := e.NewSession()
+			defer ws.Close()
+			update := fmt.Sprintf(`UPDATE t SET v = v + 1 WHERE id = %d`, w)
+			_, errs[w] = ws.Exec(update)
+			started.Done()
+			for errs[w] == nil {
+				_, errs[w] = ws.Exec(update)
+			}
+		}()
+	}
+	started.Wait()
+	mustExec(t, s, `DROP TABLE t`)
+	done.Wait()
+	for w, err := range errs {
+		if msg := err.Error(); !strings.Contains(msg, "does not exist") && !strings.Contains(msg, "was dropped") {
+			t.Errorf("writer %d: %v", w, err)
+		}
+	}
+}

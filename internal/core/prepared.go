@@ -5,7 +5,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/expr"
 	"repro/internal/lru"
@@ -73,7 +72,7 @@ func (ps *PreparedStmt) current() (*compiledStmt, error) {
 	var cs *compiledStmt
 	var err error
 	if ps.auto {
-		cs, _, err = ps.e.compileAuto(ps.text)
+		cs, err = ps.e.compileAuto(ps.text)
 	} else {
 		cs, err = ps.e.compileText(ps.text)
 	}
@@ -98,15 +97,9 @@ func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 // ExecPrepared executes a prepared statement with the given parameter
 // values (one per slot, in order).
 func (s *Session) ExecPrepared(ps *PreparedStmt, args []value.Value) (*Result, error) {
-	wallStart := time.Now()
-	simStart := s.e.m.MaxClock()
-	res, err := s.execPrepared(ps, args)
-	if err != nil {
-		return nil, err
-	}
-	res.WallTime = time.Since(wallStart)
-	res.SimTime = s.e.m.MaxClock() - simStart
-	return res, nil
+	start := s.startClock()
+	r, err := s.routePrepared(ps, args)
+	return s.execRouted(start, r, err)
 }
 
 // QueryPrepared is ExecPrepared returning just the relation.
@@ -121,15 +114,16 @@ func (s *Session) QueryPrepared(ps *PreparedStmt, args []value.Value) (*value.Re
 	return res.Rel, nil
 }
 
-// execPrepared runs one execution: version check, arity/kind validation,
-// parameter substitution into a fresh plan/AST copy, execution.
-func (s *Session) execPrepared(ps *PreparedStmt, args []value.Value) (*Result, error) {
+// routePrepared readies one execution: version check, arity/kind
+// validation, the executing session's grant check, parameter
+// substitution into a fresh plan/AST copy.
+func (s *Session) routePrepared(ps *PreparedStmt, args []value.Value) (routed, error) {
 	cs, err := ps.current()
 	if err != nil {
-		return nil, err
+		return routed{}, err
 	}
 	if len(args) != cs.nParams {
-		return nil, fmt.Errorf("core: statement wants %d parameters, got %d", cs.nParams, len(args))
+		return routed{}, fmt.Errorf("core: statement wants %d parameters, got %d", cs.nParams, len(args))
 	}
 	// Explicit prepared statements coerce lossless numeric binds; the
 	// auto-parameterized path is strict, so any kind mismatch becomes
@@ -139,29 +133,27 @@ func (s *Session) execPrepared(ps *PreparedStmt, args []value.Value) (*Result, e
 	// across kinds, and so on).
 	bound, err := coerceArgs(args, cs.kinds, ps.auto)
 	if err != nil {
-		return nil, err
+		return routed{}, err
 	}
 	if cs.sel != nil {
 		if err := s.checkAccess(cs.access); err != nil {
-			return nil, err
+			return routed{}, err
 		}
 		root := cs.sel
 		if cs.nParams > 0 {
-			root, err = bindPlan(root, bound)
-			if err != nil {
-				return nil, err
+			if root, err = bindPlan(root, bound); err != nil {
+				return routed{}, err
 			}
 		}
-		return s.runSelectPlanStr(root, cs.planStr)
+		return routed{sel: root, planStr: cs.planStr}, nil
 	}
 	st := cs.ast
 	if cs.nParams > 0 {
-		st, err = substStmt(st, bound)
-		if err != nil {
-			return nil, err
+		if st, err = substStmt(st, bound); err != nil {
+			return routed{}, err
 		}
 	}
-	return s.execStmt(st)
+	return routed{ast: st}, nil
 }
 
 // compileText parses sql (placeholders allowed) and compiles it.
@@ -177,30 +169,26 @@ func (e *Engine) compileText(sql string) (*compiledStmt, error) {
 // statement: parse, lift literal constants into parameter slots, verify
 // the lifted values line up with what Normalize extracts from the text,
 // then compile.
-func (e *Engine) compileAuto(sql string) (*compiledStmt, []value.Value, error) {
+func (e *Engine) compileAuto(sql string) (*compiledStmt, error) {
 	_, lits, ok := sqlparse.Normalize(sql)
 	if !ok {
-		return nil, nil, errNotCacheable
+		return nil, errNotCacheable
 	}
 	return e.compileAutoFrom(sql, lits)
 }
 
 // compileAutoFrom is compileAuto for a caller that already normalized
 // the text (the plan-cache miss path, which needed the key anyway).
-func (e *Engine) compileAutoFrom(sql string, lits []value.Value) (*compiledStmt, []value.Value, error) {
+func (e *Engine) compileAutoFrom(sql string, lits []value.Value) (*compiledStmt, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	pst, vals, pok := sqlparse.Parameterize(st)
 	if !pok || !literalsMatch(vals, lits) {
-		return nil, nil, errNotCacheable
+		return nil, errNotCacheable
 	}
-	cs, err := e.compileParsed(pst, len(vals))
-	if err != nil {
-		return nil, nil, err
-	}
-	return cs, lits, nil
+	return e.compileParsed(pst, len(vals))
 }
 
 // errNotCacheable marks statements the plan cache must not hold.
@@ -254,17 +242,12 @@ func (e *Engine) compileParsed(st sqlparse.Stmt, nparams int) (*compiledStmt, er
 	return cs, nil
 }
 
-// runSelectPlan executes an already-optimized plan under the session's
-// transaction discipline (explicit txn or autocommit).
-func (s *Session) runSelectPlan(root plan.Node) (*Result, error) {
-	return s.runSelectPlanStr(root, plan.Format(root))
-}
-
-// runSelectPlanStr is runSelectPlan with a pre-rendered plan string
-// (prepared executions render once at compile time, not per execution).
-// Under MVCC the read runs against a pinned snapshot with no
-// transaction and no locks; under 2PL it runs inside a (possibly
-// autocommit) transaction holding shared locks.
+// runSelectPlanStr executes an optimized plan, materialized, under the
+// session's transaction discipline; planStr is its rendering (prepared
+// executions render once at compile time, not per execution). Under
+// MVCC the read runs against a pinned snapshot with no transaction and
+// no locks; under 2PL it runs inside a (possibly autocommit) transaction
+// holding shared locks.
 func (s *Session) runSelectPlanStr(root plan.Node, planStr string) (*Result, error) {
 	tx, view, finish, err := s.readView()
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/fragment"
 	"repro/internal/machine"
+	"repro/internal/ofm"
 	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -16,11 +17,11 @@ import (
 
 // Replica role: a read-only engine that mirrors a primary by appending
 // the primary's shipped WAL bytes to identically named local logs and
-// applying them through each fragment's serving process, so MVCC
-// snapshot reads serve at the replication watermark while writes are
-// refused with a redirect. Promotion fences the old primary behind an
-// epoch bump and resolves in-flight shipped transactions atomically
-// across fragments.
+// applying them to each fragment (Engine.call, one frame at a time under
+// the replication stream's mutex), so MVCC snapshot reads serve at the
+// replication watermark while writes are refused with a redirect.
+// Promotion fences the old primary behind an epoch bump and resolves
+// in-flight shipped transactions atomically across fragments.
 
 // ErrReadOnly rejects writes on a replica. The server maps it to the
 // wire redirect error code so clients retry against the primary.
@@ -146,14 +147,8 @@ type LogPosition struct {
 // ReplPositions reports every fragment log's durable replication
 // position — on a replica, where shipped bytes should resume.
 func (e *Engine) ReplPositions() []LogPosition {
-	e.mu.RLock()
-	tables := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
 	var out []LogPosition
-	for _, t := range tables {
+	for _, t := range e.liveTables() {
 		for i := range t.frags {
 			log := e.fragLog(t, i)
 			if log == nil {
@@ -175,14 +170,8 @@ func (e *Engine) ReplPositions() []LogPosition {
 // Unlike ReplPositions it never scans the disk, so an idle shipping
 // poll costs nothing.
 func (e *Engine) ShipPositions() []LogPosition {
-	e.mu.RLock()
-	tables := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
 	var out []LogPosition
-	for _, t := range tables {
+	for _, t := range e.liveTables() {
 		for i := range t.frags {
 			log := e.fragLog(t, i)
 			if log == nil {
@@ -253,8 +242,8 @@ func (e *Engine) FragSyncImage(logName string) (ckpt, logBytes []byte, gen uint6
 // ---------- replica side: applying ----------
 
 // ApplyShipped durably appends one shipped frame's bytes to the local
-// fragment log and applies the decoded records through the fragment's
-// serving process. Frames the replica already holds (a resubscribe
+// fragment log and applies the decoded records to the fragment. Frames
+// the replica already holds (a resubscribe
 // overlap) are skipped; a gap refuses the frame — the stream must
 // resubscribe from the durable position.
 func (e *Engine) ApplyShipped(logName string, data []byte, off int64) error {
@@ -283,10 +272,10 @@ func (e *Engine) ApplyShipped(logName string, data []byte, off int64) error {
 	if err := log.AppendRaw(data[:valid], off); err != nil {
 		return err
 	}
-	f := t.frags[i]
-	_, err = e.rt.Call(e.coordinatorPE(), f.proc, "apply",
-		applyReq{recs: recs, limit: e.ReplWatermark()}, int(valid))
-	return err
+	return e.call(e.coordinatorPE(), t.frags[i], int(valid), func(o *ofm.OFM) (int, error) {
+		_, err := o.ApplyRecords(recs, e.ReplWatermark())
+		return 16, err
+	})
 }
 
 // SyncFragment installs a shipped full-resync image, replacing the
@@ -297,14 +286,12 @@ func (e *Engine) SyncFragment(logName string, ckpt, logBytes []byte, gen uint64)
 	if err != nil {
 		return 0, err
 	}
-	f := t.frags[i]
-	res, err := e.rt.Call(e.coordinatorPE(), f.proc, "sync",
-		syncReq{ckpt: ckpt, logBytes: logBytes, gen: gen, limit: e.ReplWatermark()},
-		len(ckpt)+len(logBytes))
-	if err != nil {
-		return 0, err
-	}
-	return res.(int64), nil
+	var off int64
+	err = e.call(e.coordinatorPE(), t.frags[i], len(ckpt)+len(logBytes), func(o *ofm.OFM) (_ int, err error) {
+		off, _, err = o.InstallSync(ckpt, logBytes, gen, e.ReplWatermark())
+		return 16, err
+	})
+	return off, err
 }
 
 // replWatermarkPersistEvery bounds how far the in-memory replication
@@ -325,13 +312,7 @@ func (e *Engine) AdvanceReplica(w uint64) error {
 	if w <= e.ReplWatermark() {
 		return nil
 	}
-	e.mu.RLock()
-	tables := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range e.liveTables() {
 		for _, f := range t.frags {
 			// Only fragments with parked commits need the call; for the
 			// rest AdvanceApplied would be a no-op, and a message round
@@ -340,7 +321,11 @@ func (e *Engine) AdvanceReplica(w uint64) error {
 			if f.ofm.DeferredCount() == 0 {
 				continue
 			}
-			if _, err := e.rt.Call(e.coordinatorPE(), f.proc, "advance", advanceReq{limit: w}, 16); err != nil {
+			err := e.call(e.coordinatorPE(), f, 16, func(o *ofm.OFM) (int, error) {
+				_, err := o.AdvanceApplied(w)
+				return 16, err
+			})
+			if err != nil {
 				return err
 			}
 		}
@@ -411,15 +396,13 @@ func (e *Engine) RecoverReplica() ([]LogPosition, error) {
 	w := e.loadReplWatermark()
 	e.replW.Store(w)
 	e.replWDur.Store(w)
-	e.mu.RLock()
-	tables := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-	for _, t := range tables {
+	for _, t := range e.liveTables() {
 		for _, f := range t.frags {
-			if _, err := e.rt.Call(e.coordinatorPE(), f.proc, "replay", replayReq{limit: w}, 16); err != nil {
+			err := e.call(e.coordinatorPE(), f, 16, func(o *ofm.OFM) (int, error) {
+				_, _, err := o.ReplayLocal(w)
+				return 16, err
+			})
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -437,13 +420,6 @@ func (e *Engine) RecoverReplica() ([]LogPosition, error) {
 // shipping). The commit clock then advances past everything applied,
 // so the promoted primary's first commit draws a fresh timestamp.
 func (e *Engine) PromoteApply() (committed, aborted int, err error) {
-	e.mu.RLock()
-	tables := make([]*table, 0, len(e.tables))
-	for _, t := range e.tables {
-		tables = append(tables, t)
-	}
-	e.mu.RUnlock()
-
 	type fragHandle struct {
 		t *table
 		i int
@@ -451,15 +427,18 @@ func (e *Engine) PromoteApply() (committed, aborted int, err error) {
 	var frags []fragHandle
 	decide := map[txn.ID]uint64{} // tx -> marker ts (0 = none seen anywhere)
 	perFrag := map[fragHandle]map[txn.ID]uint64{}
-	for _, t := range tables {
+	for _, t := range e.liveTables() {
 		for i, f := range t.frags {
 			h := fragHandle{t, i}
 			frags = append(frags, h)
-			res, err := e.rt.Call(e.coordinatorPE(), f.proc, "pending", pendingReq{}, 16)
+			var pend map[txn.ID]uint64
+			err := e.call(e.coordinatorPE(), f, 16, func(o *ofm.OFM) (int, error) {
+				pend = o.PendingApplied()
+				return 16*len(pend) + 16, nil
+			})
 			if err != nil {
 				return 0, 0, err
 			}
-			pend := res.(map[txn.ID]uint64)
 			perFrag[h] = pend
 			for tx, ts := range pend {
 				if ts > decide[tx] {
@@ -474,13 +453,13 @@ func (e *Engine) PromoteApply() (committed, aborted int, err error) {
 		f := h.t.frags[h.i]
 		for tx := range perFrag[h] {
 			ts := decide[tx]
-			if ts == 0 {
-				if _, err := e.rt.Call(e.coordinatorPE(), f.proc, "abort-apply", abortApplyReq{tx: tx}, 16); err != nil {
-					return committed, aborted, err
+			err := e.call(e.coordinatorPE(), f, 16, func(o *ofm.OFM) (int, error) {
+				if ts == 0 {
+					return 16, o.AbortApplied(tx)
 				}
-				continue
-			}
-			if _, err := e.rt.Call(e.coordinatorPE(), f.proc, "resolve", resolveReq{tx: tx, ts: ts}, 16); err != nil {
+				return 16, o.ResolveApplied(tx, ts)
+			})
+			if err != nil {
 				return committed, aborted, err
 			}
 			if ts > maxTS {

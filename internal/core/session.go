@@ -151,14 +151,55 @@ type Result struct {
 // unprepared autocommit statements pay the parse/optimize cost once per
 // statement shape.
 func (s *Session) Exec(sql string) (*Result, error) {
-	wallStart := time.Now()
-	simStart := s.e.m.MaxClock()
-	res, err := s.execText(sql)
+	start := s.startClock()
+	r, err := s.routeText(sql)
+	return s.execRouted(start, r, err)
+}
+
+// stmtClock is where a statement's timing envelope opens: the host's
+// clock and the simulated machine's.
+type stmtClock struct {
+	wall time.Time
+	sim  time.Duration
+}
+
+func (s *Session) startClock() stmtClock {
+	return stmtClock{wall: time.Now(), sim: s.e.m.MaxClock()}
+}
+
+// routed is what a statement comes to before anything runs: a result
+// already produced (SET, the administration statements, PROMOTE), a
+// SELECT plan with its parameters bound, or any other statement as a
+// bound AST. Exec, ExecPrepared and Stream share the routines that
+// produce it; they differ only in what runs a SELECT plan.
+type routed struct {
+	done    *Result
+	sel     plan.Node
+	planStr string
+	ast     sqlparse.Stmt
+}
+
+// execRouted runs what routing produced, materializing a SELECT, and
+// closes the timing envelope — the one place WallTime and SimTime are
+// stamped on a Result.
+func (s *Session) execRouted(start stmtClock, r routed, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.WallTime = time.Since(wallStart)
-	res.SimTime = s.e.m.MaxClock() - simStart
+	var res *Result
+	switch {
+	case r.done != nil:
+		res = r.done
+	case r.sel != nil:
+		res, err = s.runSelectPlanStr(r.sel, r.planStr)
+	default:
+		res, err = s.execStmt(r.ast)
+	}
+	if err != nil {
+		return nil, err
+	}
+	res.WallTime = time.Since(start.wall)
+	res.SimTime = s.e.m.MaxClock() - start.sim
 	return res, nil
 }
 
@@ -185,71 +226,82 @@ func (s *Session) execSet(sql string) (*Result, bool) {
 // replica to primary (see Engine.Promote).
 var promoteRe = regexp.MustCompile(`(?i)^\s*PROMOTE\s*;?\s*$`)
 
-// execText routes one statement through the plan cache when possible,
-// falling back to the parse-and-execute path.
-func (s *Session) execText(sql string) (*Result, error) {
+// routeText routes one statement's text: the statements the SQL parser
+// never sees are answered on the spot, the rest go through the plan
+// cache when possible and the parser otherwise.
+func (s *Session) routeText(sql string) (routed, error) {
 	if res, handled := s.execSet(sql); handled {
-		return res, nil
+		return routed{done: res}, nil
 	}
 	if res, handled, err := s.execAdmin(sql); handled {
-		return res, err
+		return routed{done: res}, err
 	}
 	if promoteRe.MatchString(sql) {
 		if err := s.e.Promote(); err != nil {
-			return nil, err
+			return routed{}, err
 		}
-		return &Result{Msg: fmt.Sprintf("promoted to primary (epoch %d)", s.e.Epoch())}, nil
+		return routed{done: &Result{Msg: fmt.Sprintf("promoted to primary (epoch %d)", s.e.Epoch())}}, nil
 	}
 	pc := s.e.plans
 	if pc == nil {
-		return s.parseExec(sql)
+		return s.routeParsed(sql)
 	}
 	key, lits, ok := sqlparse.Normalize(sql)
 	if !ok {
-		return s.parseExec(sql)
+		return s.routeParsed(sql)
 	}
-	if ps, hit := pc.get(key); hit {
-		if ps == nil {
-			// Statement shape known non-cacheable.
-			return s.parseExec(sql)
+	ps, hit := pc.get(key)
+	if !hit {
+		cs, err := s.e.compileAutoFrom(sql, lits)
+		if err == errNotCacheable {
+			pc.put(key, nil)
+			return s.routeParsed(sql)
 		}
-		return s.execAuto(ps, lits, sql)
+		if err != nil {
+			return routed{}, err
+		}
+		ps = newPreparedStmt(s.e, sql, true, cs)
+		pc.put(key, ps)
 	}
-	cs, vals, err := s.e.compileAutoFrom(sql, lits)
-	if err == errNotCacheable {
-		pc.put(key, nil)
-		return s.parseExec(sql)
+	if ps == nil {
+		// Statement shape known non-cacheable.
+		return s.routeParsed(sql)
 	}
-	if err != nil {
-		return nil, err
-	}
-	ps := newPreparedStmt(s.e, sql, true, cs)
-	pc.put(key, ps)
-	return s.execAuto(ps, vals, sql)
-}
-
-// execAuto runs a plan-cached statement with its lifted literals. A
-// parameter-kind mismatch (this statement's literal kind differs from
-// the one the shared plan was typed for, e.g. `id = 1.5` hitting the
-// plan cached for `id = 7`) must not surface as an error the uncached
-// engine would never raise — it falls back to the ordinary path.
-func (s *Session) execAuto(ps *PreparedStmt, lits []value.Value, sql string) (*Result, error) {
-	res, err := s.execPrepared(ps, lits)
+	// A parameter-kind mismatch (this statement's literal kind differs
+	// from the one the shared plan was typed for, e.g. `id = 1.5` hitting
+	// the plan cached for `id = 7`) must not surface as an error the
+	// uncached engine would never raise — it falls back to the ordinary
+	// path: caching must never change an outcome.
+	r, err := s.routePrepared(ps, lits)
 	if err != nil && errors.Is(err, errBindKind) {
-		return s.parseExec(sql)
+		return s.routeParsed(sql)
 	}
-	return res, err
+	return r, err
 }
 
-// parseExec is the uncached path: parse and run.
-func (s *Session) parseExec(sql string) (*Result, error) {
+// routeParsed is the uncached path: parse, and plan a SELECT.
+func (s *Session) routeParsed(sql string) (routed, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
-		return nil, err
+		return routed{}, err
 	}
-	return s.execStmt(st)
+	sel, ok := st.(*sqlparse.Select)
+	if !ok {
+		return routed{ast: st}, nil
+	}
+	if err := s.checkStmt(sel); err != nil {
+		return routed{}, err
+	}
+	root, err := s.e.translateSelect(sel)
+	if err != nil {
+		return routed{}, err
+	}
+	root = s.e.opt.Optimize(root)
+	return routed{sel: root, planStr: plan.Format(root)}, nil
 }
 
+// execStmt runs a parsed statement other than SELECT (routing plans
+// those: routeParsed, routePrepared).
 func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 	if err := s.checkStmt(st); err != nil {
 		return nil, err
@@ -299,9 +351,6 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Affected: n}, nil
-
-	case *sqlparse.Select:
-		return s.execSelect(t)
 
 	case *sqlparse.Explain:
 		return s.execExplain(t)
@@ -401,16 +450,6 @@ func (s *Session) writeAccessLine() string {
 		return "access: locked write (2PL exclusive + first-committer-wins)\n"
 	}
 	return "access: locked write (2PL exclusive)\n"
-}
-
-// execSelect translates, optimizes and runs a SELECT.
-func (s *Session) execSelect(sel *sqlparse.Select) (*Result, error) {
-	root, err := s.e.translateSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	root = s.e.opt.Optimize(root)
-	return s.runSelectPlan(root)
 }
 
 // Query is a convenience wrapper returning just the relation.

@@ -280,3 +280,86 @@ func assertWriteCompletes(t *testing.T, eng *Engine) {
 		t.Fatal("write blocked: stream locks leaked")
 	}
 }
+
+// TestStreamRoutesLikeExec: Stream is Exec's routing with a cursor at
+// the end, so the statements the SQL parser never sees — session
+// variables, administration, PROMOTE — answer the same through both, as
+// does everything else, errors included. Two identical engines take the
+// same script, one through each entry point.
+func TestStreamRoutesLikeExec(t *testing.T) {
+	script := []string{
+		`SET STATEMENT_TIMEOUT = 100`,
+		`SHOW ADMISSION`,
+		`CREATE USER alice PASSWORD 'pw' PRIORITY batch MAX_CONCURRENT 2`,
+		`GRANT SELECT, INSERT ON emp TO alice`,
+		`SHOW USERS`,
+		`REVOKE INSERT ON emp FROM alice`,
+		`GRANT FLY ON emp TO alice`,
+		`PROMOTE`,
+		`SET STATEMENT_TIMEOUT = 0;`,
+		`INSERT INTO emp VALUES (100000, 'eng', 5)`,
+		`UPDATE emp SET salary = salary + 1 WHERE id = 7`,
+		`SELECT id, salary FROM emp WHERE id = 7`,
+		`SELECT id FROM emp WHERE id = 7.5`,
+		`EXPLAIN SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept`,
+		`BEGIN`,
+		`DELETE FROM emp WHERE id = 100000`,
+		`COMMIT`,
+		`SELECT * FROM nope`,
+		`SELEC 1`,
+		`DROP USER alice`,
+		`SHOW USERS`,
+	}
+	viaExec := func(s *Session, sql string) (*Result, error) { return s.Exec(sql) }
+	viaStream := func(s *Session, sql string) (*Result, error) {
+		cur, res, err := s.Stream(sql)
+		if cur != nil {
+			res = &Result{Rel: collect(t, cur), Plan: cur.Plan()}
+		}
+		return res, err
+	}
+	run := func(via func(*Session, string) (*Result, error), user bool) []string {
+		eng := streamEngine(t, 100)
+		s := eng.NewSession()
+		defer s.Close()
+		if user {
+			mustExec(t, s, `CREATE USER bob PASSWORD 'pw'`)
+			u, err := eng.Catalog().GetUser("bob")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetUser(u)
+		}
+		var out []string
+		for _, sql := range script {
+			res, err := via(s, sql)
+			out = append(out, describeResult(res, err))
+		}
+		return out
+	}
+	for _, user := range []bool{false, true} {
+		want, got := run(viaExec, user), run(viaStream, user)
+		for i, sql := range script {
+			if got[i] != want[i] {
+				t.Errorf("non-admin=%v %s\n Stream: %s\n   Exec: %s", user, sql, got[i], want[i])
+			}
+		}
+		if !user && strings.Contains(strings.Join(want[:6], ""), "error") {
+			t.Errorf("administration statements failed through Exec: %q", want[:6])
+		}
+	}
+}
+
+// describeResult renders everything of a statement's outcome but its
+// timings.
+func describeResult(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	out := fmt.Sprintf("affected=%d msg=%q plan=%q", res.Affected, res.Msg, res.Plan)
+	if res.Rel != nil {
+		res.Rel.Sort()
+		out += " rel=" + res.Rel.String()
+	}
+	return out
+}

@@ -83,6 +83,6 @@ func E6MultiQueryThroughput(quick bool) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"per-query component instances (sessions) run concurrently; shared-lock reads do not conflict",
-		"scaling flattens when all host cores or all fragment processes are busy")
+		"scaling flattens when all host cores are busy")
 	return t, nil
 }

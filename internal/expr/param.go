@@ -101,9 +101,6 @@ func MaxParamOrd(e Expr) int {
 	return max
 }
 
-// HasParams reports whether e references any parameter.
-func HasParams(e Expr) bool { return MaxParamOrd(e) >= 0 }
-
 func walkParams(e Expr, fn func(*Param)) {
 	switch n := e.(type) {
 	case *Param:

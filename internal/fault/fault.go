@@ -206,13 +206,6 @@ func Arm(name string, spec Spec) error {
 	return nil
 }
 
-// Disarm disarms a point; pending hits proceed normally afterwards.
-func Disarm(name string) {
-	if p := Lookup(name); p != nil {
-		p.armed.Store(nil)
-	}
-}
-
 // DisarmAll disarms every registered point (crash poison stays until
 // ClearCrash — the machine does not revive just because the test
 // stopped injecting).

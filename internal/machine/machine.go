@@ -215,9 +215,8 @@ func (m *Machine) NetBytes() int64 { return m.netBytes.Load() }
 // departure time on src's clock. Paired with Arrive, it splits Send into
 // two phases so a fan-out stage (an exchange) can stamp every departure
 // before any receiver advances — the same determinism discipline as the
-// POOL runtime's CallAll: no message's start may depend on another
-// message's arrival, even when a PE is both sender and receiver of the
-// same stage.
+// engine's bulk load: no message's start may depend on another message's
+// arrival, even when a PE is both sender and receiver of the same stage.
 func (m *Machine) Depart(src, bytes int) time.Duration {
 	sp := m.pes[src]
 	sp.Advance(m.cfg.Cost.MsgCost(bytes))
@@ -233,15 +232,6 @@ func (m *Machine) Arrive(src, dst, bytes int, depart time.Duration) time.Duratio
 	}
 	m.netBytes.Add(int64(bytes))
 	return m.pes[dst].AdvanceTo(depart + m.net.TransferTime(src, dst, bytes))
-}
-
-// CountReplyBytes records cross-PE reply traffic whose clock accounting
-// the caller performs itself (the POOL runtime's batched fan-outs
-// advance the caller once, to the latest arrival, instead of per reply).
-func (m *Machine) CountReplyBytes(src, dst, bytes int) {
-	if src != dst {
-		m.netBytes.Add(int64(bytes))
-	}
 }
 
 // PE is one processing element. The virtual clock is an atomic counter:

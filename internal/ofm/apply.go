@@ -28,8 +28,10 @@ import (
 // releases it via AdvanceApplied, and promotion resolves the leftovers
 // atomically across fragments (see Engine.PromoteApply).
 //
-// All calls arrive through the fragment's serving process mailbox,
-// serialized with scans.
+// The replication stream applies one frame at a time (repl.Replica's
+// stream mutex, which also covers crash replay and promotion), so these
+// calls never overlap each other on a fragment; snapshot scans run
+// beside them and read only committed versions.
 
 // applyWS buffers one in-flight transaction's shipped write set.
 type applyWS struct {

@@ -393,16 +393,16 @@ func (o *OFM) Closure(view View, fromCol, toCol int, algo algebra.TCAlgorithm) (
 
 // Load bulk-inserts tuples outside any transaction (initial data
 // placement by the data allocation manager). Persistent OFMs checkpoint
-// the result so it survives crashes.
+// the result so it survives crashes — through Checkpoint, so a load that
+// lands beside live transactions excludes their commits from the swap
+// and carries the redo of the prepared ones.
 func (o *OFM) Load(tuples []value.Tuple) error {
 	if _, err := o.store.InsertBatch(tuples); err != nil {
 		return fmt.Errorf("ofm %s: load: %w", o.cfg.Name, err)
 	}
 	o.cfg.PE.Advance(o.costs().BuildCost(len(tuples)))
-	if o.cfg.Kind == Persistent {
-		if err := o.cfg.Log.Checkpoint(o.store.Snapshot()); err != nil {
-			return fmt.Errorf("ofm %s: load checkpoint: %w", o.cfg.Name, err)
-		}
+	if err := o.Checkpoint(); err != nil {
+		return err
 	}
 	if o.cfg.StatsFn != nil {
 		var bytes int64

@@ -468,6 +468,47 @@ func TestCheckpointShortensRecovery(t *testing.T) {
 	}
 }
 
+// A bulk load that lands while a transaction sits prepared must keep
+// that transaction's redo across its checkpoint, as Checkpoint does: the
+// coordinator may yet decide commit.
+func TestLoadCarriesPreparedWriteSet(t *testing.T) {
+	folds := map[string]func(*OFM) error{
+		"Load":       func(o *OFM) error { return o.Load([]value.Tuple{emp(1, "eng", 10)}) },
+		"Checkpoint": (*OFM).Checkpoint,
+	}
+	for name, fold := range folds {
+		t.Run(name, func(t *testing.T) {
+			o, _, _ := newOFM(t, true)
+			const tx = txn.ID(7)
+			o.cfg.Decide = func(id txn.ID) (uint64, bool, bool) { return 5, id == tx, id == tx }
+			if err := o.InsertTx(tx, emp(100, "new", 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.Prepare(tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := fold(o); err != nil {
+				t.Fatal(err)
+			}
+			o.Crash()
+			redone, err := o.Recover()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if redone != 1 {
+				t.Errorf("recovery redid %d records of the prepared transaction, want 1", redone)
+			}
+			row, err := o.Scan(Latest, expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(100))), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.Len() != 1 {
+				t.Errorf("the decided-commit insert is gone after %s + crash", name)
+			}
+		})
+	}
+}
+
 func TestTransientOFMBehavior(t *testing.T) {
 	m, err := machine.New(machine.Config{NumPEs: 4})
 	if err != nil {

@@ -32,7 +32,7 @@ type ReplicaConfig struct {
 
 // Replica mirrors a primary into a local engine: it subscribes over
 // the wire protocol, appends shipped bytes to the local fragment logs,
-// applies them through the fragment processes, and advances the MVCC
+// applies them to the fragments, and advances the MVCC
 // watermark on each consistent status. It reconnects on stream loss,
 // resuming from the durable log positions, until stopped or promoted.
 type Replica struct {

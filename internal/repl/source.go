@@ -1,7 +1,7 @@
 // Package repl implements WAL-shipping replication: a primary engine
 // streams its fragments' raw log bytes to subscribed replicas, which
 // append them to identically named local logs (so byte offsets align
-// end to end) and apply them through their own fragment processes.
+// end to end) and apply them to their own fragments.
 // Replicas serve MVCC snapshot reads at the primary's shipped
 // watermark and refuse writes; an admin PROMOTE fails one over,
 // fencing the old primary behind an epoch carried on every frame.

@@ -534,3 +534,64 @@ func TestExecStreamMalformedFrame(t *testing.T) {
 		t.Fatal("connection still open after protocol violation")
 	}
 }
+
+// TestExecStreamRoutesLikeExec: an ExecStream frame — what
+// client.QueryStream sends and how prisma-shell runs every statement —
+// reaches the same statement routing as an Exec frame, so the statements
+// the SQL parser never sees answer the same through both.
+func TestExecStreamRoutesLikeExec(t *testing.T) {
+	script := []string{
+		`SET STATEMENT_TIMEOUT = 100`,
+		`SHOW ADMISSION`,
+		`CREATE USER alice PASSWORD 'pw' PRIORITY batch`,
+		`CREATE TABLE t (id INT, PRIMARY KEY (id))`,
+		`GRANT SELECT ON t TO alice`,
+		`SHOW USERS`,
+		`REVOKE SELECT ON t FROM alice`,
+		`PROMOTE`,
+		`DROP USER alice`,
+		`DROP USER alice`,
+	}
+	describe := func(res *wire.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		out := fmt.Sprintf("affected=%d msg=%q", res.Affected, res.Msg)
+		if res.Rel != nil {
+			out += " rel=" + res.Rel.String()
+		}
+		return out
+	}
+	run := func(via func(*client.Client, string) (*wire.Result, error)) []string {
+		c, err := client.Dial(startServer(t, Config{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		var out []string
+		for _, sql := range script {
+			out = append(out, describe(via(c, sql)))
+		}
+		return out
+	}
+	want := run((*client.Client).Exec)
+	got := run(func(c *client.Client, sql string) (*wire.Result, error) {
+		rows, err := c.QueryStream(sql)
+		if err != nil {
+			return nil, err
+		}
+		defer rows.Close()
+		if rows.Schema() != nil {
+			t.Fatalf("%s opened a cursor", sql)
+		}
+		return rows.Result(), nil
+	})
+	for i, sql := range script {
+		if got[i] != want[i] {
+			t.Errorf("%s\n ExecStream: %s\n       Exec: %s", sql, got[i], want[i])
+		}
+	}
+	if errs := strings.Count(strings.Join(want, "\n"), "error: "); errs != 2 {
+		t.Errorf("want exactly PROMOTE and the second DROP USER refused through Exec, got %q", want)
+	}
+}

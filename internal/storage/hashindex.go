@@ -75,13 +75,3 @@ func (ix *HashIndex) Lookup(key []value.Value) []RowID {
 	ix.mu.RUnlock()
 	return ids
 }
-
-// LookupTuple returns the row ids matching the indexed columns of t
-// (a probe tuple laid out like the stored schema).
-func (ix *HashIndex) LookupTuple(t value.Tuple) []RowID {
-	k := t.KeyOn(ix.cols)
-	ix.mu.RLock()
-	ids := append([]RowID(nil), ix.buckets[k]...)
-	ix.mu.RUnlock()
-	return ids
-}

@@ -474,19 +474,6 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 	return tuples, begin, end, s.version
 }
 
-// SnapshotAt returns the tuples visible to a snapshot at ts.
-func (s *Store) SnapshotAt(ts uint64) []value.Tuple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]value.Tuple, 0, s.count)
-	for i := range s.rows {
-		if sl := &s.rows[i]; sl.tuple != nil && sl.visibleAt(ts) {
-			out = append(out, sl.tuple)
-		}
-	}
-	return out
-}
-
 // Clear removes everything, keeping indexes defined but empty.
 func (s *Store) Clear() {
 	s.mu.Lock()

@@ -45,7 +45,6 @@ type Txn struct {
 
 	snapTS      uint64 // snapshot timestamp, pinned lazily at first read
 	snapRelease func()
-	commitTS    uint64 // commit timestamp, 0 until committed (or read-only)
 
 	lockTimeout time.Duration // per-statement lock-wait deadline; 0 = wait forever
 }
@@ -71,14 +70,6 @@ func (t *Txn) Snapshot() uint64 {
 		t.snapTS, t.snapRelease = t.mgr.PinSnapshot()
 	}
 	return t.snapTS
-}
-
-// CommitTS returns the commit timestamp stamped on the transaction's
-// versions, or 0 if it has not committed (or committed read-only).
-func (t *Txn) CommitTS() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.commitTS
 }
 
 // SetLockTimeout bounds every subsequent lock wait: a statement that
@@ -170,7 +161,6 @@ func (t *Txn) Commit() error {
 			t.mgr.waitCommitShipped(ts)
 			t.mu.Lock()
 			t.state = Committed
-			t.commitTS = ts
 			t.undo = nil
 			t.mu.Unlock()
 			t.mgr.finish(t)
@@ -184,7 +174,6 @@ func (t *Txn) Commit() error {
 	t.mgr.waitCommitShipped(ts)
 	t.mu.Lock()
 	t.state = Committed
-	t.commitTS = ts
 	t.undo = nil
 	t.mu.Unlock()
 	t.mgr.finish(t)

@@ -73,13 +73,18 @@ func FuzzDecodeHello(f *testing.F) {
 	f.Add(EncodeHello())
 	f.Add([]byte("PRSM"))
 	f.Add([]byte("PRSX\x01"))
+	f.Add(EncodeHelloCreds("acme", "s3cret"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, err := DecodeHello(data)
+		ver, creds, err := DecodeHelloCreds(data)
 		if err != nil {
 			return
 		}
-		if got := append([]byte(Magic), byte(ver)); !bytes.Equal(got, data) {
-			t.Fatalf("decoded hello %d does not re-encode to input", ver)
+		got := append([]byte(Magic), byte(ver))
+		if creds != nil { // the trailer after magic and version
+			got = append(got, EncodeHelloCreds(creds.Tenant, creds.Secret)[len(got):]...)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("decoded hello %d %+v does not re-encode to input", ver, creds)
 		}
 	})
 }

@@ -143,7 +143,7 @@ func Open(cfg Config) (*DB, error) {
 	return &DB{eng: eng}, nil
 }
 
-// Close shuts the machine down (stops every OFM process).
+// Close shuts the machine down: every fragment refuses further writes.
 func (db *DB) Close() { db.eng.Close() }
 
 // Session opens a client session with its own coordinator PE.
