@@ -149,6 +149,14 @@ func nullKey(vecs []*value.Vec, row int32) bool {
 // and match order follows the row HashJoin exactly (probe order,
 // build-insertion order within a key). Both inputs are consumed.
 func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, error) {
+	return HashJoinBatchNeed(l, r, lcols, rcols, value.AllCols, nil)
+}
+
+// HashJoinBatchNeed is HashJoinBatch for a consumer that will read only
+// the output columns in need: the others leave as kind-only vectors, so a
+// build-side column nobody reads — often the join key itself — is not laid
+// out along the probe side. The payloads it does make are lent by a.
+func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet, a *value.Arena) (*value.Batch, Stats, error) {
 	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
@@ -223,13 +231,16 @@ func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, 
 	}
 	for _, side := range []*value.Batch{l, r} {
 		for _, vec := range side.Cols {
+			if !need.Has(len(out.Cols)) {
+				vec = vec.Drop()
+			}
 			switch {
 			case side == build && once:
-				vec = vec.Scatter(bIdx, pIdx, probe.Rows)
+				vec = vec.Scatter(bIdx, pIdx, probe.Rows, a)
 			case side == build:
-				vec = vec.Gather(bIdx)
+				vec = vec.Gather(bIdx, a)
 			case !once:
-				vec = vec.Gather(pIdx)
+				vec = vec.Gather(pIdx, a)
 			}
 			out.Cols = append(out.Cols, vec)
 		}
@@ -309,7 +320,7 @@ func groupRows(b *value.Batch, keys []int) *groups {
 func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, Stats) {
 	out := &value.Batch{Schema: schema, Rows: g.n, Cols: make([]*value.Vec, 0, len(g.keys)+len(aggs))}
 	for _, c := range g.keys {
-		out.Cols = append(out.Cols, g.b.Cols[c].Gather(g.first))
+		out.Cols = append(out.Cols, g.b.Cols[c].Gather(g.first, nil))
 	}
 	out.Cols = append(out.Cols, aggs...)
 	st := Stats{TuplesRead: len(g.sel), TuplesEmitted: g.n}
@@ -465,7 +476,7 @@ func MergeAggregateBatches(partials []*value.Batch, groupByLen int, specs []AggS
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	b := value.ConcatBatches(partials[0].Schema, partials)
+	b := value.ConcatBatches(partials[0].Schema, partials, nil)
 	keys := make([]int, groupByLen)
 	for i := range keys {
 		keys[i] = i

@@ -146,6 +146,7 @@ func (c *Cursor) finish(commit bool) error {
 		return nil
 	}
 	c.done = true
+	c.ctx.arena.Release() // slots not pulled are dropped with it
 	c.s.unregisterCursor(c)
 	var err error
 	if commit {
@@ -185,8 +186,9 @@ func (s *Session) streamPlanStr(start stmtClock, root plan.Node, planStr string)
 		return nil, err
 	}
 	ctx := s.newExecCtx(tx, view)
-	p, err := s.e.exec(ctx, root)
+	p, err := s.e.exec(ctx, root, value.AllCols)
 	if err != nil {
+		ctx.arena.Release()
 		return nil, settle(err)
 	}
 	cur := &Cursor{

@@ -73,7 +73,7 @@ func (edb *engineEDB) Relation(pred string) (*value.Relation, bool) {
 	for i := range all {
 		all[i] = i
 	}
-	p, err := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema)
+	p, err := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema, value.AllCols)
 	if err != nil {
 		edb.recordErr(err)
 		return nil, false

@@ -102,7 +102,9 @@ func (e *Engine) logFor(pe int, fragName string) (*wal.Log, error) {
 
 // DropTable removes a table: its fragments are detached — a transaction
 // that still holds writes on them fails its COMMIT instead of appending
-// to a log whose name a re-created table would reuse — and the catalog
+// to a log whose name a re-created table would reuse — their log and
+// checkpoint segments leave the stable store once no call is inside them,
+// so that a re-created table recovers none of their rows, and the catalog
 // entry goes.
 func (e *Engine) DropTable(name string) error {
 	key := canonical(name)
@@ -115,10 +117,12 @@ func (e *Engine) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("core: table %q does not exist", name)
 	}
-	for _, f := range t.frags {
+	var segErr error
+	for i, f := range t.frags {
 		f.drop()
+		segErr = errors.Join(segErr, t.logsRef.logs[i].Drop())
 	}
-	return e.cat.Drop(name)
+	return errors.Join(segErr, e.cat.Drop(name))
 }
 
 // createFromAST handles a parsed CREATE TABLE.

@@ -8,7 +8,11 @@ package core
 // every operator (execops.go) picks the batch or the row kernel per slot
 // from what the slot holds and charges the simulated machine at one site.
 // Central execution is the one-slot-at-the-coordinator case of the same
-// operators. Slots are made on demand: a scan and the per-slot kernels
+// operators. Every operator is told which of its output columns something
+// above will read and tells its children the same, so a scan hands up the
+// rest as kind-only vectors (value.Vec) that no exchange or join copies;
+// the charges cannot tell, for a slot's size does not depend on them.
+// Slots are made on demand: a scan and the per-slot kernels
 // stacked on it run when the consumer takes the slot, so an operator takes
 // all of them at once, one goroutine each, while the streaming cursor
 // (cursor.go) takes the same plan's slots one at a time.
@@ -46,16 +50,27 @@ type execCtx struct {
 	// empty slots in the form a real scan would, nothing is locked or
 	// charged, and every operator records what its slots held.
 	explain *explainTrace
+	// arena lends the vectors the operators have to make and takes them
+	// back when the statement ends: nothing it lent outlives the rows
+	// gathered for the client.
+	arena value.Arena
 
 	mu     sync.Mutex
 	shared map[string]*value.Relation
 }
+
+// poisonReleased, which the package's tests set, makes every statement's
+// arena overwrite the payloads it hands back (value.Arena.Poison), so a
+// vector read after its statement ended gives a wrong answer, not a stale
+// right one.
+var poisonReleased bool
 
 // newExecCtx is the one place a statement's execution context is built —
 // materialized statements, cursors, PRISMAlog evaluations and EXPLAIN all
 // start here, so none can run outside the tenant's memory budget.
 func (s *Session) newExecCtx(tx *txn.Txn, view ofm.View) *execCtx {
 	ctx := &execCtx{s: s, tx: tx, view: view}
+	ctx.arena.Poison = poisonReleased
 	if s.memBudget > 0 {
 		ctx.mem = &memAcct{limit: s.memBudget}
 	}
@@ -274,7 +289,8 @@ func eachPart(n int, fn func(i int) error) error {
 // execPlan runs an optimized plan and materializes its result at the
 // coordinator.
 func (e *Engine) execPlan(ctx *execCtx, root plan.Node) (*value.Relation, error) {
-	p, err := e.exec(ctx, root)
+	defer ctx.arena.Release()
+	p, err := e.exec(ctx, root, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
@@ -290,21 +306,27 @@ func (e *Engine) execPlan(ctx *execCtx, root plan.Node) (*value.Relation, error)
 	return rel, nil
 }
 
-// exec evaluates a plan subtree into a partitioned intermediate.
-func (e *Engine) exec(ctx *execCtx, n plan.Node) (*parts, error) {
+// exec evaluates a plan subtree into a partitioned intermediate. need is
+// the set of n's output columns that something above reads; the operators
+// whose consumers are rows (an index probe, sort, distinct, limit, a
+// broadcast join) ignore it and ask their children for every column.
+func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, error) {
+	if n.Schema().Len() > 64 {
+		need = value.AllCols
+	}
 	switch t := n.(type) {
 	case *plan.Scan:
-		return e.execScan(ctx, t)
+		return e.execScan(ctx, t, need)
 	case *plan.IndexProbe:
 		return e.execIndexProbe(ctx, t)
 	case *plan.Select:
-		return e.execSelect(ctx, t)
+		return e.execSelect(ctx, t, need)
 	case *plan.Project:
-		return e.execProject(ctx, t)
+		return e.execProject(ctx, t, need)
 	case *plan.Exchange:
-		return e.execExchange(ctx, t)
+		return e.execExchange(ctx, t, need)
 	case *plan.Join:
-		return e.execJoin(ctx, t)
+		return e.execJoin(ctx, t, need)
 	case *plan.Aggregate:
 		return e.execAggregate(ctx, t)
 	case *plan.Sort:
@@ -343,8 +365,9 @@ func (e *Engine) lockFragments(ctx *execCtx, t *table, frags []int) error {
 // engine never asks when columnar execution is configured off — the slot
 // then holds rows. The bytes a scan writes into a cache (the whole image
 // on the first scan, the changed rows after a committed write) are this
-// statement's materialization and are charged to its tenant budget.
-func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema) (slot, error) {
+// statement's materialization and are charged to its tenant budget. Of a
+// batch, only the columns in need are handed up.
+func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema, need value.ColSet) (slot, error) {
 	why := ""
 	switch {
 	case !e.vectorized:
@@ -368,6 +391,7 @@ func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *valu
 		}
 		if b != nil {
 			b.Schema = schema
+			b.Keep(need)
 			return slot{b: b}, nil
 		}
 		why = "mixed-kind fragment" // or a BatchDecline reason; only EXPLAIN asks which
@@ -382,7 +406,7 @@ func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *valu
 
 // scanFragments locks the listed fragments now and scans each where it
 // lives when its slot is taken; the slots stay on the fragment PEs.
-func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Expr, schema *value.Schema) (*parts, error) {
+func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Expr, schema *value.Schema, need value.ColSet) (*parts, error) {
 	if err := e.lockFragments(ctx, t, frags); err != nil {
 		return nil, err
 	}
@@ -390,7 +414,7 @@ func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Ex
 	for i, fi := range frags {
 		p.pes[i] = t.frags[fi].pe
 	}
-	p.src = func(i int) (slot, error) { return e.scanSlot(ctx, t.frags[frags[i]], pred, schema) }
+	p.src = func(i int) (slot, error) { return e.scanSlot(ctx, t.frags[frags[i]], pred, schema, need) }
 	return p, nil
 }
 
@@ -399,10 +423,12 @@ func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Ex
 // read once per statement, gathered as rows at the coordinator and handed
 // to each of its plan parents as a coordinator singleton aliasing the
 // same tuples — downstream splitters redistribute them by reference
-// without mutating them.
-func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan) (*parts, error) {
+// without mutating them, and each may read other columns, so it is read
+// whole.
+func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*parts, error) {
 	key := ""
 	if sc.Shared {
+		need = value.AllCols
 		key = sc.Table + "|"
 		if sc.Pred != nil {
 			key += sc.Pred.String()
@@ -415,11 +441,11 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan) (*parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out)
+	p, err := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out, need)
 	if err != nil {
 		return nil, err
 	}
-	p = ctx.noted("Scan "+sc.Table, p)
+	p = ctx.noted("Scan "+sc.Table, p, sc.Out, need)
 	if !sc.Shared {
 		return p, nil
 	}
@@ -476,7 +502,7 @@ func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*parts, erro
 			out.Tuples = append(out.Tuples, rel.Tuples...)
 		}
 	}
-	return ctx.noted("IndexProbe "+pr.Table, ctx.singleton(slot{rel: out, why: "index probe"})), nil
+	return ctx.noted("IndexProbe "+pr.Table, ctx.singleton(slot{rel: out, why: "index probe"}), pr.Out, value.AllCols), nil
 }
 
 // probeTargets resolves an IndexProbe's key value and target fragment
@@ -544,7 +570,7 @@ func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (slot, err
 		for i, s := range slots {
 			batches[i] = s.b
 		}
-		out = value.ConcatBatches(schema, batches)
+		out = value.ConcatBatches(schema, batches, &ctx.arena)
 	}
 	if ctx.mem != nil {
 		_ = ctx.mem.charge(int64(out.Size()))
@@ -598,7 +624,8 @@ func (e *Engine) shipToCoordinator(ctx *execCtx, p *parts) {
 
 // explainTrace is what EXPLAIN's dry run collects: for every operator
 // that can run columnar, how many of its slots were batches and how many
-// were rows a batch could have been, with the first such slot's reason.
+// were rows a batch could have been, with the first such slot's reason —
+// and how many of its output columns its batches carry.
 type explainTrace struct {
 	mu  sync.Mutex
 	ops []*opTrace
@@ -608,17 +635,24 @@ type opTrace struct {
 	op                   string
 	slots, batches, rows int
 	why                  string
+	kept, width          int // columns its batches carry, of how many
 }
 
 // noted makes EXPLAIN's dry run record what the slots of p hold as they
 // are taken: for most operators the slots their kernels produced, for an
-// aggregate the ones it consumed.
-func (ctx *execCtx) noted(op string, p *parts) *parts {
+// aggregate the ones it consumed. need is what is read of schema, the
+// slots' own; the string columns travel regardless.
+func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.ColSet) *parts {
 	if ctx.explain == nil {
 		return p
 	}
 	t := ctx.explain
-	ot := &opTrace{op: op, slots: len(p.pes)}
+	ot := &opTrace{op: op, slots: len(p.pes), width: schema.Len()}
+	for c := 0; c < ot.width; c++ {
+		if need.Has(c) || schema.Column(c).Kind == value.KindString {
+			ot.kept++
+		}
+	}
 	t.ops = append(t.ops, ot)
 	return p.then(func(s slot, _ int) (slot, error) {
 		t.mu.Lock()
@@ -636,12 +670,16 @@ func (ctx *execCtx) noted(op string, p *parts) *parts {
 	})
 }
 
-// line renders EXPLAIN's execution line.
+// line renders EXPLAIN's execution line and, when a columnar operator
+// hands up fewer columns than its schema has, the columns line.
 func (t *explainTrace) line() string {
-	var rowOps []string
+	var rowOps, pruned []string
 	batches := 0
 	for _, ot := range t.ops {
 		batches += ot.batches
+		if ot.batches > 0 && ot.kept < ot.width {
+			pruned = append(pruned, fmt.Sprintf("%s %d/%d", ot.op, ot.kept, ot.width))
+		}
 		switch {
 		case ot.rows == 0:
 		case ot.rows == ot.slots:
@@ -650,11 +688,15 @@ func (t *explainTrace) line() string {
 			rowOps = append(rowOps, fmt.Sprintf("%s: %s on %d/%d slots", ot.op, ot.why, ot.rows, ot.slots))
 		}
 	}
+	columns := ""
+	if len(pruned) > 0 {
+		columns = "columns: " + strings.Join(pruned, ", ") + "\n"
+	}
 	switch {
 	case len(rowOps) == 0:
-		return "execution: vectorized (columnar batches)\n"
+		return "execution: vectorized (columnar batches)\n" + columns
 	case batches == 0:
 		return "execution: row-at-a-time (" + strings.Join(rowOps, "; ") + ")\n"
 	}
-	return "execution: mixed, columnar except " + strings.Join(rowOps, "; ") + "\n"
+	return "execution: mixed, columnar except " + strings.Join(rowOps, "; ") + "\n" + columns
 }

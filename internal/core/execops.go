@@ -80,12 +80,14 @@ func (f *filter) apply(s slot, pe int) (slot, error) {
 
 // execSelect filters every slot where it lives (predicates that survived
 // pushdown: cross-table conditions, HAVING).
-func (e *Engine) execSelect(ctx *execCtx, s *plan.Select) (*parts, error) {
-	child, err := e.exec(ctx, s.Child)
+func (e *Engine) execSelect(ctx *execCtx, s *plan.Select, need value.ColSet) (*parts, error) {
+	schema := s.Child.Schema()
+	need |= expr.ColSet(s.Pred, schema)
+	child, err := e.exec(ctx, s.Child, need)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Select", child.then((&filter{ctx: ctx, pred: s.Pred, schema: s.Child.Schema()}).apply)), nil
+	return ctx.noted("Select", child.then((&filter{ctx: ctx, pred: s.Pred, schema: schema}).apply), schema, need), nil
 }
 
 // projector is the per-slot projection kernel: a pure column remap of a
@@ -125,13 +127,20 @@ func (pr *projector) apply(s slot, pe int) (slot, error) {
 	return s, nil
 }
 
-// execProject computes output expressions on every slot where it lives.
-func (e *Engine) execProject(ctx *execCtx, p *plan.Project) (*parts, error) {
-	child, err := e.exec(ctx, p.Child)
+// execProject computes output expressions on every slot where it lives;
+// its child need only carry the columns of those that are read.
+func (e *Engine) execProject(ctx *execCtx, p *plan.Project, need value.ColSet) (*parts, error) {
+	var childNeed value.ColSet
+	for i, ex := range p.Exprs {
+		if need.Has(i) {
+			childNeed |= expr.ColSet(ex, p.Child.Schema())
+		}
+	}
+	child, err := e.exec(ctx, p.Child, childNeed)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Project", child.then((&projector{ctx: ctx, p: p}).apply)), nil
+	return ctx.noted("Project", child.then((&projector{ctx: ctx, p: p}).apply), p.Out, need), nil
 }
 
 // exchangeTargets maps n partition slots onto PEs, deterministically
@@ -178,8 +187,13 @@ func splitSlot(s slot, schema *value.Schema, keys []int, n int) (buckets []slot,
 // small side of a broadcast join and is consumed by execBroadcastJoin,
 // which builds the replicated hash table once.) The output is columnar
 // when every input slot is.
-func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange) (*parts, error) {
-	child, err := e.exec(ctx, x.Child)
+func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange, need value.ColSet) (*parts, error) {
+	if x.Part.Kind == plan.PartHash {
+		for _, k := range x.Part.Keys {
+			need = need.With(k)
+		}
+	}
+	child, err := e.exec(ctx, x.Child, need)
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +212,7 @@ func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange) (*parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Exchange", out), nil
+	return ctx.noted("Exchange", out, schema, need), nil
 }
 
 // collect gathers p into one slot at the coordinator.
@@ -298,7 +312,7 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 			}
 		}
 	}
-	batches, err := value.ConcatSplits(schema, splits, n, eachPart)
+	batches, err := value.ConcatSplits(schema, splits, n, eachPart, &ctx.arena)
 	for b, batch := range batches {
 		out.slots[b] = slot{b: batch}
 	}
@@ -310,16 +324,41 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 // Exchange the optimizer inserted) produced them; a central join — and a
 // distributed one whose inputs turn out misaligned, from an optimizer the
 // executor does not fully trust — gathers both sides at the coordinator
-// first, which makes it the one-slot case of the same join.
-func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*parts, error) {
+// first, which makes it the one-slot case of the same join. Each side is
+// asked for its share of what is read of the output — by the consumers and
+// by the residual predicate — plus its join keys; the join itself hands up
+// that share without the keys.
+func (e *Engine) execJoin(ctx *execCtx, j *plan.Join, need value.ColSet) (*parts, error) {
 	if j.Method == plan.JoinBroadcast {
 		if big, small, smallLeft, ok := broadcastSides(j); ok {
 			return e.execBroadcastJoin(ctx, j, big, small, smallLeft)
 		}
 	}
+	if j.Residual != nil {
+		need |= expr.ColSet(j.Residual, j.Out)
+	}
+	lneed, rneed := value.AllCols, value.AllCols // of the left and the right child
+	joinNeed := need                             // of left ++ right, the order the kernel joins in
+	if need != value.AllCols {
+		// j.Out lists the left child's columns first, unless the optimizer
+		// swapped the build side: then the right child's.
+		lw, rw := j.Left.Schema().Len(), j.Right.Schema().Len()
+		if j.Swapped {
+			rneed, lneed = need&(1<<rw-1), need>>rw
+		} else {
+			lneed, rneed = need&(1<<lw-1), need>>lw
+		}
+		joinNeed = lneed | rneed<<lw
+		for _, k := range j.LeftKeys {
+			lneed = lneed.With(k)
+		}
+		for _, k := range j.RightKeys {
+			rneed = rneed.With(k)
+		}
+	}
 	distributed := j.Method == plan.JoinColocated || j.Method == plan.JoinRepartition
-	side := func(n plan.Node) (*parts, error) {
-		p, err := e.exec(ctx, n)
+	side := func(n plan.Node, need value.ColSet) (*parts, error) {
+		p, err := e.exec(ctx, n, need)
 		if err != nil {
 			return nil, err
 		}
@@ -328,11 +367,11 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*parts, error) {
 		}
 		return p.forced()
 	}
-	l, err := side(j.Left)
+	l, err := side(j.Left, lneed)
 	if err != nil {
 		return nil, err
 	}
-	r, err := side(j.Right)
+	r, err := side(j.Right, rneed)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +394,7 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*parts, error) {
 		var st algebra.Stats
 		var joined slot
 		if ls[i].b != nil && rs[i].b != nil {
-			joined.b, st, err = algebra.HashJoinBatch(ls[i].b, rs[i].b, j.LeftKeys, j.RightKeys)
+			joined.b, st, err = algebra.HashJoinBatchNeed(ls[i].b, rs[i].b, j.LeftKeys, j.RightKeys, joinNeed, &ctx.arena)
 		} else {
 			if joined.why = ls[i].why; joined.why == "" {
 				joined.why = rs[i].why
@@ -371,7 +410,7 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join) (*parts, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Join", out), nil
+	return ctx.noted("Join", out, j.Out, need), nil
 }
 
 func residual(ctx *execCtx, j *plan.Join) *filter {
@@ -444,7 +483,7 @@ func broadcastSides(j *plan.Join) (big, small plan.Node, smallLeft, ok bool) {
 // and probed by every slot, so it is a row table and the big side's
 // batches turn into rows here; only the small relation travels.
 func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNode plan.Node, smallLeft bool) (*parts, error) {
-	sp, err := e.exec(ctx, smallNode)
+	sp, err := e.exec(ctx, smallNode, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
@@ -452,7 +491,7 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNod
 	if err != nil {
 		return nil, err
 	}
-	big, err := e.exec(ctx, bigNode)
+	big, err := e.exec(ctx, bigNode, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
@@ -488,7 +527,7 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNod
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Join", out), nil
+	return ctx.noted("Join", out, j.Out, value.AllCols), nil
 }
 
 // aggregateSlot aggregates one slot on PE pe; a batch in, a batch out.
@@ -516,7 +555,16 @@ func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.
 // partial is a batch, by the row merge otherwise. An unmarked aggregate
 // gathers its input and runs at the coordinator in one phase.
 func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) {
-	child, err := e.exec(ctx, a.Child)
+	var need value.ColSet
+	for _, c := range a.GroupBy {
+		need = need.With(c)
+	}
+	for _, sp := range a.Specs {
+		if sp.Col >= 0 {
+			need = need.With(sp.Col)
+		}
+	}
+	child, err := e.exec(ctx, a.Child, need)
 	if err != nil {
 		return nil, err
 	}
@@ -525,7 +573,7 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 		if child, err = e.collect(ctx, child, a.Child.Schema()); err != nil {
 			return nil, err
 		}
-		s, err := ctx.noted("Aggregate", child).take(0)
+		s, err := ctx.noted("Aggregate", child, a.Out, value.AllCols).take(0)
 		if err != nil {
 			return nil, err
 		}
@@ -533,7 +581,7 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 			return nil, err
 		}
 	} else {
-		child = ctx.noted("Aggregate", child)
+		child = ctx.noted("Aggregate", child, a.Out, value.AllCols)
 		partialSpecs := algebra.PartialSpecs(a.Specs)
 		partials := make([]slot, len(child.pes))
 		err = child.each(func(i int, s slot) (err error) {
@@ -592,7 +640,7 @@ func (e *Engine) sortSlot(ctx *execCtx, t *plan.Sort, rel *value.Relation, pe in
 // merge costs O(N log k) at the coordinator instead of a full O(N log N)
 // sort.
 func (e *Engine) execSort(ctx *execCtx, t *plan.Sort) (*parts, error) {
-	child, err := e.exec(ctx, t.Child)
+	child, err := e.exec(ctx, t.Child, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
@@ -633,7 +681,7 @@ func (e *Engine) execSort(ctx *execCtx, t *plan.Sort) (*parts, error) {
 // dedups each slot where it lives, so duplicate-heavy inputs shrink
 // before they travel.
 func (e *Engine) execDistinct(ctx *execCtx, t *plan.Distinct) (*parts, error) {
-	child, err := e.exec(ctx, t.Child)
+	child, err := e.exec(ctx, t.Child, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
@@ -657,7 +705,7 @@ func (e *Engine) execDistinct(ctx *execCtx, t *plan.Distinct) (*parts, error) {
 // limit is never taken — a LIMIT over a scan reads only the fragments it
 // needs, and a cursor over it stops early.
 func (e *Engine) execLimit(ctx *execCtx, t *plan.Limit) (*parts, error) {
-	child, err := e.exec(ctx, t.Child)
+	child, err := e.exec(ctx, t.Child, value.AllCols)
 	if err != nil || t.N < 0 { // negative: no limit
 		return child, err
 	}

@@ -169,6 +169,57 @@ func TestCommitAfterDropTableRefused(t *testing.T) {
 	}
 }
 
+// TestDropTableTruncatesSegments: DROP TABLE takes the fragments' log and
+// checkpoint segments off the stable store, so a table re-created under
+// the name recovers none of the dropped one's rows after a crash. (At the
+// parent the segments stayed and the recovered table held the old row.)
+func TestDropTableTruncatesSegments(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	const create = `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`
+	mustExec(t, s, create)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 10), (2, 20)`)
+	tab, err := e.lookupTable("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.frags[0].ofm.Checkpoint(); err != nil { // so a checkpoint segment exists too
+		t.Fatal(err)
+	}
+	mustExec(t, s, `INSERT INTO t VALUES (3, 30), (4, 40)`)
+	segments := func() (out []string) {
+		for _, store := range e.stores {
+			for _, name := range store.Segments() {
+				if strings.HasPrefix(name, "wal-t#") {
+					out = append(out, name)
+				}
+			}
+		}
+		return out
+	}
+	if len(segments()) < 3 {
+		t.Fatalf("before the drop the stable store lists only %v", segments())
+	}
+	mustExec(t, s, `DROP TABLE t`)
+	if left := segments(); len(left) != 0 {
+		t.Errorf("DROP TABLE left segments %v on the stable store", left)
+	}
+	mustExec(t, s, create)
+	if err := e.CrashTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	rel, err := s.Query(`SELECT COUNT(*) AS n FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := rel.Tuples[0][0].Int(); n != 0 {
+		t.Errorf("re-created table recovered %d rows of the dropped one", n)
+	}
+}
+
 // TestDropTableUnderWriters drops a table while sessions write to it:
 // every writer ends on a plain "no such table" or "fragment dropped"
 // error, whichever side of the drop its statement reached first.

@@ -335,3 +335,19 @@ func TestCmpOpSwap(t *testing.T) {
 		}
 	}
 }
+
+// TestColSetAllocatesNothing: the executor asks for an expression's columns
+// on every statement, the point path included.
+func TestColSetAllocatesNothing(t *testing.T) {
+	s := value.MustSchema("id", "INT", "region", "VARCHAR", "balance", "INT")
+	e := NewAnd(NewCmp(LT, NewCol("balance"), NewConst(value.NewInt(5))), NewCmp(EQ, NewCol("id"), NewCol("nosuch")))
+	if got := ColSet(e.L, s); got != value.ColSet(0).With(2) {
+		t.Errorf("columns of %s = %b", e.L, got)
+	}
+	if got := ColSet(e, s); got != value.AllCols {
+		t.Errorf("an unknown column must ask for everything, got %b", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { ColSet(e.L, s) }); n != 0 {
+		t.Errorf("ColSet allocates %v times", n)
+	}
+}

@@ -196,7 +196,7 @@ func arithKind(op ArithOp, lk, rk value.Kind, n Expr) (value.Kind, error) {
 // expression. The optimizer uses it for pushdown and fragment pruning.
 func Columns(e Expr) []int {
 	set := map[int]struct{}{}
-	collectCols(e, set)
+	walkCols(e, func(c *Col) { set[c.Index] = struct{}{} })
 	out := make([]int, 0, len(set))
 	for ix := range set {
 		out = append(out, ix)
@@ -210,35 +210,56 @@ func Columns(e Expr) []int {
 	return out
 }
 
-func collectCols(e Expr, set map[int]struct{}) {
+// ColSet returns the columns of s that e reads, resolving each reference
+// the way Bind would without binding it; a reference Bind would reject
+// makes it every column. It allocates nothing: the executor asks on every
+// statement.
+func ColSet(e Expr, s *value.Schema) value.ColSet {
+	var set value.ColSet
+	walkCols(e, func(c *Col) {
+		ix := c.Index
+		if ix < 0 {
+			ix = s.Index(c.Name)
+		}
+		if ix < 0 {
+			set = value.AllCols
+		} else {
+			set = set.With(ix)
+		}
+	})
+	return set
+}
+
+// walkCols calls fn on every column reference in e.
+func walkCols(e Expr, fn func(*Col)) {
 	switch n := e.(type) {
 	case *Col:
-		set[n.Index] = struct{}{}
+		fn(n)
 	case *Cmp:
-		collectCols(n.L, set)
-		collectCols(n.R, set)
+		walkCols(n.L, fn)
+		walkCols(n.R, fn)
 	case *Arith:
-		collectCols(n.L, set)
-		collectCols(n.R, set)
+		walkCols(n.L, fn)
+		walkCols(n.R, fn)
 	case *And:
-		collectCols(n.L, set)
-		collectCols(n.R, set)
+		walkCols(n.L, fn)
+		walkCols(n.R, fn)
 	case *Or:
-		collectCols(n.L, set)
-		collectCols(n.R, set)
+		walkCols(n.L, fn)
+		walkCols(n.R, fn)
 	case *Not:
-		collectCols(n.E, set)
+		walkCols(n.E, fn)
 	case *Neg:
-		collectCols(n.E, set)
+		walkCols(n.E, fn)
 	case *IsNull:
-		collectCols(n.E, set)
+		walkCols(n.E, fn)
 	case *In:
-		collectCols(n.E, set)
+		walkCols(n.E, fn)
 	case *Like:
-		collectCols(n.E, set)
+		walkCols(n.E, fn)
 	case *Call:
 		for _, a := range n.Args {
-			collectCols(a, set)
+			walkCols(a, fn)
 		}
 	}
 }
@@ -248,43 +269,12 @@ func collectCols(e Expr, set map[int]struct{}) {
 func ColumnNames(e Expr) []string {
 	var out []string
 	seen := map[string]struct{}{}
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch n := e.(type) {
-		case *Col:
-			if _, dup := seen[n.Name]; !dup {
-				seen[n.Name] = struct{}{}
-				out = append(out, n.Name)
-			}
-		case *Cmp:
-			walk(n.L)
-			walk(n.R)
-		case *Arith:
-			walk(n.L)
-			walk(n.R)
-		case *And:
-			walk(n.L)
-			walk(n.R)
-		case *Or:
-			walk(n.L)
-			walk(n.R)
-		case *Not:
-			walk(n.E)
-		case *Neg:
-			walk(n.E)
-		case *IsNull:
-			walk(n.E)
-		case *In:
-			walk(n.E)
-		case *Like:
-			walk(n.E)
-		case *Call:
-			for _, a := range n.Args {
-				walk(a)
-			}
+	walkCols(e, func(c *Col) {
+		if _, dup := seen[c.Name]; !dup {
+			seen[c.Name] = struct{}{}
+			out = append(out, c.Name)
 		}
-	}
-	walk(e)
+	})
 	return out
 }
 

@@ -1,6 +1,9 @@
 package value
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Vec is a typed column vector: one column of a Batch, stored as a flat
 // slice of the column's native representation so kernels can loop over
@@ -8,6 +11,14 @@ import "sync"
 // populated, chosen by Kind (booleans ride in I as 0/1). Null is nil
 // when the column has no NULLs — the dense case — so kernels can skip
 // the per-row NULL test entirely.
+//
+// One shared vector per fixed-width kind, with no payload at all, is that
+// kind's kind-only vector: the column that no operator above will read
+// (Batch.Keep). It stands for its rows without holding them — every
+// copy, gather and scatter passes it along untouched, it counts in
+// Batch.Size() like any fixed-width column, and a row forced out of it
+// materializes as NULL, which weighs what an int does. A string column is
+// never kind-only: its lengths are part of the batch's size.
 type Vec struct {
 	Kind Kind
 	Null []bool    // nil = no NULLs anywhere in the column
@@ -28,9 +39,24 @@ func (v *Vec) Len() int {
 	}
 }
 
+// kindOnly are the kind-only vectors, by kind; strings have none.
+var kindOnly = [KindString + 1]*Vec{KindNull: {Kind: KindNull}, KindBool: {Kind: KindBool}, KindInt: {Kind: KindInt}, KindFloat: {Kind: KindFloat}}
+
+// KindOnly reports whether v is a kind-only vector.
+func (v *Vec) KindOnly() bool { return v == kindOnly[v.Kind] }
+
+// Drop returns the kind-only vector that stands for v when nothing will
+// read it; a string vector, whose lengths Size() reads, is v itself.
+func (v *Vec) Drop() *Vec {
+	if k := kindOnly[v.Kind]; k != nil {
+		return k
+	}
+	return v
+}
+
 // Value materializes row i of the vector as a tagged scalar.
 func (v *Vec) Value(i int) Value {
-	if v.Null != nil && v.Null[i] {
+	if v.Null != nil && v.Null[i] || v.KindOnly() {
 		return Null
 	}
 	switch v.Kind {
@@ -52,15 +78,19 @@ func (v *Vec) IsNull(i int) bool { return v.Null != nil && v.Null[i] }
 
 // Gather builds a dense vector holding the given physical rows of v, in
 // order — the column-wise copy a batch join uses to assemble its output.
-func (v *Vec) Gather(idxs []int32) *Vec {
-	return v.Scatter(idxs, nil, len(idxs))
+func (v *Vec) Gather(idxs []int32, a *Arena) *Vec {
+	return v.Scatter(idxs, nil, len(idxs), a)
 }
 
 // Scatter builds a vector of n rows holding row idxs[k] of v at row at[k]
 // (at row k when at is nil) — a join's build side laid out along the rows
-// of its probe side. Rows it does not list hold zeros and must stay out of
-// every selection.
-func (v *Vec) Scatter(idxs, at []int32, n int) *Vec {
+// of its probe side. Its numeric payload is lent by a, unzeroed: rows
+// Scatter does not list hold arbitrary values and must stay out of every
+// selection. A kind-only vector is its own scatter.
+func (v *Vec) Scatter(idxs, at []int32, n int, a *Arena) *Vec {
+	if v.KindOnly() {
+		return v
+	}
 	out := &Vec{Kind: v.Kind}
 	if v.Null != nil {
 		out.Null = make([]bool, n)
@@ -68,13 +98,13 @@ func (v *Vec) Scatter(idxs, at []int32, n int) *Vec {
 	}
 	switch v.Kind {
 	case KindFloat:
-		out.F = make([]float64, n)
+		out.F = a.Floats(n)
 		scatterInto(out.F, v.F, idxs, at)
 	case KindString:
 		out.S = make([]string, n)
 		scatterInto(out.S, v.S, idxs, at)
 	default:
-		out.I = make([]int64, n)
+		out.I = a.Ints(n)
 		scatterInto(out.I, v.I, idxs, at)
 	}
 	return out
@@ -120,6 +150,40 @@ func (b *Batch) Row(i int) int {
 
 // Value materializes column col of logical row i.
 func (b *Batch) Value(col, i int) Value { return b.Cols[col].Value(b.Row(i)) }
+
+// ColSet is a set of column positions of one schema, a bit per column:
+// what an operator's consumers will read of its output. AllCols is every
+// column, and the only set a schema wider than 64 columns is given.
+type ColSet uint64
+
+const AllCols = ^ColSet(0)
+
+// Has reports whether column c is in the set.
+func (s ColSet) Has(c int) bool { return s == AllCols || c < 64 && s>>c&1 != 0 }
+
+// With returns the set with column c added.
+func (s ColSet) With(c int) ColSet {
+	if c >= 64 {
+		return AllCols
+	}
+	return s | 1<<c
+}
+
+// Keep replaces every fixed-width column that need does not list with a
+// kind-only vector, so no operator above copies it. The column list is
+// replaced, not written: a scan's is the column cache's own.
+func (b *Batch) Keep(need ColSet) {
+	shared := true
+	for c, v := range b.Cols {
+		if need.Has(c) || v == v.Drop() {
+			continue
+		}
+		if shared {
+			b.Cols, shared = slices.Clone(b.Cols), false
+		}
+		b.Cols[c] = v.Drop()
+	}
+}
 
 // Project returns a batch exposing only the given columns (a pure
 // remap: vectors and the selection vector are shared, nothing copies).
@@ -234,8 +298,8 @@ func (b *Batch) TakeSel() []int32 {
 // ConcatBatches concatenates the selected rows of the given batches (in
 // order) into one dense batch. Inputs are consumed: their selection
 // vectors return to the pool.
-func ConcatBatches(schema *Schema, batches []*Batch) *Batch {
-	out := NewConcat(schema, batches)
+func ConcatBatches(schema *Schema, batches []*Batch, a *Arena) *Batch {
+	out := NewConcat(schema, batches, a)
 	at := 0
 	for _, b := range batches {
 		n := b.Len()
@@ -247,8 +311,9 @@ func ConcatBatches(schema *Schema, batches []*Batch) *Batch {
 
 // NewConcat allocates the dense batch a concatenation of the given batches
 // fills, copying nothing yet: a column has a null bitmap only if a source's
-// has one.
-func NewConcat(schema *Schema, batches []*Batch) *Batch {
+// has one, and is kind-only where the sources' are. Numeric payloads are
+// lent by a, unzeroed — CopyRows writes every row.
+func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	n := 0
 	for _, b := range batches {
 		n += b.Len()
@@ -257,13 +322,18 @@ func NewConcat(schema *Schema, batches []*Batch) *Batch {
 	for c := range out.Cols {
 		// The column kind comes from the first batch contributing rows;
 		// sibling batches of one schema always agree (same cache layout).
-		vec := &Vec{Kind: schema.Column(c).Kind}
+		vec, dropped := &Vec{Kind: schema.Column(c).Kind}, false
 		for _, b := range batches {
 			if b.Len() > 0 {
-				vec.Kind = b.Cols[c].Kind
+				vec.Kind, dropped = b.Cols[c].Kind, b.Cols[c].KindOnly()
 				break
 			}
 		}
+		if dropped {
+			out.Cols[c] = vec.Drop()
+			continue
+		}
+		out.Cols[c] = vec
 		for _, b := range batches {
 			if b.Cols[c].Null != nil && vec.Null == nil {
 				vec.Null = make([]bool, n)
@@ -271,13 +341,12 @@ func NewConcat(schema *Schema, batches []*Batch) *Batch {
 		}
 		switch vec.Kind {
 		case KindFloat:
-			vec.F = make([]float64, n)
+			vec.F = a.Floats(n)
 		case KindString:
 			vec.S = make([]string, n)
 		default:
-			vec.I = make([]int64, n)
+			vec.I = a.Ints(n)
 		}
-		out.Cols[c] = vec
 	}
 	return out
 }
@@ -286,11 +355,12 @@ func NewConcat(schema *Schema, batches []*Batch) *Batch {
 // ats[k] on, a source block at a time: a dense piece is copied, a selected
 // one gathered. It goes column by column across the pieces — the pieces of
 // one hash split share their columns, which so stay in cache for all of
-// them. A nil piece is skipped; the pieces are consumed.
+// them. A nil piece is skipped, as is a kind-only column; the pieces are
+// consumed.
 func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
 	for c := range dsts[0].Cols {
 		for k, b := range pieces {
-			if b == nil {
+			if b == nil || dsts[k].Cols[c].KindOnly() {
 				continue
 			}
 			src, vec := b.Cols[c], dsts[k].Cols[c]
@@ -361,7 +431,7 @@ func (b *Batch) SplitByHash(keys []int, n int) []*Batch {
 // parallel — they fill disjoint rows): the buckets of one split are
 // selections over the same columns, read while those are in cache. A nil
 // split or piece contributes nothing; the splits are consumed.
-func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn func(i int) error) error) ([]*Batch, error) {
+func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn func(i int) error) error, a *Arena) ([]*Batch, error) {
 	out := make([]*Batch, n)
 	ats := make([][]int, len(splits)) // ats[i][k]: where source i's rows start in out[k]
 	for k := range out {
@@ -378,7 +448,7 @@ func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn 
 			at += split[k].Len()
 			pieces = append(pieces, split[k])
 		}
-		out[k] = NewConcat(schema, pieces)
+		out[k] = NewConcat(schema, pieces, a)
 	}
 	err := each(len(splits), func(i int) error {
 		if ats[i] != nil {

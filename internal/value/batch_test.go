@@ -103,11 +103,11 @@ func TestHashRowMatchesHashTuple(t *testing.T) {
 // order.
 func TestGather(t *testing.T) {
 	b := NewBatchFrom(batchSchema(), batchTuples())
-	g := b.Cols[0].Gather([]int32{4, 2, 0})
+	g := b.Cols[0].Gather([]int32{4, 2, 0}, nil)
 	if g.Len() != 3 || g.I[0] != 5 || !g.IsNull(1) || g.I[2] != 1 {
 		t.Errorf("gathered = %+v", g)
 	}
-	s := b.Cols[1].Gather([]int32{3, 0})
+	s := b.Cols[1].Gather([]int32{3, 0}, nil)
 	if !s.IsNull(0) || s.S[1] != "ann" {
 		t.Errorf("gathered strings = %+v", s)
 	}
@@ -122,7 +122,7 @@ func TestConcatBatches(t *testing.T) {
 	b1.Sel = append(GetSel(), 1, 3)
 	b2 := NewBatchFrom(schema, tuples)
 	b3 := NewBatchFrom(schema, tuples[:0])
-	out := ConcatBatches(schema, []*Batch{b1, b3, b2})
+	out := ConcatBatches(schema, []*Batch{b1, b3, b2}, nil)
 	if out.Sel != nil || out.Len() != 7 {
 		t.Fatalf("concat = %d rows (sel %v)", out.Len(), out.Sel)
 	}
@@ -251,11 +251,11 @@ func TestTakeSel(t *testing.T) {
 // NULLs at the rows named, zeros elsewhere.
 func TestScatter(t *testing.T) {
 	b := NewBatchFrom(batchSchema(), batchTuples())
-	s := b.Cols[1].Scatter([]int32{3, 0}, []int32{5, 2}, 7)
+	s := b.Cols[1].Scatter([]int32{3, 0}, []int32{5, 2}, 7, nil)
 	if s.Len() != 7 || !s.IsNull(5) || s.S[2] != "ann" || s.IsNull(2) || s.S[0] != "" {
 		t.Errorf("scattered strings = %+v", s)
 	}
-	f := b.Cols[2].Scatter([]int32{4, 3}, []int32{0, 1}, 2)
+	f := b.Cols[2].Scatter([]int32{4, 3}, []int32{0, 1}, 2, nil)
 	if f.F[0] != 0 || f.F[1] != 4.25 || f.IsNull(1) {
 		t.Errorf("scattered floats = %+v", f)
 	}
@@ -269,7 +269,7 @@ func TestConcatBatchesBlocks(t *testing.T) {
 	dense := NewBatchFrom(schema, []Tuple{NewTuple(NewInt(1), NewString("a")), NewTuple(NewInt(2), NewString("b"))})
 	picked := NewBatchFrom(schema, []Tuple{NewTuple(NewInt(3), NewString("c")), NewTuple(NewInt(4), NewString("d")), NewTuple(NewInt(5), NewString("e"))})
 	picked.Sel = append(GetSel(), 0, 2)
-	out := ConcatBatches(schema, []*Batch{dense, picked})
+	out := ConcatBatches(schema, []*Batch{dense, picked}, nil)
 	if out.Cols[0].Null != nil || out.Cols[1].Null != nil {
 		t.Error("null bitmap allocated for NULL-free sources")
 	}
@@ -285,7 +285,7 @@ func TestConcatBatchesBlocks(t *testing.T) {
 		[]Tuple{NewTuple(Null, NewString("y"))})
 	untyped.Sel = append(GetSel(), 0)
 	dense = NewBatchFrom(schema, []Tuple{NewTuple(NewInt(1), NewString("a"))})
-	out = ConcatBatches(schema, []*Batch{dense, withNull, untyped})
+	out = ConcatBatches(schema, []*Batch{dense, withNull, untyped}, nil)
 	want := []Tuple{
 		NewTuple(NewInt(1), NewString("a")), NewTuple(Null, NewString("x")),
 		NewTuple(NewInt(7), Null), NewTuple(Null, NewString("y")),

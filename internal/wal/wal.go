@@ -15,6 +15,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -267,6 +268,18 @@ func (l *Log) CheckpointWith(snapshot []value.Tuple, carry []Record) error {
 	l.gen++
 	l.mu.Unlock()
 	return nil
+}
+
+// Drop removes the log and its checkpoint from the stable store: the
+// fragment is gone, and a log opened under the same name later must not
+// recover its rows. The caller guarantees nothing appends any more.
+func (l *Log) Drop() error {
+	err := errors.Join(l.store.Truncate(l.name), l.store.Truncate(l.name+".ckpt"))
+	l.mu.Lock()
+	l.records, l.bytes = 0, 0
+	l.gen++
+	l.mu.Unlock()
+	return err
 }
 
 // LoadCheckpoint returns the last checkpoint's snapshot (nil if none).
