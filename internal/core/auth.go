@@ -395,12 +395,3 @@ func (m *memAcct) breach() error {
 	defer m.mu.Unlock()
 	return m.err
 }
-
-// chargeRel charges one materialized relation against the statement's
-// budget; a no-op (not even a Size() walk) when no budget applies.
-func (ctx *execCtx) chargeRel(rel *value.Relation) error {
-	if ctx.mem == nil || rel == nil {
-		return nil
-	}
-	return ctx.mem.charge(int64(rel.Size()))
-}

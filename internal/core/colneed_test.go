@@ -226,7 +226,7 @@ func TestJoinResidualNeed(t *testing.T) {
 	sel := project.Child.(*plan.Select)
 	join := sel.Child.(*plan.Join)
 	join.Residual, project.Child = sel.Pred, join
-	res, err := s.runSelectPlanStr(project, "")
+	res, err := s.runSelectPlanStr(project, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

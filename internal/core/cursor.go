@@ -44,6 +44,7 @@ type Cursor struct {
 	planStr  string
 	parts    *parts // the plan's output; slot `taken` is the next to deliver
 	taken    int
+	cur      slot // the slot Advance moved to, until the next one is pulled
 	done     bool
 	err      error
 	rows     int64
@@ -69,59 +70,80 @@ func (c *Cursor) SimTime() time.Duration { return c.simTime }
 // finished.
 func (c *Cursor) WallTime() time.Duration { return c.wallTime }
 
-// Next returns the next non-empty batch of the result, or (nil, nil)
-// once the stream is exhausted (at which point an autocommit
+// Next returns the next non-empty batch of the result as tuples, or (nil,
+// nil) once the stream is exhausted (at which point an autocommit
 // transaction has committed and its locks are released). Any error —
 // including a commit failure at end of stream — poisons the cursor.
 func (c *Cursor) Next() (*value.Relation, error) {
-	if c.err != nil {
-		return nil, c.err
-	}
-	if c.done {
-		return nil, nil
-	}
-	rel, err := c.pull()
-	if err != nil {
-		c.err = err
-		c.finish(false)
+	if n, err := c.Advance(); n == 0 {
 		return nil, err
 	}
-	if rel == nil {
-		if err := c.finish(true); err != nil {
-			c.err = err
-			return nil, err
-		}
-		return nil, nil
-	}
-	c.rows += int64(len(rel.Tuples))
+	rel := c.cur.rows(c.schema)
+	c.cur = slot{}
 	return rel, nil
 }
 
-// pull delivers the next non-empty slot, or nil at the end of the
-// stream. Delivery is the gather, one slot at a time: the slot is taken,
-// crosses the network to the coordinator and becomes tuples, charged to
+// Advance moves to the next non-empty batch of the result and returns its
+// row count, or 0 once the stream is exhausted or has failed, with Next's
+// side effects and errors. It is Next for a consumer that would only
+// serialize the tuples: AppendRows encodes the batch it moved to from the
+// form the executor holds it in, valid until the next Advance or Close.
+func (c *Cursor) Advance() (int, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	if c.done {
+		return 0, nil
+	}
+	err := c.pull()
+	if err != nil {
+		c.err = err
+		c.finish(false)
+		return 0, err
+	}
+	n := c.cur.len()
+	if n == 0 {
+		if err := c.finish(true); err != nil {
+			c.err = err
+			return 0, err
+		}
+		return 0, nil
+	}
+	c.rows += int64(n)
+	return n, nil
+}
+
+// AppendRows appends rows [lo, hi) of the batch Advance moved to onto dst
+// in the wire's tuple encoding.
+func (c *Cursor) AppendRows(dst []byte, lo, hi int) []byte {
+	return c.cur.appendRows(dst, lo, hi)
+}
+
+// pull makes the next non-empty slot the current one, or an empty one at
+// the end of the stream. Delivery is the gather, one slot at a time: the
+// slot is taken, crosses the network to the coordinator and is charged to
 // the tenant's budget like any other materialization — a breach ends the
 // stream with the batch that caused it.
-func (c *Cursor) pull() (*value.Relation, error) {
+func (c *Cursor) pull() error {
+	c.cur.free()
+	c.cur = slot{}
 	for c.taken < len(c.parts.pes) {
 		i := c.taken
 		c.taken++
 		s, err := c.parts.take(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if s.len() == 0 {
 			s.free()
 			continue
 		}
-		c.ctx.ship(c.parts.pes[i], c.s.pe, s.size())
-		rel := s.rows(c.schema)
-		if err := c.ctx.chargeRel(rel); err != nil {
-			return nil, err
-		}
-		return rel, nil
+		size := s.size()
+		c.ctx.ship(c.parts.pes[i], c.s.pe, size)
+		c.cur = s
+		return c.ctx.mem.charge(int64(size))
 	}
-	return nil, c.ctx.mem.breach()
+	return c.ctx.mem.breach()
 }
 
 // Close releases the cursor. Closing before exhaustion aborts an
@@ -172,7 +194,7 @@ func (s *Session) Stream(sql string) (*Cursor, *Result, error) {
 		cur, err := s.streamPlanStr(start, r.sel, r.planStr)
 		return cur, nil, err
 	}
-	res, err := s.execRouted(start, r, err)
+	res, err := s.execRouted(start, r, err, nil)
 	return nil, res, err
 }
 

@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -145,6 +146,20 @@ func (s slot) rows(schema *value.Schema) *value.Relation {
 		return s.rel
 	}
 	return value.NewRelation(schema)
+}
+
+// appendRows appends rows [lo, hi) of the slot to dst in the wire's tuple
+// encoding, a batch straight from its vectors; the slot is not consumed.
+func (s slot) appendRows(dst []byte, lo, hi int) []byte {
+	switch {
+	case s.b != nil:
+		return value.AppendBatchRows(dst, s.b, lo, hi)
+	case s.rel != nil:
+		for _, t := range s.rel.Tuples[lo:hi] {
+			dst = value.AppendTuple(dst, t)
+		}
+	}
+	return dst
 }
 
 // asRows converts a batch slot to rows for a kernel that has no columnar
@@ -286,24 +301,51 @@ func eachPart(n int, fn func(i int) error) error {
 	return nil
 }
 
-// execPlan runs an optimized plan and materializes its result at the
-// coordinator.
-func (e *Engine) execPlan(ctx *execCtx, root plan.Node) (*value.Relation, error) {
+// execPlan runs an optimized plan and gathers its result at the
+// coordinator: as tuples (Result.Rel), or — for a caller that hands it a
+// buffer because it would only serialize the tuples — appended to dst in
+// the wire's tuple encoding (Result.Rows). The encoding happens here, inside
+// the statement: a root batch's columns may be arena payloads, handed back
+// when this returns, or a column cache's own rows, which vacuum may refill
+// once the caller unpins the snapshot.
+func (e *Engine) execPlan(ctx *execCtx, root plan.Node, dst []byte) (*Result, error) {
 	defer ctx.arena.Release()
 	p, err := e.exec(ctx, root, value.AllCols)
+	if err == nil {
+		p, err = p.forced()
+	}
 	if err != nil {
 		return nil, err
 	}
-	rel, err := e.gatherRows(ctx, p, root.Schema())
-	if err != nil {
-		return nil, err
+	// The Result and its Rows are one allocation: a point SELECT's whole
+	// round trip makes three dozen.
+	out := &struct {
+		Result
+		rows value.EncodedRows
+	}{}
+	res := &out.Result
+	if dst == nil {
+		res.Rel = e.gatherSlots(ctx, p, root.Schema())
+	} else {
+		size := e.arrive(ctx, p)
+		res.Rows = &out.rows
+		res.Rows.Schema = root.Schema()
+		for _, s := range p.slots {
+			res.Rows.N += s.len()
+		}
+		dst = slices.Grow(dst, value.EncodedBound(size, res.Rows.N, root.Schema().Len()))
+		for _, s := range p.slots {
+			dst = s.appendRows(dst, 0, s.len())
+			s.free()
+		}
+		res.Rows.Bytes = dst
 	}
 	// Charges cannot fail a slot mid-flight; a breach anywhere sticks in
 	// the account and aborts the statement here.
 	if err := ctx.mem.breach(); err != nil {
 		return nil, err
 	}
-	return rel, nil
+	return res, nil
 }
 
 // exec evaluates a plan subtree into a partitioned intermediate. need is
@@ -563,7 +605,7 @@ func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (slot, err
 	if rows {
 		return slot{rel: e.gatherSlots(ctx, p, schema), why: why}, nil
 	}
-	e.shipToCoordinator(ctx, p)
+	e.arrive(ctx, p)
 	out := slots[0].b
 	if len(slots) > 1 {
 		batches := make([]*value.Batch, len(slots))
@@ -572,15 +614,13 @@ func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (slot, err
 		}
 		out = value.ConcatBatches(schema, batches, &ctx.arena)
 	}
-	if ctx.mem != nil {
-		_ = ctx.mem.charge(int64(out.Size()))
-	}
 	return slot{b: out}, nil
 }
 
-// gatherRows is gather for a consumer that needs tuples — the plan root
-// and the operators that are row materialization points by nature (sort,
-// distinct): each slot materializes straight into the result.
+// gatherRows is gather for a consumer that needs tuples — an in-process
+// caller's plan root and the operators that are row materialization points
+// by nature (sort, distinct): each slot materializes straight into the
+// result.
 func (e *Engine) gatherRows(ctx *execCtx, p *parts, schema *value.Schema) (*value.Relation, error) {
 	p, err := p.forced()
 	if err != nil {
@@ -590,7 +630,7 @@ func (e *Engine) gatherRows(ctx *execCtx, p *parts, schema *value.Schema) (*valu
 }
 
 func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *value.Relation {
-	e.shipToCoordinator(ctx, p)
+	e.arrive(ctx, p)
 	slots := p.slots
 	var out *value.Relation
 	if len(slots) == 1 {
@@ -610,16 +650,23 @@ func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *valu
 			out.Tuples = append(out.Tuples, s.rows(schema).Tuples...)
 		}
 	}
-	_ = ctx.chargeRel(out)
 	return out
 }
 
-func (e *Engine) shipToCoordinator(ctx *execCtx, p *parts) {
+// arrive is the one account of slots reaching the coordinator, whatever
+// form they leave it in: each crosses the network from its PE, and their
+// sizes — the same for a batch, its tuples and their encoding — are charged
+// to the tenant's budget.
+func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
 	for i, s := range p.slots {
 		if s.len() > 0 {
-			ctx.ship(p.pes[i], ctx.s.pe, s.size())
+			size := s.size()
+			ctx.ship(p.pes[i], ctx.s.pe, size)
+			total += size
 		}
 	}
+	_ = ctx.mem.charge(int64(total))
+	return total
 }
 
 // explainTrace is what EXPLAIN's dry run collects: for every operator

@@ -97,9 +97,15 @@ func (s *Session) Prepare(sql string) (*PreparedStmt, error) {
 // ExecPrepared executes a prepared statement with the given parameter
 // values (one per slot, in order).
 func (s *Session) ExecPrepared(ps *PreparedStmt, args []value.Value) (*Result, error) {
+	return s.ExecPreparedTo(nil, ps, args)
+}
+
+// ExecPreparedTo is ExecPrepared with a SELECT's tuples encoded onto a
+// non-nil dst (see ExecTo).
+func (s *Session) ExecPreparedTo(dst []byte, ps *PreparedStmt, args []value.Value) (*Result, error) {
 	start := s.startClock()
 	r, err := s.routePrepared(ps, args)
-	return s.execRouted(start, r, err)
+	return s.execRouted(start, r, err, dst)
 }
 
 // QueryPrepared is ExecPrepared returning just the relation.
@@ -242,22 +248,24 @@ func (e *Engine) compileParsed(st sqlparse.Stmt, nparams int) (*compiledStmt, er
 	return cs, nil
 }
 
-// runSelectPlanStr executes an optimized plan, materialized, under the
-// session's transaction discipline; planStr is its rendering (prepared
+// runSelectPlanStr executes an optimized plan under the session's
+// transaction discipline, its result gathered as execPlan does for dst —
+// before the read is settled; planStr is its rendering (prepared
 // executions render once at compile time, not per execution). Under
 // MVCC the read runs against a pinned snapshot with no transaction and
 // no locks; under 2PL it runs inside a (possibly autocommit) transaction
 // holding shared locks.
-func (s *Session) runSelectPlanStr(root plan.Node, planStr string) (*Result, error) {
+func (s *Session) runSelectPlanStr(root plan.Node, planStr string, dst []byte) (*Result, error) {
 	tx, view, finish, err := s.readView()
 	if err != nil {
 		return nil, err
 	}
-	rel, execErr := s.e.execPlan(s.newExecCtx(tx, view), root)
+	res, execErr := s.e.execPlan(s.newExecCtx(tx, view), root, dst)
 	if err := finish(execErr); err != nil {
 		return nil, err
 	}
-	return &Result{Rel: rel, Plan: planStr}, nil
+	res.Plan = planStr
+	return res, nil
 }
 
 // ---------- parameter kind inference and coercion ----------

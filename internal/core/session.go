@@ -131,6 +131,11 @@ func (s *Session) readView() (*txn.Txn, ofm.View, func(error) error, error) {
 type Result struct {
 	// Rel holds query output (SELECT / PRISMAlog).
 	Rel *value.Relation
+	// Rows holds a SELECT's output in Rel's place when the caller gave the
+	// statement a buffer to encode into (ExecTo, ExecPreparedTo): the
+	// tuples in the wire's encoding, written once, from the plan root's
+	// column vectors where it has them.
+	Rows *value.EncodedRows
 	// Affected counts rows touched by DML.
 	Affected int
 	// Msg describes DDL and transaction-control outcomes.
@@ -150,10 +155,17 @@ type Result struct {
 // entirely, executing the cached plan with the literals bound — so even
 // unprepared autocommit statements pay the parse/optimize cost once per
 // statement shape.
-func (s *Session) Exec(sql string) (*Result, error) {
+func (s *Session) Exec(sql string) (*Result, error) { return s.ExecTo(nil, sql) }
+
+// ExecTo is Exec for a caller that would only serialize a SELECT's tuples
+// (the server): given a non-nil dst, the statement appends them to it in
+// the wire's tuple encoding and answers with Result.Rows, whose Bytes
+// extend dst, in place of Result.Rel. Every other statement answers as
+// through Exec.
+func (s *Session) ExecTo(dst []byte, sql string) (*Result, error) {
 	start := s.startClock()
 	r, err := s.routeText(sql)
-	return s.execRouted(start, r, err)
+	return s.execRouted(start, r, err, dst)
 }
 
 // stmtClock is where a statement's timing envelope opens: the host's
@@ -179,10 +191,10 @@ type routed struct {
 	ast     sqlparse.Stmt
 }
 
-// execRouted runs what routing produced, materializing a SELECT, and
-// closes the timing envelope — the one place WallTime and SimTime are
-// stamped on a Result.
-func (s *Session) execRouted(start stmtClock, r routed, err error) (*Result, error) {
+// execRouted runs what routing produced — a SELECT gathered as tuples, or
+// encoded onto dst when dst is not nil — and closes the timing envelope:
+// the one place WallTime and SimTime are stamped on a Result.
+func (s *Session) execRouted(start stmtClock, r routed, err error, dst []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -191,7 +203,7 @@ func (s *Session) execRouted(start stmtClock, r routed, err error) (*Result, err
 	case r.done != nil:
 		res = r.done
 	case r.sel != nil:
-		res, err = s.runSelectPlanStr(r.sel, r.planStr)
+		res, err = s.runSelectPlanStr(r.sel, r.planStr, dst)
 	default:
 		res, err = s.execStmt(r.ast)
 	}
@@ -423,7 +435,7 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 		}
 		ctx := s.newExecCtx(tx, view)
 		ctx.explain = &explainTrace{}
-		_, execErr := s.e.execPlan(ctx, root)
+		_, execErr := s.e.execPlan(ctx, root, nil)
 		if err := finish(execErr); err != nil {
 			return nil, err
 		}

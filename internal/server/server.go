@@ -25,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/txn"
-	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -378,20 +377,19 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	ok = wire.AppendHelloExtra(ok, &wire.HelloExtra{Role: role, Epoch: s.eng.Epoch(), Primary: primary})
-	if err := wire.WriteFrame(bw, wire.TypeHelloOK, ok); err != nil {
-		conn.Close()
-		return
-	}
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return
-	}
 
+	// The session exists before the client hears HelloOK: a Dial that has
+	// returned has its coordinator PE, so sessions opened after it take the
+	// PEs after it. A refused handshake never gets here and takes none.
 	sess := s.eng.NewSession()
 	defer sess.Close() // aborts an open transaction on disconnect
 	sess.SetStatementTimeout(s.stmtTimeout)
 	if user != nil {
 		sess.SetUser(user)
+	}
+	if wire.WriteFrame(bw, wire.TypeHelloOK, ok) != nil || bw.Flush() != nil {
+		conn.Close()
+		return
 	}
 	reg := newStmtRegistry(s.maxPrepared)
 
@@ -422,8 +420,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}()
 
-	w := &replyWriter{bw: bw, max: s.maxFrame, enc: wire.GetBuf(), primary: s.primaryAddr}
+	w := &replyWriter{bw: bw, max: s.maxFrame, enc: wire.GetBuf(), rows: wire.GetBuf(), primary: s.primaryAddr}
 	defer wire.PutBuf(w.enc)
+	defer wire.PutBuf(w.rows)
 	for rq := range reqs {
 		if rq.err != nil {
 			// EOF and reset are normal disconnects; an oversized frame
@@ -494,10 +493,13 @@ func (s *Server) admit(sess *core.Session, typ byte) (*admission.Grant, error) {
 }
 
 // replyWriter writes a connection's reply frames into its buffered
-// writer, reusing one encode buffer across results.
+// writer, reusing two buffers across results: rows, which a statement
+// encodes a SELECT's output into while it still holds its snapshot, and
+// enc, where the Result frame is put together around them.
 type replyWriter struct {
 	bw      *bufio.Writer
 	enc     *[]byte
+	rows    *[]byte
 	max     int
 	queue   time.Duration // admission queue wait of the executing statement
 	primary func() string // primary address for redirect errors (may be nil)
@@ -537,6 +539,7 @@ func (w *replyWriter) writeResult(res *core.Result) bool {
 	}
 	wres := &wire.Result{
 		Rel:       res.Rel,
+		Rows:      res.Rows,
 		Affected:  res.Affected,
 		Msg:       res.Msg,
 		Plan:      res.Plan,
@@ -544,8 +547,13 @@ func (w *replyWriter) writeResult(res *core.Result) bool {
 		WallTime:  res.WallTime,
 		QueueTime: w.queue,
 	}
-	*w.enc = wire.AppendResult((*w.enc)[:0], wres)
-	buf := *w.enc
+	buf := wire.AppendResult((*w.enc)[:0], wres)
+	// Both buffers keep what they grew to, short of a size only an outsized
+	// result needs: that one is let go with its result.
+	*w.enc = wire.KeepBuf(buf)
+	if res.Rows != nil {
+		*w.rows = wire.KeepBuf(res.Rows.Bytes)
+	}
 	if len(buf)+1 > w.max {
 		// The result itself exceeds the frame limit; tell the client
 		// rather than shipping a frame it must refuse.
@@ -563,7 +571,7 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 	var execErr error
 	switch typ {
 	case wire.TypeExec:
-		res, execErr = sess.Exec(string(payload))
+		res, execErr = sess.ExecTo(*w.rows, string(payload))
 	case wire.TypeExecStream:
 		chunkRows, chunkBytes, sql, derr := wire.DecodeExecStream(payload)
 		if derr != nil {
@@ -598,12 +606,12 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 			var berr error
 			if st.Bind {
 				if ps := reg.get(st.ID); ps != nil {
-					bres, berr = sess.ExecPrepared(ps, st.Args)
+					bres, berr = sess.ExecPreparedTo(*w.rows, ps, st.Args)
 				} else {
 					berr = fmt.Errorf("server: unknown or closed prepared statement id %d", st.ID)
 				}
 			} else {
-				bres, berr = sess.Exec(st.SQL)
+				bres, berr = sess.ExecTo(*w.rows, st.SQL)
 			}
 			if berr != nil {
 				if !w.writeExecError(berr) {
@@ -646,7 +654,7 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 			execErr = fmt.Errorf("server: unknown or closed prepared statement id %d", id)
 			break
 		}
-		res, execErr = sess.ExecPrepared(ps, args)
+		res, execErr = sess.ExecPreparedTo(*w.rows, ps, args)
 	case wire.TypeClosePrepared:
 		id, err := wire.DecodeClosePrepared(payload)
 		if err != nil {
@@ -735,23 +743,28 @@ func (s *Server) streamResult(bw *bufio.Writer, cur *core.Cursor, chunkRows, chu
 		n = 0
 		return true
 	}
-	var scratch []byte
-	rel, err := cur.Next()
-	for err == nil && rel != nil {
-		for _, t := range rel.Tuples {
-			scratch = value.AppendTuple(scratch[:0], t)
-			if len(scratch)+5 > s.maxFrame {
-				return failStmt(wire.ErrCodeGeneric, fmt.Sprintf("server: tuple of %d bytes exceeds frame limit %d", len(scratch), s.maxFrame))
+	// Each row is encoded where it will leave from, the end of the chunk,
+	// out of the form the executor holds the batch in; only a row that turns
+	// out to open the next chunk is moved.
+	rows, err := cur.Advance()
+	for err == nil && rows > 0 {
+		for i := 0; i < rows; i++ {
+			at := len(chunk)
+			chunk = cur.AppendRows(chunk, i, i+1)
+			if size := len(chunk) - at; size+5 > s.maxFrame {
+				return failStmt(wire.ErrCodeGeneric, fmt.Sprintf("server: tuple of %d bytes exceeds frame limit %d", size, s.maxFrame))
 			}
-			// Flush before appending would push the chunk past the byte
+			// Flush before the row would push the chunk past the byte
 			// budget: a chunk never exceeds the client's request except
 			// when a single tuple alone does.
-			if n > 0 && len(chunk)+len(scratch)-4 > chunkBytes {
+			if n > 0 && len(chunk)-4 > chunkBytes {
+				row := chunk[at:]
+				chunk = chunk[:at]
 				if !emitChunk() || bw.Flush() != nil {
 					return false
 				}
+				chunk = append(chunk, row...)
 			}
-			chunk = append(chunk, scratch...)
 			n++
 			if n >= chunkRows || len(chunk)-4 >= chunkBytes {
 				if !emitChunk() || bw.Flush() != nil {
@@ -759,15 +772,15 @@ func (s *Server) streamResult(bw *bufio.Writer, cur *core.Cursor, chunkRows, chu
 				}
 			}
 		}
-		var next *value.Relation
-		next, err = cur.Next()
-		if next != nil && (n > 0 || bw.Buffered() > 0) {
+		var next int
+		next, err = cur.Advance()
+		if next > 0 && (n > 0 || bw.Buffered() > 0) {
 			// More batches coming: ship everything pending now.
 			if !emitChunk() || bw.Flush() != nil {
 				return false
 			}
 		}
-		rel = next
+		rows = next
 	}
 	if err != nil {
 		return failStmt(errorCode(err), err.Error())

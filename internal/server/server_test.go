@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -339,6 +340,76 @@ func TestVersionMismatchRejected(t *testing.T) {
 		t.Fatalf("reply = %#x %q", typ, payload)
 	}
 	expectClosed(t, conn)
+}
+
+// TestSessionExistsBeforeHelloOK: the connection's session — and so its
+// round-robin coordinator PE — is created before the handshake is
+// answered: once Dial has returned, a session opened next takes the PE
+// after the connection's, never the connection's own. A refused handshake
+// creates no session and takes no PE.
+func TestSessionExistsBeforeHelloOK(t *testing.T) {
+	const pes = 8
+	eng, err := core.New(core.Config{NumPEs: pes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	addr := startServer(t, Config{Engine: eng})
+	prev := eng.NewSession().PE()
+	for i := 0; i < 200; i++ {
+		c, err := client.Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := eng.NewSession().PE()
+		c.Close()
+		if want := (prev + 2) % pes; got != want {
+			t.Fatalf("dial %d: a session opened after Dial returned sits on PE %d, want %d: the connection had not taken its own yet", i, got, want)
+		}
+		prev = got
+	}
+	for _, hello := range []string{"EVIL\x01", wire.Magic + "\x63"} {
+		conn := rawDial(t, addr)
+		if err := wire.WriteFrame(conn, wire.TypeHello, []byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.TypeError {
+			t.Fatalf("refused handshake answered %#x, %v", typ, err)
+		}
+		expectClosed(t, conn)
+		got := eng.NewSession().PE()
+		if want := (prev + 1) % pes; got != want {
+			t.Fatalf("after a refused handshake the next session sits on PE %d, want %d: the refusal took one", got, want)
+		}
+		prev = got
+	}
+}
+
+// TestReplyBuffersOutliveOnlyOrdinaryResults: a connection's two reply
+// buffers keep what ordinary results grew them to, and let go of what one
+// outsized result did.
+func TestReplyBuffersOutliveOnlyOrdinaryResults(t *testing.T) {
+	w := &replyWriter{bw: bufio.NewWriter(io.Discard), max: wire.DefaultMaxFrame, enc: wire.GetBuf(), rows: wire.GetBuf()}
+	schema := value.MustSchema("id", "INT")
+	reply := func(n int) {
+		t.Helper()
+		// As a statement would: the rows appended to the buffer it was handed.
+		enc := &value.EncodedRows{Schema: schema, N: n, Bytes: *w.rows}
+		for i := 0; i < n; i++ {
+			enc.Bytes = value.AppendTuple(enc.Bytes, value.NewTuple(value.NewInt(int64(i))))
+		}
+		if !w.writeResult(&core.Result{Rows: enc}) {
+			t.Fatal("writeResult failed")
+		}
+	}
+	reply(5000) // 55 KB
+	if cap(*w.rows) < 50<<10 || cap(*w.enc) < 50<<10 || len(*w.rows) != 0 {
+		t.Errorf("after a 55 KB result the buffers hold %d and %d bytes", cap(*w.rows), cap(*w.enc))
+	}
+	reply(200000) // 2.2 MB
+	if cap(*w.rows) > 1<<20 || cap(*w.enc) > 1<<20 {
+		t.Errorf("after a 2.2 MB result the connection still holds buffers of %d and %d bytes", cap(*w.rows), cap(*w.enc))
+	}
 }
 
 func TestOversizedFrameRejected(t *testing.T) {

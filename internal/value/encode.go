@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Binary encoding of values and tuples. The format is used (a) to ship
@@ -79,6 +80,56 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 		buf = AppendValue(buf, v)
 	}
 	return buf
+}
+
+// AppendBatchRows appends logical rows [lo, hi) of b in the tuple encoding:
+// byte for byte what AppendTuple writes for those rows of b.Materialize(),
+// without the tuples. A row that is NULL in a column's bitmap is a bare
+// NULL tag whatever payload sits under it, and so is every row of a
+// kind-only column. It is how a plan root leaves the engine when its only
+// reader is a serializer.
+func AppendBatchRows(dst []byte, b *Batch, lo, hi int) []byte {
+	w := len(b.Cols)
+	// A tag and an 8-byte word cover every fixed-width value and a string's
+	// length; string bytes grow the buffer as they come.
+	dst = slices.Grow(dst, (hi-lo)*(2+9*w))
+	for i := lo; i < hi; i++ {
+		row := b.Row(i)
+		dst = binary.BigEndian.AppendUint16(dst, uint16(w))
+		for _, v := range b.Cols {
+			if v.Null != nil && v.Null[row] || v.KindOnly() {
+				dst = append(dst, byte(KindNull))
+				continue
+			}
+			switch v.Kind {
+			case KindBool:
+				set := byte(0)
+				if v.I[row] != 0 {
+					set = 1
+				}
+				dst = append(dst, byte(KindBool), set)
+			case KindInt:
+				dst = binary.BigEndian.AppendUint64(append(dst, byte(KindInt)), uint64(v.I[row]))
+			case KindFloat:
+				dst = binary.BigEndian.AppendUint64(append(dst, byte(KindFloat)), math.Float64bits(v.F[row]))
+			case KindString:
+				dst = binary.BigEndian.AppendUint32(append(dst, byte(KindString)), uint32(len(v.S[row])))
+				dst = append(dst, v.S[row]...)
+			default:
+				dst = append(dst, byte(KindNull))
+			}
+		}
+	}
+	return dst
+}
+
+// EncodedRows is a relation whose tuples are already in the tuple encoding,
+// one after the other: what a statement hands a caller that would only
+// serialize a Relation's tuples and drop them.
+type EncodedRows struct {
+	Schema *Schema
+	N      int    // tuples in Bytes
+	Bytes  []byte // each as AppendTuple writes it
 }
 
 // DecodeTuple decodes one tuple from buf, returning it and the number of
@@ -277,6 +328,22 @@ func AppendSchema(buf []byte, s *Schema) []byte {
 	}
 	return buf
 }
+
+// SchemaEncodedLen is how many bytes AppendSchema writes for s.
+func SchemaEncodedLen(s *Schema) int {
+	n := 2 + 3*s.Len()
+	for i := 0; i < s.Len(); i++ {
+		n += len(s.Column(i).Name)
+	}
+	return n
+}
+
+// EncodedBound bounds from above the tuple encoding of rows tuples of cols
+// columns whose Size() is size: there a tuple weighs 24 bytes, 16 a value
+// and its string bytes; encoded, 2 bytes, at most 9 a value — a tag and an
+// 8-byte word cover every fixed-width value and a string's length — and
+// the same string bytes. One reservation then holds the encoding.
+func EncodedBound(size, rows, cols int) int { return max(0, size-rows*(22+7*cols)) }
 
 // DecodeSchema decodes a schema from buf, returning it and the number of
 // bytes consumed.

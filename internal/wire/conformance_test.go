@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"testing"
@@ -178,10 +179,55 @@ func TestResultConformance(t *testing.T) {
 				t.Fatalf("scalar fields differ: got %+v, want %+v", got, tc.res)
 			}
 			sameRelation(t, got.Rel, tc.res.Rel)
-			if tc.res.Rel != nil {
-				sameTuplesInOrder(t, got.Rel.Tuples, tc.res.Rel.Tuples)
+			if tc.res.Rel == nil {
+				return
+			}
+			sameTuplesInOrder(t, got.Rel.Tuples, tc.res.Rel.Tuples)
+			// The same relation handed over already encoded is the same frame.
+			pre := *tc.res
+			pre.Rel, pre.Rows = nil, &value.EncodedRows{Schema: tc.res.Rel.Schema, N: tc.res.Rel.Len()}
+			for _, tup := range tc.res.Rel.Tuples {
+				pre.Rows.Bytes = value.AppendTuple(pre.Rows.Bytes, tup)
+			}
+			if !bytes.Equal(EncodeResult(&pre), EncodeResult(tc.res)) {
+				t.Fatalf("pre-encoded rows encode as %x, the relation as %x", EncodeResult(&pre), EncodeResult(tc.res))
 			}
 		})
+	}
+}
+
+// TestAppendResultReservesEncodedLength: the buffer a result grows is sized
+// from what the frame will hold — exactly, for rows that arrive encoded,
+// and within a NULL's or a bool's slack of it for a relation — not from
+// Relation.Size, the simulated footprint (2.8x the encoding of an int
+// pair). And a buffer kept across statements gives up a capacity only an
+// outsized result needed.
+func TestAppendResultReservesEncodedLength(t *testing.T) {
+	rel := value.NewRelation(value.MustSchema("id", "INT", "amt", "INT"))
+	rows := &value.EncodedRows{Schema: rel.Schema}
+	for i := 0; i < 2062; i++ {
+		rel.Append(value.NewTuple(value.NewInt(int64(i)), value.NewInt(0)))
+		rows.Bytes = value.AppendTuple(rows.Bytes, rel.Tuples[i])
+		rows.N++
+	}
+	for name, res := range map[string]*Result{"relation": {Rel: rel, Plan: "Scan"}, "encoded rows": {Rows: rows, Plan: "Scan"}} {
+		buf := AppendResult(make([]byte, 0, 16), res)
+		if spare := cap(buf) - len(buf); spare > 8 { // the optional queue time
+			t.Errorf("%s: %d bytes reserved for a %d-byte frame", name, cap(buf), len(buf))
+		}
+	}
+	withNulls := value.NewRelation(rel.Schema)
+	withNulls.Append(value.NewTuple(value.Null, value.NewInt(1)))
+	if buf := AppendResult(nil, &Result{Rel: withNulls}); cap(buf) < len(buf) || cap(buf) > len(buf)+16 {
+		t.Errorf("relation with a NULL: %d bytes reserved for a %d-byte frame", cap(buf), len(buf))
+	}
+
+	small := make([]byte, 100, 8192)
+	if kept := KeepBuf(small); len(kept) != 0 || cap(kept) != 8192 {
+		t.Errorf("KeepBuf dropped a %d-byte buffer", cap(small))
+	}
+	if kept := KeepBuf(make([]byte, 0, maxPooledBuf+1)); cap(kept) > 8192 {
+		t.Errorf("KeepBuf kept a buffer of %d bytes", cap(kept))
 	}
 }
 

@@ -218,6 +218,16 @@ func PutBuf(b *[]byte) {
 	bufPool.Put(b)
 }
 
+// KeepBuf is buf emptied for its next use by an owner that holds it across
+// statements — or, past the capacity PutBuf refuses, a fresh small buffer,
+// so one giant result does not stay pinned to its connection either.
+func KeepBuf(buf []byte) []byte {
+	if cap(buf) > maxPooledBuf {
+		return make([]byte, 0, 4096)
+	}
+	return buf[:0]
+}
+
 // WriteFrame writes one frame to w. A local header array would escape
 // through the io.Writer call — a heap allocation per frame — so on the
 // *bufio.Writer every connection writes through, the header is built in
@@ -451,6 +461,10 @@ func DecodeClosePrepared(payload []byte) (uint32, error) {
 type Result struct {
 	// Rel holds query output (SELECT / PRISMAlog); nil for DDL/DML.
 	Rel *value.Relation
+	// Rows is query output the engine already put in the tuple encoding
+	// (core.Result.Rows). It is an encoder's input only: it takes Rel's
+	// place in the frame byte for byte, and a decoded Result has Rel.
+	Rows *value.EncodedRows
 	// Affected counts rows touched by DML.
 	Affected int
 	// Msg describes DDL and transaction-control outcomes.
@@ -500,9 +514,16 @@ func EncodeResult(r *Result) []byte {
 func AppendResult(dst []byte, r *Result) []byte {
 	var flags byte
 	size := 41 + len(r.Msg) + len(r.Plan)
-	if r.Rel != nil {
+	// The reservation is the encoded length, not the simulated footprint
+	// Relation.Size reports (24+16 a column per row, 56 bytes for a row
+	// that encodes in 20).
+	switch {
+	case r.Rows != nil:
 		flags |= resultHasRel
-		size += r.Rel.Size() + 64
+		size += value.SchemaEncodedLen(r.Rows.Schema) + 4 + len(r.Rows.Bytes)
+	case r.Rel != nil:
+		flags |= resultHasRel
+		size += value.SchemaEncodedLen(r.Rel.Schema) + 4 + value.EncodedBound(r.Rel.Size(), r.Rel.Len(), r.Rel.Schema.Len())
 	}
 	if r.QueueTime != 0 {
 		flags |= resultHasQueue
@@ -521,7 +542,12 @@ func AppendResult(dst []byte, r *Result) []byte {
 	if r.QueueTime != 0 {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(r.QueueTime.Nanoseconds()))
 	}
-	if r.Rel != nil {
+	switch {
+	case r.Rows != nil:
+		buf = value.AppendSchema(buf, r.Rows.Schema)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(r.Rows.N))
+		buf = append(buf, r.Rows.Bytes...)
+	case r.Rel != nil:
 		buf = value.AppendRelation(buf, r.Rel)
 	}
 	return buf
