@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/value"
@@ -12,12 +13,16 @@ import (
 // This file holds the columnar counterparts of the row operators. Select
 // narrows a selection vector and Project remaps column pointers. The hash
 // join, the grouped aggregate and the merge of partial aggregates share one
-// typed hash-table design: the key columns are hashed a vector at a time
-// (value.Batch.HashCols), one open-addressing table of row ids is probed
-// with those hashes, and key equality is decided column-wise on the typed
-// vectors — same kind and same bits, what the row operators' byte keys
-// decide — so int, float, string, bool, composite and NULL keys take one
-// path and no cell is boxed. The join copies its matches column-wise;
+// typed hash-table design: every row gets one key word a vector at a time
+// (value.Batch.KeyWords), one open-addressing table of row ids is probed
+// with those words, and a candidate is confirmed as the same key — same
+// kind and same bits, what the row operators' byte keys decide. A key of
+// one fixed-width column without NULLs is its own word: the cell's 64 bits
+// are mixed for the slot and compared for the confirmation, so no hash is
+// taken and no key column read again. Every other key — strings,
+// composites, NULLs — is hashed (HashCols) and confirmed column-wise on
+// the typed vectors. Both go through one table and one loop per kernel,
+// and no cell is boxed. The join copies its matches column-wise;
 // aggregation assigns first-seen group ids and folds each spec into a typed
 // accumulator column in one loop, so it is batch in, batch out. The row
 // operators are the differential oracle for all of it, order included.
@@ -60,7 +65,7 @@ func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batc
 // addressing with linear probing. A slot packs the high half of its key's
 // hash over a 32-bit id plus one (a build row for the join, a group for
 // the aggregate); zero is empty. One load so finds a candidate and rules
-// out nearly every other key before any column is compared. It holds at
+// out nearly every other key before anything is compared. It holds at
 // most half as many keys as slots and is pooled.
 type rowTable struct {
 	slots []uint64
@@ -74,8 +79,27 @@ func newRowTable(keys int) rowTable {
 	return t
 }
 
+// tableHash is the hash a key word enters the table under. A hashed key's
+// word is that hash already. An exact one is a raw column cell — usually a
+// small integer, all zeros where a slot takes its tag — and is multiplied
+// out first; keys that count upwards then spread over the slots evenly,
+// not merely at random, as under any multiplicative hash.
+func tableHash(w uint64, exact bool) uint64 {
+	if exact {
+		w *= 0xD6E8FEB86659FD93
+	}
+	return w
+}
+
 // home is the slot a hash starts probing at. FNV-1a mixes upward only, so
-// the table takes its index from the high bits of a Fibonacci multiply.
+// the table takes its index from the high bits of a Fibonacci multiply. A
+// raw cell must meet another multiply first (tableHash): this one alone is
+// linear in the key, so cells in arithmetic progression start a fixed
+// distance apart — a fraction of a slot when stride times constant is
+// nearly a multiple of 2^64, as it is for a Fibonacci number (their ratios
+// are the golden ratio's convergents), and every key then probes past all
+// those before it. The two constants' product has no such stride anyone
+// counts in (TestKeyWordStridesStayLinear).
 func (t rowTable) home(h uint64) int { return int((h * 0x9E3779B97F4A7C15) >> t.shift) }
 
 // step is the slot probed after p.
@@ -167,27 +191,49 @@ func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet,
 	bsel, psel := build.TakeSel(), probe.TakeSel()
 	bkeys, bnull := keyVecs(build, bcols)
 	pkeys, pnull := keyVecs(probe, pcols)
-	bh := build.HashCols(bsel, bcols)
-	ph := probe.HashCols(psel, pcols)
+	bw, exact := build.KeyWords(bsel, bcols)
+	pw, pexact := probe.KeyWords(psel, pcols)
+	if exact != pexact || exact && bkeys[0].Kind != pkeys[0].Kind {
+		// A cell of one side says nothing about a hash, or a cell of
+		// another kind, of the other: both sides hash.
+		if exact {
+			value.PutHashes(bw)
+			bw = build.HashCols(bsel, bcols)
+		}
+		if pexact {
+			value.PutHashes(pw)
+			pw = probe.HashCols(psel, pcols)
+		}
+		exact = false
+	}
 	stats := Stats{TuplesRead: len(bsel) + len(psel), Hashes: len(bsel)}
 
 	// next and tail, indexed by physical build row, chain the rows of one
-	// key from the row in the table's slot; tail is kept at that row only.
+	// key from the row in the table's slot; tail is kept at that row only,
+	// and so is word, the exact key a candidate is confirmed against.
 	table := newRowTable(len(bsel))
 	next, tail := value.GetSelLen(build.Rows), value.GetSelLen(build.Rows)
-	for i, h := range bh {
+	var word []uint64
+	if exact {
+		word = value.GetHashes(build.Rows)
+	}
+	for i, w := range bw {
 		row := bsel[i]
 		if bnull && nullKey(bkeys, row) {
 			continue // NULL keys never join
 		}
 		next[row] = -1
+		h := tableHash(w, exact)
 		for p := table.home(h); ; p = table.step(p) {
 			s := table.slots[p]
 			if s == 0 {
 				table.slots[p], tail[row] = slotFor(h, row), row
+				if exact {
+					word[row] = w
+				}
 				break
 			}
-			if e := slotID(s, h); e >= 0 && sameKey(bkeys, e, bkeys, row) {
+			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, bkeys, row)) {
 				next[tail[e]], tail[e] = row, row
 				break
 			}
@@ -198,21 +244,24 @@ func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet,
 	// output order. once stays true while no probe row has met a key that
 	// several build rows hold.
 	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
-	for j, h := range ph {
+	for j, w := range pw {
 		row := psel[j]
 		if pnull && nullKey(pkeys, row) {
 			continue
 		}
 		stats.Hashes++
+		h := tableHash(w, exact)
 		for p := table.home(h); ; p = table.step(p) {
 			s := table.slots[p]
 			if s == 0 {
 				break
 			}
-			if e := slotID(s, h); e >= 0 && sameKey(bkeys, e, pkeys, row) {
-				once = once && next[e] < 0
-				for m := e; m >= 0; m = next[m] {
-					bIdx, pIdx = append(bIdx, m), append(pIdx, row)
+			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, pkeys, row)) {
+				for ; ; once = false {
+					bIdx, pIdx = append(bIdx, e), append(pIdx, row)
+					if e = next[e]; e < 0 {
+						break
+					}
 				}
 				break
 			}
@@ -251,7 +300,7 @@ func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet,
 	for _, s := range [][]int32{bsel, psel, next, tail, bIdx} {
 		value.PutSel(s)
 	}
-	for _, s := range [][]uint64{bh, ph, table.slots} {
+	for _, s := range [][]uint64{bw, pw, word, table.slots} {
 		value.PutHashes(s)
 	}
 	return out, stats, nil
@@ -266,6 +315,7 @@ type groups struct {
 	ids   []int32 // ids[i] is the group of row sel[i]
 	first []int32 // first[g] is the physical row that opened group g
 	n     int     // number of groups
+	rows  []int64 // rows[g] is the number of rows in group g, once counted
 }
 
 // groupRows resolves the selected rows of b to groups. No key columns is
@@ -278,26 +328,27 @@ func groupRows(b *value.Batch, keys []int) *groups {
 		return g
 	}
 	vecs, _ := keyVecs(b, keys)
-	hs := b.HashCols(g.sel, keys)
+	ws, exact := b.KeyWords(g.sel, keys)
 	// The table starts small and doubles as groups appear, refilled from
-	// their hashes: it stays in cache when rows are many and groups few.
-	table, ghs := newRowTable(min(len(g.sel), 512)), value.GetHashes(0)
-	for i, h := range hs {
-		row := g.sel[i]
+	// their words: it stays in cache when rows are many and groups few.
+	table, gws := newRowTable(min(len(g.sel), 512)), value.GetHashes(0)
+	for i, w := range ws {
+		row, h := g.sel[i], tableHash(w, exact)
 		for p := table.home(h); ; p = table.step(p) {
 			if s := table.slots[p]; s != 0 {
-				if id := slotID(s, h); id >= 0 && sameKey(vecs, g.first[id], vecs, row) {
+				if id := slotID(s, h); id >= 0 && (exact && gws[id] == w || !exact && sameKey(vecs, g.first[id], vecs, row)) {
 					g.ids[i] = id
 					break
 				}
 				continue
 			}
-			table.slots[p], g.ids[i] = slotFor(h, int32(len(ghs))), int32(len(ghs))
-			g.first, ghs = append(g.first, row), append(ghs, h)
-			if 2*len(ghs) > len(table.slots) {
+			table.slots[p], g.ids[i] = slotFor(h, int32(len(gws))), int32(len(gws))
+			g.first, gws = append(g.first, row), append(gws, w)
+			if 2*len(gws) > len(table.slots) {
 				value.PutHashes(table.slots)
-				table = newRowTable(2 * len(ghs))
-				for id, gh := range ghs {
+				table = newRowTable(2 * len(gws))
+				for id, gw := range gws {
+					gh := tableHash(gw, exact)
 					p := table.home(gh)
 					for table.slots[p] != 0 {
 						p = table.step(p)
@@ -308,8 +359,8 @@ func groupRows(b *value.Batch, keys []int) *groups {
 			break
 		}
 	}
-	g.n = len(ghs)
-	for _, s := range [][]uint64{hs, ghs, table.slots} {
+	g.n = len(gws)
+	for _, s := range [][]uint64{ws, gws, table.slots} {
 		value.PutHashes(s)
 	}
 	return g
@@ -330,15 +381,30 @@ func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, 
 	return out, st
 }
 
-// tally counts each group's rows that are not NULL under null (nil: all).
+// tally counts each group's rows that are not NULL under null. With no
+// bitmap that is the group's rows, counted once however many aggregates
+// ask: the slice is then shared, and an output column takes a copy of it.
 func (g *groups) tally(null []bool) []int64 {
-	cnt := make([]int64, g.n)
-	for i, r := range g.sel {
-		if null == nil || !null[r] {
-			cnt[g.ids[i]]++
+	if null != nil {
+		cnt := make([]int64, g.n)
+		for i, r := range g.sel {
+			if !null[r] {
+				cnt[g.ids[i]]++
+			}
+		}
+		return cnt
+	}
+	if g.rows == nil {
+		g.rows = make([]int64, g.n)
+		if len(g.keys) == 0 {
+			g.rows[0] = int64(len(g.sel))
+		} else {
+			for _, id := range g.ids {
+				g.rows[id]++
+			}
 		}
 	}
-	return cnt
+	return g.rows
 }
 
 // sums adds up each group's non-NULL values of a numeric column, as A and
@@ -414,7 +480,7 @@ func average(sum []float64, cnt []int64) *value.Vec {
 // aggState's.
 func (g *groups) fold(fn AggFunc, v *value.Vec) *value.Vec {
 	if v == nil {
-		return &value.Vec{Kind: value.KindInt, I: g.tally(nil)} // COUNT(*) counts rows, NULLs included
+		return &value.Vec{Kind: value.KindInt, I: slices.Clone(g.tally(nil))} // COUNT(*) counts rows, NULLs included
 	}
 	out := &value.Vec{Kind: resultKind(fn, v.Kind)}
 	var cnt []int64
@@ -426,7 +492,7 @@ func (g *groups) fold(fn AggFunc, v *value.Vec) *value.Vec {
 	case extreme:
 		out.I, cnt = extremes(g, v.I, v.Null, fn == Max)
 	case fn == Count:
-		out.I = g.tally(v.Null)
+		out.I = slices.Clone(g.tally(v.Null))
 		return out
 	case fn == Avg:
 		return average(sums[float64](g, v), g.tally(v.Null))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -67,12 +68,17 @@ func diffRel(r *rand.Rand, kinds []value.Kind, rows, domain int, nulls, heavy bo
 
 // diffBatch returns rel as a batch and as the relation the row operators
 // read: with sel set, a batch under a random selection vector and the rows
-// it selects.
+// it selects. One time in four a column without NULLs carries a bitmap all
+// the same — allocated, all false — as a column cache's does once a NULL
+// it held is overwritten.
 func diffBatch(t *testing.T, r *rand.Rand, rel *value.Relation, sel bool) (*value.Batch, *value.Relation) {
 	t.Helper()
 	b := value.NewBatchFrom(rel.Schema, rel.Tuples)
 	if b == nil {
 		t.Fatal("NewBatchFrom declined")
+	}
+	if v := b.Cols[r.Intn(len(b.Cols))]; v.Null == nil && r.Intn(4) == 0 {
+		v.Null = make([]bool, b.Rows)
 	}
 	if !sel {
 		return b, rel
@@ -106,8 +112,7 @@ func requireSameBits(t *testing.T, name string, got, want *value.Relation) {
 	}
 }
 
-// checkHashes pins vector hash == Batch.HashRow == value.HashTuple on every
-// selected row.
+// checkHashes pins vector hash == value.HashTuple on every selected row.
 func checkHashes(t *testing.T, b *value.Batch, keys []int) {
 	t.Helper()
 	sel := append([]int32(nil), b.Sel...)
@@ -120,8 +125,8 @@ func checkHashes(t *testing.T, b *value.Batch, keys []int) {
 	hs := b.HashCols(sel, keys)
 	for i, r := range sel {
 		want := value.HashTuple(rows.Tuples[r], keys)
-		if hs[i] != want || b.HashRow(int(r), keys) != want {
-			t.Fatalf("row %d keys %v: HashCols %x, HashRow %x, HashTuple %x", r, keys, hs[i], b.HashRow(int(r), keys), want)
+		if hs[i] != want {
+			t.Fatalf("row %d keys %v: HashCols %x, HashTuple %x", r, keys, hs[i], want)
 		}
 	}
 }
@@ -176,6 +181,14 @@ func checkAggregate(t *testing.T, seed int64) {
 	requireSameBits(t, name, got.Materialize(), want)
 	if gst != wst {
 		t.Fatalf("%s: stats %+v, want %+v", name, gst, wst)
+	}
+	// The per-group row counts several aggregates share are nobody's column.
+	for i, a := range got.Cols {
+		for _, b := range got.Cols[:i] {
+			if len(a.I) > 0 && len(b.I) > 0 && &a.I[0] == &b.I[0] {
+				t.Fatalf("%s: output columns share a payload", name)
+			}
+		}
 	}
 
 	// Partials of the rows cut into pieces (some empty), merged both ways.
@@ -232,9 +245,12 @@ var diffArena = value.Arena{Poison: true}
 
 // checkJoin compares HashJoinBatch with HashJoin on two generated
 // relations whose key columns pair up kind by kind — except, sometimes, an
-// int column against a float one, which no row joins on. Two times in
-// three the consumer reads a random subset of the output columns: the
-// others, unless strings, must leave the join as NULLs of the same size.
+// int column against a float or a bool one, which no row joins on though
+// their cells may hold the same bits. NULLs are drawn side by side, so a
+// one-column key can be its own word on one side and not on the other, and
+// one time in eight the key is a lone bool column. Two times in three the
+// consumer reads a random subset of the output columns: the others, unless
+// strings, must leave the join as NULLs of the same size.
 func checkJoin(t *testing.T, seed int64) {
 	r := rand.New(rand.NewSource(seed))
 	nkeys := 1 + r.Intn(2)
@@ -243,12 +259,18 @@ func checkJoin(t *testing.T, seed int64) {
 		lkinds[i] = diffKinds[r.Intn(len(diffKinds))]
 		rkinds[i] = lkinds[i]
 	}
-	if r.Intn(6) == 0 {
+	switch r.Intn(12) {
+	case 0:
 		lkinds[0], rkinds[0] = value.KindInt, value.KindFloat
+	case 1:
+		lkinds[0], rkinds[0] = value.KindBool, value.KindInt
 	}
-	domain, nulls, heavy := 1+r.Intn(12), r.Intn(2) == 0, r.Intn(3) == 0
-	lrel := diffRel(r, lkinds, r.Intn(120), domain, nulls, heavy) // an empty side now and then
-	rrel := diffRel(r, rkinds, r.Intn(120), domain, nulls, heavy)
+	if r.Intn(8) == 0 {
+		nkeys, lkinds[0], rkinds[0] = 1, value.KindBool, value.KindBool
+	}
+	domain, heavy := 1+r.Intn(12), r.Intn(3) == 0
+	lrel := diffRel(r, lkinds, r.Intn(120), domain, r.Intn(2) == 0, heavy) // an empty side now and then
+	rrel := diffRel(r, rkinds, r.Intn(120), domain, r.Intn(2) == 0, heavy)
 	if heavy && lrel.Len() > 0 && rrel.Len() > 0 && lkinds[0] == rkinds[0] {
 		copy(rrel.Tuples[0], lrel.Tuples[0]) // both sides share the heavy key
 	}
@@ -348,6 +370,20 @@ func TestMergeAggregatesKeepsPartialKinds(t *testing.T) {
 	requireSameBits(t, "merge", mergedB.Materialize(), merged)
 }
 
+// bestOf is the least time f took over five calls, each started on a
+// collected heap: what the linearity tests compare, so that a collection
+// or a neighbour on the host is not a verdict.
+func bestOf(f func()) time.Duration {
+	best := time.Duration(math.MaxInt64)
+	for try := 0; try < 5; try++ {
+		runtime.GC()
+		start := time.Now()
+		f()
+		best = min(best, time.Since(start))
+	}
+	return best
+}
+
 // TestHashJoinBatchHeavyHitterLinear: a build side where one key holds
 // every row appends each row at its chain's tail; a build that walked the
 // chain would take quadratic time, which quadrupling the input exposes.
@@ -364,23 +400,79 @@ func TestHashJoinBatchHeavyHitterLinear(t *testing.T) {
 		}
 		probe[n] = value.Ints(7)
 		l, r := value.NewBatchFrom(schema, build), value.NewBatchFrom(schema, probe)
-		best := time.Duration(math.MaxInt64)
-		for try := 0; try < 3; try++ {
-			start := time.Now()
+		return bestOf(func() {
 			out, _, err := HashJoinBatch(l, r, []int{0}, []int{0})
 			if err != nil {
 				t.Fatal(err)
 			}
-			best = min(best, time.Since(start))
 			if out.Len() != n {
 				t.Fatalf("%d matches, want %d", out.Len(), n)
 			}
-		}
-		return best
+		})
 	}
 	small, large := run(1<<14), run(1<<16)
 	if large > 12*small {
 		t.Errorf("heavy-hitter build: %v for 4x the rows of %v — not linear", large, small)
+	}
+}
+
+// TestKeyWordStridesStayLinear: a one-column fixed-width key probes the
+// tables with its own cell, and real keys come in arithmetic progressions
+// — identifiers, multiples, whole-number floats, values packed into the
+// high half. None may pile its keys onto a few slots, which a table taking
+// its index from one multiply of the raw cell does for a stride that
+// multiply nearly cancels: the Fibonacci number below, under the Fibonacci
+// constant, turns every probe into a walk over all the keys before it.
+func TestKeyWordStridesStayLinear(t *testing.T) {
+	ints := func(stride int64) func(int) value.Value {
+		return func(i int) value.Value { return value.NewInt(int64(i) * stride) }
+	}
+	for _, c := range []struct {
+		name, kind string
+		key        func(i int) value.Value
+	}{
+		{"stride 1", "INT", ints(1)}, {"stride 97", "INT", ints(97)}, {"stride 4096", "INT", ints(4096)},
+		{"stride 1<<32", "INT", ints(1 << 32)}, {"stride fib(40)", "INT", ints(102334155)},
+		{"whole floats", "FLOAT", func(i int) value.Value { return value.NewFloat(float64(i)) }},
+	} {
+		schema := value.MustSchema("k", c.kind)
+		run := func(n int) (join, group time.Duration) {
+			rows := make([]value.Tuple, n)
+			for i := range rows {
+				rows[i] = value.NewTuple(c.key(i))
+			}
+			l, r := value.NewBatchFrom(schema, rows), value.NewBatchFrom(schema, rows)
+			if _, exact := l.KeyWords(nil, []int{0}); !exact {
+				t.Fatalf("%s: the key is not its own word", c.name)
+			}
+			join = bestOf(func() {
+				out, _, err := HashJoinBatchNeed(l, r, []int{0}, []int{0}, 0, nil) // no column read: the tables' time, not the copies'
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Len() != n {
+					t.Fatalf("%s: join of %d rows has %d matches", c.name, n, out.Len())
+				}
+			})
+			group = bestOf(func() {
+				out, _, err := AggregateBatch(l, []int{0}, factSpecs[:1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if out.Len() != n {
+					t.Fatalf("%s: %d rows make %d groups", c.name, n, out.Len())
+				}
+			})
+			return join, group
+		}
+		smallJoin, smallGroup := run(1 << 13)
+		largeJoin, largeGroup := run(1 << 15)
+		if largeJoin > 12*smallJoin {
+			t.Errorf("%s: join took %v for 4x the rows of %v — not linear", c.name, largeJoin, smallJoin)
+		}
+		if largeGroup > 12*smallGroup {
+			t.Errorf("%s: GROUP BY took %v for 4x the rows of %v — not linear", c.name, largeGroup, smallGroup)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"repro/internal/expr"
@@ -234,42 +235,67 @@ func TestProjectBatchAllocs(t *testing.T) {
 
 // factFragment is the repository benchmark's fragment shape: 25k fact rows
 // (id, a = id mod 2200, b, amt = id mod 97) against a 2200-row dimension.
-func factFragment() (fact, dim *value.Batch) {
+// With strKeys the join columns, fact.a and dim.id, hold the same numbers
+// as strings.
+func factFragment(strKeys bool) (fact, dim *value.Batch) {
 	const rows, dimRows = 25000, 2200
+	key, kind := value.NewInt, "INT"
+	if strKeys {
+		key, kind = func(i int64) value.Value { return value.NewString(strconv.FormatInt(i, 10)) }, "VARCHAR"
+	}
 	ft := make([]value.Tuple, rows)
 	for i := range ft {
-		ft[i] = value.Ints(int64(i), int64(i%dimRows), int64(i*13%dimRows), int64(i%97))
+		ft[i] = value.NewTuple(value.NewInt(int64(i)), key(int64(i%dimRows)), value.NewInt(int64(i*13%dimRows)), value.NewInt(int64(i%97)))
 	}
 	dt := make([]value.Tuple, dimRows)
 	for i := range dt {
-		dt[i] = value.Ints(int64(i), int64(i%7))
+		dt[i] = value.NewTuple(key(int64(i)), value.NewInt(int64(i%7)))
 	}
-	return value.NewBatchFrom(value.MustSchema("id", "INT", "a", "INT", "b", "INT", "amt", "INT"), ft),
-		value.NewBatchFrom(value.MustSchema("id", "INT", "w", "INT"), dt)
+	return value.NewBatchFrom(value.MustSchema("id", "INT", "a", kind, "b", "INT", "amt", "INT"), ft),
+		value.NewBatchFrom(value.MustSchema("id", kind, "w", "INT"), dt)
 }
 
 var factSpecs = []AggSpec{{Func: Count, Col: -1, As: "n"}, {Func: Sum, Col: 3, As: "s"}}
 
-func BenchmarkAggregateBatch(b *testing.B) {
-	fact, _ := factFragment()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := AggregateBatch(fact, []int{1}, factSpecs); err != nil {
-			b.Fatal(err)
-		}
+// benchFragmentKeys times kernel over the fragment under the key shapes the
+// kernel benchmarks run: the served benchmark's own (one int column, which
+// the tables probe by its word) and the two that still hash — a string
+// column over the same 2200 keys, and two int columns (id, a: every fact
+// row its own group; the join matches a twice against id twice).
+func benchFragmentKeys(b *testing.B, kernel func(fact, dim *value.Batch, groupBy, factKeys, dimKeys []int) error) {
+	for _, k := range []struct {
+		name                       string
+		strKeys                    bool
+		groupBy, factKeys, dimKeys []int
+	}{
+		{"int", false, []int{1}, []int{1}, []int{0}},
+		{"string", true, []int{1}, []int{1}, []int{0}},
+		{"two_int", false, []int{0, 1}, []int{1, 1}, []int{0, 0}},
+	} {
+		b.Run(k.name, func(b *testing.B) {
+			fact, dim := factFragment(k.strKeys)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := kernel(fact, dim, k.groupBy, k.factKeys, k.dimKeys); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(fact.Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		})
 	}
-	b.ReportMetric(float64(fact.Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+}
+
+func BenchmarkAggregateBatch(b *testing.B) {
+	benchFragmentKeys(b, func(fact, _ *value.Batch, groupBy, _, _ []int) error {
+		_, _, err := AggregateBatch(fact, groupBy, factSpecs)
+		return err
+	})
 }
 
 func BenchmarkHashJoinBatch(b *testing.B) {
-	fact, dim := factFragment()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := HashJoinBatch(fact, dim, []int{1}, []int{0}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(fact.Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+	benchFragmentKeys(b, func(fact, dim *value.Batch, _, factKeys, dimKeys []int) error {
+		_, _, err := HashJoinBatch(fact, dim, factKeys, dimKeys)
+		return err
+	})
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"slices"
 	"sync"
 )
@@ -220,22 +221,13 @@ func (b *Batch) Materialize() *Relation {
 	return out
 }
 
-// HashRow hashes the given columns of physical row `row`, producing the
-// same value as HashTuple over the materialized tuple.
-func (b *Batch) HashRow(row int, idxs []int) uint64 {
-	h := uint64(fnvOffset)
-	for _, ix := range idxs {
-		h = (h ^ Hash64(b.Cols[ix].Value(row))) * fnvPrime
-	}
-	return h
-}
-
 // HashCols hashes the given columns of the rows sel lists, a column at a
 // time over the typed vectors: dst[i] is what HashTuple gives for the
 // materialized row sel[i] — the invariant that keeps a columnar hash
 // exchange bucket-aligned with the row one, and the hash the join and
-// grouping kernels probe their tables with. The vector comes from the
-// pool; the caller hands it back with PutHashes.
+// grouping kernels probe their tables with when the key is not a word of
+// its own (KeyWords). The vector comes from the pool; the caller hands it
+// back with PutHashes.
 func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 	dst := GetHashes(len(sel))
 	for i := range dst {
@@ -277,6 +269,34 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 		}
 	}
 	return dst
+}
+
+// KeyWords gives every row sel lists one word that stands for its key on
+// the given columns, for the join and grouping tables to probe with. When
+// the key is one fixed-width column with a payload and no NULL bitmap the
+// word is the cell itself — its 64 payload bits — and exact is set: equal
+// words are then equal keys of that column's kind, so a table confirms a
+// candidate by comparing words and no hash is taken. Any other key gets
+// HashCols' hashes. The vector is pooled like HashCols'.
+func (b *Batch) KeyWords(sel []int32, idxs []int) (words []uint64, exact bool) {
+	if len(idxs) == 1 {
+		v := b.Cols[idxs[0]]
+		fixed := v.Kind == KindInt || v.Kind == KindBool || v.Kind == KindFloat
+		if fixed && v.Null == nil && !v.KindOnly() {
+			words = GetHashes(len(sel))
+			if v.Kind == KindFloat {
+				for i, r := range sel {
+					words[i] = math.Float64bits(v.F[r])
+				}
+			} else {
+				for i, r := range sel {
+					words[i] = uint64(v.I[r])
+				}
+			}
+			return words, true
+		}
+	}
+	return b.HashCols(sel, idxs), false
 }
 
 // TakeSel detaches and returns the batch's selection vector — for a dense

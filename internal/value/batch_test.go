@@ -1,6 +1,10 @@
 package value
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 func batchSchema() *Schema {
 	return MustSchema("id", "INT", "name", "VARCHAR", "score", "FLOAT", "active", "BOOL")
@@ -80,22 +84,6 @@ func TestBatchSelAndProject(t *testing.T) {
 	}
 	if p.Len() != 3 || p.Value(1, 2).Int() != 5 {
 		t.Errorf("projected batch = %v", p.Materialize().Tuples)
-	}
-}
-
-// TestHashRowMatchesHashTuple pins the bucket-alignment invariant: a
-// columnar hash of any key subset equals the row tuple hash, so a
-// vectorized exchange routes every row to the same bucket as the row
-// executor.
-func TestHashRowMatchesHashTuple(t *testing.T) {
-	tuples := batchTuples()
-	b := NewBatchFrom(batchSchema(), tuples)
-	for _, idxs := range [][]int{{0}, {1}, {0, 2}, {3, 1, 0}} {
-		for r, tup := range tuples {
-			if got, want := b.HashRow(r, idxs), HashTuple(tup, idxs); got != want {
-				t.Errorf("row %d cols %v: HashRow %x != HashTuple %x", r, idxs, got, want)
-			}
-		}
 	}
 }
 
@@ -208,9 +196,10 @@ func TestNewBatchFromHolesAndSet(t *testing.T) {
 	}
 }
 
-// TestHashColsMatchesHashTuple: the column-at-a-time hash of any key
-// subset, dense or under a selection, equals the row tuple hash and
-// HashRow on every row — one bucket assignment for all three forms.
+// TestHashColsMatchesHashTuple pins the bucket-alignment invariant: the
+// column-at-a-time hash of any key subset, dense or under a selection,
+// equals the row tuple hash on every row, so a vectorized exchange routes
+// every row to the same bucket as the row executor.
 func TestHashColsMatchesHashTuple(t *testing.T) {
 	tuples := batchTuples()
 	b := NewBatchFrom(batchSchema(), tuples)
@@ -218,8 +207,8 @@ func TestHashColsMatchesHashTuple(t *testing.T) {
 		for _, idxs := range [][]int{{0}, {1}, {2}, {3}, {0, 2}, {3, 1, 0}} {
 			hs := b.HashCols(sel, idxs)
 			for i, r := range sel {
-				if want := HashTuple(tuples[r], idxs); hs[i] != want || b.HashRow(int(r), idxs) != want {
-					t.Errorf("row %d cols %v: HashCols %x, HashRow %x, HashTuple %x", r, idxs, hs[i], b.HashRow(int(r), idxs), want)
+				if want := HashTuple(tuples[r], idxs); hs[i] != want {
+					t.Errorf("row %d cols %v: HashCols %x, HashTuple %x", r, idxs, hs[i], want)
 				}
 			}
 			PutHashes(hs)
@@ -229,6 +218,66 @@ func TestHashColsMatchesHashTuple(t *testing.T) {
 	n := NewBatchFrom(NewSchema(Column{Name: "n", Kind: KindNull}), []Tuple{{Null}, {Null}})
 	if hs := n.HashCols([]int32{0, 1}, []int{0}); hs[0] != HashTuple(Tuple{Null}, []int{0}) || hs[1] != hs[0] {
 		t.Errorf("all-NULL column hashes %x", hs)
+	}
+}
+
+// TestKeyWords: a key is its own word exactly when it is one fixed-width
+// column with a payload and no NULL bitmap — the word is then the cell's
+// payload bits, under the selection — and every other key gets precisely
+// HashCols' hashes.
+func TestKeyWords(t *testing.T) {
+	schema := MustSchema("i", "INT", "f", "FLOAT", "b", "BOOL", "s", "VARCHAR", "n", "INT")
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 2, 2.5}
+	tuples := make([]Tuple, len(floats))
+	for r, f := range floats {
+		tuples[r] = NewTuple(NewInt(int64(r-2)<<40), NewFloat(f), NewBool(r%2 == 1), NewString("k"), NewInt(int64(r)))
+	}
+	tuples[3][4] = Null
+	b := NewBatchFrom(schema, tuples)
+	empty := make([]bool, len(tuples))
+	cleared := &Batch{Schema: schema, Rows: b.Rows, Cols: []*Vec{{Kind: KindInt, I: b.Cols[0].I, Null: empty}}}
+	dropped := &Batch{Schema: schema, Rows: b.Rows, Cols: []*Vec{b.Cols[0].Drop()}}
+	undeclared := NewBatchFrom(NewSchema(Column{Name: "n", Kind: KindNull}), []Tuple{{Null}, {Null}})
+
+	for _, sel := range [][]int32{{0, 1, 2, 3, 4}, {4, 1}, {}} {
+		for col, cell := range []func(r int32) uint64{
+			func(r int32) uint64 { return uint64(int64(r-2) << 40) },
+			func(r int32) uint64 { return math.Float64bits(floats[r]) },
+			func(r int32) uint64 { return uint64(r % 2) },
+		} {
+			ws, exact := b.KeyWords(sel, []int{col})
+			if !exact || len(ws) != len(sel) {
+				t.Fatalf("column %d under %v: exact %v, %d words", col, sel, exact, len(ws))
+			}
+			for i, r := range sel {
+				if ws[i] != cell(r) {
+					t.Errorf("column %d row %d: word %x, want %x", col, r, ws[i], cell(r))
+				}
+			}
+			PutHashes(ws)
+		}
+		for _, c := range []struct {
+			name string
+			b    *Batch
+			idxs []int
+		}{
+			{"string", b, []int{3}}, {"nullable int", b, []int{4}}, {"two columns", b, []int{0, 2}},
+			{"one column twice", b, []int{0, 0}}, {"no column", b, nil}, {"all-false bitmap", cleared, []int{0}},
+		} {
+			ws, exact := c.b.KeyWords(sel, c.idxs)
+			if want := c.b.HashCols(sel, c.idxs); exact || !slices.Equal(ws, want) {
+				t.Errorf("%s under %v: exact %v, words %x, want HashCols %x", c.name, sel, exact, ws, want)
+			}
+		}
+	}
+	// Vectors without cells to read: a kind-only column and an all-NULL one
+	// of undeclared kind.
+	if _, exact := dropped.KeyWords(nil, []int{0}); exact {
+		t.Error("a kind-only column is its own word")
+	}
+	ws, exact := undeclared.KeyWords([]int32{0, 1}, []int{0})
+	if want := undeclared.HashCols([]int32{0, 1}, []int{0}); exact || !slices.Equal(ws, want) {
+		t.Errorf("undeclared kind: exact %v, words %x, want HashCols %x", exact, ws, want)
 	}
 }
 
