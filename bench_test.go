@@ -114,8 +114,9 @@ func BenchmarkE15MultiJoinParallelism(b *testing.B) {
 	runExperiment(b, experiments.E15MultiJoinParallelism)
 }
 
-// BenchmarkE16SnapshotReads — MVCC snapshot reads vs the all-2PL
-// baseline: reader throughput across a growing writer population.
+// BenchmarkE16SnapshotReads — MVCC snapshot reads: reader throughput
+// across a growing writer population (the retired all-2PL baseline's
+// last numbers are in ROADMAP.md).
 func BenchmarkE16SnapshotReads(b *testing.B) {
 	runExperiment(b, experiments.E16SnapshotReads)
 }

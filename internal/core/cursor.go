@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/plan"
@@ -17,29 +16,21 @@ import (
 // are read; other roots (joins, aggregates, sorts) have done their work
 // by the time the cursor opens and stream one batch per output slot.
 //
-// Under MVCC the cursor reads a snapshot pinned when it opened: the
-// stream observes one consistent version of the database for its whole
-// lifetime, no locks are held, and concurrent writers are never blocked
-// by (nor block) the stream. The snapshot pin — which only holds back
-// version garbage collection — is released when the cursor is exhausted
-// or closed.
-//
-// Under the 2PL baseline, locks are taken in full before the cursor is
-// returned (strict 2PL is preserved: nothing is acquired mid-stream).
-// For an autocommit statement the transaction — and with it the
-// fragment S-locks — stays open until the cursor is exhausted or
-// closed: Next returning (nil, nil) commits it, Close before exhaustion
-// aborts it. Inside an explicit transaction the cursor leaves the
-// transaction untouched and locks live until COMMIT/ROLLBACK, exactly
-// as for a materialized statement; COMMIT/ROLLBACK close the cursor, for
-// its snapshot (or its locks) end with the transaction.
+// The cursor reads a snapshot pinned when it opened: the stream observes
+// one consistent version of the database for its whole lifetime, no locks
+// are held, and concurrent writers are never blocked by (nor block) the
+// stream. The pin — which only holds back version garbage collection — is
+// released when the cursor is exhausted or closed. Inside an explicit
+// transaction the pin is the transaction's, so COMMIT/ROLLBACK close the
+// cursor: the column-cache rows its batches select from are kept only by
+// that pin.
 //
 // A Cursor is not safe for concurrent use, mirroring the Session that
 // produced it.
 type Cursor struct {
 	s        *Session
 	ctx      *execCtx
-	settle   func(error) error // from readView: settles txn / releases pin
+	release  func() // from readView: releases the snapshot pin
 	schema   *value.Schema
 	planStr  string
 	parts    *parts // the plan's output; slot `taken` is the next to deliver
@@ -71,9 +62,8 @@ func (c *Cursor) SimTime() time.Duration { return c.simTime }
 func (c *Cursor) WallTime() time.Duration { return c.wallTime }
 
 // Next returns the next non-empty batch of the result as tuples, or (nil,
-// nil) once the stream is exhausted (at which point an autocommit
-// transaction has committed and its locks are released). Any error —
-// including a commit failure at end of stream — poisons the cursor.
+// nil) once the stream is exhausted (at which point its snapshot is
+// released). Any error poisons the cursor.
 func (c *Cursor) Next() (*value.Relation, error) {
 	if n, err := c.Advance(); n == 0 {
 		return nil, err
@@ -95,18 +85,14 @@ func (c *Cursor) Advance() (int, error) {
 	if c.done {
 		return 0, nil
 	}
-	err := c.pull()
-	if err != nil {
+	if err := c.pull(); err != nil {
 		c.err = err
-		c.finish(false)
+		c.finish()
 		return 0, err
 	}
 	n := c.cur.len()
 	if n == 0 {
-		if err := c.finish(true); err != nil {
-			c.err = err
-			return 0, err
-		}
+		c.finish()
 		return 0, nil
 	}
 	c.rows += int64(n)
@@ -146,39 +132,25 @@ func (c *Cursor) pull() error {
 	return c.ctx.mem.breach()
 }
 
-// Close releases the cursor. Closing before exhaustion aborts an
-// autocommit transaction (releasing its locks); closing after Next
-// returned (nil, nil) is a no-op. Close is idempotent.
+// Close releases the cursor and its snapshot; after exhaustion it is a
+// no-op. Close is idempotent.
 func (c *Cursor) Close() error {
-	if !c.done {
-		c.finish(false)
-	}
+	c.finish()
 	return nil
 }
 
-// errCursorClosed marks a cursor abandoned before exhaustion, routing
-// settle down its abort/release path.
-var errCursorClosed = errors.New("core: cursor closed before exhaustion")
-
-// finish ends the stream exactly once: settles the read (autocommit
-// commit/abort under 2PL, snapshot pin release under MVCC) and stamps the
-// timings.
-func (c *Cursor) finish(commit bool) error {
+// finish ends the stream exactly once: hands back the arena, releases the
+// snapshot pin and stamps the timings.
+func (c *Cursor) finish() {
 	if c.done {
-		return nil
+		return
 	}
 	c.done = true
 	c.ctx.arena.Release() // slots not pulled are dropped with it
 	c.s.unregisterCursor(c)
-	var err error
-	if commit {
-		err = c.settle(nil)
-	} else {
-		c.settle(errCursorClosed) // abort path; the sentinel is discarded
-	}
+	c.release()
 	c.simTime = c.s.e.m.MaxClock() - c.start.sim
 	c.wallTime = time.Since(c.start.wall)
-	return err
 }
 
 // Stream executes one SQL statement, returning a Cursor when the
@@ -199,24 +171,24 @@ func (s *Session) Stream(sql string) (*Cursor, *Result, error) {
 }
 
 // streamPlanStr opens a cursor over an optimized plan (with its
-// pre-rendered format string) under the session's transaction
-// discipline. All locks are acquired here, before the cursor is handed
-// back.
+// pre-rendered format string) at a snapshot pinned here, before the
+// cursor is handed back.
 func (s *Session) streamPlanStr(start stmtClock, root plan.Node, planStr string) (*Cursor, error) {
-	tx, view, settle, err := s.readView()
+	view, release, err := s.readView()
 	if err != nil {
 		return nil, err
 	}
-	ctx := s.newExecCtx(tx, view)
+	ctx := s.newExecCtx(view)
 	p, err := s.e.exec(ctx, root, value.AllCols)
 	if err != nil {
 		ctx.arena.Release()
-		return nil, settle(err)
+		release()
+		return nil, err
 	}
 	cur := &Cursor{
 		s:       s,
 		ctx:     ctx,
-		settle:  settle,
+		release: release,
 		schema:  root.Schema(),
 		planStr: planStr,
 		parts:   p,

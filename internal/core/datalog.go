@@ -37,10 +37,9 @@ func (e *Engine) ClearRules() {
 	e.mu.Unlock()
 }
 
-// engineEDB resolves extensional predicates as base-table scans — under
-// MVCC at the evaluation's pinned snapshot, under the 2PL baseline with
-// shared-lock isolation through the query's transaction. Scanned tables
-// are cached for the duration of one evaluation.
+// engineEDB resolves extensional predicates as base-table scans at the
+// evaluation's pinned snapshot. Scanned tables are cached for the
+// duration of one evaluation.
 type engineEDB struct {
 	e   *Engine
 	ctx *execCtx
@@ -73,11 +72,7 @@ func (edb *engineEDB) Relation(pred string) (*value.Relation, bool) {
 	for i := range all {
 		all[i] = i
 	}
-	p, err := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema, value.AllCols)
-	if err != nil {
-		edb.recordErr(err)
-		return nil, false
-	}
+	p := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema, value.AllCols)
 	rel, err := edb.e.gatherRows(edb.ctx, p, t.def.Schema)
 	if err == nil {
 		// A table gathered for the evaluation is the statement's
@@ -115,16 +110,17 @@ func (e *Engine) DatalogQuery(s *Session, query string) (*value.Relation, error)
 	e.mu.Unlock()
 	prog := &prismalog.Program{Rules: rules}
 
-	tx, view, finish, err := s.readView()
+	view, release, err := s.readView()
 	if err != nil {
 		return nil, err
 	}
-	edb := &engineEDB{e: e, ctx: s.newExecCtx(tx, view), cache: map[string]*value.Relation{}}
-	rel, _, evalErr := prismalog.EvalQuery(prog, q, edb, prismalog.Options{SemiNaive: e.semiNaive})
+	defer release()
+	edb := &engineEDB{e: e, ctx: s.newExecCtx(view), cache: map[string]*value.Relation{}}
+	rel, _, err := prismalog.EvalQuery(prog, q, edb, prismalog.Options{SemiNaive: e.semiNaive})
 	if edb.err != nil {
-		evalErr = edb.err
+		err = edb.err
 	}
-	if err := finish(evalErr); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return rel, nil
@@ -143,24 +139,22 @@ func (e *Engine) DatalogProgram(s *Session, src string) ([]*value.Relation, erro
 	combined := &prismalog.Program{Rules: append(append([]prismalog.Rule(nil), e.rules...), prog.Rules...)}
 	e.mu.Unlock()
 
-	tx, view, finish, err := s.readView()
+	view, release, err := s.readView()
 	if err != nil {
 		return nil, err
 	}
-	edb := &engineEDB{e: e, ctx: s.newExecCtx(tx, view), cache: map[string]*value.Relation{}}
+	defer release()
+	edb := &engineEDB{e: e, ctx: s.newExecCtx(view), cache: map[string]*value.Relation{}}
 	var answers []*value.Relation
 	for i := range prog.Queries {
-		rel, _, evalErr := prismalog.EvalQuery(combined, &prog.Queries[i], edb, prismalog.Options{SemiNaive: e.semiNaive})
+		rel, _, err := prismalog.EvalQuery(combined, &prog.Queries[i], edb, prismalog.Options{SemiNaive: e.semiNaive})
 		if edb.err != nil {
-			evalErr = edb.err
+			err = edb.err
 		}
-		if evalErr != nil {
-			return nil, finish(evalErr)
+		if err != nil {
+			return nil, err
 		}
 		answers = append(answers, rel)
-	}
-	if err := finish(nil); err != nil {
-		return nil, err
 	}
 	return answers, nil
 }

@@ -13,14 +13,13 @@ import (
 )
 
 // writeView is the view a DML statement matches rows under. An explicit
-// transaction under MVCC matches at its pinned snapshot: a matched row
-// superseded by a later committer aborts the statement with a retryable
-// write-write conflict (first-committer-wins). Autocommit DML and the
-// 2PL baseline match the latest committed state — under the exclusive
-// fragment lock no committed writer can have intervened, so there is
-// nothing to conflict with.
-func (e *Engine) writeView(tx *txn.Txn, autocommit bool) ofm.View {
-	if e.mvcc && !autocommit {
+// transaction matches at its pinned snapshot: a matched row superseded by
+// a later committer aborts the statement with a retryable write-write
+// conflict (first-committer-wins). Autocommit DML matches the latest
+// committed state — under the exclusive fragment lock no committed writer
+// can have intervened, so there is nothing to conflict with.
+func writeView(tx *txn.Txn, autocommit bool) ofm.View {
+	if !autocommit {
 		return ofm.View{TS: tx.Snapshot(), Tx: tx.ID()}
 	}
 	return ofm.View{TS: ofm.LatestTS, Tx: tx.ID()}
@@ -135,7 +134,7 @@ func (e *Engine) execDelete(s *Session, del *sqlparse.Delete) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	view := e.writeView(tx, autocommit)
+	view := writeView(tx, autocommit)
 	total := 0
 	for _, fi := range frags {
 		f := t.frags[fi]
@@ -203,7 +202,7 @@ func (e *Engine) execUpdate(s *Session, up *sqlparse.Update) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	view := e.writeView(tx, autocommit)
+	view := writeView(tx, autocommit)
 	total := 0
 	for _, fi := range frags {
 		f := t.frags[fi]

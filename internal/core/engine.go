@@ -52,20 +52,14 @@ type Config struct {
 	PlanCache *bool
 	// PlanCacheSize caps cached statement shapes (default 256).
 	PlanCacheSize int
-	// MVCC toggles multiversion snapshot reads (default true): SELECTs
-	// pin a snapshot timestamp and take no locks, writers keep strict
-	// 2PL X-locks plus first-committer-wins validation. False restores
-	// the all-2PL baseline (S-locks on reads) — experiment E16 measures
-	// the difference.
-	MVCC *bool
 	// Vectorized lets fragment scans answer with columnar batches over the
 	// OFM column caches (default true), so the executor's operators run
 	// their batch kernels and tuples materialize only at the plan root.
 	// False makes every scan answer with rows, which puts every slot of
 	// the one executor on its row kernels — the reference configuration
 	// TestVectorizedMatchesRow and E20 compare against. Batches also need
-	// compiled expressions and MVCC snapshot reads; with either off, scans
-	// answer with rows regardless.
+	// compiled expressions; with them off, scans answer with rows
+	// regardless.
 	Vectorized *bool
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
@@ -114,7 +108,6 @@ type Engine struct {
 	compiled   bool
 	tcAlgo     algebra.TCAlgorithm
 	semiNaive  bool
-	mvcc       bool
 	vectorized bool
 	plans      *planCache // nil when the plan cache is disabled
 
@@ -187,10 +180,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PlanCache != nil {
 		planCacheOn = *cfg.PlanCache
 	}
-	mvcc := true
-	if cfg.MVCC != nil {
-		mvcc = *cfg.MVCC
-	}
 	vectorized := true
 	if cfg.Vectorized != nil {
 		vectorized = *cfg.Vectorized
@@ -209,7 +198,6 @@ func New(cfg Config) (*Engine, error) {
 		compiled:   compiled,
 		tcAlgo:     cfg.TCAlgorithm,
 		semiNaive:  semiNaive,
-		mvcc:       mvcc,
 		vectorized: vectorized,
 		tables:     map[string]*table{},
 		stores:     map[int]*machine.StableStore{},

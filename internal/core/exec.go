@@ -30,26 +30,23 @@ import (
 	"repro/internal/fragment"
 	"repro/internal/ofm"
 	"repro/internal/plan"
-	"repro/internal/txn"
 	"repro/internal/value"
 )
 
-// execCtx carries per-statement state: the session (locks, coordinator
-// PE), the read view, the tenant's working-memory account and the
-// common-subexpression cache the optimizer's CSE rule feeds. Under MVCC
-// tx is nil for reads — the view alone selects the visible versions and
-// no locks are taken.
+// execCtx carries per-statement state: the session (coordinator PE), the
+// read view — which alone selects the versions the statement sees; a read
+// takes no locks — the tenant's working-memory account and the
+// common-subexpression cache the optimizer's CSE rule feeds.
 type execCtx struct {
 	s    *Session
-	tx   *txn.Txn
 	view ofm.View
 	// mem charges what the statement materializes (column-cache builds,
 	// everything gathered at the coordinator) against the tenant's budget;
 	// nil when the session has none.
 	mem *memAcct
 	// explain, when set, makes this EXPLAIN's dry run: leaves produce
-	// empty slots in the form a real scan would, nothing is locked or
-	// charged, and every operator records what its slots held.
+	// empty slots in the form a real scan would, nothing is charged, and
+	// every operator records what its slots held.
 	explain *explainTrace
 	// arena lends the vectors the operators have to make and takes them
 	// back when the statement ends: nothing it lent outlives the rows
@@ -69,8 +66,8 @@ var poisonReleased bool
 // newExecCtx is the one place a statement's execution context is built —
 // materialized statements, cursors, PRISMAlog evaluations and EXPLAIN all
 // start here, so none can run outside the tenant's memory budget.
-func (s *Session) newExecCtx(tx *txn.Txn, view ofm.View) *execCtx {
-	ctx := &execCtx{s: s, tx: tx, view: view}
+func (s *Session) newExecCtx(view ofm.View) *execCtx {
+	ctx := &execCtx{s: s, view: view}
 	ctx.arena.Poison = poisonReleased
 	if s.memBudget > 0 {
 		ctx.mem = &memAcct{limit: s.memBudget}
@@ -381,22 +378,6 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 	return nil, fmt.Errorf("core: unknown plan node %T", n)
 }
 
-// lockFragments S-locks the listed fragments of a table for the query.
-// Under MVCC it is a no-op: snapshot reads are resolved purely by the
-// view's timestamp, so readers never touch the lock manager and never
-// block (or are blocked by) writers. EXPLAIN's dry run locks nothing.
-func (e *Engine) lockFragments(ctx *execCtx, t *table, frags []int) error {
-	if e.mvcc || ctx.explain != nil {
-		return nil
-	}
-	for _, fi := range frags {
-		if err := ctx.tx.Lock(t.frags[fi].ofm.Name(), txn.Shared); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // scanSlot is the leaf every reader of a table fragment goes through —
 // materialized scans, pushdown aggregates, cursors and the PRISMAlog EDB.
 // The fragment's OFM filters where it lives, charging its own PE, and
@@ -414,8 +395,6 @@ func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *valu
 	switch {
 	case !e.vectorized:
 		why = "config Vectorized=false"
-	case !e.mvcc:
-		why = "config MVCC=false"
 	case ctx.explain != nil:
 		why = f.ofm.BatchDecline(ctx.view, pred)
 	}
@@ -446,18 +425,15 @@ func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *valu
 	return slot{rel: rel, why: why}, nil
 }
 
-// scanFragments locks the listed fragments now and scans each where it
-// lives when its slot is taken; the slots stay on the fragment PEs.
-func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Expr, schema *value.Schema, need value.ColSet) (*parts, error) {
-	if err := e.lockFragments(ctx, t, frags); err != nil {
-		return nil, err
-	}
+// scanFragments scans each of the listed fragments where it lives when
+// its slot is taken; the slots stay on the fragment PEs.
+func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Expr, schema *value.Schema, need value.ColSet) *parts {
 	p := &parts{pes: make([]int, len(frags))}
 	for i, fi := range frags {
 		p.pes[i] = t.frags[fi].pe
 	}
 	p.src = func(i int) (slot, error) { return e.scanSlot(ctx, t.frags[frags[i]], pred, schema, need) }
-	return p, nil
+	return p
 }
 
 // execScan scans a table's fragments in place, pruning fragments by the
@@ -483,10 +459,7 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out, need)
-	if err != nil {
-		return nil, err
-	}
+	p := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out, need)
 	p = ctx.noted("Scan "+sc.Table, p, sc.Out, need)
 	if !sc.Shared {
 		return p, nil
@@ -528,7 +501,7 @@ func (ctx *execCtx) cachePut(key string, r *value.Relation) {
 // OFM directly and charges the simulated network for the request and the
 // reply; the answers land at the coordinator as one row slot.
 func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*parts, error) {
-	t, key, frags, err := e.probeTargets(ctx, pr)
+	t, key, frags, err := e.probeTargets(pr)
 	if err != nil {
 		return nil, err
 	}
@@ -548,9 +521,8 @@ func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*parts, erro
 }
 
 // probeTargets resolves an IndexProbe's key value and target fragment
-// set (an equality on the fragmentation key pins a single fragment)
-// and S-locks the fragments.
-func (e *Engine) probeTargets(ctx *execCtx, pr *plan.IndexProbe) (*table, value.Value, []int, error) {
+// set (an equality on the fragmentation key pins a single fragment).
+func (e *Engine) probeTargets(pr *plan.IndexProbe) (*table, value.Value, []int, error) {
 	kc, ok := pr.Key.(*expr.Const)
 	if !ok {
 		return nil, value.Null, nil, fmt.Errorf("core: index probe key %s not bound", pr.Key)
@@ -569,9 +541,6 @@ func (e *Engine) probeTargets(ctx *execCtx, pr *plan.IndexProbe) (*table, value.
 		for i := range frags {
 			frags[i] = i
 		}
-	}
-	if err := e.lockFragments(ctx, t, frags); err != nil {
-		return nil, value.Null, nil, err
 	}
 	return t, kc.V, frags, nil
 }

@@ -255,11 +255,16 @@ func TestWriteSkewPermitted(t *testing.T) {
 
 // TestSelectAcquiresNoLocks asserts the central mechanical claim of the
 // MVCC design: read-only statements — point probes, scans, aggregates,
-// streamed cursors, and reads inside explicit transactions — never
-// touch the lock manager at all.
+// EXPLAIN, PRISMAlog queries, prepared SELECTs, streamed cursors, and
+// reads inside explicit transactions — never touch the lock manager at
+// all.
 func TestSelectAcquiresNoLocks(t *testing.T) {
 	e, s := isoEngine(t)
 	defer s.Close()
+	ps, err := s.Prepare(`SELECT bal FROM acct WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	before := e.Txns().Locks().Acquires()
 	if _, err := s.Query(`SELECT * FROM acct WHERE id = 1`); err != nil {
@@ -270,6 +275,15 @@ func TestSelectAcquiresNoLocks(t *testing.T) {
 	}
 	if _, err := s.Query(`SELECT COUNT(*) AS n, SUM(bal) AS total FROM acct`); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := s.Query(`EXPLAIN SELECT COUNT(*) AS n FROM acct WHERE bal > 150`); err != nil {
+		t.Fatal(err)
+	}
+	if rel, err := e.DatalogQuery(s, `acct(X, B)`); err != nil || rel.Len() != 4 {
+		t.Fatalf("PRISMAlog over acct = %v, %v", rel, err)
+	}
+	if rel, err := s.QueryPrepared(ps, intArgs(3)); err != nil || rel.Len() != 1 {
+		t.Fatalf("prepared SELECT = %v, %v", rel, err)
 	}
 	cur, _, err := s.Stream(`SELECT * FROM acct`)
 	if err != nil {

@@ -248,20 +248,18 @@ func (e *Engine) compileParsed(st sqlparse.Stmt, nparams int) (*compiledStmt, er
 	return cs, nil
 }
 
-// runSelectPlanStr executes an optimized plan under the session's
-// transaction discipline, its result gathered as execPlan does for dst —
-// before the read is settled; planStr is its rendering (prepared
-// executions render once at compile time, not per execution). Under
-// MVCC the read runs against a pinned snapshot with no transaction and
-// no locks; under 2PL it runs inside a (possibly autocommit) transaction
-// holding shared locks.
+// runSelectPlanStr executes an optimized plan at the session's read view,
+// its result gathered as execPlan does for dst — before the snapshot is
+// released; planStr is its rendering (prepared executions render once at
+// compile time, not per execution). The read takes no locks.
 func (s *Session) runSelectPlanStr(root plan.Node, planStr string, dst []byte) (*Result, error) {
-	tx, view, finish, err := s.readView()
+	view, release, err := s.readView()
 	if err != nil {
 		return nil, err
 	}
-	res, execErr := s.e.execPlan(s.newExecCtx(tx, view), root, dst)
-	if err := finish(execErr); err != nil {
+	res, err := s.e.execPlan(s.newExecCtx(view), root, dst)
+	release()
+	if err != nil {
 		return nil, err
 	}
 	res.Plan = planStr

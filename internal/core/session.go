@@ -85,46 +85,23 @@ func (s *Session) transaction() (*txn.Txn, bool, error) {
 }
 
 // readView establishes the version view for one read-only statement and
-// returns the transaction to execute under (nil when MVCC needs none),
-// the view, and a finish func the caller invokes exactly once with the
-// execution error; finish settles autocommit transactions, releases the
-// snapshot pin, and returns the final error.
+// returns it with a release func the caller invokes exactly once, when
+// nothing it read is needed any more.
 //
-// Under MVCC a read inside an explicit transaction sees the snapshot
-// pinned at the transaction's first read (plus its own pending writes);
-// a standalone SELECT pins a fresh snapshot for just that statement. In
-// both cases no transaction work happens on the read path and no locks
-// are taken. Under the 2PL baseline reads run inside a (possibly
-// autocommit) transaction holding shared fragment locks and observe the
-// latest committed state.
-func (s *Session) readView() (*txn.Txn, ofm.View, func(error) error, error) {
-	if s.e.mvcc {
-		if s.tx != nil {
-			if s.tx.State() != txn.Active {
-				return nil, ofm.View{}, nil, fmt.Errorf("core: transaction is %s; ROLLBACK to continue", s.tx.State())
-			}
-			view := ofm.View{TS: s.tx.Snapshot(), Tx: s.tx.ID()}
-			return s.tx, view, func(err error) error { return err }, nil
+// A read inside an explicit transaction sees the snapshot pinned at the
+// transaction's first read (plus its own pending writes), and the
+// transaction holds the pin; a standalone SELECT pins a fresh snapshot
+// for just that statement. No transaction work happens on the read path
+// and no locks are taken.
+func (s *Session) readView() (ofm.View, func(), error) {
+	if s.tx != nil {
+		if s.tx.State() != txn.Active {
+			return ofm.View{}, nil, fmt.Errorf("core: transaction is %s; ROLLBACK to continue", s.tx.State())
 		}
-		ts, release := s.e.txns.PinSnapshot()
-		return nil, ofm.View{TS: ts}, func(err error) error { release(); return err }, nil
+		return ofm.View{TS: s.tx.Snapshot(), Tx: s.tx.ID()}, func() {}, nil
 	}
-	tx, autocommit, err := s.transaction()
-	if err != nil {
-		return nil, ofm.View{}, nil, err
-	}
-	view := ofm.View{TS: ofm.LatestTS, Tx: tx.ID()}
-	finish := func(err error) error {
-		if !autocommit {
-			return err
-		}
-		if err != nil {
-			tx.Abort()
-			return err
-		}
-		return tx.Commit()
-	}
-	return tx, view, finish, nil
+	ts, release := s.e.txns.PinSnapshot()
+	return ofm.View{TS: ts}, release, nil
 }
 
 // Result is the outcome of one statement.
@@ -406,9 +383,8 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 // against any workload. The chosen join methods and Exchange
 // partitioning annotations are exactly what execution will do, a
 // trailing access line states the concurrency-control discipline the
-// statement runs under (snapshot read vs locked read vs locked write),
-// and an execution line says where the operators would run on batches
-// and where on rows.
+// statement runs under (snapshot read vs locked write), and an execution
+// line says where the operators would run on batches and where on rows.
 func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 	var planStr string
 	switch t := ex.Stmt.(type) {
@@ -418,34 +394,30 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 			return nil, err
 		}
 		root = s.e.opt.Optimize(root)
-		planStr = plan.Format(root)
-		if s.e.mvcc {
-			planStr += "access: snapshot read (no locks)\n"
-		} else {
-			planStr += "access: locked read (2PL shared)\n"
-		}
+		planStr = plan.Format(root) + "access: snapshot read (no locks)\n"
 		// The execution line is the executor's own account: the plan runs
 		// dry — the real operators over empty slots, each leaf in the form
 		// the scan would answer with right now (inside a transaction, with
 		// its pending writes) — and reports which operators met row slots
 		// where a batch was possible, and why.
-		tx, view, finish, err := s.readView()
+		view, release, err := s.readView()
 		if err != nil {
 			return nil, err
 		}
-		ctx := s.newExecCtx(tx, view)
+		ctx := s.newExecCtx(view)
 		ctx.explain = &explainTrace{}
-		_, execErr := s.e.execPlan(ctx, root, nil)
-		if err := finish(execErr); err != nil {
+		_, err = s.e.execPlan(ctx, root, nil)
+		release()
+		if err != nil {
 			return nil, err
 		}
 		planStr += ctx.explain.line()
 	case *sqlparse.Insert:
-		planStr = fmt.Sprintf("Insert %s\n%s", t.Table, s.writeAccessLine())
+		planStr = "Insert " + t.Table + "\n" + writeAccessLine
 	case *sqlparse.Update:
-		planStr = fmt.Sprintf("Update %s\n%s", t.Table, s.writeAccessLine())
+		planStr = "Update " + t.Table + "\n" + writeAccessLine
 	case *sqlparse.Delete:
-		planStr = fmt.Sprintf("Delete %s\n%s", t.Table, s.writeAccessLine())
+		planStr = "Delete " + t.Table + "\n" + writeAccessLine
 	default:
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT and DML statements, got %T", ex.Stmt)
 	}
@@ -456,13 +428,8 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 	return &Result{Rel: rel, Plan: planStr}, nil
 }
 
-// writeAccessLine renders the EXPLAIN access annotation for DML.
-func (s *Session) writeAccessLine() string {
-	if s.e.mvcc {
-		return "access: locked write (2PL exclusive + first-committer-wins)\n"
-	}
-	return "access: locked write (2PL exclusive)\n"
-}
+// writeAccessLine is the EXPLAIN access annotation for DML.
+const writeAccessLine = "access: locked write (2PL exclusive + first-committer-wins)\n"
 
 // Query is a convenience wrapper returning just the relation.
 func (s *Session) Query(sql string) (*value.Relation, error) {
@@ -477,8 +444,8 @@ func (s *Session) Query(sql string) (*value.Relation, error) {
 }
 
 // Close aborts any open transaction and settles any cursors still
-// open, releasing their snapshot pins (or autocommit locks) so an
-// abandoned stream cannot hold back version garbage collection.
+// open, releasing their snapshot pins so an abandoned stream cannot hold
+// back version garbage collection.
 func (s *Session) Close() {
 	s.closeCursors()
 	if s.tx != nil {

@@ -135,7 +135,7 @@ func TestStreamLimitStopsEarly(t *testing.T) {
 		t.Fatalf("rows = %d, want 5", got.Len())
 	}
 	if eng.Txns().ActiveCount() != 0 {
-		t.Fatal("autocommit transaction still open after exhausted stream")
+		t.Fatal("transaction still open after exhausted stream")
 	}
 }
 
@@ -156,8 +156,8 @@ func TestStreamDDLAndDML(t *testing.T) {
 	}
 }
 
-// TestStreamExhaustionCommitsAutocommit: draining the cursor commits
-// the autocommit transaction and releases every lock.
+// TestStreamExhaustionCommitsAutocommit: draining the cursor leaves no
+// transaction open and no writer blocked.
 func TestStreamExhaustionCommitsAutocommit(t *testing.T) {
 	eng := streamEngine(t, 2000)
 	s := eng.NewSession()
@@ -177,9 +177,10 @@ func TestStreamExhaustionCommitsAutocommit(t *testing.T) {
 	}
 }
 
-// TestStreamEarlyCloseReleasesLocks: closing a part-read cursor aborts
-// the autocommit transaction so its S-locks never leak.
-func TestStreamEarlyCloseReleasesLocks(t *testing.T) {
+// TestStreamEarlyCloseReleasesPin: closing a part-read cursor releases
+// its snapshot pin — the one thing an abandoned stream can leak — so the
+// garbage-collection horizon follows the watermark again.
+func TestStreamEarlyCloseReleasesPin(t *testing.T) {
 	eng := streamEngine(t, 4000)
 	s := eng.NewSession()
 	defer s.Close()
@@ -190,14 +191,19 @@ func TestStreamEarlyCloseReleasesLocks(t *testing.T) {
 	if _, err := cur.Next(); err != nil {
 		t.Fatal(err)
 	}
+	// A commit moves the watermark past the cursor's snapshot, which holds
+	// the horizon back while the cursor is open.
+	assertWriteCompletes(t, eng)
+	if h, w := eng.Txns().Horizon(), eng.Txns().Watermark(); h >= w {
+		t.Fatalf("open cursor: horizon %d, watermark %d; want the pin to hold the horizon back", h, w)
+	}
 	if err := cur.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Txns().ActiveCount(); got != 0 {
-		t.Fatalf("%d transactions active after early close", got)
+	if h, w := eng.Txns().Horizon(), eng.Txns().Watermark(); h != w {
+		t.Fatalf("after early close: horizon %d, watermark %d; the snapshot pin leaked", h, w)
 	}
-	assertWriteCompletes(t, eng)
-	// The cursor is poisoned but quiet after close.
+	// The cursor is quiet after close.
 	if rel, err := cur.Next(); rel != nil || err != nil {
 		t.Fatalf("Next after Close = (%v, %v)", rel, err)
 	}
@@ -261,7 +267,7 @@ func TestStreamExplicitTxnSnapshot(t *testing.T) {
 }
 
 // assertWriteCompletes fails the test if an exclusive-lock write cannot
-// finish promptly (i.e. a reader leaked locks).
+// finish promptly.
 func assertWriteCompletes(t *testing.T, eng *Engine) {
 	t.Helper()
 	w := eng.NewSession()
@@ -277,7 +283,7 @@ func assertWriteCompletes(t *testing.T, eng *Engine) {
 			t.Fatalf("write: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("write blocked: stream locks leaked")
+		t.Fatal("write blocked behind a reader")
 	}
 }
 

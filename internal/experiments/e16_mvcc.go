@@ -16,13 +16,11 @@ import (
 
 // E16SnapshotReads measures the MVCC tentpole claim: snapshot reads
 // never block behind writers, so reader throughput stays flat as the
-// writer population grows — where the all-2PL baseline's readers
-// collapse, serialized behind exclusive fragment locks. The grid runs
-// the same mixed workload (full-scan aggregate readers vs single-row
-// update writers) against two engines that differ only in
-// core.Config.MVCC, at writer counts 1→16. The paper's PRISMA machine
-// leans on a locking scheduler (§3.2); this experiment records what the
-// snapshot-read redesign buys over it on the identical hardware budget.
+// writer population grows. The grid runs one mixed workload (full-scan
+// aggregate readers vs paced two-row transfer writers) at writer counts
+// 1→16. The paper's PRISMA machine leans on a locking scheduler (§3.2);
+// what reads under it cost — shared fragment locks queued behind the
+// writers — is recorded in ROADMAP.md's E16 baselines.
 func E16SnapshotReads(quick bool) (*Table, error) {
 	rows := 4000
 	numPEs := 32
@@ -41,44 +39,39 @@ func E16SnapshotReads(quick bool) (*Table, error) {
 
 	t := &Table{
 		ID: "E16",
-		Title: fmt.Sprintf("snapshot reads vs 2PL under writer load, %d-row relation over 8 fragments (%d PEs, %d readers)",
+		Title: fmt.Sprintf("snapshot reads under writer load, %d-row relation over 8 fragments (%d PEs, %d readers)",
 			rows, numPEs, readers),
 		Header: []string{"mode", "writers", "reads/sec", "read p99", "commits/sec", "aborts"},
 		Notes: []string{
 			"readers run full-scan aggregates (SUM/COUNT over every fragment); writers run paced two-row transfer transactions holding locks across a client think-time pause",
-			"mvcc: reads pin a snapshot and take no locks; 2pl: reads take shared fragment locks and queue behind writers",
-			"aborts counts retryable writer conflicts (deadlock victims under 2pl, first-committer-wins under mvcc)",
-			"the claim under test: mvcc reads/sec stays flat (±15%) from 1 to 16 writers; 2pl degrades",
+			"mvcc: reads pin a snapshot and take no locks",
+			"aborts counts retryable writer conflicts (first-committer-wins or deadlock victims)",
+			"the claim under test: mvcc reads/sec stays flat (±15%) from 1 to 16 writers",
 		},
 	}
 
-	for _, mode := range []struct {
-		name string
-		mvcc bool
-	}{{"mvcc", true}, {"2pl", false}} {
-		for _, nw := range writerCounts {
-			row, err := runE16Cell(mode.name, mode.mvcc, rows, numPEs, readers, nw, cell, pace, think)
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, row)
+	for _, nw := range writerCounts {
+		row, err := runE16Cell(rows, numPEs, readers, nw, cell, pace, think)
+		if err != nil {
+			return nil, err
 		}
+		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
 }
 
-// runE16Cell builds a fresh engine in the given concurrency mode and
-// runs readers against nw writers for one wall-clock window. Writers
-// are paced (one transaction per pace interval) so the grid offers a
-// fixed per-writer load: growing the writer count then grows lock
-// pressure proportionally instead of letting one unthrottled loop
-// saturate the host's cores, which would measure CPU scheduling rather
-// than the locking design. Each transfer holds its exclusive locks
-// across a client think-time pause — the interactive-transaction shape
-// locking schedulers handle worst: the pause costs no CPU, so any
-// reader slowdown as writers grow is pure lock blocking.
-func runE16Cell(mode string, mvcc bool, rows, numPEs, readers, nw int, window, pace, think time.Duration) ([]string, error) {
-	eng, err := core.New(core.Config{NumPEs: numPEs, MVCC: &mvcc})
+// runE16Cell builds a fresh engine and runs readers against nw writers
+// for one wall-clock window. Writers are paced (one transaction per pace
+// interval) so the grid offers a fixed per-writer load: growing the
+// writer count then grows write pressure proportionally instead of
+// letting one unthrottled loop saturate the host's cores, which would
+// measure CPU scheduling rather than the concurrency-control design. Each
+// transfer holds its exclusive locks across a client think-time pause —
+// the interactive-transaction shape a locking scheduler handles worst:
+// the pause costs no CPU, so a reader slowdown as writers grow would be
+// blocking.
+func runE16Cell(rows, numPEs, readers, nw int, window, pace, think time.Duration) ([]string, error) {
+	eng, err := core.New(core.Config{NumPEs: numPEs})
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +141,7 @@ func runE16Cell(mode string, mvcc bool, rows, numPEs, readers, nw int, window, p
 						s.Exec(`ROLLBACK`)
 					}
 				default:
-					fail(fmt.Errorf("E16 %s writers=%d: writer: %w", mode, nw, err))
+					fail(fmt.Errorf("E16 writers=%d: writer: %w", nw, err))
 					return
 				}
 				<-tick.C
@@ -164,16 +157,11 @@ func runE16Cell(mode string, mvcc bool, rows, numPEs, readers, nw int, window, p
 			var mine []time.Duration
 			for !stop.Load() {
 				start := time.Now()
-				_, err := s.Query(`SELECT COUNT(*) AS n, SUM(bal) AS total FROM acct`)
-				switch {
-				case err == nil:
-					mine = append(mine, time.Since(start))
-				case txn.IsRetryable(err):
-					// 2PL deadlock victim: part of the measured cost.
-				default:
-					fail(fmt.Errorf("E16 %s writers=%d: reader: %w", mode, nw, err))
+				if _, err := s.Query(`SELECT COUNT(*) AS n, SUM(bal) AS total FROM acct`); err != nil {
+					fail(fmt.Errorf("E16 writers=%d: reader: %w", nw, err))
 					return
 				}
+				mine = append(mine, time.Since(start))
 			}
 			mu.Lock()
 			lats = append(lats, mine...)
@@ -189,7 +177,7 @@ func runE16Cell(mode string, mvcc bool, rows, numPEs, readers, nw int, window, p
 	}
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return []string{
-		mode,
+		"mvcc",
 		fmt.Sprint(nw),
 		fmt.Sprintf("%.2f", float64(len(lats))/window.Seconds()),
 		percentile(lats, 0.99).Round(time.Microsecond).String(),

@@ -140,8 +140,7 @@ func (l *e17Ledger) explains(bal map[int]int64) bool {
 // 0..e17Rows-1 at 100 each, then the committed marker (account 0 +100)
 // and the rolled-back marker (account 1 set to 9999, rolled back).
 func e17Engine(numPEs int) (*core.Engine, error) {
-	mvcc := false
-	eng, err := core.New(core.Config{NumPEs: numPEs, MVCC: &mvcc})
+	eng, err := core.New(core.Config{NumPEs: numPEs})
 	if err != nil {
 		return nil, err
 	}

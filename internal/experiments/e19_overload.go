@@ -108,8 +108,7 @@ func runE19(quick bool) (*e19Stats, error) {
 		waitTimeout = 100 * time.Millisecond
 	)
 
-	mvcc := true
-	eng, err := core.New(core.Config{NumPEs: numPEs, MVCC: &mvcc})
+	eng, err := core.New(core.Config{NumPEs: numPEs})
 	if err != nil {
 		return nil, err
 	}

@@ -89,11 +89,9 @@ func TestE15ExchangeBeatsCentral(t *testing.T) {
 // TestE16SnapshotReadRetention pins the MVCC acceptance bar: reader
 // throughput under snapshot reads must hold up as the writer population
 // grows 1→16 (the issue's target is ±15%; the test bar is looser to
-// absorb shared-runner noise), and must hold up decisively better than
-// the all-2PL baseline measured in the same run. The thresholds are far
-// from the observed values (MVCC retains ~85%+ of its reader
-// throughput; 2PL's readers starve behind exclusive locks held across
-// writer think time) so only a real regression trips them.
+// absorb shared-runner noise). The threshold is far from the observed
+// values (MVCC retains ~85%+ of its reader throughput) so only a real
+// regression trips it.
 func TestE16SnapshotReadRetention(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow")
@@ -102,26 +100,21 @@ func TestE16SnapshotReadRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reads := map[string]float64{} // "mode/writers" -> reads/sec
+	reads := map[string]float64{} // writers -> reads/sec
 	for _, row := range tb.Rows {
 		var v float64
 		if _, err := fmt.Sscanf(row[2], "%f", &v); err != nil {
 			t.Fatalf("bad reads/sec cell %q: %v", row[2], err)
 		}
-		reads[row[0]+"/"+row[1]] = v
+		reads[row[1]] = v
 	}
-	for _, k := range []string{"mvcc/1", "mvcc/16", "2pl/1", "2pl/16"} {
-		if reads[k] == 0 && k != "2pl/16" {
-			t.Fatalf("missing or zero row %s in E16:\n%s", k, tb)
+	for _, k := range []string{"1", "16"} {
+		if reads[k] == 0 {
+			t.Fatalf("missing or zero row for %s writers in E16:\n%s", k, tb)
 		}
 	}
-	mvccRet := reads["mvcc/16"] / reads["mvcc/1"]
-	pessRet := reads["2pl/16"] / reads["2pl/1"]
-	if mvccRet < 0.6 {
-		t.Errorf("mvcc reader retention 1→16 writers = %.2f, want >= 0.6\n%s", mvccRet, tb)
-	}
-	if mvccRet < pessRet+0.3 {
-		t.Errorf("mvcc retention %.2f not decisively above 2pl retention %.2f\n%s", mvccRet, pessRet, tb)
+	if ret := reads["16"] / reads["1"]; ret < 0.6 {
+		t.Errorf("mvcc reader retention 1→16 writers = %.2f, want >= 0.6\n%s", ret, tb)
 	}
 }
 

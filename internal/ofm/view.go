@@ -10,9 +10,9 @@ import (
 // state (every committed version, no dead ones).
 const LatestTS = ^uint64(0)
 
-// View selects which tuple versions a read observes. Reads under MVCC
-// carry a pinned snapshot timestamp and take no locks; the 2PL baseline
-// and DML matching read Latest under fragment locks.
+// View selects which tuple versions a read observes. Reads carry a
+// pinned snapshot timestamp and take no locks; autocommit DML matches
+// rows at Latest under its fragment lock.
 type View struct {
 	// TS is the snapshot timestamp: the view contains exactly the
 	// versions committed at or before TS (begin <= TS < end).

@@ -693,8 +693,8 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 // streamResult drains one cursor onto the wire as ResultHead, RowChunk
 // frames within the row/byte budgets, and a closing ResultEnd. It
 // returns false when the connection is no longer usable (transport
-// failure — the caller closes, and the deferred cursor close aborts an
-// autocommit transaction so its locks never outlive the connection).
+// failure — the caller closes, and the deferred cursor close releases
+// the stream's snapshot pin so it never outlives the connection).
 // Execution errors mid-stream are statement-level: an Error frame
 // terminates the stream in place of ResultEnd and the connection stays
 // usable.

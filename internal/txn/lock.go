@@ -1,12 +1,16 @@
 // Package txn provides the Global Data Handler's transaction machinery
 // (paper §2.2: "the transaction manager, the concurrency control unit"):
-// a strict two-phase-locking lock manager with waits-for deadlock
-// detection, transaction lifecycle management, and a two-phase-commit
-// coordinator that drives the One-Fragment Managers as participants.
+// snapshot timestamps for readers (mvcc.go), a strict two-phase-locking
+// lock manager with waits-for deadlock detection for writers, transaction
+// lifecycle management, and a two-phase-commit coordinator that drives
+// the One-Fragment Managers as participants.
 //
 // Lock granularity is the fragment: the paper notes queries proceed "in
 // parallel, except for accesses to the same copy of base fragments of
-// the database" — fragments are exactly the unit of conflict.
+// the database" — fragments are exactly the unit of conflict. Only
+// writers meet there: a read pins a snapshot and never touches the lock
+// table, so every lock is exclusive and a fragment has at most one
+// holder.
 package txn
 
 import (
@@ -17,24 +21,18 @@ import (
 	"time"
 )
 
-// ID identifies a transaction.
+// ID identifies a transaction. Manager.Begin numbers them from 1.
 type ID uint64
 
-// LockMode is the strength of a lock.
+// LockMode is the strength of a lock. Since reads stopped locking there
+// is one, Exclusive; the type and the parameters that take it stay
+// because callers outside this module's packages name the mode (the
+// repository benchmark's lock probe, a frozen path, calls
+// Acquire(tx, name, Exclusive)).
 type LockMode uint8
 
-// Lock modes.
-const (
-	Shared LockMode = iota
-	Exclusive
-)
-
-func (m LockMode) String() string {
-	if m == Exclusive {
-		return "X"
-	}
-	return "S"
-}
+// Exclusive is the one lock mode: its holder is the fragment's only one.
+const Exclusive LockMode = 1
 
 // ErrDeadlock is returned when granting a lock would create a cycle in
 // the waits-for graph; the requesting transaction should abort.
@@ -50,13 +48,16 @@ var ErrTimeout = errors.New("txn: lock wait timeout")
 
 type waiter struct {
 	tx      ID
-	mode    LockMode
 	granted chan error
 }
 
+// lockState is one resource's lock: its holder (0 when free) and the
+// requests queued behind it in arrival order. A queued request always
+// has a holder in front of it: whoever frees the lock hands it to the
+// queue's head on the spot.
 type lockState struct {
-	holders map[ID]LockMode
-	queue   []*waiter
+	holder ID
+	queue  []*waiter
 }
 
 // lockShards partitions the lock table so unrelated fragments never
@@ -70,7 +71,7 @@ const lockShards = 16
 type lockShard struct {
 	mu    sync.Mutex
 	locks map[string]*lockState
-	held  map[ID]map[string]LockMode
+	held  map[ID][]string
 }
 
 // LockManager grants fragment-granularity locks under strict 2PL: locks
@@ -105,7 +106,7 @@ func NewLockManager() *LockManager {
 	lm := &LockManager{waits: map[ID]map[ID]struct{}{}}
 	for i := range lm.shards {
 		lm.shards[i].locks = map[string]*lockState{}
-		lm.shards[i].held = map[ID]map[string]LockMode{}
+		lm.shards[i].held = map[ID][]string{}
 	}
 	return lm
 }
@@ -120,22 +121,8 @@ func (lm *LockManager) shardOf(resource string) *lockShard {
 	return &lm.shards[h&(lockShards-1)]
 }
 
-// compatible reports whether a request can be granted alongside holders.
-func compatible(st *lockState, tx ID, mode LockMode) bool {
-	for holder, hmode := range st.holders {
-		if holder == tx {
-			continue // self-conflict handled as upgrade
-		}
-		if mode == Exclusive || hmode == Exclusive {
-			return false
-		}
-	}
-	return true
-}
-
-// Acquire blocks until tx holds the resource in the given mode, or
-// returns ErrDeadlock if waiting would create a waits-for cycle. A
-// shared lock held by tx upgrades to exclusive when requested.
+// Acquire blocks until tx holds the resource, or returns ErrDeadlock if
+// waiting would create a waits-for cycle.
 func (lm *LockManager) Acquire(tx ID, resource string, mode LockMode) error {
 	return lm.AcquireTimeout(tx, resource, mode, 0)
 }
@@ -146,49 +133,33 @@ func (lm *LockManager) Acquire(tx ID, resource string, mode LockMode) error {
 // while blocked — the caller aborts the transaction, freeing its
 // locks). A grant that races the deadline wins: the lock is held and
 // the call succeeds.
-func (lm *LockManager) AcquireTimeout(tx ID, resource string, mode LockMode, timeout time.Duration) error {
+func (lm *LockManager) AcquireTimeout(tx ID, resource string, _ LockMode, timeout time.Duration) error {
 	lm.acquires.Add(1)
 	sh := lm.shardOf(resource)
 	sh.mu.Lock()
 	st := sh.locks[resource]
 	if st == nil {
-		st = &lockState{holders: map[ID]LockMode{}}
+		st = &lockState{}
 		sh.locks[resource] = st
 	}
-	if cur, mine := st.holders[tx]; mine && (cur == Exclusive || cur == mode) {
+	switch st.holder {
+	case tx:
 		sh.mu.Unlock()
-		return nil // already strong enough
-	}
-	// An S→X upgrade of an existing hold may bypass the queue (it can
-	// never be granted behind a queued X waiter while tx holds S); any
-	// other request must queue behind earlier waiters even when it is
-	// compatible with the current holders. Letting a shared request barge
-	// past a queued exclusive waiter would create a holder the waiter's
-	// waits-for edges never recorded — an undetectable deadlock.
-	_, held := st.holders[tx]
-	upgrade := held && mode == Exclusive
-	if compatible(st, tx, mode) && (upgrade || len(st.queue) == 0) {
-		lm.grant(sh, st, tx, resource, mode)
+		return nil
+	case 0:
+		lm.grant(sh, st, tx, resource)
 		sh.mu.Unlock()
 		return nil
 	}
-	// Must wait: record waits-for edges and check for a cycle. The edges
-	// are published and checked under waitMu while the shard mutex is
-	// still held, so the blockers read from this shard cannot change
-	// underneath the check.
-	blockers := map[ID]struct{}{}
-	for holder := range st.holders {
-		if holder != tx {
-			blockers[holder] = struct{}{}
-		}
-	}
-	if !upgrade {
-		// Queued waiters ahead of us also block us (FIFO fairness);
-		// upgraders wait at the queue front, blocked only by holders.
-		for _, w := range st.queue {
-			if w.tx != tx {
-				blockers[w.tx] = struct{}{}
-			}
+	// Must wait, behind the holder and every request queued ahead (FIFO):
+	// record those waits-for edges and check for a cycle. The edges are
+	// published and checked under waitMu while the shard mutex is still
+	// held, so the blockers read from this shard cannot change underneath
+	// the check.
+	blockers := map[ID]struct{}{st.holder: {}}
+	for _, w := range st.queue {
+		if w.tx != tx {
+			blockers[w.tx] = struct{}{}
 		}
 	}
 	lm.waitMu.Lock()
@@ -197,18 +168,11 @@ func (lm *LockManager) AcquireTimeout(tx ID, resource string, mode LockMode, tim
 		delete(lm.waits, tx)
 		lm.waitMu.Unlock()
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %d requesting %s on %q", ErrDeadlock, tx, mode, resource)
+		return fmt.Errorf("%w: %d requesting %q", ErrDeadlock, tx, resource)
 	}
 	lm.waitMu.Unlock()
-	w := &waiter{tx: tx, mode: mode, granted: make(chan error, 1)}
-	if upgrade {
-		// Upgraders park at the front: they are granted the moment the
-		// other shared holders drain, and nothing behind them can run
-		// while tx still holds S anyway.
-		st.queue = append([]*waiter{w}, st.queue...)
-	} else {
-		st.queue = append(st.queue, w)
-	}
+	w := &waiter{tx: tx, granted: make(chan error, 1)}
+	st.queue = append(st.queue, w)
 	sh.mu.Unlock()
 
 	if timeout <= 0 {
@@ -224,7 +188,8 @@ func (lm *LockManager) AcquireTimeout(tx ID, resource string, mode LockMode, tim
 	// Deadline expired: withdraw the waiter. The grant path sends on
 	// w.granted while holding sh.mu, so if we no longer find w in the
 	// queue under sh.mu, a verdict is already buffered — take it (the
-	// grant won the race; the lock is held).
+	// grant won the race; the lock is held). A request still queued has a
+	// holder in front, so withdrawing it grants nobody.
 	sh.mu.Lock()
 	removed := false
 	if st := sh.locks[resource]; st != nil {
@@ -237,11 +202,6 @@ func (lm *LockManager) AcquireTimeout(tx ID, resource string, mode LockMode, tim
 			filtered = append(filtered, q)
 		}
 		st.queue = filtered
-		if removed {
-			// Waiters queued behind the withdrawn request may be grantable
-			// now (e.g. a shared request that sat behind our exclusive).
-			lm.pump(sh, st, resource)
-		}
 	}
 	sh.mu.Unlock()
 	if !removed {
@@ -250,23 +210,13 @@ func (lm *LockManager) AcquireTimeout(tx ID, resource string, mode LockMode, tim
 	lm.waitMu.Lock()
 	delete(lm.waits, tx)
 	lm.waitMu.Unlock()
-	return fmt.Errorf("%w: %d requesting %s on %q after %v", ErrTimeout, tx, mode, resource, timeout)
+	return fmt.Errorf("%w: %d requesting %q after %v", ErrTimeout, tx, resource, timeout)
 }
 
-// grant records the lock, upgrading S to X but never downgrading.
-// Caller holds sh.mu.
-func (lm *LockManager) grant(sh *lockShard, st *lockState, tx ID, resource string, mode LockMode) {
-	if cur, mine := st.holders[tx]; !mine || (mode == Exclusive && cur == Shared) {
-		st.holders[tx] = mode
-	}
-	h := sh.held[tx]
-	if h == nil {
-		h = map[string]LockMode{}
-		sh.held[tx] = h
-	}
-	if cur, ok := h[resource]; !ok || (mode == Exclusive && cur == Shared) {
-		h[resource] = mode
-	}
+// grant makes tx the holder. Caller holds sh.mu.
+func (lm *LockManager) grant(sh *lockShard, st *lockState, tx ID, resource string) {
+	st.holder = tx
+	sh.held[tx] = append(sh.held[tx], resource)
 	lm.waitMu.Lock()
 	delete(lm.waits, tx)
 	lm.waitMu.Unlock()
@@ -298,8 +248,9 @@ func (lm *LockManager) wouldDeadlock(tx ID) bool {
 	return false
 }
 
-// ReleaseAll frees every lock tx holds and cancels its queued waits
-// (strict 2PL end-of-transaction release).
+// ReleaseAll frees every lock tx holds, handing each to the head of its
+// queue, and cancels tx's queued waits (strict 2PL end-of-transaction
+// release).
 func (lm *LockManager) ReleaseAll(tx ID) {
 	lm.waitMu.Lock()
 	delete(lm.waits, tx)
@@ -307,21 +258,21 @@ func (lm *LockManager) ReleaseAll(tx ID) {
 	for i := range lm.shards {
 		sh := &lm.shards[i]
 		sh.mu.Lock()
-		for resource := range sh.held[tx] {
+		for _, resource := range sh.held[tx] {
 			st := sh.locks[resource]
-			if st == nil {
+			if len(st.queue) == 0 {
+				delete(sh.locks, resource)
 				continue
 			}
-			delete(st.holders, tx)
-			lm.pump(sh, st, resource)
-			if len(st.holders) == 0 && len(st.queue) == 0 {
-				delete(sh.locks, resource)
-			}
+			w := st.queue[0]
+			st.queue = st.queue[1:]
+			lm.grant(sh, st, w.tx, resource)
+			w.granted <- nil
 		}
 		delete(sh.held, tx)
 		// Remove tx from queues it might still sit in (abort while
-		// waiting) in this shard.
-		for resource, st := range sh.locks {
+		// waiting) in this shard; their holders are other transactions.
+		for _, st := range sh.locks {
 			filtered := st.queue[:0]
 			for _, w := range st.queue {
 				if w.tx == tx {
@@ -331,13 +282,12 @@ func (lm *LockManager) ReleaseAll(tx ID) {
 				filtered = append(filtered, w)
 			}
 			st.queue = filtered
-			lm.pump(sh, st, resource)
 		}
 		sh.mu.Unlock()
 	}
 	// Drop waits-for edges pointing at tx: anything that was queued
-	// behind it has been pumped (or still waits on remaining holders,
-	// whose edges it also recorded).
+	// behind it has been granted (or still waits on the new holder, whose
+	// edge it also recorded).
 	lm.waitMu.Lock()
 	for _, blockers := range lm.waits {
 		delete(blockers, tx)
@@ -345,59 +295,32 @@ func (lm *LockManager) ReleaseAll(tx ID) {
 	lm.waitMu.Unlock()
 }
 
-// pump grants queued requests that are now compatible, preserving FIFO
-// order with shared batching. Caller holds sh.mu.
-func (lm *LockManager) pump(sh *lockShard, st *lockState, resource string) {
-	for len(st.queue) > 0 {
-		w := st.queue[0]
-		if !compatible(st, w.tx, w.mode) {
-			// Upgrade special case: sole holder waiting to upgrade.
-			if cur, mine := st.holders[w.tx]; mine && cur == Shared && w.mode == Exclusive && len(st.holders) == 1 {
-				// fall through to grant
-			} else {
-				return
-			}
-		}
-		st.queue = st.queue[1:]
-		lm.grant(sh, st, w.tx, resource, w.mode)
-		w.granted <- nil
-		if w.mode == Exclusive {
-			return
-		}
-	}
-}
-
-// HeldBy returns the resources tx currently holds with their modes.
 // Acquires returns the total number of Acquire calls seen, including
 // re-entrant and failed ones. Isolation tests diff this counter around a
 // SELECT to prove that snapshot reads never touch the lock manager.
 func (lm *LockManager) Acquires() int64 { return lm.acquires.Load() }
 
-func (lm *LockManager) HeldBy(tx ID) map[string]LockMode {
-	out := map[string]LockMode{}
+// HeldBy returns the resources tx currently holds.
+func (lm *LockManager) HeldBy(tx ID) []string {
+	var out []string
 	for i := range lm.shards {
 		sh := &lm.shards[i]
 		sh.mu.Lock()
-		for r, m := range sh.held[tx] {
-			out[r] = m
-		}
+		out = append(out, sh.held[tx]...)
 		sh.mu.Unlock()
 	}
 	return out
 }
 
-// Holders returns the transactions holding the resource.
-func (lm *LockManager) Holders(resource string) map[ID]LockMode {
+// Holder returns the transaction holding the resource, if any.
+func (lm *LockManager) Holder(resource string) (ID, bool) {
 	sh := lm.shardOf(resource)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	out := map[ID]LockMode{}
-	if st := sh.locks[resource]; st != nil {
-		for tx, m := range st.holders {
-			out[tx] = m
-		}
+	if st := sh.locks[resource]; st != nil && st.holder != 0 {
+		return st.holder, true
 	}
-	return out
+	return 0, false
 }
 
 // queuedOn reports how many waiters are queued on the resource (tests).

@@ -110,31 +110,30 @@ func TestCrossShardThreeWayDeadlock(t *testing.T) {
 }
 
 // TestNoBargingAcrossShards re-pins the PR-1 fairness fix on the
-// sharded table: on every shard, a shared request arriving behind a
-// queued exclusive waiter must wait, even while unrelated shards are
-// granting freely.
+// sharded table: on every shard, a request arriving behind a queued
+// waiter is granted after it, not before, even while unrelated shards
+// are granting freely.
 func TestNoBargingAcrossShards(t *testing.T) {
 	lm := NewLockManager()
 	rs := resourcesInDistinctShards(t, lm, 4)
 	for i, r := range rs {
 		holder := ID(100 + i)
-		if err := lm.Acquire(holder, r, Shared); err != nil {
+		if err := lm.Acquire(holder, r, Exclusive); err != nil {
 			t.Fatal(err)
 		}
-		xGranted := make(chan error, 1)
-		xTx := ID(200 + i)
-		go func(r string) { xGranted <- lm.Acquire(xTx, r, Exclusive) }(r)
+		firstGranted := make(chan error, 1)
+		first := ID(200 + i)
+		go func(r string) { firstGranted <- lm.Acquire(first, r, Exclusive) }(r)
 		deadline := time.Now().Add(2 * time.Second)
 		for lm.queuedOn(r) == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 
-		sGranted := make(chan error, 1)
-		go func(r string) { sGranted <- lm.Acquire(ID(300+i), r, Shared) }(r)
-		select {
-		case <-sGranted:
-			t.Fatalf("%s: S granted past a queued X waiter", r)
-		case <-time.After(30 * time.Millisecond):
+		lateGranted := make(chan error, 1)
+		late := ID(300 + i)
+		go func(r string) { lateGranted <- lm.Acquire(late, r, Exclusive) }(r)
+		for lm.queuedOn(r) < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
 
 		// Other shards keep working while this one has a queue.
@@ -143,26 +142,31 @@ func TestNoBargingAcrossShards(t *testing.T) {
 			t.Fatalf("test resources share a shard")
 		}
 		probe := ID(400 + i)
-		if err := lm.Acquire(probe, other, Shared); err != nil {
+		if err := lm.Acquire(probe, other, Exclusive); err != nil {
 			t.Fatalf("independent shard blocked: %v", err)
 		}
 		lm.ReleaseAll(probe)
 
 		lm.ReleaseAll(holder)
-		if err := <-xGranted; err != nil {
+		if err := <-firstGranted; err != nil {
 			t.Fatal(err)
 		}
-		lm.ReleaseAll(xTx)
-		if err := <-sGranted; err != nil {
+		select {
+		case <-lateGranted:
+			t.Fatalf("%s: late request granted past the queued one", r)
+		case <-time.After(30 * time.Millisecond):
+		}
+		lm.ReleaseAll(first)
+		if err := <-lateGranted; err != nil {
 			t.Fatal(err)
 		}
-		lm.ReleaseAll(ID(300 + i))
+		lm.ReleaseAll(late)
 	}
 }
 
 // TestShardedContentionStress hammers the sharded table from 16
-// goroutines taking multi-resource S/X lock sets across every shard,
-// tolerating deadlock aborts, and verifies nothing leaks: every
+// goroutines taking two-resource lock sets in random order across every
+// shard, tolerating deadlock aborts, and verifies nothing leaks: every
 // resource ends up holder-free and every successful transaction fully
 // released. Run under -race in CI.
 func TestShardedContentionStress(t *testing.T) {
@@ -187,18 +191,9 @@ func TestShardedContentionStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				tx := ID(nextTx.Add(1))
 				ok := true
-				// Ascending order keeps *some* discipline but overlapping
-				// sets still deadlock through upgrades.
-				a, b := r.Intn(resources), r.Intn(resources)
-				if a > b {
-					a, b = b, a
-				}
-				for _, ri := range []int{a, b} {
-					mode := Shared
-					if r.Intn(2) == 0 {
-						mode = Exclusive
-					}
-					if err := lm.Acquire(tx, names[ri], mode); err != nil {
+				// No lock order: crossing pairs deadlock.
+				for _, ri := range []int{r.Intn(resources), r.Intn(resources)} {
+					if err := lm.Acquire(tx, names[ri], Exclusive); err != nil {
 						if !errors.Is(err, ErrDeadlock) && !errors.Is(err, ErrAborted) {
 							t.Errorf("unexpected acquire error: %v", err)
 						}
@@ -229,8 +224,8 @@ func TestShardedContentionStress(t *testing.T) {
 		t.Fatal("no transaction ever succeeded")
 	}
 	for _, name := range names {
-		if h := lm.Holders(name); len(h) != 0 {
-			t.Errorf("%s still held by %v after all transactions finished", name, h)
+		if h, ok := lm.Holder(name); ok {
+			t.Errorf("%s still held by %d after all transactions finished", name, h)
 		}
 	}
 }

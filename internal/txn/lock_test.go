@@ -2,24 +2,11 @@ package txn
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
-
-func TestSharedLocksCoexist(t *testing.T) {
-	lm := NewLockManager()
-	if err := lm.Acquire(1, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Acquire(2, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	holders := lm.Holders("f")
-	if len(holders) != 2 {
-		t.Errorf("holders = %v", holders)
-	}
-}
 
 func TestExclusiveBlocks(t *testing.T) {
 	lm := NewLockManager()
@@ -27,10 +14,10 @@ func TestExclusiveBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	acquired := make(chan error, 1)
-	go func() { acquired <- lm.Acquire(2, "f", Shared) }()
+	go func() { acquired <- lm.Acquire(2, "f", Exclusive) }()
 	select {
 	case <-acquired:
-		t.Fatal("S granted while X held")
+		t.Fatal("X granted while X held")
 	case <-time.After(50 * time.Millisecond):
 	}
 	lm.ReleaseAll(1)
@@ -47,44 +34,17 @@ func TestExclusiveBlocks(t *testing.T) {
 func TestReacquireIsIdempotent(t *testing.T) {
 	lm := NewLockManager()
 	for i := 0; i < 3; i++ {
-		if err := lm.Acquire(1, "f", Shared); err != nil {
+		if err := lm.Acquire(1, "f", Exclusive); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := lm.Acquire(1, "f", Exclusive); err != nil {
-		t.Fatal(err) // sole-holder upgrade
+	if got := lm.HeldBy(1); !slices.Equal(got, []string{"f"}) {
+		t.Errorf("held after three acquires = %v, want [f] once", got)
 	}
-	if err := lm.Acquire(1, "f", Shared); err != nil {
-		t.Fatal(err) // X already covers S
-	}
-	if got := lm.HeldBy(1)["f"]; got != Exclusive {
-		t.Errorf("mode after upgrade = %v", got)
-	}
-}
-
-func TestUpgradeWaitsForOtherReaders(t *testing.T) {
-	lm := NewLockManager()
-	if err := lm.Acquire(1, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Acquire(2, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	upgraded := make(chan error, 1)
-	go func() { upgraded <- lm.Acquire(1, "f", Exclusive) }()
-	select {
-	case <-upgraded:
-		t.Fatal("upgrade granted while another reader holds S")
-	case <-time.After(50 * time.Millisecond):
-	}
-	lm.ReleaseAll(2)
-	select {
-	case err := <-upgraded:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("upgrade never granted")
+	// One release frees it.
+	lm.ReleaseAll(1)
+	if h, ok := lm.Holder("f"); ok {
+		t.Errorf("f still held by %d after release", h)
 	}
 }
 
@@ -157,62 +117,54 @@ func TestReleaseAllCancelsWaiters(t *testing.T) {
 		t.Fatal("cancelled waiter still blocked")
 	}
 	// And the lock is still held by 1.
-	if _, ok := lm.Holders("f")[1]; !ok {
-		t.Error("holder lost")
+	if h, ok := lm.Holder("f"); !ok || h != 1 {
+		t.Errorf("holder = %d, %v; want 1", h, ok)
 	}
 }
 
-func TestFIFOWithSharedBatching(t *testing.T) {
+// TestFIFOGrantOrder pins the queue discipline: waiters are granted one
+// at a time, in the order they queued, each when the one before it
+// releases.
+func TestFIFOGrantOrder(t *testing.T) {
 	lm := NewLockManager()
 	if err := lm.Acquire(1, "f", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	order := make(chan ID, 3)
-	var wg sync.WaitGroup
-	enqueue := func(tx ID, mode LockMode) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := lm.Acquire(tx, "f", mode); err == nil {
-				order <- tx
+	waiters := []ID{2, 3, 4, 5}
+	granted := make([]chan error, len(waiters))
+	for i, tx := range waiters {
+		ch := make(chan error, 1)
+		granted[i] = ch
+		go func() { ch <- lm.Acquire(tx, "f", Exclusive) }()
+		waitForQueued(t, lm, "f", i+1) // deterministic queue order
+	}
+	holder := ID(1)
+	for i, next := range waiters {
+		for j := i + 1; j < len(waiters); j++ {
+			select {
+			case <-granted[j]:
+				t.Fatalf("tx %d granted while %d held and %d was ahead", waiters[j], holder, next)
+			default:
 			}
-		}()
-		time.Sleep(30 * time.Millisecond) // deterministic queue order
-	}
-	enqueue(2, Shared)
-	enqueue(3, Shared)
-	enqueue(4, Exclusive)
-	lm.ReleaseAll(1)
-	// 2 and 3 (shared batch) should be granted; 4 still waits.
-	deadline := time.After(time.Second)
-	got := map[ID]bool{}
-	for i := 0; i < 2; i++ {
+		}
+		lm.ReleaseAll(holder)
 		select {
-		case tx := <-order:
-			got[tx] = true
-		case <-deadline:
-			t.Fatal("shared batch not granted")
+		case err := <-granted[i]:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("tx %d never granted after %d released", next, holder)
 		}
-	}
-	if !got[2] || !got[3] {
-		t.Fatalf("granted %v, want {2,3}", got)
-	}
-	select {
-	case tx := <-order:
-		t.Fatalf("tx %d granted too early", tx)
-	case <-time.After(50 * time.Millisecond):
-	}
-	lm.ReleaseAll(2)
-	lm.ReleaseAll(3)
-	select {
-	case tx := <-order:
-		if tx != 4 {
-			t.Fatalf("expected 4, got %d", tx)
+		if h, _ := lm.Holder("f"); h != next {
+			t.Fatalf("holder = %d, want %d", h, next)
 		}
-	case <-time.After(time.Second):
-		t.Fatal("exclusive waiter never granted")
+		holder = next
 	}
-	wg.Wait()
+	lm.ReleaseAll(holder)
+	if h, ok := lm.Holder("f"); ok {
+		t.Fatalf("f still held by %d", h)
+	}
 }
 
 func TestManyConcurrentLockers(t *testing.T) {
@@ -244,82 +196,6 @@ func TestManyConcurrentLockers(t *testing.T) {
 	}
 	if counter != 32*20 {
 		t.Errorf("critical section entered %d times, want %d", counter, 640)
-	}
-}
-
-// TestSharedDoesNotBargePastQueuedExclusive pins the no-barging queue
-// discipline: a shared request arriving while an exclusive request is
-// queued must wait behind it. Barging would admit a holder the queued
-// waiter's waits-for edges never recorded, making deadlocks through it
-// undetectable (the hang found by core's concurrent-session stress test).
-func TestSharedDoesNotBargePastQueuedExclusive(t *testing.T) {
-	lm := NewLockManager()
-	if err := lm.Acquire(1, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	xGranted := make(chan error, 1)
-	go func() { xGranted <- lm.Acquire(2, "f", Exclusive) }()
-	waitForQueued(t, lm, "f", 1)
-
-	sGranted := make(chan error, 1)
-	go func() { sGranted <- lm.Acquire(3, "f", Shared) }()
-	select {
-	case <-sGranted:
-		t.Fatal("S granted past a queued X waiter")
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	lm.ReleaseAll(1)
-	if err := <-xGranted; err != nil {
-		t.Fatal(err)
-	}
-	// The late S request is still behind the exclusive holder.
-	select {
-	case <-sGranted:
-		t.Fatal("S granted while X held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	lm.ReleaseAll(2)
-	if err := <-sGranted; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestUpgradeBypassesQueue pins the converse: an S→X upgrade must NOT
-// wait behind a queued exclusive request (which cannot be granted while
-// the upgrader still holds S) — it parks at the queue front instead.
-func TestUpgradeBypassesQueue(t *testing.T) {
-	lm := NewLockManager()
-	if err := lm.Acquire(1, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Acquire(2, "f", Shared); err != nil {
-		t.Fatal(err)
-	}
-	xGranted := make(chan error, 1)
-	go func() { xGranted <- lm.Acquire(3, "f", Exclusive) }()
-	waitForQueued(t, lm, "f", 1)
-
-	upGranted := make(chan error, 1)
-	go func() { upGranted <- lm.Acquire(1, "f", Exclusive) }()
-	select {
-	case err := <-upGranted:
-		t.Fatalf("upgrade granted while another S held (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	lm.ReleaseAll(2)
-	if err := <-upGranted; err != nil {
-		t.Fatalf("upgrade after S drain: %v", err)
-	}
-	select {
-	case <-xGranted:
-		t.Fatal("X granted while upgraded X held")
-	case <-time.After(50 * time.Millisecond):
-	}
-	lm.ReleaseAll(1)
-	if err := <-xGranted; err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -4,9 +4,9 @@ import "errors"
 
 // Commit timestamps and snapshot management for multiversion reads.
 //
-// Writers still serialize per fragment through the strict-2PL lock
-// manager, but readers no longer lock at all: a read pins a snapshot
-// timestamp and sees exactly the versions committed at or before it.
+// Writers serialize per fragment through the strict-2PL lock manager;
+// readers never lock: a read pins a snapshot timestamp and sees exactly
+// the versions committed at or before it.
 // The Manager owns the commit clock. A committing transaction with
 // participants allocates the next timestamp (beginCommit), applies its
 // versions, and only then lets the watermark advance past it

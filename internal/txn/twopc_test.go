@@ -407,32 +407,38 @@ func TestLockTimeoutGrantRaceWins(t *testing.T) {
 }
 
 func TestLockTimeoutUnblocksQueueBehind(t *testing.T) {
-	// S behind a timed-out X waiter must be pumped when the X withdraws.
+	// A waiter behind a timed-out waiter is granted when the holder
+	// releases: the withdrawn request leaves no residue in the queue.
 	m := NewManager()
 	holder := m.Begin()
-	if err := holder.Lock("r", Shared); err != nil {
+	if err := holder.Lock("r", Exclusive); err != nil {
 		t.Fatal(err)
 	}
-	xWaiter := m.Begin()
-	xWaiter.SetLockTimeout(20 * time.Millisecond)
-	xDone := make(chan error, 1)
-	go func() { xDone <- xWaiter.Lock("r", Exclusive) }()
-	time.Sleep(5 * time.Millisecond) // let X queue
-	sWaiter := m.Begin()
-	sDone := make(chan error, 1)
-	go func() { sDone <- sWaiter.Lock("r", Shared) }()
-	if err := <-xDone; !errors.Is(err, ErrTimeout) {
-		t.Fatalf("X waiter = %v, want timeout", err)
+	early := m.Begin()
+	early.SetLockTimeout(200 * time.Millisecond) // long enough for late to queue behind it
+	earlyDone := make(chan error, 1)
+	go func() { earlyDone <- early.Lock("r", Exclusive) }()
+	waitForQueued(t, m.Locks(), "r", 1)
+	late := m.Begin()
+	lateDone := make(chan error, 1)
+	go func() { lateDone <- late.Lock("r", Exclusive) }()
+	waitForQueued(t, m.Locks(), "r", 2)
+	if err := <-earlyDone; !errors.Is(err, ErrTimeout) {
+		t.Fatalf("early waiter = %v, want timeout", err)
 	}
 	select {
-	case err := <-sDone:
-		if err != nil {
-			t.Fatalf("S waiter = %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("S waiter still blocked after X withdrew")
+	case err := <-lateDone:
+		t.Fatalf("late waiter returned %v while the holder still holds", err)
+	default:
 	}
 	holder.Abort()
-	sWaiter.Abort()
-	xWaiter.Abort()
+	select {
+	case err := <-lateDone:
+		if err != nil {
+			t.Fatalf("late waiter = %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("late waiter still blocked after the holder released")
+	}
+	late.Abort()
 }

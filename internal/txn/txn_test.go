@@ -147,7 +147,7 @@ func TestLockAfterAbortFails(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
 	tx.Abort()
-	if err := tx.Lock("f", Shared); err == nil {
+	if err := tx.Lock("f", Exclusive); err == nil {
 		t.Error("lock on aborted txn should error")
 	}
 }

@@ -103,11 +103,6 @@ type Config struct {
 	// RandomPlacement scatters fragments randomly instead of using the
 	// central least-loaded allocation manager (experiment E10 baseline).
 	RandomPlacement bool
-	// MVCC controls snapshot-isolation reads (nil/true = MVCC: SELECTs
-	// pin a snapshot and take no locks, writers keep exclusive locks
-	// plus first-committer-wins; false = the all-2PL baseline where
-	// reads take shared locks — experiment E16's comparison mode).
-	MVCC *bool
 	// Vectorized controls whether fragment scans answer with columnar
 	// batches over the fragment column caches (nil/true), which the
 	// executor's operators then process with their batch kernels; false
@@ -130,7 +125,6 @@ func Open(cfg Config) (*DB, error) {
 		Compiled:   &compiled,
 		Optimizer:  cfg.Optimizer,
 		SemiNaive:  &semiNaive,
-		MVCC:       cfg.MVCC,
 		Vectorized: cfg.Vectorized,
 	}
 	if cfg.RandomPlacement {
@@ -202,9 +196,9 @@ func (s *Session) Query(sql string) (*Relation, error) { return s.s.Query(sql) }
 // Stream executes one statement with cursor-based result delivery: a
 // SELECT returns a Cursor yielding batches as fragments produce them
 // (time-to-first-tuple instead of time-to-last-tuple); anything else
-// returns a materialized Result, exactly as Exec would. Exhausting or
-// closing the cursor settles an autocommit transaction; inside an
-// explicit transaction locks are held until COMMIT/ROLLBACK.
+// returns a materialized Result, exactly as Exec would. The cursor reads
+// a snapshot pinned when it opened; exhausting or closing it releases
+// the pin.
 func (s *Session) Stream(sql string) (*Cursor, *Result, error) { return s.s.Stream(sql) }
 
 // Prepare parses and plans a statement with '?' or '$n' placeholders
