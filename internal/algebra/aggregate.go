@@ -210,7 +210,8 @@ func mergeSchema(partial *value.Schema, groupByLen int, specs []AggSpec) (*value
 
 // Aggregate groups r by the groupBy columns (empty = one global group)
 // and computes the aggregate specs. Output columns are the group-by
-// columns followed by one column per spec.
+// columns followed by one column per spec. It is AggregateBatch's
+// tuple-at-a-time oracle, and the repository benchmark times it beside it.
 func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relation, Stats, error) {
 	schema, err := aggSchema(r.Schema, groupBy, specs)
 	if err != nil {
@@ -257,114 +258,6 @@ func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relati
 		out.Tuples = append(out.Tuples, row)
 	}
 	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: out.Len(), Hashes: r.Len()}, nil
-}
-
-// MergeAggregates combines per-fragment partial aggregates into a final
-// result — the two-phase distributed aggregation the engine runs: each
-// OFM aggregates its fragment, the coordinator merges. The partials must
-// have been produced by PartialSpecs(specs); specs describes the final
-// result.
-func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec) (*value.Relation, Stats, error) {
-	if len(partials) == 0 {
-		return nil, Stats{}, fmt.Errorf("algebra: no partial aggregates to merge")
-	}
-	schema, err := mergeSchema(partials[0].Schema, groupByLen, specs)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{}
-	// Partial layout: groupBy..., then per spec either (count) for COUNT,
-	// (sum) for SUM, (sum, count) for AVG, (min)/(max) otherwise.
-	type group struct {
-		key    value.Tuple
-		states []aggState
-	}
-	groups := map[string]*group{}
-	var order []string
-	gb := make([]int, groupByLen)
-	for i := range gb {
-		gb[i] = i
-	}
-	var keyBuf []byte
-	for _, p := range partials {
-		stats.TuplesRead += p.Len()
-		for _, t := range p.Tuples {
-			keyBuf = t.AppendKeyOn(keyBuf[:0], gb)
-			g := groups[string(keyBuf)]
-			if g == nil {
-				k := string(keyBuf)
-				g = &group{key: t.Project(gb), states: make([]aggState, len(specs))}
-				groups[k] = g
-				order = append(order, k)
-			}
-			col := groupByLen
-			for i, sp := range specs {
-				st := &g.states[i]
-				switch sp.Func {
-				case Count:
-					st.count += t[col].Int()
-					col++
-				case Sum:
-					v := t[col]
-					if !v.IsNull() {
-						st.count++
-						if v.Kind() == value.KindFloat {
-							st.isFloat = true
-							st.sumF += v.Float()
-						} else {
-							st.sumI += v.Int()
-							st.sumF += v.Float()
-						}
-					}
-					col++
-				case Avg:
-					sum, cnt := t[col], t[col+1]
-					if !sum.IsNull() && cnt.Int() > 0 {
-						st.count += cnt.Int()
-						st.sumF += sum.Float()
-					}
-					col += 2
-				case Min:
-					v := t[col]
-					if !v.IsNull() {
-						if !st.started || value.Compare(v, st.min) < 0 {
-							st.min = v
-						}
-						st.started = true
-						st.count++
-					}
-					col++
-				case Max:
-					v := t[col]
-					if !v.IsNull() {
-						if !st.started || value.Compare(v, st.max) > 0 {
-							st.max = v
-						}
-						st.started = true
-						st.count++
-					}
-					col++
-				}
-			}
-		}
-	}
-	if groupByLen == 0 && len(order) == 0 {
-		groups[""] = &group{key: value.Tuple{}, states: make([]aggState, len(specs))}
-		order = append(order, "")
-	}
-
-	out := value.NewRelation(schema)
-	for _, k := range order {
-		g := groups[k]
-		row := make(value.Tuple, 0, groupByLen+len(specs))
-		row = append(row, g.key...)
-		for i, sp := range specs {
-			row = append(row, g.states[i].result(sp.Func))
-		}
-		out.Tuples = append(out.Tuples, row)
-	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
 }
 
 // PartialSpecs rewrites final aggregate specs into the per-fragment

@@ -4,12 +4,14 @@
 // One-Fragment Managers execute locally (§2.5), including the transitive
 // closure operator for recursive queries.
 //
-// Operators are set-at-a-time over materialized value.Relation inputs —
-// PRISMA is explicitly set-oriented ("one of the main differences between
-// pure Prolog and PRISMAlog is that the latter is set-oriented, which
-// makes it more suitable for parallel evaluation"). Each operator returns
-// a fresh Relation and a Stats record the engine uses to charge virtual
-// CPU time to processing elements.
+// Operators are set-at-a-time — PRISMA is explicitly set-oriented ("one
+// of the main differences between pure Prolog and PRISMAlog is that the
+// latter is set-oriented, which makes it more suitable for parallel
+// evaluation"). The executor's operators run over columnar value.Batch
+// inputs (batch.go, join.go, sort.go); the OFM's own fragment select and
+// project and the closure operator run over value.Relation. Each returns
+// a Stats record the engine uses to charge virtual CPU time to processing
+// elements.
 package algebra
 
 import (
@@ -26,14 +28,6 @@ type Stats struct {
 	TuplesEmitted int // output tuples produced
 	Hashes        int // hash computations
 	Compares      int // tuple comparisons
-}
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.TuplesRead += other.TuplesRead
-	s.TuplesEmitted += other.TuplesEmitted
-	s.Hashes += other.Hashes
-	s.Compares += other.Compares
 }
 
 // Select filters r with a compiled predicate (the OFM fast path).
@@ -93,60 +87,4 @@ func Project(r *value.Relation, cols []int) (*value.Relation, Stats, error) {
 		out.Tuples[i] = t.Project(cols)
 	}
 	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: r.Len()}, nil
-}
-
-// ProjectExprs computes arbitrary expressions per tuple with a compiled
-// projector.
-func ProjectExprs(r *value.Relation, proj *expr.Projector) (*value.Relation, Stats, error) {
-	rows, err := proj.ApplyBatch(r.Tuples)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("algebra: project: %w", err)
-	}
-	out := value.NewRelation(proj.Schema())
-	out.Tuples = rows
-	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: len(rows)}, nil
-}
-
-// Distinct removes duplicates (set semantics).
-func Distinct(r *value.Relation) (*value.Relation, Stats) {
-	out := value.NewRelation(r.Schema)
-	seen := make(map[string]struct{}, r.Len())
-	for _, t := range r.Tuples {
-		k := t.Key()
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
-		out.Tuples = append(out.Tuples, t)
-	}
-	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: out.Len(), Hashes: r.Len()}
-}
-
-// Limit returns the first n tuples (negative n means no limit).
-func Limit(r *value.Relation, n int) (*value.Relation, Stats) {
-	out := value.NewRelation(r.Schema)
-	if n < 0 || n > r.Len() {
-		n = r.Len()
-	}
-	out.Tuples = append(out.Tuples, r.Tuples[:n]...)
-	return out, Stats{TuplesRead: n, TuplesEmitted: n}
-}
-
-// Sort orders r on the given columns; desc[i] reverses key i. The input
-// is not modified.
-func Sort(r *value.Relation, cols []int, desc []bool) (*value.Relation, Stats, error) {
-	for _, c := range cols {
-		if c < 0 || c >= r.Schema.Len() {
-			return nil, Stats{}, fmt.Errorf("algebra: sort column %d out of range for %s", c, r.Schema)
-		}
-	}
-	out := value.NewRelation(r.Schema)
-	out.Tuples = append([]value.Tuple(nil), r.Tuples...)
-	out.SortOn(cols, desc)
-	n := r.Len()
-	log := 0
-	for v := n; v > 1; v >>= 1 {
-		log++
-	}
-	return out, Stats{TuplesRead: n, TuplesEmitted: n, Compares: n * log}, nil
 }

@@ -59,6 +59,24 @@ func TestSelectCompiledAndInterpretedAgree(t *testing.T) {
 	if cs.TuplesRead != 5 || is.TuplesRead != 5 {
 		t.Errorf("stats: %+v, %+v", cs, is)
 	}
+	// The interpreter over a batch's selected rows keeps the same rows.
+	b := toBatch(t, r)
+	b.Sel = []int32{0, 1, 3}
+	got, bs, err := SelectBatchInterpreted(b, bound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameOrder(t, "interpreted batch select", got.Materialize(), rel(t, r.Schema, r.Tuples[0], r.Tuples[1]))
+	if bs.TuplesRead != 3 || bs.TuplesEmitted != 2 {
+		t.Errorf("batch stats: %+v", bs)
+	}
+	div := expr.NewCmp(expr.GT, expr.NewArith(expr.Div, expr.NewCol("salary"), expr.NewConst(value.NewInt(0))), expr.NewConst(value.NewInt(1)))
+	if _, err := expr.Bind(div, r.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := SelectBatchInterpreted(toBatch(t, r), div); err == nil {
+		t.Error("division by zero did not fail the interpreted batch select")
+	}
 }
 
 func TestProject(t *testing.T) {
@@ -96,6 +114,24 @@ func TestProjectExprs(t *testing.T) {
 	if out.Tuples[1][1].Int() != 400 {
 		t.Errorf("double salary = %v", out.Tuples[1])
 	}
+	// The batch kernel, over a selection: the same rows and Stats.
+	b := toBatch(t, r)
+	b.Sel = []int32{1, 3, 4}
+	got, gst, err := ProjectExprsBatch(b, proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wst, err := ProjectExprs(rel(t, r.Schema, r.Tuples[1], r.Tuples[3], r.Tuples[4]), proj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, "computed projection", got.Materialize(), want)
+	if gst != wst || gst.TuplesEmitted != 3 {
+		t.Errorf("stats %+v, want %+v", gst, wst)
+	}
+	if got.Cols[1].Kind != value.KindInt || got.Cols[1].Null != nil {
+		t.Errorf("computed column is %v, want a dense INT vector", got.Cols[1])
+	}
 }
 
 func TestDistinctAndLimit(t *testing.T) {
@@ -105,17 +141,10 @@ func TestDistinctAndLimit(t *testing.T) {
 	if d.Len() != 3 || st.TuplesEmitted != 3 {
 		t.Errorf("Distinct = %v", d.Tuples)
 	}
-	l, _ := Limit(r, 2)
-	if l.Len() != 2 {
-		t.Errorf("Limit(2) = %d", l.Len())
-	}
-	l, _ = Limit(r, -1)
-	if l.Len() != 5 {
-		t.Errorf("Limit(-1) = %d", l.Len())
-	}
-	l, _ = Limit(r, 99)
-	if l.Len() != 5 {
-		t.Errorf("Limit(99) = %d", l.Len())
+	for _, c := range []struct{ n, want int }{{2, 2}, {5, 5}, {99, 5}, {0, 0}} {
+		if got := LimitBatch(toBatch(t, r), c.n).Materialize(); got.Len() != c.want || c.want > 0 && got.Tuples[0][0].Int() != 1 {
+			t.Errorf("LimitBatch(%d) = %v", c.n, got.Tuples)
+		}
 	}
 }
 

@@ -10,13 +10,14 @@ import (
 	"repro/internal/value"
 )
 
-// This file holds the columnar counterparts of the row operators. Select
-// narrows a selection vector and Project remaps column pointers. The hash
-// join, the grouped aggregate and the merge of partial aggregates share one
+// This file and join.go and sort.go hold the operators the executor runs,
+// all over batches. Select narrows a selection vector and Project remaps
+// column pointers. The hash join, the grouped aggregate (DISTINCT is one
+// with every column as key) and the merge of partial aggregates share one
 // typed hash-table design: every row gets one key word a vector at a time
 // (value.Batch.KeyWords), one open-addressing table of row ids is probed
 // with those words, and a candidate is confirmed as the same key — same
-// kind and same bits, what the row operators' byte keys decide. A key of
+// kind and same bits, what the tuples' byte keys decide. A key of
 // one fixed-width column without NULLs is its own word: the cell's 64 bits
 // are mixed for the slot and compared for the confirmation, so no hash is
 // taken and no key column read again. Every other key — strings,
@@ -24,8 +25,9 @@ import (
 // the typed vectors. Both go through one table and one loop per kernel,
 // and no cell is boxed. The join copies its matches column-wise;
 // aggregation assigns first-seen group ids and folds each spec into a typed
-// accumulator column in one loop, so it is batch in, batch out. The row
-// operators are the differential oracle for all of it, order included.
+// accumulator column in one loop, so it is batch in, batch out. Tuple-at-a-
+// time operators in the package's tests are the differential oracle for
+// all of it, order and Stats included.
 // Every operator CONSUMES its input batches: their selection vectors go
 // back to the pool, like the kernels' scratch, so a batch passed in may be
 // passed again only if it was dense.
@@ -49,6 +51,30 @@ func SelectBatch(b *value.Batch, f *expr.VecFilter) (*value.Batch, Stats, error)
 	return out, Stats{TuplesRead: read, TuplesEmitted: len(dst)}, nil
 }
 
+// SelectBatchInterpreted is SelectBatch for the interpreter the paper's
+// expression compiler is measured against (E4): e, bound against b's
+// schema, is evaluated on each selected row as a tuple. b is consumed.
+func SelectBatchInterpreted(b *value.Batch, e expr.Expr) (*value.Batch, Stats, error) {
+	sel, kept := b.TakeSel(), value.GetSel()
+	defer value.PutSel(sel)
+	t := make(value.Tuple, len(b.Cols))
+	for _, r := range sel {
+		for c, v := range b.Cols {
+			t[c] = v.Value(int(r))
+		}
+		v, err := e.Eval(t)
+		if err != nil {
+			value.PutSel(kept)
+			return nil, Stats{}, fmt.Errorf("algebra: select (interpreted): %w", err)
+		}
+		if expr.Truthy(v) {
+			kept = append(kept, r)
+		}
+	}
+	out := &value.Batch{Schema: b.Schema, Cols: b.Cols, Sel: kept, Rows: b.Rows}
+	return out, Stats{TuplesRead: len(sel), TuplesEmitted: len(kept)}, nil
+}
+
 // ProjectBatch restricts b to the given column positions — a pure column
 // remap sharing vectors and selection with b.
 func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batch, Stats, error) {
@@ -59,6 +85,26 @@ func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batc
 	}
 	n := b.Len()
 	return b.Project(cols, schema), Stats{TuplesRead: n, TuplesEmitted: n}, nil
+}
+
+// ProjectExprsBatch computes a compiled projector's expressions over the
+// selected rows of b, a row at a time, into new dense vectors of the
+// projector's schema. b is consumed.
+func ProjectExprsBatch(b *value.Batch, proj *expr.Projector) (*value.Batch, Stats, error) {
+	rows := b.Materialize()
+	if b.Sel != nil {
+		value.PutSel(b.Sel)
+		b.Sel = nil
+	}
+	tuples, err := proj.ApplyBatch(rows.Tuples)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("algebra: project: %w", err)
+	}
+	out := value.NewBatchFrom(proj.Schema(), tuples)
+	if out == nil {
+		return nil, Stats{}, fmt.Errorf("algebra: project: a computed column of %s holds values of several kinds", proj.Schema())
+	}
+	return out, Stats{TuplesRead: len(rows.Tuples), TuplesEmitted: len(tuples)}, nil
 }
 
 // rowTable is the hash table of the join and grouping kernels: open
@@ -164,146 +210,6 @@ func nullKey(vecs []*value.Vec, row int32) bool {
 		}
 	}
 	return false
-}
-
-// HashJoinBatch equi-joins two batches on the given key columns. The
-// smaller input's keys go into a rowTable, the rows of one key chained in
-// insertion order and appended at the tail (a heavy-hitter key costs no
-// chain walk); the larger input probes it. Output column order is l ++ r
-// and match order follows the row HashJoin exactly (probe order,
-// build-insertion order within a key). Both inputs are consumed.
-func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, error) {
-	return HashJoinBatchNeed(l, r, lcols, rcols, value.AllCols, nil)
-}
-
-// HashJoinBatchNeed is HashJoinBatch for a consumer that will read only
-// the output columns in need: the others leave as kind-only vectors, so a
-// build-side column nobody reads — often the join key itself — is not laid
-// out along the probe side. The payloads it does make are lent by a.
-func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet, a *value.Arena) (*value.Batch, Stats, error) {
-	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
-		return nil, Stats{}, err
-	}
-	build, probe, bcols, pcols := l, r, lcols, rcols
-	if l.Len() > r.Len() {
-		build, probe, bcols, pcols = r, l, rcols, lcols
-	}
-	bsel, psel := build.TakeSel(), probe.TakeSel()
-	bkeys, bnull := keyVecs(build, bcols)
-	pkeys, pnull := keyVecs(probe, pcols)
-	bw, exact := build.KeyWords(bsel, bcols)
-	pw, pexact := probe.KeyWords(psel, pcols)
-	if exact != pexact || exact && bkeys[0].Kind != pkeys[0].Kind {
-		// A cell of one side says nothing about a hash, or a cell of
-		// another kind, of the other: both sides hash.
-		if exact {
-			value.PutHashes(bw)
-			bw = build.HashCols(bsel, bcols)
-		}
-		if pexact {
-			value.PutHashes(pw)
-			pw = probe.HashCols(psel, pcols)
-		}
-		exact = false
-	}
-	stats := Stats{TuplesRead: len(bsel) + len(psel), Hashes: len(bsel)}
-
-	// next and tail, indexed by physical build row, chain the rows of one
-	// key from the row in the table's slot; tail is kept at that row only,
-	// and so is word, the exact key a candidate is confirmed against.
-	table := newRowTable(len(bsel))
-	next, tail := value.GetSelLen(build.Rows), value.GetSelLen(build.Rows)
-	var word []uint64
-	if exact {
-		word = value.GetHashes(build.Rows)
-	}
-	for i, w := range bw {
-		row := bsel[i]
-		if bnull && nullKey(bkeys, row) {
-			continue // NULL keys never join
-		}
-		next[row] = -1
-		h := tableHash(w, exact)
-		for p := table.home(h); ; p = table.step(p) {
-			s := table.slots[p]
-			if s == 0 {
-				table.slots[p], tail[row] = slotFor(h, row), row
-				if exact {
-					word[row] = w
-				}
-				break
-			}
-			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, bkeys, row)) {
-				next[tail[e]], tail[e] = row, row
-				break
-			}
-		}
-	}
-
-	// Probe in input order, collecting the matched physical row pairs in
-	// output order. once stays true while no probe row has met a key that
-	// several build rows hold.
-	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
-	for j, w := range pw {
-		row := psel[j]
-		if pnull && nullKey(pkeys, row) {
-			continue
-		}
-		stats.Hashes++
-		h := tableHash(w, exact)
-		for p := table.home(h); ; p = table.step(p) {
-			s := table.slots[p]
-			if s == 0 {
-				break
-			}
-			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, pkeys, row)) {
-				for ; ; once = false {
-					bIdx, pIdx = append(bIdx, e), append(pIdx, row)
-					if e = next[e]; e < 0 {
-						break
-					}
-				}
-				break
-			}
-		}
-	}
-	stats.TuplesEmitted = len(pIdx)
-
-	// The usual join — a foreign key into a primary key — matches every
-	// probe row at most once: its output is the probe side's own columns
-	// under the selection of the matched rows, with the build side's laid
-	// out along them, and only those are copied. Otherwise both sides are
-	// gathered into a dense batch.
-	out := &value.Batch{Schema: l.Schema.Concat(r.Schema), Rows: len(pIdx), Cols: make([]*value.Vec, 0, len(l.Cols)+len(r.Cols))}
-	if once {
-		out.Rows, out.Sel = probe.Rows, pIdx
-	}
-	for _, side := range []*value.Batch{l, r} {
-		for _, vec := range side.Cols {
-			if !need.Has(len(out.Cols)) {
-				vec = vec.Drop()
-			}
-			switch {
-			case side == build && once:
-				vec = vec.Scatter(bIdx, pIdx, probe.Rows, a)
-			case side == build:
-				vec = vec.Gather(bIdx, a)
-			case !once:
-				vec = vec.Gather(pIdx, a)
-			}
-			out.Cols = append(out.Cols, vec)
-		}
-	}
-	if !once {
-		value.PutSel(pIdx)
-	}
-	for _, s := range [][]int32{bsel, psel, next, tail, bIdx} {
-		value.PutSel(s)
-	}
-	for _, s := range [][]uint64{bw, pw, word, table.slots} {
-		value.PutHashes(s)
-	}
-	return out, stats, nil
 }
 
 // groups is a batch's selected rows resolved to group ids on some key
@@ -528,12 +434,13 @@ func AggregateBatch(b *value.Batch, groupBy []int, specs []AggSpec) (*value.Batc
 	return out, st, nil
 }
 
-// MergeAggregateBatches is MergeAggregates over columnar partials: they
-// are concatenated and regrouped on their leading groupByLen columns, and
-// every partial column folds into its final one — counts and sums add up,
-// minima and maxima fold again, an average is its summed sums over its
-// summed counts. Group order (first-seen across the partials, in order),
-// NULL handling and Stats match the row merge. The partials are consumed.
+// MergeAggregateBatches combines per-fragment partial aggregates, made with
+// PartialSpecs(specs), into the final result — the coordinator's half of
+// the two-phase distributed aggregation: the partials are concatenated and
+// regrouped on their leading groupByLen columns, and every partial column
+// folds into its final one — counts and sums add up, minima and maxima fold
+// again, an average is its summed sums over its summed counts. Group order
+// is first-seen across the partials, in order. The partials are consumed.
 func MergeAggregateBatches(partials []*value.Batch, groupByLen int, specs []AggSpec) (*value.Batch, Stats, error) {
 	if len(partials) == 0 {
 		return nil, Stats{}, fmt.Errorf("algebra: no partial aggregates to merge")

@@ -11,10 +11,10 @@ import (
 	"repro/internal/value"
 )
 
-// The differential net of the columnar hash kernels: a seeded generator
-// builds relations the row operators and the batch operators both read,
-// and every result must agree cell for cell — same kind, same bits, same
-// order — along with the Stats the simulated machine is charged from.
+// The differential net of the batch kernels: a seeded generator builds
+// relations the row oracles (oracle_test.go) and the batch operators both
+// read, and every result must agree cell for cell — same kind, same bits,
+// same order — along with the Stats the simulated machine is charged from.
 
 var diffKinds = []value.Kind{value.KindInt, value.KindFloat, value.KindString, value.KindBool}
 
@@ -216,17 +216,6 @@ func checkAggregate(t *testing.T, seed int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Materialized batch partials through the row merge: the executor's
-	// path when one sibling slot holds rows.
-	mixed := make([]*value.Relation, len(batchParts))
-	for i, bp := range batchParts {
-		mixed[i] = bp.Materialize()
-	}
-	gotX, _, err := MergeAggregates(mixed, len(groupBy), specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameBits(t, name+" row merge of batch partials", gotX, wantM)
 	gotM, gst, err := MergeAggregateBatches(batchParts, len(groupBy), specs)
 	if err != nil {
 		t.Fatal(err)
@@ -313,10 +302,196 @@ func checkJoin(t *testing.T, seed int64) {
 	}
 }
 
+// checkBroadcast compares a JoinTable built once and probed by several
+// slots with the row probe of a table built on the same side — the two
+// halves of the broadcast join — kinds, NULLs and the columns read drawn as
+// for checkJoin. The build Stats are the build side's hashes, each probe's
+// its own.
+func checkBroadcast(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	nkeys := 1 + r.Intn(2)
+	bkinds, pkinds := make([]value.Kind, nkeys+1), make([]value.Kind, nkeys+r.Intn(2))
+	for i := range bkinds {
+		bkinds[i] = diffKinds[r.Intn(len(diffKinds))]
+		if i < len(pkinds) {
+			pkinds[i] = bkinds[i]
+		}
+	}
+	if r.Intn(8) == 0 { // cells of another kind, never equal keys
+		bkinds[0], pkinds[0] = value.KindInt, []value.Kind{value.KindFloat, value.KindBool}[r.Intn(2)]
+	}
+	domain := 1 + r.Intn(12)
+	build := diffRel(r, bkinds, r.Intn(60), domain, r.Intn(2) == 0, r.Intn(3) == 0)
+	cols := make([]int, nkeys)
+	for i := range cols {
+		cols[i] = i
+	}
+	name := fmt.Sprintf("seed %d broadcast %v probed by %v", seed, bkinds, pkinds)
+
+	bb, brows := diffBatch(t, r, build, r.Intn(2) == 0)
+	table, bst, err := BuildJoinTable(bb, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer table.Release()
+	if want := (Stats{TuplesRead: brows.Len(), Hashes: brows.Len()}); bst != want {
+		t.Fatalf("%s: build stats %+v, want %+v", name, bst, want)
+	}
+	probeLeft := r.Intn(2) == 0
+	for slot, slots := 0, 1+r.Intn(3); slot < slots; slot++ {
+		probe := diffRel(r, pkinds, r.Intn(120), domain, r.Intn(2) == 0, false)
+		pb, prows := diffBatch(t, r, probe, r.Intn(2) == 0)
+		want, wst := probeJoin(brows, prows, cols, cols, probeLeft)
+		need := value.AllCols
+		if r.Intn(3) > 0 {
+			need = value.ColSet(r.Uint64())
+		}
+		got, gst, err := table.Probe(pb, cols, probeLeft, need, &diffArena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Size() != want.Size() {
+			t.Fatalf("%s slot %d: size %d, want %d", name, slot, got.Size(), want.Size())
+		}
+		gotRows := got.Materialize()
+		diffArena.Release()
+		for c, col := range want.Schema.Columns() {
+			if !need.Has(c) && col.Kind != value.KindString {
+				for _, tup := range want.Tuples {
+					tup[c] = value.Null
+				}
+			}
+		}
+		requireSameBits(t, fmt.Sprintf("%s slot %d reading columns %b", name, slot, need), gotRows, want)
+		if gst != wst {
+			t.Fatalf("%s slot %d: stats %+v, want %+v", name, slot, gst, wst)
+		}
+	}
+}
+
+// checkSort compares SortBatch with Sort on one generated relation over a
+// few small domains — equal keys are common, so the stable order shows —
+// and the merge of sorted pieces, MergeSortedBatches with MergeSortedRuns.
+func checkSort(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	kinds := make([]value.Kind, 1+r.Intn(3))
+	for i := range kinds {
+		kinds[i] = diffKinds[r.Intn(len(diffKinds))]
+	}
+	rel := diffRel(r, kinds, r.Intn(150), 1+r.Intn(8), r.Intn(2) == 0, false)
+	cols := diffCols(r, len(kinds), 1+r.Intn(2))
+	desc := make([]bool, len(cols))
+	for i := range desc {
+		desc[i] = r.Intn(2) == 0
+	}
+	name := fmt.Sprintf("seed %d sort %v on %v desc %v", seed, kinds, cols, desc)
+
+	b, in := diffBatch(t, r, rel, r.Intn(2) == 0)
+	want, wst, err := Sort(in, cols, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gst, err := SortBatch(b, cols, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name, got.Materialize(), want)
+	if gst != wst {
+		t.Fatalf("%s: stats %+v, want %+v", name, gst, wst)
+	}
+
+	// Sorted pieces (some empty) merged both ways.
+	var relRuns []*value.Relation
+	var batchRuns []*value.Batch
+	for lo, pieces := 0, 1+r.Intn(5); pieces > 0; pieces-- {
+		hi := len(in.Tuples)
+		if pieces > 1 {
+			hi = lo + r.Intn(hi-lo+1)
+		}
+		piece := &value.Relation{Schema: in.Schema, Tuples: in.Tuples[lo:hi]}
+		lo = hi
+		rr, _, err := Sort(piece, cols, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		br, _, err := SortBatch(value.NewBatchFrom(piece.Schema, piece.Tuples), cols, desc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relRuns, batchRuns = append(relRuns, rr), append(batchRuns, br)
+	}
+	wantM, wst, err := MergeSortedRuns(relRuns, cols, desc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotM, gst, err := MergeSortedBatches(batchRuns, cols, desc, &diffArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name+" merge", gotM.Materialize(), wantM)
+	diffArena.Release()
+	if gst != wst {
+		t.Fatalf("%s merge: stats %+v, want %+v", name, gst, wst)
+	}
+}
+
+// checkDistinct compares DISTINCT — AggregateBatch with every column as
+// key and no aggregate — with Distinct, and LimitBatch with a slice of the
+// rows, on one generated relation.
+func checkDistinct(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	kinds := make([]value.Kind, 1+r.Intn(3))
+	for i := range kinds {
+		kinds[i] = diffKinds[r.Intn(len(diffKinds))]
+	}
+	rel := diffRel(r, kinds, r.Intn(150), 1+r.Intn(5), r.Intn(2) == 0, r.Intn(3) == 0)
+	all := make([]int, len(kinds))
+	for i := range all {
+		all[i] = i
+	}
+	name := fmt.Sprintf("seed %d distinct %v", seed, kinds)
+
+	b, in := diffBatch(t, r, rel, r.Intn(2) == 0)
+	want, wst := Distinct(in)
+	got, gst, err := AggregateBatch(b, all, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, name, got.Materialize(), want)
+	if gst != wst {
+		t.Fatalf("%s: stats %+v, want %+v", name, gst, wst)
+	}
+
+	b, in = diffBatch(t, r, rel, r.Intn(2) == 0)
+	n := r.Intn(in.Len() + 2)
+	limited := &value.Relation{Schema: in.Schema, Tuples: in.Tuples[:min(n, in.Len())]}
+	requireSameBits(t, fmt.Sprintf("%s limit %d", name, n), LimitBatch(b, n).Materialize(), limited)
+}
+
+// checkSplit compares the hash exchange's split of a batch with
+// SplitByHash over its rows: the same rows in every bucket, in order.
+func checkSplit(t *testing.T, seed int64) {
+	r := rand.New(rand.NewSource(seed))
+	kinds := make([]value.Kind, 1+r.Intn(3))
+	for i := range kinds {
+		kinds[i] = diffKinds[r.Intn(len(diffKinds))]
+	}
+	rel := diffRel(r, kinds, r.Intn(150), 1+r.Intn(12), r.Intn(2) == 0, false)
+	keys, n := diffCols(r, len(kinds), 1+r.Intn(2)), 1+r.Intn(7)
+	b, in := diffBatch(t, r, rel, r.Intn(2) == 0)
+	want, _ := SplitByHash(in.Tuples, keys, n)
+	for k, piece := range b.SplitByHash(keys, n) {
+		got := value.NewRelation(in.Schema)
+		if piece != nil {
+			got = piece.Materialize()
+		}
+		requireSameBits(t, fmt.Sprintf("seed %d split on %v into %d, bucket %d", seed, keys, n, k), got, &value.Relation{Schema: in.Schema, Tuples: want[k]})
+	}
+}
+
 func TestBatchKernelsMatchRow(t *testing.T) {
 	for seed := int64(0); seed < 400; seed++ {
-		checkAggregate(t, seed)
-		checkJoin(t, seed)
+		checkBatchKernels(t, seed)
 	}
 }
 
@@ -324,10 +499,16 @@ func FuzzBatchKernelsMatchRow(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
-		checkAggregate(t, seed)
-		checkJoin(t, seed)
-	})
+	f.Fuzz(checkBatchKernels)
+}
+
+func checkBatchKernels(t *testing.T, seed int64) {
+	checkAggregate(t, seed)
+	checkJoin(t, seed)
+	checkBroadcast(t, seed)
+	checkSort(t, seed)
+	checkDistinct(t, seed)
+	checkSplit(t, seed)
 }
 
 // TestMergeAggregatesKeepsPartialKinds: a merged SUM, MIN or MAX has the

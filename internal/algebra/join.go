@@ -3,7 +3,6 @@ package algebra
 import (
 	"fmt"
 
-	"repro/internal/expr"
 	"repro/internal/value"
 )
 
@@ -11,292 +10,236 @@ func checkJoinKeys(l, r *value.Schema, lcols, rcols []int) error {
 	if len(lcols) == 0 || len(lcols) != len(rcols) {
 		return fmt.Errorf("algebra: join needs matching non-empty key lists, got %v and %v", lcols, rcols)
 	}
-	for _, c := range lcols {
-		if c < 0 || c >= l.Len() {
-			return fmt.Errorf("algebra: left join key %d out of range for %s", c, l)
-		}
+	if err := checkKeys("left", l, lcols); err != nil {
+		return err
 	}
-	for _, c := range rcols {
-		if c < 0 || c >= r.Len() {
-			return fmt.Errorf("algebra: right join key %d out of range for %s", c, r)
+	return checkKeys("right", r, rcols)
+}
+
+func checkKeys(side string, s *value.Schema, cols []int) error {
+	for _, c := range cols {
+		if c < 0 || c >= s.Len() {
+			return fmt.Errorf("algebra: %s join key %d out of range for %s", side, c, s)
 		}
 	}
 	return nil
 }
 
-// HashJoin equi-joins l and r on the given key columns, building a hash
-// table on the smaller input. Output tuples are l ++ r. This is the
-// OFM's default join method: with both operands in main memory, the hash
-// table never spills.
-func HashJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
+// JoinTable is the build half of the hash join: a batch's rows entered into
+// a rowTable on their key columns, the rows of one key chained in insertion
+// order and appended at the tail (a heavy-hitter key costs no chain walk).
+// Once built it is only read, so any number of probes may share it — the
+// broadcast join builds its small side once and probes it with every slot
+// of the big one. Its keys are their own words (Batch.KeyWords) when they
+// are one fixed-width column without NULLs; a probe then confirms a
+// candidate by comparing cells and takes no hash.
+type JoinTable struct {
+	b     *value.Batch
+	sel   []int32 // the build rows, in order
+	keys  []*value.Vec
+	exact bool
+	table rowTable
+	// next and tail, indexed by physical build row, chain the rows of one
+	// key from the row in the table's slot; tail is kept at that row only,
+	// and so is word, the exact key a candidate is confirmed against.
+	next, tail []int32
+	word       []uint64
+}
+
+// BuildJoinTable enters the selected rows of b into a table on the key
+// columns. b is consumed: the table reads its columns until Release. Stats
+// count one hash per build row, NULL keys included.
+func BuildJoinTable(b *value.Batch, cols []int) (*JoinTable, Stats, error) {
+	if len(cols) == 0 {
+		return nil, Stats{}, fmt.Errorf("algebra: join table needs key columns")
+	}
+	if err := checkKeys("build", b.Schema, cols); err != nil {
 		return nil, Stats{}, err
 	}
-	out := value.NewRelation(l.Schema.Concat(r.Schema))
-	stats := Stats{TuplesRead: l.Len() + r.Len()}
+	t := new(JoinTable)
+	return t, t.build(b, cols), nil
+}
 
-	// Build on the smaller side, probe with the larger.
-	buildLeft := l.Len() <= r.Len()
-	build, probe := l, r
-	bcols, pcols := lcols, rcols
-	if !buildLeft {
-		build, probe = r, l
-		bcols, pcols = rcols, lcols
+func (t *JoinTable) build(b *value.Batch, cols []int) Stats {
+	t.b, t.sel = b, b.TakeSel()
+	keys, nullable := keyVecs(b, cols)
+	words, exact := b.KeyWords(t.sel, cols)
+	t.keys, t.exact = keys, exact
+	t.table = newRowTable(len(t.sel))
+	t.next, t.tail = value.GetSelLen(b.Rows), value.GetSelLen(b.Rows)
+	if exact {
+		t.word = value.GetHashes(b.Rows)
 	}
-	table := make(map[string][]value.Tuple, build.Len())
-	for _, t := range build.Tuples {
-		if hasNullOn(t, bcols) {
+	table, next, tail, word := t.table, t.next, t.tail, t.word
+	for i, w := range words {
+		row := t.sel[i]
+		if nullable && nullKey(keys, row) {
 			continue // NULL keys never join
 		}
-		k := t.KeyOn(bcols)
-		table[k] = append(table[k], t)
+		next[row] = -1
+		h := tableHash(w, exact)
+		for p := table.home(h); ; p = table.step(p) {
+			s := table.slots[p]
+			if s == 0 {
+				table.slots[p], tail[row] = slotFor(h, row), row
+				if exact {
+					word[row] = w
+				}
+				break
+			}
+			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(keys, e, keys, row)) {
+				next[tail[e]], tail[e] = row, row
+				break
+			}
+		}
 	}
-	stats.Hashes += build.Len()
-	for _, t := range probe.Tuples {
-		if hasNullOn(t, pcols) {
+	value.PutHashes(words)
+	return Stats{TuplesRead: len(t.sel), Hashes: len(t.sel)}
+}
+
+// Release hands the table's scratch back to the pools.
+func (t *JoinTable) Release() {
+	for _, s := range [][]int32{t.sel, t.next, t.tail} {
+		value.PutSel(s)
+	}
+	for _, s := range [][]uint64{t.word, t.table.slots} {
+		value.PutHashes(s)
+	}
+	*t = JoinTable{}
+}
+
+// Probe joins the selected rows of p on the key columns pcols against the
+// table. The output is p's columns after the build side's when probeLeft is
+// false, before them when it is set; matches come in probe order, the
+// build rows of one key in insertion order. Only the output columns in need
+// are laid out: the others leave as kind-only vectors, so a build-side
+// column nobody reads — often the join key itself — is not copied, and the
+// payloads that are come from a. p is consumed. Stats count one hash per
+// probe row whose key is not NULL.
+func (t *JoinTable) Probe(p *value.Batch, pcols []int, probeLeft bool, need value.ColSet, a *value.Arena) (*value.Batch, Stats, error) {
+	if len(pcols) != len(t.keys) {
+		return nil, Stats{}, fmt.Errorf("algebra: probe keys %v against %d build keys", pcols, len(t.keys))
+	}
+	if err := checkKeys("probe", p.Schema, pcols); err != nil {
+		return nil, Stats{}, err
+	}
+	out, st := t.probe(p, pcols, probeLeft, need, a)
+	return out, st, nil
+}
+
+func (t *JoinTable) probe(p *value.Batch, pcols []int, probeLeft bool, need value.ColSet, a *value.Arena) (*value.Batch, Stats) {
+	psel := p.TakeSel()
+	pkeys, pnull := keyVecs(p, pcols)
+	// The table's own word decides the probe's: a cell against exact keys
+	// (which no cell of another kind can equal), a hash against hashed ones.
+	var pw []uint64
+	match := true
+	switch {
+	case !t.exact:
+		pw = p.HashCols(psel, pcols)
+	case pkeys[0].Fixed() && pkeys[0].Kind == t.keys[0].Kind:
+		pw = pkeys[0].Words(psel)
+	default:
+		pw, match = value.GetHashes(len(psel)), false
+	}
+	stats := Stats{TuplesRead: len(psel)}
+
+	// Probe in input order, collecting the matched physical row pairs in
+	// output order. once stays true while no probe row has met a key that
+	// several build rows hold.
+	table, next, word, exact, bkeys := t.table, t.next, t.word, t.exact, t.keys
+	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
+	for j, w := range pw {
+		row := psel[j]
+		if pnull && nullKey(pkeys, row) {
 			continue
 		}
 		stats.Hashes++
-		for _, m := range table[t.KeyOn(pcols)] {
-			var joined value.Tuple
-			if buildLeft {
-				joined = m.Concat(t)
-			} else {
-				joined = t.Concat(m)
+		if !match {
+			continue
+		}
+		h := tableHash(w, exact)
+		for q := table.home(h); ; q = table.step(q) {
+			s := table.slots[q]
+			if s == 0 {
+				break
 			}
-			out.Tuples = append(out.Tuples, joined)
+			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, pkeys, row)) {
+				for ; ; once = false {
+					bIdx, pIdx = append(bIdx, e), append(pIdx, row)
+					if e = next[e]; e < 0 {
+						break
+					}
+				}
+				break
+			}
 		}
 	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
-}
+	stats.TuplesEmitted = len(pIdx)
 
-// HashTable is a pre-built hash-join build side, reusable across probe
-// calls with the same key columns — the broadcast join hashes its small
-// input once and probes it with every fragment of the big one, instead
-// of re-hashing the build side per fragment.
-type HashTable struct {
-	schema  *value.Schema
-	cols    []int
-	buckets map[string][]value.Tuple
-	rows    int
-}
-
-// BuildHashTable hashes build's key columns once. Stats carries the
-// hash count so the caller can charge the owning PE a single time.
-func BuildHashTable(build *value.Relation, cols []int) (*HashTable, Stats, error) {
-	for _, c := range cols {
-		if c < 0 || c >= build.Schema.Len() {
-			return nil, Stats{}, fmt.Errorf("algebra: build key %d out of range for %s", c, build.Schema)
-		}
-	}
-	ht := &HashTable{
-		schema:  build.Schema,
-		cols:    append([]int(nil), cols...),
-		buckets: make(map[string][]value.Tuple, build.Len()),
-		rows:    build.Len(),
-	}
-	for _, t := range build.Tuples {
-		if hasNullOn(t, ht.cols) {
-			continue // NULL keys never join
-		}
-		k := t.KeyOn(ht.cols)
-		ht.buckets[k] = append(ht.buckets[k], t)
-	}
-	return ht, Stats{TuplesRead: build.Len(), Hashes: build.Len()}, nil
-}
-
-// Rows returns the build-side cardinality.
-func (ht *HashTable) Rows() int { return ht.rows }
-
-// ProbeJoin joins probe against the pre-built table. probeLeft selects
-// the output column order: probe ++ build when true, build ++ probe
-// when false. Stats counts only the probe-side work; the build was
-// charged once by BuildHashTable.
-func (ht *HashTable) ProbeJoin(probe *value.Relation, pcols []int, probeLeft bool) (*value.Relation, Stats, error) {
-	if len(pcols) != len(ht.cols) {
-		return nil, Stats{}, fmt.Errorf("algebra: probe keys %v against build keys %v", pcols, ht.cols)
-	}
-	for _, c := range pcols {
-		if c < 0 || c >= probe.Schema.Len() {
-			return nil, Stats{}, fmt.Errorf("algebra: probe key %d out of range for %s", c, probe.Schema)
-		}
-	}
-	var out *value.Relation
+	// The usual join — a foreign key into a primary key — matches every
+	// probe row at most once: its output is the probe side's own columns
+	// under the selection of the matched rows, with the build side's laid
+	// out along them, and only those are copied. Otherwise both sides are
+	// gathered into a dense batch.
+	build := t.b
+	l, r := build, p
 	if probeLeft {
-		out = value.NewRelation(probe.Schema.Concat(ht.schema))
-	} else {
-		out = value.NewRelation(ht.schema.Concat(probe.Schema))
+		l, r = p, build
 	}
-	stats := Stats{TuplesRead: probe.Len()}
-	for _, t := range probe.Tuples {
-		if hasNullOn(t, pcols) {
-			continue
-		}
-		stats.Hashes++
-		for _, m := range ht.buckets[t.KeyOn(pcols)] {
-			if probeLeft {
-				out.Tuples = append(out.Tuples, t.Concat(m))
-			} else {
-				out.Tuples = append(out.Tuples, m.Concat(t))
+	out := &value.Batch{Schema: l.Schema.Concat(r.Schema), Rows: len(pIdx), Cols: make([]*value.Vec, 0, len(l.Cols)+len(r.Cols))}
+	if once {
+		out.Rows, out.Sel = p.Rows, pIdx
+	}
+	for _, side := range []*value.Batch{l, r} {
+		for _, vec := range side.Cols {
+			if !need.Has(len(out.Cols)) {
+				vec = vec.Drop()
 			}
-		}
-	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
-}
-
-func hasNullOn(t value.Tuple, cols []int) bool {
-	for _, c := range cols {
-		if t[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// NestedLoopJoin joins l and r on an arbitrary predicate over the
-// concatenated schema (theta joins); pred nil makes it a cross product.
-func NestedLoopJoin(l, r *value.Relation, pred *expr.Predicate) (*value.Relation, Stats, error) {
-	out := value.NewRelation(l.Schema.Concat(r.Schema))
-	stats := Stats{TuplesRead: l.Len() + r.Len()}
-	for _, lt := range l.Tuples {
-		for _, rt := range r.Tuples {
-			joined := lt.Concat(rt)
-			stats.Compares++
-			if pred != nil {
-				ok, err := pred.Match(joined)
-				if err != nil {
-					return nil, Stats{}, fmt.Errorf("algebra: nested-loop join: %w", err)
-				}
-				if !ok {
-					continue
-				}
+			switch {
+			case side == build && once:
+				vec = vec.Scatter(bIdx, pIdx, p.Rows, a)
+			case side == build:
+				vec = vec.Gather(bIdx, a)
+			case !once:
+				vec = vec.Gather(pIdx, a)
 			}
-			out.Tuples = append(out.Tuples, joined)
+			out.Cols = append(out.Cols, vec)
 		}
 	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
+	if !once {
+		value.PutSel(pIdx)
+	}
+	value.PutSel(psel)
+	value.PutSel(bIdx)
+	value.PutHashes(pw)
+	return out, stats
 }
 
-// MergeJoin equi-joins two inputs by sorting both on their keys and
-// merging. Equal-key groups produce their cross product.
-func MergeJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
+// HashJoinBatch equi-joins two batches on the given key columns: the
+// smaller input builds a JoinTable, the larger probes it. Output column
+// order is l ++ r. Both inputs are consumed.
+func HashJoinBatch(l, r *value.Batch, lcols, rcols []int) (*value.Batch, Stats, error) {
+	return HashJoinBatchNeed(l, r, lcols, rcols, value.AllCols, nil)
+}
+
+// HashJoinBatchNeed is HashJoinBatch for a consumer that will read only
+// the output columns in need (see JoinTable.Probe); the payloads it makes
+// are lent by a.
+func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet, a *value.Arena) (*value.Batch, Stats, error) {
 	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
 		return nil, Stats{}, err
 	}
-	ls, lstats, err := Sort(l, lcols, nil)
-	if err != nil {
-		return nil, Stats{}, err
+	build, probe, bcols, pcols, probeLeft := l, r, lcols, rcols, false
+	if l.Len() > r.Len() {
+		build, probe, bcols, pcols, probeLeft = r, l, rcols, lcols, true
 	}
-	rs, rstats, err := Sort(r, rcols, nil)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{TuplesRead: l.Len() + r.Len()}
-	stats.Compares += lstats.Compares + rstats.Compares
-
-	out := value.NewRelation(l.Schema.Concat(r.Schema))
-	i, j := 0, 0
-	for i < len(ls.Tuples) && j < len(rs.Tuples) {
-		lt, rt := ls.Tuples[i], rs.Tuples[j]
-		if hasNullOn(lt, lcols) {
-			i++
-			continue
-		}
-		if hasNullOn(rt, rcols) {
-			j++
-			continue
-		}
-		c := compareKeys(lt, rt, lcols, rcols)
-		stats.Compares++
-		switch {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			// Find the extent of the equal-key group on both sides.
-			i2 := i + 1
-			for i2 < len(ls.Tuples) && compareKeys(ls.Tuples[i2], rt, lcols, rcols) == 0 {
-				i2++
-			}
-			j2 := j + 1
-			for j2 < len(rs.Tuples) && compareKeys(lt, rs.Tuples[j2], lcols, rcols) == 0 {
-				j2++
-			}
-			for a := i; a < i2; a++ {
-				for b := j; b < j2; b++ {
-					out.Tuples = append(out.Tuples, ls.Tuples[a].Concat(rs.Tuples[b]))
-				}
-			}
-			i, j = i2, j2
-		}
-	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
-}
-
-func compareKeys(lt, rt value.Tuple, lcols, rcols []int) int {
-	for k := range lcols {
-		if c := value.Compare(lt[lcols[k]], rt[rcols[k]]); c != 0 {
-			return c
-		}
-	}
-	return 0
-}
-
-// SemiJoin returns the l tuples that have at least one match in r on the
-// key columns — the distributed join reducer PRISMA-style optimizers use
-// to cut communication volume.
-func SemiJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
-		return nil, Stats{}, err
-	}
-	keys := make(map[string]struct{}, r.Len())
-	for _, t := range r.Tuples {
-		if !hasNullOn(t, rcols) {
-			keys[t.KeyOn(rcols)] = struct{}{}
-		}
-	}
-	out := value.NewRelation(l.Schema)
-	stats := Stats{TuplesRead: l.Len() + r.Len(), Hashes: l.Len() + r.Len()}
-	for _, t := range l.Tuples {
-		if hasNullOn(t, lcols) {
-			continue
-		}
-		if _, ok := keys[t.KeyOn(lcols)]; ok {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
-}
-
-// AntiJoin returns the l tuples with no match in r (used for NOT EXISTS
-// and set difference on keys).
-func AntiJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {
-	if err := checkJoinKeys(l.Schema, r.Schema, lcols, rcols); err != nil {
-		return nil, Stats{}, err
-	}
-	keys := make(map[string]struct{}, r.Len())
-	for _, t := range r.Tuples {
-		if !hasNullOn(t, rcols) {
-			keys[t.KeyOn(rcols)] = struct{}{}
-		}
-	}
-	out := value.NewRelation(l.Schema)
-	stats := Stats{TuplesRead: l.Len() + r.Len(), Hashes: l.Len() + r.Len()}
-	for _, t := range l.Tuples {
-		if hasNullOn(t, lcols) {
-			out.Tuples = append(out.Tuples, t)
-			continue
-		}
-		if _, ok := keys[t.KeyOn(lcols)]; !ok {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	stats.TuplesEmitted = out.Len()
-	return out, stats, nil
+	var t JoinTable
+	st := t.build(build, bcols)
+	out, pst := t.probe(probe, pcols, probeLeft, need, a)
+	t.Release()
+	st.TuplesRead += pst.TuplesRead
+	st.Hashes += pst.Hashes
+	st.TuplesEmitted = pst.TuplesEmitted
+	return out, st, nil
 }

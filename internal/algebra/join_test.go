@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/expr"
 	"repro/internal/value"
 )
 
@@ -41,8 +40,9 @@ func TestHashJoin(t *testing.T) {
 }
 
 func TestJoinMethodsAgree(t *testing.T) {
-	// Property: hash, merge and nested-loop joins return the same bag on
-	// random data, including duplicates.
+	// Property: the executor's two join methods — a hash join of two slots
+	// and a broadcast table built once and probed — return the row hash
+	// join's bag on random data, including duplicates.
 	r := rand.New(rand.NewSource(21))
 	ls := value.MustSchema("a", "INT", "b", "INT")
 	rs := value.MustSchema("c", "INT", "d", "INT")
@@ -57,20 +57,24 @@ func TestJoinMethodsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mj, _, err := MergeJoin(l, rr, []int{0}, []int{0})
+		bj, _, err := HashJoinBatch(toBatch(t, l), toBatch(t, rr), []int{0}, []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred := mustPred(t, expr.NewCmp(expr.EQ, expr.NewCol("a"), expr.NewCol("c")), ls.Concat(rs))
-		nl, _, err := NestedLoopJoin(l, rr, pred)
+		table, _, err := BuildJoinTable(toBatch(t, rr), []int{0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !hj.SameBag(mj) {
-			t.Fatalf("trial %d: hash and merge joins differ: %d vs %d rows", trial, hj.Len(), mj.Len())
+		tj, _, err := table.Probe(toBatch(t, l), []int{0}, true, value.AllCols, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !hj.SameBag(nl) {
-			t.Fatalf("trial %d: hash and nested-loop joins differ: %d vs %d rows", trial, hj.Len(), nl.Len())
+		table.Release()
+		if got := bj.Materialize(); !hj.SameBag(got) {
+			t.Fatalf("trial %d: row and batch hash joins differ: %d vs %d rows", trial, hj.Len(), got.Len())
+		}
+		if got := tj.Materialize(); !hj.SameBag(got) {
+			t.Fatalf("trial %d: row hash join and broadcast table differ: %d vs %d rows", trial, hj.Len(), got.Len())
 		}
 	}
 }
@@ -83,7 +87,13 @@ func TestJoinNullKeys(t *testing.T) {
 	r.Append(value.NewTuple(value.Null), value.Ints(1))
 	for _, join := range []func() (*value.Relation, Stats, error){
 		func() (*value.Relation, Stats, error) { return HashJoin(l, r, []int{0}, []int{0}) },
-		func() (*value.Relation, Stats, error) { return MergeJoin(l, r, []int{0}, []int{0}) },
+		func() (*value.Relation, Stats, error) {
+			out, st, err := HashJoinBatch(toBatch(t, l), toBatch(t, r), []int{0}, []int{0})
+			if err != nil {
+				return nil, st, err
+			}
+			return out.Materialize(), st, nil
+		},
 	} {
 		out, _, err := join()
 		if err != nil {
@@ -107,88 +117,22 @@ func TestJoinValidation(t *testing.T) {
 	if _, _, err := HashJoin(emp, dept, []int{9}, []int{0}); err == nil {
 		t.Error("bad left key should error")
 	}
-	if _, _, err := MergeJoin(emp, dept, []int{0}, []int{9}); err == nil {
+	if _, _, err := HashJoinBatch(toBatch(t, emp), toBatch(t, dept), []int{0}, []int{9}); err == nil {
 		t.Error("bad right key should error")
 	}
-}
-
-func TestCrossProduct(t *testing.T) {
-	emp, dept := empRel(t), deptRel(t)
-	out, _, err := NestedLoopJoin(emp, dept, nil)
+	if _, _, err := BuildJoinTable(toBatch(t, dept), []int{9}); err == nil {
+		t.Error("bad build key should error")
+	}
+	table, _, err := BuildJoinTable(toBatch(t, dept), []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != emp.Len()*dept.Len() {
-		t.Errorf("cross product = %d rows", out.Len())
+	defer table.Release()
+	if _, _, err := table.Probe(toBatch(t, emp), []int{1, 2}, true, value.AllCols, nil); err == nil {
+		t.Error("probe keys of another arity should error")
 	}
-}
-
-func TestThetaJoin(t *testing.T) {
-	emp, dept := empRel(t), deptRel(t)
-	// salary < budget/5: a non-equi join.
-	joined := emp.Schema.Concat(dept.Schema)
-	pred := mustPred(t, expr.NewCmp(expr.LT,
-		expr.NewCol("salary"),
-		expr.NewArith(expr.Div, expr.NewCol("budget"), expr.NewConst(value.NewInt(5)))), joined)
-	out, _, err := NestedLoopJoin(emp, dept, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range out.Tuples {
-		if row[2].Int() >= row[4].Int()/5 {
-			t.Errorf("theta predicate violated in %v", row)
-		}
-	}
-	if out.Len() == 0 {
-		t.Error("theta join should produce some rows")
-	}
-}
-
-func TestSemiAndAntiJoin(t *testing.T) {
-	emp, dept := empRel(t), deptRel(t)
-	semi, _, err := SemiJoin(emp, dept, []int{1}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Employees in departments that exist: eng+ops = 4.
-	if semi.Len() != 4 {
-		t.Errorf("semi join = %d rows", semi.Len())
-	}
-	if semi.Schema.Len() != emp.Schema.Len() {
-		t.Error("semi join must keep the left schema")
-	}
-	anti, _, err := AntiJoin(emp, dept, []int{1}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if anti.Len() != 1 || anti.Tuples[0][1].Str() != "hr" {
-		t.Errorf("anti join = %v", anti.Tuples)
-	}
-	// semi + anti partition the left side.
-	if semi.Len()+anti.Len() != emp.Len() {
-		t.Error("semi and anti joins must partition the left input")
-	}
-	if _, _, err := SemiJoin(emp, dept, []int{9}, []int{0}); err == nil {
-		t.Error("bad key should error")
-	}
-	if _, _, err := AntiJoin(emp, dept, nil, nil); err == nil {
-		t.Error("empty keys should error")
-	}
-}
-
-func TestAntiJoinNulls(t *testing.T) {
-	s := value.MustSchema("k", "INT")
-	l := value.NewRelation(s)
-	l.Append(value.NewTuple(value.Null))
-	r := value.NewRelation(s)
-	r.Append(value.Ints(1))
-	out, _, err := AntiJoin(l, r, []int{0}, []int{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A NULL key has no match, so it survives the anti join.
-	if out.Len() != 1 {
-		t.Errorf("NULL anti join = %v", out.Tuples)
+	if _, _, err := table.Probe(toBatch(t, emp), []int{9}, true, value.AllCols, nil); err == nil {
+		t.Error("bad probe key should error")
 	}
 }
 

@@ -52,15 +52,6 @@ type Config struct {
 	PlanCache *bool
 	// PlanCacheSize caps cached statement shapes (default 256).
 	PlanCacheSize int
-	// Vectorized lets fragment scans answer with columnar batches over the
-	// OFM column caches (default true), so the executor's operators run
-	// their batch kernels and tuples materialize only at the plan root.
-	// False makes every scan answer with rows, which puts every slot of
-	// the one executor on its row kernels — the reference configuration
-	// TestVectorizedMatchesRow and E20 compare against. Batches also need
-	// compiled expressions; with them off, scans answer with rows
-	// regardless.
-	Vectorized *bool
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
 	// give each engine its own domain so crashing the primary leaves
@@ -105,11 +96,10 @@ type Engine struct {
 	opt   *optimizer.Optimizer
 	alloc fragment.Allocator
 
-	compiled   bool
-	tcAlgo     algebra.TCAlgorithm
-	semiNaive  bool
-	vectorized bool
-	plans      *planCache // nil when the plan cache is disabled
+	compiled  bool
+	tcAlgo    algebra.TCAlgorithm
+	semiNaive bool
+	plans     *planCache // nil when the plan cache is disabled
 
 	mu     sync.RWMutex // read-locked on the per-statement table lookup
 	tables map[string]*table
@@ -180,27 +170,22 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PlanCache != nil {
 		planCacheOn = *cfg.PlanCache
 	}
-	vectorized := true
-	if cfg.Vectorized != nil {
-		vectorized = *cfg.Vectorized
-	}
 	planCacheSize := cfg.PlanCacheSize
 	if planCacheSize <= 0 {
 		planCacheSize = 256
 	}
 	cat := catalog.New()
 	e := &Engine{
-		m:          m,
-		cat:        cat,
-		txns:       txn.NewManager(),
-		opt:        optimizer.New(cat, optOpts),
-		alloc:      alloc,
-		compiled:   compiled,
-		tcAlgo:     cfg.TCAlgorithm,
-		semiNaive:  semiNaive,
-		vectorized: vectorized,
-		tables:     map[string]*table{},
-		stores:     map[int]*machine.StableStore{},
+		m:         m,
+		cat:       cat,
+		txns:      txn.NewManager(),
+		opt:       optimizer.New(cat, optOpts),
+		alloc:     alloc,
+		compiled:  compiled,
+		tcAlgo:    cfg.TCAlgorithm,
+		semiNaive: semiNaive,
+		tables:    map[string]*table{},
+		stores:    map[int]*machine.StableStore{},
 	}
 	e.epoch.Store(1)
 	e.faultDom = cfg.FaultDomain

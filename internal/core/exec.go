@@ -3,19 +3,21 @@ package core
 // The executor: one partitioned operator pipeline. A plan subtree
 // evaluates to parts — slot i lives on PE pes[i] and stays there until a
 // plan.Exchange moves it or the consumer gathers it at the coordinator.
-// A slot holds a value.Batch over the fragment column caches (typed
-// vectors plus a selection vector), or rows where no column image exists;
-// every operator (execops.go) picks the batch or the row kernel per slot
-// from what the slot holds and charges the simulated machine at one site.
-// Central execution is the one-slot-at-the-coordinator case of the same
-// operators. Every operator is told which of its output columns something
-// above will read and tells its children the same, so a scan hands up the
-// rest as kind-only vectors (value.Vec) that no exchange or join copies;
-// the charges cannot tell, for a slot's size does not depend on them.
-// Slots are made on demand: a scan and the per-slot kernels
-// stacked on it run when the consumer takes the slot, so an operator takes
-// all of them at once, one goroutine each, while the streaming cursor
-// (cursor.go) takes the same plan's slots one at a time.
+// A slot holds a value.Batch (typed vectors plus a selection vector) —
+// over the fragment column caches, or made by an operator — or, where a
+// leaf answered with tuples, those tuples, which the first operator to
+// take them transposes into a batch (slot.batch). Every operator
+// (execops.go) has one kernel, the batch one, and charges the simulated
+// machine at one site; the plan root encodes or materializes whichever
+// form reaches it. Central execution is the one-slot-at-the-coordinator
+// case of the same operators. Every operator is told which of its output
+// columns something above will read and tells its children the same, so a
+// scan hands up the rest as kind-only vectors (value.Vec) that no
+// exchange or join copies; the charges cannot tell, for a slot's size does
+// not depend on them. Slots are made on demand: a scan and the per-slot
+// kernels stacked on it run when the consumer takes the slot, so an
+// operator takes all of them at once, one goroutine each, while the
+// streaming cursor (cursor.go) takes the same plan's slots one at a time.
 
 import (
 	"fmt"
@@ -92,14 +94,29 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 }
 
 // slot is one partition of an intermediate result: a columnar batch, or
-// rows. why says what put a slot in row form when a batch would have
-// been possible (a leaf that declined, a computed projection, …) and
-// stays with the rows through the operators above; rows that are rows by
-// nature — a sort's or a distinct's output — carry no reason.
+// the tuples a leaf answered with — an index probe, a CSE-shared scan, a
+// fragment that declined a batch scan — and why, for EXPLAIN.
 type slot struct {
 	b   *value.Batch
 	rel *value.Relation
 	why string
+}
+
+// batch returns the slot as a batch. A leaf's tuples are transposed here,
+// once, by the first operator that takes them: every operator runs its
+// batch kernel only.
+func (s slot) batch(schema *value.Schema) (*value.Batch, error) {
+	if s.b != nil {
+		return s.b, nil
+	}
+	var tuples []value.Tuple
+	if s.rel != nil {
+		tuples = s.rel.Tuples
+	}
+	if b := value.NewBatchFrom(schema, tuples); b != nil {
+		return b, nil
+	}
+	return nil, fmt.Errorf("core: tuples of a leaf (%s) do not fit %s", s.why, schema)
 }
 
 func (s slot) len() int {
@@ -132,7 +149,8 @@ func (s slot) free() {
 	}
 }
 
-// rows returns the slot in row form, consuming a batch.
+// rows returns the slot as tuples for a consumer that needs them,
+// consuming a batch.
 func (s slot) rows(schema *value.Schema) *value.Relation {
 	switch {
 	case s.b != nil:
@@ -157,15 +175,6 @@ func (s slot) appendRows(dst []byte, lo, hi int) []byte {
 		}
 	}
 	return dst
-}
-
-// asRows converts a batch slot to rows for a kernel that has no columnar
-// form, recording why; a row slot keeps its own reason.
-func (s slot) asRows(schema *value.Schema, why string) slot {
-	if s.b == nil && s.rel != nil {
-		return s
-	}
-	return slot{rel: s.rows(schema), why: why}
 }
 
 // parts is a partitioned intermediate: slot i lives on PE pes[i]. Slots
@@ -252,18 +261,6 @@ func (p *parts) forced() (*parts, error) {
 	return out, nil
 }
 
-// rowWhy reports whether any slot holds rows, and the first one's reason.
-// Operators that must give all their output one form (exchange, gather)
-// stay columnar only when every input slot is.
-func rowWhy(slots []slot) (why string, rows bool) {
-	for _, s := range slots {
-		if s.b == nil {
-			return s.why, true
-		}
-	}
-	return "", false
-}
-
 // eachPart runs fn once per slot and returns the first error (in slot
 // order). The slots are shared out among at most GOMAXPROCS goroutines,
 // the caller's included: more would only queue on the host's CPUs, and a
@@ -346,9 +343,8 @@ func (e *Engine) execPlan(ctx *execCtx, root plan.Node, dst []byte) (*Result, er
 }
 
 // exec evaluates a plan subtree into a partitioned intermediate. need is
-// the set of n's output columns that something above reads; the operators
-// whose consumers are rows (an index probe, sort, distinct, limit, a
-// broadcast join) ignore it and ask their children for every column.
+// the set of n's output columns that something above reads; every
+// operator asks its children for what it reads of them to make those.
 func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, error) {
 	if n.Schema().Len() > 64 {
 		need = value.AllCols
@@ -369,11 +365,11 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 	case *plan.Aggregate:
 		return e.execAggregate(ctx, t)
 	case *plan.Sort:
-		return e.execSort(ctx, t)
+		return e.execSort(ctx, t, need)
 	case *plan.Distinct:
 		return e.execDistinct(ctx, t)
 	case *plan.Limit:
-		return e.execLimit(ctx, t)
+		return e.execLimit(ctx, t, need)
 	}
 	return nil, fmt.Errorf("core: unknown plan node %T", n)
 }
@@ -382,47 +378,36 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 // materialized scans, pushdown aggregates, cursors and the PRISMAlog EDB.
 // The fragment's OFM filters where it lives, charging its own PE, and
 // answers with a batch over its column cache; it declines (see
-// ofm.BatchDecline) when the view's transaction has pending writes
-// there, when an equality is better served by its hash index, when it
-// runs interpreted, or when the fragment holds mixed kinds, and the
-// engine never asks when columnar execution is configured off — the slot
-// then holds rows. The bytes a scan writes into a cache (the whole image
-// on the first scan, the changed rows after a committed write) are this
-// statement's materialization and are charged to its tenant budget. Of a
-// batch, only the columns in need are handed up.
+// ofm.BatchDecline) when the view's transaction has pending writes there,
+// when an equality is better served by its hash index, or when it runs
+// interpreted — the slot then holds the tuples of its row scan. The bytes
+// a scan writes into a cache (the whole image on the first scan, the
+// changed rows after a committed write) are this statement's
+// materialization and are charged to its tenant budget. Of a batch, only
+// the columns in need are handed up.
 func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema, need value.ColSet) (slot, error) {
-	why := ""
-	switch {
-	case !e.vectorized:
-		why = "config Vectorized=false"
-	case ctx.explain != nil:
-		why = f.ofm.BatchDecline(ctx.view, pred)
-	}
 	if ctx.explain != nil {
-		if why == "" {
-			return slot{b: value.NewBatchFrom(schema, nil)}, nil
+		if why := f.ofm.BatchDecline(ctx.view, pred); why != "" {
+			return slot{rel: value.NewRelation(schema), why: why}, nil
 		}
-		return slot{rel: value.NewRelation(schema), why: why}, nil
+		return slot{b: value.NewBatchFrom(schema, nil)}, nil
 	}
-	if why == "" {
-		b, built, err := f.ofm.ScanBatch(ctx.view, pred, nil)
-		_ = ctx.mem.charge(built)
-		if err != nil {
-			return slot{}, err
-		}
-		if b != nil {
-			b.Schema = schema
-			b.Keep(need)
-			return slot{b: b}, nil
-		}
-		why = "mixed-kind fragment" // or a BatchDecline reason; only EXPLAIN asks which
+	b, built, err := f.ofm.ScanBatch(ctx.view, pred, nil)
+	_ = ctx.mem.charge(built)
+	if err != nil {
+		return slot{}, err
+	}
+	if b != nil {
+		b.Schema = schema
+		b.Keep(need)
+		return slot{b: b}, nil
 	}
 	rel, err := f.ofm.Scan(ctx.view, pred, nil)
 	if err != nil {
 		return slot{}, err
 	}
 	rel.Schema = schema
-	return slot{rel: rel, why: why}, nil
+	return slot{rel: rel, why: "declined"}, nil // only EXPLAIN asks which reason
 }
 
 // scanFragments scans each of the listed fragments where it lives when
@@ -438,11 +423,10 @@ func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Ex
 
 // execScan scans a table's fragments in place, pruning fragments by the
 // predicate where the fragmentation scheme allows. A CSE-shared scan is
-// read once per statement, gathered as rows at the coordinator and handed
-// to each of its plan parents as a coordinator singleton aliasing the
-// same tuples — downstream splitters redistribute them by reference
-// without mutating them, and each may read other columns, so it is read
-// whole.
+// read once per statement, gathered as tuples at the coordinator and
+// handed to each of its plan parents as a coordinator singleton aliasing
+// the same tuples — each parent transposes its own batch from them, and
+// each may read other columns, so it is read whole.
 func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*parts, error) {
 	key := ""
 	if sc.Shared {
@@ -460,9 +444,8 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 		return nil, err
 	}
 	p := e.scanFragments(ctx, t, e.pruneFragments(t, sc.Pred), sc.Pred, sc.Out, need)
-	p = ctx.noted("Scan "+sc.Table, p, sc.Out, need)
 	if !sc.Shared {
-		return p, nil
+		return ctx.noted("Scan "+sc.Table, p, sc.Out, need), nil
 	}
 	rel, err := e.gatherRows(ctx, p, sc.Out)
 	if err != nil {
@@ -475,7 +458,7 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 func (ctx *execCtx) sharedScan(sc *plan.Scan, rel *value.Relation) *parts {
 	out := value.NewRelation(sc.Out)
 	out.Tuples = rel.Tuples
-	return ctx.singleton(slot{rel: out, why: "shared scan"})
+	return ctx.noted("Scan "+sc.Table, ctx.singleton(slot{rel: out, why: "shared scan"}), sc.Out, value.AllCols)
 }
 
 func (ctx *execCtx) cacheGet(key string) (*value.Relation, bool) {
@@ -562,34 +545,29 @@ func (e *Engine) probeFragment(ctx *execCtx, f *fragRef, pr *plan.IndexProbe, ke
 }
 
 // gather collects a partitioned intermediate at the coordinator as one
-// slot, charging the network for every remote slot and the tenant budget
-// for what arrives: a batch when every slot is one, rows otherwise.
-func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (slot, error) {
+// batch, charging the network for every remote slot and the tenant budget
+// for what arrives.
+func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (*value.Batch, error) {
 	p, err := p.forced()
 	if err != nil {
-		return slot{}, err
-	}
-	slots := p.slots
-	why, rows := rowWhy(slots)
-	if rows {
-		return slot{rel: e.gatherSlots(ctx, p, schema), why: why}, nil
+		return nil, err
 	}
 	e.arrive(ctx, p)
-	out := slots[0].b
-	if len(slots) > 1 {
-		batches := make([]*value.Batch, len(slots))
-		for i, s := range slots {
-			batches[i] = s.b
+	batches := make([]*value.Batch, len(p.slots))
+	for i, s := range p.slots {
+		if batches[i], err = s.batch(schema); err != nil {
+			return nil, err
 		}
-		out = value.ConcatBatches(schema, batches, &ctx.arena)
 	}
-	return slot{b: out}, nil
+	if len(batches) == 1 {
+		return batches[0], nil
+	}
+	return value.ConcatBatches(schema, batches, &ctx.arena), nil
 }
 
 // gatherRows is gather for a consumer that needs tuples — an in-process
-// caller's plan root and the operators that are row materialization points
-// by nature (sort, distinct): each slot materializes straight into the
-// result.
+// caller's plan root, a CSE-shared scan and the PRISMAlog EDB: each slot
+// materializes straight into the result.
 func (e *Engine) gatherRows(ctx *execCtx, p *parts, schema *value.Schema) (*value.Relation, error) {
 	p, err := p.forced()
 	if err != nil {
@@ -638,10 +616,10 @@ func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
 	return total
 }
 
-// explainTrace is what EXPLAIN's dry run collects: for every operator
-// that can run columnar, how many of its slots were batches and how many
-// were rows a batch could have been, with the first such slot's reason —
-// and how many of its output columns its batches carry.
+// explainTrace is what EXPLAIN's dry run collects: for every operator,
+// how many of its slots were batches, and for a leaf how many held the
+// tuples it answered with, with the first such slot's reason — and how
+// many of its output columns its batches carry.
 type explainTrace struct {
 	mu  sync.Mutex
 	ops []*opTrace
@@ -654,9 +632,8 @@ type opTrace struct {
 	kept, width          int // columns its batches carry, of how many
 }
 
-// noted makes EXPLAIN's dry run record what the slots of p hold as they
-// are taken: for most operators the slots their kernels produced, for an
-// aggregate the ones it consumed. need is what is read of schema, the
+// noted makes EXPLAIN's dry run record what the slots of p, an operator's
+// output, hold as they are taken. need is what is read of schema, the
 // slots' own; the string columns travel regardless.
 func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.ColSet) *parts {
 	if ctx.explain == nil {
@@ -686,33 +663,29 @@ func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.
 	})
 }
 
-// line renders EXPLAIN's execution line and, when a columnar operator
-// hands up fewer columns than its schema has, the columns line.
+// line renders EXPLAIN's execution line; the leaves that answered with
+// tuples, and why; and, when an operator hands up fewer columns than its
+// schema has, the columns line.
 func (t *explainTrace) line() string {
-	var rowOps, pruned []string
-	batches := 0
+	var leaves, pruned []string
 	for _, ot := range t.ops {
-		batches += ot.batches
 		if ot.batches > 0 && ot.kept < ot.width {
 			pruned = append(pruned, fmt.Sprintf("%s %d/%d", ot.op, ot.kept, ot.width))
 		}
 		switch {
 		case ot.rows == 0:
 		case ot.rows == ot.slots:
-			rowOps = append(rowOps, fmt.Sprintf("%s: %s", ot.op, ot.why))
+			leaves = append(leaves, fmt.Sprintf("%s: %s", ot.op, ot.why))
 		default:
-			rowOps = append(rowOps, fmt.Sprintf("%s: %s on %d/%d slots", ot.op, ot.why, ot.rows, ot.slots))
+			leaves = append(leaves, fmt.Sprintf("%s: %s on %d/%d slots", ot.op, ot.why, ot.rows, ot.slots))
 		}
 	}
-	columns := ""
+	out := "execution: vectorized (columnar batches)\n"
+	if len(leaves) > 0 {
+		out += "leaf tuples: " + strings.Join(leaves, "; ") + "\n"
+	}
 	if len(pruned) > 0 {
-		columns = "columns: " + strings.Join(pruned, ", ") + "\n"
+		out += "columns: " + strings.Join(pruned, ", ") + "\n"
 	}
-	switch {
-	case len(rowOps) == 0:
-		return "execution: vectorized (columnar batches)\n" + columns
-	case batches == 0:
-		return "execution: row-at-a-time (" + strings.Join(rowOps, "; ") + ")\n"
-	}
-	return "execution: mixed, columnar except " + strings.Join(rowOps, "; ") + "\n" + columns
+	return out
 }

@@ -1,15 +1,16 @@
 package core
 
-// The operators of the partitioned pipeline: one skeleton each. Every
-// skeleton evaluates its children into parts, runs a per-slot kernel —
-// the batch one when the slot holds a batch, the row one otherwise — on
-// the PE the slot lives on, and charges that PE at a single site.
-// Operators that only add charges to the slot's own PE (select, project,
-// partial aggregate, sort runs, pre-dedup, limit) stack on their child's
-// slots and run when those are taken; operators that move data between
-// PEs (exchange, join, gather) take all their input first — a message's
-// departure stamp must not depend on which other slot's work the host
-// happened to schedule before it.
+// The operators of the partitioned pipeline: one skeleton and one kernel
+// each. Every skeleton evaluates its children into parts, runs its batch
+// kernel on each slot on the PE the slot lives on, and charges that PE at
+// a single site; a slot a leaf filled with tuples is made a batch by the
+// first kernel that takes it (slot.batch). Operators that only add charges
+// to the slot's own PE (select, project, partial aggregate, sort runs,
+// pre-dedup, limit) stack on their child's slots and run when those are
+// taken; operators that move data between PEs (exchange, join, gather)
+// take all their input first — a message's departure stamp must not
+// depend on which other slot's work the host happened to schedule before
+// it.
 
 import (
 	"fmt"
@@ -30,52 +31,51 @@ func cloneExprs(es []expr.Expr) []expr.Expr {
 	return out
 }
 
-// filter is the per-slot selection kernel. The vectorized form is
-// stateless, so one compilation (made when the first batch slot shows up)
-// serves every slot; the row forms keep scratch state and are compiled
-// per slot.
+// filter is the per-slot selection kernel: the vectorized predicate, or
+// with compiled expressions off (the E4 baseline) the interpreter over
+// each selected row. Neither keeps state between slots, so one, made when
+// the first slot shows up, serves every slot.
 type filter struct {
 	ctx    *execCtx
 	pred   expr.Expr
 	schema *value.Schema
 
-	once   sync.Once
-	vec    *expr.VecFilter
-	vecErr error
+	once  sync.Once
+	vec   *expr.VecFilter
+	bound expr.Expr // the interpreter's predicate, bound against schema
+	err   error
 }
 
 // apply filters one slot on PE pe. The output keeps the input's schema.
 func (f *filter) apply(s slot, pe int) (slot, error) {
-	if s.len() == 0 {
-		return s, nil
+	b, err := s.batch(f.schema)
+	if err != nil || b.Len() == 0 {
+		return slot{b: b}, err
 	}
 	compiled := f.ctx.s.e.compiled
+	f.once.Do(func() {
+		if compiled {
+			f.vec, f.err = expr.CompileVecFilter(expr.Clone(f.pred), f.schema)
+		} else {
+			f.bound = expr.Clone(f.pred)
+			_, f.err = expr.Bind(f.bound, f.schema)
+		}
+	})
+	if f.err != nil {
+		slot{b: b}.free()
+		return slot{}, f.err
+	}
 	var st algebra.Stats
-	var err error
-	switch {
-	case s.b != nil:
-		f.once.Do(func() { f.vec, f.vecErr = expr.CompileVecFilter(expr.Clone(f.pred), f.schema) })
-		if f.vecErr != nil {
-			s.free()
-			return slot{}, f.vecErr
-		}
-		s.b, st, err = algebra.SelectBatch(s.b, f.vec)
-	case compiled:
-		var pred *expr.Predicate
-		if pred, err = expr.CompilePredicate(expr.Clone(f.pred), f.schema); err == nil {
-			s.rel, st, err = algebra.Select(s.rel, pred)
-		}
-	default:
-		bound := expr.Clone(f.pred)
-		if _, err = expr.Bind(bound, f.schema); err == nil {
-			s.rel, st, err = algebra.SelectInterpreted(s.rel, bound)
-		}
+	if compiled {
+		b, st, err = algebra.SelectBatch(b, f.vec)
+	} else {
+		b, st, err = algebra.SelectBatchInterpreted(b, f.bound)
 	}
 	if err != nil {
 		return slot{}, err
 	}
 	f.ctx.work(pe, f.ctx.s.e.m.Cost().ScanCost(st.TuplesRead, compiled))
-	return s, nil
+	return slot{b: b}, nil
 }
 
 // execSelect filters every slot where it lives (predicates that survived
@@ -90,33 +90,34 @@ func (e *Engine) execSelect(ctx *execCtx, s *plan.Select, need value.ColSet) (*p
 	return ctx.noted("Select", child.then((&filter{ctx: ctx, pred: s.Pred, schema: schema}).apply), schema, need), nil
 }
 
-// projector is the per-slot projection kernel: a pure column remap of a
-// batch is a pointer move; computed expressions (and row slots) go
-// through the compiled row projector, which keeps scratch state and is
+// projector is the per-slot projection kernel: a pure column remap is a
+// pointer move; computed expressions run the compiled row projector over
+// the batch's rows into new vectors — it keeps scratch state, so it is
 // compiled per slot.
 type projector struct {
 	ctx *execCtx
 	p   *plan.Project
 
-	once  sync.Once // whether p is a pure remap, settled by the first batch slot
+	once  sync.Once // whether p is a pure remap, settled by the first slot
 	idxs  []int
 	remap bool
 }
 
 func (pr *projector) apply(s slot, pe int) (slot, error) {
-	if s.b != nil {
-		pr.once.Do(func() { pr.idxs, pr.remap = expr.ColumnIndices(cloneExprs(pr.p.Exprs), pr.p.Child.Schema()) })
+	in := pr.p.Child.Schema()
+	b, err := s.batch(in)
+	if err != nil {
+		return slot{}, err
 	}
+	pr.once.Do(func() { pr.idxs, pr.remap = expr.ColumnIndices(cloneExprs(pr.p.Exprs), in) })
 	var st algebra.Stats
-	var err error
-	if s.b != nil && pr.remap {
-		s.b, st, err = algebra.ProjectBatch(s.b, pr.idxs, pr.p.Out)
+	if pr.remap {
+		b, st, err = algebra.ProjectBatch(b, pr.idxs, pr.p.Out)
 	} else {
-		s = s.asRows(pr.p.Child.Schema(), "computed projection")
 		var proj *expr.Projector
-		if proj, err = expr.CompileProjector(cloneExprs(pr.p.Exprs), pr.p.Names, pr.p.Child.Schema()); err == nil {
-			if s.rel, st, err = algebra.ProjectExprs(s.rel, proj); err == nil {
-				s.rel.Schema = pr.p.Out
+		if proj, err = expr.CompileProjector(cloneExprs(pr.p.Exprs), pr.p.Names, in); err == nil {
+			if b, st, err = algebra.ProjectExprsBatch(b, proj); err == nil {
+				b.Schema = pr.p.Out
 			}
 		}
 	}
@@ -124,7 +125,7 @@ func (pr *projector) apply(s slot, pe int) (slot, error) {
 		return slot{}, err
 	}
 	pr.ctx.work(pe, pr.ctx.s.e.m.Cost().BuildCost(st.TuplesEmitted))
-	return s, nil
+	return slot{b: b}, nil
 }
 
 // execProject computes output expressions on every slot where it lives;
@@ -155,38 +156,11 @@ func (e *Engine) exchangeTargets(n int) []int {
 	return out
 }
 
-// splitSlot hash-partitions one slot into n buckets on keys, by the same
-// FNV tuple hash in both forms — so every tuple lands on the same PE
-// whatever its slot held. A batch splits into selection vectors over the
-// shared columns; rows are redistributed by reference, never copied or
-// mutated (CSE-shared inputs stay intact). hashes is the work to charge.
-func splitSlot(s slot, schema *value.Schema, keys []int, n int) (buckets []slot, hashes int) {
-	buckets = make([]slot, n)
-	if s.b == nil {
-		split, st := algebra.SplitByHash(s.rel.Tuples, keys, n)
-		for bkt, tuples := range split {
-			if len(tuples) > 0 {
-				buckets[bkt] = slot{rel: &value.Relation{Schema: schema, Tuples: tuples}, why: s.why}
-			}
-		}
-		return buckets, st.Hashes
-	}
-	hashes = s.b.Len()
-	for bkt, piece := range s.b.SplitByHash(keys, n) {
-		if piece != nil {
-			piece.Schema = schema
-			buckets[bkt] = slot{b: piece}
-		}
-	}
-	return buckets, hashes
-}
-
 // execExchange moves a partitioned intermediate: a hash exchange splits
 // every source slot and ships each bucket to its target PE, a singleton
 // exchange gathers at the coordinator. (A broadcast exchange marks the
 // small side of a broadcast join and is consumed by execBroadcastJoin,
-// which builds the replicated hash table once.) The output is columnar
-// when every input slot is.
+// which builds the replicated hash table once.)
 func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange, need value.ColSet) (*parts, error) {
 	if x.Part.Kind == plan.PartHash {
 		for _, k := range x.Part.Keys {
@@ -217,11 +191,11 @@ func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange, need value.ColSet)
 
 // collect gathers p into one slot at the coordinator.
 func (e *Engine) collect(ctx *execCtx, p *parts, schema *value.Schema) (*parts, error) {
-	s, err := e.gather(ctx, p, schema)
+	b, err := e.gather(ctx, p, schema)
 	if err != nil {
 		return nil, err
 	}
-	return ctx.singleton(s), nil
+	return ctx.singleton(slot{b: b}), nil
 }
 
 func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, part plan.Partitioning) (*parts, error) {
@@ -235,16 +209,18 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 		n = len(srcs)
 	}
 	targets := e.exchangeTargets(n)
-	// Phase 1: every source splits its slot and stamps all of its bucket
-	// departures on its own clock — before any receiver advances. A PE
-	// that is both source and target of this exchange (the common case
-	// when consecutive exchanges share a fan-out) therefore sends from its
-	// pre-receive clock; without the two-phase stamping, arrivals would
-	// cascade sender-to-sender and serialize the whole stage. Source slots
-	// are grouped by owning PE and processed in slot order within one
-	// goroutine: Depart is an Advance plus a separate clock read, so
-	// stamps on a shared PE are only deterministic when serialized.
-	perSrc := make([][]slot, len(srcs))
+	// Phase 1: every source splits its batch into selection vectors over
+	// its columns — by the fragment placement hash, so every row lands on
+	// the PE its tuple would — and stamps all of its bucket departures on
+	// its own clock, before any receiver advances. A PE that is both
+	// source and target of this exchange (the common case when consecutive
+	// exchanges share a fan-out) therefore sends from its pre-receive
+	// clock; without the two-phase stamping, arrivals would cascade
+	// sender-to-sender and serialize the whole stage. Source slots are
+	// grouped by owning PE and processed in slot order within one
+	// goroutine: Depart is an Advance plus a separate clock read, so stamps
+	// on a shared PE are only deterministic when serialized.
+	splits := make([][]*value.Batch, len(srcs))
 	departs := make([][]int64, len(srcs)) // ns on the source clock, 0 = nothing sent
 	srcsByPE := map[int][]int{}
 	var peOrder []int
@@ -261,62 +237,70 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 				srcs[i].free()
 				continue
 			}
-			buckets, hashes := splitSlot(srcs[i], schema, part.Keys, n)
-			ctx.work(pe, e.m.Cost().HashCost(hashes))
+			b, err := srcs[i].batch(schema)
+			if err != nil {
+				return err
+			}
+			ctx.work(pe, e.m.Cost().HashCost(b.Len()))
+			buckets := b.SplitByHash(part.Keys, n)
 			dep := make([]int64, n)
-			for b, bucket := range buckets {
-				if bucket.len() > 0 && pe != targets[b] {
-					dep[b] = int64(e.m.Depart(pe, bucket.size()))
+			for bkt, piece := range buckets {
+				if piece != nil {
+					piece.Schema = schema
+					if pe != targets[bkt] {
+						dep[bkt] = int64(e.m.Depart(pe, piece.Size()))
+					}
 				}
 			}
-			perSrc[i], departs[i] = buckets, dep
+			splits[i], departs[i] = buckets, dep
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	// Phase 2: each target advances to the latest arrival headed its way
-	// and assembles its slot in source order (deterministic tuple order
+	// Phase 2: each target advances to the latest arrival headed its way;
+	// the copy runs a source at a time, spread like the split, and every
+	// target assembles its slot in source order (deterministic row order
 	// regardless of host scheduling).
-	why, rows := rowWhy(srcs)
-	out := &parts{slots: make([]slot, n), pes: targets}
 	for b := 0; b < n; b++ {
-		rel := value.NewRelation(schema)
-		for i := range perSrc {
-			if perSrc[i] == nil || perSrc[i][b].len() == 0 {
-				continue
-			}
-			piece := perSrc[i][b]
-			if departs[i][b] > 0 {
-				e.m.Arrive(child.pes[i], targets[b], piece.size(), time.Duration(departs[i][b]))
-			}
-			if rows {
-				rel.Tuples = append(rel.Tuples, piece.rows(schema).Tuples...)
-			}
-		}
-		if rows {
-			out.slots[b] = slot{rel: rel, why: why}
-		}
-	}
-	if rows {
-		return out, nil
-	}
-	// All columnar: the copy runs a source at a time, spread like the split.
-	splits := make([][]*value.Batch, len(srcs))
-	for i, buckets := range perSrc {
-		if buckets != nil {
-			splits[i] = make([]*value.Batch, n)
-			for b, piece := range buckets {
-				splits[i][b] = piece.b
+		for i, buckets := range splits {
+			if buckets != nil && buckets[b] != nil && departs[i][b] > 0 {
+				e.m.Arrive(child.pes[i], targets[b], buckets[b].Size(), time.Duration(departs[i][b]))
 			}
 		}
 	}
 	batches, err := value.ConcatSplits(schema, splits, n, eachPart, &ctx.arena)
+	out := &parts{slots: make([]slot, n), pes: targets}
 	for b, batch := range batches {
 		out.slots[b] = slot{b: batch}
 	}
 	return out, err
+}
+
+// joinNeeds splits what is read of a join's output into each side's share
+// plus its join keys, and the share of left ++ right, the order the
+// kernels join in.
+func joinNeeds(j *plan.Join, need value.ColSet) (lneed, rneed, joinNeed value.ColSet) {
+	if need == value.AllCols {
+		return value.AllCols, value.AllCols, need
+	}
+	// j.Out lists the left child's columns first, unless the optimizer
+	// swapped the build side: then the right child's.
+	lw, rw := j.Left.Schema().Len(), j.Right.Schema().Len()
+	if j.Swapped {
+		rneed, lneed = need&(1<<rw-1), need>>rw
+	} else {
+		lneed, rneed = need&(1<<lw-1), need>>lw
+	}
+	joinNeed = lneed | rneed<<lw
+	for _, k := range j.LeftKeys {
+		lneed = lneed.With(k)
+	}
+	for _, k := range j.RightKeys {
+		rneed = rneed.With(k)
+	}
+	return lneed, rneed, joinNeed
 }
 
 // execJoin joins aligned slots in parallel on the left slot's PE. The
@@ -326,36 +310,18 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 // executor does not fully trust — gathers both sides at the coordinator
 // first, which makes it the one-slot case of the same join. Each side is
 // asked for its share of what is read of the output — by the consumers and
-// by the residual predicate — plus its join keys; the join itself hands up
-// that share without the keys.
+// by the residual predicate — plus its join keys (joinNeeds); the join
+// itself hands up that share without the keys.
 func (e *Engine) execJoin(ctx *execCtx, j *plan.Join, need value.ColSet) (*parts, error) {
-	if j.Method == plan.JoinBroadcast {
-		if big, small, smallLeft, ok := broadcastSides(j); ok {
-			return e.execBroadcastJoin(ctx, j, big, small, smallLeft)
-		}
-	}
 	if j.Residual != nil {
 		need |= expr.ColSet(j.Residual, j.Out)
 	}
-	lneed, rneed := value.AllCols, value.AllCols // of the left and the right child
-	joinNeed := need                             // of left ++ right, the order the kernel joins in
-	if need != value.AllCols {
-		// j.Out lists the left child's columns first, unless the optimizer
-		// swapped the build side: then the right child's.
-		lw, rw := j.Left.Schema().Len(), j.Right.Schema().Len()
-		if j.Swapped {
-			rneed, lneed = need&(1<<rw-1), need>>rw
-		} else {
-			lneed, rneed = need&(1<<lw-1), need>>lw
-		}
-		joinNeed = lneed | rneed<<lw
-		for _, k := range j.LeftKeys {
-			lneed = lneed.With(k)
-		}
-		for _, k := range j.RightKeys {
-			rneed = rneed.With(k)
+	if j.Method == plan.JoinBroadcast {
+		if big, small, smallLeft, ok := broadcastSides(j); ok {
+			return e.execBroadcastJoin(ctx, j, big, small, smallLeft, need)
 		}
 	}
+	lneed, rneed, joinNeed := joinNeeds(j, need)
 	distributed := j.Method == plan.JoinColocated || j.Method == plan.JoinRepartition
 	side := func(n plan.Node, need value.ColSet) (*parts, error) {
 		p, err := e.exec(ctx, n, need)
@@ -386,21 +352,20 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join, need value.ColSet) (*parts
 	ls, rs := l.slots, r.slots
 	res := residual(ctx, j)
 	out := &parts{slots: make([]slot, len(ls)), pes: l.pes}
-	err = eachPart(len(ls), func(i int) (err error) {
+	err = eachPart(len(ls), func(i int) error {
 		pe := l.pes[i]
 		if rs[i].len() > 0 {
 			ctx.ship(r.pes[i], pe, rs[i].size()) // mismatched placement: the right slot comes over
 		}
-		var st algebra.Stats
-		var joined slot
-		if ls[i].b != nil && rs[i].b != nil {
-			joined.b, st, err = algebra.HashJoinBatchNeed(ls[i].b, rs[i].b, j.LeftKeys, j.RightKeys, joinNeed, &ctx.arena)
-		} else {
-			if joined.why = ls[i].why; joined.why == "" {
-				joined.why = rs[i].why
-			}
-			joined.rel, st, err = algebra.HashJoin(ls[i].rows(j.Left.Schema()), rs[i].rows(j.Right.Schema()), j.LeftKeys, j.RightKeys)
+		lb, err := ls[i].batch(j.Left.Schema())
+		if err != nil {
+			return err
 		}
+		rb, err := rs[i].batch(j.Right.Schema())
+		if err != nil {
+			return err
+		}
+		joined, st, err := algebra.HashJoinBatchNeed(lb, rb, j.LeftKeys, j.RightKeys, joinNeed, &ctx.arena)
 		if err != nil {
 			return err
 		}
@@ -420,50 +385,23 @@ func residual(ctx *execCtx, j *plan.Join) *filter {
 	return &filter{ctx: ctx, pred: j.Residual, schema: j.Out}
 }
 
-// finishJoin charges one join output slot's hash and build work to PE pe
+// finishJoin charges one join output batch's hash and build work to PE pe
 // and finishes it in place: restores the pre-swap column order (a pointer
-// reorder for a batch, a rotation of every tuple for rows), stamps the
-// output schema, and applies the residual predicate — so parents see
-// j.Out without any coordinator round trip.
-func (e *Engine) finishJoin(ctx *execCtx, j *plan.Join, s slot, st algebra.Stats, pe int, residual *filter) (slot, error) {
+// reorder), stamps the output schema, and applies the residual predicate —
+// so parents see j.Out without any coordinator round trip.
+func (e *Engine) finishJoin(ctx *execCtx, j *plan.Join, b *value.Batch, st algebra.Stats, pe int, residual *filter) (slot, error) {
 	cost := e.m.Cost()
 	ctx.work(pe, cost.HashCost(st.Hashes)+cost.BuildCost(st.TuplesEmitted))
-	lw := j.Left.Schema().Len()
-	if s.b != nil {
-		if j.Swapped && lw > 0 && lw < len(s.b.Cols) {
-			cols := make([]*value.Vec, 0, len(s.b.Cols))
-			cols = append(cols, s.b.Cols[lw:]...)
-			s.b.Cols = append(cols, s.b.Cols[:lw]...)
-		}
-		s.b.Schema = j.Out
-	} else {
-		if j.Swapped {
-			restoreSwapped(s.rel.Tuples, lw)
-		}
-		s.rel.Schema = j.Out
+	if lw := j.Left.Schema().Len(); j.Swapped && lw > 0 && lw < len(b.Cols) {
+		cols := make([]*value.Vec, 0, len(b.Cols))
+		cols = append(cols, b.Cols[lw:]...)
+		b.Cols = append(cols, b.Cols[:lw]...)
 	}
+	b.Schema = j.Out
 	if residual == nil {
-		return s, nil
+		return slot{b: b}, nil
 	}
-	return residual.apply(s, pe)
-}
-
-// restoreSwapped rotates each tuple left by lw in place, undoing the
-// optimizer's build-side swap: tuple t[:lw] ++ t[lw:] becomes
-// t[lw:] ++ t[:lw]. One scratch buffer is reused across the whole
-// relation instead of allocating a fresh tuple per row. Safe only
-// because join outputs are always freshly concatenated tuples — never
-// aliases of fragment storage or the CSE scan cache.
-func restoreSwapped(tuples []value.Tuple, lw int) {
-	if lw == 0 || len(tuples) == 0 || lw >= len(tuples[0]) {
-		return
-	}
-	scratch := make(value.Tuple, lw)
-	for _, t := range tuples {
-		copy(scratch, t[:lw])
-		copy(t, t[lw:])
-		copy(t[len(t)-lw:], scratch)
-	}
+	return residual.apply(slot{b: b}, pe)
 }
 
 // broadcastSides finds the side the optimizer marked small with an
@@ -478,70 +416,71 @@ func broadcastSides(j *plan.Join) (big, small plan.Node, smallLeft, ok bool) {
 	return nil, nil, false, false
 }
 
-// execBroadcastJoin ships the small side to every slot of the big side
-// and joins in place. The hash table is built once at the coordinator
-// and probed by every slot, so it is a row table and the big side's
-// batches turn into rows here; only the small relation travels.
-func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNode plan.Node, smallLeft bool) (*parts, error) {
-	sp, err := e.exec(ctx, smallNode, value.AllCols)
+// execBroadcastJoin gathers the small side at the coordinator and builds
+// its hash table there once — the build half of the hash join — ships it
+// to every slot of the big side, and runs the probe half on each slot
+// where it lives, all against the one table. Only the small side travels.
+func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNode plan.Node, smallLeft bool, need value.ColSet) (*parts, error) {
+	lneed, rneed, joinNeed := joinNeeds(j, need)
+	smallKeys, bigKeys, smallNeed, bigNeed := j.RightKeys, j.LeftKeys, rneed, lneed
+	if smallLeft {
+		smallKeys, bigKeys, smallNeed, bigNeed = j.LeftKeys, j.RightKeys, lneed, rneed
+	}
+	sp, err := e.exec(ctx, smallNode, smallNeed)
 	if err != nil {
 		return nil, err
 	}
-	small, err := e.gatherRows(ctx, sp, smallNode.Schema())
+	small, err := e.gather(ctx, sp, smallNode.Schema())
 	if err != nil {
 		return nil, err
 	}
-	big, err := e.exec(ctx, bigNode, value.AllCols)
+	big, err := e.exec(ctx, bigNode, bigNeed)
 	if err != nil {
 		return nil, err
 	}
 	if big, err = big.forced(); err != nil {
 		return nil, err
 	}
-	bigSlots := big.slots
-	smallKeys, bigKeys := j.RightKeys, j.LeftKeys
-	if smallLeft {
-		smallKeys, bigKeys = j.LeftKeys, j.RightKeys
-	}
-	ht, bst, err := algebra.BuildHashTable(small, smallKeys)
+	smallBytes := small.Size() // what every slot of the big side is sent
+	table, bst, err := algebra.BuildJoinTable(small, smallKeys)
 	if err != nil {
 		return nil, err
 	}
+	defer table.Release()
 	ctx.work(ctx.s.pe, e.m.Cost().HashCost(bst.Hashes))
 	// Stamp the broadcast sends sequentially (deterministic timing).
-	smallBytes := small.Size()
 	for _, pe := range big.pes {
 		ctx.ship(ctx.s.pe, pe, smallBytes)
 	}
 	res := residual(ctx, j)
-	out := &parts{slots: make([]slot, len(bigSlots)), pes: big.pes}
-	err = eachPart(len(bigSlots), func(i int) error {
-		s := bigSlots[i].asRows(bigNode.Schema(), "broadcast join")
-		rel, st, err := ht.ProbeJoin(s.rel, bigKeys, !smallLeft)
+	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
+	err = eachPart(len(big.slots), func(i int) error {
+		b, err := big.slots[i].batch(bigNode.Schema())
 		if err != nil {
 			return err
 		}
-		out.slots[i], err = e.finishJoin(ctx, j, slot{rel: rel, why: s.why}, st, big.pes[i], res)
+		joined, st, err := table.Probe(b, bigKeys, !smallLeft, joinNeed, &ctx.arena)
+		if err != nil {
+			return err
+		}
+		out.slots[i], err = e.finishJoin(ctx, j, joined, st, big.pes[i], res)
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ctx.noted("Join", out, j.Out, value.AllCols), nil
+	return ctx.noted("Join", out, j.Out, need), nil
 }
 
-// aggregateSlot aggregates one slot on PE pe; a batch in, a batch out.
-func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (slot, error) {
-	out := slot{why: s.why}
-	var st algebra.Stats
-	var err error
-	if s.b != nil {
-		out.b, st, err = algebra.AggregateBatch(s.b, a.GroupBy, specs)
-	} else {
-		out.rel, st, err = algebra.Aggregate(s.rows(a.Child.Schema()), a.GroupBy, specs)
-	}
+// aggregateSlot aggregates one slot on PE pe into a batch.
+func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (*value.Batch, error) {
+	b, err := s.batch(a.Child.Schema())
 	if err != nil {
-		return slot{}, err
+		return nil, err
+	}
+	out, st, err := algebra.AggregateBatch(b, a.GroupBy, specs)
+	if err != nil {
+		return nil, err
 	}
 	cost := e.m.Cost()
 	ctx.work(pe, cost.HashCost(st.Hashes)+cost.BuildCost(st.TuplesEmitted))
@@ -551,8 +490,7 @@ func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.
 // execAggregate runs two-phase distributed aggregation when the
 // optimizer marked pushdown: every slot of the child — a fragment scan, a
 // join partition — pre-aggregates where it lives, only the (much smaller)
-// partials travel, and the coordinator merges — columnar when every
-// partial is a batch, by the row merge otherwise. An unmarked aggregate
+// partials travel, and the coordinator merges them. An unmarked aggregate
 // gathers its input and runs at the coordinator in one phase.
 func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) {
 	var need value.ColSet
@@ -568,22 +506,17 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 	if err != nil {
 		return nil, err
 	}
-	var out slot
+	var out *value.Batch
 	if !a.Pushdown {
-		if child, err = e.collect(ctx, child, a.Child.Schema()); err != nil {
+		if out, err = e.gather(ctx, child, a.Child.Schema()); err != nil {
 			return nil, err
 		}
-		s, err := ctx.noted("Aggregate", child, a.Out, value.AllCols).take(0)
-		if err != nil {
-			return nil, err
-		}
-		if out, err = e.aggregateSlot(ctx, a, a.Specs, s, ctx.s.pe); err != nil {
+		if out, err = e.aggregateSlot(ctx, a, a.Specs, slot{b: out}, ctx.s.pe); err != nil {
 			return nil, err
 		}
 	} else {
-		child = ctx.noted("Aggregate", child, a.Out, value.AllCols)
 		partialSpecs := algebra.PartialSpecs(a.Specs)
-		partials := make([]slot, len(child.pes))
+		partials := make([]*value.Batch, len(child.pes))
 		err = child.each(func(i int, s slot) (err error) {
 			partials[i], err = e.aggregateSlot(ctx, a, partialSpecs, s, child.pes[i])
 			return err
@@ -592,73 +525,60 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 			return nil, err
 		}
 		for i, p := range partials {
-			if p.len() > 0 {
-				ctx.ship(child.pes[i], ctx.s.pe, p.size())
+			if p.Len() > 0 {
+				ctx.ship(child.pes[i], ctx.s.pe, p.Size())
 			}
 		}
 		var st algebra.Stats
-		if why, rows := rowWhy(partials); rows {
-			rels := make([]*value.Relation, len(partials))
-			for i, p := range partials {
-				rels[i] = p.rows(nil) // a partial is never empty-handed: it carries its own schema
-			}
-			out.why = why
-			out.rel, st, err = algebra.MergeAggregates(rels, len(a.GroupBy), a.Specs)
-		} else {
-			batches := make([]*value.Batch, len(partials))
-			for i, p := range partials {
-				batches[i] = p.b
-			}
-			out.b, st, err = algebra.MergeAggregateBatches(batches, len(a.GroupBy), a.Specs)
-		}
-		if err != nil {
+		if out, st, err = algebra.MergeAggregateBatches(partials, len(a.GroupBy), a.Specs); err != nil {
 			return nil, err
 		}
 		cost := e.m.Cost()
 		ctx.work(ctx.s.pe, cost.HashCost(st.TuplesRead)+cost.BuildCost(st.TuplesEmitted))
 	}
-	if out.b != nil {
-		out.b.Schema = a.Out
-	} else {
-		out.rel.Schema = a.Out
-	}
-	return ctx.singleton(out), nil
-}
-
-// sortSlot sorts one slot's rows on PE pe.
-func (e *Engine) sortSlot(ctx *execCtx, t *plan.Sort, rel *value.Relation, pe int) (*value.Relation, error) {
-	run, st, err := algebra.Sort(rel, t.Cols, t.Desc)
-	if err != nil {
-		return nil, err
-	}
-	ctx.work(pe, e.m.Cost().CompareCost(st.Compares))
-	return run, nil
+	out.Schema = a.Out
+	return ctx.noted("Aggregate", ctx.singleton(slot{b: out}), a.Out, value.AllCols), nil
 }
 
 // execSort orders its input at the coordinator. A parallel sort first
 // sorts each slot where it lives and k-way-merges the sorted runs — the
 // merge costs O(N log k) at the coordinator instead of a full O(N log N)
-// sort.
-func (e *Engine) execSort(ctx *execCtx, t *plan.Sort) (*parts, error) {
-	child, err := e.exec(ctx, t.Child, value.AllCols)
+// sort. A run is its slot's batch under a permuted selection vector; the
+// merge concatenates the runs and permutes again.
+func (e *Engine) execSort(ctx *execCtx, t *plan.Sort, need value.ColSet) (*parts, error) {
+	for _, c := range t.Cols {
+		need = need.With(c)
+	}
+	child, err := e.exec(ctx, t.Child, need)
 	if err != nil {
 		return nil, err
 	}
 	schema := t.Child.Schema()
-	var out *value.Relation
-	if !t.Parallel {
-		rel, err := e.gatherRows(ctx, child, schema)
+	sortRun := func(s slot, pe int) (*value.Batch, error) {
+		b, err := s.batch(schema)
 		if err != nil {
 			return nil, err
 		}
-		if out, err = e.sortSlot(ctx, t, rel, ctx.s.pe); err != nil {
+		run, st, err := algebra.SortBatch(b, t.Cols, t.Desc)
+		if err != nil {
 			return nil, err
 		}
-		return ctx.singleton(slot{rel: out}), nil
+		ctx.work(pe, e.m.Cost().CompareCost(st.Compares))
+		return run, nil
 	}
-	runs := make([]*value.Relation, len(child.pes))
+	if !t.Parallel {
+		b, err := e.gather(ctx, child, schema)
+		if err != nil {
+			return nil, err
+		}
+		if b, err = sortRun(slot{b: b}, ctx.s.pe); err != nil {
+			return nil, err
+		}
+		return ctx.singleton(slot{b: b}), nil
+	}
+	runs := make([]*value.Batch, len(child.pes))
 	err = child.each(func(i int, s slot) (err error) {
-		runs[i], err = e.sortSlot(ctx, t, s.rows(schema), child.pes[i])
+		runs[i], err = sortRun(s, child.pes[i])
 		return err
 	})
 	if err != nil {
@@ -669,27 +589,40 @@ func (e *Engine) execSort(ctx *execCtx, t *plan.Sort) (*parts, error) {
 			ctx.ship(child.pes[i], ctx.s.pe, run.Size())
 		}
 	}
-	out, st, err := algebra.MergeSortedRuns(runs, t.Cols, t.Desc)
+	out, st, err := algebra.MergeSortedBatches(runs, t.Cols, t.Desc, &ctx.arena)
 	if err != nil {
 		return nil, err
 	}
 	ctx.work(ctx.s.pe, e.m.Cost().CompareCost(st.Compares))
-	return ctx.singleton(slot{rel: out}), nil
+	return ctx.singleton(slot{b: out}), nil
 }
 
-// execDistinct dedups at the coordinator. A parallel distinct first
-// dedups each slot where it lives, so duplicate-heavy inputs shrink
-// before they travel.
+// execDistinct dedups at the coordinator: a grouping on every column with
+// no aggregate, which keeps each row's first occurrence. A parallel
+// distinct first dedups each slot where it lives, so duplicate-heavy
+// inputs shrink before they travel.
 func (e *Engine) execDistinct(ctx *execCtx, t *plan.Distinct) (*parts, error) {
 	child, err := e.exec(ctx, t.Child, value.AllCols)
 	if err != nil {
 		return nil, err
 	}
 	schema := t.Child.Schema()
+	all := make([]int, schema.Len())
+	for i := range all {
+		all[i] = i
+	}
 	distinct := func(s slot, pe int) (slot, error) {
-		out, st := algebra.Distinct(s.rows(schema))
+		b, err := s.batch(schema)
+		if err != nil {
+			return slot{}, err
+		}
+		var st algebra.Stats
+		if b, st, err = algebra.AggregateBatch(b, all, nil); err != nil {
+			return slot{}, err
+		}
+		b.Schema = schema
 		ctx.work(pe, e.m.Cost().HashCost(st.Hashes))
-		return slot{rel: out}, nil
+		return slot{b: b}, nil
 	}
 	if t.Parallel {
 		child = child.then(distinct)
@@ -700,15 +633,16 @@ func (e *Engine) execDistinct(ctx *execCtx, t *plan.Distinct) (*parts, error) {
 	return child.then(distinct), nil
 }
 
-// execLimit keeps the first t.N tuples of its input in slot order. The
+// execLimit keeps the first t.N rows of its input in slot order. The
 // slots are cut where they live, one after the other, and a slot past the
 // limit is never taken — a LIMIT over a scan reads only the fragments it
 // needs, and a cursor over it stops early.
-func (e *Engine) execLimit(ctx *execCtx, t *plan.Limit) (*parts, error) {
-	child, err := e.exec(ctx, t.Child, value.AllCols)
+func (e *Engine) execLimit(ctx *execCtx, t *plan.Limit, need value.ColSet) (*parts, error) {
+	child, err := e.exec(ctx, t.Child, need)
 	if err != nil || t.N < 0 { // negative: no limit
 		return child, err
 	}
+	schema := t.Child.Schema()
 	remaining := t.N
 	return &parts{pes: child.pes, ordered: true, src: func(i int) (slot, error) {
 		if remaining == 0 {
@@ -718,11 +652,12 @@ func (e *Engine) execLimit(ctx *execCtx, t *plan.Limit) (*parts, error) {
 		if err != nil {
 			return slot{}, err
 		}
-		rel := s.rows(t.Child.Schema())
-		if len(rel.Tuples) > remaining {
-			rel = &value.Relation{Schema: rel.Schema, Tuples: rel.Tuples[:remaining]}
+		b, err := s.batch(schema)
+		if err != nil {
+			return slot{}, err
 		}
-		remaining -= len(rel.Tuples)
-		return slot{rel: rel}, nil
+		b = algebra.LimitBatch(b, remaining)
+		remaining -= b.Len()
+		return slot{b: b}, nil
 	}}, nil
 }

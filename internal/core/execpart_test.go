@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/optimizer"
 	"repro/internal/value"
@@ -105,25 +104,27 @@ var partitionedPlanQueries = []string{
 		GROUP BY d2.cat ORDER BY total DESC LIMIT 2`,
 	// 11: self-join over CSE-shared scans.
 	`SELECT COUNT(*) AS n FROM fact x JOIN fact y ON x.id = y.id`,
-	// 12: broadcast join — the small side's row hash table meets the big
-	// side's columnar slots.
+	// 12: broadcast join — the small side's hash table, built once, probed
+	// by every slot of the big side.
 	`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id WHERE f.amt > 30`,
 	// 13: computed projection between a repartitioned join and a parallel
 	// sort (this SQL has no derived tables, so a Project never sits below a
-	// join; this is the nearest shape: rows appear mid-pipeline).
+	// join; this is the nearest shape: new vectors mid-pipeline).
 	`SELECT f.id, f.amt + d1.w AS score FROM fact f JOIN dim1 d1 ON f.a = d1.id
 		WHERE f.amt > 60 ORDER BY f.id`,
 	// 14: CSE-shared self-join feeding hash exchanges.
 	`SELECT x.id, y.id FROM fact x JOIN fact y ON x.a = y.b`,
 	// 15: colocated join with one side answered by the pk hash index (a
-	// row slot) and pruned to one fragment (misaligned with the other side).
+	// leaf's tuples) and pruned to one fragment (misaligned with the other
+	// side).
 	`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`,
 	// 16: grouped aggregate pushed down onto the fragments, every function.
-	// Inside a transaction with a pending write the partials are mixed —
-	// that fragment's is rows, its siblings' are batches — and merge as rows.
+	// Inside a transaction with a pending write that fragment's scan answers
+	// with tuples, its siblings' with batches over their column caches.
 	`SELECT a, COUNT(*) AS n, SUM(amt) AS s, MIN(amt) AS lo, MAX(b) AS hi, AVG(amt) AS m
 		FROM fact WHERE amt < 80 GROUP BY a`,
-	// 17: ORDER BY over a partitioned aggregate (its batch output sorted as rows).
+	// 17: ORDER BY over a partitioned aggregate (its batch output sorted by
+	// permuting the selection).
 	`SELECT a, COUNT(*) AS n, SUM(amt) AS s FROM fact GROUP BY a ORDER BY s DESC, a LIMIT 50`,
 }
 
@@ -140,21 +141,28 @@ func sameResults(t *testing.T, queries []string, aName string, a *Session, bName
 		if err != nil {
 			t.Fatalf("query %d %s: %v", i+1, bName, err)
 		}
-		if !strings.Contains(strings.ToUpper(q), "ORDER BY") {
-			if !ra.SameBag(rb) {
-				t.Errorf("query %d: %s result differs from %s (%d vs %d rows)", i+1, aName, bName, ra.Len(), rb.Len())
-			}
-			continue
+		sameRows(t, q, fmt.Sprintf("query %d: %s against %s", i+1, aName, bName), ra, rb)
+	}
+}
+
+// sameRows requires got to hold want's rows: the same bag, and where q
+// orders, in the same order.
+func sameRows(t *testing.T, q, what string, got, want *value.Relation) {
+	t.Helper()
+	if !strings.Contains(strings.ToUpper(q), "ORDER BY") {
+		if !got.SameBag(want) {
+			t.Errorf("%s: results differ (%d vs %d rows)", what, got.Len(), want.Len())
 		}
-		if ra.Len() != rb.Len() {
-			t.Errorf("query %d: %d rows %s vs %d %s", i+1, ra.Len(), aName, rb.Len(), bName)
-			continue
-		}
-		for r := range ra.Tuples {
-			if !value.EqualTuples(ra.Tuples[r], rb.Tuples[r]) {
-				t.Errorf("query %d row %d: %v != %v", i+1, r, ra.Tuples[r], rb.Tuples[r])
-				break
-			}
+		return
+	}
+	if got.Len() != want.Len() {
+		t.Errorf("%s: %d rows vs %d", what, got.Len(), want.Len())
+		return
+	}
+	for r := range want.Tuples {
+		if !value.EqualTuples(got.Tuples[r], want.Tuples[r]) {
+			t.Errorf("%s row %d: %v != %v", what, r, got.Tuples[r], want.Tuples[r])
+			return
 		}
 	}
 }
@@ -162,10 +170,10 @@ func sameResults(t *testing.T, queries []string, aName string, a *Session, bName
 // TestPartitionedMatchesCentral runs the differential suite on the
 // exchange-based plans and on a central-only engine over identical data
 // and requires identical result sets — then again on an engine running
-// interpreted expressions (Compiled=false: every slot holds rows), and
-// again inside a transaction that has updated one row, where the one
-// fragment holding the pending write answers with rows and every query
-// must see it.
+// interpreted expressions (Compiled=false: every fragment answers with
+// tuples and every Select interprets its predicate), and again inside a
+// transaction that has updated one row, where the one fragment holding the
+// pending write answers with tuples and every query must see it.
 func TestPartitionedMatchesCentral(t *testing.T) {
 	ePar := newEngine(t)
 	eCen := centralEngine(t)
@@ -194,31 +202,6 @@ func TestPartitionedMatchesCentral(t *testing.T) {
 	}
 	for _, s := range []*Session{sPar, sCen} {
 		mustExec(t, s, `ROLLBACK`)
-	}
-}
-
-// TestCentralJoinChargesAlikeColumnarAndRow: there is one leaf and one
-// charging site per operator, so a central join over two filtered scans
-// costs the simulated machine the same total PE work whether its slots
-// hold batches or rows.
-func TestCentralJoinChargesAlikeColumnarAndRow(t *testing.T) {
-	eVec, eRow := newEngine(t), rowEngine(t)
-	setupStar(t, eVec, eRow)
-	const q = `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`
-	var work [2]time.Duration
-	for i, e := range []*Engine{eVec, eRow} {
-		s := e.NewSession()
-		res := mustExec(t, s, "EXPLAIN "+q)
-		if !strings.Contains(res.Plan, "method=central") {
-			t.Fatalf("not a central join:\n%s", res.Plan)
-		}
-		mustExec(t, s, q) // builds column caches, compiles predicates
-		before := e.Machine().TotalClock()
-		mustExec(t, s, q)
-		work[i] = e.Machine().TotalClock() - before
-	}
-	if work[0] != work[1] || work[0] == 0 {
-		t.Errorf("total PE work: %v columnar, %v row", work[0], work[1])
 	}
 }
 
@@ -296,37 +279,6 @@ func TestExplainAccessAnnotations(t *testing.T) {
 	}
 	if _, err := s.Exec(`EXPLAIN EXPLAIN SELECT * FROM emp`); err == nil {
 		t.Fatal("nested EXPLAIN succeeded")
-	}
-}
-
-// TestRestoreSwappedAllocs pins the join-emission fix: restoring the
-// pre-swap column order of a whole relation reuses one scratch buffer
-// instead of allocating a fresh tuple per row.
-func TestRestoreSwappedAllocs(t *testing.T) {
-	const rows = 1000
-	tuples := make([]value.Tuple, rows)
-	for i := range tuples {
-		tuples[i] = value.NewTuple(
-			value.NewInt(int64(i)), value.NewString("l"),
-			value.NewInt(int64(i*2)), value.NewString("r"), value.NewInt(7),
-		)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		restoreSwapped(tuples, 2)
-		restoreSwapped(tuples, 3) // rotate back so the fixture stays valid
-	})
-	if allocs > 2 { // one scratch buffer per call
-		t.Fatalf("restoreSwapped allocates %.0f times per double-restore; want <= 2", allocs)
-	}
-	// And it must actually restore: rotating by lw then by len-lw is a
-	// round trip, so spot-check a single rotation.
-	tup := value.NewTuple(value.NewInt(1), value.NewInt(2), value.NewInt(3))
-	restoreSwapped([]value.Tuple{tup}, 1)
-	want := []int64{2, 3, 1}
-	for i, w := range want {
-		if tup[i].Int() != w {
-			t.Fatalf("restored tuple = %v, want %v", tup, want)
-		}
 	}
 }
 

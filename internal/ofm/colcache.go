@@ -98,41 +98,38 @@ func (o *OFM) CacheStats() CacheStats {
 
 // columnCache returns the cache, level with the store, plus the bytes
 // this call wrote into it to get there (0 on a hit) so the executor can
-// charge them to the statement's tenant budget. On a non-nil return
-// o.ccMu is read-locked and the caller must unlock it when it has
-// finished with the stamps and the filter kernel. A nil cache means the
-// fragment cannot be cached columnar (a column holds mixed kinds) and the
-// caller must use the row path.
-func (o *OFM) columnCache() (*colCache, int64) {
+// charge them to the statement's tenant budget. On a nil error o.ccMu is
+// read-locked and the caller must unlock it when it has finished with the
+// stamps and the filter kernel.
+func (o *OFM) columnCache() (*colCache, int64, error) {
 	o.ccMu.RLock()
 	if o.cc != nil && o.cc.version == o.store.Version() {
-		return o.cc, 0
+		return o.cc, 0, nil
 	}
 	o.ccMu.RUnlock()
 
 	o.ccMu.Lock()
-	built := o.syncCache()
+	built, err := o.syncCache()
 	o.ccMu.Unlock()
+	if err != nil {
+		return nil, 0, err
+	}
 
 	// Another scan may catch the cache up further before the read lock is
 	// back; any later state serves this snapshot just as well.
 	o.ccMu.RLock()
-	if o.cc == nil {
-		o.ccMu.RUnlock()
-		return nil, 0
-	}
-	return o.cc, built
+	return o.cc, built, nil
 }
 
 // syncCache brings the cache level with the store — by catch-up when the
 // store's dirty-slot log can say what changed, by transposing the whole
 // store otherwise — and returns the bytes written. Caller holds o.ccMu
 // exclusively.
-func (o *OFM) syncCache() int64 {
+func (o *OFM) syncCache() (int64, error) {
 	cost := o.costs()
 	if cc := o.cc; cc != nil {
 		if cc.version == o.store.Version() {
-			return 0 // a concurrent scan got here first
+			return 0, nil // a concurrent scan got here first
 		}
 		dirty, slots, version, ok := o.store.DrainDirty(o.ccDirty[:0])
 		var built int64
@@ -151,7 +148,7 @@ func (o *OFM) syncCache() int64 {
 		clear(dirty) // drop the tuple references, keep the buffer
 		o.ccDirty = dirty[:0]
 		if ok {
-			return built
+			return built, nil
 		}
 	}
 
@@ -164,10 +161,11 @@ func (o *OFM) syncCache() int64 {
 	}
 	batch := value.NewBatchFrom(o.cfg.Schema, tuples)
 	if batch == nil {
-		// Heterogeneous column (possible only on transient fragments fed
-		// by untyped intermediates): no cache, and nothing to keep level.
+		// The store type-checks every version it takes (storage.Conform:
+		// a value of the column's kind, an int widened into a float
+		// column, or NULL), so every column has one kind.
 		o.store.Untrack()
-		return 0
+		return 0, fmt.Errorf("ofm %s: stored versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
 	}
 	cc := &colCache{version: version, rows: len(tuples), begin: begin, end: end, cols: batch.Cols}
 	held := 0
@@ -194,7 +192,7 @@ func (o *OFM) syncCache() int64 {
 	o.cfg.PE.Advance(cost.BuildCost(held))
 	o.ccStats.FullBuilds++
 	o.cc = cc
-	return cc.bytes
+	return cc.bytes, nil
 }
 
 // chargeMem moves the cache's share of the PE memory budget by delta.
@@ -398,9 +396,8 @@ func (o *OFM) BatchDecline(view View, pred expr.Expr) string {
 // a hit. When the OFM has a GC horizon the caller must keep view.TS
 // pinned until it has finished with the batch (see the file comment).
 //
-// A nil batch (with nil error) means the batch path declined and the
-// caller must use the row Scan: for one of BatchDecline's reasons, or
-// because the fragment is uncacheable (a column holds mixed kinds).
+// A nil batch (with nil error) means the batch path declined, for one of
+// BatchDecline's reasons, and the caller must use the row Scan.
 func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
 	if o.BatchDecline(view, pred) != "" {
 		return nil, 0, nil
@@ -411,9 +408,9 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 			return nil, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 		}
 	}
-	cc, built := o.columnCache()
-	if cc == nil {
-		return nil, 0, nil
+	cc, built, err := o.columnCache()
+	if err != nil {
+		return nil, 0, err
 	}
 	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, f)
 	o.ccMu.RUnlock()

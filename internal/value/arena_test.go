@@ -71,6 +71,29 @@ func TestKindOnlyColumns(t *testing.T) {
 			t.Fatalf("%d payloads lent after Release", n)
 		}
 	}
+	// A batch transposed from tuples carries every column whole. Beside a
+	// selected sibling whose unread columns are kind-only, a concatenation
+	// keeps those kind-only, whichever source comes first, and copies the
+	// rest.
+	for _, fullFirst := range []bool{true, false} {
+		full := NewBatchFrom(schema, tuples)
+		kept := &Batch{Schema: schema, Cols: cached.Cols, Rows: cached.Rows, Sel: []int32{4, 0}}
+		kept.Keep(ColSet(0).With(0))
+		srcs, want := []*Batch{full, kept}, append(append([]Tuple{}, tuples...), tuples[4], tuples[0])
+		if !fullFirst {
+			srcs, want = []*Batch{kept, full}, append([]Tuple{tuples[4], tuples[0]}, tuples...)
+		}
+		all := ConcatBatches(schema, srcs, &arena)
+		if !all.Cols[2].KindOnly() || !all.Cols[3].KindOnly() {
+			t.Fatalf("full first %v: an unread column was copied", fullFirst)
+		}
+		for i, tup := range all.Materialize().Tuples {
+			if !EqualTuples(tup[:2], want[i][:2]) {
+				t.Fatalf("full first %v, row %d: %v, want %v", fullFirst, i, tup, want[i])
+			}
+		}
+		arena.Release()
+	}
 }
 
 // TestArena: payloads are recycled by size class, arrive with whatever the

@@ -125,11 +125,12 @@ func scatterInto[T any](dst, src []T, idxs, at []int32) {
 // selection vector of the physical row indices that are logically
 // present. Sel == nil means every physical row is selected (the dense
 // case). Operators narrow Sel instead of copying tuples; materialization
-// back to row form is deferred to the plan root.
+// back to row form is deferred to the plan root. A sort orders its rows by
+// permuting Sel, so only there is it not ascending.
 type Batch struct {
 	Schema *Schema
 	Cols   []*Vec
-	Sel    []int32 // selected physical rows, ascending; nil = all
+	Sel    []int32 // selected physical rows, in order; nil = all
 	Rows   int     // physical row count of every column
 }
 
@@ -280,23 +281,33 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 // HashCols' hashes. The vector is pooled like HashCols'.
 func (b *Batch) KeyWords(sel []int32, idxs []int) (words []uint64, exact bool) {
 	if len(idxs) == 1 {
-		v := b.Cols[idxs[0]]
-		fixed := v.Kind == KindInt || v.Kind == KindBool || v.Kind == KindFloat
-		if fixed && v.Null == nil && !v.KindOnly() {
-			words = GetHashes(len(sel))
-			if v.Kind == KindFloat {
-				for i, r := range sel {
-					words[i] = math.Float64bits(v.F[r])
-				}
-			} else {
-				for i, r := range sel {
-					words[i] = uint64(v.I[r])
-				}
-			}
-			return words, true
+		if v := b.Cols[idxs[0]]; v.Fixed() && v.Null == nil {
+			return v.Words(sel), true
 		}
 	}
 	return b.HashCols(sel, idxs), false
+}
+
+// Fixed reports whether v holds a fixed-width payload: an INT, BOOLEAN or
+// FLOAT vector that is not kind-only.
+func (v *Vec) Fixed() bool {
+	return (v.Kind == KindInt || v.Kind == KindBool || v.Kind == KindFloat) && !v.KindOnly()
+}
+
+// Words gives the 64 payload bits of every row sel lists of a fixed-width
+// vector — a NULL row's are arbitrary — in a vector pooled like HashCols'.
+func (v *Vec) Words(sel []int32) []uint64 {
+	words := GetHashes(len(sel))
+	if v.Kind == KindFloat {
+		for i, r := range sel {
+			words[i] = math.Float64bits(v.F[r])
+		}
+	} else {
+		for i, r := range sel {
+			words[i] = uint64(v.I[r])
+		}
+	}
+	return words
 }
 
 // TakeSel detaches and returns the batch's selection vector — for a dense
@@ -331,8 +342,9 @@ func ConcatBatches(schema *Schema, batches []*Batch, a *Arena) *Batch {
 
 // NewConcat allocates the dense batch a concatenation of the given batches
 // fills, copying nothing yet: a column has a null bitmap only if a source's
-// has one, and is kind-only where the sources' are. Numeric payloads are
-// lent by a, unzeroed — CopyRows writes every row.
+// has one, and is kind-only where any source's is — a column nobody reads,
+// which a batch transposed from a leaf's tuples still carries whole.
+// Numeric payloads are lent by a, unzeroed — CopyRows writes every row.
 func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	n := 0
 	for _, b := range batches {
@@ -342,11 +354,13 @@ func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	for c := range out.Cols {
 		// The column kind comes from the first batch contributing rows;
 		// sibling batches of one schema always agree (same cache layout).
-		vec, dropped := &Vec{Kind: schema.Column(c).Kind}, false
+		vec, dropped, first := &Vec{Kind: schema.Column(c).Kind}, false, true
 		for _, b := range batches {
 			if b.Len() > 0 {
-				vec.Kind, dropped = b.Cols[c].Kind, b.Cols[c].KindOnly()
-				break
+				if first {
+					vec.Kind, first = b.Cols[c].Kind, false
+				}
+				dropped = dropped || b.Cols[c].KindOnly()
 			}
 		}
 		if dropped {
@@ -581,7 +595,7 @@ func (v *Vec) Set(i int, x Value) bool {
 // A nil tuple is a hole: its row keeps zero payloads, and the caller
 // must keep it out of every selection (the OFM column cache maps free
 // store slots this way). Returns nil when a column is heterogeneous or
-// a tuple is short — the caller falls back to the row path.
+// a tuple is short.
 func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 	w := schema.Len()
 	n := len(tuples)

@@ -103,12 +103,6 @@ type Config struct {
 	// RandomPlacement scatters fragments randomly instead of using the
 	// central least-loaded allocation manager (experiment E10 baseline).
 	RandomPlacement bool
-	// Vectorized controls whether fragment scans answer with columnar
-	// batches over the fragment column caches (nil/true), which the
-	// executor's operators then process with their batch kernels; false
-	// makes every scan answer with rows, so the same operators run their
-	// row kernels — the reference configuration of experiment E20.
-	Vectorized *bool
 }
 
 // DB is a PRISMA database machine instance.
@@ -121,11 +115,10 @@ func Open(cfg Config) (*DB, error) {
 	compiled := !cfg.Interpreted
 	semiNaive := !cfg.NaiveDatalog
 	ccfg := core.Config{
-		NumPEs:     cfg.NumPEs,
-		Compiled:   &compiled,
-		Optimizer:  cfg.Optimizer,
-		SemiNaive:  &semiNaive,
-		Vectorized: cfg.Vectorized,
+		NumPEs:    cfg.NumPEs,
+		Compiled:  &compiled,
+		Optimizer: cfg.Optimizer,
+		SemiNaive: &semiNaive,
 	}
 	if cfg.RandomPlacement {
 		ccfg.Allocator = fragment.RandomAllocator{Seed: 42}
