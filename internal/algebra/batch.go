@@ -217,11 +217,12 @@ func nullKey(vecs []*value.Vec, row int32) bool {
 type groups struct {
 	b     *value.Batch
 	keys  []int
-	sel   []int32 // the selected physical rows
-	ids   []int32 // ids[i] is the group of row sel[i]
-	first []int32 // first[g] is the physical row that opened group g
-	n     int     // number of groups
-	rows  []int64 // rows[g] is the number of rows in group g, once counted
+	sel   []int32  // the selected physical rows
+	ids   []int32  // ids[i] is the group of row sel[i]
+	first []int32  // first[g] is the physical row that opened group g
+	n     int      // number of groups
+	rows  []int64  // rows[g] is the number of rows in group g, once counted
+	table rowTable // the groups' table, released by result
 }
 
 // groupRows resolves the selected rows of b to groups. No key columns is
@@ -265,10 +266,9 @@ func groupRows(b *value.Batch, keys []int) *groups {
 			break
 		}
 	}
-	g.n = len(gws)
-	for _, s := range [][]uint64{ws, gws, table.slots} {
-		value.PutHashes(s)
-	}
+	g.n, g.table = len(gws), table
+	value.PutHashes(ws)
+	value.PutHashes(gws)
 	return g
 }
 
@@ -284,6 +284,7 @@ func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, 
 	for _, s := range [][]int32{g.sel, g.ids, g.first} {
 		value.PutSel(s)
 	}
+	value.PutHashes(g.table.slots)
 	return out, st
 }
 

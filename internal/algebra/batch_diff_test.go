@@ -604,10 +604,15 @@ func TestHashJoinBatchHeavyHitterLinear(t *testing.T) {
 // its index from one multiply of the raw cell does for a stride that
 // multiply nearly cancels: the Fibonacci number below, under the Fibonacci
 // constant, turns every probe into a walk over all the keys before it.
+// The verdict is read off the tables, not a clock: the mean number of
+// slots a lookup visits to reach each key, in the join table and in the
+// group table, stays small and does not grow with the rows, so the work
+// per row is constant.
 func TestKeyWordStridesStayLinear(t *testing.T) {
 	ints := func(stride int64) func(int) value.Value {
 		return func(i int) value.Value { return value.NewInt(int64(i) * stride) }
 	}
+	const maxMeanProbe = 2.0 // linear probing at most half full, keys spread at random: <= 1.5
 	for _, c := range []struct {
 		name, kind string
 		key        func(i int) value.Value
@@ -617,44 +622,60 @@ func TestKeyWordStridesStayLinear(t *testing.T) {
 		{"whole floats", "FLOAT", func(i int) value.Value { return value.NewFloat(float64(i)) }},
 	} {
 		schema := value.MustSchema("k", c.kind)
-		run := func(n int) (join, group time.Duration) {
+		run := func(n int) (join, group float64) {
 			rows := make([]value.Tuple, n)
 			for i := range rows {
 				rows[i] = value.NewTuple(c.key(i))
 			}
-			l, r := value.NewBatchFrom(schema, rows), value.NewBatchFrom(schema, rows)
-			if _, exact := l.KeyWords(nil, []int{0}); !exact {
+			b := value.NewBatchFrom(schema, rows)
+			if _, exact := b.KeyWords(nil, []int{0}); !exact {
 				t.Fatalf("%s: the key is not its own word", c.name)
 			}
-			join = bestOf(func() {
-				out, _, err := HashJoinBatchNeed(l, r, []int{0}, []int{0}, 0, nil) // no column read: the tables' time, not the copies'
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.Len() != n {
-					t.Fatalf("%s: join of %d rows has %d matches", c.name, n, out.Len())
-				}
-			})
-			group = bestOf(func() {
-				out, _, err := AggregateBatch(l, []int{0}, factSpecs[:1])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if out.Len() != n {
-					t.Fatalf("%s: %d rows make %d groups", c.name, n, out.Len())
-				}
-			})
-			return join, group
+			jt, _, err := BuildJoinTable(b, []int{0})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range jt.sel {
+				join += float64(probeLength(jt.table, tableHash(jt.word[row], true), row))
+			}
+			jt.Release()
+			g := groupRows(value.NewBatchFrom(schema, rows), []int{0})
+			if g.n != n {
+				t.Fatalf("%s: %d rows make %d groups", c.name, n, g.n)
+			}
+			words := g.b.Cols[0].Words(g.first) // each group's key, at the row that opened it
+			for id, w := range words {
+				group += float64(probeLength(g.table, tableHash(w, true), int32(id)))
+			}
+			value.PutHashes(words)
+			g.result(schema, nil)
+			return join / float64(n), group / float64(n)
 		}
 		smallJoin, smallGroup := run(1 << 13)
 		largeJoin, largeGroup := run(1 << 15)
-		if largeJoin > 12*smallJoin {
-			t.Errorf("%s: join took %v for 4x the rows of %v — not linear", c.name, largeJoin, smallJoin)
-		}
-		if largeGroup > 12*smallGroup {
-			t.Errorf("%s: GROUP BY took %v for 4x the rows of %v — not linear", c.name, largeGroup, smallGroup)
+		for _, m := range []struct {
+			table        string
+			small, large float64
+		}{{"join", smallJoin, largeJoin}, {"group", smallGroup, largeGroup}} {
+			if m.small > maxMeanProbe || m.large > maxMeanProbe || m.large > 1.25*m.small {
+				t.Errorf("%s: a %s table lookup visits %.2f slots per key over 8192 keys, %.2f over 32768; want <= %.1f and no growth with the keys",
+					c.name, m.table, m.small, m.large, maxMeanProbe)
+			}
 		}
 	}
+}
+
+// probeLength is the number of slots a lookup of the key entered in t
+// under hash h as id visits, its own slot included.
+func probeLength(t rowTable, h uint64, id int32) int {
+	visits := 1
+	for p := t.home(h); slotID(t.slots[p], h) != id; p = t.step(p) {
+		if t.slots[p] == 0 {
+			panic("probeLength: key not in the table")
+		}
+		visits++
+	}
+	return visits
 }
 
 // TestAggregateBatchAllocs and TestHashJoinBatchAllocs pin the kernels'

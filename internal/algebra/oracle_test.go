@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/expr"
-	"repro/internal/fragment"
 	"repro/internal/value"
 )
 
@@ -318,8 +317,13 @@ func MergeSortedRuns(runs []*value.Relation, cols []int, desc []bool) (*value.Re
 	return out, stats, nil
 }
 
-// SplitByHash partitions tuples into n hash buckets on the key columns by
-// the fragment placement hash, redistributing them by reference.
+// SplitByHash partitions tuples into n buckets on the key columns —
+// bucket HashTuple mod n — redistributing them by reference.
 func SplitByHash(tuples []value.Tuple, cols []int, n int) ([][]value.Tuple, Stats) {
-	return fragment.PartitionByHash(tuples, cols, n), Stats{TuplesRead: len(tuples), Hashes: len(tuples)}
+	out := make([][]value.Tuple, n)
+	for _, t := range tuples {
+		b := value.HashTuple(t, cols) % uint64(n)
+		out[b] = append(out[b], t)
+	}
+	return out, Stats{TuplesRead: len(tuples), Hashes: len(tuples)}
 }

@@ -210,8 +210,8 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 	}
 	targets := e.exchangeTargets(n)
 	// Phase 1: every source splits its batch into selection vectors over
-	// its columns — by the fragment placement hash, so every row lands on
-	// the PE its tuple would — and stamps all of its bucket departures on
+	// its columns — bucket HashTuple(keys) mod n for PE targets[bucket], not
+	// fragment placement's PE — and stamps all of its bucket departures on
 	// its own clock, before any receiver advances. A PE that is both
 	// source and target of this exchange (the common case when consecutive
 	// exchanges share a fan-out) therefore sends from its pre-receive

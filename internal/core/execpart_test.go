@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -126,7 +127,15 @@ var partitionedPlanQueries = []string{
 	// 17: ORDER BY over a partitioned aggregate (its batch output sorted by
 	// permuting the selection).
 	`SELECT a, COUNT(*) AS n, SUM(amt) AS s FROM fact GROUP BY a ORDER BY s DESC, a LIMIT 50`,
+	// 18: broadcast of a fragmented side — dim1's 4 fragments, filtered to
+	// an estimated 239 rows, are gathered and copied to fact's 4 partitions
+	// (2·239·4 < 4400) instead of fact being repartitioned. Inside the
+	// transaction below dim1 has a pending write, so one of the gathered
+	// slots holds tuples.
+	broadcastFragmentedQuery,
 }
+
+const broadcastFragmentedQuery = `SELECT f.id, f.amt, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE d1.w = 3`
 
 // sameResults runs every query on both sessions and requires identical
 // result sets (order-sensitive where the query orders).
@@ -172,8 +181,9 @@ func sameRows(t *testing.T, q, what string, got, want *value.Relation) {
 // and requires identical result sets — then again on an engine running
 // interpreted expressions (Compiled=false: every fragment answers with
 // tuples and every Select interprets its predicate), and again inside a
-// transaction that has updated one row, where the one fragment holding the
-// pending write answers with tuples and every query must see it.
+// transaction that has updated a row of fact and one of dim1, where the
+// fragments holding the pending writes answer with tuples and every query
+// must see them.
 func TestPartitionedMatchesCentral(t *testing.T) {
 	ePar := newEngine(t)
 	eCen := centralEngine(t)
@@ -191,6 +201,7 @@ func TestPartitionedMatchesCentral(t *testing.T) {
 	for _, s := range []*Session{sPar, sCen} {
 		mustExec(t, s, `BEGIN`)
 		mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
+		mustExec(t, s, `UPDATE dim1 SET w = 3 WHERE id = 11`)
 	}
 	sameResults(t, partitionedPlanQueries, "partitioned in txn", sPar, "central in txn", sCen)
 	own, err := sPar.Query(`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 900`)
@@ -235,6 +246,12 @@ func TestExplainShowsPartitionedPlan(t *testing.T) {
 	}
 	if strings.Contains(planStr, "method=central") {
 		t.Errorf("plan still contains a central join:\n%s", planStr)
+	}
+
+	// A fragmented side small enough is broadcast, not repartitioned.
+	plan := mustExec(t, s, "EXPLAIN "+broadcastFragmentedQuery).Plan
+	if !strings.Contains(plan, "method=broadcast") || !regexp.MustCompile(`Exchange\(broadcast\) est=\d+\n\s*Scan\(dim1`).MatchString(plan) {
+		t.Errorf("fragmented dim1 not broadcast:\n%s", plan)
 	}
 }
 

@@ -38,11 +38,13 @@ func TestVectorizedMatchesOracle(t *testing.T) {
 	queries := append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...)
 	sameAsOracle(t, queries, "vectorized", s, s)
 
-	// Again inside a transaction with a pending write: the fragment holding
-	// it answers with tuples while its siblings stay columnar, so pushed-down
-	// aggregates merge partials of both origins and exchanges meet both.
+	// Again inside a transaction with pending writes: the fragments holding
+	// them answer with tuples while their siblings stay columnar, so
+	// pushed-down aggregates merge partials of both origins, exchanges meet
+	// both, and a broadcast of dim1 gathers both.
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
+	mustExec(t, s, `UPDATE dim1 SET w = 3 WHERE id = 11`)
 	sameAsOracle(t, queries, "vectorized in txn", s, s)
 	mustExec(t, s, `ROLLBACK`)
 }
@@ -256,7 +258,8 @@ func TestVectorizedStreamScan(t *testing.T) {
 
 // TestVectorizedSortDistinctBroadcastArena: the operators that last got a
 // batch kernel — a sort and its merge of runs, LIMIT, DISTINCT, the
-// broadcast join's probes — borrow from the statement's arena like the
+// broadcast join's probes, of a one-fragment side and of one gathered from
+// its fragments — borrow from the statement's arena like the
 // others. With released payloads poisoned their answers are the oracle's,
 // in process, encoded for the wire and streamed, and nothing is still lent
 // once the statement has returned or the cursor closed.
@@ -277,6 +280,7 @@ func TestVectorizedSortDistinctBroadcastArena(t *testing.T) {
 		`SELECT DISTINCT b FROM fact WHERE amt < 9`,
 		`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id WHERE f.amt > 30`,
 		`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id ORDER BY f.id LIMIT 40`,
+		broadcastFragmentedQuery,
 	} {
 		sameAsOracle(t, []string{q}, "in process", s, s)
 		lent("in process", q)

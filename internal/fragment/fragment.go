@@ -204,17 +204,6 @@ func (sc *Scheme) Partition(r *value.Relation) []*value.Relation {
 	return out
 }
 
-// PartitionByHash splits tuples into n buckets by hashing the given
-// columns — the repartitioning step of a distributed hash join.
-func PartitionByHash(tuples []value.Tuple, cols []int, n int) [][]value.Tuple {
-	out := make([][]value.Tuple, n)
-	for _, t := range tuples {
-		b := int(value.HashTuple(t, cols) % uint64(n))
-		out[b] = append(out[b], t)
-	}
-	return out
-}
-
 // EvenRangeBounds computes N-1 integer split points covering [lo, hi]
 // evenly — a helper for building range schemes over synthetic data.
 func EvenRangeBounds(lo, hi int64, n int) []value.Value {

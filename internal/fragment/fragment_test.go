@@ -194,52 +194,6 @@ func TestPartitionRouterAgreement(t *testing.T) {
 	}
 }
 
-func TestPartitionByHash(t *testing.T) {
-	tuples := make([]value.Tuple, 100)
-	for i := range tuples {
-		tuples[i] = value.Ints(int64(i%10), int64(i))
-	}
-	parts := PartitionByHash(tuples, []int{0}, 4)
-	if len(parts) != 4 {
-		t.Fatalf("%d parts", len(parts))
-	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	if total != 100 {
-		t.Errorf("lost tuples: %d", total)
-	}
-	// Same key always lands in the same part.
-	for _, p := range parts {
-		seen := map[int64]bool{}
-		for _, tp := range p {
-			seen[tp[0].Int()] = true
-		}
-		for k := range seen {
-			for pi2, p2 := range parts {
-				if &p2 == &p {
-					continue
-				}
-				for _, tp2 := range p2 {
-					if tp2[0].Int() == k && !containsKey(p, k) {
-						t.Fatalf("key %d split across parts (%d)", k, pi2)
-					}
-				}
-			}
-		}
-	}
-}
-
-func containsKey(part []value.Tuple, k int64) bool {
-	for _, tp := range part {
-		if tp[0].Int() == k {
-			return true
-		}
-	}
-	return false
-}
-
 func TestEvenRangeBounds(t *testing.T) {
 	b := EvenRangeBounds(0, 99, 4)
 	if len(b) != 3 {

@@ -493,19 +493,23 @@ func (o *Optimizer) planJoin(j *plan.Join, lp, rp partProp) (plan.Node, partProp
 		return j, partProp{n: lp.n, keys: joinOutKeys(j)}
 	}
 
-	// A tiny input joined with a partitioned one: replicate the small
-	// side to every partition of the big one and join in place.
+	// A small side S joined with a partitioned one B: replicate S to every
+	// partition of B and join in place. S is small when it is tiny and
+	// unfragmented, or when its n copies hold fewer than half B's rows, all
+	// of which a repartition would move: a broadcast gathers, builds and
+	// sends on the coordinator in turn, a repartition over n sources.
 	const broadcastThreshold = 512
-	lSmall := plan.EstRows(j.Left) <= broadcastThreshold
-	rSmall := plan.EstRows(j.Right) <= broadcastThreshold
-	if rSmall && lp.partitioned() && !rp.partitioned() {
+	lRows, rRows := plan.EstRows(j.Left), plan.EstRows(j.Right)
+	lSmall := lRows <= broadcastThreshold && !lp.partitioned() || 2*lRows*rp.n < rRows
+	rSmall := rRows <= broadcastThreshold && !rp.partitioned() || 2*rRows*lp.n < lRows
+	if rSmall && lp.partitioned() {
 		j.Right = &plan.Exchange{Child: j.Right,
 			Part:    plan.Partitioning{Kind: plan.PartBroadcast, N: lp.n},
 			EstRows: plan.EstRows(j.Right)}
 		j.Method = plan.JoinBroadcast
 		return j, partProp{n: lp.n, keys: mapThroughJoin(lp.keys, j, true)}
 	}
-	if lSmall && rp.partitioned() && !lp.partitioned() {
+	if lSmall && rp.partitioned() {
 		j.Left = &plan.Exchange{Child: j.Left,
 			Part:    plan.Partitioning{Kind: plan.PartBroadcast, N: rp.n},
 			EstRows: plan.EstRows(j.Left)}

@@ -1,10 +1,14 @@
 package optimizer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/algebra"
+	"repro/internal/catalog"
 	"repro/internal/expr"
+	"repro/internal/fragment"
 	"repro/internal/plan"
 	"repro/internal/value"
 )
@@ -151,5 +155,209 @@ func TestPartitionSortDistinctFlags(t *testing.T) {
 	o3.Optimize(dst)
 	if !dst.Parallel {
 		t.Error("distinct over fragmented scan not parallel")
+	}
+}
+
+// statsCatalog registers tables by their statistics alone — no rows are
+// loaded. Each is hash-fragmented on its first column, which is its key;
+// one fragment is the single strategy.
+func statsCatalog(t *testing.T, tables ...statsTable) *catalog.Catalog {
+	t.Helper()
+	c := catalog.New()
+	for _, st := range tables {
+		scheme := &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: st.frags}
+		if st.frags == 1 {
+			scheme = &fragment.Scheme{Strategy: fragment.Single, N: 1}
+		}
+		place := make(fragment.Placement, st.frags)
+		for i := range place {
+			place[i] = i
+		}
+		tab, err := c.Create(st.name, st.schema, scheme, place, []int{0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < st.frags; i++ {
+			rows := st.rows / st.frags
+			if i < st.rows%st.frags {
+				rows++
+			}
+			tab.UpdateStats(i, rows, int64(rows)*40)
+		}
+	}
+	return c
+}
+
+type statsTable struct {
+	name        string
+	schema      *value.Schema
+	frags, rows int
+}
+
+var (
+	factSchema = value.MustSchema("id", "INT", "a", "INT", "b", "INT", "amt", "INT")
+	dim1Schema = value.MustSchema("id", "INT", "w", "INT")
+	dim2Schema = value.MustSchema("id", "INT", "cat", "VARCHAR")
+)
+
+// starCatalog is the benchmark's and E15's tables: fact, and dim1 and dim2
+// of dimRows rows each.
+func starCatalog(t *testing.T, factRows, factFrags, dimRows, dimFrags int) *catalog.Catalog {
+	return statsCatalog(t, statsTable{"fact", factSchema, factFrags, factRows},
+		statsTable{"dim1", dim1Schema, dimFrags, dimRows}, statsTable{"dim2", dim2Schema, dimFrags, dimRows})
+}
+
+// factJoin is `fact f JOIN <dim> d ON f.<fkey> = d.id` — written the other
+// way round with dimLeft — under a Select of pred over the join's output
+// (nil: none) and an aggregate: grouped on the dimension's second column,
+// or a COUNT(*) when groupDim is unset. It returns the optimized root and
+// the join node.
+func factJoin(t *testing.T, c *catalog.Catalog, dim string, fkey int, dimLeft bool, pred func() expr.Expr, groupDim bool) (plan.Node, *plan.Join) {
+	t.Helper()
+	f, d := scan(t, c, "fact"), scan(t, c, dim)
+	j := &plan.Join{Left: f, Right: d, LeftKeys: []int{fkey}, RightKeys: []int{0}, Out: f.Out.Concat(d.Out)}
+	dimCol := f.Out.Len() + 1
+	if dimLeft {
+		j = &plan.Join{Left: d, Right: f, LeftKeys: []int{0}, RightKeys: []int{fkey}, Out: d.Out.Concat(f.Out)}
+		dimCol = 1
+	}
+	var child plan.Node = j
+	if pred != nil {
+		child = &plan.Select{Child: j, Pred: bindOn(t, pred(), j.Out)}
+	}
+	agg := &plan.Aggregate{Child: child, Specs: []algebra.AggSpec{{Func: algebra.Count, Col: -1, As: "n"}},
+		Out: value.MustSchema("n", "INT")}
+	if groupDim {
+		agg.GroupBy = []int{dimCol}
+		agg.Out = value.MustSchema("g", "INT", "n", "INT")
+	}
+	return New(c, AllRules()).Optimize(agg), j
+}
+
+func amtBelow48() expr.Expr {
+	return expr.NewCmp(expr.LT, expr.NewCol("amt"), expr.NewConst(value.NewInt(48)))
+}
+
+// broadcastOf is the table the join broadcasts — the scan under its
+// Exchange(broadcast) side — or "" when it broadcasts none.
+func broadcastOf(j *plan.Join) string {
+	for _, side := range []plan.Node{j.Left, j.Right} {
+		if x, ok := side.(*plan.Exchange); ok && x.Part.Kind == plan.PartBroadcast {
+			if sc, ok := x.Child.(*plan.Scan); ok {
+				return sc.Table
+			}
+			return "?"
+		}
+	}
+	return ""
+}
+
+// TestPartitionBroadcastsFragmentedSmallSide: at the benchmark's
+// cardinalities — fact 200 000 rows in 8 fragments, dim1 2 200 in 8 — the
+// benchmark's join (fact filtered to an estimated 66 000 rows) and its
+// join_group (all of fact) ship dim1's 8 copies, 17 600 rows, instead of
+// repartitioning fact: 2·|dim1|·8 < |fact|. Whichever side the join is
+// written on, swapped or not, dim1 sits under Exchange(broadcast) and fact
+// is joined where its fragments live.
+func TestPartitionBroadcastsFragmentedSmallSide(t *testing.T) {
+	c := starCatalog(t, 200_000, 8, 2200, 8)
+	for _, sh := range []struct {
+		name     string
+		pred     func() expr.Expr
+		groupDim bool
+		dimLeft  bool
+	}{
+		{"join", amtBelow48, false, false},
+		{"join dim1 first", amtBelow48, false, true},
+		{"join_group", nil, true, false},
+		{"join_group dim1 first", nil, true, true},
+	} {
+		root, j := factJoin(t, c, "dim1", 1, sh.dimLeft, sh.pred, sh.groupDim)
+		f := plan.Format(root)
+		if j.Method != plan.JoinBroadcast || broadcastOf(j) != "dim1" {
+			t.Errorf("%s: method %v, broadcasting %q; want broadcast of dim1\n%s", sh.name, j.Method, broadcastOf(j), f)
+			continue
+		}
+		if j.Swapped == sh.dimLeft {
+			t.Errorf("%s: swapped=%v, want the optimizer to build dim1 on the left\n%s", sh.name, j.Swapped, f)
+		}
+		x := j.Left.(*plan.Exchange)
+		if x.Part.N != 8 || !strings.Contains(f, "method=broadcast") || !strings.Contains(f, "Exchange(broadcast)") {
+			t.Errorf("%s: broadcast to %d partitions, want 8\n%s", sh.name, x.Part.N, f)
+		}
+		if _, ok := j.Right.(*plan.Scan); !ok {
+			t.Errorf("%s: fact side is %T, want the scan joined in place\n%s", sh.name, j.Right, f)
+		}
+	}
+}
+
+// TestPartitionKeepsSmallFixturePlans: below the crossover the rule picks
+// today's plans. The 20 000-row fact of the executor's column-need goldens
+// (dim1 and dim2 2 200 rows in 8 fragments, a 600-row table in 2) still
+// repartitions against its dimensions — 2·2 200·8 is more than 20 000 —
+// and the join of the narrow 600-row side stays central; E15's star join
+// (fact in min(PEs, 16) fragments, dims in min(PEs, 8)) keeps both joins
+// repartitioned at 4, 16 and 64 PEs, at quick and full size.
+func TestPartitionKeepsSmallFixturePlans(t *testing.T) {
+	wide := make([]string, 0, 140)
+	for i := 0; i < 70; i++ {
+		wide = append(wide, fmt.Sprintf("c%d", i), "INT")
+	}
+	c := statsCatalog(t, statsTable{"fact", factSchema, 8, 20000},
+		statsTable{"dim1", dim1Schema, 8, 2200}, statsTable{"dim2", dim2Schema, 8, 2200},
+		statsTable{"wide", value.MustSchema(wide...), 2, 600})
+	residual := func() expr.Expr {
+		return expr.NewCmp(expr.GT, expr.NewCol("amt"), expr.NewArith(expr.Mul, expr.NewCol("w"), expr.NewConst(value.NewInt(10))))
+	}
+	for _, sh := range []struct {
+		name     string
+		dim      string
+		fkey     int
+		dimLeft  bool
+		pred     func() expr.Expr
+		groupDim bool
+	}{
+		{"join", "dim1", 1, false, amtBelow48, false},
+		{"join_group", "dim1", 1, false, nil, true},
+		{"join dim2", "dim2", 2, false, amtBelow48, false},
+		{"join residual", "dim1", 1, false, residual, false},
+		{"join_group dim1 first", "dim1", 1, true, amtBelow48, true},
+	} {
+		root, j := factJoin(t, c, sh.dim, sh.fkey, sh.dimLeft, sh.pred, sh.groupDim)
+		if j.Method != plan.JoinRepartition || broadcastOf(j) != "" {
+			t.Errorf("%s: method %v, want repartition\n%s", sh.name, j.Method, plan.Format(root))
+		}
+	}
+	x, d := scan(t, c, "wide"), scan(t, c, "dim1")
+	j := &plan.Join{Left: x, Right: d, LeftKeys: []int{2}, RightKeys: []int{0}, Out: x.Out.Concat(d.Out)}
+	if root := New(c, AllRules()).Optimize(j); j.Method != plan.JoinCentral {
+		t.Errorf("wide join: method %v, want central\n%s", j.Method, plan.Format(root))
+	}
+
+	for _, size := range []struct{ fact, dim int }{{6000, 2200}, {24000, 3000}} {
+		for _, pes := range []int{4, 16, 64} {
+			c := starCatalog(t, size.fact, min(pes, 16), size.dim, min(pes, 8))
+			f, d1, d2 := scan(t, c, "fact"), scan(t, c, "dim1"), scan(t, c, "dim2")
+			inner := &plan.Join{Left: f, Right: d1, LeftKeys: []int{1}, RightKeys: []int{0}, Out: f.Out.Concat(d1.Out)}
+			outer := &plan.Join{Left: inner, Right: d2, LeftKeys: []int{2}, RightKeys: []int{0}, Out: inner.Out.Concat(d2.Out)}
+			agg := &plan.Aggregate{Child: outer, GroupBy: []int{7}, Specs: []algebra.AggSpec{{Func: algebra.Count, Col: -1, As: "n"}},
+				Out: value.MustSchema("cat", "VARCHAR", "n", "INT")}
+			root := New(c, AllRules()).Optimize(agg)
+			if inner.Method != plan.JoinRepartition || outer.Method != plan.JoinRepartition {
+				t.Errorf("E15 %d ⋈ %d at %d PEs: methods %v, %v, want repartition twice\n%s",
+					size.fact, size.dim, pes, inner.Method, outer.Method, plan.Format(root))
+			}
+		}
+	}
+}
+
+// TestPartitionBroadcastsTinyUnfragmentedSide: a one-fragment side of at
+// most 512 rows is broadcast whatever the new rule says — here 2·500·8
+// rows of copies against 5 000 fact rows.
+func TestPartitionBroadcastsTinyUnfragmentedSide(t *testing.T) {
+	c := statsCatalog(t, statsTable{"fact", factSchema, 8, 5000}, statsTable{"dim1", dim1Schema, 1, 500})
+	root, j := factJoin(t, c, "dim1", 1, false, nil, true)
+	if j.Method != plan.JoinBroadcast || broadcastOf(j) != "dim1" {
+		t.Errorf("method %v, broadcasting %q; want broadcast of dim1\n%s", j.Method, broadcastOf(j), plan.Format(root))
 	}
 }

@@ -424,7 +424,7 @@ func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
 // SplitByHash hash-partitions the selected rows of b into n batches over
 // its columns: out[k] selects the rows whose key hash is k modulo n (nil
 // when there are none). The hash is HashTuple's, taken a column at a time,
-// so a row lands in the bucket fragment.PartitionByHash gives its tuple;
+// not fragment placement's (Hash64 of one column mod the fragment count);
 // the selections are sized from the bucket counts. b is consumed.
 func (b *Batch) SplitByHash(keys []int, n int) []*Batch {
 	sel := b.TakeSel()
