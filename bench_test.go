@@ -83,19 +83,6 @@ func BenchmarkE10Allocation(b *testing.B) {
 	runExperiment(b, experiments.E10Allocation)
 }
 
-// BenchmarkE11ConcurrentClients — §2.2: multi-user service through the
-// TCP front-end (statements/sec and latency percentiles over the wire).
-func BenchmarkE11ConcurrentClients(b *testing.B) {
-	runExperiment(b, experiments.E11ConcurrentClients)
-}
-
-// BenchmarkE12PreparedPointQuery — §2.2: compile-once/execute-many
-// prepared statements and the index-probe fast path vs per-statement
-// re-optimization.
-func BenchmarkE12PreparedPointQuery(b *testing.B) {
-	runExperiment(b, experiments.E12PreparedPointQuery)
-}
-
 // BenchmarkE13Streaming — chunked result streaming vs single-frame
 // materialization: time-to-first-tuple and peak frame size over TCP.
 func BenchmarkE13Streaming(b *testing.B) {
@@ -112,13 +99,6 @@ func BenchmarkE14PipelinedThroughput(b *testing.B) {
 // on a 3-table star join + GROUP BY, central vs exchange-based.
 func BenchmarkE15MultiJoinParallelism(b *testing.B) {
 	runExperiment(b, experiments.E15MultiJoinParallelism)
-}
-
-// BenchmarkE16SnapshotReads — MVCC snapshot reads: reader throughput
-// across a growing writer population (the retired all-2PL baseline's
-// last numbers are in ROADMAP.md).
-func BenchmarkE16SnapshotReads(b *testing.B) {
-	runExperiment(b, experiments.E16SnapshotReads)
 }
 
 // BenchmarkE17Crashpoints — the fault-injection sweep: one injected
@@ -202,7 +182,7 @@ func BenchmarkPreparedPointQuery(b *testing.B) {
 }
 
 // BenchmarkRetriedPointRoundTrip measures the call shape the repository
-// benchmark drives and E12/E14 do not: a prepared point SELECT over
+// benchmark drives and E14 does not: a prepared point SELECT over
 // loopback TCP, each execution wrapped in client.Retry — so a cost in
 // the retry wrapper (it once seeded a PRNG per call, more CPU than the
 // round trip itself) shows here and not only in benchmark/.

@@ -1,21 +1,17 @@
-// Command prisma-bench regenerates the reproduction's experiment tables
-// E1–E20. Each experiment is documented on its function in
-// internal/experiments (the README's "Experiment suite" section lists
-// them); the root bench_test.go wraps each one as a Go benchmark.
+// Command prisma-bench regenerates the experiment tables E1–E10,
+// E13–E15 and E17–E20 (E11, E12 and E16 were retired; their last tables
+// are in BENCH_28.json). Each is documented on its function in
+// internal/experiments and listed in the README's "Experiment suite";
+// the root bench_test.go wraps each one as a Go benchmark.
 //
 // Usage:
 //
-//	prisma-bench [-quick] [-only E4,E5] [-json] [-compare old.json] [-cpuprofile cpu.out]
+//	prisma-bench [-quick] [-only E4,E5] [-json] [-cpuprofile cpu.out]
 //
 // With -json the tables are emitted as a JSON array (one object per
-// experiment) instead of aligned text — the CI workflow archives the
-// E11–E20 output this way so every run leaves a comparable perf record.
-// With -compare the freshly-run experiments are diffed against a
-// previous -json output: per-row metric deltas are printed on stderr
-// (so -json -compare composes — stdout stays pure JSON), and any
-// metric that regresses by more than 25% emits a GitHub Actions
-// ::warning:: annotation (the exit code stays 0 — regressions fail
-// soft, experiment errors fail hard).
+// experiment) instead of aligned text; the CI workflow archives the
+// E13–E20 output this way. Wall-clock regressions are judged by the
+// repository benchmark (BENCHMARK.json), not by this command.
 package main
 
 import (
@@ -24,7 +20,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -45,7 +40,6 @@ func main() {
 	quick := flag.Bool("quick", false, "run smaller workloads")
 	only := flag.String("only", "", "comma-separated experiment ids (e.g. E1,E4); empty = all")
 	asJSON := flag.Bool("json", false, "emit results as JSON instead of aligned text")
-	compare := flag.String("compare", "", "path to a previous -json output; print per-experiment deltas and warn (soft) on >25% regressions")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (inspect with go tool pprof)")
 	flag.Parse()
 
@@ -85,12 +79,9 @@ func main() {
 		{"E8", experiments.E8RecoveryOverhead},
 		{"E9", experiments.E9OptimizerAblation},
 		{"E10", experiments.E10Allocation},
-		{"E11", experiments.E11ConcurrentClients},
-		{"E12", experiments.E12PreparedPointQuery},
 		{"E13", experiments.E13Streaming},
 		{"E14", experiments.E14PipelinedThroughput},
 		{"E15", experiments.E15MultiJoinParallelism},
-		{"E16", experiments.E16SnapshotReads},
 		{"E17", experiments.E17Crashpoints},
 		{"E18", experiments.E18Replication},
 		{"E19", experiments.E19Overload},
@@ -141,158 +132,8 @@ func main() {
 			failed = true
 		}
 	}
-	if *compare != "" {
-		if err := compareAgainst(*compare, out); err != nil {
-			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
-			failed = true
-		}
-	}
 	if failed {
 		stopProfile()
 		os.Exit(1)
 	}
-}
-
-// regressionThreshold is the soft-failure bar for -compare: a metric
-// moving more than this fraction in the bad direction annotates the run.
-const regressionThreshold = 0.25
-
-// compareAgainst diffs the fresh tables against a previous -json dump:
-// rows are matched by experiment id plus the leading key columns, and
-// every numeric metric both runs share is reported as a delta. Metrics
-// whose header names a direction (stmts/sec and speedups up; times,
-// latencies and bytes down) that regress past the threshold print
-// GitHub ::warning:: annotations; nothing here changes the exit code.
-func compareAgainst(path string, fresh []jsonTable) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var old []jsonTable
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	oldByID := map[string]jsonTable{}
-	for _, t := range old {
-		oldByID[t.ID] = t
-	}
-	for _, cur := range fresh {
-		prev, ok := oldByID[cur.ID]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "%s: no baseline in %s — skipped\n", cur.ID, path)
-			continue
-		}
-		fmt.Fprintf(os.Stderr, "%s deltas vs %s:\n", cur.ID, path)
-		prevRows := map[string][]string{}
-		for _, r := range prev.Rows {
-			prevRows[rowKey(prev.Header, r)] = r
-		}
-		for _, r := range cur.Rows {
-			key := rowKey(cur.Header, r)
-			pr, ok := prevRows[key]
-			if !ok {
-				fmt.Fprintf(os.Stderr, "  %s: new row (no baseline)\n", key)
-				continue
-			}
-			var parts []string
-			for ci, h := range cur.Header {
-				if ci >= len(r) {
-					break
-				}
-				pi := headerIndex(prev.Header, h)
-				if pi < 0 || pi >= len(pr) {
-					continue
-				}
-				now, ok1 := parseMetric(r[ci])
-				was, ok2 := parseMetric(pr[pi])
-				if !ok1 || !ok2 || was == 0 || isKeyColumn(h) {
-					continue
-				}
-				change := (now - was) / was
-				parts = append(parts, fmt.Sprintf("%s %s -> %s (%+.1f%%)", h, pr[pi], r[ci], change*100))
-				if bad, dir := regressed(h, change); bad {
-					fmt.Fprintf(os.Stderr, "::warning title=%s perf regression::%s %s: %s %s by %.1f%% (%s -> %s)\n",
-						cur.ID, cur.ID, key, h, dir, abs(change)*100, pr[pi], r[ci])
-				}
-			}
-			if len(parts) > 0 {
-				fmt.Fprintf(os.Stderr, "  %s: %s\n", key, strings.Join(parts, ", "))
-			}
-		}
-	}
-	return nil
-}
-
-// rowKey joins the leading non-metric columns, which identify a row
-// (client counts, PE counts, executor names, rule sets...).
-func rowKey(header []string, row []string) string {
-	var keys []string
-	for i, h := range header {
-		if i >= len(row) {
-			break
-		}
-		if isKeyColumn(h) || i == 0 {
-			keys = append(keys, row[i])
-		}
-	}
-	return strings.Join(keys, "/")
-}
-
-// isKeyColumn reports headers that identify rather than measure.
-// Counted outputs ("statements", "rows") are metrics, not identity —
-// a concurrent workload's statement count varies run to run.
-func isKeyColumn(h string) bool {
-	switch strings.ToLower(h) {
-	case "clients", "pes", "executor", "mode", "depth", "window", "rule set", "writers", "fault point", "invariants", "replicas", "tenant", "class", "shape", "selectivity":
-		return true
-	}
-	return false
-}
-
-func headerIndex(header []string, name string) int {
-	for i, h := range header {
-		if h == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// parseMetric reads a table cell as a float: plain numbers, counts, or
-// Go durations ("3.8ms", "647µs") normalized to seconds.
-func parseMetric(cell string) (float64, bool) {
-	cell = strings.TrimSpace(cell)
-	if f, err := strconv.ParseFloat(cell, 64); err == nil {
-		return f, true
-	}
-	if d, err := time.ParseDuration(cell); err == nil {
-		return d.Seconds(), true
-	}
-	return 0, false
-}
-
-// regressed decides whether a signed change on a named metric is a
-// regression past the threshold, using the header to infer direction.
-func regressed(header string, change float64) (bool, string) {
-	h := strings.ToLower(header)
-	higherBetter := strings.Contains(h, "stmts/sec") || strings.Contains(h, "/sec") ||
-		strings.Contains(h, "speedup") || strings.Contains(h, "throughput")
-	lowerBetter := strings.Contains(h, "time") || strings.Contains(h, "latency") ||
-		strings.Contains(h, "p50") || strings.Contains(h, "p99") ||
-		strings.Contains(h, "bytes") || strings.Contains(h, "allocs") ||
-		strings.Contains(h, "sim response") || strings.Contains(h, "work")
-	switch {
-	case higherBetter && change < -regressionThreshold:
-		return true, "dropped"
-	case lowerBetter && change > regressionThreshold:
-		return true, "rose"
-	}
-	return false, ""
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }

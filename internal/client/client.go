@@ -5,9 +5,9 @@
 //
 // A Client multiplexes nothing: one statement is in flight at a time,
 // guarded by an internal mutex, so a Client is safe for concurrent use
-// but concurrent callers serialize. For parallel load (as experiment E11
-// generates), open one Client per goroutine — server sessions are cheap,
-// mirroring the paper's per-query component instances.
+// but concurrent callers serialize. For parallel load, open one Client
+// per goroutine — server sessions are cheap, mirroring the paper's
+// per-query component instances.
 package client
 
 import (

@@ -46,12 +46,6 @@ type Config struct {
 	TCAlgorithm algebra.TCAlgorithm
 	// SemiNaive picks the PRISMAlog fixpoint strategy (default true).
 	SemiNaive *bool
-	// PlanCache toggles the engine-level plan cache that lets unprepared
-	// autocommit statements skip re-parse/re-optimization (default true;
-	// false is the E12 unprepared baseline).
-	PlanCache *bool
-	// PlanCacheSize caps cached statement shapes (default 256).
-	PlanCacheSize int
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
 	// give each engine its own domain so crashing the primary leaves
@@ -99,7 +93,7 @@ type Engine struct {
 	compiled  bool
 	tcAlgo    algebra.TCAlgorithm
 	semiNaive bool
-	plans     *planCache // nil when the plan cache is disabled
+	plans     *planCache
 
 	mu     sync.RWMutex // read-locked on the per-statement table lookup
 	tables map[string]*table
@@ -166,14 +160,6 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.SemiNaive != nil {
 		semiNaive = *cfg.SemiNaive
 	}
-	planCacheOn := true
-	if cfg.PlanCache != nil {
-		planCacheOn = *cfg.PlanCache
-	}
-	planCacheSize := cfg.PlanCacheSize
-	if planCacheSize <= 0 {
-		planCacheSize = 256
-	}
 	cat := catalog.New()
 	e := &Engine{
 		m:         m,
@@ -184,6 +170,7 @@ func New(cfg Config) (*Engine, error) {
 		compiled:  compiled,
 		tcAlgo:    cfg.TCAlgorithm,
 		semiNaive: semiNaive,
+		plans:     newPlanCache(),
 		tables:    map[string]*table{},
 		stores:    map[int]*machine.StableStore{},
 	}
@@ -191,9 +178,6 @@ func New(cfg Config) (*Engine, error) {
 	e.faultDom = cfg.FaultDomain
 	if e.faultDom == nil {
 		e.faultDom = fault.DefaultDomain
-	}
-	if planCacheOn {
-		e.plans = newPlanCache(planCacheSize)
 	}
 	for _, pe := range m.DiskPEs() {
 		store, err := machine.NewStableStore(m.PE(pe), m.Disk())

@@ -586,6 +586,9 @@ func substStmt(st sqlparse.Stmt, args []value.Value) (sqlparse.Stmt, error) {
 
 // ---------- engine plan cache ----------
 
+// planCacheSize caps the statement shapes the engine plan cache holds.
+const planCacheSize = 256
+
 // planCache is the engine-level LRU of auto-parameterized statements,
 // keyed by normalized text. A nil PreparedStmt marks a statement shape
 // as known non-cacheable so the parameterize attempt is not repeated.
@@ -594,8 +597,8 @@ type planCache struct {
 	lru *lru.Cache[string, *PreparedStmt]
 }
 
-func newPlanCache(capacity int) *planCache {
-	return &planCache{lru: lru.New[string, *PreparedStmt](capacity)}
+func newPlanCache() *planCache {
+	return &planCache{lru: lru.New[string, *PreparedStmt](planCacheSize)}
 }
 
 // get returns the cached statement and whether the key was present.

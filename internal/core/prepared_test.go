@@ -257,7 +257,7 @@ func TestPlanCacheInvalidationOnDDL(t *testing.T) {
 	if err != nil || rel.Len() != 1 {
 		t.Fatalf("warm the cache: %v / %v", rel, err)
 	}
-	if e.plans == nil || e.plans.Len() == 0 {
+	if e.plans.Len() == 0 {
 		t.Fatal("plan cache did not capture the statement")
 	}
 	mustExec(t, s, `DROP TABLE emp`)
@@ -301,17 +301,19 @@ func TestPlanCacheSharesShapes(t *testing.T) {
 
 // TestPlanCacheCorrectness runs shape-shared queries with clauses the
 // normalizer treats specially (LIKE, IN, LIMIT, negative literals) and
-// checks results against the uncached engine path.
+// checks their rows against the uncached route (parse and optimize every
+// time) on the same session.
 func TestPlanCacheCorrectness(t *testing.T) {
 	e := newEngine(t)
 	s := setupEmp(t, e)
-	off := false
-	e2, err := New(Config{NumPEs: 16, PlanCache: &off})
-	if err != nil {
-		t.Fatal(err)
+	uncached := func(q string) (*value.Relation, error) {
+		r, err := s.routeParsed(q)
+		res, err := s.execRouted(s.startClock(), r, err, nil)
+		if err != nil {
+			return nil, err
+		}
+		return res.Rel, nil
 	}
-	t.Cleanup(e2.Close)
-	s2 := setupEmp(t, e2)
 	queries := []string{
 		`SELECT * FROM emp WHERE id = 7`,
 		`SELECT * FROM emp WHERE salary > -10 AND salary < 100`,
@@ -323,18 +325,18 @@ func TestPlanCacheCorrectness(t *testing.T) {
 		`SELECT salary * 2 AS twice FROM emp WHERE id = 9`,
 	}
 	for _, q := range queries {
-		// Twice on the cached engine: first compiles, second hits.
+		// Twice through the cache: first compiles, second hits.
 		for pass := 0; pass < 2; pass++ {
 			got, err := s.Query(q)
 			if err != nil {
 				t.Fatalf("pass %d %s: %v", pass, q, err)
 			}
-			want, err := s2.Query(q)
+			want, err := uncached(q)
 			if err != nil {
 				t.Fatalf("uncached %s: %v", q, err)
 			}
-			if got.Len() != want.Len() {
-				t.Errorf("pass %d %s: cached %d rows, uncached %d", pass, q, got.Len(), want.Len())
+			if !got.SameBag(want) {
+				t.Errorf("pass %d %s: cached rows %v, uncached %v", pass, q, got.Tuples, want.Tuples)
 			}
 		}
 	}

@@ -232,9 +232,6 @@ func (s *Session) routeText(sql string) (routed, error) {
 		return routed{done: &Result{Msg: fmt.Sprintf("promoted to primary (epoch %d)", s.e.Epoch())}}, nil
 	}
 	pc := s.e.plans
-	if pc == nil {
-		return s.routeParsed(sql)
-	}
 	key, lits, ok := sqlparse.Normalize(sql)
 	if !ok {
 		return s.routeParsed(sql)

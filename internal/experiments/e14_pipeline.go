@@ -25,7 +25,7 @@ import (
 // round-trip cost amortizes across the window.
 //
 // The grid is pipeline depth d ∈ {1,4,16,64} × N ∈ {1,4,16} clients,
-// all running E11/E12-style point SELECTs on the primary key. Depth 1
+// all running point SELECTs on the primary key. Depth 1
 // is the unpipelined baseline (a window of one is exactly the old
 // round trip). Reported per row: statements/sec, p50/p99 *window*
 // latency (what a caller awaiting that window observes), and

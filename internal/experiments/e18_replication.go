@@ -19,7 +19,7 @@ import (
 )
 
 // E18Replication measures WAL-shipping read replicas: a primary under
-// an E11-style write load ships its logs to {0,1,2,4} replicas, read
+// a point-UPDATE write load ships its logs to {0,1,2,4} replicas, read
 // clients load-balance point SELECTs across the replica set through
 // the role-aware cluster client, and the table reports aggregate read
 // capacity (simulated busy time of the serving endpoints — the metric
@@ -309,7 +309,7 @@ func runE18GridCell(nr, rows, totalReads, readers, writers, lagSamples, numPEs, 
 			defer cl.Close()
 			r := rand.New(rand.NewSource(int64(nr*1000 + rd)))
 			for i := 0; i < per; i++ {
-				// E11-style read mix: mostly point SELECTs, one analytics
+				// Read mix: mostly point SELECTs, one analytics
 				// scan in nine. The scan period is coprime with every
 				// replica count in the grid so the client's round-robin
 				// never aliases all scans onto one replica.

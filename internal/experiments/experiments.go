@@ -1,5 +1,5 @@
 // Package experiments implements the reproduction's experiment suite
-// E1–E20. The paper is a project overview without numbered tables or
+// (E1–E10, E13–E15, E17–E20). The paper is a project overview without numbered tables or
 // figures; each experiment regenerates one of its quantitative or
 // architectural claims (the doc comment on each experiment function
 // names the claim, and the README's "Experiment suite" section lists
@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"time"
 
 	"repro/internal/value"
 )
@@ -111,4 +112,25 @@ func chainEdges(n int) []value.Tuple {
 		out[i] = value.Ints(int64(i), int64(i+1))
 	}
 	return out
+}
+
+// isContention reports deadlock-victim and write-write-conflict errors
+// (first-committer-wins under snapshot isolation), which a concurrent
+// workload must tolerate by retrying or moving on.
+func isContention(err error) bool {
+	if err == nil {
+		return false
+	}
+	msg := err.Error()
+	return strings.Contains(msg, "deadlock") || strings.Contains(msg, "abort") ||
+		strings.Contains(msg, "write-write conflict")
+}
+
+// percentile reads the p-quantile from sorted latencies.
+func percentile(sorted []time.Duration, p float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	ix := int(p * float64(len(sorted)-1))
+	return sorted[ix]
 }

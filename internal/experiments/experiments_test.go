@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// All returns every experiment in quick mode; used by tests and benches.
+// runAll runs the paper experiments E1–E10 in quick mode.
 func runAll(t *testing.T) []*Table {
 	t.Helper()
 	fns := []func(bool) (*Table, error){
@@ -20,7 +20,6 @@ func runAll(t *testing.T) []*Table {
 		E8RecoveryOverhead,
 		E9OptimizerAblation,
 		E10Allocation,
-		E11ConcurrentClients,
 	}
 	var out []*Table
 	for _, fn := range fns {
@@ -38,7 +37,7 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 		t.Skip("experiments are slow")
 	}
 	tables := runAll(t)
-	if len(tables) != 11 {
+	if len(tables) != 10 {
 		t.Fatalf("%d experiments", len(tables))
 	}
 	for _, tb := range tables {
@@ -83,38 +82,6 @@ func TestE15ExchangeBeatsCentral(t *testing.T) {
 	}
 	if !checked {
 		t.Fatalf("no 64-PE exchange row in E15:\n%s", tb)
-	}
-}
-
-// TestE16SnapshotReadRetention pins the MVCC acceptance bar: reader
-// throughput under snapshot reads must hold up as the writer population
-// grows 1→16 (the issue's target is ±15%; the test bar is looser to
-// absorb shared-runner noise). The threshold is far from the observed
-// values (MVCC retains ~85%+ of its reader throughput) so only a real
-// regression trips it.
-func TestE16SnapshotReadRetention(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments are slow")
-	}
-	tb, err := E16SnapshotReads(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reads := map[string]float64{} // writers -> reads/sec
-	for _, row := range tb.Rows {
-		var v float64
-		if _, err := fmt.Sscanf(row[2], "%f", &v); err != nil {
-			t.Fatalf("bad reads/sec cell %q: %v", row[2], err)
-		}
-		reads[row[1]] = v
-	}
-	for _, k := range []string{"1", "16"} {
-		if reads[k] == 0 {
-			t.Fatalf("missing or zero row for %s writers in E16:\n%s", k, tb)
-		}
-	}
-	if ret := reads["16"] / reads["1"]; ret < 0.6 {
-		t.Errorf("mvcc reader retention 1→16 writers = %.2f, want >= 0.6\n%s", ret, tb)
 	}
 }
 
