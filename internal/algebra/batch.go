@@ -14,16 +14,20 @@ import (
 // all over batches. Select narrows a selection vector and Project remaps
 // column pointers. The hash join, the grouped aggregate (DISTINCT is one
 // with every column as key) and the merge of partial aggregates share one
-// typed hash-table design: every row gets one key word a vector at a time
-// (value.Batch.KeyWords), one open-addressing table of row ids is probed
-// with those words, and a candidate is confirmed as the same key — same
-// kind and same bits, what the tuples' byte keys decide. A key of
-// one fixed-width column without NULLs is its own word: the cell's 64 bits
-// are mixed for the slot and compared for the confirmation, so no hash is
-// taken and no key column read again. Every other key — strings,
-// composites, NULLs — is hashed (HashCols) and confirmed column-wise on
-// the typed vectors. Both go through one table and one loop per kernel,
-// and no cell is boxed. The join copies its matches column-wise;
+// typed table design in three tiers. A dense integer key (directSpan) is
+// direct-mapped: a pooled array indexed by cell minus the least cell holds
+// each key's row or group, read straight off the key column. Every other
+// key gets one word a vector at a time (value.Batch.KeyWords), one
+// open-addressing table of row ids is probed with those words, and a
+// candidate is confirmed as the same key — same kind and same bits, what
+// the tuples' byte keys decide. A key of one fixed-width column without
+// NULLs (a FLOAT, or integers too sparse for the array) is its own word:
+// the cell's 64 bits are mixed for the slot and compared for the
+// confirmation, so no hash is taken and no key column read again. Every
+// other key — strings, composites, NULLs — is hashed (HashCols) and
+// confirmed column-wise on the typed vectors. No cell is boxed, and every
+// tier charges the Stats one hash per row. The join copies its matches
+// column-wise;
 // aggregation assigns first-seen group ids and folds each spec into a typed
 // accumulator column in one loop, so it is batch in, batch out. Tuple-at-a-
 // time operators in the package's tests are the differential oracle for
@@ -172,6 +176,30 @@ func keyVecs(b *value.Batch, cols []int) (vecs []*value.Vec, nullable bool) {
 	return vecs, nullable
 }
 
+// directSpan decides the direct-mapped tier: a key that is one INT or BOOL
+// column with a payload and no NULL bitmap, whose cells at the rows sel
+// lists lie in [lo, lo+span) with span ≤ 2·len(sel)+1024, indexes a table
+// of span slots by cell − lo — no larger than the open-addressing table it
+// stands in for. ok reports the tier; over no rows the span is zero.
+func directSpan(keys []*value.Vec, sel []int32) (lo int64, span int, ok bool) {
+	v := keys[0]
+	if len(keys) != 1 || v.Kind != value.KindInt && v.Kind != value.KindBool || v.KindOnly() || v.Null != nil {
+		return 0, 0, false
+	}
+	if len(sel) == 0 {
+		return 0, 0, true
+	}
+	lo, hi := v.I[sel[0]], v.I[sel[0]]
+	for _, r := range sel {
+		lo, hi = min(lo, v.I[r]), max(hi, v.I[r])
+	}
+	// Any two int64s are less than 2^64 apart, so the difference cannot wrap.
+	if d := uint64(hi) - uint64(lo); d < uint64(2*len(sel)+1024) {
+		return lo, int(d) + 1, true
+	}
+	return 0, 0, false
+}
+
 // sameKey reports whether physical row i of a and row j of b hold the same
 // key: column by column the same kind and the same bits, NULL equal to
 // NULL — what the row operators' byte keys decide.
@@ -222,11 +250,12 @@ type groups struct {
 	first []int32  // first[g] is the physical row that opened group g
 	n     int      // number of groups
 	rows  []int64  // rows[g] is the number of rows in group g, once counted
-	table rowTable // the groups' table, released by result
+	table rowTable // the groups' table, released by result; none when direct
 }
 
 // groupRows resolves the selected rows of b to groups. No key columns is
-// the one global group, which exists even over no rows and needs no table.
+// the one global group, which exists even over no rows and needs no table;
+// a key directSpan admits indexes a table of group ids by its cells.
 func groupRows(b *value.Batch, keys []int) *groups {
 	g := &groups{b: b, keys: keys, sel: b.TakeSel(), first: value.GetSel(), n: 1}
 	g.ids = value.GetSelLen(len(g.sel))
@@ -235,6 +264,22 @@ func groupRows(b *value.Batch, keys []int) *groups {
 		return g
 	}
 	vecs, _ := keyVecs(b, keys)
+	if lo, span, ok := directSpan(vecs, g.sel); ok {
+		// gid[x-lo] is one plus the group of key x, zero until x is seen.
+		gid, col := value.GetSelLen(span), vecs[0].I
+		clear(gid)
+		for i, r := range g.sel {
+			id := &gid[col[r]-lo]
+			if *id == 0 {
+				g.first = append(g.first, r)
+				*id = int32(len(g.first))
+			}
+			g.ids[i] = *id - 1
+		}
+		g.n = len(g.first)
+		value.PutSel(gid)
+		return g
+	}
 	ws, exact := b.KeyWords(g.sel, keys)
 	// The table starts small and doubles as groups appear, refilled from
 	// their words: it stays in cache when rows are many and groups few.

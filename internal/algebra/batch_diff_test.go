@@ -24,14 +24,15 @@ var diffKinds = []value.Kind{value.KindInt, value.KindFloat, value.KindString, v
 // values.
 var diffFloats = []float64{0, math.Copysign(0, -1), math.NaN(), 1 << 63, -(1 << 63), math.Inf(1), 1, 2, 1.5, -2.25, 3}
 
-// diffValue draws a value of kind k from a domain of about `domain` values.
-func diffValue(r *rand.Rand, k value.Kind, domain int, nulls bool) value.Value {
+// diffValue draws a value of kind k from a domain of about `domain` values;
+// with extremes set, 1 int in 16 is one far outside it.
+func diffValue(r *rand.Rand, k value.Kind, domain int, nulls, extremes bool) value.Value {
 	if nulls && r.Intn(8) == 0 {
 		return value.Null
 	}
 	switch k {
 	case value.KindInt:
-		if r.Intn(16) == 0 {
+		if extremes && r.Intn(16) == 0 {
 			return value.NewInt([]int64{math.MinInt64, math.MaxInt64, -1, 1 << 40}[r.Intn(4)])
 		}
 		return value.NewInt(int64(r.Intn(domain)))
@@ -45,12 +46,15 @@ func diffValue(r *rand.Rand, k value.Kind, domain int, nulls bool) value.Value {
 }
 
 // diffRel builds a relation of the given column kinds, with heavy set
-// giving one key (the first row's values) to about half the rows.
+// giving one key (the first row's values) to about half the rows. One
+// relation in three draws extreme ints, which make its int keys too sparse
+// for the direct-mapped tier; the others' int keys are dense.
 func diffRel(r *rand.Rand, kinds []value.Kind, rows, domain int, nulls, heavy bool) *value.Relation {
 	cols := make([]value.Column, len(kinds))
 	for i, k := range kinds {
 		cols[i] = value.Column{Name: fmt.Sprintf("c%d", i), Kind: k}
 	}
+	extremes := r.Intn(3) == 0
 	rel := value.NewRelation(value.NewSchema(cols...))
 	for i := 0; i < rows; i++ {
 		if heavy && i > 0 && r.Intn(2) == 0 {
@@ -59,7 +63,7 @@ func diffRel(r *rand.Rand, kinds []value.Kind, rows, domain int, nulls, heavy bo
 		}
 		t := make(value.Tuple, len(kinds))
 		for c, k := range kinds {
-			t[c] = diffValue(r, k, domain, nulls && !(heavy && i == 0))
+			t[c] = diffValue(r, k, domain, nulls && !(heavy && i == 0), extremes)
 		}
 		rel.Append(t)
 	}
@@ -170,6 +174,15 @@ func checkAggregate(t *testing.T, seed int64) {
 
 	b, in := diffBatch(t, r, rel, r.Intn(2) == 0)
 	checkHashes(t, b, groupBy)
+	countTier(b, groupBy)
+	requireAggregateMatches(t, r, name, b, in, groupBy, specs)
+}
+
+// requireAggregateMatches compares AggregateBatch over b with Aggregate
+// over in, the rows b selects, and the batch merge of partials of in's
+// rows cut into pieces with MergeAggregates. b is consumed.
+func requireAggregateMatches(t *testing.T, r *rand.Rand, name string, b *value.Batch, in *value.Relation, groupBy []int, specs []AggSpec) {
+	t.Helper()
 	want, wst, err := Aggregate(in, groupBy, specs)
 	if err != nil {
 		t.Fatal(err)
@@ -272,18 +285,39 @@ func checkJoin(t *testing.T, seed int64) {
 	lb, lrows := diffBatch(t, r, lrel, r.Intn(2) == 0)
 	rb, rrows := diffBatch(t, r, rrel, r.Intn(2) == 0)
 	checkHashes(t, lb, lcols)
-	want, wst, err := HashJoin(lrows, rrows, lcols, rcols)
-	if err != nil {
-		t.Fatal(err)
+	if lb.Len() <= rb.Len() {
+		countTier(lb, lcols)
+	} else {
+		countTier(rb, rcols)
 	}
 	need := value.AllCols
 	if r.Intn(3) > 0 {
 		need = value.ColSet(r.Uint64())
 	}
+	requireJoinMatches(t, name, lb, rb, lrows, rrows, lcols, rcols, need)
+}
+
+// requireJoinMatches compares HashJoinBatchNeed over lb and rb with
+// HashJoin over lrows and rrows, the rows they select. Both are consumed.
+func requireJoinMatches(t *testing.T, name string, lb, rb *value.Batch, lrows, rrows *value.Relation, lcols, rcols []int, need value.ColSet) {
+	t.Helper()
+	want, wst, err := HashJoin(lrows, rrows, lcols, rcols)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got, gst, err := HashJoinBatchNeed(lb, rb, lcols, rcols, need, &diffArena)
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireJoinOutput(t, name, need, got, gst, want, wst)
+}
+
+// requireJoinOutput compares a batch join's output, read by a consumer of
+// the columns in need, with the oracle's: the same size, the same bits in
+// every column read and NULLs in the others unless strings, the same
+// Stats. It hands the output's payloads back to diffArena.
+func requireJoinOutput(t *testing.T, name string, need value.ColSet, got *value.Batch, gst Stats, want *value.Relation, wst Stats) {
+	t.Helper()
 	if got.Size() != want.Size() {
 		t.Fatalf("%s reading columns %b: size %d, want %d", name, need, got.Size(), want.Size())
 	}
@@ -337,36 +371,51 @@ func checkBroadcast(t *testing.T, seed int64) {
 	if want := (Stats{TuplesRead: brows.Len(), Hashes: brows.Len()}); bst != want {
 		t.Fatalf("%s: build stats %+v, want %+v", name, bst, want)
 	}
+	tiers[table.direct]++
 	probeLeft := r.Intn(2) == 0
 	for slot, slots := 0, 1+r.Intn(3); slot < slots; slot++ {
 		probe := diffRel(r, pkinds, r.Intn(120), domain, r.Intn(2) == 0, false)
 		pb, prows := diffBatch(t, r, probe, r.Intn(2) == 0)
-		want, wst := probeJoin(brows, prows, cols, cols, probeLeft)
 		need := value.AllCols
 		if r.Intn(3) > 0 {
 			need = value.ColSet(r.Uint64())
 		}
-		got, gst, err := table.Probe(pb, cols, probeLeft, need, &diffArena)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Size() != want.Size() {
-			t.Fatalf("%s slot %d: size %d, want %d", name, slot, got.Size(), want.Size())
-		}
-		gotRows := got.Materialize()
-		diffArena.Release()
-		for c, col := range want.Schema.Columns() {
-			if !need.Has(c) && col.Kind != value.KindString {
-				for _, tup := range want.Tuples {
-					tup[c] = value.Null
-				}
-			}
-		}
-		requireSameBits(t, fmt.Sprintf("%s slot %d reading columns %b", name, slot, need), gotRows, want)
-		if gst != wst {
-			t.Fatalf("%s slot %d: stats %+v, want %+v", name, slot, gst, wst)
+		requireProbeMatches(t, fmt.Sprintf("%s slot %d", name, slot), table, brows, pb, prows, cols, probeLeft, need)
+	}
+}
+
+// requireProbeMatches compares table.Probe of pb with the row probe of
+// prows, the rows pb selects, against brows, the rows the table holds.
+// pb is consumed.
+func requireProbeMatches(t *testing.T, name string, table *JoinTable, brows *value.Relation, pb *value.Batch, prows *value.Relation, cols []int, probeLeft bool, need value.ColSet) {
+	t.Helper()
+	want, wst := probeJoin(brows, prows, cols, cols, probeLeft)
+	got, gst, err := table.Probe(pb, cols, probeLeft, need, &diffArena)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireJoinOutput(t, name, need, got, gst, want, wst)
+}
+
+// tiers counts the key inputs the differential's tables were built on, by
+// whether they took the direct-mapped tier.
+var tiers = map[bool]int{}
+
+// countTier counts the tier the selected rows of b take on the key cols.
+func countTier(b *value.Batch, cols []int) {
+	if len(cols) == 0 {
+		return
+	}
+	sel := b.Sel
+	if sel == nil {
+		sel = make([]int32, b.Rows)
+		for i := range sel {
+			sel[i] = int32(i)
 		}
 	}
+	vecs, _ := keyVecs(b, cols)
+	_, _, direct := directSpan(vecs, sel)
+	tiers[direct]++
 }
 
 // checkSort compares SortBatch with Sort on one generated relation over a
@@ -489,9 +538,16 @@ func checkSplit(t *testing.T, seed int64) {
 	}
 }
 
+// TestBatchKernelsMatchRow runs the differential over 400 seeds, whose key
+// inputs must reach both the direct-mapped tier and the tables.
 func TestBatchKernelsMatchRow(t *testing.T) {
+	clear(tiers)
 	for seed := int64(0); seed < 400; seed++ {
 		checkBatchKernels(t, seed)
+	}
+	t.Logf("tiers %v", tiers)
+	if tiers[true] < 100 || tiers[false] < 100 {
+		t.Errorf("%d key inputs took the direct-mapped tier and %d a table; want >= 100 each", tiers[true], tiers[false])
 	}
 }
 
@@ -607,7 +663,8 @@ func TestHashJoinBatchHeavyHitterLinear(t *testing.T) {
 // The verdict is read off the tables, not a clock: the mean number of
 // slots a lookup visits to reach each key, in the join table and in the
 // group table, stays small and does not grow with the rows, so the work
-// per row is constant.
+// per row is constant. Stride 1 is dense and takes the direct-mapped tier,
+// which visits one slot per lookup by construction.
 func TestKeyWordStridesStayLinear(t *testing.T) {
 	ints := func(stride int64) func(int) value.Value {
 		return func(i int) value.Value { return value.NewInt(int64(i) * stride) }
@@ -616,10 +673,11 @@ func TestKeyWordStridesStayLinear(t *testing.T) {
 	for _, c := range []struct {
 		name, kind string
 		key        func(i int) value.Value
+		direct     bool
 	}{
-		{"stride 1", "INT", ints(1)}, {"stride 97", "INT", ints(97)}, {"stride 4096", "INT", ints(4096)},
-		{"stride 1<<32", "INT", ints(1 << 32)}, {"stride fib(40)", "INT", ints(102334155)},
-		{"whole floats", "FLOAT", func(i int) value.Value { return value.NewFloat(float64(i)) }},
+		{"stride 1", "INT", ints(1), true}, {"stride 97", "INT", ints(97), false}, {"stride 4096", "INT", ints(4096), false},
+		{"stride 1<<32", "INT", ints(1 << 32), false}, {"stride fib(40)", "INT", ints(102334155), false},
+		{"whole floats", "FLOAT", func(i int) value.Value { return value.NewFloat(float64(i)) }, false},
 	} {
 		schema := value.MustSchema("k", c.kind)
 		run := func(n int) (join, group float64) {
@@ -635,20 +693,26 @@ func TestKeyWordStridesStayLinear(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, row := range jt.sel {
-				join += float64(probeLength(jt.table, tableHash(jt.word[row], true), row))
-			}
-			jt.Release()
 			g := groupRows(value.NewBatchFrom(schema, rows), []int{0})
 			if g.n != n {
 				t.Fatalf("%s: %d rows make %d groups", c.name, n, g.n)
+			}
+			defer g.result(schema, nil)
+			defer jt.Release()
+			if jt.direct != c.direct || (g.table.slots == nil) != c.direct {
+				t.Fatalf("%s: direct-mapped join table %v, group table %v; want %v", c.name, jt.direct, g.table.slots == nil, c.direct)
+			}
+			if c.direct {
+				return 1, 1
+			}
+			for _, row := range jt.sel {
+				join += float64(probeLength(jt.table, tableHash(jt.word[row], true), row))
 			}
 			words := g.b.Cols[0].Words(g.first) // each group's key, at the row that opened it
 			for id, w := range words {
 				group += float64(probeLength(g.table, tableHash(w, true), int32(id)))
 			}
 			value.PutHashes(words)
-			g.result(schema, nil)
 			return join / float64(n), group / float64(n)
 		}
 		smallJoin, smallGroup := run(1 << 13)
@@ -676,6 +740,186 @@ func probeLength(t rowTable, h uint64, id int32) int {
 		visits++
 	}
 	return visits
+}
+
+// tierOf names the tier a join table took.
+func tierOf(jt *JoinTable) string {
+	switch {
+	case jt.direct:
+		return "direct"
+	case jt.exact:
+		return "exact"
+	}
+	return "hashed"
+}
+
+// TestDirectTierChoice pins the tier each key shape takes, in the join
+// table and the group table alike: direct-mapped for one INT or BOOL
+// column with no NULL bitmap whose cells span fewer than 2·rows+1024
+// values, an exact-word table for the other one-column fixed-width keys
+// with no NULL bitmap, a hashed one for the rest.
+func TestDirectTierChoice(t *testing.T) {
+	const n = 1000
+	bound := int64(2*n + 1024)
+	ints := func(cells ...int64) *value.Vec { return &value.Vec{Kind: value.KindInt, I: cells} }
+	spread := func(d int64) *value.Vec { // n cells from -7 to -7+d
+		v := ints(make([]int64, n)...)
+		for i := range v.I {
+			v.I[i] = -7 + int64(i)*d/(n-1)
+		}
+		return v
+	}
+	nullable := func(v *value.Vec, null bool) *value.Vec {
+		v.Null = make([]bool, v.Len())
+		v.Null[0] = null
+		return v
+	}
+	for _, c := range []struct {
+		name string
+		keys []*value.Vec
+		tier string
+	}{
+		{"counting", []*value.Vec{spread(n - 1)}, "direct"},
+		{"span bound-1", []*value.Vec{spread(bound - 1)}, "direct"},
+		{"span bound", []*value.Vec{spread(bound)}, "exact"},
+		{"span bound+1", []*value.Vec{spread(bound + 1)}, "exact"},
+		{"one key", []*value.Vec{spread(0)}, "direct"},
+		{"no rows", []*value.Vec{ints()}, "direct"},
+		{"MinInt64..MaxInt64", []*value.Vec{ints(math.MinInt64, 0, math.MaxInt64)}, "exact"},
+		{"bool", []*value.Vec{{Kind: value.KindBool, I: []int64{1, 0, 1}}}, "direct"},
+		{"float", []*value.Vec{{Kind: value.KindFloat, F: []float64{0, 1, 2}}}, "exact"},
+		{"all-false NULL bitmap", []*value.Vec{nullable(spread(n-1), false)}, "hashed"},
+		{"a NULL", []*value.Vec{nullable(spread(n-1), true)}, "hashed"},
+		{"string", []*value.Vec{{Kind: value.KindString, S: []string{"a", "b"}}}, "hashed"},
+		{"two int columns", []*value.Vec{spread(n - 1), spread(n - 1)}, "hashed"},
+	} {
+		cols, keys := make([]value.Column, len(c.keys)), make([]int, len(c.keys))
+		for i, v := range c.keys {
+			cols[i], keys[i] = value.Column{Name: fmt.Sprintf("c%d", i), Kind: v.Kind}, i
+		}
+		b := &value.Batch{Schema: value.NewSchema(cols...), Cols: c.keys, Rows: c.keys[0].Len()}
+		jt, _, err := BuildJoinTable(b, keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tier := tierOf(jt)
+		jt.Release()
+		g := groupRows(b, keys)
+		direct := g.table.slots == nil
+		g.result(b.Schema, nil)
+		if tier != c.tier || direct != (c.tier == "direct") {
+			t.Errorf("%s: join table %s, group table direct-mapped %v; want %s", c.name, tier, direct, c.tier)
+		}
+	}
+	if _, _, ok := directSpan([]*value.Vec{ints().Drop()}, nil); ok {
+		t.Error("a kind-only key is direct-mapped")
+	}
+}
+
+// TestDirectTierMatchesRow holds the tables to the row oracles on the key
+// shapes at the direct-mapped tier's edges. Each case's build relation
+// builds a JoinTable (in the tier the case names) that its probe relation
+// probes with the probe columns after and before the build's, the two are
+// joined whole, and each is grouped on its key and merged from partials.
+func TestDirectTierMatchesRow(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	ints := func(xs ...int64) []value.Value {
+		vs := make([]value.Value, len(xs))
+		for i, x := range xs {
+			vs[i] = value.NewInt(x)
+		}
+		return vs
+	}
+	rel := func(kind string, keys []value.Value, v0 int64) *value.Relation {
+		rel := value.NewRelation(value.MustSchema("k", kind, "v", "INT"))
+		for i, k := range keys {
+			rel.Append(value.NewTuple(k, value.NewInt(v0+int64(i))))
+		}
+		return rel
+	}
+	const rows = 4 // the bound cases' build rows: a span of 2·rows+1024 values is the first too wide
+	t2, f0, f1 := value.NewBool(true), value.NewBool(false), value.NewFloat(1)
+	key, specs := []int{0}, []AggSpec{{Func: Count, Col: -1, As: "n"}, {Func: Sum, Col: 1, As: "s"}, {Func: Max, Col: 1, As: "hi"}}
+	for _, c := range []struct {
+		name   string
+		bkind  string
+		build  []value.Value
+		pkind  string
+		probe  []value.Value
+		bitmap bool // the build key carries an all-false NULL bitmap
+		tier   string
+	}{
+		{"counting keys", "INT", ints(0, 1, 2, 3, 4, 5, 6, 7), "INT", ints(7, 0, 8, 3, 3, 1), false, "direct"},
+		{"negative keys", "INT", ints(-5, -3, -3, -1, -8), "INT", ints(-8, -4, -3, -1, 0, -9), false, "direct"},
+		{"duplicates, each probe key held once", "INT", ints(3, 1, 3, 2, 3, 1), "INT", ints(2, 0, 4, 2), false, "direct"},
+		{"duplicates, probe keys held twice or more", "INT", ints(3, 1, 3, 2, 3, 1), "INT", ints(3, 1, 2, 3, 5), false, "direct"},
+		{"probe keys outside [min, max]", "INT", ints(10, 11, 12, 13, 14), "INT", ints(9, 15, -1, 12, math.MinInt64, math.MaxInt64, math.MinInt64+10, 10+1<<32), false, "direct"},
+		{"widest span admitted", "INT", ints(0, 1, 2, 2*rows+1023), "INT", ints(2*rows+1023, 2*rows+1024, 1, -1), false, "direct"},
+		{"one wider", "INT", ints(0, 1, 2, 2*rows+1024), "INT", ints(2*rows+1024, 2*rows+1023, 1, -1), false, "exact"},
+		{"MinInt64..MaxInt64", "INT", ints(math.MinInt64, -1, 0, math.MaxInt64), "INT", ints(math.MaxInt64, 1, math.MinInt64, -1, 0), false, "exact"},
+		{"bool keys", "BOOL", []value.Value{t2, f0, t2}, "BOOL", []value.Value{f0, t2, f0, f0}, false, "direct"},
+		{"int build, bool probe", "INT", ints(0, 1, 1), "BOOL", []value.Value{t2, f0}, false, "direct"},
+		{"int build, float probe", "INT", ints(0, 1, 2), "FLOAT", []value.Value{f1, value.NewFloat(0), f1}, false, "direct"},
+		{"NULL probe keys", "INT", ints(0, 1, 2), "INT", []value.Value{value.Null, value.NewInt(1), value.Null, value.NewInt(2)}, false, "direct"},
+		{"empty build", "INT", nil, "INT", ints(0, 1), false, "direct"},
+		{"all-false NULL bitmap", "INT", ints(0, 1, 2, 1), "INT", ints(1, 2, 3), true, "hashed"},
+	} {
+		build, probe := rel(c.bkind, c.build, 0), rel(c.pkind, c.probe, 100)
+		buildBatch := func() *value.Batch {
+			b := toBatch(t, build)
+			if c.bitmap {
+				b.Cols[0].Null = make([]bool, b.Rows)
+			}
+			return b
+		}
+		table, _, err := BuildJoinTable(buildBatch(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tier := tierOf(table); tier != c.tier {
+			t.Fatalf("%s: the build takes the %s tier, want %s", c.name, tier, c.tier)
+		}
+		// The probe's output shares its rows under a selection exactly
+		// when no probe row meets a key several build rows hold.
+		held, once := map[string]int{}, true
+		for _, tup := range build.Tuples {
+			held[tup.KeyOn(key)]++
+		}
+		for _, tup := range probe.Tuples {
+			once = once && (tup[0].IsNull() || held[tup.KeyOn(key)] < 2)
+		}
+		out, _, err := table.Probe(toBatch(t, probe), key, false, value.AllCols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (out.Sel != nil) != once {
+			t.Fatalf("%s: probe output under a selection %v, want %v", c.name, out.Sel != nil, once)
+		}
+		for _, probeLeft := range []bool{false, true} {
+			requireProbeMatches(t, fmt.Sprintf("%s probe left %v", c.name, probeLeft), table, build, toBatch(t, probe), probe, key, probeLeft, value.AllCols)
+		}
+		table.Release()
+		requireJoinMatches(t, c.name+" join", buildBatch(), toBatch(t, probe), build, probe, key, key, value.AllCols)
+		requireAggregateMatches(t, r, c.name+" build grouped", buildBatch(), build, key, specs)
+		requireAggregateMatches(t, r, c.name+" probe grouped", toBatch(t, probe), probe, key, specs)
+	}
+
+	// A kind-only probe key holds no cells: it matches nothing, and every
+	// row is charged its hash, as against an exact-word table.
+	table, _, err := BuildJoinTable(toBatch(t, rel("INT", ints(0, 1, 2), 0)), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb := toBatch(t, rel("INT", ints(0, 1, 2, 3), 100))
+	pb.Cols[0] = pb.Cols[0].Drop()
+	out, st, err := table.Probe(pb, key, false, value.AllCols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 0 || st != (Stats{TuplesRead: 4, Hashes: 4}) {
+		t.Errorf("a kind-only probe key: %d rows, stats %+v; want none, 4 hashes", out.Len(), st)
+	}
+	table.Release()
 }
 
 // TestAggregateBatchAllocs and TestHashJoinBatchAllocs pin the kernels'

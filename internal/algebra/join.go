@@ -30,18 +30,24 @@ func checkKeys(side string, s *value.Schema, cols []int) error {
 // order and appended at the tail (a heavy-hitter key costs no chain walk).
 // Once built it is only read, so any number of probes may share it — the
 // broadcast join builds its small side once and probes it with every slot
-// of the big one. Its keys are their own words (Batch.KeyWords) when they
-// are one fixed-width column without NULLs; a probe then confirms a
-// candidate by comparing cells and takes no hash.
+// of the big one. A dense integer key (directSpan) indexes the table by
+// its cell, and a probe reads its own column's cells with no word copied
+// and nothing confirmed. Other keys are their own words (Batch.KeyWords)
+// when they are one fixed-width column without NULLs; a probe then
+// confirms a candidate by comparing cells and takes no hash.
 type JoinTable struct {
-	b     *value.Batch
-	sel   []int32 // the build rows, in order
-	keys  []*value.Vec
-	exact bool
-	table rowTable
+	b      *value.Batch
+	sel    []int32 // the build rows, in order
+	keys   []*value.Vec
+	direct bool
+	exact  bool
+	table  rowTable // unused when direct
+	// dense[x-lo], when direct, is one plus the first build row of key x.
+	lo    int64
+	dense []int32
 	// next and tail, indexed by physical build row, chain the rows of one
-	// key from the row in the table's slot; tail is kept at that row only,
-	// and so is word, the exact key a candidate is confirmed against.
+	// key from its first row; tail is kept at that row only, and so is
+	// word, the exact key a candidate is confirmed against.
 	next, tail []int32
 	word       []uint64
 }
@@ -63,10 +69,27 @@ func BuildJoinTable(b *value.Batch, cols []int) (*JoinTable, Stats, error) {
 func (t *JoinTable) build(b *value.Batch, cols []int) Stats {
 	t.b, t.sel = b, b.TakeSel()
 	keys, nullable := keyVecs(b, cols)
-	words, exact := b.KeyWords(t.sel, cols)
-	t.keys, t.exact = keys, exact
-	t.table = newRowTable(len(t.sel))
+	t.keys = keys
 	t.next, t.tail = value.GetSelLen(b.Rows), value.GetSelLen(b.Rows)
+	stats := Stats{TuplesRead: len(t.sel), Hashes: len(t.sel)}
+	var span int
+	if t.lo, span, t.direct = directSpan(keys, t.sel); t.direct {
+		t.dense = value.GetSelLen(span)
+		clear(t.dense)
+		dense, next, tail, col := t.dense, t.next, t.tail, keys[0].I
+		for _, row := range t.sel {
+			next[row] = -1
+			if head := &dense[col[row]-t.lo]; *head == 0 {
+				*head, tail[row] = row+1, row
+			} else {
+				next[tail[*head-1]], tail[*head-1] = row, row
+			}
+		}
+		return stats
+	}
+	words, exact := b.KeyWords(t.sel, cols)
+	t.exact = exact
+	t.table = newRowTable(len(t.sel))
 	if exact {
 		t.word = value.GetHashes(b.Rows)
 	}
@@ -94,12 +117,12 @@ func (t *JoinTable) build(b *value.Batch, cols []int) Stats {
 		}
 	}
 	value.PutHashes(words)
-	return Stats{TuplesRead: len(t.sel), Hashes: len(t.sel)}
+	return stats
 }
 
 // Release hands the table's scratch back to the pools.
 func (t *JoinTable) Release() {
-	for _, s := range [][]int32{t.sel, t.next, t.tail} {
+	for _, s := range [][]int32{t.sel, t.next, t.tail, t.dense} {
 		value.PutSel(s)
 	}
 	for _, s := range [][]uint64{t.word, t.table.slots} {
@@ -130,50 +153,72 @@ func (t *JoinTable) Probe(p *value.Batch, pcols []int, probeLeft bool, need valu
 func (t *JoinTable) probe(p *value.Batch, pcols []int, probeLeft bool, need value.ColSet, a *value.Arena) (*value.Batch, Stats) {
 	psel := p.TakeSel()
 	pkeys, pnull := keyVecs(p, pcols)
-	// The table's own word decides the probe's: a cell against exact keys
-	// (which no cell of another kind can equal), a hash against hashed ones.
-	var pw []uint64
-	match := true
-	switch {
-	case !t.exact:
-		pw = p.HashCols(psel, pcols)
-	case pkeys[0].Fixed() && pkeys[0].Kind == t.keys[0].Kind:
-		pw = pkeys[0].Words(psel)
-	default:
-		pw, match = value.GetHashes(len(psel)), false
-	}
 	stats := Stats{TuplesRead: len(psel)}
 
 	// Probe in input order, collecting the matched physical row pairs in
 	// output order. once stays true while no probe row has met a key that
 	// several build rows hold.
-	table, next, word, exact, bkeys := t.table, t.next, t.word, t.exact, t.keys
+	next := t.next
 	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
-	for j, w := range pw {
-		row := psel[j]
-		if pnull && nullKey(pkeys, row) {
-			continue
-		}
-		stats.Hashes++
-		if !match {
-			continue
-		}
-		h := tableHash(w, exact)
-		for q := table.home(h); ; q = table.step(q) {
-			s := table.slots[q]
-			if s == 0 {
-				break
+	switch {
+	case (t.direct || t.exact) && !(pkeys[0].Fixed() && pkeys[0].Kind == t.keys[0].Kind):
+		// Cells of another kind, or none, never equal a key of these tiers.
+		for _, row := range psel {
+			if !pnull || !nullKey(pkeys, row) {
+				stats.Hashes++
 			}
-			if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, pkeys, row)) {
-				for ; ; once = false {
+		}
+	case t.direct:
+		dense, col, null := t.dense, pkeys[0].I, pkeys[0].Null
+		for _, row := range psel {
+			if null != nil && null[row] {
+				continue
+			}
+			stats.Hashes++
+			// A cell outside [lo, lo+len(dense)) wraps past the bound.
+			if x := uint64(col[row] - t.lo); x < uint64(len(dense)) && dense[x] != 0 {
+				for e := dense[x] - 1; ; once = false {
 					bIdx, pIdx = append(bIdx, e), append(pIdx, row)
 					if e = next[e]; e < 0 {
 						break
 					}
 				}
-				break
 			}
 		}
+	default:
+		// The table's own word decides the probe's: a cell against exact
+		// keys, a hash against hashed ones.
+		var pw []uint64
+		if t.exact {
+			pw = pkeys[0].Words(psel)
+		} else {
+			pw = p.HashCols(psel, pcols)
+		}
+		table, word, exact, bkeys := t.table, t.word, t.exact, t.keys
+		for j, w := range pw {
+			row := psel[j]
+			if pnull && nullKey(pkeys, row) {
+				continue
+			}
+			stats.Hashes++
+			h := tableHash(w, exact)
+			for q := table.home(h); ; q = table.step(q) {
+				s := table.slots[q]
+				if s == 0 {
+					break
+				}
+				if e := slotID(s, h); e >= 0 && (exact && word[e] == w || !exact && sameKey(bkeys, e, pkeys, row)) {
+					for ; ; once = false {
+						bIdx, pIdx = append(bIdx, e), append(pIdx, row)
+						if e = next[e]; e < 0 {
+							break
+						}
+					}
+					break
+				}
+			}
+		}
+		value.PutHashes(pw)
 	}
 	stats.TuplesEmitted = len(pIdx)
 
@@ -212,7 +257,6 @@ func (t *JoinTable) probe(p *value.Batch, pcols []int, probeLeft bool, need valu
 	}
 	value.PutSel(psel)
 	value.PutSel(bIdx)
-	value.PutHashes(pw)
 	return out, stats
 }
 
