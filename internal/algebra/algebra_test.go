@@ -34,51 +34,6 @@ func mustPred(t *testing.T, e expr.Expr, s *value.Schema) *expr.Predicate {
 	return p
 }
 
-func TestSelectCompiledAndInterpretedAgree(t *testing.T) {
-	r := empRel(t)
-	e := expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(90)))
-	pred := mustPred(t, expr.Clone(e), r.Schema)
-	compiled, cs, err := Select(r, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound := expr.Clone(e)
-	if _, err := expr.Bind(bound, r.Schema); err != nil {
-		t.Fatal(err)
-	}
-	interp, is, err := SelectInterpreted(r, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !compiled.SameBag(interp) {
-		t.Errorf("compiled %v != interpreted %v", compiled.Tuples, interp.Tuples)
-	}
-	if compiled.Len() != 3 {
-		t.Errorf("selected %d rows, want 3", compiled.Len())
-	}
-	if cs.TuplesRead != 5 || is.TuplesRead != 5 {
-		t.Errorf("stats: %+v, %+v", cs, is)
-	}
-	// The interpreter over a batch's selected rows keeps the same rows.
-	b := toBatch(t, r)
-	b.Sel = []int32{0, 1, 3}
-	got, bs, err := SelectBatchInterpreted(b, bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameOrder(t, "interpreted batch select", got.Materialize(), rel(t, r.Schema, r.Tuples[0], r.Tuples[1]))
-	if bs.TuplesRead != 3 || bs.TuplesEmitted != 2 {
-		t.Errorf("batch stats: %+v", bs)
-	}
-	div := expr.NewCmp(expr.GT, expr.NewArith(expr.Div, expr.NewCol("salary"), expr.NewConst(value.NewInt(0))), expr.NewConst(value.NewInt(1)))
-	if _, err := expr.Bind(div, r.Schema); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := SelectBatchInterpreted(toBatch(t, r), div); err == nil {
-		t.Error("division by zero did not fail the interpreted batch select")
-	}
-}
-
 func TestProject(t *testing.T) {
 	r := empRel(t)
 	out, st, err := Project(r, []int{1, 0})

@@ -55,30 +55,6 @@ func SelectBatch(b *value.Batch, f *expr.VecFilter) (*value.Batch, Stats, error)
 	return out, Stats{TuplesRead: read, TuplesEmitted: len(dst)}, nil
 }
 
-// SelectBatchInterpreted is SelectBatch for the interpreter the paper's
-// expression compiler is measured against (E4): e, bound against b's
-// schema, is evaluated on each selected row as a tuple. b is consumed.
-func SelectBatchInterpreted(b *value.Batch, e expr.Expr) (*value.Batch, Stats, error) {
-	sel, kept := b.TakeSel(), value.GetSel()
-	defer value.PutSel(sel)
-	t := make(value.Tuple, len(b.Cols))
-	for _, r := range sel {
-		for c, v := range b.Cols {
-			t[c] = v.Value(int(r))
-		}
-		v, err := e.Eval(t)
-		if err != nil {
-			value.PutSel(kept)
-			return nil, Stats{}, fmt.Errorf("algebra: select (interpreted): %w", err)
-		}
-		if expr.Truthy(v) {
-			kept = append(kept, r)
-		}
-	}
-	out := &value.Batch{Schema: b.Schema, Cols: b.Cols, Sel: kept, Rows: b.Rows}
-	return out, Stats{TuplesRead: len(sel), TuplesEmitted: len(kept)}, nil
-}
-
 // ProjectBatch restricts b to the given column positions — a pure column
 // remap sharing vectors and selection with b.
 func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batch, Stats, error) {

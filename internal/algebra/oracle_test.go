@@ -13,6 +13,30 @@ import (
 // plainest form of its operator — maps keyed by the tuples' byte encoding,
 // a stable sort, a heap over sorted runs.
 
+// Select filters r with a compiled predicate.
+func Select(r *value.Relation, pred *expr.Predicate) (*value.Relation, Stats, error) {
+	kept, err := pred.FilterInto(nil, r.Tuples)
+	if err != nil {
+		return nil, Stats{}, fmt.Errorf("algebra: select: %w", err)
+	}
+	return &value.Relation{Schema: r.Schema, Tuples: kept}, Stats{TuplesRead: r.Len(), TuplesEmitted: len(kept)}, nil
+}
+
+// Project restricts r to the given column positions.
+func Project(r *value.Relation, cols []int) (*value.Relation, Stats, error) {
+	for _, c := range cols {
+		if c < 0 || c >= r.Schema.Len() {
+			return nil, Stats{}, fmt.Errorf("algebra: project column %d out of range for %s", c, r.Schema)
+		}
+	}
+	out := value.NewRelation(r.Schema.Project(cols))
+	out.Tuples = make([]value.Tuple, r.Len())
+	for i, t := range r.Tuples {
+		out.Tuples[i] = t.Project(cols)
+	}
+	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: r.Len()}, nil
+}
+
 // HashJoin equi-joins l and r on the given key columns, building a hash
 // table on the smaller input. Output tuples are l ++ r.
 func HashJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats, error) {

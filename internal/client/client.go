@@ -197,6 +197,9 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	if o.MaxFrame <= 0 {
 		o.MaxFrame = wire.DefaultMaxFrame
 	}
+	if len(o.Tenant) > wire.MaxCredLen || len(o.Secret) > wire.MaxCredLen {
+		return nil, fmt.Errorf("client: tenant and secret are limited to %d bytes each", wire.MaxCredLen)
+	}
 	conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/wire"
@@ -49,6 +50,32 @@ func TestDialSurfacesHandshakeError(t *testing.T) {
 	}
 	if !strings.Contains(se.Msg, "connection limit") {
 		t.Fatalf("msg = %q", se.Msg)
+	}
+}
+
+// TestDialRejectsOversizedCredentials: the Hello frames the tenant and the
+// secret behind 16-bit lengths, so a longer one would wrap and the server
+// would read another tenant. Dial must refuse it before it connects.
+func TestDialRejectsOversizedCredentials(t *testing.T) {
+	var connected atomic.Bool
+	addr := fakeServer(t, func(conn net.Conn) {
+		connected.Store(true)
+		wire.ReadFrame(conn, 0)
+		wire.WriteFrame(conn, wire.TypeHelloOK, []byte{wire.Version, 0, 0})
+	})
+	long := strings.Repeat("x", 1<<16)
+	for _, o := range []Options{{Tenant: long, Secret: "s3cret"}, {Tenant: "acme", Secret: long}} {
+		c, err := Dial(addr, o)
+		if err == nil {
+			c.Close()
+			t.Fatalf("Dial accepted a %d-byte tenant and a %d-byte secret", len(o.Tenant), len(o.Secret))
+		}
+		if !strings.Contains(err.Error(), "65535") {
+			t.Errorf("error %q does not name the 65535-byte limit", err)
+		}
+	}
+	if connected.Load() {
+		t.Error("Dial connected before refusing the credentials")
 	}
 }
 

@@ -232,14 +232,15 @@ func TestJoinResidualNeed(t *testing.T) {
 
 // mixedStatements reach the forms the need pass makes possible inside a
 // writing transaction: the fragment holding the pending write answers with
-// tuples through the overlay, which are transposed whole and meet their
-// batch siblings — with their kind-only columns — in an exchange (the
-// repartition joins) and in the merge of pushed-down partial aggregates.
+// a dense copy of its cache rows and the pending insert, which meets its
+// siblings' selections over their caches — all with kind-only columns —
+// in an exchange (the repartition joins) and in the merge of pushed-down
+// partial aggregates.
 var mixedStatements = []string{needStatements[1], needStatements[2], needStatements[3]}
 
 // TestColumnNeedMixedForms runs them in such a transaction and streams a
 // join through a cursor closed after its first slot: rows are the plan
-// oracle's, charges the parent's, and the arena is empty afterwards.
+// oracle's, charges the goldens', and the arena is empty afterwards.
 func TestColumnNeedMixedForms(t *testing.T) {
 	e, s := needFixture(t, Config{})
 	_, oracle := needFixture(t, Config{})
@@ -247,8 +248,11 @@ func TestColumnNeedMixedForms(t *testing.T) {
 		mustExec(t, sess, `BEGIN`)
 		mustExec(t, sess, `UPDATE fact SET amt = 1 WHERE id = 5`)
 	}
-	explainHas(t, s, mixedStatements[0], "execution: vectorized", "leaf tuples: Scan fact: transaction overlay on 1/8 slots")
-	explainHas(t, s, mixedStatements[1], "execution: vectorized", "leaf tuples: Scan fact: transaction overlay on 1/8 slots")
+	for _, q := range mixedStatements[:2] {
+		if plan := mustExec(t, s, "EXPLAIN "+q).Plan; !strings.Contains(plan, "execution: vectorized") || strings.Contains(plan, "leaf tuples:") {
+			t.Errorf("EXPLAIN %s: want every slot a batch inside the writing transaction, got\n%s", q, plan)
+		}
+	}
 	var got []charge
 	for _, q := range mixedStatements {
 		got = append(got, chargedQuery(t, e, s, oracle, q))
@@ -384,7 +388,13 @@ func TestJoinStatementBytes(t *testing.T) {
 // at the parent commit (PR 19), whose executor copied every column: 5 runs,
 // -cpu 1,2,4 and 15 runs under -race gave these numbers each time. PE 0 is
 // the disk PE, the exchanges target PEs 0, 2, 4, ..., 14 and the session
-// coordinates from PE 9.
+// coordinates from PE 9. Two entries moved since, by one column-cache
+// build: the fact fragment on PE 1 holds the pending write, and since its
+// batch scan folds the write in, it builds its cache (BuildCost of 2 500
+// rows, 50 ms) inside the transaction — mixedGolden's first statement —
+// instead of in the first scan after the rollback, the streamed join,
+// where the 50 ms also delayed PEs 12 and 14. With every cache warmed
+// before the transaction, both commits charge these statements alike.
 var needGolden = []charge{
 	{[]int64{0, 95922000, 96074000, 96226000, 96302000, 96454000, 96302000, 96226000, 0, 97764599, 0, 0, 0, 0, 0, 0}, 10136, 97764599},
 	{[]int64{307781599, 194070000, 372902799, 193716000, 331815400, 193834000, 335920799, 193834000, 346257999, 384164198, 362965599, 70300000, 366739399, 35150000, 383797398, 35150000}, 954504, 384164198},
@@ -398,11 +408,11 @@ var needGolden = []charge{
 }
 
 var mixedGolden = []charge{
-	{[]int64{357781599, 194070000, 422902799, 243716000, 381815400, 243834000, 385920799, 243834000, 396257999, 434164198, 412965599, 70300000, 416739399, 35150000, 433797398, 35150000}, 954504, 434164198},
+	{[]int64{357781599, 244070000, 422902799, 243716000, 381815400, 243834000, 385920799, 243834000, 396257999, 434164198, 412965599, 70300000, 416739399, 35150000, 433797398, 35150000}, 954504, 434164198},
 	{[]int64{0, 180994000, 180414000, 180628000, 180994000, 180474000, 180902000, 180658000, 0, 590415599, 0, 0, 0, 0, 0, 0}, 544104, 590415599},
 	{[]int64{478834798, 349000000, 608448799, 349000000, 565453400, 349000000, 572814799, 349000000, 555794399, 632542198, 588194799, 59300000, 595835799, 29650000, 630136999, 29650000}, 1804512, 632542198},
 }
 
 var streamedGolden = []charge{
-	{[]int64{593190798, 399000000, 532304799, 349000000, 489309400, 349000000, 496670799, 349000000, 479650399, 705256997, 512050799, 59300000, 523760000, 29650000, 559882400, 29650000}, 1940480, 705256997},
+	{[]int64{593190798, 349000000, 532304799, 349000000, 489309400, 349000000, 496670799, 349000000, 479650399, 705256997, 512050799, 59300000, 519691799, 29650000, 553992999, 29650000}, 1940480, 705256997},
 }

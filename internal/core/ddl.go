@@ -50,15 +50,14 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			decide = e.decisions.Decision
 		}
 		o, err := ofm.New(ofm.Config{
-			Name:     fragName,
-			Schema:   schema,
-			PE:       e.m.PE(pe),
-			Machine:  e.m,
-			Kind:     ofm.Persistent,
-			Log:      log,
-			Compiled: e.compiled,
-			Decide:   decide,
-			Horizon:  e.txns.Horizon,
+			Name:    fragName,
+			Schema:  schema,
+			PE:      e.m.PE(pe),
+			Machine: e.m,
+			Kind:    ofm.Persistent,
+			Log:     log,
+			Decide:  decide,
+			Horizon: e.txns.Horizon,
 			StatsFn: func(rd int, bd int64) {
 				def.AddStats(frag, rd, bd)
 			},

@@ -36,9 +36,6 @@ type Config struct {
 	// Allocator places fragments onto PEs; nil uses the central
 	// least-loaded policy (the paper's central resource management).
 	Allocator fragment.Allocator
-	// Compiled selects compiled expression evaluation in the OFMs
-	// (default true; false forces the interpreter — experiment E4).
-	Compiled *bool
 	// Optimizer selects the knowledge-base rule groups (default: all).
 	Optimizer *optimizer.Options
 	// TCAlgorithm picks the transitive-closure strategy for recursive
@@ -90,7 +87,6 @@ type Engine struct {
 	opt   *optimizer.Optimizer
 	alloc fragment.Allocator
 
-	compiled  bool
 	tcAlgo    algebra.TCAlgorithm
 	semiNaive bool
 	plans     *planCache
@@ -148,10 +144,6 @@ func New(cfg Config) (*Engine, error) {
 	if alloc == nil {
 		alloc = fragment.CentralAllocator{AvoidDiskPEs: m.NumPEs() > len(m.DiskPEs())}
 	}
-	compiled := true
-	if cfg.Compiled != nil {
-		compiled = *cfg.Compiled
-	}
 	optOpts := optimizer.AllRules()
 	if cfg.Optimizer != nil {
 		optOpts = *cfg.Optimizer
@@ -167,7 +159,6 @@ func New(cfg Config) (*Engine, error) {
 		txns:      txn.NewManager(),
 		opt:       optimizer.New(cat, optOpts),
 		alloc:     alloc,
-		compiled:  compiled,
 		tcAlgo:    cfg.TCAlgorithm,
 		semiNaive: semiNaive,
 		plans:     newPlanCache(),

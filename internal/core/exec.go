@@ -94,8 +94,8 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 }
 
 // slot is one partition of an intermediate result: a columnar batch, or
-// the tuples a leaf answered with — an index probe, a CSE-shared scan, a
-// fragment that declined a batch scan — and why, for EXPLAIN.
+// the tuples a leaf answered with — an index probe or a CSE-shared scan —
+// and which, for EXPLAIN.
 type slot struct {
 	b   *value.Batch
 	rel *value.Relation
@@ -377,19 +377,14 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 // scanSlot is the leaf every reader of a table fragment goes through —
 // materialized scans, pushdown aggregates, cursors and the PRISMAlog EDB.
 // The fragment's OFM filters where it lives, charging its own PE, and
-// answers with a batch over its column cache; it declines (see
-// ofm.BatchDecline) when the view's transaction has pending writes there,
-// when an equality is better served by its hash index, or when it runs
-// interpreted — the slot then holds the tuples of its row scan. The bytes
-// a scan writes into a cache (the whole image on the first scan, the
-// changed rows after a committed write) are this statement's
-// materialization and are charged to its tenant budget. Of a batch, only
+// answers with a batch (ofm.ScanBatch): over its column cache, with the
+// view transaction's pending writes there folded in, or probed from its
+// hash index. The bytes a scan writes into a cache (the whole image on the
+// first scan, the changed rows after a committed write) are this
+// statement's materialization and are charged to its tenant budget. Only
 // the columns in need are handed up.
 func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema, need value.ColSet) (slot, error) {
 	if ctx.explain != nil {
-		if why := f.ofm.BatchDecline(ctx.view, pred); why != "" {
-			return slot{rel: value.NewRelation(schema), why: why}, nil
-		}
 		return slot{b: value.NewBatchFrom(schema, nil)}, nil
 	}
 	b, built, err := f.ofm.ScanBatch(ctx.view, pred, nil)
@@ -397,17 +392,9 @@ func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *valu
 	if err != nil {
 		return slot{}, err
 	}
-	if b != nil {
-		b.Schema = schema
-		b.Keep(need)
-		return slot{b: b}, nil
-	}
-	rel, err := f.ofm.Scan(ctx.view, pred, nil)
-	if err != nil {
-		return slot{}, err
-	}
-	rel.Schema = schema
-	return slot{rel: rel, why: "declined"}, nil // only EXPLAIN asks which reason
+	b.Schema = schema
+	b.Keep(need)
+	return slot{b: b}, nil
 }
 
 // scanFragments scans each of the listed fragments where it lives when
@@ -617,19 +604,19 @@ func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
 }
 
 // explainTrace is what EXPLAIN's dry run collects: for every operator,
-// how many of its slots were batches, and for a leaf how many held the
-// tuples it answered with, with the first such slot's reason — and how
-// many of its output columns its batches carry.
+// how many of its slots were batches, for a leaf that answered with
+// tuples which leaf it is, and how many of its output columns its batches
+// carry.
 type explainTrace struct {
 	mu  sync.Mutex
 	ops []*opTrace
 }
 
 type opTrace struct {
-	op                   string
-	slots, batches, rows int
-	why                  string
-	kept, width          int // columns its batches carry, of how many
+	op          string
+	batches     int
+	why         string
+	kept, width int // columns its batches carry, of how many
 }
 
 // noted makes EXPLAIN's dry run record what the slots of p, an operator's
@@ -640,7 +627,7 @@ func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.
 		return p
 	}
 	t := ctx.explain
-	ot := &opTrace{op: op, slots: len(p.pes), width: schema.Len()}
+	ot := &opTrace{op: op, width: schema.Len()}
 	for c := 0; c < ot.width; c++ {
 		if need.Has(c) || schema.Column(c).Kind == value.KindString {
 			ot.kept++
@@ -654,10 +641,7 @@ func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.
 		case s.b != nil:
 			ot.batches++
 		case s.why != "":
-			if ot.rows == 0 {
-				ot.why = s.why
-			}
-			ot.rows++
+			ot.why = s.why
 		}
 		return s, nil
 	})
@@ -672,12 +656,8 @@ func (t *explainTrace) line() string {
 		if ot.batches > 0 && ot.kept < ot.width {
 			pruned = append(pruned, fmt.Sprintf("%s %d/%d", ot.op, ot.kept, ot.width))
 		}
-		switch {
-		case ot.rows == 0:
-		case ot.rows == ot.slots:
-			leaves = append(leaves, fmt.Sprintf("%s: %s", ot.op, ot.why))
-		default:
-			leaves = append(leaves, fmt.Sprintf("%s: %s on %d/%d slots", ot.op, ot.why, ot.rows, ot.slots))
+		if ot.why != "" {
+			leaves = append(leaves, ot.op+": "+ot.why)
 		}
 	}
 	out := "execution: vectorized (columnar batches)\n"

@@ -31,19 +31,17 @@ func cloneExprs(es []expr.Expr) []expr.Expr {
 	return out
 }
 
-// filter is the per-slot selection kernel: the vectorized predicate, or
-// with compiled expressions off (the E4 baseline) the interpreter over
-// each selected row. Neither keeps state between slots, so one, made when
-// the first slot shows up, serves every slot.
+// filter is the per-slot selection kernel, the vectorized predicate. It
+// keeps no state between slots, so one, compiled when the first slot shows
+// up, serves every slot.
 type filter struct {
 	ctx    *execCtx
 	pred   expr.Expr
 	schema *value.Schema
 
-	once  sync.Once
-	vec   *expr.VecFilter
-	bound expr.Expr // the interpreter's predicate, bound against schema
-	err   error
+	once sync.Once
+	vec  *expr.VecFilter
+	err  error
 }
 
 // apply filters one slot on PE pe. The output keeps the input's schema.
@@ -52,29 +50,16 @@ func (f *filter) apply(s slot, pe int) (slot, error) {
 	if err != nil || b.Len() == 0 {
 		return slot{b: b}, err
 	}
-	compiled := f.ctx.s.e.compiled
-	f.once.Do(func() {
-		if compiled {
-			f.vec, f.err = expr.CompileVecFilter(expr.Clone(f.pred), f.schema)
-		} else {
-			f.bound = expr.Clone(f.pred)
-			_, f.err = expr.Bind(f.bound, f.schema)
-		}
-	})
+	f.once.Do(func() { f.vec, f.err = expr.CompileVecFilter(expr.Clone(f.pred), f.schema) })
 	if f.err != nil {
 		slot{b: b}.free()
 		return slot{}, f.err
 	}
-	var st algebra.Stats
-	if compiled {
-		b, st, err = algebra.SelectBatch(b, f.vec)
-	} else {
-		b, st, err = algebra.SelectBatchInterpreted(b, f.bound)
-	}
+	b, st, err := algebra.SelectBatch(b, f.vec)
 	if err != nil {
 		return slot{}, err
 	}
-	f.ctx.work(pe, f.ctx.s.e.m.Cost().ScanCost(st.TuplesRead, compiled))
+	f.ctx.work(pe, f.ctx.s.e.m.Cost().ScanCost(st.TuplesRead, true))
 	return slot{b: b}, nil
 }
 

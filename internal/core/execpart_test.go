@@ -178,25 +178,16 @@ func sameRows(t *testing.T, q, what string, got, want *value.Relation) {
 
 // TestPartitionedMatchesCentral runs the differential suite on the
 // exchange-based plans and on a central-only engine over identical data
-// and requires identical result sets — then again on an engine running
-// interpreted expressions (Compiled=false: every fragment answers with
-// tuples and every Select interprets its predicate), and again inside a
-// transaction that has updated a row of fact and one of dim1, where the
-// fragments holding the pending writes answer with tuples and every query
+// and requires identical result sets — then again inside a transaction
+// that has updated a row of fact and one of dim1, where the fragments
+// holding the pending writes fold them into their batches and every query
 // must see them.
 func TestPartitionedMatchesCentral(t *testing.T) {
 	ePar := newEngine(t)
 	eCen := centralEngine(t)
-	interpreted := false
-	eInt, err := New(Config{NumPEs: 16, Compiled: &interpreted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eInt.Close)
-	setupStar(t, ePar, eCen, eInt)
-	sPar, sCen, sInt := ePar.NewSession(), eCen.NewSession(), eInt.NewSession()
+	setupStar(t, ePar, eCen)
+	sPar, sCen := ePar.NewSession(), eCen.NewSession()
 	sameResults(t, partitionedPlanQueries, "partitioned", sPar, "central", sCen)
-	sameResults(t, partitionedPlanQueries, "interpreted", sInt, "central", sCen)
 
 	for _, s := range []*Session{sPar, sCen} {
 		mustExec(t, s, `BEGIN`)

@@ -15,11 +15,12 @@ import (
 // oracleQuery answers a SELECT the way the executor is checked against:
 // tuple at a time, over the statement's own optimized plan, at the
 // session's snapshot (inside a transaction, with its pending writes).
-// Every table is read whole through its fragments' row scans and every
-// operator is evaluated naively — predicates interpreted, joins through a
-// map of key encodings, grouping by algebra.Aggregate, the sort a stable
-// one. Exchanges move rows between PEs without changing the bag, so the
-// oracle steps over them, and it charges nothing but the scans.
+// Every table is read whole, a row at a time off its fragments' stores
+// (OFM.VisibleTuples), and every operator is evaluated naively —
+// predicates interpreted, joins through a map of key encodings, grouping
+// by algebra.Aggregate, the sort a stable one. Exchanges move rows between
+// PEs without changing the bag, so the oracle steps over them, and it
+// charges nothing.
 func oracleQuery(t *testing.T, s *Session, q string) *value.Relation {
 	t.Helper()
 	stmt, err := sqlparse.Parse(q)
@@ -111,11 +112,7 @@ func (o *oracle) scan(name string, schema *value.Schema, pred expr.Expr) *value.
 	}
 	all := value.NewRelation(schema)
 	for _, f := range tab.frags {
-		rel, err := f.ofm.Scan(o.view, nil, nil)
-		if err != nil {
-			o.t.Fatal(err)
-		}
-		all.Append(rel.Tuples...)
+		all.Append(f.ofm.VisibleTuples(o.view)...)
 	}
 	if pred == nil {
 		return all

@@ -39,8 +39,9 @@ func TestVectorizedMatchesOracle(t *testing.T) {
 	sameAsOracle(t, queries, "vectorized", s, s)
 
 	// Again inside a transaction with pending writes: the fragments holding
-	// them answer with tuples while their siblings stay columnar, so
-	// pushed-down aggregates merge partials of both origins, exchanges meet
+	// them answer with a dense copy of their cache rows and the pending
+	// inserts, their siblings with selections over their caches, so
+	// pushed-down aggregates merge partials of both kinds, exchanges meet
 	// both, and a broadcast of dim1 gathers both.
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
@@ -52,8 +53,8 @@ func TestVectorizedMatchesOracle(t *testing.T) {
 // TestVectorizedMatchesOracleAfterWrites drives the column-cache
 // invalidation through SQL: committed updates/deletes/inserts must be
 // visible to the next vectorized scan, in-transaction reads must see
-// their own uncommitted writes (the batch path declines to the row
-// overlay), and the executor agrees with the oracle at every step.
+// their own uncommitted writes (folded into the fragment's batch), and
+// the executor agrees with the oracle at every step.
 func TestVectorizedMatchesOracleAfterWrites(t *testing.T) {
 	e := newEngine(t)
 	setupStar(t, e)
@@ -92,8 +93,9 @@ func TestVectorizedMatchesOracleAfterWrites(t *testing.T) {
 
 // TestExplainShowsVectorized pins the EXPLAIN contract: the execution
 // line is the executor's own account of a dry run — every operator runs
-// batches, a leaf that answered with tuples is named with its reason, and
-// explaining scans nothing and charges nothing.
+// batches, the leaves that answer with tuples — the pk probe and a
+// CSE-shared scan, never a fragment scan — are named, and explaining scans
+// nothing and charges nothing.
 func TestExplainShowsVectorized(t *testing.T) {
 	eVec := newEngine(t)
 	sVec := setupEmp(t, eVec)
@@ -133,34 +135,25 @@ func TestExplainShowsVectorized(t *testing.T) {
 	// The pk point probe answers with tuples, which go to the root as they are.
 	explain(sVec, `SELECT * FROM emp WHERE id = 3`, "leaf tuples: IndexProbe emp: index probe")
 
-	interpreted := false
-	eInt, err := New(Config{NumPEs: 16, Compiled: &interpreted})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eInt.Close)
-	explain(setupEmp(t, eInt), grouped, "leaf tuples: Scan emp: interpreted")
-
 	// A central join gathers batches and joins them at the coordinator; a
-	// colocated join whose one side is answered by the pk hash index
-	// transposes that side's tuples.
+	// colocated join whose one side the pk hash index answers gets that
+	// side's probed rows as a batch too.
 	eStar := newEngine(t)
 	setupStar(t, eStar)
 	s := eStar.NewSession()
 	noTuples(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`, "method=central")
-	explain(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`,
-		"method=colocated", "leaf tuples: Scan dim1: index probe")
+	noTuples(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`, "method=colocated")
 	noTuples(s, `SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id`, "method=broadcast")
 	noTuples(s, `SELECT id, amt * 2 AS twice FROM fact`)
 	noTuples(s, `SELECT id, amt FROM fact WHERE amt > 90 ORDER BY amt DESC, id LIMIT 5`, "Sort(", "Limit(5)")
 	noTuples(s, `SELECT DISTINCT cat FROM dim2`, "Distinct")
 	explain(s, `SELECT COUNT(*) AS n FROM fact x JOIN fact y ON x.id = y.id`, "leaf tuples: Scan fact: shared scan")
-	// Inside a transaction the fragment holding a pending write answers
-	// with tuples; the others, and every operator, stay columnar.
+	// Inside a transaction the fragment holding a pending write folds it
+	// into its batch like the others.
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 0 WHERE id = 5`)
-	explain(s, `SELECT id, amt FROM fact WHERE amt < 3`, "leaf tuples: Scan fact: transaction overlay on 1/4 slots")
-	explain(s, `SELECT a, COUNT(*) AS n FROM fact GROUP BY a`, "leaf tuples: Scan fact: transaction overlay on 1/4 slots")
+	noTuples(s, `SELECT id, amt FROM fact WHERE amt < 3`)
+	noTuples(s, `SELECT a, COUNT(*) AS n FROM fact GROUP BY a`)
 	mustExec(t, s, `ROLLBACK`)
 	for _, table := range []string{"fact", "dim1", "small"} {
 		if st, err := eStar.ColumnCacheStats(table); err != nil || st.FullBuilds != 0 {

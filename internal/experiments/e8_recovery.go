@@ -44,14 +44,14 @@ func E8RecoveryOverhead(quick bool) (*Table, error) {
 		}
 		persistent, err := ofm.New(ofm.Config{
 			Name: "acct#0", Schema: schema, PE: m.PE(1), Machine: m,
-			Kind: ofm.Persistent, Log: log, Compiled: true,
+			Kind: ofm.Persistent, Log: log,
 		})
 		if err != nil {
 			return nil, err
 		}
 		transient, err := ofm.New(ofm.Config{
 			Name: "acct-t#0", Schema: schema, PE: m.PE(2), Machine: m,
-			Kind: ofm.Transient, Compiled: true,
+			Kind: ofm.Transient,
 		})
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package ofm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -365,42 +366,36 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 	return f, nil
 }
 
-// BatchDecline says why ScanBatch would decline this scan without looking
-// at the data, or "" when it would not: the OFM runs interpreted
-// (Compiled=false — the E4 baseline, and the kernels are compiled forms),
-// the view's transaction has pending writes here (the overlay is row
-// oriented), or an equality predicate is answered faster by the
-// hash-index probe path than by any scan, vectorized or not. EXPLAIN
-// reports the reason.
-func (o *OFM) BatchDecline(view View, pred expr.Expr) string {
-	if !o.cfg.Compiled {
-		return "interpreted (Compiled=false)"
-	}
-	if del, ins := o.overlay(view); len(del) > 0 || len(ins) > 0 {
-		return "transaction overlay"
-	}
-	if pred != nil {
-		if hash, _, _ := o.eqIndexProbe(pred); hash != nil {
-			return "index probe"
-		}
-	}
-	return ""
-}
-
-// ScanBatch is the columnar counterpart of Scan: it evaluates an
-// optional predicate over the view and returns the matching rows as a
-// batch over the fragment column cache, with visibility expressed as a
-// selection vector — no tuples are materialized. built reports the bytes
-// this call wrote into the cache: the whole image when it had to be
-// built, the rows a committed write changed when it had to catch up, 0 on
-// a hit. When the OFM has a GC horizon the caller must keep view.TS
-// pinned until it has finished with the batch (see the file comment).
+// ScanBatch is the fragment's scan: it evaluates an optional predicate
+// over the view and returns the matching rows as a batch, projected to
+// cols (nil = all). Only the versions visible at view.TS are read, so it
+// takes no locks; virtual CPU time is charged per row examined.
 //
-// A nil batch (with nil error) means the batch path declined, for one of
-// BatchDecline's reasons, and the caller must use the row Scan.
+// An equality on a hash-indexed column (eqIndexProbe) is answered from the
+// index: the probed versions, and the view transaction's pending inserts
+// that match, are transposed into a small batch of their own, and no
+// column cache is built. Every other scan is a selection vector over the
+// fragment column cache, no tuples materialized; when the view's
+// transaction has pending writes here, the rows it deleted leave the
+// selection and its inserts, filtered alike, follow the cache rows in one
+// dense copy of both. built reports the bytes this call wrote into the
+// cache: the whole image when it had to be built, the rows a committed
+// write changed when it had to catch up, 0 on a hit. When the OFM has a GC
+// horizon the caller must keep view.TS pinned until it has finished with
+// the batch (see the file comment).
 func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
-	if o.BatchDecline(view, pred) != "" {
-		return nil, 0, nil
+	del, ins := o.overlay(view)
+	if pred != nil {
+		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
+			rows, err := o.probeRows(view, del, ins, hash, key, rest, pred)
+			if err != nil {
+				return nil, 0, err
+			}
+			if batch = value.NewBatchFrom(o.cfg.Schema, rows); batch == nil {
+				return nil, 0, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
+			}
+			return o.projected(batch, cols), 0, nil
+		}
 	}
 	var f *expr.VecFilter
 	if pred != nil {
@@ -412,8 +407,12 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 	if err != nil {
 		return nil, 0, err
 	}
-	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, f)
+	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, deletedSlots(del), f)
 	o.ccMu.RUnlock()
+	if err == nil && len(ins) > 0 {
+		batch, err = withInserts(batch, ins, f)
+		visible += len(ins)
+	}
 	if err != nil {
 		return nil, built, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
@@ -421,24 +420,62 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 	if pred == nil {
 		o.cfg.PE.Advance(cost.BuildCost(visible))
 	} else {
-		// Cost parity with the row path: the scan examined every visible
-		// version with the compiled kernel.
+		// The kernel examined every visible version, the inserts included.
 		o.cfg.PE.Advance(cost.ScanCost(visible, true))
 	}
-	if cols != nil {
-		batch = batch.Project(cols, o.cfg.Schema.Project(cols))
-		o.cfg.PE.Advance(cost.BuildCost(batch.Len()))
-	}
-	return batch, built, nil
+	return o.projected(batch, cols), built, nil
 }
 
-// scan selects the rows visible at ts that satisfy f (nil = all of them)
-// and reports how many rows were visible. Caller holds OFM.ccMu shared.
-func (cc *colCache) scan(schema *value.Schema, ts uint64, f *expr.VecFilter) (batch *value.Batch, visible int, err error) {
+// projected narrows b to cols (nil = all), charging the rows it hands on.
+func (o *OFM) projected(b *value.Batch, cols []int) *value.Batch {
+	if cols == nil {
+		return b
+	}
+	b = b.Project(cols, o.cfg.Schema.Project(cols))
+	o.cfg.PE.Advance(o.costs().BuildCost(b.Len()))
+	return b
+}
+
+// deletedSlots lists, ascending, the cache rows of the versions a view's
+// transaction deleted: a row id's slot is its cache row, and the version
+// there is the one deleted — it stays current, so no vacuum frees its
+// slot, while the transaction holds the fragment's write lock.
+func deletedSlots(del map[storage.RowID]struct{}) []int32 {
+	if len(del) == 0 {
+		return nil
+	}
+	slots := make([]int32, 0, len(del))
+	for id := range del {
+		slots = append(slots, int32(id.Slot()))
+	}
+	slices.Sort(slots)
+	return slices.Compact(slots)
+}
+
+// withInserts follows the rows of batch with the pending inserts ins that
+// f (nil = all) accepts, in a dense copy of both.
+func withInserts(batch *value.Batch, ins []value.Tuple, f *expr.VecFilter) (*value.Batch, error) {
+	delta := value.NewBatchFrom(batch.Schema, ins)
+	if delta == nil {
+		return nil, fmt.Errorf("pending inserts do not fit the column kinds of %s", batch.Schema)
+	}
+	if f != nil {
+		var err error
+		if delta, _, err = algebra.SelectBatch(delta, f); err != nil {
+			return nil, err
+		}
+	}
+	return value.ConcatBatches(batch.Schema, []*value.Batch{batch, delta}, nil), nil
+}
+
+// scan selects the rows visible at ts, less the ascending rows skip, that
+// satisfy f (nil = all of them) and reports how many rows were visible.
+// Caller holds OFM.ccMu shared.
+func (cc *colCache) scan(schema *value.Schema, ts uint64, skip []int32, f *expr.VecFilter) (batch *value.Batch, visible int, err error) {
 	batch = &value.Batch{Schema: schema, Cols: cc.cols, Rows: cc.rows}
 	// At or past every stamp in the cache, a row is visible exactly when
 	// it is a current version, and the counter says how many are.
-	settled := ts >= cc.maxStamp
+	settled := ts >= cc.maxStamp && len(skip) == 0
 	switch {
 	case settled && cc.current == cc.rows:
 		// Every row visible: dense, no selection vector.
@@ -462,6 +499,10 @@ func (cc *colCache) scan(schema *value.Schema, ts uint64, f *expr.VecFilter) (ba
 	default:
 		sel := value.GetSel()
 		for i := 0; i < cc.rows; i++ {
+			if len(skip) > 0 && skip[0] == int32(i) {
+				skip = skip[1:]
+				continue
+			}
 			if cc.begin[i] <= ts && (cc.end[i] == 0 || cc.end[i] > ts) {
 				sel = append(sel, int32(i))
 			}

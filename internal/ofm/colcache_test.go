@@ -10,7 +10,7 @@ import (
 	"repro/internal/value"
 )
 
-// newMVCCOFM builds a transient compiled OFM with a controllable GC
+// newMVCCOFM builds a transient OFM with a controllable GC
 // horizon, so commits stamp MVCC versions without the standalone eager
 // vacuum reclaiming them out from under the snapshot tests.
 func newMVCCOFM(t *testing.T, horizon *atomic.Uint64) (*OFM, *txn.Manager) {
@@ -20,12 +20,11 @@ func newMVCCOFM(t *testing.T, horizon *atomic.Uint64) (*OFM, *txn.Manager) {
 		t.Fatal(err)
 	}
 	o, err := New(Config{
-		Name:     "cc#0",
-		Schema:   testSchema(),
-		PE:       m.PE(0),
-		Kind:     Transient,
-		Compiled: true,
-		Horizon:  func() uint64 { return horizon.Load() },
+		Name:    "cc#0",
+		Schema:  testSchema(),
+		PE:      m.PE(0),
+		Kind:    Transient,
+		Horizon: func() uint64 { return horizon.Load() },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -51,9 +50,6 @@ func scanBatchLen(t *testing.T, o *OFM, view View) int {
 	b, _, err := o.ScanBatch(view, nil, nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if b == nil {
-		t.Fatal("ScanBatch declined unexpectedly")
 	}
 	return b.Len()
 }
@@ -250,52 +246,74 @@ func TestColumnCacheVacuumLeavesReusableHoles(t *testing.T) {
 	}
 }
 
-// TestScanBatchDeclines pins every condition under which the batch path
-// must hand the scan back to the row executor.
-func TestScanBatchDeclines(t *testing.T) {
-	// Interpreted OFM (the E4 baseline): no compiled kernels.
-	oi, _, _ := newOFM(t, false)
+// TestScanBatchNeverDeclines: the batch scan answers every view and
+// predicate — on an OFM configured Compiled=false, for a transaction with
+// pending writes here, for an equality the hash index answers — and the
+// index answers without building the column cache.
+func TestScanBatchNeverDeclines(t *testing.T) {
+	oi, _, _ := newOFM(t)
+	oi.cfg.Compiled = false
 	load(t, oi, 10)
-	if b, _, err := oi.ScanBatch(Latest, nil, nil); err != nil || b != nil {
-		t.Errorf("interpreted ScanBatch = %v, %v; want decline", b, err)
+	if n := scanBatchLen(t, oi, Latest); n != 10 {
+		t.Errorf("Compiled=false scan = %d rows, want 10", n)
+	}
+	// With no index on the column, the point path scans.
+	if rel, err := oi.ProbeEq(Latest, 0, value.NewInt(3), nil); err != nil || rel.Len() != 1 {
+		t.Errorf("ProbeEq without an index = %v, %v; want one row", rel, err)
 	}
 
 	var horizon atomic.Uint64
 	o, mgr := newMVCCOFM(t, &horizon)
 	load(t, o, 50)
-
-	// A transaction with pending writes here must see its own overlay:
-	// the batch path declines for that transaction's view only.
+	if _, err := o.Store().CreateHashIndex("by_id", []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	idIs := func(id int64) expr.Expr {
+		return expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(id)))
+	}
 	tx := mgr.Begin()
 	if err := o.InsertTx(tx.ID(), emp(100, "new", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if b, _, err := o.ScanBatch(View{TS: LatestTS, Tx: tx.ID()}, nil, nil); err != nil || b != nil {
-		t.Errorf("overlay ScanBatch = %v, %v; want decline", b, err)
+	if n, err := o.DeleteTx(tx.ID(), idIs(42), Latest); err != nil || n != 1 {
+		t.Fatalf("delete = %d, %v", n, err)
 	}
-	if b, _, err := o.ScanBatch(Latest, nil, nil); err != nil || b == nil {
-		t.Errorf("clean-view ScanBatch declined: %v, %v", b, err)
+	own := View{TS: LatestTS, Tx: tx.ID()}
+	for _, c := range []struct {
+		view View
+		id   int64
+		want int
+	}{{Latest, 42, 1}, {Latest, 100, 0}, {own, 42, 0}, {own, 100, 1}} {
+		if n := scan(t, o, c.view, idIs(c.id), nil).Len(); n != c.want {
+			t.Errorf("probe of id %d in view %+v = %d rows, want %d", c.id, c.view, n, c.want)
+		}
+	}
+	if st := o.CacheStats(); st.FullBuilds != 0 || st.ResidentBytes != 0 {
+		t.Errorf("index probes built the column cache: %+v", st)
+	}
+	// The transaction's own view: 50 rows, one deleted, one inserted.
+	if n := scanBatchLen(t, o, own); n != 50 {
+		t.Errorf("overlay scan = %d rows, want 50", n)
 	}
 	tx.Abort()
-
-	// An indexed point predicate: the hash probe beats any scan.
-	if _, err := o.Store().CreateHashIndex("by_id", []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	point := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(42)))
-	if b, _, err := o.ScanBatch(Latest, point, nil); err != nil || b != nil {
-		t.Errorf("point-probe ScanBatch = %v, %v; want decline", b, err)
-	}
 }
 
 // TestScanBatchMatchesScan is the fragment-level differential: for a
-// spread of predicates and projections the batch scan materializes to
-// exactly what the row scan returns.
+// spread of views, predicates and projections the batch scan materializes
+// to exactly what the reference (refScan) computes. The views include a
+// transaction's with a pending insert, one's with a pending delete and
+// one's with a pending update on the fragment, and one whose transaction
+// wrote only to another fragment; the predicates include equalities the
+// hash index answers, alone and with a residual, one whose key only a
+// pending insert holds, and a NULL key.
 func TestScanBatchMatchesScan(t *testing.T) {
 	var horizon atomic.Uint64
 	horizon.Store(1)
 	o, mgr := newMVCCOFM(t, &horizon)
 	load(t, o, 60)
+	if _, err := o.Store().CreateHashIndex("by_id", []int{0}); err != nil {
+		t.Fatal(err)
+	}
 	// Mix in MVCC churn so visibility selection is exercised too.
 	tx := mgr.Begin()
 	if _, err := o.DeleteTx(tx.ID(), expr.NewCmp(expr.GE, expr.NewCol("id"), expr.NewConst(value.NewInt(55))), Latest); err != nil {
@@ -305,6 +323,30 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	commitAt(t, o, tx, 10)
+
+	idIs := func(id int64) expr.Expr {
+		return expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(id)))
+	}
+	inserting, deleting, updating, elsewhere := mgr.Begin(), mgr.Begin(), mgr.Begin(), mgr.Begin()
+	defer func() {
+		for _, tx := range []*txn.Txn{inserting, deleting, updating, elsewhere} {
+			tx.Abort()
+		}
+	}()
+	if err := o.InsertTx(inserting.ID(), emp(300, "ops", 450)); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := o.DeleteTx(deleting.ID(), idIs(7), Latest); err != nil || n != 1 {
+		t.Fatalf("delete = %d, %v", n, err)
+	}
+	set := map[int]expr.Expr{2: expr.NewConst(value.NewInt(777))}
+	if n, err := o.UpdateTx(updating.ID(), idIs(7), set, Latest); err != nil || n != 1 {
+		t.Fatalf("update = %d, %v", n, err)
+	}
+	other, _ := newMVCCOFM(t, &horizon)
+	if err := other.InsertTx(elsewhere.ID(), emp(7, "eng", 1)); err != nil {
+		t.Fatal(err)
+	}
 
 	preds := []expr.Expr{
 		nil,
@@ -316,33 +358,44 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			expr.NewCmp(expr.LE, expr.NewCol("salary"), expr.NewConst(value.NewInt(50))),
 			expr.NewCmp(expr.GE, expr.NewCol("salary"), expr.NewConst(value.NewInt(400)))),
 		expr.NewLike(expr.NewCol("dept"), "e%", false), // row-fallback kernel inside the vec filter
+		idIs(7), // the hash index answers
+		expr.NewAnd(idIs(7), expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
+		idIs(300), // only the pending insert holds the key
+		expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.Null)),
 	}
-	views := []View{Latest, {TS: 5}, {TS: 15}}
+	views := []View{Latest, {TS: 5}, {TS: 15},
+		{TS: LatestTS, Tx: inserting.ID()}, {TS: 15, Tx: deleting.ID()},
+		{TS: LatestTS, Tx: updating.ID()}, {TS: LatestTS, Tx: elsewhere.ID()}}
 	for pi, p := range preds {
 		for vi, v := range views {
 			for _, cols := range [][]int{nil, {0}, {2, 0}} {
-				var pc expr.Expr
-				if p != nil {
-					pc = expr.Clone(p)
-				}
-				want, err := o.Scan(v, pc, cols)
+				want, err := refScan(o, v, p, cols)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p != nil {
-					pc = expr.Clone(p)
-				}
-				b, _, err := o.ScanBatch(v, pc, cols)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b == nil {
-					t.Fatalf("pred %d view %d cols %v: batch path declined", pi, vi, cols)
-				}
-				got := b.Materialize()
-				if !got.SameBag(want) {
-					t.Errorf("pred %d view %d cols %v: batch %d rows vs row %d rows",
+				got := scan(t, o, v, clonePred(p), cols)
+				if !got.SameBag(want) || got.Schema.String() != want.Schema.String() {
+					t.Errorf("pred %d view %d cols %v: batch %d rows vs reference %d rows",
 						pi, vi, cols, got.Len(), want.Len())
+				}
+			}
+		}
+	}
+	// The executor's point path, ProbeEq, agrees too.
+	wellPaid := expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))
+	for vi, v := range views {
+		for _, key := range []int64{7, 300} {
+			for _, rest := range []expr.Expr{nil, wellPaid} {
+				want, err := refScan(o, v, expr.Conjoin([]expr.Expr{idIs(key), rest}), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := o.ProbeEq(v, 0, value.NewInt(key), rest)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.SameBag(want) {
+					t.Errorf("ProbeEq id %d rest %v view %d: %d rows vs reference %d", key, rest, vi, got.Len(), want.Len())
 				}
 			}
 		}

@@ -14,9 +14,9 @@
 // Every OFM owns an expression compiler (package expr) "to generate
 // routines dynamically ... it avoids the otherwise excessive
 // interpretation overhead incurred by a query expression interpreter";
-// compiled predicates are cached per expression text. The Compiled
-// config flag switches the scan path between the compiler and the
-// interpreter so experiment E4 can measure exactly this design choice.
+// compiled predicates and vectorized filters are cached per expression
+// text. Every scan runs them; experiment E4 measures the compiler against
+// the expression interpreter in package expr directly.
 package ofm
 
 import (
@@ -65,8 +65,9 @@ type Config struct {
 	Kind Kind
 	// Log is the write-ahead log; required for Persistent OFMs.
 	Log *wal.Log
-	// Compiled selects the compiled scan path (default true). Set false
-	// to force the interpreter (experiment E4's baseline).
+	// Compiled has no effect: every scan runs compiled kernels. The field
+	// stays because a caller outside this module's packages still sets it
+	// (the repository benchmark's fragment probes, a frozen path).
 	Compiled bool
 	// Horizon, when set, returns the multiversion garbage-collection
 	// horizon (the oldest snapshot any reader may still hold). Commits
@@ -203,7 +204,7 @@ func (o *OFM) compilePred(e expr.Expr) (*expr.Predicate, error) {
 	o.predMu.Unlock()
 	p, err := expr.CompilePredicate(expr.Clone(e), o.cfg.Schema)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
 	o.cfg.PE.Advance(o.costs().CompileCost())
 	o.predMu.Lock()
@@ -253,136 +254,113 @@ func (o *OFM) eqIndexProbe(e expr.Expr) (idx *storage.HashIndex, key value.Value
 	return nil, value.Null, e
 }
 
-// Scan evaluates an optional predicate over the view and returns the
-// matching tuples, optionally projected to cols (nil = all). Virtual CPU
-// time is charged per tuple examined; a hash index turns an equality
-// scan into a probe. Only the versions visible at view.TS are read, so
-// snapshot scans need no locks; when the view carries a transaction with
-// pending writes on this fragment, the write set is merged in (and the
-// index fast path skipped, since buffered inserts are not yet indexed).
-func (o *OFM) Scan(view View, pred expr.Expr, cols []int) (*value.Relation, error) {
-	cost := o.costs()
-	del, ins := o.overlay(view)
-
-	// Index probe path.
-	if pred != nil && len(ins) == 0 {
-		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-			ids := hash.Lookup([]value.Value{key})
-			o.cfg.PE.Advance(cost.HashCost(1))
-			rel := value.NewRelation(o.cfg.Schema)
-			for _, id := range ids {
-				if _, gone := del[id]; gone {
-					continue
-				}
-				if t, ok := o.store.GetAt(id, view.TS); ok {
-					rel.Append(t)
-				}
-			}
-			o.cfg.PE.Advance(cost.BuildCost(rel.Len()))
-			if rest != nil {
-				return o.filterAndProject(rel, rest, cols)
-			}
-			return o.project(rel, cols)
-		}
-	}
-
-	snapshot := value.NewRelation(o.cfg.Schema)
-	snapshot.Tuples = make([]value.Tuple, 0, o.store.Len()+len(ins))
-	o.store.ScanAt(view.TS, func(id storage.RowID, t value.Tuple) bool {
-		if _, gone := del[id]; !gone {
-			snapshot.Tuples = append(snapshot.Tuples, t)
-		}
-		return true
-	})
-	snapshot.Tuples = append(snapshot.Tuples, ins...)
-	if pred == nil {
-		o.cfg.PE.Advance(cost.BuildCost(snapshot.Len()))
-		return o.project(snapshot, cols)
-	}
-	return o.filterAndProject(snapshot, pred, cols)
-}
-
 // ProbeEq answers an equality point query (col = key) with a direct
-// hash-index lookup — the executor's IndexProbe fast path. Unlike Scan,
-// no predicate is recognized, compiled or interpreted: the key arrives
-// already resolved. rest, when non-nil, filters the probed tuples.
-// A fragment without a matching index degrades to a filtered Scan, as
-// does a view whose transaction has pending inserts here (they are not
-// indexed yet).
+// hash-index lookup — the executor's IndexProbe fast path. No predicate is
+// recognized or compiled: the key arrives already resolved. rest, when
+// non-nil, filters the probed tuples, and the view transaction's pending
+// inserts that match follow them. A fragment without a hash index on col
+// answers from a batch scan.
 func (o *OFM) ProbeEq(view View, col int, key value.Value, rest expr.Expr) (*value.Relation, error) {
 	if key.IsNull() {
 		// `col = NULL` is never true.
 		return value.NewRelation(o.cfg.Schema), nil
 	}
-	del, ins := o.overlay(view)
 	hash, ok := o.store.HashIndexOn([]int{col})
-	if !ok || len(ins) > 0 {
-		eq := expr.NewCmp(expr.EQ, expr.NewColIdx(col, o.cfg.Schema.Column(col).Kind), expr.NewConst(key))
-		return o.Scan(view, expr.Conjoin([]expr.Expr{eq, rest}), nil)
+	if !ok {
+		b, _, err := o.ScanBatch(view, o.eqPred(col, key, rest), nil)
+		if err != nil {
+			return nil, err
+		}
+		return b.Materialize(), nil
 	}
-	cost := o.costs()
+	del, ins := o.overlay(view)
+	var full expr.Expr
+	if len(ins) > 0 {
+		full = o.eqPred(col, key, rest)
+	}
+	rows, err := o.probeRows(view, del, ins, hash, key, rest, full)
+	if err != nil {
+		return nil, err
+	}
+	return &value.Relation{Schema: o.cfg.Schema, Tuples: rows}, nil
+}
+
+// eqPred spells ProbeEq's question as a predicate: col = key AND rest.
+func (o *OFM) eqPred(col int, key value.Value, rest expr.Expr) expr.Expr {
+	eq := expr.NewCmp(expr.EQ, expr.NewColIdx(col, o.cfg.Schema.Column(col).Kind), expr.NewConst(key))
+	return expr.Conjoin([]expr.Expr{eq, rest})
+}
+
+// probe looks key up in a hash index and hands fn every version under it
+// that the view sees — visible at view.TS, not deleted by the view's
+// transaction — and that rest (nil = all) accepts. The index also holds
+// dead versions until Vacuum, hence the visibility check. It charges the
+// lookup and returns how many row ids the index held under key and how
+// many of their versions the view saw.
+func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, rest expr.Expr, fn func(storage.RowID, value.Tuple)) (probed, seen int, err error) {
+	var match *expr.Predicate
+	if rest != nil {
+		if match, err = o.compilePred(rest); err != nil {
+			return 0, 0, err
+		}
+	}
 	ids := hash.Lookup([]value.Value{key})
-	o.cfg.PE.Advance(cost.HashCost(1))
-	rel := value.NewRelation(o.cfg.Schema)
-	if len(ids) > 0 {
-		rel.Tuples = make([]value.Tuple, 0, len(ids))
-	}
+	o.cfg.PE.Advance(o.costs().HashCost(1))
 	for _, id := range ids {
 		if _, gone := del[id]; gone {
 			continue
 		}
-		if t, ok := o.store.GetAt(id, view.TS); ok {
-			rel.Append(t)
+		t, ok := o.store.GetAt(id, view.TS)
+		if !ok {
+			continue
 		}
+		seen++
+		if match != nil {
+			hit, err := match.Match(t)
+			if err != nil {
+				return 0, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+			}
+			if !hit {
+				continue
+			}
+		}
+		fn(id, t)
 	}
-	o.cfg.PE.Advance(cost.BuildCost(rel.Len()))
-	if rest != nil {
-		return o.filterAndProject(rel, rest, nil)
-	}
-	return rel, nil
+	return len(ids), seen, nil
 }
 
-func (o *OFM) filterAndProject(rel *value.Relation, pred expr.Expr, cols []int) (*value.Relation, error) {
+// probeRows answers `col = key AND rest` from the hash index on col (see
+// probe), then appends the pending inserts ins that full, the whole
+// predicate, accepts. It charges what the probed versions cost to build
+// and, under rest, to filter, plus the filter over the inserts.
+func (o *OFM) probeRows(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) ([]value.Tuple, error) {
+	var rows []value.Tuple
+	_, seen, err := o.probe(view, del, hash, key, rest, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
+	if err != nil {
+		return nil, err
+	}
 	cost := o.costs()
-	var out *value.Relation
-	var err error
-	if o.cfg.Compiled {
-		p, cerr := o.compilePred(pred)
-		if cerr != nil {
-			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, cerr)
+	o.cfg.PE.Advance(cost.BuildCost(seen))
+	if rest != nil {
+		o.cfg.PE.Advance(cost.ScanCost(seen, true))
+	}
+	if len(ins) > 0 {
+		p, err := o.compilePred(full)
+		if err != nil {
+			return nil, err
 		}
-		out, _, err = algebra.Select(rel, p)
-		o.cfg.PE.Advance(cost.ScanCost(rel.Len(), true))
-	} else {
-		bound := expr.Clone(pred)
-		if _, berr := expr.Bind(bound, o.cfg.Schema); berr != nil {
-			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, berr)
+		if rows, err = p.FilterInto(rows, ins); err != nil {
+			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 		}
-		out, _, err = algebra.SelectInterpreted(rel, bound)
-		o.cfg.PE.Advance(cost.ScanCost(rel.Len(), false))
+		o.cfg.PE.Advance(cost.ScanCost(len(ins), true))
 	}
-	if err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	return o.project(out, cols)
-}
-
-func (o *OFM) project(rel *value.Relation, cols []int) (*value.Relation, error) {
-	if cols == nil {
-		return rel, nil
-	}
-	out, _, err := algebra.Project(rel, cols)
-	if err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	o.cfg.PE.Advance(o.costs().BuildCost(out.Len()))
-	return out, nil
+	return rows, nil
 }
 
 // Closure runs the transitive closure operator locally (paper §2.5).
 func (o *OFM) Closure(view View, fromCol, toCol int, algo algebra.TCAlgorithm) (*value.Relation, error) {
 	in := value.NewRelation(o.cfg.Schema)
-	in.Tuples = o.visibleTuples(view)
+	in.Tuples = o.VisibleTuples(view)
 	out, st, _, err := algebra.TransitiveClosure(in, fromCol, toCol, algo)
 	if err != nil {
 		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)

@@ -22,7 +22,7 @@ func emp(id int64, dept string, salary int64) value.Tuple {
 }
 
 // newOFM builds a persistent OFM with its own machine, log and txn mgr.
-func newOFM(t *testing.T, compiled bool) (*OFM, *machine.Machine, *txn.Manager) {
+func newOFM(t *testing.T) (*OFM, *machine.Machine, *txn.Manager) {
 	t.Helper()
 	m, err := machine.New(machine.Config{NumPEs: 16})
 	if err != nil {
@@ -37,13 +37,12 @@ func newOFM(t *testing.T, compiled bool) (*OFM, *machine.Machine, *txn.Manager) 
 		t.Fatal(err)
 	}
 	o, err := New(Config{
-		Name:     "emp#0",
-		Schema:   testSchema(),
-		PE:       m.PE(1),
-		Machine:  m,
-		Kind:     Persistent,
-		Log:      log,
-		Compiled: compiled,
+		Name:    "emp#0",
+		Schema:  testSchema(),
+		PE:      m.PE(1),
+		Machine: m,
+		Kind:    Persistent,
+		Log:     log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,32 +89,65 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// scan runs the batch scan and materializes its rows.
+func scan(t *testing.T, o *OFM, view View, pred expr.Expr, cols []int) *value.Relation {
+	t.Helper()
+	b, _, err := o.ScanBatch(view, pred, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Materialize()
+}
+
+// refScan is the test-side reference for the batch scan: the view's
+// tuples a row at a time (VisibleTuples), filtered by the bound expression
+// interpreter and projected to cols (nil = all).
+func refScan(o *OFM, view View, pred expr.Expr, cols []int) (*value.Relation, error) {
+	if pred != nil {
+		pred = expr.Clone(pred)
+		if _, err := expr.Bind(pred, o.Schema()); err != nil {
+			return nil, err
+		}
+	}
+	out := value.NewRelation(o.Schema())
+	if cols != nil {
+		out.Schema = o.Schema().Project(cols)
+	}
+	for _, tup := range o.VisibleTuples(view) {
+		if pred != nil {
+			v, err := pred.Eval(tup)
+			if err != nil {
+				return nil, err
+			}
+			if !expr.Truthy(v) {
+				continue
+			}
+		}
+		if cols != nil {
+			tup = tup.Project(cols)
+		}
+		out.Append(tup)
+	}
+	return out, nil
+}
+
+// TestScanFullAndFiltered also runs with Config.Compiled off: the field,
+// kept for a caller outside the module's packages, changes nothing.
 func TestScanFullAndFiltered(t *testing.T) {
 	for _, compiled := range []bool{true, false} {
 		t.Run(fmt.Sprintf("compiled=%v", compiled), func(t *testing.T) {
-			o, m, _ := newOFM(t, compiled)
+			o, m, _ := newOFM(t)
+			o.cfg.Compiled = compiled
 			load(t, o, 30)
-			all, err := o.Scan(Latest, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if all.Len() != 30 {
+			if all := scan(t, o, Latest, nil, nil); all.Len() != 30 {
 				t.Errorf("full scan = %d", all.Len())
 			}
 			pred := expr.NewCmp(expr.GE, expr.NewCol("salary"), expr.NewConst(value.NewInt(150)))
-			some, err := o.Scan(Latest, pred, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if some.Len() != 15 {
+			if some := scan(t, o, Latest, pred, nil); some.Len() != 15 {
 				t.Errorf("filtered scan = %d, want 15", some.Len())
 			}
 			// Projection.
-			proj, err := o.Scan(Latest, pred, []int{0})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if proj.Schema.Len() != 1 || proj.Len() != 15 {
+			if proj := scan(t, o, Latest, pred, []int{0}); proj.Schema.Len() != 1 || proj.Len() != 15 {
 				t.Errorf("projected scan = %v", proj.Schema)
 			}
 			// Virtual time charged.
@@ -126,56 +158,27 @@ func TestScanFullAndFiltered(t *testing.T) {
 	}
 }
 
-func TestCompiledVsInterpretedSameResults(t *testing.T) {
-	oc, _, _ := newOFM(t, true)
-	oi, _, _ := newOFM(t, false)
-	load(t, oc, 50)
-	load(t, oi, 50)
-	preds := []expr.Expr{
-		expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(25))),
-		expr.NewAnd(
-			expr.NewCmp(expr.EQ, expr.NewCol("dept"), expr.NewConst(value.NewString("eng"))),
-			expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
-		expr.NewLike(expr.NewCol("dept"), "e%", false),
-	}
-	for _, p := range preds {
-		a, err := oc.Scan(Latest, expr.Clone(p), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := oi.Scan(Latest, expr.Clone(p), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.SameBag(b) {
-			t.Errorf("compiled and interpreted scans differ for %s", p)
-		}
-	}
-}
-
 func TestIndexProbe(t *testing.T) {
-	o, m, _ := newOFM(t, true)
+	o, m, _ := newOFM(t)
 	load(t, o, 100)
 	if _, err := o.Store().CreateHashIndex("by_id", []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	m.ResetClocks()
 	pred := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(42)))
-	out, err := o.Scan(Latest, pred, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := scan(t, o, Latest, pred, nil)
 	if out.Len() != 1 || out.Tuples[0][0].Int() != 42 {
 		t.Fatalf("index probe = %v", out.Tuples)
 	}
 	probeTime := m.PE(1).Clock()
+	if st := o.CacheStats(); st.FullBuilds != 0 || st.ResidentBytes != 0 {
+		t.Errorf("the index probe built the column cache: %+v", st)
+	}
 
 	// A non-indexed scan of the same data costs much more virtual time.
 	m.ResetClocks()
 	pred2 := expr.NewCmp(expr.EQ, expr.NewCol("salary"), expr.NewConst(value.NewInt(420)))
-	if _, err := o.Scan(Latest, pred2, nil); err != nil {
-		t.Fatal(err)
-	}
+	scan(t, o, Latest, pred2, nil)
 	scanTime := m.PE(1).Clock()
 	if probeTime >= scanTime {
 		t.Errorf("index probe %v not cheaper than full scan %v", probeTime, scanTime)
@@ -185,20 +188,12 @@ func TestIndexProbe(t *testing.T) {
 	pred3 := expr.NewAnd(
 		expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(42))),
 		expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(99999))))
-	out, err = o.Scan(Latest, pred3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
+	if out = scan(t, o, Latest, pred3, nil); out.Len() != 0 {
 		t.Errorf("residual filter ignored: %v", out.Tuples)
 	}
 	// Constant on the left also probes.
 	pred4 := expr.NewCmp(expr.EQ, expr.NewConst(value.NewInt(7)), expr.NewCol("id"))
-	out, err = o.Scan(Latest, pred4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 1 {
+	if out = scan(t, o, Latest, pred4, nil); out.Len() != 1 {
 		t.Errorf("const-left probe = %v", out.Tuples)
 	}
 }
@@ -234,7 +229,7 @@ func TestClosureOperator(t *testing.T) {
 }
 
 func TestTransactionCommitFlow(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 10)
 	tx := mgr.Begin()
 	if err := tx.Lock(o.Name(), txn.Exclusive); err != nil {
@@ -266,7 +261,7 @@ func TestTransactionCommitFlow(t *testing.T) {
 }
 
 func TestTransactionAbortDiscards(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 10)
 	tx := mgr.Begin()
 	tx.Enlist(o)
@@ -283,7 +278,7 @@ func TestTransactionAbortDiscards(t *testing.T) {
 }
 
 func TestDeleteTx(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 30)
 	tx := mgr.Begin()
 	tx.Enlist(o)
@@ -301,17 +296,13 @@ func TestDeleteTx(t *testing.T) {
 	if o.Rows() != 20 {
 		t.Errorf("rows after delete = %d", o.Rows())
 	}
-	left, err := o.Scan(Latest, pred, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if left.Len() != 0 {
+	if left := scan(t, o, Latest, pred, nil); left.Len() != 0 {
 		t.Errorf("eng rows survived: %v", left.Tuples)
 	}
 }
 
 func TestUpdateTx(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 10)
 	tx := mgr.Begin()
 	tx.Enlist(o)
@@ -330,11 +321,7 @@ func TestUpdateTx(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	out, err := o.Scan(Latest, pred, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range out.Tuples {
+	for _, row := range scan(t, o, Latest, pred, nil).Tuples {
 		if row[2].Int() < 1000 {
 			t.Errorf("update not applied: %v", row)
 		}
@@ -351,7 +338,7 @@ func TestUpdateTx(t *testing.T) {
 }
 
 func TestMutationAfterPrepareRejected(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	tx := mgr.Begin()
 	if err := o.InsertTx(tx.ID(), emp(1, "x", 1)); err != nil {
 		t.Fatal(err)
@@ -372,7 +359,7 @@ func TestMutationAfterPrepareRejected(t *testing.T) {
 }
 
 func TestCrashRecovery(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 20)
 
 	// Committed txn: survives.
@@ -396,10 +383,7 @@ func TestCrashRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before, err := o.Scan(Latest, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := scan(t, o, Latest, nil, nil)
 
 	o.Crash()
 	if o.Rows() != 0 {
@@ -412,25 +396,17 @@ func TestCrashRecovery(t *testing.T) {
 	if applied == 0 {
 		t.Error("no redo applied")
 	}
-	after, err := o.Scan(Latest, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !after.SameSet(before) {
+	if after := scan(t, o, Latest, nil, nil); !after.SameSet(before) {
 		t.Errorf("recovery diverged: %d rows vs %d", after.Len(), before.Len())
 	}
 	// The ghost insert is absent.
-	ghost, err := o.Scan(Latest, expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(200))), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ghost.Len() != 0 {
+	if ghost := scan(t, o, Latest, expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(200))), nil); ghost.Len() != 0 {
 		t.Error("uncommitted insert survived the crash")
 	}
 }
 
 func TestCheckpointShortensRecovery(t *testing.T) {
-	o, _, mgr := newOFM(t, true)
+	o, _, mgr := newOFM(t)
 	load(t, o, 5)
 	for i := 0; i < 10; i++ {
 		tx := mgr.Begin()
@@ -478,7 +454,7 @@ func TestLoadCarriesPreparedWriteSet(t *testing.T) {
 	}
 	for name, fold := range folds {
 		t.Run(name, func(t *testing.T) {
-			o, _, _ := newOFM(t, true)
+			o, _, _ := newOFM(t)
 			const tx = txn.ID(7)
 			o.cfg.Decide = func(id txn.ID) (uint64, bool, bool) { return 5, id == tx, id == tx }
 			if err := o.InsertTx(tx, emp(100, "new", 1)); err != nil {
@@ -498,11 +474,7 @@ func TestLoadCarriesPreparedWriteSet(t *testing.T) {
 			if redone != 1 {
 				t.Errorf("recovery redid %d records of the prepared transaction, want 1", redone)
 			}
-			row, err := o.Scan(Latest, expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(100))), nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if row.Len() != 1 {
+			if row := scan(t, o, Latest, expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(100))), nil); row.Len() != 1 {
 				t.Errorf("the decided-commit insert is gone after %s + crash", name)
 			}
 		})
@@ -514,7 +486,7 @@ func TestTransientOFMBehavior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(Config{Name: "tmp#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient, Compiled: true})
+	o, err := New(Config{Name: "tmp#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +521,7 @@ func TestStatsCallback(t *testing.T) {
 	var rows int
 	var bytes int64
 	o, err := New(Config{
-		Name: "s#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient, Compiled: true,
+		Name: "s#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient,
 		StatsFn: func(rd int, bd int64) { rows += rd; bytes += bd },
 	})
 	if err != nil {
@@ -578,7 +550,7 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := New(Config{Name: "m#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient, Compiled: true})
+	o, err := New(Config{Name: "m#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +574,7 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 }
 
 func TestLoadTypeErrors(t *testing.T) {
-	o, _, _ := newOFM(t, true)
+	o, _, _ := newOFM(t)
 	err := o.Load([]value.Tuple{value.Ints(1)})
 	if err == nil || !strings.Contains(err.Error(), "arity") {
 		t.Errorf("bad load error = %v", err)

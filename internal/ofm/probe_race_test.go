@@ -22,7 +22,7 @@ func TestProbeEqRacesCommit(t *testing.T) {
 	}
 	mgr := txn.NewManager()
 	o, err := New(Config{Name: "probe#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient,
-		Compiled: true, Horizon: mgr.Horizon})
+		Horizon: mgr.Horizon})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,13 +223,13 @@ func (o *OFM) matchPending(tx txn.ID, pred expr.Expr) ([]int, error) {
 		}
 		return idxs, nil
 	}
-	match, err := o.predMatcher(pred)
+	match, err := o.compilePred(pred)
 	if err != nil {
 		return nil, err
 	}
 	var idxs []int
 	for i, t := range ins {
-		hit, err := match(t)
+		hit, err := match.Match(t)
 		if err != nil {
 			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 		}
@@ -240,37 +240,12 @@ func (o *OFM) matchPending(tx txn.ID, pred expr.Expr) ([]int, error) {
 	return idxs, nil
 }
 
-// predMatcher returns a tuple matcher for pred honoring the OFM's
-// compiled/interpreted configuration.
-func (o *OFM) predMatcher(pred expr.Expr) (func(value.Tuple) (bool, error), error) {
-	if o.cfg.Compiled {
-		p, err := o.compilePred(pred)
-		if err != nil {
-			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-		}
-		return p.Match, nil
-	}
-	bound := expr.Clone(pred)
-	if _, err := expr.Bind(bound, o.cfg.Schema); err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	return func(t value.Tuple) (bool, error) {
-		v, err := bound.Eval(t)
-		if err != nil {
-			return false, err
-		}
-		return expr.Truthy(v), nil
-	}, nil
-}
-
 // matchRowIDs resolves pred against the versions visible in the view,
 // skipping rows the view's transaction already deleted. An equality on a
 // hash-indexed column probes the index instead of scanning the
-// fragment — the point-UPDATE/DELETE fast path, mirroring what Scan
-// does for point SELECTs (the E11 profile showed DML spending its time
-// re-scanning fragments that the pk index answers in O(1)). The index
-// also holds dead versions until Vacuum, so probe hits are re-checked
-// against the view's visibility.
+// fragment — the point-UPDATE/DELETE fast path, the same probe a point
+// SELECT takes (DML re-scanning fragments that the pk index answers in
+// O(1) was once most of a mixed workload's time).
 func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
 	del, _ := o.overlay(view)
 	var ids []storage.RowID
@@ -281,42 +256,18 @@ func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
 			}
 			return true
 		})
-		o.cfg.PE.Advance(o.costs().ScanCost(len(ids), o.cfg.Compiled))
+		o.cfg.PE.Advance(o.costs().ScanCost(len(ids), true))
 		return ids, nil
 	}
 	if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-		probed := hash.Lookup([]value.Value{key})
-		o.cfg.PE.Advance(o.costs().HashCost(1))
-		var match func(value.Tuple) (bool, error)
-		if rest != nil {
-			var err error
-			if match, err = o.predMatcher(rest); err != nil {
-				return nil, err
-			}
+		probed, _, err := o.probe(view, del, hash, key, rest, func(id storage.RowID, _ value.Tuple) { ids = append(ids, id) })
+		if err != nil {
+			return nil, err
 		}
-		for _, id := range probed {
-			if _, gone := del[id]; gone {
-				continue
-			}
-			t, ok := o.store.GetAt(id, view.TS)
-			if !ok {
-				continue
-			}
-			if match != nil {
-				hit, err := match(t)
-				if err != nil {
-					return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-				}
-				if !hit {
-					continue
-				}
-			}
-			ids = append(ids, id)
-		}
-		o.cfg.PE.Advance(o.costs().ScanCost(len(probed), true))
+		o.cfg.PE.Advance(o.costs().ScanCost(probed, true))
 		return ids, nil
 	}
-	match, err := o.predMatcher(pred)
+	match, err := o.compilePred(pred)
 	if err != nil {
 		return nil, err
 	}
@@ -328,7 +279,7 @@ func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
 			return true
 		}
 		var hit bool
-		hit, evalErr = match(t)
+		hit, evalErr = match.Match(t)
 		if evalErr != nil {
 			return false
 		}
@@ -337,7 +288,7 @@ func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
 		}
 		return true
 	})
-	o.cfg.PE.Advance(o.costs().ScanCost(scanned, o.cfg.Compiled))
+	o.cfg.PE.Advance(o.costs().ScanCost(scanned, true))
 	if evalErr != nil {
 		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, evalErr)
 	}

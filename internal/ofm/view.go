@@ -56,10 +56,11 @@ func (o *OFM) overlay(view View) (del map[storage.RowID]struct{}, ins []value.Tu
 	return del, ins
 }
 
-// visibleTuples materializes the view: committed versions visible at
-// view.TS, minus the versions the view transaction deleted, plus the
-// tuples it inserted.
-func (o *OFM) visibleTuples(view View) []value.Tuple {
+// VisibleTuples materializes the view as tuples, a row at a time off the
+// store: committed versions visible at view.TS, minus the versions the view
+// transaction deleted, plus the tuples it inserted. The closure operator
+// reads it, and tests hold ScanBatch to it.
+func (o *OFM) VisibleTuples(view View) []value.Tuple {
 	del, ins := o.overlay(view)
 	out := make([]value.Tuple, 0, o.store.Len()+len(ins))
 	o.store.ScanAt(view.TS, func(id storage.RowID, t value.Tuple) bool {

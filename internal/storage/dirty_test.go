@@ -51,8 +51,8 @@ func TestVacuumWalksDeadList(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if id.slot() != want {
-			t.Errorf("insert landed in slot %d, want %d", id.slot(), want)
+		if id.Slot() != want {
+			t.Errorf("insert landed in slot %d, want %d", id.Slot(), want)
 		}
 	}
 	if n := s.Vacuum(12); n != 1 || s.DeadVersions() != 0 {
@@ -99,7 +99,7 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 	if d := got[0]; d.Slot != 1 || !d.StampsOnly || d.Tuple == nil || d.Begin != 0 || d.End != 5 {
 		t.Errorf("delete entry = %+v", d)
 	}
-	if d := got[1]; d.Slot != appended.slot() || d.StampsOnly || d.Tuple == nil || d.Begin != 5 || d.End != 0 {
+	if d := got[1]; d.Slot != appended.Slot() || d.StampsOnly || d.Tuple == nil || d.Begin != 5 || d.End != 0 {
 		t.Errorf("insert entry = %+v", d)
 	}
 
@@ -107,8 +107,8 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 	// the slot as it is now.
 	s.Vacuum(5)
 	reused, _ := s.InsertVersion(emp(10, "r", 2), 7)
-	if reused.slot() != 1 {
-		t.Fatalf("insert reused slot %d, want 1", reused.slot())
+	if reused.Slot() != 1 {
+		t.Fatalf("insert reused slot %d, want 1", reused.Slot())
 	}
 	got = drain(t, s)
 	if len(got) != 2 || got[0].Slot != 1 || got[1].Slot != 1 || got[0].StampsOnly || got[0].Begin != 7 || got[1].Tuple == nil {

@@ -26,7 +26,9 @@ func makeRowID(slot int, gen int64) RowID {
 	return RowID(gen<<rowIndexBits | int64(slot))
 }
 
-func (id RowID) slot() int  { return int(int64(id) & (1<<rowIndexBits - 1)) }
+// Slot returns the slot index: the row a column image of the store keeps
+// the version in.
+func (id RowID) Slot() int  { return int(int64(id) & (1<<rowIndexBits - 1)) }
 func (id RowID) gen() int64 { return int64(id) >> rowIndexBits }
 
 // MemChangeFunc observes the store's approximate memory footprint deltas;
@@ -158,7 +160,7 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 		id = makeRowID(len(s.rows), 0)
 		s.rows = append(s.rows, slot{tuple: t, begin: ts})
 	}
-	s.noteDirty(int32(id.slot()))
+	s.noteDirty(int32(id.Slot()))
 	s.count++
 	s.version++
 	delta := int64(t.Size())
@@ -193,7 +195,7 @@ func (s *Store) InsertBatch(ts []value.Tuple) ([]RowID, error) {
 // valid returns the slot index of a valid id (any version, current or
 // dead), or -1. Caller holds a lock.
 func (s *Store) valid(id RowID) int {
-	si := id.slot()
+	si := id.Slot()
 	if id < 0 || si >= len(s.rows) || s.rows[si].tuple == nil || s.rows[si].gen != id.gen() {
 		return -1
 	}

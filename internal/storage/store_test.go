@@ -55,8 +55,8 @@ func TestRowIDGenerations(t *testing.T) {
 	s.Delete(id1)
 	id2, _ := s.Insert(emp(2, "b", 2))
 	// The slot is reused (no unbounded growth)...
-	if id1.slot() != id2.slot() {
-		t.Errorf("tombstone slot not reused: slots %d then %d", id1.slot(), id2.slot())
+	if id1.Slot() != id2.Slot() {
+		t.Errorf("tombstone slot not reused: slots %d then %d", id1.Slot(), id2.Slot())
 	}
 	// ...but the id is fresh, so the stale id misses rather than aliasing.
 	if id1 == id2 {

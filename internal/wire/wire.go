@@ -321,7 +321,12 @@ type HelloCreds struct {
 	Secret string
 }
 
-// EncodeHelloCreds builds a Hello payload carrying tenant credentials.
+// MaxCredLen is the longest tenant or secret a Hello can carry: each
+// travels behind a 16-bit length.
+const MaxCredLen = 1<<16 - 1
+
+// EncodeHelloCreds builds a Hello payload carrying tenant credentials,
+// each at most MaxCredLen bytes.
 func EncodeHelloCreds(tenant, secret string) []byte {
 	buf := make([]byte, 0, len(Magic)+5+len(tenant)+len(secret))
 	buf = append(buf, Magic...)

@@ -92,9 +92,6 @@ type Config struct {
 	// NumPEs is the number of processing elements (default 64, the
 	// paper's prototype size).
 	NumPEs int
-	// Interpreted forces interpreted expression evaluation in the OFMs
-	// instead of the paper's compiled routines (experiment E4 baseline).
-	Interpreted bool
 	// Optimizer overrides the rule groups (nil = all rules).
 	Optimizer *OptimizerOptions
 	// NaiveDatalog forces naive fixpoint iteration for PRISMAlog
@@ -112,11 +109,9 @@ type DB struct {
 
 // Open builds a database machine.
 func Open(cfg Config) (*DB, error) {
-	compiled := !cfg.Interpreted
 	semiNaive := !cfg.NaiveDatalog
 	ccfg := core.Config{
 		NumPEs:    cfg.NumPEs,
-		Compiled:  &compiled,
 		Optimizer: cfg.Optimizer,
 		SemiNaive: &semiNaive,
 	}
