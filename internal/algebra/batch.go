@@ -324,9 +324,16 @@ func (g *groups) tally(null []bool) []int64 {
 	}
 	if g.rows == nil {
 		g.rows = make([]int64, g.n)
-		if len(g.keys) == 0 {
+		switch g.n {
+		case 1:
 			g.rows[0] = int64(len(g.sel))
-		} else {
+		case 2: // the ids add up in a register, no count waits on the last
+			ones := int64(0)
+			for _, id := range g.ids {
+				ones += int64(id)
+			}
+			g.rows[0], g.rows[1] = int64(len(g.ids))-ones, ones
+		default:
 			for _, id := range g.ids {
 				g.rows[id]++
 			}

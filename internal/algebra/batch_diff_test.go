@@ -562,6 +562,7 @@ func checkBatchKernels(t *testing.T, seed int64) {
 	checkAggregate(t, seed)
 	checkJoin(t, seed)
 	checkBroadcast(t, seed)
+	checkGroupJoin(t, seed)
 	checkSort(t, seed)
 	checkDistinct(t, seed)
 	checkSplit(t, seed)

@@ -299,3 +299,29 @@ func BenchmarkHashJoinBatch(b *testing.B) {
 		return err
 	})
 }
+
+// BenchmarkGroupJoin times the served benchmark's join_group on the
+// fragment — COUNT(*) and SUM(amt) of fact per dim.w — as one group-join:
+// dim's table built and grouped on w, the fact rows folded into its groups.
+func BenchmarkGroupJoin(b *testing.B) {
+	benchFragmentKeys(b, func(fact, dim *value.Batch, _, factKeys, dimKeys []int) error {
+		_, err := groupJoinW(fact, dim, factKeys, dimKeys)
+		return err
+	})
+}
+
+// groupJoinW group-joins fact, on factKeys, with dim, on dimKeys, grouped
+// on dim.w with factSpecs. Both batches are consumed.
+func groupJoinW(fact, dim *value.Batch, factKeys, dimKeys []int) (*value.Batch, error) {
+	table, _, err := BuildJoinTable(dim, dimKeys)
+	if err != nil {
+		return nil, err
+	}
+	defer table.Release()
+	gj, err := table.Group([]int{1}, fact.Schema, factKeys, factSpecs)
+	if err != nil {
+		return nil, err
+	}
+	out, _, _ := gj.Probe(fact)
+	return out, nil
+}

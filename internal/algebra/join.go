@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/value"
@@ -140,26 +141,64 @@ func (t *JoinTable) Release() {
 // payloads that are come from a. p is consumed. Stats count one hash per
 // probe row whose key is not NULL.
 func (t *JoinTable) Probe(p *value.Batch, pcols []int, probeLeft bool, need value.ColSet, a *value.Arena) (*value.Batch, Stats, error) {
-	if len(pcols) != len(t.keys) {
-		return nil, Stats{}, fmt.Errorf("algebra: probe keys %v against %d build keys", pcols, len(t.keys))
-	}
-	if err := checkKeys("probe", p.Schema, pcols); err != nil {
+	if err := t.checkProbe(p.Schema, pcols); err != nil {
 		return nil, Stats{}, err
 	}
-	out, st := t.probe(p, pcols, probeLeft, need, a)
-	return out, st, nil
+	bIdx, pIdx, once, stats := t.match(p, pcols)
+
+	// The usual join — a foreign key into a primary key — matches every
+	// probe row at most once: its output is the probe side's own columns
+	// under the selection of the matched rows, with the build side's laid
+	// out along them, and only those are copied. Otherwise both sides are
+	// gathered into a dense batch.
+	build := t.b
+	l, r := build, p
+	if probeLeft {
+		l, r = p, build
+	}
+	out := &value.Batch{Schema: l.Schema.Concat(r.Schema), Rows: len(pIdx), Cols: make([]*value.Vec, 0, len(l.Cols)+len(r.Cols))}
+	if once {
+		out.Rows, out.Sel = p.Rows, pIdx
+	}
+	for _, side := range []*value.Batch{l, r} {
+		for _, vec := range side.Cols {
+			if !need.Has(len(out.Cols)) {
+				vec = vec.Drop()
+			}
+			switch {
+			case side == build && once:
+				vec = vec.Scatter(bIdx, pIdx, p.Rows, a)
+			case side == build:
+				vec = vec.Gather(bIdx, a)
+			case !once:
+				vec = vec.Gather(pIdx, a)
+			}
+			out.Cols = append(out.Cols, vec)
+		}
+	}
+	if !once {
+		value.PutSel(pIdx)
+	}
+	value.PutSel(bIdx)
+	return out, stats, nil
 }
 
-func (t *JoinTable) probe(p *value.Batch, pcols []int, probeLeft bool, need value.ColSet, a *value.Arena) (*value.Batch, Stats) {
+func (t *JoinTable) checkProbe(probe *value.Schema, pcols []int) error {
+	if len(pcols) != len(t.keys) {
+		return fmt.Errorf("algebra: probe keys %v against %d build keys", pcols, len(t.keys))
+	}
+	return checkKeys("probe", probe, pcols)
+}
+
+// match pairs build row bIdx[k] with probe row pIdx[k] for every match of
+// the selected rows of p, in output order. once stays true while no probe
+// row has met a key that several build rows hold.
+func (t *JoinTable) match(p *value.Batch, pcols []int) (bIdx, pIdx []int32, once bool, stats Stats) {
 	psel := p.TakeSel()
 	pkeys, pnull := keyVecs(p, pcols)
-	stats := Stats{TuplesRead: len(psel)}
-
-	// Probe in input order, collecting the matched physical row pairs in
-	// output order. once stays true while no probe row has met a key that
-	// several build rows hold.
+	stats = Stats{TuplesRead: len(psel)}
 	next := t.next
-	bIdx, pIdx, once := value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
+	bIdx, pIdx, once = value.GetSelLen(len(psel))[:0], value.GetSelLen(len(psel))[:0], true
 	switch {
 	case (t.direct || t.exact) && !(pkeys[0].Fixed() && pkeys[0].Kind == t.keys[0].Kind):
 		// Cells of another kind, or none, never equal a key of these tiers.
@@ -221,43 +260,95 @@ func (t *JoinTable) probe(p *value.Batch, pcols []int, probeLeft bool, need valu
 		value.PutHashes(pw)
 	}
 	stats.TuplesEmitted = len(pIdx)
+	value.PutSel(psel)
+	return bIdx, pIdx, once, stats
+}
 
-	// The usual join — a foreign key into a primary key — matches every
-	// probe row at most once: its output is the probe side's own columns
-	// under the selection of the matched rows, with the build side's laid
-	// out along them, and only those are copied. Otherwise both sides are
-	// gathered into a dense batch.
-	build := t.b
-	l, r := build, p
-	if probeLeft {
-		l, r = p, build
+// GroupJoin is a JoinTable whose build rows are grouped once: a probe folds
+// each row into the groups of the build rows it matches, and makes no join
+// output. Groups count from 1; group 0 sinks what matches nothing.
+type GroupJoin struct {
+	t           *JoinTable
+	pcols, keys []int // the probe's key columns, the grouped build columns
+	n           int   // groups, the sink included
+	// first[g-1] is the build row that opened group g, gid[r+1] the group of
+	// build row r. sink, when the table is direct-mapped and no key repeats,
+	// maps cell x to the group of key lo+min(x, len(sink)-1).
+	first, gid, sink []int32
+	specs            []AggSpec
+	out              *value.Schema
+}
+
+// Group groups the build rows on the columns keys (none: the one global
+// group) for partial aggregates of specs over probe batches of schema
+// probe, joined on its columns pcols.
+func (t *JoinTable) Group(keys []int, probe *value.Schema, pcols []int, specs []AggSpec) (*GroupJoin, error) {
+	ks, err := aggSchema(t.b.Schema, keys, nil)
+	ss, serr := aggSchema(probe, nil, specs)
+	if err = errors.Join(err, serr, t.checkProbe(probe, pcols)); err != nil {
+		return nil, err
 	}
-	out := &value.Batch{Schema: l.Schema.Concat(r.Schema), Rows: len(pIdx), Cols: make([]*value.Vec, 0, len(l.Cols)+len(r.Cols))}
-	if once {
-		out.Rows, out.Sel = p.Rows, pIdx
+	g := groupRows(&value.Batch{Cols: t.b.Cols, Rows: t.b.Rows, Sel: append(value.GetSel(), t.sel...)}, keys)
+	gj := &GroupJoin{t: t, pcols: pcols, keys: keys, n: g.n + 1, first: g.first, gid: make([]int32, t.b.Rows+1), specs: specs,
+		out: value.NewSchema(append(ks.Columns(), ss.Columns()...)...)}
+	unique := t.direct
+	for i, r := range g.sel {
+		gj.gid[r+1] = g.ids[i] + 1
+		unique = unique && t.next[r] < 0
 	}
-	for _, side := range []*value.Batch{l, r} {
-		for _, vec := range side.Cols {
-			if !need.Has(len(out.Cols)) {
-				vec = vec.Drop()
-			}
-			switch {
-			case side == build && once:
-				vec = vec.Scatter(bIdx, pIdx, p.Rows, a)
-			case side == build:
-				vec = vec.Gather(bIdx, a)
-			case !once:
-				vec = vec.Gather(pIdx, a)
-			}
-			out.Cols = append(out.Cols, vec)
+	value.PutSel(g.sel)
+	value.PutSel(g.ids)
+	value.PutHashes(g.table.slots)
+	if unique {
+		gj.sink = make([]int32, len(t.dense)+1)
+		for x, e := range t.dense { // e is one plus the key's build row, or 0
+			gj.sink[x] = gj.gid[e]
 		}
 	}
-	if !once {
-		value.PutSel(pIdx)
+	return gj, nil
+}
+
+// Probe is the partial aggregate over JoinTable.Probe's output, joining the
+// selected rows of p: the groups some probe row matched (the global group
+// always) in the build side's order, and the Stats of that probe and that
+// aggregate. p is consumed.
+func (gj *GroupJoin) Probe(p *value.Batch) (out *value.Batch, join, agg Stats) {
+	t := gj.t
+	g := &groups{b: t.b, keys: gj.keys, first: value.GetSel(), n: gj.n}
+	if v := p.Cols[gj.pcols[0]]; gj.sink != nil && v.Fixed() && v.Kind == t.keys[0].Kind && v.Null == nil {
+		// A clamped load per probe row, no branch on the data.
+		g.ids, g.sel = value.GetSelLen(p.Len()), p.TakeSel()
+		ids, sink, col, lo, last := g.ids[:len(g.sel)], gj.sink, v.I, t.lo, uint64(len(gj.sink)-1)
+		for i, row := range g.sel {
+			ids[i] = sink[min(uint64(col[row]-lo), last)]
+		}
+		join = Stats{TuplesRead: len(g.sel), Hashes: len(g.sel)}
+	} else { // one (probe row, group) pair per match
+		g.ids, g.sel, _, join = t.match(p, gj.pcols)
+		for k, e := range g.ids {
+			g.ids[k] = gj.gid[e+1]
+		}
 	}
-	value.PutSel(psel)
-	value.PutSel(bIdx)
-	return out, stats
+	rows, keep := g.tally(nil), value.GetSel()
+	for id := 1; id < g.n; id++ {
+		if len(g.keys) == 0 {
+			keep = append(keep, int32(id))
+		} else if rows[id] > 0 {
+			keep, g.first = append(keep, int32(id)), append(g.first, gj.first[id-1])
+		}
+	}
+	aggs := make([]*value.Vec, len(gj.specs))
+	for i, sp := range gj.specs {
+		var v *value.Vec
+		if sp.Col >= 0 {
+			v = p.Cols[sp.Col]
+		}
+		aggs[i] = g.fold(sp.Func, v).Gather(keep, nil)
+	}
+	join.TuplesEmitted, g.n = len(g.sel)-int(rows[0]), len(keep)
+	out, _ = g.result(gj.out, aggs)
+	value.PutSel(keep)
+	return out, join, Stats{TuplesRead: join.TuplesEmitted, TuplesEmitted: g.n, Hashes: join.TuplesEmitted}
 }
 
 // HashJoinBatch equi-joins two batches on the given key columns: the
@@ -280,7 +371,7 @@ func HashJoinBatchNeed(l, r *value.Batch, lcols, rcols []int, need value.ColSet,
 	}
 	var t JoinTable
 	st := t.build(build, bcols)
-	out, pst := t.probe(probe, pcols, probeLeft, need, a)
+	out, pst, _ := t.Probe(probe, pcols, probeLeft, need, a) // keys checked above
 	t.Release()
 	st.TuplesRead += pst.TuplesRead
 	st.Hashes += pst.Hashes

@@ -301,10 +301,8 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join, need value.ColSet) (*parts
 	if j.Residual != nil {
 		need |= expr.ColSet(j.Residual, j.Out)
 	}
-	if j.Method == plan.JoinBroadcast {
-		if big, small, smallLeft, ok := broadcastSides(j); ok {
-			return e.execBroadcastJoin(ctx, j, big, small, smallLeft, need)
-		}
+	if _, _, _, ok := j.BroadcastSides(); ok && j.Method == plan.JoinBroadcast {
+		return e.execBroadcastJoin(ctx, j, need, nil)
 	}
 	lneed, rneed, joinNeed := joinNeeds(j, need)
 	distributed := j.Method == plan.JoinColocated || j.Method == plan.JoinRepartition
@@ -389,23 +387,13 @@ func (e *Engine) finishJoin(ctx *execCtx, j *plan.Join, b *value.Batch, st algeb
 	return residual.apply(slot{b: b}, pe)
 }
 
-// broadcastSides finds the side the optimizer marked small with an
-// Exchange(broadcast).
-func broadcastSides(j *plan.Join) (big, small plan.Node, smallLeft, ok bool) {
-	if x, isX := j.Left.(*plan.Exchange); isX && x.Part.Kind == plan.PartBroadcast {
-		return j.Right, x.Child, true, true
-	}
-	if x, isX := j.Right.(*plan.Exchange); isX && x.Part.Kind == plan.PartBroadcast {
-		return j.Left, x.Child, false, true
-	}
-	return nil, nil, false, false
-}
-
 // execBroadcastJoin gathers the small side at the coordinator and builds
 // its hash table there once — the build half of the hash join — ships it
 // to every slot of the big side, and runs the probe half on each slot
 // where it lives, all against the one table. Only the small side travels.
-func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNode plan.Node, smallLeft bool, need value.ColSet) (*parts, error) {
+// Under an aggregate a marked GroupJoin the probe half is a's group-join.
+func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, need value.ColSet, a *plan.Aggregate) (*parts, error) {
+	bigNode, smallNode, smallLeft, _ := j.BroadcastSides()
 	lneed, rneed, joinNeed := joinNeeds(j, need)
 	smallKeys, bigKeys, smallNeed, bigNeed := j.RightKeys, j.LeftKeys, rneed, lneed
 	if smallLeft {
@@ -437,6 +425,9 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNod
 	for _, pe := range big.pes {
 		ctx.ship(ctx.s.pe, pe, smallBytes)
 	}
+	if a != nil {
+		return e.execGroupJoin(ctx, a, table, big, bigNode.Schema(), bigKeys)
+	}
 	res := residual(ctx, j)
 	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
 	err = eachPart(len(big.slots), func(i int) error {
@@ -455,6 +446,28 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, bigNode, smallNod
 		return nil, err
 	}
 	return ctx.noted("Join", out, j.Out, need), nil
+}
+
+// execGroupJoin makes a group-join's partials: each slot of the big side
+// folds its probe matches into the small side's groups where it lives, and
+// is charged the join and the partial aggregate it stands for, in order.
+func (e *Engine) execGroupJoin(ctx *execCtx, a *plan.Aggregate, table *algebra.JoinTable, big *parts, schema *value.Schema, keys []int) (*parts, error) {
+	gj, err := table.Group(a.GroupJoin.GroupBy, schema, keys, a.GroupJoin.Specs)
+	if err != nil {
+		return nil, err
+	}
+	cost := e.m.Cost()
+	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
+	return out, eachPart(len(big.slots), func(i int) error {
+		b, err := big.slots[i].batch(schema)
+		if err == nil {
+			var jst, ast algebra.Stats
+			out.slots[i].b, jst, ast = gj.Probe(b)
+			ctx.work(big.pes[i], cost.HashCost(jst.Hashes)+cost.BuildCost(jst.TuplesEmitted))
+			ctx.work(big.pes[i], cost.HashCost(ast.Hashes)+cost.BuildCost(ast.TuplesEmitted))
+		}
+		return err
+	})
 }
 
 // aggregateSlot aggregates one slot on PE pe into a batch.
@@ -487,7 +500,13 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 			need = need.With(sp.Col)
 		}
 	}
-	child, err := e.exec(ctx, a.Child, need)
+	var child *parts
+	var err error
+	if a.GroupJoin != nil { // the child's slots are then the partials
+		child, err = e.execBroadcastJoin(ctx, a.Child.(*plan.Join), need, a)
+	} else {
+		child, err = e.exec(ctx, a.Child, need)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -503,7 +522,9 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 		partialSpecs := algebra.PartialSpecs(a.Specs)
 		partials := make([]*value.Batch, len(child.pes))
 		err = child.each(func(i int, s slot) (err error) {
-			partials[i], err = e.aggregateSlot(ctx, a, partialSpecs, s, child.pes[i])
+			if partials[i] = s.b; a.GroupJoin == nil {
+				partials[i], err = e.aggregateSlot(ctx, a, partialSpecs, s, child.pes[i])
+			}
 			return err
 		})
 		if err != nil {

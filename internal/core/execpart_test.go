@@ -235,12 +235,19 @@ func TestExplainShowsPartitionedPlan(t *testing.T) {
 			t.Errorf("plan lacks %q:\n%s", want, planStr)
 		}
 	}
-	if strings.Contains(planStr, "method=central") {
-		t.Errorf("plan still contains a central join:\n%s", planStr)
+	if strings.Contains(planStr, "method=central") || strings.Contains(planStr, "group-join") {
+		t.Errorf("plan still contains a central join, or a group-join over a repartitioned one:\n%s", planStr)
+	}
+
+	// An aggregate of fact's columns grouped on the broadcast side's folds
+	// its probe matches into the small side's groups.
+	plan := mustExec(t, s, "EXPLAIN "+groupJoinQueries[0]).Plan
+	if !regexp.MustCompile(`Aggregate\(groupBy=\[\d+\], \d+ specs, pushdown=true group-join\) est=\d+\n\s*Join\([^\n]*method=broadcast`).MatchString(plan) {
+		t.Errorf("aggregate over the broadcast join not marked group-join:\n%s", plan)
 	}
 
 	// A fragmented side small enough is broadcast, not repartitioned.
-	plan := mustExec(t, s, "EXPLAIN "+broadcastFragmentedQuery).Plan
+	plan = mustExec(t, s, "EXPLAIN "+broadcastFragmentedQuery).Plan
 	if !strings.Contains(plan, "method=broadcast") || !regexp.MustCompile(`Exchange\(broadcast\) est=\d+\n\s*Scan\(dim1`).MatchString(plan) {
 		t.Errorf("fragmented dim1 not broadcast:\n%s", plan)
 	}

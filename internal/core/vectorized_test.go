@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/value"
 )
@@ -27,6 +28,48 @@ var vectorizedScanQueries = []string{
 	`SELECT w FROM dim1 WHERE 3 < w`, // constant on the left of the comparison
 }
 
+// groupJoinQueries are aggregates the optimizer marks group-join: each
+// slot of fact folds its probe matches straight into the groups of the
+// broadcast side — small's 300 rows, dim1 filtered to one w, dim2 to one
+// cat — with no join output. They cover a grouped and a global aggregate,
+// every function, duplicate build keys (small.v), a string group key and no
+// match at all.
+var groupJoinQueries = []string{
+	`SELECT s.v, COUNT(*) AS n, SUM(f.amt) AS t, AVG(f.amt) AS m, MIN(f.b) AS lo, MAX(f.amt) AS hi
+		FROM fact f JOIN small s ON f.a = s.id GROUP BY s.v`,
+	`SELECT COUNT(*) AS n FROM fact f JOIN small s ON f.a = s.id WHERE f.amt < 48`,
+	`SELECT d1.w, COUNT(*) AS n, SUM(f.amt) AS s FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE d1.w = 3 GROUP BY d1.w`,
+	`SELECT s.id, COUNT(*) AS n, MAX(f.id) AS hi FROM fact f JOIN small s ON f.b = s.v GROUP BY s.id`,
+	`SELECT d2.cat, d2.id, COUNT(*) AS n, SUM(f.amt) AS s FROM fact f JOIN dim2 d2 ON f.b = d2.id WHERE d2.cat = 'red' GROUP BY d2.cat, d2.id`,
+	`SELECT COUNT(*) AS n, MIN(f.amt) AS lo, AVG(f.amt) AS m FROM fact f JOIN small s ON f.a = s.id WHERE f.amt > 500`,
+}
+
+// TestGroupJoinKeepsCharges: a group-join makes no join output, but the
+// simulated machine must not be able to tell — every PE's clock, the bytes
+// between PEs and the reported response time of each groupJoinQueries
+// statement are those of the parent commit, which joined and then
+// aggregated the join's output (groupJoinGolden: recorded there, the same
+// over 3 runs at -cpu 1, 2 and 4 and under -race).
+func TestGroupJoinKeepsCharges(t *testing.T) {
+	e := newEngine(t)
+	setupStar(t, e)
+	s := e.NewSession()
+	var got []charge
+	for _, q := range groupJoinQueries {
+		got = append(got, charged(e, func() time.Duration { return mustExec(t, s, q).SimTime }))
+	}
+	checkCharges(t, "group-join", got, groupJoinGolden)
+}
+
+var groupJoinGolden = []charge{
+	{[]int64{0, 173554400, 137524999, 154855600, 172155600, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 52440, 173554400},
+	{[]int64{0, 134602400, 99774999, 117025600, 134355600, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 50520, 134602400},
+	{[]int64{0, 190326599, 153705598, 171820199, 190054199, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 66184, 190326599},
+	{[]int64{0, 186263199, 121284999, 144135600, 152915600, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 80640, 186263199},
+	{[]int64{0, 353485999, 232084200, 259578799, 290596799, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 182490, 353485999},
+	{[]int64{0, 114506000, 79602999, 96933600, 114233600, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, 50664, 114506000},
+}
+
 // TestVectorizedMatchesOracle is the executor's differential: every plan
 // shape in the partitioned corpus plus the scan-heavy extensions must
 // produce what the tuple-at-a-time plan oracle computes from the same
@@ -35,7 +78,12 @@ func TestVectorizedMatchesOracle(t *testing.T) {
 	e := newEngine(t)
 	setupStar(t, e)
 	s := e.NewSession()
-	queries := append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...)
+	for _, q := range groupJoinQueries {
+		if plan := mustExec(t, s, "EXPLAIN "+q).Plan; !strings.Contains(plan, "group-join") {
+			t.Errorf("%s: not a group-join:\n%s", q, plan)
+		}
+	}
+	queries := append(append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...), groupJoinQueries...)
 	sameAsOracle(t, queries, "vectorized", s, s)
 
 	// Again inside a transaction with pending writes: the fragments holding
@@ -252,8 +300,9 @@ func TestVectorizedStreamScan(t *testing.T) {
 // TestVectorizedSortDistinctBroadcastArena: the operators that last got a
 // batch kernel — a sort and its merge of runs, LIMIT, DISTINCT, the
 // broadcast join's probes, of a one-fragment side and of one gathered from
-// its fragments — borrow from the statement's arena like the
-// others. With released payloads poisoned their answers are the oracle's,
+// its fragments, and the group-joins over those — borrow from the
+// statement's arena like the others. With released payloads poisoned their
+// answers are the oracle's,
 // in process, encoded for the wire and streamed, and nothing is still lent
 // once the statement has returned or the cursor closed.
 func TestVectorizedSortDistinctBroadcastArena(t *testing.T) {
@@ -266,7 +315,7 @@ func TestVectorizedSortDistinctBroadcastArena(t *testing.T) {
 			t.Errorf("%s %s: %d arena payloads still lent", what, q, n)
 		}
 	}
-	for _, q := range []string{
+	for _, q := range append([]string{
 		`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 80 ORDER BY f.id DESC LIMIT 25`,
 		`SELECT a, COUNT(*) AS n FROM fact GROUP BY a ORDER BY n DESC, a LIMIT 7`,
 		`SELECT DISTINCT d2.cat FROM fact f JOIN dim2 d2 ON f.b = d2.id`,
@@ -274,7 +323,7 @@ func TestVectorizedSortDistinctBroadcastArena(t *testing.T) {
 		`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id WHERE f.amt > 30`,
 		`SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id ORDER BY f.id LIMIT 40`,
 		broadcastFragmentedQuery,
-	} {
+	}, groupJoinQueries...) {
 		sameAsOracle(t, []string{q}, "in process", s, s)
 		lent("in process", q)
 		want := mustExec(t, s, q).Rel

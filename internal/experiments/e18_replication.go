@@ -57,7 +57,7 @@ func E18Replication(quick bool) (*Table, error) {
 			rows, readers, writers),
 		Header: []string{"replicas", "reads", "rd capacity/s", "speedup", "writes", "lag p50", "lag p99", "invariants"},
 		Notes: []string{
-			"capacity = reads / max simulated busy time over the endpoints serving reads (replicas when present, else the primary, which also carries the write load)",
+			"capacity = reads / the most simulated work (busy time, waits on arrivals excluded) any PE of the endpoints serving reads did (replicas when present, else the primary), in a second pass of the reads once the writes have stopped and been replayed: read work only",
 			"lag = acknowledged primary commit -> replica replay watermark catches up, sampled by a heartbeat prober; commits are semi-synchronous (acked once shipped to every attached replica)",
 			"reads route through the cluster client: replicas round-robin, writes to the primary, redirects re-probe roles",
 			"failover row: ledger workload, deterministic crash at ofm.commit.pre in the primary's fault domain, PROMOTE of the most-caught-up replica, survivor re-pointed; audit = sum conserved, acked commits present, torn replica stream resubscribed idempotently, recovered stale primary fenced by epoch",
@@ -289,65 +289,88 @@ func runE18GridCell(nr, rows, totalReads, readers, writers, lagSamples, numPEs, 
 		}()
 	}
 
-	// Read phase: fixed read count spread over the cluster client's
-	// round-robin, against freshly zeroed simulated clocks.
-	for _, n := range nodes {
-		n.eng.Machine().ResetClocks()
-	}
-	var rwg sync.WaitGroup
-	readErr := make(chan error, readers)
+	// Reads: a fixed count spread over the cluster client's round-robin,
+	// twice. The first pass runs under the write load, which it paces, and
+	// the lag prober. The second measures capacity on freshly zeroed
+	// simulated clocks once the writes have stopped and every replica has
+	// replayed them: a replica's clock also takes its apply work, and how
+	// much of that lands inside the read window depends on how the host
+	// batched the shipped writes — wall time, which would make capacity a
+	// coin toss. Capacity is judged on read work alone.
 	per := totalReads / readers
-	for rd := 0; rd < readers; rd++ {
-		rwg.Add(1)
-		go func(rd int) {
-			defer rwg.Done()
-			cl, err := client.DialCluster(addrs)
-			if err != nil {
-				readErr <- err
-				return
-			}
-			defer cl.Close()
-			r := rand.New(rand.NewSource(int64(nr*1000 + rd)))
-			for i := 0; i < per; i++ {
-				// Read mix: mostly point SELECTs, one analytics
-				// scan in nine. The scan period is coprime with every
-				// replica count in the grid so the client's round-robin
-				// never aliases all scans onto one replica.
-				q := fmt.Sprintf(`SELECT * FROM acct WHERE id = %d`, r.Intn(rows))
-				if i%9 == 8 {
-					q = `SELECT COUNT(*) AS n, SUM(balance) AS total FROM acct`
-				}
-				if _, err := cl.Query(q); err != nil {
-					readErr <- fmt.Errorf("reader %d: %w", rd, err)
+	readPhase := func() error {
+		var rwg sync.WaitGroup
+		readErr := make(chan error, readers)
+		for rd := 0; rd < readers; rd++ {
+			rwg.Add(1)
+			go func(rd int) {
+				defer rwg.Done()
+				cl, err := client.DialCluster(addrs)
+				if err != nil {
+					readErr <- err
 					return
 				}
-				readsDone.Add(1)
-			}
-		}(rd)
+				defer cl.Close()
+				r := rand.New(rand.NewSource(int64(nr*1000 + rd)))
+				for i := 0; i < per; i++ {
+					// Read mix: mostly point SELECTs, one analytics
+					// scan in nine. The scan period is coprime with every
+					// replica count in the grid so the client's round-robin
+					// never aliases all scans onto one replica.
+					q := fmt.Sprintf(`SELECT * FROM acct WHERE id = %d`, r.Intn(rows))
+					if i%9 == 8 {
+						q = `SELECT COUNT(*) AS n, SUM(balance) AS total FROM acct`
+					}
+					if _, err := cl.Query(q); err != nil {
+						readErr <- fmt.Errorf("reader %d: %w", rd, err)
+						return
+					}
+					readsDone.Add(1)
+				}
+			}(rd)
+		}
+		rwg.Wait()
+		select {
+		case err := <-readErr:
+			return err
+		default:
+			return nil
+		}
 	}
-	rwg.Wait()
+	err = readPhase()
 	stop.Store(true)
 	wg.Wait()
 	select {
-	case err := <-readErr:
-		return nil, 0, err
-	case err := <-workerErr:
-		return nil, 0, err
+	case err = <-workerErr:
 	default:
 	}
+	if err != nil {
+		return nil, 0, err
+	}
+	w := primary.eng.Txns().Watermark()
+	for _, n := range nodes[1:] {
+		if err := e18WaitCaughtUp(n.rep, w, 10*time.Second); err != nil {
+			return nil, 0, err
+		}
+	}
+	for _, n := range nodes {
+		n.eng.Machine().ResetClocks()
+	}
+	if err := readPhase(); err != nil {
+		return nil, 0, err
+	}
 
-	// Capacity: the busiest endpoint that served reads bounds the
-	// deployment. With replicas the primary's clock (write load) is
-	// excluded — reads never touch it.
+	// Capacity: the busiest PE of the endpoints that served reads bounds
+	// the deployment — its work, not its clock, which also waited on
+	// arrivals whose order the host's scheduling of the readers decided.
+	// With replicas the primary is excluded — reads never touch it.
 	serving := nodes[1:]
 	if nr == 0 {
 		serving = nodes[:1]
 	}
 	var busiest time.Duration
 	for _, n := range serving {
-		if c := n.eng.Machine().MaxClock(); c > busiest {
-			busiest = c
-		}
+		busiest = max(busiest, n.eng.Machine().MaxBusy())
 	}
 	if busiest <= 0 {
 		return nil, 0, fmt.Errorf("no simulated busy time recorded on serving endpoints")

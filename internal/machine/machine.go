@@ -161,11 +161,27 @@ func (m *Machine) NearestDiskPE(from int) int {
 	return best
 }
 
-// ResetClocks zeroes every PE's virtual clock (start of an experiment).
+// ResetClocks zeroes every PE's virtual clock and the time it waited
+// (start of an experiment).
 func (m *Machine) ResetClocks() {
 	for _, pe := range m.pes {
 		pe.clock.Store(0)
+		pe.waited.Store(0)
 	}
+}
+
+// MaxBusy returns the most simulated work any PE did since the last
+// ResetClocks: its clock less the time it waited on arrivals. MaxClock is
+// the response time of what ran, which depends on the order messages met
+// in; MaxBusy is what bounds running it back to back — the capacity.
+func (m *Machine) MaxBusy() time.Duration {
+	var max time.Duration
+	for _, pe := range m.pes {
+		if b := pe.Clock() - time.Duration(pe.waited.Load()); b > max {
+			max = b
+		}
+	}
+	return max
 }
 
 // MaxClock returns the largest virtual clock over all PEs — the simulated
@@ -243,6 +259,7 @@ type PE struct {
 	hasDisk  bool
 	m        *Machine
 	clock    atomic.Int64 // virtual busy time in nanoseconds
+	waited   atomic.Int64 // of clock, the nanoseconds AdvanceTo waited
 	mu       sync.Mutex   // guards the memory fields below
 	memUsed  int64
 	memLimit int64
@@ -277,6 +294,7 @@ func (pe *PE) AdvanceTo(t time.Duration) time.Duration {
 			return time.Duration(cur)
 		}
 		if pe.clock.CompareAndSwap(cur, int64(t)) {
+			pe.waited.Add(int64(t) - cur)
 			return t
 		}
 	}

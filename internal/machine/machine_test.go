@@ -169,6 +169,28 @@ func TestSendAdvancesReceiver(t *testing.T) {
 	}
 }
 
+// TestMaxBusyExcludesWaits: a receiver whose clock a message moved forward
+// waited, it did not work, so MaxBusy is the sender's work while MaxClock
+// is the arrival; ResetClocks zeroes both.
+func TestMaxBusyExcludesWaits(t *testing.T) {
+	m := newTestMachine(t, 16)
+	m.PE(0).Advance(time.Second)
+	arrive := m.Send(0, 5, 1024)
+	m.PE(5).Advance(time.Millisecond)
+	sender := m.PE(0).Clock()
+	if got := m.MaxClock(); got != arrive+time.Millisecond {
+		t.Errorf("MaxClock = %v, want the arrival plus the receiver's work, %v", got, arrive+time.Millisecond)
+	}
+	if got := m.MaxBusy(); got != sender {
+		t.Errorf("MaxBusy = %v, want the sender's work, %v", got, sender)
+	}
+	m.ResetClocks()
+	m.PE(5).Advance(time.Millisecond)
+	if got := m.MaxBusy(); got != time.Millisecond {
+		t.Errorf("MaxBusy after ResetClocks = %v, want 1ms", got)
+	}
+}
+
 func TestNearestDiskPE(t *testing.T) {
 	m := newTestMachine(t, 64)
 	// PE 0 has a disk itself.

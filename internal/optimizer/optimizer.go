@@ -10,6 +10,7 @@
 package optimizer
 
 import (
+	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/fragment"
@@ -412,6 +413,7 @@ func (o *Optimizer) partition(n plan.Node) (plan.Node, partProp) {
 			// Any other partitioned child: partial aggregation runs on
 			// each partition where it lives; the coordinator merges.
 			t.Pushdown = true
+			t.GroupJoin = groupJoin(t)
 		}
 		return t, none
 	case *plan.Sort:
@@ -429,6 +431,35 @@ func (o *Optimizer) partition(n plan.Node) (plan.Node, partProp) {
 		return t, none
 	}
 	return n, none
+}
+
+// groupJoin marks a pushed-down aggregate that can fold probe matches
+// straight into the small side's groups (plan.Aggregate.GroupJoin), nil
+// when it cannot: its child is a broadcast join without a residual, every
+// group key is a small-side column and every spec reads a big-side column
+// or none.
+func groupJoin(a *plan.Aggregate) *plan.GroupJoin {
+	j, ok := a.Child.(*plan.Join)
+	if !ok || j.Method != plan.JoinBroadcast || j.Residual != nil {
+		return nil
+	}
+	_, _, smallLeft, ok := j.BroadcastSides()
+	gj := &plan.GroupJoin{GroupBy: make([]int, len(a.GroupBy)), Specs: algebra.PartialSpecs(a.Specs)}
+	var left bool
+	for i, c := range a.GroupBy {
+		left, gj.GroupBy[i] = j.OutCol(c)
+		ok = ok && left == smallLeft
+	}
+	for i, sp := range gj.Specs {
+		if sp.Col >= 0 {
+			left, gj.Specs[i].Col = j.OutCol(sp.Col)
+			ok = ok && left != smallLeft
+		}
+	}
+	if !ok {
+		return nil
+	}
+	return gj
 }
 
 // remapProjectKeys maps hash-partitioning key columns through a

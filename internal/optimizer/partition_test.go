@@ -351,6 +351,115 @@ func TestPartitionKeepsSmallFixturePlans(t *testing.T) {
 	}
 }
 
+// TestPartitionMarksGroupJoin pins which aggregates fold probe matches
+// straight into the broadcast side's groups (plan.Aggregate.GroupJoin): at
+// the benchmark's cardinalities its join (a COUNT(*) of fact ⋈ dim1) and
+// its join_group (COUNT(*) and SUM(f.amt) per d1.w), whichever side they
+// are written on. Not marked: a join with a residual, a group key or a
+// spec column of the big side's or the small side's respectively, a
+// colocated and a repartitioned join, and E15's star join.
+func TestPartitionMarksGroupJoin(t *testing.T) {
+	type col struct {
+		dim bool // a dimension column, else a fact column
+		i   int
+	}
+	residual := func() expr.Expr {
+		return expr.NewCmp(expr.GT, expr.NewCol("amt"), expr.NewArith(expr.Mul, expr.NewCol("w"), expr.NewConst(value.NewInt(10))))
+	}
+	count, amt, w := algebra.AggSpec{Func: algebra.Count, Col: -1, As: "n"}, col{false, 3}, col{true, 1}
+	bench := starCatalog(t, 200_000, 8, 2200, 8)
+	for _, sh := range []struct {
+		name      string
+		c         *catalog.Catalog
+		fkey      int
+		dimLeft   bool
+		pred      func() expr.Expr // under the aggregate, pushed to fact
+		residual  func() expr.Expr // the join's own
+		groupBy   []col
+		sum       *col
+		method    plan.JoinMethod
+		groupJoin bool
+	}{
+		{"join", bench, 1, false, amtBelow48, nil, nil, nil, plan.JoinBroadcast, true},
+		{"join dim1 first", bench, 1, true, amtBelow48, nil, nil, nil, plan.JoinBroadcast, true},
+		{"join_group", bench, 1, false, nil, nil, []col{w}, &amt, plan.JoinBroadcast, true},
+		{"join_group dim1 first", bench, 1, true, nil, nil, []col{w}, &amt, plan.JoinBroadcast, true},
+		{"join_group on the dim1 key", bench, 1, false, nil, nil, []col{{true, 0}, w}, nil, plan.JoinBroadcast, true},
+		{"residual", bench, 1, false, nil, residual, []col{w}, &amt, plan.JoinBroadcast, false},
+		{"grouped on a fact column", bench, 1, false, nil, nil, []col{w, {false, 2}}, &amt, plan.JoinBroadcast, false},
+		{"sum of a dim1 column", bench, 1, false, nil, nil, []col{w}, &w, plan.JoinBroadcast, false},
+		{"colocated", bench, 0, false, nil, nil, []col{w}, &amt, plan.JoinColocated, false},
+		{"repartitioned", starCatalog(t, 20000, 8, 2200, 8), 1, false, nil, nil, []col{w}, &amt, plan.JoinRepartition, false},
+	} {
+		f, d := scan(t, sh.c, "fact"), scan(t, sh.c, "dim1")
+		j := &plan.Join{Left: f, Right: d, LeftKeys: []int{sh.fkey}, RightKeys: []int{0}, Out: f.Out.Concat(d.Out)}
+		at := func(c col) int { // c's position in the join's output
+			if c.dim == sh.dimLeft {
+				return c.i
+			}
+			if sh.dimLeft {
+				return d.Out.Len() + c.i
+			}
+			return f.Out.Len() + c.i
+		}
+		if sh.dimLeft {
+			j = &plan.Join{Left: d, Right: f, LeftKeys: []int{0}, RightKeys: []int{sh.fkey}, Out: d.Out.Concat(f.Out)}
+		}
+		if sh.residual != nil {
+			j.Residual = bindOn(t, sh.residual(), j.Out)
+		}
+		var child plan.Node = j
+		if sh.pred != nil {
+			child = &plan.Select{Child: j, Pred: bindOn(t, sh.pred(), j.Out)}
+		}
+		agg := &plan.Aggregate{Child: child, Specs: []algebra.AggSpec{count}}
+		var outCols []value.Column
+		for _, c := range sh.groupBy {
+			agg.GroupBy = append(agg.GroupBy, at(c))
+			outCols = append(outCols, j.Out.Column(at(c)))
+		}
+		outCols = append(outCols, value.Column{Name: "n", Kind: value.KindInt})
+		if sh.sum != nil {
+			agg.Specs = append(agg.Specs, algebra.AggSpec{Func: algebra.Sum, Col: at(*sh.sum), As: "s"})
+			outCols = append(outCols, value.Column{Name: "s", Kind: value.KindInt})
+		}
+		agg.Out = value.NewSchema(outCols...)
+		root := New(sh.c, AllRules()).Optimize(agg)
+		f2 := plan.Format(root)
+		if j.Method != sh.method || (sh.residual != nil) != (j.Residual != nil) {
+			t.Errorf("%s: method %v, residual %v; want %v\n%s", sh.name, j.Method, j.Residual, sh.method, f2)
+		}
+		gj := agg.GroupJoin
+		if (gj != nil) != sh.groupJoin || strings.Contains(f2, "group-join") != sh.groupJoin || !agg.Pushdown {
+			t.Errorf("%s: group-join %v, pushdown %v; want group-join %v\n%s", sh.name, gj, agg.Pushdown, sh.groupJoin, f2)
+			continue
+		}
+		// A group-join reads its keys off dim1 and its specs off fact.
+		for i, c := range sh.groupBy {
+			if gj != nil && gj.GroupBy[i] != c.i {
+				t.Errorf("%s: group key %d is dim1 column %d, want %d", sh.name, i, gj.GroupBy[i], c.i)
+			}
+		}
+		if gj != nil && (gj.Specs[0].Col != -1 || sh.sum != nil && gj.Specs[1].Col != sh.sum.i) {
+			t.Errorf("%s: specs %v over fact", sh.name, gj.Specs)
+		}
+	}
+
+	for _, size := range []struct{ fact, dim int }{{6000, 2200}, {24000, 3000}} {
+		for _, pes := range []int{4, 16, 64} {
+			c := starCatalog(t, size.fact, min(pes, 16), size.dim, min(pes, 8))
+			f, d1, d2 := scan(t, c, "fact"), scan(t, c, "dim1"), scan(t, c, "dim2")
+			inner := &plan.Join{Left: f, Right: d1, LeftKeys: []int{1}, RightKeys: []int{0}, Out: f.Out.Concat(d1.Out)}
+			outer := &plan.Join{Left: inner, Right: d2, LeftKeys: []int{2}, RightKeys: []int{0}, Out: inner.Out.Concat(d2.Out)}
+			agg := &plan.Aggregate{Child: outer, GroupBy: []int{7}, Specs: []algebra.AggSpec{count, {Func: algebra.Sum, Col: 3, As: "s"}},
+				Out: value.MustSchema("cat", "VARCHAR", "n", "INT", "s", "INT")}
+			if root := New(c, AllRules()).Optimize(agg); agg.GroupJoin != nil {
+				t.Errorf("E15 %d ⋈ %d at %d PEs: marked group-join\n%s", size.fact, size.dim, pes, plan.Format(root))
+			}
+		}
+	}
+}
+
 // TestPartitionBroadcastsTinyUnfragmentedSide: a one-fragment side of at
 // most 512 rows is broadcast whatever the new rule says — here 2·500·8
 // rows of copies against 5 000 fact rows.

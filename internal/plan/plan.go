@@ -183,6 +183,31 @@ func (j *Join) String() string {
 	return fmt.Sprintf("Join(l=%v, r=%v, method=%s%s) est=%d", j.LeftKeys, j.RightKeys, j.Method, swapped, j.EstRows)
 }
 
+// BroadcastSides finds the side of a broadcast join the optimizer marked
+// small with an Exchange(broadcast), and the other one.
+func (j *Join) BroadcastSides() (big, small Node, smallLeft, ok bool) {
+	if x, isX := j.Left.(*Exchange); isX && x.Part.Kind == PartBroadcast {
+		return j.Right, x.Child, true, true
+	}
+	if x, isX := j.Right.(*Exchange); isX && x.Part.Kind == PartBroadcast {
+		return j.Left, x.Child, false, true
+	}
+	return nil, nil, false, false
+}
+
+// OutCol maps column c of Out to the child that produces it — the left one
+// when left is set — and its position there.
+func (j *Join) OutCol(c int) (left bool, col int) {
+	first := j.Left.Schema().Len() // the child whose columns Out lists first
+	if j.Swapped {
+		first = j.Right.Schema().Len()
+	}
+	if c < first {
+		return !j.Swapped, c
+	}
+	return j.Swapped, c - first
+}
+
 // PartKind describes how an Exchange distributes its input across
 // processing elements.
 type PartKind uint8
@@ -256,14 +281,27 @@ func (x *Exchange) String() string {
 }
 
 // Aggregate groups and aggregates; the executor pushes partials to the
-// fragments when Pushdown is set.
+// fragments when Pushdown is set, and makes them with a group-join when
+// GroupJoin is.
 type Aggregate struct {
-	Child    Node
-	GroupBy  []int
-	Specs    []algebra.AggSpec
-	Pushdown bool
-	Out      *value.Schema
-	EstRows  int
+	Child     Node
+	GroupBy   []int
+	Specs     []algebra.AggSpec
+	Pushdown  bool
+	GroupJoin *GroupJoin
+	Out       *value.Schema
+	EstRows   int
+}
+
+// GroupJoin marks a pushed-down aggregate straight over a broadcast Join
+// without a residual whose group keys are all small-side columns and whose
+// specs read big-side columns or none: every partial folds the probe
+// matches into the small side's groups, and the join makes no output. It
+// holds the group keys as columns of the small side and the partial specs
+// (algebra.PartialSpecs) over the big side's.
+type GroupJoin struct {
+	GroupBy []int
+	Specs   []algebra.AggSpec
 }
 
 // Schema implements Node.
@@ -273,7 +311,11 @@ func (a *Aggregate) Schema() *value.Schema { return a.Out }
 func (a *Aggregate) Children() []Node { return []Node{a.Child} }
 
 func (a *Aggregate) String() string {
-	return fmt.Sprintf("Aggregate(groupBy=%v, %d specs, pushdown=%v) est=%d", a.GroupBy, len(a.Specs), a.Pushdown, a.EstRows)
+	gj := ""
+	if a.GroupJoin != nil {
+		gj = " group-join"
+	}
+	return fmt.Sprintf("Aggregate(groupBy=%v, %d specs, pushdown=%v%s) est=%d", a.GroupBy, len(a.Specs), a.Pushdown, gj, a.EstRows)
 }
 
 // Sort orders its input. With Parallel set the executor sorts each
