@@ -227,36 +227,3 @@ func tcSmart(r *value.Relation, fromCol, toCol int) (*value.Relation, Stats, int
 	stats.TuplesEmitted = total.len()
 	return pairsToRelation(closureSchema(r, fromCol, toCol), total), stats, rounds, nil
 }
-
-// Reachable computes the set of nodes reachable from the given source
-// values over the edge columns of r — the bound-argument form a query
-// like ancestor('ann', X) compiles to. Output is (source, reached) pairs.
-func Reachable(r *value.Relation, fromCol, toCol int, sources []value.Value) (*value.Relation, Stats, error) {
-	if err := checkClosureCols(r, fromCol, toCol); err != nil {
-		return nil, Stats{}, err
-	}
-	edges, _ := buildEdges(r, fromCol, toCol)
-	stats := Stats{TuplesRead: r.Len()}
-	total := newPairSet(len(sources) * 4)
-	for _, src := range sources {
-		if src.IsNull() {
-			continue
-		}
-		frontier := []value.Value{src}
-		for len(frontier) > 0 {
-			var next []value.Value
-			for _, node := range frontier {
-				nk := string(value.AppendValue(nil, node))
-				for _, c := range edges[nk] {
-					stats.Hashes++
-					if total.add(src, c) {
-						next = append(next, c)
-					}
-				}
-			}
-			frontier = next
-		}
-	}
-	stats.TuplesEmitted = total.len()
-	return pairsToRelation(closureSchema(r, fromCol, toCol), total), stats, nil
-}

@@ -209,71 +209,6 @@ func TestClosureWiderSchema(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	r := edgeRel(t, chain(10))
-	out, _, err := Reachable(r, 0, 1, []value.Value{value.NewInt(7)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// From 7 on a 0..10 chain: reaches 8, 9, 10.
-	if out.Len() != 3 {
-		t.Errorf("reachable from 7 = %v", out.Tuples)
-	}
-	for _, row := range out.Tuples {
-		if row[0].Int() != 7 {
-			t.Errorf("source column wrong: %v", row)
-		}
-	}
-	// Multiple sources.
-	out, _, err = Reachable(r, 0, 1, []value.Value{value.NewInt(9), value.NewInt(8), value.Null})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 3 { // 9→10, 8→9, 8→10
-		t.Errorf("multi-source reachable = %v", out.Tuples)
-	}
-	// Missing source: empty result.
-	out, _, err = Reachable(r, 0, 1, []value.Value{value.NewInt(999)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 0 {
-		t.Errorf("unknown source reachable = %v", out.Tuples)
-	}
-	if _, _, err := Reachable(r, 0, 0, nil); err == nil {
-		t.Error("bad columns should error")
-	}
-}
-
-// TestReachableMatchesClosureRestriction: Reachable(srcs) must equal the
-// closure filtered to those sources.
-func TestReachableMatchesClosureRestriction(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	var edges [][2]int64
-	for i := 0; i < 40; i++ {
-		edges = append(edges, [2]int64{rng.Int63n(12), rng.Int63n(12)})
-	}
-	r := edgeRel(t, edges)
-	full, _, _, err := TransitiveClosure(r, 0, 1, TCSemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := value.NewInt(3)
-	reach, _, err := Reachable(r, 0, 1, []value.Value{src})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := value.NewRelation(full.Schema)
-	for _, p := range full.Tuples {
-		if value.Equal(p[0], src) {
-			want.Append(p)
-		}
-	}
-	if !reach.SameSet(want) {
-		t.Errorf("Reachable = %d pairs, closure restriction = %d", reach.Len(), want.Len())
-	}
-}
-
 func TestClosureStringValues(t *testing.T) {
 	// The operator is type-generic: parent/child by name.
 	s := value.MustSchema("parent", "VARCHAR", "child", "VARCHAR")

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/catalog"
+	"repro/internal/sqlparse"
 	"repro/internal/value"
 )
 
@@ -77,6 +79,7 @@ func TestAdminStatementsRequireAdmin(t *testing.T) {
 		`REVOKE ALL ON emp FROM root`,
 		`SHOW ADMISSION`,
 		`SHOW USERS`,
+		`PROMOTE`,
 	} {
 		if _, err := plain.Exec(sql); !errors.Is(err, ErrAuth) {
 			t.Errorf("Exec(%q) by non-admin err = %v, want ErrAuth", sql, err)
@@ -86,6 +89,95 @@ func TestAdminStatementsRequireAdmin(t *testing.T) {
 	// An admin user (not just local sessions) may administer.
 	root := bindUser(t, e, "root", "pw")
 	mustExec(t, root, `GRANT SELECT ON emp TO plain`)
+}
+
+// TestAdminStatementsAreSQL: the session and administration statements
+// take the lexer and parser every statement takes, so a comment or an
+// escaped quote works in them, they can be prepared and executed like
+// any other statement, and an out-of-range number is refused instead of
+// read as something else.
+func TestAdminStatementsAreSQL(t *testing.T) {
+	e := newEngine(t)
+	admin := setupEmp(t, e)
+	mustExec(t, admin, `CREATE USER o PASSWORD 'it''s' -- an escaped quote`)
+	bindUser(t, e, "o", "it's")
+	if res := mustExec(t, admin, `SHOW USERS -- note`); res.Rel == nil || res.Rel.Len() != 1 {
+		t.Fatalf("SHOW USERS with a comment = %v", res.Rel)
+	}
+
+	for _, sql := range []string{
+		`SHOW USERS`,
+		`GRANT SELECT, INSERT ON emp TO o`,
+		`REVOKE INSERT ON emp FROM o`,
+		`SET STATEMENT_TIMEOUT = 25`,
+		`SHOW ADMISSION`,
+	} {
+		ps, err := admin.Prepare(sql)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", sql, err)
+		}
+		got := describeResult(admin.ExecPrepared(ps, nil))
+		if want := describeResult(admin.Exec(sql)); got != want {
+			t.Errorf("%s\n prepared: %s\n     Exec: %s", sql, got, want)
+		}
+	}
+
+	for _, sql := range []string{
+		`SET STATEMENT_TIMEOUT = 99999999999999999999`, // past int64
+		`SET STATEMENT_TIMEOUT = 9223372036855`,        // past time.Duration
+	} {
+		if res, err := admin.Exec(sql); err == nil {
+			t.Errorf("Exec(%q) = %q, want an error", sql, res.Msg)
+		}
+	}
+	if admin.stmtTimeout != 25*time.Millisecond {
+		t.Errorf("statement timeout = %v after refused SETs, want 25ms", admin.stmtTimeout)
+	}
+}
+
+// TestAdminWordsStayColumnNames: the administration statements' words are
+// not reserved, so a table may still use them as column names.
+func TestAdminWordsStayColumnNames(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	mustExec(t, s, `CREATE TABLE t (user INT, admin INT, priority INT, PRIMARY KEY (user))`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 2, 3), (4, 5, 6)`)
+	rel, err := s.Query(`SELECT user, admin, priority FROM t WHERE user = 4`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != 1 || rel.Tuples[0][1].Int() != 5 || rel.Tuples[0][2].Int() != 6 {
+		t.Fatalf("SELECT user, admin, priority = %v", rel)
+	}
+}
+
+// TestPasswordsStayOutOfPlanCache: a CREATE USER statement never becomes
+// a plan-cache entry, so its password is in no cache key.
+func TestPasswordsStayOutOfPlanCache(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	before := e.plans.Len()
+	for i, sql := range []string{
+		`CREATE USER u1 PASSWORD 'hunter2'`,
+		`CREATE USER u2 PASSWORD 'hunter3' PRIORITY batch`,
+	} {
+		mustExec(t, s, sql)
+		if _, _, ok := sqlparse.Normalize(sql); ok {
+			t.Errorf("statement %d has a plan-cache key", i)
+		}
+	}
+	ps, err := s.Prepare(`CREATE USER u3 PASSWORD 'hunter4'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.ExecPrepared(ps, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.plans.Len(); got != before {
+		t.Errorf("plan cache grew from %d to %d entries over CREATE USER", before, got)
+	}
 }
 
 func TestGrantEnforcement(t *testing.T) {

@@ -156,8 +156,8 @@ func (c *Cursor) finish() {
 // Stream executes one SQL statement, returning a Cursor when the
 // statement produces a relation from a SELECT plan and a materialized
 // Result otherwise: everything but the way a SELECT plan runs is Exec's
-// own routing (session variables, administration statements, the plan
-// cache, the grant check), so a statement means the same through either.
+// own routing (the plan cache, the parser, the grant check), so a
+// statement means the same through either.
 // Exactly one of the two returns is non-nil on success.
 func (s *Session) Stream(sql string) (*Cursor, *Result, error) {
 	start := s.startClock()

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -156,13 +154,11 @@ func (s *Session) startClock() stmtClock {
 	return stmtClock{wall: time.Now(), sim: s.e.m.MaxClock()}
 }
 
-// routed is what a statement comes to before anything runs: a result
-// already produced (SET, the administration statements, PROMOTE), a
-// SELECT plan with its parameters bound, or any other statement as a
-// bound AST. Exec, ExecPrepared and Stream share the routines that
-// produce it; they differ only in what runs a SELECT plan.
+// routed is what a statement comes to before anything runs: a SELECT
+// plan with its parameters bound, or any other statement as a bound AST.
+// Exec, ExecPrepared and Stream share the routines that produce it; they
+// differ only in what runs a SELECT plan.
 type routed struct {
-	done    *Result
 	sel     plan.Node
 	planStr string
 	ast     sqlparse.Stmt
@@ -176,12 +172,9 @@ func (s *Session) execRouted(start stmtClock, r routed, err error, dst []byte) (
 		return nil, err
 	}
 	var res *Result
-	switch {
-	case r.done != nil:
-		res = r.done
-	case r.sel != nil:
+	if r.sel != nil {
 		res, err = s.runSelectPlanStr(r.sel, r.planStr, dst)
-	default:
+	} else {
 		res, err = s.execStmt(r.ast)
 	}
 	if err != nil {
@@ -192,45 +185,9 @@ func (s *Session) execRouted(start stmtClock, r routed, err error, dst []byte) (
 	return res, nil
 }
 
-// setTimeoutRe matches the session-variable statement
-// `SET STATEMENT_TIMEOUT = <milliseconds>` (0 disables the timeout).
-var setTimeoutRe = regexp.MustCompile(`(?i)^\s*SET\s+STATEMENT_TIMEOUT\s*=\s*(\d+)\s*;?\s*$`)
-
-// execSet intercepts session-variable statements before the SQL parser
-// sees the text; handled reports whether sql was one.
-func (s *Session) execSet(sql string) (*Result, bool) {
-	m := setTimeoutRe.FindStringSubmatch(sql)
-	if m == nil {
-		return nil, false
-	}
-	ms, err := strconv.Atoi(m[1])
-	if err != nil { // unreachable past the \d+ match save for overflow
-		ms = 0
-	}
-	s.SetStatementTimeout(time.Duration(ms) * time.Millisecond)
-	return &Result{Msg: fmt.Sprintf("statement_timeout = %dms", ms)}, true
-}
-
-// promoteRe matches the admin statement `PROMOTE` — fail over this
-// replica to primary (see Engine.Promote).
-var promoteRe = regexp.MustCompile(`(?i)^\s*PROMOTE\s*;?\s*$`)
-
-// routeText routes one statement's text: the statements the SQL parser
-// never sees are answered on the spot, the rest go through the plan
-// cache when possible and the parser otherwise.
+// routeText routes one statement's text: through the plan cache when its
+// shape is cacheable, through the parser otherwise.
 func (s *Session) routeText(sql string) (routed, error) {
-	if res, handled := s.execSet(sql); handled {
-		return routed{done: res}, nil
-	}
-	if res, handled, err := s.execAdmin(sql); handled {
-		return routed{done: res}, err
-	}
-	if promoteRe.MatchString(sql) {
-		if err := s.e.Promote(); err != nil {
-			return routed{}, err
-		}
-		return routed{done: &Result{Msg: fmt.Sprintf("promoted to primary (epoch %d)", s.e.Epoch())}}, nil
-	}
 	pc := s.e.plans
 	key, lits, ok := sqlparse.Normalize(sql)
 	if !ok {
@@ -369,6 +326,47 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 		s.tx.Abort()
 		s.tx = nil
 		return &Result{Msg: "rolled back"}, nil
+
+	case *sqlparse.SetTimeout:
+		s.SetStatementTimeout(t.Timeout)
+		return &Result{Msg: fmt.Sprintf("statement_timeout = %dms", t.Timeout.Milliseconds())}, nil
+
+	case *sqlparse.Promote:
+		if err := s.e.Promote(); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: fmt.Sprintf("promoted to primary (epoch %d)", s.e.Epoch())}, nil
+
+	case *sqlparse.CreateUser:
+		if err := s.e.cat.CreateUser(t.Name, t.Password, t.Opts); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: fmt.Sprintf("user %s created", strings.ToLower(t.Name))}, nil
+
+	case *sqlparse.DropUser:
+		if err := s.e.cat.DropUser(t.Name); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: fmt.Sprintf("user %s dropped", strings.ToLower(t.Name))}, nil
+
+	case *sqlparse.Grant:
+		table, user := strings.ToLower(t.Table), strings.ToLower(t.User)
+		if t.Revoke {
+			if err := s.e.cat.Revoke(t.User, t.Table, t.Priv); err != nil {
+				return nil, err
+			}
+			return &Result{Msg: fmt.Sprintf("revoked %s on %s from %s", t.Priv, table, user)}, nil
+		}
+		if err := s.e.cat.Grant(t.User, t.Table, t.Priv); err != nil {
+			return nil, err
+		}
+		return &Result{Msg: fmt.Sprintf("granted %s on %s to %s", t.Priv, table, user)}, nil
+
+	case *sqlparse.Show:
+		if t.What == "USERS" {
+			return s.showUsers(), nil
+		}
+		return s.showAdmission(), nil
 	}
 	return nil, fmt.Errorf("core: unhandled statement %T", st)
 }

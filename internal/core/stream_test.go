@@ -288,8 +288,8 @@ func assertWriteCompletes(t *testing.T, eng *Engine) {
 }
 
 // TestStreamRoutesLikeExec: Stream is Exec's routing with a cursor at
-// the end, so the statements the SQL parser never sees — session
-// variables, administration, PROMOTE — answer the same through both, as
+// the end, so the session and administration statements — SET, the
+// user and grant statements, PROMOTE — answer the same through both, as
 // does everything else, errors included. Two identical engines take the
 // same script, one through each entry point.
 func TestStreamRoutesLikeExec(t *testing.T) {

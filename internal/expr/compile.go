@@ -46,48 +46,6 @@ func catch(err *error) {
 	}
 }
 
-// Program is a compiled scalar expression.
-type Program struct {
-	fn   valFn
-	src  string
-	kind value.Kind
-}
-
-// Compile binds e against s and compiles it to a Program.
-func Compile(e Expr, s *value.Schema) (*Program, error) {
-	k, err := Bind(e, s)
-	if err != nil {
-		return nil, err
-	}
-	fn, err := compileVal(e)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{fn: fn, src: e.String(), kind: k}, nil
-}
-
-// Kind returns the static result kind.
-func (p *Program) Kind() value.Kind { return p.kind }
-
-// String returns the source form of the compiled expression.
-func (p *Program) String() string { return p.src }
-
-// Eval runs the program on one tuple.
-func (p *Program) Eval(t value.Tuple) (v value.Value, err error) {
-	defer catch(&err)
-	return p.fn(t), nil
-}
-
-// EvalBatch runs the program over a batch with a single recover boundary,
-// appending results to dst.
-func (p *Program) EvalBatch(dst []value.Value, src []value.Tuple) (out []value.Value, err error) {
-	defer catch(&err)
-	for _, t := range src {
-		dst = append(dst, p.fn(t))
-	}
-	return dst, nil
-}
-
 // Predicate is a compiled boolean filter.
 type Predicate struct {
 	fn  triFn

@@ -96,6 +96,8 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 	}
 }
 
+// TestCompiledProgramMatchesInterpretedValues: a compiled one-expression
+// projector computes the value the interpreter does, errors included.
 func TestCompiledProgramMatchesInterpretedValues(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	tuples := make([]value.Tuple, 500)
@@ -115,18 +117,18 @@ func TestCompiledProgramMatchesInterpretedValues(t *testing.T) {
 		if _, err := Bind(interp, testSchema); err != nil {
 			t.Fatalf("bind %s: %v", e, err)
 		}
-		prog, err := Compile(Clone(e), testSchema)
+		proj, err := CompileProjector([]Expr{Clone(e)}, nil, testSchema)
 		if err != nil {
 			t.Fatalf("compile %s: %v", e, err)
 		}
 		for _, tup := range tuples {
 			iv, ierr := interp.Eval(tup)
-			cv, cerr := prog.Eval(tup)
+			out, cerr := proj.Apply(tup)
 			if (ierr == nil) != (cerr == nil) {
 				t.Fatalf("%s on %v: interp err %v, compiled err %v", e, tup, ierr, cerr)
 			}
-			if ierr == nil && !sameNullable(iv, cv) {
-				t.Fatalf("%s on %v: interpreted %v, compiled %v", e, tup, iv, cv)
+			if ierr == nil && !sameNullable(iv, out[0]) {
+				t.Fatalf("%s on %v: interpreted %v, compiled %v", e, tup, iv, out[0])
 			}
 		}
 	}
@@ -179,15 +181,15 @@ func TestCompiledRuntimeFault(t *testing.T) {
 	if _, err := pred.Count([]value.Tuple{zero}); err == nil {
 		t.Error("Count should report division by zero")
 	}
-	prog, err := Compile(NewArith(Div, NewConst(value.NewInt(1)), NewCol("id")), testSchema)
+	proj, err := CompileProjector([]Expr{NewArith(Div, NewConst(value.NewInt(1)), NewCol("id"))}, nil, testSchema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Eval(zero); err == nil {
-		t.Error("Eval should report division by zero")
+	if _, err := proj.Apply(zero); err == nil {
+		t.Error("Apply should report division by zero")
 	}
-	if _, err := prog.EvalBatch(nil, []value.Tuple{zero}); err == nil {
-		t.Error("EvalBatch should report division by zero")
+	if _, err := proj.ApplyBatch([]value.Tuple{zero}); err == nil {
+		t.Error("ApplyBatch should report division by zero")
 	}
 }
 
@@ -266,18 +268,5 @@ func TestCompiledNullHandling(t *testing.T) {
 	ok, err = pred3.Match(nullID)
 	if err != nil || !ok {
 		t.Errorf("id IS NULL must match; got %v, %v", ok, err)
-	}
-}
-
-func TestProgramMetadata(t *testing.T) {
-	prog, err := Compile(NewArith(Add, NewCol("id"), NewConst(value.NewInt(1))), testSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Kind() != value.KindInt {
-		t.Errorf("Kind = %v", prog.Kind())
-	}
-	if prog.String() == "" {
-		t.Error("String should render the source expression")
 	}
 }

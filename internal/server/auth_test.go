@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -228,4 +229,61 @@ func TestAdmissionOverTCP(t *testing.T) {
 	if st := adm.Stats(); st.Shed == 0 {
 		t.Errorf("controller recorded no sheds")
 	}
+}
+
+// TestAdminStatementsPrepareOverWire: an administration statement can be
+// prepared over the wire like any other, executing it answers as Exec
+// does, and the administrator gate applies when it runs.
+func TestAdminStatementsPrepareOverWire(t *testing.T) {
+	eng, admin := authEngine(t)
+	for _, sql := range []string{
+		`CREATE USER root PASSWORD 'pw' ADMIN`,
+		`CREATE USER alice PASSWORD 'pw'`,
+	} {
+		if _, err := admin.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	addr := startServer(t, Config{Engine: eng})
+	root, err := client.Dial(addr, client.Options{Tenant: "root", Secret: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	describe := func(res *wire.Result, err error) string {
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		out := fmt.Sprintf("affected=%d msg=%q", res.Affected, res.Msg)
+		if res.Rel != nil {
+			out += " rel=" + res.Rel.String()
+		}
+		return out
+	}
+	for _, sql := range []string{
+		`GRANT SELECT ON emp TO alice`,
+		`SHOW USERS`,
+		`REVOKE SELECT ON emp FROM alice`,
+	} {
+		st, err := root.Prepare(sql)
+		if err != nil {
+			t.Fatalf("Prepare(%q): %v", sql, err)
+		}
+		got := describe(st.Exec())
+		if want := describe(root.Exec(sql)); got != want {
+			t.Errorf("%s\n prepared: %s\n     Exec: %s", sql, got, want)
+		}
+	}
+
+	acme, err := client.Dial(addr, client.Options{Tenant: "acme", Secret: "s3cret"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer acme.Close()
+	st, err := acme.Prepare(`GRANT ALL ON emp TO acme`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = st.Exec()
+	wantAuthErr(t, err, "prepared GRANT by a non-administrator")
 }

@@ -536,8 +536,8 @@ func TestExecStreamMalformedFrame(t *testing.T) {
 
 // TestExecStreamRoutesLikeExec: an ExecStream frame — what
 // client.QueryStream sends and how prisma-shell runs every statement —
-// reaches the same statement routing as an Exec frame, so the statements
-// the SQL parser never sees answer the same through both.
+// reaches the same statement routing as an Exec frame, so the session and
+// administration statements answer the same through both.
 func TestExecStreamRoutesLikeExec(t *testing.T) {
 	script := []string{
 		`SET STATEMENT_TIMEOUT = 100`,

@@ -1,6 +1,9 @@
 package sqlparse
 
 import (
+	"time"
+
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/fragment"
 	"repro/internal/value"
@@ -120,6 +123,36 @@ type Commit struct{}
 // Rollback aborts the session's open transaction.
 type Rollback struct{}
 
+// SetTimeout is SET STATEMENT_TIMEOUT = n: the session's statements wait
+// at most n milliseconds on locks (0 waits forever).
+type SetTimeout struct{ Timeout time.Duration }
+
+// Promote is PROMOTE: fail this replica over to primary.
+type Promote struct{}
+
+// CreateUser is CREATE USER name PASSWORD 'secret' [PRIORITY p]
+// [MAX_CONCURRENT n] [MEM_BUDGET n] [ADMIN].
+type CreateUser struct {
+	Name     string
+	Password string
+	Opts     catalog.UserOpts
+}
+
+// DropUser is DROP USER name.
+type DropUser struct{ Name string }
+
+// Grant is GRANT privs ON table TO user, or with Revoke set REVOKE privs
+// ON table FROM user.
+type Grant struct {
+	Revoke bool
+	Priv   catalog.Priv
+	Table  string
+	User   string
+}
+
+// Show is SHOW ADMISSION or SHOW USERS; What is the upper-cased word.
+type Show struct{ What string }
+
 func (*CreateTable) stmt() {}
 func (*Explain) stmt()     {}
 func (*DropTable) stmt()   {}
@@ -130,3 +163,9 @@ func (*Delete) stmt()      {}
 func (*Begin) stmt()       {}
 func (*Commit) stmt()      {}
 func (*Rollback) stmt()    {}
+func (*SetTimeout) stmt()  {}
+func (*Promote) stmt()     {}
+func (*CreateUser) stmt()  {}
+func (*DropUser) stmt()    {}
+func (*Grant) stmt()       {}
+func (*Show) stmt()        {}

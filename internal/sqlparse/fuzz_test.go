@@ -10,8 +10,8 @@ import (
 // panic, never exhaust the stack on deep nesting, and every accepted
 // statement must satisfy its own invariants (a statement value, a sane
 // parameter count, and a Normalize pass that doesn't crash on the same
-// text). Seeded with the DDL / DML / placeholder / EXPLAIN shapes the
-// engine actually serves.
+// text). Seeded with the DDL / DML / placeholder / EXPLAIN / session and
+// administration shapes the engine actually serves.
 func FuzzParseStmt(f *testing.F) {
 	seeds := []string{
 		// DDL with fragmentation clauses.
@@ -35,6 +35,14 @@ func FuzzParseStmt(f *testing.F) {
 		// EXPLAIN.
 		`EXPLAIN SELECT e.id FROM emp e JOIN dept d ON e.dept = d.name GROUP BY e.id`,
 		`EXPLAIN SELECT * FROM emp WHERE id = 5;`,
+		// Session and administration statements, well-formed and not.
+		`SET STATEMENT_TIMEOUT = 100`, `set statement_timeout=0;`, `PROMOTE`,
+		`CREATE USER alice PASSWORD 'it''s' PRIORITY batch MAX_CONCURRENT 2 MEM_BUDGET 1048576 ADMIN`,
+		`DROP USER alice`, `GRANT SELECT, INSERT ON emp TO alice`, `REVOKE ALL ON emp FROM alice;`,
+		`SHOW ADMISSION`, `SHOW USERS -- note`,
+		`GRANT FLY ON t TO u`, `CREATE USER u`, `SET STATEMENT_TIMEOUT = 99999999999999999999`,
+		`REVOKE SELECT ON t TO u`, `SHOW TABLES`,
+		`CREATE TABLE t (user INT, admin INT, priority INT)`, `SELECT user, admin, priority FROM t`,
 		// Transaction control and junk.
 		`BEGIN`, `COMMIT`, `ROLLBACK;`,
 		`SELECT (((1)))`, `SELECT - - - 1 FROM t`, `SELECT NOT NOT TRUE FROM t`,

@@ -2,7 +2,11 @@
 // (paper §2.1/§2.2: the Global Data Handler contains "the parsers for
 // SQL and PRISMAlog"). The subset covers the experiments: CREATE TABLE
 // with fragmentation clauses, INSERT, SELECT with joins / aggregation /
-// grouping / ordering, UPDATE and DELETE.
+// grouping / ordering, UPDATE and DELETE, plus the session and
+// administration statements (SET STATEMENT_TIMEOUT, PROMOTE, CREATE and
+// DROP USER, GRANT, REVOKE, SHOW). The words only those statements use
+// are matched as identifiers in context, not reserved, so a column may be
+// called user, admin or priority.
 package sqlparse
 
 import (

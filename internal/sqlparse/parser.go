@@ -2,9 +2,12 @@ package sqlparse
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
+	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/fragment"
 	"repro/internal/value"
@@ -132,6 +135,43 @@ func (p *parser) expect(kind tokKind, text string) (token, error) {
 	return token{}, p.errf("expected %s, found %q", want, p.cur().text)
 }
 
+// atWord reports whether the current token is the identifier w, matched
+// case-insensitively: the words of the session and administration
+// statements are recognised in context rather than reserved.
+func (p *parser) atWord(w string) bool {
+	t := p.cur()
+	return t.kind == tokIdent && strings.EqualFold(t.text, w)
+}
+
+func (p *parser) acceptWord(w string) bool {
+	if p.atWord(w) {
+		p.pos++
+		return true
+	}
+	return false
+}
+
+func (p *parser) expectWord(w string) error {
+	if p.acceptWord(w) {
+		return nil
+	}
+	return p.errf("expected %s, found %q", w, p.cur().text)
+}
+
+// count parses the integer literal that follows the word what, which
+// must lie in 0..max.
+func (p *parser) count(what string, max int64) (int64, error) {
+	t, err := p.expect(tokInt, "")
+	if err != nil {
+		return 0, err
+	}
+	n, err := strconv.ParseInt(t.text, 10, 64)
+	if err != nil || n > max {
+		return 0, p.errf("%s %s out of range (0..%d)", what, t.text, max)
+	}
+	return n, nil
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("sql: offset %d: %s", p.cur().pos, fmt.Sprintf(format, args...))
 }
@@ -159,6 +199,19 @@ func (p *parser) parseStmt() (Stmt, error) {
 		return p.parseCreate()
 	case p.at(tokKeyword, "DROP"):
 		return p.parseDrop()
+	case p.accept(tokKeyword, "SET"):
+		return p.parseSet()
+	case p.acceptWord("PROMOTE"):
+		return &Promote{}, nil
+	case p.atWord("GRANT"), p.atWord("REVOKE"):
+		return p.parseGrant()
+	case p.acceptWord("SHOW"):
+		for _, what := range []string{"ADMISSION", "USERS"} {
+			if p.acceptWord(what) {
+				return &Show{What: what}, nil
+			}
+		}
+		return nil, p.errf("expected ADMISSION or USERS after SHOW, found %q", p.cur().text)
 	case p.accept(tokKeyword, "BEGIN"):
 		return &Begin{}, nil
 	case p.accept(tokKeyword, "COMMIT"):
@@ -173,6 +226,9 @@ func (p *parser) parseStmt() (Stmt, error) {
 
 func (p *parser) parseCreate() (Stmt, error) {
 	p.next() // CREATE
+	if p.acceptWord("USER") {
+		return p.parseCreateUser()
+	}
 	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
 		return nil, err
 	}
@@ -308,14 +364,116 @@ func (p *parser) parseFragClause() (*FragClause, error) {
 
 func (p *parser) parseDrop() (Stmt, error) {
 	p.next() // DROP
-	if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
-		return nil, err
+	user := p.acceptWord("USER")
+	if !user {
+		if _, err := p.expect(tokKeyword, "TABLE"); err != nil {
+			return nil, err
+		}
 	}
 	name, err := p.ident()
 	if err != nil {
 		return nil, err
 	}
+	if user {
+		return &DropUser{Name: name}, nil
+	}
 	return &DropTable{Name: name}, nil
+}
+
+// ---------- session and administration statements ----------
+
+// parseSet parses SET STATEMENT_TIMEOUT = n, n in milliseconds.
+func (p *parser) parseSet() (Stmt, error) {
+	if err := p.expectWord("STATEMENT_TIMEOUT"); err != nil {
+		return nil, err
+	}
+	if _, err := p.expect(tokOp, "="); err != nil {
+		return nil, err
+	}
+	ms, err := p.count("STATEMENT_TIMEOUT", math.MaxInt64/int64(time.Millisecond))
+	if err != nil {
+		return nil, err
+	}
+	return &SetTimeout{Timeout: time.Duration(ms) * time.Millisecond}, nil
+}
+
+func (p *parser) parseCreateUser() (Stmt, error) {
+	name, err := p.ident()
+	if err != nil {
+		return nil, err
+	}
+	if err := p.expectWord("PASSWORD"); err != nil {
+		return nil, err
+	}
+	pw, err := p.expect(tokString, "")
+	if err != nil {
+		return nil, p.errf("PASSWORD needs a quoted string, found %q", p.cur().text)
+	}
+	cu := &CreateUser{Name: name, Password: pw.text}
+	for {
+		var n int64
+		switch {
+		case p.acceptWord("PRIORITY"):
+			cu.Opts.Priority, err = p.ident()
+			cu.Opts.Priority = strings.ToLower(cu.Opts.Priority)
+		case p.acceptWord("MAX_CONCURRENT"):
+			n, err = p.count("MAX_CONCURRENT", math.MaxInt)
+			cu.Opts.MaxConcurrent = int(n)
+		case p.acceptWord("MEM_BUDGET"):
+			cu.Opts.MemBudget, err = p.count("MEM_BUDGET", math.MaxInt64)
+		case p.acceptWord("ADMIN"):
+			cu.Opts.Admin = true
+		default:
+			return cu, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
+
+// privNames are the words of a GRANT/REVOKE privilege list.
+var privNames = map[string]catalog.Priv{
+	"ALL": catalog.PrivAll, "SELECT": catalog.PrivSelect, "INSERT": catalog.PrivInsert,
+	"UPDATE": catalog.PrivUpdate, "DELETE": catalog.PrivDelete,
+}
+
+// parseGrant parses GRANT privs ON t TO u and REVOKE privs ON t FROM u.
+func (p *parser) parseGrant() (Stmt, error) {
+	g := &Grant{Revoke: p.acceptWord("REVOKE")}
+	if !g.Revoke {
+		p.next() // GRANT
+	}
+	for {
+		priv, ok := privNames[p.cur().text]
+		if !ok || p.cur().kind != tokKeyword {
+			return nil, p.errf("unknown privilege %q", p.cur().text)
+		}
+		p.next()
+		g.Priv |= priv
+		if !p.accept(tokOp, ",") {
+			break
+		}
+	}
+	if _, err := p.expect(tokKeyword, "ON"); err != nil {
+		return nil, err
+	}
+	var err error
+	if g.Table, err = p.ident(); err != nil {
+		return nil, err
+	}
+	if g.Revoke {
+		_, err = p.expect(tokKeyword, "FROM")
+	} else {
+		err = p.expectWord("TO")
+	}
+	if err != nil {
+		return nil, err
+	}
+	if g.User, err = p.ident(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // ---------- DML ----------
@@ -529,15 +687,11 @@ func (p *parser) parseSelect() (*Select, error) {
 		}
 	}
 	if p.accept(tokKeyword, "LIMIT") {
-		nTok, err := p.expect(tokInt, "")
+		n, err := p.count("LIMIT", math.MaxInt)
 		if err != nil {
 			return nil, err
 		}
-		n, err := strconv.Atoi(nTok.text)
-		if err != nil || n < 0 {
-			return nil, p.errf("bad limit %q", nTok.text)
-		}
-		sel.Limit = n
+		sel.Limit = int(n)
 	}
 	return sel, nil
 }

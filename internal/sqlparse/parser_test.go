@@ -1,9 +1,12 @@
 package sqlparse
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/catalog"
 	"repro/internal/expr"
 	"repro/internal/fragment"
 	"repro/internal/value"
@@ -280,5 +283,57 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	sel := st.(*Select)
 	if sel.Limit != 5 || !sel.OrderBy[0].Desc {
 		t.Errorf("lower-case parse = %+v", sel)
+	}
+}
+
+func TestAdminStatements(t *testing.T) {
+	for _, c := range []struct {
+		src  string
+		want Stmt
+	}{
+		{`SET STATEMENT_TIMEOUT = 250`, &SetTimeout{Timeout: 250 * time.Millisecond}},
+		{`set statement_timeout=0;`, &SetTimeout{}},
+		{`PROMOTE`, &Promote{}},
+		{`CREATE USER alice PASSWORD 'pw'`, &CreateUser{Name: "alice", Password: "pw"}},
+		{`CREATE USER o PASSWORD 'it''s' -- escaped quote`, &CreateUser{Name: "o", Password: "it's"}},
+		{`create user Bob password 'x' ADMIN mem_budget 1048576 PRIORITY Batch MAX_CONCURRENT 3`,
+			&CreateUser{Name: "Bob", Password: "x", Opts: catalog.UserOpts{
+				Priority: "batch", MaxConcurrent: 3, MemBudget: 1 << 20, Admin: true}}},
+		{`DROP USER alice;`, &DropUser{Name: "alice"}},
+		{`GRANT SELECT, INSERT ON emp TO alice`,
+			&Grant{Priv: catalog.PrivSelect | catalog.PrivInsert, Table: "emp", User: "alice"}},
+		{`GRANT ALL ON emp TO alice`, &Grant{Priv: catalog.PrivAll, Table: "emp", User: "alice"}},
+		{`revoke update,delete on emp from alice`,
+			&Grant{Revoke: true, Priv: catalog.PrivUpdate | catalog.PrivDelete, Table: "emp", User: "alice"}},
+		{`SHOW ADMISSION`, &Show{What: "ADMISSION"}},
+		{`show users -- note`, &Show{What: "USERS"}},
+	} {
+		if got := parseOK(t, c.src); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("Parse(%q) = %#v, want %#v", c.src, got, c.want)
+		}
+	}
+	for _, src := range []string{
+		`SET STATEMENT_TIMEOUT = 99999999999999999999`, // overflows int64
+		`SET STATEMENT_TIMEOUT = 9223372036855`,        // overflows time.Duration
+		`SET STATEMENT_TIMEOUT = -1`,
+		`SET STATEMENT_TIMEOUT = ?`,
+		`SET SEARCH_PATH = 1`,
+		`PROMOTE NOW`,
+		`CREATE USER u`,
+		`CREATE USER u PASSWORD pw`,
+		`CREATE USER u PASSWORD 'pw' MAX_CONCURRENT 99999999999999999999`,
+		`CREATE USER u PASSWORD 'pw' SUPERUSER`,
+		`DROP USER`,
+		`GRANT FLY ON t TO u`,
+		`GRANT ON t TO u`,
+		`GRANT SELECT ON t FROM u`,
+		`REVOKE SELECT ON t TO u`,
+		`GRANT SELECT, ON t TO u`,
+		`SHOW TABLES`,
+		`SHOW`,
+	} {
+		if st, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) = %#v, want an error", src, st)
+		}
 	}
 }

@@ -9,9 +9,9 @@ import "repro/internal/value"
 // DeleteVersion and Vacuum record the slot they touch, and DrainDirty
 // returns the current state of exactly those slots. The log is bounded:
 // when it overflows, or when a mutation happens that a patch cannot
-// express (Clear, the physical Delete and the in-place Update, which
-// change a row some reader may still be looking at), it is marked lost
-// and the consumer must take a fresh SnapshotSlots.
+// express (Clear, and the physical Delete, which frees a row some reader
+// may still be looking at), it is marked lost and the consumer must take
+// a fresh SnapshotSlots.
 //
 // A log entry is a slot index when the slot's tuple changed (a version
 // inserted into it, or the slot freed) and the index's complement when

@@ -154,11 +154,6 @@ func TestDirtyLogLost(t *testing.T) {
 		mutate func()
 	}{
 		{"Delete", func() { s.Delete(ids[0]) }},
-		{"Update", func() {
-			if err := s.Update(ids[1], emp(1, "u", 1)); err != nil {
-				t.Fatal(err)
-			}
-		}},
 		{"Clear", s.Clear},
 	}
 	for _, m := range mutations {

@@ -1,9 +1,9 @@
 // Package storage provides the main-memory storage structures a
 // One-Fragment Manager builds on (paper §2.5: "(various) storage
-// structures", "markings and cursor maintenance"): an in-memory heap of
-// tuples addressed by row id, hash and ordered (skip-list) secondary
-// indexes, marking sets, stable cursors, and an encoded page file that
-// models disk-resident data for the main-memory-vs-disk experiment.
+// structures"): an in-memory heap of MVCC tuple versions addressed by row
+// id, hash secondary indexes, the dirty-slot log a column cache follows
+// the heap by, and an encoded page file that models disk-resident data
+// for the main-memory-vs-disk experiment.
 package storage
 
 import (
@@ -15,8 +15,8 @@ import (
 )
 
 // RowID addresses a tuple within one Store. Ids are never reused: a slot
-// freed by Delete carries a bumped generation, so stale ids (e.g. held by
-// an open Cursor) miss instead of aliasing a newer tuple. The low 40 bits
+// freed by Delete or Vacuum carries a bumped generation, so a stale id
+// misses instead of aliasing a newer tuple. The low 40 bits
 // are the slot index, the high bits the generation.
 type RowID int64
 
@@ -74,19 +74,12 @@ type Store struct {
 	dirtyLost bool
 	dirty     []int32
 
-	hashIdx    map[string]*HashIndex
-	orderedIdx map[string]*OrderedIndex
-	markings   map[string]map[RowID]struct{}
+	hashIdx map[string]*HashIndex
 }
 
 // NewStore creates an empty store for the given schema.
 func NewStore(schema *value.Schema) *Store {
-	return &Store{
-		schema:     schema,
-		hashIdx:    map[string]*HashIndex{},
-		orderedIdx: map[string]*OrderedIndex{},
-		markings:   map[string]map[RowID]struct{}{},
-	}
+	return &Store{schema: schema, hashIdx: map[string]*HashIndex{}}
 }
 
 // OnMemChange registers the memory accounting hook (nil to disable).
@@ -168,9 +161,6 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 	for _, idx := range s.hashIdx {
 		idx.add(id, t)
 	}
-	for _, idx := range s.orderedIdx {
-		idx.add(id, t)
-	}
 	onMem := s.onMem
 	s.mu.Unlock()
 	if onMem != nil {
@@ -210,17 +200,6 @@ func (s *Store) live(id RowID) int {
 		return -1
 	}
 	return si
-}
-
-// Get returns the current tuple at id (misses on dead versions).
-func (s *Store) Get(id RowID) (value.Tuple, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	si := s.live(id)
-	if si < 0 {
-		return nil, false
-	}
-	return s.rows[si].tuple, true
 }
 
 // GetAt returns the version at id as seen by a snapshot at ts.
@@ -271,7 +250,7 @@ func (s *Store) Delete(id RowID) bool {
 }
 
 // freeSlot physically reclaims the version in slot si (row id `id`),
-// detaching it from indexes and markings. Caller holds s.mu and has
+// detaching it from the indexes. Caller holds s.mu and has
 // already adjusted count/dead; returns the memory delta.
 func (s *Store) freeSlot(si int, id RowID) int64 {
 	t := s.rows[si].tuple
@@ -284,12 +263,6 @@ func (s *Store) freeSlot(si int, id RowID) int64 {
 	s.memSize += delta
 	for _, idx := range s.hashIdx {
 		idx.remove(id, t)
-	}
-	for _, idx := range s.orderedIdx {
-		idx.remove(id, t)
-	}
-	for _, m := range s.markings {
-		delete(m, id)
 	}
 	return delta
 }
@@ -311,9 +284,6 @@ func (s *Store) DeleteVersion(id RowID, ts uint64) bool {
 	s.count--
 	s.dead = append(s.dead, int32(si))
 	s.version++
-	for _, m := range s.markings {
-		delete(m, id)
-	}
 	return true
 }
 
@@ -362,42 +332,8 @@ func (s *Store) DeadVersions() int {
 	return len(s.dead)
 }
 
-// Update replaces the tuple at id.
-func (s *Store) Update(id RowID, t value.Tuple) error {
-	if err := Conform(s.schema, t); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	si := s.live(id)
-	if si < 0 {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: row %d does not exist", id)
-	}
-	old := s.rows[si].tuple
-	s.rows[si].tuple = t
-	s.dirtyLost = true // a visible row rewritten in place: no catch-up
-	s.version++
-	delta := int64(t.Size()) - int64(old.Size())
-	s.memSize += delta
-	for _, idx := range s.hashIdx {
-		idx.remove(id, old)
-		idx.add(id, t)
-	}
-	for _, idx := range s.orderedIdx {
-		idx.remove(id, old)
-		idx.add(id, t)
-	}
-	onMem := s.onMem
-	s.mu.Unlock()
-	if onMem != nil {
-		onMem(delta)
-	}
-	return nil
-}
-
 // Scan calls fn for every current tuple until fn returns false. The lock
-// is held for the duration; fn must not mutate the store (use a Cursor
-// for interleaved mutation).
+// is held for the duration; fn must not mutate the store.
 func (s *Store) Scan(fn func(RowID, value.Tuple) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -442,7 +378,7 @@ func (s *Store) Snapshot() []value.Tuple {
 }
 
 // Version returns the store's mutation counter. It changes whenever the
-// set of versions changes (insert, delete, update, vacuum, clear), so a
+// set of versions changes (insert, delete, vacuum, clear), so a
 // derived structure — e.g. the OFM's fragment column cache — built at one
 // Version stays valid exactly until Version differs.
 func (s *Store) Version() uint64 {
@@ -490,10 +426,6 @@ func (s *Store) Clear() {
 	for _, idx := range s.hashIdx {
 		idx.clear()
 	}
-	for _, idx := range s.orderedIdx {
-		idx.clear()
-	}
-	s.markings = map[string]map[RowID]struct{}{}
 	onMem := s.onMem
 	s.mu.Unlock()
 	if onMem != nil {
@@ -514,9 +446,6 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 	if _, dup := s.hashIdx[name]; dup {
 		return nil, fmt.Errorf("storage: hash index %q exists", name)
 	}
-	if _, dup := s.orderedIdx[name]; dup {
-		return nil, fmt.Errorf("storage: index %q exists", name)
-	}
 	idx := newHashIndex(&s.mu, cols)
 	for i := range s.rows {
 		if t := s.rows[i].tuple; t != nil {
@@ -524,30 +453,6 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 		}
 	}
 	s.hashIdx[name] = idx
-	return idx, nil
-}
-
-// CreateOrderedIndex builds a skip-list index named name on the given
-// columns. Range scans use it.
-func (s *Store) CreateOrderedIndex(name string, cols []int) (*OrderedIndex, error) {
-	if err := s.checkCols(cols); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.orderedIdx[name]; dup {
-		return nil, fmt.Errorf("storage: ordered index %q exists", name)
-	}
-	if _, dup := s.hashIdx[name]; dup {
-		return nil, fmt.Errorf("storage: index %q exists", name)
-	}
-	idx := newOrderedIndex(cols)
-	for i := range s.rows {
-		if t := s.rows[i].tuple; t != nil {
-			idx.add(makeRowID(i, s.rows[i].gen), t)
-		}
-	}
-	s.orderedIdx[name] = idx
 	return idx, nil
 }
 
@@ -575,18 +480,6 @@ func (s *Store) HashIndexOn(cols []int) (*HashIndex, bool) {
 	return nil, false
 }
 
-// OrderedIndexOn returns an ordered index whose leading column is col.
-func (s *Store) OrderedIndexOn(col int) (*OrderedIndex, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, idx := range s.orderedIdx {
-		if idx.cols[0] == col {
-			return idx, true
-		}
-	}
-	return nil, false
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false
@@ -598,96 +491,3 @@ func equalInts(a, b []int) bool {
 	}
 	return true
 }
-
-// ---------- markings (paper §2.5) ----------
-
-// Mark adds row ids to the named marking set.
-func (s *Store) Mark(name string, ids ...RowID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m := s.markings[name]
-	if m == nil {
-		m = map[RowID]struct{}{}
-		s.markings[name] = m
-	}
-	for _, id := range ids {
-		if s.live(id) >= 0 {
-			m[id] = struct{}{}
-		}
-	}
-}
-
-// Unmark removes row ids from the named marking (all ids if none given).
-func (s *Store) Unmark(name string, ids ...RowID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(ids) == 0 {
-		delete(s.markings, name)
-		return
-	}
-	if m := s.markings[name]; m != nil {
-		for _, id := range ids {
-			delete(m, id)
-		}
-	}
-}
-
-// Marked reports whether a row carries the named marking.
-func (s *Store) Marked(name string, id RowID) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.markings[name][id]
-	return ok
-}
-
-// MarkedRows returns the live tuples carrying the named marking.
-func (s *Store) MarkedRows(name string) []value.Tuple {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	m := s.markings[name]
-	out := make([]value.Tuple, 0, len(m))
-	for id := range m {
-		if si := s.live(id); si >= 0 {
-			out = append(out, s.rows[si].tuple)
-		}
-	}
-	return out
-}
-
-// ---------- cursors (paper §2.5) ----------
-
-// Cursor iterates the rows that existed when it was opened, tolerating
-// concurrent mutation: deleted rows are skipped, inserts are not seen.
-type Cursor struct {
-	s   *Store
-	ids []RowID
-	pos int
-}
-
-// OpenCursor captures the current row-id set for stable iteration.
-func (s *Store) OpenCursor() *Cursor {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]RowID, 0, s.count)
-	for i := range s.rows {
-		if s.rows[i].tuple != nil && s.rows[i].end == 0 {
-			ids = append(ids, makeRowID(i, s.rows[i].gen))
-		}
-	}
-	return &Cursor{s: s, ids: ids}
-}
-
-// Next returns the next surviving tuple; ok is false at the end.
-func (c *Cursor) Next() (RowID, value.Tuple, bool) {
-	for c.pos < len(c.ids) {
-		id := c.ids[c.pos]
-		c.pos++
-		if t, ok := c.s.Get(id); ok {
-			return id, t, true
-		}
-	}
-	return -1, nil, false
-}
-
-// Remaining returns how many candidate ids are left (upper bound).
-func (c *Cursor) Remaining() int { return len(c.ids) - c.pos }

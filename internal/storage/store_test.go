@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -16,15 +17,18 @@ func emp(id int64, name string, salary float64) value.Tuple {
 	return value.NewTuple(value.NewInt(id), value.NewString(name), value.NewFloat(salary))
 }
 
+// current returns the current version at id: what the latest snapshot sees.
+func current(s *Store, id RowID) (value.Tuple, bool) { return s.GetAt(id, math.MaxUint64) }
+
 func TestInsertGetDelete(t *testing.T) {
 	s := NewStore(empSchema())
 	id, err := s.Insert(emp(1, "ann", 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := s.Get(id)
+	got, ok := current(s, id)
 	if !ok || got[1].Str() != "ann" {
-		t.Fatalf("Get = %v, %v", got, ok)
+		t.Fatalf("GetAt = %v, %v", got, ok)
 	}
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
@@ -35,16 +39,16 @@ func TestInsertGetDelete(t *testing.T) {
 	if s.Delete(id) {
 		t.Error("double Delete should fail")
 	}
-	if _, ok := s.Get(id); ok {
-		t.Error("Get after Delete should fail")
+	if _, ok := current(s, id); ok {
+		t.Error("GetAt after Delete should fail")
 	}
 	if s.Len() != 0 {
 		t.Errorf("Len after delete = %d", s.Len())
 	}
-	if _, ok := s.Get(-1); ok {
+	if _, ok := current(s, -1); ok {
 		t.Error("negative id should miss")
 	}
-	if _, ok := s.Get(99); ok {
+	if _, ok := current(s, 99); ok {
 		t.Error("out-of-range id should miss")
 	}
 }
@@ -62,18 +66,15 @@ func TestRowIDGenerations(t *testing.T) {
 	if id1 == id2 {
 		t.Error("row ids must never be reused")
 	}
-	if _, ok := s.Get(id1); ok {
+	if _, ok := current(s, id1); ok {
 		t.Error("stale id resolved to the new tuple")
 	}
-	if got, ok := s.Get(id2); !ok || got[0].Int() != 2 {
+	if got, ok := current(s, id2); !ok || got[0].Int() != 2 {
 		t.Errorf("fresh id lookup = %v, %v", got, ok)
 	}
-	// Stale ids can't delete or update the new occupant either.
+	// A stale id can't delete the new occupant either.
 	if s.Delete(id1) {
 		t.Error("stale delete succeeded")
-	}
-	if err := s.Update(id1, emp(3, "c", 3)); err == nil {
-		t.Error("stale update succeeded")
 	}
 }
 
@@ -94,27 +95,9 @@ func TestTypeChecking(t *testing.T) {
 	if err != nil {
 		t.Fatalf("int into float column rejected: %v", err)
 	}
-	got, _ := s.Get(id)
+	got, _ := current(s, id)
 	if got[2].Kind() != value.KindFloat || got[2].Float() != 42 {
 		t.Errorf("widening produced %v", got[2])
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	s := NewStore(empSchema())
-	id, _ := s.Insert(emp(1, "ann", 100))
-	if err := s.Update(id, emp(1, "ann", 200)); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := s.Get(id)
-	if got[2].Float() != 200 {
-		t.Errorf("Update did not stick: %v", got)
-	}
-	if err := s.Update(99, emp(1, "x", 1)); err == nil {
-		t.Error("updating a missing row should error")
-	}
-	if err := s.Update(id, value.Ints(1)); err == nil {
-		t.Error("bad tuple should error")
 	}
 }
 
@@ -149,13 +132,12 @@ func TestMemAccounting(t *testing.T) {
 	if s.MemSize() <= 0 || tracked != s.MemSize() {
 		t.Errorf("mem %d tracked %d", s.MemSize(), tracked)
 	}
-	if err := s.Update(id, emp(1, "somebody with a much longer name", 1)); err != nil {
-		t.Fatal(err)
-	}
+	id2, _ := s.Insert(emp(2, "somebody with a much longer name", 1))
 	if tracked != s.MemSize() {
-		t.Errorf("after update: mem %d tracked %d", s.MemSize(), tracked)
+		t.Errorf("after second insert: mem %d tracked %d", s.MemSize(), tracked)
 	}
 	s.Delete(id)
+	s.Delete(id2)
 	if s.MemSize() != 0 || tracked != 0 {
 		t.Errorf("after delete: mem %d tracked %d", s.MemSize(), tracked)
 	}
@@ -185,77 +167,6 @@ func TestClear(t *testing.T) {
 	}
 	if got := idx.Lookup([]value.Value{value.NewInt(9)}); len(got) != 1 {
 		t.Errorf("index after Clear+Insert = %v", got)
-	}
-}
-
-func TestMarkings(t *testing.T) {
-	s := NewStore(empSchema())
-	var ids []RowID
-	for i := 0; i < 5; i++ {
-		id, _ := s.Insert(emp(int64(i), "x", 1))
-		ids = append(ids, id)
-	}
-	s.Mark("hot", ids[0], ids[2])
-	if !s.Marked("hot", ids[0]) || s.Marked("hot", ids[1]) {
-		t.Error("marking membership wrong")
-	}
-	if got := len(s.MarkedRows("hot")); got != 2 {
-		t.Errorf("MarkedRows = %d", got)
-	}
-	// Deleting a row clears its markings.
-	s.Delete(ids[0])
-	if s.Marked("hot", ids[0]) {
-		t.Error("deleted row still marked")
-	}
-	s.Unmark("hot", ids[2])
-	if len(s.MarkedRows("hot")) != 0 {
-		t.Error("Unmark by id failed")
-	}
-	s.Mark("all", ids[1], ids[3])
-	s.Unmark("all")
-	if len(s.MarkedRows("all")) != 0 {
-		t.Error("Unmark all failed")
-	}
-	// Marking a dead row is a no-op.
-	s.Mark("x", ids[0])
-	if len(s.MarkedRows("x")) != 0 {
-		t.Error("marking a deleted row should be ignored")
-	}
-}
-
-func TestCursorStability(t *testing.T) {
-	s := NewStore(empSchema())
-	var ids []RowID
-	for i := 0; i < 6; i++ {
-		id, _ := s.Insert(emp(int64(i), "x", 1))
-		ids = append(ids, id)
-	}
-	cur := s.OpenCursor()
-	if cur.Remaining() != 6 {
-		t.Errorf("Remaining = %d", cur.Remaining())
-	}
-	// Delete a not-yet-visited row and insert a new one mid-iteration.
-	_, _, _ = cur.Next()
-	s.Delete(ids[3])
-	if _, err := s.Insert(emp(99, "new", 9)); err != nil {
-		t.Fatal(err)
-	}
-	count := 1
-	for {
-		_, tp, ok := cur.Next()
-		if !ok {
-			break
-		}
-		count++
-		if tp[0].Int() == 99 {
-			t.Error("cursor saw a row inserted after open")
-		}
-		if tp[0].Int() == 3 {
-			t.Error("cursor saw a deleted row")
-		}
-	}
-	if count != 5 {
-		t.Errorf("cursor visited %d rows, want 5", count)
 	}
 }
 
