@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -464,3 +466,57 @@ func TestPreparedConcurrent(t *testing.T) {
 type errRows int
 
 func (e errRows) Error() string { return "unexpected row count" }
+
+// TestNaNFiltersOrderLikeOrderBy: a NaN inserted through a prepared
+// statement compares in a WHERE clause the way ORDER BY sorts it — equal
+// to itself and below every number — against a literal bound and against
+// a NaN bound given as a parameter.
+func TestNaNFiltersOrderLikeOrderBy(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE m (id INT, x FLOAT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	ins, err := s.Prepare(`INSERT INTO m VALUES (?, ?)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, x := range []float64{math.NaN(), -1, 0.5, 2} {
+		if _, err := s.ExecPrepared(ins, []value.Value{value.NewInt(int64(id)), value.NewFloat(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := func(sql string, args ...value.Value) []int64 {
+		t.Helper()
+		ps, err := s.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := s.QueryPrepared(ps, args)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var out []int64
+		for _, tup := range rel.Tuples {
+			out = append(out, tup[0].Int())
+		}
+		return out
+	}
+	if got := ids(`SELECT id, x FROM m ORDER BY x`); !slices.Equal(got, []int64{0, 1, 2, 3}) {
+		t.Fatalf("ORDER BY x = %v, want the NaN first", got)
+	}
+	nan := value.NewFloat(math.NaN())
+	for _, c := range []struct {
+		sql  string
+		args []value.Value
+		want []int64
+	}{
+		{`SELECT id FROM m WHERE x < 1.0 ORDER BY id`, nil, []int64{0, 1, 2}},
+		{`SELECT id FROM m WHERE x >= 1.0 ORDER BY id`, nil, []int64{3}},
+		{`SELECT id FROM m WHERE x = ? ORDER BY id`, []value.Value{nan}, []int64{0}},
+		{`SELECT id FROM m WHERE x < ? ORDER BY id`, []value.Value{nan}, nil},
+		{`SELECT id FROM m WHERE x > ? ORDER BY id`, []value.Value{nan}, []int64{1, 2, 3}},
+	} {
+		if got := ids(c.sql, c.args...); !slices.Equal(got, c.want) {
+			t.Errorf("%s %v = %v, want %v", c.sql, c.args, got, c.want)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/value"
@@ -653,29 +654,16 @@ func intCmpSlow(v value.Value, c int64, op CmpOp) uint8 {
 	return triFalse
 }
 
+// floatConstCmp and strConstCmp order values as value.Compare does:
+// cmp.Compare agrees with it on strings and on floats, where NaN equals NaN
+// and sorts below every number and -0 equals 0.
 func floatConstCmp(ix int, c float64, op CmpOp) triFn {
 	return func(t value.Tuple) uint8 {
 		v := t[ix]
 		if v.IsNull() {
 			return triNull
 		}
-		a := v.Float()
-		var hit bool
-		switch op {
-		case EQ:
-			hit = a == c
-		case NE:
-			hit = a != c
-		case LT:
-			hit = a < c
-		case LE:
-			hit = a <= c
-		case GT:
-			hit = a > c
-		default:
-			hit = a >= c
-		}
-		if hit {
+		if op.holds(cmp.Compare(v.Float(), c)) {
 			return triTrue
 		}
 		return triFalse
@@ -691,23 +679,7 @@ func strConstCmp(ix int, c string, op CmpOp) triFn {
 		if v.Kind() != value.KindString {
 			throw("expr: cannot compare %s with VARCHAR", v.Kind())
 		}
-		a := v.Str()
-		var hit bool
-		switch op {
-		case EQ:
-			hit = a == c
-		case NE:
-			hit = a != c
-		case LT:
-			hit = a < c
-		case LE:
-			hit = a <= c
-		case GT:
-			hit = a > c
-		default:
-			hit = a >= c
-		}
-		if hit {
+		if op.holds(cmp.Compare(v.Str(), c)) {
 			return triTrue
 		}
 		return triFalse
@@ -717,28 +689,6 @@ func strConstCmp(ix int, c string, op CmpOp) triFn {
 func intColCmp(lix, rix int, op CmpOp) triFn {
 	return func(t value.Tuple) uint8 {
 		a, b := t[lix], t[rix]
-		if a.Kind() == value.KindInt && b.Kind() == value.KindInt {
-			var hit bool
-			ai, bi := a.Int(), b.Int()
-			switch op {
-			case EQ:
-				hit = ai == bi
-			case NE:
-				hit = ai != bi
-			case LT:
-				hit = ai < bi
-			case LE:
-				hit = ai <= bi
-			case GT:
-				hit = ai > bi
-			default:
-				hit = ai >= bi
-			}
-			if hit {
-				return triTrue
-			}
-			return triFalse
-		}
 		if a.IsNull() || b.IsNull() {
 			return triNull
 		}

@@ -3,30 +3,35 @@ package expr
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/value"
 )
 
-// This file is the columnar counterpart of compile.go: predicates compile
-// to kernels that run over a value.Batch's typed column slices and emit a
-// selection vector of qualifying physical row indices — set bits, no
-// tuple materialization. The kernels are specialized on the same static
-// shapes the row compiler exploits (int/float/string column vs constant,
-// int column vs column); every other node shape falls back to the row
-// predicate evaluated over a per-call scratch tuple, so vectorized and
-// row execution agree on every expression the binder accepts.
+// This file is the columnar counterpart of compile.go. Its unit is the
+// 64-row mask, one uint64 per 64 physical rows of a value.Batch. Given a
+// candidate mask, each kernel writes the mask of rows where its node is
+// TRUE and the one where it is FALSE (UNKNOWN is neither). Typed
+// comparisons build words with no branch on the data; AND, OR and NOT are
+// word operations; IS NULL and BOOL columns read their bits. Every other
+// shape runs the row predicate of compile.go on the candidate's set bits
+// only: AND's right side on the rows its left did not make FALSE, OR's on
+// those it did not make TRUE, as the row path does, so both raise alike.
+// The TRUE mask becomes a selection vector once, when Filter returns.
 
-// vecKernel appends the qualifying physical row indices of b to dst and
-// returns it. sel lists candidate rows in ascending order; nil means all
-// of b's physical rows. Kernels preserve ascending order.
-type vecKernel func(b *value.Batch, sel []int32, dst []int32) []int32
+// maskKernel sets t to the rows of cand where its node is TRUE and f to
+// those where it is FALSE, overwriting both; cand (only read), t and f are
+// masks of one length whose first word is b's word base. scratch holds the
+// kernel's temporaries: as many more masks as compileVecTri reported.
+type maskKernel func(b *value.Batch, base int, cand, t, f, scratch []uint64)
 
 // VecFilter is a compiled vectorized boolean filter. It is stateless and
 // safe for concurrent use (the OFM caches one per predicate per fragment).
 type VecFilter struct {
-	kernel vecKernel
-	total  bool
-	src    string
+	kernel  maskKernel
+	scratch int
+	src     string
 }
 
 // CompileVecFilter binds e (which must be boolean) against s and compiles
@@ -39,176 +44,191 @@ func CompileVecFilter(e Expr, s *value.Schema) (*VecFilter, error) {
 	if k != value.KindBool && k != value.KindNull {
 		return nil, fmt.Errorf("expr: predicate has kind %s, want BOOLEAN", k)
 	}
-	kern, total, err := compileVecTri(e)
+	kern, scratch, err := compileVecTri(e)
 	if err != nil {
 		return nil, err
 	}
-	return &VecFilter{kernel: kern, total: total, src: e.String()}, nil
+	return &VecFilter{kernel: kern, scratch: scratch, src: e.String()}, nil
 }
 
 // String returns the source form of the filter.
-func (f *VecFilter) String() string { return f.src }
-
-// Total reports whether the filter is built only from the typed
-// comparison kernels (joined by AND/OR): over a batch whose vectors hold
-// the kinds the schema declares it reads column words and cannot raise,
-// whatever they contain. Such a filter may run over rows the caller will
-// discard afterwards — the OFM filters densely and applies MVCC
-// visibility to the survivors. Every other filter evaluates row
-// expressions (arithmetic, LIKE, IN, mismatched kinds) and must only see
-// rows that are really there.
-func (f *VecFilter) Total() bool { return f.total }
+func (vf *VecFilter) String() string { return vf.src }
 
 // Filter appends the physical row indices of b satisfying the predicate
-// to dst, considering only rows in sel (nil = all rows). One recover
-// boundary covers the whole batch, like Predicate.FilterInto.
-func (f *VecFilter) Filter(b *value.Batch, sel, dst []int32) (out []int32, err error) {
-	defer catch(&err)
-	return f.kernel(b, sel, dst), nil
-}
-
-// compileVecTri compiles e to a kernel and reports whether the kernel is
-// total (see VecFilter.Total): no node of e took the row fallback.
-func compileVecTri(e Expr) (vecKernel, bool, error) {
-	switch n := e.(type) {
-	case *Cmp:
-		return compileVecCmp(n)
-
-	case *And:
-		l, lt, err := compileVecTri(n.L)
-		if err != nil {
-			return nil, false, err
+// to dst, ascending, considering only the rows sel lists (ascending; nil =
+// all rows). One recover boundary covers the whole batch, like
+// Predicate.FilterInto.
+func (vf *VecFilter) Filter(b *value.Batch, sel, dst []int32) ([]int32, error) {
+	n := MaskWords(b.Rows)
+	buf := value.GetHashes(n + (2+vf.scratch)<<6)
+	cand := buf[:n]
+	if sel == nil {
+		for w := range cand {
+			cand[w] = ^uint64(0)
 		}
-		r, rt, err := compileVecTri(n.R)
-		if err != nil {
-			return nil, false, err
+		if r := b.Rows & 63; r != 0 {
+			cand[n-1] = 1<<r - 1
 		}
-		// Sequential filtering: the right kernel only sees rows the left
-		// kept. Rows where the left is NULL are dropped before the right
-		// runs — same output as the row path (l NULL never yields TRUE),
-		// though a right side that faults on such rows won't fire here.
-		return func(b *value.Batch, sel, dst []int32) []int32 {
-			tmp := value.GetSel()
-			tmp = l(b, sel, tmp)
-			dst = r(b, tmp, dst)
-			value.PutSel(tmp)
-			return dst
-		}, lt && rt, nil
-
-	case *Or:
-		l, lt, err := compileVecTri(n.L)
-		if err != nil {
-			return nil, false, err
-		}
-		r, rt, err := compileVecTri(n.R)
-		if err != nil {
-			return nil, false, err
-		}
-		// Left keeps first; the right kernel runs only over the left's
-		// rejects; the two kept sets merge back into ascending order.
-		return func(b *value.Batch, sel, dst []int32) []int32 {
-			lkeep := value.GetSel()
-			lkeep = l(b, sel, lkeep)
-			rest := value.GetSel()
-			li := 0
-			if sel == nil {
-				for row := 0; row < b.Rows; row++ {
-					if li < len(lkeep) && lkeep[li] == int32(row) {
-						li++
-						continue
-					}
-					rest = append(rest, int32(row))
-				}
-			} else {
-				for _, row := range sel {
-					if li < len(lkeep) && lkeep[li] == row {
-						li++
-						continue
-					}
-					rest = append(rest, row)
-				}
-			}
-			rkeep := value.GetSel()
-			rkeep = r(b, rest, rkeep)
-			dst = mergeSel(dst, lkeep, rkeep)
-			value.PutSel(lkeep)
-			value.PutSel(rest)
-			value.PutSel(rkeep)
-			return dst
-		}, lt && rt, nil
-	}
-
-	// Everything else — NOT, IS NULL, IN, LIKE, boolean columns, generic
-	// comparisons — reuses the row compiler over a per-call scratch tuple.
-	tf, err := compileTri(e)
-	if err != nil {
-		return nil, false, err
-	}
-	return rowFallbackKernel(tf), false, nil
-}
-
-// rowFallbackKernel adapts a row predicate to the kernel contract. The
-// scratch tuple is allocated per call so a cached filter stays safe for
-// concurrent scans.
-func rowFallbackKernel(tf triFn) vecKernel {
-	return func(b *value.Batch, sel, dst []int32) []int32 {
-		scratch := make(value.Tuple, len(b.Cols))
-		fill := func(row int32) {
-			for c, vec := range b.Cols {
-				scratch[c] = vec.Value(int(row))
-			}
-		}
-		if sel == nil {
-			for row := 0; row < b.Rows; row++ {
-				fill(int32(row))
-				if tf(scratch) == triTrue {
-					dst = append(dst, int32(row))
-				}
-			}
-			return dst
-		}
+	} else {
+		clear(cand)
 		for _, row := range sel {
-			fill(row)
-			if tf(scratch) == triTrue {
-				dst = append(dst, row)
-			}
+			cand[row>>6] |= 1 << (row & 63)
 		}
-		return dst
 	}
+	dst, err := vf.run(b, cand, buf[n:], dst)
+	value.PutHashes(buf)
+	return dst, err
 }
 
-// mergeSel merges two ascending selection vectors into dst (ascending,
-// duplicates impossible: the inputs are disjoint by construction).
-func mergeSel(dst, a, b []int32) []int32 {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, b[j])
-			j++
+// FilterMask is Filter with the candidate rows given as a mask of
+// MaskWords(b.Rows) words, which it only reads.
+func (vf *VecFilter) FilterMask(b *value.Batch, cand []uint64, dst []int32) ([]int32, error) {
+	buf := value.GetHashes((2 + vf.scratch) << 6)
+	dst, err := vf.run(b, cand, buf, dst)
+	value.PutHashes(buf)
+	return dst, err
+}
+
+// run evaluates the kernel over 64 words of cand at a time, in buf's
+// (2+scratch)*64 words, so its masks stay small whatever b's size.
+func (vf *VecFilter) run(b *value.Batch, cand, buf []uint64, dst []int32) (out []int32, err error) {
+	defer catch(&err)
+	for lo := 0; lo < len(cand); lo += 64 {
+		n := min(64, len(cand)-lo)
+		vf.kernel(b, lo, cand[lo:lo+n], buf[:n], buf[n:2*n], buf[2*n:])
+		dst = AppendMaskRows(dst, buf[:n], lo)
+	}
+	return dst, nil
+}
+
+// MaskWords is the length of a mask over rows physical rows.
+func MaskWords(rows int) int { return (rows + 63) >> 6 }
+
+// AppendMaskRows appends the rows m sets to dst, ascending, m's first word
+// standing for word base of the rows: where a mask becomes a selection.
+func AppendMaskRows(dst []int32, m []uint64, base int) []int32 {
+	for i, w := range m {
+		for row := int32((base + i) << 6); w != 0; w &= w - 1 {
+			dst = append(dst, row+int32(bits.TrailingZeros64(w)))
 		}
 	}
-	dst = append(dst, a[i:]...)
-	dst = append(dst, b[j:]...)
 	return dst
 }
 
-// compileVecCmp specializes comparisons on the same operand shapes as the
-// row compiler: typed column vs constant and int column vs int column run
-// tight loops over the column slices; anything else (and any batch whose
-// vector kind disagrees with the binder's static kind) falls back to the
-// row comparison. The second result is true for the specialized shapes.
-func compileVecCmp(n *Cmp) (vecKernel, bool, error) {
-	// The row fallback doubles as the safety net inside specialized
-	// kernels when the vector kind is unexpected.
-	tf, err := compileCmp(n)
-	if err != nil {
-		return nil, false, err
+// Bit is 1 for true and 0 for false, compiled without a branch: a row's
+// bit of a mask word.
+func Bit(b bool) uint64 {
+	if b {
+		return 1
 	}
-	fallback := rowFallbackKernel(tf)
+	return 0
+}
 
+// compileVecTri compiles e to a kernel and reports how many scratch masks
+// it needs. The row predicate is every node's fallback.
+func compileVecTri(e Expr) (maskKernel, int, error) {
+	tf, err := compileTri(e)
+	if err != nil {
+		return nil, 0, err
+	}
+	fallback := rowKernel(tf)
+	switch n := e.(type) {
+	case *Cmp:
+		return compileVecCmp(n, fallback), 0, nil
+	case *And:
+		return compileVecAnd(n.L, n.R, false)
+	case *Or:
+		// l OR r is NOT (NOT l AND NOT r): same rows, TRUE and FALSE swapped.
+		return compileVecAnd(n.L, n.R, true)
+	case *Not:
+		sub, need, err := compileVecTri(n.E)
+		return not(sub), need, err
+	case *IsNull:
+		if col, ok := n.E.(*Col); ok && col.Index >= 0 {
+			ix, flip := col.Index, -Bit(n.Negate)
+			return func(b *value.Batch, base int, cand, t, f, _ []uint64) {
+				for w, m := range cand {
+					hit := nullBits(b.Cols[ix].Null, base+w, b.Rows) ^ flip
+					t[w], f[w] = hit&m, ^hit&m
+				}
+			}, 0, nil
+		}
+	case *Col:
+		if n.kind == value.KindBool && n.Index >= 0 {
+			return constKernel(n.Index, value.KindBool, ints, 0, NE, fallback), 0, nil
+		}
+	}
+	return fallback, 0, nil
+}
+
+// not swaps a kernel's TRUE and FALSE masks.
+func not(k maskKernel) maskKernel {
+	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) { k(b, base, cand, f, t, scratch) }
+}
+
+// compileVecAnd compiles l AND r, or with negate NOT (NOT l AND NOT r).
+// The right side answers for the candidate rows the left did not make
+// FALSE, in three scratch masks of the connective's own.
+func compileVecAnd(le, re Expr, negate bool) (maskKernel, int, error) {
+	l, ln, err := compileVecTri(le)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, rn, err := compileVecTri(re)
+	if err != nil {
+		return nil, 0, err
+	}
+	if negate {
+		l, r = not(l), not(r)
+	}
+	and := func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
+		l(b, base, cand, t, f, scratch)
+		n := len(cand)
+		rc, rt, rf := scratch[:n], scratch[n:2*n], scratch[2*n:3*n]
+		for w := range rc {
+			rc[w] = cand[w] &^ f[w]
+		}
+		r(b, base, rc, rt, rf, scratch[3*n:])
+		for w := range t {
+			t[w] &= rt[w]
+			f[w] |= rf[w]
+		}
+	}
+	if negate {
+		return not(and), max(ln, 3+rn), nil
+	}
+	return and, max(ln, 3+rn), nil
+}
+
+// rowKernel evaluates a row predicate on the candidate's set bits, over a
+// scratch tuple allocated per call so a cached filter stays safe for
+// concurrent scans.
+func rowKernel(tf triFn) maskKernel {
+	return func(b *value.Batch, base int, cand, t, f, _ []uint64) {
+		tuple := make(value.Tuple, len(b.Cols))
+		for w, m := range cand {
+			var tw, fw uint64
+			for ; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros64(m)
+				for c, vec := range b.Cols {
+					tuple[c] = vec.Value((base+w)<<6 + j)
+				}
+				switch tf(tuple) {
+				case triTrue:
+					tw |= 1 << j
+				case triFalse:
+					fw |= 1 << j
+				}
+			}
+			t[w], f[w] = tw, fw
+		}
+	}
+}
+
+// compileVecCmp specializes comparisons on the operand shapes the row
+// compiler does: a typed column against a constant, an int column against
+// an int column. Anything else takes the row comparison, fallback.
+func compileVecCmp(n *Cmp, fallback maskKernel) maskKernel {
 	l, r, op := n.L, n.R, n.Op
 	if _, lc := l.(*Const); lc {
 		if _, rc := r.(*Col); rc {
@@ -217,135 +237,176 @@ func compileVecCmp(n *Cmp) (vecKernel, bool, error) {
 	}
 	lcol, ok := l.(*Col)
 	if !ok || lcol.Index < 0 {
-		return fallback, false, nil
+		return fallback
 	}
 	ix := lcol.Index
-
 	if rconst, ok := r.(*Const); ok {
+		ck := rconst.V.Kind()
 		switch {
-		case lcol.kind == value.KindInt && rconst.V.Kind() == value.KindInt:
-			c := rconst.V.Int()
-			return func(b *value.Batch, sel, dst []int32) []int32 {
-				vec := b.Cols[ix]
-				if vec.Kind != value.KindInt {
-					return fallback(b, sel, dst)
-				}
-				return cmpConstLoop(vec.I, vec.Null, c, op, b.Rows, sel, dst)
-			}, true, nil
-		case lcol.kind == value.KindFloat && (rconst.V.Kind() == value.KindFloat || rconst.V.Kind() == value.KindInt):
+		case lcol.kind == value.KindInt && ck == value.KindInt:
+			return constKernel(ix, value.KindInt, ints, rconst.V.Int(), op, fallback)
+		case lcol.kind == value.KindFloat && (ck == value.KindFloat || ck == value.KindInt):
 			c := rconst.V.Float()
-			return func(b *value.Batch, sel, dst []int32) []int32 {
-				vec := b.Cols[ix]
-				if vec.Kind != value.KindFloat {
-					return fallback(b, sel, dst)
-				}
-				return cmpConstLoop(vec.F, vec.Null, c, op, b.Rows, sel, dst)
-			}, true, nil
-		case lcol.kind == value.KindString && rconst.V.Kind() == value.KindString:
-			c := rconst.V.Str()
-			return func(b *value.Batch, sel, dst []int32) []int32 {
-				vec := b.Cols[ix]
-				if vec.Kind != value.KindString {
-					return fallback(b, sel, dst)
-				}
-				return cmpConstLoop(vec.S, vec.Null, c, op, b.Rows, sel, dst)
-			}, true, nil
-		}
-		return fallback, false, nil
-	}
-
-	if rcol, ok := r.(*Col); ok && rcol.Index >= 0 &&
-		lcol.kind == value.KindInt && rcol.kind == value.KindInt {
-		rix := rcol.Index
-		return func(b *value.Batch, sel, dst []int32) []int32 {
-			lv, rv := b.Cols[ix], b.Cols[rix]
-			if lv.Kind != value.KindInt || rv.Kind != value.KindInt {
-				return fallback(b, sel, dst)
+			if math.IsNaN(c) {
+				op, c = nanBound(op)
 			}
-			return cmpColLoop(lv.I, lv.Null, rv.I, rv.Null, op, b.Rows, sel, dst)
-		}, true, nil
+			return constKernel(ix, value.KindFloat, floats, c, op, fallback)
+		case lcol.kind == value.KindString && ck == value.KindString:
+			return constKernel(ix, value.KindString, strs, rconst.V.Str(), op, fallback)
+		}
+		return fallback
 	}
-	return fallback, false, nil
+	rcol, ok := r.(*Col)
+	if !ok || rcol.Index < 0 || lcol.kind != value.KindInt || rcol.kind != value.KindInt {
+		return fallback
+	}
+	rix := rcol.Index
+	rel, flip := baseRel(op)
+	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
+		lv, rv := b.Cols[ix], b.Cols[rix]
+		if !typed(lv, value.KindInt) || !typed(rv, value.KindInt) {
+			fallback(b, base, cand, t, f, scratch)
+			return
+		}
+		for w, m := range cand {
+			at := base + w
+			lo, hi := at<<6, min(at<<6+64, b.Rows)
+			hit := colBits(lv.I[lo:hi], rv.I[lo:hi], rel) ^ flip
+			known := m &^ (nullBits(lv.Null, at, b.Rows) | nullBits(rv.Null, at, b.Rows))
+			t[w], f[w] = hit&known, ^hit&known
+		}
+	}
 }
 
-// cmpConstLoop is the column-vs-constant comparison kernel, shared by the
-// int, float and string specializations. The NULL-free dense case — a
-// freshly built column cache with no NULLs and no prior selection — runs
-// a branch-light loop straight down the slice.
-func cmpConstLoop[T cmp.Ordered](data []T, null []bool, c T, op CmpOp, rows int, sel, dst []int32) []int32 {
-	if null == nil {
-		if sel == nil {
-			for row := 0; row < rows; row++ {
-				if cmpHit(data[row], c, op) {
-					dst = append(dst, int32(row))
-				}
-			}
-			return dst
+// constKernel compares column ix, a vector of the given kind whose payload
+// data returns, with the constant c.
+func constKernel[T cmp.Ordered](ix int, kind value.Kind, data func(*value.Vec) []T, c T, op CmpOp, fallback maskKernel) maskKernel {
+	rel, flip := baseRel(op)
+	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
+		vec := b.Cols[ix]
+		if !typed(vec, kind) {
+			fallback(b, base, cand, t, f, scratch)
+			return
 		}
-		for _, row := range sel {
-			if cmpHit(data[row], c, op) {
-				dst = append(dst, row)
+		xs := data(vec)
+		for w, m := range cand {
+			if m == 0 {
+				t[w], f[w] = 0, 0
+				continue
 			}
-		}
-		return dst
-	}
-	if sel == nil {
-		for row := 0; row < rows; row++ {
-			if !null[row] && cmpHit(data[row], c, op) {
-				dst = append(dst, int32(row))
-			}
-		}
-		return dst
-	}
-	for _, row := range sel {
-		if !null[row] && cmpHit(data[row], c, op) {
-			dst = append(dst, row)
+			at := base + w
+			hit := constBits(xs[at<<6:min(at<<6+64, b.Rows)], c, rel) ^ flip
+			known := m &^ nullBits(vec.Null, at, b.Rows)
+			t[w], f[w] = hit&known, ^hit&known
 		}
 	}
-	return dst
 }
 
-// cmpColLoop is the int column-vs-column comparison kernel.
-func cmpColLoop(lv []int64, lnull []bool, rv []int64, rnull []bool, op CmpOp, rows int, sel, dst []int32) []int32 {
-	keep := func(row int32) bool {
-		if lnull != nil && lnull[row] || rnull != nil && rnull[row] {
-			return false
-		}
-		return cmpHit(lv[row], rv[row], op)
-	}
-	if sel == nil {
-		for row := 0; row < rows; row++ {
-			if keep(int32(row)) {
-				dst = append(dst, int32(row))
-			}
-		}
-		return dst
-	}
-	for _, row := range sel {
-		if keep(row) {
-			dst = append(dst, row)
-		}
-	}
-	return dst
-}
+func ints(v *value.Vec) []int64     { return v.I }
+func floats(v *value.Vec) []float64 { return v.F }
+func strs(v *value.Vec) []string    { return v.S }
 
-// cmpHit applies a comparison operator to ordered scalars. Small enough
-// to inline into the kernels above.
-func cmpHit[T cmp.Ordered](a, b T, op CmpOp) bool {
+// typed reports whether vec holds payloads of kind.
+func typed(vec *value.Vec, kind value.Kind) bool { return vec.Kind == kind && !vec.KindOnly() }
+
+// baseRel splits op into the relation the kernels evaluate — EQ, GE or
+// GT — and the word to XOR its bits with: NE, LT and LE are the
+// complements of EQ, GE and GT. Over floats that is what makes IEEE
+// comparison follow value.Compare, where NaN equals NaN and sorts below
+// every number: against a bound that is not NaN a NaN row fails =, >= and
+// >, so it lands in <>, < and <= (a NaN bound is nanBound's).
+func baseRel(op CmpOp) (CmpOp, uint64) {
 	switch op {
-	case EQ:
-		return a == b
 	case NE:
-		return a != b
+		return EQ, ^uint64(0)
 	case LT:
-		return a < b
+		return GE, ^uint64(0)
 	case LE:
-		return a <= b
-	case GT:
-		return a > b
-	default:
-		return a >= b
+		return GT, ^uint64(0)
 	}
+	return op, 0
+}
+
+// nanBound rewrites a comparison with a NaN constant into one with an
+// infinity that holds for the same rows in value.Compare's order, where
+// NaN sits just below -Inf: = NaN and <= NaN are < -Inf, <> NaN and > NaN
+// are >= -Inf, < NaN never holds (> +Inf), >= NaN always does (<= +Inf).
+func nanBound(op CmpOp) (CmpOp, float64) {
+	switch op {
+	case EQ, LE:
+		return LT, math.Inf(-1)
+	case NE, GT:
+		return GE, math.Inf(-1)
+	case LT:
+		return GT, math.Inf(1)
+	}
+	return LE, math.Inf(1)
+}
+
+// constBits returns the word whose bit j says whether xs[j] rel c holds
+// (len(xs) <= 64, rel one of EQ, GE, GT; the bits past len(xs) compare
+// zero values). It reads a [64]T view, free of bounds checks, in four
+// lanes of 16 rows that do not wait on each other, each shifting its word
+// left by one per row from the lane's last row down.
+func constBits[T cmp.Ordered](xs []T, c T, rel CmpOp) uint64 {
+	blk := (*[64]T)(nil)
+	if len(xs) == 64 {
+		blk = (*[64]T)(xs)
+	} else {
+		var tail [64]T
+		copy(tail[:], xs)
+		blk = &tail
+	}
+	var w0, w1, w2, w3 uint64
+	switch rel {
+	case EQ:
+		for j := 15; j >= 0; j-- {
+			w0, w1 = w0<<1|Bit(blk[j] == c), w1<<1|Bit(blk[j+16] == c)
+			w2, w3 = w2<<1|Bit(blk[j+32] == c), w3<<1|Bit(blk[j+48] == c)
+		}
+	case GE:
+		for j := 15; j >= 0; j-- {
+			w0, w1 = w0<<1|Bit(blk[j] >= c), w1<<1|Bit(blk[j+16] >= c)
+			w2, w3 = w2<<1|Bit(blk[j+32] >= c), w3<<1|Bit(blk[j+48] >= c)
+		}
+	default:
+		for j := 15; j >= 0; j-- {
+			w0, w1 = w0<<1|Bit(blk[j] > c), w1<<1|Bit(blk[j+16] > c)
+			w2, w3 = w2<<1|Bit(blk[j+32] > c), w3<<1|Bit(blk[j+48] > c)
+		}
+	}
+	return w0 | w1<<16 | w2<<32 | w3<<48
+}
+
+// colBits is constBits with a column of the same length on the right.
+func colBits(xs, ys []int64, rel CmpOp) (w uint64) {
+	ys = ys[:len(xs)]
+	switch rel {
+	case EQ:
+		for j, x := range xs {
+			w |= Bit(x == ys[j]) << (j & 63)
+		}
+	case GE:
+		for j, x := range xs {
+			w |= Bit(x >= ys[j]) << (j & 63)
+		}
+	default:
+		for j, x := range xs {
+			w |= Bit(x > ys[j]) << (j & 63)
+		}
+	}
+	return w
+}
+
+// nullBits is mask word w of a null bitmap over rows rows (nil: no NULLs).
+func nullBits(null []bool, w, rows int) (word uint64) {
+	if null == nil {
+		return 0
+	}
+	for j, isNull := range null[w<<6 : min(w<<6+64, rows)] {
+		word |= Bit(isNull) << (j & 63)
+	}
+	return word
 }
 
 // ColumnIndices reports whether every expression is a plain column

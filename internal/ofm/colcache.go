@@ -2,7 +2,7 @@ package ofm
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 
 	"repro/internal/algebra"
 	"repro/internal/expr"
@@ -14,9 +14,13 @@ import (
 // addressed by slot — cached row i is store slot i, whatever it holds: a
 // current version, a dead one kept for older snapshots, or nothing (a
 // free slot is a row no snapshot can see). Each row carries its MVCC
-// begin/end stamps, so one cache serves every snapshot: a scan at
-// timestamp TS derives its visibility from the stamps and returns a
-// selection vector over the cached columns.
+// begin/end stamps, and the cache keeps the mask of its current rows, a
+// bit per row and 64 rows a word, so one cache serves every snapshot. A
+// scan's visibility is a mask: that one at a timestamp at or past every
+// stamp folded in, one built from the stamps a word at a time at an older
+// timestamp, less the bits of its transaction's pending deletes. The
+// filter takes it as its candidate rows, so no row expression sees a dead
+// or free row, and only the rows that pass become a selection vector.
 //
 // The cache is built once, by transposing the store, and from then on
 // follows it. The store logs the slots its mutators touch
@@ -31,9 +35,10 @@ import (
 // after ScanBatch returns, while they materialize. Two rules make
 // patching under them safe:
 //
-//   - ccMu orders everything done inside ScanBatch: stamp reads and the
-//     filter kernel (which may read every row, visible or not) run under
-//     its read lock, the catch-up under its write lock.
+//   - ccMu orders everything done inside ScanBatch: the stamps, the
+//     current mask and the filter kernel (which reads the column words of
+//     every row, visible or not) are read under its read lock, and the
+//     catch-up writes them under its write lock.
 //   - What a scan keeps afterwards is a value.Batch: the Vec headers of
 //     its generation plus a selection of rows visible at its snapshot.
 //     Headers are never written once published — growth, and the first
@@ -62,10 +67,10 @@ type colCache struct {
 	begin   []uint64
 	end     []uint64 // 0 = current version
 	cols    []*value.Vec
-	// current counts the rows with end == 0 and maxStamp bounds every
-	// stamp folded in, so a snapshot at or past maxStamp sees exactly the
-	// current rows — the scan knows how many without looking at them.
-	current  int
+	// current is the mask of the rows with end == 0 and maxStamp bounds
+	// every stamp folded in, so a snapshot at or past maxStamp sees
+	// exactly the current rows.
+	current  []uint64
 	maxStamp uint64
 	bytes    int64 // accounted against the PE budget
 }
@@ -168,7 +173,8 @@ func (o *OFM) syncCache() (int64, error) {
 		o.store.Untrack()
 		return 0, fmt.Errorf("ofm %s: stored versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
 	}
-	cc := &colCache{version: version, rows: len(tuples), begin: begin, end: end, cols: batch.Cols}
+	cc := &colCache{version: version, rows: len(tuples), begin: begin, end: end, cols: batch.Cols,
+		current: make([]uint64, expr.MaskWords(len(tuples)))}
 	held := 0
 	for i, t := range tuples {
 		if t == nil {
@@ -176,15 +182,13 @@ func (o *OFM) syncCache() (int64, error) {
 			continue
 		}
 		held++
-		if end[i] == 0 {
-			cc.current++
-		}
+		cc.setCurrent(i, end[i] == 0)
 		cc.maxStamp = max(cc.maxStamp, begin[i], end[i])
 	}
 	for _, vec := range cc.cols {
 		cc.bytes += vecBytes(vec)
 	}
-	cc.bytes += int64(cc.rows) * stampBytes
+	cc.bytes += int64(cc.rows)*stampBytes + 8*int64(len(cc.current))
 	if o.cfg.Horizon != nil {
 		cc.bytes += storage.DirtyLogBytes
 	}
@@ -234,9 +238,7 @@ func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok 
 	for i := range dirty {
 		d := &dirty[i]
 		row := d.Slot
-		if cc.end[row] == 0 {
-			cc.current--
-		}
+		cc.setCurrent(row, false)
 		built += stampBytes
 		if d.Tuple == nil {
 			// Freed: drop the strings it pinned; numbers may stay, nobody
@@ -266,12 +268,16 @@ func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok 
 			}
 		}
 		cc.begin[row], cc.end[row] = d.Begin, d.End
-		if d.End == 0 {
-			cc.current++
-		}
+		cc.setCurrent(row, d.End == 0)
 		cc.maxStamp = max(cc.maxStamp, d.Begin, d.End)
 	}
 	return built, true
+}
+
+// setCurrent records whether row holds a current version.
+func (cc *colCache) setCurrent(row int, current bool) {
+	w := &cc.current[row>>6]
+	*w = *w&^(1<<(row&63)) | expr.Bit(current)<<(row&63)
 }
 
 // extend makes the cache cover slots rows and gives every column about to
@@ -327,7 +333,9 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 	for i := cc.rows; i < slots; i++ {
 		cc.begin[i], cc.end[i] = freeStamp, freeStamp
 	}
-	cc.bytes += added * stampBytes
+	words := expr.MaskWords(slots)
+	cc.bytes += added*stampBytes + 8*int64(words-len(cc.current))
+	cc.current = grown(cc.current, words) // the new rows' bits are clear: free
 	cc.rows = slots
 }
 
@@ -374,10 +382,10 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 // An equality on a hash-indexed column (eqIndexProbe) is answered from the
 // index: the probed versions, and the view transaction's pending inserts
 // that match, are transposed into a small batch of their own, and no
-// column cache is built. Every other scan is a selection vector over the
-// fragment column cache, no tuples materialized; when the view's
-// transaction has pending writes here, the rows it deleted leave the
-// selection and its inserts, filtered alike, follow the cache rows in one
+// column cache is built. Every other scan filters the fragment column
+// cache under the view's visibility mask, no tuples materialized; when the
+// view's transaction has pending writes here, the rows it deleted leave
+// the mask and its inserts, filtered alike, follow the cache rows in one
 // dense copy of both. built reports the bytes this call wrote into the
 // cache: the whole image when it had to be built, the rows a committed
 // write changed when it had to catch up, 0 on a hit. When the OFM has a GC
@@ -407,7 +415,7 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 	if err != nil {
 		return nil, 0, err
 	}
-	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, deletedSlots(del), f)
+	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, del, f)
 	o.ccMu.RUnlock()
 	if err == nil && len(ins) > 0 {
 		batch, err = withInserts(batch, ins, f)
@@ -436,22 +444,6 @@ func (o *OFM) projected(b *value.Batch, cols []int) *value.Batch {
 	return b
 }
 
-// deletedSlots lists, ascending, the cache rows of the versions a view's
-// transaction deleted: a row id's slot is its cache row, and the version
-// there is the one deleted — it stays current, so no vacuum frees its
-// slot, while the transaction holds the fragment's write lock.
-func deletedSlots(del map[storage.RowID]struct{}) []int32 {
-	if len(del) == 0 {
-		return nil
-	}
-	slots := make([]int32, 0, len(del))
-	for id := range del {
-		slots = append(slots, int32(id.Slot()))
-	}
-	slices.Sort(slots)
-	return slices.Compact(slots)
-}
-
 // withInserts follows the rows of batch with the pending inserts ins that
 // f (nil = all) accepts, in a dense copy of both.
 func withInserts(batch *value.Batch, ins []value.Tuple, f *expr.VecFilter) (*value.Batch, error) {
@@ -468,54 +460,50 @@ func withInserts(batch *value.Batch, ins []value.Tuple, f *expr.VecFilter) (*val
 	return value.ConcatBatches(batch.Schema, []*value.Batch{batch, delta}, nil), nil
 }
 
-// scan selects the rows visible at ts, less the ascending rows skip, that
+// scan selects the rows visible at ts, less the versions del holds, that
 // satisfy f (nil = all of them) and reports how many rows were visible.
 // Caller holds OFM.ccMu shared.
-func (cc *colCache) scan(schema *value.Schema, ts uint64, skip []int32, f *expr.VecFilter) (batch *value.Batch, visible int, err error) {
+func (cc *colCache) scan(schema *value.Schema, ts uint64, del map[storage.RowID]struct{}, f *expr.VecFilter) (batch *value.Batch, visible int, err error) {
 	batch = &value.Batch{Schema: schema, Cols: cc.cols, Rows: cc.rows}
-	// At or past every stamp in the cache, a row is visible exactly when
-	// it is a current version, and the counter says how many are.
-	settled := ts >= cc.maxStamp && len(skip) == 0
-	switch {
-	case settled && cc.current == cc.rows:
-		// Every row visible: dense, no selection vector.
-		visible = cc.rows
-	case settled && f != nil && f.Total():
-		// Most rows are visible, so listing them costs more than the
-		// filter itself. A total filter cannot raise on a dead or free
-		// row's stale values: run it dense and check the survivors.
-		out, _, err := algebra.SelectBatch(batch, f)
-		if err != nil {
-			return nil, 0, err
-		}
-		kept := out.Sel[:0]
-		for _, row := range out.Sel {
-			if cc.end[row] == 0 {
-				kept = append(kept, row)
-			}
-		}
-		out.Sel = kept
-		return out, cc.current, nil
-	default:
-		sel := value.GetSel()
-		for i := 0; i < cc.rows; i++ {
-			if len(skip) > 0 && skip[0] == int32(i) {
-				skip = skip[1:]
-				continue
-			}
-			if cc.begin[i] <= ts && (cc.end[i] == 0 || cc.end[i] > ts) {
-				sel = append(sel, int32(i))
-			}
-		}
-		visible = len(sel)
-		if visible == cc.rows {
-			value.PutSel(sel)
+	vis := cc.current // at or past every stamp, the current rows are the visible ones
+	if ts < cc.maxStamp || len(del) > 0 {
+		vis = value.GetHashes(len(cc.current))
+		defer value.PutHashes(vis)
+		if ts < cc.maxStamp {
+			cc.visibleAt(ts, vis)
 		} else {
-			batch.Sel = sel
+			copy(vis, cc.current)
+		}
+		// A row id's slot is its cache row, and the version there is the
+		// one deleted: it stays current, so no vacuum frees its slot, while
+		// the transaction holds the fragment's write lock.
+		for id := range del {
+			vis[id.Slot()>>6] &^= 1 << (id.Slot() & 63)
 		}
 	}
-	if f != nil {
-		batch, _, err = algebra.SelectBatch(batch, f)
+	for _, w := range vis {
+		visible += bits.OnesCount64(w)
+	}
+	switch {
+	case f != nil:
+		batch.Sel, err = f.FilterMask(batch, vis, value.GetSel())
+	case visible < cc.rows:
+		batch.Sel = expr.AppendMaskRows(value.GetSel(), vis, 0)
 	}
 	return batch, visible, err
+}
+
+// visibleAt writes to m the mask of the rows visible at ts: begin <= ts <
+// end, where end-1 wraps a current version's 0 past every ts and a free
+// slot's stamps hold for none.
+func (cc *colCache) visibleAt(ts uint64, m []uint64) {
+	for w := range m {
+		lo, hi := w<<6, min(w<<6+64, cc.rows)
+		begin, end := cc.begin[lo:hi], cc.end[lo:hi]
+		var word uint64
+		for j, b := range begin {
+			word |= (expr.Bit(b <= ts) & expr.Bit(end[j]-1 >= ts)) << (j & 63)
+		}
+		m[w] = word
+	}
 }

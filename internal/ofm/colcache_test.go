@@ -197,8 +197,8 @@ func TestColumnCacheVacuumLeavesReusableHoles(t *testing.T) {
 	if n := scanBatchLen(t, o, View{TS: 5}); n != 10 {
 		t.Fatalf("rows at ts=5 = %d, want 10 (dead versions cached)", n)
 	}
-	if o.cc.rows != 10 || o.cc.current != 6 {
-		t.Fatalf("cache rows/current = %d/%d, want 10/6", o.cc.rows, o.cc.current)
+	if current := len(expr.AppendMaskRows(nil, o.cc.current, 0)); o.cc.rows != 10 || current != 6 {
+		t.Fatalf("cache rows/current = %d/%d, want 10/6", o.cc.rows, current)
 	}
 
 	// Advance the horizon past the delete and vacuum: the slots become
@@ -225,8 +225,8 @@ func TestColumnCacheVacuumLeavesReusableHoles(t *testing.T) {
 	if n := scanBatchLen(t, o, Latest); n != 8 {
 		t.Errorf("rows after refilling holes = %d, want 8", n)
 	}
-	if o.cc.rows != 10 || o.cc.current != 8 {
-		t.Errorf("cache rows/current = %d/%d, want 10/8 (holes reused in place)", o.cc.rows, o.cc.current)
+	if current := len(expr.AppendMaskRows(nil, o.cc.current, 0)); o.cc.rows != 10 || current != 8 {
+		t.Errorf("cache rows/current = %d/%d, want 10/8 (holes reused in place)", o.cc.rows, current)
 	}
 	if st := o.CacheStats(); st.FullBuilds != 1 {
 		t.Errorf("vacuum and reuse cost %d full builds, want the first one only", st.FullBuilds)
