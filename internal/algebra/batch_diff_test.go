@@ -884,10 +884,10 @@ func TestDirectTierMatchesRow(t *testing.T) {
 		// when no probe row meets a key several build rows hold.
 		held, once := map[string]int{}, true
 		for _, tup := range build.Tuples {
-			held[tup.KeyOn(key)]++
+			held[string(tup.AppendKeyOn(nil, key))]++
 		}
 		for _, tup := range probe.Tuples {
-			once = once && (tup[0].IsNull() || held[tup.KeyOn(key)] < 2)
+			once = once && (tup[0].IsNull() || held[string(tup.AppendKeyOn(nil, key))] < 2)
 		}
 		out, _, err := table.Probe(toBatch(t, probe), key, false, value.AllCols, nil)
 		if err != nil {

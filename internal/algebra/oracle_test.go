@@ -59,7 +59,7 @@ func HashJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats,
 		if hasNullOn(t, bcols) {
 			continue // NULL keys never join
 		}
-		k := t.KeyOn(bcols)
+		k := string(t.AppendKeyOn(nil, bcols))
 		table[k] = append(table[k], t)
 	}
 	stats.Hashes += build.Len()
@@ -68,7 +68,7 @@ func HashJoin(l, r *value.Relation, lcols, rcols []int) (*value.Relation, Stats,
 			continue
 		}
 		stats.Hashes++
-		for _, m := range table[t.KeyOn(pcols)] {
+		for _, m := range table[string(t.AppendKeyOn(nil, pcols))] {
 			var joined value.Tuple
 			if buildLeft {
 				joined = m.Concat(t)
@@ -90,7 +90,7 @@ func probeJoin(build, probe *value.Relation, bcols, pcols []int, probeLeft bool)
 	table := map[string][]value.Tuple{}
 	for _, t := range build.Tuples {
 		if !hasNullOn(t, bcols) {
-			k := t.KeyOn(bcols)
+			k := string(t.AppendKeyOn(nil, bcols))
 			table[k] = append(table[k], t)
 		}
 	}
@@ -104,7 +104,7 @@ func probeJoin(build, probe *value.Relation, bcols, pcols []int, probeLeft bool)
 			continue
 		}
 		stats.Hashes++
-		for _, m := range table[t.KeyOn(pcols)] {
+		for _, m := range table[string(t.AppendKeyOn(nil, pcols))] {
 			if probeLeft {
 				out.Tuples = append(out.Tuples, t.Concat(m))
 			} else {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fragment"
 	"repro/internal/ofm"
 	"repro/internal/sqlparse"
+	"repro/internal/storage"
 	"repro/internal/value"
 	"repro/internal/wal"
 )
@@ -150,7 +151,8 @@ func (e *Engine) createFromAST(ct *sqlparse.CreateTable) error {
 }
 
 // LoadTable bulk-loads tuples outside transactions (benchmark setup):
-// the scheme routes each tuple, fragments load in parallel.
+// every tuple is type-checked first, so a bad one leaves the table as it
+// was; the scheme routes each tuple, fragments load in parallel.
 func (e *Engine) LoadTable(name string, tuples []value.Tuple) error {
 	t, err := e.lookupTable(name)
 	if err != nil {
@@ -158,6 +160,9 @@ func (e *Engine) LoadTable(name string, tuples []value.Tuple) error {
 	}
 	parts := make([][]value.Tuple, len(t.frags))
 	for _, tp := range tuples {
+		if err := storage.Conform(t.def.Schema, tp); err != nil {
+			return fmt.Errorf("core: load %s: %w", name, err)
+		}
 		i := t.def.Scheme.FragmentOf(tp)
 		parts[i] = append(parts[i], tp)
 	}

@@ -140,7 +140,7 @@ func (o *oracle) join(j *plan.Join) *value.Relation {
 	byKey := map[string][]value.Tuple{}
 	for _, rt := range r.Tuples {
 		if !nullOn(rt, j.RightKeys) {
-			k := rt.KeyOn(j.RightKeys)
+			k := string(rt.AppendKeyOn(nil, j.RightKeys))
 			byKey[k] = append(byKey[k], rt)
 		}
 	}
@@ -149,7 +149,7 @@ func (o *oracle) join(j *plan.Join) *value.Relation {
 		if nullOn(lt, j.LeftKeys) {
 			continue
 		}
-		for _, rt := range byKey[lt.KeyOn(j.LeftKeys)] {
+		for _, rt := range byKey[string(lt.AppendKeyOn(nil, j.LeftKeys))] {
 			if j.Swapped {
 				out.Append(rt.Concat(lt))
 			} else {

@@ -2,6 +2,8 @@ package core
 
 import (
 	"testing"
+
+	"repro/internal/value"
 )
 
 // TestRecoveryVersionedCommits is the MVCC recovery net: after a crash
@@ -87,4 +89,58 @@ func TestRecoveryVersionedCommits(t *testing.T) {
 	if got := balance(t, r, 1); got != 151 {
 		t.Errorf("post-transaction read: bal(1) = %d", got)
 	}
+}
+
+// TestLoadTableAllOrNothing: a bulk load with one ill-typed tuple fails
+// before any fragment loads, so the table keeps its old contents in
+// memory and on stable storage alike — the same row count before and
+// after a crash and recovery, and a good load afterwards lands whole.
+func TestLoadTableAllOrNothing(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	defer s.Close()
+	mustExec(t, s, `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id))
+		FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	rows := func(n int) []value.Tuple {
+		out := make([]value.Tuple, n)
+		for i := range out {
+			out[i] = value.NewTuple(value.NewInt(int64(i)), value.NewInt(int64(10*i)))
+		}
+		return out
+	}
+	count := func(when string, want int) {
+		t.Helper()
+		rel, err := s.Query(`SELECT * FROM t`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != want {
+			t.Errorf("%s: %d rows visible, want %d", when, rel.Len(), want)
+		}
+	}
+	bad := rows(100)
+	bad[50][1] = value.NewString("fifty")
+	if err := e.LoadTable("t", bad); err == nil {
+		t.Fatal("a load with a VARCHAR in an INT column succeeded")
+	}
+	count("after the failed load", 0)
+	if err := e.CrashTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	count("after crash and recovery", 0)
+
+	if err := e.LoadTable("t", rows(100)); err != nil {
+		t.Fatal(err)
+	}
+	count("after a good load", 100)
+	if err := e.CrashTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverTable("t"); err != nil {
+		t.Fatal(err)
+	}
+	count("after the good load's crash and recovery", 100)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -168,16 +167,8 @@ func (o *OFM) applyWSFor(tx txn.ID) *applyWS {
 // below the incoming commit), inserts begin new versions at it.
 func (o *OFM) applyCommit(ws *applyWS, ts uint64) error {
 	for _, tuple := range ws.deletes {
-		var target storage.RowID = -1
-		o.store.Scan(func(id storage.RowID, t value.Tuple) bool {
-			if value.EqualTuples(t, tuple) {
-				target = id
-				return false
-			}
-			return true
-		})
-		if target >= 0 {
-			o.store.DeleteVersion(target, ts)
+		if id, ok := o.store.FindCurrent(tuple); ok {
+			o.store.DeleteVersion(id, ts)
 		}
 	}
 	for _, tuple := range ws.inserts {
@@ -186,15 +177,16 @@ func (o *OFM) applyCommit(ws *applyWS, ts uint64) error {
 		}
 	}
 	if o.cfg.StatsFn != nil {
-		o.cfg.StatsFn(len(ws.inserts)-len(ws.deletes), int64(relApplyBytes(ws.inserts))-int64(relApplyBytes(ws.deletes)))
+		o.cfg.StatsFn(len(ws.inserts)-len(ws.deletes), tupleBytes(ws.inserts)-tupleBytes(ws.deletes))
 	}
 	return nil
 }
 
-func relApplyBytes(tuples []value.Tuple) int {
-	n := 0
+// tupleBytes is the in-memory footprint of tuples.
+func tupleBytes(tuples []value.Tuple) int64 {
+	var n int64
 	for _, t := range tuples {
-		n += t.Size()
+		n += int64(t.Size())
 	}
 	return n
 }
@@ -232,7 +224,7 @@ func (o *OFM) ReplayLocal(limit uint64) (int64, uint64, error) {
 	o.appliedTS = 0
 	o.mu.Unlock()
 	o.store.Clear()
-	if _, err := o.store.InsertBatch(snapshot); err != nil {
+	if err := o.store.InsertBatch(snapshot); err != nil {
 		return 0, 0, fmt.Errorf("ofm %s: replay snapshot: %w", o.cfg.Name, err)
 	}
 	recs, err := o.cfg.Log.Scan()

@@ -375,7 +375,7 @@ func (o *OFM) Closure(view View, fromCol, toCol int, algo algebra.TCAlgorithm) (
 // lands beside live transactions excludes their commits from the swap
 // and carries the redo of the prepared ones.
 func (o *OFM) Load(tuples []value.Tuple) error {
-	if _, err := o.store.InsertBatch(tuples); err != nil {
+	if err := o.store.InsertBatch(tuples); err != nil {
 		return fmt.Errorf("ofm %s: load: %w", o.cfg.Name, err)
 	}
 	o.cfg.PE.Advance(o.costs().BuildCost(len(tuples)))
@@ -383,11 +383,7 @@ func (o *OFM) Load(tuples []value.Tuple) error {
 		return err
 	}
 	if o.cfg.StatsFn != nil {
-		var bytes int64
-		for _, t := range tuples {
-			bytes += int64(t.Size())
-		}
-		o.cfg.StatsFn(len(tuples), bytes)
+		o.cfg.StatsFn(len(tuples), tupleBytes(tuples))
 	}
 	return nil
 }

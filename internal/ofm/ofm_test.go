@@ -580,3 +580,102 @@ func TestLoadTypeErrors(t *testing.T) {
 		t.Errorf("bad load error = %v", err)
 	}
 }
+
+// TestDeleteByValueTakesLowestSlot: a redo delete in recovery and a
+// shipped delete in replica apply remove, by value, the current version
+// a slot-order scan meets first — with a primary-key index and without:
+// of two identical current tuples the lower slot goes, a dead version of
+// the key is passed over, a tuple sharing only the key survives, and a
+// tuple with no match deletes nothing.
+func TestDeleteByValueTakesLowestSlot(t *testing.T) {
+	a, sameKey, c := emp(1, "eng", 10), emp(1, "ops", 5), emp(2, "eng", 20)
+	type op struct {
+		insert bool
+		tuple  value.Tuple
+	}
+	del := func(tp value.Tuple) op { return op{tuple: tp} }
+	cases := []struct {
+		name               string
+		txns               []op // one committed transaction each, at ts 10, 20, …
+		recovered, applied string
+	}{
+		{"twins", []op{del(a)},
+			"- | (1, 'ops', 5) | (1, 'eng', 10) | (2, 'eng', 20)",
+			"(1, 'eng', 10) ended 10 | (1, 'ops', 5) | (1, 'eng', 10) | (2, 'eng', 20)"},
+		{"past a dead version", []op{del(a), del(a)},
+			"- | (1, 'ops', 5) | - | (2, 'eng', 20)",
+			"(1, 'eng', 10) ended 10 | (1, 'ops', 5) | (1, 'eng', 10) ended 20 | (2, 'eng', 20)"},
+		{"no match", []op{del(emp(9, "x", 0)), del(emp(1, "eng", 11)), del(a), del(a), del(a)},
+			"- | (1, 'ops', 5) | - | (2, 'eng', 20)",
+			"(1, 'eng', 10) ended 30 | (1, 'ops', 5) | (1, 'eng', 10) ended 40 | (2, 'eng', 20)"},
+		{"freed slot refilled", []op{del(a), {insert: true, tuple: a}, del(a)},
+			"- | (1, 'ops', 5) | (1, 'eng', 10) | (2, 'eng', 20)",
+			"(1, 'eng', 10) ended 10 | (1, 'ops', 5) | (1, 'eng', 10) ended 30 | (2, 'eng', 20) | (1, 'eng', 10)"},
+	}
+	records := func(txns []op) []wal.Record {
+		var recs []wal.Record
+		for i, o := range txns {
+			tx, typ := txn.ID(100+i), wal.RecDelete
+			if o.insert {
+				typ = wal.RecInsert
+			}
+			recs = append(recs, wal.Record{Type: typ, Txn: tx, Tuple: o.tuple},
+				wal.Record{Type: wal.RecCommit, Txn: tx, TS: uint64(10 * (i + 1))})
+		}
+		return recs
+	}
+	slots := func(o *OFM) string {
+		tuples, _, end, _ := o.store.SnapshotSlots(false)
+		var out []string
+		for i, tp := range tuples {
+			switch {
+			case tp == nil:
+				out = append(out, "-")
+			case end[i] != 0:
+				out = append(out, fmt.Sprintf("%v ended %d", tp, end[i]))
+			default:
+				out = append(out, tp.String())
+			}
+		}
+		return strings.Join(out, " | ")
+	}
+	for _, tc := range cases {
+		for _, indexed := range []bool{true, false} {
+			for _, recover := range []bool{true, false} {
+				o, _, _ := newOFM(t)
+				if indexed {
+					if _, err := o.Store().CreateHashIndex("pk", []int{0}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := o.Load([]value.Tuple{a, sameKey, emp(1, "eng", 10), c}); err != nil {
+					t.Fatal(err)
+				}
+				want := tc.applied
+				if recover {
+					want = tc.recovered
+					for _, r := range records(tc.txns) {
+						var err error
+						if r.Type == wal.RecCommit {
+							err = o.cfg.Log.AppendCommit(r.Txn, r.TS)
+						} else {
+							err = o.cfg.Log.Append(r)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+					}
+					o.Crash()
+					if n, err := o.Recover(); err != nil || n != len(tc.txns) {
+						t.Fatalf("%s: Recover = %d, %v; want %d records", tc.name, n, err, len(tc.txns))
+					}
+				} else if _, err := o.ApplyRecords(records(tc.txns), LatestTS); err != nil {
+					t.Fatal(err)
+				}
+				if got := slots(o); got != want {
+					t.Errorf("%s (indexed=%v, recover=%v):\n got  %s\n want %s", tc.name, indexed, recover, got, want)
+				}
+			}
+		}
+	}
+}

@@ -533,7 +533,7 @@ func (o *OFM) Recover() (int, error) {
 		return 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
 	o.store.Clear()
-	if _, err := o.store.InsertBatch(res.Snapshot); err != nil {
+	if err := o.store.InsertBatch(res.Snapshot); err != nil {
 		return 0, fmt.Errorf("ofm %s: recover snapshot: %w", o.cfg.Name, err)
 	}
 	applied := 0
@@ -547,19 +547,11 @@ func (o *OFM) Recover() (int, error) {
 				return applied, fmt.Errorf("ofm %s: redo insert: %w", o.cfg.Name, err)
 			}
 		case wal.RecDelete:
-			// Delete by value: find one matching committed tuple. The
-			// delete is physical — no pre-crash snapshot survives a crash,
-			// so the dead version has no readers.
-			var target storage.RowID = -1
-			o.store.Scan(func(id storage.RowID, t value.Tuple) bool {
-				if value.EqualTuples(t, r.Tuple) {
-					target = id
-					return false
-				}
-				return true
-			})
-			if target >= 0 {
-				o.store.Delete(target)
+			// Delete by value: the matching committed tuple in the lowest
+			// slot. The delete is physical — no pre-crash snapshot
+			// survives a crash, so the dead version has no readers.
+			if id, ok := o.store.FindCurrent(r.Tuple); ok {
+				o.store.Delete(id)
 			}
 		}
 		applied++

@@ -1,9 +1,11 @@
 // Package storage provides the main-memory storage structures a
 // One-Fragment Manager builds on (paper §2.5: "(various) storage
-// structures"): an in-memory heap of MVCC tuple versions addressed by row
-// id, hash secondary indexes, the dirty-slot log a column cache follows
-// the heap by, and an encoded page file that models disk-resident data
-// for the main-memory-vs-disk experiment.
+// structures"): a heap of MVCC tuple versions in slots, addressed by row
+// id; hash indexes addressed by slot, with no heap object per row; the
+// dirty-slot log a column cache follows the heap by; and an encoded page
+// file that models disk-resident data for the main-memory-vs-disk
+// experiment. A fragment is rebuilt in one pass: InsertBatch type-checks
+// a batch, then inserts it under one lock, growing rows and indexes once.
 package storage
 
 import (
@@ -74,12 +76,12 @@ type Store struct {
 	dirtyLost bool
 	dirty     []int32
 
-	hashIdx map[string]*HashIndex
+	hashIdx []*HashIndex
 }
 
 // NewStore creates an empty store for the given schema.
 func NewStore(schema *value.Schema) *Store {
-	return &Store{schema: schema, hashIdx: map[string]*HashIndex{}}
+	return &Store{schema: schema}
 }
 
 // OnMemChange registers the memory accounting hook (nil to disable).
@@ -127,13 +129,6 @@ func Conform(schema *value.Schema, t value.Tuple) error {
 	return nil
 }
 
-// Insert adds a tuple visible to every snapshot (begin timestamp 0) and
-// returns its row id. Load and bootstrap paths use it; transactional
-// writers use InsertVersion to stamp their commit timestamp.
-func (s *Store) Insert(t value.Tuple) (RowID, error) {
-	return s.InsertVersion(t, 0)
-}
-
 // InsertVersion adds a tuple version whose begin timestamp is the commit
 // timestamp ts; snapshots at or after ts see it.
 func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
@@ -141,45 +136,64 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 		return -1, err
 	}
 	s.mu.Lock()
-	var id RowID
-	if n := len(s.free); n > 0 {
-		si := s.free[n-1]
-		s.free = s.free[:n-1]
-		s.rows[si].tuple = t
-		s.rows[si].begin = ts
-		s.rows[si].end = 0
-		id = makeRowID(si, s.rows[si].gen)
-	} else {
-		id = makeRowID(len(s.rows), 0)
-		s.rows = append(s.rows, slot{tuple: t, begin: ts})
-	}
-	s.noteDirty(int32(id.Slot()))
-	s.count++
-	s.version++
-	delta := int64(t.Size())
-	s.memSize += delta
-	for _, idx := range s.hashIdx {
-		idx.add(id, t)
-	}
-	onMem := s.onMem
-	s.mu.Unlock()
-	if onMem != nil {
-		onMem(delta)
-	}
+	id := s.insertLocked(t, ts)
+	s.unlock(int64(t.Size()))
 	return id, nil
 }
 
-// InsertBatch adds many tuples (one lock acquisition).
-func (s *Store) InsertBatch(ts []value.Tuple) ([]RowID, error) {
-	ids := make([]RowID, 0, len(ts))
+// InsertBatch adds tuples visible to every snapshot under one lock,
+// growing the rows and indexes once. All are conformed before any is
+// inserted, so a bad one leaves the store as it was.
+func (s *Store) InsertBatch(ts []value.Tuple) error {
+	var delta int64
 	for _, t := range ts {
-		id, err := s.Insert(t)
-		if err != nil {
-			return ids, err
+		if err := Conform(s.schema, t); err != nil {
+			return err
 		}
-		ids = append(ids, id)
+		delta += int64(t.Size())
 	}
-	return ids, nil
+	s.mu.Lock()
+	s.rows = slices.Grow(s.rows, len(ts)-min(len(ts), len(s.free)))
+	for _, idx := range s.hashIdx {
+		idx.reserve(len(ts))
+	}
+	for _, t := range ts {
+		s.insertLocked(t, 0)
+	}
+	s.unlock(delta)
+	return nil
+}
+
+// unlock releases s.mu after a mutation that changed the footprint by
+// delta, and reports delta to the accounting hook outside the lock.
+func (s *Store) unlock(delta int64) {
+	s.memSize += delta
+	onMem := s.onMem
+	s.mu.Unlock()
+	if onMem != nil && delta != 0 {
+		onMem(delta)
+	}
+}
+
+// insertLocked places a conformed tuple version in a free slot, or a new
+// one, and indexes it. Caller holds s.mu and accounts its memory.
+func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
+	var si int
+	if n := len(s.free); n > 0 {
+		// freeSlot left the slot zeroed but for its generation.
+		si, s.free = s.free[n-1], s.free[:n-1]
+		s.rows[si].tuple, s.rows[si].begin = t, ts
+	} else {
+		si = len(s.rows)
+		s.rows = append(s.rows, slot{tuple: t, begin: ts})
+	}
+	s.noteDirty(int32(si))
+	s.count++
+	s.version++
+	for _, idx := range s.hashIdx {
+		idx.add(si, t)
+	}
+	return makeRowID(si, s.rows[si].gen)
 }
 
 // valid returns the slot index of a valid id (any version, current or
@@ -237,34 +251,25 @@ func (s *Store) Delete(id RowID) bool {
 	}
 	s.count--
 	s.version++
-	delta := s.freeSlot(si, id)
 	// The slot was visible until now and may be reused at once: a tracking
 	// cache cannot patch around that (see dirty.go).
 	s.dirtyLost = true
-	onMem := s.onMem
-	s.mu.Unlock()
-	if onMem != nil {
-		onMem(delta)
-	}
+	s.unlock(s.freeSlot(si))
 	return true
 }
 
-// freeSlot physically reclaims the version in slot si (row id `id`),
-// detaching it from the indexes. Caller holds s.mu and has
-// already adjusted count/dead; returns the memory delta.
-func (s *Store) freeSlot(si int, id RowID) int64 {
+// freeSlot physically reclaims the version in slot si, detaching it from
+// the indexes. Caller holds s.mu and has already adjusted count/dead;
+// returns the memory delta for it to account.
+func (s *Store) freeSlot(si int) int64 {
 	t := s.rows[si].tuple
-	s.rows[si].tuple = nil
-	s.rows[si].gen++ // invalidate outstanding ids for this slot
-	s.rows[si].begin = 0
-	s.rows[si].end = 0
-	s.free = append(s.free, si)
-	delta := -int64(t.Size())
-	s.memSize += delta
 	for _, idx := range s.hashIdx {
-		idx.remove(id, t)
+		idx.remove(si, t)
 	}
-	return delta
+	// A bumped generation invalidates outstanding ids for this slot.
+	s.rows[si] = slot{gen: s.rows[si].gen + 1}
+	s.free = append(s.free, si)
+	return -int64(t.Size())
 }
 
 // DeleteVersion logically deletes the current version at id: its end
@@ -309,7 +314,7 @@ func (s *Store) Vacuum(horizon uint64) int {
 	slices.Sort(reclaim)
 	var delta int64
 	for _, si := range reclaim {
-		delta += s.freeSlot(int(si), makeRowID(int(si), s.rows[si].gen))
+		delta += s.freeSlot(int(si))
 		s.noteDirty(si)
 	}
 	reclaimed := len(reclaim)
@@ -317,11 +322,7 @@ func (s *Store) Vacuum(horizon uint64) int {
 	if reclaimed > 0 {
 		s.version++
 	}
-	onMem := s.onMem
-	s.mu.Unlock()
-	if onMem != nil && delta != 0 {
-		onMem(delta)
-	}
+	s.unlock(delta)
 	return reclaimed
 }
 
@@ -332,24 +333,29 @@ func (s *Store) DeadVersions() int {
 	return len(s.dead)
 }
 
-// Scan calls fn for every current tuple until fn returns false. The lock
-// is held for the duration; fn must not mutate the store.
-func (s *Store) Scan(fn func(RowID, value.Tuple) bool) {
+// FindCurrent returns the current version equal to t under
+// value.EqualTuples in the lowest slot, the one a slot walk meets first,
+// through a hash index — or by that walk in a store with none.
+func (s *Store) FindCurrent(t value.Tuple) (RowID, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	for i := range s.rows {
-		t := s.rows[i].tuple
-		if t == nil || s.rows[i].end != 0 {
-			continue
-		}
-		if !fn(makeRowID(i, s.rows[i].gen), t) {
-			return
-		}
+	si := -1
+	switch {
+	case len(t) != s.schema.Len():
+	case len(s.hashIdx) > 0:
+		si = s.hashIdx[0].lowestEqual(t) // every index finds the same slot
+	default:
+		si = slices.IndexFunc(s.rows, func(sl slot) bool { return sl.tuple != nil && sl.end == 0 && value.EqualTuples(sl.tuple, t) })
 	}
+	if si < 0 {
+		return -1, false
+	}
+	return makeRowID(si, s.rows[si].gen), true
 }
 
 // ScanAt calls fn for every tuple version visible to a snapshot at ts
-// until fn returns false. Same locking contract as Scan.
+// until fn returns false. The lock is held for the duration; fn must not
+// mutate the store.
 func (s *Store) ScanAt(ts uint64, fn func(RowID, value.Tuple) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -415,22 +421,13 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 // Clear removes everything, keeping indexes defined but empty.
 func (s *Store) Clear() {
 	s.mu.Lock()
-	delta := -s.memSize
-	s.rows = nil
-	s.free = nil
-	s.count = 0
-	s.dead = nil
+	s.rows, s.free, s.count, s.dead = nil, nil, 0, nil
 	s.dirtyLost = true
 	s.version++
-	s.memSize = 0
 	for _, idx := range s.hashIdx {
 		idx.clear()
 	}
-	onMem := s.onMem
-	s.mu.Unlock()
-	if onMem != nil {
-		onMem(delta)
-	}
+	s.unlock(-s.memSize)
 }
 
 // ---------- indexes ----------
@@ -443,16 +440,22 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.hashIdx[name]; dup {
-		return nil, fmt.Errorf("storage: hash index %q exists", name)
-	}
-	idx := newHashIndex(&s.mu, cols)
-	for i := range s.rows {
-		if t := s.rows[i].tuple; t != nil {
-			idx.add(makeRowID(i, s.rows[i].gen), t)
+	for _, idx := range s.hashIdx {
+		if idx.name == name {
+			return nil, fmt.Errorf("storage: hash index %q exists", name)
 		}
 	}
-	s.hashIdx[name] = idx
+	idx := &HashIndex{s: s, name: name, cols: slices.Clone(cols), seq: make([]int, len(cols))}
+	for i := range idx.seq {
+		idx.seq[i] = i
+	}
+	idx.clear()
+	for i := range s.rows {
+		if t := s.rows[i].tuple; t != nil {
+			idx.add(i, t)
+		}
+	}
+	s.hashIdx = append(s.hashIdx, idx)
 	return idx, nil
 }
 

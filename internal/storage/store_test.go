@@ -17,6 +17,9 @@ func emp(id int64, name string, salary float64) value.Tuple {
 	return value.NewTuple(value.NewInt(id), value.NewString(name), value.NewFloat(salary))
 }
 
+// Insert adds a tuple visible to every snapshot (begin timestamp 0).
+func (s *Store) Insert(t value.Tuple) (RowID, error) { return s.InsertVersion(t, 0) }
+
 // current returns the current version at id: what the latest snapshot sees.
 func current(s *Store, id RowID) (value.Tuple, bool) { return s.GetAt(id, math.MaxUint64) }
 
@@ -109,13 +112,13 @@ func TestScanAndSnapshot(t *testing.T) {
 		}
 	}
 	seen := 0
-	s.Scan(func(id RowID, tp value.Tuple) bool { seen++; return true })
+	s.ScanAt(math.MaxUint64, func(id RowID, tp value.Tuple) bool { seen++; return true })
 	if seen != 10 {
 		t.Errorf("Scan visited %d", seen)
 	}
 	// Early stop.
 	seen = 0
-	s.Scan(func(id RowID, tp value.Tuple) bool { seen++; return seen < 3 })
+	s.ScanAt(math.MaxUint64, func(id RowID, tp value.Tuple) bool { seen++; return seen < 3 })
 	if seen != 3 {
 		t.Errorf("early-stop Scan visited %d", seen)
 	}
@@ -196,7 +199,7 @@ func TestConcurrentAccess(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			s.Scan(func(RowID, value.Tuple) bool { return true })
+			s.ScanAt(math.MaxUint64, func(RowID, value.Tuple) bool { return true })
 			_ = s.Snapshot()
 		}
 	}()

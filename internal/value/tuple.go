@@ -118,17 +118,12 @@ func (t Tuple) String() string {
 func (t Tuple) Key() string { return string(AppendTuple(nil, t)) }
 
 // AppendKeyOn appends the canonical key encoding of the given column
-// positions to buf and returns it — the allocation-free form of KeyOn
-// for callers that reuse a key buffer across tuples (grouping loops
-// probe their map with string(buf), which does not allocate).
+// positions to buf and returns it. Callers reuse the buffer across
+// tuples: grouping loops probe their map with string(buf), which does not
+// allocate.
 func (t Tuple) AppendKeyOn(buf []byte, idxs []int) []byte {
 	for _, ix := range idxs {
 		buf = AppendValue(buf, t[ix])
 	}
 	return buf
-}
-
-// KeyOn returns a canonical string key for the given column positions.
-func (t Tuple) KeyOn(idxs []int) string {
-	return string(t.AppendKeyOn(nil, idxs))
 }
