@@ -82,35 +82,16 @@ func (e *Engine) execInsert(s *Session, ins *sqlparse.Insert) (int, error) {
 		parts[i] = append(parts[i], tp)
 	}
 
-	tx, autocommit, err := s.transaction()
-	if err != nil {
-		return 0, err
+	var frags []int
+	for i, part := range parts {
+		if len(part) > 0 {
+			frags = append(frags, i)
+		}
 	}
-	for i, f := range t.frags {
-		if len(parts[i]) == 0 {
-			continue
-		}
-		if err := tx.Lock(f.ofm.Name(), txn.Exclusive); err != nil {
-			if autocommit {
-				tx.Abort()
-			}
-			return 0, err
-		}
-		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
-		err := e.call(s.pe, f, relBytes(parts[i]), func(o *ofm.OFM) (int, error) {
-			return 16, o.InsertTx(tx.ID(), parts[i]...)
+	return e.writeFragments(s, t, frags, func(fi int) int { return relBytes(parts[fi]) },
+		func(o *ofm.OFM, tx txn.ID, _ ofm.View, fi int) (int, error) {
+			return len(parts[fi]), o.InsertTx(tx, parts[fi]...)
 		})
-		if err != nil {
-			tx.Abort()
-			return 0, err
-		}
-	}
-	if autocommit {
-		if err := tx.Commit(); err != nil {
-			return 0, err
-		}
-	}
-	return len(tuples), nil
 }
 
 // execDelete broadcasts the predicate to the (pruned) fragments.
@@ -129,39 +110,10 @@ func (e *Engine) execDelete(s *Session, del *sqlparse.Delete) (int, error) {
 			return 0, err
 		}
 	}
-	frags := e.pruneFragments(t, pred)
-	tx, autocommit, err := s.transaction()
-	if err != nil {
-		return 0, err
-	}
-	view := writeView(tx, autocommit)
-	total := 0
-	for _, fi := range frags {
-		f := t.frags[fi]
-		if err := tx.Lock(f.ofm.Name(), txn.Exclusive); err != nil {
-			if autocommit {
-				tx.Abort()
-			}
-			return 0, err
-		}
-		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
-		var n int
-		err := e.call(s.pe, f, 128, func(o *ofm.OFM) (_ int, err error) {
-			n, err = o.DeleteTx(tx.ID(), pred, view)
-			return 16, err
+	return e.writeFragments(s, t, e.pruneFragments(t, pred), func(int) int { return 128 },
+		func(o *ofm.OFM, tx txn.ID, view ofm.View, _ int) (int, error) {
+			return o.DeleteTx(tx, pred, view)
 		})
-		if err != nil {
-			tx.Abort()
-			return 0, err
-		}
-		total += n
-	}
-	if autocommit {
-		if err := tx.Commit(); err != nil {
-			return 0, err
-		}
-	}
-	return total, nil
 }
 
 // execUpdate resolves SET clauses and broadcasts to fragments. Updates
@@ -197,7 +149,20 @@ func (e *Engine) execUpdate(s *Session, up *sqlparse.Update) (int, error) {
 			return 0, err
 		}
 	}
-	frags := e.pruneFragments(t, pred)
+	return e.writeFragments(s, t, e.pruneFragments(t, pred), func(int) int { return 192 },
+		func(o *ofm.OFM, tx txn.ID, view ofm.View, _ int) (int, error) {
+			return o.UpdateTx(tx, pred, set, view)
+		})
+}
+
+// writeFragments runs a DML statement's writes on the fragments frags of
+// t: each is locked exclusively, enlisted in the session's transaction
+// and sent a request of reqBytes(fragment) that write answers on its OFM
+// with the statement's matching view. It returns the rows the writes
+// report, committing an autocommit statement. A failed write aborts the
+// transaction; a refused lock aborts an autocommit one.
+func (e *Engine) writeFragments(s *Session, t *table, frags []int, reqBytes func(int) int,
+	write func(o *ofm.OFM, tx txn.ID, view ofm.View, frag int) (int, error)) (int, error) {
 	tx, autocommit, err := s.transaction()
 	if err != nil {
 		return 0, err
@@ -214,8 +179,8 @@ func (e *Engine) execUpdate(s *Session, up *sqlparse.Update) (int, error) {
 		}
 		tx.Enlist(&ofmParticipant{eng: e, frag: f, coordPE: s.pe})
 		var n int
-		err := e.call(s.pe, f, 192, func(o *ofm.OFM) (_ int, err error) {
-			n, err = o.UpdateTx(tx.ID(), pred, set, view)
+		err := e.call(s.pe, f, reqBytes(fi), func(o *ofm.OFM) (_ int, err error) {
+			n, err = write(o, tx.ID(), view, fi)
 			return 16, err
 		})
 		if err != nil {
@@ -249,37 +214,29 @@ func fragKeyGuard(t *table, col int) error {
 // fragmentation scheme (an equality on the key hits exactly one hash or
 // range fragment). Nil predicates touch everything.
 func (e *Engine) pruneFragments(t *table, pred expr.Expr) []int {
-	all := make([]int, len(t.frags))
-	for i := range all {
-		all[i] = i
+	var frags []int
+	expr.FindColEq(pred, func(col *expr.Col, key expr.Expr) bool {
+		if k, ok := key.(*expr.Const); ok {
+			frags = keyFragments(t, t.def.Schema.Index(col.Name), k.V)
+		}
+		return frags != nil
+	})
+	if frags == nil {
+		frags = make([]int, len(t.frags))
+		for i := range frags {
+			frags[i] = i
+		}
 	}
-	if pred == nil {
-		return all
-	}
+	return frags
+}
+
+// keyFragments returns the fragments of t that can hold a row whose
+// column col equals key, when the fragmentation scheme pins them (an
+// equality on a hash or range key), or nil.
+func keyFragments(t *table, col int, key value.Value) []int {
 	sc := t.def.Scheme
-	if sc.Strategy != fragment.Hash && sc.Strategy != fragment.Range {
-		return all
+	if (sc.Strategy != fragment.Hash && sc.Strategy != fragment.Range) || sc.Column != col {
+		return nil
 	}
-	for _, c := range expr.SplitConjuncts(pred) {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			continue
-		}
-		col, cok := cmp.L.(*expr.Col)
-		cst, vok := cmp.R.(*expr.Const)
-		if !cok || !vok {
-			col, cok = cmp.R.(*expr.Col)
-			cst, vok = cmp.L.(*expr.Const)
-		}
-		if !cok || !vok {
-			continue
-		}
-		if t.def.Schema.Index(col.Name) != sc.Column {
-			continue
-		}
-		if frags := sc.FragmentsForEq(cst.V); frags != nil {
-			return frags
-		}
-	}
-	return all
+	return sc.FragmentsForEq(key)
 }

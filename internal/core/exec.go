@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/expr"
-	"repro/internal/fragment"
 	"repro/internal/ofm"
 	"repro/internal/plan"
 	"repro/internal/value"
@@ -501,16 +500,9 @@ func (e *Engine) probeTargets(pr *plan.IndexProbe) (*table, value.Value, []int, 
 	if err != nil {
 		return nil, value.Null, nil, err
 	}
-	var frags []int
-	sc := t.def.Scheme
-	if (sc.Strategy == fragment.Hash || sc.Strategy == fragment.Range) && sc.Column == pr.Col {
-		frags = sc.FragmentsForEq(kc.V)
-	}
+	frags := keyFragments(t, pr.Col, kc.V)
 	if frags == nil {
-		frags = make([]int, len(t.frags))
-		for i := range frags {
-			frags[i] = i
-		}
+		frags = e.pruneFragments(t, nil)
 	}
 	return t, kc.V, frags, nil
 }

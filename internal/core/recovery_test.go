@@ -144,3 +144,43 @@ func TestLoadTableAllOrNothing(t *testing.T) {
 	}
 	count("after the good load's crash and recovery", 100)
 }
+
+// TestMistypedUpdateKeepsRow: an UPDATE whose new value does not fit its
+// column fails as a statement and leaves the row as it was, whether the
+// pk index or a scan finds the row, autocommit or inside a transaction,
+// and recovery afterwards replays a log with nothing wrong in it. The new
+// image used to be buffered unchecked: the commit applied the delete,
+// failed the insert and reported success, the row was gone, and the
+// logged image failed recovery.
+func TestMistypedUpdateKeepsRow(t *testing.T) {
+	e, s := isoEngine(t)
+	defer s.Close()
+	for _, val := range []string{`'x'`, `1.5`} {
+		for _, where := range []string{`id = 1`, `bal = 100`} {
+			update := `UPDATE acct SET bal = ` + val + ` WHERE ` + where
+			if _, err := s.Exec(update); err == nil {
+				t.Errorf("%s: no error", update)
+			}
+			mustExec(t, s, `BEGIN`)
+			if _, err := s.Exec(update); err == nil {
+				t.Errorf("%s in a transaction: no error", update)
+			}
+			mustExec(t, s, `ROLLBACK`)
+			if got := balance(t, s, 1); got != 100 {
+				t.Fatalf("after %s: bal(1) = %d, want 100", update, got)
+			}
+		}
+	}
+	mustExec(t, s, `UPDATE acct SET bal = 150 WHERE id = 1`)
+	if err := e.CrashTable("acct"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.RecoverTable("acct"); err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[int]int64{1: 150, 2: 200, 3: 300, 4: 400} {
+		if got := balance(t, s, id); got != want {
+			t.Errorf("post-recovery bal(%d) = %d, want %d", id, got, want)
+		}
+	}
+}

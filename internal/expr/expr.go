@@ -567,6 +567,32 @@ func SplitConjuncts(e Expr) []Expr {
 	return []Expr{e}
 }
 
+// FindColEq finds the first conjunct of e shaped `col = key`, with the
+// column on either side and the key a constant or a placeholder, that
+// accept admits — the equality a hash index or a fragmentation scheme
+// answers — and returns its key and the conjunction of the other
+// conjuncts (nil when none).
+func FindColEq(e Expr, accept func(col *Col, key Expr) bool) (key, rest Expr, ok bool) {
+	conjuncts := SplitConjuncts(e)
+	for i, c := range conjuncts {
+		cmp, isCmp := c.(*Cmp)
+		if !isCmp || cmp.Op != EQ {
+			continue
+		}
+		for _, side := range [2][2]Expr{{cmp.L, cmp.R}, {cmp.R, cmp.L}} {
+			col, isCol := side[0].(*Col)
+			switch side[1].(type) {
+			case *Const, *Param:
+				if isCol && accept(col, side[1]) {
+					others := append(append([]Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
+					return side[1], Conjoin(others), true
+				}
+			}
+		}
+	}
+	return nil, e, false
+}
+
 // Truthy reports whether v should pass a WHERE filter: true only for a
 // boolean true (NULL and false both fail, per SQL).
 func Truthy(v value.Value) bool {

@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -349,5 +350,51 @@ func TestColSetAllocatesNothing(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { ColSet(e.L, s) }); n != 0 {
 		t.Errorf("ColSet allocates %v times", n)
+	}
+}
+
+// TestFindColEq: the one `col = key` recognizer finds the column on either
+// side, a constant or a placeholder key, skips what accept rejects and
+// conjoins the rest.
+func TestFindColEq(t *testing.T) {
+	seven := NewConst(value.NewInt(7))
+	onID := func(col *Col, _ Expr) bool { return col.Name == "id" }
+	cases := []struct {
+		e        Expr
+		key      Expr
+		rest     string
+		accepted bool
+	}{
+		{NewCmp(EQ, NewCol("id"), seven), seven, "<nil>", true},
+		{NewCmp(EQ, seven, NewCol("id")), seven, "<nil>", true},
+		{NewCmp(EQ, NewCol("id"), NewParam(0)), nil, "<nil>", true},
+		{NewCmp(LT, NewCol("id"), seven), nil, "", false},
+		{NewCmp(EQ, NewCol("id"), NewCol("name")), nil, "", false},
+		{NewCmp(EQ, NewCol("name"), seven), nil, "", false},
+		{Conjoin([]Expr{NewCmp(EQ, NewCol("name"), seven), NewCmp(EQ, NewCol("id"), seven), NewIsNull(NewCol("score"), false)}),
+			seven, "(name = 7 AND (score IS NULL))", true},
+		{NewOr(NewCmp(EQ, NewCol("id"), seven), NewCmp(EQ, NewCol("id"), seven)), nil, "", false},
+	}
+	for _, c := range cases {
+		key, rest, ok := FindColEq(c.e, onID)
+		if ok != c.accepted {
+			t.Errorf("%s: found %v, want %v", c.e, ok, c.accepted)
+			continue
+		}
+		if !ok {
+			if rest != c.e {
+				t.Errorf("%s: not found, but rest is %v", c.e, rest)
+			}
+			continue
+		}
+		if c.key != nil && key != c.key {
+			t.Errorf("%s: key %v, want %v", c.e, key, c.key)
+		}
+		if _, isParam := key.(*Param); c.key == nil && !isParam {
+			t.Errorf("%s: key %v, want the placeholder", c.e, key)
+		}
+		if got := fmt.Sprint(rest); got != c.rest {
+			t.Errorf("%s: rest %s, want %s", c.e, got, c.rest)
+		}
 	}
 }

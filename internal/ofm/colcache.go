@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/storage"
 	"repro/internal/value"
@@ -353,8 +352,8 @@ func grown[T any](s []T, n int) []T {
 	return out
 }
 
-// compileVecFilter returns the cached vectorized filter for e, mirroring
-// compilePred's cache-and-charge discipline.
+// compileVecFilter returns the cached vectorized filter for e, charging
+// the one-time compilation cost on a miss.
 func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 	key := e.String()
 	o.vecMu.Lock()
@@ -405,33 +404,56 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 			return o.projected(batch, cols), 0, nil
 		}
 	}
+	batch, pending, built, err := o.scanCache(view, del, ins, pred)
+	if err != nil {
+		return nil, built, err
+	}
+	o.ccMu.RUnlock()
+	if pending != nil {
+		batch = value.ConcatBatches(o.cfg.Schema, []*value.Batch{batch, pending}, nil)
+	}
+	return o.projected(batch, cols), built, nil
+}
+
+// scanCache is the scan of every question no index answers, for reads and
+// writes alike: pred (nil = all) over the column cache rows visible in the
+// view less the pending deletes del, and over the pending inserts ins. It
+// returns the cache's batch selecting the rows that pass — a selected
+// row's index is its store slot — and, when ins is not empty, the inserts
+// as a batch selecting those that pass. On a nil error o.ccMu is
+// read-locked, so the cache and the slots keep meaning the same versions
+// until the caller unlocks it. built reports the bytes the cache build or
+// catch-up wrote. The kernel's work is charged: every visible version
+// examined, the inserts included.
+func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.Tuple, pred expr.Expr) (batch, pending *value.Batch, built int64, err error) {
 	var f *expr.VecFilter
 	if pred != nil {
 		if f, err = o.compileVecFilter(pred); err != nil {
-			return nil, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+			return nil, nil, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+		}
+	}
+	if len(ins) > 0 {
+		if pending, err = o.filterTuples(ins, f); err != nil {
+			return nil, nil, 0, err
 		}
 	}
 	cc, built, err := o.columnCache()
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, del, f)
-	o.ccMu.RUnlock()
-	if err == nil && len(ins) > 0 {
-		batch, err = withInserts(batch, ins, f)
-		visible += len(ins)
-	}
 	if err != nil {
-		return nil, built, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+		o.ccMu.RUnlock()
+		return nil, nil, built, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
+	visible += len(ins)
 	cost := o.costs()
 	if pred == nil {
 		o.cfg.PE.Advance(cost.BuildCost(visible))
 	} else {
-		// The kernel examined every visible version, the inserts included.
 		o.cfg.PE.Advance(cost.ScanCost(visible, true))
 	}
-	return o.projected(batch, cols), built, nil
+	return batch, pending, built, nil
 }
 
 // projected narrows b to cols (nil = all), charging the rows it hands on.
@@ -442,22 +464,6 @@ func (o *OFM) projected(b *value.Batch, cols []int) *value.Batch {
 	b = b.Project(cols, o.cfg.Schema.Project(cols))
 	o.cfg.PE.Advance(o.costs().BuildCost(b.Len()))
 	return b
-}
-
-// withInserts follows the rows of batch with the pending inserts ins that
-// f (nil = all) accepts, in a dense copy of both.
-func withInserts(batch *value.Batch, ins []value.Tuple, f *expr.VecFilter) (*value.Batch, error) {
-	delta := value.NewBatchFrom(batch.Schema, ins)
-	if delta == nil {
-		return nil, fmt.Errorf("pending inserts do not fit the column kinds of %s", batch.Schema)
-	}
-	if f != nil {
-		var err error
-		if delta, _, err = algebra.SelectBatch(delta, f); err != nil {
-			return nil, err
-		}
-	}
-	return value.ConcatBatches(batch.Schema, []*value.Batch{batch, delta}, nil), nil
 }
 
 // scan selects the rows visible at ts, less the versions del holds, that

@@ -298,14 +298,39 @@ func TestScanBatchNeverDeclines(t *testing.T) {
 	tx.Abort()
 }
 
+// idIs is the predicate id = n, which the pk hash index answers.
+func idIs(n int64) expr.Expr {
+	return expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(n)))
+}
+
+// scanPreds is the predicate corpus of the fragment differentials, over
+// the columns id, dept and salary: comparisons, connectives, a row-fallback
+// kernel, equalities the hash index answers, alone and with a residual,
+// one whose key only a pending insert holds, and a NULL key.
+func scanPreds() []expr.Expr {
+	return []expr.Expr{
+		nil,
+		expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(25))),
+		expr.NewAnd(
+			expr.NewCmp(expr.EQ, expr.NewCol("dept"), expr.NewConst(value.NewString("eng"))),
+			expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
+		expr.NewOr(
+			expr.NewCmp(expr.LE, expr.NewCol("salary"), expr.NewConst(value.NewInt(50))),
+			expr.NewCmp(expr.GE, expr.NewCol("salary"), expr.NewConst(value.NewInt(400)))),
+		expr.NewLike(expr.NewCol("dept"), "e%", false), // row-fallback kernel inside the vec filter
+		idIs(7), // the hash index answers
+		expr.NewAnd(idIs(7), expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
+		idIs(300), // only the pending insert holds the key
+		expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.Null)),
+	}
+}
+
 // TestScanBatchMatchesScan is the fragment-level differential: for a
 // spread of views, predicates and projections the batch scan materializes
 // to exactly what the reference (refScan) computes. The views include a
 // transaction's with a pending insert, one's with a pending delete and
 // one's with a pending update on the fragment, and one whose transaction
-// wrote only to another fragment; the predicates include equalities the
-// hash index answers, alone and with a residual, one whose key only a
-// pending insert holds, and a NULL key.
+// wrote only to another fragment; the predicates are scanPreds.
 func TestScanBatchMatchesScan(t *testing.T) {
 	var horizon atomic.Uint64
 	horizon.Store(1)
@@ -324,9 +349,6 @@ func TestScanBatchMatchesScan(t *testing.T) {
 	}
 	commitAt(t, o, tx, 10)
 
-	idIs := func(id int64) expr.Expr {
-		return expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(id)))
-	}
 	inserting, deleting, updating, elsewhere := mgr.Begin(), mgr.Begin(), mgr.Begin(), mgr.Begin()
 	defer func() {
 		for _, tx := range []*txn.Txn{inserting, deleting, updating, elsewhere} {
@@ -348,21 +370,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	preds := []expr.Expr{
-		nil,
-		expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(25))),
-		expr.NewAnd(
-			expr.NewCmp(expr.EQ, expr.NewCol("dept"), expr.NewConst(value.NewString("eng"))),
-			expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
-		expr.NewOr(
-			expr.NewCmp(expr.LE, expr.NewCol("salary"), expr.NewConst(value.NewInt(50))),
-			expr.NewCmp(expr.GE, expr.NewCol("salary"), expr.NewConst(value.NewInt(400)))),
-		expr.NewLike(expr.NewCol("dept"), "e%", false), // row-fallback kernel inside the vec filter
-		idIs(7), // the hash index answers
-		expr.NewAnd(idIs(7), expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))),
-		idIs(300), // only the pending insert holds the key
-		expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.Null)),
-	}
+	preds := scanPreds()
 	views := []View{Latest, {TS: 5}, {TS: 15},
 		{TS: LatestTS, Tx: inserting.ID()}, {TS: 15, Tx: deleting.ID()},
 		{TS: LatestTS, Tx: updating.ID()}, {TS: LatestTS, Tx: elsewhere.ID()}}

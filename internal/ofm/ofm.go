@@ -14,9 +14,10 @@
 // Every OFM owns an expression compiler (package expr) "to generate
 // routines dynamically ... it avoids the otherwise excessive
 // interpretation overhead incurred by a query expression interpreter";
-// compiled predicates and vectorized filters are cached per expression
-// text. Every scan runs them; experiment E4 measures the compiler against
-// the expression interpreter in package expr directly.
+// its vectorized filters are cached per expression text. Every scan runs
+// them, and so does every write that finds its rows; experiment E4
+// measures the compiler against the expression interpreter in package
+// expr directly.
 package ofm
 
 import (
@@ -24,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/machine"
 	"repro/internal/storage"
@@ -114,9 +114,6 @@ type OFM struct {
 
 	lastGC atomic.Uint64 // GC horizon of the last vacuum pass
 
-	predMu    sync.Mutex
-	predCache map[string]*expr.Predicate
-
 	vecMu    sync.Mutex
 	vecCache map[string]*expr.VecFilter
 
@@ -143,11 +140,10 @@ func New(cfg Config) (*OFM, error) {
 		return nil, fmt.Errorf("ofm: persistent OFM %q needs a log", cfg.Name)
 	}
 	o := &OFM{
-		cfg:       cfg,
-		store:     storage.NewStore(cfg.Schema),
-		pending:   map[txn.ID]*writeSet{},
-		predCache: map[string]*expr.Predicate{},
-		vecCache:  map[string]*expr.VecFilter{},
+		cfg:      cfg,
+		store:    storage.NewStore(cfg.Schema),
+		pending:  map[txn.ID]*writeSet{},
+		vecCache: map[string]*expr.VecFilter{},
 	}
 	// Wire the 16 MB/PE budget: allocation failures surface as panics in
 	// the accounting hook would be hostile; instead track best-effort.
@@ -192,66 +188,29 @@ func (o *OFM) costs() machine.CostModel {
 	return c
 }
 
-// compilePred returns the cached compiled predicate for e, charging the
-// one-time compilation cost on a miss.
-func (o *OFM) compilePred(e expr.Expr) (*expr.Predicate, error) {
-	key := e.String()
-	o.predMu.Lock()
-	if p, ok := o.predCache[key]; ok {
-		o.predMu.Unlock()
-		return p, nil
-	}
-	o.predMu.Unlock()
-	p, err := expr.CompilePredicate(expr.Clone(e), o.cfg.Schema)
-	if err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	o.cfg.PE.Advance(o.costs().CompileCost())
-	o.predMu.Lock()
-	o.predCache[key] = p
-	o.predMu.Unlock()
-	return p, nil
-}
-
 // eqIndexProbe recognizes a predicate of the shape `col = const` (or a
 // conjunction containing one) whose column has a hash index, returning
 // the remaining predicate and the probe plan. This is the OFM's "local
 // query optimizer" in miniature.
 func (o *OFM) eqIndexProbe(e expr.Expr) (idx *storage.HashIndex, key value.Value, rest expr.Expr) {
-	conjuncts := expr.SplitConjuncts(e)
-	for i, c := range conjuncts {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			continue
-		}
-		col, cok := cmp.L.(*expr.Col)
-		cst, vok := cmp.R.(*expr.Const)
-		if !cok || !vok {
-			col, cok = cmp.R.(*expr.Col)
-			cst, vok = cmp.L.(*expr.Const)
-		}
-		if !cok || !vok || cst.V.IsNull() {
-			continue
-		}
+	_, rest, ok := expr.FindColEq(e, func(col *expr.Col, k expr.Expr) bool {
+		cst, isConst := k.(*expr.Const)
 		ix := o.cfg.Schema.Index(col.Name)
-		if ix < 0 {
-			continue
+		// The index matches values of the column's kind only, so an INT key
+		// never matches a FLOAT probe even when numerically equal (`id =
+		// 2.0` must match id 2); leave those to the scan's comparison.
+		if !isConst || cst.V.IsNull() || ix < 0 || cst.V.Kind() != o.cfg.Schema.Column(ix).Kind {
+			return false
 		}
-		if cst.V.Kind() != o.cfg.Schema.Column(ix).Kind {
-			// The index stores encoded values, so an INT key never
-			// matches a FLOAT probe even when numerically equal (`id =
-			// 2.0` must match id 2); leave those to the scan's generic
-			// comparison.
-			continue
-		}
-		hash, ok := o.store.HashIndexOn([]int{ix})
-		if !ok {
-			continue
-		}
-		remaining := append(append([]expr.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-		return hash, cst.V, expr.Conjoin(remaining)
+		var found bool
+		idx, found = o.store.HashIndexOn([]int{ix})
+		key = cst.V
+		return found
+	})
+	if !ok {
+		return nil, value.Null, e
 	}
-	return nil, value.Null, e
+	return idx, key, rest
 }
 
 // ProbeEq answers an equality point query (col = key) with a direct
@@ -293,40 +252,21 @@ func (o *OFM) eqPred(col int, key value.Value, rest expr.Expr) expr.Expr {
 
 // probe looks key up in a hash index and hands fn every version under it
 // that the view sees — visible at view.TS, not deleted by the view's
-// transaction — and that rest (nil = all) accepts. The index also holds
-// dead versions until Vacuum, hence the visibility check. It charges the
-// lookup and returns how many row ids the index held under key and how
-// many of their versions the view saw.
-func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, rest expr.Expr, fn func(storage.RowID, value.Tuple)) (probed, seen int, err error) {
-	var match *expr.Predicate
-	if rest != nil {
-		if match, err = o.compilePred(rest); err != nil {
-			return 0, 0, err
-		}
-	}
+// transaction — oldest insert first. The index also holds dead versions
+// until Vacuum, hence the visibility check. It charges the lookup and
+// returns how many row ids the index held under key.
+func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, fn func(storage.RowID, value.Tuple)) (probed int) {
 	ids := hash.Lookup([]value.Value{key})
 	o.cfg.PE.Advance(o.costs().HashCost(1))
 	for _, id := range ids {
 		if _, gone := del[id]; gone {
 			continue
 		}
-		t, ok := o.store.GetAt(id, view.TS)
-		if !ok {
-			continue
+		if t, ok := o.store.GetAt(id, view.TS); ok {
+			fn(id, t)
 		}
-		seen++
-		if match != nil {
-			hit, err := match.Match(t)
-			if err != nil {
-				return 0, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-			}
-			if !hit {
-				continue
-			}
-		}
-		fn(id, t)
 	}
-	return len(ids), seen, nil
+	return len(ids)
 }
 
 // probeRows answers `col = key AND rest` from the hash index on col (see
@@ -335,38 +275,83 @@ func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.Has
 // and, under rest, to filter, plus the filter over the inserts.
 func (o *OFM) probeRows(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) ([]value.Tuple, error) {
 	var rows []value.Tuple
-	_, seen, err := o.probe(view, del, hash, key, rest, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
-	if err != nil {
-		return nil, err
-	}
+	o.probe(view, del, hash, key, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
 	cost := o.costs()
-	o.cfg.PE.Advance(cost.BuildCost(seen))
+	o.cfg.PE.Advance(cost.BuildCost(len(rows)))
 	if rest != nil {
-		o.cfg.PE.Advance(cost.ScanCost(seen, true))
-	}
-	if len(ins) > 0 {
-		p, err := o.compilePred(full)
+		sel, err := o.accepts(rows, rest)
 		if err != nil {
 			return nil, err
 		}
-		if rows, err = p.FilterInto(rows, ins); err != nil {
-			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+		o.cfg.PE.Advance(cost.ScanCost(len(rows), true))
+		rows = pick(rows, sel)
+	}
+	if len(ins) > 0 {
+		sel, err := o.accepts(ins, full)
+		if err != nil {
+			return nil, err
 		}
+		for _, i := range sel {
+			rows = append(rows, ins[i])
+		}
+		value.PutSel(sel)
 		o.cfg.PE.Advance(cost.ScanCost(len(ins), true))
 	}
 	return rows, nil
 }
 
-// Closure runs the transitive closure operator locally (paper §2.5).
-func (o *OFM) Closure(view View, fromCol, toCol int, algo algebra.TCAlgorithm) (*value.Relation, error) {
-	in := value.NewRelation(o.cfg.Schema)
-	in.Tuples = o.VisibleTuples(view)
-	out, st, _, err := algebra.TransitiveClosure(in, fromCol, toCol, algo)
+// accepts returns the positions of the tuples of ts that e accepts,
+// ascending, through e's cached vector filter, in a pooled selection
+// vector the caller may put back.
+func (o *OFM) accepts(ts []value.Tuple, e expr.Expr) ([]int32, error) {
+	f, err := o.compileVecFilter(e)
 	if err != nil {
 		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
-	o.cfg.PE.Advance(o.costs().HashCost(st.Hashes) + o.costs().BuildCost(st.TuplesEmitted))
-	return out, nil
+	b, err := o.filterTuples(ts, f)
+	if err != nil {
+		return nil, err
+	}
+	return b.Sel, nil
+}
+
+// filterTuples transposes ts into a batch whose selection, never nil, is
+// the rows f (nil = all) accepts.
+func (o *OFM) filterTuples(ts []value.Tuple, f *expr.VecFilter) (*value.Batch, error) {
+	b := value.NewBatchFrom(o.cfg.Schema, ts)
+	if b == nil {
+		return nil, fmt.Errorf("ofm %s: tuples do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
+	}
+	if f == nil {
+		b.Sel = allRows(len(ts))
+		return b, nil
+	}
+	sel, err := f.Filter(b, nil, value.GetSel())
+	if err != nil {
+		value.PutSel(sel)
+		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+	}
+	b.Sel = sel
+	return b, nil
+}
+
+// allRows returns the selection of rows 0..n-1 in a pooled vector.
+func allRows(n int) []int32 {
+	sel := value.GetSelLen(n)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	return sel
+}
+
+// pick keeps, in place, the elements of s at the ascending positions sel,
+// and puts sel back in the pool.
+func pick[T any](s []T, sel []int32) []T {
+	for j, i := range sel {
+		s[j] = s[i]
+	}
+	value.PutSel(sel)
+	return s[:len(sel)]
 }
 
 // Load bulk-inserts tuples outside any transaction (initial data

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algebra"
 	"repro/internal/expr"
 	"repro/internal/machine"
 	"repro/internal/txn"
@@ -195,36 +194,6 @@ func TestIndexProbe(t *testing.T) {
 	pred4 := expr.NewCmp(expr.EQ, expr.NewConst(value.NewInt(7)), expr.NewCol("id"))
 	if out = scan(t, o, Latest, pred4, nil); out.Len() != 1 {
 		t.Errorf("const-left probe = %v", out.Tuples)
-	}
-}
-
-func TestClosureOperator(t *testing.T) {
-	m, err := machine.New(machine.Config{NumPEs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o, err := New(Config{
-		Name:   "edges#0",
-		Schema: value.MustSchema("src", "INT", "dst", "INT"),
-		PE:     m.PE(0),
-		Kind:   Transient,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var edges []value.Tuple
-	for i := int64(0); i < 10; i++ {
-		edges = append(edges, value.Ints(i, i+1))
-	}
-	if err := o.Load(edges); err != nil {
-		t.Fatal(err)
-	}
-	out, err := o.Closure(Latest, 0, 1, algebra.TCSemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 55 { // 10+9+...+1
-		t.Errorf("closure = %d pairs, want 55", out.Len())
 	}
 }
 

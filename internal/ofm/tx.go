@@ -60,13 +60,12 @@ func (o *OFM) InsertTx(tx txn.ID, tuples ...value.Tuple) error {
 // returns txn.ErrConflict and the caller must abort and retry.
 func (o *OFM) DeleteTx(tx txn.ID, pred expr.Expr, view View) (int, error) {
 	view.Tx = tx
-	matching, err := o.matchRowIDs(view, pred)
+	matching, pendIdx, err := o.match(view, pred)
 	if err != nil {
 		return 0, err
 	}
-	pendIdx, err := o.matchPending(tx, pred)
-	if err != nil {
-		return 0, err
+	if pendIdx != nil {
+		defer value.PutSel(pendIdx)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -98,13 +97,12 @@ func (o *OFM) DeleteTx(tx txn.ID, pred expr.Expr, view View) (int, error) {
 // views get first-committer-wins validation as in DeleteTx.
 func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view View) (int, error) {
 	view.Tx = tx
-	matching, err := o.matchRowIDs(view, pred)
+	matching, pendIdx, err := o.match(view, pred)
 	if err != nil {
 		return 0, err
 	}
-	pendIdx, err := o.matchPending(tx, pred)
-	if err != nil {
-		return 0, err
+	if pendIdx != nil {
+		defer value.PutSel(pendIdx)
 	}
 	// Bind the set expressions once.
 	bound := map[int]expr.Expr{}
@@ -126,6 +124,11 @@ func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view Vi
 				return nil, fmt.Errorf("ofm %s: update: %w", o.cfg.Name, err)
 			}
 			updated[col] = v
+		}
+		// Type-check the new image now, as InsertTx does: a commit that
+		// found it wrong would already have applied the delete.
+		if err := storage.Conform(o.cfg.Schema, updated); err != nil {
+			return nil, fmt.Errorf("ofm %s: update: %w", o.cfg.Name, err)
 		}
 		return updated, nil
 	}
@@ -184,115 +187,73 @@ func (o *OFM) checkConflict(view View, id storage.RowID) error {
 	return nil
 }
 
-// dropInserts removes the buffered inserts at the given (sorted,
+// dropInserts removes the buffered inserts at the given (ascending,
 // pre-computed) indexes. Caller holds o.mu.
-func (w *writeSet) dropInserts(idxs []int) int {
+func (w *writeSet) dropInserts(idxs []int32) int {
 	if len(idxs) == 0 {
 		return 0
 	}
-	gone := make(map[int]struct{}, len(idxs))
-	for _, i := range idxs {
-		gone[i] = struct{}{}
-	}
-	kept := w.inserts[:0]
+	kept, next := w.inserts[:0], 0
 	for i, t := range w.inserts {
-		if _, g := gone[i]; !g {
-			kept = append(kept, t)
+		if next < len(idxs) && int(idxs[next]) == i {
+			next++
+			continue
 		}
+		kept = append(kept, t)
 	}
 	w.inserts = kept
 	return len(idxs)
 }
 
-// matchPending returns the indexes of tx's buffered inserts matching
-// pred (nil = all), read-your-own-writes for DML.
-func (o *OFM) matchPending(tx txn.ID, pred expr.Expr) ([]int, error) {
-	o.mu.Lock()
-	var ins []value.Tuple
-	if w := o.pending[tx]; w != nil && len(w.inserts) > 0 {
-		ins = append([]value.Tuple(nil), w.inserts...)
-	}
-	o.mu.Unlock()
-	if len(ins) == 0 {
-		return nil, nil
-	}
-	if pred == nil {
-		idxs := make([]int, len(ins))
-		for i := range ins {
-			idxs[i] = i
-		}
-		return idxs, nil
-	}
-	match, err := o.compilePred(pred)
-	if err != nil {
-		return nil, err
-	}
-	var idxs []int
-	for i, t := range ins {
-		hit, err := match.Match(t)
-		if err != nil {
-			return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-		}
-		if hit {
-			idxs = append(idxs, i)
-		}
-	}
-	return idxs, nil
-}
-
-// matchRowIDs resolves pred against the versions visible in the view,
-// skipping rows the view's transaction already deleted. An equality on a
-// hash-indexed column probes the index instead of scanning the
-// fragment — the point-UPDATE/DELETE fast path, the same probe a point
-// SELECT takes (DML re-scanning fragments that the pk index answers in
-// O(1) was once most of a mixed workload's time).
-func (o *OFM) matchRowIDs(view View, pred expr.Expr) ([]storage.RowID, error) {
-	del, _ := o.overlay(view)
-	var ids []storage.RowID
-	if pred == nil {
-		o.store.ScanAt(view.TS, func(id storage.RowID, _ value.Tuple) bool {
-			if _, gone := del[id]; !gone {
+// match finds the rows pred (nil = all) selects in the view the way a
+// read does: the row ids of the committed versions, less those the view's
+// transaction deleted, in the order a scan meets them, and the positions
+// of the transaction's pending inserts (read-your-own-writes for DML). An
+// equality on a hash-indexed column probes the index — the point
+// UPDATE/DELETE path, the same probe a point SELECT takes, building no
+// column image and charging the lookup and the versions under the key.
+// Every other predicate is the fragment scan's filter over the column
+// cache, charged as a read with the same predicate is.
+func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int32, err error) {
+	del, ins := o.overlay(view)
+	if pred != nil {
+		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
+			var rows []value.Tuple
+			probed := o.probe(view, del, hash, key, func(id storage.RowID, t value.Tuple) {
 				ids = append(ids, id)
+				if rest != nil {
+					rows = append(rows, t)
+				}
+			})
+			if rest != nil {
+				sel, err := o.accepts(rows, rest)
+				if err != nil {
+					return nil, nil, err
+				}
+				ids = pick(ids, sel)
 			}
-			return true
-		})
-		o.cfg.PE.Advance(o.costs().ScanCost(len(ids), true))
-		return ids, nil
-	}
-	if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-		probed, _, err := o.probe(view, del, hash, key, rest, func(id storage.RowID, _ value.Tuple) { ids = append(ids, id) })
-		if err != nil {
-			return nil, err
+			o.cfg.PE.Advance(o.costs().ScanCost(probed, true))
+			if len(ins) > 0 {
+				pend, err = o.accepts(ins, pred)
+			}
+			return ids, pend, err
 		}
-		o.cfg.PE.Advance(o.costs().ScanCost(probed, true))
-		return ids, nil
 	}
-	match, err := o.compilePred(pred)
+	batch, pending, _, err := o.scanCache(view, del, ins, pred)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	scanned := 0
-	var evalErr error
-	o.store.ScanAt(view.TS, func(id storage.RowID, t value.Tuple) bool {
-		scanned++
-		if _, gone := del[id]; gone {
-			return true
-		}
-		var hit bool
-		hit, evalErr = match.Match(t)
-		if evalErr != nil {
-			return false
-		}
-		if hit {
-			ids = append(ids, id)
-		}
-		return true
-	})
-	o.cfg.PE.Advance(o.costs().ScanCost(scanned, true))
-	if evalErr != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, evalErr)
+	sel := batch.Sel
+	if sel == nil {
+		sel = allRows(batch.Rows)
 	}
-	return ids, nil
+	ids = o.store.SlotIDs(nil, sel)
+	o.ccMu.RUnlock()
+	value.PutSel(sel)
+	if pending != nil {
+		pend = pending.Sel
+	}
+	return ids, pend, nil
 }
 
 // PendingFor reports the buffered write counts for tx (tests, tooling).

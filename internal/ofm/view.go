@@ -58,8 +58,8 @@ func (o *OFM) overlay(view View) (del map[storage.RowID]struct{}, ins []value.Tu
 
 // VisibleTuples materializes the view as tuples, a row at a time off the
 // store: committed versions visible at view.TS, minus the versions the view
-// transaction deleted, plus the tuples it inserted. The closure operator
-// reads it, and tests hold ScanBatch to it.
+// transaction deleted, plus the tuples it inserted. Tests hold ScanBatch
+// to it.
 func (o *OFM) VisibleTuples(view View) []value.Tuple {
 	del, ins := o.overlay(view)
 	out := make([]value.Tuple, 0, o.store.Len()+len(ins))

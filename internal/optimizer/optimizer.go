@@ -677,42 +677,22 @@ func (o *Optimizer) tryProbe(sc *plan.Scan) plan.Node {
 	}
 	pk := tab.PrimaryKey[0]
 	pkKind := tab.Schema.Column(pk).Kind
-	conjuncts := expr.SplitConjuncts(sc.Pred)
-	for i, c := range conjuncts {
-		cmp, ok := c.(*expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			continue
-		}
-		col, cok := cmp.L.(*expr.Col)
-		key := cmp.R
-		if !cok {
-			col, cok = cmp.R.(*expr.Col)
-			key = cmp.L
-		}
-		if !cok || col.Index != pk {
-			continue
-		}
-		switch k := key.(type) {
-		case *expr.Const:
-			// Exact-kind match only: the hash index stores encoded
-			// values, so INT keys never match FLOAT probes.
-			if k.V.IsNull() || k.V.Kind() != pkKind {
-				continue
-			}
-		case *expr.Param:
-			// Bind-time coercion forces the value to the column kind.
-		default:
-			continue
-		}
-		rest := append(append([]expr.Expr{}, conjuncts[:i]...), conjuncts[i+1:]...)
-		return &plan.IndexProbe{
-			Table:   sc.Table,
-			Col:     pk,
-			Key:     key,
-			Rest:    expr.Conjoin(rest),
-			Out:     sc.Out,
-			EstRows: 1,
-		}
+	key, rest, ok := expr.FindColEq(sc.Pred, func(col *expr.Col, key expr.Expr) bool {
+		// Exact-kind constants only: the hash index stores encoded values,
+		// so INT keys never match FLOAT probes. Bind-time coercion forces a
+		// placeholder's value to the column kind.
+		k, isConst := key.(*expr.Const)
+		return col.Index == pk && (!isConst || !k.V.IsNull() && k.V.Kind() == pkKind)
+	})
+	if !ok {
+		return sc
 	}
-	return sc
+	return &plan.IndexProbe{
+		Table:   sc.Table,
+		Col:     pk,
+		Key:     key,
+		Rest:    rest,
+		Out:     sc.Out,
+		EstRows: 1,
+	}
 }

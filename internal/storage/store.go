@@ -353,6 +353,18 @@ func (s *Store) FindCurrent(t value.Tuple) (RowID, bool) {
 	return makeRowID(si, s.rows[si].gen), true
 }
 
+// SlotIDs appends to dst the row id of the version in each of slots: how
+// a column image of the store, whose row i is slot i, names the rows it
+// selected.
+func (s *Store) SlotIDs(dst []RowID, slots []int32) []RowID {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, si := range slots {
+		dst = append(dst, makeRowID(int(si), s.rows[si].gen))
+	}
+	return dst
+}
+
 // ScanAt calls fn for every tuple version visible to a snapshot at ts
 // until fn returns false. The lock is held for the duration; fn must not
 // mutate the store.
