@@ -56,13 +56,12 @@ func TestProject(t *testing.T) {
 
 func TestProjectExprs(t *testing.T) {
 	r := empRel(t)
-	proj, err := expr.CompileProjector(
-		[]expr.Expr{expr.NewCol("id"), expr.NewArith(expr.Mul, expr.NewCol("salary"), expr.NewConst(value.NewInt(2)))},
-		[]string{"id", "double_salary"}, r.Schema)
+	es := []expr.Expr{expr.NewCol("id"), expr.NewArith(expr.Mul, expr.NewCol("salary"), expr.NewConst(value.NewInt(2)))}
+	proj, err := expr.CompileProjection(es, []string{"id", "double_salary"}, r.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := ProjectExprs(r, proj)
+	out, _, err := ProjectExprs(r, es, proj.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func TestProjectExprs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wst, err := ProjectExprs(rel(t, r.Schema, r.Tuples[1], r.Tuples[3], r.Tuples[4]), proj)
+	want, wst, err := ProjectExprs(rel(t, r.Schema, r.Tuples[1], r.Tuples[3], r.Tuples[4]), es, proj.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,24 +67,18 @@ func ProjectBatch(b *value.Batch, cols []int, schema *value.Schema) (*value.Batc
 	return b.Project(cols, schema), Stats{TuplesRead: n, TuplesEmitted: n}, nil
 }
 
-// ProjectExprsBatch computes a compiled projector's expressions over the
-// selected rows of b, a row at a time, into new dense vectors of the
-// projector's schema. b is consumed.
-func ProjectExprsBatch(b *value.Batch, proj *expr.Projector) (*value.Batch, Stats, error) {
-	rows := b.Materialize()
-	if b.Sel != nil {
-		value.PutSel(b.Sel)
-		b.Sel = nil
-	}
-	tuples, err := proj.ApplyBatch(rows.Tuples)
+// ProjectExprsBatch computes a projection's expressions over the selected
+// rows of b into new dense vectors of the projection's schema. b is
+// consumed.
+func ProjectExprsBatch(b *value.Batch, proj *expr.Projection) (*value.Batch, Stats, error) {
+	n := b.Len()
+	out, err := proj.Apply(b)
+	value.PutSel(b.Sel)
+	b.Sel = nil
 	if err != nil {
 		return nil, Stats{}, fmt.Errorf("algebra: project: %w", err)
 	}
-	out := value.NewBatchFrom(proj.Schema(), tuples)
-	if out == nil {
-		return nil, Stats{}, fmt.Errorf("algebra: project: a computed column of %s holds values of several kinds", proj.Schema())
-	}
-	return out, Stats{TuplesRead: len(rows.Tuples), TuplesEmitted: len(tuples)}, nil
+	return out, Stats{TuplesRead: n, TuplesEmitted: n}, nil
 }
 
 // rowTable is the hash table of the join and grouping kernels: open

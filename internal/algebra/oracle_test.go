@@ -230,16 +230,22 @@ func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec
 	return out, stats, nil
 }
 
-// ProjectExprs computes arbitrary expressions per tuple with a compiled
-// projector.
-func ProjectExprs(r *value.Relation, proj *expr.Projector) (*value.Relation, Stats, error) {
-	rows, err := proj.ApplyBatch(r.Tuples)
-	if err != nil {
-		return nil, Stats{}, fmt.Errorf("algebra: project: %w", err)
+// ProjectExprs computes bound expressions per tuple with the interpreter,
+// under the projection's schema.
+func ProjectExprs(r *value.Relation, es []expr.Expr, schema *value.Schema) (*value.Relation, Stats, error) {
+	out := value.NewRelation(schema)
+	for _, t := range r.Tuples {
+		row := make(value.Tuple, len(es))
+		for i, e := range es {
+			v, err := e.Eval(t)
+			if err != nil {
+				return nil, Stats{}, fmt.Errorf("algebra: project: %w", err)
+			}
+			row[i] = v
+		}
+		out.Tuples = append(out.Tuples, row)
 	}
-	out := value.NewRelation(proj.Schema())
-	out.Tuples = rows
-	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: len(rows)}, nil
+	return out, Stats{TuplesRead: r.Len(), TuplesEmitted: out.Len()}, nil
 }
 
 // Distinct removes duplicates (set semantics), keeping first-seen order.

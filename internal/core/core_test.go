@@ -548,3 +548,66 @@ func TestValueExprsInSelect(t *testing.T) {
 		t.Errorf("computed row = %v", row)
 	}
 }
+
+// TestInListWithNull: IN follows SQL's three-valued logic — a NULL in the
+// list makes a non-member UNKNOWN, so NOT IN (1, NULL) keeps no row and IN
+// (1, NULL) only the member, in a filter and in a computed column.
+func TestInListWithNull(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	mustExec(t, s, `INSERT INTO t VALUES (0), (1), (2), (3)`)
+	for _, c := range []struct {
+		sql  string
+		want int
+	}{
+		{`SELECT id FROM t WHERE id NOT IN (1, NULL)`, 0},
+		{`SELECT id FROM t WHERE NOT (id IN (1, NULL))`, 0},
+		{`SELECT id FROM t WHERE id IN (1, NULL)`, 1},
+		{`SELECT id FROM t WHERE id NOT IN (1)`, 3},
+	} {
+		rel, err := s.Query(c.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", c.sql, err)
+		}
+		if rel.Len() != c.want {
+			t.Errorf("%s = %v, want %d rows", c.sql, rel.Tuples, c.want)
+		}
+	}
+	rel, err := s.Query(`SELECT id, id NOT IN (1, NULL) AS x FROM t ORDER BY id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rel.Tuples {
+		if member := row[0].Int() == 1; member && (row[1].IsNull() || row[1].Bool()) || !member && !row[1].IsNull() {
+			t.Errorf("%v NOT IN (1, NULL) = %v", row[0], row[1])
+		}
+	}
+}
+
+// TestIntegerOverflowRaises: INT arithmetic that leaves int64 is an error,
+// in a computed column and in a filter, on exactly the rows that overflow.
+func TestIntegerOverflowRaises(t *testing.T) {
+	e := newEngine(t)
+	s := e.NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	mustExec(t, s, `INSERT INTO t VALUES (0), (1), (2), (3)`)
+	for _, sql := range []string{
+		`SELECT id + 9223372036854775807 FROM t`,
+		`SELECT id FROM t WHERE id - 9223372036854775807 - 2 > 0`,
+		`SELECT id * 4611686018427387904 FROM t`,
+		`SELECT -(id - 9223372036854775807 - 1) FROM t`,
+	} {
+		if rel, err := s.Query(sql); err == nil || !strings.Contains(err.Error(), "integer out of range") {
+			t.Errorf("%s = %v, %v; want an integer out of range error", sql, rel, err)
+		}
+	}
+	rel, err := s.Query(`SELECT id + 9223372036854775807 AS x FROM t WHERE id = 0`)
+	if err != nil || rel.Len() != 1 || rel.Tuples[0][0].Int() != 9223372036854775807 {
+		t.Errorf("0 + MaxInt64 = %v, %v", rel, err)
+	}
+	rel, err = s.Query(`SELECT id FROM t WHERE id > 0 AND id - 9223372036854775807 - 2 < 0`)
+	if err != nil || rel.Len() != 3 {
+		t.Errorf("overflow on a row AND's left side rules out: %v, %v", rel, err)
+	}
+}

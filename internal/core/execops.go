@@ -76,16 +76,17 @@ func (e *Engine) execSelect(ctx *execCtx, s *plan.Select, need value.ColSet) (*p
 }
 
 // projector is the per-slot projection kernel: a pure column remap is a
-// pointer move; computed expressions run the compiled row projector over
-// the batch's rows into new vectors — it keeps scratch state, so it is
-// compiled per slot.
+// pointer move; computed expressions run their kernels over the batch into
+// new vectors. It keeps no state between slots, so what the first slot
+// settles serves every slot.
 type projector struct {
 	ctx *execCtx
 	p   *plan.Project
 
-	once  sync.Once // whether p is a pure remap, settled by the first slot
-	idxs  []int
-	remap bool
+	once sync.Once
+	idxs []int            // a pure remap's columns, when proj is nil
+	proj *expr.Projection // the computed expressions
+	err  error
 }
 
 func (pr *projector) apply(s slot, pe int) (slot, error) {
@@ -94,16 +95,21 @@ func (pr *projector) apply(s slot, pe int) (slot, error) {
 	if err != nil {
 		return slot{}, err
 	}
-	pr.once.Do(func() { pr.idxs, pr.remap = expr.ColumnIndices(cloneExprs(pr.p.Exprs), in) })
+	pr.once.Do(func() {
+		var remap bool
+		if pr.idxs, remap = expr.ColumnIndices(cloneExprs(pr.p.Exprs), in); !remap {
+			pr.proj, pr.err = expr.CompileProjection(cloneExprs(pr.p.Exprs), pr.p.Names, in)
+		}
+	})
 	var st algebra.Stats
-	if pr.remap {
+	switch {
+	case pr.err != nil:
+		err = pr.err
+	case pr.proj == nil:
 		b, st, err = algebra.ProjectBatch(b, pr.idxs, pr.p.Out)
-	} else {
-		var proj *expr.Projector
-		if proj, err = expr.CompileProjector(cloneExprs(pr.p.Exprs), pr.p.Names, in); err == nil {
-			if b, st, err = algebra.ProjectExprsBatch(b, proj); err == nil {
-				b.Schema = pr.p.Out
-			}
+	default:
+		if b, st, err = algebra.ProjectExprsBatch(b, pr.proj); err == nil {
+			b.Schema = pr.p.Out
 		}
 	}
 	if err != nil {

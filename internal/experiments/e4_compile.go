@@ -13,8 +13,9 @@ import (
 // (§2.5: compilation "avoids the otherwise excessive interpretation
 // overhead incurred by a query expression interpreter"). The same
 // predicates are evaluated tuple-at-a-time by the interpreter and by the
-// compiled kernels; both measured wall time per tuple and the 1988 cost
-// model's view are reported.
+// engine's compiled form, the vector filter (VecFilter) over a columnar
+// batch built before the timer starts; both measured wall time per tuple
+// and the 1988 cost model's view are reported.
 func E4CompiledVsInterpreted(quick bool) (*Table, error) {
 	n := 500000
 	if quick {
@@ -42,10 +43,11 @@ func E4CompiledVsInterpreted(quick bool) (*Table, error) {
 		}},
 	}
 
+	batch := value.NewBatchFrom(schema, tuples)
 	cost := machine.DefaultCostModel()
 	t := &Table{
 		ID:    "E4",
-		Title: fmt.Sprintf("compiled vs interpreted predicate evaluation, %d tuples", n),
+		Title: fmt.Sprintf("compiled (vector filter) vs interpreted predicate evaluation, %d tuples", n),
 		Header: []string{"predicate", "interpreted ns/tuple", "compiled ns/tuple",
 			"measured speedup", "1988 model speedup", "matches"},
 	}
@@ -67,16 +69,17 @@ func E4CompiledVsInterpreted(quick bool) (*Table, error) {
 		}
 		interpTime := time.Since(start)
 
-		pred, err := expr.CompilePredicate(p.e(), schema)
+		vf, err := expr.CompileVecFilter(p.e(), schema)
 		if err != nil {
 			return nil, err
 		}
 		start = time.Now()
-		compCount, err := pred.Count(tuples)
+		sel, err := vf.Filter(batch, nil, nil)
 		if err != nil {
 			return nil, err
 		}
 		compTime := time.Since(start)
+		compCount := len(sel)
 		if compCount != interpCount {
 			return nil, fmt.Errorf("E4: compiled selected %d, interpreted %d", compCount, interpCount)
 		}
@@ -91,7 +94,7 @@ func E4CompiledVsInterpreted(quick bool) (*Table, error) {
 		)
 	}
 	t.Notes = append(t.Notes,
-		"the compiled path specializes comparisons on static types and strips per-node dispatch and error plumbing",
+		"the compiled column is the vector filter: 64-row mask kernels over typed column vectors (comparisons, AND/OR, the arithmetic of id % 7), over a batch built before the timer",
 		"the 1988 model column is the cost-model ratio used for simulated times (150 vs 15 instructions/tuple)")
 	return t, nil
 }

@@ -1,9 +1,12 @@
 // Package expr implements scalar expressions over tuples: a tree
-// representation with a straightforward interpreter, plus the dynamic
-// expression compiler that PRISMA's One-Fragment Managers use to "avoid
-// the otherwise excessive interpretation overhead incurred by a query
-// expression interpreter" (paper §2.5). The compiler turns a bound,
-// type-checked tree into specialized Go closures.
+// representation with a straightforward interpreter, plus the compiled
+// form that PRISMA's One-Fragment Managers use to "avoid the otherwise
+// excessive interpretation overhead incurred by a query expression
+// interpreter" (paper §2.5). A bound, type-checked tree compiles to
+// kernels over a batch's typed column vectors, 64 rows at a time: mask
+// kernels for predicates (vector.go), value kernels for INT and FLOAT
+// arithmetic (arith.go). A node no kernel covers runs the interpreter on
+// the rows it must answer for, so the two evaluators raise alike.
 package expr
 
 import (
@@ -16,7 +19,7 @@ import (
 // Expr is a scalar expression node. Expressions are built by the SQL and
 // PRISMAlog front ends with column names, bound against a schema (which
 // resolves names to positions and infers types), and then either
-// interpreted with Eval or compiled with Compile.
+// interpreted with Eval or compiled to kernels.
 type Expr interface {
 	// Eval interprets the expression against one tuple.
 	Eval(t value.Tuple) (value.Value, error)
@@ -213,7 +216,12 @@ func (a *Arith) Eval(t value.Tuple) (value.Value, error) {
 	if err != nil {
 		return value.Null, err
 	}
-	switch a.Op {
+	return a.Op.apply(l, r)
+}
+
+// apply is the operator on two values.
+func (op ArithOp) apply(l, r value.Value) (value.Value, error) {
+	switch op {
 	case Add:
 		return value.Add(l, r)
 	case Sub:
@@ -225,7 +233,7 @@ func (a *Arith) Eval(t value.Tuple) (value.Value, error) {
 	case Mod:
 		return value.Mod(l, r)
 	}
-	return value.Null, fmt.Errorf("expr: bad arithmetic op %d", a.Op)
+	return value.Null, fmt.Errorf("expr: bad arithmetic op %d", op)
 }
 
 func (a *Arith) String() string {
@@ -363,7 +371,8 @@ func (n *IsNull) String() string {
 	return fmt.Sprintf("(%s IS NULL)", n.E)
 }
 
-// In tests membership in a literal list.
+// In tests membership in a literal list. As in SQL, a value that equals no
+// item is UNKNOWN rather than FALSE when the list holds a NULL.
 type In struct {
 	E      Expr
 	List   []value.Value
@@ -384,10 +393,15 @@ func (in *In) Eval(t value.Tuple) (value.Value, error) {
 	if v.IsNull() {
 		return value.Null, nil
 	}
+	unknown := false
 	for _, item := range in.List {
 		if value.Equal(v, item) {
 			return value.NewBool(!in.Negate), nil
 		}
+		unknown = unknown || item.IsNull()
+	}
+	if unknown {
+		return value.Null, nil
 	}
 	return value.NewBool(in.Negate), nil
 }
@@ -476,68 +490,45 @@ func (c *Call) String() string {
 	return fmt.Sprintf("%s(%s)", c.Name, strings.Join(parts, ", "))
 }
 
-// builtins are the scalar functions available to both front ends.
+// builtins are the scalar functions available to both front ends. Each
+// takes one argument and is NULL on NULL.
 var builtins = map[string]func([]value.Value) (value.Value, error){
-	"ABS": func(args []value.Value) (value.Value, error) {
-		if len(args) != 1 {
-			return value.Null, fmt.Errorf("expr: ABS takes 1 argument")
-		}
-		v := args[0]
+	"ABS": unary("ABS", func(v value.Value) (value.Value, error) {
 		switch v.Kind() {
-		case value.KindNull:
-			return value.Null, nil
-		case value.KindInt:
-			if v.Int() < 0 {
-				return value.NewInt(-v.Int()), nil
-			}
-			return v, nil
-		case value.KindFloat:
+		case value.KindInt, value.KindFloat:
 			if v.Float() < 0 {
-				return value.NewFloat(-v.Float()), nil
+				return value.Neg(v)
 			}
 			return v, nil
 		}
 		return value.Null, fmt.Errorf("expr: ABS over %s", v.Kind())
-	},
-	"LENGTH": func(args []value.Value) (value.Value, error) {
+	}),
+	"LENGTH": unaryString("LENGTH", func(s string) value.Value { return value.NewInt(int64(len(s))) }),
+	"LOWER":  unaryString("LOWER", func(s string) value.Value { return value.NewString(strings.ToLower(s)) }),
+	"UPPER":  unaryString("UPPER", func(s string) value.Value { return value.NewString(strings.ToUpper(s)) }),
+}
+
+// unary makes fn a builtin of one argument, NULL on NULL.
+func unary(name string, fn func(value.Value) (value.Value, error)) func([]value.Value) (value.Value, error) {
+	return func(args []value.Value) (value.Value, error) {
 		if len(args) != 1 {
-			return value.Null, fmt.Errorf("expr: LENGTH takes 1 argument")
+			return value.Null, fmt.Errorf("expr: %s takes 1 argument", name)
 		}
-		v := args[0]
-		if v.IsNull() {
+		if args[0].IsNull() {
 			return value.Null, nil
 		}
+		return fn(args[0])
+	}
+}
+
+// unaryString makes fn a builtin of one VARCHAR argument, NULL on NULL.
+func unaryString(name string, fn func(string) value.Value) func([]value.Value) (value.Value, error) {
+	return unary(name, func(v value.Value) (value.Value, error) {
 		if v.Kind() != value.KindString {
-			return value.Null, fmt.Errorf("expr: LENGTH over %s", v.Kind())
+			return value.Null, fmt.Errorf("expr: %s over %s", name, v.Kind())
 		}
-		return value.NewInt(int64(len(v.Str()))), nil
-	},
-	"LOWER": func(args []value.Value) (value.Value, error) {
-		if len(args) != 1 {
-			return value.Null, fmt.Errorf("expr: LOWER takes 1 argument")
-		}
-		v := args[0]
-		if v.IsNull() {
-			return value.Null, nil
-		}
-		if v.Kind() != value.KindString {
-			return value.Null, fmt.Errorf("expr: LOWER over %s", v.Kind())
-		}
-		return value.NewString(strings.ToLower(v.Str())), nil
-	},
-	"UPPER": func(args []value.Value) (value.Value, error) {
-		if len(args) != 1 {
-			return value.Null, fmt.Errorf("expr: UPPER takes 1 argument")
-		}
-		v := args[0]
-		if v.IsNull() {
-			return value.Null, nil
-		}
-		if v.Kind() != value.KindString {
-			return value.Null, fmt.Errorf("expr: UPPER over %s", v.Kind())
-		}
-		return value.NewString(strings.ToUpper(v.Str())), nil
-	},
+		return fn(v.Str()), nil
+	})
 }
 
 // Conjoin ANDs a list of predicates together; nil for an empty list.
@@ -597,4 +588,48 @@ func FindColEq(e Expr, accept func(col *Col, key Expr) bool) (key, rest Expr, ok
 // boolean true (NULL and false both fail, per SQL).
 func Truthy(v value.Value) bool {
 	return v.Kind() == value.KindBool && v.Bool()
+}
+
+// Predicate is a bound, kind-checked boolean expression the interpreter
+// evaluates a tuple at a time: the row reference the kernels are held to.
+type Predicate struct{ e Expr }
+
+// CompilePredicate binds e (which must be boolean) against s.
+func CompilePredicate(e Expr, s *value.Schema) (*Predicate, error) {
+	if err := bindPredicate(e, s); err != nil {
+		return nil, err
+	}
+	return &Predicate{e: e}, nil
+}
+
+// bindPredicate binds e against s and checks that it is boolean.
+func bindPredicate(e Expr, s *value.Schema) error {
+	k, err := Bind(e, s)
+	if err != nil {
+		return err
+	}
+	if k != value.KindBool && k != value.KindNull {
+		return fmt.Errorf("expr: predicate has kind %s, want BOOLEAN", k)
+	}
+	return nil
+}
+
+// Match runs the predicate on one tuple (NULL counts as no-match).
+func (p *Predicate) Match(t value.Tuple) (bool, error) {
+	v, err := p.e.Eval(t)
+	return Truthy(v), err
+}
+
+// FilterInto appends the tuples of src that satisfy the predicate to dst.
+func (p *Predicate) FilterInto(dst []value.Tuple, src []value.Tuple) ([]value.Tuple, error) {
+	for _, t := range src {
+		ok, err := p.Match(t)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			dst = append(dst, t)
+		}
+	}
+	return dst, nil
 }

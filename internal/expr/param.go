@@ -85,53 +85,17 @@ func MapExpr(e Expr, repl func(Expr) Expr) Expr {
 			args[i] = MapExpr(a, repl)
 		}
 		return &Call{Name: n.Name, Args: args}
-	}
-	return Clone(e)
-}
-
-// MaxParamOrd returns the largest parameter slot referenced by e, or -1
-// when e holds no parameters.
-func MaxParamOrd(e Expr) int {
-	max := -1
-	walkParams(e, func(p *Param) {
-		if p.Ord > max {
-			max = p.Ord
-		}
-	})
-	return max
-}
-
-func walkParams(e Expr, fn func(*Param)) {
-	switch n := e.(type) {
+	case *Col:
+		c := *n
+		return &c
+	case *Const:
+		c := *n
+		return &c
 	case *Param:
-		fn(n)
-	case *Cmp:
-		walkParams(n.L, fn)
-		walkParams(n.R, fn)
-	case *Arith:
-		walkParams(n.L, fn)
-		walkParams(n.R, fn)
-	case *And:
-		walkParams(n.L, fn)
-		walkParams(n.R, fn)
-	case *Or:
-		walkParams(n.L, fn)
-		walkParams(n.R, fn)
-	case *Not:
-		walkParams(n.E, fn)
-	case *Neg:
-		walkParams(n.E, fn)
-	case *IsNull:
-		walkParams(n.E, fn)
-	case *In:
-		walkParams(n.E, fn)
-	case *Like:
-		walkParams(n.E, fn)
-	case *Call:
-		for _, a := range n.Args {
-			walkParams(a, fn)
-		}
+		c := *n
+		return &c
 	}
+	return e
 }
 
 // InferParamKinds records the expected kind of each parameter slot into
@@ -146,52 +110,25 @@ func InferParamKinds(e Expr, kinds []value.Kind) {
 			kinds[p.Ord] = k
 		}
 	}
-	var walk func(Expr)
 	sibling := func(a, b Expr) {
-		p, ok := a.(*Param)
-		if !ok {
-			return
-		}
-		if k, known := staticKind(b); known && k != value.KindNull {
-			learn(p, k)
+		if p, ok := a.(*Param); ok {
+			if k, known := staticKind(b); known {
+				learn(p, k)
+			}
 		}
 	}
-	walk = func(e Expr) {
-		switch n := e.(type) {
+	walk(e, func(x Expr) {
+		switch n := x.(type) {
 		case *Cmp:
 			sibling(n.L, n.R)
 			sibling(n.R, n.L)
-			walk(n.L)
-			walk(n.R)
 		case *Arith:
 			sibling(n.L, n.R)
 			sibling(n.R, n.L)
-			walk(n.L)
-			walk(n.R)
-		case *And:
-			walk(n.L)
-			walk(n.R)
-		case *Or:
-			walk(n.L)
-			walk(n.R)
-		case *Not:
-			walk(n.E)
-		case *Neg:
-			walk(n.E)
-		case *IsNull:
-			walk(n.E)
-		case *In:
-			walk(n.E)
 		case *Like:
 			if p, ok := n.E.(*Param); ok {
 				learn(p, value.KindString)
 			}
-			walk(n.E)
-		case *Call:
-			for _, a := range n.Args {
-				walk(a)
-			}
 		}
-	}
-	walk(e)
+	})
 }

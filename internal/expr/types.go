@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/value"
 )
@@ -192,21 +193,50 @@ func arithKind(op ArithOp, lk, rk value.Kind, n Expr) (value.Kind, error) {
 	}
 }
 
+// staticKind reports the statically known kind of a bound column or a
+// non-NULL constant.
+func staticKind(e Expr) (value.Kind, bool) {
+	switch n := e.(type) {
+	case *Col:
+		return n.kind, n.Index >= 0 && n.kind != value.KindNull
+	case *Const:
+		return n.V.Kind(), !n.V.IsNull()
+	}
+	return value.KindNull, false
+}
+
+// numKind reports the kind of a numeric tree, the shape the value kernels
+// compute: INT and FLOAT columns and constants under + - * / % and unary
+// minus, typed as Bind types them.
+func numKind(e Expr) (value.Kind, bool) {
+	switch n := e.(type) {
+	case *Col, *Const:
+		k, ok := staticKind(e)
+		return k, ok && (k == value.KindInt || k == value.KindFloat)
+	case *Neg:
+		return numKind(n.E)
+	case *Arith:
+		lk, lok := numKind(n.L)
+		rk, rok := numKind(n.R)
+		if !lok || !rok {
+			return value.KindNull, false
+		}
+		k, err := arithKind(n.Op, lk, rk, n)
+		return k, err == nil
+	}
+	return value.KindNull, false
+}
+
 // Columns returns the sorted set of column indexes referenced by a bound
 // expression. The optimizer uses it for pushdown and fragment pruning.
 func Columns(e Expr) []int {
-	set := map[int]struct{}{}
-	walkCols(e, func(c *Col) { set[c.Index] = struct{}{} })
-	out := make([]int, 0, len(set))
-	for ix := range set {
-		out = append(out, ix)
-	}
-	// insertion sort; sets are tiny
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
+	var out []int
+	walkCols(e, func(c *Col) {
+		if !slices.Contains(out, c.Index) {
+			out = append(out, c.Index)
 		}
-	}
+	})
+	slices.Sort(out)
 	return out
 }
 
@@ -230,126 +260,55 @@ func ColSet(e Expr, s *value.Schema) value.ColSet {
 	return set
 }
 
-// walkCols calls fn on every column reference in e.
-func walkCols(e Expr, fn func(*Col)) {
+// walk calls fn on e and then, pre-order and left to right, on every node
+// below it.
+func walk(e Expr, fn func(Expr)) {
+	fn(e)
 	switch n := e.(type) {
-	case *Col:
-		fn(n)
 	case *Cmp:
-		walkCols(n.L, fn)
-		walkCols(n.R, fn)
+		walk(n.L, fn)
+		walk(n.R, fn)
 	case *Arith:
-		walkCols(n.L, fn)
-		walkCols(n.R, fn)
+		walk(n.L, fn)
+		walk(n.R, fn)
 	case *And:
-		walkCols(n.L, fn)
-		walkCols(n.R, fn)
+		walk(n.L, fn)
+		walk(n.R, fn)
 	case *Or:
-		walkCols(n.L, fn)
-		walkCols(n.R, fn)
+		walk(n.L, fn)
+		walk(n.R, fn)
 	case *Not:
-		walkCols(n.E, fn)
+		walk(n.E, fn)
 	case *Neg:
-		walkCols(n.E, fn)
+		walk(n.E, fn)
 	case *IsNull:
-		walkCols(n.E, fn)
+		walk(n.E, fn)
 	case *In:
-		walkCols(n.E, fn)
+		walk(n.E, fn)
 	case *Like:
-		walkCols(n.E, fn)
+		walk(n.E, fn)
 	case *Call:
 		for _, a := range n.Args {
-			walkCols(a, fn)
+			walk(a, fn)
 		}
 	}
 }
 
-// ColumnNames returns the set of column names referenced by an unbound
-// expression, in first-appearance order.
-func ColumnNames(e Expr) []string {
-	var out []string
-	seen := map[string]struct{}{}
-	walkCols(e, func(c *Col) {
-		if _, dup := seen[c.Name]; !dup {
-			seen[c.Name] = struct{}{}
-			out = append(out, c.Name)
+// walkCols calls fn on every column reference in e.
+func walkCols(e Expr, fn func(*Col)) {
+	walk(e, func(x Expr) {
+		if c, ok := x.(*Col); ok {
+			fn(c)
 		}
 	})
-	return out
 }
 
 // Clone deep-copies an expression tree, so that rewrites on one plan
 // alternative never corrupt another.
-func Clone(e Expr) Expr {
-	switch n := e.(type) {
-	case *Col:
-		c := *n
-		return &c
-	case *Const:
-		c := *n
-		return &c
-	case *Param:
-		c := *n
-		return &c
-	case *Cmp:
-		return &Cmp{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
-	case *Arith:
-		return &Arith{Op: n.Op, L: Clone(n.L), R: Clone(n.R)}
-	case *And:
-		return &And{L: Clone(n.L), R: Clone(n.R)}
-	case *Or:
-		return &Or{L: Clone(n.L), R: Clone(n.R)}
-	case *Not:
-		return &Not{E: Clone(n.E)}
-	case *Neg:
-		return &Neg{E: Clone(n.E)}
-	case *IsNull:
-		return &IsNull{E: Clone(n.E), Negate: n.Negate}
-	case *In:
-		return &In{E: Clone(n.E), List: append([]value.Value(nil), n.List...), Negate: n.Negate}
-	case *Like:
-		return &Like{E: Clone(n.E), Pattern: n.Pattern, Negate: n.Negate, matcher: n.matcher}
-	case *Call:
-		args := make([]Expr, len(n.Args))
-		for i, a := range n.Args {
-			args[i] = Clone(a)
-		}
-		return &Call{Name: n.Name, Args: args}
-	}
-	return e
-}
+func Clone(e Expr) Expr { return MapExpr(e, func(Expr) Expr { return nil }) }
 
 // MapCols rewrites every column index through f (used when predicates
 // move through projections or join sides). The expression must be bound.
 func MapCols(e Expr, f func(int) int) {
-	switch n := e.(type) {
-	case *Col:
-		n.Index = f(n.Index)
-	case *Cmp:
-		MapCols(n.L, f)
-		MapCols(n.R, f)
-	case *Arith:
-		MapCols(n.L, f)
-		MapCols(n.R, f)
-	case *And:
-		MapCols(n.L, f)
-		MapCols(n.R, f)
-	case *Or:
-		MapCols(n.L, f)
-		MapCols(n.R, f)
-	case *Not:
-		MapCols(n.E, f)
-	case *Neg:
-		MapCols(n.E, f)
-	case *IsNull:
-		MapCols(n.E, f)
-	case *In:
-		MapCols(n.E, f)
-	case *Like:
-		MapCols(n.E, f)
-	case *Call:
-		for _, a := range n.Args {
-			MapCols(a, f)
-		}
-	}
+	walkCols(e, func(c *Col) { c.Index = f(c.Index) })
 }

@@ -9,21 +9,40 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the columnar counterpart of compile.go. Its unit is the
-// 64-row mask, one uint64 per 64 physical rows of a value.Batch. Given a
-// candidate mask, each kernel writes the mask of rows where its node is
-// TRUE and the one where it is FALSE (UNKNOWN is neither). Typed
-// comparisons build words with no branch on the data; AND, OR and NOT are
-// word operations; IS NULL and BOOL columns read their bits. Every other
-// shape runs the row predicate of compile.go on the candidate's set bits
+// This file holds the predicate kernels. Their unit is the 64-row mask,
+// one uint64 per 64 physical rows of a value.Batch. Given a candidate mask,
+// each kernel writes the mask of rows where its node is TRUE and the one
+// where it is FALSE (UNKNOWN is neither). Comparisons of typed columns,
+// constants and arithmetic over them (arith.go's value kernels) build words
+// with no branch on the data; IN ORs one equality mask per list item; AND,
+// OR and NOT are word operations; IS NULL and BOOL columns read their bits.
+// Every other shape — LIKE, calls, string +, a vector that does not hold
+// its column's kind — runs the interpreter on the candidate's set bits
 // only: AND's right side on the rows its left did not make FALSE, OR's on
 // those it did not make TRUE, as the row path does, so both raise alike.
 // The TRUE mask becomes a selection vector once, when Filter returns.
 
+// fault carries a runtime evaluation error up to the recover boundary.
+type fault struct{ err error }
+
+func throw(err error) { panic(fault{err}) }
+
+// catch converts a fault panic into err; other panics propagate.
+func catch(err *error) {
+	if r := recover(); r != nil {
+		f, ok := r.(fault)
+		if !ok {
+			panic(r)
+		}
+		*err = f.err
+	}
+}
+
 // maskKernel sets t to the rows of cand where its node is TRUE and f to
 // those where it is FALSE, overwriting both; cand (only read), t and f are
 // masks of one length whose first word is b's word base. scratch holds the
-// kernel's temporaries: as many more masks as compileVecTri reported.
+// kernel's temporaries: as many more masks as compileVecTri reported. An
+// evaluation error is thrown, to the recover boundary of run.
 type maskKernel func(b *value.Batch, base int, cand, t, f, scratch []uint64)
 
 // VecFilter is a compiled vectorized boolean filter. It is stateless and
@@ -37,17 +56,10 @@ type VecFilter struct {
 // CompileVecFilter binds e (which must be boolean) against s and compiles
 // it to a vectorized filter.
 func CompileVecFilter(e Expr, s *value.Schema) (*VecFilter, error) {
-	k, err := Bind(e, s)
-	if err != nil {
+	if err := bindPredicate(e, s); err != nil {
 		return nil, err
 	}
-	if k != value.KindBool && k != value.KindNull {
-		return nil, fmt.Errorf("expr: predicate has kind %s, want BOOLEAN", k)
-	}
-	kern, scratch, err := compileVecTri(e)
-	if err != nil {
-		return nil, err
-	}
+	kern, scratch := compileVecTri(e)
 	return &VecFilter{kernel: kern, scratch: scratch, src: e.String()}, nil
 }
 
@@ -56,8 +68,7 @@ func (vf *VecFilter) String() string { return vf.src }
 
 // Filter appends the physical row indices of b satisfying the predicate
 // to dst, ascending, considering only the rows sel lists (ascending; nil =
-// all rows). One recover boundary covers the whole batch, like
-// Predicate.FilterInto.
+// all rows). One recover boundary covers the whole batch.
 func (vf *VecFilter) Filter(b *value.Batch, sel, dst []int32) ([]int32, error) {
 	n := MaskWords(b.Rows)
 	buf := value.GetHashes(n + (2+vf.scratch)<<6)
@@ -125,24 +136,20 @@ func Bit(b bool) uint64 {
 }
 
 // compileVecTri compiles e to a kernel and reports how many scratch masks
-// it needs. The row predicate is every node's fallback.
-func compileVecTri(e Expr) (maskKernel, int, error) {
-	tf, err := compileTri(e)
-	if err != nil {
-		return nil, 0, err
-	}
-	fallback := rowKernel(tf)
+// it needs. The interpreter is every node's fallback.
+func compileVecTri(e Expr) (maskKernel, int) {
+	fallback := rowKernel(e)
 	switch n := e.(type) {
 	case *Cmp:
-		return compileVecCmp(n, fallback), 0, nil
+		return compileVecCmp(n, fallback), 0
 	case *And:
 		return compileVecAnd(n.L, n.R, false)
 	case *Or:
 		// l OR r is NOT (NOT l AND NOT r): same rows, TRUE and FALSE swapped.
 		return compileVecAnd(n.L, n.R, true)
 	case *Not:
-		sub, need, err := compileVecTri(n.E)
-		return not(sub), need, err
+		sub, need := compileVecTri(n.E)
+		return not(sub), need
 	case *IsNull:
 		if col, ok := n.E.(*Col); ok && col.Index >= 0 {
 			ix, flip := col.Index, -Bit(n.Negate)
@@ -151,14 +158,18 @@ func compileVecTri(e Expr) (maskKernel, int, error) {
 					hit := nullBits(b.Cols[ix].Null, base+w, b.Rows) ^ flip
 					t[w], f[w] = hit&m, ^hit&m
 				}
-			}, 0, nil
+			}, 0
+		}
+	case *In:
+		if col, ok := n.E.(*Col); ok && col.Index >= 0 {
+			return compileVecIn(n, col, fallback)
 		}
 	case *Col:
 		if n.kind == value.KindBool && n.Index >= 0 {
-			return constKernel(n.Index, value.KindBool, ints, 0, NE, fallback), 0, nil
+			return constKernel(n.Index, value.KindBool, ints, 0, NE, fallback), 0
 		}
 	}
-	return fallback, 0, nil
+	return fallback, 0
 }
 
 // not swaps a kernel's TRUE and FALSE masks.
@@ -169,15 +180,9 @@ func not(k maskKernel) maskKernel {
 // compileVecAnd compiles l AND r, or with negate NOT (NOT l AND NOT r).
 // The right side answers for the candidate rows the left did not make
 // FALSE, in three scratch masks of the connective's own.
-func compileVecAnd(le, re Expr, negate bool) (maskKernel, int, error) {
-	l, ln, err := compileVecTri(le)
-	if err != nil {
-		return nil, 0, err
-	}
-	r, rn, err := compileVecTri(re)
-	if err != nil {
-		return nil, 0, err
-	}
+func compileVecAnd(le, re Expr, negate bool) (maskKernel, int) {
+	l, ln := compileVecTri(le)
+	r, rn := compileVecTri(re)
 	if negate {
 		l, r = not(l), not(r)
 	}
@@ -195,29 +200,78 @@ func compileVecAnd(le, re Expr, negate bool) (maskKernel, int, error) {
 		}
 	}
 	if negate {
-		return not(and), max(ln, 3+rn), nil
+		return not(and), max(ln, 3+rn)
 	}
-	return and, max(ln, 3+rn), nil
+	return and, max(ln, 3+rn)
 }
 
-// rowKernel evaluates a row predicate on the candidate's set bits, over a
-// scratch tuple allocated per call so a cached filter stays safe for
-// concurrent scans.
-func rowKernel(tf triFn) maskKernel {
+// compileVecIn ORs one equality kernel per list item over column col: a row
+// is TRUE where one holds, FALSE where all fail, UNKNOWN otherwise, and
+// never FALSE when the list holds a NULL. A vector that does not hold the
+// column's kind takes the interpreter, whose equality never raises.
+func compileVecIn(n *In, col *Col, fallback maskKernel) (maskKernel, int) {
+	var eqs []maskKernel
+	hasNull, need := false, 0
+	for _, item := range n.List {
+		if item.IsNull() {
+			hasNull = true
+			continue
+		}
+		eq, eqNeed := compileVecTri(NewCmp(EQ, col, NewConst(item)))
+		eqs, need = append(eqs, eq), max(need, eqNeed)
+	}
+	if len(eqs) == 0 {
+		return fallback, 0
+	}
+	in := func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
+		if !typed(b.Cols[col.Index], col.kind) {
+			fallback(b, base, cand, t, f, scratch)
+			return
+		}
+		n := len(cand)
+		et, ef := scratch[:n], scratch[n:2*n]
+		clear(t)
+		copy(f, cand)
+		for _, eq := range eqs {
+			eq(b, base, cand, et, ef, scratch[2*n:])
+			for w := range t {
+				t[w] |= et[w]
+				f[w] &= ef[w]
+			}
+		}
+		if hasNull {
+			clear(f)
+		}
+	}
+	if n.Negate {
+		return not(in), 2 + need
+	}
+	return in, 2 + need
+}
+
+// rowKernel interprets e on the candidate's set bits, over a scratch
+// tuple allocated per call so a cached filter stays safe for concurrent
+// scans; only the columns e reads are filled in.
+func rowKernel(e Expr) maskKernel {
+	cols := leaves(e)
 	return func(b *value.Batch, base int, cand, t, f, _ []uint64) {
 		tuple := make(value.Tuple, len(b.Cols))
 		for w, m := range cand {
 			var tw, fw uint64
 			for ; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros64(m)
-				for c, vec := range b.Cols {
-					tuple[c] = vec.Value((base+w)<<6 + j)
+				for _, c := range cols {
+					tuple[c.Index] = b.Cols[c.Index].Value((base+w)<<6 + j)
 				}
-				switch tf(tuple) {
-				case triTrue:
-					tw |= 1 << j
-				case triFalse:
-					fw |= 1 << j
+				v, err := e.Eval(tuple)
+				switch {
+				case err != nil:
+					throw(err)
+				case v.Kind() == value.KindBool:
+					tw |= Bit(v.Bool()) << j
+					fw |= Bit(!v.Bool()) << j
+				case !v.IsNull():
+					throw(fmt.Errorf("expr: filter over non-boolean %s", v.Kind()))
 				}
 			}
 			t[w], f[w] = tw, fw
@@ -225,57 +279,40 @@ func rowKernel(tf triFn) maskKernel {
 	}
 }
 
-// compileVecCmp specializes comparisons on the operand shapes the row
-// compiler does: a typed column against a constant, an int column against
-// an int column. Anything else takes the row comparison, fallback.
+// compileVecCmp compiles a typed column against a constant to constKernel,
+// and any other comparison of numeric trees to their value kernels' lanes
+// (numCmp). Anything else takes the interpreter, fallback.
 func compileVecCmp(n *Cmp, fallback maskKernel) maskKernel {
 	l, r, op := n.L, n.R, n.Op
 	if _, lc := l.(*Const); lc {
-		if _, rc := r.(*Col); rc {
-			l, r, op = r, l, op.Swap()
-		}
+		l, r, op = r, l, op.Swap()
 	}
-	lcol, ok := l.(*Col)
-	if !ok || lcol.Index < 0 {
-		return fallback
-	}
-	ix := lcol.Index
-	if rconst, ok := r.(*Const); ok {
-		ck := rconst.V.Kind()
-		switch {
-		case lcol.kind == value.KindInt && ck == value.KindInt:
-			return constKernel(ix, value.KindInt, ints, rconst.V.Int(), op, fallback)
-		case lcol.kind == value.KindFloat && (ck == value.KindFloat || ck == value.KindInt):
-			c := rconst.V.Float()
-			if math.IsNaN(c) {
-				op, c = nanBound(op)
+	if lcol, ok := l.(*Col); ok && lcol.Index >= 0 {
+		if rconst, ok := r.(*Const); ok {
+			ix, ck := lcol.Index, rconst.V.Kind()
+			switch {
+			case lcol.kind == value.KindInt && ck == value.KindInt:
+				return constKernel(ix, value.KindInt, ints, rconst.V.Int(), op, fallback)
+			case lcol.kind == value.KindFloat && (ck == value.KindFloat || ck == value.KindInt):
+				c := rconst.V.Float()
+				if math.IsNaN(c) {
+					op, c = nanBound(op)
+				}
+				return constKernel(ix, value.KindFloat, floats, c, op, fallback)
+			case lcol.kind == value.KindString && ck == value.KindString:
+				return constKernel(ix, value.KindString, strs, rconst.V.Str(), op, fallback)
 			}
-			return constKernel(ix, value.KindFloat, floats, c, op, fallback)
-		case lcol.kind == value.KindString && ck == value.KindString:
-			return constKernel(ix, value.KindString, strs, rconst.V.Str(), op, fallback)
 		}
+	}
+	lk, lok := numKind(l)
+	rk, rok := numKind(r)
+	if !lok || !rok {
 		return fallback
 	}
-	rcol, ok := r.(*Col)
-	if !ok || rcol.Index < 0 || lcol.kind != value.KindInt || rcol.kind != value.KindInt {
-		return fallback
+	if lk == value.KindInt && rk == value.KindInt {
+		return numCmp(l, r, intLane, op, fallback)
 	}
-	rix := rcol.Index
-	rel, flip := baseRel(op)
-	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
-		lv, rv := b.Cols[ix], b.Cols[rix]
-		if !typed(lv, value.KindInt) || !typed(rv, value.KindInt) {
-			fallback(b, base, cand, t, f, scratch)
-			return
-		}
-		for w, m := range cand {
-			at := base + w
-			lo, hi := at<<6, min(at<<6+64, b.Rows)
-			hit := colBits(lv.I[lo:hi], rv.I[lo:hi], rel) ^ flip
-			known := m &^ (nullBits(lv.Null, at, b.Rows) | nullBits(rv.Null, at, b.Rows))
-			t[w], f[w] = hit&known, ^hit&known
-		}
-	}
+	return numCmp(l, r, floatLane, op, fallback)
 }
 
 // constKernel compares column ix, a vector of the given kind whose payload
@@ -378,21 +415,23 @@ func constBits[T cmp.Ordered](xs []T, c T, rel CmpOp) uint64 {
 	return w0 | w1<<16 | w2<<32 | w3<<48
 }
 
-// colBits is constBits with a column of the same length on the right.
-func colBits(xs, ys []int64, rel CmpOp) (w uint64) {
+// colBits is constBits with a lane of the same length on the right, in
+// value.Compare's order: cmp.Compare and cmp.Less agree with it on floats
+// (NaN equal to NaN, below every number) and are plain compares on ints.
+func colBits[T int64 | float64](xs, ys []T, rel CmpOp) (w uint64) {
 	ys = ys[:len(xs)]
 	switch rel {
 	case EQ:
 		for j, x := range xs {
-			w |= Bit(x == ys[j]) << (j & 63)
+			w |= Bit(cmp.Compare(x, ys[j]) == 0) << (j & 63)
 		}
 	case GE:
 		for j, x := range xs {
-			w |= Bit(x >= ys[j]) << (j & 63)
+			w |= Bit(!cmp.Less(x, ys[j])) << (j & 63)
 		}
 	default:
 		for j, x := range xs {
-			w |= Bit(x > ys[j]) << (j & 63)
+			w |= Bit(cmp.Less(ys[j], x)) << (j & 63)
 		}
 	}
 	return w

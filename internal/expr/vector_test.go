@@ -9,10 +9,10 @@ import (
 )
 
 // TestVecFilterMatchesRowPredicate is the kernel equivalence property:
-// for every predicate shape in the compile corpus — specialized
-// comparisons, AND/OR rewiring, and row-fallback shapes (NOT, IN, LIKE,
-// IS NULL, arithmetic) — the vectorized filter selects exactly the rows
-// the compiled row predicate accepts, dense and under a prior selection.
+// for every predicate shape in the corpus — typed comparisons, arithmetic
+// and IN kernels, AND/OR rewiring, and the interpreter's fallback shapes
+// (LIKE, calls) — the vectorized filter selects exactly the rows the
+// interpreter accepts, dense and under a prior selection.
 func TestVecFilterMatchesRowPredicate(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	tuples := make([]value.Tuple, 1500)
@@ -129,10 +129,10 @@ func TestColumnIndices(t *testing.T) {
 	}
 }
 
-// TestNaNComparisonsAgree: the interpreter, the compiled row predicate and
-// the vector kernel order floats as value.Compare does — NaN equal to NaN
-// and below every number, -0 equal to 0 — for every operator, with NaN in
-// the row and in the bound, and the bound on either side.
+// TestNaNComparisonsAgree: the interpreter and the vector kernels order
+// floats as value.Compare does — NaN equal to NaN and below every number,
+// -0 equal to 0 — for every operator, with NaN in the row and in the bound,
+// the bound on either side, and the row a column or an arithmetic lane.
 func TestNaNComparisonsAgree(t *testing.T) {
 	s := value.MustSchema("x", "FLOAT")
 	xs := []float64{math.NaN(), math.Inf(-1), -1, math.Copysign(0, -1), 0, 0.5, 1, math.Inf(1)}
@@ -150,11 +150,11 @@ func TestNaNComparisonsAgree(t *testing.T) {
 					want = append(want, int32(i))
 				}
 			}
-			for _, e := range []Expr{NewCmp(op, NewCol("x"), NewConst(c)), NewCmp(op.Swap(), NewConst(c), NewCol("x"))} {
-				interp := Clone(e)
-				if _, err := Bind(interp, s); err != nil {
-					t.Fatal(err)
-				}
+			times1 := NewArith(Mul, NewCol("x"), NewConst(value.NewFloat(1)))
+			for _, e := range []Expr{
+				NewCmp(op, NewCol("x"), NewConst(c)), NewCmp(op.Swap(), NewConst(c), NewCol("x")),
+				NewCmp(op, times1, NewConst(c)), NewCmp(op, times1, NewArith(Add, NewConst(c), NewConst(value.NewFloat(0)))),
+			} {
 				pred, err := CompilePredicate(Clone(e), s)
 				if err != nil {
 					t.Fatal(err)
@@ -163,28 +163,21 @@ func TestNaNComparisonsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var interpreted, compiled []int32
+				var interpreted []int32
 				for i, tup := range tuples {
-					v, err := interp.Eval(tup)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if Truthy(v) {
-						interpreted = append(interpreted, int32(i))
-					}
 					if ok, err := pred.Match(tup); err != nil {
 						t.Fatal(err)
 					} else if ok {
-						compiled = append(compiled, int32(i))
+						interpreted = append(interpreted, int32(i))
 					}
 				}
 				vector, err := vf.Filter(batch, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !equalSel(interpreted, want) || !equalSel(compiled, want) || !equalSel(vector, want) {
-					t.Errorf("%s over %v: interpreter keeps rows %v, compiled %v, vector %v; value.Compare orders %v",
-						e, xs, interpreted, compiled, vector, want)
+				if !equalSel(interpreted, want) || !equalSel(vector, want) {
+					t.Errorf("%s over %v: interpreter keeps rows %v, vector %v; value.Compare orders %v",
+						e, xs, interpreted, vector, want)
 				}
 			}
 		}
@@ -195,14 +188,16 @@ func TestNaNComparisonsAgree(t *testing.T) {
 // second INT column for column-vs-column comparisons.
 var fuzzSchema = value.MustSchema("i", "INT", "j", "INT", "s", "VARCHAR", "x", "FLOAT", "b", "BOOL")
 
-// FuzzVecFilterMatchesRow holds the vector filter to the compiled row
-// predicate on random predicate trees — comparisons of every kind with
-// constants (NULL and NaN ones included) and of two int columns, AND, OR,
-// NOT, IS [NOT] NULL, IN, LIKE, BOOL columns and a division that raises
-// where i is 0 — over data with NULLs, NaN, ±0 and empty strings, on
-// batches of 0, 1, 63, 64, 65 and 1 500 rows, dense, under a selection and
-// under a candidate mask: the same rows kept, and an error exactly when
-// the row path raises on the same candidates.
+// FuzzVecFilterMatchesRow holds the vector filter to the interpreter on
+// random predicate trees — comparisons of every kind with constants (NULL
+// and NaN ones included) and of two int columns, arithmetic operands (i %
+// j, i + c with c up to the ends of int64, x * c, -i), AND, OR, NOT, IS
+// [NOT] NULL, IN, LIKE, BOOL columns and divisions that raise where i or j
+// is 0 — over data with NULLs, NaN, ±0 and empty strings, on batches of 0,
+// 1, 63, 64, 65 and 1 500 rows, dense, under a selection and under a
+// candidate mask (on some seeds j is zero exactly outside that mask): the
+// same rows kept, and an error exactly when the row path raises on the
+// same candidates.
 func FuzzVecFilterMatchesRow(f *testing.F) {
 	for seed := int64(0); seed < 48; seed++ {
 		f.Add(seed)
@@ -210,6 +205,19 @@ func FuzzVecFilterMatchesRow(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		r := rand.New(rand.NewSource(seed))
 		rows := []int{0, 1, 63, 64, 65, 1500}[r.Intn(6)]
+		all := make([]int32, rows)
+		sel := []int32{} // empty, not nil: nil selects every row
+		cand := make([]uint64, MaskWords(rows))
+		for i := range all {
+			all[i] = int32(i)
+			if r.Intn(3) == 0 {
+				sel = append(sel, int32(i))
+			}
+			if r.Intn(2) == 0 {
+				cand[i>>6] |= 1 << (i & 63)
+			}
+		}
+		zeroOutside := r.Intn(4) == 0
 		nullEvery := make([]int, fuzzSchema.Len()) // 0: the column holds no NULL
 		for c := range nullEvery {
 			nullEvery[c] = []int{0, 2, 5}[r.Intn(3)]
@@ -218,9 +226,16 @@ func FuzzVecFilterMatchesRow(f *testing.F) {
 		for i := range tuples {
 			tuples[i] = make(value.Tuple, fuzzSchema.Len())
 			for c := range tuples[i] {
-				if nullEvery[c] > 0 && r.Intn(nullEvery[c]) == 0 {
+				switch {
+				case zeroOutside && c == 1:
+					j := int64(0)
+					if cand[i>>6]>>(i&63)&1 != 0 {
+						j = []int64{-2, 1, 3}[r.Intn(3)]
+					}
+					tuples[i][c] = value.NewInt(j)
+				case nullEvery[c] > 0 && r.Intn(nullEvery[c]) == 0:
 					tuples[i][c] = value.Null
-				} else {
+				default:
 					tuples[i][c] = fuzzValue(r, fuzzSchema.Column(c).Kind)
 				}
 			}
@@ -234,18 +249,6 @@ func FuzzVecFilterMatchesRow(f *testing.F) {
 		vf, err := CompileVecFilter(Clone(e), fuzzSchema)
 		if err != nil {
 			t.Fatalf("compile vec %s: %v", e, err)
-		}
-		all := make([]int32, rows)
-		sel := []int32{} // empty, not nil: nil selects every row
-		cand := make([]uint64, MaskWords(rows))
-		for i := range all {
-			all[i] = int32(i)
-			if r.Intn(3) == 0 {
-				sel = append(sel, int32(i))
-			}
-			if r.Intn(2) == 0 {
-				cand[i>>6] |= 1 << (i & 63)
-			}
 		}
 		check := func(how string, candidates, got []int32, gotErr error) {
 			var want []int32
@@ -313,7 +316,21 @@ func fuzzPred(r *rand.Rand, depth int) Expr {
 		}
 		return NewCmp(op, NewCol(col), c)
 	}
-	switch r.Intn(10) {
+	intBound := func() Expr {
+		if r.Intn(3) == 0 {
+			return NewConst(value.NewInt([]int64{math.MaxInt64, math.MinInt64, math.MaxInt64 - 2}[r.Intn(3)]))
+		}
+		return bound(value.KindInt)
+	}
+	switch r.Intn(14) {
+	case 10:
+		return NewCmp(op, NewArith(Mod, NewCol("i"), NewCol("j")), bound(value.KindInt))
+	case 11:
+		return against("j", NewArith([]ArithOp{Add, Sub, Mul}[r.Intn(3)], NewCol("i"), intBound()))
+	case 12:
+		return NewCmp(op, NewArith(Mul, NewCol("x"), bound(value.KindFloat)), bound(value.KindFloat))
+	case 13:
+		return NewCmp(op, NewNeg(NewCol("i")), NewArith(Div, NewCol("i"), NewCol("j")))
 	case 0:
 		return against("i", bound(value.KindInt))
 	case 1:

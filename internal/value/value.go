@@ -230,11 +230,56 @@ func Equal(a, b Value) bool {
 // Less reports whether a orders strictly before b.
 func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
+// errIntRange is what integer arithmetic raises on a result outside int64.
+var errIntRange = fmt.Errorf("value: integer out of range")
+
+// AddInt, SubInt, MulInt, DivInt, ModInt and NegInt are the integer
+// arithmetic of Add, Sub, Mul, Div, Mod and Neg: ok is false where those
+// raise, on a result outside int64 or a zero divisor.
+func AddInt(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (a^s)&(b^s) >= 0
+}
+
+func SubInt(a, b int64) (int64, bool) {
+	d := a - b
+	return d, (a^b)&(a^d) >= 0
+}
+
+func MulInt(a, b int64) (int64, bool) {
+	p := a * b
+	return p, a == 0 || p/a == b && (a != -1 || b != math.MinInt64)
+}
+
+func DivInt(a, b int64) (int64, bool) {
+	if b == 0 || a == math.MinInt64 && b == -1 {
+		return 0, false
+	}
+	return a / b, true
+}
+
+func ModInt(a, b int64) (int64, bool) {
+	if b == 0 {
+		return 0, false
+	}
+	return a % b, true
+}
+
+func NegInt(a int64) (int64, bool) { return -a, a != math.MinInt64 }
+
+// checked boxes the result of a checked integer operation.
+func checked(r int64, ok bool) (Value, error) {
+	if !ok {
+		return Null, errIntRange
+	}
+	return NewInt(r), nil
+}
+
 // Add returns a+b for numeric values; string concatenation for strings.
 func Add(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(int64(a.num) + int64(b.num)), nil
+		return checked(AddInt(int64(a.num), int64(b.num)))
 	case numericKinds(a, b):
 		return NewFloat(a.Float() + b.Float()), nil
 	case a.kind == KindString && b.kind == KindString:
@@ -249,7 +294,7 @@ func Add(a, b Value) (Value, error) {
 func Sub(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(int64(a.num) - int64(b.num)), nil
+		return checked(SubInt(int64(a.num), int64(b.num)))
 	case numericKinds(a, b):
 		return NewFloat(a.Float() - b.Float()), nil
 	case a.kind == KindNull || b.kind == KindNull:
@@ -262,7 +307,7 @@ func Sub(a, b Value) (Value, error) {
 func Mul(a, b Value) (Value, error) {
 	switch {
 	case a.kind == KindInt && b.kind == KindInt:
-		return NewInt(int64(a.num) * int64(b.num)), nil
+		return checked(MulInt(int64(a.num), int64(b.num)))
 	case numericKinds(a, b):
 		return NewFloat(a.Float() * b.Float()), nil
 	case a.kind == KindNull || b.kind == KindNull:
@@ -279,7 +324,7 @@ func Div(a, b Value) (Value, error) {
 		if b.num == 0 {
 			return Null, fmt.Errorf("value: integer division by zero")
 		}
-		return NewInt(int64(a.num) / int64(b.num)), nil
+		return checked(DivInt(int64(a.num), int64(b.num)))
 	case numericKinds(a, b):
 		if b.Float() == 0 {
 			return Null, fmt.Errorf("value: division by zero")
@@ -309,7 +354,7 @@ func Mod(a, b Value) (Value, error) {
 func Neg(a Value) (Value, error) {
 	switch a.kind {
 	case KindInt:
-		return NewInt(-int64(a.num)), nil
+		return checked(NegInt(int64(a.num)))
 	case KindFloat:
 		return NewFloat(-a.Float()), nil
 	case KindNull:

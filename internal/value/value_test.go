@@ -2,6 +2,7 @@ package value
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -311,5 +312,50 @@ func TestHashEqualImpliesSameHashProperty(t *testing.T) {
 		if Equal(a, b) && Hash64(a) != Hash64(b) {
 			t.Fatalf("equal values hash differently: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestIntegerOverflowRaises: integer arithmetic raises "integer out of
+// range" exactly where the true result leaves int64, judged against
+// math/big over the edges of the range.
+func TestIntegerOverflowRaises(t *testing.T) {
+	edges := []int64{math.MinInt64, math.MinInt64 + 1, -1 << 32, -3, -2, -1, 0, 1, 2, 3, 1 << 32, 3037000499, 3037000500, math.MaxInt64 - 1, math.MaxInt64}
+	ops := []struct {
+		name string
+		fn   func(a, b Value) (Value, error)
+		big  func(z, x, y *big.Int) *big.Int
+	}{
+		{"+", Add, (*big.Int).Add},
+		{"-", Sub, (*big.Int).Sub},
+		{"*", Mul, (*big.Int).Mul},
+		{"/", Div, (*big.Int).Quo},
+	}
+	for _, op := range ops {
+		for _, a := range edges {
+			for _, b := range edges {
+				if op.name == "/" && b == 0 {
+					continue
+				}
+				want := op.big(new(big.Int), big.NewInt(a), big.NewInt(b))
+				got, err := op.fn(NewInt(a), NewInt(b))
+				switch {
+				case !want.IsInt64():
+					if err == nil || err.Error() != "value: integer out of range" {
+						t.Errorf("%d %s %d = %v, %v; want out of range", a, op.name, b, got, err)
+					}
+				case err != nil || got.Int() != want.Int64():
+					t.Errorf("%d %s %d = %v, %v; want %d", a, op.name, b, got, err, want.Int64())
+				}
+			}
+		}
+	}
+	if _, err := Neg(NewInt(math.MinInt64)); err == nil {
+		t.Error("-MinInt64 should be out of range")
+	}
+	if v, err := Neg(NewInt(math.MaxInt64)); err != nil || v.Int() != -math.MaxInt64 {
+		t.Errorf("-MaxInt64 = %v, %v", v, err)
+	}
+	if v, err := Mod(NewInt(math.MinInt64), NewInt(-1)); err != nil || v.Int() != 0 {
+		t.Errorf("MinInt64 %% -1 = %v, %v; want 0", v, err)
 	}
 }
