@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/value"
 )
@@ -16,6 +17,10 @@ import (
 // constants and arithmetic over them (arith.go's value kernels) build words
 // with no branch on the data; IN ORs one equality mask per list item; AND,
 // OR and NOT are word operations; IS NULL and BOOL columns read their bits.
+// An INT column compared with a constant is read bit-serially instead when
+// the batch carries its bit slices (value.BitSlices, which the column
+// cache keeps for the columns SliceCols names): a few word operations per
+// slice per 64 rows, no per-row work.
 // Every other shape — LIKE, calls, string +, a vector that does not hold
 // its column's kind — runs the interpreter on the candidate's set bits
 // only: AND's right side on the rows its left did not make FALSE, OR's on
@@ -48,9 +53,10 @@ type maskKernel func(b *value.Batch, base int, cand, t, f, scratch []uint64)
 // VecFilter is a compiled vectorized boolean filter. It is stateless and
 // safe for concurrent use (the OFM caches one per predicate per fragment).
 type VecFilter struct {
-	kernel  maskKernel
-	scratch int
-	src     string
+	kernel    maskKernel
+	scratch   int
+	src       string
+	sliceCols []int
 }
 
 // CompileVecFilter binds e (which must be boolean) against s and compiles
@@ -59,12 +65,19 @@ func CompileVecFilter(e Expr, s *value.Schema) (*VecFilter, error) {
 	if err := bindPredicate(e, s); err != nil {
 		return nil, err
 	}
-	kern, scratch := compileVecTri(e)
-	return &VecFilter{kernel: kern, scratch: scratch, src: e.String()}, nil
+	var vc vecCompiler
+	kern, scratch := vc.tri(e)
+	slices.Sort(vc.sliceCols)
+	return &VecFilter{kernel: kern, scratch: scratch, src: e.String(), sliceCols: slices.Compact(vc.sliceCols)}, nil
 }
 
 // String returns the source form of the filter.
 func (vf *VecFilter) String() string { return vf.src }
+
+// SliceCols lists, ascending, the INT columns the filter compares with a
+// constant, IN lists included: those whose bit slices (Batch.Slices) it
+// reads in place of their values when a batch carries them.
+func (vf *VecFilter) SliceCols() []int { return vf.sliceCols }
 
 // Filter appends the physical row indices of b satisfying the predicate
 // to dst, ascending, considering only the rows sel lists (ascending; nil =
@@ -135,20 +148,24 @@ func Bit(b bool) uint64 {
 	return 0
 }
 
-// compileVecTri compiles e to a kernel and reports how many scratch masks
-// it needs. The interpreter is every node's fallback.
-func compileVecTri(e Expr) (maskKernel, int) {
+// vecCompiler compiles a predicate to kernels, noting the columns its
+// INT comparisons with constants read.
+type vecCompiler struct{ sliceCols []int }
+
+// tri compiles e to a kernel and reports how many scratch masks it needs.
+// The interpreter is every node's fallback.
+func (vc *vecCompiler) tri(e Expr) (maskKernel, int) {
 	fallback := rowKernel(e)
 	switch n := e.(type) {
 	case *Cmp:
-		return compileVecCmp(n, fallback), 0
+		return vc.cmp(n, fallback), 0
 	case *And:
-		return compileVecAnd(n.L, n.R, false)
+		return vc.and(n.L, n.R, false)
 	case *Or:
 		// l OR r is NOT (NOT l AND NOT r): same rows, TRUE and FALSE swapped.
-		return compileVecAnd(n.L, n.R, true)
+		return vc.and(n.L, n.R, true)
 	case *Not:
-		sub, need := compileVecTri(n.E)
+		sub, need := vc.tri(n.E)
 		return not(sub), need
 	case *IsNull:
 		if col, ok := n.E.(*Col); ok && col.Index >= 0 {
@@ -162,7 +179,7 @@ func compileVecTri(e Expr) (maskKernel, int) {
 		}
 	case *In:
 		if col, ok := n.E.(*Col); ok && col.Index >= 0 {
-			return compileVecIn(n, col, fallback)
+			return vc.in(n, col, fallback)
 		}
 	case *Col:
 		if n.kind == value.KindBool && n.Index >= 0 {
@@ -177,12 +194,12 @@ func not(k maskKernel) maskKernel {
 	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) { k(b, base, cand, f, t, scratch) }
 }
 
-// compileVecAnd compiles l AND r, or with negate NOT (NOT l AND NOT r).
-// The right side answers for the candidate rows the left did not make
-// FALSE, in three scratch masks of the connective's own.
-func compileVecAnd(le, re Expr, negate bool) (maskKernel, int) {
-	l, ln := compileVecTri(le)
-	r, rn := compileVecTri(re)
+// and compiles l AND r, or with negate NOT (NOT l AND NOT r). The right
+// side answers for the candidate rows the left did not make FALSE, in three
+// scratch masks of the connective's own.
+func (vc *vecCompiler) and(le, re Expr, negate bool) (maskKernel, int) {
+	l, ln := vc.tri(le)
+	r, rn := vc.tri(re)
 	if negate {
 		l, r = not(l), not(r)
 	}
@@ -205,11 +222,11 @@ func compileVecAnd(le, re Expr, negate bool) (maskKernel, int) {
 	return and, max(ln, 3+rn)
 }
 
-// compileVecIn ORs one equality kernel per list item over column col: a row
-// is TRUE where one holds, FALSE where all fail, UNKNOWN otherwise, and
-// never FALSE when the list holds a NULL. A vector that does not hold the
-// column's kind takes the interpreter, whose equality never raises.
-func compileVecIn(n *In, col *Col, fallback maskKernel) (maskKernel, int) {
+// in ORs one equality kernel per list item over column col: a row is TRUE
+// where one holds, FALSE where all fail, UNKNOWN otherwise, and never FALSE
+// when the list holds a NULL. A vector that does not hold the column's kind
+// takes the interpreter, whose equality never raises.
+func (vc *vecCompiler) in(n *In, col *Col, fallback maskKernel) (maskKernel, int) {
 	var eqs []maskKernel
 	hasNull, need := false, 0
 	for _, item := range n.List {
@@ -217,7 +234,7 @@ func compileVecIn(n *In, col *Col, fallback maskKernel) (maskKernel, int) {
 			hasNull = true
 			continue
 		}
-		eq, eqNeed := compileVecTri(NewCmp(EQ, col, NewConst(item)))
+		eq, eqNeed := vc.tri(NewCmp(EQ, col, NewConst(item)))
 		eqs, need = append(eqs, eq), max(need, eqNeed)
 	}
 	if len(eqs) == 0 {
@@ -279,10 +296,11 @@ func rowKernel(e Expr) maskKernel {
 	}
 }
 
-// compileVecCmp compiles a typed column against a constant to constKernel,
-// and any other comparison of numeric trees to their value kernels' lanes
-// (numCmp). Anything else takes the interpreter, fallback.
-func compileVecCmp(n *Cmp, fallback maskKernel) maskKernel {
+// cmp compiles a typed column against a constant to constKernel (an INT
+// column to sliceKernel, which falls back on it), and any other comparison
+// of numeric trees to their value kernels' lanes (numCmp). Anything else
+// takes the interpreter, fallback.
+func (vc *vecCompiler) cmp(n *Cmp, fallback maskKernel) maskKernel {
 	l, r, op := n.L, n.R, n.Op
 	if _, lc := l.(*Const); lc {
 		l, r, op = r, l, op.Swap()
@@ -292,7 +310,9 @@ func compileVecCmp(n *Cmp, fallback maskKernel) maskKernel {
 			ix, ck := lcol.Index, rconst.V.Kind()
 			switch {
 			case lcol.kind == value.KindInt && ck == value.KindInt:
-				return constKernel(ix, value.KindInt, ints, rconst.V.Int(), op, fallback)
+				vc.sliceCols = append(vc.sliceCols, ix)
+				c := rconst.V.Int()
+				return sliceKernel(ix, c, op, constKernel(ix, value.KindInt, ints, c, op, fallback))
 			case lcol.kind == value.KindFloat && (ck == value.KindFloat || ck == value.KindInt):
 				c := rconst.V.Float()
 				if math.IsNaN(c) {
@@ -335,6 +355,78 @@ func constKernel[T cmp.Ordered](ix int, kind value.Kind, data func(*value.Vec) [
 			hit := constBits(xs[at<<6:min(at<<6+64, b.Rows)], c, rel) ^ flip
 			known := m &^ nullBits(vec.Null, at, b.Rows)
 			t[w], f[w] = hit&known, ^hit&known
+		}
+	}
+}
+
+// sliceKernel compares INT column ix with c over the column's bit slices
+// when the batch carries them, and with plain, constKernel's compare per
+// row, when it does not.
+func sliceKernel(ix int, c int64, op CmpOp, plain maskKernel) maskKernel {
+	// From the less and equal masks, hit = (lt&ltOn | eq&eqOn) ^ inv gives
+	// EQ as eq, GE as ^lt and GT as ^(lt|eq), then baseRel's flip.
+	rel, inv := baseRel(op)
+	ltOn, eqOn := ^uint64(0), ^uint64(0)
+	switch rel {
+	case EQ:
+		ltOn = 0
+	case GE:
+		eqOn, inv = 0, ^inv
+	default:
+		inv = ^inv
+	}
+	return func(b *value.Batch, base int, cand, t, f, scratch []uint64) {
+		if ix >= len(b.Slices) || b.Slices[ix] == nil {
+			plain(b, base, cand, t, f, scratch)
+			return
+		}
+		// lt and eq are t and f: each word turns into TRUE and FALSE in place.
+		lt, eq := t[:len(cand)], f[:len(cand)]
+		sliceCmp(b.Slices[ix], c, base, lt, eq)
+		null := b.Cols[ix].Null
+		for w, m := range cand {
+			hit := (lt[w]&ltOn | eq[w]&eqOn) ^ inv
+			if null != nil {
+				m &^= nullBits(null, base+w, b.Rows)
+			}
+			lt[w], eq[w] = hit&m, ^hit&m
+		}
+	}
+}
+
+// sliceCmp writes to lt and eq the masks of the rows, from word base of s
+// on, whose value is less than c and equal to it: the bit-serial
+// comparison, from the top slice down, slice-major so that each slice is
+// streamed once. A row stays equal while its bits match c's; it becomes
+// less at the first slice where c has a 1 and the row a 0.
+func sliceCmp(s *value.BitSlices, c int64, base int, lt, eq []uint64) {
+	d, where := s.Offset(c)
+	lt = lt[:len(eq)]
+	switch {
+	case where < 0: // every value is greater than c
+		clear(lt)
+		clear(eq)
+		return
+	case where > 0: // every value is less
+		for w := range lt {
+			lt[w], eq[w] = ^uint64(0), 0
+		}
+		return
+	}
+	for w := range eq {
+		lt[w], eq[w] = 0, ^uint64(0)
+	}
+	for k := len(s.Slice) - 1; k >= 0; k-- {
+		sk := s.Slice[k][base:][:len(eq)]
+		if d>>k&1 != 0 {
+			for w := range eq {
+				lt[w] |= eq[w] &^ sk[w]
+				eq[w] &= sk[w]
+			}
+		} else {
+			for w := range eq {
+				eq[w] &^= sk[w]
+			}
 		}
 	}
 }

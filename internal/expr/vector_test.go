@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -270,13 +271,145 @@ func FuzzVecFilterMatchesRow(f *testing.F) {
 				t.Fatalf("%s over %d rows %s: vector keeps %v, row path %v", e, rows, how, got, want)
 			}
 		}
-		got, err := vf.Filter(batch, nil, nil)
-		check("dense", all, got, err)
-		got, err = vf.Filter(batch, sel, nil)
-		check("under a selection", sel, got, err)
-		got, err = vf.FilterMask(batch, cand, nil)
-		check("under a candidate mask", AppendMaskRows(nil, cand, 0), got, err)
+		for _, sliced := range []bool{false, true} {
+			if sliced { // i at its narrowest, from a negative base; j widened
+				batch.Slices = []*value.BitSlices{sliceCol(batch, 0, 0, 0), sliceCol(batch, 1, 5, 2)}
+			}
+			got, err := vf.Filter(batch, nil, nil)
+			check("dense", all, got, err)
+			got, err = vf.Filter(batch, sel, nil)
+			check("under a selection", sel, got, err)
+			got, err = vf.FilterMask(batch, cand, nil)
+			check("under a candidate mask", AppendMaskRows(nil, cand, 0), got, err)
+		}
 	})
+}
+
+// sliceCol bit-slices INT column c of b over its non-NULL rows, from lower
+// below its least value and extra bits wider than it needs (a range a
+// column cache widened as values came and went), as far as int64 and
+// value.MaxSliceWidth allow.
+func sliceCol(b *value.Batch, c int, lower int64, extra int) *value.BitSlices {
+	vec := b.Cols[c]
+	live := make([]uint64, MaskWords(b.Rows))
+	for i := range live {
+		live[i] = ^uint64(0)
+	}
+	tight := value.SliceInts(vec, live)
+	if tight == nil || lower == 0 && extra == 0 {
+		return tight
+	}
+	base := tight.Base
+	if base >= math.MinInt64+lower {
+		base -= lower
+	}
+	width := min(bits.Len64(uint64(tight.Base-base))+tight.Width()+extra, value.MaxSliceWidth)
+	if _, where := (&value.BitSlices{Base: base, Slice: make([][]uint64, width)}).Offset(tight.Base + int64(1)<<tight.Width() - 1); where != 0 {
+		return tight
+	}
+	s := &value.BitSlices{Base: base, Slice: make([][]uint64, width)}
+	for k := range s.Slice {
+		s.Slice[k] = make([]uint64, len(live))
+	}
+	for i := 0; i < b.Rows; i++ {
+		if !vec.IsNull(i) {
+			s.Set(i, vec.I[i])
+		}
+	}
+	return s
+}
+
+// TestSliceKernelMatchesConstBits: over a column's bit slices the
+// comparison kernel keeps exactly the rows constKernel's per-row compare
+// keeps — for every operator and for IN, with constants below the range,
+// at and next to both its ends, inside it, above it and at the ends of
+// int64 — on random bases (negative ones and the ends of int64 too) and
+// widths up to value.MaxSliceWidth, tight and widened, over 63, 64, 65 and
+// 1 500 rows with NULLs and under random candidate masks.
+func TestSliceKernelMatchesConstBits(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	s := value.MustSchema("i", "INT")
+	col := NewCol("i")
+	for trial := 0; trial < 150; trial++ {
+		rows := []int{63, 64, 65, 1500}[r.Intn(4)]
+		width := r.Intn(value.MaxSliceWidth + 1)
+		base := []int64{0, -1 << 20, r.Int63n(1000) - 500, math.MinInt64, math.MaxInt64 - 1<<16 + 1}[r.Intn(5)]
+		tuples := make([]value.Tuple, rows)
+		cand := make([]uint64, MaskWords(rows))
+		for i := range tuples {
+			tuples[i] = value.NewTuple(value.NewInt(int64(uint64(base) + uint64(r.Int63n(1<<width)))))
+			if r.Intn(9) == 0 {
+				tuples[i][0] = value.Null
+			}
+			cand[i>>6] |= Bit(r.Intn(3) != 0) << (i & 63)
+		}
+		batch := value.NewBatchFrom(s, tuples)
+		sl := sliceCol(batch, 0, int64(r.Intn(3))*r.Int63n(100), r.Intn(3))
+		if sl == nil {
+			t.Fatalf("%d rows from %d over %d bits: not sliced", rows, base, width)
+		}
+		top := int64(uint64(sl.Base) + uint64(1)<<sl.Width() - 1)
+		consts := []int64{math.MinInt64, math.MaxInt64, sl.Base - 1, sl.Base, sl.Base + 1, top - 1, top, top + 1,
+			tuples[r.Intn(rows)][0].Int(), int64(uint64(sl.Base) + uint64(r.Int63n(int64(1)<<sl.Width())))}
+		var preds []Expr
+		for _, c := range consts {
+			for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+				preds = append(preds, NewCmp(op, col, NewConst(value.NewInt(c))), NewCmp(op, NewConst(value.NewInt(c)), col))
+			}
+		}
+		for k := 0; k < 4; k++ {
+			list := []value.Value{value.NewInt(consts[r.Intn(len(consts))]), value.NewInt(consts[r.Intn(len(consts))])}
+			if k == 3 {
+				list = append(list, value.Null)
+			}
+			preds = append(preds, NewIn(col, list, k%2 == 0))
+		}
+		for _, e := range preds {
+			vf, err := CompileVecFilter(Clone(e), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := vf.SliceCols(); len(got) != 1 || got[0] != 0 {
+				t.Fatalf("%s: SliceCols %v, want [0]", e, got)
+			}
+			want, err := vf.FilterMask(batch, cand, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch.Slices = []*value.BitSlices{sl}
+			got, err := vf.FilterMask(batch, cand, nil)
+			batch.Slices = nil
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalSel(got, want) {
+				t.Fatalf("%s over %d rows sliced from %d, %d bits: keeps %d rows, the per-row compare %d",
+					e, rows, sl.Base, sl.Width(), len(got), len(want))
+			}
+		}
+	}
+}
+
+// TestSliceColsNamesIntConstantComparisons: a filter lists the INT columns
+// it compares with a constant — through NOT, AND, OR and IN, once each —
+// and no column it only compares otherwise.
+func TestSliceColsNamesIntConstantComparisons(t *testing.T) {
+	s := value.MustSchema("a", "INT", "b", "INT", "c", "INT", "x", "FLOAT", "d", "INT")
+	num := func(n int64) Expr { return NewConst(value.NewInt(n)) }
+	e := NewAnd(
+		NewNot(NewCmp(LT, num(3), NewCol("c"))),
+		NewOr(
+			NewIn(NewCol("a"), []value.Value{value.NewInt(1), value.NewInt(2)}, false),
+			NewAnd(NewCmp(GT, NewCol("c"), num(9)),
+				NewAnd(NewCmp(EQ, NewCol("x"), num(1)), NewCmp(EQ, NewCol("a"), NewCol("b"))))))
+	e = NewAnd(e, NewCmp(GT, NewArith(Add, NewCol("d"), num(1)), num(0)))
+	vf, err := CompileVecFilter(e, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := vf.SliceCols(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("SliceCols = %v, want [0 2]", got)
+	}
 }
 
 func fuzzValue(r *rand.Rand, k value.Kind) value.Value {
@@ -351,4 +484,41 @@ func fuzzPred(r *rand.Rand, depth int) Expr {
 		return NewCol("b")
 	}
 	return NewCmp(op, NewArith(Div, NewConst(value.NewInt(6)), NewCol("i")), NewConst(value.NewInt(1)))
+}
+
+// BenchmarkFilterMaskSliced times amt < 1 over a 25 000-row fragment of
+// amt = id % 97, the repository benchmark's filter, under an all-rows
+// candidate mask: per row (plain) and over the column's 7 bit slices
+// (sliced).
+func BenchmarkFilterMaskSliced(b *testing.B) {
+	s := value.MustSchema("amt", "INT")
+	const rows = 25000
+	tuples := make([]value.Tuple, rows)
+	for i := range tuples {
+		tuples[i] = value.NewTuple(value.NewInt(int64(i % 97)))
+	}
+	batch := value.NewBatchFrom(s, tuples)
+	cand := make([]uint64, MaskWords(rows))
+	for i := range cand {
+		cand[i] = ^uint64(0)
+	}
+	cand[len(cand)-1] = 1<<(rows&63) - 1
+	vf, err := CompileVecFilter(NewCmp(LT, NewCol("amt"), NewConst(value.NewInt(1))), s)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sliced := range []bool{false, true} {
+		name := "plain"
+		if sliced {
+			name, batch.Slices = "sliced", []*value.BitSlices{sliceCol(batch, 0, 0, 0)}
+		}
+		b.Run(name, func(b *testing.B) {
+			dst := make([]int32, 0, rows)
+			for i := 0; i < b.N; i++ {
+				if dst, err = vf.FilterMask(batch, cand, dst[:0]); err != nil || len(dst) != (rows+96)/97 {
+					b.Fatalf("kept %d rows, err %v", len(dst), err)
+				}
+			}
+		})
+	}
 }

@@ -1,8 +1,9 @@
 // Package lru provides the small least-recently-used map shared by the
-// engine's plan cache and the server's per-connection prepared-statement
-// registry. It is deliberately not synchronized: each owner brings the
-// locking discipline its context requires (a mutex for the engine-wide
-// cache, nothing for a per-connection registry touched by one goroutine).
+// engine's plan cache, the server's per-connection prepared-statement
+// registry and each fragment's compiled filters. It is deliberately not
+// synchronized: each owner brings the locking discipline its context
+// requires (a mutex for the engine-wide cache and a fragment's, nothing for
+// a per-connection registry touched by one goroutine).
 package lru
 
 import "container/list"

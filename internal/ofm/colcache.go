@@ -30,14 +30,26 @@ import (
 // place, one appended to the store appends to the vectors. Only a lost
 // log (overflow, Clear, the non-MVCC Delete/Update) transposes again.
 //
+// Beside an INT column that a cached filter compares with a constant
+// (VecFilter.SliceCols) the cache keeps a bit-sliced sidecar
+// (value.BitSlices): bit k of x − base for 64 rows a word, over the values
+// some snapshot can see, if they span at most 16 bits — the filter then
+// compares a few words per 64 rows. It is built when a scan's filter first
+// asks, never by default; the catch-up sets the bits of the rows it folds,
+// re-slices the column when a value falls outside the range and drops the
+// sidecar (not to slice that column again until the next transposition)
+// once the range needs more than 16 bits. Its bytes are the cache's.
+//
 // Concurrency. Scans hold no store lock and keep reading the vectors
 // after ScanBatch returns, while they materialize. Two rules make
 // patching under them safe:
 //
 //   - ccMu orders everything done inside ScanBatch: the stamps, the
-//     current mask and the filter kernel (which reads the column words of
-//     every row, visible or not) are read under its read lock, and the
-//     catch-up writes them under its write lock.
+//     current mask, the sidecars and the filter kernel (which reads the
+//     column words of every row, visible or not) are read under its read
+//     lock, and the catch-up and the slicing write them under its write
+//     lock. Sidecar words are read only by the filter call scan makes: the
+//     batch carries them (Batch.Slices) for that call and never after.
 //   - What a scan keeps afterwards is a value.Batch: the Vec headers of
 //     its generation plus a selection of rows visible at its snapshot.
 //     Headers are never written once published — growth, and the first
@@ -72,6 +84,12 @@ type colCache struct {
 	current  []uint64
 	maxStamp uint64
 	bytes    int64 // accounted against the PE budget
+	// slices holds, per column, the bit-sliced sidecar of an INT column a
+	// cached filter compares with a constant (nil: none); wide marks the
+	// columns whose range proved too wide for one, not looked at again
+	// until the next full build. Both are nil until a filter asks.
+	slices []*value.BitSlices
+	wide   []bool
 }
 
 // CacheStats counts what the column cache has done.
@@ -80,6 +98,7 @@ type CacheStats struct {
 	CatchUps      uint64 // dirty-log drains folded into the cache
 	RowsFolded    uint64 // log entries those drains applied
 	ResidentBytes int64  // current footprint charged to the PE
+	SlicedBytes   int64  // the part of ResidentBytes the bit-sliced sidecars hold
 }
 
 // Add accumulates b into s (the engine sums a table's fragments).
@@ -88,6 +107,7 @@ func (s *CacheStats) Add(b CacheStats) {
 	s.CatchUps += b.CatchUps
 	s.RowsFolded += b.RowsFolded
 	s.ResidentBytes += b.ResidentBytes
+	s.SlicedBytes += b.SlicedBytes
 }
 
 // CacheStats returns the fragment's column-cache counters.
@@ -97,24 +117,35 @@ func (o *OFM) CacheStats() CacheStats {
 	st := o.ccStats
 	if o.cc != nil {
 		st.ResidentBytes = o.cc.bytes
+		for _, s := range o.cc.slices {
+			if s != nil {
+				st.SlicedBytes += s.Bytes()
+			}
+		}
 	}
 	return st
 }
 
-// columnCache returns the cache, level with the store, plus the bytes
-// this call wrote into it to get there (0 on a hit) so the executor can
-// charge them to the statement's tenant budget. On a nil error o.ccMu is
-// read-locked and the caller must unlock it when it has finished with the
-// stamps and the filter kernel.
-func (o *OFM) columnCache() (*colCache, int64, error) {
+// columnCache returns the cache, level with the store and holding the
+// bit slices of the columns in slice, plus the bytes this call wrote into
+// it to get there (0 on a hit) so the executor can charge them to the
+// statement's tenant budget. On a nil error o.ccMu is read-locked and the
+// caller must unlock it when it has finished with the stamps and the
+// filter kernel.
+func (o *OFM) columnCache(slice []int) (*colCache, int64, error) {
 	o.ccMu.RLock()
-	if o.cc != nil && o.cc.version == o.store.Version() {
-		return o.cc, 0, nil
+	if cc := o.cc; cc != nil && cc.version == o.store.Version() && !cc.unsliced(slice) {
+		return cc, 0, nil
 	}
 	o.ccMu.RUnlock()
 
 	o.ccMu.Lock()
 	built, err := o.syncCache()
+	if err == nil && o.cc.unsliced(slice) {
+		charged := o.cc.bytes
+		built += o.cc.slice(slice)
+		o.chargeMem(o.cc.bytes - charged)
+	}
 	o.ccMu.Unlock()
 	if err != nil {
 		return nil, 0, err
@@ -270,7 +301,88 @@ func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok 
 		cc.setCurrent(row, d.End == 0)
 		cc.maxStamp = max(cc.maxStamp, d.Begin, d.End)
 	}
-	return built, true
+	return built + cc.refreshSlices(dirty), true
+}
+
+// unsliced reports whether a column of cols has no sidecar yet and has not
+// proved too wide for one.
+func (cc *colCache) unsliced(cols []int) bool {
+	for _, c := range cols {
+		if cc.slices == nil || cc.slices[c] == nil && !cc.wide[c] {
+			return true
+		}
+	}
+	return false
+}
+
+// slice gives each column of cols that is unsliced its sidecar, or marks
+// it too wide for one, and returns the bytes written.
+func (cc *colCache) slice(cols []int) (built int64) {
+	if cc.slices == nil {
+		cc.slices, cc.wide = make([]*value.BitSlices, len(cc.cols)), make([]bool, len(cc.cols))
+	}
+	seen := value.GetHashes(len(cc.current))
+	defer value.PutHashes(seen)
+	cc.seen(seen)
+	for _, c := range cols {
+		if cc.slices[c] != nil || cc.wide[c] {
+			continue
+		}
+		if vec := cc.cols[c]; vec.Kind == value.KindInt {
+			cc.slices[c] = value.SliceInts(vec, seen)
+		}
+		if cc.slices[c] == nil {
+			cc.wide[c] = true
+			continue
+		}
+		cc.bytes += cc.slices[c].Bytes()
+		built += cc.slices[c].Bytes()
+	}
+	return built
+}
+
+// seen writes to m the mask of the rows some snapshot sees: begin < end,
+// where a current version's end 0 wraps past every stamp and a free
+// slot's stamps are equal. Only their values have a say in a sidecar.
+func (cc *colCache) seen(m []uint64) {
+	for w := range m {
+		lo, hi := w<<6, min(w<<6+64, cc.rows)
+		end := cc.end[lo:hi]
+		var word uint64
+		for j, b := range cc.begin[lo:hi] {
+			word |= expr.Bit(end[j]-1 >= b) << (j & 63)
+		}
+		m[w] = word
+	}
+}
+
+// refreshSlices brings the sidecars level with the rows dirty wrote: it
+// sets their bits, and at the first value out of range slices the column
+// afresh from its vector, which holds every new value — wider, or from a
+// lower base — or, past MaxSliceWidth bits, drops the sidecar and releases
+// its bytes. It returns the bytes written.
+func (cc *colCache) refreshSlices(dirty []storage.DirtySlot) (built int64) {
+	for c, s := range cc.slices {
+		for i := 0; s != nil && i < len(dirty); i++ {
+			d := &dirty[i]
+			if d.Tuple == nil || d.StampsOnly {
+				continue
+			}
+			x := s.Base // a NULL's bits are zero
+			if v := d.Tuple[c]; !v.IsNull() {
+				x = v.Int()
+			}
+			if !s.Covers(x) {
+				cc.bytes -= s.Bytes()
+				cc.slices[c] = nil
+				built += cc.slice([]int{c})
+				break
+			}
+			s.Set(d.Slot, x)
+			built += int64(s.Width()+7) / 8
+		}
+	}
+	return built
 }
 
 // setCurrent records whether row holds a current version.
@@ -336,6 +448,11 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 	cc.bytes += added*stampBytes + 8*int64(words-len(cc.current))
 	cc.current = grown(cc.current, words) // the new rows' bits are clear: free
 	cc.rows = slots
+	for _, s := range cc.slices {
+		if s != nil {
+			cc.bytes += s.Grow(words)
+		}
+	}
 }
 
 // grown returns s with length n: resliced when the backing array has the
@@ -352,24 +469,27 @@ func grown[T any](s []T, n int) []T {
 	return out
 }
 
+// vecCacheSize bounds the compiled filters a fragment keeps: its key is
+// the predicate text, bound constants included, so ad-hoc predicates would
+// otherwise pile up without end.
+const vecCacheSize = 256
+
 // compileVecFilter returns the cached vectorized filter for e, charging
-// the one-time compilation cost on a miss.
+// the one-time compilation cost on a miss. It compiles under vecMu, so
+// scans that miss on one predicate together compile and charge it once.
 func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 	key := e.String()
 	o.vecMu.Lock()
-	if f, ok := o.vecCache[key]; ok {
-		o.vecMu.Unlock()
+	defer o.vecMu.Unlock()
+	if f, ok := o.vecCache.Get(key); ok {
 		return f, nil
 	}
-	o.vecMu.Unlock()
 	f, err := expr.CompileVecFilter(expr.Clone(e), o.cfg.Schema)
 	if err != nil {
 		return nil, err
 	}
 	o.cfg.PE.Advance(o.costs().CompileCost())
-	o.vecMu.Lock()
-	o.vecCache[key] = f
-	o.vecMu.Unlock()
+	o.vecCache.Put(key, f)
 	return f, nil
 }
 
@@ -437,7 +557,11 @@ func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.T
 			return nil, nil, 0, err
 		}
 	}
-	cc, built, err := o.columnCache()
+	var slice []int
+	if f != nil {
+		slice = f.SliceCols()
+	}
+	cc, built, err := o.columnCache(slice)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -492,7 +616,10 @@ func (cc *colCache) scan(schema *value.Schema, ts uint64, del map[storage.RowID]
 	}
 	switch {
 	case f != nil:
+		// The sidecars ride on the batch only while ccMu is held.
+		batch.Slices = cc.slices
 		batch.Sel, err = f.FilterMask(batch, vis, value.GetSel())
+		batch.Slices = nil
 	case visible < cc.rows:
 		batch.Sel = expr.AppendMaskRows(value.GetSel(), vis, 0)
 	}

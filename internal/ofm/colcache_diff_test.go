@@ -1,6 +1,7 @@
 package ofm
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -20,7 +21,10 @@ import (
 // to the store, a cache that followed it by catch-up must answer every
 // batch scan exactly as a cache transposed from scratch does, and as the
 // reference does (refScan: the store's tuples a row at a time through the
-// expression interpreter), at every snapshot timestamp.
+// expression interpreter), at every snapshot timestamp. The filters compare
+// salary with constants, so the cache bit-slices it, and the schedules move
+// its values out of the sliced range in every way a catch-up must follow
+// (foldSalary).
 
 // scratchOFM returns an OFM over o's store whose column cache is always
 // built from scratch: it has no GC horizon, so it never arms the store's
@@ -68,11 +72,11 @@ func clonePred(p expr.Expr) expr.Expr {
 
 // assertCacheMatches compares the patched cache of o with a scratch build
 // and with the reference, for every predicate at every given timestamp.
-func assertCacheMatches(t *testing.T, step int, o, scratch *OFM, stamps []uint64) {
+func assertCacheMatches(t *testing.T, step int, o, scratch *OFM, stamps []uint64, preds []expr.Expr) {
 	t.Helper()
 	for _, ts := range stamps {
 		view := View{TS: ts}
-		for pi, p := range diffPreds() {
+		for pi, p := range preds {
 			want, err := refScan(o, view, p, nil)
 			if err != nil {
 				t.Fatalf("step %d ts %d pred %d: reference: %v", step, ts, pi, err)
@@ -84,29 +88,63 @@ func assertCacheMatches(t *testing.T, step int, o, scratch *OFM, stamps []uint64
 					t.Fatalf("step %d ts %d pred %d: %s batch scan: %v", step, ts, pi, name, err)
 				}
 				if got := b.Materialize(); !got.SameBag(want) {
-					t.Fatalf("step %d ts %d pred %d: %s cache gives %d rows, reference %d",
-						step, ts, pi, name, got.Len(), want.Len())
+					t.Fatalf("step %d ts %d pred %d (%s): %s cache gives %d rows, reference %d",
+						step, ts, pi, p, name, got.Len(), want.Len())
 				}
 			}
 		}
 	}
 }
 
-// loadPaid loads n rows with salary >= 1, so only a row that is not there
-// (a hole's zero payload) can make the division predicate raise.
+// loadPaid loads n rows with salary in [1, 100], a 7-bit slice, so only a
+// row that is not there (a hole's zero payload) can make the division
+// predicate raise.
 func loadPaid(t *testing.T, o *OFM, n int) {
 	t.Helper()
 	tuples := make([]value.Tuple, n)
 	for i := range tuples {
-		tuples[i] = emp(int64(i), []string{"eng", "ops", "hr"}[i%3], int64(10+i*10))
+		tuples[i] = emp(int64(i), []string{"eng", "ops", "hr"}[i%3], int64(1+i*37%100))
 	}
 	if err := o.Load(tuples); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// foldSalary draws a salary to write at stage 0–4 of a schedule: inside
+// the loaded range; also past its top (the sidecar widens from 7 bits
+// toward 16); also below its base, negative; also NULL, and back on a
+// later write; and also beyond 16 bits, which drops the sidecar. Never 0:
+// the division predicate must only raise on a hole.
+func foldSalary(r *rand.Rand, stage int) value.Value {
+	switch {
+	case stage >= 4 && r.Intn(4) == 0:
+		return value.NewInt(1<<20 + r.Int63n(1000))
+	case stage >= 3 && r.Intn(5) == 0:
+		return value.Null
+	case stage >= 2 && r.Intn(4) == 0:
+		return value.NewInt(-1 - r.Int63n(2000))
+	case stage >= 1 && r.Intn(3) == 0:
+		return value.NewInt(101 + r.Int63n(60000))
+	}
+	return value.NewInt(1 + r.Int63n(100))
+}
+
+// salaryPreds compares salary with constants below, at the edges of, inside
+// and above [lo, hi], and at the ends of int64, under every operator and IN.
+func salaryPreds(r *rand.Rand, lo, hi int64) []expr.Expr {
+	consts := []int64{math.MinInt64, math.MaxInt64, lo - 1, lo, hi, hi + 1, lo + r.Int63n(hi-lo+1)}
+	num := func() expr.Expr { return expr.NewConst(value.NewInt(consts[r.Intn(len(consts))])) }
+	ops := []expr.CmpOp{expr.EQ, expr.NE, expr.LT, expr.LE, expr.GT, expr.GE}
+	var preds []expr.Expr
+	for i := 0; i < 3; i++ {
+		preds = append(preds, expr.NewCmp(ops[r.Intn(len(ops))], expr.NewCol("salary"), num()))
+	}
+	list := []value.Value{value.NewInt(consts[r.Intn(len(consts))]), value.NewInt(consts[r.Intn(len(consts))])}
+	return append(preds, expr.NewIn(expr.NewCol("salary"), list, r.Intn(2) == 0))
+}
+
 // diffSchedule drives one seeded schedule of committed writes, aborts and
-// vacuums over o, stamping commits ts = 1, 2, ...
+// vacuums over o, stamping commits ts = 1, 2, ...; stage picks foldSalary's.
 type diffSchedule struct {
 	t       *testing.T
 	o       *OFM
@@ -115,6 +153,7 @@ type diffSchedule struct {
 	r       *rand.Rand
 	ts      uint64
 	nextID  int64
+	stage   int
 }
 
 func (d *diffSchedule) commit(tx *txn.Txn) {
@@ -136,7 +175,7 @@ func (d *diffSchedule) newRow() value.Tuple {
 	if d.r.Intn(9) == 0 {
 		dept = value.Null // a column's first NULL publishes a null bitmap
 	}
-	return value.NewTuple(value.NewInt(id), dept, value.NewInt(1+d.r.Int63n(900)))
+	return value.NewTuple(value.NewInt(id), dept, foldSalary(d.r, d.stage))
 }
 
 func (d *diffSchedule) step() {
@@ -151,7 +190,7 @@ func (d *diffSchedule) step() {
 		}
 		d.commit(tx)
 	case op < 6: // update
-		set := map[int]expr.Expr{2: expr.NewConst(value.NewInt(1 + d.r.Int63n(900)))}
+		set := map[int]expr.Expr{2: expr.NewConst(foldSalary(d.r, d.stage))}
 		if _, err := o.UpdateTx(tx.ID(), d.idPred(), set, Latest); err != nil {
 			t.Fatal(err)
 		}
@@ -182,22 +221,39 @@ func (d *diffSchedule) step() {
 }
 
 // TestColumnCacheDifferential is the deterministic half: one scanner, so
-// every step can be checked at old, middle and latest timestamps.
+// every step can be checked at old, middle and latest timestamps, on
+// fragments loaded with 63, 64 and 65 rows. Besides diffPreds, each step
+// compares the sliced salary with constants around its sidecar's range of
+// the moment, and checks the sidecar's bits against the column.
 func TestColumnCacheDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		var horizon atomic.Uint64
 		o, mgr := newMVCCOFM(t, &horizon)
-		loadPaid(t, o, 40)
+		rows := 62 + int(seed)
+		loadPaid(t, o, rows)
 		scratch := scratchOFM(t, o)
-		d := &diffSchedule{t: t, o: o, mgr: mgr, horizon: &horizon, r: rand.New(rand.NewSource(seed)), nextID: 40}
-		assertCacheMatches(t, 0, o, scratch, []uint64{0, LatestTS})
+		d := &diffSchedule{t: t, o: o, mgr: mgr, horizon: &horizon, r: rand.New(rand.NewSource(seed)), nextID: int64(rows)}
+		assertCacheMatches(t, 0, o, scratch, []uint64{0, LatestTS}, diffPreds())
+		var widened, negative, dropped bool
 		for step := 1; step <= 150; step++ {
+			d.stage = step / 30
 			d.step()
+			lo, hi := int64(1), int64(100)
+			if s := o.cc.slices[2]; s != nil {
+				lo, hi = s.Base, s.Base+1<<s.Width()-1
+				widened, negative = widened || s.Width() >= 15, negative || s.Base < 0
+			}
+			dropped = o.cc.slices[2] == nil && o.cc.wide[2]
 			// Timestamps behind the horizon read a vacuumed store: no
 			// longer a faithful snapshot, but the three readers must still
 			// agree on what is left of it.
-			assertCacheMatches(t, step, o, scratch, []uint64{0, d.ts / 2, horizon.Load(), d.ts, LatestTS})
+			preds := append(diffPreds(), salaryPreds(d.r, lo, hi)...)
+			assertCacheMatches(t, step, o, scratch, []uint64{0, d.ts / 2, horizon.Load(), d.ts, LatestTS}, preds)
 			assertCurrentFromStamps(t, step, o.cc)
+			assertSlicesFromColumns(t, step, o.cc)
+		}
+		if !widened || !negative || !dropped {
+			t.Errorf("seed %d: the salary sidecar widened %v, went negative %v, was dropped %v; want all three", seed, widened, negative, dropped)
 		}
 		st := o.CacheStats()
 		if st.FullBuilds != 1 {
@@ -206,13 +262,21 @@ func TestColumnCacheDifferential(t *testing.T) {
 		if st.CatchUps == 0 || st.RowsFolded < st.CatchUps {
 			t.Errorf("seed %d: implausible catch-up counters %+v", seed, st)
 		}
-		// The incrementally kept footprint equals a recount.
+		// The incrementally kept footprint equals a recount, the sidecars'
+		// slices of a word per 64 rows included.
 		recount := int64(o.cc.rows)*stampBytes + 8*int64(len(o.cc.current)) + storage.DirtyLogBytes
 		for _, vec := range o.cc.cols {
 			recount += vecBytes(vec)
 		}
-		if o.cc.bytes != recount || o.CacheStats().ResidentBytes != recount {
-			t.Errorf("seed %d: cache accounts %d bytes, a recount gives %d", seed, o.cc.bytes, recount)
+		var sliced int64
+		for _, s := range o.cc.slices {
+			if s != nil {
+				sliced += int64(s.Width()) * 8 * int64(len(o.cc.current))
+			}
+		}
+		recount += sliced
+		if st := o.CacheStats(); o.cc.bytes != recount || st.ResidentBytes != recount || st.SlicedBytes != sliced {
+			t.Errorf("seed %d: cache accounts %d bytes (%d sliced), a recount gives %d (%d)", seed, o.cc.bytes, st.SlicedBytes, recount, sliced)
 		}
 		if free := o.cc.rows - o.store.Len() - o.store.DeadVersions(); free < 0 {
 			t.Errorf("seed %d: cache covers %d rows, store holds %d+%d", seed, o.cc.rows, o.store.Len(), o.store.DeadVersions())
@@ -220,32 +284,12 @@ func TestColumnCacheDifferential(t *testing.T) {
 	}
 }
 
-// TestColumnCacheDifferentialConcurrent is the -race half: scanners pin
-// snapshots through the transaction manager and hold their batches while
-// a writer commits and a vacuum reclaims behind the real GC horizon.
-// Every batch must equal the reference at its pinned timestamp, and must
-// materialize to the same rows however long the scanner sat on it.
-func TestColumnCacheDifferentialConcurrent(t *testing.T) {
-	m, err := machine.New(machine.Config{NumPEs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr := txn.NewManager()
-	o, err := New(Config{Name: "cc#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient,
-		Horizon: mgr.Horizon})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadPaid(t, o, 300)
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	fail := func(format string, args ...any) {
-		t.Errorf(format, args...)
-		stop.Store(true)
-	}
-	preds := diffPreds()
-	for w := 0; w < 3; w++ {
+// raceScanners starts n scanners that, until stop, scan o with preds at
+// snapshots pinned through mgr and hold each batch across a yield: it must
+// equal the reference at its timestamp, and materialize to the same rows
+// however long the scanner sat on it.
+func raceScanners(o *OFM, mgr *txn.Manager, preds []expr.Expr, n int, stop *atomic.Bool, wg *sync.WaitGroup, fail func(string, ...any)) {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -264,8 +308,8 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 				if err != nil {
 					fail("scanner %d: reference: %v", w, err)
 				} else if again := b.Materialize(); !first.SameBag(want) || !again.SameBag(want) {
-					fail("scanner %d ts %d: batch %d rows, again %d, reference %d",
-						w, ts, first.Len(), again.Len(), want.Len())
+					fail("scanner %d ts %d %s: batch %d rows, again %d, reference %d",
+						w, ts, p, first.Len(), again.Len(), want.Len())
 				}
 				release()
 			}
@@ -279,25 +323,78 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 			runtime.Gosched()
 		}
 	}()
+}
+
+// newRaceOFM is a transient OFM whose GC horizon is mgr's, loaded with n
+// paid rows.
+func newRaceOFM(t *testing.T, mgr *txn.Manager, n int) *OFM {
+	t.Helper()
+	m, err := machine.New(machine.Config{NumPEs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := New(Config{Name: "cc#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient,
+		Horizon: mgr.Horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadPaid(t, o, n)
+	return o
+}
+
+// fixedSalaryPreds compare salary with constants at the loaded range's
+// edges, past them, at the ends of int64, and in an IN list.
+func fixedSalaryPreds() []expr.Expr {
+	num := func(n int64) expr.Expr { return expr.NewConst(value.NewInt(n)) }
+	sal := expr.NewCol("salary")
+	return []expr.Expr{
+		expr.NewCmp(expr.LT, sal, num(50)),
+		expr.NewCmp(expr.GE, sal, num(-5)),
+		expr.NewCmp(expr.GT, sal, num(100)),
+		expr.NewCmp(expr.LE, sal, num(math.MinInt64)),
+		expr.NewCmp(expr.NE, sal, num(math.MaxInt64)),
+		expr.NewIn(sal, []value.Value{value.NewInt(1), value.NewInt(60000), value.NewInt(-1)}, false),
+	}
+}
+
+// TestColumnCacheDifferentialConcurrent is the -race half: scanners pin
+// snapshots through the transaction manager and hold their batches while
+// a writer commits and a vacuum reclaims behind the real GC horizon.
+// Every batch must equal the reference at its pinned timestamp, and must
+// materialize to the same rows however long the scanner sat on it. The
+// writer folds salaries through foldSalary's stages.
+func TestColumnCacheDifferentialConcurrent(t *testing.T) {
+	mgr := txn.NewManager()
+	o := newRaceOFM(t, mgr, 300)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	fail := func(format string, args ...any) {
+		t.Errorf(format, args...)
+		stop.Store(true)
+	}
+	raceScanners(o, mgr, append(diffPreds(), fixedSalaryPreds()...), 3, &stop, &wg, fail)
 
 	r := rand.New(rand.NewSource(7))
 	nextID := int64(300)
-	for i := 0; i < 1500 && !stop.Load(); i++ {
+	const writes = 1500
+	for i := 0; i < writes && !stop.Load(); i++ {
 		tx := mgr.Begin()
 		tx.Enlist(o)
 		lo := r.Int63n(nextID)
 		pred := expr.NewAnd(
 			expr.NewCmp(expr.GE, expr.NewCol("id"), expr.NewConst(value.NewInt(lo))),
 			expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(lo+3))))
+		stage := i * 5 / writes
 		var err error
 		switch r.Intn(4) {
 		case 0:
-			err = o.InsertTx(tx.ID(), emp(nextID, "ops", 1+r.Int63n(900)))
+			err = o.InsertTx(tx.ID(), value.NewTuple(value.NewInt(nextID), value.NewString("ops"), foldSalary(r, stage)))
 			nextID++
 		case 1:
 			_, err = o.DeleteTx(tx.ID(), pred, Latest)
 		default:
-			set := map[int]expr.Expr{2: expr.NewConst(value.NewInt(1 + r.Int63n(900)))}
+			set := map[int]expr.Expr{2: expr.NewConst(foldSalary(r, stage))}
 			_, err = o.UpdateTx(tx.ID(), pred, set, Latest)
 		}
 		if err == nil {
@@ -317,6 +414,67 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 	// a rebuild, legitimately; but most writes must have been folded.
 	if st := o.CacheStats(); st.CatchUps == 0 {
 		t.Errorf("cache counters after the storm: %+v; want catch-ups", st)
+	}
+}
+
+// TestSlicedColumnRacesFold: scanners compare the sliced salary at pinned
+// snapshots while a writer moves rows' salaries out of the sidecar's range
+// and back — past its top, below its base, to NULL — so catch-ups re-slice
+// the column, wider and from lower bases, between scans that read it
+// under shared ccMu, and a vacuum frees the old versions; at the end one
+// value beyond 16 bits drops the sidecar while they still scan.
+func TestSlicedColumnRacesFold(t *testing.T) {
+	mgr := txn.NewManager()
+	o := newRaceOFM(t, mgr, 200)
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	fail := func(format string, args ...any) {
+		t.Errorf(format, args...)
+		stop.Store(true)
+	}
+	raceScanners(o, mgr, fixedSalaryPreds(), 3, &stop, &wg, fail)
+
+	r := rand.New(rand.NewSource(11))
+	outward := []int64{150, -1, 300, -3, 700, -7, 1500, -15, 3000, -31, 6000, -63, 12000, -127, 24000, -255, 50000, -10000}
+	const writes = 600
+	ranges := map[[2]int64]bool{} // the sidecar's (base, width) after each write
+	for i := 0; i < writes && !stop.Load(); i++ {
+		v := value.NewInt(1 + r.Int63n(100))
+		switch {
+		case i == writes-1:
+			v = value.NewInt(1 << 20)
+		case i%3 == 0:
+			v = value.NewInt(outward[i/3%len(outward)])
+		case i%6 == 2:
+			v = value.Null
+		}
+		tx := mgr.Begin()
+		tx.Enlist(o)
+		at := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(r.Int63n(200))))
+		if _, err := o.UpdateTx(tx.ID(), at, map[int]expr.Expr{2: expr.NewConst(v)}, Latest); err != nil {
+			fail("writer: %v", err)
+		} else if err := tx.Commit(); err != nil {
+			fail("writer: %v", err)
+		}
+		o.ccMu.RLock()
+		if o.cc != nil && o.cc.slices != nil && o.cc.slices[2] != nil {
+			ranges[[2]int64{o.cc.slices[2].Base, int64(o.cc.slices[2].Width())}] = true
+		}
+		o.ccMu.RUnlock()
+		runtime.Gosched()
+	}
+	for i := 0; i < 50 && !stop.Load(); i++ {
+		runtime.Gosched() // the scanners run on over the dropped sidecar
+	}
+	stop.Store(true)
+	wg.Wait()
+	if _, _, err := o.ScanBatch(Latest, fixedSalaryPreds()[0], nil); err != nil { // folds the last write
+		t.Fatal(err)
+	}
+	st := o.CacheStats()
+	if dropped := o.cc.slices[2] == nil && o.cc.wide[2]; st.CatchUps == 0 || len(ranges) < 5 || !dropped {
+		t.Errorf("after the storm: %+v, the sidecar took %d ranges, dropped %v; want catch-ups, at least 5 ranges, and dropped", st, len(ranges), dropped)
 	}
 }
 
@@ -464,6 +622,37 @@ func TestScanAfterWriteAllocatesConstant(t *testing.T) {
 	}
 	if largeB > smallB+2048 || largeB > 8192 {
 		t.Errorf("bytes per scan-after-write grew with the fragment: %d at 2k rows, %d at 40k", smallB, largeB)
+	}
+}
+
+// assertSlicesFromColumns: every sidecar covers a word per 64 cached rows
+// and holds, for every row some snapshot sees with a non-NULL value, that
+// value's offset from its base.
+func assertSlicesFromColumns(t *testing.T, step int, cc *colCache) {
+	t.Helper()
+	for c, s := range cc.slices {
+		if s == nil {
+			continue
+		}
+		vec := cc.cols[c]
+		for k, sl := range s.Slice {
+			if len(sl) != len(cc.current) {
+				t.Fatalf("step %d column %d: slice %d has %d words, the cache %d", step, c, k, len(sl), len(cc.current))
+			}
+		}
+		for i := 0; i < cc.rows; i++ {
+			if cc.end[i]-1 < cc.begin[i] || vec.IsNull(i) {
+				continue
+			}
+			d, where := s.Offset(vec.I[i])
+			var got uint64
+			for k, sl := range s.Slice {
+				got |= (sl[i>>6] >> (i & 63) & 1) << k
+			}
+			if where != 0 || got != d {
+				t.Fatalf("step %d column %d row %d: value %d, sidecar from %d over %d bits holds %d", step, c, i, vec.I[i], s.Base, s.Width(), got)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package ofm
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -407,5 +408,100 @@ func TestScanBatchMatchesScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestVecFilterCacheBounded: the compiled filters a fragment keeps are
+// keyed by predicate text, bound constants included, so 5 000 scans of
+// salary < i must not leave 5 000 of them: at most vecCacheSize stay, and
+// the most recent still hit. Scans that miss on one predicate together
+// get one filter, and one compilation is charged for it.
+func TestVecFilterCacheBounded(t *testing.T) {
+	o, _, _ := newOFM(t)
+	load(t, o, 100)
+	below := func(n int) expr.Expr {
+		return expr.NewCmp(expr.LT, expr.NewCol("salary"), expr.NewConst(value.NewInt(int64(n))))
+	}
+	for i := 0; i < 5000; i++ {
+		if _, _, err := o.ScanBatch(Latest, below(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := o.vecCache.Len(); n > vecCacheSize {
+		t.Errorf("%d compiled filters kept after 5000 predicates, want at most %d", n, vecCacheSize)
+	}
+	clock := o.PE().Clock()
+	if _, _, err := o.ScanBatch(Latest, below(4999), nil); err != nil {
+		t.Fatal(err)
+	}
+	hit := o.PE().Clock() - clock
+
+	const scanners = 8
+	filters := make([]*expr.VecFilter, scanners)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	clock = o.PE().Clock()
+	for i := range filters {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			f, err := o.compileVecFilter(below(-7))
+			if err != nil {
+				t.Error(err)
+			}
+			filters[i] = f
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for _, f := range filters[1:] {
+		if f != filters[0] {
+			t.Fatal("concurrent misses on one predicate compiled it more than once")
+		}
+	}
+	if charged, want := o.PE().Clock()-clock, o.costs().CompileCost(); charged != want || hit >= want {
+		t.Errorf("concurrent misses charged %v, want one compilation, %v (a hit charged %v)", charged, want, hit)
+	}
+}
+
+// TestOnlyComparedColumnsAreSliced: a filter scan slices the INT columns
+// its filter compares with a constant and no other — not one it compares
+// with a column or reads under arithmetic, and none for an unfiltered
+// scan — and the sidecars' bytes are charged to the PE, reported as built
+// and counted apart in CacheStats.
+func TestOnlyComparedColumnsAreSliced(t *testing.T) {
+	var horizon atomic.Uint64
+	o, _ := newMVCCOFM(t, &horizon)
+	load(t, o, 200)
+	scanBatchLen(t, o, Latest)
+	if st := o.CacheStats(); st.SlicedBytes != 0 {
+		t.Fatalf("an unfiltered scan sliced %d bytes", st.SlicedBytes)
+	}
+	used := o.PE().MemUsed()
+	num := func(n int64) expr.Expr { return expr.NewConst(value.NewInt(n)) }
+	pred := expr.NewAnd(
+		expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewCol("id")),
+		expr.NewCmp(expr.GT, expr.NewArith(expr.Add, expr.NewCol("id"), num(1)), num(5)))
+	if _, built, err := o.ScanBatch(Latest, pred, nil); err != nil || built != 0 {
+		t.Fatalf("scan without a column-constant comparison built %d, err %v", built, err)
+	}
+	if st := o.CacheStats(); st.SlicedBytes != 0 {
+		t.Fatalf("a filter with no column-constant comparison sliced %d bytes", st.SlicedBytes)
+	}
+	_, built, err := o.ScanBatch(Latest, expr.NewCmp(expr.LT, expr.NewCol("salary"), num(100)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := o.CacheStats()
+	// salary = 10·i for i < 200 spans 1990: 11 slices of 4 words.
+	if want := int64(11 * 4 * 8); st.SlicedBytes != want || built != want || o.PE().MemUsed()-used != want {
+		t.Errorf("slicing salary: %d bytes sliced, %d built, PE grew %d; want %d", st.SlicedBytes, built, o.PE().MemUsed()-used, want)
+	}
+	if o.cc.slices[0] != nil || o.cc.slices[2] == nil {
+		t.Errorf("sliced columns: id %v, salary %v; want salary only", o.cc.slices[0] != nil, o.cc.slices[2] != nil)
+	}
+	if _, built, err := o.ScanBatch(Latest, expr.NewCmp(expr.GE, expr.NewCol("salary"), num(7)), nil); err != nil || built != 0 {
+		t.Errorf("a second filter on the sliced column built %d, err %v; want a hit", built, err)
 	}
 }

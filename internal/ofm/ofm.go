@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/expr"
+	"repro/internal/lru"
 	"repro/internal/machine"
 	"repro/internal/storage"
 	"repro/internal/txn"
@@ -115,7 +116,7 @@ type OFM struct {
 	lastGC atomic.Uint64 // GC horizon of the last vacuum pass
 
 	vecMu    sync.Mutex
-	vecCache map[string]*expr.VecFilter
+	vecCache *lru.Cache[string, *expr.VecFilter] // compiled filters by predicate text
 
 	// ccMu guards the fragment column cache (colcache.go): scans read it
 	// shared, the catch-up after a write patches it exclusively.
@@ -143,7 +144,7 @@ func New(cfg Config) (*OFM, error) {
 		cfg:      cfg,
 		store:    storage.NewStore(cfg.Schema),
 		pending:  map[txn.ID]*writeSet{},
-		vecCache: map[string]*expr.VecFilter{},
+		vecCache: lru.New[string, *expr.VecFilter](vecCacheSize),
 	}
 	// Wire the 16 MB/PE budget: allocation failures surface as panics in
 	// the accounting hook would be hostile; instead track best-effort.

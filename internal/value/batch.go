@@ -132,6 +132,11 @@ type Batch struct {
 	Cols   []*Vec
 	Sel    []int32 // selected physical rows, in order; nil = all
 	Rows   int     // physical row count of every column
+	// Slices, per column, are bit-sliced copies of INT columns that the
+	// filter kernels compare over instead of the values (nil: none). Only
+	// the column cache sets them, for the one filter call it makes under
+	// its lock; a batch handed on never carries them.
+	Slices []*BitSlices
 }
 
 // Len returns the number of selected (logical) rows.
