@@ -2,9 +2,9 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/catalog"
+	"repro/internal/plan"
 	"repro/internal/prismalog"
 	"repro/internal/value"
 )
@@ -12,7 +12,12 @@ import (
 // The PRISMAlog interface (paper §2.3): base tables are the extensional
 // database ("facts correspond to tuples in relations in the database"),
 // registered rules are view definitions including recursion, and queries
-// evaluate bottom-up with semi-naive iteration.
+// evaluate bottom-up with semi-naive iteration on the executor every SQL
+// statement uses. prismalog translates each rule body into a plan tree;
+// this file resolves the base tables those plans scan, grants checked,
+// and optimizes and runs them, all at one read view and in one execCtx, so
+// the simulated machine is charged every operator and the tenant's budget
+// everything the evaluation gathers at the coordinator.
 
 // RegisterRules parses PRISMAlog clauses and adds them to the engine's
 // rule base. Queries are not allowed here; use DatalogQuery.
@@ -37,64 +42,45 @@ func (e *Engine) ClearRules() {
 	e.mu.Unlock()
 }
 
-// engineEDB resolves extensional predicates as base-table scans at the
-// evaluation's pinned snapshot. Scanned tables are cached for the
-// duration of one evaluation.
-type engineEDB struct {
+// datalogExec is the prismalog.Executor of one evaluation.
+type datalogExec struct {
 	e   *Engine
 	ctx *execCtx
-
-	mu    sync.Mutex
-	cache map[string]*value.Relation
-	err   error
 }
 
-// Relation implements prismalog.EDB.
-func (edb *engineEDB) Relation(pred string) (*value.Relation, bool) {
-	edb.mu.Lock()
-	if rel, ok := edb.cache[pred]; ok {
-		edb.mu.Unlock()
-		return rel, true
-	}
-	edb.mu.Unlock()
-
-	t, err := edb.e.lookupTable(pred)
+// Table implements prismalog.Executor. Grants bite exactly where base
+// tables resolve: a rule body reading an unauthorized table fails the
+// whole evaluation.
+func (x datalogExec) Table(name string) (*value.Schema, error) {
+	t, err := x.e.lookupTable(name)
 	if err != nil {
-		return nil, false
+		return nil, nil // there is no such table
 	}
-	// Grants bite exactly where base tables resolve: a PRISMAlog rule
-	// body reading an unauthorized table fails the whole evaluation.
-	if err := edb.ctx.s.checkAccess([]tableAccess{{pred, catalog.PrivSelect}}); err != nil {
-		edb.recordErr(err)
-		return nil, false
+	if err := x.ctx.s.checkAccess([]tableAccess{{name, catalog.PrivSelect}}); err != nil {
+		return nil, err
 	}
-	all := make([]int, len(t.frags))
-	for i := range all {
-		all[i] = i
-	}
-	p := edb.e.scanFragments(edb.ctx, t, all, nil, t.def.Schema, value.AllCols)
-	rel, err := edb.e.gatherRows(edb.ctx, p, t.def.Schema)
-	if err == nil {
-		// A table gathered for the evaluation is the statement's
-		// materialization like any other.
-		err = edb.ctx.mem.breach()
-	}
-	if err != nil {
-		edb.recordErr(err)
-		return nil, false
-	}
-	edb.mu.Lock()
-	edb.cache[pred] = rel
-	edb.mu.Unlock()
-	return rel, true
+	return t.def.Schema, nil
 }
 
-func (edb *engineEDB) recordErr(err error) {
-	edb.mu.Lock()
-	if edb.err == nil {
-		edb.err = err
+// Run implements prismalog.Executor.
+func (x datalogExec) Run(root plan.Node) (*value.Relation, error) {
+	res, err := x.e.execPlan(x.ctx, x.e.opt.Optimize(root), nil)
+	if err != nil {
+		return nil, err
 	}
-	edb.mu.Unlock()
+	return res.Rel, nil
+}
+
+// EvalDatalog hands fn the executor of one PRISMAlog evaluation in s: the
+// base tables at one read view (inside a transaction, its snapshot and
+// pending writes), every plan in one execCtx.
+func (e *Engine) EvalDatalog(s *Session, fn func(prismalog.Executor) error) error {
+	view, release, err := s.readView()
+	if err != nil {
+		return err
+	}
+	defer release()
+	return fn(datalogExec{e: e, ctx: s.newExecCtx(view)})
 }
 
 // DatalogQuery evaluates a PRISMAlog query (optionally prefixed "?-")
@@ -105,25 +91,11 @@ func (e *Engine) DatalogQuery(s *Session, query string) (*value.Relation, error)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	rules := append([]prismalog.Rule(nil), e.rules...)
-	e.mu.Unlock()
-	prog := &prismalog.Program{Rules: rules}
-
-	view, release, err := s.readView()
+	answers, err := e.datalog(s, &prismalog.Program{Queries: []prismalog.Query{*q}})
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	edb := &engineEDB{e: e, ctx: s.newExecCtx(view), cache: map[string]*value.Relation{}}
-	rel, _, err := prismalog.EvalQuery(prog, q, edb, prismalog.Options{SemiNaive: e.semiNaive})
-	if edb.err != nil {
-		err = edb.err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rel, nil
+	return answers[0], nil
 }
 
 // DatalogProgram runs a complete program (facts, rules and one or more
@@ -135,26 +107,28 @@ func (e *Engine) DatalogProgram(s *Session, src string) ([]*value.Relation, erro
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	combined := &prismalog.Program{Rules: append(append([]prismalog.Rule(nil), e.rules...), prog.Rules...)}
-	e.mu.Unlock()
+	return e.datalog(s, prog)
+}
 
-	view, release, err := s.readView()
+// datalog answers prog's queries over its rules and the rule base, in one
+// evaluation.
+func (e *Engine) datalog(s *Session, prog *prismalog.Program) ([]*value.Relation, error) {
+	e.mu.RLock()
+	combined := &prismalog.Program{Rules: append(append([]prismalog.Rule(nil), e.rules...), prog.Rules...)}
+	e.mu.RUnlock()
+	var answers []*value.Relation
+	err := e.EvalDatalog(s, func(x prismalog.Executor) error {
+		for i := range prog.Queries {
+			rel, _, err := prismalog.EvalQuery(combined, &prog.Queries[i], x)
+			if err != nil {
+				return err
+			}
+			answers = append(answers, rel)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer release()
-	edb := &engineEDB{e: e, ctx: s.newExecCtx(view), cache: map[string]*value.Relation{}}
-	var answers []*value.Relation
-	for i := range prog.Queries {
-		rel, _, err := prismalog.EvalQuery(combined, &prog.Queries[i], edb, prismalog.Options{SemiNaive: e.semiNaive})
-		if edb.err != nil {
-			err = edb.err
-		}
-		if err != nil {
-			return nil, err
-		}
-		answers = append(answers, rel)
 	}
 	return answers, nil
 }

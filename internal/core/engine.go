@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/algebra"
 	"repro/internal/catalog"
 	"repro/internal/fault"
 	"repro/internal/fragment"
@@ -38,11 +37,6 @@ type Config struct {
 	Allocator fragment.Allocator
 	// Optimizer selects the knowledge-base rule groups (default: all).
 	Optimizer *optimizer.Options
-	// TCAlgorithm picks the transitive-closure strategy for recursive
-	// PRISMAlog rules routed to the closure operator.
-	TCAlgorithm algebra.TCAlgorithm
-	// SemiNaive picks the PRISMAlog fixpoint strategy (default true).
-	SemiNaive *bool
 	// FaultDomain scopes injected faults to this engine's stable stores.
 	// Nil uses the process-wide default domain. Replication experiments
 	// give each engine its own domain so crashing the primary leaves
@@ -86,10 +80,7 @@ type Engine struct {
 	txns  *txn.Manager
 	opt   *optimizer.Optimizer
 	alloc fragment.Allocator
-
-	tcAlgo    algebra.TCAlgorithm
-	semiNaive bool
-	plans     *planCache
+	plans *planCache
 
 	mu     sync.RWMutex // read-locked on the per-statement table lookup
 	tables map[string]*table
@@ -148,22 +139,16 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Optimizer != nil {
 		optOpts = *cfg.Optimizer
 	}
-	semiNaive := true
-	if cfg.SemiNaive != nil {
-		semiNaive = *cfg.SemiNaive
-	}
 	cat := catalog.New()
 	e := &Engine{
-		m:         m,
-		cat:       cat,
-		txns:      txn.NewManager(),
-		opt:       optimizer.New(cat, optOpts),
-		alloc:     alloc,
-		tcAlgo:    cfg.TCAlgorithm,
-		semiNaive: semiNaive,
-		plans:     newPlanCache(),
-		tables:    map[string]*table{},
-		stores:    map[int]*machine.StableStore{},
+		m:      m,
+		cat:    cat,
+		txns:   txn.NewManager(),
+		opt:    optimizer.New(cat, optOpts),
+		alloc:  alloc,
+		plans:  newPlanCache(),
+		tables: map[string]*table{},
+		stores: map[int]*machine.StableStore{},
 	}
 	e.epoch.Store(1)
 	e.faultDom = cfg.FaultDomain

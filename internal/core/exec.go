@@ -93,8 +93,8 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 }
 
 // slot is one partition of an intermediate result: a columnar batch, or
-// the tuples a leaf answered with — an index probe or a CSE-shared scan —
-// and which, for EXPLAIN.
+// the tuples a leaf answered with — an index probe, a CSE-shared scan or a
+// coordinator-resident relation (plan.Values) — and which, for EXPLAIN.
 type slot struct {
 	b   *value.Batch
 	rel *value.Relation
@@ -353,6 +353,8 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 		return e.execScan(ctx, t, need)
 	case *plan.IndexProbe:
 		return e.execIndexProbe(ctx, t)
+	case *plan.Values:
+		return ctx.noted("Values", ctx.singleton(slot{rel: t.Rel, why: "values"}), t.Rel.Schema, value.AllCols), nil
 	case *plan.Select:
 		return e.execSelect(ctx, t, need)
 	case *plan.Project:
@@ -374,7 +376,7 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 }
 
 // scanSlot is the leaf every reader of a table fragment goes through —
-// materialized scans, pushdown aggregates, cursors and the PRISMAlog EDB.
+// materialized scans, pushdown aggregates and cursors.
 // The fragment's OFM filters where it lives, charging its own PE, and
 // answers with a batch (ofm.ScanBatch): over its column cache, with the
 // view transaction's pending writes there folded in, or probed from its
@@ -433,10 +435,10 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 	if !sc.Shared {
 		return ctx.noted("Scan "+sc.Table, p, sc.Out, need), nil
 	}
-	rel, err := e.gatherRows(ctx, p, sc.Out)
-	if err != nil {
+	if p, err = p.forced(); err != nil {
 		return nil, err
 	}
+	rel := e.gatherSlots(ctx, p, sc.Out)
 	ctx.cachePut(key, rel)
 	return ctx.sharedScan(sc, rel), nil
 }
@@ -544,17 +546,9 @@ func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (*value.Ba
 	return value.ConcatBatches(schema, batches, &ctx.arena), nil
 }
 
-// gatherRows is gather for a consumer that needs tuples — an in-process
-// caller's plan root, a CSE-shared scan and the PRISMAlog EDB: each slot
-// materializes straight into the result.
-func (e *Engine) gatherRows(ctx *execCtx, p *parts, schema *value.Schema) (*value.Relation, error) {
-	p, err := p.forced()
-	if err != nil {
-		return nil, err
-	}
-	return e.gatherSlots(ctx, p, schema), nil
-}
-
+// gatherSlots is gather for a consumer that needs tuples — an in-process
+// caller's plan root and a CSE-shared scan: each slot materializes
+// straight into the result.
 func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *value.Relation {
 	e.arrive(ctx, p)
 	slots := p.slots

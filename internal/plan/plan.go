@@ -83,6 +83,21 @@ func (p *IndexProbe) String() string {
 	return fmt.Sprintf("%s est=%d", b, p.EstRows)
 }
 
+// Values is a relation held at the coordinator: the derived and delta
+// tuples a PRISMAlog evaluation feeds back into its rule bodies. It is not
+// partitioned, so a join with a fragmented side broadcasts it there.
+type Values struct {
+	Rel *value.Relation
+}
+
+// Schema implements Node.
+func (v *Values) Schema() *value.Schema { return v.Rel.Schema }
+
+// Children implements Node.
+func (v *Values) Children() []Node { return nil }
+
+func (v *Values) String() string { return fmt.Sprintf("Values est=%d", v.Rel.Len()) }
+
 // Select filters its child.
 type Select struct {
 	Child   Node
@@ -408,6 +423,8 @@ func EstRows(n Node) int {
 		return t.EstRows
 	case *IndexProbe:
 		return t.EstRows
+	case *Values:
+		return t.Rel.Len()
 	case *Select:
 		return t.EstRows
 	case *Project:

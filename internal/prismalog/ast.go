@@ -7,8 +7,11 @@
 // facts are tuples, rules are view definitions including recursion.
 //
 // Programs are evaluated bottom-up against extensional relations
-// resolved from the database (base tables double as EDB predicates),
-// with naive or semi-naive fixpoint iteration.
+// resolved from the database (base tables double as EDB predicates) by
+// semi-naive fixpoint iteration, and in that algebra: every rule body is
+// translated into a plan tree of scans, selections, joins and projections
+// that the engine's optimizer and partitioned executor run (Executor), and
+// only the known sets of the derived predicates stay at the coordinator.
 package prismalog
 
 import (
@@ -29,10 +32,20 @@ type Term struct {
 // V makes a variable term.
 func V(name string) Term { return Term{IsVar: true, Var: name} }
 
+// anonPrefix starts the name the parser gives each anonymous variable
+// `_`: no identifier can start with it, so each `_` is a variable of its
+// own, and none is ever an answer column.
+const anonPrefix = "_#"
+
+func (t Term) anonymous() bool { return t.IsVar && strings.HasPrefix(t.Var, anonPrefix) }
+
 // C makes a constant term.
 func C(v value.Value) Term { return Term{Val: v} }
 
 func (t Term) String() string {
+	if t.anonymous() {
+		return "_"
+	}
 	if t.IsVar {
 		return t.Var
 	}
@@ -52,6 +65,8 @@ func (a *Atom) String() string {
 	}
 	return fmt.Sprintf("%s(%s)", a.Pred, strings.Join(parts, ", "))
 }
+
+func (a *Atom) key() predKey { return predKey{a.Pred, len(a.Args)} }
 
 // Vars returns the distinct variable names in order of appearance.
 func (a *Atom) Vars() []string {
@@ -133,7 +148,7 @@ func (q *Query) Vars() []string {
 			continue
 		}
 		for _, t := range l.Atom.Args {
-			if t.IsVar && !seen[t.Var] {
+			if t.IsVar && !t.anonymous() && !seen[t.Var] {
 				seen[t.Var] = true
 				out = append(out, t.Var)
 			}
@@ -190,16 +205,21 @@ func checkBody(body []Literal, headVars []string, clause string) error {
 		return fmt.Errorf("prismalog: empty body in %s", clause)
 	}
 	bound := map[string]bool{}
+	atoms := 0
 	for _, l := range body {
 		if l.Atom != nil {
+			atoms++
 			for _, v := range l.Atom.Vars() {
 				bound[v] = true
 			}
 		}
 	}
+	if atoms == 0 {
+		return fmt.Errorf("prismalog: %s has no body atom", clause)
+	}
 	for _, v := range headVars {
 		if !bound[v] {
-			return fmt.Errorf("prismalog: unsafe rule %s: head variable %s not bound by a body atom", clause, v)
+			return fmt.Errorf("prismalog: unsafe rule %s: head variable %s not bound by a body atom", clause, V(v))
 		}
 	}
 	for _, l := range body {

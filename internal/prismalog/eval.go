@@ -2,34 +2,22 @@ package prismalog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
+	"repro/internal/plan"
 	"repro/internal/value"
 )
 
-// EDB resolves extensional predicates — in the PRISMA DBMS, base tables:
-// "facts correspond to tuples in relations in the database" (§2.3).
-type EDB interface {
-	// Relation returns the extension of pred, or false if unknown.
-	Relation(pred string) (*value.Relation, bool)
-}
-
-// MapEDB is an in-memory EDB for tests and standalone programs.
-type MapEDB map[string]*value.Relation
-
-// Relation implements EDB.
-func (m MapEDB) Relation(pred string) (*value.Relation, bool) {
-	r, ok := m[pred]
-	return r, ok
-}
-
-// Options tunes the fixpoint evaluation.
-type Options struct {
-	// SemiNaive enables delta iteration (the default PRISMA strategy);
-	// false forces naive re-evaluation, the E5 baseline.
-	SemiNaive bool
-	// MaxIterations guards against bugs; 0 means 1 << 20.
-	MaxIterations int
+// Executor is what an evaluation needs of the engine, all at the
+// evaluation's one snapshot: the schemas of the base tables its rule
+// bodies read, and a way to run the plans it makes of those bodies.
+type Executor interface {
+	// Table returns the schema of base table name, nil if there is none,
+	// or an error if the evaluation may not read it.
+	Table(name string) (*value.Schema, error)
+	// Run optimizes and executes a plan and returns its rows.
+	Run(root plan.Node) (*value.Relation, error)
 }
 
 // Stats reports evaluation effort.
@@ -38,418 +26,412 @@ type Stats struct {
 	TuplesDerived int // candidate head tuples produced across all rounds
 }
 
-// genericSchema builds an n-column schema with the given names (or c0..).
-func genericSchema(n int, names []string) *value.Schema {
-	cols := make([]value.Column, n)
-	for i := range cols {
-		name := fmt.Sprintf("c%d", i)
-		if names != nil && i < len(names) {
-			name = names[i]
+// derived is a derived predicate's extension, held at the coordinator:
+// the tuples known so far in the order they were derived, those the last
+// round added (the delta) and those this round is adding, and each
+// column's kind — KindNull while the column has held only NULLs.
+type derived struct {
+	pred         predKey
+	kinds        []value.Kind
+	known        []value.Tuple
+	seen         map[string]struct{}
+	delta, fresh []value.Tuple
+}
+
+// add adds t unless it is known. A column takes the kind of the first
+// value in it that is not NULL; a value of another kind is an error.
+func (d *derived) add(t value.Tuple) error {
+	key := t.Key()
+	if _, dup := d.seen[key]; dup {
+		return nil
+	}
+	for c, v := range t {
+		switch k := v.Kind(); {
+		case k == value.KindNull || k == d.kinds[c]:
+		case d.kinds[c] == value.KindNull:
+			d.kinds[c] = k
+		default:
+			return fmt.Errorf("prismalog: column %d of %s derived as both %s and %s", c+1, d.pred, d.kinds[c], k)
 		}
-		cols[i] = value.Column{Name: name, Kind: value.KindString}
+	}
+	d.seen[key] = struct{}{}
+	d.known = append(d.known, t)
+	d.fresh = append(d.fresh, t)
+	return nil
+}
+
+// schema is the relation's schema, a column whose kind is not known yet
+// having kind unknown.
+func (d *derived) schema(unknown value.Kind) *value.Schema {
+	cols := make([]value.Column, len(d.kinds))
+	for i, k := range d.kinds {
+		if k == value.KindNull {
+			k = unknown
+		}
+		cols[i] = value.Column{Name: fmt.Sprintf("c%d", i), Kind: k}
 	}
 	return value.NewSchema(cols...)
 }
 
-// relSet tracks a predicate's total extension with O(1) membership.
-type relSet struct {
-	arity  int
-	seen   map[string]struct{}
-	tuples []value.Tuple
-	delta  []value.Tuple
-}
-
-func newRelSet(arity int) *relSet {
-	return &relSet{arity: arity, seen: map[string]struct{}{}}
-}
-
-func (rs *relSet) add(t value.Tuple) bool {
-	k := t.Key()
-	if _, dup := rs.seen[k]; dup {
-		return false
-	}
-	rs.seen[k] = struct{}{}
-	rs.tuples = append(rs.tuples, t)
-	rs.delta = append(rs.delta, t)
-	return true
+type evaluation struct {
+	x    Executor
+	idb  map[predKey]*derived
+	base map[string]*value.Schema
 }
 
 // Eval computes the extensions of all intensional predicates of prog
-// bottom-up over edb and returns them keyed "pred/arity".
-func Eval(prog *Program, edb EDB, opts Options) (map[string]*value.Relation, Stats, error) {
-	if opts.MaxIterations == 0 {
-		opts.MaxIterations = 1 << 20
-	}
+// bottom-up and returns them keyed "pred/arity". Every round runs each
+// rule body as a plan on x — after the first round once per derived atom
+// in it, that atom reading only the tuples the last round added — until a
+// round adds none, as one must: rules make no values, so what they derive
+// is finite.
+func Eval(prog *Program, x Executor) (map[string]*value.Relation, Stats, error) {
 	if err := prog.Validate(); err != nil {
 		return nil, Stats{}, err
 	}
-
-	// Classify predicates: IDB = appears in a rule head.
-	idb := map[predKey]*relSet{}
+	ev := &evaluation{x: x, idb: map[predKey]*derived{}, base: map[string]*value.Schema{}}
 	for i := range prog.Rules {
-		r := &prog.Rules[i]
-		k := predKey{r.Head.Pred, len(r.Head.Args)}
-		if idb[k] == nil {
-			idb[k] = newRelSet(k.arity)
+		if k := prog.Rules[i].Head.key(); ev.idb[k] == nil {
+			ev.idb[k] = &derived{pred: k, kinds: make([]value.Kind, k.arity), seen: map[string]struct{}{}}
 		}
 	}
-	// Seed facts.
-	stats := Stats{}
+	// Unknown predicates, arity mismatches and grants fail the evaluation
+	// before anything runs.
+	for _, r := range prog.Rules {
+		for _, l := range r.Body {
+			if err := ev.resolve(l.Atom); err != nil {
+				return nil, Stats{}, err
+			}
+		}
+	}
+	var stats Stats
+	var rules []*Rule
 	for i := range prog.Rules {
 		r := &prog.Rules[i]
 		if !r.IsFact() {
+			rules = append(rules, r)
 			continue
 		}
-		k := predKey{r.Head.Pred, len(r.Head.Args)}
 		t := make(value.Tuple, len(r.Head.Args))
 		for j, a := range r.Head.Args {
 			t[j] = a.Val
 		}
-		idb[k].add(t)
+		if err := ev.idb[r.Head.key()].add(t); err != nil {
+			return nil, stats, err
+		}
 		stats.TuplesDerived++
 	}
-	// Check EDB availability for body atoms that are not IDB.
-	for i := range prog.Rules {
-		for _, l := range prog.Rules[i].Body {
-			if l.Atom == nil {
-				continue
-			}
-			k := predKey{l.Atom.Pred, len(l.Atom.Args)}
-			if _, isIDB := idb[k]; isIDB {
-				continue
-			}
-			rel, ok := edb.Relation(l.Atom.Pred)
-			if !ok {
-				return nil, stats, fmt.Errorf("prismalog: unknown predicate %s", k)
-			}
-			if rel.Schema.Len() != k.arity {
-				return nil, stats, fmt.Errorf("prismalog: predicate %s used with arity %d but relation has %d columns",
-					l.Atom.Pred, k.arity, rel.Schema.Len())
-			}
-		}
+	for _, d := range ev.idb {
+		d.fresh = nil // the first round reads the facts whole
 	}
 
-	rules := make([]*Rule, 0, len(prog.Rules))
-	for i := range prog.Rules {
-		if !prog.Rules[i].IsFact() {
-			rules = append(rules, &prog.Rules[i])
-		}
-	}
-
-	// Fixpoint.
-	for iter := 0; ; iter++ {
-		if iter >= opts.MaxIterations {
-			return nil, stats, fmt.Errorf("prismalog: fixpoint did not converge within %d iterations", opts.MaxIterations)
-		}
+	for round := 0; ; round++ {
 		stats.Iterations++
-		// Swap deltas: the tuples derived in the previous round.
-		prevDelta := map[predKey][]value.Tuple{}
-		for k, rs := range idb {
-			prevDelta[k] = rs.delta
-			rs.delta = nil
-		}
-		grew := false
 		for _, r := range rules {
-			variants := 1
-			if opts.SemiNaive && iter > 0 {
-				// One variant per IDB body atom, with that atom restricted
-				// to the previous delta.
-				variants = 0
-				for _, l := range r.Body {
-					if l.Atom != nil {
-						if _, isIDB := idb[predKey{l.Atom.Pred, len(l.Atom.Args)}]; isIDB {
-							variants++
-						}
-					}
+			for _, deltaAt := range ev.variants(r, round) {
+				root, err := ev.plan(r, deltaAt)
+				if err != nil {
+					return nil, stats, fmt.Errorf("prismalog: rule %s: %w", r, err)
 				}
-				if variants == 0 {
-					continue // EDB-only rule saturates in round 0
+				if root == nil {
+					continue
 				}
-			}
-			for v := 0; v < variants; v++ {
-				deltaAt := -1
-				if opts.SemiNaive && iter > 0 {
-					// Find the v-th IDB atom.
-					seen := 0
-					for li, l := range r.Body {
-						if l.Atom == nil {
-							continue
-						}
-						if _, isIDB := idb[predKey{l.Atom.Pred, len(l.Atom.Args)}]; isIDB {
-							if seen == v {
-								deltaAt = li
-								break
-							}
-							seen++
-						}
-					}
-				}
-				derived, err := evalRule(r, edb, idb, prevDelta, deltaAt)
+				rel, err := x.Run(root)
 				if err != nil {
 					return nil, stats, err
 				}
-				stats.TuplesDerived += len(derived)
-				k := predKey{r.Head.Pred, len(r.Head.Args)}
-				for _, t := range derived {
-					if idb[k].add(t) {
-						grew = true
+				stats.TuplesDerived += rel.Len()
+				d := ev.idb[r.Head.key()]
+				for _, t := range rel.Tuples {
+					if err := d.add(t[:len(d.kinds)]); err != nil {
+						return nil, stats, err
 					}
 				}
 			}
+		}
+		grew := false
+		for _, d := range ev.idb {
+			d.delta, d.fresh = d.fresh, nil
+			grew = grew || len(d.delta) > 0
 		}
 		if !grew {
 			break
 		}
-		if iter == 0 && !opts.SemiNaive {
-			continue
-		}
 	}
 
 	out := map[string]*value.Relation{}
-	for k, rs := range idb {
-		rel := value.NewRelation(genericSchema(k.arity, nil))
-		rel.Tuples = rs.tuples
-		out[k.String()] = rel
+	for k, d := range ev.idb {
+		out[k.String()] = &value.Relation{Schema: d.schema(value.KindString), Tuples: d.known}
 	}
 	return out, stats, nil
 }
 
-// bindings is an intermediate result: named variable columns over rows.
-type bindings struct {
-	vars []string
-	rows []value.Tuple
-}
-
-func (b *bindings) varIndex(name string) int {
-	for i, v := range b.vars {
-		if v == name {
-			return i
-		}
+// resolve finds the base table an atom reads, if it reads one.
+func (ev *evaluation) resolve(a *Atom) (err error) {
+	if a == nil || ev.idb[a.key()] != nil {
+		return nil
 	}
-	return -1
-}
-
-// evalRule evaluates one rule body left-to-right, joining literals into
-// the running bindings, and returns the derived head tuples. deltaAt
-// (when ≥0) restricts that body literal to the previous round's delta.
-func evalRule(r *Rule, edb EDB, idb map[predKey]*relSet, prevDelta map[predKey][]value.Tuple, deltaAt int) ([]value.Tuple, error) {
-	b := &bindings{rows: []value.Tuple{{}}}
-	for li, l := range r.Body {
-		if l.Cmp != nil {
-			if err := applyCmp(b, l.Cmp); err != nil {
-				return nil, fmt.Errorf("prismalog: rule %s: %w", r.String(), err)
-			}
-			continue
-		}
-		tuples, err := atomTuples(l.Atom, edb, idb, prevDelta, li == deltaAt)
-		if err != nil {
-			return nil, fmt.Errorf("prismalog: rule %s: %w", r.String(), err)
-		}
-		joinAtom(b, l.Atom, tuples)
-		if len(b.rows) == 0 {
-			return nil, nil
-		}
-	}
-	// Project the head.
-	out := make([]value.Tuple, 0, len(b.rows))
-	for _, row := range b.rows {
-		t := make(value.Tuple, len(r.Head.Args))
-		for i, a := range r.Head.Args {
-			if a.IsVar {
-				t[i] = row[b.varIndex(a.Var)]
-			} else {
-				t[i] = a.Val
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// atomTuples fetches the current extension of an atom's predicate.
-func atomTuples(a *Atom, edb EDB, idb map[predKey]*relSet, prevDelta map[predKey][]value.Tuple, useDelta bool) ([]value.Tuple, error) {
-	k := predKey{a.Pred, len(a.Args)}
-	if rs, isIDB := idb[k]; isIDB {
-		if useDelta {
-			return prevDelta[k], nil
-		}
-		return rs.tuples, nil
-	}
-	rel, ok := edb.Relation(a.Pred)
+	schema, ok := ev.base[a.Pred]
 	if !ok {
-		return nil, fmt.Errorf("unknown predicate %s", k)
-	}
-	return rel.Tuples, nil
-}
-
-// joinAtom joins the bindings with an atom's tuples: constants filter,
-// repeated variables must agree, shared variables hash-join, and new
-// variables extend the binding schema.
-func joinAtom(b *bindings, a *Atom, tuples []value.Tuple) {
-	// Classify argument positions.
-	type varPos struct {
-		arg  int
-		bcol int // column in existing bindings, or -1 if new
-	}
-	var shared, fresh []varPos
-	firstPos := map[string]int{} // var -> first arg position within the atom
-	newVars := []string{}
-	for i, t := range a.Args {
-		if !t.IsVar {
-			continue
-		}
-		if fp, dup := firstPos[t.Var]; dup {
-			// Repeated var within the atom: equality filter vs firstPos.
-			shared = append(shared, varPos{arg: i, bcol: -1000 - fp})
-			continue
-		}
-		firstPos[t.Var] = i
-		if bc := b.varIndex(t.Var); bc >= 0 {
-			shared = append(shared, varPos{arg: i, bcol: bc})
-		} else {
-			fresh = append(fresh, varPos{arg: i, bcol: len(b.vars) + len(newVars)})
-			newVars = append(newVars, t.Var)
-		}
-	}
-
-	// Pre-filter the atom tuples on constants and intra-atom repeats.
-	matches := tuples[:0:0]
-	for _, t := range tuples {
-		ok := true
-		for i, arg := range a.Args {
-			if !arg.IsVar {
-				if !value.Equal(t[i], arg.Val) {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			for _, sp := range shared {
-				if sp.bcol <= -1000 {
-					fp := -1000 - sp.bcol
-					if !value.Equal(t[sp.arg], t[fp]) {
-						ok = false
-						break
-					}
-				}
-			}
-		}
-		if ok {
-			matches = append(matches, t)
-		}
-	}
-
-	// Hash join on the truly shared variables.
-	var joinArgs []int // atom arg positions
-	var joinCols []int // binding columns
-	for _, sp := range shared {
-		if sp.bcol >= 0 {
-			joinArgs = append(joinArgs, sp.arg)
-			joinCols = append(joinCols, sp.bcol)
-		}
-	}
-	index := map[string][]value.Tuple{}
-	for _, t := range matches {
-		var key []byte
-		for _, ai := range joinArgs {
-			key = value.AppendValue(key, t[ai])
-		}
-		index[string(key)] = append(index[string(key)], t)
-	}
-
-	var outRows []value.Tuple
-	for _, row := range b.rows {
-		var key []byte
-		for _, bc := range joinCols {
-			key = value.AppendValue(key, row[bc])
-		}
-		for _, t := range index[string(key)] {
-			extended := make(value.Tuple, len(b.vars)+len(newVars))
-			copy(extended, row)
-			for _, fp := range fresh {
-				extended[fp.bcol] = t[fp.arg]
-			}
-			outRows = append(outRows, extended)
-		}
-	}
-	b.vars = append(b.vars, newVars...)
-	b.rows = outRows
-}
-
-// applyCmp filters bindings through a comparison literal.
-func applyCmp(b *bindings, c *CmpLit) error {
-	resolve := func(t Term, row value.Tuple) (value.Value, error) {
-		if !t.IsVar {
-			return t.Val, nil
-		}
-		ix := b.varIndex(t.Var)
-		if ix < 0 {
-			return value.Null, fmt.Errorf("comparison uses unbound variable %s", t.Var)
-		}
-		return row[ix], nil
-	}
-	kept := b.rows[:0:0]
-	for _, row := range b.rows {
-		l, err := resolve(c.L, row)
-		if err != nil {
+		if schema, err = ev.x.Table(a.Pred); err != nil {
 			return err
 		}
-		r, err := resolve(c.R, row)
-		if err != nil {
-			return err
+		if schema == nil {
+			return fmt.Errorf("prismalog: unknown predicate %s", a.key())
 		}
-		if l.IsNull() || r.IsNull() {
-			continue
-		}
-		if !value.Comparable(l, r) {
-			continue
-		}
-		if cmpHolds(c.Op, value.Compare(l, r)) {
-			kept = append(kept, row)
-		}
+		ev.base[a.Pred] = schema
 	}
-	b.rows = kept
+	if schema.Len() != len(a.Args) {
+		return fmt.Errorf("prismalog: predicate %s used with arity %d but relation has %d columns",
+			a.Pred, len(a.Args), schema.Len())
+	}
 	return nil
 }
 
-func cmpHolds(op expr.CmpOp, c int) bool {
-	switch op {
-	case expr.EQ:
-		return c == 0
-	case expr.NE:
-		return c != 0
-	case expr.LT:
-		return c < 0
-	case expr.LE:
-		return c <= 0
-	case expr.GT:
-		return c > 0
-	default:
-		return c >= 0
+// variants lists the body atoms r reads through their deltas this round,
+// -1 meaning none: the first round reads everything whole, and later ones
+// run r once per derived atom whose predicate grew in the last round.
+func (ev *evaluation) variants(r *Rule, round int) []int {
+	if round == 0 {
+		return []int{-1}
 	}
+	var out []int
+	for i, l := range r.Body {
+		if l.Atom != nil {
+			if d := ev.idb[l.Atom.key()]; d != nil && len(d.delta) > 0 {
+				out = append(out, i)
+			}
+		}
+	}
+	return out
+}
+
+// plan translates rule r's body, with body atom deltaAt reading its
+// predicate's delta, into a plan tree: each atom a leaf (leaf), joined in
+// an order where each shares a variable with those before it where the
+// body allows, starting from the delta, the smallest input; each
+// comparison a selection as soon as its variables are bound; and the head
+// a projection under a Distinct. It is nil when a derived relation the
+// body reads is empty, so r derives nothing.
+func (ev *evaluation) plan(r *Rule, deltaAt int) (plan.Node, error) {
+	var parts []part
+	var cmps []*CmpLit
+	first := 0
+	for i, l := range r.Body {
+		if l.Cmp != nil {
+			cmps = append(cmps, l.Cmp)
+			continue
+		}
+		if i == deltaAt {
+			first = len(parts)
+		}
+		p, err := ev.leaf(l.Atom, i == deltaAt)
+		if err != nil || p.node == nil {
+			return nil, err
+		}
+		parts = append(parts, p)
+	}
+	cur, cmps, err := parts[first].filter(cmps)
+	rest := slices.Delete(parts, first, first+1)
+	for err == nil && len(rest) > 0 {
+		i := max(slices.IndexFunc(rest, cur.shares), 0)
+		if cur, err = cur.join(rest[i]); err == nil {
+			cur, cmps, err = cur.filter(cmps)
+		}
+		rest = slices.Delete(rest, i, i+1)
+	}
+	if err != nil {
+		return nil, err
+	}
+	exprs := make([]expr.Expr, len(r.Head.Args))
+	for i, t := range r.Head.Args {
+		exprs[i], _ = cur.term(t)
+	}
+	if len(exprs) == 0 { // a ground query: a row, if the body holds
+		exprs = []expr.Expr{konst()}
+	}
+	head, err := project(cur.node, exprs)
+	if err != nil {
+		return nil, err
+	}
+	return &plan.Distinct{Child: head}, nil
+}
+
+// part is a partial plan of a rule body and, for each of its columns, the
+// variable whose value it holds: "" for a column that holds none of its
+// own — a constant argument, a repeated variable, a join key bound before.
+type part struct {
+	node plan.Node
+	vars []string
+}
+
+// leaf is a body atom's plan: a Scan of its base table or the Values of
+// its derived relation (the delta, if delta is set), under a Select that
+// pins its constants and repeated variables. Its node is nil when the
+// derived relation is empty.
+func (ev *evaluation) leaf(a *Atom, delta bool) (part, error) {
+	var src plan.Node
+	if d := ev.idb[a.key()]; d == nil {
+		src = &plan.Scan{Table: a.Pred, Out: ev.base[a.Pred]}
+	} else {
+		tuples := d.known
+		if delta {
+			tuples = d.delta
+		}
+		if len(tuples) == 0 {
+			return part{}, nil
+		}
+		src = &plan.Values{Rel: &value.Relation{Schema: d.schema(value.KindNull), Tuples: tuples}}
+	}
+	p := part{vars: make([]string, len(a.Args))}
+	var conds []expr.Expr
+	for i, t := range a.Args {
+		if !t.IsVar {
+			conds = append(conds, expr.NewCmp(expr.EQ, column(src, i), expr.NewConst(t.Val)))
+		} else if j := slices.Index(p.vars, t.Var); j >= 0 {
+			conds = append(conds, expr.NewCmp(expr.EQ, column(src, i), column(src, j)))
+		} else {
+			p.vars[i] = t.Var
+		}
+	}
+	var err error
+	p.node, err = filtered(src, conds)
+	return p, err
+}
+
+func (p part) shares(q part) bool {
+	return slices.ContainsFunc(q.vars, func(v string) bool { return v != "" && slices.Contains(p.vars, v) })
+}
+
+// column references column i of node by the name it has there, as a SQL
+// column reference does: the executor keys a scan's predicate by its
+// text, so the text must tell the columns apart, which variable names do
+// not — X may be column 0 of one atom and column 1 of the next.
+func column(node plan.Node, i int) *expr.Col {
+	c := expr.NewCol(node.Schema().Column(i).Name)
+	c.Index = i
+	return c
+}
+
+// term is t over p's columns: a constant, or the column of a variable p
+// binds (ok false if it binds none).
+func (p part) term(t Term) (e expr.Expr, ok bool) {
+	if !t.IsVar {
+		return expr.NewConst(t.Val), true
+	}
+	i := slices.Index(p.vars, t.Var)
+	if i < 0 {
+		return nil, false
+	}
+	return column(p.node, i), true
+}
+
+// filter applies the comparisons whose variables p binds and returns the
+// rest.
+func (p part) filter(cmps []*CmpLit) (part, []*CmpLit, error) {
+	var conds []expr.Expr
+	var rest []*CmpLit
+	for _, c := range cmps {
+		l, lok := p.term(c.L)
+		r, rok := p.term(c.R)
+		if lok && rok {
+			conds = append(conds, expr.NewCmp(c.Op, l, r))
+		} else {
+			rest = append(rest, c)
+		}
+	}
+	var err error
+	p.node, err = filtered(p.node, conds)
+	return p, rest, err
+}
+
+// join joins p with q on their shared variables — or, sharing none, on a
+// constant column each then projects, for the executor has no cross
+// product.
+func (p part) join(q part) (part, error) {
+	var pk, qk []int
+	vars := slices.Clone(p.vars)
+	for i, v := range q.vars {
+		if j := slices.Index(p.vars, v); v != "" && j >= 0 {
+			pk, qk, v = append(pk, j), append(qk, i), ""
+		}
+		vars = append(vars, v)
+	}
+	if len(pk) == 0 {
+		var err error
+		if p, err = p.withKonst(); err == nil {
+			q, err = q.withKonst()
+		}
+		if err != nil {
+			return part{}, err
+		}
+		pk, qk, vars = []int{len(p.vars) - 1}, []int{len(q.vars) - 1}, append(p.vars, q.vars...)
+	}
+	out := p.node.Schema().Concat(q.node.Schema())
+	return part{node: &plan.Join{Left: p.node, Right: q.node, LeftKeys: pk, RightKeys: qk, Out: out}, vars: vars}, nil
+}
+
+// withKonst projects p's columns and a constant one after them.
+func (p part) withKonst() (part, error) {
+	exprs := make([]expr.Expr, len(p.vars), len(p.vars)+1)
+	for i := range p.vars {
+		exprs[i] = column(p.node, i)
+	}
+	node, err := project(p.node, append(exprs, konst()))
+	return part{node: node, vars: append(slices.Clone(p.vars), "")}, err
+}
+
+func konst() expr.Expr { return expr.NewConst(value.NewInt(0)) }
+
+// filtered selects child's rows that satisfy every condition. The
+// conditions are bound here, so a comparison of incomparable kinds fails
+// as it does in a SQL WHERE.
+func filtered(child plan.Node, conds []expr.Expr) (plan.Node, error) {
+	if len(conds) == 0 {
+		return child, nil
+	}
+	pred := expr.Conjoin(conds)
+	if _, err := expr.Bind(pred, child.Schema()); err != nil {
+		return nil, err
+	}
+	return &plan.Select{Child: child, Pred: pred}, nil
+}
+
+// project computes exprs over child, each a column named as it reads.
+func project(child plan.Node, exprs []expr.Expr) (plan.Node, error) {
+	cols := make([]value.Column, len(exprs))
+	names := make([]string, len(exprs))
+	for i, ex := range exprs {
+		k, err := expr.Bind(ex, child.Schema())
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = value.Column{Name: ex.String(), Kind: k}
+		names[i] = cols[i].Name
+	}
+	return &plan.Project{Child: child, Exprs: exprs, Names: names, Out: value.NewSchema(cols...)}, nil
 }
 
 // EvalQuery evaluates all rules of prog and answers q. The answer's
-// columns are the query's distinct variables in appearance order.
-func EvalQuery(prog *Program, q *Query, edb EDB, opts Options) (*value.Relation, Stats, error) {
-	// Rewrite the query as a rule with a reserved head predicate.
+// columns are the query's distinct named variables in appearance order.
+func EvalQuery(prog *Program, q *Query, x Executor) (*value.Relation, Stats, error) {
+	// Rewrite the query as a rule with a reserved head predicate: no
+	// predicate the parser reads can start with '_'.
 	vars := q.Vars()
 	head := Atom{Pred: "__answer__"}
 	for _, v := range vars {
 		head.Args = append(head.Args, V(v))
 	}
 	aug := &Program{Rules: append(append([]Rule{}, prog.Rules...), Rule{Head: head, Body: q.Body})}
-	results, stats, err := Eval(aug, edb, opts)
+	results, stats, err := Eval(aug, x)
 	if err != nil {
 		return nil, stats, err
 	}
-	k := predKey{"__answer__", len(vars)}
-	rel := results[k.String()]
-	if rel == nil {
-		rel = value.NewRelation(genericSchema(len(vars), vars))
-	} else {
-		rel.Schema = genericSchema(len(vars), vars)
+	rel := results[head.key().String()]
+	cols := rel.Schema.Columns()
+	for i := range cols {
+		cols[i].Name = vars[i]
 	}
+	rel.Schema = value.NewSchema(cols...)
 	return rel, stats, nil
 }

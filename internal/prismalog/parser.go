@@ -16,9 +16,10 @@ import (
 //	ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).
 //	?- ancestor('ann', X).
 //
-// Identifiers starting with an upper-case letter or '_' are variables;
-// lower-case identifiers are string constants (Prolog atoms); numbers
-// and quoted strings are constants. '%' starts a line comment.
+// Identifiers starting with an upper-case letter or '_' are variables,
+// and each bare '_' is a fresh, anonymous one; lower-case identifiers are
+// string constants (Prolog atoms); numbers and quoted strings are
+// constants. '%' starts a line comment.
 func Parse(src string) (*Program, error) {
 	toks, err := plex(src)
 	if err != nil {
@@ -199,6 +200,7 @@ func isLetter(c byte) bool {
 type plparser struct {
 	toks []ptoken
 	pos  int
+	anon int // anonymous variables named so far
 }
 
 func (p *plparser) cur() ptoken  { return p.toks[p.pos] }
@@ -301,6 +303,10 @@ func (p *plparser) parseTerm() (Term, error) {
 	switch t.kind {
 	case ptUpper:
 		p.next()
+		if t.text == "_" {
+			p.anon++
+			return V(fmt.Sprintf("%s%d", anonPrefix, p.anon)), nil
+		}
 		return V(t.text), nil
 	case ptLower:
 		p.next()

@@ -26,7 +26,6 @@ package prisma
 import (
 	"fmt"
 
-	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/fragment"
 	"repro/internal/machine"
@@ -77,16 +76,6 @@ type OptimizerOptions = optimizer.Options
 // DefaultOptimizer enables the full rule base.
 func DefaultOptimizer() OptimizerOptions { return optimizer.AllRules() }
 
-// TCAlgorithm selects the transitive-closure evaluation strategy.
-type TCAlgorithm = algebra.TCAlgorithm
-
-// Transitive-closure strategies (experiment E5 compares them).
-const (
-	TCNaive     = algebra.TCNaive
-	TCSemiNaive = algebra.TCSemiNaive
-	TCSmart     = algebra.TCSmart
-)
-
 // Config assembles a database machine.
 type Config struct {
 	// NumPEs is the number of processing elements (default 64, the
@@ -94,9 +83,6 @@ type Config struct {
 	NumPEs int
 	// Optimizer overrides the rule groups (nil = all rules).
 	Optimizer *OptimizerOptions
-	// NaiveDatalog forces naive fixpoint iteration for PRISMAlog
-	// (default semi-naive).
-	NaiveDatalog bool
 	// RandomPlacement scatters fragments randomly instead of using the
 	// central least-loaded allocation manager (experiment E10 baseline).
 	RandomPlacement bool
@@ -109,11 +95,9 @@ type DB struct {
 
 // Open builds a database machine.
 func Open(cfg Config) (*DB, error) {
-	semiNaive := !cfg.NaiveDatalog
 	ccfg := core.Config{
 		NumPEs:    cfg.NumPEs,
 		Optimizer: cfg.Optimizer,
-		SemiNaive: &semiNaive,
 	}
 	if cfg.RandomPlacement {
 		ccfg.Allocator = fragment.RandomAllocator{Seed: 42}
