@@ -17,6 +17,9 @@ const (
 	Avg
 	Min
 	Max
+	// avgSum is an average's partial sum (PartialSpecs): SUM of the
+	// column's values as floats, the way an average adds them.
+	avgSum
 )
 
 // ParseAggFunc maps a SQL function name onto an AggFunc.
@@ -41,7 +44,7 @@ func (f AggFunc) String() string {
 	switch f {
 	case Count:
 		return "COUNT"
-	case Sum:
+	case Sum, avgSum:
 		return "SUM"
 	case Avg:
 		return "AVG"
@@ -63,13 +66,14 @@ type AggSpec struct {
 
 // aggState accumulates one aggregate for one group.
 type aggState struct {
-	count   int64
-	sumI    int64
-	sumF    float64
-	isFloat bool
-	min     value.Value
-	max     value.Value
-	started bool
+	count    int64
+	sumI     int64
+	sumF     float64
+	isFloat  bool
+	overflow bool // sumI left int64
+	min      value.Value
+	max      value.Value
+	started  bool
 }
 
 func (st *aggState) observe(v value.Value) {
@@ -79,7 +83,9 @@ func (st *aggState) observe(v value.Value) {
 	st.count++
 	switch v.Kind() {
 	case value.KindInt:
-		st.sumI += v.Int()
+		var ok bool
+		st.sumI, ok = value.AddInt(st.sumI, v.Int())
+		st.overflow = st.overflow || !ok
 		st.sumF += float64(v.Int())
 	case value.KindFloat:
 		st.isFloat = true
@@ -115,6 +121,11 @@ func (st *aggState) result(f AggFunc) value.Value {
 			return value.Null
 		}
 		return value.NewFloat(st.sumF / float64(st.count))
+	case avgSum:
+		if st.count == 0 {
+			return value.Null
+		}
+		return value.NewFloat(st.sumF)
 	case Min:
 		if !st.started {
 			return value.Null
@@ -134,7 +145,7 @@ func resultKind(f AggFunc, k value.Kind) value.Kind {
 	switch f {
 	case Count:
 		return value.KindInt
-	case Avg:
+	case Avg, avgSum:
 		return value.KindFloat
 	case Sum:
 		if k == value.KindFloat {
@@ -253,6 +264,9 @@ func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relati
 		row := make(value.Tuple, 0, len(groupBy)+len(specs))
 		row = append(row, g.key...)
 		for i, sp := range specs {
+			if st := &g.states[i]; sp.Func == Sum && st.overflow && !st.isFloat {
+				return nil, Stats{}, fmt.Errorf("algebra: SUM: %w", value.ErrIntRange)
+			}
 			row = append(row, g.states[i].result(sp.Func))
 		}
 		out.Tuples = append(out.Tuples, row)
@@ -261,13 +275,15 @@ func Aggregate(r *value.Relation, groupBy []int, specs []AggSpec) (*value.Relati
 }
 
 // PartialSpecs rewrites final aggregate specs into the per-fragment
-// partial specs (AVG becomes SUM+COUNT; COUNT(*) stays COUNT).
+// partial specs (AVG becomes SUM+COUNT, the sum taken as floats as the
+// average takes it, so it answers the same however many fragments add it
+// up; COUNT(*) stays COUNT).
 func PartialSpecs(specs []AggSpec) []AggSpec {
 	out := make([]AggSpec, 0, len(specs))
 	for _, sp := range specs {
 		switch sp.Func {
 		case Avg:
-			out = append(out, AggSpec{Func: Sum, Col: sp.Col, As: sp.As + "_sum"})
+			out = append(out, AggSpec{Func: avgSum, Col: sp.Col, As: sp.As + "_sum"})
 			out = append(out, AggSpec{Func: Count, Col: sp.Col, As: sp.As + "_cnt"})
 		default:
 			out = append(out, sp)

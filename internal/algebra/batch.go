@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/value"
@@ -40,8 +39,7 @@ import (
 // that shares b's column vectors under a narrowed selection vector — no
 // tuple is materialized. b is consumed.
 func SelectBatch(b *value.Batch, f *expr.VecFilter) (*value.Batch, Stats, error) {
-	dst := value.GetSel()
-	dst, err := f.Filter(b, b.Sel, dst)
+	dst, err := f.Filter(b, b.Sel, value.GetSelLen(b.Len())[:0])
 	if err != nil {
 		value.PutSel(dst)
 		return nil, Stats{}, fmt.Errorf("algebra: select: %w", err)
@@ -152,22 +150,54 @@ func keyVecs(b *value.Batch, cols []int) (vecs []*value.Vec, nullable bool) {
 // of span slots by cell − lo — no larger than the open-addressing table it
 // stands in for. ok reports the tier; over no rows the span is zero.
 func directSpan(keys []*value.Vec, sel []int32) (lo int64, span int, ok bool) {
+	return directRuns(keys, &rowRuns{sel: sel})
+}
+
+// directRuns is directSpan over the rows runs walks. The bounds are the
+// column's range when it has one (value.Vec.Range), which holds every
+// cell, so no row is read; a range too wide for the rows (a selective
+// filter, keys that drifted) gives way to the rows' own bounds.
+func directRuns(keys []*value.Vec, runs *rowRuns) (lo int64, span int, ok bool) {
 	v := keys[0]
 	if len(keys) != 1 || v.Kind != value.KindInt && v.Kind != value.KindBool || v.KindOnly() || v.Null != nil {
 		return 0, 0, false
 	}
-	if len(sel) == 0 {
+	n := runs.count()
+	if n == 0 {
 		return 0, 0, true
 	}
-	lo, hi := v.I[sel[0]], v.I[sel[0]]
-	for _, r := range sel {
-		lo, hi = min(lo, v.I[r]), max(hi, v.I[r])
+	if lo, hi, ok := v.Range(); ok {
+		if span, ok := spanOf(lo, hi, n); ok {
+			return lo, span, true
+		}
 	}
+	lo, hi := bounds(v, runs)
+	span, ok = spanOf(lo, hi, n)
+	return lo, span, ok
+}
+
+// spanOf is the number of slots cells from lo to hi index, when the direct
+// tier admits that many for n rows.
+func spanOf(lo, hi int64, n int) (int, bool) {
 	// Any two int64s are less than 2^64 apart, so the difference cannot wrap.
-	if d := uint64(hi) - uint64(lo); d < uint64(2*len(sel)+1024) {
-		return lo, int(d) + 1, true
+	if d := uint64(hi) - uint64(lo); d < uint64(2*n+1024) {
+		return int(d) + 1, true
 	}
-	return 0, 0, false
+	return 0, false
+}
+
+// bounds are the least and greatest cells of an integer vector at the rows
+// runs walks, found by a pass over them.
+func bounds(v *value.Vec, runs *rowRuns) (lo, hi int64) {
+	lo, hi = math.MaxInt64, math.MinInt64
+	for rn, ok := runs.next(true); ok; rn, ok = runs.next(true) {
+		col := from(v.I, rn)
+		for _, r := range rn.rows {
+			lo, hi = min(lo, col[r]), max(hi, col[r])
+		}
+	}
+	runs.rewind()
+	return lo, hi
 }
 
 // sameKey reports whether physical row i of a and row j of b hold the same
@@ -215,12 +245,12 @@ func nullKey(vecs []*value.Vec, row int32) bool {
 type groups struct {
 	b     *value.Batch
 	keys  []int
-	sel   []int32  // the selected physical rows
-	ids   []int32  // ids[i] is the group of row sel[i]
-	first []int32  // first[g] is the physical row that opened group g
-	n     int      // number of groups
-	rows  []int64  // rows[g] is the number of rows in group g, once counted
-	table rowTable // the groups' table, released by result; none when direct
+	sel   []int32      // the selected physical rows
+	ids   []int32      // ids[i] is the group of row sel[i]
+	first []int32      // first[g] is the physical row that opened group g
+	n     int          // number of groups
+	table rowTable     // the groups' table, released by result; none when direct
+	arena *value.Arena // lends result's key columns
 }
 
 // groupRows resolves the selected rows of b to groups. No key columns is
@@ -292,7 +322,7 @@ func groupRows(b *value.Batch, keys []int) *groups {
 func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, Stats) {
 	out := &value.Batch{Schema: schema, Rows: g.n, Cols: make([]*value.Vec, 0, len(g.keys)+len(aggs))}
 	for _, c := range g.keys {
-		out.Cols = append(out.Cols, g.b.Cols[c].Gather(g.first, nil))
+		out.Cols = append(out.Cols, g.b.Cols[c].Gather(g.first, g.arena))
 	}
 	out.Cols = append(out.Cols, aggs...)
 	st := Stats{TuplesRead: len(g.sel), TuplesEmitted: g.n}
@@ -301,197 +331,4 @@ func (g *groups) result(schema *value.Schema, aggs []*value.Vec) (*value.Batch, 
 	}
 	value.PutHashes(g.table.slots)
 	return out, st
-}
-
-// tally counts each group's rows that are not NULL under null. With no
-// bitmap that is the group's rows, counted once however many aggregates
-// ask: the slice is then shared, and an output column takes a copy of it.
-func (g *groups) tally(null []bool) []int64 {
-	if null != nil {
-		cnt := make([]int64, g.n)
-		for i, r := range g.sel {
-			if !null[r] {
-				cnt[g.ids[i]]++
-			}
-		}
-		return cnt
-	}
-	if g.rows == nil {
-		g.rows = make([]int64, g.n)
-		switch g.n {
-		case 1:
-			g.rows[0] = int64(len(g.sel))
-		case 2: // the ids add up in a register, no count waits on the last
-			ones := int64(0)
-			for _, id := range g.ids {
-				ones += int64(id)
-			}
-			g.rows[0], g.rows[1] = int64(len(g.ids))-ones, ones
-		default:
-			for _, id := range g.ids {
-				g.rows[id]++
-			}
-		}
-	}
-	return g.rows
-}
-
-// sums adds up each group's non-NULL values of a numeric column, as A and
-// in row order (the order the row operator adds in, which a float sum
-// shows); a column of another kind adds up to zeros.
-func sums[A int64 | float64](g *groups, v *value.Vec) []A {
-	switch v.Kind {
-	case value.KindFloat:
-		return sumsOf[A](g, v.F, v.Null)
-	case value.KindInt:
-		return sumsOf[A](g, v.I, v.Null)
-	}
-	return make([]A, g.n)
-}
-
-func sumsOf[A, T int64 | float64](g *groups, col []T, null []bool) []A {
-	acc := make([]A, g.n)
-	for i, r := range g.sel {
-		if null == nil || !null[r] {
-			acc[g.ids[i]] += A(col[r])
-		}
-	}
-	return acc
-}
-
-// extremes keeps each group's least (or, with max set, greatest) non-NULL
-// value of col under value.Compare's order — NaN before every number, and
-// of values that compare equal the first seen — and counts the non-NULL
-// rows.
-func extremes[T int64 | float64 | string](g *groups, col []T, null []bool, max bool) ([]T, []int64) {
-	acc, cnt := make([]T, g.n), make([]int64, g.n)
-	for i, r := range g.sel {
-		if null != nil && null[r] {
-			continue
-		}
-		id, x := g.ids[i], col[r]
-		a := acc[id]
-		// x != x holds only for a float NaN.
-		if cnt[id] == 0 || (!max && (x < a || (x != x && a == a))) || (max && (x > a || (a != a && x == x))) {
-			acc[id] = x
-		}
-		cnt[id]++
-	}
-	return acc, cnt
-}
-
-// nullWhereZero is the null bitmap of an aggregate column: NULL where the
-// group had no non-NULL input, nil when no group is.
-func nullWhereZero(cnt []int64) []bool {
-	var null []bool
-	for i, c := range cnt {
-		if c == 0 {
-			if null == nil {
-				null = make([]bool, len(cnt))
-			}
-			null[i] = true
-		}
-	}
-	return null
-}
-
-// average turns per-group sums into averages over the given counts, NULL
-// where the count is zero.
-func average(sum []float64, cnt []int64) *value.Vec {
-	for i, c := range cnt {
-		sum[i] /= float64(c)
-	}
-	return &value.Vec{Kind: value.KindFloat, F: sum, Null: nullWhereZero(cnt)}
-}
-
-// fold computes one aggregate over column v per group as a typed output
-// column; a nil v is COUNT(*). NULL handling and result kinds are the row
-// aggState's.
-func (g *groups) fold(fn AggFunc, v *value.Vec) *value.Vec {
-	if v == nil {
-		return &value.Vec{Kind: value.KindInt, I: slices.Clone(g.tally(nil))} // COUNT(*) counts rows, NULLs included
-	}
-	out := &value.Vec{Kind: resultKind(fn, v.Kind)}
-	var cnt []int64
-	switch extreme := fn == Min || fn == Max; {
-	case extreme && v.Kind == value.KindFloat:
-		out.F, cnt = extremes(g, v.F, v.Null, fn == Max)
-	case extreme && v.Kind == value.KindString:
-		out.S, cnt = extremes(g, v.S, v.Null, fn == Max)
-	case extreme:
-		out.I, cnt = extremes(g, v.I, v.Null, fn == Max)
-	case fn == Count:
-		out.I = slices.Clone(g.tally(v.Null))
-		return out
-	case fn == Avg:
-		return average(sums[float64](g, v), g.tally(v.Null))
-	case out.Kind == value.KindFloat:
-		out.F, cnt = sums[float64](g, v), g.tally(v.Null)
-	default:
-		out.I, cnt = sums[int64](g, v), g.tally(v.Null)
-	}
-	out.Null = nullWhereZero(cnt)
-	return out
-}
-
-// AggregateBatch groups b by the groupBy columns (empty = one global
-// group) and computes the aggregate specs over the column vectors. Output
-// schema, group order (first-seen) and NULL handling match the row
-// Aggregate exactly; the result is a dense batch. b is consumed.
-func AggregateBatch(b *value.Batch, groupBy []int, specs []AggSpec) (*value.Batch, Stats, error) {
-	schema, err := aggSchema(b.Schema, groupBy, specs)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	g := groupRows(b, groupBy)
-	aggs := make([]*value.Vec, len(specs))
-	for i, sp := range specs {
-		var v *value.Vec
-		if sp.Col >= 0 {
-			v = b.Cols[sp.Col]
-		}
-		aggs[i] = g.fold(sp.Func, v)
-	}
-	out, st := g.result(schema, aggs)
-	st.Hashes = st.TuplesRead
-	return out, st, nil
-}
-
-// MergeAggregateBatches combines per-fragment partial aggregates, made with
-// PartialSpecs(specs), into the final result — the coordinator's half of
-// the two-phase distributed aggregation: the partials are concatenated and
-// regrouped on their leading groupByLen columns, and every partial column
-// folds into its final one — counts and sums add up, minima and maxima fold
-// again, an average is its summed sums over its summed counts. Group order
-// is first-seen across the partials, in order. The partials are consumed.
-func MergeAggregateBatches(partials []*value.Batch, groupByLen int, specs []AggSpec) (*value.Batch, Stats, error) {
-	if len(partials) == 0 {
-		return nil, Stats{}, fmt.Errorf("algebra: no partial aggregates to merge")
-	}
-	schema, err := mergeSchema(partials[0].Schema, groupByLen, specs)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	b := value.ConcatBatches(partials[0].Schema, partials, nil)
-	keys := make([]int, groupByLen)
-	for i := range keys {
-		keys[i] = i
-	}
-	g := groupRows(b, keys)
-	aggs := make([]*value.Vec, len(specs))
-	col := groupByLen
-	for i, sp := range specs {
-		switch sp.Func {
-		case Count: // never NULL: over no partial rows it is 0
-			aggs[i] = &value.Vec{Kind: value.KindInt, I: sums[int64](g, b.Cols[col])}
-		case Avg:
-			aggs[i] = average(sums[float64](g, b.Cols[col]), sums[int64](g, b.Cols[col+1]))
-			col++
-		default:
-			aggs[i] = g.fold(sp.Func, b.Cols[col])
-		}
-		col++
-	}
-	out, st := g.result(schema, aggs)
-	return out, st, nil
 }

@@ -322,6 +322,6 @@ func groupJoinW(fact, dim *value.Batch, factKeys, dimKeys []int) (*value.Batch, 
 	if err != nil {
 		return nil, err
 	}
-	out, _, _ := gj.Probe(fact)
+	out, _, _, _ := gj.ProbeRows(fact, nil, nil)
 	return out, nil
 }

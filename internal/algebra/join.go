@@ -3,7 +3,9 @@ package algebra
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
+	"repro/internal/expr"
 	"repro/internal/value"
 )
 
@@ -308,47 +310,112 @@ func (t *JoinTable) Group(keys []int, probe *value.Schema, pcols []int, specs []
 	return gj, nil
 }
 
-// Probe is the partial aggregate over JoinTable.Probe's output, joining the
-// selected rows of p: the groups some probe row matched (the global group
-// always) in the build side's order, and the Stats of that probe and that
-// aggregate. p is consumed.
-func (gj *GroupJoin) Probe(p *value.Batch) (out *value.Batch, join, agg Stats) {
+// ProbeRows is the partial aggregate over JoinTable.Probe's output, joining
+// the rows of p that mask sets (nil: its selection): the groups some probe
+// row matched (the global group always) in the build side's order, and the
+// Stats of that probe and that aggregate. The output's payloads are lent by
+// a; p and mask are consumed. A SUM over INT that leaves int64 is an error.
+func (gj *GroupJoin) ProbeRows(p *value.Batch, mask []uint64, a *value.Arena) (out *value.Batch, join, agg Stats, err error) {
 	t := gj.t
-	g := &groups{b: t.b, keys: gj.keys, first: value.GetSel(), n: gj.n}
+	var buf [4]acc
+	accs := specAccs(buf[:0], gj.specs)
+	var f folder // its slots are the groups, and slot 0 sinks what matches nothing
+	folded := 0  // (probe row, group) pairs, the sunk included
 	if v := p.Cols[gj.pcols[0]]; gj.sink != nil && v.Fixed() && v.Kind == t.keys[0].Kind && v.Null == nil {
-		// A clamped load per probe row, no branch on the data.
-		g.ids, g.sel = value.GetSelLen(p.Len()), p.TakeSel()
-		ids, sink, col, lo, last := g.ids[:len(g.sel)], gj.sink, v.I, t.lo, uint64(len(gj.sink)-1)
-		for i, row := range g.sel {
-			ids[i] = sink[min(uint64(col[row]-lo), last)]
+		// Every probe row folds into the group its cell sinks to.
+		runs := runsOf(p, mask)
+		folded = runs.count()
+		f = newFolder(gj.n, accs, p, folded, a)
+		f.sink = 0
+		idx := value.GetSelLen(runLen)
+		fused, sums, cells := f.fused()
+		list := runs.listed() || fused < 0
+		for rn, ok := runs.next(list); ok; rn, ok = runs.next(list) {
+			if !list {
+				sinkSums(rn, v.I, t.lo, gj.sink, f.rows, sums, cells)
+				continue
+			}
+			ids := idx[:len(rn.rows)]
+			sinkSlots(ids, rn, v.I, t.lo, gj.sink)
+			f.count(ids)
+			f.fold(rn, ids)
 		}
-		join = Stats{TuplesRead: len(g.sel), Hashes: len(g.sel)}
+		value.PutSel(idx)
+		runs.release()
+		value.PutSel(p.Sel)
+		p.Sel = nil
+		join = Stats{TuplesRead: folded, Hashes: folded}
 	} else { // one (probe row, group) pair per match
-		g.ids, g.sel, _, join = t.match(p, gj.pcols)
-		for k, e := range g.ids {
-			g.ids[k] = gj.gid[e+1]
+		if mask != nil {
+			p.Sel = expr.MaskRows(mask)
 		}
+		var ids, rows []int32
+		ids, rows, _, join = t.match(p, gj.pcols)
+		for k, e := range ids {
+			ids[k] = gj.gid[e+1]
+		}
+		folded = len(rows)
+		f = newFolder(gj.n, accs, p, folded, a)
+		f.count(ids)
+		f.fold(run{rows: rows}, ids)
+		value.PutSel(ids)
+		value.PutSel(rows)
 	}
-	rows, keep := g.tally(nil), value.GetSel()
-	for id := 1; id < g.n; id++ {
-		if len(g.keys) == 0 {
+	keep, first := value.GetSel(), value.GetSel()
+	for id := 1; id < gj.n; id++ {
+		if len(gj.keys) == 0 {
 			keep = append(keep, int32(id))
-		} else if rows[id] > 0 {
-			keep, g.first = append(keep, int32(id)), append(g.first, gj.first[id-1])
+		} else if f.rows[id] > 0 {
+			keep, first = append(keep, int32(id)), append(first, gj.first[id-1])
 		}
 	}
-	aggs := make([]*value.Vec, len(gj.specs))
-	for i, sp := range gj.specs {
-		var v *value.Vec
-		if sp.Col >= 0 {
-			v = p.Cols[sp.Col]
-		}
-		aggs[i] = g.fold(sp.Func, v).Gather(keep, nil)
+	join.TuplesEmitted = folded - int(f.rows[0])
+	agg = Stats{TuplesRead: join.TuplesEmitted, TuplesEmitted: len(keep), Hashes: join.TuplesEmitted}
+	out = &value.Batch{Schema: gj.out, Rows: len(keep), Cols: make([]*value.Vec, 0, gj.out.Len())}
+	for _, c := range gj.keys {
+		out.Cols = append(out.Cols, t.b.Cols[c].Gather(first, a))
 	}
-	join.TuplesEmitted, g.n = len(g.sel)-int(rows[0]), len(keep)
-	out, _ = g.result(gj.out, aggs)
+	if out.Cols, err = f.results(out.Cols, keep, 0); err != nil {
+		out = nil
+	}
 	value.PutSel(keep)
-	return out, join, Stats{TuplesRead: join.TuplesEmitted, TuplesEmitted: g.n, Hashes: join.TuplesEmitted}
+	value.PutSel(first)
+	return out, join, agg, err
+}
+
+// sinkSlots writes to ids the group each listed row's cell sinks to: a
+// clamped load a row, no branch on the data. It stays out of line: inlined,
+// its loop shares the caller's registers and spills its own.
+//
+//go:noinline
+func sinkSlots(ids []int32, rn run, col []int64, lo int64, sink []int32) {
+	col, last := from(col, rn), uint64(len(sink)-1)
+	for j, r := range rn.rows {
+		ids[j] = sink[min(uint64(col[r]-lo), last)]
+	}
+}
+
+// sinkSums counts each row of a dense or a mask's run into the group its
+// cell sinks to and adds its cell of cells into sums, with no group written
+// down.
+func sinkSums(rn run, col []int64, lo int64, sink []int32, counts, sums, cells []int64) {
+	col, cells, last := from(col, rn), from(cells, rn), uint64(len(sink)-1)
+	if rn.dense {
+		for i, x := range col[:len(rn.rows)] {
+			g := sink[min(uint64(x-lo), last)]
+			counts[g]++
+			sums[g] += cells[i]
+		}
+		return
+	}
+	for i, w := range rn.words {
+		for ; w != 0; w &= w - 1 {
+			r := i<<6 + bits.TrailingZeros64(w)
+			g := sink[min(uint64(col[r]-lo), last)]
+			counts[g]++
+			sums[g] += cells[r]
+		}
+	}
 }
 
 // HashJoinBatch equi-joins two batches on the given key columns: the

@@ -175,7 +175,9 @@ func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec
 							st.isFloat = true
 							st.sumF += v.Float()
 						} else {
-							st.sumI += v.Int()
+							var ok bool
+							st.sumI, ok = value.AddInt(st.sumI, v.Int())
+							st.overflow = st.overflow || !ok
 							st.sumF += v.Float()
 						}
 					}
@@ -222,6 +224,9 @@ func MergeAggregates(partials []*value.Relation, groupByLen int, specs []AggSpec
 		row := make(value.Tuple, 0, groupByLen+len(specs))
 		row = append(row, g.key...)
 		for i, sp := range specs {
+			if st := &g.states[i]; sp.Func == Sum && st.overflow && !st.isFloat {
+				return nil, Stats{}, fmt.Errorf("algebra: SUM: %w", value.ErrIntRange)
+			}
 			row = append(row, g.states[i].result(sp.Func))
 		}
 		out.Tuples = append(out.Tuples, row)

@@ -611,3 +611,71 @@ func TestIntegerOverflowRaises(t *testing.T) {
 		t.Errorf("overflow on a row AND's left side rules out: %v, %v", rel, err)
 	}
 }
+
+// TestSumLeavingIntRangeRaises: a SUM over INT whose running total leaves
+// int64 raises, as INT arithmetic does — aggregated at the coordinator in
+// one phase, pushed down to two fragments' partials and their merge, on
+// one fragment, and folded through a group-join — and AVG, which adds the
+// same values as floats, answers the same on every plan.
+func TestSumLeavingIntRangeRaises(t *testing.T) {
+	const big = "4611686018427387904" // 2^62
+	load := func(e *Engine, frags int) *Session {
+		s := e.NewSession()
+		mustExec(t, s, fmt.Sprintf(`CREATE TABLE t (id INT, g INT, x INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO %d FRAGMENTS`, frags))
+		mustExec(t, s, `INSERT INTO t VALUES (1, 0, `+big+`), (2, 0, `+big+`), (3, 1, `+big+`)`)
+		mustExec(t, s, `CREATE TABLE d (id INT, w INT, PRIMARY KEY (id))`)
+		mustExec(t, s, `INSERT INTO d VALUES (0, 7), (1, 7)`)
+		return s
+	}
+	for _, c := range []struct {
+		name  string
+		e     *Engine
+		frags int
+	}{{"two fragments", newEngine(t), 2}, {"one fragment", newEngine(t), 1}, {"central", centralEngine(t), 2}} {
+		s := load(c.e, c.frags)
+		for _, sql := range []string{
+			`SELECT SUM(x) FROM t`,
+			`SELECT g, SUM(x) AS s FROM t GROUP BY g`,
+			`SELECT d.w, SUM(t.x) AS s FROM t JOIN d ON t.g = d.id GROUP BY d.w`,
+		} {
+			if rel, err := s.Query(sql); err == nil || !strings.Contains(err.Error(), "integer out of range") {
+				t.Errorf("%s: %s = %v, %v; want an integer out of range error", c.name, sql, rel, err)
+			}
+		}
+		if rel, err := s.Query(`SELECT g, SUM(x) AS s FROM t WHERE id > 1 GROUP BY g`); err != nil || rel.Len() != 2 {
+			t.Errorf("%s: a group of one 2^62 each = %v, %v; want two groups", c.name, rel, err)
+		}
+		rel, err := s.Query(`SELECT AVG(x) AS a FROM t`)
+		if err != nil || rel.Len() != 1 || rel.Tuples[0][0].Float() != 1<<62 {
+			t.Errorf("%s: AVG(x) = %v, %v; want 2^62", c.name, rel, err)
+		}
+	}
+}
+
+// TestSumOfLaterFragmentOnly: a SUM pushed down to two fragments answers
+// the values one fragment holds when the other's partial is NULL — no row
+// passed its filter, or its rows held only NULLs — whichever fragment the
+// values lie in, global and grouped, over INT and FLOAT.
+func TestSumOfLaterFragmentOnly(t *testing.T) {
+	s := newEngine(t).NewSession()
+	mustExec(t, s, `CREATE TABLE t (id INT, g INT, x INT, y FLOAT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`)
+	mustExec(t, s, `INSERT INTO t VALUES (1, 0, NULL, NULL), (2, 0, NULL, NULL), (3, 0, NULL, NULL), (4, 0, NULL, NULL), (5, 0, NULL, NULL), (6, 0, NULL, NULL)`)
+	for id := 1; id <= 6; id++ {
+		mustExec(t, s, fmt.Sprintf(`UPDATE t SET x = 7, y = 7.5 WHERE id = %d`, id))
+		for _, sql := range []string{
+			`SELECT SUM(x) AS s, SUM(y) AS f FROM t WHERE x > 0`,
+			`SELECT SUM(x) AS s, SUM(y) AS f FROM t`,
+			`SELECT g, SUM(x) AS s, SUM(y) AS f FROM t GROUP BY g`,
+		} {
+			rel, err := s.Query(sql)
+			if err != nil || rel.Len() != 1 {
+				t.Fatalf("row %d holds the values: %s = %v, %v", id, sql, rel, err)
+			}
+			row := rel.Tuples[0]
+			if x, y := row[len(row)-2], row[len(row)-1]; x.IsNull() || x.Int() != 7 || y.IsNull() || y.Float() != 7.5 {
+				t.Errorf("row %d holds the values: %s = %v; want 7 and 7.5", id, sql, row)
+			}
+		}
+		mustExec(t, s, fmt.Sprintf(`UPDATE t SET x = NULL, y = NULL WHERE id = %d`, id))
+	}
+}

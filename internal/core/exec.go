@@ -94,32 +94,58 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 
 // slot is one partition of an intermediate result: a columnar batch, or
 // the tuples a leaf answered with — an index probe, a CSE-shared scan or a
-// coordinator-resident relation (plan.Values) — and which, for EXPLAIN.
+// coordinator-resident relation (plan.Values) — and which, for EXPLAIN. A
+// fragment scan's slot names its rows with the filter's mask, a bit per
+// batch row, instead of a selection: a pushed-down aggregate or a
+// group-join folds the rows it sets (masked), and for any other taker the
+// slot turns it into the batch's selection, once (batch, size, rows,
+// appendRows).
 type slot struct {
-	b   *value.Batch
-	rel *value.Relation
-	why string
+	b    *value.Batch
+	mask []uint64
+	rel  *value.Relation
+	why  string
 }
 
 // batch returns the slot as a batch. A leaf's tuples are transposed here,
 // once, by the first operator that takes them: every operator runs its
 // batch kernel only.
-func (s slot) batch(schema *value.Schema) (*value.Batch, error) {
+func (s *slot) batch(schema *value.Schema) (*value.Batch, error) {
+	s.selected()
+	b, _, err := s.masked(schema)
+	return b, err
+}
+
+// selected makes a mask the batch's selection.
+func (s *slot) selected() {
+	if s.mask != nil {
+		s.b.Sel, s.mask = expr.MaskRows(s.mask), nil
+	}
+}
+
+// masked is batch for a taker that folds a mask: the batch, and the mask of
+// its rows when the slot has one (nil: the batch's selection), which it
+// takes.
+func (s *slot) masked(schema *value.Schema) (*value.Batch, []uint64, error) {
 	if s.b != nil {
-		return s.b, nil
+		mask := s.mask
+		s.mask = nil
+		return s.b, mask, nil
 	}
 	var tuples []value.Tuple
 	if s.rel != nil {
 		tuples = s.rel.Tuples
 	}
 	if b := value.NewBatchFrom(schema, tuples); b != nil {
-		return b, nil
+		return b, nil, nil
 	}
-	return nil, fmt.Errorf("core: tuples of a leaf (%s) do not fit %s", s.why, schema)
+	return nil, nil, fmt.Errorf("core: tuples of a leaf (%s) do not fit %s", s.why, schema)
 }
 
 func (s slot) len() int {
 	switch {
+	case s.mask != nil:
+		return expr.MaskCount(s.mask)
 	case s.b != nil:
 		return s.b.Len()
 	case s.rel != nil:
@@ -130,7 +156,8 @@ func (s slot) len() int {
 
 // size is the slot's footprint on the simulated network, the same for
 // both forms.
-func (s slot) size() int {
+func (s *slot) size() int {
+	s.selected()
 	switch {
 	case s.b != nil:
 		return s.b.Size()
@@ -140,8 +167,9 @@ func (s slot) size() int {
 	return 0
 }
 
-// free returns a dropped batch's selection vector to the pool.
+// free returns a dropped batch's selection vector or mask to the pool.
 func (s slot) free() {
+	value.PutHashes(s.mask)
 	if s.b != nil && s.b.Sel != nil {
 		value.PutSel(s.b.Sel)
 		s.b.Sel = nil
@@ -150,7 +178,8 @@ func (s slot) free() {
 
 // rows returns the slot as tuples for a consumer that needs them,
 // consuming a batch.
-func (s slot) rows(schema *value.Schema) *value.Relation {
+func (s *slot) rows(schema *value.Schema) *value.Relation {
+	s.selected()
 	switch {
 	case s.b != nil:
 		rel := s.b.Materialize()
@@ -164,7 +193,8 @@ func (s slot) rows(schema *value.Schema) *value.Relation {
 
 // appendRows appends rows [lo, hi) of the slot to dst in the wire's tuple
 // encoding, a batch straight from its vectors; the slot is not consumed.
-func (s slot) appendRows(dst []byte, lo, hi int) []byte {
+func (s *slot) appendRows(dst []byte, lo, hi int) []byte {
+	s.selected()
 	switch {
 	case s.b != nil:
 		return value.AppendBatchRows(dst, s.b, lo, hi)
@@ -327,7 +357,8 @@ func (e *Engine) execPlan(ctx *execCtx, root plan.Node, dst []byte) (*Result, er
 			res.Rows.N += s.len()
 		}
 		dst = slices.Grow(dst, value.EncodedBound(size, res.Rows.N, root.Schema().Len()))
-		for _, s := range p.slots {
+		for i := range p.slots {
+			s := &p.slots[i]
 			dst = s.appendRows(dst, 0, s.len())
 			s.free()
 		}
@@ -378,24 +409,24 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 // scanSlot is the leaf every reader of a table fragment goes through —
 // materialized scans, pushdown aggregates and cursors.
 // The fragment's OFM filters where it lives, charging its own PE, and
-// answers with a batch (ofm.ScanBatch): over its column cache, with the
+// answers with a batch (ofm.ScanMask): over its column cache, with the
 // view transaction's pending writes there folded in, or probed from its
 // hash index. The bytes a scan writes into a cache (the whole image on the
 // first scan, the changed rows after a committed write) are this
 // statement's materialization and are charged to its tenant budget. Only
-// the columns in need are handed up.
+// the columns in need are handed up, and the filter's mask with them.
 func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema, need value.ColSet) (slot, error) {
 	if ctx.explain != nil {
 		return slot{b: value.NewBatchFrom(schema, nil)}, nil
 	}
-	b, built, err := f.ofm.ScanBatch(ctx.view, pred, nil)
+	b, mask, built, err := f.ofm.ScanMask(ctx.view, pred)
 	_ = ctx.mem.charge(built)
 	if err != nil {
 		return slot{}, err
 	}
 	b.Schema = schema
 	b.Keep(need)
-	return slot{b: b}, nil
+	return slot{b: b, mask: mask}, nil
 }
 
 // scanFragments scans each of the listed fragments where it lives when
@@ -535,8 +566,8 @@ func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (*value.Ba
 	}
 	e.arrive(ctx, p)
 	batches := make([]*value.Batch, len(p.slots))
-	for i, s := range p.slots {
-		if batches[i], err = s.batch(schema); err != nil {
+	for i := range p.slots {
+		if batches[i], err = p.slots[i].batch(schema); err != nil {
 			return nil, err
 		}
 	}
@@ -562,12 +593,12 @@ func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *valu
 			total += s.len()
 		}
 		out.Tuples = make([]value.Tuple, 0, total)
-		for _, s := range slots {
-			if s.len() == 0 {
+		for i := range slots {
+			if s := &slots[i]; s.len() == 0 {
 				s.free()
-				continue
+			} else {
+				out.Tuples = append(out.Tuples, s.rows(schema).Tuples...)
 			}
-			out.Tuples = append(out.Tuples, s.rows(schema).Tuples...)
 		}
 	}
 	return out
@@ -578,8 +609,8 @@ func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *valu
 // sizes — the same for a batch, its tuples and their encoding — are charged
 // to the tenant's budget.
 func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
-	for i, s := range p.slots {
-		if s.len() > 0 {
+	for i := range p.slots {
+		if s := &p.slots[i]; s.len() > 0 {
 			size := s.size()
 			ctx.ship(p.pes[i], ctx.s.pe, size)
 			total += size

@@ -465,24 +465,27 @@ func (e *Engine) execGroupJoin(ctx *execCtx, a *plan.Aggregate, table *algebra.J
 	cost := e.m.Cost()
 	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
 	return out, eachPart(len(big.slots), func(i int) error {
-		b, err := big.slots[i].batch(schema)
-		if err == nil {
-			var jst, ast algebra.Stats
-			out.slots[i].b, jst, ast = gj.Probe(b)
-			ctx.work(big.pes[i], cost.HashCost(jst.Hashes)+cost.BuildCost(jst.TuplesEmitted))
-			ctx.work(big.pes[i], cost.HashCost(ast.Hashes)+cost.BuildCost(ast.TuplesEmitted))
+		b, mask, err := big.slots[i].masked(schema)
+		if err != nil {
+			return err
 		}
-		return err
+		var jst, ast algebra.Stats
+		if out.slots[i].b, jst, ast, err = gj.ProbeRows(b, mask, &ctx.arena); err != nil {
+			return err
+		}
+		ctx.work(big.pes[i], cost.HashCost(jst.Hashes)+cost.BuildCost(jst.TuplesEmitted))
+		ctx.work(big.pes[i], cost.HashCost(ast.Hashes)+cost.BuildCost(ast.TuplesEmitted))
+		return nil
 	})
 }
 
 // aggregateSlot aggregates one slot on PE pe into a batch.
 func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (*value.Batch, error) {
-	b, err := s.batch(a.Child.Schema())
+	b, mask, err := s.masked(a.Child.Schema())
 	if err != nil {
 		return nil, err
 	}
-	out, st, err := algebra.AggregateBatch(b, a.GroupBy, specs)
+	out, st, err := algebra.AggregateRows(b, mask, a.GroupBy, specs, &ctx.arena)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +545,7 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 			}
 		}
 		var st algebra.Stats
-		if out, st, err = algebra.MergeAggregateBatches(partials, len(a.GroupBy), a.Specs); err != nil {
+		if out, st, err = algebra.MergePartials(partials, len(a.GroupBy), a.Specs, &ctx.arena); err != nil {
 			return nil, err
 		}
 		cost := e.m.Cost()

@@ -25,7 +25,9 @@ import (
 // its column's kind — runs the interpreter on the candidate's set bits
 // only: AND's right side on the rows its left did not make FALSE, OR's on
 // those it did not make TRUE, as the row path does, so both raise alike.
-// The TRUE mask becomes a selection vector once, when Filter returns.
+// Filter turns the TRUE mask into a selection vector once, at the end;
+// FilterMask hands the mask itself on (the column cache's scan does, so an
+// aggregate folds the rows it sets and no selection is ever made).
 
 // fault carries a runtime evaluation error up to the recover boundary.
 type fault struct{ err error }
@@ -84,8 +86,8 @@ func (vf *VecFilter) SliceCols() []int { return vf.sliceCols }
 // all rows). One recover boundary covers the whole batch.
 func (vf *VecFilter) Filter(b *value.Batch, sel, dst []int32) ([]int32, error) {
 	n := MaskWords(b.Rows)
-	buf := value.GetHashes(n + (2+vf.scratch)<<6)
-	cand := buf[:n]
+	buf := value.GetHashes(2*n + (1+vf.scratch)<<6)
+	cand, out := buf[:n], buf[n:2*n]
 	if sel == nil {
 		for w := range cand {
 			cand[w] = ^uint64(0)
@@ -99,30 +101,34 @@ func (vf *VecFilter) Filter(b *value.Batch, sel, dst []int32) ([]int32, error) {
 			cand[row>>6] |= 1 << (row & 63)
 		}
 	}
-	dst, err := vf.run(b, cand, buf[n:], dst)
+	err := vf.run(b, cand, out, buf[2*n:])
+	if err == nil {
+		dst = AppendMaskRows(dst, out, 0)
+	}
 	value.PutHashes(buf)
 	return dst, err
 }
 
 // FilterMask is Filter with the candidate rows given as a mask of
-// MaskWords(b.Rows) words, which it only reads.
-func (vf *VecFilter) FilterMask(b *value.Batch, cand []uint64, dst []int32) ([]int32, error) {
-	buf := value.GetHashes((2 + vf.scratch) << 6)
-	dst, err := vf.run(b, cand, buf, dst)
+// MaskWords(b.Rows) words, which it only reads, and the rows that pass
+// written to the mask out, of the same length.
+func (vf *VecFilter) FilterMask(b *value.Batch, cand, out []uint64) error {
+	buf := value.GetHashes((1 + vf.scratch) << 6)
+	err := vf.run(b, cand, out, buf)
 	value.PutHashes(buf)
-	return dst, err
+	return err
 }
 
-// run evaluates the kernel over 64 words of cand at a time, in buf's
-// (2+scratch)*64 words, so its masks stay small whatever b's size.
-func (vf *VecFilter) run(b *value.Batch, cand, buf []uint64, dst []int32) (out []int32, err error) {
+// run evaluates the kernel over 64 words of cand at a time into the same
+// words of out, with buf's (1+scratch)*64 words for the FALSE mask and the
+// temporaries, so they stay small whatever b's size.
+func (vf *VecFilter) run(b *value.Batch, cand, out, buf []uint64) (err error) {
 	defer catch(&err)
 	for lo := 0; lo < len(cand); lo += 64 {
 		n := min(64, len(cand)-lo)
-		vf.kernel(b, lo, cand[lo:lo+n], buf[:n], buf[n:2*n], buf[2*n:])
-		dst = AppendMaskRows(dst, buf[:n], lo)
+		vf.kernel(b, lo, cand[lo:lo+n], out[lo:lo+n], buf[:n], buf[n:])
 	}
-	return dst, nil
+	return nil
 }
 
 // MaskWords is the length of a mask over rows physical rows.
@@ -137,6 +143,22 @@ func AppendMaskRows(dst []int32, m []uint64, base int) []int32 {
 		}
 	}
 	return dst
+}
+
+// MaskRows is the selection of the rows m sets, ascending, in a pooled
+// vector of exactly that length; m goes back to its pool.
+func MaskRows(m []uint64) []int32 {
+	sel := AppendMaskRows(value.GetSelLen(MaskCount(m))[:0], m, 0)
+	value.PutHashes(m)
+	return sel
+}
+
+// MaskCount is the number of rows m sets.
+func MaskCount(m []uint64) (n int) {
+	for _, w := range m {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // Bit is 1 for true and 0 for false, compiled without a branch: a row's

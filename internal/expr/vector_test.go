@@ -279,10 +279,17 @@ func FuzzVecFilterMatchesRow(f *testing.F) {
 			check("dense", all, got, err)
 			got, err = vf.Filter(batch, sel, nil)
 			check("under a selection", sel, got, err)
-			got, err = vf.FilterMask(batch, cand, nil)
+			got, err = filterMask(vf, batch, cand)
 			check("under a candidate mask", AppendMaskRows(nil, cand, 0), got, err)
 		}
 	})
+}
+
+// filterMask is FilterMask's output as the selection of the rows it sets.
+func filterMask(vf *VecFilter, b *value.Batch, cand []uint64) ([]int32, error) {
+	out := make([]uint64, len(cand))
+	err := vf.FilterMask(b, cand, out)
+	return AppendMaskRows(nil, out, 0), err
 }
 
 // sliceCol bit-slices INT column c of b over its non-NULL rows, from lower
@@ -372,12 +379,12 @@ func TestSliceKernelMatchesConstBits(t *testing.T) {
 			if got := vf.SliceCols(); len(got) != 1 || got[0] != 0 {
 				t.Fatalf("%s: SliceCols %v, want [0]", e, got)
 			}
-			want, err := vf.FilterMask(batch, cand, nil)
+			want, err := filterMask(vf, batch, cand)
 			if err != nil {
 				t.Fatal(err)
 			}
 			batch.Slices = []*value.BitSlices{sl}
-			got, err := vf.FilterMask(batch, cand, nil)
+			got, err := filterMask(vf, batch, cand)
 			batch.Slices = nil
 			if err != nil {
 				t.Fatal(err)
@@ -513,10 +520,10 @@ func BenchmarkFilterMaskSliced(b *testing.B) {
 			name, batch.Slices = "sliced", []*value.BitSlices{sliceCol(batch, 0, 0, 0)}
 		}
 		b.Run(name, func(b *testing.B) {
-			dst := make([]int32, 0, rows)
+			out := make([]uint64, len(cand))
 			for i := 0; i < b.N; i++ {
-				if dst, err = vf.FilterMask(batch, cand, dst[:0]); err != nil || len(dst) != (rows+96)/97 {
-					b.Fatalf("kept %d rows, err %v", len(dst), err)
+				if err = vf.FilterMask(batch, cand, out); err != nil || MaskCount(out) != (rows+96)/97 {
+					b.Fatalf("kept %d rows, err %v", MaskCount(out), err)
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package ofm
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -19,7 +18,9 @@ import (
 // stamp folded in, one built from the stamps a word at a time at an older
 // timestamp, less the bits of its transaction's pending deletes. The
 // filter takes it as its candidate rows, so no row expression sees a dead
-// or free row, and only the rows that pass become a selection vector.
+// or free row, and the scan hands on the mask of the rows that pass
+// (ScanMask): an aggregate folds its set bits, and only a taker that needs
+// a selection vector makes one (ScanBatch is the scan with it made).
 //
 // The cache is built once, by transposing the store, and from then on
 // follows it. The store logs the slots its mutators touch
@@ -40,24 +41,33 @@ import (
 // sidecar (not to slice that column again until the next transposition)
 // once the range needs more than 16 bits. Its bytes are the cache's.
 //
+// Every INT column carries its range, [Lo, Hi] over the values the cache
+// holds (value.Vec.Range): the transposition records it and the catch-up
+// widens it before it writes a value outside it, in a fresh header (see
+// below). It only widens — a value deleted or vacuumed away leaves it as
+// it was — so it bounds every cell some snapshot can see, and the direct
+// tier of the aggregate kernels reads its bounds off it, not off the rows.
+// It lives in the header, so it costs nothing more to keep.
+//
 // Concurrency. Scans hold no store lock and keep reading the vectors
-// after ScanBatch returns, while they materialize. Two rules make
+// after ScanMask returns, while they materialize. Two rules make
 // patching under them safe:
 //
-//   - ccMu orders everything done inside ScanBatch: the stamps, the
+//   - ccMu orders everything done inside ScanMask: the stamps, the
 //     current mask, the sidecars and the filter kernel (which reads the
 //     column words of every row, visible or not) are read under its read
 //     lock, and the catch-up and the slicing write them under its write
 //     lock. Sidecar words are read only by the filter call scan makes: the
 //     batch carries them (Batch.Slices) for that call and never after.
 //   - What a scan keeps afterwards is a value.Batch: the Vec headers of
-//     its generation plus a selection of rows visible at its snapshot.
-//     Headers are never written once published — growth, and the first
-//     NULL of a column, publish fresh headers (over the same backing
-//     arrays when capacity allows) — and a payload write only ever lands
-//     on a row no pinned snapshot can see: the store reuses a slot only
+//     its generation plus a mask or selection of rows visible at its
+//     snapshot. Headers are never written once published — growth, the
+//     first NULL of a column and a wider range publish fresh headers (over
+//     the same backing arrays when capacity allows), so the range a reader
+//     holds bounds every row it selects — and a payload write only ever
+//     lands on a row no pinned snapshot can see: the store reuses a slot only
 //     after Vacuum freed it at the GC horizon, and a DeleteVersion moves
-//     stamps, not values. So the caller of ScanBatch must hold its
+//     stamps, not values. So the caller of ScanMask must hold its
 //     snapshot pinned until it is done with the batch, as every read of
 //     the engine does. A standalone OFM (no Horizon) vacuums eagerly with
 //     no regard for readers, so it never patches: every write costs it a
@@ -391,34 +401,52 @@ func (cc *colCache) setCurrent(row int, current bool) {
 	*w = *w&^(1<<(row&63)) | expr.Bit(current)<<(row&63)
 }
 
-// extend makes the cache cover slots rows and gives every column about to
-// receive its first NULL a null bitmap. Either need publishes fresh Vec
-// headers: scans still materializing from the old ones must never see a
-// header change under them. The new rows start out free; the entries that
-// made the store grow fill them in.
+// extend makes the cache cover slots rows, gives every column about to
+// receive its first NULL a null bitmap and widens the range of every INT
+// column about to receive a value outside it. Any of these publishes fresh
+// Vec headers: scans still materializing from the old ones must never see
+// a header change under them, and the rows the entries write are rows no
+// such scan selects, so the old range still bounds what it reads. The new
+// rows start out free; the entries that made the store grow fill them in.
 func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 	var wantNull []bool // per column, allocated on the first hit
+	var lo, hi []int64  // per column, the widened range, allocated likewise
 	for i := range dirty {
 		if dirty[i].StampsOnly {
 			continue
 		}
 		for c, v := range dirty[i].Tuple {
-			if v.IsNull() && cc.cols[c].Null == nil {
-				if wantNull == nil {
-					wantNull = make([]bool, len(cc.cols))
+			vec := cc.cols[c]
+			switch {
+			case v.IsNull():
+				if vec.Null == nil {
+					if wantNull == nil {
+						wantNull = make([]bool, len(cc.cols))
+					}
+					wantNull[c] = true
 				}
-				wantNull[c] = true
+			case vec.Ranged && (v.Int() < vec.Lo || v.Int() > vec.Hi):
+				if lo == nil {
+					lo, hi = make([]int64, len(cc.cols)), make([]int64, len(cc.cols))
+					for c, vec := range cc.cols {
+						lo[c], hi[c] = vec.Lo, vec.Hi
+					}
+				}
+				lo[c], hi[c] = min(lo[c], v.Int()), max(hi[c], v.Int())
 			}
 		}
 	}
-	if slots <= cc.rows && wantNull == nil {
+	if slots <= cc.rows && wantNull == nil && lo == nil {
 		return
 	}
 	slots = max(slots, cc.rows)
 	added := int64(slots - cc.rows)
 	cols := make([]*value.Vec, len(cc.cols))
 	for c, old := range cc.cols {
-		vec := &value.Vec{Kind: old.Kind}
+		vec := &value.Vec{Kind: old.Kind, Lo: old.Lo, Hi: old.Hi, Ranged: old.Ranged}
+		if lo != nil {
+			vec.Lo, vec.Hi = lo[c], hi[c]
+		}
 		width := int64(8) // bytes a row takes in this column, as vecBytes counts
 		switch old.Kind {
 		case value.KindString:
@@ -495,8 +523,25 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 
 // ScanBatch is the fragment's scan: it evaluates an optional predicate
 // over the view and returns the matching rows as a batch, projected to
-// cols (nil = all). Only the versions visible at view.TS are read, so it
-// takes no locks; virtual CPU time is charged per row examined.
+// cols (nil = all). It is ScanMask with the rows selected.
+func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
+	batch, mask, built, err := o.ScanMask(view, pred)
+	if err != nil {
+		return nil, built, err
+	}
+	if mask != nil {
+		batch.Sel = expr.MaskRows(mask)
+	}
+	return o.projected(batch, cols), built, nil
+}
+
+// ScanMask is the fragment's scan: it evaluates an optional predicate over
+// the view and returns the matching rows as a batch and a mask of its
+// rows, a bit per row and 64 rows a word (nil: the batch's own rows, all
+// of them when it is dense), pooled for the caller to put back (or turn
+// into a selection, expr.MaskRows). Only the versions visible at view.TS
+// are read, so it takes no locks; virtual CPU time is charged per row
+// examined.
 //
 // An equality on a hash-indexed column (eqIndexProbe) is answered from the
 // index: the probed versions, and the view transaction's pending inserts
@@ -510,51 +555,54 @@ func (o *OFM) compileVecFilter(e expr.Expr) (*expr.VecFilter, error) {
 // write changed when it had to catch up, 0 on a hit. When the OFM has a GC
 // horizon the caller must keep view.TS pinned until it has finished with
 // the batch (see the file comment).
-func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Batch, built int64, err error) {
+func (o *OFM) ScanMask(view View, pred expr.Expr) (batch *value.Batch, mask []uint64, built int64, err error) {
 	del, ins := o.overlay(view)
 	if pred != nil {
 		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
 			rows, err := o.probeRows(view, del, ins, hash, key, rest, pred)
 			if err != nil {
-				return nil, 0, err
+				return nil, nil, 0, err
 			}
 			if batch = value.NewBatchFrom(o.cfg.Schema, rows); batch == nil {
-				return nil, 0, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
+				return nil, nil, 0, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
 			}
-			return o.projected(batch, cols), 0, nil
+			return batch, nil, 0, nil
 		}
 	}
-	batch, pending, built, err := o.scanCache(view, del, ins, pred)
+	batch, mask, pending, built, err := o.scanCache(view, del, ins, pred)
 	if err != nil {
-		return nil, built, err
+		return nil, nil, built, err
 	}
 	o.ccMu.RUnlock()
 	if pending != nil {
-		batch = value.ConcatBatches(o.cfg.Schema, []*value.Batch{batch, pending}, nil)
+		if mask != nil {
+			batch.Sel = expr.MaskRows(mask)
+		}
+		batch, mask = value.ConcatBatches(o.cfg.Schema, []*value.Batch{batch, pending}, nil), nil
 	}
-	return o.projected(batch, cols), built, nil
+	return batch, mask, built, nil
 }
 
 // scanCache is the scan of every question no index answers, for reads and
 // writes alike: pred (nil = all) over the column cache rows visible in the
 // view less the pending deletes del, and over the pending inserts ins. It
-// returns the cache's batch selecting the rows that pass — a selected
-// row's index is its store slot — and, when ins is not empty, the inserts
-// as a batch selecting those that pass. On a nil error o.ccMu is
+// returns the cache's batch and the mask of its rows that pass (nil: all)
+// — a row's index is its store slot — and, when ins is not empty, the
+// inserts as a batch selecting those that pass. On a nil error o.ccMu is
 // read-locked, so the cache and the slots keep meaning the same versions
 // until the caller unlocks it. built reports the bytes the cache build or
 // catch-up wrote. The kernel's work is charged: every visible version
 // examined, the inserts included.
-func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.Tuple, pred expr.Expr) (batch, pending *value.Batch, built int64, err error) {
+func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.Tuple, pred expr.Expr) (batch *value.Batch, mask []uint64, pending *value.Batch, built int64, err error) {
 	var f *expr.VecFilter
 	if pred != nil {
 		if f, err = o.compileVecFilter(pred); err != nil {
-			return nil, nil, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+			return nil, nil, nil, 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 		}
 	}
 	if len(ins) > 0 {
 		if pending, err = o.filterTuples(ins, f); err != nil {
-			return nil, nil, 0, err
+			return nil, nil, nil, 0, err
 		}
 	}
 	var slice []int
@@ -563,12 +611,12 @@ func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.T
 	}
 	cc, built, err := o.columnCache(slice)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, nil, 0, err
 	}
-	batch, visible, err := cc.scan(o.cfg.Schema, view.TS, del, f)
+	batch, mask, visible, err := cc.scan(o.cfg.Schema, view.TS, del, f)
 	if err != nil {
 		o.ccMu.RUnlock()
-		return nil, nil, built, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
+		return nil, nil, nil, built, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
 	visible += len(ins)
 	cost := o.costs()
@@ -577,7 +625,7 @@ func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.T
 	} else {
 		o.cfg.PE.Advance(cost.ScanCost(visible, true))
 	}
-	return batch, pending, built, nil
+	return batch, mask, pending, built, nil
 }
 
 // projected narrows b to cols (nil = all), charging the rows it hands on.
@@ -591,14 +639,15 @@ func (o *OFM) projected(b *value.Batch, cols []int) *value.Batch {
 }
 
 // scan selects the rows visible at ts, less the versions del holds, that
-// satisfy f (nil = all of them) and reports how many rows were visible.
-// Caller holds OFM.ccMu shared.
-func (cc *colCache) scan(schema *value.Schema, ts uint64, del map[storage.RowID]struct{}, f *expr.VecFilter) (batch *value.Batch, visible int, err error) {
+// satisfy f (nil = all of them) and reports how many rows were visible. The
+// rows selected are a pooled mask over the cache rows, nil when every row
+// is (the batch is then dense). Caller holds OFM.ccMu shared.
+func (cc *colCache) scan(schema *value.Schema, ts uint64, del map[storage.RowID]struct{}, f *expr.VecFilter) (batch *value.Batch, mask []uint64, visible int, err error) {
 	batch = &value.Batch{Schema: schema, Cols: cc.cols, Rows: cc.rows}
 	vis := cc.current // at or past every stamp, the current rows are the visible ones
-	if ts < cc.maxStamp || len(del) > 0 {
+	own := ts < cc.maxStamp || len(del) > 0
+	if own {
 		vis = value.GetHashes(len(cc.current))
-		defer value.PutHashes(vis)
 		if ts < cc.maxStamp {
 			cc.visibleAt(ts, vis)
 		} else {
@@ -611,19 +660,27 @@ func (cc *colCache) scan(schema *value.Schema, ts uint64, del map[storage.RowID]
 			vis[id.Slot()>>6] &^= 1 << (id.Slot() & 63)
 		}
 	}
-	for _, w := range vis {
-		visible += bits.OnesCount64(w)
-	}
+	visible = expr.MaskCount(vis)
 	switch {
 	case f != nil:
+		mask = value.GetHashes(len(vis))
 		// The sidecars ride on the batch only while ccMu is held.
 		batch.Slices = cc.slices
-		batch.Sel, err = f.FilterMask(batch, vis, value.GetSel())
+		err = f.FilterMask(batch, vis, mask)
 		batch.Slices = nil
+	case visible < cc.rows && own:
+		mask, own = vis, false // the caller takes the visibility mask over
 	case visible < cc.rows:
-		batch.Sel = expr.AppendMaskRows(value.GetSel(), vis, 0)
+		mask = append(value.GetHashes(0), vis...)
 	}
-	return batch, visible, err
+	if own {
+		value.PutHashes(vis)
+	}
+	if err != nil {
+		value.PutHashes(mask)
+		return nil, nil, 0, err
+	}
+	return batch, mask, visible, nil
 }
 
 // visibleAt writes to m the mask of the rows visible at ts: begin <= ts <

@@ -239,12 +239,14 @@ func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int3
 			return ids, pend, err
 		}
 	}
-	batch, pending, _, err := o.scanCache(view, del, ins, pred)
+	batch, mask, pending, _, err := o.scanCache(view, del, ins, pred)
 	if err != nil {
 		return nil, nil, err
 	}
-	sel := batch.Sel
-	if sel == nil {
+	var sel []int32
+	if mask != nil {
+		sel = expr.MaskRows(mask)
+	} else {
 		sel = allRows(batch.Rows)
 	}
 	ids = o.store.SlotIDs(nil, sel)

@@ -2,6 +2,7 @@ package value
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -11,7 +12,11 @@ import (
 // machine words instead of tagged unions. Exactly one of I/F/S is
 // populated, chosen by Kind (booleans ride in I as 0/1). Null is nil
 // when the column has no NULLs — the dense case — so kernels can skip
-// the per-row NULL test entirely.
+// the per-row NULL test entirely. An INT vector may carry a range,
+// [Lo, Hi], that bounds every cell a reader can select: the column cache
+// records it when it transposes a fragment and widens it as writes land,
+// Gather and Scatter keep it, and a kernel that would index a table by the
+// cells reads it instead of finding the least and greatest cell itself.
 //
 // One shared vector per fixed-width kind, with no payload at all, is that
 // kind's kind-only vector: the column that no operator above will read
@@ -26,6 +31,21 @@ type Vec struct {
 	I    []int64   // KindInt and KindBool payloads
 	F    []float64 // KindFloat payloads
 	S    []string  // KindString payloads
+	// Lo and Hi bound the selectable cells of an INT vector when Ranged.
+	Lo, Hi int64
+	Ranged bool
+}
+
+// Range returns bounds on the cells of a fixed-width integer vector, when
+// it has them: its recorded range, and [0, 1] for a BOOLEAN.
+func (v *Vec) Range() (lo, hi int64, ok bool) {
+	switch {
+	case v.KindOnly():
+		return 0, 0, false
+	case v.Kind == KindBool:
+		return 0, 1, true
+	}
+	return v.Lo, v.Hi, v.Ranged && v.Kind == KindInt
 }
 
 // Len returns the number of physical rows in the vector.
@@ -87,12 +107,12 @@ func (v *Vec) Gather(idxs []int32, a *Arena) *Vec {
 // (at row k when at is nil) — a join's build side laid out along the rows
 // of its probe side. Its numeric payload is lent by a, unzeroed: rows
 // Scatter does not list hold arbitrary values and must stay out of every
-// selection. A kind-only vector is its own scatter.
+// selection. A kind-only vector is its own scatter; the copy keeps v's range.
 func (v *Vec) Scatter(idxs, at []int32, n int, a *Arena) *Vec {
 	if v.KindOnly() {
 		return v
 	}
-	out := &Vec{Kind: v.Kind}
+	out := &Vec{Kind: v.Kind, Lo: v.Lo, Hi: v.Hi, Ranged: v.Ranged}
 	if v.Null != nil {
 		out.Null = make([]bool, n)
 		scatterInto(out.Null, v.Null, idxs, at)
@@ -599,8 +619,9 @@ func (v *Vec) Set(i int, x Value) bool {
 // (the storage layer's Conform guarantees this for stored relations).
 // A nil tuple is a hole: its row keeps zero payloads, and the caller
 // must keep it out of every selection (the OFM column cache maps free
-// store slots this way). Returns nil when a column is heterogeneous or
-// a tuple is short.
+// store slots this way). An INT column is ranged over its non-NULL
+// values (an empty one over [0, 0]). Returns nil when a column is
+// heterogeneous or a tuple is short.
 func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 	w := schema.Len()
 	n := len(tuples)
@@ -616,7 +637,8 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				}
 			}
 		}
-		vec := &Vec{Kind: kind}
+		vec := &Vec{Kind: kind, Ranged: kind == KindInt}
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		switch kind {
 		case KindFloat:
 			vec.F = make([]float64, n)
@@ -654,7 +676,8 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				if v.Kind() != KindInt {
 					return nil
 				}
-				vec.I[i] = v.Int()
+				x := v.Int()
+				vec.I[i], lo, hi = x, min(lo, x), max(hi, x)
 			case KindFloat:
 				if k := v.Kind(); k != KindFloat && k != KindInt {
 					return nil
@@ -671,6 +694,9 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				return nil
 			}
 		}
+		if vec.Ranged && lo <= hi {
+			vec.Lo, vec.Hi = lo, hi
+		}
 		cols[c] = vec
 	}
 	return &Batch{Schema: schema, Cols: cols, Rows: n}
@@ -680,58 +706,58 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 // so one huge scan cannot pin memory forever (wire.PutBuf discipline).
 const maxPooledSel = 1 << 20
 
-var selPool = sync.Pool{
-	New: func() any {
-		s := make([]int32, 0, 1024)
-		return &s
-	},
+// The selection and hash vectors are pooled by size class, powers of two
+// from 1<<minArenaBits up to maxPooledSel elements, as the arena's payloads
+// are: a request takes a buffer of the least class that holds it, and a
+// buffer goes back to the greatest class it can stand in for. The pools
+// hold *[]T boxes, and an emptied box waits in boxes for the next put, so
+// neither a get nor a put allocates once the pools are warm.
+var (
+	selPools, hashPools [arenaClasses]sync.Pool
+	selBoxes, hashBoxes sync.Pool
+)
+
+func getPooled[T int32 | uint64](pools *[arenaClasses]sync.Pool, boxes *sync.Pool, n int) []T {
+	if n > maxPooledSel {
+		return make([]T, n)
+	}
+	class := max(bits.Len(uint(max(n, 1)-1)), minArenaBits) - minArenaBits
+	box, _ := pools[class].Get().(*[]T)
+	if box == nil {
+		return make([]T, n, 1<<(class+minArenaBits))
+	}
+	s := (*box)[:n]
+	*box = nil
+	boxes.Put(box)
+	return s
+}
+
+func putPooled[T int32 | uint64](pools *[arenaClasses]sync.Pool, boxes *sync.Pool, s []T) {
+	if cap(s) < 1<<minArenaBits || cap(s) > maxPooledSel {
+		return
+	}
+	box, _ := boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = s
+	pools[bits.Len(uint(cap(s)))-1-minArenaBits].Put(box)
 }
 
 // GetSel returns an empty selection-vector buffer from the pool.
-func GetSel() []int32 { return (*selPool.Get().(*[]int32))[:0] }
+func GetSel() []int32 { return getPooled[int32](&selPools, &selBoxes, 0) }
 
 // GetSelLen returns a pooled buffer of length n with arbitrary contents —
 // the kernels' int32 scratch (hash-table slots, group ids, chain links).
-func GetSelLen(n int) []int32 {
-	s := GetSel()
-	if cap(s) < n {
-		// The short buffer is dropped, not put back: the pool then settles
-		// on buffers of the sizes its callers ask for.
-		s = make([]int32, n)
-	}
-	return s[:n]
-}
+func GetSelLen(n int) []int32 { return getPooled[int32](&selPools, &selBoxes, n) }
 
 // PutSel returns a selection-vector buffer to the pool. Oversized
 // buffers are dropped to bound pooled memory.
-func PutSel(s []int32) {
-	if cap(s) == 0 || cap(s) > maxPooledSel {
-		return
-	}
-	selPool.Put(&s)
-}
-
-var hashPool = sync.Pool{
-	New: func() any {
-		s := make([]uint64, 0, 1024)
-		return &s
-	},
-}
+func PutSel(s []int32) { putPooled(&selPools, &selBoxes, s) }
 
 // GetHashes returns a pooled hash vector of length n, under the same cap
 // discipline as the selection vectors.
-func GetHashes(n int) []uint64 {
-	s := *hashPool.Get().(*[]uint64)
-	if cap(s) < n {
-		s = make([]uint64, n)
-	}
-	return s[:n]
-}
+func GetHashes(n int) []uint64 { return getPooled[uint64](&hashPools, &hashBoxes, n) }
 
 // PutHashes returns a hash vector to the pool.
-func PutHashes(s []uint64) {
-	if cap(s) == 0 || cap(s) > maxPooledSel {
-		return
-	}
-	hashPool.Put(&s)
-}
+func PutHashes(s []uint64) { putPooled(&hashPools, &hashBoxes, s) }

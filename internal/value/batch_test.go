@@ -366,8 +366,9 @@ func TestBatchSizeSkipsNullPayloads(t *testing.T) {
 	}
 }
 
-// TestScratchPools: sized buffers come back at the length asked, and the
-// hash pool drops oversized vectors like the selection pool does.
+// TestScratchPools: sized buffers come back at the length asked, the hash
+// pool drops oversized vectors like the selection pool does, and the pools
+// are size-classed and allocation-free once warm.
 func TestScratchPools(t *testing.T) {
 	if s := GetSelLen(5000); len(s) != 5000 {
 		t.Errorf("GetSelLen = %d", len(s))
@@ -379,4 +380,20 @@ func TestScratchPools(t *testing.T) {
 	PutHashes(h)
 	PutHashes(make([]uint64, 0, maxPooledSel+1))
 	PutHashes(nil)
+	// A request is served from the least size class that holds it, and a
+	// warm get-and-put cycle allocates nothing: the pools keep their boxes
+	// (at most one allocation a cycle under the race detector, whose
+	// sync.Pool drops puts at random).
+	if s := GetSelLen(1500); cap(s) < 1500 || cap(s) >= 4096 {
+		t.Errorf("GetSelLen(1500) has capacity %d, want its class's, [2048, 4096)", cap(s))
+	}
+	cycle := func() {
+		s, h := GetSelLen(3000), GetHashes(500)
+		PutSel(s)
+		PutHashes(h)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a > 1.5 {
+		t.Errorf("a warm pool cycle allocates %.1f times; want none", a)
+	}
 }

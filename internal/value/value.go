@@ -230,8 +230,8 @@ func Equal(a, b Value) bool {
 // Less reports whether a orders strictly before b.
 func Less(a, b Value) bool { return Compare(a, b) < 0 }
 
-// errIntRange is what integer arithmetic raises on a result outside int64.
-var errIntRange = fmt.Errorf("value: integer out of range")
+// ErrIntRange is what integer arithmetic raises on a result outside int64.
+var ErrIntRange = fmt.Errorf("value: integer out of range")
 
 // AddInt, SubInt, MulInt, DivInt, ModInt and NegInt are the integer
 // arithmetic of Add, Sub, Mul, Div, Mod and Neg: ok is false where those
@@ -270,7 +270,7 @@ func NegInt(a int64) (int64, bool) { return -a, a != math.MinInt64 }
 // checked boxes the result of a checked integer operation.
 func checked(r int64, ok bool) (Value, error) {
 	if !ok {
-		return Null, errIntRange
+		return Null, ErrIntRange
 	}
 	return NewInt(r), nil
 }
