@@ -17,13 +17,16 @@ import (
 // looks for them. The global aggregate has the one slot 0. Any other key
 // is grouped first (groupRows), and a group's id is its slot. A fragment
 // scan hands over its filter's mask, and these tiers and a group-join's
-// sink walk its set bits: no selection is made. When the only aggregate
-// that reads values is a SUM over INT cells that cannot leave int64 — the
-// usual COUNT(*), SUM(x) — it is added in the pass that names the slots,
-// over a dense run's cells as they lie or a mask's set bits; otherwise the
-// pass writes each row's slot down and each aggregate folds the run in a
-// loop of its own. Groups come out first-seen, as the row operator emits
-// them: the direct tier lists its slots as it opens them.
+// sink walk its set bits: no selection is made. When the row counts and
+// INT sums over cells with no NULL answer every aggregate — the usual
+// COUNT(*), SUM(x), and every merge of their partials — no row is listed
+// (plain): the global slot counts a walk's rows at once, a popcount over a
+// mask; the direct tier counts a dense run's cells or a mask's set bits
+// into their slots, adding one sum as it goes, and each other sum adds
+// its cells into theirs in a pass of its own. Otherwise the pass writes
+// each row's slot down and each aggregate folds the run in a loop of its
+// own. Groups come out first-seen, as the row operator emits them: the
+// direct tier lists its slots as it opens them.
 
 // runLen bounds a run, so its rows and slots stay in the first-level cache.
 const runLen = 256
@@ -220,27 +223,24 @@ func abs(x int64) uint64 {
 	return uint64(x)
 }
 
-// fused picks the accumulator a pass naming slots folds as it goes: a SUM
-// over INT cells, none of them NULL, that cannot leave int64, when no
-// other accumulator reads a value. It returns its index, sums and cells;
-// -1 when there is none.
-func (f *folder) fused() (int, []int64, []int64) {
-	p := -1
+// plain reports whether the slots' row counts and INT sums over cells with
+// no NULL answer every accumulator, so a fold need list no row, and how
+// many sums there are: the accumulators summed reports.
+func (f *folder) plain() (sums int, ok bool) {
 	for k := range f.accs {
-		ac := &f.accs[k]
-		switch v := ac.v; {
-		case v == nil || ac.fn == Count && v.Null == nil: // the slots' row counts answer these
-		case p < 0 && ac.fn == Sum && ac.i != nil && !ac.checked && ac.cnt == nil && v.Kind == value.KindInt:
-			p = k
+		switch ac := &f.accs[k]; {
+		case ac.v == nil || ac.fn == Count && ac.v.Null == nil: // the slots' row counts answer these
+		case ac.fn == Sum && ac.i != nil && !ac.counted && ac.cnt == nil && ac.v.Kind == value.KindInt && ac.v.Null == nil:
+			sums++
 		default:
-			return -1, nil, nil
+			return 0, false
 		}
 	}
-	if p < 0 {
-		return -1, nil, nil
-	}
-	return p, f.accs[p].i, f.accs[p].v.I
+	return sums, true
 }
+
+// summed reports whether a plain folder's accumulator is one of its sums.
+func (ac *acc) summed() bool { return ac.v != nil && ac.fn != Count }
 
 // count adds a run's rows to their slots' counts. Over two slots the ids
 // add up in a register and no count waits on the last.
@@ -450,13 +450,13 @@ func (f *folder) results(dst []*value.Vec, order []int32, n int) ([]*value.Vec, 
 
 // foldRuns folds the rows runs walks. With a key it is the direct tier's
 // pass: cell − lo is a row's slot, and a slot's first row lists it in
-// order. Without one every row folds into slot 0.
+// order. Without one every row folds into slot 0. A plain fold lists no
+// row: without a key it is foldAll; with one it counts each run into its
+// slots (not over a selection, whose runs are lists), adding the first
+// sum that cannot leave int64 as it goes, and then adds each other sum in
+// a pass of its own, checked (in a pass that adds into memory the check
+// costs about a fifth of its time, so the sum that needs none has none).
 func (f *folder) foldRuns(runs *rowRuns, key *value.Vec, lo int64) {
-	p, sums, cells := f.fused()
-	if runs.listed() {
-		p = -1
-	}
-	idx := value.GetSelLen(runLen)
 	switch {
 	case f.order != nil:
 	case key == nil: // the global aggregate's one slot is there over no rows too
@@ -464,27 +464,63 @@ func (f *folder) foldRuns(runs *rowRuns, key *value.Vec, lo int64) {
 	default:
 		f.order = value.GetSelLen(len(f.rows))[:0]
 	}
+	sums, plain := f.plain()
+	if plain && key == nil {
+		f.foldAll(runs, 0, sums)
+		return
+	}
+	order, n := f.order[:cap(f.order)], len(f.order)
+	if plain && !runs.listed() {
+		var fsums, fcells []int64
+		fused := -1
+		for k := range f.accs {
+			if ac := &f.accs[k]; fused < 0 && ac.summed() && !ac.checked {
+				fused, fsums, fcells = k, ac.i, ac.v.I
+			}
+		}
+		for rn, ok := runs.next(false); ok; rn, ok = runs.next(false) {
+			n = directSums(rn, key.I, lo, f.rows, order, n, fsums, fcells)
+			for k := range f.accs {
+				if ac := &f.accs[k]; ac.summed() && k != fused {
+					f.ovf |= sumRun(rn, key.I, lo, ac.i, ac.v.I)
+				}
+			}
+		}
+		f.order = order[:n]
+		return
+	}
+	idx := value.GetSelLen(runLen)
 	if key == nil {
 		clear(idx)
 	}
-	order, n := f.order[:cap(f.order)], len(f.order)
-	for rn, ok := runs.next(p < 0); ok; rn, ok = runs.next(p < 0) {
-		switch {
-		case p >= 0 && key == nil:
-			f.rows[0] += int64(len(rn.rows) + expr.MaskCount(rn.words))
-			sums[0] += total(rn, cells)
-		case p >= 0:
-			n = directSums(rn, key.I, lo, f.rows, order, n, sums, cells)
-		case key == nil:
+	for rn, ok := runs.next(true); ok; rn, ok = runs.next(true) {
+		if key == nil {
 			f.rows[0] += int64(len(rn.rows))
-			f.fold(rn, idx[:len(rn.rows)])
-		default:
+		} else {
 			n = directSlots(idx, rn, key.I, lo, f.rows, order, n)
-			f.fold(rn, idx[:len(rn.rows)])
 		}
+		f.fold(rn, idx[:len(rn.rows)])
 	}
 	f.order = order[:n]
 	value.PutSel(idx)
+}
+
+// foldAll folds every row runs walks into slot g of a plain folder with
+// sums sums: g's count grows by the walk's, a mask's popcount, each sum by
+// its cells' total, and no row is listed. The sums are checked, but for
+// the sink's.
+func (f *folder) foldAll(runs *rowRuns, g int32, sums int) {
+	f.rows[g] += int64(runs.count())
+	for rn, ok := runs.next(false); ok && sums > 0; rn, ok = runs.next(false) {
+		for k := range f.accs {
+			if ac := &f.accs[k]; ac.summed() {
+				var ovf int64
+				if ac.i[g], ovf = total(rn, ac.v.I, ac.i[g]); g != f.sink {
+					f.ovf |= ovf
+				}
+			}
+		}
+	}
 }
 
 // directSlots writes to ids each listed row's slot, its cell − lo, and
@@ -504,8 +540,9 @@ func directSlots(ids []int32, rn run, col []int64, lo int64, counts []int64, ord
 	return n
 }
 
-// directSums is directSlots over a dense or a mask's run, each row's cell
-// of cells added into sums in place of its slot written down.
+// directSums is directSlots over a dense or a mask's run with no slot
+// written down: each row counted into its slot and, unless sums is nil,
+// its cell of cells added into sums there.
 func directSums(rn run, col []int64, lo int64, counts []int64, order []int32, n int, sums, cells []int64) int {
 	col, cells = from(col, rn), from(cells, rn)
 	if rn.dense {
@@ -516,7 +553,9 @@ func directSums(rn run, col []int64, lo int64, counts []int64, order []int32, n 
 				n++
 			}
 			counts[k]++
-			sums[k] += cells[i]
+			if sums != nil {
+				sums[k] += cells[i]
+			}
 		}
 		return n
 	}
@@ -529,26 +568,64 @@ func directSums(rn run, col []int64, lo int64, counts []int64, order []int32, n 
 				n++
 			}
 			counts[k]++
-			sums[k] += cells[r]
+			if sums != nil {
+				sums[k] += cells[r]
+			}
 		}
 	}
 	return n
 }
 
-// total is the sum of the cells of a dense or a mask's run.
-func total(rn run, cells []int64) (s int64) {
-	cells = from(cells, rn)
+// sumRun adds each cell of cells at the rows of a dense or a mask's run
+// into sums, at the slot its cell of key names (key − lo), and returns a
+// word whose sign is set if a sum left int64 on the way.
+func sumRun(rn run, key []int64, lo int64, sums, cells []int64) (ovf int64) {
+	key, cells = from(key, rn), from(cells, rn)
+	add := func(k, c int64) {
+		s := sums[k] + c
+		ovf |= (sums[k] ^ s) & (c ^ s)
+		sums[k] = s
+	}
 	if rn.dense {
-		for _, x := range cells[:len(rn.rows)] {
-			s += x
+		for i, x := range key[:len(rn.rows)] {
+			add(x-lo, cells[i])
 		}
 	}
 	for i, w := range rn.words {
 		for ; w != 0; w &= w - 1 {
-			s += cells[i<<6+bits.TrailingZeros64(w)]
+			r := i<<6 + bits.TrailingZeros64(w)
+			add(key[r]-lo, cells[r])
 		}
 	}
-	return s
+	return ovf
+}
+
+// total adds the cells of a run — dense, a mask's or listed — to s,
+// returning the sum and a word whose sign is set if it left int64 on the
+// way.
+func total(rn run, cells []int64, s int64) (_, ovf int64) {
+	cells = from(cells, rn)
+	add := func(c int64) {
+		t := s + c
+		ovf |= (s ^ t) & (c ^ t)
+		s = t
+	}
+	switch {
+	case rn.dense:
+		for _, c := range cells[:len(rn.rows)] {
+			add(c)
+		}
+	case rn.words == nil:
+		for _, r := range rn.rows {
+			add(cells[r])
+		}
+	}
+	for i, w := range rn.words {
+		for ; w != 0; w &= w - 1 {
+			add(cells[i<<6+bits.TrailingZeros64(w)])
+		}
+	}
+	return s, ovf
 }
 
 // direct is the direct tier's output batch: with a key, the cell of each

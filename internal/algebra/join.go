@@ -44,6 +44,7 @@ type JoinTable struct {
 	keys   []*value.Vec
 	direct bool
 	exact  bool
+	repeat bool     // some key is held by several build rows
 	table  rowTable // unused when direct
 	// dense[x-lo], when direct, is one plus the first build row of key x.
 	lo    int64
@@ -85,7 +86,7 @@ func (t *JoinTable) build(b *value.Batch, cols []int) Stats {
 			if head := &dense[col[row]-t.lo]; *head == 0 {
 				*head, tail[row] = row+1, row
 			} else {
-				next[tail[*head-1]], tail[*head-1] = row, row
+				next[tail[*head-1]], tail[*head-1], t.repeat = row, row, true
 			}
 		}
 		return stats
@@ -275,10 +276,11 @@ type GroupJoin struct {
 	n           int   // groups, the sink included
 	// first[g-1] is the build row that opened group g, gid[r+1] the group of
 	// build row r. sink, when the table is direct-mapped and no key repeats,
-	// maps cell x to the group of key lo+min(x, len(sink)-1).
-	first, gid, sink []int32
-	specs            []AggSpec
-	out              *value.Schema
+	// maps cell x to the group of key lo+min(x, len(sink)-1), and end[x] is
+	// the last cell of the run of cells from x on that sink to one group.
+	first, gid, sink, end []int32
+	specs                 []AggSpec
+	out                   *value.Schema
 }
 
 // Group groups the build rows on the columns keys (none: the one global
@@ -293,21 +295,39 @@ func (t *JoinTable) Group(keys []int, probe *value.Schema, pcols []int, specs []
 	g := groupRows(&value.Batch{Cols: t.b.Cols, Rows: t.b.Rows, Sel: append(value.GetSel(), t.sel...)}, keys)
 	gj := &GroupJoin{t: t, pcols: pcols, keys: keys, n: g.n + 1, first: g.first, gid: make([]int32, t.b.Rows+1), specs: specs,
 		out: value.NewSchema(append(ks.Columns(), ss.Columns()...)...)}
-	unique := t.direct
 	for i, r := range g.sel {
 		gj.gid[r+1] = g.ids[i] + 1
-		unique = unique && t.next[r] < 0
 	}
 	value.PutSel(g.sel)
 	value.PutSel(g.ids)
 	value.PutHashes(g.table.slots)
-	if unique {
-		gj.sink = make([]int32, len(t.dense)+1)
-		for x, e := range t.dense { // e is one plus the key's build row, or 0
-			gj.sink[x] = gj.gid[e]
+	if t.direct && !t.repeat {
+		both := make([]int32, 2*len(t.dense)+1)
+		sink, end := both[:len(t.dense)+1], both[len(t.dense)+1:]
+		for x := len(end) - 1; x >= 0; x-- {
+			sink[x], end[x] = gj.gid[t.dense[x]], int32(x) // dense[x] is one plus the key's build row, or 0
+			if x+1 < len(end) && sink[x+1] == sink[x] {
+				end[x] = end[x+1]
+			}
 		}
+		gj.sink, gj.end = sink, end
 	}
 	return gj, nil
+}
+
+// oneGroup reports the group every cell of the probe key v sinks to when
+// there is one: v's range (value.Vec.Range, which bounds every cell a
+// walk selects) lies inside the dense table and inside one run of cells
+// that sink to one group.
+func (gj *GroupJoin) oneGroup(v *value.Vec) (int32, bool) {
+	lo, hi, ok := v.Range()
+	// Cells below the table wrap past its end; from lo ≥ t.lo on, hi ≥ lo
+	// is no more than 2^64 − 1 above t.lo, so y is exact.
+	x, y := uint64(lo)-uint64(gj.t.lo), uint64(hi)-uint64(gj.t.lo)
+	if !ok || lo > hi || x >= uint64(len(gj.end)) || y > uint64(gj.end[x]) {
+		return 0, false
+	}
+	return gj.sink[x], true
 }
 
 // ProbeRows is the partial aggregate over JoinTable.Probe's output, joining
@@ -327,20 +347,31 @@ func (gj *GroupJoin) ProbeRows(p *value.Batch, mask []uint64, a *value.Arena) (o
 		folded = runs.count()
 		f = newFolder(gj.n, accs, p, folded, a)
 		f.sink = 0
-		idx := value.GetSelLen(runLen)
-		fused, sums, cells := f.fused()
-		list := runs.listed() || fused < 0
-		for rn, ok := runs.next(list); ok; rn, ok = runs.next(list) {
-			if !list {
-				sinkSums(rn, v.I, t.lo, gj.sink, f.rows, sums, cells)
-				continue
+		sums, plain := f.plain()
+		var sum *acc // a plain fold's one sum
+		for k := range f.accs {
+			if f.accs[k].summed() {
+				sum = &f.accs[k]
 			}
-			ids := idx[:len(rn.rows)]
-			sinkSlots(ids, rn, v.I, t.lo, gj.sink)
-			f.count(ids)
-			f.fold(rn, ids)
 		}
-		value.PutSel(idx)
+		g, one := gj.oneGroup(v)
+		switch {
+		case plain && one:
+			f.foldAll(&runs, g, sums)
+		case plain && sums == 1 && !sum.checked && !runs.listed():
+			for rn, ok := runs.next(false); ok; rn, ok = runs.next(false) {
+				sinkSums(rn, v.I, t.lo, gj.sink, f.rows, sum.i, sum.v.I)
+			}
+		default:
+			idx := value.GetSelLen(runLen)
+			for rn, ok := runs.next(true); ok; rn, ok = runs.next(true) {
+				ids := idx[:len(rn.rows)]
+				sinkSlots(ids, rn, v.I, t.lo, gj.sink)
+				f.count(ids)
+				f.fold(rn, ids)
+			}
+			value.PutSel(idx)
+		}
 		runs.release()
 		value.PutSel(p.Sel)
 		p.Sel = nil

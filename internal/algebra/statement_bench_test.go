@@ -4,14 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/expr"
+	"repro/internal/fragment"
 	"repro/internal/value"
 )
 
 // statementFragments is the repository benchmark's fact table, 200 000 rows
-// of (id, a = id mod 2200, b = id·13 mod 2200, amt = id mod 97), cut into 8
-// fragments of 25 000 by id mod 8 (the sizes its hash fragmentation makes),
-// with the mask of each fragment's rows that have amt < 48: what the filter
-// of the group and join statements hands the aggregate.
+// of (id, a = id mod 2200, b = id·13 mod 2200, amt = id mod 97), placed in
+// 8 fragments by the hash of id as its HASH(id) INTO 8 FRAGMENTS places
+// them (so every fragment holds every a, and a group partial all 2 200
+// keys), each in id order, with the mask of each fragment's rows that have
+// amt < 48: what the filter of the group and join statements hands the
+// aggregate.
 func statementFragments(b *testing.B) (frags []*value.Batch, masks [][]uint64, dim *value.Batch) {
 	const rows, n, dimRows = 200000, 8, 2200
 	schema := value.MustSchema("id", "INT", "a", "INT", "b", "INT", "amt", "INT")
@@ -19,17 +22,22 @@ func statementFragments(b *testing.B) (frags []*value.Batch, masks [][]uint64, d
 	if err != nil {
 		b.Fatal(err)
 	}
-	for k := 0; k < n; k++ {
-		var ts []value.Tuple
-		for i := k; i < rows; i += n {
-			ts = append(ts, value.Ints(int64(i), int64(i%dimRows), int64(i*13%dimRows), int64(i%97)))
-		}
+	scheme := &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: n}
+	placed := make([][]value.Tuple, n)
+	for i := 0; i < rows; i++ {
+		t := value.Ints(int64(i), int64(i%dimRows), int64(i*13%dimRows), int64(i%97))
+		k := scheme.FragmentOf(t)
+		placed[k] = append(placed[k], t)
+	}
+	for _, ts := range placed {
 		frag := value.NewBatchFrom(schema, ts)
 		cand := make([]uint64, expr.MaskWords(frag.Rows))
 		for w := range cand {
 			cand[w] = ^uint64(0)
 		}
-		cand[len(cand)-1] = 1<<(frag.Rows&63) - 1
+		if r := frag.Rows & 63; r != 0 {
+			cand[len(cand)-1] = 1<<r - 1
+		}
 		mask := make([]uint64, len(cand))
 		if err := f.FilterMask(frag, cand, mask); err != nil {
 			b.Fatal(err)
