@@ -20,9 +20,11 @@ import (
 // compiled form, and a schema change detected via the catalog version
 // counter swaps in a fresh compilation under the statement's lock.
 type PreparedStmt struct {
-	e    *Engine
+	e *Engine
+	// text is what gets compiled: the source as prepared, or for the plan
+	// cache the normalized key, a '?' where each literal was.
 	text string
-	auto bool // built by the plan cache's literal auto-parameterization
+	auto bool // a plan-cache entry: binds its literals strictly
 
 	mu       sync.Mutex // serializes replans only
 	compiled atomic.Pointer[compiledStmt]
@@ -35,7 +37,8 @@ func newPreparedStmt(e *Engine, text string, auto bool, cs *compiledStmt) *Prepa
 	return ps
 }
 
-// compiledStmt is one immutable compilation of a statement.
+// compiledStmt is one immutable compilation of a statement's text (for a
+// plan-cache entry, its key).
 type compiledStmt struct {
 	nParams int
 	kinds   []value.Kind // expected kind per slot (KindNull = unknown)
@@ -57,7 +60,8 @@ func (ps *PreparedStmt) Text() string { return ps.text }
 func (ps *PreparedStmt) NumParams() int { return ps.compiled.Load().nParams }
 
 // current returns a compilation valid for the present catalog version,
-// transparently re-preparing after DDL invalidated the cached plan.
+// transparently recompiling the statement's text (a plan-cache entry's
+// key) after DDL invalidated the cached plan.
 // The fast path is two atomic loads; ps.mu guards only replans.
 func (ps *PreparedStmt) current() (*compiledStmt, error) {
 	ver := ps.e.cat.Version()
@@ -69,13 +73,7 @@ func (ps *PreparedStmt) current() (*compiledStmt, error) {
 	if cs := ps.compiled.Load(); cs != nil && cs.catVer == ver {
 		return cs, nil // another execution replanned first
 	}
-	var cs *compiledStmt
-	var err error
-	if ps.auto {
-		cs, err = ps.e.compileAuto(ps.text)
-	} else {
-		cs, err = ps.e.compileText(ps.text)
-	}
+	cs, err := ps.e.compileText(ps.text)
 	if err != nil {
 		return nil, fmt.Errorf("core: replan after schema change: %w", err)
 	}
@@ -171,56 +169,12 @@ func (e *Engine) compileText(sql string) (*compiledStmt, error) {
 	return e.compileParsed(st, nparams)
 }
 
-// compileAuto builds the plan-cache form of an unparameterized
-// statement: parse, lift literal constants into parameter slots, verify
-// the lifted values line up with what Normalize extracts from the text,
-// then compile.
-func (e *Engine) compileAuto(sql string) (*compiledStmt, error) {
-	_, lits, ok := sqlparse.Normalize(sql)
-	if !ok {
-		return nil, errNotCacheable
-	}
-	return e.compileAutoFrom(sql, lits)
-}
-
-// compileAutoFrom is compileAuto for a caller that already normalized
-// the text (the plan-cache miss path, which needed the key anyway).
-func (e *Engine) compileAutoFrom(sql string, lits []value.Value) (*compiledStmt, error) {
-	st, err := sqlparse.Parse(sql)
-	if err != nil {
-		return nil, err
-	}
-	pst, vals, pok := sqlparse.Parameterize(st)
-	if !pok || !literalsMatch(vals, lits) {
-		return nil, errNotCacheable
-	}
-	return e.compileParsed(pst, len(vals))
-}
-
-// errNotCacheable marks statements the plan cache must not hold.
-var errNotCacheable = fmt.Errorf("core: statement is not plan-cacheable")
-
 // errBindKind tags parameter-kind failures from coerceArgs. Explicit
 // prepared statements surface it to the caller; the plan cache's
 // auto-parameterized path must instead fall back to the uncached
 // execution so that caching never changes a legal statement's outcome
 // (`WHERE id = 1.5` on an INT key is an empty result, not an error).
 var errBindKind = fmt.Errorf("core: parameter kind mismatch")
-
-// literalsMatch reports whether the AST-lifted constants equal the
-// token-level literals, position by position — the safety interlock
-// between Parameterize and Normalize.
-func literalsMatch(vals, lits []value.Value) bool {
-	if len(vals) != len(lits) {
-		return false
-	}
-	for i := range vals {
-		if vals[i].Kind() != lits[i].Kind() || !value.Equal(vals[i], lits[i]) {
-			return false
-		}
-	}
-	return true
-}
 
 // compileParsed compiles a parsed statement: SELECTs translate and
 // optimize to a plan; everything else keeps its AST. Parameter kinds are
@@ -591,7 +545,8 @@ const planCacheSize = 256
 
 // planCache is the engine-level LRU of auto-parameterized statements,
 // keyed by normalized text. A nil PreparedStmt marks a statement shape
-// as known non-cacheable so the parameterize attempt is not repeated.
+// whose key does not parse with one slot per literal as known
+// non-cacheable, so the key is not parsed again.
 type planCache struct {
 	mu  sync.Mutex
 	lru *lru.Cache[string, *PreparedStmt]

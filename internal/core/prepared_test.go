@@ -301,44 +301,92 @@ func TestPlanCacheSharesShapes(t *testing.T) {
 	}
 }
 
-// TestPlanCacheCorrectness runs shape-shared queries with clauses the
-// normalizer treats specially (LIKE, IN, LIMIT, negative literals) and
-// checks their rows against the uncached route (parse and optimize every
-// time) on the same session.
+// TestPlanCacheCorrectness runs shape-shared statements with clauses the
+// normalizer treats specially (LIKE, IN, LIMIT, negative literals, JOIN
+// ON literals, quotes inside strings) and checks them against the
+// uncached route (parse and optimize every time): a SELECT's rows on the
+// same session, and a DML statement's Affected count and the rows it
+// leaves behind on a twin engine.
 func TestPlanCacheCorrectness(t *testing.T) {
 	e := newEngine(t)
 	s := setupEmp(t, e)
-	uncached := func(q string) (*value.Relation, error) {
+	twin := setupEmp(t, newEngine(t))
+	uncached := func(s *Session, q string) (*Result, error) {
 		r, err := s.routeParsed(q)
-		res, err := s.execRouted(s.startClock(), r, err, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Rel, nil
+		return s.execRouted(s.startClock(), r, err, nil)
 	}
 	queries := []string{
 		`SELECT * FROM emp WHERE id = 7`,
 		`SELECT * FROM emp WHERE salary > -10 AND salary < 100`,
+		`SELECT * FROM emp WHERE salary + -5 > 2.5`,
 		`SELECT * FROM emp WHERE dept LIKE 'e%'`,
 		`SELECT * FROM emp WHERE id IN (1, 2, 3)`,
 		`SELECT id FROM emp WHERE salary > 100 ORDER BY id LIMIT 5`,
 		`SELECT dept, COUNT(*) AS n FROM emp GROUP BY dept HAVING n > 10`,
 		`SELECT e.id, d.budget FROM emp e JOIN dept d ON e.dept = d.name WHERE e.id = 4`,
+		`SELECT e.id, d.budget FROM emp e JOIN dept d ON e.dept = d.name AND d.budget > 300`,
 		`SELECT salary * 2 AS twice FROM emp WHERE id = 9`,
+		`SELECT * FROM emp WHERE dept <> 'o''x' AND id < 5`,
+		`SELECT * FROM emp WHERE id = -(-5)`,
+		`SELECT * FROM emp WHERE id = - -7`,
+	}
+	// The operators of a plan, one a line, without their arguments (a
+	// cached plan shows $n where the uncached one shows the literal).
+	ops := func(plan string) []string {
+		var out []string
+		for _, line := range strings.Split(plan, "\n") {
+			op, _, _ := strings.Cut(strings.TrimSpace(line), "(")
+			out = append(out, op)
+		}
+		return out
 	}
 	for _, q := range queries {
 		// Twice through the cache: first compiles, second hits.
 		for pass := 0; pass < 2; pass++ {
-			got, err := s.Query(q)
+			got, err := s.Exec(q)
 			if err != nil {
 				t.Fatalf("pass %d %s: %v", pass, q, err)
 			}
-			want, err := uncached(q)
+			want, err := uncached(s, q)
 			if err != nil {
 				t.Fatalf("uncached %s: %v", q, err)
 			}
-			if !got.SameBag(want) {
-				t.Errorf("pass %d %s: cached rows %v, uncached %v", pass, q, got.Tuples, want.Tuples)
+			if !got.Rel.SameBag(want.Rel) {
+				t.Errorf("pass %d %s: cached rows %v, uncached %v", pass, q, got.Rel.Tuples, want.Rel.Tuples)
+			}
+			if !slices.Equal(ops(got.Plan), ops(want.Plan)) {
+				t.Errorf("pass %d %s: cached plan\n%s\nuncached plan\n%s", pass, q, got.Plan, want.Plan)
+			}
+		}
+	}
+	dml := []string{
+		`INSERT INTO emp VALUES (100, 'o''x', 7), (101, 'eng', -5)`,
+		`UPDATE emp SET salary = salary + -5 WHERE dept = 'o''x'`,
+		`UPDATE emp SET salary = salary * 2 WHERE id > 50 AND salary < 2.5`,
+		`UPDATE emp SET dept = 'it''s' WHERE id IN (1, 2) OR salary = -5`,
+		`DELETE FROM emp WHERE dept = 'o''x' AND salary > -10`,
+		`DELETE FROM emp WHERE id = 7`,
+	}
+	for _, q := range dml {
+		for pass := 0; pass < 2; pass++ {
+			got, gerr := s.Exec(q)
+			want, werr := uncached(twin, q)
+			if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
+				t.Fatalf("pass %d %s: cached err %v, uncached err %v", pass, q, gerr, werr)
+			}
+			if gerr == nil && got.Affected != want.Affected {
+				t.Errorf("pass %d %s: cached affected %d, uncached %d", pass, q, got.Affected, want.Affected)
+			}
+			left, err := uncached(s, `SELECT * FROM emp`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			right, err := uncached(twin, `SELECT * FROM emp`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !left.Rel.SameBag(right.Rel) {
+				t.Fatalf("pass %d %s: cached engine holds %v, uncached %v", pass, q, left.Rel.Tuples, right.Rel.Tuples)
 			}
 		}
 	}

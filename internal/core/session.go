@@ -195,15 +195,20 @@ func (s *Session) routeText(sql string) (routed, error) {
 	}
 	ps, hit := pc.get(key)
 	if !hit {
-		cs, err := s.e.compileAutoFrom(sql, lits)
-		if err == errNotCacheable {
+		// The key is the statement with a '?' where each literal was, so
+		// it compiles as Prepare compiles a statement; one that does not
+		// parse with a slot per literal is marked non-cacheable, and the
+		// parser reports the text's own error below.
+		st, n, err := sqlparse.ParseStmt(key)
+		if err != nil || n != len(lits) {
 			pc.put(key, nil)
 			return s.routeParsed(sql)
 		}
+		cs, err := s.e.compileParsed(st, n)
 		if err != nil {
 			return routed{}, err
 		}
-		ps = newPreparedStmt(s.e, sql, true, cs)
+		ps = newPreparedStmt(s.e, key, true, cs)
 		pc.put(key, ps)
 	}
 	if ps == nil {

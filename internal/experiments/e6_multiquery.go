@@ -82,7 +82,7 @@ func E6MultiQueryThroughput(quick bool) (*Table, error) {
 			fmt.Sprintf("%.0f", qps), fmt.Sprintf("%.1fx", qps/base))
 	}
 	t.Notes = append(t.Notes,
-		"per-query component instances (sessions) run concurrently; shared-lock reads do not conflict",
+		"per-query component instances (sessions) run concurrently; reads take no locks (each runs at a snapshot), so they cannot conflict",
 		"scaling flattens when all host cores are busy")
 	return t, nil
 }

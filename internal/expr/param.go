@@ -55,7 +55,7 @@ func SubstParams(e Expr, args []value.Value) (Expr, error) {
 // MapExpr deep-copies e pre-order, replacing any node for which repl
 // returns non-nil by the replacement (children of a replaced node are
 // not visited). Children are visited left to right, i.e. in source
-// order — the Normalize/Parameterize interlock depends on that.
+// order.
 func MapExpr(e Expr, repl func(Expr) Expr) Expr {
 	if r := repl(e); r != nil {
 		return r

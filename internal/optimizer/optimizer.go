@@ -30,10 +30,11 @@ type Options struct {
 	// PointProbe compiles an equality predicate on a hash-indexed key
 	// into a direct IndexProbe node instead of Scan→Select.
 	PointProbe bool
-	// Selectivity is the assumed fraction of rows a predicate keeps
-	// (0 takes the default 0.33; equality on a key estimates sharper).
-	Selectivity float64
 }
+
+// selectivity is the assumed fraction of rows a predicate conjunct keeps
+// (an equality keeps its square).
+const selectivity = 0.33
 
 // AllRules enables the complete knowledge base.
 func AllRules() Options {
@@ -48,9 +49,6 @@ type Optimizer struct {
 
 // New builds an optimizer over a catalog.
 func New(cat *catalog.Catalog, opts Options) *Optimizer {
-	if opts.Selectivity <= 0 || opts.Selectivity >= 1 {
-		opts.Selectivity = 0.33
-	}
 	return &Optimizer{cat: cat, opts: opts}
 }
 
@@ -150,9 +148,9 @@ func (o *Optimizer) filterEstimate(rows int, pred expr.Expr) int {
 	sel := 1.0
 	for _, c := range expr.SplitConjuncts(pred) {
 		if cmp, ok := c.(*expr.Cmp); ok && cmp.Op == expr.EQ {
-			sel *= o.opts.Selectivity * o.opts.Selectivity
+			sel *= selectivity * selectivity
 		} else {
-			sel *= o.opts.Selectivity
+			sel *= selectivity
 		}
 	}
 	est := int(float64(rows) * sel)

@@ -242,26 +242,3 @@ func TestPlanFormatAndWalk(t *testing.T) {
 		t.Errorf("limit bounds estimate: %d", plan.EstRows(root))
 	}
 }
-
-func TestSelectivityOption(t *testing.T) {
-	c := testCatalog(t)
-	tight := New(c, Options{Selectivity: 0.01})
-	loose := New(c, Options{Selectivity: 0.9})
-	mk := func() *plan.Select {
-		sc := scan(t, c, "emp")
-		return &plan.Select{Child: sc,
-			Pred: bindOn(t, expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(0))), sc.Out)}
-	}
-	st := mk()
-	tight.Optimize(st)
-	sl := mk()
-	loose.Optimize(sl)
-	if st.EstRows >= sl.EstRows {
-		t.Errorf("selectivity not honored: %d vs %d", st.EstRows, sl.EstRows)
-	}
-	// Out-of-range selectivity defaults.
-	def := New(c, Options{Selectivity: 7})
-	if def.Options().Selectivity != 0.33 {
-		t.Errorf("default selectivity = %v", def.Options().Selectivity)
-	}
-}

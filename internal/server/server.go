@@ -72,15 +72,6 @@ type Config struct {
 	// MaxPrepared caps prepared statements held per connection (default
 	// 64); preparing beyond the cap evicts the least-recently-used one.
 	MaxPrepared int
-	// ChunkRows is the default per-chunk tuple budget for streamed
-	// results when the client's ExecStream frame asks for 0 (default
-	// 1024 rows).
-	ChunkRows int
-	// ChunkBytes is the default per-chunk payload budget for streamed
-	// results when the client asks for 0 (default 256 KiB). Whatever the
-	// client asks for is clamped below MaxFrame so every chunk frame
-	// stays acceptable.
-	ChunkBytes int
 	// StatementTimeout bounds every session's lock waits (see
 	// core.Session.SetStatementTimeout); 0 waits forever. Clients can
 	// still tighten (or loosen) their own session with
@@ -119,8 +110,6 @@ type Server struct {
 	maxConns    int
 	maxFrame    int
 	maxPrepared int
-	chunkRows   int
-	chunkBytes  int
 	pipeDepth   int
 	stmtTimeout time.Duration
 	logf        func(string, ...any)
@@ -156,14 +145,6 @@ func New(cfg Config) (*Server, error) {
 	if maxPrepared <= 0 {
 		maxPrepared = 64
 	}
-	chunkRows := cfg.ChunkRows
-	if chunkRows <= 0 {
-		chunkRows = wire.DefaultChunkRows
-	}
-	chunkBytes := cfg.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = wire.DefaultChunkBytes
-	}
 	pipeDepth := cfg.PipelineDepth
 	if pipeDepth <= 0 {
 		pipeDepth = 64
@@ -181,8 +162,6 @@ func New(cfg Config) (*Server, error) {
 		maxConns:    maxConns,
 		maxFrame:    maxFrame,
 		maxPrepared: maxPrepared,
-		chunkRows:   chunkRows,
-		chunkBytes:  chunkBytes,
 		pipeDepth:   pipeDepth,
 		stmtTimeout: cfg.StatementTimeout,
 		logf:        logf,
@@ -701,10 +680,10 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 func (s *Server) streamResult(bw *bufio.Writer, cur *core.Cursor, chunkRows, chunkBytes int) (ok bool) {
 	defer cur.Close()
 	if chunkRows <= 0 {
-		chunkRows = s.chunkRows
+		chunkRows = wire.DefaultChunkRows
 	}
 	if chunkBytes <= 0 {
-		chunkBytes = s.chunkBytes
+		chunkBytes = wire.DefaultChunkBytes
 	}
 	// Keep every chunk frame under the server's own frame limit, with
 	// headroom for the frame header and one tuple of overshoot.

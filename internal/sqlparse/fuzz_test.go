@@ -8,10 +8,11 @@ import (
 // FuzzParseStmt drives the SQL parser with hostile input, the way the
 // wire package fuzzes its ten frame decoders: the parser must never
 // panic, never exhaust the stack on deep nesting, and every accepted
-// statement must satisfy its own invariants (a statement value, a sane
-// parameter count, and a Normalize pass that doesn't crash on the same
-// text). Seeded with the DDL / DML / placeholder / EXPLAIN / session and
-// administration shapes the engine actually serves.
+// statement must satisfy its own invariants (a statement value and a
+// sane parameter count), and a plan-cache key from Normalize must parse
+// exactly when its text does. Seeded with the DDL / DML / placeholder /
+// EXPLAIN / session and administration shapes the engine actually
+// serves.
 func FuzzParseStmt(f *testing.F) {
 	seeds := []string{
 		// DDL with fragmentation clauses.
@@ -48,6 +49,9 @@ func FuzzParseStmt(f *testing.F) {
 		`SELECT (((1)))`, `SELECT - - - 1 FROM t`, `SELECT NOT NOT TRUE FROM t`,
 		``, `;`, `(`, `SELECT`, `'unterminated`, "SELECT \x00 FROM t",
 		strings.Repeat("(", 300) + "1" + strings.Repeat(")", 300),
+		// A negative number at the nesting limit: it must cost the text
+		// no more depth than the '?' replacing it in the key.
+		"SELECT * FROM t WHERE NOT NOT " + strings.Repeat("(", 65) + "x = -5" + strings.Repeat(")", 65),
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -55,6 +59,23 @@ func FuzzParseStmt(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		if len(src) > 1<<16 {
 			return // bound fuzz cost; the lexer is linear anyway
+		}
+		// The plan cache compiles Normalize's key in place of the text,
+		// so the key must parse exactly when the text does, with one slot
+		// per lifted literal. (Inputs this size carry fewer literals than
+		// MaxParams, past which only the key would fail.)
+		if key, lits, ok := Normalize(src); ok {
+			if key == "" {
+				t.Fatalf("Normalize(%q): ok with empty key", src)
+			}
+			_, perr := Parse(src)
+			_, n, kerr := ParseStmt(key)
+			if (perr == nil) != (kerr == nil) {
+				t.Fatalf("Parse(%q) err=%v but ParseStmt(key %q) err=%v", src, perr, key, kerr)
+			}
+			if kerr == nil && n != len(lits) {
+				t.Fatalf("key %q of %q: %d slots for %d literals", key, src, n, len(lits))
+			}
 		}
 		st, nparams, err := ParseStmt(src)
 		if err != nil {
@@ -70,26 +91,6 @@ func FuzzParseStmt(f *testing.F) {
 		// whether placeholders are present.
 		if _, perr := Parse(src); (perr != nil) != (nparams > 0) {
 			t.Fatalf("Parse(%q) err=%v but nparams=%d", src, perr, nparams)
-		}
-		// The plan-cache normalizer must never panic on parseable input,
-		// and when it claims a key, re-parsing its parameterized form
-		// must agree with the literal count.
-		key, lits, ok := Normalize(src)
-		if ok {
-			if key == "" {
-				t.Fatalf("Normalize(%q): ok with empty key", src)
-			}
-			pst, vals, pok := Parameterize(st)
-			if pok {
-				if pst == nil {
-					t.Fatalf("Parameterize(%q): ok with nil statement", src)
-				}
-				if len(vals) != len(lits) {
-					// Alignment is verified value-by-value in core; here
-					// just require both passes to see the same count.
-					t.Fatalf("Parameterize(%q): %d lifted values vs %d normalized literals", src, len(vals), len(lits))
-				}
-			}
 		}
 	})
 }

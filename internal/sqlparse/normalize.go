@@ -4,16 +4,18 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/expr"
 	"repro/internal/value"
 )
 
 // Normalize builds a plan-cache key for one SQL statement by lifting
 // literal constants out as positional parameters: `SELECT * FROM acct
-// WHERE id = 7` and `... WHERE id = 42` normalize to the same key with
-// literals [7] and [42]. The engine caches the optimized plan under the
-// key and re-executes it with the literals bound — the XPRS-style
-// compile-once discipline applied even to unprepared statements.
+// WHERE id = 7` and `... WHERE id = 42` normalize to the same key,
+// `SELECT * FROM acct WHERE id = ?`, with literals [7] and [42]. The key
+// is itself a statement, a '?' where each lifted literal was, in lift
+// order: on a miss the engine compiles the key through ParseStmt, as it
+// compiles a prepared statement, caches the plan under it, and
+// re-executes it with the literals bound — the XPRS-style compile-once
+// discipline applied even to unprepared statements. A hit does not parse.
 //
 // Literals stay verbatim in the key (and out of the literal list) where
 // the grammar consumes them structurally rather than as scalar
@@ -176,84 +178,3 @@ func Normalize(src string) (key string, literals []value.Value, ok bool) {
 }
 
 func litKind(k tokKind) bool { return k == tokInt || k == tokFloat || k == tokString }
-
-// Parameterize rewrites st (a freshly parsed, unshared AST) so that
-// every literal Const that Normalize would have lifted becomes a Param,
-// and returns the lifted values in slot order. It mirrors Normalize's
-// traversal; the caller must verify the returned values match the
-// literals Normalize extracted (count and value) before trusting the
-// rewritten statement — a mismatch means the statement uses literals in
-// a position the normalizer keeps verbatim, and is not cacheable.
-func Parameterize(st Stmt) (Stmt, []value.Value, bool) {
-	p := &paramLifter{}
-	switch t := st.(type) {
-	case *Select:
-		out := *t
-		// Select-list expressions are NOT lifted: their literal kinds
-		// flow into the output schema, and a parameter's kind is
-		// unknown at plan time. Normalize keeps those literals in the
-		// cache key for the same reason.
-		out.Joins = append([]JoinClause(nil), t.Joins...)
-		for i := range out.Joins {
-			out.Joins[i].On = p.lift(out.Joins[i].On)
-		}
-		if t.Where != nil {
-			out.Where = p.lift(t.Where)
-		}
-		if t.Having != nil {
-			out.Having = p.lift(t.Having)
-		}
-		return &out, p.values, true
-	case *Insert:
-		out := *t
-		out.Rows = make([][]expr.Expr, len(t.Rows))
-		for i, row := range t.Rows {
-			out.Rows[i] = make([]expr.Expr, len(row))
-			for j, e := range row {
-				out.Rows[i][j] = p.lift(e)
-			}
-		}
-		return &out, p.values, true
-	case *Update:
-		out := *t
-		out.Set = append([]SetClause(nil), t.Set...)
-		for i := range out.Set {
-			out.Set[i].Expr = p.lift(out.Set[i].Expr)
-		}
-		if t.Where != nil {
-			out.Where = p.lift(t.Where)
-		}
-		return &out, p.values, true
-	case *Delete:
-		out := *t
-		if t.Where != nil {
-			out.Where = p.lift(t.Where)
-		}
-		return &out, p.values, true
-	}
-	return st, nil, false
-}
-
-// paramLifter rebuilds expression trees via expr.MapExpr, replacing
-// liftable literals with Params in traversal (= source) order. IN-list
-// values are untouched — they live in expr.In.List, not Const nodes,
-// and Normalize keeps them in the key.
-type paramLifter struct {
-	values []value.Value
-}
-
-func (p *paramLifter) lift(e expr.Expr) expr.Expr {
-	return expr.MapExpr(e, func(x expr.Expr) expr.Expr {
-		c, ok := x.(*expr.Const)
-		if !ok {
-			return nil
-		}
-		switch c.V.Kind() {
-		case value.KindInt, value.KindFloat, value.KindString:
-			ord := len(p.values)
-			p.values = append(p.values, c.V)
-			return expr.NewParam(ord)
-		}
-		return c
-	})
-}

@@ -1040,16 +1040,24 @@ func (p *parser) parseUnary() (expr.Expr, error) {
 	}
 	defer p.leave()
 	if p.accept(tokOp, "-") {
+		// A minus directly before a number is a negative literal, as in a
+		// plan-cache key (Normalize), where the pair becomes one '?': it
+		// takes no nesting level of its own, so the key parses exactly
+		// when the text does, and the key's plan is the text's. Any other
+		// minus negates its operand, constant or not.
+		if t := p.cur(); t.kind == tokInt || t.kind == tokFloat {
+			v, err := p.literal()
+			if err != nil {
+				return nil, err
+			}
+			if v, err = value.Neg(v); err != nil {
+				return nil, p.errf("%v", err)
+			}
+			return expr.NewConst(v), nil
+		}
 		sub, err := p.parseUnary()
 		if err != nil {
 			return nil, err
-		}
-		// Fold negated literals.
-		if c, ok := sub.(*expr.Const); ok {
-			v, err := value.Neg(c.V)
-			if err == nil {
-				return expr.NewConst(v), nil
-			}
 		}
 		return expr.NewNeg(sub), nil
 	}

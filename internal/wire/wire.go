@@ -39,9 +39,10 @@ const Version = 1
 const DefaultMaxFrame = 8 << 20
 
 // DefaultChunkRows and DefaultChunkBytes are the per-chunk budgets of a
-// streamed result when neither side asks for specific ones. Both the
-// server (Config.ChunkRows/ChunkBytes) and the client
-// (Options.ChunkRows/ChunkBytes) default to these.
+// streamed result when neither side asks for specific ones: the client
+// (Options.ChunkRows/ChunkBytes) defaults to these, and the server uses
+// them when an ExecStream frame asks for 0 (clamping the byte budget
+// below its frame limit either way).
 const (
 	DefaultChunkRows  = 1024
 	DefaultChunkBytes = 256 << 10
