@@ -393,7 +393,7 @@ func (e *Engine) RecoverTableReport(name string) (RecoveryReport, error) {
 	e.txns.AdvanceTo(maxTS)
 	// Refresh catalog statistics.
 	for i, f := range t.frags {
-		t.def.UpdateStats(i, f.ofm.Rows(), f.ofm.MemSize())
+		t.def.UpdateStats(i, f.ofm.Rows(), f.ofm.TupleBytes())
 	}
 	rep.Wall = time.Since(start)
 	return rep, nil

@@ -55,7 +55,8 @@ func E5TransitiveClosure(quick bool) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"semi-naive joins only each round's delta: far fewer probes than naive on deep graphs",
-		"smart (squaring) trades more probes per round for logarithmically few rounds — the win when rounds are expensive (distributed barriers)")
+		"smart (squaring) trades more probes per round for logarithmically few rounds",
+		"this table counts rounds and probes only: the row operator runs off the simulated machine, so what a round's barrier costs across PEs, and whether squaring pays for it, is not measured here")
 	return t, nil
 }
 

@@ -564,7 +564,11 @@ func SplitConjuncts(e Expr) []Expr {
 // answers — and returns its key and the conjunction of the other
 // conjuncts (nil when none).
 func FindColEq(e Expr, accept func(col *Col, key Expr) bool) (key, rest Expr, ok bool) {
-	conjuncts := SplitConjuncts(e)
+	one := [1]Expr{e} // a lone comparison, the point query's, splits into no new slice
+	conjuncts := one[:]
+	if _, and := e.(*And); and {
+		conjuncts = SplitConjuncts(e)
+	}
 	for i, c := range conjuncts {
 		cmp, isCmp := c.(*Cmp)
 		if !isCmp || cmp.Op != EQ {

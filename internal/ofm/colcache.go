@@ -22,11 +22,12 @@ import (
 // (ScanMask): an aggregate folds its set bits, and only a taker that needs
 // a selection vector makes one (ScanBatch is the scan with it made).
 //
-// The cache is built once, by transposing the store, and from then on
-// follows it. The store logs the slots its mutators touch
-// (storage/dirty.go); the first batch scan after a committed write drains
-// that log and folds the logged slots' current tuples and stamps into the
-// vectors — work proportional to the rows changed, not to the fragment.
+// The cache is built once, by transposing the store (its slab decoded
+// straight into vectors), and from then on follows it. The store logs the
+// slots its mutators touch (storage/dirty.go); the first batch scan after
+// a committed write drains that log and folds the logged slots' current
+// tuples and stamps into the vectors — work proportional to the rows
+// changed, not to the fragment.
 // A version inserted into a reused slot overwrites the cached row in
 // place, one appended to the store appends to the vectors. Only a lost
 // log (overflow, Clear, the non-MVCC Delete/Update) transposes again.
@@ -200,12 +201,12 @@ func (o *OFM) syncCache() (int64, error) {
 
 	// First build, or the log was lost: transpose the store. Only an OFM
 	// with a GC horizon asks the store to log from here on.
-	tuples, begin, end, version := o.store.SnapshotSlots(o.cfg.Horizon != nil)
+	slab, offs, begin, end, version := o.store.SnapshotSlots(o.cfg.Horizon != nil)
 	if o.cc != nil {
 		o.chargeMem(-o.cc.bytes)
 		o.cc = nil
 	}
-	batch := value.NewBatchFrom(o.cfg.Schema, tuples)
+	batch := value.NewBatchFromEncoded(o.cfg.Schema, slab, offs)
 	if batch == nil {
 		// The store type-checks every version it takes (storage.Conform:
 		// a value of the column's kind, an int widened into a float
@@ -213,11 +214,11 @@ func (o *OFM) syncCache() (int64, error) {
 		o.store.Untrack()
 		return 0, fmt.Errorf("ofm %s: stored versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
 	}
-	cc := &colCache{version: version, rows: len(tuples), begin: begin, end: end, cols: batch.Cols,
-		current: make([]uint64, expr.MaskWords(len(tuples)))}
+	cc := &colCache{version: version, rows: len(offs), begin: begin, end: end, cols: batch.Cols,
+		current: make([]uint64, expr.MaskWords(len(offs)))}
 	held := 0
-	for i, t := range tuples {
-		if t == nil {
+	for i, off := range offs {
+		if off < 0 {
 			begin[i], end[i] = freeStamp, freeStamp
 			continue
 		}

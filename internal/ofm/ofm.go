@@ -177,8 +177,8 @@ func (o *OFM) Store() *storage.Store { return o.store }
 // Rows returns the committed live tuple count.
 func (o *OFM) Rows() int { return o.store.Len() }
 
-// MemSize returns the fragment's approximate footprint.
-func (o *OFM) MemSize() int64 { return o.store.MemSize() }
+// TupleBytes returns Σ Tuple.Size() over the fragment's versions (catalog statistics).
+func (o *OFM) TupleBytes() int64 { return o.store.TupleBytes() }
 
 // cost shorthands.
 func (o *OFM) costs() machine.CostModel {
@@ -255,15 +255,20 @@ func (o *OFM) eqPred(col int, key value.Value, rest expr.Expr) expr.Expr {
 // that the view sees — visible at view.TS, not deleted by the view's
 // transaction — oldest insert first. The index also holds dead versions
 // until Vacuum, hence the visibility check. It charges the lookup and
-// returns how many row ids the index held under key.
-func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, fn func(storage.RowID, value.Tuple)) (probed int) {
+// returns how many row ids the index held under key. Unless rows is set,
+// fn gets nil for the tuple: a caller wanting only ids decodes nothing.
+func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, rows bool, fn func(storage.RowID, value.Tuple)) (probed int) {
 	ids := hash.Lookup([]value.Value{key})
 	o.cfg.PE.Advance(o.costs().HashCost(1))
 	for _, id := range ids {
 		if _, gone := del[id]; gone {
 			continue
 		}
-		if t, ok := o.store.GetAt(id, view.TS); ok {
+		if !rows {
+			if begin, end, ok := o.store.VersionTS(id); ok && begin <= view.TS && (end == 0 || end > view.TS) {
+				fn(id, nil)
+			}
+		} else if t, ok := o.store.GetAt(id, view.TS); ok {
 			fn(id, t)
 		}
 	}
@@ -276,7 +281,7 @@ func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.Has
 // and, under rest, to filter, plus the filter over the inserts.
 func (o *OFM) probeRows(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) ([]value.Tuple, error) {
 	var rows []value.Tuple
-	o.probe(view, del, hash, key, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
+	o.probe(view, del, hash, key, true, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
 	cost := o.costs()
 	o.cfg.PE.Advance(cost.BuildCost(len(rows)))
 	if rest != nil {

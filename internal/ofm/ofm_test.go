@@ -594,9 +594,13 @@ func TestDeleteByValueTakesLowestSlot(t *testing.T) {
 		return recs
 	}
 	slots := func(o *OFM) string {
-		tuples, _, end, _ := o.store.SnapshotSlots(false)
+		slab, offs, _, end, _ := o.store.SnapshotSlots(false)
 		var out []string
-		for i, tp := range tuples {
+		for i, off := range offs {
+			var tp value.Tuple
+			if off >= 0 {
+				tp, _, _ = value.DecodeTuple(slab[off:])
+			}
 			switch {
 			case tp == nil:
 				out = append(out, "-")

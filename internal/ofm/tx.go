@@ -219,7 +219,7 @@ func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int3
 	if pred != nil {
 		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
 			var rows []value.Tuple
-			probed := o.probe(view, del, hash, key, func(id storage.RowID, t value.Tuple) {
+			probed := o.probe(view, del, hash, key, rest != nil, func(id storage.RowID, t value.Tuple) {
 				ids = append(ids, id)
 				if rest != nil {
 					rows = append(rows, t)
@@ -575,7 +575,7 @@ func (o *OFM) Checkpoint() error {
 		carry = append(carry, wal.Record{Type: wal.RecPrepare, Txn: tx})
 	}
 	o.mu.Unlock()
-	if err := o.cfg.Log.CheckpointWith(o.store.Snapshot(), carry); err != nil {
+	if err := o.cfg.Log.CheckpointImage(o.store.Image(), carry); err != nil {
 		return fmt.Errorf("ofm %s: checkpoint: %w", o.cfg.Name, err)
 	}
 	return nil

@@ -32,7 +32,7 @@ const DirtyLogBytes = dirtyLogCap * 4
 // DirtySlot is the current state of one slot named by the log.
 type DirtySlot struct {
 	Slot       int
-	Tuple      value.Tuple // nil = the slot is free
+	Tuple      value.Tuple // a fresh decode; nil = the slot is free
 	Begin, End uint64
 	// StampsOnly: the tuple is the one the consumer already has; only
 	// Begin/End moved.
@@ -51,22 +51,22 @@ func (s *Store) noteDirty(entry int32) {
 	s.dirty = append(s.dirty, entry)
 }
 
-// SnapshotSlots returns the store slot by slot — tuples[i], begin[i] and
-// end[i] describe slot i, and a nil tuple marks a free slot — plus the
+// SnapshotSlots returns the store slot by slot — slot i's version is
+// encoded at slab[offs[i]:] (offs[i] < 0: free), stamped begin[i] and
+// end[i], in the store's own slab, to decode with no lock held — plus the
 // mutation counter, all under one lock acquisition. With track set the
 // same acquisition arms the dirty-slot log, empty, so a later DrainDirty
-// reports exactly the slots mutated after this snapshot. Tuples are
-// shared — treat as immutable.
-func (s *Store) SnapshotSlots(track bool) (tuples []value.Tuple, begin, end []uint64, version uint64) {
+// reports exactly the slots mutated after this snapshot.
+func (s *Store) SnapshotSlots(track bool) (slab []byte, offs []int, begin, end []uint64, version uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.rows)
-	tuples = make([]value.Tuple, n)
+	offs = make([]int, n)
 	begin = make([]uint64, n)
 	end = make([]uint64, n)
 	for i := range s.rows {
 		sl := &s.rows[i]
-		tuples[i], begin[i], end[i] = sl.tuple, sl.begin, sl.end
+		offs[i], begin[i], end[i] = sl.off, sl.begin, sl.end
 	}
 	if track {
 		s.tracking, s.dirtyLost = true, false
@@ -75,7 +75,7 @@ func (s *Store) SnapshotSlots(track bool) (tuples []value.Tuple, begin, end []ui
 		}
 		s.dirty = s.dirty[:0]
 	}
-	return tuples, begin, end, s.version
+	return s.slab, offs, begin, end, s.version
 }
 
 // Untrack releases the dirty-slot log: the consumer gave its cache up.
@@ -103,7 +103,9 @@ func (s *Store) DrainDirty(buf []DirtySlot) (out []DirtySlot, slots int, version
 			d.Slot, d.StampsOnly = int(^e), true
 		}
 		sl := &s.rows[d.Slot]
-		d.Tuple, d.Begin, d.End = sl.tuple, sl.begin, sl.end
+		if d.Begin, d.End = sl.begin, sl.end; sl.off >= 0 {
+			d.Tuple = decode(s.encoded(d.Slot))
+		}
 		buf = append(buf, d)
 	}
 	s.dirty = s.dirty[:0]

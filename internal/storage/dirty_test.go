@@ -82,9 +82,9 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 	if _, _, _, ok := s.DrainDirty(nil); ok {
 		t.Fatal("drain succeeded on a log nobody armed")
 	}
-	tuples, begin, end, ver := s.SnapshotSlots(true)
-	if len(tuples) != 4 || len(begin) != 4 || len(end) != 4 || ver != s.Version() {
-		t.Fatalf("SnapshotSlots = %d/%d/%d slots at version %d", len(tuples), len(begin), len(end), ver)
+	_, offs, begin, end, ver := s.SnapshotSlots(true)
+	if len(offs) != 4 || len(begin) != 4 || len(end) != 4 || ver != s.Version() {
+		t.Fatalf("SnapshotSlots = %d/%d/%d slots at version %d", len(offs), len(begin), len(end), ver)
 	}
 	if got := drain(t, s); len(got) != 0 {
 		t.Fatalf("fresh log drained %d entries", len(got))
@@ -121,9 +121,9 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 	}
 
 	// A later snapshot leaves holes where slots are free.
-	tuples, _, _, _ = s.SnapshotSlots(true)
-	if len(tuples) != 5 || tuples[1] != nil || tuples[0] == nil {
-		t.Errorf("slot-positional snapshot = %v", tuples)
+	_, offs, _, _, _ = s.SnapshotSlots(true)
+	if len(offs) != 5 || offs[1] >= 0 || offs[0] < 0 {
+		t.Errorf("slot-positional snapshot = %v", offs)
 	}
 }
 

@@ -68,7 +68,7 @@ func (m *model) tuple(at *int, data []byte) value.Tuple {
 	return value.NewTuple(floatVals[b()%len(floatVals)], strVals[b()%len(strVals)], boolVals[b()%len(boolVals)])
 }
 
-func (m *model) tupleAt(id RowID) value.Tuple { return m.s.rows[id.Slot()].tuple }
+func (m *model) tupleAt(id RowID) value.Tuple { return decode(m.s.encoded(id.Slot())) }
 
 func (m *model) added(id RowID) {
 	m.end[id] = 0
@@ -117,7 +117,7 @@ func (m *model) insertBatch(tps []value.Tuple) {
 	}
 	// The batch's ids are the versions the reference does not know yet.
 	for si := range m.s.rows {
-		if sl := &m.s.rows[si]; sl.tuple != nil {
+		if sl := &m.s.rows[si]; sl.off >= 0 {
 			if id := makeRowID(si, sl.gen); !m.known(id) {
 				m.added(id)
 			}

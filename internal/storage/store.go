@@ -5,10 +5,17 @@
 // dirty-slot log a column cache follows the heap by; and an encoded page
 // file that models disk-resident data for the main-memory-vs-disk
 // experiment. A fragment is rebuilt in one pass: InsertBatch type-checks
-// a batch, then inserts it under one lock, growing rows and indexes once.
+// a batch, then inserts it under one lock, growing everything once.
+//
+// The heap holds no pointer for the collector to mark: versions live
+// encoded (value.AppendTuple) in one append-only []byte slab per store,
+// and a read returns a fresh decode. Slab bytes are never overwritten (a
+// refilled slot appends; growth and Vacuum's compaction build a new
+// array), so a slab captured under the lock is readable after it.
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -24,32 +31,35 @@ type RowID int64
 
 const rowIndexBits = 40
 
-func makeRowID(slot int, gen int64) RowID {
-	return RowID(gen<<rowIndexBits | int64(slot))
+func makeRowID(slot int, gen uint32) RowID {
+	return RowID(int64(gen)<<rowIndexBits | int64(slot))
 }
 
 // Slot returns the slot index: the row a column image of the store keeps
 // the version in.
-func (id RowID) Slot() int  { return int(int64(id) & (1<<rowIndexBits - 1)) }
-func (id RowID) gen() int64 { return int64(id) >> rowIndexBits }
+func (id RowID) Slot() int   { return int(int64(id) & (1<<rowIndexBits - 1)) }
+func (id RowID) gen() uint32 { return uint32(int64(id) >> rowIndexBits) }
 
-// MemChangeFunc observes the store's approximate memory footprint deltas;
-// the OFM wires it to its processing element's 16 MB budget.
+// MemChangeFunc observes the store's memory footprint deltas; the OFM
+// wires it to its processing element's 16 MB budget.
 type MemChangeFunc func(delta int64)
 
-// slot holds one tuple version. MVCC visibility is a pair of commit
-// timestamps: begin is the commit that created the version (0 = present
-// since load, visible to every snapshot), end is the commit that deleted
-// it (0 = still current). A version is visible at snapshot ts iff
-// begin <= ts && (end == 0 || end > ts). A slot with tuple == nil is
-// free; a slot with end != 0 is a dead version kept for old snapshots
-// until Vacuum reclaims it.
+// slot holds one tuple version, encoded at slab[off : off+n], and no
+// pointer. MVCC visibility is a pair of commit timestamps: begin is the
+// commit that created the version (0 = present since load, visible to
+// every snapshot), end is the commit that deleted it (0 = still current).
+// A version is visible at snapshot ts iff begin <= ts && (end == 0 ||
+// end > ts). A slot with off < 0 is free; a slot with end != 0 is a dead
+// version kept for old snapshots until Vacuum reclaims it.
 type slot struct {
-	tuple value.Tuple // nil = free slot
-	gen   int64
+	off   int // -1 = free slot
+	n     uint32
+	gen   uint32
 	begin uint64
 	end   uint64
 }
+
+const slotBytes = 32 // a slot's footprint
 
 func (sl *slot) visibleAt(ts uint64) bool {
 	return sl.begin <= ts && (sl.end == 0 || sl.end > ts)
@@ -62,11 +72,14 @@ type Store struct {
 
 	mu      sync.RWMutex
 	rows    []slot
+	slab    []byte  // the versions' encodings, appended and never overwritten
+	held    int     // the slab bytes held versions take; the rest await compaction
+	model   int64   // Σ Tuple.Size() of the held versions
 	free    []int   // reusable free slot indexes
 	count   int     // current versions (end == 0)
 	dead    []int32 // slots of dead versions awaiting Vacuum, in deletion order
 	version uint64  // bumped by every mutation; column caches key on it
-	memSize int64
+	memSize int64   // the held versions' bytes and slots, as last reported
 	onMem   MemChangeFunc
 
 	// The dirty-slot log (see dirty.go): while a column cache tracks the
@@ -101,11 +114,18 @@ func (s *Store) Len() int {
 	return s.count
 }
 
-// MemSize returns the approximate in-memory footprint in bytes.
+// MemSize returns what the store charges its memory hook: held versions' bytes and slots.
 func (s *Store) MemSize() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.memSize
+}
+
+// TupleBytes returns Σ Tuple.Size() over the held versions, for catalog statistics.
+func (s *Store) TupleBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.model
 }
 
 // Conform validates t against schema, widening ints into float columns
@@ -137,36 +157,38 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 	}
 	s.mu.Lock()
 	id := s.insertLocked(t, ts)
-	s.unlock(int64(t.Size()))
+	s.unlock()
 	return id, nil
 }
 
 // InsertBatch adds tuples visible to every snapshot under one lock,
-// growing the rows and indexes once. All are conformed before any is
-// inserted, so a bad one leaves the store as it was.
+// growing the rows, the slab and the indexes once. All are conformed
+// before any is inserted, so a bad one leaves the store as it was.
 func (s *Store) InsertBatch(ts []value.Tuple) error {
-	var delta int64
+	size := 0
 	for _, t := range ts {
 		if err := Conform(s.schema, t); err != nil {
 			return err
 		}
-		delta += int64(t.Size())
+		size += t.Size()
 	}
 	s.mu.Lock()
 	s.rows = slices.Grow(s.rows, len(ts)-min(len(ts), len(s.free)))
+	s.slab = slices.Grow(s.slab, value.EncodedBound(size, len(ts), s.schema.Len()))
 	for _, idx := range s.hashIdx {
 		idx.reserve(len(ts))
 	}
 	for _, t := range ts {
 		s.insertLocked(t, 0)
 	}
-	s.unlock(delta)
+	s.unlock()
 	return nil
 }
 
-// unlock releases s.mu after a mutation that changed the footprint by
-// delta, and reports delta to the accounting hook outside the lock.
-func (s *Store) unlock(delta int64) {
+// unlock releases s.mu after a mutation and reports the change in held bytes
+// and slots (not freed bytes, which follow the compaction cycle) to the hook.
+func (s *Store) unlock() {
+	delta := int64(s.held) + int64(s.count+len(s.dead))*slotBytes - s.memSize
 	s.memSize += delta
 	onMem := s.onMem
 	s.mu.Unlock()
@@ -175,17 +197,29 @@ func (s *Store) unlock(delta int64) {
 	}
 }
 
-// insertLocked places a conformed tuple version in a free slot, or a new
-// one, and indexes it. Caller holds s.mu and accounts its memory.
+// encoded returns slot si's encoding, valid after the caller's lock.
+func (s *Store) encoded(si int) []byte { sl := s.rows[si]; return s.slab[sl.off : sl.off+int(sl.n)] }
+
+// decode decodes a version, which cannot fail: the store encoded it.
+func decode(enc []byte) value.Tuple { t, _, _ := value.DecodeTuple(enc); return t }
+
+// insertLocked appends a conformed tuple version to the slab, places it
+// in a free slot, or a new one, and indexes it. Caller holds s.mu.
 func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
+	sl := slot{off: len(s.slab), begin: ts}
+	s.slab = value.AppendTuple(s.slab, t)
+	sl.n = uint32(len(s.slab) - sl.off)
+	s.held += int(sl.n)
+	s.model += int64(t.Size())
 	var si int
 	if n := len(s.free); n > 0 {
 		// freeSlot left the slot zeroed but for its generation.
 		si, s.free = s.free[n-1], s.free[:n-1]
-		s.rows[si].tuple, s.rows[si].begin = t, ts
+		sl.gen = s.rows[si].gen
+		s.rows[si] = sl
 	} else {
 		si = len(s.rows)
-		s.rows = append(s.rows, slot{tuple: t, begin: ts})
+		s.rows = append(s.rows, sl)
 	}
 	s.noteDirty(int32(si))
 	s.count++
@@ -200,7 +234,7 @@ func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
 // dead), or -1. Caller holds a lock.
 func (s *Store) valid(id RowID) int {
 	si := id.Slot()
-	if id < 0 || si >= len(s.rows) || s.rows[si].tuple == nil || s.rows[si].gen != id.gen() {
+	if id < 0 || si >= len(s.rows) || s.rows[si].off < 0 || s.rows[si].gen != id.gen() {
 		return -1
 	}
 	return si
@@ -216,7 +250,7 @@ func (s *Store) live(id RowID) int {
 	return si
 }
 
-// GetAt returns the version at id as seen by a snapshot at ts.
+// GetAt returns a fresh decode of the version at id seen at ts.
 func (s *Store) GetAt(id RowID, ts uint64) (value.Tuple, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -224,7 +258,7 @@ func (s *Store) GetAt(id RowID, ts uint64) (value.Tuple, bool) {
 	if si < 0 || !s.rows[si].visibleAt(ts) {
 		return nil, false
 	}
-	return s.rows[si].tuple, true
+	return decode(s.encoded(si)), true
 }
 
 // VersionTS returns the begin/end commit timestamps of the version at id
@@ -254,22 +288,40 @@ func (s *Store) Delete(id RowID) bool {
 	// The slot was visible until now and may be reused at once: a tracking
 	// cache cannot patch around that (see dirty.go).
 	s.dirtyLost = true
-	s.unlock(s.freeSlot(si))
+	s.freeSlot(si)
+	s.unlock()
 	return true
 }
 
 // freeSlot physically reclaims the version in slot si, detaching it from
-// the indexes. Caller holds s.mu and has already adjusted count/dead;
-// returns the memory delta for it to account.
-func (s *Store) freeSlot(si int) int64 {
-	t := s.rows[si].tuple
+// the indexes, and compacts the slab if its bytes tip it. Caller holds
+// s.mu and has already adjusted count/dead.
+func (s *Store) freeSlot(si int) {
+	t := decode(s.encoded(si))
 	for _, idx := range s.hashIdx {
 		idx.remove(si, t)
 	}
+	s.held -= int(s.rows[si].n)
+	s.model -= int64(t.Size())
 	// A bumped generation invalidates outstanding ids for this slot.
-	s.rows[si] = slot{gen: s.rows[si].gen + 1}
+	s.rows[si] = slot{off: -1, gen: s.rows[si].gen + 1}
 	s.free = append(s.free, si)
-	return -int64(t.Size())
+	s.compact()
+}
+
+// compact copies the held versions into a new slab, in slot order, once
+// the bytes of freed ones outweigh theirs. The old array is left as it is
+// to the readers that captured it. Caller holds s.mu.
+func (s *Store) compact() {
+	if len(s.slab)-s.held > s.held {
+		slab := make([]byte, 0, s.held)
+		for i := range s.rows {
+			if sl := &s.rows[i]; sl.off >= 0 {
+				sl.off, slab = len(slab), append(slab, s.encoded(i)...)
+			}
+		}
+		s.slab = slab
+	}
 }
 
 // DeleteVersion logically deletes the current version at id: its end
@@ -312,9 +364,8 @@ func (s *Store) Vacuum(horizon uint64) int {
 	// free list — and with it the slot every later insert lands in — does
 	// not depend on the order the versions died in.
 	slices.Sort(reclaim)
-	var delta int64
 	for _, si := range reclaim {
-		delta += s.freeSlot(int(si))
+		s.freeSlot(int(si))
 		s.noteDirty(si)
 	}
 	reclaimed := len(reclaim)
@@ -322,7 +373,7 @@ func (s *Store) Vacuum(horizon uint64) int {
 	if reclaimed > 0 {
 		s.version++
 	}
-	s.unlock(delta)
+	s.unlock()
 	return reclaimed
 }
 
@@ -345,7 +396,7 @@ func (s *Store) FindCurrent(t value.Tuple) (RowID, bool) {
 	case len(s.hashIdx) > 0:
 		si = s.hashIdx[0].lowestEqual(t) // every index finds the same slot
 	default:
-		si = slices.IndexFunc(s.rows, func(sl slot) bool { return sl.tuple != nil && sl.end == 0 && value.EqualTuples(sl.tuple, t) })
+		si = slices.IndexFunc(s.rows, func(sl slot) bool { return sl.off >= 0 && sl.end == 0 && value.EqualEncoded(s.slab[sl.off:], t) })
 	}
 	if si < 0 {
 		return -1, false
@@ -365,35 +416,39 @@ func (s *Store) SlotIDs(dst []RowID, slots []int32) []RowID {
 	return dst
 }
 
-// ScanAt calls fn for every tuple version visible to a snapshot at ts
-// until fn returns false. The lock is held for the duration; fn must not
-// mutate the store.
+// ScanAt calls fn with a fresh decode of every tuple version visible to a
+// snapshot at ts until fn returns false. The lock is held for the
+// duration; fn must not mutate the store.
 func (s *Store) ScanAt(ts uint64, fn func(RowID, value.Tuple) bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i := range s.rows {
 		sl := &s.rows[i]
-		if sl.tuple == nil || !sl.visibleAt(ts) {
+		if sl.off < 0 || !sl.visibleAt(ts) {
 			continue
 		}
-		if !fn(makeRowID(i, sl.gen), sl.tuple) {
+		if !fn(makeRowID(i, sl.gen), decode(s.encoded(i))) {
 			return
 		}
 	}
 }
 
-// Snapshot returns all current tuples (shared, treat as immutable).
-func (s *Store) Snapshot() []value.Tuple {
+// Image returns every current version as value.EncodeTuples encodes
+// them, copied from the slab: a checkpoint's image, with no tuple decoded.
+func (s *Store) Image() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]value.Tuple, 0, s.count)
+	img := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.held), uint32(s.count))
 	for i := range s.rows {
-		if t := s.rows[i].tuple; t != nil && s.rows[i].end == 0 {
-			out = append(out, t)
+		if s.rows[i].off >= 0 && s.rows[i].end == 0 {
+			img = append(img, s.encoded(i)...)
 		}
 	}
-	return out
+	return img
 }
+
+// Snapshot returns a fresh decode of every current tuple.
+func (s *Store) Snapshot() []value.Tuple { ts, _ := value.DecodeTuples(s.Image()); return ts }
 
 // Version returns the store's mutation counter. It changes whenever the
 // set of versions changes (insert, delete, vacuum, clear), so a
@@ -410,7 +465,7 @@ func (s *Store) Version() uint64 {
 // the snapshot was taken at, all under one consistent lock acquisition.
 // A caller can reconstruct the view of ANY snapshot timestamp from it:
 // version i is visible at ts iff begin[i] <= ts && (end[i] == 0 ||
-// end[i] > ts). Tuples are shared — treat as immutable.
+// end[i] > ts). Each tuple is a fresh decode.
 func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, version uint64) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -420,10 +475,10 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 	end = make([]uint64, 0, n)
 	for i := range s.rows {
 		sl := &s.rows[i]
-		if sl.tuple == nil {
+		if sl.off < 0 {
 			continue
 		}
-		tuples = append(tuples, sl.tuple)
+		tuples = append(tuples, decode(s.encoded(i)))
 		begin = append(begin, sl.begin)
 		end = append(end, sl.end)
 	}
@@ -433,13 +488,13 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 // Clear removes everything, keeping indexes defined but empty.
 func (s *Store) Clear() {
 	s.mu.Lock()
-	s.rows, s.free, s.count, s.dead = nil, nil, 0, nil
+	s.rows, s.slab, s.held, s.model, s.free, s.count, s.dead = nil, nil, 0, 0, nil, 0, nil
 	s.dirtyLost = true
 	s.version++
 	for _, idx := range s.hashIdx {
 		idx.clear()
 	}
-	s.unlock(-s.memSize)
+	s.unlock()
 }
 
 // ---------- indexes ----------
@@ -463,8 +518,8 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 	}
 	idx.clear()
 	for i := range s.rows {
-		if t := s.rows[i].tuple; t != nil {
-			idx.add(i, t)
+		if s.rows[i].off >= 0 {
+			idx.add(i, decode(s.encoded(i)))
 		}
 	}
 	s.hashIdx = append(s.hashIdx, idx)

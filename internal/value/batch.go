@@ -637,16 +637,8 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				}
 			}
 		}
-		vec := &Vec{Kind: kind, Ranged: kind == KindInt}
+		vec := newVec(kind, n)
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-		switch kind {
-		case KindFloat:
-			vec.F = make([]float64, n)
-		case KindString:
-			vec.S = make([]string, n)
-		default:
-			vec.I = make([]int64, n)
-		}
 		for i, t := range tuples {
 			if t == nil {
 				continue
@@ -700,6 +692,20 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 		cols[c] = vec
 	}
 	return &Batch{Schema: schema, Cols: cols, Rows: n}
+}
+
+// newVec returns a vector of n zero rows of kind k, ranged if INT.
+func newVec(k Kind, n int) *Vec {
+	vec := &Vec{Kind: k, Ranged: k == KindInt}
+	switch k {
+	case KindFloat:
+		vec.F = make([]float64, n)
+	case KindString:
+		vec.S = make([]string, n)
+	default:
+		vec.I = make([]int64, n)
+	}
+	return vec
 }
 
 // maxPooledSel caps the capacity of selection vectors kept in the pool

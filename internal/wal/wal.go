@@ -240,18 +240,20 @@ func (l *Log) scanPrefix() (recs []Record, valid, total int64) {
 // restarts empty. A crash before the swap leaves the old checkpoint and
 // the full log — recovery replays as if no checkpoint was attempted.
 func (l *Log) Checkpoint(snapshot []value.Tuple) error {
-	return l.CheckpointWith(snapshot, nil)
+	return l.CheckpointImage(value.EncodeTuples(snapshot), nil)
 }
 
-// CheckpointWith is Checkpoint plus carried-forward records: the fresh
-// log starts with carry instead of empty, installed in the same atomic
-// swap as the snapshot. The caller passes the redo records (sealed by
-// their prepare markers) of transactions that sit prepared but
+// CheckpointImage is Checkpoint given the snapshot already encoded as
+// value.EncodeTuples writes it (a store keeping its versions encoded
+// copies that out without a tuple), plus carried-forward records: the
+// fresh log starts with carry instead of empty, installed in the same
+// atomic swap as the snapshot. The caller passes the redo records (sealed
+// by their prepare markers) of transactions that sit prepared but
 // undecided at checkpoint time — truncating those would lose a
 // transaction the coordinator's decision log may yet declare committed,
 // and re-appending them after a separate truncation would leave a crash
 // window with the same hole.
-func (l *Log) CheckpointWith(snapshot []value.Tuple, carry []Record) error {
+func (l *Log) CheckpointImage(image []byte, carry []Record) error {
 	if out := fpWalCheckpoint.Eval(); out != nil {
 		return out.Err
 	}
@@ -259,7 +261,7 @@ func (l *Log) CheckpointWith(snapshot []value.Tuple, carry []Record) error {
 	for _, r := range carry {
 		tail = appendRecord(tail, r)
 	}
-	if err := l.store.CheckpointSwap(l.name+".ckpt", value.EncodeTuples(snapshot), l.name, tail); err != nil {
+	if err := l.store.CheckpointSwap(l.name+".ckpt", image, l.name, tail); err != nil {
 		return err
 	}
 	l.mu.Lock()
