@@ -50,8 +50,8 @@ type Options struct {
 	// Tenant and Secret are the credentials presented at handshake.
 	// A server whose catalog holds users authenticates them (failure
 	// is a coded, non-retryable auth error); a server without users
-	// ignores them. Leaving Tenant empty sends a legacy Hello with no
-	// credential trailer.
+	// ignores them. An empty Tenant presents no credentials, and a
+	// Secret without a Tenant is refused before dialing.
 	Tenant string
 	Secret string
 }
@@ -59,8 +59,7 @@ type Options struct {
 // ServerError is a statement error reported by the server. The
 // connection remains usable after one.
 type ServerError struct {
-	// Code is the server's wire.ErrCode* classification (ErrCodeGeneric
-	// for servers predating coded errors).
+	// Code is the server's wire.ErrCode* classification.
 	Code byte
 	Msg  string
 }
@@ -72,9 +71,14 @@ func (e *ServerError) Error() string { return e.Msg }
 // transaction did not commit, so the client may safely re-run it.
 func (e *ServerError) Retryable() bool { return wire.RetryableCode(e.Code) }
 
-// serverError decodes an Error frame payload (coded or legacy).
-func serverError(payload []byte) *ServerError {
-	code, msg := wire.DecodeError(payload)
+// serverError decodes an Error frame payload into a *ServerError. A
+// payload that is not a coded error is a protocol violation: it breaks
+// the connection and its decode error is returned instead.
+func (c *Client) serverError(payload []byte) error {
+	code, msg, err := wire.DecodeError(payload)
+	if err != nil {
+		return c.breakConn(err)
+	}
 	return &ServerError{Code: code, Msg: msg}
 }
 
@@ -104,19 +108,18 @@ type Client struct {
 
 	frameMax atomic.Int64 // largest frame observed (diagnostics, E13)
 
-	// Role metadata from the HelloOK trailer (see wire.HelloExtra).
+	// Role metadata from the HelloOK (see wire.HelloOK).
 	role    byte
 	epoch   uint64
 	primary string
 }
 
 // Role reports the server's replication role at handshake time:
-// wire.RolePrimary or wire.RoleReplica. Servers predating replication
-// report primary.
+// wire.RolePrimary or wire.RoleReplica.
 func (c *Client) Role() byte { return c.role }
 
 // Epoch reports the server's replication fencing epoch at handshake
-// time (0 for servers predating replication).
+// time.
 func (c *Client) Epoch() uint64 { return c.epoch }
 
 // PrimaryAddr reports the primary address a replica advertised for
@@ -200,6 +203,9 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	if len(o.Tenant) > wire.MaxCredLen || len(o.Secret) > wire.MaxCredLen {
 		return nil, fmt.Errorf("client: tenant and secret are limited to %d bytes each", wire.MaxCredLen)
 	}
+	if o.Tenant == "" && o.Secret != "" {
+		return nil, fmt.Errorf("client: a Secret needs a Tenant")
+	}
 	conn, err := net.DialTimeout("tcp", addr, o.DialTimeout)
 	if err != nil {
 		return nil, err
@@ -219,11 +225,7 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 		chunkRows:  o.ChunkRows,
 		chunkBytes: chunkBytes,
 	}
-	hello := wire.EncodeHello()
-	if o.Tenant != "" {
-		hello = wire.EncodeHelloCreds(o.Tenant, o.Secret)
-	}
-	if err := wire.WriteFrame(c.bw, wire.TypeHello, hello); err != nil {
+	if err := wire.WriteFrame(c.bw, wire.TypeHello, wire.EncodeHello(o.Tenant, o.Secret)); err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -238,22 +240,15 @@ func Dial(addr string, opts ...Options) (*Client, error) {
 	}
 	switch typ {
 	case wire.TypeHelloOK:
-		if len(payload) < 1 {
+		ok, err := wire.DecodeHelloOK(payload)
+		if err != nil {
 			conn.Close()
-			return nil, fmt.Errorf("client: empty HelloOK payload")
+			return nil, fmt.Errorf("client: handshake: %w", err)
 		}
-		if int(payload[0]) != wire.Version {
-			conn.Close()
-			return nil, fmt.Errorf("client: server speaks protocol version %d (want %d)", payload[0], wire.Version)
-		}
-		if ex, err := wire.DecodeHelloOKExtra(payload); err == nil {
-			c.role, c.epoch, c.primary = ex.Role, ex.Epoch, ex.Primary
-		} else {
-			c.role = wire.RolePrimary
-		}
+		c.role, c.epoch, c.primary = ok.Role, ok.Epoch, ok.Primary
 	case wire.TypeError:
 		conn.Close()
-		return nil, serverError(payload)
+		return nil, c.serverError(payload)
 	default:
 		conn.Close()
 		return nil, fmt.Errorf("client: unexpected handshake frame type 0x%02x", typ)
@@ -326,7 +321,7 @@ func (c *Client) roundTrip(typ byte, payload []byte) (*wire.Result, error) {
 	case wire.TypeError:
 		// A statement-level failure: the session (and any transaction
 		// the server kept open) is still live.
-		return nil, serverError(rpayload)
+		return nil, c.serverError(rpayload)
 	default:
 		return nil, c.breakConn(fmt.Errorf("client: unexpected frame type 0x%02x", rtyp))
 	}

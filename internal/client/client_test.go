@@ -29,6 +29,11 @@ func fakeServer(t *testing.T, fn func(net.Conn)) string {
 	return l.Addr().String()
 }
 
+// helloOK is the handshake reply of a fake primary.
+func helloOK() []byte {
+	return wire.EncodeHelloOK(&wire.HelloOK{Version: wire.Version, Banner: "fake", Role: wire.RolePrimary})
+}
+
 func TestDialRejectsNonPrismaServer(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		conn.Write([]byte("HTTP/1.1 400 Bad Request\r\n\r\n"))
@@ -41,7 +46,7 @@ func TestDialRejectsNonPrismaServer(t *testing.T) {
 func TestDialSurfacesHandshakeError(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		wire.ReadFrame(conn, 0)
-		wire.WriteFrame(conn, wire.TypeError, []byte("server: connection limit reached"))
+		wire.WriteFrame(conn, wire.TypeError, wire.EncodeError(wire.ErrCodeOverloaded, "server: connection limit reached"))
 	})
 	_, err := Dial(addr)
 	se, ok := err.(*ServerError)
@@ -61,7 +66,7 @@ func TestDialRejectsOversizedCredentials(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		connected.Store(true)
 		wire.ReadFrame(conn, 0)
-		wire.WriteFrame(conn, wire.TypeHelloOK, []byte{wire.Version, 0, 0})
+		wire.WriteFrame(conn, wire.TypeHelloOK, helloOK())
 	})
 	long := strings.Repeat("x", 1<<16)
 	for _, o := range []Options{{Tenant: long, Secret: "s3cret"}, {Tenant: "acme", Secret: long}} {
@@ -83,8 +88,7 @@ func TestTransportFailureIsSticky(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		// Valid handshake, then hang up before the first statement reply.
 		wire.ReadFrame(conn, 0)
-		ok := []byte{wire.Version, 0, 0}
-		wire.WriteFrame(conn, wire.TypeHelloOK, ok)
+		wire.WriteFrame(conn, wire.TypeHelloOK, helloOK())
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -119,7 +123,7 @@ func TestConcurrentCallersSerialize(t *testing.T) {
 		}
 		defer conn.Close()
 		wire.ReadFrame(conn, 0)
-		wire.WriteFrame(conn, wire.TypeHelloOK, []byte{wire.Version, 0, 0})
+		wire.WriteFrame(conn, wire.TypeHelloOK, helloOK())
 		for {
 			typ, payload, err := wire.ReadFrame(conn, 0)
 			if err != nil {
@@ -166,12 +170,57 @@ func TestConcurrentCallersSerialize(t *testing.T) {
 	}
 }
 
+// TestDialRejectsEmptyHelloOK: a HelloOK must carry the whole reply.
+// One that stops after the banner (no role) is refused rather than
+// taken for a primary, which would send writes to a replica.
 func TestDialRejectsEmptyHelloOK(t *testing.T) {
+	for _, payload := range [][]byte{nil, {wire.Version, 0, 0}} {
+		addr := fakeServer(t, func(conn net.Conn) {
+			wire.ReadFrame(conn, 0)
+			wire.WriteFrame(conn, wire.TypeHelloOK, payload)
+		})
+		if c, err := Dial(addr); err == nil {
+			c.Close()
+			t.Fatalf("Dial accepted the HelloOK %v", payload)
+		}
+	}
+}
+
+func TestDialRefusesSecretWithoutTenant(t *testing.T) {
+	var connected atomic.Bool
+	addr := fakeServer(t, func(conn net.Conn) { connected.Store(true) })
+	if c, err := Dial(addr, Options{Secret: "s3cret"}); err == nil {
+		c.Close()
+		t.Fatal("Dial accepted a Secret without a Tenant")
+	}
+	if connected.Load() {
+		t.Error("Dial connected before refusing the credentials")
+	}
+}
+
+// TestBareTextErrorBreaksConnection: an Error frame whose payload is not
+// a coded error is a protocol violation, not a statement error.
+func TestBareTextErrorBreaksConnection(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		wire.ReadFrame(conn, 0)
-		wire.WriteFrame(conn, wire.TypeHelloOK, nil) // type byte only
+		wire.WriteFrame(conn, wire.TypeHelloOK, helloOK())
+		wire.ReadFrame(conn, 0)
+		wire.WriteFrame(conn, wire.TypeError, []byte("server: something broke"))
+		wire.ReadFrame(conn, 0) // hold the connection until the client drops it
 	})
-	if _, err := Dial(addr); err == nil {
-		t.Fatal("Dial accepted an empty HelloOK")
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	_, err = c.Exec("SELECT 1")
+	if err == nil {
+		t.Fatal("Exec succeeded on a bare-text Error frame")
+	}
+	if _, ok := err.(*ServerError); ok {
+		t.Fatalf("bare-text Error frame decoded as a server error: %v", err)
+	}
+	if c.Broken() == nil {
+		t.Fatal("connection still usable after a malformed Error frame")
 	}
 }

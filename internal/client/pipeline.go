@@ -2,6 +2,7 @@ package client
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/wire"
@@ -9,8 +10,7 @@ import (
 
 // PipeResult is one pipelined statement's outcome: a Result or a
 // statement-level error. Transport failures are not per-statement —
-// they surface as the error return of Run/SendBatch/ExecBatch and
-// break the connection.
+// they surface as the error return of Run and break the connection.
 type PipeResult struct {
 	Res *wire.Result
 	Err error
@@ -86,46 +86,6 @@ func (p *Pipeline) Run() ([]PipeResult, error) {
 	return results, err
 }
 
-// SendBatch executes the statements as one Batch frame — the
-// lowest-overhead form of pipelining: one frame carries every
-// statement, and the replies (one per statement, in order) are read
-// back together. Error semantics match Pipeline.
-func (c *Client) SendBatch(sqls ...string) ([]PipeResult, error) {
-	if len(sqls) == 0 {
-		return nil, nil
-	}
-	stmts := make([]wire.BatchStmt, len(sqls))
-	for i, sql := range sqls {
-		stmts[i] = wire.BatchStmt{SQL: sql}
-	}
-	var buf bytes.Buffer
-	wire.WriteFrame(&buf, wire.TypeBatch, wire.EncodeBatch(stmts))
-	return c.sendAndCollect(buf.Bytes(), len(sqls))
-}
-
-// ExecBatch executes the prepared statement once per argument set, all
-// in one Batch frame, returning one PipeResult per set in order.
-func (s *Stmt) ExecBatch(argSets ...[]any) ([]PipeResult, error) {
-	if len(argSets) == 0 {
-		return nil, nil
-	}
-	stmts := make([]wire.BatchStmt, len(argSets))
-	for i, args := range argSets {
-		vals, err := toValues(args)
-		if err != nil {
-			return nil, fmt.Errorf("client: argument set %d: %w", i, err)
-		}
-		if len(vals) > wire.MaxBindArgs {
-			return nil, fmt.Errorf("client: argument set %d: %d arguments exceed the %d parameter limit",
-				i, len(vals), wire.MaxBindArgs)
-		}
-		stmts[i] = wire.BatchStmt{Bind: true, ID: s.id, Args: vals}
-	}
-	var buf bytes.Buffer
-	wire.WriteFrame(&buf, wire.TypeBatch, wire.EncodeBatch(stmts))
-	return s.c.sendAndCollect(buf.Bytes(), len(argSets))
-}
-
 // sendAndCollect writes pre-framed bytes and reads n Result/Error
 // replies, holding the statement mutex across the whole exchange. The
 // write happens on its own goroutine so replies are drained while
@@ -174,7 +134,12 @@ func (c *Client) sendAndCollect(frames []byte, n int) ([]PipeResult, error) {
 			}
 			results = append(results, PipeResult{Res: res})
 		case wire.TypeError:
-			results = append(results, PipeResult{Err: serverError(payload)})
+			err := c.serverError(payload)
+			var se *ServerError
+			if !errors.As(err, &se) {
+				return nil, err
+			}
+			results = append(results, PipeResult{Err: se})
 		default:
 			return nil, c.breakConn(fmt.Errorf("client: unexpected frame type 0x%02x in pipeline reply %d", typ, i))
 		}

@@ -89,7 +89,7 @@ func (c *Client) QueryStream(sql string) (*Rows, error) {
 		return &Rows{c: c, res: res, done: true, released: true}, nil
 	case wire.TypeError:
 		c.mu.Unlock()
-		return nil, serverError(rp)
+		return nil, c.serverError(rp)
 	default:
 		return nil, fail(fmt.Errorf("client: unexpected frame type 0x%02x", typ))
 	}
@@ -145,7 +145,7 @@ func (r *Rows) readStreamFrame(keep bool) bool {
 	case wire.TypeError:
 		// Error-at-any-point: the server reported a statement-level
 		// failure mid-stream; the connection stays usable.
-		r.finish(serverError(payload))
+		r.finish(r.c.serverError(payload))
 		return false
 	default:
 		r.finishBroken(fmt.Errorf("client: unexpected frame type 0x%02x mid-stream", typ))

@@ -32,7 +32,7 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 		}
 		return &Stmt{c: c, id: id, nParams: nparams}, nil
 	case wire.TypeError:
-		return nil, serverError(payload)
+		return nil, c.serverError(payload)
 	default:
 		return nil, c.breakConn(fmt.Errorf("client: unexpected frame type 0x%02x", typ))
 	}

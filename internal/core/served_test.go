@@ -119,7 +119,7 @@ func (c *rawConn) result(typ byte, payload []byte) []byte {
 	c.t.Helper()
 	rtyp, reply := c.roundTrip(typ, payload)
 	if rtyp != wire.TypeResult {
-		_, msg := wire.DecodeError(reply)
+		_, msg, _ := wire.DecodeError(reply)
 		c.t.Fatalf("%q answered %#x %s", payload, rtyp, msg)
 	}
 	return maskClocks(bytes.Clone(reply))
@@ -149,7 +149,7 @@ func (c *rawConn) stream(sql string, chunkRows, chunkBytes int) streamed {
 	c.t.Helper()
 	typ, payload := c.roundTrip(wire.TypeExecStream, wire.EncodeExecStream(chunkRows, chunkBytes, sql))
 	if typ != wire.TypeResultHead {
-		_, msg := wire.DecodeError(payload)
+		_, msg, _ := wire.DecodeError(payload)
 		c.t.Fatalf("ExecStream %q answered %#x %s", sql, typ, msg)
 	}
 	out := streamed{head: bytes.Clone(payload)}
@@ -165,7 +165,7 @@ func (c *rawConn) stream(sql string, chunkRows, chunkBytes int) streamed {
 			out.rows = end.Rows
 			return out
 		default:
-			_, msg := wire.DecodeError(payload)
+			_, msg, _ := wire.DecodeError(payload)
 			c.t.Fatalf("mid-stream %#x %s", typ, msg)
 		}
 	}
@@ -303,7 +303,7 @@ func TestServedReplyBytesMatchInProcess(t *testing.T) {
 	if err := eng.RegisterRules("reach(X, Y) :- edge(X, Y).\nreach(X, Y) :- edge(X, Z), reach(Z, Y)."); err != nil {
 		t.Fatal(err)
 	}
-	c := dialRaw(t, addr, wire.EncodeHello())
+	c := dialRaw(t, addr, wire.EncodeHello("", ""))
 	selects := append(append(append([]string{}, core.PartitionedPlanQueries...), core.VectorizedScanQueries...), servedExtraQueries...)
 	all := append(append([]string{}, selects...), servedNonSelects...)
 
@@ -363,7 +363,7 @@ func TestServedReplyBytesMatchInProcess(t *testing.T) {
 func TestServedJoinEncodesBeforeArenaRelease(t *testing.T) {
 	eng := starEngine(t)
 	_, addr := serve(t, eng)
-	c := dialRaw(t, addr, wire.EncodeHello())
+	c := dialRaw(t, addr, wire.EncodeHello("", ""))
 	const q = `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id`
 	for round := 0; round < 3; round++ { // later rounds borrow poisoned payloads
 		res, err := wire.DecodeResult(c.exec(q))
@@ -453,7 +453,7 @@ func TestServedScansSurviveSlotReuse(t *testing.T) {
 			}
 		}()
 	}
-	c := dialRaw(t, addr, wire.EncodeHello())
+	c := dialRaw(t, addr, wire.EncodeHello("", ""))
 	check := func(tuples []value.Tuple) {
 		t.Helper()
 		if err := checkRows(tuples); err != nil {
@@ -492,7 +492,7 @@ func TestServedScansSurviveSlotReuse(t *testing.T) {
 
 	// A join stream the client walks away from after its head: the server
 	// closes the cursor when the connection goes, and the arena with it.
-	gone := dialRaw(t, addr, wire.EncodeHello())
+	gone := dialRaw(t, addr, wire.EncodeHello("", ""))
 	if typ, _ := gone.roundTrip(wire.TypeExecStream, wire.EncodeExecStream(1, 0, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id`)); typ != wire.TypeResultHead {
 		t.Fatalf("stream opened with %#x", typ)
 	}
@@ -530,7 +530,7 @@ func TestServedMemBudgetChargesAlike(t *testing.T) {
 	local := eng.NewSession()
 	defer local.Close()
 	local.SetUser(user)
-	c := dialRaw(t, addr, wire.EncodeHelloCreds("acme", "s3cret"))
+	c := dialRaw(t, addr, wire.EncodeHello("acme", "s3cret"))
 
 	// Warm the column caches: their build is charged to the first scan.
 	const fits, breaks = `SELECT id, amt FROM fact WHERE amt < 50`, `SELECT * FROM fact`
@@ -545,7 +545,7 @@ func TestServedMemBudgetChargesAlike(t *testing.T) {
 		t.Fatalf("in process: %v, want ErrMemBudget", want)
 	}
 	typ, payload := c.roundTrip(wire.TypeExec, []byte(breaks))
-	if _, msg := wire.DecodeError(payload); typ != wire.TypeError || msg != want.Error() {
+	if _, msg, _ := wire.DecodeError(payload); typ != wire.TypeError || msg != want.Error() {
 		t.Errorf("served: %#x %q\nin process: %q", typ, msg, want)
 	}
 	// Streamed, the breach comes with the batch that crosses the line.
@@ -563,7 +563,7 @@ func TestServedMemBudgetChargesAlike(t *testing.T) {
 	for typ = wire.TypeResultHead; typ == wire.TypeResultHead || typ == wire.TypeRowChunk; {
 		typ, payload = c.recv()
 	}
-	if _, msg := wire.DecodeError(payload); typ != wire.TypeError || msg != want.Error() {
+	if _, msg, _ := wire.DecodeError(payload); typ != wire.TypeError || msg != want.Error() {
 		t.Errorf("served stream: %#x %q\nin process: %q", typ, msg, want)
 	}
 }
@@ -625,7 +625,7 @@ func TestServedScanReplyBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, addr := serve(t, eng)
-	c := dialRaw(t, addr, wire.EncodeHello())
+	c := dialRaw(t, addr, wire.EncodeHello("", ""))
 	small := serverAllocPerReply(t, c, `SELECT id, amt FROM fact WHERE amt < 1`, 2062, 50)
 	large := serverAllocPerReply(t, c, `SELECT id, amt FROM fact WHERE amt < 10`, 20620, 50)
 	t.Logf("server allocates %d bytes per 2 062-row reply, %d per 20 620-row reply", small, large)

@@ -96,9 +96,6 @@ func (d *Domain) Crashed() bool { return d.crashed.Load() }
 // ClearCrash revives this domain's simulated machine.
 func (d *Domain) ClearCrash() { d.crashed.Store(false) }
 
-// SetCrashed poisons this domain's stable writes directly.
-func (d *Domain) SetCrashed() { d.crashed.Store(true) }
-
 // Spec describes how an armed point fires.
 type Spec struct {
 	// Mode selects the action (default Error).
@@ -225,10 +222,6 @@ func Crashed() bool { return DefaultDomain.Crashed() }
 // harness calls it after discarding volatile state, before running
 // recovery.
 func ClearCrash() { DefaultDomain.ClearCrash() }
-
-// SetCrashed poisons default-domain stable writes directly (tests that
-// simulate a crash without going through an armed point).
-func SetCrashed() { DefaultDomain.SetCrashed() }
 
 // Name returns the point's registered name.
 func (p *Point) Name() string { return p.name }

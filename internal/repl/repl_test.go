@@ -348,3 +348,70 @@ func TestPromoteFencesStalePrimary(t *testing.T) {
 		t.Fatalf("sum after fencing = %d, want 1055", got)
 	}
 }
+
+// subscribeRaw performs a handshake with the given credentials on a
+// fresh connection and sends ReplSubscribe, returning the connection and
+// the first frame the primary answers the subscription with.
+func subscribeRaw(t *testing.T, addr, tenant, secret string) (net.Conn, byte, []byte) {
+	t.Helper()
+	conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if err := wire.WriteFrame(conn, wire.TypeHello, wire.EncodeHello(tenant, secret)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, payload, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.TypeHelloOK {
+		t.Fatalf("handshake as %q: %#x %q %v", tenant, typ, payload, err)
+	}
+	if err := wire.WriteFrame(conn, wire.TypeReplSubscribe, wire.EncodeReplSubscribe(&wire.ReplSubscribe{})); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := wire.ReadFrame(conn, 0)
+	if err != nil {
+		t.Fatalf("subscribe as %q: %v", tenant, err)
+	}
+	return conn, typ, payload
+}
+
+// TestReplSubscribeRequiresAdmin: the replication stream carries every
+// table's catalog and log records, grants notwithstanding, so once users
+// exist only an administrator may subscribe.
+func TestReplSubscribeRequiresAdmin(t *testing.T) {
+	primary := startNode(t, nil)
+	pc, err := client.Dial(primary.addr)
+	if err != nil {
+		t.Fatalf("dial primary: %v", err)
+	}
+	defer pc.Close()
+	mustExec(t, pc, "CREATE TABLE secret (id INT, note VARCHAR, PRIMARY KEY(id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS")
+	mustExec(t, pc, "INSERT INTO secret VALUES (1, 'launch codes')")
+	mustExec(t, pc, "CREATE USER root PASSWORD 'pw' ADMIN")
+	mustExec(t, pc, "CREATE USER acme PASSWORD 's3cret'")
+
+	conn, typ, payload := subscribeRaw(t, primary.addr, "acme", "s3cret")
+	code, msg, err := wire.DecodeError(payload)
+	if typ != wire.TypeError || err != nil || code != wire.ErrCodeAuth {
+		t.Fatalf("non-admin subscribe answered %#x %q", typ, payload)
+	}
+	if !strings.Contains(msg, "administrator") {
+		t.Fatalf("refusal = %q", msg)
+	}
+	if _, _, err := wire.ReadFrame(conn, 0); err == nil {
+		t.Fatal("connection still open after the refused subscribe")
+	}
+
+	_, typ, payload = subscribeRaw(t, primary.addr, "root", "pw")
+	if typ != wire.TypeReplStatus {
+		t.Fatalf("admin subscribe answered %#x %q", typ, payload)
+	}
+	st, err := wire.DecodeReplStatus(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Tables) != 1 || st.Tables[0].Name != "secret" {
+		t.Fatalf("admin stream catalog = %+v, want table secret", st.Tables)
+	}
+}

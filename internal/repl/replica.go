@@ -202,7 +202,7 @@ func (r *Replica) streamOnce() error {
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 32<<10)
-	if err := wire.WriteFrame(bw, wire.TypeHello, wire.EncodeHello()); err != nil {
+	if err := wire.WriteFrame(bw, wire.TypeHello, wire.EncodeHello("", "")); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -213,25 +213,24 @@ func (r *Replica) streamOnce() error {
 		return fmt.Errorf("handshake: %w", err)
 	}
 	if typ == wire.TypeError {
-		_, msg := wire.DecodeError(payload)
-		return fmt.Errorf("handshake refused: %s", msg)
+		return fmt.Errorf("handshake refused: %s", errorText(payload))
 	}
-	if typ != wire.TypeHelloOK || len(payload) < 1 || int(payload[0]) != wire.Version {
+	if typ != wire.TypeHelloOK {
 		return fmt.Errorf("handshake: unexpected reply type 0x%02x", typ)
 	}
-	ex, err := wire.DecodeHelloOKExtra(payload)
+	ok, err := wire.DecodeHelloOK(payload)
 	if err != nil {
 		return fmt.Errorf("handshake: %w", err)
 	}
-	if ex.Role != wire.RolePrimary {
+	if ok.Role != wire.RolePrimary {
 		return fmt.Errorf("endpoint %s is not a primary", r.primary)
 	}
-	if ex.Epoch < r.eng.Epoch() {
+	if ok.Epoch < r.eng.Epoch() {
 		r.staleRefused.Add(1)
-		return fmt.Errorf("refusing stale primary at epoch %d (ours is %d)", ex.Epoch, r.eng.Epoch())
+		return fmt.Errorf("refusing stale primary at epoch %d (ours is %d)", ok.Epoch, r.eng.Epoch())
 	}
-	if ex.Epoch > r.eng.Epoch() {
-		r.eng.SetEpoch(ex.Epoch)
+	if ok.Epoch > r.eng.Epoch() {
+		r.eng.SetEpoch(ok.Epoch)
 	}
 
 	sub := &wire.ReplSubscribe{Epoch: r.eng.Epoch(), Positions: positionsWire(r.eng.ReplPositions())}
@@ -296,11 +295,19 @@ func (r *Replica) applyFrame(typ byte, payload []byte) error {
 		}
 		return r.eng.AdvanceReplica(st.Watermark)
 	case wire.TypeError:
-		_, msg := wire.DecodeError(payload)
-		return fmt.Errorf("stream error from primary: %s", msg)
+		return fmt.Errorf("stream error from primary: %s", errorText(payload))
 	default:
 		return fmt.Errorf("unexpected stream frame type 0x%02x", typ)
 	}
+}
+
+// errorText is an Error frame's message, or why the frame is malformed.
+func errorText(payload []byte) string {
+	_, msg, err := wire.DecodeError(payload)
+	if err != nil {
+		msg = err.Error()
+	}
+	return msg
 }
 
 // positionsWire converts engine log positions to their wire form.

@@ -57,7 +57,7 @@ func TestHandshakeAuth(t *testing.T) {
 	eng, _ := authEngine(t)
 	addr := startServer(t, Config{Engine: eng})
 
-	// A legacy Hello with no credentials is refused once users exist.
+	// A Hello with no tenant is refused once users exist.
 	_, err := client.Dial(addr)
 	wantAuthErr(t, err, "credential-less dial")
 
@@ -90,8 +90,8 @@ func TestHandshakeAuth(t *testing.T) {
 }
 
 func TestCredentialsIgnoredWithoutUsers(t *testing.T) {
-	// A server whose catalog holds no users serves credentialed and
-	// legacy Hellos alike — auth is opt-in via CREATE USER.
+	// A server whose catalog holds no users serves Hellos with and
+	// without a tenant alike — auth is opt-in via CREATE USER.
 	addr := startServer(t, Config{})
 	c, err := client.Dial(addr, client.Options{Tenant: "ghost", Secret: "whatever"})
 	if err != nil {

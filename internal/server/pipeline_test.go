@@ -245,8 +245,9 @@ func TestPipelinedExecStream(t *testing.T) {
 	}
 }
 
-// TestClientPipelineAndBatch drives the client-level APIs: Pipeline
-// with mixed success/error, SendBatch ordering, Stmt.ExecBatch.
+// TestClientPipelineAndBatch drives the client's Pipeline: mixed
+// success and error, reuse after Run, and a batch of prepared-statement
+// executions.
 func TestClientPipelineAndBatch(t *testing.T) {
 	addr, _ := startAcctServer(t, Config{})
 	c, err := client.Dial(addr)
@@ -284,38 +285,21 @@ func TestClientPipelineAndBatch(t *testing.T) {
 		t.Fatalf("reused pipeline: %v %+v", err, results)
 	}
 
-	// SendBatch: one frame, ordered replies, isolated errors.
-	batch, err := c.SendBatch(
-		`UPDATE acct SET balance = balance + 1 WHERE id = 3`,
-		`this is not SQL`,
-		`SELECT balance FROM acct WHERE id = 3`,
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch[0].Err != nil || batch[1].Err == nil || batch[2].Err != nil {
-		t.Fatalf("batch errors misplaced: %+v", batch)
-	}
-	if batch[2].Res.Rel.Tuples[0][0].Int() != 101 {
-		t.Fatalf("batch select = %v", batch[2].Res.Rel)
-	}
-
-	// Stmt.ExecBatch: prepared statement, many argument sets, one frame.
+	// A prepared statement queued once per argument set, one write.
 	st, err := c.Prepare(`UPDATE acct SET balance = balance + ? WHERE id = ?`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sets := make([][]any, 16)
-	for i := range sets {
-		sets[i] = []any{1, i % 8}
+	for i := 0; i < 16; i++ {
+		p.ExecPrepared(st, 1, i%8)
 	}
-	bres, err := st.ExecBatch(sets...)
+	bres, err := p.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, r := range bres {
 		if r.Err != nil || r.Res.Affected != 1 {
-			t.Fatalf("ExecBatch result %d = %+v", i, r)
+			t.Fatalf("prepared result %d = %+v", i, r)
 		}
 	}
 	rel, err := c.Query(`SELECT balance FROM acct WHERE id = 0`)
@@ -323,8 +307,17 @@ func TestClientPipelineAndBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rel.Tuples[0][0].Int() != 102 {
-		t.Fatalf("balance after ExecBatch = %d, want 102", rel.Tuples[0][0].Int())
+		t.Fatalf("balance after prepared pipeline = %d, want 102", rel.Tuples[0][0].Int())
 	}
+}
+
+// runPipeline ships sqls in one client Pipeline.
+func runPipeline(c *client.Client, sqls ...string) ([]client.PipeResult, error) {
+	p := c.Pipeline()
+	for _, sql := range sqls {
+		p.Exec(sql)
+	}
+	return p.Run()
 }
 
 // TestPipelineExplicitTxnSemantics pins the documented mid-pipeline
@@ -337,7 +330,7 @@ func TestPipelineExplicitTxnSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	results, err := c.SendBatch(
+	results, err := runPipeline(c,
 		`BEGIN`,
 		`UPDATE acct SET balance = balance + 5 WHERE id = 10`,
 		`SELECT broken FROM nowhere`,
@@ -390,10 +383,10 @@ func TestPipelineDeadlockVictim(t *testing.T) {
 	}
 	o1 := make(chan outcome, 1)
 	go func() {
-		r, err := c1.SendBatch(`UPDATE tb SET v = 2`, `SELECT v FROM ta`, `ROLLBACK`)
+		r, err := runPipeline(c1, `UPDATE tb SET v = 2`, `SELECT v FROM ta`, `ROLLBACK`)
 		o1 <- outcome{r, err}
 	}()
-	r2, err2 := c2.SendBatch(`UPDATE ta SET v = 2`, `SELECT v FROM tb`, `ROLLBACK`)
+	r2, err2 := runPipeline(c2, `UPDATE ta SET v = 2`, `SELECT v FROM tb`, `ROLLBACK`)
 	r1 := <-o1
 	if r1.err != nil || err2 != nil {
 		t.Fatalf("transport errors: %v / %v", r1.err, err2)

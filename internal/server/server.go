@@ -81,9 +81,8 @@ type Config struct {
 	// queued behind the one executing (default 64). The per-connection
 	// reader stops reading once the queue is full — natural
 	// backpressure on a client that pipelines faster than the engine
-	// drains. The unit is frames, not statements: a Batch frame
-	// occupies one slot however many statements it carries (its size,
-	// like any frame's, is bounded by MaxFrame).
+	// drains. Every statement is its own frame, so the cap counts
+	// statements (and Prepare/ClosePrepared frames).
 	PipelineDepth int
 	// Admission, when set, gates statement execution through a shared
 	// admission controller: per-tenant concurrency tokens, a global
@@ -99,7 +98,7 @@ type Config struct {
 	// role). Connections sending ReplSubscribe are refused without it.
 	Source ReplSource
 	// PrimaryAddr, when set, names the primary this server redirects
-	// writes to (the replica role); it rides in the HelloOK trailer and
+	// writes to (the replica role); it rides in the HelloOK and
 	// in redirect errors so clients can re-route.
 	PrimaryAddr func() string
 }
@@ -214,15 +213,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(l)
-}
-
 // Close stops accepting, closes every live connection and waits for
 // their handlers (which abort any open transactions) to finish.
 func (s *Server) Close() error {
@@ -313,13 +303,13 @@ func (s *Server) serveConn(conn net.Conn) {
 		hsFail("server: expected Hello frame")
 		return
 	}
-	ver, creds, err := wire.DecodeHelloCreds(payload)
+	hello, err := wire.DecodeHello(payload)
 	if err != nil {
 		hsFail(err.Error())
 		return
 	}
-	if ver != wire.Version {
-		hsFail(fmt.Sprintf("server: unsupported protocol version %d (want %d)", ver, wire.Version))
+	if hello.Version != wire.Version {
+		hsFail(fmt.Sprintf("server: unsupported protocol version %d (want %d)", hello.Version, wire.Version))
 		return
 	}
 	// Authentication bites only once users exist: a catalog with no
@@ -329,10 +319,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	var user *catalog.User
 	if cat := s.eng.Catalog(); cat.HasUsers() {
 		var aerr error
-		if creds == nil {
+		if hello.Tenant == "" {
 			aerr = errors.New("server: authentication required")
 		} else {
-			user, aerr = cat.Authenticate(creds.Tenant, creds.Secret)
+			user, aerr = cat.Authenticate(hello.Tenant, hello.Secret)
 		}
 		if aerr != nil {
 			wire.WriteFrame(bw, wire.TypeError, wire.EncodeError(wire.ErrCodeAuth, aerr.Error()))
@@ -341,21 +331,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 	}
-	var ok []byte
-	ok = append(ok, wire.Version)
-	banner := "prisma-serve"
-	ok = append(ok, byte(len(banner)>>8), byte(len(banner)))
-	ok = append(ok, banner...)
-	// Role trailer: pre-replication clients stop at the banner.
-	role := wire.RolePrimary
-	primary := ""
+	ok := &wire.HelloOK{Version: wire.Version, Banner: "prisma-serve", Role: wire.RolePrimary, Epoch: s.eng.Epoch()}
 	if s.eng.IsReadOnly() {
-		role = wire.RoleReplica
+		ok.Role = wire.RoleReplica
 		if s.primaryAddr != nil {
-			primary = s.primaryAddr()
+			ok.Primary = s.primaryAddr()
 		}
 	}
-	ok = wire.AppendHelloExtra(ok, &wire.HelloExtra{Role: role, Epoch: s.eng.Epoch(), Primary: primary})
 
 	// The session exists before the client hears HelloOK: a Dial that has
 	// returned has its coordinator PE, so sessions opened after it take the
@@ -366,7 +348,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if user != nil {
 		sess.SetUser(user)
 	}
-	if wire.WriteFrame(bw, wire.TypeHelloOK, ok) != nil || bw.Flush() != nil {
+	if wire.WriteFrame(bw, wire.TypeHelloOK, wire.EncodeHelloOK(ok)) != nil || bw.Flush() != nil {
 		conn.Close()
 		return
 	}
@@ -454,7 +436,7 @@ func (s *Server) admit(sess *core.Session, typ byte) (*admission.Grant, error) {
 		return nil, nil
 	}
 	switch typ {
-	case wire.TypeExec, wire.TypeExecStream, wire.TypeBatch, wire.TypeBindExec, wire.TypeDatalog:
+	case wire.TypeExec, wire.TypeExecStream, wire.TypeBindExec, wire.TypeDatalog:
 	default:
 		return nil, nil
 	}
@@ -570,39 +552,6 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 			break
 		}
 		return s.streamResult(w.bw, cur, chunkRows, chunkBytes)
-	case wire.TypeBatch:
-		stmts, derr := wire.DecodeBatch(payload)
-		if derr != nil {
-			w.writeError(derr.Error())
-			return false
-		}
-		// One reply per statement, in order; an error fails its
-		// statement only (for transaction semantics mid-batch, see the
-		// package doc of internal/client's Pipeline).
-		for i := range stmts {
-			st := &stmts[i]
-			var bres *core.Result
-			var berr error
-			if st.Bind {
-				if ps := reg.get(st.ID); ps != nil {
-					bres, berr = sess.ExecPreparedTo(*w.rows, ps, st.Args)
-				} else {
-					berr = fmt.Errorf("server: unknown or closed prepared statement id %d", st.ID)
-				}
-			} else {
-				bres, berr = sess.ExecTo(*w.rows, st.SQL)
-			}
-			if berr != nil {
-				if !w.writeExecError(berr) {
-					return false
-				}
-				continue
-			}
-			if !w.writeResult(bres) {
-				return false
-			}
-		}
-		return true
 	case wire.TypeDatalog:
 		r, err := s.eng.DatalogQuery(sess, string(payload))
 		if err != nil {
@@ -651,6 +600,14 @@ func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWrit
 		if s.source == nil {
 			w.writeError("server: this endpoint does not serve replication")
 			return false
+		}
+		// The stream carries every table's catalog and log records, so
+		// once users exist only an administrator may subscribe.
+		if s.eng.Catalog().HasUsers() {
+			if u := sess.User(); u == nil || !u.Admin {
+				w.writeErrorCoded(wire.ErrCodeAuth, "server: replication requires an administrator")
+				return false
+			}
 		}
 		if err := s.source.Serve(w.bw, payload); err != nil {
 			s.logf("server: replication subscriber: %v", err)

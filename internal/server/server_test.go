@@ -342,6 +342,27 @@ func TestVersionMismatchRejected(t *testing.T) {
 	expectClosed(t, conn)
 }
 
+// TestVersionOneHelloRefused: a version-1 Hello, with or without the
+// credentials it could carry, is refused by its version byte alone.
+func TestVersionOneHelloRefused(t *testing.T) {
+	addr := startServer(t, Config{})
+	for _, hello := range []string{wire.Magic + "\x01", wire.Magic + "\x01\x00\x04acme\x00\x06s3cret"} {
+		conn := rawDial(t, addr)
+		if err := wire.WriteFrame(conn, wire.TypeHello, []byte(hello)); err != nil {
+			t.Fatal(err)
+		}
+		typ, payload, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, msg, derr := wire.DecodeError(payload)
+		if typ != wire.TypeError || derr != nil || msg != "server: unsupported protocol version 1 (want 2)" {
+			t.Fatalf("reply = %#x %q (%v)", typ, payload, derr)
+		}
+		expectClosed(t, conn)
+	}
+}
+
 // TestSessionExistsBeforeHelloOK: the connection's session — and so its
 // round-robin coordinator PE — is created before the handshake is
 // answered: once Dial has returned, a session opened next takes the PE
@@ -679,7 +700,7 @@ func TestConcurrentWireClients(t *testing.T) {
 
 func handshake(t *testing.T, conn net.Conn) {
 	t.Helper()
-	if err := wire.WriteFrame(conn, wire.TypeHello, wire.EncodeHello()); err != nil {
+	if err := wire.WriteFrame(conn, wire.TypeHello, wire.EncodeHello("", "")); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := wire.ReadFrame(conn, 0)

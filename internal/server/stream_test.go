@@ -510,7 +510,7 @@ func TestExecStreamMalformedFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := wire.WriteFrame(conn, wire.TypeHello, wire.EncodeHello()); err != nil {
+	if err := wire.WriteFrame(conn, wire.TypeHello, wire.EncodeHello("", "")); err != nil {
 		t.Fatal(err)
 	}
 	if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.TypeHelloOK {

@@ -394,80 +394,20 @@ func TestResultEndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodersRejectTruncation drives every decoder over every prefix
-// of a valid encoding: all must error (never panic) on truncated input,
-// except the empty-arity cases that are legitimately valid prefixes.
-func TestBatchRoundTrip(t *testing.T) {
-	cases := []struct {
-		name  string
-		stmts []BatchStmt
-	}{
-		{"empty", nil},
-		{"one sql", []BatchStmt{{SQL: "SELECT 1"}}},
-		{"sql with empty text", []BatchStmt{{SQL: ""}}},
-		{"one bind no args", []BatchStmt{{Bind: true, ID: 7}}},
-		{"bind with values", []BatchStmt{{Bind: true, ID: 1<<32 - 1, Args: []value.Value{
-			value.NewInt(-7), value.NewFloat(2.5), value.NewString("ann"), value.NewBool(true), value.Null,
-		}}}},
-		{"mixed depth 5", []BatchStmt{
-			{SQL: "BEGIN"},
-			{Bind: true, ID: 3, Args: []value.Value{value.NewInt(1)}},
-			{SQL: "UPDATE t SET x = 1 WHERE id = 2"},
-			{Bind: true, ID: 3, Args: []value.Value{value.Null}},
-			{SQL: "COMMIT"},
-		}},
-		{"max arity bind", []BatchStmt{{Bind: true, ID: 2, Args: maxArityArgs()}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := DecodeBatch(EncodeBatch(tc.stmts))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(tc.stmts) {
-				t.Fatalf("len = %d, want %d", len(got), len(tc.stmts))
-			}
-			for i := range got {
-				g, w := &got[i], &tc.stmts[i]
-				if g.Bind != w.Bind || g.SQL != w.SQL || g.ID != w.ID || len(g.Args) != len(w.Args) {
-					t.Fatalf("stmt %d = %+v, want %+v", i, g, w)
-				}
-				for j := range g.Args {
-					if g.Args[j].Kind() != w.Args[j].Kind() || g.Args[j].String() != w.Args[j].String() {
-						t.Fatalf("stmt %d arg %d = %s, want %s", i, j, g.Args[j], w.Args[j])
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestDecodeBatchRejectsHostileInput(t *testing.T) {
-	cases := map[string][]byte{
-		"empty":              nil,
-		"short header":       {0, 0, 1},
-		"unknown kind":       append(binaryU32(1), 0x7f),
-		"count past payload": binaryU32(1 << 30),
-		"trailing bytes":     append(EncodeBatch([]BatchStmt{{SQL: "X"}}), 0xee),
-		"bind header cut":    append(binaryU32(1), 1, 0, 0),
-	}
-	for name, buf := range cases {
-		if _, err := DecodeBatch(buf); err == nil {
-			t.Errorf("%s: hostile Batch decoded without error", name)
-		}
-	}
-}
-
 func binaryU32(n uint32) []byte {
 	return []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)}
 }
 
+// TestDecodersRejectTruncation drives every decoder over every prefix
+// of a valid encoding: all must error (never panic) on truncated input,
+// except the empty-arity cases that are legitimately valid prefixes.
 func TestDecodersRejectTruncation(t *testing.T) {
 	schema := value.MustSchema("id", "INT", "name", "VARCHAR")
 	rel := value.NewRelation(schema)
 	rel.Append(value.NewTuple(value.NewInt(1), value.NewString("ann")))
 	full := map[string][]byte{
-		"Hello":         EncodeHello(),
+		"Hello":         EncodeHello("acme", "s3cret"),
+		"HelloOK":       EncodeHelloOK(&HelloOK{Version: Version, Banner: "b", Role: RoleReplica, Epoch: 3, Primary: "p:1"}),
 		"PrepareOK":     EncodePrepareOK(1, 2),
 		"ClosePrepared": EncodeClosePrepared(1),
 		"BindExec":      EncodeBindExec(1, []value.Value{value.NewInt(1), value.NewString("x")}),
@@ -476,13 +416,10 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"ResultHead":    EncodeResultHead(&ResultHead{Msg: "m", Plan: "p", Schema: schema}),
 		"RowChunk":      EncodeRowChunk(rel.Tuples),
 		"ResultEnd":     EncodeResultEnd(&ResultEnd{Rows: 1}),
-		"Batch": EncodeBatch([]BatchStmt{
-			{SQL: "SELECT 1"},
-			{Bind: true, ID: 2, Args: []value.Value{value.NewInt(1)}},
-		}),
 	}
 	decode := map[string]func([]byte) error{
 		"Hello":         func(b []byte) error { _, err := DecodeHello(b); return err },
+		"HelloOK":       func(b []byte) error { _, err := DecodeHelloOK(b); return err },
 		"PrepareOK":     func(b []byte) error { _, _, err := DecodePrepareOK(b); return err },
 		"ClosePrepared": func(b []byte) error { _, err := DecodeClosePrepared(b); return err },
 		"BindExec":      func(b []byte) error { _, _, err := DecodeBindExec(b); return err },
@@ -491,7 +428,6 @@ func TestDecodersRejectTruncation(t *testing.T) {
 		"ResultHead":    func(b []byte) error { _, err := DecodeResultHead(b); return err },
 		"RowChunk":      func(b []byte) error { _, err := DecodeRowChunk(b, schema); return err },
 		"ResultEnd":     func(b []byte) error { _, err := DecodeResultEnd(b); return err },
-		"Batch":         func(b []byte) error { _, err := DecodeBatch(b); return err },
 	}
 	// Truncations of these lengths happen to decode as shorter valid
 	// payloads (an ExecStream's SQL text may be any suffix length, and

@@ -8,26 +8,21 @@ func TestErrorCodedRoundTrip(t *testing.T) {
 		if payload[0] != 0x00 {
 			t.Fatalf("coded payload must open with NUL, got 0x%02x", payload[0])
 		}
-		gotCode, gotMsg := DecodeError(payload)
-		if gotCode != code || gotMsg != "txn: deadlock detected" {
-			t.Errorf("DecodeError = (0x%02x, %q), want (0x%02x, ...)", gotCode, gotMsg, code)
+		gotCode, gotMsg, err := DecodeError(payload)
+		if err != nil || gotCode != code || gotMsg != "txn: deadlock detected" {
+			t.Errorf("DecodeError = (0x%02x, %q, %v), want (0x%02x, ...)", gotCode, gotMsg, err, code)
 		}
 	}
 }
 
+// TestErrorLegacyDecode: an Error payload that is not coded — the bare
+// text servers of protocol version 1 could send, or anything shorter
+// than the NUL and the code — is malformed.
 func TestErrorLegacyDecode(t *testing.T) {
-	// A payload from a pre-coded server is bare text: it must decode as
-	// a generic error with the full text preserved.
-	code, msg := DecodeError([]byte("server: something broke"))
-	if code != ErrCodeGeneric || msg != "server: something broke" {
-		t.Errorf("legacy decode = (0x%02x, %q)", code, msg)
-	}
-	// Degenerate payloads stay safe.
-	if code, msg := DecodeError(nil); code != ErrCodeGeneric || msg != "" {
-		t.Errorf("empty decode = (0x%02x, %q)", code, msg)
-	}
-	if code, msg := DecodeError([]byte{0x00}); code != ErrCodeGeneric || msg != "\x00" {
-		t.Errorf("single-NUL decode = (0x%02x, %q)", code, msg)
+	for _, payload := range [][]byte{[]byte("server: something broke"), nil, {0x00}} {
+		if code, msg, err := DecodeError(payload); err == nil {
+			t.Errorf("DecodeError(%q) = (0x%02x, %q), want an error", payload, code, msg)
+		}
 	}
 }
 

@@ -70,21 +70,40 @@ func FuzzReadFrame(f *testing.F) {
 }
 
 func FuzzDecodeHello(f *testing.F) {
-	f.Add(EncodeHello())
+	f.Add(EncodeHello("", ""))
 	f.Add([]byte("PRSM"))
-	f.Add([]byte("PRSX\x01"))
-	f.Add(EncodeHelloCreds("acme", "s3cret"))
+	f.Add([]byte("PRSX\x02"))
+	f.Add(EncodeHello("acme", "s3cret"))
+	f.Add([]byte("PRSM\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ver, creds, err := DecodeHelloCreds(data)
+		h, err := DecodeHello(data)
 		if err != nil {
 			return
 		}
-		got := append([]byte(Magic), byte(ver))
-		if creds != nil { // the trailer after magic and version
-			got = append(got, EncodeHelloCreds(creds.Tenant, creds.Secret)[len(got):]...)
+		if h.Version != Version {
+			if data[len(Magic)] != byte(h.Version) || h.Tenant != "" || h.Secret != "" {
+				t.Fatalf("a version-%d Hello decoded to %+v", data[len(Magic)], h)
+			}
+			return
 		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("decoded hello %d %+v does not re-encode to input", ver, creds)
+		if !bytes.Equal(EncodeHello(h.Tenant, h.Secret), data) {
+			t.Fatalf("decoded hello %+v does not re-encode to input", h)
+		}
+	})
+}
+
+func FuzzDecodeHelloOK(f *testing.F) {
+	f.Add(EncodeHelloOK(&HelloOK{Version: Version, Banner: "prisma-serve", Role: RolePrimary}))
+	f.Add(EncodeHelloOK(&HelloOK{Version: Version, Banner: "prisma-serve", Role: RoleReplica, Epoch: 7, Primary: "127.0.0.1:7070"}))
+	f.Add([]byte{Version, 0, 0})
+	f.Add([]byte{1, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := DecodeHelloOK(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(EncodeHelloOK(h), data) {
+			t.Fatalf("decoded HelloOK %+v does not re-encode to input", h)
 		}
 	})
 }
@@ -136,34 +155,6 @@ func FuzzDecodeBindExec(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeBindExec(id2, args2), enc) {
 			t.Fatalf("BindExec(%d, %d args) encoding is not a fixed point", id, len(args))
-		}
-	})
-}
-
-func FuzzDecodeBatch(f *testing.F) {
-	f.Add(EncodeBatch([]BatchStmt{{SQL: "SELECT 1"}}))
-	f.Add(EncodeBatch([]BatchStmt{
-		{SQL: "BEGIN"},
-		{Bind: true, ID: 3, Args: []value.Value{value.NewInt(7), value.NewString("x"), value.Null}},
-		{SQL: "COMMIT"},
-	}))
-	f.Add(EncodeBatch(nil))
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0})             // hostile count
-	f.Add([]byte{0, 0, 0, 1, 1, 0, 0, 0, 1, 0xff, 0xff}) // bind, arity 65535, no values
-	f.Fuzz(func(t *testing.T, data []byte) {
-		stmts, err := DecodeBatch(data)
-		if err != nil {
-			return
-		}
-		// Value payloads are not byte-canonical; assert the canonical
-		// fixed point after one re-encode round trip.
-		enc := EncodeBatch(stmts)
-		stmts2, err := DecodeBatch(enc)
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if !bytes.Equal(EncodeBatch(stmts2), enc) {
-			t.Fatalf("Batch of %d statements is not an encoding fixed point", len(stmts))
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 // frame is stamped with the primary's epoch so a fenced-off stale
 // primary's records are refused by the subscriber.
 
-// Replica roles carried in the HelloOK trailer.
+// Replication roles a HelloOK carries.
 const (
 	RolePrimary byte = 'p'
 	RoleReplica byte = 'r'
@@ -251,56 +251,4 @@ func DecodeReplRecords(payload []byte) (*ReplRecords, error) {
 	}
 	r.Data = append([]byte(nil), payload[off:]...)
 	return r, nil
-}
-
-// HelloExtra is the optional HelloOK trailer a replication-aware
-// server appends after the banner: its role, fencing epoch, and (for
-// replicas) the primary's address for write redirects. Pre-replication
-// clients stop reading after the banner; pre-replication servers send
-// no trailer and DecodeHelloExtra reports a default primary role.
-type HelloExtra struct {
-	Role    byte
-	Epoch   uint64
-	Primary string
-}
-
-// AppendHelloExtra appends the role trailer to a HelloOK payload.
-func AppendHelloExtra(buf []byte, ex *HelloExtra) []byte {
-	buf = append(buf, ex.Role)
-	buf = binary.BigEndian.AppendUint64(buf, ex.Epoch)
-	return appendString(buf, ex.Primary)
-}
-
-// DecodeHelloOKExtra reads the role trailer of a full HelloOK payload
-// ([version][banner len][banner][trailer...]), skipping past the
-// banner itself.
-func DecodeHelloOKExtra(payload []byte) (*HelloExtra, error) {
-	if len(payload) < 3 {
-		return nil, fmt.Errorf("wire: truncated HelloOK payload")
-	}
-	bannerLen := int(payload[1])<<8 | int(payload[2])
-	off := 3 + bannerLen
-	if off > len(payload) {
-		return nil, fmt.Errorf("wire: HelloOK banner of %d bytes exceeds payload", bannerLen)
-	}
-	return DecodeHelloExtra(payload, off)
-}
-
-// DecodeHelloExtra reads the role trailer from a HelloOK payload,
-// given the offset where the banner ended. A payload without a
-// trailer decodes as a primary at epoch 0.
-func DecodeHelloExtra(payload []byte, off int) (*HelloExtra, error) {
-	if off >= len(payload) {
-		return &HelloExtra{Role: RolePrimary}, nil
-	}
-	if len(payload) < off+9 {
-		return nil, fmt.Errorf("wire: truncated HelloOK role trailer")
-	}
-	ex := &HelloExtra{Role: payload[off], Epoch: binary.BigEndian.Uint64(payload[off+1:])}
-	primary, _, err := decodeString(payload[off+9:])
-	if err != nil {
-		return nil, fmt.Errorf("wire: HelloOK primary address: %w", err)
-	}
-	ex.Primary = primary
-	return ex, nil
 }

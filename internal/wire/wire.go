@@ -10,10 +10,11 @@
 //	byte    frame type
 //	[]byte  payload
 //
-// A connection opens with a Hello frame ("PRSM" magic + version byte);
-// the server answers HelloOK or Error. After the handshake the client
-// sends Exec / Datalog frames, each answered by exactly one Result or
-// Error frame.
+// A connection opens with a Hello (magic, version byte, credentials),
+// answered by a HelloOK (version, banner, replication role) or an Error.
+// Only the version byte is common to every protocol version: a peer of
+// another version is refused by it, whatever follows. Then each
+// statement frame is answered by its Result or Error frames, in order.
 package wire
 
 import (
@@ -32,7 +33,7 @@ import (
 const Magic = "PRSM"
 
 // Version is the protocol version spoken by this build.
-const Version = 1
+const Version = 2
 
 // DefaultMaxFrame bounds a frame's payload (type byte + body). Statements
 // and results beyond this are refused rather than buffered.
@@ -51,7 +52,7 @@ const (
 // Frame types. Client-to-server types have the high bit clear,
 // server-to-client types have it set.
 const (
-	// TypeHello is the client handshake: Magic then a version byte.
+	// TypeHello is the client handshake (see EncodeHello).
 	TypeHello byte = 0x01
 	// TypeExec carries one SQL statement as UTF-8 text.
 	TypeExec byte = 0x02
@@ -75,12 +76,6 @@ const (
 	// and a ResultEnd; anything else (DDL, DML, transaction control) by
 	// a single Result frame, exactly as TypeExec would.
 	TypeExecStream byte = 0x07
-	// TypeBatch carries N statements in one frame, each either SQL text
-	// or a prepared-statement execution (see BatchStmt). The server
-	// answers with exactly N frames, one Result or Error per statement
-	// in order; a statement-level error fails that statement only — the
-	// rest of the batch still executes and the connection stays usable.
-	TypeBatch byte = 0x08
 	// TypeReplSubscribe turns the connection into a replication stream:
 	// the subscriber's epoch and its durable per-log positions (see
 	// repl.go). The server answers with a ReplStatus carrying the
@@ -88,16 +83,14 @@ const (
 	// side disconnects. No other frame type is valid afterwards.
 	TypeReplSubscribe byte = 0x09
 
-	// TypeHelloOK acknowledges the handshake: a version byte then a
-	// length-prefixed server banner, optionally followed by the server's
-	// replication role, epoch and primary address (see EncodeHelloOK).
+	// TypeHelloOK acknowledges the handshake: the server's version,
+	// banner and replication role (see EncodeHelloOK).
 	TypeHelloOK byte = 0x81
 	// TypeResult carries an encoded Result.
 	TypeResult byte = 0x82
-	// TypeError carries an error, either as a coded payload
-	// ([NUL][code][text] — see EncodeError) or as legacy bare UTF-8
-	// text. Statement errors leave the connection usable; handshake and
-	// protocol errors are followed by a close. During a streamed result
+	// TypeError carries a coded error (see EncodeError). Statement
+	// errors leave the connection usable; handshake and protocol
+	// errors are followed by a close. During a streamed result
 	// (after ResultHead, before ResultEnd) an Error frame terminates the
 	// stream in place of further chunks; the connection stays usable.
 	TypeError byte = 0x83
@@ -129,11 +122,8 @@ var ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
 // ---------- coded errors ----------
 
-// Error classification codes carried in a coded Error frame. A coded
-// payload opens with a NUL byte — legacy payloads are bare non-empty
-// UTF-8 message text, which never starts with NUL — followed by the
-// code, then the message. DecodeError accepts both formats, so either
-// end may be older than the other.
+// Error classification codes carried in an Error frame, whose payload
+// is a NUL byte, the code, then the message.
 const (
 	// ErrCodeGeneric marks an error with no retry guidance: the
 	// statement failed and re-running it is the caller's judgment call.
@@ -171,13 +161,13 @@ func EncodeError(code byte, msg string) []byte {
 	return append(buf, msg...)
 }
 
-// DecodeError reads an Error payload in either format: coded
-// ([NUL][code][text]) or legacy bare text (decoded as ErrCodeGeneric).
-func DecodeError(payload []byte) (code byte, msg string) {
-	if len(payload) >= 2 && payload[0] == 0x00 {
-		return payload[1], string(payload[2:])
+// DecodeError reads an Error payload; anything but [NUL][code][text] is
+// malformed.
+func DecodeError(payload []byte) (code byte, msg string, err error) {
+	if len(payload) < 2 || payload[0] != 0x00 {
+		return 0, "", fmt.Errorf("wire: Error payload is not a coded error")
 	}
-	return ErrCodeGeneric, string(payload)
+	return payload[1], string(payload[2:]), nil
 }
 
 // RetryableCode reports whether code promises the statement's
@@ -307,71 +297,112 @@ func ReadFrameBuf(r io.Reader, max int, buf []byte) (byte, []byte, error) {
 	return typ, payload, nil
 }
 
-// EncodeHello builds the Hello payload.
-func EncodeHello() []byte {
-	return append([]byte(Magic), Version)
-}
-
-// HelloCreds are the optional tenant credentials a Hello frame carries
-// after the magic and version byte: two length-prefixed strings. A
-// legacy Hello stops at the version byte and decodes with nil creds —
-// servers with no user table accept it, servers requiring auth refuse
-// with a coded ErrCodeAuth Error.
-type HelloCreds struct {
-	Tenant string
-	Secret string
+// Hello is the client handshake: the client's protocol version and a
+// tenant's credentials, each at most MaxCredLen bytes. An empty Tenant
+// presents none — servers with no user table accept it, servers
+// requiring auth refuse it with a coded ErrCodeAuth Error.
+type Hello struct {
+	Version int
+	Tenant  string
+	Secret  string
 }
 
 // MaxCredLen is the longest tenant or secret a Hello can carry: each
 // travels behind a 16-bit length.
 const MaxCredLen = 1<<16 - 1
 
-// EncodeHelloCreds builds a Hello payload carrying tenant credentials,
-// each at most MaxCredLen bytes.
-func EncodeHelloCreds(tenant, secret string) []byte {
+// EncodeHello builds the Hello payload: Magic, Version, then the tenant
+// and the secret as 16-bit-length strings.
+func EncodeHello(tenant, secret string) []byte {
 	buf := make([]byte, 0, len(Magic)+5+len(tenant)+len(secret))
-	buf = append(buf, Magic...)
-	buf = append(buf, Version)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(tenant)))
-	buf = append(buf, tenant...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(secret)))
-	return append(buf, secret...)
+	buf = append(append(buf, Magic...), Version)
+	return appendString16(appendString16(buf, tenant), secret)
 }
 
-// DecodeHello validates a Hello payload, returning the client version.
-// Credentialed Hellos (see EncodeHelloCreds) validate too — callers
-// that don't authenticate simply ignore the trailer.
-func DecodeHello(payload []byte) (int, error) {
-	ver, _, err := DecodeHelloCreds(payload)
-	return ver, err
-}
-
-// DecodeHelloCreds validates a Hello payload and extracts the optional
-// credential trailer; creds is nil for a legacy credential-less Hello.
-func DecodeHelloCreds(payload []byte) (ver int, creds *HelloCreds, err error) {
+// DecodeHello reads a Hello payload. A Hello of another version is not
+// read past its version byte: it decodes to that Version alone, for the
+// caller to refuse.
+func DecodeHello(payload []byte) (*Hello, error) {
 	if len(payload) < len(Magic)+1 || string(payload[:len(Magic)]) != Magic {
-		return 0, nil, fmt.Errorf("wire: bad handshake magic")
+		return nil, fmt.Errorf("wire: bad handshake magic")
 	}
-	ver = int(payload[len(Magic)])
+	h := &Hello{Version: int(payload[len(Magic)])}
+	if h.Version != Version {
+		return h, nil
+	}
 	rest := payload[len(Magic)+1:]
-	if len(rest) == 0 {
-		return ver, nil, nil
-	}
 	tenant, n, err := decodeString16(rest)
 	if err != nil {
-		return 0, nil, fmt.Errorf("wire: Hello credential tenant: %w", err)
+		return nil, fmt.Errorf("wire: Hello tenant: %w", err)
 	}
 	secret, m, err := decodeString16(rest[n:])
 	if err != nil {
-		return 0, nil, fmt.Errorf("wire: Hello credential secret: %w", err)
+		return nil, fmt.Errorf("wire: Hello secret: %w", err)
 	}
 	if n+m != len(rest) {
-		return 0, nil, fmt.Errorf("wire: %d trailing bytes after Hello credentials", len(rest)-n-m)
+		return nil, fmt.Errorf("wire: %d trailing bytes after Hello", len(rest)-n-m)
 	}
-	if tenant == "" {
-		return 0, nil, fmt.Errorf("wire: Hello credentials with empty tenant")
+	if tenant == "" && secret != "" {
+		return nil, fmt.Errorf("wire: Hello secret without a tenant")
 	}
-	return ver, &HelloCreds{Tenant: tenant, Secret: secret}, nil
+	h.Tenant, h.Secret = tenant, secret
+	return h, nil
+}
+
+// HelloOK is the server's handshake reply: its protocol version and
+// banner, its replication role and fencing epoch, and (for a replica)
+// the primary's address for write redirects.
+type HelloOK struct {
+	Version int
+	Banner  string
+	Role    byte
+	Epoch   uint64
+	Primary string
+}
+
+// EncodeHelloOK builds the HelloOK payload: the version byte, the banner
+// as a 16-bit-length string, the role byte, the epoch, then the primary
+// address as a 32-bit-length string.
+func EncodeHelloOK(h *HelloOK) []byte {
+	buf := make([]byte, 0, 16+len(h.Banner)+len(h.Primary))
+	buf = appendString16(append(buf, byte(h.Version)), h.Banner)
+	buf = append(buf, h.Role)
+	buf = binary.BigEndian.AppendUint64(buf, h.Epoch)
+	return appendString(buf, h.Primary)
+}
+
+// DecodeHelloOK reads a HelloOK payload. A reply of another version is
+// refused by its version byte, whatever follows.
+func DecodeHelloOK(payload []byte) (*HelloOK, error) {
+	if len(payload) < 1 {
+		return nil, fmt.Errorf("wire: empty HelloOK payload")
+	}
+	if payload[0] != Version {
+		return nil, fmt.Errorf("wire: server speaks protocol version %d (want %d)", payload[0], Version)
+	}
+	h := &HelloOK{Version: Version}
+	banner, n, err := decodeString16(payload[1:])
+	if err != nil {
+		return nil, fmt.Errorf("wire: HelloOK banner: %w", err)
+	}
+	off := 1 + n
+	if len(payload) < off+9 {
+		return nil, fmt.Errorf("wire: truncated HelloOK role")
+	}
+	h.Banner, h.Role, h.Epoch = banner, payload[off], binary.BigEndian.Uint64(payload[off+1:])
+	off += 9
+	if h.Primary, n, err = decodeString(payload[off:]); err != nil {
+		return nil, fmt.Errorf("wire: HelloOK primary address: %w", err)
+	}
+	if off+n != len(payload) {
+		return nil, fmt.Errorf("wire: %d trailing bytes after HelloOK", len(payload)-off-n)
+	}
+	return h, nil
+}
+
+func appendString16(buf []byte, s string) []byte {
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s)))
+	return append(buf, s...)
 }
 
 func decodeString16(buf []byte) (string, int, error) {
@@ -484,7 +515,7 @@ type Result struct {
 	// QueueTime is how long the statement waited in the server's
 	// admission queue before executing; zero when admission control is
 	// off or the statement was admitted immediately. Encoded only when
-	// nonzero, so pre-admission decoders still read the result.
+	// nonzero, which saves a result 8 bytes.
 	QueueTime time.Duration
 }
 
@@ -727,104 +758,4 @@ func DecodeResultEnd(buf []byte) (*ResultEnd, error) {
 		SimTime:  time.Duration(int64(binary.BigEndian.Uint64(buf[8:16]))),
 		WallTime: time.Duration(int64(binary.BigEndian.Uint64(buf[16:24]))),
 	}, nil
-}
-
-// ---------- batched execution ----------
-
-// BatchStmt is one statement of a Batch frame: either SQL text or the
-// execution of an already-prepared statement with bound values.
-type BatchStmt struct {
-	// SQL is the statement text (used when Bind is false).
-	SQL string
-	// Bind selects prepared-statement execution: ID names a statement
-	// prepared on this connection and Args carries the bound values.
-	Bind bool
-	ID   uint32
-	Args []value.Value
-}
-
-// Batch sub-statement kinds on the wire.
-const (
-	batchKindSQL  byte = 0
-	batchKindBind byte = 1
-)
-
-// EncodeBatch builds a Batch payload: a uint32 statement count, then
-// per statement a kind byte followed by either a length-prefixed SQL
-// string or a BindExec-style id/arity/values block. Callers keep each
-// statement's len(Args) within MaxBindArgs.
-func EncodeBatch(stmts []BatchStmt) []byte {
-	size := 4
-	for i := range stmts {
-		size += 11 + len(stmts[i].SQL) + 8*len(stmts[i].Args)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(stmts)))
-	for i := range stmts {
-		st := &stmts[i]
-		if !st.Bind {
-			buf = append(buf, batchKindSQL)
-			buf = appendString(buf, st.SQL)
-			continue
-		}
-		buf = append(buf, batchKindBind)
-		buf = binary.BigEndian.AppendUint32(buf, st.ID)
-		buf = binary.BigEndian.AppendUint16(buf, uint16(len(st.Args)))
-		for _, v := range st.Args {
-			buf = value.AppendValue(buf, v)
-		}
-	}
-	return buf
-}
-
-// DecodeBatch reads a Batch payload. Decoded statements never alias
-// the payload buffer.
-func DecodeBatch(payload []byte) ([]BatchStmt, error) {
-	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: truncated Batch header")
-	}
-	n := int(binary.BigEndian.Uint32(payload))
-	off := 4
-	// Every encoded statement is at least 5 bytes; never trust the
-	// count beyond what the payload could possibly hold.
-	stmts := make([]BatchStmt, 0, min(n, (len(payload)-off)/5+1))
-	for i := 0; i < n; i++ {
-		if off >= len(payload) {
-			return nil, fmt.Errorf("wire: truncated Batch statement %d", i)
-		}
-		kind := payload[off]
-		off++
-		switch kind {
-		case batchKindSQL:
-			sql, used, err := decodeString(payload[off:])
-			if err != nil {
-				return nil, fmt.Errorf("wire: Batch statement %d: %w", i, err)
-			}
-			off += used
-			stmts = append(stmts, BatchStmt{SQL: sql})
-		case batchKindBind:
-			if len(payload)-off < 6 {
-				return nil, fmt.Errorf("wire: truncated Batch bind header at statement %d", i)
-			}
-			id := binary.BigEndian.Uint32(payload[off:])
-			nargs := int(binary.BigEndian.Uint16(payload[off+4:]))
-			off += 6
-			args := make([]value.Value, 0, min(nargs, len(payload)-off+1))
-			for j := 0; j < nargs; j++ {
-				v, used, err := value.DecodeValue(payload[off:])
-				if err != nil {
-					return nil, fmt.Errorf("wire: Batch statement %d value %d: %w", i, j, err)
-				}
-				off += used
-				args = append(args, v)
-			}
-			stmts = append(stmts, BatchStmt{Bind: true, ID: id, Args: args})
-		default:
-			return nil, fmt.Errorf("wire: Batch statement %d has unknown kind 0x%02x", i, kind)
-		}
-	}
-	if off != len(payload) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after Batch", len(payload)-off)
-	}
-	return stmts, nil
 }

@@ -148,42 +148,65 @@ func TestFrameBufioMatchesPlain(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	ver, err := DecodeHello(EncodeHello())
+	h, err := DecodeHello(EncodeHello("", ""))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != Version {
-		t.Fatalf("version = %d", ver)
+	if *h != (Hello{Version: Version}) {
+		t.Fatalf("decoded %+v", h)
 	}
-	bad := [][]byte{nil, []byte("PRSM"), []byte("XXXX\x01"), []byte("PRSM\x01\x00")}
+	bad := [][]byte{
+		nil,
+		[]byte("PRSM"),
+		[]byte("XXXX\x02"),
+		[]byte("PRSM\x02"),                   // credentials are not optional
+		append(EncodeHello("", ""), 0x00),    // trailing byte
+		[]byte("PRSM\x02\x00\x00\x00\x02pw"), // a secret without a tenant
+	}
 	for _, p := range bad {
 		if _, err := DecodeHello(p); err == nil {
 			t.Fatalf("DecodeHello(%q) accepted", p)
 		}
 	}
+	// Another version is read no further than its version byte, so the
+	// server can refuse it by version whatever follows.
+	for _, p := range [][]byte{[]byte("PRSM\x01"), []byte("PRSM\x01\x00\x04acme")} {
+		h, err := DecodeHello(p)
+		if err != nil || h.Version != 1 {
+			t.Fatalf("DecodeHello(%q) = %+v, %v; want version 1", p, h, err)
+		}
+	}
 }
 
 func TestHelloCredsRoundTrip(t *testing.T) {
-	ver, creds, err := DecodeHelloCreds(EncodeHelloCreds("acme", "s3cret"))
+	h, err := DecodeHello(EncodeHello("acme", "s3cret"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver != Version || creds == nil || creds.Tenant != "acme" || creds.Secret != "s3cret" {
-		t.Fatalf("decoded ver=%d creds=%+v", ver, creds)
+	if *h != (Hello{Version: Version, Tenant: "acme", Secret: "s3cret"}) {
+		t.Fatalf("decoded %+v", h)
 	}
-	// A legacy Hello decodes cleanly with nil creds.
-	ver, creds, err = DecodeHelloCreds(EncodeHello())
-	if err != nil {
-		t.Fatal(err)
+	// A tenant with an empty secret is still a credential.
+	if h, err := DecodeHello(EncodeHello("acme", "")); err != nil || h.Tenant != "acme" || h.Secret != "" {
+		t.Fatalf("tenant without secret: %+v, %v", h, err)
 	}
-	if ver != Version || creds != nil {
-		t.Fatalf("legacy decode ver=%d creds=%+v, want nil creds", ver, creds)
+}
+
+func TestHelloOKRoundTrip(t *testing.T) {
+	for _, want := range []HelloOK{
+		{Version: Version, Banner: "prisma-serve", Role: RolePrimary},
+		{Version: Version, Banner: "prisma-serve", Role: RoleReplica, Epoch: 1 << 40, Primary: "127.0.0.1:7070"},
+	} {
+		got, err := DecodeHelloOK(EncodeHelloOK(&want))
+		if err != nil || *got != want {
+			t.Fatalf("round trip of %+v = %+v, %v", want, got, err)
+		}
 	}
-	// Truncated credential trailers must error, never panic.
-	full := EncodeHelloCreds("acme", "s3cret")
-	for n := len(Magic) + 2; n < len(full); n++ {
-		if _, _, err := DecodeHelloCreds(full[:n]); err == nil {
-			t.Fatalf("truncated creds (%d bytes) accepted", n)
+	full := EncodeHelloOK(&HelloOK{Version: Version, Banner: "b", Role: RolePrimary})
+	v1 := EncodeHelloOK(&HelloOK{Version: 1, Banner: "b", Role: RolePrimary})
+	for _, p := range [][]byte{full[:3], append(full, 0x00), v1} { // no role; a trailing byte; version 1
+		if _, err := DecodeHelloOK(p); err == nil {
+			t.Fatalf("DecodeHelloOK(%q) accepted", p)
 		}
 	}
 }
