@@ -249,8 +249,14 @@ func TestColumnNeedMixedForms(t *testing.T) {
 		mustExec(t, sess, `UPDATE fact SET amt = 1 WHERE id = 5`)
 	}
 	for _, q := range mixedStatements[:2] {
-		if plan := mustExec(t, s, "EXPLAIN "+q).Plan; !strings.Contains(plan, "execution: vectorized") || strings.Contains(plan, "leaf tuples:") {
-			t.Errorf("EXPLAIN %s: want every slot a batch inside the writing transaction, got\n%s", q, plan)
+		trace, err := s.dryRun(optimized(t, s, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ot := range trace.ops {
+			if ot.batches == 0 {
+				t.Errorf("EXPLAIN %s: %s handed up no batch inside the writing transaction", q, ot.op)
+			}
 		}
 	}
 	var got []charge

@@ -68,7 +68,8 @@ func (c *Cursor) Next() (*value.Relation, error) {
 	if n, err := c.Advance(); n == 0 {
 		return nil, err
 	}
-	rel := c.cur.rows(c.schema)
+	rel := c.cur.batch().Materialize()
+	c.cur.free()
 	c.cur = slot{}
 	return rel, nil
 }

@@ -3,13 +3,13 @@ package core
 // The executor: one partitioned operator pipeline. A plan subtree
 // evaluates to parts — slot i lives on PE pes[i] and stays there until a
 // plan.Exchange moves it or the consumer gathers it at the coordinator.
-// A slot holds a value.Batch (typed vectors plus a selection vector) —
-// over the fragment column caches, or made by an operator — or, where a
-// leaf answered with tuples, those tuples, which the first operator to
-// take them transposes into a batch (slot.batch). Every operator
-// (execops.go) has one kernel, the batch one, and charges the simulated
-// machine at one site; the plan root encodes or materializes whichever
-// form reaches it. Central execution is the one-slot-at-the-coordinator
+// A slot holds a value.Batch (typed vectors plus a selection vector): over
+// the fragment column caches, decoded from a store's slab by an index
+// probe, transposed once from a plan.Values leaf's tuples, or made by an
+// operator. Every operator (execops.go) has one kernel, the batch one, and
+// charges the simulated machine at one site; the plan root encodes the
+// batches that reach it for the wire or materializes them for an
+// in-process caller. Central execution is the one-slot-at-the-coordinator
 // case of the same operators. Every operator is told which of its output
 // columns something above will read and tells its children the same, so a
 // scan hands up the rest as kind-only vectors (value.Vec) that no
@@ -55,7 +55,7 @@ type execCtx struct {
 	arena value.Arena
 
 	mu     sync.Mutex
-	shared map[string]*value.Relation
+	shared map[string]*value.Batch
 }
 
 // poisonReleased, which the package's tests set, makes every statement's
@@ -92,28 +92,27 @@ func (ctx *execCtx) ship(src, dst, bytes int) {
 	}
 }
 
-// slot is one partition of an intermediate result: a columnar batch, or
-// the tuples a leaf answered with — an index probe, a CSE-shared scan or a
-// coordinator-resident relation (plan.Values) — and which, for EXPLAIN. A
+// slot is one partition of an intermediate result: a columnar batch. A
 // fragment scan's slot names its rows with the filter's mask, a bit per
 // batch row, instead of a selection: a pushed-down aggregate or a
 // group-join folds the rows it sets (masked), and for any other taker the
-// slot turns it into the batch's selection, once (batch, size, rows,
+// slot turns it into the batch's selection, once (batch, size,
 // appendRows).
 type slot struct {
 	b    *value.Batch
 	mask []uint64
-	rel  *value.Relation
-	why  string
 }
 
-// batch returns the slot as a batch. A leaf's tuples are transposed here,
-// once, by the first operator that takes them: every operator runs its
-// batch kernel only.
-func (s *slot) batch(schema *value.Schema) (*value.Batch, error) {
+// batch returns the slot as a batch.
+func (s *slot) batch() *value.Batch {
 	s.selected()
-	b, _, err := s.masked(schema)
-	return b, err
+	return s.b
+}
+
+// none is a batch of no rows: a LIMIT's slot past its last row, and every
+// leaf's in EXPLAIN's dry run.
+func none(schema *value.Schema) *value.Batch {
+	return value.NewBatchFromEncoded(schema, nil, nil)
 }
 
 // selected makes a mask the batch's selection.
@@ -126,45 +125,27 @@ func (s *slot) selected() {
 // masked is batch for a taker that folds a mask: the batch, and the mask of
 // its rows when the slot has one (nil: the batch's selection), which it
 // takes.
-func (s *slot) masked(schema *value.Schema) (*value.Batch, []uint64, error) {
-	if s.b != nil {
-		mask := s.mask
-		s.mask = nil
-		return s.b, mask, nil
-	}
-	var tuples []value.Tuple
-	if s.rel != nil {
-		tuples = s.rel.Tuples
-	}
-	if b := value.NewBatchFrom(schema, tuples); b != nil {
-		return b, nil, nil
-	}
-	return nil, nil, fmt.Errorf("core: tuples of a leaf (%s) do not fit %s", s.why, schema)
+func (s *slot) masked() (*value.Batch, []uint64) {
+	mask := s.mask
+	s.mask = nil
+	return s.b, mask
 }
 
+// len counts the slot's rows; the zero slot, a cursor's before its first
+// batch and after its last, has none.
 func (s slot) len() int {
 	switch {
 	case s.mask != nil:
 		return expr.MaskCount(s.mask)
 	case s.b != nil:
 		return s.b.Len()
-	case s.rel != nil:
-		return s.rel.Len()
 	}
 	return 0
 }
 
-// size is the slot's footprint on the simulated network, the same for
-// both forms.
+// size is the slot's footprint on the simulated network: its tuples'.
 func (s *slot) size() int {
-	s.selected()
-	switch {
-	case s.b != nil:
-		return s.b.Size()
-	case s.rel != nil:
-		return s.rel.Size()
-	}
-	return 0
+	return s.batch().Size()
 }
 
 // free returns a dropped batch's selection vector or mask to the pool.
@@ -176,34 +157,10 @@ func (s slot) free() {
 	}
 }
 
-// rows returns the slot as tuples for a consumer that needs them,
-// consuming a batch.
-func (s *slot) rows(schema *value.Schema) *value.Relation {
-	s.selected()
-	switch {
-	case s.b != nil:
-		rel := s.b.Materialize()
-		s.free()
-		return rel
-	case s.rel != nil:
-		return s.rel
-	}
-	return value.NewRelation(schema)
-}
-
 // appendRows appends rows [lo, hi) of the slot to dst in the wire's tuple
-// encoding, a batch straight from its vectors; the slot is not consumed.
+// encoding, straight from its vectors; the slot is not consumed.
 func (s *slot) appendRows(dst []byte, lo, hi int) []byte {
-	s.selected()
-	switch {
-	case s.b != nil:
-		return value.AppendBatchRows(dst, s.b, lo, hi)
-	case s.rel != nil:
-		for _, t := range s.rel.Tuples[lo:hi] {
-			dst = value.AppendTuple(dst, t)
-		}
-	}
-	return dst
+	return value.AppendBatchRows(dst, s.batch(), lo, hi)
 }
 
 // parts is a partitioned intermediate: slot i lives on PE pes[i]. Slots
@@ -348,7 +305,12 @@ func (e *Engine) execPlan(ctx *execCtx, root plan.Node, dst []byte) (*Result, er
 	}{}
 	res := &out.Result
 	if dst == nil {
-		res.Rel = e.gatherSlots(ctx, p, root.Schema())
+		b, err := e.gather(ctx, p, root.Schema(), &ctx.arena)
+		if err != nil {
+			return nil, err
+		}
+		res.Rel = b.Materialize()
+		slot{b: b}.free()
 	} else {
 		size := e.arrive(ctx, p)
 		res.Rows = &out.rows
@@ -385,7 +347,11 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 	case *plan.IndexProbe:
 		return e.execIndexProbe(ctx, t)
 	case *plan.Values:
-		return ctx.noted("Values", ctx.singleton(slot{rel: t.Rel, why: "values"}), t.Rel.Schema, value.AllCols), nil
+		b := value.NewBatchFrom(t.Rel.Schema, t.Rel.Tuples)
+		if b == nil {
+			return nil, fmt.Errorf("core: values do not fit %s", t.Rel.Schema)
+		}
+		return ctx.noted("Values", ctx.singleton(slot{b: b}), t.Rel.Schema, value.AllCols), nil
 	case *plan.Select:
 		return e.execSelect(ctx, t, need)
 	case *plan.Project:
@@ -417,7 +383,7 @@ func (e *Engine) exec(ctx *execCtx, n plan.Node, need value.ColSet) (*parts, err
 // the columns in need are handed up, and the filter's mask with them.
 func (e *Engine) scanSlot(ctx *execCtx, f *fragRef, pred expr.Expr, schema *value.Schema, need value.ColSet) (slot, error) {
 	if ctx.explain != nil {
-		return slot{b: value.NewBatchFrom(schema, nil)}, nil
+		return slot{b: none(schema)}, nil
 	}
 	b, mask, built, err := f.ofm.ScanMask(ctx.view, pred)
 	_ = ctx.mem.charge(built)
@@ -442,10 +408,9 @@ func (e *Engine) scanFragments(ctx *execCtx, t *table, frags []int, pred expr.Ex
 
 // execScan scans a table's fragments in place, pruning fragments by the
 // predicate where the fragmentation scheme allows. A CSE-shared scan is
-// read once per statement, gathered as tuples at the coordinator and
-// handed to each of its plan parents as a coordinator singleton aliasing
-// the same tuples — each parent transposes its own batch from them, and
-// each may read other columns, so it is read whole.
+// read once per statement, gathered into one batch at the coordinator and
+// handed to each of its plan parents as a coordinator singleton over the
+// same vectors; each parent may read other columns, so it is read whole.
 func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*parts, error) {
 	key := ""
 	if sc.Shared {
@@ -454,8 +419,8 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 		if sc.Pred != nil {
 			key += sc.Pred.String()
 		}
-		if rel, ok := ctx.cacheGet(key); ok {
-			return ctx.sharedScan(sc, rel), nil
+		if b, ok := ctx.cacheGet(key); ok {
+			return ctx.sharedScan(sc, b), nil
 		}
 	}
 	t, err := e.lookupTable(sc.Table)
@@ -466,31 +431,40 @@ func (e *Engine) execScan(ctx *execCtx, sc *plan.Scan, need value.ColSet) (*part
 	if !sc.Shared {
 		return ctx.noted("Scan "+sc.Table, p, sc.Out, need), nil
 	}
-	if p, err = p.forced(); err != nil {
+	// Not from the arena: a PRISMAlog evaluation runs all its plans in one
+	// execCtx and shares the scan across them, and the arena is handed back
+	// after each.
+	b, err := e.gather(ctx, p, sc.Out, nil)
+	if err != nil {
 		return nil, err
 	}
-	rel := e.gatherSlots(ctx, p, sc.Out)
-	ctx.cachePut(key, rel)
-	return ctx.sharedScan(sc, rel), nil
+	ctx.cachePut(key, b)
+	return ctx.sharedScan(sc, b), nil
 }
 
-func (ctx *execCtx) sharedScan(sc *plan.Scan, rel *value.Relation) *parts {
-	out := value.NewRelation(sc.Out)
-	out.Tuples = rel.Tuples
-	return ctx.noted("Scan "+sc.Table, ctx.singleton(slot{rel: out, why: "shared scan"}), sc.Out, value.AllCols)
+// sharedScan hands one parent of a CSE-shared scan its own header over the
+// gathered vectors, and its own copy of their selection: a parent's kernels
+// narrow, permute and free the selection they are given, never the vectors.
+func (ctx *execCtx) sharedScan(sc *plan.Scan, b *value.Batch) *parts {
+	own := *b
+	if b.Sel != nil {
+		own.Sel = value.GetSelLen(len(b.Sel))
+		copy(own.Sel, b.Sel)
+	}
+	return ctx.noted("Scan "+sc.Table, ctx.singleton(slot{b: &own}), sc.Out, value.AllCols)
 }
 
-func (ctx *execCtx) cacheGet(key string) (*value.Relation, bool) {
+func (ctx *execCtx) cacheGet(key string) (*value.Batch, bool) {
 	ctx.mu.Lock()
 	defer ctx.mu.Unlock()
 	r, ok := ctx.shared[key]
 	return r, ok
 }
 
-func (ctx *execCtx) cachePut(key string, r *value.Relation) {
+func (ctx *execCtx) cachePut(key string, r *value.Batch) {
 	ctx.mu.Lock()
 	if ctx.shared == nil {
-		ctx.shared = map[string]*value.Relation{}
+		ctx.shared = map[string]*value.Batch{}
 	}
 	ctx.shared[key] = r
 	ctx.mu.Unlock()
@@ -499,27 +473,29 @@ func (ctx *execCtx) cachePut(key string, r *value.Relation) {
 // execIndexProbe runs the point-query fast path: resolve the key, route
 // straight to the fragment(s) the fragmentation scheme allows, and let
 // each OFM answer with a direct hash-index lookup — no scan, no
-// predicate compilation. Like the colocated join, the probe calls the
-// OFM directly and charges the simulated network for the request and the
-// reply; the answers land at the coordinator as one row slot.
+// predicate compilation — decoded from its store into a batch. Like the
+// colocated join, the probe calls the OFM directly and charges the
+// simulated network for the request and the reply; the answers land at
+// the coordinator as one slot.
 func (e *Engine) execIndexProbe(ctx *execCtx, pr *plan.IndexProbe) (*parts, error) {
 	t, key, frags, err := e.probeTargets(pr)
 	if err != nil {
 		return nil, err
 	}
-	out := value.NewRelation(pr.Out)
+	var one [1]*value.Batch // a key's one fragment, most often
+	batches := one[:0]
 	for _, fi := range frags {
-		rel, err := e.probeFragment(ctx, t.frags[fi], pr, key)
+		b, err := e.probeFragment(ctx, t.frags[fi], pr, key)
 		if err != nil {
 			return nil, err
 		}
-		if out.Tuples == nil {
-			out.Tuples = rel.Tuples
-		} else {
-			out.Tuples = append(out.Tuples, rel.Tuples...)
-		}
+		batches = append(batches, b)
 	}
-	return ctx.noted("IndexProbe "+pr.Table, ctx.singleton(slot{rel: out, why: "index probe"}), pr.Out, value.AllCols), nil
+	b := batches[0]
+	if len(batches) > 1 {
+		b = value.ConcatBatches(pr.Out, batches, &ctx.arena)
+	}
+	return ctx.noted("IndexProbe "+pr.Table, ctx.singleton(slot{b: b}), pr.Out, value.AllCols), nil
 }
 
 // probeTargets resolves an IndexProbe's key value and target fragment
@@ -543,71 +519,44 @@ func (e *Engine) probeTargets(pr *plan.IndexProbe) (*table, value.Value, []int, 
 // probeFragment probes one fragment's hash index, charging the
 // simulated network for the request and the reply. EXPLAIN's dry run
 // probes nothing.
-func (e *Engine) probeFragment(ctx *execCtx, f *fragRef, pr *plan.IndexProbe, key value.Value) (*value.Relation, error) {
+func (e *Engine) probeFragment(ctx *execCtx, f *fragRef, pr *plan.IndexProbe, key value.Value) (*value.Batch, error) {
 	if ctx.explain != nil {
-		return value.NewRelation(pr.Out), nil
+		return none(pr.Out), nil
 	}
 	ctx.ship(ctx.s.pe, f.pe, 64) // the probe request
-	rel, err := f.ofm.ProbeEq(ctx.view, pr.Col, key, pr.Rest)
+	b, err := f.ofm.Probe(ctx.view, pr.Col, key, pr.Rest)
 	if err != nil {
 		return nil, err
 	}
-	ctx.ship(f.pe, ctx.s.pe, rel.Size()) // only the result travels
-	return rel, nil
+	b.Schema = pr.Out
+	ctx.ship(f.pe, ctx.s.pe, b.Size()) // only the result travels
+	return b, nil
 }
 
 // gather collects a partitioned intermediate at the coordinator as one
 // batch, charging the network for every remote slot and the tenant budget
-// for what arrives.
-func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema) (*value.Batch, error) {
+// for what arrives. Several slots are copied into vectors a lends (nil:
+// the heap's).
+func (e *Engine) gather(ctx *execCtx, p *parts, schema *value.Schema, a *value.Arena) (*value.Batch, error) {
 	p, err := p.forced()
 	if err != nil {
 		return nil, err
 	}
 	e.arrive(ctx, p)
+	if len(p.slots) == 1 {
+		return p.slots[0].batch(), nil
+	}
 	batches := make([]*value.Batch, len(p.slots))
 	for i := range p.slots {
-		if batches[i], err = p.slots[i].batch(schema); err != nil {
-			return nil, err
-		}
+		batches[i] = p.slots[i].batch()
 	}
-	if len(batches) == 1 {
-		return batches[0], nil
-	}
-	return value.ConcatBatches(schema, batches, &ctx.arena), nil
-}
-
-// gatherSlots is gather for a consumer that needs tuples — an in-process
-// caller's plan root and a CSE-shared scan: each slot materializes
-// straight into the result.
-func (e *Engine) gatherSlots(ctx *execCtx, p *parts, schema *value.Schema) *value.Relation {
-	e.arrive(ctx, p)
-	slots := p.slots
-	var out *value.Relation
-	if len(slots) == 1 {
-		out = slots[0].rows(schema)
-	} else {
-		out = value.NewRelation(schema)
-		total := 0
-		for _, s := range slots {
-			total += s.len()
-		}
-		out.Tuples = make([]value.Tuple, 0, total)
-		for i := range slots {
-			if s := &slots[i]; s.len() == 0 {
-				s.free()
-			} else {
-				out.Tuples = append(out.Tuples, s.rows(schema).Tuples...)
-			}
-		}
-	}
-	return out
+	return value.ConcatBatches(schema, batches, a), nil
 }
 
 // arrive is the one account of slots reaching the coordinator, whatever
 // form they leave it in: each crosses the network from its PE, and their
-// sizes — the same for a batch, its tuples and their encoding — are charged
-// to the tenant's budget.
+// sizes — the same for a batch and its encoding — are charged to the
+// tenant's budget.
 func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
 	for i := range p.slots {
 		if s := &p.slots[i]; s.len() > 0 {
@@ -621,9 +570,8 @@ func (e *Engine) arrive(ctx *execCtx, p *parts) (total int) {
 }
 
 // explainTrace is what EXPLAIN's dry run collects: for every operator,
-// how many of its slots were batches, for a leaf that answered with
-// tuples which leaf it is, and how many of its output columns its batches
-// carry.
+// how many of its slots were batches and how many of its output columns
+// its batches carry.
 type explainTrace struct {
 	mu  sync.Mutex
 	ops []*opTrace
@@ -632,7 +580,6 @@ type explainTrace struct {
 type opTrace struct {
 	op          string
 	batches     int
-	why         string
 	kept, width int // columns its batches carry, of how many
 }
 
@@ -652,35 +599,25 @@ func (ctx *execCtx) noted(op string, p *parts, schema *value.Schema, need value.
 	}
 	t.ops = append(t.ops, ot)
 	return p.then(func(s slot, _ int) (slot, error) {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		switch {
-		case s.b != nil:
+		if s.b != nil {
+			t.mu.Lock()
 			ot.batches++
-		case s.why != "":
-			ot.why = s.why
+			t.mu.Unlock()
 		}
 		return s, nil
 	})
 }
 
-// line renders EXPLAIN's execution line; the leaves that answered with
-// tuples, and why; and, when an operator hands up fewer columns than its
-// schema has, the columns line.
+// line renders EXPLAIN's execution line and, when an operator hands up
+// fewer columns than its schema has, the columns line.
 func (t *explainTrace) line() string {
-	var leaves, pruned []string
+	var pruned []string
 	for _, ot := range t.ops {
 		if ot.batches > 0 && ot.kept < ot.width {
 			pruned = append(pruned, fmt.Sprintf("%s %d/%d", ot.op, ot.kept, ot.width))
 		}
-		if ot.why != "" {
-			leaves = append(leaves, ot.op+": "+ot.why)
-		}
 	}
 	out := "execution: vectorized (columnar batches)\n"
-	if len(leaves) > 0 {
-		out += "leaf tuples: " + strings.Join(leaves, "; ") + "\n"
-	}
 	if len(pruned) > 0 {
 		out += "columns: " + strings.Join(pruned, ", ") + "\n"
 	}

@@ -3,8 +3,7 @@ package core
 // The operators of the partitioned pipeline: one skeleton and one kernel
 // each. Every skeleton evaluates its children into parts, runs its batch
 // kernel on each slot on the PE the slot lives on, and charges that PE at
-// a single site; a slot a leaf filled with tuples is made a batch by the
-// first kernel that takes it (slot.batch). Operators that only add charges
+// a single site. Operators that only add charges
 // to the slot's own PE (select, project, partial aggregate, sort runs,
 // pre-dedup, limit) stack on their child's slots and run when those are
 // taken; operators that move data between PEs (exchange, join, gather)
@@ -46,9 +45,9 @@ type filter struct {
 
 // apply filters one slot on PE pe. The output keeps the input's schema.
 func (f *filter) apply(s slot, pe int) (slot, error) {
-	b, err := s.batch(f.schema)
-	if err != nil || b.Len() == 0 {
-		return slot{b: b}, err
+	b := s.batch()
+	if b.Len() == 0 {
+		return slot{b: b}, nil
 	}
 	f.once.Do(func() { f.vec, f.err = expr.CompileVecFilter(expr.Clone(f.pred), f.schema) })
 	if f.err != nil {
@@ -91,10 +90,7 @@ type projector struct {
 
 func (pr *projector) apply(s slot, pe int) (slot, error) {
 	in := pr.p.Child.Schema()
-	b, err := s.batch(in)
-	if err != nil {
-		return slot{}, err
-	}
+	b := s.batch()
 	pr.once.Do(func() {
 		var remap bool
 		if pr.idxs, remap = expr.ColumnIndices(cloneExprs(pr.p.Exprs), in); !remap {
@@ -102,6 +98,7 @@ func (pr *projector) apply(s slot, pe int) (slot, error) {
 		}
 	})
 	var st algebra.Stats
+	var err error
 	switch {
 	case pr.err != nil:
 		err = pr.err
@@ -182,7 +179,7 @@ func (e *Engine) execExchange(ctx *execCtx, x *plan.Exchange, need value.ColSet)
 
 // collect gathers p into one slot at the coordinator.
 func (e *Engine) collect(ctx *execCtx, p *parts, schema *value.Schema) (*parts, error) {
-	b, err := e.gather(ctx, p, schema)
+	b, err := e.gather(ctx, p, schema, &ctx.arena)
 	if err != nil {
 		return nil, err
 	}
@@ -228,10 +225,7 @@ func (e *Engine) hashExchange(ctx *execCtx, child *parts, schema *value.Schema, 
 				srcs[i].free()
 				continue
 			}
-			b, err := srcs[i].batch(schema)
-			if err != nil {
-				return err
-			}
+			b := srcs[i].batch()
 			ctx.work(pe, e.m.Cost().HashCost(b.Len()))
 			buckets := b.SplitByHash(part.Keys, n)
 			dep := make([]int64, n)
@@ -346,14 +340,8 @@ func (e *Engine) execJoin(ctx *execCtx, j *plan.Join, need value.ColSet) (*parts
 		if rs[i].len() > 0 {
 			ctx.ship(r.pes[i], pe, rs[i].size()) // mismatched placement: the right slot comes over
 		}
-		lb, err := ls[i].batch(j.Left.Schema())
-		if err != nil {
-			return err
-		}
-		rb, err := rs[i].batch(j.Right.Schema())
-		if err != nil {
-			return err
-		}
+		lb := ls[i].batch()
+		rb := rs[i].batch()
 		joined, st, err := algebra.HashJoinBatchNeed(lb, rb, j.LeftKeys, j.RightKeys, joinNeed, &ctx.arena)
 		if err != nil {
 			return err
@@ -409,7 +397,7 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, need value.ColSet
 	if err != nil {
 		return nil, err
 	}
-	small, err := e.gather(ctx, sp, smallNode.Schema())
+	small, err := e.gather(ctx, sp, smallNode.Schema(), &ctx.arena)
 	if err != nil {
 		return nil, err
 	}
@@ -437,10 +425,7 @@ func (e *Engine) execBroadcastJoin(ctx *execCtx, j *plan.Join, need value.ColSet
 	res := residual(ctx, j)
 	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
 	err = eachPart(len(big.slots), func(i int) error {
-		b, err := big.slots[i].batch(bigNode.Schema())
-		if err != nil {
-			return err
-		}
+		b := big.slots[i].batch()
 		joined, st, err := table.Probe(b, bigKeys, !smallLeft, joinNeed, &ctx.arena)
 		if err != nil {
 			return err
@@ -465,14 +450,12 @@ func (e *Engine) execGroupJoin(ctx *execCtx, a *plan.Aggregate, table *algebra.J
 	cost := e.m.Cost()
 	out := &parts{slots: make([]slot, len(big.slots)), pes: big.pes}
 	return out, eachPart(len(big.slots), func(i int) error {
-		b, mask, err := big.slots[i].masked(schema)
+		b, mask := big.slots[i].masked()
+		b, jst, ast, err := gj.ProbeRows(b, mask, &ctx.arena)
 		if err != nil {
 			return err
 		}
-		var jst, ast algebra.Stats
-		if out.slots[i].b, jst, ast, err = gj.ProbeRows(b, mask, &ctx.arena); err != nil {
-			return err
-		}
+		out.slots[i].b = b
 		ctx.work(big.pes[i], cost.HashCost(jst.Hashes)+cost.BuildCost(jst.TuplesEmitted))
 		ctx.work(big.pes[i], cost.HashCost(ast.Hashes)+cost.BuildCost(ast.TuplesEmitted))
 		return nil
@@ -481,10 +464,7 @@ func (e *Engine) execGroupJoin(ctx *execCtx, a *plan.Aggregate, table *algebra.J
 
 // aggregateSlot aggregates one slot on PE pe into a batch.
 func (e *Engine) aggregateSlot(ctx *execCtx, a *plan.Aggregate, specs []algebra.AggSpec, s slot, pe int) (*value.Batch, error) {
-	b, mask, err := s.masked(a.Child.Schema())
-	if err != nil {
-		return nil, err
-	}
+	b, mask := s.masked()
 	out, st, err := algebra.AggregateRows(b, mask, a.GroupBy, specs, &ctx.arena)
 	if err != nil {
 		return nil, err
@@ -521,7 +501,7 @@ func (e *Engine) execAggregate(ctx *execCtx, a *plan.Aggregate) (*parts, error) 
 	}
 	var out *value.Batch
 	if !a.Pushdown {
-		if out, err = e.gather(ctx, child, a.Child.Schema()); err != nil {
+		if out, err = e.gather(ctx, child, a.Child.Schema(), &ctx.arena); err != nil {
 			return nil, err
 		}
 		if out, err = e.aggregateSlot(ctx, a, a.Specs, slot{b: out}, ctx.s.pe); err != nil {
@@ -570,10 +550,7 @@ func (e *Engine) execSort(ctx *execCtx, t *plan.Sort, need value.ColSet) (*parts
 	}
 	schema := t.Child.Schema()
 	sortRun := func(s slot, pe int) (*value.Batch, error) {
-		b, err := s.batch(schema)
-		if err != nil {
-			return nil, err
-		}
+		b := s.batch()
 		run, st, err := algebra.SortBatch(b, t.Cols, t.Desc)
 		if err != nil {
 			return nil, err
@@ -582,7 +559,7 @@ func (e *Engine) execSort(ctx *execCtx, t *plan.Sort, need value.ColSet) (*parts
 		return run, nil
 	}
 	if !t.Parallel {
-		b, err := e.gather(ctx, child, schema)
+		b, err := e.gather(ctx, child, schema, &ctx.arena)
 		if err != nil {
 			return nil, err
 		}
@@ -627,12 +604,8 @@ func (e *Engine) execDistinct(ctx *execCtx, t *plan.Distinct) (*parts, error) {
 		all[i] = i
 	}
 	distinct := func(s slot, pe int) (slot, error) {
-		b, err := s.batch(schema)
+		b, st, err := algebra.AggregateBatch(s.batch(), all, nil)
 		if err != nil {
-			return slot{}, err
-		}
-		var st algebra.Stats
-		if b, st, err = algebra.AggregateBatch(b, all, nil); err != nil {
 			return slot{}, err
 		}
 		b.Schema = schema
@@ -661,17 +634,13 @@ func (e *Engine) execLimit(ctx *execCtx, t *plan.Limit, need value.ColSet) (*par
 	remaining := t.N
 	return &parts{pes: child.pes, ordered: true, src: func(i int) (slot, error) {
 		if remaining == 0 {
-			return slot{}, nil
+			return slot{b: none(schema)}, nil
 		}
 		s, err := child.take(i)
 		if err != nil {
 			return slot{}, err
 		}
-		b, err := s.batch(schema)
-		if err != nil {
-			return slot{}, err
-		}
-		b = algebra.LimitBatch(b, remaining)
+		b := algebra.LimitBatch(s.batch(), remaining)
 		remaining -= b.Len()
 		return slot{b: b}, nil
 	}}, nil

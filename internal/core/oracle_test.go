@@ -23,24 +23,31 @@ import (
 // charges nothing.
 func oracleQuery(t *testing.T, s *Session, q string) *value.Relation {
 	t.Helper()
+	root := optimized(t, s, q)
+	view, release, err := s.readView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer release()
+	return (&oracle{t: t, s: s, view: view}).eval(root)
+}
+
+// optimized is the plan the executor runs for the SELECT q.
+func optimized(t *testing.T, s *Session, q string) plan.Node {
+	t.Helper()
 	stmt, err := sqlparse.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sel, ok := stmt.(*sqlparse.Select)
 	if !ok {
-		t.Fatalf("oracle: %q is not a SELECT", q)
+		t.Fatalf("%q is not a SELECT", q)
 	}
 	root, err := s.e.translateSelect(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, release, err := s.readView()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer release()
-	return (&oracle{t: t, s: s, view: view}).eval(s.e.opt.Optimize(root))
+	return s.e.opt.Optimize(root)
 }
 
 type oracle struct {

@@ -46,6 +46,38 @@ func TestPrepareSelectPointQuery(t *testing.T) {
 	}
 }
 
+// TestPreparedPointAllocs pins what a prepared pk SELECT allocates on the
+// served path, encoded into the caller's buffer: the probe decodes the
+// one version from the fragment's slab straight into a batch (its header,
+// column list, vectors, one payload array per kind and the string), and
+// the root encodes it: 17 allocations, one more than when the probe
+// answered with tuples. The bar keeps a later change from fattening the
+// point path unseen.
+func TestPreparedPointAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	s := setupEmp(t, newEngine(t))
+	ps, err := s.Prepare(`SELECT * FROM emp WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 1024)
+	args := intArgs(0)
+	key := int64(0)
+	const bar = 17
+	if n := testing.AllocsPerRun(500, func() {
+		key = (key + 7) % 60
+		args[0] = value.NewInt(key)
+		res, err := s.ExecPreparedTo(buf[:0], ps, args)
+		if err != nil || res.Rows.N != 1 {
+			t.Fatalf("id %d: %v rows, %v", key, res, err)
+		}
+	}); n > bar {
+		t.Errorf("a served prepared point SELECT allocates %v times, want <= %d", n, bar)
+	}
+}
+
 func TestPrepareDollarParams(t *testing.T) {
 	e := newEngine(t)
 	s := setupEmp(t, e)

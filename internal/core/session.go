@@ -376,6 +376,24 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 	return nil, fmt.Errorf("core: unhandled statement %T", st)
 }
 
+// dryRun is EXPLAIN's account of an optimized plan, the executor's own:
+// the plan runs dry — the real operators over empty batches, at a view
+// that sees what the statement would (inside a transaction, its pending
+// writes) — and every operator records what its slots held.
+func (s *Session) dryRun(root plan.Node) (*explainTrace, error) {
+	view, release, err := s.readView()
+	if err != nil {
+		return nil, err
+	}
+	defer release()
+	ctx := s.newExecCtx(view)
+	ctx.explain = &explainTrace{}
+	if _, err := s.e.execPlan(ctx, root, nil); err != nil {
+		return nil, err
+	}
+	return ctx.explain, nil
+}
+
 // execExplain answers EXPLAIN <stmt>: translate and optimize the
 // wrapped statement exactly as execution would, but return the plan's
 // rendering as a one-column relation instead of running it — no
@@ -383,8 +401,9 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 // against any workload. The chosen join methods and Exchange
 // partitioning annotations are exactly what execution will do, a
 // trailing access line states the concurrency-control discipline the
-// statement runs under (snapshot read vs locked write), and an execution
-// line says where the operators would run on batches and where on rows.
+// statement runs under (snapshot read vs locked write), and the dry run's
+// lines say the operators run on batches and name those that hand up fewer
+// columns than their schema has.
 func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 	var planStr string
 	switch t := ex.Stmt.(type) {
@@ -394,24 +413,11 @@ func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
 			return nil, err
 		}
 		root = s.e.opt.Optimize(root)
-		planStr = plan.Format(root) + "access: snapshot read (no locks)\n"
-		// The execution line is the executor's own account: the plan runs
-		// dry — the real operators over empty slots, each leaf in the form
-		// the scan would answer with right now (inside a transaction, with
-		// its pending writes) — and reports which operators met row slots
-		// where a batch was possible, and why.
-		view, release, err := s.readView()
+		trace, err := s.dryRun(root)
 		if err != nil {
 			return nil, err
 		}
-		ctx := s.newExecCtx(view)
-		ctx.explain = &explainTrace{}
-		_, err = s.e.execPlan(ctx, root, nil)
-		release()
-		if err != nil {
-			return nil, err
-		}
-		planStr += ctx.explain.line()
+		planStr = plan.Format(root) + "access: snapshot read (no locks)\n" + trace.line()
 	case *sqlparse.Insert:
 		planStr = "Insert " + t.Table + "\n" + writeAccessLine
 	case *sqlparse.Update:

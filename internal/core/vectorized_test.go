@@ -140,10 +140,9 @@ func TestVectorizedMatchesOracleAfterWrites(t *testing.T) {
 }
 
 // TestExplainShowsVectorized pins the EXPLAIN contract: the execution
-// line is the executor's own account of a dry run — every operator runs
-// batches, the leaves that answer with tuples — the pk probe and a
-// CSE-shared scan, never a fragment scan — are named, and explaining scans
-// nothing and charges nothing.
+// line is the executor's own account of a dry run, in which every slot is
+// a batch — the pk probe's and a CSE-shared scan's too — and explaining
+// scans nothing and charges nothing.
 func TestExplainShowsVectorized(t *testing.T) {
 	eVec := newEngine(t)
 	sVec := setupEmp(t, eVec)
@@ -160,28 +159,27 @@ func TestExplainShowsVectorized(t *testing.T) {
 				t.Errorf("EXPLAIN %s lacks %q:\n%s", q, w, plan)
 			}
 		}
-		// Only leaves answer with tuples; no operator runs on them.
-		for _, line := range strings.Split(plan, "\n") {
-			if rest, ok := strings.CutPrefix(line, "leaf tuples: "); ok {
-				for _, leaf := range strings.Split(rest, "; ") {
-					if !strings.HasPrefix(leaf, "Scan ") && !strings.HasPrefix(leaf, "IndexProbe ") {
-						t.Errorf("EXPLAIN %s: %q is not a leaf:\n%s", q, leaf, plan)
-					}
-				}
+	}
+	// batches runs explain's dry run and requires op to have handed up its
+	// slots as batches.
+	batches := func(s *Session, q, op string) {
+		t.Helper()
+		explain(s, q)
+		trace, err := s.dryRun(optimized(t, s, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ot := range trace.ops {
+			if ot.op == op && ot.batches > 0 {
+				return
 			}
 		}
-	}
-	noTuples := func(s *Session, q string, want ...string) {
-		t.Helper()
-		explain(s, q, want...)
-		if plan := mustExec(t, s, "EXPLAIN "+q).Plan; strings.Contains(plan, "leaf tuples:") {
-			t.Errorf("EXPLAIN %s names a leaf answering with tuples:\n%s", q, plan)
-		}
+		t.Errorf("dry run of %s: no batch slot from %s", q, op)
 	}
 	const grouped = `SELECT dept, COUNT(*) AS n FROM emp WHERE salary > 100 GROUP BY dept`
-	noTuples(sVec, grouped)
-	// The pk point probe answers with tuples, which go to the root as they are.
-	explain(sVec, `SELECT * FROM emp WHERE id = 3`, "leaf tuples: IndexProbe emp: index probe")
+	explain(sVec, grouped)
+	// The pk point probe answers with a batch decoded from the store.
+	batches(sVec, `SELECT * FROM emp WHERE id = 3`, "IndexProbe emp")
 
 	// A central join gathers batches and joins them at the coordinator; a
 	// colocated join whose one side the pk hash index answers gets that
@@ -189,19 +187,20 @@ func TestExplainShowsVectorized(t *testing.T) {
 	eStar := newEngine(t)
 	setupStar(t, eStar)
 	s := eStar.NewSession()
-	noTuples(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`, "method=central")
-	noTuples(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`, "method=colocated")
-	noTuples(s, `SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id`, "method=broadcast")
-	noTuples(s, `SELECT id, amt * 2 AS twice FROM fact`)
-	noTuples(s, `SELECT id, amt FROM fact WHERE amt > 90 ORDER BY amt DESC, id LIMIT 5`, "Sort(", "Limit(5)")
-	noTuples(s, `SELECT DISTINCT cat FROM dim2`, "Distinct")
-	explain(s, `SELECT COUNT(*) AS n FROM fact x JOIN fact y ON x.id = y.id`, "leaf tuples: Scan fact: shared scan")
+	explain(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 40 AND d1.w < 5`, "method=central")
+	explain(s, `SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.id = d1.id WHERE f.amt > 40 AND d1.id = 7`, "method=colocated")
+	explain(s, `SELECT f.id, s.v FROM fact f JOIN small s ON f.a = s.id`, "method=broadcast")
+	explain(s, `SELECT id, amt * 2 AS twice FROM fact`)
+	explain(s, `SELECT id, amt FROM fact WHERE amt > 90 ORDER BY amt DESC, id LIMIT 5`, "Sort(", "Limit(5)")
+	explain(s, `SELECT DISTINCT cat FROM dim2`, "Distinct")
+	// Each parent of a CSE-shared scan gets a batch over the gathered one.
+	batches(s, `SELECT COUNT(*) AS n FROM fact x JOIN fact y ON x.id = y.id`, "Scan fact")
 	// Inside a transaction the fragment holding a pending write folds it
 	// into its batch like the others.
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 0 WHERE id = 5`)
-	noTuples(s, `SELECT id, amt FROM fact WHERE amt < 3`)
-	noTuples(s, `SELECT a, COUNT(*) AS n FROM fact GROUP BY a`)
+	explain(s, `SELECT id, amt FROM fact WHERE amt < 3`)
+	explain(s, `SELECT a, COUNT(*) AS n FROM fact GROUP BY a`)
 	mustExec(t, s, `ROLLBACK`)
 	for _, table := range []string{"fact", "dim1", "small"} {
 		if st, err := eStar.ColumnCacheStats(table); err != nil || st.FullBuilds != 0 {

@@ -545,29 +545,23 @@ func (o *OFM) ScanBatch(view View, pred expr.Expr, cols []int) (batch *value.Bat
 // examined.
 //
 // An equality on a hash-indexed column (eqIndexProbe) is answered from the
-// index: the probed versions, and the view transaction's pending inserts
-// that match, are transposed into a small batch of their own, and no
-// column cache is built. Every other scan filters the fragment column
-// cache under the view's visibility mask, no tuples materialized; when the
-// view's transaction has pending writes here, the rows it deleted leave
-// the mask and its inserts, filtered alike, follow the cache rows in one
-// dense copy of both. built reports the bytes this call wrote into the
-// cache: the whole image when it had to be built, the rows a committed
-// write changed when it had to catch up, 0 on a hit. When the OFM has a GC
-// horizon the caller must keep view.TS pinned until it has finished with
-// the batch (see the file comment).
+// index (probeBatch, Probe's): the probed versions, decoded from the
+// store's slab, and the view transaction's pending inserts that match make
+// a small batch of their own, and no column cache is built. Every other
+// scan filters the fragment column cache under the view's visibility mask,
+// no tuples materialized; when the view's transaction has pending writes
+// here, the rows it deleted leave the mask and its inserts, filtered
+// alike, follow the cache rows in one dense copy of both. built reports
+// the bytes this call wrote into the cache: the whole image when it had to
+// be built, the rows a committed write changed when it had to catch up, 0
+// on a hit. When the OFM has a GC horizon the caller must keep view.TS
+// pinned until it has finished with the batch (see the file comment).
 func (o *OFM) ScanMask(view View, pred expr.Expr) (batch *value.Batch, mask []uint64, built int64, err error) {
 	del, ins := o.overlay(view)
 	if pred != nil {
 		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-			rows, err := o.probeRows(view, del, ins, hash, key, rest, pred)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if batch = value.NewBatchFrom(o.cfg.Schema, rows); batch == nil {
-				return nil, nil, 0, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
-			}
-			return batch, nil, 0, nil
+			batch, err = o.probeBatch(view, del, ins, hash, key, rest, pred)
+			return batch, nil, 0, err
 		}
 	}
 	batch, mask, pending, built, err := o.scanCache(view, del, ins, pred)
@@ -602,7 +596,7 @@ func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.T
 		}
 	}
 	if len(ins) > 0 {
-		if pending, err = o.filterTuples(ins, f); err != nil {
+		if pending, err = o.filterTuples(ins, pred); err != nil {
 			return nil, nil, nil, 0, err
 		}
 	}

@@ -390,7 +390,7 @@ func TestScanBatchMatchesScan(t *testing.T) {
 			}
 		}
 	}
-	// The executor's point path, ProbeEq, agrees too.
+	// The executor's point path, Probe, agrees too.
 	wellPaid := expr.NewCmp(expr.GT, expr.NewCol("salary"), expr.NewConst(value.NewInt(100)))
 	for vi, v := range views {
 		for _, key := range []int64{7, 300} {
@@ -399,12 +399,12 @@ func TestScanBatchMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := o.ProbeEq(v, 0, value.NewInt(key), rest)
+				b, err := o.Probe(v, 0, value.NewInt(key), rest)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !got.SameBag(want) {
-					t.Errorf("ProbeEq id %d rest %v view %d: %d rows vs reference %d", key, rest, vi, got.Len(), want.Len())
+				if got := b.Materialize(); !got.SameBag(want) {
+					t.Errorf("Probe id %d rest %v view %d: %d rows vs reference %d", key, rest, vi, b.Len(), want.Len())
 				}
 			}
 		}

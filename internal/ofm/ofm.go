@@ -22,6 +22,7 @@ package ofm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -214,131 +215,137 @@ func (o *OFM) eqIndexProbe(e expr.Expr) (idx *storage.HashIndex, key value.Value
 	return idx, key, rest
 }
 
-// ProbeEq answers an equality point query (col = key) with a direct
-// hash-index lookup — the executor's IndexProbe fast path. No predicate is
-// recognized or compiled: the key arrives already resolved. rest, when
-// non-nil, filters the probed tuples, and the view transaction's pending
-// inserts that match follow them. A fragment without a hash index on col
-// answers from a batch scan.
-func (o *OFM) ProbeEq(view View, col int, key value.Value, rest expr.Expr) (*value.Relation, error) {
+// Probe answers an equality point query (col = key AND rest) — the
+// executor's IndexProbe fast path — with a direct hash-index lookup: no
+// predicate is recognized or compiled, the key arrives resolved. The
+// versions the view sees under key are decoded from the store's slab
+// straight into a batch, rest, when non-nil, selects among them, and the
+// view transaction's pending inserts that match follow them. A fragment
+// without a hash index on col answers from a batch scan.
+func (o *OFM) Probe(view View, col int, key value.Value, rest expr.Expr) (*value.Batch, error) {
 	if key.IsNull() {
 		// `col = NULL` is never true.
-		return value.NewRelation(o.cfg.Schema), nil
+		return value.NewBatchFromEncoded(o.cfg.Schema, nil, nil), nil
 	}
 	hash, ok := o.store.HashIndexOn([]int{col})
 	if !ok {
 		b, _, err := o.ScanBatch(view, o.eqPred(col, key, rest), nil)
-		if err != nil {
-			return nil, err
-		}
-		return b.Materialize(), nil
+		return b, err
 	}
 	del, ins := o.overlay(view)
 	var full expr.Expr
 	if len(ins) > 0 {
 		full = o.eqPred(col, key, rest)
 	}
-	rows, err := o.probeRows(view, del, ins, hash, key, rest, full)
+	return o.probeBatch(view, del, ins, hash, key, rest, full)
+}
+
+// ProbeEq is Probe materialized as tuples. The executor takes Probe's
+// batch; ProbeEq stays because a caller outside this module's packages
+// still calls it (the repository benchmark's fragment probes, a frozen
+// path).
+func (o *OFM) ProbeEq(view View, col int, key value.Value, rest expr.Expr) (*value.Relation, error) {
+	b, err := o.Probe(view, col, key, rest)
 	if err != nil {
 		return nil, err
 	}
-	return &value.Relation{Schema: o.cfg.Schema, Tuples: rows}, nil
+	rel := b.Materialize()
+	value.PutSel(b.Sel)
+	return rel, nil
 }
 
-// eqPred spells ProbeEq's question as a predicate: col = key AND rest.
+// eqPred spells Probe's question as a predicate: col = key AND rest.
 func (o *OFM) eqPred(col int, key value.Value, rest expr.Expr) expr.Expr {
 	eq := expr.NewCmp(expr.EQ, expr.NewColIdx(col, o.cfg.Schema.Column(col).Kind), expr.NewConst(key))
 	return expr.Conjoin([]expr.Expr{eq, rest})
 }
 
-// probe looks key up in a hash index and hands fn every version under it
+// probe looks key up in a hash index and returns the versions under it
 // that the view sees — visible at view.TS, not deleted by the view's
-// transaction — oldest insert first. The index also holds dead versions
-// until Vacuum, hence the visibility check. It charges the lookup and
-// returns how many row ids the index held under key. Unless rows is set,
-// fn gets nil for the tuple: a caller wanting only ids decodes nothing.
-func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, rows bool, fn func(storage.RowID, value.Tuple)) (probed int) {
-	ids := hash.Lookup([]value.Value{key})
+// transaction — oldest insert first: their row ids, and offs extended by
+// where each is encoded in slab. The index also holds dead versions until
+// Vacuum, hence the visibility check. It charges the lookup and returns
+// how many row ids the index held under key.
+func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, offs []int) (ids []storage.RowID, slab []byte, _ []int, held int) {
+	ids = hash.Lookup([]value.Value{key})
 	o.cfg.PE.Advance(o.costs().HashCost(1))
-	for _, id := range ids {
-		if _, gone := del[id]; gone {
-			continue
-		}
-		if !rows {
-			if begin, end, ok := o.store.VersionTS(id); ok && begin <= view.TS && (end == 0 || end > view.TS) {
-				fn(id, nil)
-			}
-		} else if t, ok := o.store.GetAt(id, view.TS); ok {
-			fn(id, t)
-		}
+	held = len(ids)
+	if len(del) > 0 {
+		ids = slices.DeleteFunc(ids, func(id storage.RowID) bool { _, gone := del[id]; return gone })
 	}
-	return len(ids)
+	slab, ids, offs = o.store.EncodedAt(view.TS, ids, offs)
+	return ids, slab, offs, held
 }
 
-// probeRows answers `col = key AND rest` from the hash index on col (see
-// probe), then appends the pending inserts ins that full, the whole
+// probeBatch answers `col = key AND rest` from the hash index on col (see
+// probe) as a batch decoded from the slab, whose selection is the rows
+// rest accepts, followed by the pending inserts ins that full, the whole
 // predicate, accepts. It charges what the probed versions cost to build
 // and, under rest, to filter, plus the filter over the inserts.
-func (o *OFM) probeRows(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) ([]value.Tuple, error) {
-	var rows []value.Tuple
-	o.probe(view, del, hash, key, true, func(_ storage.RowID, t value.Tuple) { rows = append(rows, t) })
-	cost := o.costs()
-	o.cfg.PE.Advance(cost.BuildCost(len(rows)))
-	if rest != nil {
-		sel, err := o.accepts(rows, rest)
-		if err != nil {
-			return nil, err
-		}
-		o.cfg.PE.Advance(cost.ScanCost(len(rows), true))
-		rows = pick(rows, sel)
-	}
-	if len(ins) > 0 {
-		sel, err := o.accepts(ins, full)
-		if err != nil {
-			return nil, err
-		}
-		for _, i := range sel {
-			rows = append(rows, ins[i])
-		}
-		value.PutSel(sel)
-		o.cfg.PE.Advance(cost.ScanCost(len(ins), true))
-	}
-	return rows, nil
-}
-
-// accepts returns the positions of the tuples of ts that e accepts,
-// ascending, through e's cached vector filter, in a pooled selection
-// vector the caller may put back.
-func (o *OFM) accepts(ts []value.Tuple, e expr.Expr) ([]int32, error) {
-	f, err := o.compileVecFilter(e)
-	if err != nil {
-		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-	}
-	b, err := o.filterTuples(ts, f)
+func (o *OFM) probeBatch(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) (*value.Batch, error) {
+	var at [2]int // a key's versions, most often one
+	_, slab, offs, _ := o.probe(view, del, hash, key, at[:0])
+	b, err := o.decoded(slab, offs)
 	if err != nil {
 		return nil, err
 	}
-	return b.Sel, nil
+	cost := o.costs()
+	o.cfg.PE.Advance(cost.BuildCost(b.Rows))
+	if rest != nil {
+		if b.Sel, err = o.accepts(b, rest); err != nil {
+			return nil, err
+		}
+		o.cfg.PE.Advance(cost.ScanCost(b.Rows, true))
+	}
+	if len(ins) > 0 {
+		pending, err := o.filterTuples(ins, full)
+		if err != nil {
+			return nil, err
+		}
+		b = value.ConcatBatches(o.cfg.Schema, []*value.Batch{b, pending}, nil)
+		o.cfg.PE.Advance(cost.ScanCost(len(ins), true))
+	}
+	return b, nil
 }
 
-// filterTuples transposes ts into a batch whose selection, never nil, is
-// the rows f (nil = all) accepts.
-func (o *OFM) filterTuples(ts []value.Tuple, f *expr.VecFilter) (*value.Batch, error) {
-	b := value.NewBatchFrom(o.cfg.Schema, ts)
-	if b == nil {
-		return nil, fmt.Errorf("ofm %s: tuples do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
-	}
-	if f == nil {
-		b.Sel = allRows(len(ts))
+// decoded is the batch of the probed versions encoded at offs in slab.
+func (o *OFM) decoded(slab []byte, offs []int) (*value.Batch, error) {
+	if b := value.NewBatchFromEncoded(o.cfg.Schema, slab, offs); b != nil {
 		return b, nil
+	}
+	return nil, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
+}
+
+// accepts returns the positions of the rows of b that e accepts,
+// ascending, through e's cached vector filter, in a pooled selection
+// vector the caller may put back.
+func (o *OFM) accepts(b *value.Batch, e expr.Expr) ([]int32, error) {
+	f, err := o.compileVecFilter(e)
+	if err != nil {
+		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
 	sel, err := f.Filter(b, nil, value.GetSel())
 	if err != nil {
 		value.PutSel(sel)
 		return nil, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
-	b.Sel = sel
-	return b, nil
+	return sel, nil
+}
+
+// filterTuples transposes ts into a batch whose selection, never nil, is
+// the rows e (nil = all) accepts.
+func (o *OFM) filterTuples(ts []value.Tuple, e expr.Expr) (*value.Batch, error) {
+	b := value.NewBatchFrom(o.cfg.Schema, ts)
+	if b == nil {
+		return nil, fmt.Errorf("ofm %s: tuples do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
+	}
+	var err error
+	if e == nil {
+		b.Sel = allRows(len(ts))
+	} else {
+		b.Sel, err = o.accepts(b, e)
+	}
+	return b, err
 }
 
 // allRows returns the selection of rows 0..n-1 in a pooled vector.

@@ -321,10 +321,17 @@ func TestMutationAfterPrepareRejected(t *testing.T) {
 	if _, err := o.DeleteTx(tx.ID(), nil, Latest); err == nil {
 		t.Error("delete after prepare should error")
 	}
-	if err := o.Commit(tx.ID(), 0); err != nil {
+	// Timestamp 0 is the load's: no commit may claim it.
+	if err := o.Commit(tx.ID(), 0); err == nil {
+		t.Error("commit at timestamp 0 should error")
+	}
+	if err := o.Commit(tx.ID(), 1); err != nil {
 		t.Fatal(err)
 	}
 	tx.Abort() // local txn cleanup; OFM already committed via direct calls
+	if got := o.Rows(); got != 1 {
+		t.Errorf("rows after the commit = %d, want the one insert", got)
+	}
 }
 
 func TestCrashRecovery(t *testing.T) {

@@ -218,23 +218,25 @@ func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int3
 	del, ins := o.overlay(view)
 	if pred != nil {
 		if hash, key, rest := o.eqIndexProbe(pred); hash != nil {
-			var rows []value.Tuple
-			probed := o.probe(view, del, hash, key, rest != nil, func(id storage.RowID, t value.Tuple) {
-				ids = append(ids, id)
-				if rest != nil {
-					rows = append(rows, t)
-				}
-			})
+			var at [2]int // a key's versions, most often one
+			ids, slab, offs, held := o.probe(view, del, hash, key, at[:0])
 			if rest != nil {
-				sel, err := o.accepts(rows, rest)
+				b, err := o.decoded(slab, offs)
+				if err != nil {
+					return nil, nil, err
+				}
+				sel, err := o.accepts(b, rest)
 				if err != nil {
 					return nil, nil, err
 				}
 				ids = pick(ids, sel)
 			}
-			o.cfg.PE.Advance(o.costs().ScanCost(probed, true))
+			o.cfg.PE.Advance(o.costs().ScanCost(held, true))
 			if len(ins) > 0 {
-				pend, err = o.accepts(ins, pred)
+				var pending *value.Batch
+				if pending, err = o.filterTuples(ins, pred); err == nil {
+					pend = pending.Sel
+				}
 			}
 			return ids, pend, err
 		}
@@ -336,10 +338,12 @@ func (o *OFM) chargeRemoteLog(nRecords int) {
 // commit timestamp) is forced, then the write set is applied to the
 // main-memory store as versions stamped with ts — deletes set the end
 // timestamp (the tuple stays visible to older snapshots), inserts begin
-// at ts. A zero ts (direct test use outside the timestamp-allocating
-// transaction layer) degrades to physical deletes and load-visible
-// inserts.
+// at ts. The transaction layer stamps every commit after the load, so a
+// zero ts, which every snapshot would see, is refused.
 func (o *OFM) Commit(tx txn.ID, ts uint64) error {
+	if ts == 0 {
+		return fmt.Errorf("ofm %s: commit of %v at timestamp 0", o.cfg.Name, tx)
+	}
 	if out := fpOFMCommit.Eval(); out != nil {
 		return fmt.Errorf("ofm %s: commit: %w", o.cfg.Name, out.Err)
 	}
@@ -372,13 +376,7 @@ func (o *OFM) Commit(tx txn.ID, ts uint64) error {
 	var rowDelta int
 	var byteDelta int64
 	for i, id := range w.deletes {
-		deleted := false
-		if ts != 0 {
-			deleted = o.store.DeleteVersion(id, ts)
-		} else {
-			deleted = o.store.Delete(id)
-		}
-		if deleted {
+		if o.store.DeleteVersion(id, ts) {
 			rowDelta--
 			byteDelta -= int64(w.delTuple[i].Size())
 		}

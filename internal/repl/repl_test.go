@@ -389,7 +389,14 @@ func TestReplSubscribeRequiresAdmin(t *testing.T) {
 	mustExec(t, pc, "CREATE TABLE secret (id INT, note VARCHAR, PRIMARY KEY(id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS")
 	mustExec(t, pc, "INSERT INTO secret VALUES (1, 'launch codes')")
 	mustExec(t, pc, "CREATE USER root PASSWORD 'pw' ADMIN")
-	mustExec(t, pc, "CREATE USER acme PASSWORD 's3cret'")
+	// The connection opened before any user now runs nothing; the
+	// administrator makes the tenant.
+	rc, err := client.Dial(primary.addr, client.Options{Tenant: "root", Secret: "pw"})
+	if err != nil {
+		t.Fatalf("dial primary as root: %v", err)
+	}
+	defer rc.Close()
+	mustExec(t, rc, "CREATE USER acme PASSWORD 's3cret'")
 
 	conn, typ, payload := subscribeRaw(t, primary.addr, "acme", "s3cret")
 	code, msg, err := wire.DecodeError(payload)

@@ -53,6 +53,49 @@ func wantAuthErr(t *testing.T, err error, what string) {
 	}
 }
 
+// TestUnboundConnectionRefusedOnceUsersExist: a connection opened while no
+// user exists is bound to nobody, and the first CREATE USER takes its
+// rights away; it must not stay an administrator that can mint others.
+func TestUnboundConnectionRefusedOnceUsersExist(t *testing.T) {
+	eng, err := core.New(core.Config{NumPEs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	addr := startServer(t, Config{Engine: eng})
+	c, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{
+		`CREATE TABLE emp (id INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 2 FRAGMENTS`,
+		`CREATE USER a PASSWORD 'pw' ADMIN`,
+	} {
+		if _, err := c.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	_, err = c.Query(`SELECT id FROM emp`)
+	wantAuthErr(t, err, "SELECT on the connection opened before any user")
+	_, err = c.Exec(`CREATE USER evil PASSWORD 'x' ADMIN`)
+	wantAuthErr(t, err, "CREATE USER on the connection opened before any user")
+	_, err = c.Prepare(`SELECT id FROM emp WHERE id = ?`)
+	wantAuthErr(t, err, "Prepare on the connection opened before any user")
+	if _, err := eng.Catalog().GetUser("evil"); err == nil {
+		t.Fatal("the unbound connection created an administrator")
+	}
+	// The administrator it did create logs in and runs as usual.
+	admin, err := client.Dial(addr, client.Options{Tenant: "a", Secret: "pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer admin.Close()
+	if _, err := admin.Query(`SELECT id FROM emp`); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestHandshakeAuth(t *testing.T) {
 	eng, _ := authEngine(t)
 	addr := startServer(t, Config{Engine: eng})

@@ -528,6 +528,15 @@ func (w *replyWriter) writeResult(res *core.Result) bool {
 // protocol violation (after writing its Error explanation) or a
 // transport failure.
 func (s *Server) handleFrame(sess *core.Session, reg *stmtRegistry, w *replyWriter, typ byte, payload []byte) bool {
+	switch typ {
+	case wire.TypeExec, wire.TypeExecStream, wire.TypeDatalog, wire.TypePrepare, wire.TypeBindExec:
+		// The handshake binds a user only once users exist, so a connection
+		// opened before the first CREATE USER is bound to nobody. From then
+		// on it runs nothing, as the handshake would now refuse it.
+		if sess.User() == nil && s.eng.Catalog().HasUsers() {
+			return w.writeErrorCoded(wire.ErrCodeAuth, "server: authentication required")
+		}
+	}
 	var res *core.Result
 	var execErr error
 	switch typ {

@@ -561,8 +561,20 @@ func TestExecStreamRoutesLikeExec(t *testing.T) {
 		}
 		return out
 	}
+	// The script runs as an administrator: once alice exists, a connection
+	// bound to no user runs nothing.
 	run := func(via func(*client.Client, string) (*wire.Result, error)) []string {
-		c, err := client.Dial(startServer(t, Config{}))
+		eng, err := core.New(core.Config{NumPEs: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(eng.Close)
+		admin := eng.NewSession()
+		defer admin.Close()
+		if _, err := admin.Exec(`CREATE USER root PASSWORD 'pw' ADMIN`); err != nil {
+			t.Fatal(err)
+		}
+		c, err := client.Dial(startServer(t, Config{Engine: eng}), client.Options{Tenant: "root", Secret: "pw"})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -425,6 +425,22 @@ func (d *differential) check(step string) {
 				fail("GetAt(%v, %d) = %v %v, reference %v", id, ts, got, ok, want)
 			}
 		}
+		// EncodedAt keeps the ids GetAt finds, in order, and points at them.
+		slab, kept, offs := s.EncodedAt(ts, slices.Clone(d.ids), nil)
+		var k int
+		for _, id := range d.ids {
+			want, ok := s.GetAt(id, ts)
+			if !ok {
+				continue
+			}
+			if k >= len(kept) || kept[k] != id || !sameTuple(decode(slab[offs[k]:]), want) {
+				fail("EncodedAt at %d: kept %v, GetAt finds %v at position %d", ts, kept, id, k)
+			}
+			k++
+		}
+		if k != len(kept) || len(offs) != len(kept) {
+			fail("EncodedAt at %d kept %d ids and %d offsets, GetAt finds %d", ts, len(kept), len(offs), k)
+		}
 		var gotIDs []RowID
 		var got []value.Tuple
 		s.ScanAt(ts, func(id RowID, tp value.Tuple) bool {

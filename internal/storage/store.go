@@ -261,6 +261,22 @@ func (s *Store) GetAt(id RowID, ts uint64) (value.Tuple, bool) {
 	return decode(s.encoded(si)), true
 }
 
+// EncodedAt keeps, in place, the ids of ids whose version a snapshot at ts
+// sees and appends to offs where each kept version is encoded in slab, all
+// under one lock acquisition. The slab is the store's own, to decode with
+// no lock held (value.NewBatchFromEncoded), as SnapshotSlots's is.
+func (s *Store) EncodedAt(ts uint64, ids []RowID, offs []int) (slab []byte, kept []RowID, _ []int) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	kept = ids[:0]
+	for _, id := range ids {
+		if si := s.valid(id); si >= 0 && s.rows[si].visibleAt(ts) {
+			kept, offs = append(kept, id), append(offs, s.rows[si].off)
+		}
+	}
+	return s.slab, kept, offs
+}
+
 // VersionTS returns the begin/end commit timestamps of the version at id
 // (current or dead). Writers use it for first-committer-wins validation.
 func (s *Store) VersionTS(id RowID) (begin, end uint64, ok bool) {

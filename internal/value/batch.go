@@ -368,7 +368,8 @@ func ConcatBatches(schema *Schema, batches []*Batch, a *Arena) *Batch {
 // NewConcat allocates the dense batch a concatenation of the given batches
 // fills, copying nothing yet: a column has a null bitmap only if a source's
 // has one, and is kind-only where any source's is — a column nobody reads,
-// which a batch transposed from a leaf's tuples still carries whole.
+// which a source that decodes every column (an index probe) still carries
+// whole.
 // Numeric payloads are lent by a, unzeroed — CopyRows writes every row.
 func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	n := 0

@@ -137,11 +137,35 @@ func EqualEncoded(buf []byte, t Tuple) bool {
 // the tuple encoded at buf[offs[i]:], or a hole when offs[i] < 0. Columns
 // take their schema's kinds, uninferred: every value must be NULL or fit
 // its column (Vec.Set), as storage.Conform guarantees, or it returns nil.
+// The vectors share one array of headers, and the payloads of a kind one
+// array, each column a window of it capped at its rows: a point probe's
+// one-row batch is a handful of allocations, whatever its width.
 func NewBatchFromEncoded(schema *Schema, buf []byte, offs []int) *Batch {
-	b := &Batch{Schema: schema, Cols: make([]*Vec, schema.Len()), Rows: len(offs)}
-	for c := range b.Cols {
-		b.Cols[c] = newVec(schema.Column(c).Kind, len(offs))
-		b.Cols[c].Lo, b.Cols[c].Hi = math.MaxInt64, math.MinInt64
+	n := len(offs)
+	b := &Batch{Schema: schema, Cols: make([]*Vec, schema.Len()), Rows: n}
+	vecs := make([]Vec, len(b.Cols))
+	var fs, ss int // float and string columns; the rest hold I
+	for c := range vecs {
+		switch vecs[c].Kind = schema.Column(c).Kind; vecs[c].Kind {
+		case KindFloat:
+			fs++
+		case KindString:
+			ss++
+		}
+	}
+	is, fl, st := make([]int64, (len(vecs)-fs-ss)*n), make([]float64, fs*n), make([]string, ss*n)
+	for c := range vecs {
+		vec := &vecs[c]
+		switch vec.Kind {
+		case KindFloat:
+			vec.F, fl = fl[:n:n], fl[n:]
+		case KindString:
+			vec.S, st = st[:n:n], st[n:]
+		default:
+			vec.I, is = is[:n:n], is[n:]
+		}
+		vec.Ranged, vec.Lo, vec.Hi = vec.Kind == KindInt, math.MaxInt64, math.MinInt64
+		b.Cols[c] = vec
 	}
 	for i, off := range offs {
 		if off >= 0 && int(binary.BigEndian.Uint16(buf[off:])) != len(b.Cols) {

@@ -115,6 +115,41 @@ func TestAppendBatchRowsMatchesTuples(t *testing.T) {
 	}
 }
 
+// TestNewBatchFromEncodedMatchesTuples: a batch decoded from encoded
+// tuples, with holes between them, holds what the tuples hold, and each
+// column's window of the payload array its kind shares is capped at the
+// batch's rows, so a column grown by append never writes into the next.
+func TestNewBatchFromEncodedMatchesTuples(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		b := seededBatch(seed)
+		var slab, want []byte
+		var offs []int
+		var sel []int32
+		for i, tup := range b.Materialize().Tuples {
+			if i%3 == 1 {
+				offs = append(offs, -1)
+			}
+			sel = append(sel, int32(len(offs)))
+			offs = append(offs, len(slab))
+			slab = AppendTuple(slab, tup)
+			want = AppendTuple(want, tup)
+		}
+		got := NewBatchFromEncoded(b.Schema, slab, offs)
+		if got == nil {
+			t.Fatalf("seed %d: the tuples do not fit %s", seed, b.Schema)
+		}
+		got.Sel = sel
+		if enc := AppendBatchRows(nil, got, 0, got.Len()); !bytes.Equal(enc, want) {
+			t.Fatalf("seed %d: %d rows x %d columns decode to other values", seed, len(sel), len(got.Cols))
+		}
+		for c, v := range got.Cols {
+			if cap(v.I) != len(v.I) || cap(v.F) != len(v.F) || cap(v.S) != len(v.S) || v.Len() != len(offs) {
+				t.Fatalf("seed %d: column %d spans %d/%d/%d of room for %d rows", seed, c, cap(v.I), cap(v.F), cap(v.S), len(offs))
+			}
+		}
+	}
+}
+
 func FuzzAppendBatchRows(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed)
