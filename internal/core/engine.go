@@ -377,7 +377,7 @@ func (e *Engine) RecoverTableReport(name string) (RecoveryReport, error) {
 			return rep, err
 		}
 		rep.Redo += n
-		if ts := f.ofm.RecoveredTS(); ts > maxTS {
+		if ts := f.ofm.AppliedTS(); ts > maxTS {
 			maxTS = ts
 		}
 		if res := f.ofm.LastRecovery(); res != nil {

@@ -9,12 +9,15 @@ import (
 	"repro/internal/wal"
 )
 
-// Replica apply: the incremental sibling of Recover. A subscribed
-// replica receives the primary's WAL records in log order and applies
-// them against its own store — write sets buffer until their commit
-// marker arrives, aborts drop them, and each commit installs versions
-// with the primary's commit timestamp so the replica's MVCC snapshots
-// line up with the primary's watermark.
+// The applier: the one code that turns WAL records into store versions.
+// A subscribed replica runs it on the primary's records as they are
+// shipped, and a restart — a crashed primary's Recover, a replica's
+// ReplayLocal — runs it on the fragment's own log after loading the
+// checkpoint. Records are applied in log order: write sets buffer until
+// their commit marker arrives, aborts drop them, and each commit
+// installs versions with the commit timestamp its marker carries, so the
+// store's MVCC snapshots line up with the committing primary's
+// watermark.
 //
 // Commits are only applied up to the stream's last consistent status
 // watermark. A commit spanning several fragments has one marker per
@@ -38,21 +41,31 @@ type applyWS struct {
 	deletes []value.Tuple
 }
 
-// ApplyRecords applies shipped (or locally replayed) WAL records in
-// order. Commit markers with ts <= limit apply immediately; later ones
-// defer until AdvanceApplied. Commits at or below the high-water mark
-// of already-applied commit timestamps are skipped — per-fragment
-// commit markers are TS-monotonic under strict 2PL, so a torn stream
-// can safely re-apply an overlapping batch. Returns the highest commit
-// timestamp applied.
+// ApplyRecords applies shipped WAL records in order. Commit markers
+// with ts <= limit apply immediately; later ones defer until
+// AdvanceApplied. A commit applies its buffered write set whatever its
+// timestamp — a resolution healed into the log at restart follows the
+// commits logged after the transaction prepared — and the buffer goes
+// with its first marker, so no write set applies twice. (A resubscribed
+// stream's overlap is cut off by byte offset before it gets here.)
+// Returns the highest commit timestamp applied.
 func (o *OFM) ApplyRecords(recs []wal.Record, limit uint64) (uint64, error) {
+	maxTS, applied, err := o.apply(recs, limit)
+	if err == nil {
+		o.cfg.PE.Advance(o.costs().BuildCost(applied))
+	}
+	return maxTS, err
+}
+
+// apply is ApplyRecords without the charge: it also returns how many
+// insert and delete records it applied.
+func (o *OFM) apply(recs []wal.Record, limit uint64) (maxTS uint64, applied int, err error) {
 	if o.cfg.Kind != Persistent {
-		return 0, fmt.Errorf("ofm %s: transient OFMs do not replicate", o.cfg.Name)
+		return 0, 0, fmt.Errorf("ofm %s: transient OFMs do not replicate", o.cfg.Name)
 	}
 	o.mu.Lock()
-	maxTS := o.appliedTS
+	maxTS = o.appliedTS
 	o.mu.Unlock()
-	applied := 0
 	for _, r := range recs {
 		switch r.Type {
 		case wal.RecInsert:
@@ -82,25 +95,38 @@ func (o *OFM) ApplyRecords(recs []wal.Record, limit uint64) (uint64, error) {
 			ws := o.applyPend[r.Txn]
 			delete(o.applyPend, r.Txn)
 			delete(o.applyDeferred, r.Txn)
-			skip := r.TS <= o.appliedTS
-			if !skip {
-				o.appliedTS = r.TS
-			}
+			o.appliedTS = max(o.appliedTS, r.TS)
 			o.mu.Unlock()
-			if skip || ws == nil {
+			if ws == nil {
 				continue
 			}
 			if err := o.applyCommit(ws, r.TS); err != nil {
-				return maxTS, err
+				return maxTS, applied, err
 			}
-			maxTS = r.TS
+			maxTS = max(maxTS, r.TS)
 			applied += len(ws.inserts) + len(ws.deletes)
 		}
 	}
-	if applied > 0 {
-		o.cfg.PE.Advance(o.costs().BuildCost(applied))
+	return maxTS, applied, nil
+}
+
+// restart rebuilds the fragment's volatile state from a checkpoint image
+// and the log records after it: every buffered write set and watermark
+// is dropped, the store is refilled from the snapshot, and the records
+// are applied with commits above limit deferred. Returns the highest
+// commit timestamp and the number of records applied.
+func (o *OFM) restart(snapshot []value.Tuple, recs []wal.Record, limit uint64) (uint64, int, error) {
+	o.mu.Lock()
+	o.pending = map[txn.ID]*writeSet{}
+	o.applyPend = map[txn.ID]*applyWS{}
+	o.applyDeferred = map[txn.ID]uint64{}
+	o.appliedTS = 0
+	o.mu.Unlock()
+	o.store.Clear()
+	if err := o.store.InsertBatch(snapshot); err != nil {
+		return 0, 0, fmt.Errorf("ofm %s: restart snapshot: %w", o.cfg.Name, err)
 	}
-	return maxTS, nil
+	return o.apply(recs, limit)
 }
 
 // AdvanceApplied applies every deferred commit at or below limit, in
@@ -126,12 +152,9 @@ func (o *OFM) AdvanceApplied(limit uint64) (uint64, error) {
 		ws := o.applyPend[d.tx]
 		delete(o.applyPend, d.tx)
 		delete(o.applyDeferred, d.tx)
-		skip := d.ts <= o.appliedTS
-		if !skip {
-			o.appliedTS = d.ts
-		}
+		o.appliedTS = max(o.appliedTS, d.ts)
 		o.mu.Unlock()
-		if skip || ws == nil {
+		if ws == nil {
 			continue
 		}
 		if err := o.applyCommit(ws, d.ts); err != nil {
@@ -140,9 +163,7 @@ func (o *OFM) AdvanceApplied(limit uint64) (uint64, error) {
 		maxTS = d.ts
 		applied += len(ws.inserts) + len(ws.deletes)
 	}
-	if applied > 0 {
-		o.cfg.PE.Advance(o.costs().BuildCost(applied))
-	}
+	o.cfg.PE.Advance(o.costs().BuildCost(applied))
 	return maxTS, nil
 }
 
@@ -161,10 +182,10 @@ func (o *OFM) applyWSFor(tx txn.ID) *applyWS {
 	return ws
 }
 
-// applyCommit installs one committed write set: deletes end the live
-// matching version at the commit timestamp (version-ending, not
-// physical — unlike crash recovery, a replica has live snapshot readers
-// below the incoming commit), inserts begin new versions at it.
+// applyCommit installs one committed write set: deletes end the current
+// version equal to the logged image at the commit timestamp (a replica
+// has live snapshot readers below the incoming commit), inserts begin
+// new versions at it.
 func (o *OFM) applyCommit(ws *applyWS, ts uint64) error {
 	for _, tuple := range ws.deletes {
 		if id, ok := o.store.FindCurrent(tuple); ok {
@@ -217,24 +238,15 @@ func (o *OFM) ReplayLocal(limit uint64) (int64, uint64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("ofm %s: replay checkpoint: %w", o.cfg.Name, err)
 	}
-	o.mu.Lock()
-	o.pending = map[txn.ID]*writeSet{}
-	o.applyPend = map[txn.ID]*applyWS{}
-	o.applyDeferred = map[txn.ID]uint64{}
-	o.appliedTS = 0
-	o.mu.Unlock()
-	o.store.Clear()
-	if err := o.store.InsertBatch(snapshot); err != nil {
-		return 0, 0, fmt.Errorf("ofm %s: replay snapshot: %w", o.cfg.Name, err)
-	}
 	recs, err := o.cfg.Log.Scan()
 	if err != nil {
 		return 0, 0, err
 	}
-	maxTS, err := o.ApplyRecords(recs, limit)
+	maxTS, applied, err := o.restart(snapshot, recs, limit)
 	if err != nil {
 		return 0, 0, err
 	}
+	o.cfg.PE.Advance(o.costs().BuildCost(applied))
 	return o.cfg.Log.ValidSize(), maxTS, nil
 }
 
@@ -311,7 +323,8 @@ func (o *OFM) DeferredCount() int {
 }
 
 // AppliedTS returns the highest commit timestamp this fragment has
-// applied from the replication stream.
+// applied: from the replication stream, or from its own log at the
+// last restart.
 func (o *OFM) AppliedTS() uint64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -100,11 +100,10 @@ type OFM struct {
 
 	mu            sync.Mutex
 	pending       map[txn.ID]*writeSet
-	recoveredTS   uint64              // highest commit TS seen by the last Recover
-	lastRecovery  *wal.RecoveryResult // full report of the last Recover
+	lastRecovery  *wal.RecoveryResult // report of the last Recover
 	applyPend     map[txn.ID]*applyWS // replica: shipped write sets awaiting commit
 	applyDeferred map[txn.ID]uint64   // replica: commit markers parked above the status watermark
-	appliedTS     uint64              // replica: highest commit TS applied from the stream
+	appliedTS     uint64              // highest commit TS applied, from the stream or a restart
 
 	// ckptMu serializes Checkpoint against the commit-protocol writers:
 	// Prepare/Commit/Abort hold it shared across their log append plus

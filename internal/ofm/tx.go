@@ -75,7 +75,7 @@ func (o *OFM) DeleteTx(tx txn.ID, pred expr.Expr, view View) (int, error) {
 	}
 	count := 0
 	for _, id := range matching {
-		t, ok := o.store.GetAt(id, view.TS)
+		t, ok := o.store.GetAt(nil, id, view.TS)
 		if !ok {
 			continue
 		}
@@ -116,8 +116,10 @@ func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view Vi
 		}
 		bound[col] = be
 	}
-	applySet := func(old value.Tuple) (value.Tuple, error) {
-		updated := old.Clone()
+	// applySet writes old's transformed image over a copy of old in
+	// updated's backing array.
+	applySet := func(old, updated value.Tuple) (value.Tuple, error) {
+		updated = append(updated[:0], old...)
 		for col, e := range bound {
 			v, err := e.Eval(old)
 			if err != nil {
@@ -142,22 +144,25 @@ func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view Vi
 	// Rewrite the txn's own matching buffered inserts first: pendIdx
 	// indexes the pre-update insert list.
 	for _, i := range pendIdx {
-		updated, err := applySet(w.inserts[i])
+		updated, err := applySet(w.inserts[i], nil)
 		if err != nil {
 			return count, err
 		}
 		w.inserts[i] = updated
 		count++
 	}
+	arity := o.cfg.Schema.Len()
 	for _, id := range matching {
-		old, ok := o.store.GetAt(id, view.TS)
+		// One array holds both images: the old one, then the new.
+		both, ok := o.store.GetAt(make(value.Tuple, 0, 2*arity), id, view.TS)
 		if !ok {
 			continue
 		}
 		if err := o.checkConflict(view, id); err != nil {
 			return count, err
 		}
-		updated, err := applySet(old)
+		old := both[:arity:arity]
+		updated, err := applySet(old, both[arity:])
 		if err != nil {
 			return count, err
 		}
@@ -477,14 +482,16 @@ func (o *OFM) Crash() {
 	o.store.Clear()
 }
 
-// Recover rebuilds the fragment from stable storage: checkpoint image
-// plus the redo records of committed transactions, with in-doubt
-// prepared transactions resolved through the configured Decide hook
-// (commit when the coordinator's decision log says so, presumed abort
-// otherwise) and any torn log tail truncated to its valid prefix. Only
+// Recover rebuilds the fragment from stable storage: any torn log tail
+// is truncated to its valid prefix, in-doubt prepared transactions are
+// resolved through the configured Decide hook (commit when the
+// coordinator's decision log says so, presumed abort otherwise), and
+// the checkpoint image plus the log are replayed through the applier a
+// replica runs. AppliedTS is then the highest commit timestamp
+// recovered, which the restarted commit clock must advance past. Only
 // Persistent OFMs can recover; a Transient OFM's contents are simply
-// gone (its producer re-runs the query). Returns the number of redo
-// records applied.
+// gone (its producer re-runs the query). Returns the number of insert
+// and delete records of committed transactions applied.
 func (o *OFM) Recover() (int, error) {
 	if o.cfg.Kind != Persistent {
 		return 0, fmt.Errorf("ofm %s: transient OFMs do not recover", o.cfg.Name)
@@ -493,48 +500,25 @@ func (o *OFM) Recover() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
 	}
-	o.store.Clear()
-	if err := o.store.InsertBatch(res.Snapshot); err != nil {
-		return 0, fmt.Errorf("ofm %s: recover snapshot: %w", o.cfg.Name, err)
+	_, applied, err := o.restart(res.Snapshot, res.Records, LatestTS)
+	if err != nil {
+		return applied, err
 	}
-	applied := 0
-	for _, r := range res.Redo {
-		switch r.Type {
-		case wal.RecInsert:
-			// Replay with the original commit timestamp (stamped onto the
-			// redo record by Recover) so post-restart snapshot visibility
-			// matches the pre-crash committed state.
-			if _, err := o.store.InsertVersion(r.Tuple, r.TS); err != nil {
-				return applied, fmt.Errorf("ofm %s: redo insert: %w", o.cfg.Name, err)
-			}
-		case wal.RecDelete:
-			// Delete by value: the matching committed tuple in the lowest
-			// slot. The delete is physical — no pre-crash snapshot
-			// survives a crash, so the dead version has no readers.
-			if id, ok := o.store.FindCurrent(r.Tuple); ok {
-				o.store.Delete(id)
-			}
-		}
-		applied++
-	}
+	// No snapshot survives a crash: the versions the redo deletes ended
+	// have no readers.
+	o.store.Vacuum(LatestTS)
+	o.cfg.PE.Advance(o.costs().BuildCost(len(res.Snapshot) + applied))
+	// Keep the report, not the decoded checkpoint and log it carried.
+	res.Snapshot, res.Records = nil, nil
 	o.mu.Lock()
-	o.recoveredTS = res.MaxTS
 	o.lastRecovery = res
 	o.mu.Unlock()
-	o.cfg.PE.Advance(o.costs().BuildCost(len(res.Snapshot) + applied))
 	return applied, nil
 }
 
-// RecoveredTS returns the highest commit timestamp seen by the last
-// Recover; the restarted commit clock must advance past it.
-func (o *OFM) RecoveredTS() uint64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.recoveredTS
-}
-
-// LastRecovery returns the full report of the last Recover (nil before
-// any recovery) — the crashpoint sweep asserts its in-doubt accounting.
+// LastRecovery returns the report of the last Recover, less its
+// Snapshot and Records (nil before any recovery) — the crashpoint sweep
+// asserts its in-doubt accounting.
 func (o *OFM) LastRecovery() *wal.RecoveryResult {
 	o.mu.Lock()
 	defer o.mu.Unlock()

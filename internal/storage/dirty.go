@@ -8,10 +8,10 @@ import "repro/internal/value"
 // the store slot by slot and arms the log; from then on InsertVersion,
 // DeleteVersion and Vacuum record the slot they touch, and DrainDirty
 // returns the current state of exactly those slots. The log is bounded:
-// when it overflows, or when a mutation happens that a patch cannot
-// express (Clear, and the physical Delete, which frees a row some reader
-// may still be looking at), it is marked lost and the consumer must take
-// a fresh SnapshotSlots.
+// when it overflows, or when Clear empties the store (a mutation a patch
+// cannot express), it is marked lost and the consumer must take a fresh
+// SnapshotSlots. No mutator frees a version that is still current: a
+// delete only ends it, and Vacuum frees it once no snapshot sees it.
 //
 // A log entry is a slot index when the slot's tuple changed (a version
 // inserted into it, or the slot freed) and the index's complement when

@@ -35,8 +35,8 @@ func TestHashIndexBasics(t *testing.T) {
 	}
 	_ = idB
 
-	// Delete maintains the index.
-	s.Delete(idA)
+	// Freeing a version maintains the index.
+	remove(s, idA)
 	if got := idx.Lookup([]value.Value{value.NewString("ann")}); len(got) != 1 || got[0] != idA2 {
 		t.Errorf("after delete Lookup(ann) = %v", got)
 	}

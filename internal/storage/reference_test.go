@@ -86,18 +86,6 @@ func (r *refStore) freeSlot(si int) {
 	r.free = append(r.free, si)
 }
 
-func (r *refStore) delete(id RowID) bool {
-	si := r.live(id)
-	if si < 0 {
-		return false
-	}
-	r.count--
-	r.version++
-	r.lost = true
-	r.freeSlot(si)
-	return true
-}
-
 func (r *refStore) deleteVersion(id RowID, ts uint64) bool {
 	si := r.live(id)
 	if si < 0 {
@@ -317,12 +305,6 @@ func (d *differential) step() string {
 			d.t.Fatalf("DeleteVersion(%v) = %v, reference %v", id, got, want)
 		}
 		return "delete version"
-	case op < 14 && len(cur) > 0:
-		id := cur[d.r.Intn(len(cur))]
-		if got, want := d.s.Delete(id), d.ref.delete(id); got != want {
-			d.t.Fatalf("Delete(%v) = %v, reference %v", id, got, want)
-		}
-		return "physical delete"
 	case op < 17:
 		before := d.slabLen()
 		horizon := d.ts - uint64(d.r.Intn(int(d.ts)+1)/8)
@@ -359,7 +341,7 @@ func (d *differential) step() string {
 // refuseForeign asks for deletes of ids no store issued: both must refuse.
 func (d *differential) refuseForeign() {
 	for _, id := range []RowID{-1, makeRowID(1<<20, 0)} {
-		if d.s.Delete(id) || d.s.DeleteVersion(id, d.ts) {
+		if d.s.DeleteVersion(id, d.ts) {
 			d.t.Fatalf("a delete of %v succeeded", id)
 		}
 	}
@@ -416,7 +398,7 @@ func (d *differential) check(step string) {
 	stamps := []uint64{0, d.ts / 2, d.ts, math.MaxUint64}
 	for _, ts := range stamps {
 		for _, id := range d.ids {
-			got, ok := s.GetAt(id, ts)
+			got, ok := s.GetAt(nil, id, ts)
 			var want value.Tuple
 			if si := ref.valid(id); si >= 0 && (&slot{begin: ref.rows[si].begin, end: ref.rows[si].end}).visibleAt(ts) {
 				want = ref.rows[si].tuple
@@ -429,7 +411,7 @@ func (d *differential) check(step string) {
 		slab, kept, offs := s.EncodedAt(ts, slices.Clone(d.ids), nil)
 		var k int
 		for _, id := range d.ids {
-			want, ok := s.GetAt(id, ts)
+			want, ok := s.GetAt(nil, id, ts)
 			if !ok {
 				continue
 			}
@@ -604,7 +586,7 @@ func (d *differential) probes() []value.Tuple {
 
 // TestStoreMatchesReference holds the slab store to the tuple store it
 // replaced over seeded schedules of inserts, batch inserts, updates,
-// version ends, physical deletes, vacuums with compaction, clears, index
+// version ends, vacuums with compaction, clears, index
 // builds over existing rows and log re-arms: every read — GetAt and ScanAt
 // at old and new timestamps, SnapshotVersions, Snapshot (the checkpoint
 // image, decoded), SnapshotSlots (decoded and transposed), DrainDirty,
@@ -766,7 +748,7 @@ func TestSlabReadersSurviveCompaction(t *testing.T) {
 				k := int64(rounds % keys)
 				found := 0
 				for _, id := range pk.Lookup([]value.Value{value.NewInt(k)}) {
-					if tp, ok := s.GetAt(id, ts); ok {
+					if tp, ok := s.GetAt(nil, id, ts); ok {
 						found++
 						if err := check(k, tp, ts); err != nil {
 							errs <- err

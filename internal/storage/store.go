@@ -24,7 +24,7 @@ import (
 )
 
 // RowID addresses a tuple within one Store. Ids are never reused: a slot
-// freed by Delete or Vacuum carries a bumped generation, so a stale id
+// freed by Vacuum carries a bumped generation, so a stale id
 // misses instead of aliasing a newer tuple. The low 40 bits
 // are the slot index, the high bits the generation.
 type RowID int64
@@ -250,15 +250,17 @@ func (s *Store) live(id RowID) int {
 	return si
 }
 
-// GetAt returns a fresh decode of the version at id seen at ts.
-func (s *Store) GetAt(id RowID, ts uint64) (value.Tuple, bool) {
+// GetAt appends to dst a fresh decode of the version at id seen at ts
+// (nil dst: a tuple of the version's own size).
+func (s *Store) GetAt(dst value.Tuple, id RowID, ts uint64) (value.Tuple, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	si := s.valid(id)
 	if si < 0 || !s.rows[si].visibleAt(ts) {
-		return nil, false
+		return dst, false
 	}
-	return decode(s.encoded(si)), true
+	t, _, _ := value.AppendDecodedTuple(dst, s.encoded(si))
+	return t, true
 }
 
 // EncodedAt keeps, in place, the ids of ids whose version a snapshot at ts
@@ -287,26 +289,6 @@ func (s *Store) VersionTS(id RowID) (begin, end uint64, ok bool) {
 		return 0, 0, false
 	}
 	return s.rows[si].begin, s.rows[si].end, true
-}
-
-// Delete physically removes the current version at id — the non-MVCC
-// path (recovery replay, direct store use). Transactional deletes go
-// through DeleteVersion so old snapshots keep seeing the tuple.
-func (s *Store) Delete(id RowID) bool {
-	s.mu.Lock()
-	si := s.live(id)
-	if si < 0 {
-		s.mu.Unlock()
-		return false
-	}
-	s.count--
-	s.version++
-	// The slot was visible until now and may be reused at once: a tracking
-	// cache cannot patch around that (see dirty.go).
-	s.dirtyLost = true
-	s.freeSlot(si)
-	s.unlock()
-	return true
 }
 
 // freeSlot physically reclaims the version in slot si, detaching it from

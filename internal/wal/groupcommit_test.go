@@ -27,15 +27,12 @@ func TestAppendCommitDurable(t *testing.T) {
 	if err := l.AppendCommit(7, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := recoverLog(t, l)
 	if len(res.Committed) != 1 || res.Committed[0] != 7 {
 		t.Fatalf("committed = %v", res.Committed)
 	}
-	if len(res.Redo) != 1 || res.Redo[0].Type != RecInsert {
-		t.Fatalf("redo = %v", res.Redo)
+	if r := redo(res); len(r) != 1 || r[0].Type != RecInsert {
+		t.Fatalf("redo = %v", r)
 	}
 	if l.Records() != 3 {
 		t.Errorf("records = %d, want 3", l.Records())
@@ -78,11 +75,7 @@ func TestAppendCommitCoalesces(t *testing.T) {
 	wg.Wait()
 	seen := map[uint64]bool{}
 	for i := 0; i < logs; i++ {
-		res, err := ls[i].Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range res.Committed {
+		for _, id := range recoverLog(t, ls[i]).Committed {
 			seen[uint64(id)] = true
 		}
 	}

@@ -49,7 +49,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := l.Recover()
+		res, err := l.RecoverResolved(nil)
 		if err != nil {
 			t.Fatalf("cut %d: recovery failed: %v", cut, err)
 		}
@@ -136,23 +136,27 @@ func TestRecoverResolvedInDoubt(t *testing.T) {
 	if len(res.PresumedAborts) != 1 || res.PresumedAborts[0] != 2 {
 		t.Errorf("presumed aborts = %v", res.PresumedAborts)
 	}
-	if len(res.Redo) != 1 || res.Redo[0].Txn != 1 || res.Redo[0].TS != 77 {
-		t.Errorf("redo = %+v, want txn 1 stamped at ts 77", res.Redo)
+	if r := redo(res); len(r) != 1 || r[0].Txn != 1 {
+		t.Errorf("redo = %+v, want txn 1's insert", r)
+	}
+	// The records end with the healing markers, txn 1's carrying the
+	// decided timestamp that replay installs its versions at.
+	if n := len(res.Records); n != 6 ||
+		res.Records[4].Type != RecCommit || res.Records[4].Txn != 1 || res.Records[4].TS != 77 ||
+		res.Records[5].Type != RecAbort || res.Records[5].Txn != 2 {
+		t.Errorf("records = %+v, want the log then commit 1 at 77, abort 2", res.Records)
 	}
 	if res.MaxTS != 77 {
 		t.Errorf("MaxTS = %d, want 77", res.MaxTS)
 	}
 	// Second restart without any resolver: outcomes were healed into the
 	// log, so nothing is in doubt anymore.
-	res2, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2 := recoverLog(t, l)
 	if len(res2.InDoubt) != 0 {
 		t.Errorf("after healing, in doubt = %v", res2.InDoubt)
 	}
-	if len(res2.Redo) != 1 || res2.Redo[0].Txn != 1 {
-		t.Errorf("after healing, redo = %+v", res2.Redo)
+	if r := redo(res2); len(r) != 1 || r[0].Txn != 1 {
+		t.Errorf("after healing, redo = %+v", r)
 	}
 }
 

@@ -9,8 +9,10 @@
 // store only after commit. The log therefore carries redo records only
 // (no undo): at 2PC prepare the participant appends its write set plus a
 // prepare marker; the commit marker makes the transaction durable.
-// Recovery loads the last checkpoint and replays exactly the
-// transactions whose commit marker made it to the log.
+// Recovery loads the last checkpoint, settles the transactions left in
+// doubt and hands back the log; the OFM replays it through the same
+// applier a replica runs on the records it is shipped, which redoes
+// exactly the transactions whose commit marker made it to the log.
 package wal
 
 import (
@@ -61,9 +63,9 @@ func (t RecType) String() string {
 }
 
 // Record is one redo log entry. Updates are logged as delete+insert.
-// TS is the commit timestamp: written on commit markers, and stamped by
-// Recover onto each committed transaction's redo records so replay can
-// rebuild multiversion visibility exactly as it was before the crash.
+// TS is the commit timestamp, carried by commit markers only: replay
+// installs a write set's versions at the timestamp of the marker that
+// commits it.
 type Record struct {
 	Type  RecType
 	Txn   txn.ID
@@ -297,9 +299,10 @@ func (l *Log) LoadCheckpoint() ([]value.Tuple, error) {
 type RecoveryResult struct {
 	// Snapshot is the checkpoint image (nil if none was taken).
 	Snapshot []value.Tuple
-	// Redo lists the post-checkpoint mutations of committed transactions,
-	// in log order.
-	Redo []Record
+	// Records is the valid log after the checkpoint, in log order, with
+	// the markers that settled in-doubt transactions appended: replaying
+	// it redoes exactly the Committed transactions.
+	Records []Record
 	// Committed, InDoubt and AbortedTxns classify the transactions seen.
 	// InDoubt lists every transaction found prepared but neither
 	// committed nor aborted in the log — including ones a resolver then
@@ -310,9 +313,9 @@ type RecoveryResult struct {
 	InDoubt     []txn.ID
 	AbortedTxns []txn.ID
 	// ResolvedCommits lists in-doubt transactions the coordinator's
-	// decision log resolved to commit (their effects are in Redo);
-	// PresumedAborts lists in-doubt transactions with no logged decision,
-	// aborted by the presumed-abort convention.
+	// decision log resolved to commit (Records ends with their commit
+	// markers); PresumedAborts lists in-doubt transactions with no logged
+	// decision, aborted by the presumed-abort convention.
 	ResolvedCommits []txn.ID
 	PresumedAborts  []txn.ID
 	// TornBytes is how much trailing garbage a mid-append crash left past
@@ -329,22 +332,16 @@ type RecoveryResult struct {
 // abort). wal.DecisionLog.Decision is the canonical implementation.
 type Decider func(tx txn.ID) (ts uint64, commit bool, known bool)
 
-// Recover reads the checkpoint and log and computes the redo list: the
-// insert/delete records of every transaction with a commit marker.
-// Prepared-but-unresolved transactions are reported in doubt (their
-// effects are NOT redone). Equivalent to RecoverResolved(nil).
-func (l *Log) Recover() (*RecoveryResult, error) {
-	return l.RecoverResolved(nil)
-}
-
-// RecoverResolved is Recover plus in-doubt resolution: each transaction
-// found prepared but undecided in this log is settled by consulting the
-// coordinator's decision log via decide — a logged commit decision joins
-// the redo set at its decided timestamp; absence of a decision means the
-// coordinator never committed, so the transaction is presumed aborted.
-// Either way the outcome is appended to the log (a commit or abort
-// marker) so the next restart needs no resolver, and a torn tail left by
-// a mid-append crash is truncated to the valid record prefix first.
+// RecoverResolved reads the checkpoint and the log, truncating a torn
+// tail left by a mid-append crash to the valid record prefix, and
+// classifies the transactions seen. Each one found prepared but
+// undecided is settled by consulting the coordinator's decision log via
+// decide — a logged commit decision commits it at its decided timestamp;
+// absence of a decision means the coordinator never committed, so the
+// transaction is presumed aborted. Either way the outcome is appended to
+// the log (a commit or abort marker) and to Records, so replay and the
+// next restart need no resolver. A nil decide leaves them in doubt:
+// replay buffers their write sets and applies none of them.
 func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
 	snap, err := l.LoadCheckpoint()
 	if err != nil {
@@ -362,12 +359,9 @@ func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
 	}
 	committed := map[txn.ID]bool{}
 	commitTS := map[txn.ID]uint64{}
-	prepared := map[txn.ID]bool{}
 	aborted := map[txn.ID]bool{}
 	for _, r := range recs {
 		switch r.Type {
-		case RecPrepare:
-			prepared[r.Txn] = true
 		case RecCommit:
 			committed[r.Txn] = true
 			commitTS[r.Txn] = r.TS
@@ -375,11 +369,17 @@ func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
 			aborted[r.Txn] = true
 		}
 	}
+	// Settle the undecided transactions in log order, so the healing
+	// markers, and the order replay applies them in, do not depend on map
+	// iteration.
 	var heal []Record
-	for id := range prepared {
-		if committed[id] || aborted[id] {
+	inDoubt := map[txn.ID]bool{}
+	for _, r := range recs {
+		id := r.Txn
+		if r.Type != RecPrepare || committed[id] || aborted[id] || inDoubt[id] {
 			continue
 		}
+		inDoubt[id] = true
 		res.InDoubt = append(res.InDoubt, id)
 		if decide == nil {
 			continue
@@ -393,12 +393,6 @@ func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
 			aborted[id] = true
 			res.PresumedAborts = append(res.PresumedAborts, id)
 			heal = append(heal, Record{Type: RecAbort, Txn: id})
-		}
-	}
-	for _, r := range recs {
-		if (r.Type == RecInsert || r.Type == RecDelete) && committed[r.Txn] {
-			r.TS = commitTS[r.Txn] // stamp redo with its commit timestamp
-			res.Redo = append(res.Redo, r)
 		}
 	}
 	for _, ts := range commitTS {
@@ -419,5 +413,6 @@ func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
 			return nil, fmt.Errorf("wal: healing resolved outcomes: %w", err)
 		}
 	}
+	res.Records = append(recs, heal...)
 	return res, nil
 }

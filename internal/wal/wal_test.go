@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/txn"
 	"repro/internal/value"
 )
 
@@ -25,6 +26,32 @@ func newLog(t *testing.T) (*machine.Machine, *Log) {
 }
 
 func tup(vs ...int64) value.Tuple { return value.Ints(vs...) }
+
+// recoverLog is a restart with no in-doubt resolver.
+func recoverLog(t *testing.T, l *Log) *RecoveryResult {
+	t.Helper()
+	res, err := l.RecoverResolved(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// redo is what replaying a recovery's records applies: the insert and
+// delete records of the transactions it reports committed, in log order.
+func redo(res *RecoveryResult) []Record {
+	committed := map[txn.ID]bool{}
+	for _, id := range res.Committed {
+		committed[id] = true
+	}
+	var out []Record
+	for _, r := range res.Records {
+		if (r.Type == RecInsert || r.Type == RecDelete) && committed[r.Txn] {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 func TestOpenValidation(t *testing.T) {
 	if _, err := Open(nil, "x"); err == nil {
@@ -108,12 +135,12 @@ func TestRecoverOnlyCommitted(t *testing.T) {
 		Record{Type: RecPrepare, Txn: 3},
 		Record{Type: RecAbort, Txn: 3},
 	))
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
+	res := recoverLog(t, l)
+	if len(res.Records) != 8 {
+		t.Errorf("records = %d, want the whole log", len(res.Records))
 	}
-	if len(res.Redo) != 1 || res.Redo[0].Tuple[0].Int() != 1 {
-		t.Errorf("redo = %+v", res.Redo)
+	if r := redo(res); len(r) != 1 || r[0].Tuple[0].Int() != 1 {
+		t.Errorf("redo = %+v", r)
 	}
 	if len(res.Committed) != 1 || res.Committed[0] != 1 {
 		t.Errorf("committed = %v", res.Committed)
@@ -148,25 +175,22 @@ func TestCheckpointAndRecover(t *testing.T) {
 		Record{Type: RecInsert, Txn: 2, Tuple: tup(2)},
 		Record{Type: RecCommit, Txn: 2},
 	))
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := recoverLog(t, l)
 	if len(res.Snapshot) != 1 || res.Snapshot[0][0].Int() != 1 {
 		t.Errorf("snapshot = %v", res.Snapshot)
 	}
-	if len(res.Redo) != 1 || res.Redo[0].Tuple[0].Int() != 2 {
-		t.Errorf("redo = %+v", res.Redo)
+	if len(res.Committed) != 1 || res.Committed[0] != 2 {
+		t.Errorf("committed = %v, want only the post-checkpoint txn", res.Committed)
+	}
+	if r := redo(res); len(r) != 1 || r[0].Tuple[0].Int() != 2 {
+		t.Errorf("redo = %+v", r)
 	}
 }
 
 func TestRecoverEmptyLog(t *testing.T) {
 	_, l := newLog(t)
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Snapshot != nil || len(res.Redo) != 0 || len(res.Committed) != 0 {
+	res := recoverLog(t, l)
+	if res.Snapshot != nil || len(res.Records) != 0 || len(res.Committed) != 0 {
 		t.Errorf("empty recovery = %+v", res)
 	}
 }
@@ -180,12 +204,9 @@ func TestUpdateAsDeleteInsert(t *testing.T) {
 		Record{Type: RecPrepare, Txn: 5},
 		Record{Type: RecCommit, Txn: 5},
 	))
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Redo) != 2 || res.Redo[0].Type != RecDelete || res.Redo[1].Type != RecInsert {
-		t.Errorf("redo = %+v", res.Redo)
+	res := recoverLog(t, l)
+	if r := redo(res); len(r) != 2 || r[0].Type != RecDelete || r[1].Type != RecInsert {
+		t.Errorf("redo = %+v", r)
 	}
 }
 
@@ -216,11 +237,8 @@ func TestCorruptTailTruncated(t *testing.T) {
 	if tb := l.TornBytes(); tb != 3 {
 		t.Errorf("TornBytes = %d, want 3", tb)
 	}
-	res, err := l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TornBytes != 3 || len(res.Redo) != 0 {
+	res := recoverLog(t, l)
+	if res.TornBytes != 3 || len(res.Records) != 0 {
 		t.Errorf("recovery = %+v, want 3 torn bytes and no redo", res)
 	}
 	if store.Size("bad") != 0 {
@@ -228,12 +246,9 @@ func TestCorruptTailTruncated(t *testing.T) {
 	}
 	// The healed log accepts and round-trips new appends.
 	must(t, l.Append(Record{Type: RecInsert, Txn: 9, Tuple: tup(42)}, Record{Type: RecCommit, Txn: 9}))
-	res, err = l.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Redo) != 1 || res.Redo[0].Tuple[0].Int() != 42 {
-		t.Errorf("post-heal redo = %+v", res.Redo)
+	res = recoverLog(t, l)
+	if r := redo(res); len(r) != 1 || r[0].Tuple[0].Int() != 42 {
+		t.Errorf("post-heal redo = %+v", r)
 	}
 }
 
@@ -254,12 +269,9 @@ func TestLogSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := l2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Redo) != 1 || res.Redo[0].Tuple[0].Int() != 7 {
-		t.Errorf("post-crash redo = %+v", res.Redo)
+	res := recoverLog(t, l2)
+	if r := redo(res); len(r) != 1 || r[0].Tuple[0].Int() != 7 {
+		t.Errorf("post-crash redo = %+v", r)
 	}
 }
 
