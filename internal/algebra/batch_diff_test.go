@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/expr"
 	"repro/internal/value"
 )
 
@@ -85,7 +86,7 @@ func diffBatch(t *testing.T, r *rand.Rand, rel *value.Relation, sel bool) (*valu
 		t.Fatal("NewBatchFrom declined")
 	}
 	if v := b.Cols[r.Intn(len(b.Cols))]; v.Null == nil && r.Intn(4) == 0 {
-		v.Null = make([]bool, b.Rows)
+		v.Null = make([]uint64, expr.MaskWords(b.Rows))
 	}
 	if !sel {
 		return b, rel
@@ -797,8 +798,8 @@ func TestDirectTierChoice(t *testing.T) {
 		return v
 	}
 	nullable := func(v *value.Vec, null bool) *value.Vec {
-		v.Null = make([]bool, v.Len())
-		v.Null[0] = null
+		v.Null = make([]uint64, expr.MaskWords(v.Len()))
+		v.Null[0] = expr.Bit(null)
 		return v
 	}
 	for _, c := range []struct {
@@ -895,7 +896,7 @@ func TestDirectTierMatchesRow(t *testing.T) {
 		buildBatch := func() *value.Batch {
 			b := toBatch(t, build)
 			if c.bitmap {
-				b.Cols[0].Null = make([]bool, b.Rows)
+				b.Cols[0].Null = make([]uint64, expr.MaskWords(b.Rows))
 			}
 			return b
 		}

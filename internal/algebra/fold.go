@@ -58,6 +58,18 @@ func from[T any](s []T, rn run) []T {
 	return s[rn.base:]
 }
 
+// nullsFrom is a NULL bitmap from the run's base on, which its rows index:
+// a run starts on a word, as runLen and a mask's words keep it.
+func nullsFrom(null []uint64, rn run) []uint64 {
+	if rn.base&63 != 0 {
+		panic("algebra: a run starts inside a bitmap word")
+	}
+	return from(null, run{base: rn.base >> 6})
+}
+
+// isNull reports whether bit r of the NULL bitmap null (nil: none) is set.
+func isNull(null []uint64, r int32) bool { return null != nil && null[r>>6]>>(r&63)&1 != 0 }
+
 // rowRuns walks rows of a batch in runs: those mask sets when it is not
 // nil, else those sel lists (in its order), else all n.
 type rowRuns struct {
@@ -295,13 +307,13 @@ func (f *folder) fold(rn run, idx []int32) {
 
 // countInto counts the rows that are not NULL under null into cnt, once
 // there is one (bind); until then the slots' row counts are the answer.
-func countInto(cnt []int64, null []bool, rn run, idx []int32) {
+func countInto(cnt []int64, null []uint64, rn run, idx []int32) {
 	if cnt == nil {
 		return
 	}
-	null = from(null, rn)
+	null = nullsFrom(null, rn)
 	for j, r := range rn.rows {
-		if null == nil || !null[r] {
+		if !isNull(null, r) {
 			cnt[idx[j]]++
 		}
 	}
@@ -311,10 +323,10 @@ func countInto(cnt []int64, null []bool, rn run, idx []int32) {
 // row order (the order the row operator adds in, which a float sum shows),
 // counting them into cnt when there is one: a merge binds partials with
 // and without a bitmap, and cnt, once made, counts every value.
-func sumInto[A, T int64 | float64](acc []A, cnt []int64, col []T, null []bool, rn run, idx []int32) {
-	col, null = from(col, rn), from(null, rn)
+func sumInto[A, T int64 | float64](acc []A, cnt []int64, col []T, null []uint64, rn run, idx []int32) {
+	col, null = from(col, rn), nullsFrom(null, rn)
 	for j, r := range rn.rows {
-		if null != nil && null[r] {
+		if isNull(null, r) {
 			continue
 		}
 		acc[idx[j]] += A(col[r])
@@ -326,11 +338,11 @@ func sumInto[A, T int64 | float64](acc []A, cnt []int64, col []T, null []bool, r
 
 // sumChecked is sumInto of INT cells into INT sums, returning a word whose
 // sign is set if any sum but slot sink's left int64 on the way.
-func sumChecked(acc, cnt, col []int64, null []bool, rn run, idx []int32, sink int32) (ovf int64) {
-	col, null = from(col, rn), from(null, rn)
+func sumChecked(acc, cnt, col []int64, null []uint64, rn run, idx []int32, sink int32) (ovf int64) {
+	col, null = from(col, rn), nullsFrom(null, rn)
 	for j, r := range rn.rows {
 		k := idx[j]
-		if null != nil && null[r] {
+		if isNull(null, r) {
 			continue
 		}
 		if cnt != nil {
@@ -347,10 +359,10 @@ func sumChecked(acc, cnt, col []int64, null []bool, rn run, idx []int32, sink in
 // extremeInto keeps each slot's least (or, with max set, greatest) non-NULL
 // value under value.Compare's order — NaN before every number, and of
 // values that compare equal the first seen — and counts the non-NULL rows.
-func extremeInto[T int64 | float64 | string](acc []T, cnt []int64, col []T, null []bool, max bool, rn run, idx []int32) {
-	col, null = from(col, rn), from(null, rn)
+func extremeInto[T int64 | float64 | string](acc []T, cnt []int64, col []T, null []uint64, max bool, rn run, idx []int32) {
+	col, null = from(col, rn), nullsFrom(null, rn)
 	for j, r := range rn.rows {
-		if null != nil && null[r] {
+		if isNull(null, r) {
 			continue
 		}
 		k, x := idx[j], col[r]
@@ -407,9 +419,9 @@ func (f *folder) result(k int, order []int32, n int) *value.Vec {
 	for g := 0; g < n; g++ {
 		if cnt[slot(order, g)] == 0 {
 			if out.Null == nil {
-				out.Null = make([]bool, n)
+				out.Null = make([]uint64, expr.MaskWords(n))
 			}
-			out.Null[g] = true
+			out.Null[g>>6] |= 1 << (g & 63)
 		}
 	}
 	return out

@@ -211,9 +211,9 @@ func (t *JoinTable) match(p *value.Batch, pcols []int) (bIdx, pIdx []int32, once
 			}
 		}
 	case t.direct:
-		dense, col, null := t.dense, pkeys[0].I, pkeys[0].Null
+		dense, col, key := t.dense, pkeys[0].I, pkeys[0]
 		for _, row := range psel {
-			if null != nil && null[row] {
+			if key.IsNull(int(row)) {
 				continue
 			}
 			stats.Hashes++

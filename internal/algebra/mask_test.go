@@ -274,7 +274,7 @@ func TestDirectMergeMatchesRegroup(t *testing.T) {
 		for i, rel := range batches {
 			regroup[i] = toBatch(t, rel)
 			regroup[i].Cols[0].Ranged = false
-			regroup[i].Cols[0].Null = make([]bool, rel.Len()) // a bitmap keeps them off the direct tier
+			regroup[i].Cols[0].Null = make([]uint64, expr.MaskWords(rel.Len())) // a bitmap keeps them off the direct tier
 		}
 		again, _, err := MergePartials(regroup, 1, specs, nil)
 		if err != nil {

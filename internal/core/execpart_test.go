@@ -53,6 +53,51 @@ func setupStar(t *testing.T, engines ...*Engine) {
 	}
 }
 
+// setupNullable adds to the star a table whose INT, FLOAT and VARCHAR
+// columns hold NULLs — k every 11th row, x every 5th, r every 7th, s every
+// 3rd — over 2 500 rows, so its fragments' NULL bitmaps end inside a word
+// and the pieces a hash exchange cuts from them start inside one.
+func setupNullable(t *testing.T, engines ...*Engine) {
+	t.Helper()
+	cats := []string{"red", "green", "blue", "gray"}
+	or := func(null bool, v string) string {
+		if null {
+			return "NULL"
+		}
+		return v
+	}
+	var rows []string
+	for i := 0; i < 2500; i++ {
+		rows = append(rows, fmt.Sprintf("(%d, %s, %s, %s, %s)", i, or(i%11 == 0, fmt.Sprint(i%2200)),
+			or(i%5 == 0, fmt.Sprint(i%83)), or(i%7 == 3, fmt.Sprintf("%.2f", float64(i)/4)), or(i%3 == 1, "'"+cats[i%4]+"'")))
+	}
+	for _, e := range engines {
+		s := e.NewSession()
+		mustExec(t, s, `CREATE TABLE nul (id INT, k INT, x INT, r FLOAT, s VARCHAR, PRIMARY KEY (id))
+			FRAGMENT BY HASH(id) INTO 4 FRAGMENTS`)
+		mustExec(t, s, "INSERT INTO nul VALUES "+strings.Join(rows, ", "))
+	}
+}
+
+// nullableQueries run over setupNullable's table: filters, IS [NOT] NULL,
+// arithmetic, NULL group keys, COUNT, SUM, MIN, MAX and AVG over NULLs,
+// and joins on nullable keys — repartitioned against fact, broadcast
+// against small.
+var nullableQueries = []string{
+	`SELECT id, x, r, s FROM nul WHERE x > 40 OR r < 30.5`,
+	`SELECT id, s FROM nul WHERE x IS NULL AND s IS NOT NULL`,
+	`SELECT id, x * 2 + 1 AS y, r - x AS g FROM nul WHERE r IS NOT NULL OR k IS NULL`,
+	`SELECT k, COUNT(*) AS n, COUNT(x) AS nx, SUM(x) AS sx, MIN(r) AS lo, MAX(s) AS hi, AVG(r) AS m FROM nul GROUP BY k`,
+	`SELECT x, COUNT(*) AS n, SUM(r) AS sr, MIN(s) AS lo FROM nul GROUP BY x ORDER BY x LIMIT 30`,
+	`SELECT s, COUNT(k) AS nk, MAX(x) AS hi FROM nul GROUP BY s`,
+	`SELECT COUNT(x) AS nx, SUM(r) AS sr, MIN(s) AS lo, MAX(x) AS hi, AVG(x) AS m FROM nul`,
+	`SELECT n.id, n.x, n.s, f.amt FROM nul n JOIN fact f ON n.k = f.a WHERE f.amt > n.x OR n.s IS NULL`,
+	`SELECT n.s, COUNT(*) AS c, SUM(n.x) AS t, MIN(f.amt) AS lo FROM nul n JOIN fact f ON n.x = f.b GROUP BY n.s`,
+	`SELECT n.id, n.r, s.v FROM nul n JOIN small s ON n.x = s.id`,
+	`SELECT s.v, COUNT(*) AS c, SUM(n.r) AS t FROM nul n JOIN small s ON n.k = s.id GROUP BY s.v`,
+	`SELECT DISTINCT s FROM nul`,
+}
+
 // centralEngine builds an engine whose optimizer never parallelizes:
 // every join is JoinCentral and every aggregate/sort/distinct runs at
 // the coordinator — the reference the partitioned executor must match.
@@ -186,15 +231,18 @@ func TestPartitionedMatchesCentral(t *testing.T) {
 	ePar := newEngine(t)
 	eCen := centralEngine(t)
 	setupStar(t, ePar, eCen)
+	setupNullable(t, ePar, eCen)
 	sPar, sCen := ePar.NewSession(), eCen.NewSession()
-	sameResults(t, partitionedPlanQueries, "partitioned", sPar, "central", sCen)
+	queries := append(append([]string{}, partitionedPlanQueries...), nullableQueries...)
+	sameResults(t, queries, "partitioned", sPar, "central", sCen)
 
 	for _, s := range []*Session{sPar, sCen} {
 		mustExec(t, s, `BEGIN`)
 		mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
 		mustExec(t, s, `UPDATE dim1 SET w = 3 WHERE id = 11`)
+		mustExec(t, s, `UPDATE nul SET x = NULL, s = 'red' WHERE id = 7`)
 	}
-	sameResults(t, partitionedPlanQueries, "partitioned in txn", sPar, "central in txn", sCen)
+	sameResults(t, queries, "partitioned in txn", sPar, "central in txn", sCen)
 	own, err := sPar.Query(`SELECT f.id, d1.w FROM fact f JOIN dim1 d1 ON f.a = d1.id WHERE f.amt > 900`)
 	if err != nil {
 		t.Fatal(err)

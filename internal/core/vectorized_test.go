@@ -77,13 +77,14 @@ var groupJoinGolden = []charge{
 func TestVectorizedMatchesOracle(t *testing.T) {
 	e := newEngine(t)
 	setupStar(t, e)
+	setupNullable(t, e)
 	s := e.NewSession()
 	for _, q := range groupJoinQueries {
 		if plan := mustExec(t, s, "EXPLAIN "+q).Plan; !strings.Contains(plan, "group-join") {
 			t.Errorf("%s: not a group-join:\n%s", q, plan)
 		}
 	}
-	queries := append(append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...), groupJoinQueries...)
+	queries := append(append(append(append([]string{}, partitionedPlanQueries...), vectorizedScanQueries...), groupJoinQueries...), nullableQueries...)
 	sameAsOracle(t, queries, "vectorized", s, s)
 
 	// Again inside a transaction with pending writes: the fragments holding
@@ -94,6 +95,7 @@ func TestVectorizedMatchesOracle(t *testing.T) {
 	mustExec(t, s, `BEGIN`)
 	mustExec(t, s, `UPDATE fact SET amt = 1000 WHERE id = 5`)
 	mustExec(t, s, `UPDATE dim1 SET w = 3 WHERE id = 11`)
+	mustExec(t, s, `UPDATE nul SET x = NULL, s = 'red' WHERE id = 7`)
 	sameAsOracle(t, queries, "vectorized in txn", s, s)
 	mustExec(t, s, `ROLLBACK`)
 }

@@ -90,7 +90,7 @@ func (n *lane[T]) eval(b *value.Batch, at int, live uint64, out *[64]T) (null ui
 	case laneCol:
 		vec := b.Cols[n.col]
 		copy(out[:], n.data(vec)[at<<6:min(at<<6+64, b.Rows)])
-		return nullBits(vec.Null, at, b.Rows)
+		return vec.NullWord(at)
 	case laneConst:
 		for j := range out {
 			out[j] = n.c
@@ -282,12 +282,11 @@ func laneOut[T int64 | float64](l *lane[T], k value.Kind, cols []*Col, interp fu
 			live := uint64(1)<<min(64, in.Rows-lo) - 1
 			null := l.eval(in, at, live, &x) & live
 			copy(xs[lo:], x[:bits.Len64(live)])
-			for ; null != 0; null &= null - 1 {
+			if null != 0 {
 				if vec.Null == nil {
-					vec.Null = make([]bool, in.Rows)
+					vec.Null = make([]uint64, MaskWords(in.Rows))
 				}
-				j := lo + bits.TrailingZeros64(null)
-				vec.Null[j], xs[j] = true, 0
+				vec.Null[at] = null
 			}
 		}
 		switch p := any(xs).(type) {

@@ -194,7 +194,7 @@ func (vc *vecCompiler) tri(e Expr) (maskKernel, int) {
 			ix, flip := col.Index, -Bit(n.Negate)
 			return func(b *value.Batch, base int, cand, t, f, _ []uint64) {
 				for w, m := range cand {
-					hit := nullBits(b.Cols[ix].Null, base+w, b.Rows) ^ flip
+					hit := b.Cols[ix].NullWord(base+w) ^ flip
 					t[w], f[w] = hit&m, ^hit&m
 				}
 			}, 0
@@ -375,7 +375,7 @@ func constKernel[T cmp.Ordered](ix int, kind value.Kind, data func(*value.Vec) [
 			}
 			at := base + w
 			hit := constBits(xs[at<<6:min(at<<6+64, b.Rows)], c, rel) ^ flip
-			known := m &^ nullBits(vec.Null, at, b.Rows)
+			known := m &^ vec.NullWord(at)
 			t[w], f[w] = hit&known, ^hit&known
 		}
 	}
@@ -405,12 +405,10 @@ func sliceKernel(ix int, c int64, op CmpOp, plain maskKernel) maskKernel {
 		// lt and eq are t and f: each word turns into TRUE and FALSE in place.
 		lt, eq := t[:len(cand)], f[:len(cand)]
 		sliceCmp(b.Slices[ix], c, base, lt, eq)
-		null := b.Cols[ix].Null
+		vec := b.Cols[ix]
 		for w, m := range cand {
 			hit := (lt[w]&ltOn | eq[w]&eqOn) ^ inv
-			if null != nil {
-				m &^= nullBits(null, base+w, b.Rows)
-			}
+			m &^= vec.NullWord(base + w)
 			lt[w], eq[w] = hit&m, ^hit&m
 		}
 	}
@@ -549,17 +547,6 @@ func colBits[T int64 | float64](xs, ys []T, rel CmpOp) (w uint64) {
 		}
 	}
 	return w
-}
-
-// nullBits is mask word w of a null bitmap over rows rows (nil: no NULLs).
-func nullBits(null []bool, w, rows int) (word uint64) {
-	if null == nil {
-		return 0
-	}
-	for j, isNull := range null[w<<6 : min(w<<6+64, rows)] {
-		word |= Bit(isNull) << (j & 63)
-	}
-	return word
 }
 
 // ColumnIndices reports whether every expression is a plain column

@@ -62,15 +62,16 @@ import (
 //     batch carries them (Batch.Slices) for that call and never after.
 //   - What a scan keeps afterwards is a value.Batch: the Vec headers of
 //     its generation plus a mask or selection of rows visible at its
-//     snapshot. Headers are never written once published — growth, the
-//     first NULL of a column and a wider range publish fresh headers (over
-//     the same backing arrays when capacity allows), so the range a reader
-//     holds bounds every row it selects — and a payload write only ever
-//     lands on a row no pinned snapshot can see: the store reuses a slot only
-//     after Vacuum freed it at the GC horizon, and a DeleteVersion moves
-//     stamps, not values. So the caller of ScanMask must hold its
-//     snapshot pinned until it is done with the batch, as every read of
-//     the engine does. A standalone OFM (no Horizon) vacuums eagerly with
+//     snapshot. Headers are never written once published — growth, a
+//     flipped NULL bit and a wider range publish fresh headers (over the
+//     same backing arrays when capacity allows, but a flip over a copy of
+//     the NULL bitmap, whose words hold rows readers select), so the range
+//     and bitmap a reader holds still describe every row it selects — and
+//     a payload write only ever lands on a row no pinned snapshot can see:
+//     the store reuses a slot only after Vacuum freed it at the GC
+//     horizon, and a DeleteVersion moves stamps, not values. So the caller
+//     of ScanMask must hold its snapshot pinned until it is done with the
+//     batch, as every read of the engine does. A standalone OFM (no Horizon) vacuums eagerly with
 //     no regard for readers, so it never patches: every write costs it a
 //     full rebuild, as before.
 
@@ -264,10 +265,7 @@ func vecBytes(v *value.Vec) int64 {
 	default:
 		n = int64(len(v.I)) * 8
 	}
-	if v.Null != nil {
-		n += int64(len(v.Null))
-	}
-	return n
+	return n + 8*int64(len(v.Null))
 }
 
 // fold applies drained log entries to the cache, extending it to slots
@@ -403,30 +401,28 @@ func (cc *colCache) setCurrent(row int, current bool) {
 }
 
 // extend makes the cache cover slots rows, gives every column about to
-// receive its first NULL a null bitmap and widens the range of every INT
-// column about to receive a value outside it. Any of these publishes fresh
-// Vec headers: scans still materializing from the old ones must never see
-// a header change under them, and the rows the entries write are rows no
-// such scan selects, so the old range still bounds what it reads. The new
-// rows start out free; the entries that made the store grow fill them in.
+// have a NULL bit flipped a copy of its null bitmap (a first one when it
+// has none) and widens the range of every INT column about to receive a
+// value outside it. Any of these publishes fresh Vec headers: scans still
+// materializing from the old ones must never see a header change under
+// them, nor a word of their bitmap change — the rows the entries write are
+// rows no such scan selects, but a bitmap word holds 64 rows — so the old
+// range and bitmap still hold for what they read. The new rows start out
+// free; the entries that made the store grow fill them in.
 func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
-	var wantNull []bool // per column, allocated on the first hit
-	var lo, hi []int64  // per column, the widened range, allocated likewise
+	flip := map[int]bool{} // the columns with a NULL bit to flip
+	var lo, hi []int64     // per column, the widened range, allocated on the first hit
 	for i := range dirty {
 		if dirty[i].StampsOnly {
 			continue
 		}
+		row := dirty[i].Slot
 		for c, v := range dirty[i].Tuple {
 			vec := cc.cols[c]
-			switch {
-			case v.IsNull():
-				if vec.Null == nil {
-					if wantNull == nil {
-						wantNull = make([]bool, len(cc.cols))
-					}
-					wantNull[c] = true
-				}
-			case vec.Ranged && (v.Int() < vec.Lo || v.Int() > vec.Hi):
+			if v.IsNull() != (row < cc.rows && vec.IsNull(row)) {
+				flip[c] = true
+			}
+			if !v.IsNull() && vec.Ranged && (v.Int() < vec.Lo || v.Int() > vec.Hi) {
 				if lo == nil {
 					lo, hi = make([]int64, len(cc.cols)), make([]int64, len(cc.cols))
 					for c, vec := range cc.cols {
@@ -437,7 +433,7 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 			}
 		}
 	}
-	if slots <= cc.rows && wantNull == nil && lo == nil {
+	if slots <= cc.rows && len(flip) == 0 && lo == nil {
 		return
 	}
 	slots = max(slots, cc.rows)
@@ -457,14 +453,14 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 		default:
 			vec.I = grown(old.I, slots)
 		}
-		if old.Null != nil || wantNull != nil && wantNull[c] {
-			if old.Null == nil {
-				cc.bytes += int64(cc.rows) // the rows already there gain a bitmap byte
-			}
-			vec.Null = grown(old.Null, slots)
-			width++
-		}
 		cc.bytes += added * width
+		if null := old.Null; null != nil || flip[c] {
+			if flip[c] {
+				null = append([]uint64(nil), null...)
+			}
+			vec.Null = grown(null, expr.MaskWords(slots))
+			cc.bytes += 8 * int64(len(vec.Null)-len(old.Null))
+		}
 		cols[c] = vec
 	}
 	cc.cols = cols

@@ -362,7 +362,10 @@ func fixedSalaryPreds() []expr.Expr {
 // a writer commits and a vacuum reclaims behind the real GC horizon.
 // Every batch must equal the reference at its pinned timestamp, and must
 // materialize to the same rows however long the scanner sat on it. The
-// writer folds salaries through foldSalary's stages.
+// writer folds salaries through foldSalary's stages, and from the start
+// moves rows' salaries NULL → value → NULL, so slots the vacuum frees
+// come back with their NULL bit flipped in bitmap words the scanners (IS
+// NULL among their predicates) are reading.
 func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 	mgr := txn.NewManager()
 	o := newRaceOFM(t, mgr, 300)
@@ -373,30 +376,16 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 		t.Errorf(format, args...)
 		stop.Store(true)
 	}
-	raceScanners(o, mgr, append(diffPreds(), fixedSalaryPreds()...), 3, &stop, &wg, fail)
+	preds := append(diffPreds(), fixedSalaryPreds()...)
+	raceScanners(o, mgr, append(preds, expr.NewIsNull(expr.NewCol("salary"), false)), 3, &stop, &wg, fail)
 
 	r := rand.New(rand.NewSource(7))
 	nextID := int64(300)
 	const writes = 1500
-	for i := 0; i < writes && !stop.Load(); i++ {
+	commit := func(write func(tx *txn.Txn) error) {
 		tx := mgr.Begin()
 		tx.Enlist(o)
-		lo := r.Int63n(nextID)
-		pred := expr.NewAnd(
-			expr.NewCmp(expr.GE, expr.NewCol("id"), expr.NewConst(value.NewInt(lo))),
-			expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(lo+3))))
-		stage := i * 5 / writes
-		var err error
-		switch r.Intn(4) {
-		case 0:
-			err = o.InsertTx(tx.ID(), value.NewTuple(value.NewInt(nextID), value.NewString("ops"), foldSalary(r, stage)))
-			nextID++
-		case 1:
-			_, err = o.DeleteTx(tx.ID(), pred, Latest)
-		default:
-			set := map[int]expr.Expr{2: expr.NewConst(foldSalary(r, stage))}
-			_, err = o.UpdateTx(tx.ID(), pred, set, Latest)
-		}
+		err := write(tx)
 		if err == nil {
 			err = tx.Commit()
 		}
@@ -407,6 +396,37 @@ func TestColumnCacheDifferentialConcurrent(t *testing.T) {
 		// on a busy host the whole storm would fit in one time slice and
 		// no scanner would ever catch up with it.
 		runtime.Gosched()
+	}
+	for i := 0; i < writes && !stop.Load(); i++ {
+		lo := r.Int63n(nextID)
+		pred := expr.NewAnd(
+			expr.NewCmp(expr.GE, expr.NewCol("id"), expr.NewConst(value.NewInt(lo))),
+			expr.NewCmp(expr.LT, expr.NewCol("id"), expr.NewConst(value.NewInt(lo+3))))
+		update := func(v value.Value) func(tx *txn.Txn) error {
+			return func(tx *txn.Txn) error {
+				_, err := o.UpdateTx(tx.ID(), pred, map[int]expr.Expr{2: expr.NewConst(v)}, Latest)
+				return err
+			}
+		}
+		stage := i * 5 / writes
+		switch r.Intn(5) {
+		case 0:
+			commit(func(tx *txn.Txn) error {
+				nextID++
+				return o.InsertTx(tx.ID(), value.NewTuple(value.NewInt(nextID-1), value.NewString("ops"), foldSalary(r, stage)))
+			})
+		case 1:
+			commit(func(tx *txn.Txn) error {
+				_, err := o.DeleteTx(tx.ID(), pred, Latest)
+				return err
+			})
+		case 2:
+			for _, v := range []value.Value{value.Null, value.NewInt(1 + r.Int63n(100)), value.Null} {
+				commit(update(v))
+			}
+		default:
+			commit(update(foldSalary(r, stage)))
+		}
 	}
 	stop.Store(true)
 	wg.Wait()

@@ -340,20 +340,11 @@ func (o *OFM) filterTuples(ts []value.Tuple, e expr.Expr) (*value.Batch, error) 
 	}
 	var err error
 	if e == nil {
-		b.Sel = allRows(len(ts))
+		b.Sel = b.TakeSel()
 	} else {
 		b.Sel, err = o.accepts(b, e)
 	}
 	return b, err
-}
-
-// allRows returns the selection of rows 0..n-1 in a pooled vector.
-func allRows(n int) []int32 {
-	sel := value.GetSelLen(n)
-	for i := range sel {
-		sel[i] = int32(i)
-	}
-	return sel
 }
 
 // pick keeps, in place, the elements of s at the ascending positions sel,

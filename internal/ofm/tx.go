@@ -250,12 +250,10 @@ func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int3
 	if err != nil {
 		return nil, nil, err
 	}
-	var sel []int32
 	if mask != nil {
-		sel = expr.MaskRows(mask)
-	} else {
-		sel = allRows(batch.Rows)
+		batch.Sel = expr.MaskRows(mask)
 	}
+	sel := batch.TakeSel()
 	ids = o.store.SlotIDs(nil, sel)
 	o.ccMu.RUnlock()
 	value.PutSel(sel)

@@ -10,9 +10,11 @@ import (
 // Vec is a typed column vector: one column of a Batch, stored as a flat
 // slice of the column's native representation so kernels can loop over
 // machine words instead of tagged unions. Exactly one of I/F/S is
-// populated, chosen by Kind (booleans ride in I as 0/1). Null is nil
-// when the column has no NULLs — the dense case — so kernels can skip
-// the per-row NULL test entirely. An INT vector may carry a range,
+// populated, chosen by Kind (booleans ride in I as 0/1). Null is a NULL
+// bitmap in the executor's mask layout — bit r&63 of word r>>6 is set when
+// row r is NULL, the bits past the last row are clear — so a kernel drops
+// the NULLs from a mask word with one &^; it is nil when the column has no
+// NULLs, and kernels skip the test. An INT vector may carry a range,
 // [Lo, Hi], that bounds every cell a reader can select: the column cache
 // records it when it transposes a fragment and widens it as writes land,
 // Gather and Scatter keep it, and a kernel that would index a table by the
@@ -26,14 +28,13 @@ import (
 // materializes as NULL, which weighs what an int does. A string column is
 // never kind-only: its lengths are part of the batch's size.
 type Vec struct {
-	Kind Kind
-	Null []bool    // nil = no NULLs anywhere in the column
-	I    []int64   // KindInt and KindBool payloads
-	F    []float64 // KindFloat payloads
-	S    []string  // KindString payloads
-	// Lo and Hi bound the selectable cells of an INT vector when Ranged.
+	Kind   Kind
+	Ranged bool      // Lo and Hi bound the selectable cells of an INT vector
+	Null   []uint64  // a bit per row, 64 rows a word; nil = no NULLs anywhere
+	I      []int64   // KindInt and KindBool payloads
+	F      []float64 // KindFloat payloads
+	S      []string  // KindString payloads
 	Lo, Hi int64
-	Ranged bool
 }
 
 // Range returns bounds on the cells of a fixed-width integer vector, when
@@ -77,7 +78,7 @@ func (v *Vec) Drop() *Vec {
 
 // Value materializes row i of the vector as a tagged scalar.
 func (v *Vec) Value(i int) Value {
-	if v.Null != nil && v.Null[i] || v.KindOnly() {
+	if v.IsNull(i) || v.KindOnly() {
 		return Null
 	}
 	switch v.Kind {
@@ -95,7 +96,15 @@ func (v *Vec) Value(i int) Value {
 }
 
 // IsNull reports whether row i of the vector is NULL.
-func (v *Vec) IsNull(i int) bool { return v.Null != nil && v.Null[i] }
+func (v *Vec) IsNull(i int) bool { return v.Null != nil && v.Null[i>>6]>>(i&63)&1 != 0 }
+
+// NullWord is word w of the NULL bitmap, 0 when the column has none.
+func (v *Vec) NullWord(w int) uint64 {
+	if v.Null == nil {
+		return 0
+	}
+	return v.Null[w]
+}
 
 // Gather builds a dense vector holding the given physical rows of v, in
 // order — the column-wise copy a batch join uses to assemble its output.
@@ -114,8 +123,15 @@ func (v *Vec) Scatter(idxs, at []int32, n int, a *Arena) *Vec {
 	}
 	out := &Vec{Kind: v.Kind, Lo: v.Lo, Hi: v.Hi, Ranged: v.Ranged}
 	if v.Null != nil {
-		out.Null = make([]bool, n)
-		scatterInto(out.Null, v.Null, idxs, at)
+		out.Null = make([]uint64, (n+63)>>6)
+		for k, r := range idxs {
+			if row := k; v.IsNull(int(r)) {
+				if at != nil {
+					row = int(at[k])
+				}
+				out.Null[row>>6] |= 1 << (row & 63)
+			}
+		}
 	}
 	switch v.Kind {
 	case KindFloat:
@@ -261,7 +277,6 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 	}
 	for _, ix := range idxs {
 		v := b.Cols[ix]
-		null := v.Null
 		switch v.Kind {
 		case KindNull:
 			for i := range dst {
@@ -270,7 +285,7 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 		case KindFloat:
 			for i, r := range sel {
 				h := hashNull
-				if null == nil || !null[r] {
+				if !v.IsNull(int(r)) {
 					h = hashFloat(v.F[r])
 				}
 				dst[i] = (dst[i] ^ h) * fnvPrime
@@ -278,7 +293,7 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 		case KindString:
 			for i, r := range sel {
 				h := hashNull
-				if null == nil || !null[r] {
+				if !v.IsNull(int(r)) {
 					h = hashString(v.S[r])
 				}
 				dst[i] = (dst[i] ^ h) * fnvPrime
@@ -287,7 +302,7 @@ func (b *Batch) HashCols(sel []int32, idxs []int) []uint64 {
 			seed := hashKind(v.Kind)
 			for i, r := range sel {
 				h := hashNull
-				if null == nil || !null[r] {
+				if !v.IsNull(int(r)) {
 					h = hashBytes(seed, uint64(v.I[r]))
 				}
 				dst[i] = (dst[i] ^ h) * fnvPrime
@@ -355,23 +370,24 @@ func (b *Batch) TakeSel() []int32 {
 // order) into one dense batch. Inputs are consumed: their selection
 // vectors return to the pool.
 func ConcatBatches(schema *Schema, batches []*Batch, a *Arena) *Batch {
-	out := NewConcat(schema, batches, a)
+	out := newConcat(schema, batches, a)
 	at := 0
 	for _, b := range batches {
-		n := b.Len()
-		CopyRows([]*Batch{out}, []int{at}, []*Batch{b})
-		at += n
+		dst, off, piece := []*Batch{out}, []int{at}, []*Batch{b}
+		at += b.Len()
+		copyRows(dst, off, piece)
+		copyNulls(dst, off, piece)
 	}
 	return out
 }
 
-// NewConcat allocates the dense batch a concatenation of the given batches
+// newConcat allocates the dense batch a concatenation of the given batches
 // fills, copying nothing yet: a column has a null bitmap only if a source's
 // has one, and is kind-only where any source's is — a column nobody reads,
 // which a source that decodes every column (an index probe) still carries
 // whole.
-// Numeric payloads are lent by a, unzeroed — CopyRows writes every row.
-func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
+// Numeric payloads are lent by a, unzeroed — copyRows writes every row.
+func newConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	n := 0
 	for _, b := range batches {
 		n += b.Len()
@@ -396,7 +412,7 @@ func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 		out.Cols[c] = vec
 		for _, b := range batches {
 			if b.Cols[c].Null != nil && vec.Null == nil {
-				vec.Null = make([]bool, n)
+				vec.Null = make([]uint64, (n+63)>>6)
 			}
 		}
 		switch vec.Kind {
@@ -411,13 +427,13 @@ func NewConcat(schema *Schema, batches []*Batch, a *Arena) *Batch {
 	return out
 }
 
-// CopyRows copies the selected rows of each piece into dsts[k] from row
-// ats[k] on, a source block at a time: a dense piece is copied, a selected
-// one gathered. It goes column by column across the pieces — the pieces of
-// one hash split share their columns, which so stay in cache for all of
-// them. A nil piece is skipped, as is a kind-only column; the pieces are
-// consumed.
-func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
+// copyRows copies the payloads of the selected rows of each piece into
+// dsts[k] from row ats[k] on, a source block at a time: a dense piece is
+// copied, a selected one gathered. It goes column by column across the
+// pieces — the pieces of one hash split share their columns, which so stay
+// in cache for all of them. A nil piece is skipped, as is a kind-only
+// column. The NULL bits are copyNulls' to copy.
+func copyRows(dsts []*Batch, ats []int, pieces []*Batch) {
 	for c := range dsts[0].Cols {
 		for k, b := range pieces {
 			if b == nil || dsts[k].Cols[c].KindOnly() {
@@ -425,9 +441,6 @@ func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
 			}
 			src, vec := b.Cols[c], dsts[k].Cols[c]
 			lo, hi := ats[k], ats[k]+b.Len()
-			if src.Null != nil {
-				gatherInto(vec.Null[lo:hi], src.Null, b.Sel)
-			}
 			switch {
 			case src.Kind != vec.Kind: // an all-NULL source of undeclared kind: no payload
 			case vec.Kind == KindFloat:
@@ -439,11 +452,26 @@ func CopyRows(dsts []*Batch, ats []int, pieces []*Batch) {
 			}
 		}
 	}
-	for _, b := range pieces {
-		if b != nil && b.Sel != nil {
-			PutSel(b.Sel)
-			b.Sel = nil
+}
+
+// copyNulls sets the NULL bits copyRows leaves, and consumes the pieces.
+// Rows of neighbouring pieces may share a bitmap word, so a destination's
+// pieces must not run it at once.
+func copyNulls(dsts []*Batch, ats []int, pieces []*Batch) {
+	for k, b := range pieces {
+		if b == nil {
+			continue
 		}
+		for c, src := range b.Cols {
+			dst := dsts[k].Cols[c].Null // nil for a kind-only column
+			for i := 0; src.Null != nil && dst != nil && i < b.Len(); i++ {
+				if r := ats[k] + i; src.IsNull(b.Row(i)) {
+					dst[r>>6] |= 1 << (r & 63)
+				}
+			}
+		}
+		PutSel(b.Sel)
+		b.Sel = nil
 	}
 }
 
@@ -489,8 +517,10 @@ func (b *Batch) SplitByHash(keys []int, n int) []*Batch {
 // concatenation of splits[i][k] over the sources i, in order. The copy
 // runs a source at a time (through each, which may run sources in
 // parallel — they fill disjoint rows): the buckets of one split are
-// selections over the same columns, read while those are in cache. A nil
-// split or piece contributes nothing; the splits are consumed.
+// selections over the same columns, read while those are in cache. The
+// NULL bits follow, a source at a time, as rows of two sources may share a
+// bitmap word. A nil split or piece contributes nothing; the splits are
+// consumed.
 func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn func(i int) error) error, a *Arena) ([]*Batch, error) {
 	out := make([]*Batch, n)
 	ats := make([][]int, len(splits)) // ats[i][k]: where source i's rows start in out[k]
@@ -508,14 +538,19 @@ func ConcatSplits(schema *Schema, splits [][]*Batch, n int, each func(n int, fn 
 			at += split[k].Len()
 			pieces = append(pieces, split[k])
 		}
-		out[k] = NewConcat(schema, pieces, a)
+		out[k] = newConcat(schema, pieces, a)
 	}
 	err := each(len(splits), func(i int) error {
 		if ats[i] != nil {
-			CopyRows(out, ats[i], splits[i])
+			copyRows(out, ats[i], splits[i])
 		}
 		return nil
 	})
+	for i, split := range splits {
+		if ats[i] != nil {
+			copyNulls(out, ats[i], split)
+		}
+	}
 	return out, err
 }
 
@@ -546,22 +581,9 @@ func (b *Batch) Size() int {
 		}
 		// A NULL may sit over a stale payload (a cache row patched to NULL,
 		// a gathered copy): it ships as a bare NULL, like the row form.
-		switch {
-		case b.Sel != nil:
-			for _, r := range b.Sel {
-				if !vec.IsNull(int(r)) {
-					total += len(vec.S[r])
-				}
-			}
-		case vec.Null != nil:
-			for r, s := range vec.S {
-				if !vec.Null[r] {
-					total += len(s)
-				}
-			}
-		default:
-			for _, s := range vec.S {
-				total += len(s)
+		for i := 0; i < n; i++ {
+			if r := b.Row(i); !vec.IsNull(r) {
+				total += len(vec.S[r])
 			}
 		}
 	}
@@ -571,17 +593,16 @@ func (b *Batch) Size() int {
 // Set stores x at physical row i, in place, widening an int into a float
 // column. It reports false, leaving the row as it was, when x does not
 // fit the vector: a kind the column does not hold, or a NULL when the
-// vector carries no null bitmap.
+// vector carries no null bitmap. It writes a NULL word only when the row's
+// bit changes: the column cache's catch-up relies on that (ofm.extend).
 func (v *Vec) Set(i int, x Value) bool {
-	if x.IsNull() {
+	null := x.IsNull()
+	switch {
+	case null:
 		if v.Null == nil {
 			return false
 		}
-		v.Null[i] = true
-		return true
-	}
-	switch v.Kind {
-	case KindBool:
+	case v.Kind == KindBool:
 		if x.Kind() != KindBool {
 			return false
 		}
@@ -589,17 +610,17 @@ func (v *Vec) Set(i int, x Value) bool {
 		if x.Bool() {
 			v.I[i] = 1
 		}
-	case KindInt:
+	case v.Kind == KindInt:
 		if x.Kind() != KindInt {
 			return false
 		}
 		v.I[i] = x.Int()
-	case KindFloat:
+	case v.Kind == KindFloat:
 		if k := x.Kind(); k != KindFloat && k != KindInt {
 			return false
 		}
 		v.F[i] = x.Float()
-	case KindString:
+	case v.Kind == KindString:
 		if x.Kind() != KindString {
 			return false
 		}
@@ -609,8 +630,8 @@ func (v *Vec) Set(i int, x Value) bool {
 		// contradicts the inference.
 		return false
 	}
-	if v.Null != nil {
-		v.Null[i] = false
+	if v.IsNull(i) != null {
+		v.Null[i>>6] ^= 1 << (i & 63)
 	}
 	return true
 }
@@ -650,9 +671,9 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 			v := t[c]
 			if v.IsNull() {
 				if vec.Null == nil {
-					vec.Null = make([]bool, n)
+					vec.Null = make([]uint64, (n+63)>>6)
 				}
-				vec.Null[i] = true
+				vec.Null[i>>6] |= 1 << (i & 63)
 				continue
 			}
 			// Vec.Set's kind switch, spelled out: a call per value costs

@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"testing"
+	"unsafe"
 )
 
 func batchSchema() *Schema {
@@ -17,6 +18,53 @@ func batchTuples() []Tuple {
 		NewTuple(Null, NewString("cat"), Null, NewBool(true)),
 		NewTuple(NewInt(4), Null, NewFloat(4.25), Null),
 		NewTuple(NewInt(5), NewString("eve"), NewFloat(0), NewBool(false)),
+	}
+}
+
+// edgeRows are the row counts around bitmap word edges the NULL tests use.
+var edgeRows = []int{63, 64, 65, 130}
+
+// edgeTuples are n rows of batchSchema with NULLs at rows 0, 63, 64 and
+// n-1 — the first and last bits of bitmap words — each in a column of its
+// own as well as all together at row 0.
+func edgeTuples(n int) []Tuple {
+	tuples := make([]Tuple, n)
+	for i := range tuples {
+		tuples[i] = NewTuple(NewInt(int64(i)), NewString(string(rune('a'+i%26))), NewFloat(float64(i)/4), NewBool(i%3 == 0))
+	}
+	for k, r := range []int{0, 63, 64, n - 1} {
+		if r < n {
+			tuples[r][k] = Null
+			tuples[0][k] = Null
+		}
+	}
+	return tuples
+}
+
+// checkNullWords fails unless every bitmap of b covers its rows in whole
+// words and leaves the bits past them clear.
+func checkNullWords(t *testing.T, b *Batch) {
+	t.Helper()
+	for c, v := range b.Cols {
+		if v.Null == nil {
+			continue
+		}
+		if len(v.Null) != (b.Rows+63)/64 || b.Rows%64 != 0 && v.Null[len(v.Null)-1]>>(b.Rows%64) != 0 {
+			t.Fatalf("column %d: %d bitmap words %x over %d rows", c, len(v.Null), v.Null, b.Rows)
+		}
+	}
+}
+
+// TestVecHeaderSize pins a vector header at 120 bytes on a 64-bit
+// platform: Ranged fills Kind's padding, then four slice headers and the
+// range. A batch of w columns carries w of them, a point probe's one-row
+// reply included.
+func TestVecHeaderSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Vec{}); got != 120 {
+		t.Errorf("unsafe.Sizeof(Vec{}) = %d, want 120", got)
 	}
 }
 
@@ -137,6 +185,18 @@ func TestBatchSizeMatchesMaterialize(t *testing.T) {
 	if got, want := b.Size(), b.Materialize().Size(); got != want {
 		t.Errorf("selected Size = %d, materialized = %d", got, want)
 	}
+	for _, n := range edgeRows {
+		tuples := edgeTuples(n)
+		b := NewBatchFrom(batchSchema(), tuples)
+		checkNullWords(t, b)
+		if got, want := b.Size(), (&Relation{Schema: batchSchema(), Tuples: tuples}).Size(); got != want {
+			t.Errorf("%d rows: dense Size = %d, tuples = %d", n, got, want)
+		}
+		b.Sel = []int32{0, 1, 62, int32(min(63, n-2)), int32(n - 1)}
+		if got, want := b.Size(), b.Materialize().Size(); got != want {
+			t.Errorf("%d rows: selected Size = %d, materialized = %d", n, got, want)
+		}
+	}
 }
 
 // TestSelPool: buffers round-trip through the pool empty, and oversized
@@ -168,7 +228,7 @@ func TestNewBatchFromHolesAndSet(t *testing.T) {
 	if b == nil || b.Rows != 3 {
 		t.Fatalf("batch = %+v", b)
 	}
-	if b.Cols[0].I[1] != 0 || b.Cols[1].S[1] != "" || b.Cols[1].Null[1] {
+	if b.Cols[0].I[1] != 0 || b.Cols[1].S[1] != "" || b.Cols[1].IsNull(1) {
 		t.Errorf("hole row not zero: %v %q", b.Cols[0].I[1], b.Cols[1].S[1])
 	}
 	if got := b.Cols[2].Value(2); got.Float() != 4 {
@@ -201,18 +261,27 @@ func TestNewBatchFromHolesAndSet(t *testing.T) {
 // equals the row tuple hash on every row, so a vectorized exchange routes
 // every row to the same bucket as the row executor.
 func TestHashColsMatchesHashTuple(t *testing.T) {
-	tuples := batchTuples()
-	b := NewBatchFrom(batchSchema(), tuples)
-	for _, sel := range [][]int32{{0, 1, 2, 3, 4}, {1, 3}, {}} {
-		for _, idxs := range [][]int{{0}, {1}, {2}, {3}, {0, 2}, {3, 1, 0}} {
-			hs := b.HashCols(sel, idxs)
-			for i, r := range sel {
-				if want := HashTuple(tuples[r], idxs); hs[i] != want {
-					t.Errorf("row %d cols %v: HashCols %x, HashTuple %x", r, idxs, hs[i], want)
+	check := func(tuples []Tuple, sels ...[]int32) {
+		b := NewBatchFrom(batchSchema(), tuples)
+		for _, sel := range sels {
+			for _, idxs := range [][]int{{0}, {1}, {2}, {3}, {0, 2}, {3, 1, 0}} {
+				hs := b.HashCols(sel, idxs)
+				for i, r := range sel {
+					if want := HashTuple(tuples[r], idxs); hs[i] != want {
+						t.Errorf("%d rows, row %d cols %v: HashCols %x, HashTuple %x", len(tuples), r, idxs, hs[i], want)
+					}
 				}
+				PutHashes(hs)
 			}
-			PutHashes(hs)
 		}
+	}
+	check(batchTuples(), []int32{0, 1, 2, 3, 4}, []int32{1, 3}, []int32{})
+	for _, n := range edgeRows {
+		all := make([]int32, n)
+		for i := range all {
+			all[i] = int32(i)
+		}
+		check(edgeTuples(n), all, []int32{int32(n - 1), 64 % int32(n), int32(min(63, n-1)), 0})
 	}
 	// An all-NULL column of undeclared kind hashes as NULLs.
 	n := NewBatchFrom(NewSchema(Column{Name: "n", Kind: KindNull}), []Tuple{{Null}, {Null}})
@@ -234,7 +303,7 @@ func TestKeyWords(t *testing.T) {
 	}
 	tuples[3][4] = Null
 	b := NewBatchFrom(schema, tuples)
-	empty := make([]bool, len(tuples))
+	empty := make([]uint64, (len(tuples)+63)/64)
 	cleared := &Batch{Schema: schema, Rows: b.Rows, Cols: []*Vec{{Kind: KindInt, I: b.Cols[0].I, Null: empty}}}
 	dropped := &Batch{Schema: schema, Rows: b.Rows, Cols: []*Vec{b.Cols[0].Drop()}}
 	undeclared := NewBatchFrom(NewSchema(Column{Name: "n", Kind: KindNull}), []Tuple{{Null}, {Null}})

@@ -31,14 +31,7 @@ func SliceInts(vec *Vec, live []uint64) *BitSlices {
 		if r := len(vec.I) - w<<6; r < 64 {
 			m &= 1<<r - 1
 		}
-		if vec.Null != nil {
-			for j, null := range vec.Null[w<<6 : min(w<<6+64, len(vec.Null))] {
-				if null {
-					m &^= 1 << (j & 63)
-				}
-			}
-		}
-		return m
+		return m &^ vec.NullWord(w)
 	}
 	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 	for w := range live {

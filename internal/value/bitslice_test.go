@@ -27,7 +27,7 @@ func TestSliceIntsMatchesDefinition(t *testing.T) {
 			for _, width := range []int{0, 1, 7, 15, 16, 17} {
 				vec := &Vec{Kind: KindInt, I: make([]int64, rows)}
 				if r.Intn(2) == 0 {
-					vec.Null = make([]bool, rows)
+					vec.Null = make([]uint64, (rows+63)/64)
 				}
 				xs := vec.I
 				live := make([]uint64, (rows+63)/64)
@@ -41,7 +41,8 @@ func TestSliceIntsMatchesDefinition(t *testing.T) {
 					case 1:
 						live[i>>6] |= 1 << (i & 63)
 						if vec.Null != nil {
-							vec.Null[i], xs[i] = true, math.MaxInt64 // nor has a NULL's
+							vec.Null[i>>6] |= 1 << (i & 63) // nor has a NULL's
+							xs[i] = math.MaxInt64
 							continue
 						}
 						fallthrough

@@ -175,7 +175,7 @@ func NewBatchFromEncoded(schema *Schema, buf []byte, offs []int) *Batch {
 			vec := b.Cols[c]
 			x, n, _ := DecodeValue(buf[off+2:])
 			if off += n; x.IsNull() && vec.Null == nil {
-				vec.Null = make([]bool, len(offs))
+				vec.Null = make([]uint64, (len(offs)+63)>>6)
 			}
 			if !vec.Set(i, x) {
 				return nil
@@ -207,7 +207,7 @@ func AppendBatchRows(dst []byte, b *Batch, lo, hi int) []byte {
 		row := b.Row(i)
 		dst = binary.BigEndian.AppendUint16(dst, uint16(w))
 		for _, v := range b.Cols {
-			if v.Null != nil && v.Null[row] || v.KindOnly() {
+			if v.IsNull(row) || v.KindOnly() {
 				dst = append(dst, byte(KindNull))
 				continue
 			}

@@ -45,9 +45,11 @@ func seededBatch(seed int64) *Batch {
 		}
 		// NULLs sit over whatever payload the row held: a stale string stays.
 		if k == KindNull || rng.Intn(2) == 0 {
-			v.Null = make([]bool, rows)
-			for i := range v.Null {
-				v.Null[i] = k == KindNull || rng.Intn(4) == 0
+			v.Null = make([]uint64, (rows+63)/64)
+			for i := 0; i < rows; i++ {
+				if k == KindNull || rng.Intn(4) == 0 {
+					v.Null[i>>6] |= 1 << (i & 63)
+				}
 			}
 		}
 		b.Cols[c] = v
@@ -120,13 +122,19 @@ func TestAppendBatchRowsMatchesTuples(t *testing.T) {
 // column's window of the payload array its kind shares is capped at the
 // batch's rows, so a column grown by append never writes into the next.
 func TestNewBatchFromEncodedMatchesTuples(t *testing.T) {
+	batches := make([]*Batch, 0, 300+len(edgeRows))
 	for seed := int64(0); seed < 300; seed++ {
-		b := seededBatch(seed)
+		batches = append(batches, seededBatch(seed))
+	}
+	for _, n := range edgeRows { // NULLs on the bitmap's word edges, decoded without holes
+		batches = append(batches, NewBatchFrom(batchSchema(), edgeTuples(n)))
+	}
+	for seed, b := range batches {
 		var slab, want []byte
 		var offs []int
 		var sel []int32
 		for i, tup := range b.Materialize().Tuples {
-			if i%3 == 1 {
+			if i%3 == 1 && seed < 300 {
 				offs = append(offs, -1)
 			}
 			sel = append(sel, int32(len(offs)))
@@ -138,6 +146,7 @@ func TestNewBatchFromEncodedMatchesTuples(t *testing.T) {
 		if got == nil {
 			t.Fatalf("seed %d: the tuples do not fit %s", seed, b.Schema)
 		}
+		checkNullWords(t, got)
 		got.Sel = sel
 		if enc := AppendBatchRows(nil, got, 0, got.Len()); !bytes.Equal(enc, want) {
 			t.Fatalf("seed %d: %d rows x %d columns decode to other values", seed, len(sel), len(got.Cols))

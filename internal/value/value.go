@@ -3,7 +3,10 @@
 //
 // PRISMA is a main-memory machine: tuples are kept as compact in-memory
 // arrays of Value, not serialized pages. A Value is a small tagged union
-// so that slices of them stay allocation-free for the common kinds.
+// so that slices of them stay allocation-free for the common kinds. The
+// executor holds rows column-wise instead, in a Batch of typed vectors
+// (Vec), whose NULLs are a bitmap in the layout of its filter masks: a bit
+// per row, 64 rows a uint64 word.
 package value
 
 import (
