@@ -159,12 +159,13 @@ func (e *Engine) LoadTable(name string, tuples []value.Tuple) error {
 		return err
 	}
 	parts := make([][]value.Tuple, len(t.frags))
+	bytes := make([]int, len(t.frags)) // what each fragment's request ships
 	for _, tp := range tuples {
 		if err := storage.Conform(t.def.Schema, tp); err != nil {
 			return fmt.Errorf("core: load %s: %w", name, err)
 		}
 		i := t.def.Scheme.FragmentOf(tp)
-		parts[i] = append(parts[i], tp)
+		parts[i], bytes[i] = append(parts[i], tp), bytes[i]+tp.Size()
 	}
 	var loading []int
 	for i := range t.frags {
@@ -178,7 +179,7 @@ func (e *Engine) LoadTable(name string, tuples []value.Tuple) error {
 	// do not depend on how the host schedules the goroutines.
 	coord := e.coordinatorPE()
 	for _, i := range loading {
-		e.m.Send(coord, t.frags[i].pe, relBytes(parts[i]))
+		e.m.Send(coord, t.frags[i].pe, bytes[i])
 	}
 	sent := make([]time.Duration, len(t.frags))
 	errs := make([]error, len(t.frags))

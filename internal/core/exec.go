@@ -112,7 +112,7 @@ func (s *slot) batch() *value.Batch {
 // none is a batch of no rows: a LIMIT's slot past its last row, and every
 // leaf's in EXPLAIN's dry run.
 func none(schema *value.Schema) *value.Batch {
-	return value.NewBatchFromEncoded(schema, nil, nil)
+	return value.NewBatchFromRows(schema, nil, nil)
 }
 
 // selected makes a mask the batch's selection.

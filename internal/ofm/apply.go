@@ -123,7 +123,7 @@ func (o *OFM) restart(snapshot []value.Tuple, recs []wal.Record, limit uint64) (
 	o.appliedTS = 0
 	o.mu.Unlock()
 	o.store.Clear()
-	if err := o.store.InsertBatch(snapshot); err != nil {
+	if _, err := o.store.InsertBatch(snapshot); err != nil {
 		return 0, 0, fmt.Errorf("ofm %s: restart snapshot: %w", o.cfg.Name, err)
 	}
 	return o.apply(recs, limit)

@@ -2,6 +2,7 @@ package ofm
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/expr"
 	"repro/internal/storage"
@@ -141,43 +142,40 @@ func (o *OFM) CacheStats() CacheStats {
 // columnCache returns the cache, level with the store and holding the
 // bit slices of the columns in slice, plus the bytes this call wrote into
 // it to get there (0 on a hit) so the executor can charge them to the
-// statement's tenant budget. On a nil error o.ccMu is read-locked and the
-// caller must unlock it when it has finished with the stamps and the
-// filter kernel.
-func (o *OFM) columnCache(slice []int) (*colCache, int64, error) {
+// statement's tenant budget. o.ccMu is then read-locked and the caller
+// must unlock it when it has finished with the stamps and the filter
+// kernel.
+func (o *OFM) columnCache(slice []int) (*colCache, int64) {
 	o.ccMu.RLock()
 	if cc := o.cc; cc != nil && cc.version == o.store.Version() && !cc.unsliced(slice) {
-		return cc, 0, nil
+		return cc, 0
 	}
 	o.ccMu.RUnlock()
 
 	o.ccMu.Lock()
-	built, err := o.syncCache()
-	if err == nil && o.cc.unsliced(slice) {
+	built := o.syncCache()
+	if o.cc.unsliced(slice) {
 		charged := o.cc.bytes
 		built += o.cc.slice(slice)
 		o.chargeMem(o.cc.bytes - charged)
 	}
 	o.ccMu.Unlock()
-	if err != nil {
-		return nil, 0, err
-	}
 
 	// Another scan may catch the cache up further before the read lock is
 	// back; any later state serves this snapshot just as well.
 	o.ccMu.RLock()
-	return o.cc, built, nil
+	return o.cc, built
 }
 
 // syncCache brings the cache level with the store — by catch-up when the
 // store's dirty-slot log can say what changed, by transposing the whole
 // store otherwise — and returns the bytes written. Caller holds o.ccMu
 // exclusively.
-func (o *OFM) syncCache() (int64, error) {
+func (o *OFM) syncCache() int64 {
 	cost := o.costs()
 	if cc := o.cc; cc != nil {
 		if cc.version == o.store.Version() {
-			return 0, nil // a concurrent scan got here first
+			return 0 // a concurrent scan got here first
 		}
 		dirty, slots, version, ok := o.store.DrainDirty(o.ccDirty[:0])
 		var built int64
@@ -196,7 +194,7 @@ func (o *OFM) syncCache() (int64, error) {
 		clear(dirty) // drop the tuple references, keep the buffer
 		o.ccDirty = dirty[:0]
 		if ok {
-			return built, nil
+			return built
 		}
 	}
 
@@ -207,14 +205,7 @@ func (o *OFM) syncCache() (int64, error) {
 		o.chargeMem(-o.cc.bytes)
 		o.cc = nil
 	}
-	batch := value.NewBatchFromEncoded(o.cfg.Schema, slab, offs)
-	if batch == nil {
-		// The store type-checks every version it takes (storage.Conform:
-		// a value of the column's kind, an int widened into a float
-		// column, or NULL), so every column has one kind.
-		o.store.Untrack()
-		return 0, fmt.Errorf("ofm %s: stored versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
-	}
+	batch := value.NewBatchFromRows(o.cfg.Schema, slab, offs)
 	cc := &colCache{version: version, rows: len(offs), begin: begin, end: end, cols: batch.Cols,
 		current: make([]uint64, expr.MaskWords(len(offs)))}
 	held := 0
@@ -239,7 +230,7 @@ func (o *OFM) syncCache() (int64, error) {
 	o.cfg.PE.Advance(cost.BuildCost(held))
 	o.ccStats.FullBuilds++
 	o.cc = cc
-	return cc.bytes, nil
+	return cc.bytes
 }
 
 // chargeMem moves the cache's share of the PE memory budget by delta.
@@ -273,17 +264,21 @@ func vecBytes(v *value.Vec) int64 {
 // does not fit the cached vectors' kinds: the cache is then half patched
 // and the caller must rebuild it.
 func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok bool) {
-	cc.extend(slots, dirty)
+	flip := cc.extend(slots, dirty)
 	for i := range dirty {
 		d := &dirty[i]
 		row := d.Slot
 		cc.setCurrent(row, false)
 		built += stampBytes
 		if d.Tuple == nil {
-			// Freed: drop the strings it pinned; numbers may stay, nobody
-			// can select the row.
+			// Freed: drop the strings it pinned and its NULL bits (extend
+			// copied those bitmaps); numbers may stay, nobody can select the
+			// row.
 			cc.begin[row], cc.end[row] = freeStamp, freeStamp
 			for _, vec := range cc.cols {
+				if vec.IsNull(row) {
+					vec.Null[row>>6] &^= 1 << (row & 63)
+				}
 				if vec.Kind == value.KindString {
 					cc.bytes -= int64(len(vec.S[row]))
 					vec.S[row] = ""
@@ -309,6 +304,13 @@ func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok 
 		cc.begin[row], cc.end[row] = d.Begin, d.End
 		cc.setCurrent(row, d.End == 0)
 		cc.maxStamp = max(cc.maxStamp, d.Begin, d.End)
+	}
+	// A copied bitmap left with no bit set goes, so NULL-free paths apply.
+	for c := range flip {
+		if vec := cc.cols[c]; !slices.ContainsFunc(vec.Null, func(w uint64) bool { return w != 0 }) {
+			cc.bytes -= 8 * int64(len(vec.Null))
+			vec.Null = nil
+		}
 	}
 	return built + cc.refreshSlices(dirty), true
 }
@@ -401,25 +403,31 @@ func (cc *colCache) setCurrent(row int, current bool) {
 }
 
 // extend makes the cache cover slots rows, gives every column about to
-// have a NULL bit flipped a copy of its null bitmap (a first one when it
-// has none) and widens the range of every INT column about to receive a
-// value outside it. Any of these publishes fresh Vec headers: scans still
-// materializing from the old ones must never see a header change under
-// them, nor a word of their bitmap change — the rows the entries write are
-// rows no such scan selects, but a bitmap word holds 64 rows — so the old
-// range and bitmap still hold for what they read. The new rows start out
-// free; the entries that made the store grow fill them in.
-func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
+// have a NULL bit flipped — by a value, or by a freed row's bit going — a
+// copy of its null bitmap (a first one when it has none) and widens the
+// range of every INT column about to receive a value outside it. Any of
+// these publishes fresh Vec headers: scans still materializing from the
+// old ones must never see a header change under them, nor a word of their
+// bitmap change — the rows the entries write are rows no such scan
+// selects, but a bitmap word holds 64 rows — so the old range and bitmap
+// still hold for what they read. The new rows start out free; the entries
+// that made the store grow fill them in. It returns the columns whose
+// bitmap it copied.
+func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) map[int]bool {
 	flip := map[int]bool{} // the columns with a NULL bit to flip
 	var lo, hi []int64     // per column, the widened range, allocated on the first hit
 	for i := range dirty {
 		if dirty[i].StampsOnly {
 			continue
 		}
-		row := dirty[i].Slot
-		for c, v := range dirty[i].Tuple {
-			vec := cc.cols[c]
-			if v.IsNull() != (row < cc.rows && vec.IsNull(row)) {
+		row, tuple := dirty[i].Slot, dirty[i].Tuple
+		for c, vec := range cc.cols {
+			v := value.Null
+			if tuple != nil {
+				v = tuple[c]
+			}
+			// A freed row's NULL bits go.
+			if (tuple != nil && v.IsNull()) != (row < cc.rows && vec.IsNull(row)) {
 				flip[c] = true
 			}
 			if !v.IsNull() && vec.Ranged && (v.Int() < vec.Lo || v.Int() > vec.Hi) {
@@ -434,7 +442,7 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 		}
 	}
 	if slots <= cc.rows && len(flip) == 0 && lo == nil {
-		return
+		return nil
 	}
 	slots = max(slots, cc.rows)
 	added := int64(slots - cc.rows)
@@ -478,6 +486,7 @@ func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) {
 			cc.bytes += s.Grow(words)
 		}
 	}
+	return flip
 }
 
 // grown returns s with length n: resliced when the backing array has the
@@ -600,10 +609,7 @@ func (o *OFM) scanCache(view View, del map[storage.RowID]struct{}, ins []value.T
 	if f != nil {
 		slice = f.SliceCols()
 	}
-	cc, built, err := o.columnCache(slice)
-	if err != nil {
-		return nil, nil, nil, 0, err
-	}
+	cc, built := o.columnCache(slice)
 	batch, mask, visible, err := cc.scan(o.cfg.Schema, view.TS, del, f)
 	if err != nil {
 		o.ccMu.RUnlock()

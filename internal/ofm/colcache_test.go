@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/expr"
 	"repro/internal/machine"
+	"repro/internal/storage"
 	"repro/internal/txn"
 	"repro/internal/value"
 )
@@ -244,6 +245,49 @@ func TestColumnCacheVacuumLeavesReusableHoles(t *testing.T) {
 	}
 	if b.Len() != 10 || b.Sel != nil {
 		t.Errorf("full fragment scan = %d rows, sel %v; want 10 rows dense", b.Len(), b.Sel)
+	}
+}
+
+// TestColumnCacheDropsEmptiedNullBitmap: a column whose last NULL is
+// overwritten and vacuumed away goes back to having no bitmap at the next
+// catch-up, not at the next full build, so the kernels' NULL-free paths
+// take it again; the bitmap's bytes go with it.
+func TestColumnCacheDropsEmptiedNullBitmap(t *testing.T) {
+	var horizon atomic.Uint64
+	horizon.Store(1)
+	o, mgr := newMVCCOFM(t, &horizon)
+	load(t, o, 200)
+	scanBatchLen(t, o, Latest) // build
+	pred := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(7)))
+	for i, salary := range []value.Value{value.Null, value.NewInt(5)} {
+		tx := mgr.Begin()
+		if n, err := o.UpdateTx(tx.ID(), pred, map[int]expr.Expr{2: expr.NewConst(salary)}, Latest); err != nil || n != 1 {
+			t.Fatalf("update to %v = %d, %v", salary, n, err)
+		}
+		commitAt(t, o, tx, uint64(5+i))
+		scanBatchLen(t, o, Latest)
+		if i == 0 && o.cc.cols[2].Null == nil {
+			t.Fatal("after the update to NULL the salary column has no bitmap")
+		}
+	}
+	horizon.Store(10)
+	if freed := o.Vacuum(); freed != 2 {
+		t.Fatalf("vacuum freed %d, want 2", freed)
+	}
+	if n := scanBatchLen(t, o, Latest); n != 200 {
+		t.Fatalf("scan after vacuum = %d rows, want 200", n)
+	}
+	if null := o.cc.cols[2].Null; null != nil {
+		t.Errorf("the salary column keeps a %d-word bitmap with no NULL left", len(null))
+	}
+	// The charge is what a build of these vectors and sidecars would charge.
+	st := o.CacheStats()
+	want := int64(o.cc.rows)*stampBytes + 8*int64(len(o.cc.current)) + storage.DirtyLogBytes + st.SlicedBytes
+	for _, vec := range o.cc.cols {
+		want += vecBytes(vec)
+	}
+	if st.FullBuilds != 1 || st.ResidentBytes != want {
+		t.Errorf("after the catch-ups: %+v, want %d resident bytes and one build", st, want)
 	}
 }
 

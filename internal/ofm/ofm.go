@@ -224,7 +224,7 @@ func (o *OFM) eqIndexProbe(e expr.Expr) (idx *storage.HashIndex, key value.Value
 func (o *OFM) Probe(view View, col int, key value.Value, rest expr.Expr) (*value.Batch, error) {
 	if key.IsNull() {
 		// `col = NULL` is never true.
-		return value.NewBatchFromEncoded(o.cfg.Schema, nil, nil), nil
+		return value.NewBatchFromRows(o.cfg.Schema, nil, nil), nil
 	}
 	hash, ok := o.store.HashIndexOn([]int{col})
 	if !ok {
@@ -262,9 +262,9 @@ func (o *OFM) eqPred(col int, key value.Value, rest expr.Expr) expr.Expr {
 // probe looks key up in a hash index and returns the versions under it
 // that the view sees — visible at view.TS, not deleted by the view's
 // transaction — oldest insert first: their row ids, and offs extended by
-// where each is encoded in slab. The index also holds dead versions until
-// Vacuum, hence the visibility check. It charges the lookup and returns
-// how many row ids the index held under key.
+// where each one's row starts in slab. The index also holds dead versions
+// until Vacuum, hence the visibility check. It charges the lookup and
+// returns how many row ids the index held under key.
 func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.HashIndex, key value.Value, offs []int) (ids []storage.RowID, slab []byte, _ []int, held int) {
 	ids = hash.Lookup([]value.Value{key})
 	o.cfg.PE.Advance(o.costs().HashCost(1))
@@ -284,13 +284,11 @@ func (o *OFM) probe(view View, del map[storage.RowID]struct{}, hash *storage.Has
 func (o *OFM) probeBatch(view View, del map[storage.RowID]struct{}, ins []value.Tuple, hash *storage.HashIndex, key value.Value, rest, full expr.Expr) (*value.Batch, error) {
 	var at [2]int // a key's versions, most often one
 	_, slab, offs, _ := o.probe(view, del, hash, key, at[:0])
-	b, err := o.decoded(slab, offs)
-	if err != nil {
-		return nil, err
-	}
+	b := value.NewBatchFromRows(o.cfg.Schema, slab, offs)
 	cost := o.costs()
 	o.cfg.PE.Advance(cost.BuildCost(b.Rows))
 	if rest != nil {
+		var err error
 		if b.Sel, err = o.accepts(b, rest); err != nil {
 			return nil, err
 		}
@@ -305,14 +303,6 @@ func (o *OFM) probeBatch(view View, del map[storage.RowID]struct{}, ins []value.
 		o.cfg.PE.Advance(cost.ScanCost(len(ins), true))
 	}
 	return b, nil
-}
-
-// decoded is the batch of the probed versions encoded at offs in slab.
-func (o *OFM) decoded(slab []byte, offs []int) (*value.Batch, error) {
-	if b := value.NewBatchFromEncoded(o.cfg.Schema, slab, offs); b != nil {
-		return b, nil
-	}
-	return nil, fmt.Errorf("ofm %s: probed versions do not fit the column kinds of %s", o.cfg.Name, o.cfg.Schema)
 }
 
 // accepts returns the positions of the rows of b that e accepts,
@@ -363,7 +353,8 @@ func pick[T any](s []T, sel []int32) []T {
 // lands beside live transactions excludes their commits from the swap
 // and carries the redo of the prepared ones.
 func (o *OFM) Load(tuples []value.Tuple) error {
-	if err := o.store.InsertBatch(tuples); err != nil {
+	size, err := o.store.InsertBatch(tuples)
+	if err != nil {
 		return fmt.Errorf("ofm %s: load: %w", o.cfg.Name, err)
 	}
 	o.cfg.PE.Advance(o.costs().BuildCost(len(tuples)))
@@ -371,7 +362,7 @@ func (o *OFM) Load(tuples []value.Tuple) error {
 		return err
 	}
 	if o.cfg.StatsFn != nil {
-		o.cfg.StatsFn(len(tuples), tupleBytes(tuples))
+		o.cfg.StatsFn(len(tuples), size)
 	}
 	return nil
 }

@@ -226,11 +226,7 @@ func (o *OFM) match(view View, pred expr.Expr) (ids []storage.RowID, pend []int3
 			var at [2]int // a key's versions, most often one
 			ids, slab, offs, held := o.probe(view, del, hash, key, at[:0])
 			if rest != nil {
-				b, err := o.decoded(slab, offs)
-				if err != nil {
-					return nil, nil, err
-				}
-				sel, err := o.accepts(b, rest)
+				sel, err := o.accepts(value.NewBatchFromRows(o.cfg.Schema, slab, offs), rest)
 				if err != nil {
 					return nil, nil, err
 				}

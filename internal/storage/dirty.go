@@ -51,8 +51,8 @@ func (s *Store) noteDirty(entry int32) {
 	s.dirty = append(s.dirty, entry)
 }
 
-// SnapshotSlots returns the store slot by slot — slot i's version is
-// encoded at slab[offs[i]:] (offs[i] < 0: free), stamped begin[i] and
+// SnapshotSlots returns the store slot by slot — slot i's version is the
+// row at slab[offs[i]:] (offs[i] < 0: free), stamped begin[i] and
 // end[i], in the store's own slab, to decode with no lock held — plus the
 // mutation counter, all under one lock acquisition. With track set the
 // same acquisition arms the dirty-slot log, empty, so a later DrainDirty
@@ -104,7 +104,7 @@ func (s *Store) DrainDirty(buf []DirtySlot) (out []DirtySlot, slots int, version
 		}
 		sl := &s.rows[d.Slot]
 		if d.Begin, d.End = sl.begin, sl.end; sl.off >= 0 {
-			d.Tuple = decode(s.encoded(d.Slot))
+			d.Tuple = s.decode(d.Slot)
 		}
 		buf = append(buf, d)
 	}

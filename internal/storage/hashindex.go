@@ -13,11 +13,10 @@ import (
 // distinct key, at most half full, probed linearly and deleted by
 // backward shift: the high 32 bits of the key's value.HashTuple and its
 // head slot + 1 (0 is empty). next, parallel to the store's rows, chains
-// a key's slots newest first. Keys match the slab's bytes in place when
-// every column has the same kind and bits, as value.AppendValue encodes
-// them: NULL matches NULL, -0 and +0 differ, INT 1 never matches FLOAT
-// 1.0. The Store writes the index under its write lock; Lookup takes the
-// read lock.
+// a key's slots newest first. Keys match the slab's rows in place when
+// every column has the same kind and bits (value.RowFieldIs): NULL matches
+// NULL, -0 and +0 differ, INT 1 never matches FLOAT 1.0. The Store writes
+// the index under its write lock; Lookup takes the read lock.
 type HashIndex struct {
 	s     *Store
 	name  string
@@ -45,7 +44,7 @@ func head(e uint64) int                            { return int(uint32(e)) - 1 }
 func (ix *HashIndex) home(fp uint32) int           { return int(fp >> ix.shift) }
 
 // find returns the entry holding key (at kcols) and true, or the empty
-// entry ending key's run and false. Keys match as value.FieldIs says.
+// entry ending key's run and false. Keys match as value.RowFieldIs says.
 func (ix *HashIndex) find(fp uint32, key value.Tuple, kcols []int) (int, bool) {
 	mask := len(ix.table) - 1
 	i := ix.home(fp)
@@ -54,7 +53,7 @@ next:
 		if e := ix.table[i]; uint32(e>>32) == fp {
 			row := ix.s.encoded(head(e))
 			for k, c := range ix.cols {
-				if !value.FieldIs(row, c, key[kcols[k]]) {
+				if !value.RowFieldIs(ix.s.schema, row, c, key[kcols[k]]) {
 					continue next
 				}
 			}
@@ -180,7 +179,7 @@ func (ix *HashIndex) lowestEqual(t value.Tuple) int {
 			continue
 		}
 		for si := head(ix.table[i]); si >= 0; si = int(ix.next[si]) {
-			if ix.s.rows[si].end == 0 && (best < 0 || si < best) && value.EqualEncoded(ix.s.encoded(si), t) {
+			if ix.s.rows[si].end == 0 && (best < 0 || si < best) && value.RowEqual(ix.s.schema, ix.s.encoded(si), t) {
 				best = si
 			}
 		}

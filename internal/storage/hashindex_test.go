@@ -68,7 +68,7 @@ func (m *model) tuple(at *int, data []byte) value.Tuple {
 	return value.NewTuple(floatVals[b()%len(floatVals)], strVals[b()%len(strVals)], boolVals[b()%len(boolVals)])
 }
 
-func (m *model) tupleAt(id RowID) value.Tuple { return decode(m.s.encoded(id.Slot())) }
+func (m *model) tupleAt(id RowID) value.Tuple { return m.s.decode(id.Slot()) }
 
 func (m *model) added(id RowID) {
 	m.end[id] = 0
@@ -112,7 +112,7 @@ func (m *model) insert(tp value.Tuple, ts uint64) {
 }
 
 func (m *model) insertBatch(tps []value.Tuple) {
-	if err := m.s.InsertBatch(tps); err != nil {
+	if _, err := m.s.InsertBatch(tps); err != nil {
 		m.t.Fatal(err)
 	}
 	// The batch's ids are the versions the reference does not know yet.
@@ -428,7 +428,7 @@ func TestInsertBatchAllocs(t *testing.T) {
 			if _, err := s.CreateHashIndex("pk", []int{0}); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.InsertBatch(tps); err != nil {
+			if _, err := s.InsertBatch(tps); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -281,7 +281,7 @@ func (d *differential) step() string {
 		for i := range tps {
 			tps[i] = d.tuple()
 		}
-		if err := d.s.InsertBatch(slices.Clone(tps)); err != nil {
+		if _, err := d.s.InsertBatch(slices.Clone(tps)); err != nil {
 			d.t.Fatal(err)
 		}
 		for _, t := range tps {
@@ -358,10 +358,7 @@ func (d *differential) hold(slab []byte, offs []int) {
 	for _, off := range offs {
 		var enc []byte
 		if off >= 0 {
-			_, n, err := value.DecodeTuple(slab[off:])
-			if err != nil {
-				d.t.Fatal(err)
-			}
+			_, n := value.DecodeRow(nil, d.s.Schema(), slab[off:])
 			enc = bytes.Clone(slab[off : off+n])
 		}
 		h.enc = append(h.enc, enc)
@@ -369,6 +366,12 @@ func (d *differential) hold(slab []byte, offs []int) {
 	if d.held = append(d.held, h); len(d.held) > 6 {
 		d.held = d.held[1:]
 	}
+}
+
+// decodeRow decodes the row of schema at the head of row.
+func decodeRow(schema *value.Schema, row []byte) value.Tuple {
+	t, _ := value.DecodeRow(nil, schema, row)
+	return t
 }
 
 func encode(t value.Tuple) []byte {
@@ -415,7 +418,7 @@ func (d *differential) check(step string) {
 			if !ok {
 				continue
 			}
-			if k >= len(kept) || kept[k] != id || !sameTuple(decode(slab[offs[k]:]), want) {
+			if k >= len(kept) || kept[k] != id || !sameTuple(decodeRow(s.Schema(), slab[offs[k]:]), want) {
 				fail("EncodedAt at %d: kept %v, GetAt finds %v at position %d", ts, kept, id, k)
 			}
 			k++
@@ -477,20 +480,20 @@ func (d *differential) check(step string) {
 	for si, sl := range ref.rows {
 		var got value.Tuple
 		if offs[si] >= 0 {
-			got, _, _ = value.DecodeTuple(slab[offs[si]:])
+			got = decodeRow(ref.schema, slab[offs[si]:])
 		}
 		if !sameTuple(got, sl.tuple) || begin[si] != sl.begin || end[si] != sl.end {
 			fail("SnapshotSlots slot %d = %v [%d, %d), reference %v [%d, %d)", si, got, begin[si], end[si], sl.tuple, sl.begin, sl.end)
 		}
 		refTuples = append(refTuples, sl.tuple)
 	}
-	if got, want := value.NewBatchFromEncoded(ref.schema, slab, offs), value.NewBatchFrom(ref.schema, refTuples); !reflect.DeepEqual(batchCells(got), batchCells(want)) {
+	if got, want := value.NewBatchFromRows(ref.schema, slab, offs), value.NewBatchFrom(ref.schema, refTuples); !reflect.DeepEqual(batchCells(got), batchCells(want)) {
 		fail("the transposed slab differs from the transposed reference tuples")
 	}
 	held := 0
 	for _, sl := range ref.rows {
 		if sl.tuple != nil {
-			held += len(value.AppendTuple(nil, sl.tuple))
+			held += len(value.AppendRow(nil, ref.schema, sl.tuple))
 		}
 	}
 	if want := int64(held) + int64(ref.count+len(ref.dead))*slotBytes; s.MemSize() != want || d.tracked != want {
@@ -610,6 +613,30 @@ func TestStoreMatchesReference(t *testing.T) {
 	}
 }
 
+// TestImageMatchesEncodeTuples: the checkpoint image transcoded from the
+// slab's rows is byte for byte value.EncodeTuples of the current versions
+// in slot order, the format the log and its readers know, after every step
+// of seeded schedules; with no dead version held it is sized exactly.
+func TestImageMatchesEncodeTuples(t *testing.T) {
+	for seed := int64(5); seed <= 8; seed++ {
+		d := newDifferential(t, seed)
+		for i := 0; i < 300; i++ {
+			step := d.step()
+			var cur []value.Tuple
+			for _, id := range d.current() {
+				cur = append(cur, d.ref.rows[id.Slot()].tuple)
+			}
+			img, want := d.s.Image(), value.EncodeTuples(cur)
+			if !bytes.Equal(img, want) {
+				t.Fatalf("seed %d step %d (%s): Image is %d bytes, EncodeTuples of the %d current versions %d, and they differ", seed, i, step, len(img), len(cur), len(want))
+			}
+			if len(d.ref.dead) == 0 && cap(img) != len(img) {
+				t.Fatalf("seed %d step %d (%s): Image reserved %d bytes for %d", seed, i, step, cap(img), len(img))
+			}
+		}
+	}
+}
+
 // TestSlotHoldsNoPointers: the rows and the slab are what a fragment
 // holds per version, and neither may give the collector anything to
 // scan.
@@ -669,7 +696,7 @@ func TestSlabReadersSurviveCompaction(t *testing.T) {
 	for k := range initial {
 		initial[k] = row(int64(k), 0)
 	}
-	if err := s.InsertBatch(initial); err != nil {
+	if _, err := s.InsertBatch(initial); err != nil {
 		t.Fatal(err)
 	}
 
@@ -724,18 +751,15 @@ func TestSlabReadersSurviveCompaction(t *testing.T) {
 					if off < 0 || begin[si] > ts || end[si] != 0 && end[si] <= ts {
 						continue
 					}
-					tp, _, err := value.DecodeTuple(slab[off:])
-					if err == nil {
-						k := tp[0].Int()
-						seen[k]++
-						err = check(k, tp, ts)
-					}
-					if err != nil {
+					tp := decodeRow(schema, slab[off:])
+					k := tp[0].Int()
+					seen[k]++
+					if err := check(k, tp, ts); err != nil {
 						errs <- err
 						return
 					}
 				}
-				if b := value.NewBatchFromEncoded(schema, slab, offs); b == nil || b.Rows != len(offs) {
+				if b := value.NewBatchFromRows(schema, slab, offs); b.Rows != len(offs) {
 					errs <- fmt.Errorf("the captured slab does not transpose")
 					return
 				}

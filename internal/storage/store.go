@@ -7,11 +7,15 @@
 // experiment. A fragment is rebuilt in one pass: InsertBatch type-checks
 // a batch, then inserts it under one lock, growing everything once.
 //
-// The heap holds no pointer for the collector to mark: versions live
-// encoded (value.AppendTuple) in one append-only []byte slab per store,
-// and a read returns a fresh decode. Slab bytes are never overwritten (a
-// refilled slot appends; growth and Vacuum's compaction build a new
-// array), so a slab captured under the lock is readable after it.
+// The heap holds no pointer for the collector to mark: versions live in
+// the schema-typed row encoding (value.AppendRow: a NULL bitmap, then each
+// non-NULL value by its column's kind, an INT as a varint, with no arity
+// and no kind tags) in one append-only []byte slab per store, and a read
+// returns a fresh decode. Slab bytes are never overwritten (a refilled
+// slot appends; growth and Vacuum's compaction build a new array), so a
+// slab captured under the lock is readable after it. What leaves the
+// store for the log, a checkpoint or the wire is the self-describing tuple
+// encoding (value.AppendTuple): Image transcodes to it.
 package storage
 
 import (
@@ -44,13 +48,13 @@ func (id RowID) gen() uint32 { return uint32(int64(id) >> rowIndexBits) }
 // wires it to its processing element's 16 MB budget.
 type MemChangeFunc func(delta int64)
 
-// slot holds one tuple version, encoded at slab[off : off+n], and no
-// pointer. MVCC visibility is a pair of commit timestamps: begin is the
-// commit that created the version (0 = present since load, visible to
-// every snapshot), end is the commit that deleted it (0 = still current).
-// A version is visible at snapshot ts iff begin <= ts && (end == 0 ||
-// end > ts). A slot with off < 0 is free; a slot with end != 0 is a dead
-// version kept for old snapshots until Vacuum reclaims it.
+// slot holds one tuple version, its row (value.AppendRow) at slab[off :
+// off+n], and no pointer. MVCC visibility is a pair of commit timestamps:
+// begin is the commit that created the version (0 = present since load,
+// visible to every snapshot), end is the commit that deleted it (0 =
+// still current). A version is visible at snapshot ts iff begin <= ts &&
+// (end == 0 || end > ts). A slot with off < 0 is free; a slot with end !=
+// 0 is a dead version kept for old snapshots until Vacuum reclaims it.
 type slot struct {
 	off   int // -1 = free slot
 	n     uint32
@@ -72,9 +76,10 @@ type Store struct {
 
 	mu      sync.RWMutex
 	rows    []slot
-	slab    []byte  // the versions' encodings, appended and never overwritten
+	slab    []byte  // the versions' rows, appended and never overwritten
 	held    int     // the slab bytes held versions take; the rest await compaction
 	model   int64   // Σ Tuple.Size() of the held versions
+	image   int     // the held versions' tuple-encoding bytes: what Image may need
 	free    []int   // reusable free slot indexes
 	count   int     // current versions (end == 0)
 	dead    []int32 // slots of dead versions awaiting Vacuum, in deletion order
@@ -155,34 +160,41 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 	if err := Conform(s.schema, t); err != nil {
 		return -1, err
 	}
+	size := int64(t.Size())
+	_, image := value.EncodedLens(s.schema, t)
 	s.mu.Lock()
 	id := s.insertLocked(t, ts)
+	s.model, s.image = s.model+size, s.image+image
 	s.unlock()
 	return id, nil
 }
 
 // InsertBatch adds tuples visible to every snapshot under one lock,
-// growing the rows, the slab and the indexes once. All are conformed
+// growing the rows, the slab and the indexes once, and returns Σ
+// Tuple.Size() over them, what TupleBytes grew by. All are conformed
 // before any is inserted, so a bad one leaves the store as it was.
-func (s *Store) InsertBatch(ts []value.Tuple) error {
-	size := 0
+func (s *Store) InsertBatch(ts []value.Tuple) (int64, error) {
+	var size int64
+	var rows, image int
 	for _, t := range ts {
 		if err := Conform(s.schema, t); err != nil {
-			return err
+			return 0, err
 		}
-		size += t.Size()
+		row, tuple := value.EncodedLens(s.schema, t)
+		size, rows, image = size+int64(t.Size()), rows+row, image+tuple
 	}
 	s.mu.Lock()
 	s.rows = slices.Grow(s.rows, len(ts)-min(len(ts), len(s.free)))
-	s.slab = slices.Grow(s.slab, value.EncodedBound(size, len(ts), s.schema.Len()))
+	s.slab = slices.Grow(s.slab, rows)
 	for _, idx := range s.hashIdx {
 		idx.reserve(len(ts))
 	}
 	for _, t := range ts {
 		s.insertLocked(t, 0)
 	}
+	s.model, s.image = s.model+size, s.image+image
 	s.unlock()
-	return nil
+	return size, nil
 }
 
 // unlock releases s.mu after a mutation and reports the change in held bytes
@@ -197,20 +209,23 @@ func (s *Store) unlock() {
 	}
 }
 
-// encoded returns slot si's encoding, valid after the caller's lock.
+// encoded returns slot si's row, valid after the caller's lock.
 func (s *Store) encoded(si int) []byte { sl := s.rows[si]; return s.slab[sl.off : sl.off+int(sl.n)] }
 
-// decode decodes a version, which cannot fail: the store encoded it.
-func decode(enc []byte) value.Tuple { t, _, _ := value.DecodeTuple(enc); return t }
+// decode returns a fresh decode of slot si's version.
+func (s *Store) decode(si int) value.Tuple {
+	t, _ := value.DecodeRow(nil, s.schema, s.encoded(si))
+	return t
+}
 
-// insertLocked appends a conformed tuple version to the slab, places it
-// in a free slot, or a new one, and indexes it. Caller holds s.mu.
+// insertLocked appends a conformed tuple version's row to the slab,
+// places it in a free slot, or a new one, and indexes it; the caller
+// counts it in model and image. Caller holds s.mu.
 func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
 	sl := slot{off: len(s.slab), begin: ts}
-	s.slab = value.AppendTuple(s.slab, t)
+	s.slab = value.AppendRow(s.slab, s.schema, t)
 	sl.n = uint32(len(s.slab) - sl.off)
 	s.held += int(sl.n)
-	s.model += int64(t.Size())
 	var si int
 	if n := len(s.free); n > 0 {
 		// freeSlot left the slot zeroed but for its generation.
@@ -259,14 +274,14 @@ func (s *Store) GetAt(dst value.Tuple, id RowID, ts uint64) (value.Tuple, bool) 
 	if si < 0 || !s.rows[si].visibleAt(ts) {
 		return dst, false
 	}
-	t, _, _ := value.AppendDecodedTuple(dst, s.encoded(si))
+	t, _ := value.DecodeRow(dst, s.schema, s.encoded(si))
 	return t, true
 }
 
 // EncodedAt keeps, in place, the ids of ids whose version a snapshot at ts
-// sees and appends to offs where each kept version is encoded in slab, all
-// under one lock acquisition. The slab is the store's own, to decode with
-// no lock held (value.NewBatchFromEncoded), as SnapshotSlots's is.
+// sees and appends to offs where each kept version's row starts in slab,
+// all under one lock acquisition. The slab is the store's own, to decode
+// with no lock held (value.NewBatchFromRows), as SnapshotSlots's is.
 func (s *Store) EncodedAt(ts uint64, ids []RowID, offs []int) (slab []byte, kept []RowID, _ []int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -295,12 +310,13 @@ func (s *Store) VersionTS(id RowID) (begin, end uint64, ok bool) {
 // the indexes, and compacts the slab if its bytes tip it. Caller holds
 // s.mu and has already adjusted count/dead.
 func (s *Store) freeSlot(si int) {
-	t := decode(s.encoded(si))
+	t := s.decode(si)
 	for _, idx := range s.hashIdx {
 		idx.remove(si, t)
 	}
 	s.held -= int(s.rows[si].n)
-	s.model -= int64(t.Size())
+	_, image := value.EncodedLens(s.schema, t)
+	s.model, s.image = s.model-int64(t.Size()), s.image-image
 	// A bumped generation invalidates outstanding ids for this slot.
 	s.rows[si] = slot{off: -1, gen: s.rows[si].gen + 1}
 	s.free = append(s.free, si)
@@ -394,7 +410,7 @@ func (s *Store) FindCurrent(t value.Tuple) (RowID, bool) {
 	case len(s.hashIdx) > 0:
 		si = s.hashIdx[0].lowestEqual(t) // every index finds the same slot
 	default:
-		si = slices.IndexFunc(s.rows, func(sl slot) bool { return sl.off >= 0 && sl.end == 0 && value.EqualEncoded(s.slab[sl.off:], t) })
+		si = slices.IndexFunc(s.rows, func(sl slot) bool { return sl.off >= 0 && sl.end == 0 && value.RowEqual(s.schema, s.slab[sl.off:], t) })
 	}
 	if si < 0 {
 		return -1, false
@@ -425,21 +441,22 @@ func (s *Store) ScanAt(ts uint64, fn func(RowID, value.Tuple) bool) {
 		if sl.off < 0 || !sl.visibleAt(ts) {
 			continue
 		}
-		if !fn(makeRowID(i, sl.gen), decode(s.encoded(i))) {
+		if !fn(makeRowID(i, sl.gen), s.decode(i)) {
 			return
 		}
 	}
 }
 
 // Image returns every current version as value.EncodeTuples encodes
-// them, copied from the slab: a checkpoint's image, with no tuple decoded.
+// them, transcoded from the slab's rows into an array sized once: a
+// checkpoint's image, with no tuple decoded.
 func (s *Store) Image() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	img := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.held), uint32(s.count))
+	img := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.image), uint32(s.count))
 	for i := range s.rows {
 		if s.rows[i].off >= 0 && s.rows[i].end == 0 {
-			img = append(img, s.encoded(i)...)
+			img = value.AppendRowTuple(img, s.schema, s.encoded(i))
 		}
 	}
 	return img
@@ -476,7 +493,7 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 		if sl.off < 0 {
 			continue
 		}
-		tuples = append(tuples, decode(s.encoded(i)))
+		tuples = append(tuples, s.decode(i))
 		begin = append(begin, sl.begin)
 		end = append(end, sl.end)
 	}
@@ -486,7 +503,7 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 // Clear removes everything, keeping indexes defined but empty.
 func (s *Store) Clear() {
 	s.mu.Lock()
-	s.rows, s.slab, s.held, s.model, s.free, s.count, s.dead = nil, nil, 0, 0, nil, 0, nil
+	s.rows, s.slab, s.held, s.model, s.image, s.free, s.count, s.dead = nil, nil, 0, 0, 0, nil, 0, nil
 	s.dirtyLost = true
 	s.version++
 	for _, idx := range s.hashIdx {
@@ -517,7 +534,7 @@ func (s *Store) CreateHashIndex(name string, cols []int) (*HashIndex, error) {
 	idx.clear()
 	for i := range s.rows {
 		if s.rows[i].off >= 0 {
-			idx.add(i, decode(s.encoded(i)))
+			idx.add(i, s.decode(i))
 		}
 	}
 	s.hashIdx = append(s.hashIdx, idx)

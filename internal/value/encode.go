@@ -82,116 +82,6 @@ func AppendTuple(buf []byte, t Tuple) []byte {
 	return buf
 }
 
-// fixedLen is the encoded length of a value of each kind but a string.
-var fixedLen = [...]int{KindNull: 1, KindBool: 2, KindInt: 9, KindFloat: 9}
-
-// encodedLen returns the length of the value encoded at the head of buf.
-func encodedLen(buf []byte) int {
-	if Kind(buf[0]) == KindString {
-		return 5 + int(binary.BigEndian.Uint32(buf[1:5]))
-	}
-	return fixedLen[buf[0]]
-}
-
-// FieldIs reports whether field c of the tuple encoded at the head of buf
-// is AppendValue's encoding of v: the same kind and the same bits, so -0
-// and +0 differ and NULL matches NULL.
-func FieldIs(buf []byte, c int, v Value) bool {
-	off := 2
-	for ; c > 0; c-- {
-		off += encodedLen(buf[off:])
-	}
-	switch f := buf[off:]; {
-	case Kind(f[0]) != v.kind:
-		return false
-	case v.kind == KindString:
-		return string(f[5:encodedLen(f)]) == v.str
-	case v.kind == KindBool:
-		return (f[1] != 0) == (v.num != 0)
-	}
-	return v.kind == KindNull || binary.BigEndian.Uint64(buf[off+1:off+9]) == v.num
-}
-
-// EqualEncoded reports whether the tuple encoded at the head of buf equals
-// t under EqualTuples, copying no string out of buf.
-func EqualEncoded(buf []byte, t Tuple) bool {
-	if int(binary.BigEndian.Uint16(buf)) != len(t) {
-		return false
-	}
-	off := 2
-	for _, v := range t {
-		n := encodedLen(buf[off:])
-		if f := buf[off : off+n]; Kind(f[0]) == KindString {
-			if v.kind != KindString || string(f[5:]) != v.str {
-				return false
-			}
-		} else if w, _, _ := DecodeValue(f); Compare(w, v) != 0 {
-			return false
-		}
-		off += n
-	}
-	return true
-}
-
-// NewBatchFromEncoded is NewBatchFrom over tuples kept encoded: row i is
-// the tuple encoded at buf[offs[i]:], or a hole when offs[i] < 0. Columns
-// take their schema's kinds, uninferred: every value must be NULL or fit
-// its column (Vec.Set), as storage.Conform guarantees, or it returns nil.
-// The vectors share one array of headers, and the payloads of a kind one
-// array, each column a window of it capped at its rows: a point probe's
-// one-row batch is a handful of allocations, whatever its width.
-func NewBatchFromEncoded(schema *Schema, buf []byte, offs []int) *Batch {
-	n := len(offs)
-	b := &Batch{Schema: schema, Cols: make([]*Vec, schema.Len()), Rows: n}
-	vecs := make([]Vec, len(b.Cols))
-	var fs, ss int // float and string columns; the rest hold I
-	for c := range vecs {
-		switch vecs[c].Kind = schema.Column(c).Kind; vecs[c].Kind {
-		case KindFloat:
-			fs++
-		case KindString:
-			ss++
-		}
-	}
-	is, fl, st := make([]int64, (len(vecs)-fs-ss)*n), make([]float64, fs*n), make([]string, ss*n)
-	for c := range vecs {
-		vec := &vecs[c]
-		switch vec.Kind {
-		case KindFloat:
-			vec.F, fl = fl[:n:n], fl[n:]
-		case KindString:
-			vec.S, st = st[:n:n], st[n:]
-		default:
-			vec.I, is = is[:n:n], is[n:]
-		}
-		vec.Ranged, vec.Lo, vec.Hi = vec.Kind == KindInt, math.MaxInt64, math.MinInt64
-		b.Cols[c] = vec
-	}
-	for i, off := range offs {
-		if off >= 0 && int(binary.BigEndian.Uint16(buf[off:])) != len(b.Cols) {
-			return nil
-		}
-		for c := 0; off >= 0 && c < len(b.Cols); c++ {
-			vec := b.Cols[c]
-			x, n, _ := DecodeValue(buf[off+2:])
-			if off += n; x.IsNull() && vec.Null == nil {
-				vec.Null = make([]uint64, (len(offs)+63)>>6)
-			}
-			if !vec.Set(i, x) {
-				return nil
-			} else if vec.Ranged && !x.IsNull() {
-				vec.Lo, vec.Hi = min(vec.Lo, x.Int()), max(vec.Hi, x.Int())
-			}
-		}
-	}
-	for _, vec := range b.Cols {
-		if vec.Lo > vec.Hi {
-			vec.Lo, vec.Hi = 0, 0
-		}
-	}
-	return b
-}
-
 // AppendBatchRows appends logical rows [lo, hi) of b in the tuple encoding:
 // byte for byte what AppendTuple writes for those rows of b.Materialize(),
 // without the tuples. A row that is NULL in a column's bitmap is a bare

@@ -117,11 +117,11 @@ func TestAppendBatchRowsMatchesTuples(t *testing.T) {
 	}
 }
 
-// TestNewBatchFromEncodedMatchesTuples: a batch decoded from encoded
-// tuples, with holes between them, holds what the tuples hold, and each
-// column's window of the payload array its kind shares is capped at the
-// batch's rows, so a column grown by append never writes into the next.
-func TestNewBatchFromEncodedMatchesTuples(t *testing.T) {
+// TestNewBatchFromRowsMatchesTuples: a batch decoded from rows, with holes
+// between them, holds what the tuples hold, and each column's window of
+// the payload array its kind shares is capped at the batch's rows, so a
+// column grown by append never writes into the next.
+func TestNewBatchFromRowsMatchesTuples(t *testing.T) {
 	batches := make([]*Batch, 0, 300+len(edgeRows))
 	for seed := int64(0); seed < 300; seed++ {
 		batches = append(batches, seededBatch(seed))
@@ -139,13 +139,10 @@ func TestNewBatchFromEncodedMatchesTuples(t *testing.T) {
 			}
 			sel = append(sel, int32(len(offs)))
 			offs = append(offs, len(slab))
-			slab = AppendTuple(slab, tup)
+			slab = AppendRow(slab, b.Schema, tup)
 			want = AppendTuple(want, tup)
 		}
-		got := NewBatchFromEncoded(b.Schema, slab, offs)
-		if got == nil {
-			t.Fatalf("seed %d: the tuples do not fit %s", seed, b.Schema)
-		}
+		got := NewBatchFromRows(b.Schema, slab, offs)
 		checkNullWords(t, got)
 		got.Sel = sel
 		if enc := AppendBatchRows(nil, got, 0, got.Len()); !bytes.Equal(enc, want) {
