@@ -46,10 +46,6 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			return err
 		}
 		frag := i
-		var decide wal.Decider
-		if e.decisions != nil {
-			decide = e.decisions.Decision
-		}
 		o, err := ofm.New(ofm.Config{
 			Name:    fragName,
 			Schema:  schema,
@@ -57,7 +53,7 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			Machine: e.m,
 			Kind:    ofm.Persistent,
 			Log:     log,
-			Decide:  decide,
+			Decide:  e.decisions.Decision,
 			Horizon: e.txns.Horizon,
 			StatsFn: func(rd int, bd int64) {
 				def.AddStats(frag, rd, bd)

@@ -89,7 +89,8 @@ type Engine struct {
 
 	// decisions is the 2PC coordinator's durable decision log, living on
 	// the first disk PE's stable store. Fragment recovery consults it to
-	// resolve in-doubt transactions (nil only on diskless test machines).
+	// resolve in-doubt transactions. It is nil only on a machine with no
+	// disk PE, where no table can be created (logFor refuses one).
 	decisions *wal.DecisionLog
 
 	nextPE atomic.Int64 // round-robin session coordinator

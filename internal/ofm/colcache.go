@@ -24,14 +24,15 @@ import (
 // a selection vector makes one (ScanBatch is the scan with it made).
 //
 // The cache is built once, by transposing the store (its slab decoded
-// straight into vectors), and from then on follows it. The store logs the
-// slots its mutators touch (storage/dirty.go); the first batch scan after
-// a committed write drains that log and folds the logged slots' current
-// tuples and stamps into the vectors — work proportional to the rows
-// changed, not to the fragment.
-// A version inserted into a reused slot overwrites the cached row in
-// place, one appended to the store appends to the vectors. Only a lost
-// log (overflow, Clear, the non-MVCC Delete/Update) transposes again.
+// straight into vectors, value.NewBatchFromRows), and from then on follows
+// it. The store logs the slots its mutators touch (storage/dirty.go); the
+// first batch scan after a committed write drains that log — each logged
+// slot's current stamps and the offset of its row in the slab — transposes
+// the rows it names with the same decoder, and copies them and the stamps
+// into the cache rows: work proportional to the rows changed, not to the
+// fragment. A version inserted into a reused slot overwrites the cached
+// row in place, one appended to the store appends to the vectors. Only a
+// lost log (overflow, or Clear) transposes the whole store again.
 //
 // Beside an INT column that a cached filter compares with a constant
 // (VecFilter.SliceCols) the cache keeps a bit-sliced sidecar
@@ -101,8 +102,9 @@ type colCache struct {
 	// cached filter compares with a constant (nil: none); wide marks the
 	// columns whose range proved too wide for one, not looked at again
 	// until the next full build. Both are nil until a filter asks.
-	slices []*value.BitSlices
-	wide   []bool
+	slices   []*value.BitSlices
+	wide     []bool
+	offs, at []int // fold's buffers: the slab offsets of the rows a drain carries, their cache rows
 }
 
 // CacheStats counts what the column cache has done.
@@ -177,23 +179,16 @@ func (o *OFM) syncCache() int64 {
 		if cc.version == o.store.Version() {
 			return 0 // a concurrent scan got here first
 		}
-		dirty, slots, version, ok := o.store.DrainDirty(o.ccDirty[:0])
-		var built int64
+		slab, dirty, slots, version, ok := o.store.DrainDirty(o.ccDirty[:0])
+		o.ccDirty = dirty
 		if ok {
 			charged := cc.bytes
-			if built, ok = cc.fold(dirty, slots); ok {
-				cc.version = version
-				o.chargeMem(cc.bytes - charged)
-				o.cfg.PE.Advance(cost.BuildCost(len(dirty)))
-				o.ccStats.CatchUps++
-				o.ccStats.RowsFolded += uint64(len(dirty))
-			} else {
-				cc.bytes = charged // what the rebuild below must release
-			}
-		}
-		clear(dirty) // drop the tuple references, keep the buffer
-		o.ccDirty = dirty[:0]
-		if ok {
+			built := cc.fold(o.cfg.Schema, slab, dirty, slots)
+			cc.version = version
+			o.chargeMem(cc.bytes - charged)
+			o.cfg.PE.Advance(cost.BuildCost(len(dirty)))
+			o.ccStats.CatchUps++
+			o.ccStats.RowsFolded += uint64(len(dirty))
 			return built
 		}
 	}
@@ -260,17 +255,43 @@ func vecBytes(v *value.Vec) int64 {
 }
 
 // fold applies drained log entries to the cache, extending it to slots
-// rows first, and returns the bytes written. ok is false when a tuple
-// does not fit the cached vectors' kinds: the cache is then half patched
-// and the caller must rebuild it.
-func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok bool) {
-	flip := cc.extend(slots, dirty)
+// rows first, and returns the bytes written. The entries that carry a row
+// — not freed, not stamps-only — are transposed from slab together, by
+// the full build's decoder, and each column's payloads and NULL bits are
+// copied into their cache rows.
+func (cc *colCache) fold(schema *value.Schema, slab []byte, dirty []storage.DirtySlot, slots int) (built int64) {
+	cc.offs, cc.at = cc.offs[:0], cc.at[:0]
+	for _, d := range dirty {
+		if d.Off >= 0 && !d.StampsOnly {
+			cc.offs, cc.at = append(cc.offs, d.Off), append(cc.at, d.Slot)
+		}
+	}
+	rows := value.NewBatchFromRows(schema, slab, cc.offs)
+	flip := cc.extend(slots, dirty, rows)
+	for c, vec := range cc.cols {
+		src := rows.Cols[c]
+		for k, row := range cc.at {
+			switch built += 8; vec.Kind {
+			case value.KindString:
+				cc.bytes += int64(len(src.S[k]) - len(vec.S[row]))
+				built += 8 + int64(len(src.S[k]))
+				vec.S[row] = src.S[k]
+			case value.KindFloat:
+				vec.F[row] = src.F[k]
+			default:
+				vec.I[row] = src.I[k]
+			}
+			if vec.IsNull(row) != src.IsNull(k) {
+				vec.Null[row>>6] ^= 1 << (row & 63)
+			}
+		}
+	}
 	for i := range dirty {
 		d := &dirty[i]
 		row := d.Slot
 		cc.setCurrent(row, false)
 		built += stampBytes
-		if d.Tuple == nil {
+		if d.Off < 0 {
 			// Freed: drop the strings it pinned and its NULL bits (extend
 			// copied those bitmaps); numbers may stay, nobody can select the
 			// row.
@@ -286,33 +307,18 @@ func (cc *colCache) fold(dirty []storage.DirtySlot, slots int) (built int64, ok 
 			}
 			continue
 		}
-		if !d.StampsOnly {
-			for c, vec := range cc.cols {
-				if vec.Kind == value.KindString {
-					cc.bytes -= int64(len(vec.S[row]))
-				}
-				if !vec.Set(row, d.Tuple[c]) {
-					return 0, false
-				}
-				built += 8
-				if vec.Kind == value.KindString {
-					built += 8 + int64(len(vec.S[row]))
-					cc.bytes += int64(len(vec.S[row]))
-				}
-			}
-		}
 		cc.begin[row], cc.end[row] = d.Begin, d.End
 		cc.setCurrent(row, d.End == 0)
 		cc.maxStamp = max(cc.maxStamp, d.Begin, d.End)
 	}
 	// A copied bitmap left with no bit set goes, so NULL-free paths apply.
-	for c := range flip {
-		if vec := cc.cols[c]; !slices.ContainsFunc(vec.Null, func(w uint64) bool { return w != 0 }) {
+	for c, copied := range flip {
+		if vec := cc.cols[c]; copied && !slices.ContainsFunc(vec.Null, func(w uint64) bool { return w != 0 }) {
 			cc.bytes -= 8 * int64(len(vec.Null))
 			vec.Null = nil
 		}
 	}
-	return built + cc.refreshSlices(dirty), true
+	return built + cc.refreshSlices()
 }
 
 // unsliced reports whether a column of cols has no sidecar yet and has not
@@ -367,21 +373,17 @@ func (cc *colCache) seen(m []uint64) {
 	}
 }
 
-// refreshSlices brings the sidecars level with the rows dirty wrote: it
-// sets their bits, and at the first value out of range slices the column
-// afresh from its vector, which holds every new value — wider, or from a
-// lower base — or, past MaxSliceWidth bits, drops the sidecar and releases
-// its bytes. It returns the bytes written.
-func (cc *colCache) refreshSlices(dirty []storage.DirtySlot) (built int64) {
+// refreshSlices brings the sidecars level with the rows fold wrote (cc.at):
+// it sets their bits, and at the first value out of range slices the
+// column afresh from its vector, which holds every new value — wider, or
+// from a lower base — or, past MaxSliceWidth bits, drops the sidecar and
+// releases its bytes. It returns the bytes written.
+func (cc *colCache) refreshSlices() (built int64) {
 	for c, s := range cc.slices {
-		for i := 0; s != nil && i < len(dirty); i++ {
-			d := &dirty[i]
-			if d.Tuple == nil || d.StampsOnly {
-				continue
-			}
-			x := s.Base // a NULL's bits are zero
-			if v := d.Tuple[c]; !v.IsNull() {
-				x = v.Int()
+		for i := 0; s != nil && i < len(cc.at); i++ {
+			x, row := s.Base, cc.at[i] // a NULL's bits are zero
+			if vec := cc.cols[c]; !vec.IsNull(row) {
+				x = vec.I[row]
 			}
 			if !s.Covers(x) {
 				cc.bytes -= s.Bytes()
@@ -389,7 +391,7 @@ func (cc *colCache) refreshSlices(dirty []storage.DirtySlot) (built int64) {
 				built += cc.slice([]int{c})
 				break
 			}
-			s.Set(d.Slot, x)
+			s.Set(row, x)
 			built += int64(s.Width()+7) / 8
 		}
 	}
@@ -411,44 +413,43 @@ func (cc *colCache) setCurrent(row int, current bool) {
 // bitmap change — the rows the entries write are rows no such scan
 // selects, but a bitmap word holds 64 rows — so the old range and bitmap
 // still hold for what they read. The new rows start out free; the entries
-// that made the store grow fill them in. It returns the columns whose
-// bitmap it copied.
-func (cc *colCache) extend(slots int, dirty []storage.DirtySlot) map[int]bool {
-	flip := map[int]bool{} // the columns with a NULL bit to flip
-	var lo, hi []int64     // per column, the widened range, allocated on the first hit
-	for i := range dirty {
-		if dirty[i].StampsOnly {
-			continue
-		}
-		row, tuple := dirty[i].Slot, dirty[i].Tuple
-		for c, vec := range cc.cols {
-			v := value.Null
-			if tuple != nil {
-				v = tuple[c]
+// that made the store grow fill them in; row k of rows is bound for cache
+// row cc.at[k]. It returns, per column, whether it copied its bitmap.
+func (cc *colCache) extend(slots int, dirty []storage.DirtySlot, rows *value.Batch) []bool {
+	flip := make([]bool, len(cc.cols)) // per column, a NULL bit to flip
+	var lo, hi []int64                 // per column, the widened range, allocated on the first hit
+	for c, vec := range cc.cols {
+		src := rows.Cols[c]
+		for k, row := range cc.at {
+			null := src.IsNull(k)
+			flip[c] = flip[c] || null != (row < cc.rows && vec.IsNull(row))
+			// Value by value: the transposition's own range reads [0, 0]
+			// over a column that got only NULLs.
+			if !vec.Ranged || null || src.I[k] >= vec.Lo && src.I[k] <= vec.Hi {
+				continue
 			}
-			// A freed row's NULL bits go.
-			if (tuple != nil && v.IsNull()) != (row < cc.rows && vec.IsNull(row)) {
-				flip[c] = true
-			}
-			if !v.IsNull() && vec.Ranged && (v.Int() < vec.Lo || v.Int() > vec.Hi) {
-				if lo == nil {
-					lo, hi = make([]int64, len(cc.cols)), make([]int64, len(cc.cols))
-					for c, vec := range cc.cols {
-						lo[c], hi[c] = vec.Lo, vec.Hi
-					}
+			if lo == nil {
+				lo, hi = make([]int64, len(cc.cols)), make([]int64, len(cc.cols))
+				for c, vec := range cc.cols {
+					lo[c], hi[c] = vec.Lo, vec.Hi
 				}
-				lo[c], hi[c] = min(lo[c], v.Int()), max(hi[c], v.Int())
 			}
+			lo[c], hi[c] = min(lo[c], src.I[k]), max(hi[c], src.I[k])
+		}
+		// A freed row's NULL bits go.
+		for _, d := range dirty {
+			flip[c] = flip[c] || d.Off < 0 && d.Slot < cc.rows && vec.IsNull(d.Slot)
 		}
 	}
-	if slots <= cc.rows && len(flip) == 0 && lo == nil {
-		return nil
+	if slots <= cc.rows && !slices.Contains(flip, true) && lo == nil {
+		return flip
 	}
 	slots = max(slots, cc.rows)
 	added := int64(slots - cc.rows)
-	cols := make([]*value.Vec, len(cc.cols))
+	cols, vecs := make([]*value.Vec, len(cc.cols)), make([]value.Vec, len(cc.cols))
 	for c, old := range cc.cols {
-		vec := &value.Vec{Kind: old.Kind, Lo: old.Lo, Hi: old.Hi, Ranged: old.Ranged}
+		vec := &vecs[c]
+		vec.Kind, vec.Lo, vec.Hi, vec.Ranged = old.Kind, old.Lo, old.Hi, old.Ranged
 		if lo != nil {
 			vec.Lo, vec.Hi = lo[c], hi[c]
 		}

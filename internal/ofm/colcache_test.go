@@ -291,6 +291,55 @@ func TestColumnCacheDropsEmptiedNullBitmap(t *testing.T) {
 	}
 }
 
+// TestColumnCacheRangeWidensOnlyByValues: a catch-up widens an INT
+// column's range by the values it writes and by nothing else — not by a
+// NULL written over a value, nor by a freed row, though the transposition
+// it copies from reads [0, 0] over a column it saw no value in.
+func TestColumnCacheRangeWidensOnlyByValues(t *testing.T) {
+	var horizon atomic.Uint64
+	horizon.Store(1)
+	o, mgr := newMVCCOFM(t, &horizon)
+	tuples := make([]value.Tuple, 100)
+	for i := range tuples {
+		tuples[i] = emp(int64(i), "eng", int64(i+1))
+	}
+	if err := o.Load(tuples); err != nil {
+		t.Fatal(err)
+	}
+	salaryRange := func(when string, lo, hi int64) {
+		t.Helper()
+		scanBatchLen(t, o, Latest)
+		if gotLo, gotHi, ok := o.cc.cols[2].Range(); !ok || gotLo != lo || gotHi != hi {
+			t.Errorf("%s: salary range [%d, %d] (%v), want [%d, %d]", when, gotLo, gotHi, ok, lo, hi)
+		}
+	}
+	salaryRange("after the build", 1, 100)
+
+	tx := mgr.Begin()
+	if n, err := o.UpdateTx(tx.ID(), idIs(7), map[int]expr.Expr{2: expr.NewConst(value.Null)}, Latest); err != nil || n != 1 {
+		t.Fatalf("update to NULL = %d, %v", n, err)
+	}
+	if n, err := o.DeleteTx(tx.ID(), idIs(8), Latest); err != nil || n != 1 {
+		t.Fatalf("delete = %d, %v", n, err)
+	}
+	commitAt(t, o, tx, 5)
+	horizon.Store(10)
+	if freed := o.Vacuum(); freed != 2 {
+		t.Fatalf("vacuum freed %d, want 2", freed)
+	}
+	salaryRange("after a NULL and a freed row", 1, 100)
+
+	tx = mgr.Begin()
+	if n, err := o.UpdateTx(tx.ID(), idIs(9), map[int]expr.Expr{2: expr.NewConst(value.NewInt(500))}, Latest); err != nil || n != 1 {
+		t.Fatalf("update to 500 = %d, %v", n, err)
+	}
+	commitAt(t, o, tx, 15)
+	salaryRange("after writing 500", 1, 500)
+	if st := o.CacheStats(); st.FullBuilds != 1 || st.CatchUps != 2 {
+		t.Errorf("cache %+v: want one build and two catch-ups", st)
+	}
+}
+
 // TestScanBatchNeverDeclines: the batch scan answers every view and
 // predicate — on an OFM configured Compiled=false, for a transaction with
 // pending writes here, for an equality the hash index answers — and the

@@ -15,9 +15,10 @@ import (
 	"repro/internal/wal"
 )
 
-// dmlSchema extends testSchema with a FLOAT column that holds NaNs.
+// dmlSchema extends testSchema with a FLOAT column that holds NaNs and a
+// BOOL column.
 func dmlSchema() *value.Schema {
-	return value.MustSchema("id", "INT", "dept", "VARCHAR", "salary", "INT", "score", "FLOAT")
+	return value.MustSchema("id", "INT", "dept", "VARCHAR", "salary", "INT", "score", "FLOAT", "active", "BOOL")
 }
 
 // dmlRow makes row id of the DML differential: NULLs in every non-key
@@ -38,7 +39,11 @@ func dmlRow(id int64) value.Tuple {
 	case id%9 == 0:
 		score = value.Null
 	}
-	return value.NewTuple(value.NewInt(id), dept, salary, score)
+	active := value.NewBool(id%2 == 1)
+	if id%8 == 0 {
+		active = value.Null
+	}
+	return value.NewTuple(value.NewInt(id), dept, salary, score, active)
 }
 
 // newDMLOFM builds a persistent OFM over dmlSchema with a pk hash index
@@ -71,9 +76,9 @@ func newDMLOFM(t *testing.T) (*OFM, *wal.Log, *txn.Manager) {
 	return o, log, txn.NewManager()
 }
 
-// dmlPreds is scanPreds plus NULL, NaN, IN, LIKE, OR and NOT predicates,
-// an INT key compared with a FLOAT (a scan, not a probe) and a probe with
-// a residual over the FLOAT column.
+// dmlPreds is scanPreds plus NULL, NaN, BOOL, IN, LIKE, OR and NOT
+// predicates, an INT key compared with a FLOAT (a scan, not a probe) and a
+// probe with a residual over the FLOAT column.
 func dmlPreds() []expr.Expr {
 	col := expr.NewCol
 	num := func(n int64) expr.Expr { return expr.NewConst(value.NewInt(n)) }
@@ -91,6 +96,9 @@ func dmlPreds() []expr.Expr {
 		expr.NewNot(expr.NewCmp(expr.EQ, col("dept"), expr.NewConst(value.NewString("ops")))),
 		expr.NewCmp(expr.EQ, col("id"), flt(7)),
 		expr.NewAnd(idIs(64), expr.NewCmp(expr.GT, col("score"), flt(1))),
+		expr.NewIsNull(col("active"), false),
+		expr.NewCmp(expr.EQ, col("active"), expr.NewConst(value.NewBool(true))),
+		expr.NewNot(col("active")),
 	)
 }
 
@@ -170,7 +178,9 @@ func TestDMLMatchesReference(t *testing.T) {
 	if _, err := o.UpdateTx(churn.ID(), idIs(3), map[int]expr.Expr{2: expr.NewConst(value.NewInt(5))}, Latest); err != nil {
 		t.Fatal(err)
 	}
-	if err := o.InsertTx(churn.ID(), dmlRow(64), dmlRow(200)); err != nil {
+	// The catch-up folds these into the cache: together they write a NULL
+	// into every nullable column and a NaN into score.
+	if err := o.InsertTx(churn.ID(), dmlRow(63), dmlRow(64), dmlRow(200)); err != nil {
 		t.Fatal(err)
 	}
 	commitAt(t, o, churn, 10)
@@ -283,6 +293,9 @@ func TestDMLMatchesReference(t *testing.T) {
 	}
 	if conflicts == 0 {
 		t.Error("no case matched a superseded version")
+	}
+	if st := o.CacheStats(); st.FullBuilds != 1 || st.CatchUps == 0 {
+		t.Errorf("cache %+v: the churn must reach it by a catch-up", st)
 	}
 }
 

@@ -122,7 +122,7 @@ type OFM struct {
 	// shared, the catch-up after a write patches it exclusively.
 	ccMu    sync.RWMutex
 	cc      *colCache
-	ccDirty []storage.DirtySlot // reused drain buffer
+	ccDirty []storage.DirtySlot // reused drain buffer: logged slots, each with its row's slab offset and stamps
 	ccStats CacheStats
 }
 

@@ -1,19 +1,18 @@
 package storage
 
-import "repro/internal/value"
-
 // The dirty-slot log lets a structure derived from the store — the OFM's
 // slot-addressed column cache — follow it in O(slots changed) instead of
 // re-reading every slot after a write. SnapshotSlots hands the consumer
 // the store slot by slot and arms the log; from then on InsertVersion,
 // DeleteVersion and Vacuum record the slot they touch, and DrainDirty
-// returns the current state of exactly those slots. The log is bounded:
+// names exactly those slots, each with the offset of its row in the slab
+// and its stamps as they are now. The log is bounded:
 // when it overflows, or when Clear empties the store (a mutation a patch
 // cannot express), it is marked lost and the consumer must take a fresh
 // SnapshotSlots. No mutator frees a version that is still current: a
 // delete only ends it, and Vacuum frees it once no snapshot sees it.
 //
-// A log entry is a slot index when the slot's tuple changed (a version
+// A log entry is a slot index when the slot's row changed (a version
 // inserted into it, or the slot freed) and the index's complement when
 // only its stamps did (DeleteVersion). The difference matters to a
 // consumer whose readers hold no lock: a dead version stays visible to
@@ -32,9 +31,9 @@ const DirtyLogBytes = dirtyLogCap * 4
 // DirtySlot is the current state of one slot named by the log.
 type DirtySlot struct {
 	Slot       int
-	Tuple      value.Tuple // a fresh decode; nil = the slot is free
+	Off        int // the slot's row at slab[Off:]; -1 = the slot is free
 	Begin, End uint64
-	// StampsOnly: the tuple is the one the consumer already has; only
+	// StampsOnly: the row is the one the consumer already has; only
 	// Begin/End moved.
 	StampsOnly bool
 }
@@ -78,24 +77,19 @@ func (s *Store) SnapshotSlots(track bool) (slab []byte, offs []int, begin, end [
 	return s.slab, offs, begin, end, s.version
 }
 
-// Untrack releases the dirty-slot log: the consumer gave its cache up.
-func (s *Store) Untrack() {
-	s.mu.Lock()
-	s.tracking, s.dirty = false, nil
-	s.mu.Unlock()
-}
-
 // DrainDirty appends to buf the current state of every slot logged since
 // the log was armed or last drained, in log order (a slot mutated twice
 // appears twice, both times in its current state), empties the log, and
-// returns the slot count and mutation counter the entries are current
-// at. ok is false when the log is not armed or was lost: nothing is
-// drained and the caller must resynchronise through SnapshotSlots.
-func (s *Store) DrainDirty(buf []DirtySlot) (out []DirtySlot, slots int, version uint64, ok bool) {
+// returns the store's slab the entries' offsets point into — like
+// SnapshotSlots, to decode with no lock held — and the slot count and
+// mutation counter the entries are current at. ok is false when the log
+// is not armed or was lost: nothing is drained and the caller must
+// resynchronise through SnapshotSlots.
+func (s *Store) DrainDirty(buf []DirtySlot) (slab []byte, out []DirtySlot, slots int, version uint64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.tracking || s.dirtyLost {
-		return buf, 0, 0, false
+		return nil, buf, 0, 0, false
 	}
 	for _, e := range s.dirty {
 		d := DirtySlot{Slot: int(e)}
@@ -103,11 +97,9 @@ func (s *Store) DrainDirty(buf []DirtySlot) (out []DirtySlot, slots int, version
 			d.Slot, d.StampsOnly = int(^e), true
 		}
 		sl := &s.rows[d.Slot]
-		if d.Begin, d.End = sl.begin, sl.end; sl.off >= 0 {
-			d.Tuple = s.decode(d.Slot)
-		}
+		d.Off, d.Begin, d.End = sl.off, sl.begin, sl.end
 		buf = append(buf, d)
 	}
 	s.dirty = s.dirty[:0]
-	return buf, len(s.rows), s.version, true
+	return s.slab, buf, len(s.rows), s.version, true
 }

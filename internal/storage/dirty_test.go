@@ -2,6 +2,8 @@ package storage
 
 import (
 	"testing"
+
+	"repro/internal/value"
 )
 
 func loadEmps(t *testing.T, s *Store, n int) []RowID {
@@ -64,42 +66,50 @@ func TestVacuumWalksDeadList(t *testing.T) {
 	}
 }
 
-func drain(t *testing.T, s *Store) []DirtySlot {
+// drain empties the log of s and returns its entries, each with the row
+// its offset points at decoded (nil: the slot is free).
+func drain(t *testing.T, s *Store) ([]DirtySlot, []value.Tuple) {
 	t.Helper()
-	out, _, _, ok := s.DrainDirty(nil)
+	slab, out, _, _, ok := s.DrainDirty(nil)
 	if !ok {
 		t.Fatal("DrainDirty: log not armed or lost")
 	}
-	return out
+	rows := make([]value.Tuple, len(out))
+	for i, d := range out {
+		if d.Off >= 0 {
+			rows[i] = decodeRow(s.schema, slab[d.Off:])
+		}
+	}
+	return out, rows
 }
 
 // TestDirtyLogFollowsMutations: once SnapshotSlots arms the log, a drain
 // names exactly the slots mutated since, each in its current state, and
-// says whether the tuple or only the stamps moved.
+// says whether the row or only the stamps moved.
 func TestDirtyLogFollowsMutations(t *testing.T) {
 	s := NewStore(empSchema())
 	ids := loadEmps(t, s, 4)
-	if _, _, _, ok := s.DrainDirty(nil); ok {
+	if _, _, _, _, ok := s.DrainDirty(nil); ok {
 		t.Fatal("drain succeeded on a log nobody armed")
 	}
 	_, offs, begin, end, ver := s.SnapshotSlots(true)
 	if len(offs) != 4 || len(begin) != 4 || len(end) != 4 || ver != s.Version() {
 		t.Fatalf("SnapshotSlots = %d/%d/%d slots at version %d", len(offs), len(begin), len(end), ver)
 	}
-	if got := drain(t, s); len(got) != 0 {
+	if got, _ := drain(t, s); len(got) != 0 {
 		t.Fatalf("fresh log drained %d entries", len(got))
 	}
 
 	s.DeleteVersion(ids[1], 5)
 	appended, _ := s.InsertVersion(emp(9, "n", 1), 5)
-	got, slots, ver, ok := s.DrainDirty(nil)
+	slab, got, slots, ver, ok := s.DrainDirty(nil)
 	if !ok || slots != 5 || ver != s.Version() || len(got) != 2 {
 		t.Fatalf("drain = %v, slots %d, version %d, ok %v", got, slots, ver, ok)
 	}
-	if d := got[0]; d.Slot != 1 || !d.StampsOnly || d.Tuple == nil || d.Begin != 0 || d.End != 5 {
+	if d := got[0]; d.Slot != 1 || !d.StampsOnly || d.Off < 0 || !sameTuple(decodeRow(s.schema, slab[d.Off:]), emp(1, "e", 1)) || d.Begin != 0 || d.End != 5 {
 		t.Errorf("delete entry = %+v", d)
 	}
-	if d := got[1]; d.Slot != appended.Slot() || d.StampsOnly || d.Tuple == nil || d.Begin != 5 || d.End != 0 {
+	if d := got[1]; d.Slot != appended.Slot() || d.StampsOnly || d.Off < 0 || !sameTuple(decodeRow(s.schema, slab[d.Off:]), emp(9, "n", 1)) || d.Begin != 5 || d.End != 0 {
 		t.Errorf("insert entry = %+v", d)
 	}
 
@@ -110,14 +120,15 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 	if reused.Slot() != 1 {
 		t.Fatalf("insert reused slot %d, want 1", reused.Slot())
 	}
-	got = drain(t, s)
-	if len(got) != 2 || got[0].Slot != 1 || got[1].Slot != 1 || got[0].StampsOnly || got[0].Begin != 7 || got[1].Tuple == nil {
-		t.Errorf("vacuum+reuse entries = %+v", got)
+	got, rows := drain(t, s)
+	if len(got) != 2 || got[0].Slot != 1 || got[1].Slot != 1 || got[0].StampsOnly || got[0].Begin != 7 ||
+		got[0].Off != got[1].Off || !sameTuple(rows[1], emp(10, "r", 2)) {
+		t.Errorf("vacuum+reuse entries = %+v holding %v", got, rows)
 	}
 	s.DeleteVersion(reused, 8)
 	s.Vacuum(8)
-	if got = drain(t, s); len(got) != 2 || got[1].Tuple != nil {
-		t.Errorf("a freed slot must drain with a nil tuple: %+v", got)
+	if got, rows = drain(t, s); len(got) != 2 || got[1].Off >= 0 || rows[1] != nil {
+		t.Errorf("a freed slot must drain with no row: %+v", got)
 	}
 
 	// A later snapshot leaves holes where slots are free.
@@ -128,11 +139,10 @@ func TestDirtyLogFollowsMutations(t *testing.T) {
 }
 
 // TestDirtyLogLost: overflow and Clear, the mutation a patch cannot
-// express, mark the log lost until the next SnapshotSlots; Untrack
-// switches it off.
+// express, mark the log lost until the next SnapshotSlots.
 func TestDirtyLogLost(t *testing.T) {
 	lost := func(s *Store) bool {
-		_, _, _, ok := s.DrainDirty(nil)
+		_, _, _, _, ok := s.DrainDirty(nil)
 		return !ok
 	}
 	s := NewStore(empSchema())
@@ -157,11 +167,5 @@ func TestDirtyLogLost(t *testing.T) {
 	s.Clear()
 	if !lost(s) {
 		t.Error("Clear did not lose the log")
-	}
-	s.SnapshotSlots(true)
-	s.Untrack()
-	s.InsertVersion(emp(1, "x", 0), 1)
-	if !lost(s) {
-		t.Error("drain succeeded after Untrack")
 	}
 }

@@ -132,22 +132,25 @@ func (r *refStore) snapshotSlots(track bool) {
 	}
 }
 
-func (r *refStore) drain() ([]DirtySlot, int, uint64, bool) {
+// drain is DrainDirty's answer, each entry's row as a tuple (nil: the
+// slot is free) in place of its offset in the slab.
+func (r *refStore) drain() ([]DirtySlot, []value.Tuple, int, uint64, bool) {
 	if !r.tracking || r.lost {
-		return nil, 0, 0, false
+		return nil, nil, 0, 0, false
 	}
 	var out []DirtySlot
+	var tuples []value.Tuple
 	for _, e := range r.dirty {
 		d := DirtySlot{Slot: int(e)}
 		if e < 0 {
 			d.Slot, d.StampsOnly = int(^e), true
 		}
 		sl := r.rows[d.Slot]
-		d.Tuple, d.Begin, d.End = sl.tuple, sl.begin, sl.end
-		out = append(out, d)
+		d.Begin, d.End = sl.begin, sl.end
+		out, tuples = append(out, d), append(tuples, sl.tuple)
 	}
 	r.dirty = r.dirty[:0]
-	return out, len(r.rows), r.version, true
+	return out, tuples, len(r.rows), r.version, true
 }
 
 // keyed is what an index on cols answers, by a walk: the held versions
@@ -500,15 +503,19 @@ func (d *differential) check(step string) {
 		fail("MemSize %d, reported %d; the held versions and slots take %d", s.MemSize(), d.tracked, want)
 	}
 
-	got, slots, version, ok := s.DrainDirty(nil)
-	want, wantSlots, wantVersion, wantOK := ref.drain()
+	slab, got, slots, version, ok := s.DrainDirty(nil)
+	want, wantTuples, wantSlots, wantVersion, wantOK := ref.drain()
 	if ok != wantOK || ok && (slots != wantSlots || version != wantVersion || len(got) != len(want)) {
 		fail("DrainDirty = %d entries, %d slots at %d, %v; reference %d, %d at %d, %v", len(got), slots, version, ok, len(want), wantSlots, wantVersion, wantOK)
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Slot != w.Slot || g.StampsOnly != w.StampsOnly || g.Begin != w.Begin || g.End != w.End || !sameTuple(g.Tuple, w.Tuple) {
-			fail("DrainDirty entry %d = %+v, reference %+v", i, g, w)
+		var row value.Tuple
+		if g.Off >= 0 {
+			row = decodeRow(ref.schema, slab[g.Off:])
+		}
+		if g.Slot != w.Slot || g.StampsOnly != w.StampsOnly || g.Begin != w.Begin || g.End != w.End || !sameTuple(row, wantTuples[i]) {
+			fail("DrainDirty entry %d = %+v holding %v, reference %+v holding %v", i, g, row, w, wantTuples[i])
 		}
 	}
 

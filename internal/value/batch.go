@@ -590,52 +590,6 @@ func (b *Batch) Size() int {
 	return total
 }
 
-// Set stores x at physical row i, in place, widening an int into a float
-// column. It reports false, leaving the row as it was, when x does not
-// fit the vector: a kind the column does not hold, or a NULL when the
-// vector carries no null bitmap. It writes a NULL word only when the row's
-// bit changes: the column cache's catch-up relies on that (ofm.extend).
-func (v *Vec) Set(i int, x Value) bool {
-	null := x.IsNull()
-	switch {
-	case null:
-		if v.Null == nil {
-			return false
-		}
-	case v.Kind == KindBool:
-		if x.Kind() != KindBool {
-			return false
-		}
-		v.I[i] = 0
-		if x.Bool() {
-			v.I[i] = 1
-		}
-	case v.Kind == KindInt:
-		if x.Kind() != KindInt {
-			return false
-		}
-		v.I[i] = x.Int()
-	case v.Kind == KindFloat:
-		if k := x.Kind(); k != KindFloat && k != KindInt {
-			return false
-		}
-		v.F[i] = x.Float()
-	case v.Kind == KindString:
-		if x.Kind() != KindString {
-			return false
-		}
-		v.S[i] = x.Str()
-	default:
-		// All-NULL column with no declared kind: a non-NULL value
-		// contradicts the inference.
-		return false
-	}
-	if v.IsNull(i) != null {
-		v.Null[i>>6] ^= 1 << (i & 63)
-	}
-	return true
-}
-
 // NewBatchFrom builds a columnar batch from row-oriented tuples. Every
 // column must be uniform: each value NULL or of one consistent kind
 // (the storage layer's Conform guarantees this for stored relations).
@@ -676,8 +630,6 @@ func NewBatchFrom(schema *Schema, tuples []Tuple) *Batch {
 				vec.Null[i>>6] |= 1 << (i & 63)
 				continue
 			}
-			// Vec.Set's kind switch, spelled out: a call per value costs
-			// the transposition a third of its throughput.
 			switch kind {
 			case KindBool:
 				if v.Kind() != KindBool {

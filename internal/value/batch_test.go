@@ -215,10 +215,10 @@ func TestSelPool(t *testing.T) {
 	PutSel(nil)                              // zero-cap: dropped
 }
 
-// TestNewBatchFromHolesAndSet: a nil tuple is a hole (zero payloads, the
-// caller's business to keep unselected), and Vec.Set patches one row in
-// place with the same kind rules the bulk transposition applies.
-func TestNewBatchFromHolesAndSet(t *testing.T) {
+// TestNewBatchFromHoles: a nil tuple is a hole (zero payloads, the
+// caller's business to keep unselected), and an int widens into a float
+// column.
+func TestNewBatchFromHoles(t *testing.T) {
 	schema := MustSchema("id", "INT", "name", "VARCHAR", "score", "FLOAT")
 	b := NewBatchFrom(schema, []Tuple{
 		NewTuple(NewInt(1), NewString("a"), NewFloat(1.5)),
@@ -233,26 +233,6 @@ func TestNewBatchFromHolesAndSet(t *testing.T) {
 	}
 	if got := b.Cols[2].Value(2); got.Float() != 4 {
 		t.Errorf("widened float = %v", got)
-	}
-
-	id, name := b.Cols[0], b.Cols[1]
-	if !id.Set(1, NewInt(2)) || id.I[1] != 2 {
-		t.Errorf("Set int: %v", id.I)
-	}
-	if id.Set(1, NewString("x")) || id.I[1] != 2 {
-		t.Error("Set accepted a string into an int vector")
-	}
-	if id.Set(1, Null) {
-		t.Error("Set accepted a NULL into a vector with no null bitmap")
-	}
-	if !name.Set(2, NewString("c")) || name.IsNull(2) || name.S[2] != "c" {
-		t.Errorf("Set over a NULL: null=%v s=%q", name.IsNull(2), name.S[2])
-	}
-	if !name.Set(0, Null) || !name.IsNull(0) {
-		t.Error("Set NULL into a vector with a bitmap")
-	}
-	if !b.Cols[2].Set(1, NewInt(7)) || b.Cols[2].F[1] != 7 {
-		t.Error("Set int into a float vector must widen")
 	}
 }
 
@@ -419,13 +399,11 @@ func TestConcatBatchesBlocks(t *testing.T) {
 	}
 }
 
-// TestBatchSizeSkipsNullPayloads: a NULL over a stale string payload (a
-// cache row patched to NULL) ships as a bare NULL, like its row form.
+// TestBatchSizeSkipsNullPayloads: a NULL over a stale string payload
+// ships as a bare NULL, like its row form.
 func TestBatchSizeSkipsNullPayloads(t *testing.T) {
 	b := NewBatchFrom(batchSchema(), batchTuples())
-	if !b.Cols[1].Set(0, Null) || b.Cols[1].S[0] != "ann" {
-		t.Fatalf("Set NULL: %+v", b.Cols[1])
-	}
+	b.Cols[1].Null[0] |= 1 // row 0 goes NULL over "ann"
 	if got, want := b.Size(), b.Materialize().Size(); got != want {
 		t.Errorf("dense Size = %d, materialized = %d", got, want)
 	}
