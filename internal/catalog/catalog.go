@@ -1,7 +1,9 @@
 // Package catalog is the data dictionary of the Global Data Handler
 // (paper §2.2): relation schemas, fragmentation schemes, fragment
 // placements, and the statistics the knowledge-based optimizer feeds on
-// ("estimating sizes of intermediate results", §2.4).
+// ("estimating sizes of intermediate results", §2.4). The statistics are
+// the fragments' own live counts, read through the count source the
+// table was created with, so the dictionary keeps no copy of them.
 package catalog
 
 import (
@@ -24,9 +26,7 @@ type Table struct {
 	// PrimaryKey column positions (empty = none declared).
 	PrimaryKey []int
 
-	mu    sync.Mutex
-	rows  []int   // live tuple count per fragment
-	bytes []int64 // approximate bytes per fragment
+	rows func(frag int) int // fragment frag's live tuple count
 }
 
 // NumFragments returns the table's fragment count.
@@ -35,73 +35,21 @@ func (t *Table) NumFragments() int { return t.Scheme.N }
 // PEOf returns the PE hosting fragment i.
 func (t *Table) PEOf(i int) int { return t.Placement[i] }
 
-// UpdateStats records the current size of one fragment.
-func (t *Table) UpdateStats(frag, rows int, bytes int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if frag < 0 || frag >= len(t.rows) {
-		return
-	}
-	t.rows[frag] = rows
-	t.bytes[frag] = bytes
-}
-
-// AddStats adjusts one fragment's size by deltas (insert/delete paths).
-func (t *Table) AddStats(frag, rowDelta int, byteDelta int64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if frag < 0 || frag >= len(t.rows) {
-		return
-	}
-	t.rows[frag] += rowDelta
-	t.bytes[frag] += byteDelta
-	if t.rows[frag] < 0 {
-		t.rows[frag] = 0
-	}
-	if t.bytes[frag] < 0 {
-		t.bytes[frag] = 0
-	}
-}
-
 // Rows returns the total live tuple count.
 func (t *Table) Rows() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	sum := 0
-	for _, r := range t.rows {
-		sum += r
+	for i := range t.Scheme.N {
+		sum += t.FragRows(i)
 	}
 	return sum
 }
 
 // FragRows returns the live tuple count of fragment i.
 func (t *Table) FragRows(i int) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.rows) {
+	if t.rows == nil || i < 0 || i >= t.Scheme.N {
 		return 0
 	}
-	return t.rows[i]
-}
-
-// Bytes returns the total approximate size.
-func (t *Table) Bytes() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var sum int64
-	for _, b := range t.bytes {
-		sum += b
-	}
-	return sum
-}
-
-// AvgTupleBytes estimates the width of one tuple (64 when unknown).
-func (t *Table) AvgTupleBytes() int {
-	rows, bytes := t.Rows(), t.Bytes()
-	if rows == 0 || bytes == 0 {
-		return 64
-	}
-	return int(bytes / int64(rows))
+	return t.rows(i)
 }
 
 // Catalog is the thread-safe dictionary of tables.
@@ -127,8 +75,10 @@ func New() *Catalog {
 func canon(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
 
 // Create registers a table. The scheme must validate against the schema,
-// and the placement must cover every fragment.
-func (c *Catalog) Create(name string, schema *value.Schema, scheme *fragment.Scheme, placement fragment.Placement, primaryKey []int) (*Table, error) {
+// and the placement must cover every fragment. rows reports a fragment's
+// live tuple count (nil counts 0); it is called concurrently, from the
+// moment Create publishes the table.
+func (c *Catalog) Create(name string, schema *value.Schema, scheme *fragment.Scheme, placement fragment.Placement, primaryKey []int, rows func(frag int) int) (*Table, error) {
 	key := canon(name)
 	if key == "" {
 		return nil, fmt.Errorf("catalog: empty table name")
@@ -158,8 +108,7 @@ func (c *Catalog) Create(name string, schema *value.Schema, scheme *fragment.Sch
 		Scheme:     scheme,
 		Placement:  append(fragment.Placement(nil), placement...),
 		PrimaryKey: append([]int(nil), primaryKey...),
-		rows:       make([]int, scheme.N),
-		bytes:      make([]int64, scheme.N),
+		rows:       rows,
 	}
 	c.tables[key] = t
 	c.version.Add(1)
@@ -227,6 +176,6 @@ func (c *Catalog) Describe(name string) (string, error) {
 	for i, pe := range t.Placement {
 		fmt.Fprintf(&b, " f%d@pe%d", i, pe)
 	}
-	fmt.Fprintf(&b, "\n  rows: %d (%d bytes)\n", t.Rows(), t.Bytes())
+	fmt.Fprintf(&b, "\n  rows: %d\n", t.Rows())
 	return b.String(), nil
 }

@@ -9,12 +9,18 @@ import (
 	"repro/internal/value"
 )
 
-func mkCatalog(t *testing.T) (*Catalog, *Table) {
+// mkCatalog creates a four-fragment table whose fragments count the
+// entries of frags (nil counts 0).
+func mkCatalog(t *testing.T, frags []int) (*Catalog, *Table) {
 	t.Helper()
 	c := New()
 	schema := value.MustSchema("id", "INT", "name", "VARCHAR")
 	scheme := &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: 4}
-	tab, err := c.Create("Emp", schema, scheme, fragment.Placement{0, 1, 2, 3}, []int{0})
+	var rows func(int) int
+	if frags != nil {
+		rows = func(i int) int { return frags[i] }
+	}
+	tab, err := c.Create("Emp", schema, scheme, fragment.Placement{0, 1, 2, 3}, []int{0}, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,7 +28,7 @@ func mkCatalog(t *testing.T) (*Catalog, *Table) {
 }
 
 func TestCreateGetDrop(t *testing.T) {
-	c, tab := mkCatalog(t)
+	c, tab := mkCatalog(t, nil)
 	if tab.Name != "emp" {
 		t.Errorf("name canonicalized to %q", tab.Name)
 	}
@@ -50,23 +56,23 @@ func TestCreateGetDrop(t *testing.T) {
 func TestCreateValidation(t *testing.T) {
 	c := New()
 	schema := value.MustSchema("id", "INT")
-	if _, err := c.Create("", schema, nil, fragment.Placement{0}, nil); err == nil {
+	if _, err := c.Create("", schema, nil, fragment.Placement{0}, nil, nil); err == nil {
 		t.Error("empty name should error")
 	}
 	// Bad scheme.
-	if _, err := c.Create("t", schema, &fragment.Scheme{Strategy: fragment.Hash, Column: 5, N: 2}, fragment.Placement{0, 1}, nil); err == nil {
+	if _, err := c.Create("t", schema, &fragment.Scheme{Strategy: fragment.Hash, Column: 5, N: 2}, fragment.Placement{0, 1}, nil, nil); err == nil {
 		t.Error("bad scheme should error")
 	}
 	// Placement arity mismatch.
-	if _, err := c.Create("t", schema, &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: 2}, fragment.Placement{0}, nil); err == nil {
+	if _, err := c.Create("t", schema, &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: 2}, fragment.Placement{0}, nil, nil); err == nil {
 		t.Error("short placement should error")
 	}
 	// Bad primary key.
-	if _, err := c.Create("t", schema, nil, fragment.Placement{0}, []int{7}); err == nil {
+	if _, err := c.Create("t", schema, nil, fragment.Placement{0}, []int{7}, nil); err == nil {
 		t.Error("bad primary key should error")
 	}
 	// Nil scheme defaults to single.
-	tab, err := c.Create("t", schema, nil, fragment.Placement{5}, nil)
+	tab, err := c.Create("t", schema, nil, fragment.Placement{5}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,54 +80,45 @@ func TestCreateValidation(t *testing.T) {
 		t.Errorf("default scheme = %+v", tab.Scheme)
 	}
 	// Duplicate.
-	if _, err := c.Create("T", schema, nil, fragment.Placement{0}, nil); err == nil {
+	if _, err := c.Create("T", schema, nil, fragment.Placement{0}, nil, nil); err == nil {
 		t.Error("case-insensitive duplicate should error")
 	}
 }
 
+// TestStats: a table's statistics are its fragments' counts, read
+// through the count source on every call, never a copy.
 func TestStats(t *testing.T) {
-	_, tab := mkCatalog(t)
-	tab.UpdateStats(0, 100, 6400)
-	tab.UpdateStats(1, 50, 3200)
-	tab.AddStats(1, 10, 640)
+	frags := []int{100, 60, 0, 0}
+	_, tab := mkCatalog(t, frags)
 	if tab.Rows() != 160 {
 		t.Errorf("Rows = %d", tab.Rows())
 	}
 	if tab.FragRows(1) != 60 {
 		t.Errorf("FragRows(1) = %d", tab.FragRows(1))
 	}
-	if tab.Bytes() != 10240 {
-		t.Errorf("Bytes = %d", tab.Bytes())
+	// The counts move with the fragments.
+	frags[1], frags[3] = 0, 7
+	if tab.Rows() != 107 || tab.FragRows(1) != 0 || tab.FragRows(3) != 7 {
+		t.Errorf("after the fragments moved: Rows = %d, FragRows(1) = %d, FragRows(3) = %d",
+			tab.Rows(), tab.FragRows(1), tab.FragRows(3))
 	}
-	if tab.AvgTupleBytes() != 64 {
-		t.Errorf("AvgTupleBytes = %d", tab.AvgTupleBytes())
-	}
-	// Underflow clamps.
-	tab.AddStats(1, -1000, -999999)
-	if tab.FragRows(1) != 0 {
-		t.Errorf("clamped rows = %d", tab.FragRows(1))
-	}
-	// Out-of-range fragment is ignored.
-	tab.UpdateStats(99, 1, 1)
-	tab.AddStats(-1, 1, 1)
-	if tab.FragRows(99) != 0 {
+	// An out-of-range fragment counts 0 and never reaches the source.
+	if tab.FragRows(99) != 0 || tab.FragRows(-1) != 0 {
 		t.Error("out-of-range stats access")
 	}
-	// Unknown width defaults to 64.
-	fresh := &Table{}
-	if fresh.AvgTupleBytes() != 64 {
-		t.Errorf("default width = %d", fresh.AvgTupleBytes())
+	// A table without a count source is empty.
+	if _, bare := mkCatalog(t, nil); bare.Rows() != 0 || bare.FragRows(0) != 0 {
+		t.Errorf("no count source: Rows = %d", bare.Rows())
 	}
 }
 
 func TestDescribe(t *testing.T) {
-	c, tab := mkCatalog(t)
-	tab.UpdateStats(0, 7, 448)
+	c, _ := mkCatalog(t, []int{7, 0, 0, 0})
 	s, err := c.Describe("emp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, frag := range []string{"emp", "hash", "4 fragments", "f0@pe0", "rows: 7"} {
+	for _, frag := range []string{"emp", "hash", "4 fragments", "f0@pe0", "rows: 7\n"} {
 		if !strings.Contains(s, frag) {
 			t.Errorf("Describe missing %q in:\n%s", frag, s)
 		}
@@ -140,7 +137,7 @@ func TestConcurrentCatalog(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			name := string(rune('a' + i))
-			if _, err := c.Create(name, schema, nil, fragment.Placement{0}, nil); err != nil {
+			if _, err := c.Create(name, schema, nil, fragment.Placement{0}, nil, nil); err != nil {
 				t.Error(err)
 			}
 			c.List()

@@ -32,11 +32,25 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 	}
 	placement := e.alloc.Place(weights, e.m)
 
-	def, err := e.cat.Create(name, schema, scheme, placement, primaryKey)
+	// The catalog reads the table's size from its fragments. It may ask
+	// as soon as Create publishes the entry, so t is seen only once it is
+	// in e.tables, complete; until then, and after a drop, it counts 0.
+	t := &table{logsRef: &fragLogs{}}
+	key := canonical(name)
+	rows := func(frag int) int {
+		e.mu.RLock()
+		live := e.tables[key] == t
+		e.mu.RUnlock()
+		if !live {
+			return 0
+		}
+		return t.frags[frag].ofm.Rows()
+	}
+	def, err := e.cat.Create(name, schema, scheme, placement, primaryKey, rows)
 	if err != nil {
 		return err
 	}
-	t := &table{def: def, logsRef: &fragLogs{}}
+	t.def = def
 	for i := 0; i < scheme.N; i++ {
 		pe := placement[i]
 		fragName := fmt.Sprintf("%s#%d", def.Name, i)
@@ -45,7 +59,6 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			e.cat.Drop(def.Name)
 			return err
 		}
-		frag := i
 		o, err := ofm.New(ofm.Config{
 			Name:    fragName,
 			Schema:  schema,
@@ -55,9 +68,6 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 			Log:     log,
 			Decide:  e.decisions.Decision,
 			Horizon: e.txns.Horizon,
-			StatsFn: func(rd int, bd int64) {
-				def.AddStats(frag, rd, bd)
-			},
 		})
 		if err != nil {
 			e.cat.Drop(def.Name)
@@ -74,7 +84,7 @@ func (e *Engine) CreateTable(name string, schema *value.Schema, scheme *fragment
 		t.logsRef.logs = append(t.logsRef.logs, log)
 	}
 	e.mu.Lock()
-	e.tables[def.Name] = t
+	e.tables[key] = t
 	e.mu.Unlock()
 	return nil
 }

@@ -392,10 +392,6 @@ func (e *Engine) RecoverTableReport(name string) (RecoveryReport, error) {
 	// timestamp before allocating new ones, or fresh commits would be
 	// invisible to (or collide with) recovered versions.
 	e.txns.AdvanceTo(maxTS)
-	// Refresh catalog statistics.
-	for i, f := range t.frags {
-		t.def.UpdateStats(i, f.ofm.Rows(), f.ofm.TupleBytes())
-	}
 	rep.Wall = time.Since(start)
 	return rep, nil
 }

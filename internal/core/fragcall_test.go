@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/value"
 )
 
@@ -257,4 +258,60 @@ func TestDropTableUnderWriters(t *testing.T) {
 			t.Errorf("writer %d: %v", w, err)
 		}
 	}
+}
+
+// TestCatalogRowsFollowCreateAndDrop: a table's catalog size is its
+// fragments' live count, read while another goroutine creates, loads,
+// writes and drops the table. An entry counts 0 before its fragments are
+// in place and after its table is dropped, even once a table of the same
+// name holds rows again.
+func TestCatalogRowsFollowCreateAndDrop(t *testing.T) {
+	e := newEngine(t)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if def, err := e.Catalog().Get("t"); err == nil {
+				if n := def.Rows(); n < 0 || n > 8 {
+					t.Errorf("catalog reads %d rows of a table that never holds more than 8", n)
+				}
+			}
+		}
+	}()
+	s := e.NewSession()
+	var prev *catalog.Table
+	for round := 0; round < 20; round++ {
+		mustExec(t, s, `CREATE TABLE t (id INT, v INT, PRIMARY KEY (id)) FRAGMENT BY HASH(id) INTO 4 FRAGMENTS`)
+		def, err := e.Catalog().Get("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadTable("t", []value.Tuple{value.Ints(0, 0), value.Ints(1, 0), value.Ints(2, 0), value.Ints(3, 0)}); err != nil {
+			t.Fatal(err)
+		}
+		if n := def.Rows(); n != 4 {
+			t.Fatalf("round %d: %d rows after a 4-row load", round, n)
+		}
+		mustExec(t, s, `INSERT INTO t VALUES (4, 0), (5, 0), (6, 0), (7, 0)`)
+		if n := def.Rows(); n != 8 {
+			t.Fatalf("round %d: %d rows after 4 more inserts", round, n)
+		}
+		if prev != nil && prev.Rows() != 0 {
+			t.Fatalf("round %d: the dropped table's entry reads %d rows of its successor", round, prev.Rows())
+		}
+		mustExec(t, s, `DROP TABLE t`)
+		if n := def.Rows(); n != 0 {
+			t.Fatalf("round %d: %d rows after the drop", round, n)
+		}
+		prev = def
+	}
+	close(stop)
+	reader.Wait()
 }

@@ -123,7 +123,7 @@ func (o *OFM) restart(snapshot []value.Tuple, recs []wal.Record, limit uint64) (
 	o.appliedTS = 0
 	o.mu.Unlock()
 	o.store.Clear()
-	if _, err := o.store.InsertBatch(snapshot); err != nil {
+	if err := o.store.InsertBatch(snapshot); err != nil {
 		return 0, 0, fmt.Errorf("ofm %s: restart snapshot: %w", o.cfg.Name, err)
 	}
 	return o.apply(recs, limit)
@@ -197,19 +197,7 @@ func (o *OFM) applyCommit(ws *applyWS, ts uint64) error {
 			return fmt.Errorf("ofm %s: apply insert: %w", o.cfg.Name, err)
 		}
 	}
-	if o.cfg.StatsFn != nil {
-		o.cfg.StatsFn(len(ws.inserts)-len(ws.deletes), tupleBytes(ws.inserts)-tupleBytes(ws.deletes))
-	}
 	return nil
-}
-
-// tupleBytes is the in-memory footprint of tuples.
-func tupleBytes(tuples []value.Tuple) int64 {
-	var n int64
-	for _, t := range tuples {
-		n += int64(t.Size())
-	}
-	return n
 }
 
 // InstallSync replaces the fragment wholesale from a shipped sync

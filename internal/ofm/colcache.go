@@ -228,10 +228,11 @@ func (o *OFM) syncCache() int64 {
 	return cc.bytes
 }
 
-// chargeMem moves the cache's share of the PE memory budget by delta.
+// chargeMem moves the PE memory budget by delta: the store's versions
+// (its memory hook) and the column cache are both charged through it.
 func (o *OFM) chargeMem(delta int64) {
 	if delta > 0 {
-		_ = o.cfg.PE.Alloc(delta) // best effort, like the store's own hook
+		_ = o.cfg.PE.Alloc(delta) // best effort: Insert checks the budget first
 	} else if delta < 0 {
 		o.cfg.PE.Free(-delta)
 	}

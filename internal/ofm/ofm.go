@@ -75,9 +75,6 @@ type Config struct {
 	// horizon (the oldest snapshot any reader may still hold). Commits
 	// use it to opportunistically vacuum dead versions.
 	Horizon func() uint64
-	// StatsFn, when set, observes (rowDelta, byteDelta) after commits —
-	// the catalog's statistics feed.
-	StatsFn func(rowDelta int, byteDelta int64)
 	// Decide, when set, resolves in-doubt prepared transactions at
 	// recovery by consulting the coordinator's decision log (absence of a
 	// decision means presumed abort). Without it, in-doubt transactions
@@ -146,16 +143,7 @@ func New(cfg Config) (*OFM, error) {
 		pending:  map[txn.ID]*writeSet{},
 		vecCache: lru.New[string, *expr.VecFilter](vecCacheSize),
 	}
-	// Wire the 16 MB/PE budget: allocation failures surface as panics in
-	// the accounting hook would be hostile; instead track best-effort.
-	o.store.OnMemChange(func(delta int64) {
-		if delta > 0 {
-			// Ignore over-budget here; Insert checks the budget first.
-			_ = cfg.PE.Alloc(delta)
-		} else if delta < 0 {
-			cfg.PE.Free(-delta)
-		}
-	})
+	o.store.OnMemChange(o.chargeMem) // the PE's 16 MB budget
 	return o, nil
 }
 
@@ -176,9 +164,6 @@ func (o *OFM) Store() *storage.Store { return o.store }
 
 // Rows returns the committed live tuple count.
 func (o *OFM) Rows() int { return o.store.Len() }
-
-// TupleBytes returns Σ Tuple.Size() over the fragment's versions (catalog statistics).
-func (o *OFM) TupleBytes() int64 { return o.store.TupleBytes() }
 
 // cost shorthands.
 func (o *OFM) costs() machine.CostModel {
@@ -353,16 +338,9 @@ func pick[T any](s []T, sel []int32) []T {
 // lands beside live transactions excludes their commits from the swap
 // and carries the redo of the prepared ones.
 func (o *OFM) Load(tuples []value.Tuple) error {
-	size, err := o.store.InsertBatch(tuples)
-	if err != nil {
+	if err := o.store.InsertBatch(tuples); err != nil {
 		return fmt.Errorf("ofm %s: load: %w", o.cfg.Name, err)
 	}
 	o.cfg.PE.Advance(o.costs().BuildCost(len(tuples)))
-	if err := o.Checkpoint(); err != nil {
-		return err
-	}
-	if o.cfg.StatsFn != nil {
-		o.cfg.StatsFn(len(tuples), size)
-	}
-	return nil
+	return o.Checkpoint()
 }

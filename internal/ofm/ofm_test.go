@@ -489,38 +489,6 @@ func TestTransientOFMBehavior(t *testing.T) {
 	}
 }
 
-func TestStatsCallback(t *testing.T) {
-	m, err := machine.New(machine.Config{NumPEs: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows int
-	var bytes int64
-	o, err := New(Config{
-		Name: "s#0", Schema: testSchema(), PE: m.PE(0), Kind: Transient,
-		StatsFn: func(rd int, bd int64) { rows += rd; bytes += bd },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	load(t, o, 10)
-	if rows != 10 || bytes <= 0 {
-		t.Errorf("stats after load: %d rows %d bytes", rows, bytes)
-	}
-	mgr := txn.NewManager()
-	tx := mgr.Begin()
-	tx.Enlist(o)
-	if _, err := o.DeleteTx(tx.ID(), nil, Latest); err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if rows != 0 {
-		t.Errorf("stats after delete-all: %d rows", rows)
-	}
-}
-
 func TestMemoryBudgetEnforced(t *testing.T) {
 	m, err := machine.New(machine.Config{NumPEs: 2, MemoryPerPE: 1 << 30})
 	if err != nil {
@@ -531,6 +499,9 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 		t.Fatal(err)
 	}
 	load(t, o, 100)
+	if o.Rows() != 100 {
+		t.Errorf("rows after load = %d", o.Rows())
+	}
 	if m.PE(0).MemUsed() <= 0 {
 		t.Error("PE memory accounting not wired")
 	}
@@ -548,6 +519,9 @@ func TestMemoryBudgetEnforced(t *testing.T) {
 	}
 	if m.PE(0).MemUsed() >= used {
 		t.Error("memory not released after delete")
+	}
+	if o.Rows() != 0 {
+		t.Errorf("rows after delete-all = %d", o.Rows())
 	}
 }
 

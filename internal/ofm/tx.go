@@ -372,25 +372,15 @@ func (o *OFM) Commit(tx txn.ID, ts uint64) error {
 	o.mu.Lock()
 	delete(o.pending, tx)
 	o.mu.Unlock()
-	var rowDelta int
-	var byteDelta int64
-	for i, id := range w.deletes {
-		if o.store.DeleteVersion(id, ts) {
-			rowDelta--
-			byteDelta -= int64(w.delTuple[i].Size())
-		}
+	for _, id := range w.deletes {
+		o.store.DeleteVersion(id, ts)
 	}
 	for _, t := range w.inserts {
 		if _, err := o.store.InsertVersion(t, ts); err != nil {
 			return fmt.Errorf("ofm %s: commit apply: %w", o.cfg.Name, err)
 		}
-		rowDelta++
-		byteDelta += int64(t.Size())
 	}
 	o.cfg.PE.Advance(o.costs().BuildCost(len(w.inserts) + len(w.deletes)))
-	if o.cfg.StatsFn != nil && (rowDelta != 0 || byteDelta != 0) {
-		o.cfg.StatsFn(rowDelta, byteDelta)
-	}
 	o.maybeVacuum()
 	return nil
 }

@@ -41,7 +41,8 @@ func AllRules() Options {
 	return Options{Pushdown: true, JoinOrder: true, CSE: true, Parallel: true, PointProbe: true}
 }
 
-// Optimizer rewrites logical plans using catalog statistics.
+// Optimizer rewrites logical plans using catalog statistics: each
+// table's size is its fragments' live counts (catalog.Table.Rows).
 type Optimizer struct {
 	cat  *catalog.Catalog
 	opts Options

@@ -16,22 +16,20 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	c := catalog.New()
 	empSchema := value.MustSchema("id", "INT", "dept", "VARCHAR", "salary", "INT")
 	deptSchema := value.MustSchema("name", "VARCHAR", "budget", "INT")
-	emp, err := c.Create("emp",
+	_, err := c.Create("emp",
 		empSchema, &fragment.Scheme{Strategy: fragment.Hash, Column: 0, N: 4},
-		fragment.Placement{0, 1, 2, 3}, []int{0})
+		fragment.Placement{0, 1, 2, 3}, []int{0},
+		func(int) int { return 2500 }) // 10k rows total
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		emp.UpdateStats(i, 2500, 160000) // 10k rows total
-	}
-	dept, err := c.Create("dept",
+	_, err = c.Create("dept",
 		deptSchema, &fragment.Scheme{Strategy: fragment.Single, N: 1},
-		fragment.Placement{0}, []int{0})
+		fragment.Placement{0}, []int{0},
+		func(int) int { return 10 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	dept.UpdateStats(0, 10, 640)
 	return c
 }
 

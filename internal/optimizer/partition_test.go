@@ -159,7 +159,7 @@ func TestPartitionSortDistinctFlags(t *testing.T) {
 }
 
 // statsCatalog registers tables by their statistics alone — no rows are
-// loaded. Each is hash-fragmented on its first column, which is its key;
+// loaded: each fragment's count source reports its share of the rows. Each is hash-fragmented on its first column, which is its key;
 // one fragment is the single strategy.
 func statsCatalog(t *testing.T, tables ...statsTable) *catalog.Catalog {
 	t.Helper()
@@ -173,16 +173,14 @@ func statsCatalog(t *testing.T, tables ...statsTable) *catalog.Catalog {
 		for i := range place {
 			place[i] = i
 		}
-		tab, err := c.Create(st.name, st.schema, scheme, place, []int{0})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < st.frags; i++ {
-			rows := st.rows / st.frags
+		rows := func(i int) int {
 			if i < st.rows%st.frags {
-				rows++
+				return st.rows/st.frags + 1
 			}
-			tab.UpdateStats(i, rows, int64(rows)*40)
+			return st.rows / st.frags
+		}
+		if _, err := c.Create(st.name, st.schema, scheme, place, []int{0}, rows); err != nil {
+			t.Fatal(err)
 		}
 	}
 	return c

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/server"
+	"repro/internal/value"
 	"repro/internal/wire"
 )
 
@@ -421,4 +422,94 @@ func TestReplSubscribeRequiresAdmin(t *testing.T) {
 	if len(st.Tables) != 1 || st.Tables[0].Name != "secret" {
 		t.Fatalf("admin stream catalog = %+v, want table secret", st.Tables)
 	}
+}
+
+// explain returns the plan EXPLAIN prints for q on c, one line a row.
+func explain(t *testing.T, c *client.Client, q string) string {
+	t.Helper()
+	rel, err := c.Query("EXPLAIN " + q)
+	if err != nil {
+		t.Fatalf("explain %q: %v", q, err)
+	}
+	var b strings.Builder
+	for _, row := range rel.Tuples {
+		b.WriteString(row[0].Str())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// countStar returns SELECT COUNT(*) FROM table as c answers it.
+func countStar(t *testing.T, c *client.Client, table string) int {
+	t.Helper()
+	rel, err := c.Query("SELECT COUNT(*) FROM " + table)
+	if err != nil {
+		t.Fatalf("count %s: %v", table, err)
+	}
+	return int(rel.Tuples[0][0].Int())
+}
+
+// TestReplicaPlansFromItsOwnCounts: a replica refills its stores from
+// the primary's checkpoint images, through which no row of a bulk load
+// passes as a commit. Its optimizer must still see the table sizes its
+// fragments hold, after the attach and after a crash replay, and so plan
+// a query as the primary does.
+func TestReplicaPlansFromItsOwnCounts(t *testing.T) {
+	primary := startNode(t, nil)
+	pc, err := client.Dial(primary.addr)
+	if err != nil {
+		t.Fatalf("dial primary: %v", err)
+	}
+	defer pc.Close()
+	mustExec(t, pc, "CREATE TABLE fact (id INT, d INT, PRIMARY KEY(id)) FRAGMENT BY HASH(id) INTO 4 FRAGMENTS")
+	mustExec(t, pc, "CREATE TABLE dim (d INT, name VARCHAR, PRIMARY KEY(d)) FRAGMENT BY HASH(d) INTO 2 FRAGMENTS")
+	const factRows, dimRows = 20000, 50
+	facts := make([]value.Tuple, factRows)
+	for i := range facts {
+		facts[i] = value.Ints(int64(i), int64(i%dimRows))
+	}
+	if err := primary.eng.LoadTable("fact", facts); err != nil {
+		t.Fatalf("load fact: %v", err)
+	}
+	for d := 0; d < dimRows; d++ {
+		mustExec(t, pc, fmt.Sprintf("INSERT INTO dim VALUES (%d, 'n%d')", d, d%7))
+	}
+
+	repNode, rep := startReplicaNode(t, primary)
+	waitWatermark(t, rep, primary.eng.Txns().Watermark())
+	rc, err := client.Dial(repNode.addr)
+	if err != nil {
+		t.Fatalf("dial replica: %v", err)
+	}
+	defer rc.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for countStar(t, rc, "fact") != factRows {
+		if time.Now().After(deadline) {
+			t.Fatalf("replica fact holds %d rows, want %d", countStar(t, rc, "fact"), factRows)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	const q = "SELECT dim.name, COUNT(*) FROM fact JOIN dim ON fact.d = dim.d GROUP BY dim.name"
+	if want, got := explain(t, pc, q), explain(t, rc, q); got != want {
+		t.Errorf("replica plans\n%s\nthe primary plans\n%s", got, want)
+	}
+	sameRows := func(when string) {
+		t.Helper()
+		for _, table := range []string{"fact", "dim"} {
+			def, err := repNode.eng.Catalog().Get(table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows, count := def.Rows(), countStar(t, rc, table); rows != count {
+				t.Errorf("%s: replica catalog says %s holds %d rows, its COUNT(*) reads %d", when, table, rows, count)
+			}
+		}
+	}
+	sameRows("after the attach")
+
+	if err := rep.CrashRecover(); err != nil {
+		t.Fatalf("crash-recover: %v", err)
+	}
+	sameRows("after the crash replay")
 }

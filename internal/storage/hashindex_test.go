@@ -112,7 +112,7 @@ func (m *model) insert(tp value.Tuple, ts uint64) {
 }
 
 func (m *model) insertBatch(tps []value.Tuple) {
-	if _, err := m.s.InsertBatch(tps); err != nil {
+	if err := m.s.InsertBatch(tps); err != nil {
 		m.t.Fatal(err)
 	}
 	// The batch's ids are the versions the reference does not know yet.
@@ -428,7 +428,7 @@ func TestInsertBatchAllocs(t *testing.T) {
 			if _, err := s.CreateHashIndex("pk", []int{0}); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.InsertBatch(tps); err != nil {
+			if err := s.InsertBatch(tps); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -284,7 +284,7 @@ func (d *differential) step() string {
 		for i := range tps {
 			tps[i] = d.tuple()
 		}
-		if _, err := d.s.InsertBatch(slices.Clone(tps)); err != nil {
+		if err := d.s.InsertBatch(slices.Clone(tps)); err != nil {
 			d.t.Fatal(err)
 		}
 		for _, t := range tps {
@@ -703,7 +703,7 @@ func TestSlabReadersSurviveCompaction(t *testing.T) {
 	for k := range initial {
 		initial[k] = row(int64(k), 0)
 	}
-	if _, err := s.InsertBatch(initial); err != nil {
+	if err := s.InsertBatch(initial); err != nil {
 		t.Fatal(err)
 	}
 

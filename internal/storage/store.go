@@ -78,7 +78,6 @@ type Store struct {
 	rows    []slot
 	slab    []byte  // the versions' rows, appended and never overwritten
 	held    int     // the slab bytes held versions take; the rest await compaction
-	model   int64   // Σ Tuple.Size() of the held versions
 	image   int     // the held versions' tuple-encoding bytes: what Image may need
 	free    []int   // reusable free slot indexes
 	count   int     // current versions (end == 0)
@@ -126,13 +125,6 @@ func (s *Store) MemSize() int64 {
 	return s.memSize
 }
 
-// TupleBytes returns Σ Tuple.Size() over the held versions, for catalog statistics.
-func (s *Store) TupleBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.model
-}
-
 // Conform validates t against schema, widening ints into float columns
 // in place. It is the type check every ingest path shares.
 func Conform(schema *value.Schema, t value.Tuple) error {
@@ -160,28 +152,25 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 	if err := Conform(s.schema, t); err != nil {
 		return -1, err
 	}
-	size := int64(t.Size())
 	_, image := value.EncodedLens(s.schema, t)
 	s.mu.Lock()
 	id := s.insertLocked(t, ts)
-	s.model, s.image = s.model+size, s.image+image
+	s.image += image
 	s.unlock()
 	return id, nil
 }
 
 // InsertBatch adds tuples visible to every snapshot under one lock,
-// growing the rows, the slab and the indexes once, and returns Σ
-// Tuple.Size() over them, what TupleBytes grew by. All are conformed
+// growing the rows, the slab and the indexes once. All are conformed
 // before any is inserted, so a bad one leaves the store as it was.
-func (s *Store) InsertBatch(ts []value.Tuple) (int64, error) {
-	var size int64
+func (s *Store) InsertBatch(ts []value.Tuple) error {
 	var rows, image int
 	for _, t := range ts {
 		if err := Conform(s.schema, t); err != nil {
-			return 0, err
+			return err
 		}
 		row, tuple := value.EncodedLens(s.schema, t)
-		size, rows, image = size+int64(t.Size()), rows+row, image+tuple
+		rows, image = rows+row, image+tuple
 	}
 	s.mu.Lock()
 	s.rows = slices.Grow(s.rows, len(ts)-min(len(ts), len(s.free)))
@@ -192,9 +181,9 @@ func (s *Store) InsertBatch(ts []value.Tuple) (int64, error) {
 	for _, t := range ts {
 		s.insertLocked(t, 0)
 	}
-	s.model, s.image = s.model+size, s.image+image
+	s.image += image
 	s.unlock()
-	return size, nil
+	return nil
 }
 
 // unlock releases s.mu after a mutation and reports the change in held bytes
@@ -220,7 +209,7 @@ func (s *Store) decode(si int) value.Tuple {
 
 // insertLocked appends a conformed tuple version's row to the slab,
 // places it in a free slot, or a new one, and indexes it; the caller
-// counts it in model and image. Caller holds s.mu.
+// counts it in image. Caller holds s.mu.
 func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
 	sl := slot{off: len(s.slab), begin: ts}
 	s.slab = value.AppendRow(s.slab, s.schema, t)
@@ -316,7 +305,7 @@ func (s *Store) freeSlot(si int) {
 	}
 	s.held -= int(s.rows[si].n)
 	_, image := value.EncodedLens(s.schema, t)
-	s.model, s.image = s.model-int64(t.Size()), s.image-image
+	s.image -= image
 	// A bumped generation invalidates outstanding ids for this slot.
 	s.rows[si] = slot{off: -1, gen: s.rows[si].gen + 1}
 	s.free = append(s.free, si)
@@ -503,7 +492,7 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 // Clear removes everything, keeping indexes defined but empty.
 func (s *Store) Clear() {
 	s.mu.Lock()
-	s.rows, s.slab, s.held, s.model, s.image, s.free, s.count, s.dead = nil, nil, 0, 0, 0, nil, 0, nil
+	s.rows, s.slab, s.held, s.image, s.free, s.count, s.dead = nil, nil, 0, 0, nil, 0, nil
 	s.dirtyLost = true
 	s.version++
 	for _, idx := range s.hashIdx {
