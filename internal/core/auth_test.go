@@ -203,6 +203,20 @@ func TestGrantEnforcement(t *testing.T) {
 			t.Errorf("Exec(%q) err = %v, want ErrAuth", sql, err)
 		}
 	}
+	// A write the compiler would refuse — an unknown table or column — is
+	// refused for the missing grant first, on the plan-cache miss and on
+	// every execution after it.
+	for _, sql := range []string{
+		`UPDATE nosuch SET a = 1 WHERE id = 1`,
+		`UPDATE emp SET nosuch = 1 WHERE id = 1`,
+		`DELETE FROM nosuch WHERE id = 2`,
+	} {
+		for pass := 0; pass < 2; pass++ {
+			if _, err := s.Exec(sql); !errors.Is(err, ErrAuth) {
+				t.Errorf("pass %d Exec(%q) err = %v, want ErrAuth", pass, sql, err)
+			}
+		}
+	}
 
 	// The creator of a table owns it.
 	mustExec(t, s, `CREATE TABLE mine (k INT, PRIMARY KEY (k))`)
@@ -243,6 +257,32 @@ func TestRevokeBitesCachedPlan(t *testing.T) {
 	mustExec(t, admin, `REVOKE SELECT ON emp FROM t1`)
 	if _, err := s.QueryPrepared(ps, []value.Value{value.NewInt(7)}); !errors.Is(err, ErrAuth) {
 		t.Fatalf("revoked prepared exec err = %v, want ErrAuth", err)
+	}
+
+	// A compiled write checks its grant on every execution too: a warmed
+	// UPDATE shape and a prepared DELETE.
+	mustExec(t, admin, `GRANT UPDATE ON emp TO t1`)
+	const up = `UPDATE emp SET salary = 0 WHERE id = 7`
+	for i := 0; i < 3; i++ {
+		if _, err := s.Exec(up); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, admin, `REVOKE UPDATE ON emp FROM t1`)
+	if _, err := s.Exec(up); !errors.Is(err, ErrAuth) {
+		t.Fatalf("revoked UPDATE via cached plan err = %v, want ErrAuth", err)
+	}
+	mustExec(t, admin, `GRANT DELETE ON emp TO t1`)
+	del, err := s.Prepare(`DELETE FROM emp WHERE id = ?`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := s.ExecPrepared(del, []value.Value{value.NewInt(7)}); err != nil || res.Affected != 1 {
+		t.Fatalf("granted prepared DELETE: %v, %v", res, err)
+	}
+	mustExec(t, admin, `REVOKE DELETE ON emp FROM t1`)
+	if _, err := s.ExecPrepared(del, []value.Value{value.NewInt(8)}); !errors.Is(err, ErrAuth) {
+		t.Fatalf("revoked prepared DELETE err = %v, want ErrAuth", err)
 	}
 }
 

@@ -340,6 +340,20 @@ func TestExplainAccessAnnotations(t *testing.T) {
 	if !strings.Contains(res.Plan, "locked write (2PL exclusive + first-committer-wins)") {
 		t.Fatalf("EXPLAIN INSERT plan lacks locked-write access line:\n%s", res.Plan)
 	}
+	// A write's EXPLAIN is its compiled form: the target, the SET columns,
+	// the bound filter and the fragments execution sends it to, of emp's 4.
+	for _, c := range []struct{ sql, want string }{
+		{`EXPLAIN UPDATE emp SET salary = 0 WHERE id = 7`, "Update(emp) set=salary filter=id = 7 fragments=1/4"},
+		{`EXPLAIN DELETE FROM emp WHERE salary > 5`, "Delete(emp) filter=salary > 5 fragments=4/4"},
+	} {
+		res, err := s.Exec(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, c.want+"\n") || !strings.Contains(res.Plan, "locked write") {
+			t.Errorf("%s:\n%s\nwant the line %q and the locked-write access line", c.sql, res.Plan, c.want)
+		}
+	}
 	if _, err := s.Exec(`EXPLAIN EXPLAIN SELECT * FROM emp`); err == nil {
 		t.Fatal("nested EXPLAIN succeeded")
 	}

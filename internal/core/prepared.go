@@ -13,9 +13,11 @@ import (
 	"repro/internal/value"
 )
 
-// PreparedStmt is a statement parsed and (for SELECTs) optimized once,
-// executed many times with bound parameter values — the XPRS-style
-// compile-once discipline of paper §2.2 applied at the statement level.
+// PreparedStmt is a statement parsed and compiled once — a SELECT
+// translated and optimized, a write's target resolved and its expressions
+// bound — and executed many times with bound parameter values: the
+// XPRS-style compile-once discipline of paper §2.2 applied at the
+// statement level.
 // A PreparedStmt is safe for concurrent use: executions never mutate the
 // compiled form, and a schema change detected via the catalog version
 // counter swaps in a fresh compilation under the statement's lock.
@@ -38,18 +40,20 @@ func newPreparedStmt(e *Engine, text string, auto bool, cs *compiledStmt) *Prepa
 }
 
 // compiledStmt is one immutable compilation of a statement's text (for a
-// plan-cache entry, its key).
+// plan-cache entry, its key): a SELECT's plan, a write, or the AST of any
+// other statement.
 type compiledStmt struct {
 	nParams int
 	kinds   []value.Kind // expected kind per slot (KindNull = unknown)
 	catVer  uint64       // catalog version this compilation is valid for
-	sel     plan.Node    // optimized plan (SELECT only)
+	sel     plan.Node    // optimized plan of a SELECT
 	planStr string       // pre-rendered plan (parameters shown as $n)
+	write   *write       // compiled INSERT, UPDATE or DELETE
 	ast     sqlparse.Stmt
-	// access lists the tables the statement touches for the
-	// per-execution grant check (SELECT plans only — AST statements
-	// check in execStmt). Recorded at compile time so a cached shared
-	// plan still enforces each executing session's own grants.
+	// access lists the tables a SELECT or a write touches for the
+	// per-execution grant check (AST statements check in execStmt).
+	// Recorded at compile time so a cached shared plan still enforces
+	// each executing session's own grants.
 	access []tableAccess
 }
 
@@ -119,8 +123,9 @@ func (s *Session) QueryPrepared(ps *PreparedStmt, args []value.Value) (*value.Re
 }
 
 // routePrepared readies one execution: version check, arity/kind
-// validation, the executing session's grant check, parameter
-// substitution into a fresh plan/AST copy.
+// validation, the executing session's grant check, and for a SELECT
+// parameter substitution into a fresh plan copy (a write substitutes as
+// it executes).
 func (s *Session) routePrepared(ps *PreparedStmt, args []value.Value) (routed, error) {
 	cs, err := ps.current()
 	if err != nil {
@@ -139,25 +144,22 @@ func (s *Session) routePrepared(ps *PreparedStmt, args []value.Value) (routed, e
 	if err != nil {
 		return routed{}, err
 	}
-	if cs.sel != nil {
-		if err := s.checkAccess(cs.access); err != nil {
-			return routed{}, err
-		}
-		root := cs.sel
-		if cs.nParams > 0 {
-			if root, err = bindPlan(root, bound); err != nil {
-				return routed{}, err
-			}
-		}
-		return routed{sel: root, planStr: cs.planStr}, nil
+	if cs.ast != nil {
+		return routed{ast: cs.ast}, nil
 	}
-	st := cs.ast
+	if err := s.checkAccess(cs.access); err != nil {
+		return routed{}, err
+	}
+	if cs.write != nil {
+		return routed{write: cs.write, args: bound}, nil
+	}
+	root := cs.sel
 	if cs.nParams > 0 {
-		if st, err = substStmt(st, bound); err != nil {
+		if root, err = bindPlan(root, bound); err != nil {
 			return routed{}, err
 		}
 	}
-	return routed{ast: st}, nil
+	return routed{sel: root, planStr: cs.planStr}, nil
 }
 
 // compileText parses sql (placeholders allowed) and compiles it.
@@ -176,9 +178,10 @@ func (e *Engine) compileText(sql string) (*compiledStmt, error) {
 // (`WHERE id = 1.5` on an INT key is an empty result, not an error).
 var errBindKind = fmt.Errorf("core: parameter kind mismatch")
 
-// compileParsed compiles a parsed statement: SELECTs translate and
-// optimize to a plan; everything else keeps its AST. Parameter kinds are
-// inferred for bind-time validation.
+// compileParsed compiles a parsed statement: a SELECT translates and
+// optimizes to a plan, an INSERT, UPDATE or DELETE to a write; everything
+// else keeps its AST. Parameter kinds are inferred for bind-time
+// validation.
 func (e *Engine) compileParsed(st sqlparse.Stmt, nparams int) (*compiledStmt, error) {
 	cs := &compiledStmt{
 		nParams: nparams,
@@ -197,8 +200,16 @@ func (e *Engine) compileParsed(st sqlparse.Stmt, nparams int) (*compiledStmt, er
 		inferPlanParamKinds(root, cs.kinds)
 		return cs, nil
 	}
-	cs.ast = st
-	e.inferStmtParamKinds(st, cs.kinds)
+	w, err := e.compileWrite(st, cs.kinds)
+	if err != nil {
+		return nil, err
+	}
+	if w == nil {
+		cs.ast = st
+		return cs, nil
+	}
+	cs.write = w
+	cs.access = stmtAccess(st)
 	return cs, nil
 }
 
@@ -253,69 +264,6 @@ func inferPlanParamKinds(root plan.Node, kinds []value.Kind) {
 			}
 		}
 	})
-}
-
-// inferStmtParamKinds records expected kinds for DML parameters from the
-// target table's schema (best effort: unknown tables or columns leave
-// slots unknown and fail at execution instead).
-func (e *Engine) inferStmtParamKinds(st sqlparse.Stmt, kinds []value.Kind) {
-	if len(kinds) == 0 {
-		return
-	}
-	learn := func(ex expr.Expr, k value.Kind) {
-		if p, ok := ex.(*expr.Param); ok && p.Ord >= 0 && p.Ord < len(kinds) && kinds[p.Ord] == value.KindNull {
-			kinds[p.Ord] = k
-		}
-	}
-	inferWhere := func(w expr.Expr, schema *value.Schema) {
-		if w == nil {
-			return
-		}
-		bound := expr.Clone(w)
-		if _, err := expr.Bind(bound, schema); err == nil {
-			expr.InferParamKinds(bound, kinds)
-		}
-	}
-	switch t := st.(type) {
-	case *sqlparse.Insert:
-		tab, err := e.cat.Get(t.Table)
-		if err != nil {
-			return
-		}
-		cols := t.Cols
-		for _, row := range t.Rows {
-			for j, ex := range row {
-				ix := j
-				if cols != nil {
-					if j >= len(cols) {
-						continue
-					}
-					ix = tab.Schema.Index(cols[j])
-				}
-				if ix >= 0 && ix < tab.Schema.Len() {
-					learn(ex, tab.Schema.Column(ix).Kind)
-				}
-			}
-		}
-	case *sqlparse.Update:
-		tab, err := e.cat.Get(t.Table)
-		if err != nil {
-			return
-		}
-		for _, sc := range t.Set {
-			if ix := tab.Schema.Index(sc.Col); ix >= 0 {
-				learn(sc.Expr, tab.Schema.Column(ix).Kind)
-			}
-			inferWhere(sc.Expr, tab.Schema)
-		}
-		inferWhere(t.Where, tab.Schema)
-	case *sqlparse.Delete:
-		tab, err := e.cat.Get(t.Table)
-		if err != nil {
-			return
-		}
-		inferWhere(t.Where, tab.Schema)
-	}
 }
 
 // coerceArgs validates one value per slot against the inferred kinds.
@@ -488,54 +436,6 @@ func bindPlan(n plan.Node, args []value.Value) (plan.Node, error) {
 		return &c, nil
 	}
 	return nil, fmt.Errorf("core: cannot bind parameters into plan node %T", n)
-}
-
-// substStmt returns a copy of a DML statement with parameters replaced
-// by constants. Statements without expression positions pass through.
-func substStmt(st sqlparse.Stmt, args []value.Value) (sqlparse.Stmt, error) {
-	sub := func(e expr.Expr) (expr.Expr, error) {
-		if e == nil {
-			return nil, nil
-		}
-		return expr.SubstParams(e, args)
-	}
-	switch t := st.(type) {
-	case *sqlparse.Insert:
-		c := *t
-		c.Rows = make([][]expr.Expr, len(t.Rows))
-		for i, row := range t.Rows {
-			c.Rows[i] = make([]expr.Expr, len(row))
-			for j, ex := range row {
-				var err error
-				if c.Rows[i][j], err = sub(ex); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return &c, nil
-	case *sqlparse.Update:
-		c := *t
-		c.Set = make([]sqlparse.SetClause, len(t.Set))
-		var err error
-		for i, sc := range t.Set {
-			c.Set[i] = sc
-			if c.Set[i].Expr, err = sub(sc.Expr); err != nil {
-				return nil, err
-			}
-		}
-		if c.Where, err = sub(t.Where); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	case *sqlparse.Delete:
-		c := *t
-		var err error
-		if c.Where, err = sub(t.Where); err != nil {
-			return nil, err
-		}
-		return &c, nil
-	}
-	return st, nil
 }
 
 // ---------- engine plan cache ----------

@@ -155,12 +155,15 @@ func (s *Session) startClock() stmtClock {
 }
 
 // routed is what a statement comes to before anything runs: a SELECT
-// plan with its parameters bound, or any other statement as a bound AST.
-// Exec, ExecPrepared and Stream share the routines that produce it; they
-// differ only in what runs a SELECT plan.
+// plan with its parameters bound, a compiled write with the arguments for
+// its parameters, or any other statement as its AST. Exec, ExecPrepared
+// and Stream share the routines that produce it; they differ only in what
+// runs a SELECT plan.
 type routed struct {
 	sel     plan.Node
 	planStr string
+	write   *write
+	args    []value.Value
 	ast     sqlparse.Stmt
 }
 
@@ -172,9 +175,15 @@ func (s *Session) execRouted(start stmtClock, r routed, err error, dst []byte) (
 		return nil, err
 	}
 	var res *Result
-	if r.sel != nil {
+	switch {
+	case r.sel != nil:
 		res, err = s.runSelectPlanStr(r.sel, r.planStr, dst)
-	} else {
+	case r.write != nil:
+		var n int
+		if n, err = s.e.execWrite(s, r.write, r.args); err == nil {
+			res = &Result{Affected: n}
+		}
+	default:
 		res, err = s.execStmt(r.ast)
 	}
 	if err != nil {
@@ -198,11 +207,16 @@ func (s *Session) routeText(sql string) (routed, error) {
 		// The key is the statement with a '?' where each literal was, so
 		// it compiles as Prepare compiles a statement; one that does not
 		// parse with a slot per literal is marked non-cacheable, and the
-		// parser reports the text's own error below.
+		// parser reports the text's own error below. The grants are
+		// checked before compiling, so a tenant learns nothing of a table
+		// it may not touch from the compiler's errors.
 		st, n, err := sqlparse.ParseStmt(key)
 		if err != nil || n != len(lits) {
 			pc.put(key, nil)
 			return s.routeParsed(sql)
+		}
+		if err := s.checkStmt(st); err != nil {
+			return routed{}, err
 		}
 		cs, err := s.e.compileParsed(st, n)
 		if err != nil {
@@ -227,29 +241,30 @@ func (s *Session) routeText(sql string) (routed, error) {
 	return r, err
 }
 
-// routeParsed is the uncached path: parse, and plan a SELECT.
+// routeParsed is the uncached path: parse, and compile a SELECT or a
+// write, its grants checked first.
 func (s *Session) routeParsed(sql string) (routed, error) {
 	st, err := sqlparse.Parse(sql)
 	if err != nil {
 		return routed{}, err
 	}
-	sel, ok := st.(*sqlparse.Select)
-	if !ok {
+	switch st.(type) {
+	case *sqlparse.Select, *sqlparse.Insert, *sqlparse.Update, *sqlparse.Delete:
+	default:
 		return routed{ast: st}, nil
 	}
-	if err := s.checkStmt(sel); err != nil {
+	if err := s.checkStmt(st); err != nil {
 		return routed{}, err
 	}
-	root, err := s.e.translateSelect(sel)
+	cs, err := s.e.compileParsed(st, 0)
 	if err != nil {
 		return routed{}, err
 	}
-	root = s.e.opt.Optimize(root)
-	return routed{sel: root, planStr: plan.Format(root)}, nil
+	return routed{sel: cs.sel, planStr: cs.planStr, write: cs.write}, nil
 }
 
-// execStmt runs a parsed statement other than SELECT (routing plans
-// those: routeParsed, routePrepared).
+// execStmt runs a parsed statement other than a SELECT or a write
+// (routing compiles those: routeParsed, routePrepared).
 func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 	if err := s.checkStmt(st); err != nil {
 		return nil, err
@@ -278,27 +293,6 @@ func (s *Session) execStmt(st sqlparse.Stmt) (*Result, error) {
 			return nil, err
 		}
 		return &Result{Msg: fmt.Sprintf("table %s dropped", t.Name)}, nil
-
-	case *sqlparse.Insert:
-		n, err := s.e.execInsert(s, t)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
-
-	case *sqlparse.Update:
-		n, err := s.e.execUpdate(s, t)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
-
-	case *sqlparse.Delete:
-		n, err := s.e.execDelete(s, t)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Affected: n}, nil
 
 	case *sqlparse.Explain:
 		return s.execExplain(t)
@@ -394,36 +388,31 @@ func (s *Session) dryRun(root plan.Node) (*explainTrace, error) {
 	return ctx.explain, nil
 }
 
-// execExplain answers EXPLAIN <stmt>: translate and optimize the
-// wrapped statement exactly as execution would, but return the plan's
-// rendering as a one-column relation instead of running it — no
-// fragments are scanned and no locks are taken, so EXPLAIN is safe
-// against any workload. The chosen join methods and Exchange
-// partitioning annotations are exactly what execution will do, a
-// trailing access line states the concurrency-control discipline the
-// statement runs under (snapshot read vs locked write), and the dry run's
-// lines say the operators run on batches and name those that hand up fewer
-// columns than their schema has.
+// execExplain answers EXPLAIN <stmt>: compile the wrapped statement
+// exactly as execution would, but return its rendering as a one-column
+// relation instead of running it — no fragments are written or scanned
+// and no locks are taken, so EXPLAIN is safe against any workload. A
+// SELECT's join methods and Exchange partitioning annotations and a
+// write's fragments are exactly what execution will do, a trailing access
+// line states the concurrency-control discipline the statement runs under
+// (snapshot read vs locked write), and a SELECT's dry-run lines say the
+// operators run on batches and name those that hand up fewer columns than
+// their schema has.
 func (s *Session) execExplain(ex *sqlparse.Explain) (*Result, error) {
+	cs, err := s.e.compileParsed(ex.Stmt, 0)
+	if err != nil {
+		return nil, err
+	}
 	var planStr string
-	switch t := ex.Stmt.(type) {
-	case *sqlparse.Select:
-		root, err := s.e.translateSelect(t)
+	switch {
+	case cs.sel != nil:
+		trace, err := s.dryRun(cs.sel)
 		if err != nil {
 			return nil, err
 		}
-		root = s.e.opt.Optimize(root)
-		trace, err := s.dryRun(root)
-		if err != nil {
-			return nil, err
-		}
-		planStr = plan.Format(root) + "access: snapshot read (no locks)\n" + trace.line()
-	case *sqlparse.Insert:
-		planStr = "Insert " + t.Table + "\n" + writeAccessLine
-	case *sqlparse.Update:
-		planStr = "Update " + t.Table + "\n" + writeAccessLine
-	case *sqlparse.Delete:
-		planStr = "Delete " + t.Table + "\n" + writeAccessLine
+		planStr = cs.planStr + "access: snapshot read (no locks)\n" + trace.line()
+	case cs.write != nil:
+		planStr = s.e.explainWrite(cs.write) + "\n" + writeAccessLine
 	default:
 		return nil, fmt.Errorf("core: EXPLAIN supports SELECT and DML statements, got %T", ex.Stmt)
 	}

@@ -67,6 +67,12 @@ func E8RecoveryOverhead(quick bool) (*Table, error) {
 			return nil, err
 		}
 
+		// SET bal = bal + 1, bound to the schema as UpdateTx takes it.
+		raise := expr.NewArith(expr.Add, expr.NewCol("bal"), expr.NewConst(value.NewInt(1)))
+		if _, err := expr.Bind(raise, schema); err != nil {
+			return nil, err
+		}
+		set := map[int]expr.Expr{1: raise}
 		runTxns := func(o *ofm.OFM, pe int) (time.Duration, error) {
 			mgr := txn.NewManager()
 			before := m.PE(pe).Clock() + m.PE(0).Clock()
@@ -74,7 +80,6 @@ func E8RecoveryOverhead(quick bool) (*Table, error) {
 				tx := mgr.Begin()
 				tx.Enlist(o)
 				pred := expr.NewCmp(expr.EQ, expr.NewCol("id"), expr.NewConst(value.NewInt(int64(i%100))))
-				set := map[int]expr.Expr{1: expr.NewArith(expr.Add, expr.NewCol("bal"), expr.NewConst(value.NewInt(1)))}
 				if _, err := o.UpdateTx(tx.ID(), pred, set, ofm.Latest); err != nil {
 					return 0, err
 				}

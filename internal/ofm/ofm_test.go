@@ -49,6 +49,18 @@ func newOFM(t *testing.T) (*OFM, *machine.Machine, *txn.Manager) {
 	return o, m, txn.NewManager()
 }
 
+// bindSet binds a SET list's expressions to o's schema in place, as
+// UpdateTx takes them.
+func bindSet(t *testing.T, o *OFM, set map[int]expr.Expr) map[int]expr.Expr {
+	t.Helper()
+	for _, e := range set {
+		if _, err := expr.Bind(e, o.Schema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return set
+}
+
 func load(t *testing.T, o *OFM, n int) {
 	t.Helper()
 	tuples := make([]value.Tuple, n)
@@ -277,9 +289,9 @@ func TestUpdateTx(t *testing.T) {
 	tx.Enlist(o)
 	// UPDATE emp SET salary = salary + 1000 WHERE dept = 'eng'.
 	pred := expr.NewCmp(expr.EQ, expr.NewCol("dept"), expr.NewConst(value.NewString("eng")))
-	set := map[int]expr.Expr{
+	set := bindSet(t, o, map[int]expr.Expr{
 		2: expr.NewArith(expr.Add, expr.NewCol("salary"), expr.NewConst(value.NewInt(1000))),
-	}
+	})
 	n, err := o.UpdateTx(tx.ID(), pred, set, Latest)
 	if err != nil {
 		t.Fatal(err)

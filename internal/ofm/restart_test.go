@@ -79,7 +79,7 @@ func restartSchedule(t *testing.T, seed int64, commitInDoubt bool) {
 			t.Fatal(err)
 		}
 	}
-	raise := map[int]expr.Expr{2: expr.NewArith(expr.Add, expr.NewCol("salary"), expr.NewConst(value.NewInt(1)))}
+	raise := bindSet(t, o, map[int]expr.Expr{2: expr.NewArith(expr.Add, expr.NewCol("salary"), expr.NewConst(value.NewInt(1)))})
 	// write buffers one to three random writes for tx.
 	write := func(tx txn.ID, step int) {
 		n := 1 + r.Intn(3)

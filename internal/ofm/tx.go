@@ -93,8 +93,9 @@ func (o *OFM) DeleteTx(tx txn.ID, pred expr.Expr, view View) (int, error) {
 // UpdateTx buffers an update in the given view: matching committed
 // tuples are deleted and their transformed images inserted; the txn's
 // own matching pending inserts are rewritten in place. set maps column
-// index to an expression evaluated against the old tuple. Snapshot
-// views get first-committer-wins validation as in DeleteTx.
+// index to an expression bound to the fragment's schema, evaluated
+// against the old tuple. Snapshot views get first-committer-wins
+// validation as in DeleteTx.
 func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view View) (int, error) {
 	view.Tx = tx
 	matching, pendIdx, err := o.match(view, pred)
@@ -104,23 +105,16 @@ func (o *OFM) UpdateTx(tx txn.ID, pred expr.Expr, set map[int]expr.Expr, view Vi
 	if pendIdx != nil {
 		defer value.PutSel(pendIdx)
 	}
-	// Bind the set expressions once.
-	bound := map[int]expr.Expr{}
-	for col, e := range set {
+	for col := range set {
 		if col < 0 || col >= o.cfg.Schema.Len() {
 			return 0, fmt.Errorf("ofm %s: update column %d out of range", o.cfg.Name, col)
 		}
-		be := expr.Clone(e)
-		if _, err := expr.Bind(be, o.cfg.Schema); err != nil {
-			return 0, fmt.Errorf("ofm %s: %w", o.cfg.Name, err)
-		}
-		bound[col] = be
 	}
 	// applySet writes old's transformed image over a copy of old in
 	// updated's backing array.
 	applySet := func(old, updated value.Tuple) (value.Tuple, error) {
 		updated = append(updated[:0], old...)
-		for col, e := range bound {
+		for col, e := range set {
 			v, err := e.Eval(old)
 			if err != nil {
 				return nil, fmt.Errorf("ofm %s: update: %w", o.cfg.Name, err)
