@@ -111,22 +111,22 @@ func (o *OFM) apply(recs []wal.Record, limit uint64) (maxTS uint64, applied int,
 }
 
 // restart rebuilds the fragment's volatile state from a checkpoint image
-// and the log records after it: every buffered write set and watermark
-// is dropped, the store is refilled from the snapshot, and the records
-// are applied with commits above limit deferred. Returns the highest
-// commit timestamp and the number of records applied.
-func (o *OFM) restart(snapshot []value.Tuple, recs []wal.Record, limit uint64) (uint64, int, error) {
-	o.mu.Lock()
-	o.pending = map[txn.ID]*writeSet{}
-	o.applyPend = map[txn.ID]*applyWS{}
-	o.applyDeferred = map[txn.ID]uint64{}
-	o.appliedTS = 0
-	o.mu.Unlock()
-	o.store.Clear()
-	if err := o.store.InsertBatch(snapshot); err != nil {
-		return 0, 0, fmt.Errorf("ofm %s: restart snapshot: %w", o.cfg.Name, err)
+// and the log records after it: the store takes the image in (or, if it
+// is corrupt, refuses it and is left as it was), every buffered write set
+// and watermark is dropped, and the records are applied with commits
+// above limit deferred, the rows and the records charged as a build.
+// Returns the highest commit timestamp and the number of records applied.
+func (o *OFM) restart(image []byte, recs []wal.Record, limit uint64) (uint64, int, error) {
+	rows, err := o.store.LoadImage(image)
+	if err != nil {
+		return 0, 0, fmt.Errorf("ofm %s: restart checkpoint: %w", o.cfg.Name, err)
 	}
-	return o.apply(recs, limit)
+	o.mu.Lock()
+	o.pending, o.applyPend, o.applyDeferred, o.appliedTS = map[txn.ID]*writeSet{}, map[txn.ID]*applyWS{}, map[txn.ID]uint64{}, 0
+	o.mu.Unlock()
+	maxTS, applied, err := o.apply(recs, limit)
+	o.cfg.PE.Advance(o.costs().BuildCost(rows + applied))
+	return maxTS, applied, err
 }
 
 // AdvanceApplied applies every deferred commit at or below limit, in
@@ -202,8 +202,12 @@ func (o *OFM) applyCommit(ws *applyWS, ts uint64) error {
 
 // InstallSync replaces the fragment wholesale from a shipped sync
 // image (checkpoint segment + raw log bytes) and replays it, returning
-// the fragment's new durable offset and highest applied commit TS.
+// the fragment's new durable offset and highest applied commit TS. The
+// checkpoint came off the network: one the store refuses replaces nothing.
 func (o *OFM) InstallSync(ckpt, logBytes []byte, gen, limit uint64) (int64, uint64, error) {
+	if err := o.store.CheckImage(ckpt); err != nil {
+		return 0, 0, fmt.Errorf("ofm %s: sync image: %w", o.cfg.Name, err)
+	}
 	if err := o.cfg.Log.InstallImage(ckpt, logBytes, gen); err != nil {
 		return 0, 0, fmt.Errorf("ofm %s: install sync image: %w", o.cfg.Name, err)
 	}
@@ -222,19 +226,14 @@ func (o *OFM) ReplayLocal(limit uint64) (int64, uint64, error) {
 	if o.cfg.Kind != Persistent {
 		return 0, 0, fmt.Errorf("ofm %s: transient OFMs do not replicate", o.cfg.Name)
 	}
-	snapshot, err := o.cfg.Log.LoadCheckpoint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("ofm %s: replay checkpoint: %w", o.cfg.Name, err)
-	}
 	recs, err := o.cfg.Log.Scan()
 	if err != nil {
 		return 0, 0, err
 	}
-	maxTS, applied, err := o.restart(snapshot, recs, limit)
+	maxTS, _, err := o.restart(o.cfg.Log.LoadCheckpoint(), recs, limit)
 	if err != nil {
 		return 0, 0, err
 	}
-	o.cfg.PE.Advance(o.costs().BuildCost(applied))
 	return o.cfg.Log.ValidSize(), maxTS, nil
 }
 

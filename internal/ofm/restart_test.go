@@ -1,6 +1,7 @@
 package ofm
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -221,5 +222,68 @@ func restartSchedule(t *testing.T, seed int64, commitInDoubt bool) {
 	}
 	if got := scan(t, fresh, Latest, nil, nil); !got.SameBag(want) {
 		t.Errorf("installed rows differ:\n got  %v\n want %v", got.Tuples, want.Tuples)
+	}
+}
+
+// TestInstallSyncRefusesCorruptImage: a replica fed a full-sync image
+// whose checkpoint is cut short, holds a BOOL byte of 2 or has a byte past
+// its rows refuses it with an error. Its fragment still answers with the
+// rows it held, and its own checkpoint and log, which a crash replays,
+// are still the good image's.
+func TestInstallSyncRefusesCorruptImage(t *testing.T) {
+	schema := value.MustSchema("id", "INT", "ok", "BOOL")
+	frag := func(name string) (*OFM, *machine.StableStore) {
+		m, err := machine.New(machine.Config{NumPEs: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stable, err := machine.NewStableStore(m.PE(0), machine.DiskModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(stable, "wal-sync")
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := New(Config{Name: name, Schema: schema, PE: m.PE(1), Machine: m, Kind: Persistent, Log: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o, stable
+	}
+	primary, stable := frag("primary#0")
+	if err := primary.Load([]value.Tuple{
+		value.NewTuple(value.NewInt(1), value.NewBool(true)),
+		value.NewTuple(value.NewInt(2), value.NewBool(false)),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, logBytes := stable.ReadAll("wal-sync.ckpt"), stable.ReadAll("wal-sync")
+	replica, _ := frag("replica#0")
+	if _, _, err := replica.InstallSync(ckpt, logBytes, 1, LatestTS); err != nil {
+		t.Fatal(err)
+	}
+	want := scan(t, primary, Latest, nil, nil)
+	// The count, then the first row: its NULL bitmap, id's varint, ok.
+	boolTwo := bytes.Clone(ckpt)
+	boolTwo[4+2] = 2
+	for name, bad := range map[string][]byte{
+		"last byte cut": ckpt[:len(ckpt)-1],
+		"BOOL byte 2":   boolTwo,
+		"trailing byte": append(bytes.Clone(ckpt), 0),
+	} {
+		if _, _, err := replica.InstallSync(bad, logBytes, 2, LatestTS); err == nil {
+			t.Errorf("%s: the replica installed it", name)
+		}
+		if got := scan(t, replica, Latest, nil, nil); !got.SameBag(want) {
+			t.Errorf("%s: the replica answers %v, want %v", name, got.Tuples, want.Tuples)
+		}
+	}
+	replica.Crash()
+	if _, _, err := replica.ReplayLocal(LatestTS); err != nil {
+		t.Fatal(err)
+	}
+	if got := scan(t, replica, Latest, nil, nil); !got.SameBag(want) {
+		t.Errorf("after a crash the replica answers %v, want %v", got.Tuples, want.Tuples)
 	}
 }

@@ -485,8 +485,7 @@ func (o *OFM) Recover() (int, error) {
 	// No snapshot survives a crash: the versions the redo deletes ended
 	// have no readers.
 	o.store.Vacuum(LatestTS)
-	o.cfg.PE.Advance(o.costs().BuildCost(len(res.Snapshot) + applied))
-	// Keep the report, not the decoded checkpoint and log it carried.
+	// Keep the report, not the checkpoint and log it carried.
 	res.Snapshot, res.Records = nil, nil
 	o.mu.Lock()
 	o.lastRecovery = res

@@ -464,14 +464,14 @@ func (d *differential) check(step string) {
 	if i != len(tuples) || version != ref.version {
 		fail("SnapshotVersions holds %d versions at %d, reference %d at %d", len(tuples), version, i, ref.version)
 	}
-	snap := s.Snapshot()
+	snap := currentTuples(loaded(t, ref.schema, s.Image()))
 	cur := d.current()
 	if len(snap) != len(cur) {
-		fail("Snapshot holds %d tuples, %d are current", len(snap), len(cur))
+		fail("the image holds %d tuples, %d are current", len(snap), len(cur))
 	}
 	for i, id := range cur {
 		if !sameTuple(snap[i], ref.rows[id.Slot()].tuple) {
-			fail("Snapshot tuple %d = %v, reference %v", i, snap[i], ref.rows[id.Slot()].tuple)
+			fail("image tuple %d = %v, reference %v", i, snap[i], ref.rows[id.Slot()].tuple)
 		}
 	}
 
@@ -598,8 +598,8 @@ func (d *differential) probes() []value.Tuple {
 // replaced over seeded schedules of inserts, batch inserts, updates,
 // version ends, vacuums with compaction, clears, index
 // builds over existing rows and log re-arms: every read — GetAt and ScanAt
-// at old and new timestamps, SnapshotVersions, Snapshot (the checkpoint
-// image, decoded), SnapshotSlots (decoded and transposed), DrainDirty,
+// at old and new timestamps, SnapshotVersions, the checkpoint image
+// (loaded into a fresh store), SnapshotSlots (decoded and transposed), DrainDirty,
 // Lookup, FindCurrent — and the memory charge
 // after every step, and the bytes of slabs captured steps ago.
 func TestStoreMatchesReference(t *testing.T) {
@@ -620,25 +620,85 @@ func TestStoreMatchesReference(t *testing.T) {
 	}
 }
 
-// TestImageMatchesEncodeTuples: the checkpoint image transcoded from the
-// slab's rows is byte for byte value.EncodeTuples of the current versions
-// in slot order, the format the log and its readers know, after every step
-// of seeded schedules; with no dead version held it is sized exactly.
-func TestImageMatchesEncodeTuples(t *testing.T) {
+// loaded returns a fresh store of schema, with a hash index on each of
+// cols, that took img in; t fails unless it did.
+func loaded(t *testing.T, schema *value.Schema, img []byte, cols ...[]int) *Store {
+	t.Helper()
+	s := NewStore(schema)
+	for i, c := range cols {
+		if _, err := s.CreateHashIndex(fmt.Sprint("ix", i), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := s.LoadImage(img)
+	if err != nil || n != s.Len() {
+		t.Fatalf("LoadImage took %d rows of a store's image (Len %d): %v", n, s.Len(), err)
+	}
+	return s
+}
+
+// currentTuples returns the current versions of s, in slot order.
+func currentTuples(s *Store) []value.Tuple {
+	var ts []value.Tuple
+	s.ScanAt(math.MaxUint64, func(_ RowID, t value.Tuple) bool {
+		ts = append(ts, t)
+		return true
+	})
+	return ts
+}
+
+// TestImageRoundTrip: after every step of seeded schedules, a fresh store
+// loaded from the checkpoint image holds the reference's current versions,
+// each visible since load, in slots 0, 1, … in the order of theirs, is
+// indexed and charged as the reference says, and gives back the image
+// byte for byte; with no dead version held the image is sized exactly.
+func TestImageRoundTrip(t *testing.T) {
 	for seed := int64(5); seed <= 8; seed++ {
 		d := newDifferential(t, seed)
 		for i := 0; i < 300; i++ {
 			step := d.step()
-			var cur []value.Tuple
-			for _, id := range d.current() {
-				cur = append(cur, d.ref.rows[id.Slot()].tuple)
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Fatalf("seed %d step %d (%s): %s", seed, i, step, fmt.Sprintf(format, args...))
 			}
-			img, want := d.s.Image(), value.EncodeTuples(cur)
-			if !bytes.Equal(img, want) {
-				t.Fatalf("seed %d step %d (%s): Image is %d bytes, EncodeTuples of the %d current versions %d, and they differ", seed, i, step, len(img), len(cur), len(want))
-			}
+			img := d.s.Image()
 			if len(d.ref.dead) == 0 && cap(img) != len(img) {
-				t.Fatalf("seed %d step %d (%s): Image reserved %d bytes for %d", seed, i, step, cap(img), len(img))
+				fail("Image reserved %d bytes for %d", cap(img), len(img))
+			}
+			var cols [][]int
+			for _, ix := range d.idx {
+				cols = append(cols, ix.cols)
+			}
+			s := loaded(t, d.ref.schema, img, cols...)
+			cur := d.current()
+			held := 0
+			want := map[string][]RowID{}
+			s.ScanAt(0, func(id RowID, got value.Tuple) bool {
+				si := id.Slot()
+				if si >= len(cur) || id != makeRowID(si, 0) || !sameTuple(got, d.ref.rows[cur[si].Slot()].tuple) {
+					fail("loaded version %v = %v; %d are current", id, got, len(cur))
+				}
+				held += len(value.AppendRow(nil, d.ref.schema, got))
+				for _, c := range cols {
+					k := fmt.Sprint(c, string(got.AppendKeyOn(nil, c)))
+					want[k] = append(want[k], id)
+				}
+				return true
+			})
+			if s.Len() != len(cur) || s.MemSize() != int64(held+len(cur)*slotBytes) {
+				fail("loaded store holds %d versions charged %d bytes; %d are current in %d bytes", s.Len(), s.MemSize(), len(cur), held)
+			}
+			for _, c := range cols {
+				ix, _ := s.HashIndexOn(c)
+				for _, key := range d.keys(c) {
+					k := fmt.Sprint(c, string(value.Tuple(key).AppendKeyOn(nil, ix.seq)))
+					if got := ix.Lookup(key); !slices.Equal(got, want[k]) {
+						fail("loaded index %v Lookup(%v) = %v, want %v", c, key, got, want[k])
+					}
+				}
+			}
+			if again := s.Image(); !bytes.Equal(again, img) {
+				fail("the loaded store's image differs from the one it loaded")
 			}
 		}
 	}

@@ -13,9 +13,9 @@
 // and no kind tags) in one append-only []byte slab per store, and a read
 // returns a fresh decode. Slab bytes are never overwritten (a refilled
 // slot appends; growth and Vacuum's compaction build a new array), so a
-// slab captured under the lock is readable after it. What leaves the
-// store for the log, a checkpoint or the wire is the self-describing tuple
-// encoding (value.AppendTuple): Image transcodes to it.
+// slab captured under the lock is readable after it. A checkpoint image is
+// the rows as they are (Image, LoadImage); the log and the wire get the
+// self-describing tuple encoding (value.AppendTuple).
 package storage
 
 import (
@@ -78,7 +78,6 @@ type Store struct {
 	rows    []slot
 	slab    []byte  // the versions' rows, appended and never overwritten
 	held    int     // the slab bytes held versions take; the rest await compaction
-	image   int     // the held versions' tuple-encoding bytes: what Image may need
 	free    []int   // reusable free slot indexes
 	count   int     // current versions (end == 0)
 	dead    []int32 // slots of dead versions awaiting Vacuum, in deletion order
@@ -152,10 +151,8 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 	if err := Conform(s.schema, t); err != nil {
 		return -1, err
 	}
-	_, image := value.EncodedLens(s.schema, t)
 	s.mu.Lock()
 	id := s.insertLocked(t, ts)
-	s.image += image
 	s.unlock()
 	return id, nil
 }
@@ -164,13 +161,12 @@ func (s *Store) InsertVersion(t value.Tuple, ts uint64) (RowID, error) {
 // growing the rows, the slab and the indexes once. All are conformed
 // before any is inserted, so a bad one leaves the store as it was.
 func (s *Store) InsertBatch(ts []value.Tuple) error {
-	var rows, image int
+	var rows int
 	for _, t := range ts {
 		if err := Conform(s.schema, t); err != nil {
 			return err
 		}
-		row, tuple := value.EncodedLens(s.schema, t)
-		rows, image = rows+row, image+tuple
+		rows += value.RowLen(s.schema, t)
 	}
 	s.mu.Lock()
 	s.rows = slices.Grow(s.rows, len(ts)-min(len(ts), len(s.free)))
@@ -181,7 +177,6 @@ func (s *Store) InsertBatch(ts []value.Tuple) error {
 	for _, t := range ts {
 		s.insertLocked(t, 0)
 	}
-	s.image += image
 	s.unlock()
 	return nil
 }
@@ -208,8 +203,8 @@ func (s *Store) decode(si int) value.Tuple {
 }
 
 // insertLocked appends a conformed tuple version's row to the slab,
-// places it in a free slot, or a new one, and indexes it; the caller
-// counts it in image. Caller holds s.mu.
+// places it in a free slot, or a new one, and indexes it. Caller holds
+// s.mu.
 func (s *Store) insertLocked(t value.Tuple, ts uint64) RowID {
 	sl := slot{off: len(s.slab), begin: ts}
 	s.slab = value.AppendRow(s.slab, s.schema, t)
@@ -304,8 +299,6 @@ func (s *Store) freeSlot(si int) {
 		idx.remove(si, t)
 	}
 	s.held -= int(s.rows[si].n)
-	_, image := value.EncodedLens(s.schema, t)
-	s.image -= image
 	// A bumped generation invalidates outstanding ids for this slot.
 	s.rows[si] = slot{off: -1, gen: s.rows[si].gen + 1}
 	s.free = append(s.free, si)
@@ -436,23 +429,77 @@ func (s *Store) ScanAt(ts uint64, fn func(RowID, value.Tuple) bool) {
 	}
 }
 
-// Image returns every current version as value.EncodeTuples encodes
-// them, transcoded from the slab's rows into an array sized once: a
-// checkpoint's image, with no tuple decoded.
+// Image returns a checkpoint image of the store: a uint32 count, then
+// every current version's row, in slot order, copied from the slab.
 func (s *Store) Image() []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	img := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.image), uint32(s.count))
+	img := binary.BigEndian.AppendUint32(make([]byte, 0, 4+s.held), uint32(s.count))
 	for i := range s.rows {
 		if s.rows[i].off >= 0 && s.rows[i].end == 0 {
-			img = value.AppendRowTuple(img, s.schema, s.encoded(i))
+			img = append(img, s.encoded(i)...)
 		}
 	}
 	return img
 }
 
-// Snapshot returns a fresh decode of every current tuple.
-func (s *Store) Snapshot() []value.Tuple { ts, _ := value.DecodeTuples(s.Image()); return ts }
+// CheckImage returns the error LoadImage would refuse img with, or nil.
+func (s *Store) CheckImage(img []byte) error { _, err := s.imageSlots(img); return err }
+
+// imageSlots vets img, the count and then that many rows value.CheckRow
+// passes, and returns a slot per row, its offset counted from the first.
+// An empty img, no checkpoint, has none.
+func (s *Store) imageSlots(img []byte) ([]slot, error) {
+	if len(img) == 0 {
+		return nil, nil
+	}
+	if len(img) < 4 {
+		return nil, fmt.Errorf("storage: image of %d bytes has no row count", len(img))
+	}
+	n, body := int(binary.BigEndian.Uint32(img)), img[4:]
+	// A row has a byte of NULL bitmap: a hostile count reserves no more.
+	rows := make([]slot, 0, min(n, len(body)))
+	off := 0
+	for len(rows) < n {
+		m, err := value.CheckRow(s.schema, body[off:])
+		if err != nil {
+			return nil, fmt.Errorf("storage: image row %d of %d: %w", len(rows), n, err)
+		}
+		rows = append(rows, slot{off: off, n: uint32(m)})
+		off += m
+	}
+	if off != len(body) {
+		return nil, fmt.Errorf("storage: image has %d bytes past its %d rows", len(body)-off, n)
+	}
+	return rows, nil
+}
+
+// LoadImage replaces the store's versions with img's rows, each current
+// since load in the slot Image read it from, and returns how many there
+// are. img is vetted whole first (CheckImage): one refused changes
+// nothing. The rows are copied as they are; only the hash indexes decode.
+func (s *Store) LoadImage(img []byte) (int, error) {
+	rows, err := s.imageSlots(img)
+	if err != nil {
+		return 0, err
+	}
+	slab := append([]byte(nil), img[min(4, len(img)):]...)
+	s.mu.Lock()
+	s.clearLocked()
+	for _, idx := range s.hashIdx {
+		idx.reserve(len(rows))
+	}
+	s.rows, s.slab, s.held, s.count = rows, slab, len(slab), len(rows)
+	var t value.Tuple
+	for si := 0; si < len(rows) && len(s.hashIdx) > 0; si++ {
+		t, _ = value.DecodeRow(t[:0], s.schema, s.encoded(si))
+		for _, idx := range s.hashIdx {
+			idx.add(si, t)
+		}
+	}
+	s.unlock()
+	return len(rows), nil
+}
 
 // Version returns the store's mutation counter. It changes whenever the
 // set of versions changes (insert, delete, vacuum, clear), so a
@@ -490,15 +537,15 @@ func (s *Store) SnapshotVersions() (tuples []value.Tuple, begin, end []uint64, v
 }
 
 // Clear removes everything, keeping indexes defined but empty.
-func (s *Store) Clear() {
-	s.mu.Lock()
-	s.rows, s.slab, s.held, s.image, s.free, s.count, s.dead = nil, nil, 0, 0, nil, 0, nil
+func (s *Store) Clear() { s.mu.Lock(); s.clearLocked(); s.unlock() }
+
+func (s *Store) clearLocked() {
+	s.rows, s.slab, s.held, s.free, s.count, s.dead = nil, nil, 0, nil, 0, nil
 	s.dirtyLost = true
 	s.version++
 	for _, idx := range s.hashIdx {
 		idx.clear()
 	}
-	s.unlock()
 }
 
 // ---------- indexes ----------

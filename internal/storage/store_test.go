@@ -130,8 +130,8 @@ func TestScanAndSnapshot(t *testing.T) {
 	if seen != 3 {
 		t.Errorf("early-stop Scan visited %d", seen)
 	}
-	if got := len(s.Snapshot()); got != 10 {
-		t.Errorf("Snapshot = %d tuples", got)
+	if got := len(currentTuples(loaded(t, s.Schema(), s.Image()))); got != 10 {
+		t.Errorf("the image holds %d tuples", got)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestConcurrentAccess(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			s.ScanAt(math.MaxUint64, func(RowID, value.Tuple) bool { return true })
-			_ = s.Snapshot()
+			_ = s.Image()
 		}
 	}()
 	wg.Wait()

@@ -275,7 +275,7 @@ func (m *Manager) Begin() *Txn {
 	return t
 }
 
-// finish releases locks and bookkeeping once a txn reaches a final state.
+// finish releases bookkeeping and locks once a txn reaches a final state.
 func (m *Manager) finish(t *Txn) {
 	t.mu.Lock()
 	rel := t.snapRelease
@@ -284,7 +284,7 @@ func (m *Manager) finish(t *Txn) {
 	if rel != nil {
 		rel()
 	}
-	m.locks.ReleaseAll(t.id)
+	// Leave active before the locks go, or a waiter they grant sees it.
 	m.mu.Lock()
 	_, was := m.active[t.id]
 	delete(m.active, t.id)
@@ -296,6 +296,7 @@ func (m *Manager) finish(t *Txn) {
 			m.aborts.Add(1)
 		}
 	}
+	m.locks.ReleaseAll(t.id)
 }
 
 // Locks exposes the lock manager (OFMs lock through the owning txn, but

@@ -3,6 +3,7 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,33 @@ func TestLockAfterAbortFails(t *testing.T) {
 	}
 	if err := tx.Lock("f", Exclusive); err == nil {
 		t.Error("lock on aborted txn should error")
+	}
+}
+
+// TestFinishedTxnLeavesActiveBeforeItsLocks: a waiter granted the lock of
+// a transaction that aborted must not see that transaction still active.
+func TestFinishedTxnLeavesActiveBeforeItsLocks(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		m := NewManager()
+		t1, t2 := m.Begin(), m.Begin()
+		if err := t1.Lock("r", Exclusive); err != nil {
+			t.Fatal(err)
+		}
+		active := make(chan int)
+		go func() {
+			if err := t2.Lock("r", Exclusive); err != nil {
+				t.Error(err)
+			}
+			active <- m.ActiveCount()
+		}()
+		for m.locks.queuedOn("r") == 0 {
+			runtime.Gosched()
+		}
+		t1.Abort()
+		if n := <-active; n != 1 {
+			t.Fatalf("round %d: %d transactions active once the waiter holds the lock, want 1", i, n)
+		}
+		t2.Abort()
 	}
 }
 

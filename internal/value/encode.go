@@ -201,36 +201,6 @@ func DecodeFlatTuples(buf []byte, count, arity int, what string) ([]Tuple, int, 
 	return tuples, off, nil
 }
 
-// EncodeTuples encodes a batch of tuples: a uint32 count then each tuple.
-func EncodeTuples(ts []Tuple) []byte {
-	buf := binary.BigEndian.AppendUint32(nil, uint32(len(ts)))
-	for _, t := range ts {
-		buf = AppendTuple(buf, t)
-	}
-	return buf
-}
-
-// DecodeTuples decodes a batch written by EncodeTuples.
-func DecodeTuples(buf []byte) ([]Tuple, error) {
-	if len(buf) < 4 {
-		return nil, fmt.Errorf("value: truncated batch header")
-	}
-	n := int(binary.BigEndian.Uint32(buf))
-	off := 4
-	// Each encoded tuple is at least 2 bytes: bound the preallocation by
-	// the buffer so a hostile count cannot allocate gigabytes up front.
-	ts := make([]Tuple, 0, min(n, (len(buf)-off)/2+1))
-	for i := 0; i < n; i++ {
-		t, used, err := DecodeTuple(buf[off:])
-		if err != nil {
-			return nil, fmt.Errorf("value: batch tuple %d: %w", i, err)
-		}
-		ts = append(ts, t)
-		off += used
-	}
-	return ts, nil
-}
-
 // FNV-1a, the one hash behind fragmentation, exchanges, joins and
 // grouping. The pieces below are shared by the boxed entry points (Hash64,
 // HashTuple) and the columnar one (Batch.HashCols), which is what keeps a

@@ -66,31 +66,6 @@ func TestTupleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(13))
-	ts := make([]Tuple, 100)
-	for i := range ts {
-		ts[i] = NewTuple(randomValue(r), randomValue(r))
-	}
-	got, err := DecodeTuples(EncodeTuples(ts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ts) {
-		t.Fatalf("decoded %d tuples, want %d", len(got), len(ts))
-	}
-	for i := range ts {
-		if !EqualTuples(got[i], ts[i]) {
-			t.Fatalf("tuple %d mismatch: %v vs %v", i, got[i], ts[i])
-		}
-	}
-	// Empty batch round trips too.
-	got, err = DecodeTuples(EncodeTuples(nil))
-	if err != nil || len(got) != 0 {
-		t.Errorf("empty batch round trip: %v, %v", got, err)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeValue(nil); err == nil {
 		t.Error("empty buffer should error")
@@ -118,12 +93,6 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, _, err := DecodeTuple([]byte{0, 2, byte(KindInt)}); err == nil {
 		t.Error("truncated tuple body should error")
-	}
-	if _, err := DecodeTuples([]byte{0}); err == nil {
-		t.Error("truncated batch header should error")
-	}
-	if _, err := DecodeTuples([]byte{0, 0, 0, 1}); err == nil {
-		t.Error("truncated batch body should error")
 	}
 }
 

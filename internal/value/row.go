@@ -2,6 +2,7 @@ package value
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"strings"
@@ -16,8 +17,8 @@ import (
 // byte, a VARCHAR as a uvarint length and its bytes. A value must already
 // have its column's kind (storage.Conform; an INT is widened into a FLOAT
 // column), so the encoding loses nothing; a column of kind NULL is NULL in
-// every row. The tuple encoding (AppendTuple) stays the format of the log,
-// checkpoint images and the wire; AppendRowTuple transcodes to it.
+// every row. A checkpoint image is a count and the rows (CheckRow vets
+// each); the log and the wire keep the tuple encoding (AppendTuple).
 
 // AppendRow appends t, a tuple of s, in the row encoding.
 func AppendRow(dst []byte, s *Schema, t Tuple) []byte {
@@ -42,24 +43,65 @@ func AppendRow(dst []byte, s *Schema, t Tuple) []byte {
 	return dst
 }
 
-// EncodedLens returns the lengths AppendRow writes for t, a tuple of s,
-// and AppendTuple writes for it once conformed to s.
-func EncodedLens(s *Schema, t Tuple) (row, tuple int) {
-	row, tuple = (len(s.cols)+7)>>3, 2+len(t)
+// RowLen returns the length AppendRow writes for t, a tuple of s.
+func RowLen(s *Schema, t Tuple) int {
+	n := (len(s.cols) + 7) >> 3
 	for c, v := range t {
 		switch k := s.cols[c].Kind; {
 		case v.kind == KindNull || k == KindNull:
 		case k == KindInt:
-			row, tuple = row+varintLen(v.num<<1^uint64(int64(v.num)>>63)), tuple+8
+			n += varintLen(v.num<<1 ^ uint64(int64(v.num)>>63))
 		case k == KindFloat:
-			row, tuple = row+8, tuple+8
+			n += 8
 		case k == KindBool:
-			row, tuple = row+1, tuple+1
+			n++
 		default:
-			row, tuple = row+varintLen(uint64(len(v.str)))+len(v.str), tuple+4+len(v.str)
+			n += varintLen(uint64(len(v.str))) + len(v.str)
 		}
 	}
-	return row, tuple
+	return n
+}
+
+// CheckRow returns the length of the row of s at the head of buf, or an
+// error unless AppendRow could have written it: a NULL bitmap with no bit
+// past the width and every column of kind NULL set, INTs and VARCHAR
+// lengths as shortest varints, BOOLs of 0 or 1, and every value's bytes.
+// So a row that passes decodes, and re-encodes byte for byte.
+func CheckRow(s *Schema, buf []byte) (int, error) {
+	off := (len(s.cols) + 7) >> 3
+	if len(buf) < off || len(s.cols)&7 != 0 && buf[off-1]>>(len(s.cols)&7) != 0 {
+		return 0, fmt.Errorf("value: row has no NULL bitmap of %d columns", len(s.cols))
+	}
+	for c, col := range s.cols {
+		f, n := buf[off:], 0 // n stays 0 for a value AppendRow never writes
+		switch k := col.Kind; {
+		case rowNull(buf, c):
+			continue
+		case k == KindInt:
+			_, n = shortestUvarint(f)
+		case k == KindFloat:
+			n = 8
+		case k == KindBool && (len(f) == 0 || f[0] <= 1):
+			n = 1
+		case k == KindString:
+			if l, m := shortestUvarint(f); m > 0 {
+				n = m + int(min(l, uint64(len(f))))
+			}
+		}
+		if n == 0 || n > len(f) {
+			return 0, fmt.Errorf("value: column %s holds no %s AppendRow writes", col.Name, col.Kind)
+		}
+		off += n
+	}
+	return off, nil
+}
+
+// shortestUvarint is binary.Uvarint, with a length of 0 for any error or a longer form than the shortest.
+func shortestUvarint(f []byte) (uint64, int) {
+	if x, n := binary.Uvarint(f); n > 0 && (n == 1 || f[n-1] != 0) {
+		return x, n
+	}
+	return 0, 0
 }
 
 // varintLen is the length of x as a uvarint.
@@ -148,44 +190,6 @@ func RowEqual(s *Schema, row []byte, t Tuple) bool {
 		off += n
 	}
 	return len(t) == len(s.cols)
-}
-
-// AppendRowTuple appends the row of s at the head of row in the tuple
-// encoding: byte for byte what AppendTuple writes for its decode. A
-// checkpoint transcodes every row, so the values are decoded inline, an
-// INT's varint of up to three bytes (|x| < 2^20) without a loop.
-func AppendRowTuple(dst []byte, s *Schema, row []byte) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s.cols)))
-	off := (len(s.cols) + 7) >> 3
-	for c := range s.cols {
-		if rowNull(row, c) {
-			dst = append(dst, byte(KindNull))
-			continue
-		}
-		switch k := s.cols[c].Kind; k {
-		case KindInt:
-			u, n := uint64(row[off]), 1
-			if u >= 0x80 {
-				if b := uint64(row[off+1]); b < 0x80 {
-					u, n = u&0x7f|b<<7, 2
-				} else if b2 := uint64(row[off+2]); b2 < 0x80 {
-					u, n = u&0x7f|(b&0x7f)<<7|b2<<14, 3
-				} else {
-					u, n = uvarint(row[off:])
-				}
-			}
-			dst, off = binary.BigEndian.AppendUint64(append(dst, byte(k)), u>>1^-(u&1)), off+n
-		case KindFloat:
-			dst, off = binary.BigEndian.AppendUint64(append(dst, byte(k)), binary.LittleEndian.Uint64(row[off:])), off+8
-		case KindBool:
-			dst, off = append(dst, byte(k), row[off]), off+1
-		default:
-			l, n := uvarint(row[off:])
-			dst = binary.BigEndian.AppendUint32(append(dst, byte(k)), uint32(l))
-			dst, off = append(dst, row[off+n:off+n+int(l)]...), off+n+int(l)
-		}
-	}
-	return dst
 }
 
 // NewBatchFromRows is NewBatchFrom over tuples of schema kept in the row

@@ -73,8 +73,8 @@ func parseRowSpec(spec []byte) (*Schema, Tuple) {
 
 // FuzzRowRoundTrip holds the row encoding to the tuple encoding it stands
 // in for in a store: a conformed tuple (an INT widened into a FLOAT
-// column) decodes to the same bits, transcodes to what AppendTuple writes
-// and transposes to the same cells; a column matches a key exactly when
+// column) is as long as RowLen says, passes CheckRow (and fails it cut
+// short), decodes to the same bits and transposes to the same cells; a column matches a key exactly when
 // AppendValue writes the two alike (so -0 and +0 differ and NULL matches
 // NULL); and a row equals a tuple exactly when EqualTuples says so.
 func FuzzRowRoundTrip(f *testing.F) {
@@ -98,16 +98,18 @@ func FuzzRowRoundTrip(f *testing.F) {
 		prefix := []byte{0xee}
 		buf := AppendRow(prefix, s, raw)
 		row := buf[len(prefix):]
-		rowLen, tupleLen := EncodedLens(s, raw)
-		if len(row) != rowLen {
-			t.Fatalf("%v: AppendRow wrote %d bytes, EncodedLens says %d", tup, len(row), rowLen)
+		if n := RowLen(s, raw); len(row) != n {
+			t.Fatalf("%v: AppendRow wrote %d bytes, RowLen says %d", tup, len(row), n)
+		}
+		if n, err := CheckRow(s, row); n != len(row) || err != nil {
+			t.Fatalf("%v: CheckRow of its %d-byte row: %d, %v", tup, len(row), n, err)
+		}
+		if _, err := CheckRow(s, row[:max(len(row)-1, 0)]); len(row) > 0 && err == nil {
+			t.Fatalf("%v: CheckRow takes its row with the last byte cut", tup)
 		}
 		got, n := DecodeRow(nil, s, row)
 		if n != len(row) || !bytes.Equal(AppendTuple(nil, got), want) {
 			t.Fatalf("%v decodes to %v, reading %d of %d bytes", tup, got, n, len(row))
-		}
-		if enc := AppendRowTuple(prefix, s, row); !bytes.Equal(enc[len(prefix):], want) || len(want) != tupleLen {
-			t.Fatalf("%v transcodes to %x, AppendTuple writes %x (EncodedLens %d)", tup, enc[len(prefix):], want, tupleLen)
 		}
 		b := NewBatchFromRows(s, buf, []int{len(prefix), -1, len(prefix)})
 		b.Sel = []int32{0, 2}

@@ -236,25 +236,13 @@ func (l *Log) scanPrefix() (recs []Record, valid, total int64) {
 	return recs, int64(off), int64(len(data))
 }
 
-// Checkpoint atomically replaces the checkpoint with the given snapshot
-// and truncates the log in one stable-storage swap. Transactions
-// committed before the checkpoint are folded into the snapshot; the log
-// restarts empty. A crash before the swap leaves the old checkpoint and
-// the full log — recovery replays as if no checkpoint was attempted.
-func (l *Log) Checkpoint(snapshot []value.Tuple) error {
-	return l.CheckpointImage(value.EncodeTuples(snapshot), nil)
-}
-
-// CheckpointImage is Checkpoint given the snapshot already encoded as
-// value.EncodeTuples writes it (a store keeping its versions encoded
-// copies that out without a tuple), plus carried-forward records: the
-// fresh log starts with carry instead of empty, installed in the same
-// atomic swap as the snapshot. The caller passes the redo records (sealed
-// by their prepare markers) of transactions that sit prepared but
-// undecided at checkpoint time — truncating those would lose a
-// transaction the coordinator's decision log may yet declare committed,
-// and re-appending them after a separate truncation would leave a crash
-// window with the same hole.
+// CheckpointImage atomically replaces the checkpoint with image, opaque
+// here (storage.Store.Image writes it, LoadImage reads it), and the log
+// with carry, in one stable-storage swap. A crash before the swap leaves
+// the old checkpoint and the full log. carry is the redo records, sealed
+// by their prepare markers, of transactions prepared but undecided at
+// checkpoint time: the coordinator's decision log may yet commit them, and
+// a separate re-append after the truncation would leave a crash window.
 func (l *Log) CheckpointImage(image []byte, carry []Record) error {
 	if out := fpWalCheckpoint.Eval(); out != nil {
 		return out.Err
@@ -286,19 +274,13 @@ func (l *Log) Drop() error {
 	return err
 }
 
-// LoadCheckpoint returns the last checkpoint's snapshot (nil if none).
-func (l *Log) LoadCheckpoint() ([]value.Tuple, error) {
-	data := l.store.ReadAll(l.name + ".ckpt")
-	if len(data) == 0 {
-		return nil, nil
-	}
-	return value.DecodeTuples(data)
-}
+// LoadCheckpoint returns the last checkpoint's image (nil if none was taken).
+func (l *Log) LoadCheckpoint() []byte { return l.store.ReadAll(l.name + ".ckpt") }
 
 // RecoveryResult is the outcome of a restart.
 type RecoveryResult struct {
-	// Snapshot is the checkpoint image (nil if none was taken).
-	Snapshot []value.Tuple
+	// Snapshot is the checkpoint image, as LoadCheckpoint returns it.
+	Snapshot []byte
 	// Records is the valid log after the checkpoint, in log order, with
 	// the markers that settled in-doubt transactions appended: replaying
 	// it redoes exactly the Committed transactions.
@@ -343,12 +325,8 @@ type Decider func(tx txn.ID) (ts uint64, commit bool, known bool)
 // next restart need no resolver. A nil decide leaves them in doubt:
 // replay buffers their write sets and applies none of them.
 func (l *Log) RecoverResolved(decide Decider) (*RecoveryResult, error) {
-	snap, err := l.LoadCheckpoint()
-	if err != nil {
-		return nil, fmt.Errorf("wal: checkpoint: %w", err)
-	}
 	recs, valid, total := l.scanPrefix()
-	res := &RecoveryResult{Snapshot: snap, TornBytes: total - valid}
+	res := &RecoveryResult{Snapshot: l.LoadCheckpoint(), TornBytes: total - valid}
 	if res.TornBytes > 0 {
 		if err := l.store.TruncateTo(l.name, valid); err != nil {
 			return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
